@@ -48,8 +48,7 @@ type expJSON struct {
 }
 
 // snapshot is the -json perf snapshot: per-experiment metrics and
-// wall-clock plus engine cache statistics, for recording BENCH_*.json
-// trajectories across PRs.
+// wall-clock plus engine cache statistics.
 type snapshot struct {
 	GeneratedAt       string    `json:"generated_at"`
 	GoVersion         string    `json:"go_version"`
@@ -119,10 +118,6 @@ func main() {
 			"also run the suite serially (workers=1, cold cache) and report the parallel speedup; implies -json evidence")
 	)
 	flag.Parse()
-
-	if runPSBench(*jsonPath) {
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

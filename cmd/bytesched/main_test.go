@@ -132,6 +132,12 @@ func TestRunLiveFusedCodec(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
+	// The default policy on the ring is priority + credit, i.e. coordinated
+	// release: fusion runs there too.
+	o.Backend, o.LiveWorkers = "ring", 3
+	if err := run(o); err != nil {
+		t.Fatalf("ring: %v", err)
+	}
 	o.Codec = "zstd"
 	if err := run(o); err == nil {
 		t.Fatal("unknown codec accepted")
@@ -176,6 +182,11 @@ func TestRunLiveAutoTune(t *testing.T) {
 	o.AutoTuneSuggester = "random"
 	if err := run(o); err != nil {
 		t.Fatal(err)
+	}
+	o.FuseTheta = 4 << 10
+	o.LiveLayers = "32,1,1,1,8"
+	if err := run(o); err != nil {
+		t.Fatalf("autotune with fusion: %v", err)
 	}
 	o.AutoTuneSuggester = "annealing"
 	if err := run(o); err == nil {

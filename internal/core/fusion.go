@@ -12,9 +12,8 @@ package core
 // A Fuser sits between the framework plugin and a scheduler: Add replaces
 // the Enqueue+NotifyReady pair. Tensors at or above the threshold pass
 // straight through; smaller ones accumulate in a bucket that is flushed as
-// one fused CommTask when it reaches the byte limit, when the flush
-// deadline expires (the netps.Batcher deadline pattern), or when the
-// caller flushes explicitly at a pass boundary. The fused task's priority
+// one fused CommTask when it reaches the byte limit or when the caller
+// flushes explicitly at a pass boundary. The fused task's priority
 // is the *minimum* (most urgent) of its members — fusion may delay an
 // urgent small tensor by at most one bucket, never demote it — and when
 // the fused task resolves it is unfused: every member's OnFinished fires
@@ -24,32 +23,31 @@ package core
 // workers must fuse identical member sets. Membership is deterministic
 // when (a) tasks are Added in the same order on every worker — true for
 // backward passes, which emit gradients in reverse layer order — and (b)
-// flushes happen at deterministic points, i.e. the byte limit and explicit
-// pass-boundary Flush calls. The flush deadline is wall-clock and
-// therefore *not* deterministic across workers; leave FlushDelay zero in
-// multi-worker runs (the live runner does) and use it only where a single
-// consumer owns the keys.
+// flushes happen at deterministic points — the byte limit and explicit
+// pass-boundary Flush calls are the only triggers, so there is no
+// wall-clock flush that could diverge membership. The same determinism is
+// what lets a Fuser feed a StreamReleaser on coordinated runs: every peer
+// emits the same sequence of plain and fused tasks.
 
 import (
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"bytescheduler/internal/tensor"
 )
 
-// TaskSink accepts CommTasks: the downstream scheduler a Fuser feeds.
-// *AsyncScheduler satisfies it.
+// TaskSink accepts CommTasks: the downstream a Fuser or StreamReleaser
+// feeds. *AsyncScheduler and *StreamReleaser satisfy it.
 type TaskSink interface {
 	Enqueue(t *Task) error
 	NotifyReady(t *Task) error
 }
 
 // Fused is one fusion bucket turned CommTask payload: the members in Add
-// order and their byte offsets within the fused buffer. The transmit
-// callback receives it alongside each fused partition.
+// order and their byte offsets within the fused buffer. FuserConfig.Start
+// receives it once, when the bucket is emitted.
 type Fused struct {
 	// Tensor is the synthetic fused tensor: Layer is the minimum member
 	// layer (so LayerPriority gives the bucket its most urgent member's
@@ -67,11 +65,14 @@ func (f *Fused) Members() []*Task { return f.members }
 // member i covers [Offsets()[i], Offsets()[i]+Members()[i].Tensor.Bytes).
 func (f *Fused) Offsets() []int64 { return f.offsets }
 
-// FuseStartFn transmits one partition of a fused task, exactly like a
-// Task's StartErr but with the bucket's composition available: sub covers
-// [sub.Offset, sub.Offset+sub.Bytes) of the fused buffer whose layout
-// f.Offsets describes. done must be invoked exactly once.
-type FuseStartFn func(f *Fused, sub tensor.Sub, done func(error))
+// FuseStartFn builds the fused task's StartErr from the bucket's
+// composition, once per emitted bucket: the returned function transmits
+// the partition [sub.Offset, sub.Offset+sub.Bytes) of the fused buffer
+// whose layout f.Offsets describes, under the same contract as any Task's
+// StartErr. Building it per bucket gives the caller a place for per-task
+// state (the live runner's completion countdown) and lets fused and plain
+// tasks share one start function.
+type FuseStartFn func(f *Fused) StartErrFn
 
 // FuserConfig configures a Fuser.
 type FuserConfig struct {
@@ -83,13 +84,8 @@ type FuserConfig struct {
 	// 0 defaults to Theta — members are each under Theta, so buckets land
 	// in [Theta, 2Theta). Must be >= Theta when set.
 	MaxBytes int64
-	// FlushDelay bounds how long a bucketed tensor may wait for
-	// companions before the bucket is flushed anyway. 0 disables the
-	// deadline: the bucket flushes only on size or an explicit Flush.
-	// Deadline flushes are wall-clock and break cross-worker membership
-	// determinism — see the package comment.
-	FlushDelay time.Duration
-	// Start transmits fused partitions. Required when Theta > 0.
+	// Start builds each fused task's transmit function. Required when
+	// Theta > 0.
 	Start FuseStartFn
 }
 
@@ -104,9 +100,6 @@ func (c FuserConfig) Validate() error {
 	if c.MaxBytes != 0 && c.MaxBytes < c.Theta {
 		return fmt.Errorf("core: fuser MaxBytes %d below Theta %d", c.MaxBytes, c.Theta)
 	}
-	if c.FlushDelay < 0 {
-		return fmt.Errorf("core: negative fuser flush delay %v", c.FlushDelay)
-	}
 	return nil
 }
 
@@ -118,10 +111,10 @@ type FuserStats struct {
 	FusedTasks uint64
 	// FusedMembers counts member tasks absorbed into fused CommTasks.
 	FusedMembers uint64
-	// SizeFlushes / DeadlineFlushes / ExplicitFlushes break down what
-	// triggered each bucket flush (singleton buckets flushed through
-	// their own Start count here too).
-	SizeFlushes, DeadlineFlushes, ExplicitFlushes uint64
+	// SizeFlushes / ExplicitFlushes break down what triggered each bucket
+	// flush (singleton buckets flushed through their own Start count here
+	// too).
+	SizeFlushes, ExplicitFlushes uint64
 }
 
 // Fuser buckets sub-threshold CommTasks into fused CommTasks. Safe for
@@ -133,7 +126,6 @@ type Fuser struct {
 	mu      sync.Mutex
 	pending []*Task
 	bytes   int64
-	timer   *time.Timer
 	closed  bool
 	stats   FuserStats
 }
@@ -186,9 +178,6 @@ func (f *Fuser) Add(t *Task) error {
 		f.mu.Unlock()
 		return f.emit(batch)
 	}
-	if f.timer == nil && f.cfg.FlushDelay > 0 {
-		f.timer = time.AfterFunc(f.cfg.FlushDelay, f.deadlineFlush)
-	}
 	f.mu.Unlock()
 	return nil
 }
@@ -229,40 +218,12 @@ func (f *Fuser) Stats() FuserStats {
 	return f.stats
 }
 
-// takeLocked detaches the bucket and stops the deadline timer. Caller
-// holds f.mu.
+// takeLocked detaches the bucket. Caller holds f.mu.
 func (f *Fuser) takeLocked() []*Task {
 	batch := f.pending
 	f.pending = nil
 	f.bytes = 0
-	if f.timer != nil {
-		f.timer.Stop()
-		f.timer = nil
-	}
 	return batch
-}
-
-// deadlineFlush is the timer callback. A sink rejection has no caller to
-// return to here, so it is delivered through the members' completion path
-// (err + OnFinished) — the same contract a failed transmission has.
-func (f *Fuser) deadlineFlush() {
-	f.mu.Lock()
-	f.timer = nil
-	if f.closed || len(f.pending) == 0 {
-		f.mu.Unlock()
-		return
-	}
-	batch := f.takeLocked()
-	f.stats.DeadlineFlushes++
-	f.mu.Unlock()
-	if err := f.emit(batch); err != nil {
-		for _, m := range batch {
-			m.err = err
-			if m.OnFinished != nil {
-				m.OnFinished()
-			}
-		}
-	}
 }
 
 // forward submits one unfused task to the sink.
@@ -306,13 +267,7 @@ func (f *Fuser) emit(batch []*Task) error {
 	sig.WriteByte(')')
 	fused.Tensor = tensor.Tensor{Layer: minLayer, Name: sig.String(), Bytes: total}
 
-	start := f.cfg.Start
-	ft := &Task{
-		Tensor: fused.Tensor,
-		StartErr: func(sub tensor.Sub, done func(error)) {
-			start(fused, sub, done)
-		},
-	}
+	ft := &Task{Tensor: fused.Tensor, StartErr: f.cfg.Start(fused)}
 	// Unfuse: when every fused partition has resolved, each member
 	// resolves with the fused outcome, exactly once.
 	ft.OnFinished = func() {

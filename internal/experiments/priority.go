@@ -99,60 +99,46 @@ func ExtPriority(o Opts) (Table, error) {
 	if o.Quick {
 		iters, warmup, reps = 8, 2, 2
 	}
-	type leg struct {
-		backend runner.LiveBackend
-		mode    runner.PipelineMode
-		iter    float64
-	}
-	legs := []*leg{
-		{runner.LiveBackendPS, runner.PipelineOff, math.Inf(1)},
-		{runner.LiveBackendPS, runner.PipelineOn, math.Inf(1)},
-		{runner.LiveBackendRing, runner.PipelineOff, math.Inf(1)},
-		{runner.LiveBackendRing, runner.PipelineOn, math.Inf(1)},
-	}
-	// Interleave repetitions (EXT-FUSION's estimator) so slow phases of a
-	// shared machine hit every leg.
-	for r := 0; r < reps; r++ {
-		for _, l := range legs {
-			workers := 2
-			if l.backend == runner.LiveBackendRing {
-				workers = 3
-			}
-			cfg := runner.LiveConfig{
-				Backend:         l.backend,
-				Workers:         workers,
-				LayerBytes:      layers,
-				Policy:          core.ByteScheduler(64<<10, 256<<10),
-				Priority:        core.PriorityLayer,
-				Pipeline:        l.mode,
-				// A small lookahead window releases the first gradients
-				// two layers into the backward pass instead of halfway
-				// through it — more overlap, same agreed order.
-				PipelineWindow:  2,
-				Iterations:      iters,
-				Warmup:          warmup,
-				ForwardCompute:  200 * time.Microsecond,
-				BackwardCompute: 2 * time.Millisecond,
-				Shape:           []runner.LinkShape{{PerMessage: 300 * time.Microsecond, Gbps: 3.2}},
-				Seed:            o.Seed,
-			}
-			res, err := runner.RunLive(cfg)
-			if err != nil {
-				return Table{}, fmt.Errorf("live %s pipeline %s: %w", l.backend, l.mode, err)
-			}
-			if it := medianSeconds(res.IterTimes); it < l.iter {
-				l.iter = it
-			}
+	arm := func(backend runner.LiveBackend, mode runner.PipelineMode) *liveLeg {
+		workers := 2
+		if backend == runner.LiveBackendRing {
+			workers = 3
 		}
+		cfg := runner.LiveConfig{
+			Backend:    backend,
+			Workers:    workers,
+			LayerBytes: layers,
+			Policy:     core.ByteScheduler(64<<10, 256<<10),
+			Priority:   core.PriorityLayer,
+			Pipeline:   mode,
+			// A small lookahead window releases the first gradients two
+			// layers into the backward pass instead of halfway through it
+			// — more overlap, same agreed order.
+			PipelineWindow:  2,
+			Iterations:      iters,
+			Warmup:          warmup,
+			ForwardCompute:  200 * time.Microsecond,
+			BackwardCompute: 2 * time.Millisecond,
+			Shape:           []runner.LinkShape{{PerMessage: 300 * time.Microsecond, Gbps: 3.2}},
+			Seed:            o.Seed,
+		}
+		return &liveLeg{name: fmt.Sprintf("%s pipeline %s", backend, mode), cfg: func() runner.LiveConfig { return cfg }}
 	}
-	for i := 0; i < len(legs); i += 2 {
-		off, on := legs[i], legs[i+1]
-		name := "live " + off.backend.String()
+	backends := []runner.LiveBackend{runner.LiveBackendPS, runner.LiveBackendRing}
+	var legs []*liveLeg // off, on per backend
+	for _, b := range backends {
+		legs = append(legs, arm(b, runner.PipelineOff), arm(b, runner.PipelineOn))
+	}
+	if err := bestMedians(reps, legs); err != nil {
+		return Table{}, err
+	}
+	for i, b := range backends {
+		off, on := legs[2*i], legs[2*i+1]
+		name, key := "live "+b.String(), b.String()
 		sp := (off.iter/on.iter - 1) * 100
 		tab.Rows = append(tab.Rows,
 			[]string{name, "pipeline off", f1(off.iter * 1e3), "0.0"},
 			[]string{name, "pipeline on", f1(on.iter * 1e3), f1(sp)})
-		key := off.backend.String()
 		tab.Metrics[key+"_pipeline_speedup_pct"] = sp
 		tab.Metrics[key+"_off_iter_ms"] = off.iter * 1e3
 		tab.Metrics[key+"_on_iter_ms"] = on.iter * 1e3

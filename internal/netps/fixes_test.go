@@ -336,38 +336,31 @@ func TestDedupGaugeTracksClientEviction(t *testing.T) {
 }
 
 // BenchmarkRecordPushGauge measures the per-push dedup-gauge cost with
-// many resident client windows: the running count is O(1) per push, while
-// the legacy full-table rescan (the pre-fix behavior, kept behind
-// legacyDedupScan for exactly this comparison) is O(total remembered
-// Seqs).
+// many resident client windows: the running count is O(1) per push, where
+// rescanning the table would be O(total remembered Seqs).
 func BenchmarkRecordPushGauge(b *testing.B) {
-	for _, mode := range []string{"running-count", "legacy-scan"} {
-		b.Run(mode, func(b *testing.B) {
-			reg := metrics.NewRegistry()
-			srv, err := NewServer(2, WithShards(1), WithServerMetrics(reg))
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.legacyDedupScan = mode == "legacy-scan"
-			// Populate 128 clients x 512 seqs of dedup state.
-			for client := 1; client <= 128; client++ {
-				for n := 1; n <= 512; n++ {
-					sh := srv.shard("warm")
-					sh.mu.Lock()
-					sh.recordPush(srv, uint64(client)<<32|uint64(n))
-					sh.mu.Unlock()
-				}
-			}
-			payload := Encode(make([]float32, 64))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				push := message{Op: OpPush, Key: "hot", Iter: uint32(i),
-					Seq: uint64(200)<<32 | uint64(i+1), Payload: payload}
-				if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
-					b.Fatalf("push rejected: %s", resp.Payload)
-				}
-			}
-		})
+	reg := metrics.NewRegistry()
+	srv, err := NewServer(2, WithShards(1), WithServerMetrics(reg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Populate 128 clients x 512 seqs of dedup state.
+	for client := 1; client <= 128; client++ {
+		for n := 1; n <= 512; n++ {
+			sh := srv.shard("warm")
+			sh.mu.Lock()
+			sh.recordPush(srv, uint64(client)<<32|uint64(n))
+			sh.mu.Unlock()
+		}
+	}
+	payload := Encode(make([]float32, 64))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push := message{Op: OpPush, Key: "hot", Iter: uint32(i),
+			Seq: uint64(200)<<32 | uint64(i+1), Payload: payload}
+		if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
+			b.Fatalf("push rejected: %s", resp.Payload)
+		}
 	}
 }

@@ -112,13 +112,7 @@ type Server struct {
 	completedKeys  int
 	readTimeout    time.Duration
 	writeTimeout   time.Duration
-	// legacyDedupScan re-enables the pre-shard server's full dedup-table
-	// rescan on every push to feed the netps_server_dedup_seqs gauge — an
-	// O(total remembered Seqs) cost on the hot path. It exists only so the
-	// load harness can measure the seed-shape baseline (see
-	// SingleLockBaseline); nothing in production sets it.
-	legacyDedupScan bool
-	inst            serverInstruments
+	inst           serverInstruments
 
 	shards []*shard
 
@@ -580,19 +574,6 @@ func (sh *shard) recordPush(s *Server, seq uint64) {
 		sh.seqs++
 		s.inst.dedupSize.Add(1)
 	}
-	if s.legacyDedupScan {
-		// Seed-shape baseline only: recount every window on every push —
-		// the O(total Seqs) hot-path cost this PR removed.
-		s.inst.dedupSize.Set(int64(sh.dedupLenLocked()))
-	}
-}
-
-func (sh *shard) dedupLenLocked() int {
-	n := 0
-	for _, w := range sh.dedup {
-		n += len(w.seen)
-	}
-	return n
 }
 
 // DedupSize returns the total number of remembered push Seqs across all

@@ -10,7 +10,6 @@ package runner
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -109,16 +108,10 @@ type LiveConfig struct {
 	// FuseTheta, when > 0, buckets gradients smaller than this many bytes
 	// into fused CommTasks (core.Fuser): the small-tensor long tail then
 	// pays one per-message overhead per bucket instead of one each. Must
-	// be a multiple of 4. Incompatible with coordinated ring runs (ring +
-	// priority + credit), whose atomic-release protocol presumes one task
-	// per layer.
+	// be a multiple of 4. Buckets flush on size and at the end of each
+	// backward pass — deterministic points, so every worker fuses the same
+	// member sets.
 	FuseTheta int64
-	// FuseDelay is the fusion bucket's flush deadline. Leave 0 (the
-	// default) in multi-worker runs: deadline flushes are wall-clock and
-	// can diverge bucket membership across workers, which deadlocks
-	// keyed transports. Buckets then flush on size and at the end of each
-	// backward pass.
-	FuseDelay time.Duration
 	// Codec compresses gradient payloads on the wire (fp16 / int8 /
 	// top-k); the zero value is the identity (raw fp32) codec. Lossy
 	// codecs relax the runner's aggregation verification accordingly.
@@ -140,8 +133,9 @@ type LiveConfig struct {
 	// whether a backward pass's gradient tasks reach the scheduler as the
 	// pass produces them (overlapping iteration i's backward compute and
 	// iteration i+1's forward-blocking transfers with communication) or
-	// are held to the pass boundary. PipelineAuto keeps each backend's
-	// established behavior.
+	// are held to the pass boundary. It only picks the release window
+	// (see releaseWindow); PipelineAuto keeps each backend's established
+	// behavior.
 	Pipeline PipelineMode
 	// PipelineWindow bounds the coordinated streaming release's reorder
 	// lookahead (core.StreamReleaser); 0 picks half the layer count. Only
@@ -181,10 +175,10 @@ type PipelineMode int
 const (
 	// PipelineAuto keeps each backend's established behavior: PS (and
 	// uncoordinated ring) runs stream tasks as the backward pass emits
-	// them; coordinated ring runs hold the pass and release it atomically.
+	// them; coordinated ring runs hold the pass and release it best-first
+	// at the boundary.
 	PipelineAuto PipelineMode = iota
-	// PipelineOn streams everywhere. On coordinated ring runs this swaps
-	// the atomic pass-end release for a core.StreamReleaser: tasks are
+	// PipelineOn streams everywhere. On coordinated ring runs tasks are
 	// released mid-pass through a bounded lookahead window in an agreed
 	// total order, so communication overlaps backward compute without
 	// giving up deadlock-freedom.
@@ -294,17 +288,8 @@ func (c LiveConfig) Validate() error {
 	if c.FuseTheta < 0 || c.FuseTheta%4 != 0 {
 		return fmt.Errorf("runner: fuse threshold %d is not a non-negative multiple of 4", c.FuseTheta)
 	}
-	if c.FuseDelay < 0 {
-		return fmt.Errorf("runner: negative fuse delay %v", c.FuseDelay)
-	}
-	if c.FuseTheta > 0 && c.coordinated() {
-		return fmt.Errorf("runner: tensor fusion is incompatible with coordinated ring runs (priority + credit): the atomic-release protocol presumes one task per layer")
-	}
 	if c.AutoTune != nil && (c.Policy.PartitionUnit <= 0 || c.Policy.CreditBytes <= 0) {
 		return fmt.Errorf("runner: auto-tuning needs a scheduled starting policy (positive partition unit and credit), got unit %d credit %d", c.Policy.PartitionUnit, c.Policy.CreditBytes)
-	}
-	if c.AutoTune != nil && c.FuseTheta > 0 {
-		return fmt.Errorf("runner: auto-tuning is incompatible with tensor fusion: fused transfers hold credit through the blocking pull, and a probed credit window smaller than two fused buckets can cross-deadlock workers")
 	}
 	switch c.Priority {
 	case core.PriorityDefault, core.PriorityLayer, core.PriorityCriticalPath, core.PriorityRandom:
@@ -322,20 +307,17 @@ func (c LiveConfig) Validate() error {
 	if c.PipelineWindow < 0 {
 		return fmt.Errorf("runner: negative pipeline window %d", c.PipelineWindow)
 	}
-	if c.Pipeline == PipelineOff && c.FuseTheta > 0 {
-		return fmt.Errorf("runner: pipelining off holds every task to the pass boundary, which defeats the fusion buffer's streaming buckets; drop -fuse-theta or -pipeline off")
-	}
 	if err := validateShape(c.Shape); err != nil {
 		return err
 	}
 	return nil
 }
 
-// coordinated reports whether the run must release each backward pass's
-// task set atomically in priority order (see liveWorker): ring collectives
-// block until *every* peer issues them, so priority scheduling under a
-// finite credit window is only deadlock-free when all peers admit
-// partitions in the same total order. Streaming per-layer release diverges
+// coordinated reports whether every peer must admit partitions in one
+// agreed total order: ring collectives block until *every* peer issues
+// them, so priority scheduling under a finite credit window is only
+// deadlock-free when all peers admit partitions in the same total order.
+// Streaming per-layer release under each peer's own priority diverges
 // — peer A's backward is a sleep ahead, its freshly-emitted urgent layer
 // preempts its window while peer B still stop-and-waits on the tail A
 // moved past, and neither completes (real all-reduce stacks solve exactly
@@ -343,12 +325,35 @@ func (c LiveConfig) Validate() error {
 // FIFO-style policies (no Priority) stream safely: arrival order is
 // emission order, identical on every peer.
 //
-// Coordination does not require giving up pipelining: PipelineOn swaps the
-// atomic pass-end release for a core.StreamReleaser, which computes the
-// same kind of agreed total order incrementally (see liveWorker).
+// Coordinated workers therefore schedule on the rank their
+// core.StreamReleaser stamps at release — computed from the emission
+// sequence, the window and the rank table, all identical on every peer —
+// instead of on the tensor's own priority. Coordination does not require
+// giving up pipelining: the window only has to be the same everywhere, not
+// the whole pass (see releaseWindow).
 func (c LiveConfig) coordinated() bool {
 	prioritized := c.Policy.Priority != nil || c.Priority != core.PriorityDefault
 	return c.Backend == LiveBackendRing && prioritized && c.Policy.CreditBytes > 0
+}
+
+// releaseWindow derives the one number the release modes differ in, the
+// core.StreamReleaser's lookahead. 1 releases every task the moment the
+// backward pass emits it (PS and uncoordinated ring streaming). The layer
+// count holds the pass to its boundary and releases it best rank first
+// (PipelineOff anywhere; coordinated runs unless asked to pipeline).
+// Coordinated PipelineOn streams with PipelineWindow tasks of lookahead,
+// half the layers by default.
+func (c LiveConfig) releaseWindow() int {
+	layers, coordinated := len(c.LayerBytes), c.coordinated()
+	switch {
+	case c.Pipeline == PipelineOff, coordinated && c.Pipeline == PipelineAuto:
+		return layers
+	case !coordinated:
+		return 1
+	case c.PipelineWindow > 0:
+		return c.PipelineWindow
+	}
+	return (layers + 1) / 2
 }
 
 // LiveResult summarizes a live run.
@@ -371,18 +376,21 @@ type LiveResult struct {
 // sum. The caller derives key from the partition's tensor identity (plain
 // or fused) so every worker addresses the same aggregation slot.
 //
-// sent splits the operation's two phases when the transport supports it:
-// the PS transport invokes sent() once the local push is acknowledged —
-// before the pull, which blocks until every worker pushed — so the caller
-// can return scheduler credit for the send while the cross-worker wait
-// proceeds without holding the window. Credit then gates the
-// bandwidth-consuming direction only. This matters: if blocking pulls
-// held credit, two workers whose windows filled with *different* layer
-// subsets would each wait forever for pushes the other has no credit left
-// to admit — a cross-worker deadlock the auto-tuner hits as soon as it
-// probes a credit smaller than a pass's total bytes. Collective
-// transports (the ring) never call sent: the whole op is the send, and
-// coordinated release already guarantees identical admission order.
+// Every transport is split-phase: sent() is called exactly once, iff the
+// send phase succeeded, and the caller returns the partition's scheduler
+// credit there. The PS transport invokes it once the local push is
+// acknowledged — before the pull, which blocks until every worker pushed —
+// so the cross-worker wait proceeds without holding the window, and credit
+// gates the bandwidth-consuming direction only. This matters: if blocking
+// pulls held credit, two workers whose windows filled with *different*
+// layer subsets would each wait forever for pushes the other has no credit
+// left to admit — a cross-worker deadlock the auto-tuner hits as soon as
+// it probes a credit smaller than a pass's total bytes (or one fused
+// bucket). A collective (the ring) is all send: it calls sent() when the
+// all-reduce returns, and coordinated release already guarantees identical
+// admission order. An error returned without sent() having been called is
+// a failed send (the scheduler retries it); one returned after is the
+// wait phase's outcome.
 type liveComm func(key string, iter uint32, in, out []float32, sent func()) error
 
 // liveTransport is one worker's transport endpoint.
@@ -479,7 +487,9 @@ func buildLiveTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 	return nil, nil, fmt.Errorf("runner: unknown live backend %d", int(cfg.Backend))
 }
 
-func buildRingTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
+// dialRing starts cfg.Workers loopback ring peers, each dialed to its
+// successor, plus a teardown closing them all.
+func dialRing(cfg LiveConfig) ([]*netar.Peer, func(), error) {
 	peers := make([]*netar.Peer, cfg.Workers)
 	teardown := func() {
 		for _, p := range peers {
@@ -516,19 +526,27 @@ func buildRingTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 			return nil, nil, err
 		}
 	}
+	return peers, teardown, nil
+}
+
+func buildRingTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
+	peers, teardown, err := dialRing(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	transports := make([]liveTransport, cfg.Workers)
-	for r := 0; r < cfg.Workers; r++ {
-		peer := peers[r]
+	for r, peer := range peers {
 		transports[r] = liveTransport{
-			// The collective is indivisible — no send/wait split, credit
-			// is held for the whole op (safe: coordinated release admits
-			// in one total order on every peer).
-			comm: func(key string, iter uint32, in, out []float32, _ func()) error {
+			// The collective is indivisible: the whole op is the send
+			// phase, so credit is held until it returns (safe: coordinated
+			// release admits in one total order on every peer).
+			comm: func(key string, iter uint32, in, out []float32, sent func()) error {
 				sum, err := peer.AllReduce(key, iter, in)
 				if err != nil {
 					return err
 				}
 				copy(out, sum)
+				sent()
 				return nil
 			},
 		}
@@ -617,108 +635,125 @@ func buildPSTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 	return transports, teardown, nil
 }
 
-// liveGrad is the metadata one live gradient task carries through fusion
-// (core.Task.Meta): the buffers a fused transmit gathers from and
-// scatters back into.
+// liveGrad is one layer's gradient in one iteration: the buffers its
+// synchronization reads and fills, and the forward gate its outcome opens.
+// Tasks carry it as core.Task.Meta so a fusion bucket can recover its
+// members'.
 type liveGrad struct {
-	iter  uint32
-	layer int
-	grad  []float32
-	out   []float32
+	iter uint32
+	grad []float32
+	out  []float32
+	gate chan error
 }
 
-// fusedComm builds the core.FuseStartFn for one worker: it gathers the
-// member gradient slices covered by a fused partition into one contiguous
-// vector, synchronizes it under the fused content-derived key (identical
-// on every worker that bucketed the same members), and scatters the sum
-// back into each member's output buffer.
-func fusedComm(comm liveComm) core.FuseStartFn {
-	return func(fd *core.Fused, sub tensor.Sub, doneFn func(error)) {
-		members, offsets := fd.Members(), fd.Offsets()
+// startFn builds the partition start function of one scheduled task over
+// its member gradients: one member for a plain layer task, several — with
+// their byte offsets in the fused buffer — for a fusion bucket. name is the
+// task's cross-worker identity; the transport key appends the partition
+// index to it.
+//
+// Completion is split-phase on every transport (see liveComm): sent()
+// returns the partition's credit to the scheduler, and the task's outcome
+// reaches the members' forward gates when its last partition's wait phase
+// lands — a per-task countdown, because the scheduler's own OnFinished
+// fires at the last credit return, before the data is in. A partition
+// whose send fails permanently never joins the countdown, so it cannot
+// reach zero; the task's OnFinished (with Err set) reports that case
+// instead.
+func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64) core.StartErrFn {
+	var (
+		mu       sync.Mutex
+		left     = -1
+		firstErr error
+	)
+	return func(sub tensor.Sub, done func(error)) {
 		lo, hi := sub.Offset, sub.Offset+sub.Bytes
-		in := make([]float32, sub.Bytes/4)
-		out := make([]float32, sub.Bytes/4)
-		iter := members[0].Meta.(*liveGrad).iter
-		overlap := func(i int) (s, e int64) {
-			s, e = offsets[i], offsets[i]+members[i].Tensor.Bytes
-			if s < lo {
-				s = lo
-			}
-			if e > hi {
-				e = hi
-			}
-			return s, e
+		var in, out []float32
+		if len(members) == 1 {
+			// A plain task's partition is a view of the worker's own
+			// buffers: the unfused path copies nothing.
+			in, out = members[0].grad[lo/4:hi/4], members[0].out[lo/4:hi/4]
+		} else {
+			in, out = make([]float32, sub.Bytes/4), make([]float32, sub.Bytes/4)
+			eachSpan(members, offsets, lo, hi, func(g *liveGrad, m0, m1, p0 int64) { copy(in[p0:], g.grad[m0:m1]) })
 		}
-		for i, m := range members {
-			s, e := overlap(i)
-			if s >= e {
-				continue
-			}
-			g := m.Meta.(*liveGrad)
-			copy(in[(s-lo)/4:(e-lo)/4], g.grad[(s-offsets[i])/4:(e-offsets[i])/4])
-		}
-		key := fmt.Sprintf("%s[%d/%d]", fd.Tensor.Name, sub.Index, sub.Count)
-		// Fused transfers keep holding credit through the pull (no-op
-		// sent): the scatter below must finish before members complete,
-		// and Validate rejects the one configuration (auto-tuning) that
-		// could shrink the window enough for held pulls to deadlock.
-		if err := comm(key, iter, in, out, func() {}); err != nil {
-			doneFn(err)
+		key := fmt.Sprintf("%s[%d/%d]", name, sub.Index, sub.Count)
+		credited := false
+		err := comm(key, members[0].iter, in, out, func() {
+			credited = true
+			done(nil)
+		})
+		if !credited {
+			done(err)
 			return
 		}
-		for i, m := range members {
-			s, e := overlap(i)
-			if s >= e {
-				continue
-			}
-			g := m.Meta.(*liveGrad)
-			copy(g.out[(s-offsets[i])/4:(e-offsets[i])/4], out[(s-lo)/4:(e-lo)/4])
+		if err == nil && len(members) > 1 {
+			eachSpan(members, offsets, lo, hi, func(g *liveGrad, m0, m1, p0 int64) { copy(g.out[m0:m1], out[p0:]) })
 		}
-		doneFn(nil)
+		mu.Lock()
+		if left < 0 {
+			left = sub.Count
+		}
+		left--
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		last, res := left == 0, firstErr
+		mu.Unlock()
+		if last {
+			for _, g := range members {
+				g.gate <- res
+			}
+		}
+	}
+}
+
+// eachSpan visits the members a fused partition [lo, hi) overlaps: member i
+// occupies bytes [offsets[i], offsets[i]+4*len(grad)) of the fused buffer.
+// fn receives the member, the overlap as a float range [m0, m1) of the
+// member's own buffers, and its first float p0 within the partition.
+func eachSpan(members []*liveGrad, offsets []int64, lo, hi int64, fn func(g *liveGrad, m0, m1, p0 int64)) {
+	for i, g := range members {
+		s, e := max(offsets[i], lo), min(offsets[i]+4*int64(len(g.grad)), hi)
+		if s < e {
+			fn(g, (s-offsets[i])/4, (e-offsets[i])/4, (s-lo)/4)
+		}
 	}
 }
 
 // liveWorker runs one worker's training loop: forward gated on the
 // previous iteration's per-layer synchronization, backward emitting
-// gradient CommTasks back-to-front into the worker's scheduler (through a
-// fusion buffer when FuseTheta is set). With a controller, each backward
-// pass first pins and applies the iteration's (partition, credit): the
-// swap lands at the pass boundary, in-flight tasks from the previous pass
-// finish under the old config, and the controller's per-iteration pinning
-// keeps partition counts — which the transport keys embed — identical
-// across workers.
+// gradient CommTasks back-to-front into one pipeline, whatever the
+// configuration: core.Fuser (buckets sub-θ tensors; pass-through at θ = 0)
+// → core.StreamReleaser (holds releaseWindow tasks of lookahead, stamps
+// the agreed order on coordinated runs) → the worker's scheduler. With a
+// controller, each backward pass first pins and applies the iteration's
+// (partition, credit): the swap lands at the pass boundary, in-flight tasks
+// from the previous pass finish under the old config, and the controller's
+// per-iteration pinning keeps partition counts — which the transport keys
+// embed — identical across workers.
 func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl *autotune.Controller, starts []time.Time) (core.Stats, error) {
 	layers := len(cfg.LayerBytes)
-	// Release discipline (see PipelineMode): coordinated runs either hold
-	// each pass and release it atomically (the pre-existing safe protocol)
-	// or, with PipelineOn, stream through a bounded agreed-order window;
-	// uncoordinated runs stream through the fuser unless PipelineOff holds
-	// them to the pass boundary.
 	coordinated := cfg.coordinated()
-	stream := coordinated && cfg.Pipeline == PipelineOn
-	passEnd := (coordinated && !stream) || cfg.Pipeline == PipelineOff
-	rankOf := func(l int) int {
-		if ranks == nil {
-			return l
-		}
-		return int(ranks[l])
+	// order is the run's priority table as a function. It reads
+	// Tensor.Layer as the layer index (a bucket's is its most urgent
+	// member's), which holds until the releaser's stamp lands.
+	order := core.PriorityFn(core.LayerPriority)
+	if ranks != nil {
+		order = core.RankPriority(ranks)
 	}
-	// releaseOrder is the pass-boundary release sequence, best rank first.
-	// Coordinated peers must issue their NotifyReady calls in the agreed
-	// (stamped) order — admission can start at the first call.
-	releaseOrder := make([]int, layers)
-	for i := range releaseOrder {
-		releaseOrder[i] = i
-	}
-	sort.Slice(releaseOrder, func(a, b int) bool { return rankOf(releaseOrder[a]) < rankOf(releaseOrder[b]) })
-
 	pol := cfg.Policy
 	if coordinated {
-		// The runner stamps the agreed rank into Tensor.Layer; the policy
+		// The releaser stamps the agreed rank into Tensor.Layer; the policy
 		// must read the stamp verbatim, not re-map it through a rank table.
+		// The stamp is strictly increasing across passes, so peers skewed
+		// into different iterations still admit the two in-flight passes'
+		// partitions in one agreed total order, and a new pass's front
+		// layer never preempts the previous pass's unfinished tail — which
+		// is exactly where a lagging peer still is.
 		pol.Priority = core.LayerPriority
 	} else if ranks != nil {
-		pol.Priority = core.RankPriority(ranks)
+		pol.Priority = order
 	}
 	sched := core.NewAsync(pol)
 	defer sched.Shutdown()
@@ -728,38 +763,31 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 	if tr.attach != nil {
 		tr.attach(sched)
 	}
+	releaser, err := core.NewStreamReleaser(cfg.releaseWindow(), coordinated, order, sched)
+	if err != nil {
+		return core.Stats{}, err
+	}
 	fuser, err := core.NewFuser(core.FuserConfig{
-		Theta:      cfg.FuseTheta,
-		FlushDelay: cfg.FuseDelay,
-		Start:      fusedComm(tr.comm),
-	}, sched)
+		Theta: cfg.FuseTheta,
+		Start: func(fd *core.Fused) core.StartErrFn {
+			members := make([]*liveGrad, len(fd.Members()))
+			for i, m := range fd.Members() {
+				members[i] = m.Meta.(*liveGrad)
+			}
+			// The content-derived bucket name is identical on every worker
+			// that bucketed the same members.
+			return startFn(tr.comm, fd.Tensor.Name, members, fd.Offsets())
+		},
+	}, releaser)
 	if err != nil {
 		return core.Stats{}, err
 	}
 	defer fuser.Close()
-	var releaser *core.StreamReleaser
-	if stream {
-		window := cfg.PipelineWindow
-		if window == 0 {
-			window = (layers + 1) / 2
-		}
-		releaser, err = core.NewStreamReleaser(window,
-			func(t *core.Task) int64 { return int64(rankOf(t.Meta.(*liveGrad).layer)) },
-			func(t *core.Task, agreed int64) error {
-				// The stamp is strictly increasing across passes, so peers
-				// skewed into different iterations still admit the two
-				// in-flight passes' partitions in one agreed total order.
-				t.Tensor.Layer = int(agreed)
-				return sched.NotifyReady(t)
-			})
-		if err != nil {
-			return core.Stats{}, err
-		}
-	}
 
 	grads := make([][]float32, layers)
 	outs := make([][]float32, layers)
-	done := make([]chan error, layers)
+	gates := make([]chan error, layers)
+	names := make([]string, layers)
 	for l, b := range cfg.LayerBytes {
 		n := int(b / 4)
 		grads[l] = make([]float32, n)
@@ -767,7 +795,8 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 			grads[l][i] = float32(rank + 1)
 		}
 		outs[l] = make([]float32, n)
-		done[l] = make(chan error, 1)
+		gates[l] = make(chan error, 1)
+		names[l] = fmt.Sprintf("L%02d", l)
 	}
 
 	for it := 0; it < cfg.Iterations; it++ {
@@ -781,7 +810,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 		// previous iteration before it can compute.
 		for l := 0; l < layers; l++ {
 			if it > 0 {
-				if err := <-done[l]; err != nil {
+				if err := <-gates[l]; err != nil {
 					return sched.Stats(), fmt.Errorf("iteration %d layer %d: %w", it-1, l, err)
 				}
 			}
@@ -798,145 +827,51 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 				return sched.Stats(), err
 			}
 		}
-		// Backward: gradients become ready back-to-front. Coordinated runs
-		// (see LiveConfig.coordinated) either hold the ready notifications
-		// until the pass completes and release the whole set best-rank
-		// first — every peer then admits partitions in the identical total
-		// order, (iteration, rank) lexicographic via the iteration-offset
-		// priority below, which is what makes credit-gated priority
-		// scheduling deadlock-free over blocking collectives — or, with
-		// PipelineOn, feed the releaser, whose bounded window computes the
-		// same kind of agreed order incrementally so transfers start
-		// mid-pass.
-		batch := make([]*core.Task, layers)
+		// Backward: gradients become ready back-to-front and enter the
+		// pipeline as they do; how long each waits there is the window's
+		// business, not this loop's.
 		for l := layers - 1; l >= 0; l-- {
 			if bt := cfg.backwardTime(l); bt > 0 {
 				time.Sleep(bt)
 			}
-			l := l
-			iter := uint32(it)
-			grad, out := grads[l], outs[l]
-			prio := l
-			if coordinated && !stream {
-				// Monotone across iterations so a new pass's front layer
-				// never preempts the previous pass's unfinished tail —
-				// peers must agree on the total order, and the previous
-				// tail is exactly where a lagging peer still is. (In
-				// stream mode the releaser stamps its own monotone rank.)
-				prio = it*layers + rankOf(l)
-			}
-			// Split-phase bookkeeping (PS path): when the transport calls
-			// sent(), the sub's credit is returned immediately (doneFn(nil))
-			// and the blocking pull proceeds uncredited; the forward gate
-			// then waits on the pulls via this per-task countdown instead
-			// of OnFinished. Transports that never call sent (ring, fused)
-			// keep the classic path: outcome via doneFn, gate via
-			// OnFinished.
-			var pullMu sync.Mutex
-			pullLeft := -1
-			var pullErr error
-			split := false
+			g := &liveGrad{iter: uint32(it), grad: grads[l], out: outs[l], gate: gates[l]}
 			t := &core.Task{
-				Tensor: tensor.Tensor{Layer: prio, Name: "g", Bytes: cfg.LayerBytes[l]},
-				Meta:   &liveGrad{iter: iter, layer: l, grad: grad, out: out},
-			}
-			t.StartErr = func(sub tensor.Sub, doneFn func(error)) {
-				lo := sub.Offset / 4
-				hi := lo + sub.Bytes/4
-				key := fmt.Sprintf("L%02d[%d/%d]", l, sub.Index, sub.Count)
-				credited := false
-				err := tr.comm(key, iter, grad[lo:hi], out[lo:hi], func() {
-					pullMu.Lock()
-					split = true
-					pullMu.Unlock()
-					credited = true
-					doneFn(nil)
-				})
-				if !credited {
-					doneFn(err)
-					return
-				}
-				// Credit already went back at sent(); this sub's outcome is
-				// now a pull result. The last pull to land reports the
-				// task's combined outcome to the forward gate. A sub whose
-				// push fails permanently never reaches here, so the
-				// countdown never hits zero and OnFinished (with Err set)
-				// reports instead.
-				pullMu.Lock()
-				if pullLeft < 0 {
-					pullLeft = sub.Count
-				}
-				pullLeft--
-				if err != nil && pullErr == nil {
-					pullErr = err
-				}
-				last, res := pullLeft == 0, pullErr
-				pullMu.Unlock()
-				if last {
-					done[l] <- res
-				}
+				Tensor:   tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
+				Meta:     g,
+				StartErr: startFn(tr.comm, names[l], []*liveGrad{g}, nil),
 			}
 			t.OnFinished = func() {
-				pullMu.Lock()
-				sp := split
-				pullMu.Unlock()
 				if err := t.Err(); err != nil {
-					done[l] <- err
-				} else if !sp {
-					done[l] <- nil
+					g.gate <- err
 				}
 			}
-			switch {
-			case stream:
-				// Coordinated streaming: the releaser decides when this
-				// task's NotifyReady fires and what agreed rank it carries.
-				if err := sched.Enqueue(t); err != nil {
-					return sched.Stats(), err
-				}
-				if err := releaser.Emit(t); err != nil {
-					return sched.Stats(), err
-				}
-			case passEnd:
-				if err := sched.Enqueue(t); err != nil {
-					return sched.Stats(), err
-				}
-				batch[l] = t
-			default:
-				// The Fuser is the submission point: it forwards tensors >=
-				// Theta untouched and buckets smaller ones; with fusion
-				// disabled it degenerates to Enqueue+NotifyReady.
-				if err := fuser.Add(t); err != nil {
-					return sched.Stats(), err
-				}
+			if err := fuser.Add(t); err != nil {
+				return sched.Stats(), err
 			}
 		}
-		switch {
-		case stream:
-			// Drain the lookahead window at the pass boundary so it never
-			// straddles the forward pass — the flush is part of the
-			// deterministic sequence every peer shares.
-			if err := releaser.Flush(); err != nil {
-				return sched.Stats(), err
-			}
-		case passEnd:
-			for _, l := range releaseOrder {
-				if err := sched.NotifyReady(batch[l]); err != nil {
-					return sched.Stats(), err
-				}
-			}
-		default:
-			if err := fuser.Flush(); err != nil {
-				// Pass-boundary flush: the tail bucket goes out now, at the
-				// same deterministic point on every worker.
-				return sched.Stats(), err
-			}
+		// Pass boundary: the tail bucket, then whatever the window still
+		// holds, go out now — the same deterministic point on every worker,
+		// so neither a bucket nor the lookahead straddles the forward pass.
+		if err := fuser.Flush(); err != nil {
+			return sched.Stats(), err
+		}
+		if err := releaser.Flush(); err != nil {
+			return sched.Stats(), err
 		}
 	}
 	// Drain the final iteration's synchronization.
 	for l := 0; l < layers; l++ {
-		if err := <-done[l]; err != nil {
+		if err := <-gates[l]; err != nil {
 			return sched.Stats(), fmt.Errorf("final iteration layer %d: %w", l, err)
 		}
+	}
+	if cfg.Metrics != nil && rank == 0 {
+		fs := fuser.Stats()
+		cfg.Metrics.Counter("core_fused_tasks_total").Add(fs.FusedTasks)
+		cfg.Metrics.Counter("core_fused_members_total").Add(fs.FusedMembers)
+		cfg.Metrics.Counter("core_fusion_passthrough_total").Add(fs.Passthrough)
+		cfg.Metrics.Counter("core_fusion_size_flushes_total").Add(fs.SizeFlushes)
+		cfg.Metrics.Counter("core_fusion_explicit_flushes_total").Add(fs.ExplicitFlushes)
 	}
 	// Verify the last iteration's sums: every element must be the
 	// cross-worker total of the constant per-rank gradients. Constant
@@ -945,15 +880,6 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 	// maxAbs/127), so only top-k relaxes the check: it drops elements by
 	// design, and all contributions are positive, so surviving values lie
 	// in [0, want].
-	if cfg.Metrics != nil && rank == 0 {
-		fs := fuser.Stats()
-		cfg.Metrics.Counter("core_fused_tasks_total").Add(fs.FusedTasks)
-		cfg.Metrics.Counter("core_fused_members_total").Add(fs.FusedMembers)
-		cfg.Metrics.Counter("core_fusion_passthrough_total").Add(fs.Passthrough)
-		cfg.Metrics.Counter("core_fusion_size_flushes_total").Add(fs.SizeFlushes)
-		cfg.Metrics.Counter("core_fusion_deadline_flushes_total").Add(fs.DeadlineFlushes)
-		cfg.Metrics.Counter("core_fusion_explicit_flushes_total").Add(fs.ExplicitFlushes)
-	}
 	want := float32(cfg.Workers * (cfg.Workers + 1) / 2)
 	topk := cfg.Codec.ID() == compress.CodecTopK
 	for l := range outs {
@@ -982,29 +908,11 @@ func MeasureRingCollective(workers, floats, reps int) (float64, error) {
 	if workers < 2 || reps < 1 {
 		return 0, fmt.Errorf("runner: need >= 2 workers and >= 1 rep")
 	}
-	peers := make([]*netar.Peer, workers)
-	defer func() {
-		for _, p := range peers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
-	for r := 0; r < workers; r++ {
-		p, err := netar.NewPeer(r, workers, netar.WithSeed(int64(r+1)))
-		if err != nil {
-			return 0, err
-		}
-		if err := p.Listen("127.0.0.1:0"); err != nil {
-			return 0, err
-		}
-		peers[r] = p
+	peers, teardown, err := dialRing(LiveConfig{Workers: workers, Seed: 1})
+	if err != nil {
+		return 0, err
 	}
-	for r := 0; r < workers; r++ {
-		if err := peers[r].Dial(peers[(r+1)%workers].Addr()); err != nil {
-			return 0, err
-		}
-	}
+	defer teardown()
 	const warmup = 2
 	data := make([][]float32, workers)
 	for r := range data {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bytescheduler/internal/autotune"
+	"bytescheduler/internal/core"
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/network"
 )
@@ -77,12 +78,25 @@ func TestRunLiveAutoTuneNeedsScheduledPolicy(t *testing.T) {
 	}
 }
 
-func TestRunLiveAutoTuneRejectsFusion(t *testing.T) {
+// TestRunLiveAutoTuneFusedPS tunes a fused PS run starting from a credit
+// smaller than one fused bucket (once refused). When fused transfers held
+// their credit through the blocking pull, such a window cross-deadlocked
+// workers whose windows held different buckets; with every transport
+// split-phase the credit is back at push-ack, so any credit the controller
+// probes must complete.
+func TestRunLiveAutoTuneFusedPS(t *testing.T) {
 	cfg := liveBase(LiveBackendPS)
-	cfg.FuseTheta = 16 << 10
-	cfg.AutoTune = &autotune.Config{}
-	if _, err := RunLive(cfg); err == nil || !strings.Contains(err.Error(), "incompatible with tensor fusion") {
-		t.Fatalf("err = %v, want fusion-incompatibility validation error", err)
+	cfg.LayerBytes = fusedLayers
+	cfg.FuseTheta = 4 << 10
+	cfg.Policy = core.ByteScheduler(8<<10, 1<<10)
+	cfg.Iterations, cfg.Warmup = 20, 1
+	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 4, WarmupIters: 1, DwellIters: 2, Trials: 2}
+	res, err := RunLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AutoTune == nil || len(res.AutoTune.Decisions) == 0 {
+		t.Fatalf("no autotune decisions: %+v", res.AutoTune)
 	}
 }
 

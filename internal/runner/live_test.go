@@ -67,8 +67,8 @@ func TestRunLivePS(t *testing.T) {
 // back-to-front release lets the two workers admit different layer
 // subsets, and because a pull blocks until every worker pushed, holding
 // credit through the pull deadlocked them against each other. With the
-// send/wait split (credit returned at push-ack), even the tightest window
-// must complete.
+// send and wait phases separated (credit returned at push-ack), even the
+// tightest window must complete.
 func TestRunLivePSBindingCredit(t *testing.T) {
 	cfg := liveBase(LiveBackendPS)
 	cfg.Workers = 2
@@ -160,16 +160,69 @@ func TestRunLivePSFused(t *testing.T) {
 	}
 }
 
+// fusedLayers is a small-tensor long tail around two large layers: with
+// FuseTheta = 4 KB a backward pass forms one bucket that flushes on size
+// mid-pass (layers 7, 5, 4, 3) and one that flushes at the pass boundary
+// (layers 2, 1).
+var fusedLayers = []int64{16 << 10, 2 << 10, 1 << 10, 1 << 10, 2 << 10, 1 << 10, 8 << 10, 512}
+
 // TestRunLiveRingFused exercises the same fusion path over the ring
-// all-reduce (uncoordinated FIFO policy: fusion + coordinated release is
-// rejected by Validate).
+// all-reduce under the default scheduled policy, i.e. coordinated release.
 func TestRunLiveRingFused(t *testing.T) {
 	cfg := liveBase(LiveBackendRing)
-	cfg.Policy = LiveFIFO()
-	cfg.LayerBytes = []int64{16 << 10, 256, 128, 256, 8 << 10, 512}
+	cfg.LayerBytes = fusedLayers
 	cfg.FuseTheta = 4 << 10
-	if _, err := RunLive(cfg); err != nil {
+	if !cfg.coordinated() {
+		t.Fatal("config should select coordinated release")
+	}
+	res, err := RunLive(cfg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	unfused := cfg
+	unfused.FuseTheta = 0
+	base, err := RunLive(unfused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SubsFinished >= base.Stats.SubsFinished {
+		t.Fatalf("SubsFinished = %d with fusion, want < %d unfused (buckets did not form)",
+			res.Stats.SubsFinished, base.Stats.SubsFinished)
+	}
+}
+
+// TestRunLiveFusedCoordinatedRingAnyCredit is the gate for fusion under
+// coordinated release (once refused outright): buckets are stamped when
+// they are released, so every peer admits them at the same position of the
+// agreed order, and the run must be deadlock-free at any credit — a 1-byte
+// window, a single partition, effectively unlimited — both held to the
+// pass boundary and streamed through a short window under adversarial
+// random priorities. The worker's aggregation check catches mis-scattered
+// or cross-iteration-mixed buckets.
+func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
+	for _, mode := range []PipelineMode{PipelineAuto, PipelineOn} {
+		for _, credit := range []int64{1, 8 << 10, 1 << 30} {
+			cfg := liveBase(LiveBackendRing)
+			cfg.LayerBytes = fusedLayers
+			cfg.FuseTheta = 4 << 10
+			cfg.Policy = core.ByteScheduler(8<<10, credit)
+			cfg.Pipeline = mode
+			if mode == PipelineOn {
+				cfg.Priority = core.PriorityRandom
+				cfg.PipelineWindow = 2
+			}
+			cfg.Iterations, cfg.Warmup = 8, 1
+			if !cfg.coordinated() {
+				t.Fatal("config should select coordinated release")
+			}
+			res, err := RunLive(cfg)
+			if err != nil {
+				t.Fatalf("pipeline %v credit %d: %v", mode, credit, err)
+			}
+			if res.Stats.SubsFinished == 0 {
+				t.Fatalf("pipeline %v credit %d: no sub-tasks finished", mode, credit)
+			}
+		}
 	}
 }
 
@@ -222,8 +275,6 @@ func TestRunLiveValidation(t *testing.T) {
 		{"too few iterations", func(c *LiveConfig) { c.Iterations = c.Warmup + 1 }},
 		{"bad backend", func(c *LiveConfig) { c.Backend = LiveBackend(99) }},
 		{"ragged fuse theta", func(c *LiveConfig) { c.FuseTheta = 6 }},
-		{"negative fuse delay", func(c *LiveConfig) { c.FuseDelay = -time.Second }},
-		{"fusion on coordinated ring", func(c *LiveConfig) { c.FuseTheta = 4 << 10 }},
 	} {
 		cfg := good
 		tc.mut(&cfg)
