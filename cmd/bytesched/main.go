@@ -90,9 +90,9 @@ type options struct {
 	LiveLayers string
 	// LiveCompute is the per-layer compute sleep for each pass.
 	LiveCompute time.Duration
-	// PSShards / PSPool tune the live PS server: lock-domain count and
-	// handler-pool size (0 keeps the netps defaults).
-	PSShards, PSPool int
+	// PSShards is the live PS server's lock-domain count (0 keeps the
+	// netps default).
+	PSShards int
 	// FuseTheta buckets live tensors smaller than this many bytes into one
 	// fused message (0 disables fusion).
 	FuseTheta int64
@@ -156,8 +156,6 @@ func main() {
 		"live per-layer compute sleep per pass (with -backend)")
 	flag.IntVar(&o.PSShards, "ps-shards", 0,
 		"live PS server lock-domain count (with -backend ps; 0 = netps default, 1 = single lock)")
-	flag.IntVar(&o.PSPool, "ps-pool", 0,
-		"live PS server handler-pool size (with -backend ps; 0 = netps default)")
 	flag.Int64Var(&o.FuseTheta, "fuse-theta", 0,
 		"live fusion threshold in bytes: smaller tensors ride one fused message (0 disables; with -backend)")
 	flag.StringVar(&o.Codec, "codec", "",
@@ -429,7 +427,6 @@ func runLive(o options) error {
 		BackwardCompute: o.LiveCompute,
 		Seed:            o.Seed,
 		PSShards:        o.PSShards,
-		PSPool:          o.PSPool,
 		FuseTheta:       o.FuseTheta,
 		Codec:           codec,
 	}

@@ -80,7 +80,7 @@ func BenchmarkServerPull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		result, wait, errResp := srv.preparePull(req)
+		result, wait, errResp := srv.resolvePull(req)
 		if errResp != nil || wait != nil || len(result.payload) != len(grad)*4 {
 			b.Fatal("pull not served from the ready fast path")
 		}

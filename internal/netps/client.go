@@ -14,7 +14,7 @@ import (
 )
 
 // Default client hardening and batching knobs; override with Options or a
-// Config (see WithConfig / DefaultConfig).
+// Config (see WithConfig).
 const (
 	// DefaultTimeout bounds each write and each push-response read.
 	DefaultTimeout = 15 * time.Second

@@ -27,7 +27,7 @@ type completedLog struct {
 	payloads map[entryKey]agg
 	order    []entryKey // payload-tier FIFO
 
-	knownCap   int // identity-tier size; <= 0 disables the tier
+	knownCap   int // identity-tier size, at least 1
 	knownSet   map[entryKey]struct{}
 	knownOrder []entryKey // identity-tier FIFO
 }
@@ -46,16 +46,14 @@ func newCompletedLog(budget, knownCap int) completedLog {
 // reference (it is the entry's frozen encoded buffer — nothing mutates it
 // after aggregation completes).
 func (l *completedLog) add(k entryKey, a agg) {
-	if l.knownCap > 0 {
-		if _, ok := l.knownSet[k]; !ok {
-			if len(l.knownOrder) >= l.knownCap {
-				old := l.knownOrder[0]
-				l.knownOrder = l.knownOrder[1:]
-				delete(l.knownSet, old)
-			}
-			l.knownSet[k] = struct{}{}
-			l.knownOrder = append(l.knownOrder, k)
+	if _, ok := l.knownSet[k]; !ok {
+		if len(l.knownOrder) >= l.knownCap {
+			old := l.knownOrder[0]
+			l.knownOrder = l.knownOrder[1:]
+			delete(l.knownSet, old)
 		}
+		l.knownSet[k] = struct{}{}
+		l.knownOrder = append(l.knownOrder, k)
 	}
 	if l.budget <= 0 || len(a.payload) > l.budget {
 		return // payload can never fit; the identity tier still covers it

@@ -2,15 +2,13 @@ package netps
 
 import "time"
 
-// Config gathers every transport-hardening and batching knob in one
-// documented place — the constants these default from used to be scattered
-// and hardcoded. Apply a Config wholesale with WithConfig (client) or
-// WithServerConfig (server); the individual With* options remain for
-// piecemeal overrides and win when applied after a Config.
+// Config gathers the client's transport-hardening and batching knobs in
+// one documented place. Apply it wholesale with WithConfig; the individual
+// With* options remain for piecemeal overrides and win when applied after
+// a Config. The server is configured by its own ServerOptions.
 //
 // The zero value of any field means "keep the default" (PullTimeout is the
-// exception: its default already is 0 / wait-forever), so a Config built by
-// mutating DefaultConfig() is always safe.
+// exception: its default already is 0 / wait-forever).
 //
 // See docs/ARCHITECTURE.md ("Live path") for where each knob bites.
 type Config struct {
@@ -35,32 +33,6 @@ type Config struct {
 	// backoff delay (deterministic per client), decorrelating worker retry
 	// storms. Default DefaultBackoffJitter.
 	BackoffJitter float64
-	// DedupCap bounds the server's per-client push-dedup window (how many
-	// recent request Seqs are remembered per client). Default
-	// DefaultDedupCap.
-	DedupCap int
-	// DedupClients bounds how many distinct client identities the server's
-	// dedup table tracks; least-recently-active windows are evicted whole.
-	// Default DefaultDedupClients.
-	DedupClients int
-	// Shards is the number of independent lock domains the server's entry
-	// space and dedup tables are partitioned across. Default DefaultShards;
-	// 1 reproduces the old single-mutex server.
-	Shards int
-	// PoolSize is the server's handler-pool size: how many goroutines
-	// serve all multiplexed connections together. Default DefaultPoolSize.
-	PoolSize int
-	// CompletedBytes is the server's completed-aggregate log payload
-	// budget: recently reclaimed aggregates retained to re-answer retried
-	// pulls whose response was lost. Default DefaultCompletedBytes.
-	CompletedBytes int
-	// ServerReadTimeout bounds how long a pool worker may block reading
-	// the rest of a frame the multiplexer reported readable. Default
-	// DefaultServerReadTimeout.
-	ServerReadTimeout time.Duration
-	// ServerWriteTimeout bounds each server response write. Default
-	// DefaultServerWriteTimeout.
-	ServerWriteTimeout time.Duration
 	// BatchBytes is the Batcher's flush threshold: queued sub-message
 	// payload bytes beyond which the pending batch is written immediately.
 	// Default DefaultBatchBytes.
@@ -73,30 +45,8 @@ type Config struct {
 	BatchDelay time.Duration
 }
 
-// DefaultConfig returns the package defaults, ready to mutate.
-func DefaultConfig() Config {
-	return Config{
-		Timeout:       DefaultTimeout,
-		PullTimeout:   0,
-		Retries:       DefaultRetries,
-		BackoffBase:   DefaultBackoffBase,
-		BackoffMax:    DefaultBackoffMax,
-		BackoffJitter: DefaultBackoffJitter,
-		DedupCap:      DefaultDedupCap,
-		DedupClients:  DefaultDedupClients,
-		BatchBytes:    DefaultBatchBytes,
-		BatchDelay:    DefaultBatchDelay,
-
-		Shards:             DefaultShards,
-		PoolSize:           DefaultPoolSize,
-		CompletedBytes:     DefaultCompletedBytes,
-		ServerReadTimeout:  DefaultServerReadTimeout,
-		ServerWriteTimeout: DefaultServerWriteTimeout,
-	}
-}
-
-// WithConfig applies the client-side fields of cfg (Timeout, PullTimeout,
-// Retries, Backoff*, Batch*); zero-valued fields keep their defaults.
+// WithConfig applies cfg to a client; zero-valued fields keep their
+// defaults.
 func WithConfig(cfg Config) Option {
 	return func(c *Client) {
 		if cfg.Timeout > 0 {
@@ -125,35 +75,6 @@ func WithConfig(cfg Config) Option {
 		}
 		if cfg.BatchDelay > 0 {
 			c.batchDelay = cfg.BatchDelay
-		}
-	}
-}
-
-// WithServerConfig applies the server-side fields of cfg (DedupCap,
-// DedupClients, Shards, PoolSize, CompletedBytes, Server*Timeout);
-// zero-valued fields keep their defaults.
-func WithServerConfig(cfg Config) ServerOption {
-	return func(s *Server) {
-		if cfg.DedupCap > 0 {
-			s.dedupCap = cfg.DedupCap
-		}
-		if cfg.DedupClients > 0 {
-			s.dedupClients = cfg.DedupClients
-		}
-		if cfg.Shards > 0 {
-			s.shardCount = cfg.Shards
-		}
-		if cfg.PoolSize > 0 {
-			s.poolSize = cfg.PoolSize
-		}
-		if cfg.CompletedBytes > 0 {
-			s.completedBytes = cfg.CompletedBytes
-		}
-		if cfg.ServerReadTimeout > 0 {
-			s.readTimeout = cfg.ServerReadTimeout
-		}
-		if cfg.ServerWriteTimeout > 0 {
-			s.writeTimeout = cfg.ServerWriteTimeout
 		}
 	}
 }

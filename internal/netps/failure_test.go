@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bytescheduler/internal/core"
+	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/tensor"
 )
 
@@ -155,6 +156,125 @@ func TestTruncatedFrameToServer(t *testing.T) {
 	}
 	if srv.Outstanding() != 1 { // one live entry, awaiting its pull
 		t.Fatalf("outstanding = %d, want 1", srv.Outstanding())
+	}
+}
+
+// stallPuller sets up the slow-consumer scenario on a two-worker server:
+// raw connection A pushes a 1 MB gradient, sends its pull and never reads
+// the response; client B then pushes the same key, completing the
+// aggregate A is parked on. Both ends of A are clamped to minimum-size
+// socket buffers, so the response cannot fit in flight whatever the host's
+// TCP buffer limits. It returns how long B's push took to be acknowledged.
+func stallPuller(t *testing.T, srv *Server, addr string) time.Duration {
+	t.Helper()
+	grad := make([]float32, 256<<10)
+	a, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	a.(*net.TCPConn).SetReadBuffer(4 << 10)
+	if err := writeMessage(a, message{Op: OpPush, Key: "big", Seq: 1<<32 | 1, Payload: Encode(grad)}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readMessage(a); err != nil || resp.Op != OpPush {
+		t.Fatalf("push A: %+v (%v)", resp, err)
+	}
+	srv.mu.Lock()
+	for conn := range srv.conns { // only A's so far
+		conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	}
+	srv.mu.Unlock()
+	if err := writeMessage(a, message{Op: OpPull, Key: "big", Seq: 1<<32 | 2}); err != nil {
+		t.Fatal(err)
+	}
+	b := NewClient(addr, WithClientID(2), WithRetries(0))
+	t.Cleanup(func() { b.Close() })
+	start := time.Now()
+	if err := b.Push("big", 0, grad); err != nil {
+		t.Fatalf("push B: %v", err)
+	}
+	return time.Since(start)
+}
+
+// TestStalledPullerDoesNotDelayPusher: the push that completes an
+// aggregate must be acknowledged without waiting for the parked pullers'
+// responses to drain — a puller that stops reading its socket may only
+// hold up itself.
+func TestStalledPullerDoesNotDelayPusher(t *testing.T) {
+	srv, addr := startServer(t, 2)
+	if ack := stallPuller(t, srv, addr); ack > 2*time.Second {
+		t.Fatalf("push acknowledged after %v: it waited on a stalled puller's response", ack)
+	}
+}
+
+// TestWriteDeadlineDropsStalledPuller: a peer that stops draining its
+// socket is dropped once a response write exceeds the write deadline,
+// rather than holding its serve goroutine and the aggregate forever.
+func TestWriteDeadlineDropsStalledPuller(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, addr := startServer(t, 2, WithServerMetrics(reg),
+		WithServerTimeouts(DefaultServerReadTimeout, 500*time.Millisecond))
+	stallPuller(t, srv, addr)
+	// Only B's pooled connection may remain.
+	waitFor(t, 2*time.Second, "the stalled connection to be dropped", func() bool {
+		return reg.Snapshot().Gauges["netps_server_conns"] == 1
+	})
+}
+
+// TestMidFrameReadDeadline: a connection that sends half a header and then
+// stalls is dropped after the read deadline, while other clients are served
+// throughout; a connection that has sent nothing carries no deadline.
+func TestMidFrameReadDeadline(t *testing.T) {
+	_, addr := startServer(t, 1, WithServerTimeouts(300*time.Millisecond, DefaultServerWriteTimeout))
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	start := time.Now()
+	if _, err := stalled.Write([]byte{byte(OpPush), 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	dropped := make(chan error, 1)
+	go func() {
+		stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := stalled.Read(make([]byte, 1))
+		dropped <- err
+	}()
+	c := fastClient(addr, 0)
+	defer c.Close()
+	var dropErr error
+	for iter := uint32(0); dropErr == nil; iter++ {
+		if err := c.Push("other", iter, []float32{1}); err != nil {
+			t.Fatalf("push beside a stalled connection: %v", err)
+		}
+		if _, err := c.Pull("other", iter); err != nil {
+			t.Fatalf("pull beside a stalled connection: %v", err)
+		}
+		select {
+		case dropErr = <-dropped:
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if !errors.Is(dropErr, io.EOF) {
+		t.Fatalf("stalled connection read = %v, want EOF from the server's close", dropErr)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("stalled connection dropped after %v, want ~300ms", took)
+	}
+	// idle has sat silent for longer than the read deadline by now.
+	if err := writeMessage(idle, message{Op: OpPush, Key: "late", Seq: 3<<32 | 1, Payload: Encode([]float32{1})}); err != nil {
+		t.Fatal(err)
+	}
+	idle.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if resp, err := readMessage(idle); err != nil || resp.Op != OpPush {
+		t.Fatalf("idle connection after the deadline: %+v (%v), want a push ack", resp, err)
 	}
 }
 

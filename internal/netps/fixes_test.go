@@ -15,7 +15,7 @@ import (
 
 // TestReclaimedPullReplayedFromCompletedLog reclaims an aggregate (served
 // to every worker), then retries the pull as a client whose response was
-// lost on the wire would. Pre-fix, preparePull recreated an empty entry
+// lost on the wire would. Pre-fix, resolvePull recreated an empty entry
 // and handed back a wait channel that no push would ever fulfill; the
 // completed log must re-answer with the original payload instead.
 func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
@@ -29,7 +29,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 		t.Fatalf("push response: %+v", resp)
 	}
 	pull := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 2}
-	result, wait, errResp := srv.preparePull(pull)
+	result, wait, errResp := srv.resolvePull(pull)
 	if wait != nil || errResp != nil || result.payload == nil {
 		t.Fatalf("first pull not ready: result=%v wait=%v err=%v", result, wait, errResp)
 	}
@@ -39,7 +39,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	}
 	// The response is lost; the client retries with a fresh Seq.
 	retry := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 3}
-	result, wait, errResp = srv.preparePull(retry)
+	result, wait, errResp = srv.resolvePull(retry)
 	if wait != nil {
 		t.Fatal("retried pull parked on a recreated entry — would hang forever")
 	}
@@ -71,12 +71,12 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	push := message{Op: OpPush, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 1, Payload: Encode([]float32{3})}
 	srv.processPush(push)
 	pull := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 2}
-	if _, wait, errResp := srv.preparePull(pull); wait != nil || errResp != nil {
+	if _, wait, errResp := srv.resolvePull(pull); wait != nil || errResp != nil {
 		t.Fatalf("first pull not ready: wait=%v err=%v", wait, errResp)
 	}
 	srv.countPullServed(pull)
 	retry := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 3}
-	result, wait, errResp := srv.preparePull(retry)
+	result, wait, errResp := srv.resolvePull(retry)
 	if wait != nil || result.payload != nil {
 		t.Fatal("retry after payload eviction must fail fast, not park or serve")
 	}
@@ -207,25 +207,15 @@ func TestBackoffOverflowClampsToMax(t *testing.T) {
 	}
 }
 
-// --- parked-conn resume must not pin a pool worker ---
+// --- a just-answered idle connection must not delay anyone else ---
 
-// TestResumedConnDoesNotHoldPoolWorker drives the whole pool through one
-// worker: client A's pull parks on aggregation, client B's push fulfills
-// it, and A then goes idle. Pre-fix the fulfilled connection was handed
-// straight back to the pool, where the lone worker sat in a blocking
-// read on A's idle socket until the server read deadline — starving
-// every other connection. Client C's fresh request must complete fast.
-func TestResumedConnDoesNotHoldPoolWorker(t *testing.T) {
-	srv, err := NewServer(2, WithHandlerPool(1), WithShards(1),
-		WithServerTimeouts(3*time.Second, 5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+// TestIdleAnsweredConnDoesNotDelayFreshClient: client A's pull parks on
+// aggregation, client B's push completes it, and A then goes idle on its
+// just-answered connection. However the server waits for A's next frame,
+// the wait must cost no other connection anything: client C's fresh
+// request must complete fast.
+func TestIdleAnsweredConnDoesNotDelayFreshClient(t *testing.T) {
+	_, addr := startServer(t, 2)
 
 	a := NewClient(addr, WithClientID(1), WithPullTimeout(10*time.Second))
 	defer a.Close()
@@ -249,9 +239,7 @@ func TestResumedConnDoesNotHoldPoolWorker(t *testing.T) {
 	if err := <-pulled; err != nil {
 		t.Fatalf("parked pull: %v", err)
 	}
-	// A is now idle on a resumed connection. Give the pool a moment to
-	// pick it up if it (wrongly) was requeued, then time C's request.
-	time.Sleep(100 * time.Millisecond)
+	// A is now idle on its just-answered connection; time C's request.
 	start := time.Now()
 	if err := c.Push("fresh", 1, []float32{7, 7}); err != nil {
 		t.Fatal(err)
@@ -264,7 +252,7 @@ func TestResumedConnDoesNotHoldPoolWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("fresh request took %v: idle resumed conn is pinning the pool worker", elapsed)
+		t.Fatalf("fresh request took %v: A's idle connection is delaying other clients", elapsed)
 	}
 	if len(vals) != 2 || vals[0] != 8 || vals[1] != 8 {
 		t.Fatalf("fresh pull = %v, want [8 8]", vals)

@@ -45,12 +45,6 @@ const DefaultDedupClients = 256
 // the shard that remembers its Seq.
 const DefaultShards = 16
 
-// DefaultPoolSize is the handler pool size: how many goroutines serve all
-// connections together. With the connection multiplexer, a thousand idle
-// clients cost zero goroutines between requests; the pool bounds how many
-// requests are decoded/processed concurrently.
-const DefaultPoolSize = 16
-
 // DefaultCompletedBytes is the total byte budget (across shards) for the
 // completed-aggregate log's payload tier: recently reclaimed aggregates
 // kept around so a retried pull whose response was lost on the wire is
@@ -63,22 +57,16 @@ const DefaultCompletedBytes = 32 << 20
 // OpErr instead of blocking forever.
 const DefaultCompletedKeys = 32768
 
-// DefaultServerReadTimeout bounds how long a pool worker may block reading
-// the remainder of a frame the multiplexer reported readable — a slow or
-// stalled peer mid-frame ties up at most one worker for this long. Idle
-// connections carry no deadline: they sit in the multiplexer, not in a
-// worker.
+// DefaultServerReadTimeout bounds how long the rest of a frame may take to
+// arrive once its first byte has: a peer that stalls mid-frame is dropped
+// after this long instead of holding its serve goroutine and buffers
+// forever. Idle connections carry no deadline.
 const DefaultServerReadTimeout = 30 * time.Second
 
 // DefaultServerWriteTimeout bounds each response write, so a peer that
-// stops draining its socket cannot wedge a pool worker (or Close) forever.
+// stops draining its socket is dropped after this long instead of wedging
+// its serve goroutine (or Close) forever.
 const DefaultServerWriteTimeout = 15 * time.Second
-
-// workQueueCap is the handler pool's ready-connection queue capacity. A
-// connection occupies at most one slot (oneshot multiplexer arming plus
-// parked-pull resumption are mutually exclusive), so the queue only
-// backpressures beyond this many simultaneous connections.
-const workQueueCap = 16384
 
 // Server is a single parameter-server process: it sums fp32 payloads
 // pushed by Workers distinct workers per (key, iteration) and answers
@@ -88,11 +76,13 @@ const workQueueCap = 16384
 // Internally the server is sharded: the (key, iter) entry space and the
 // per-client dedup tables are partitioned across independent lock domains
 // by ps.KeyHash, so requests for different keys do not contend on one
-// global mutex. Connections are served by a bounded handler pool fed by a
-// connection multiplexer (epoll on Linux): serving a thousand clients
-// costs about pool-size goroutines, not a thousand. A pull that must wait
-// for aggregation parks as a waiter continuation — the completing push's
-// worker writes the response — so waiting pulls never occupy pool workers.
+// global mutex. Every connection is served by its own goroutine; the Go
+// runtime's netpoller is the multiplexer, so an idle connection costs a
+// parked goroutine and nothing else. A pull that must wait for aggregation
+// is a channel receive in its connection's goroutine: the completing push
+// only sends on that channel, so only a connection's own goroutine ever
+// writes to it, and a puller that stops draining its socket delays nobody
+// but itself.
 //
 // The server is hardened for the live path: application errors are
 // answered with OpErr instead of dropping the connection, replayed pushes
@@ -105,11 +95,9 @@ const workQueueCap = 16384
 type Server struct {
 	workers        int
 	shardCount     int
-	poolSize       int
 	dedupCap       int
 	dedupClients   int
 	completedBytes int
-	completedKeys  int
 	readTimeout    time.Duration
 	writeTimeout   time.Duration
 	inst           serverInstruments
@@ -127,33 +115,10 @@ type Server struct {
 	// rejected instead of leaking.
 	closing atomic.Bool
 
-	mux        serveMux
-	started    bool
-	work       chan *srvConn
-	workMu     sync.RWMutex
-	workClosed bool
-
-	// acceptWG covers the accept loop and any fallback per-connection
-	// goroutines; workerWG covers the handler pool.
-	acceptWG   sync.WaitGroup
-	workerWG   sync.WaitGroup
+	// wg covers the accept loops and every connection's serve goroutine;
+	// goroutines counts the same set for Goroutines.
+	wg         sync.WaitGroup
 	goroutines atomic.Int64
-}
-
-// serveMux feeds ready connections to the server. The Linux build uses an
-// epoll connection multiplexer in front of the bounded handler pool; other
-// platforms fall back to one blocking goroutine per connection.
-type serveMux interface {
-	// register starts serving sc (epoll arm, or fallback goroutine).
-	register(sc *srvConn) error
-	// rearm re-arms a oneshot-disarmed connection after its worker ran dry.
-	rearm(sc *srvConn)
-	// remove deregisters a closing connection (before its fd is released).
-	remove(sc *srvConn)
-	// stop terminates the poller and waits for it.
-	stop()
-	// needPool reports whether this multiplexer dispatches to the pool.
-	needPool() bool
 }
 
 // shard is one lock domain: a partition of the entry space, the dedup
@@ -203,8 +168,10 @@ type entry struct {
 	// entry reclamation. Bounded by the entry's own lifecycle: the entry
 	// is reclaimed once every worker's pull has been served.
 	pullSeen map[uint64]struct{}
-	waiters  []pullWaiter
-	served   int
+	// waiters are the pulls parked on this entry, one buffered channel each;
+	// the completing push (or Close, with a nil payload) sends exactly once.
+	waiters []chan agg
+	served  int
 }
 
 // agg is a completed aggregate in wire form: the encoded payload plus the
@@ -215,105 +182,6 @@ type agg struct {
 	payload []byte
 	codec   uint8
 	orig    uint32
-}
-
-// pullWaiter is a parked pull continuation. fulfill is called exactly
-// once, outside any shard lock, with the completed aggregate; a nil
-// payload means the server closed.
-type pullWaiter interface {
-	fulfill(a agg)
-}
-
-// chanWaiter delivers the aggregate to a goroutine blocked on a channel —
-// the blocking serve path and the in-package benchmarks.
-type chanWaiter struct {
-	s  *Server
-	ch chan agg
-}
-
-func (w chanWaiter) fulfill(a agg) {
-	w.s.inst.parkedPulls.Dec()
-	w.ch <- a
-}
-
-// connWaiter resumes a connection parked on a singleton pull: it writes
-// the response, does the post-write served bookkeeping, and hands the
-// connection back to the serve loop — the pull waited without occupying
-// a pool worker.
-type connWaiter struct {
-	sc  *srvConn
-	req message
-}
-
-func (w connWaiter) fulfill(a agg) {
-	s := w.sc.s
-	s.inst.parkedPulls.Dec()
-	if a.payload == nil {
-		// Server closing: answer the error; Close is about to close the
-		// connection, so it is not handed back to the pool.
-		w.sc.write(s.rejectMsg(w.req, errServerClosed)) //nolint:errcheck // best-effort during Close
-		return
-	}
-	if err := w.sc.write(pullResp(w.req, a)); err != nil {
-		return
-	}
-	s.countPullServed(w.req)
-	s.resume(w.sc)
-}
-
-// batchPending tracks one OpBatch frame with sub-pulls parked on
-// aggregation. remaining starts at one sentinel held by the handler while
-// it walks the batch, plus one per parked sub-pull; whoever drops it to
-// zero writes the combined response. The sentinel guarantees the batch
-// cannot finish while the handler is still filling resps, and the atomic
-// decrements order every resps[i] write before the finishing read.
-type batchPending struct {
-	sc        *srvConn
-	req       message
-	subs      []message
-	resps     []message
-	remaining atomic.Int64
-}
-
-// batchSubWaiter parks one sub-pull of a pending batch.
-type batchSubWaiter struct {
-	bp  *batchPending
-	idx int
-}
-
-func (w batchSubWaiter) fulfill(a agg) {
-	s := w.bp.sc.s
-	s.inst.parkedPulls.Dec()
-	if a.payload == nil {
-		w.bp.resps[w.idx] = s.rejectMsg(w.bp.subs[w.idx], errServerClosed)
-	} else {
-		w.bp.resps[w.idx] = pullResp(w.bp.subs[w.idx], a)
-	}
-	if w.bp.remaining.Add(-1) == 0 {
-		if w.bp.writeAndCount() == nil {
-			s.resume(w.bp.sc)
-		}
-	}
-}
-
-// writeAndCount encodes and writes the combined batch response, then
-// counts the served sub-pulls — same post-write rule as singleton pulls.
-func (bp *batchPending) writeAndCount() error {
-	s := bp.sc.s
-	payload, err := encodeBatch(bp.resps)
-	if err != nil {
-		bp.sc.close()
-		return err
-	}
-	if err := bp.sc.write(message{Op: OpBatch, Iter: bp.req.Iter, Seq: bp.req.Seq, Key: bp.req.Key, Payload: payload}); err != nil {
-		return err
-	}
-	for i, sub := range bp.subs {
-		if sub.Op == OpPull && bp.resps[i].Op == OpPull {
-			s.countPullServed(sub)
-		}
-	}
-	return nil
 }
 
 // seqWindow is a bounded set of recently seen Seqs: a hash set for O(1)
@@ -365,8 +233,6 @@ type serverInstruments struct {
 	conns          *metrics.Gauge
 	dedupSize      *metrics.Gauge
 	shardsGauge    *metrics.Gauge
-	poolWorkers    *metrics.Gauge
-	poolDepth      *metrics.Gauge
 	parkedPulls    *metrics.Gauge
 }
 
@@ -376,8 +242,7 @@ type ServerOption func(*Server)
 // WithServerMetrics instruments the server against the given registry:
 // push/pull counters, dedup hit and eviction counters, rejection and
 // replayed/lost-pull counters, and gauges for live entries, open
-// connections, dedup table size, shard count, handler-pool size and
-// depth, and parked pulls.
+// connections, dedup table size, shard count, and parked pulls.
 func WithServerMetrics(reg *metrics.Registry) ServerOption {
 	return func(s *Server) {
 		if reg == nil {
@@ -398,8 +263,6 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 			conns:          reg.Gauge("netps_server_conns"),
 			dedupSize:      reg.Gauge("netps_server_dedup_seqs"),
 			shardsGauge:    reg.Gauge("netps_server_shards"),
-			poolWorkers:    reg.Gauge("netps_server_pool_workers"),
-			poolDepth:      reg.Gauge("netps_server_pool_depth"),
 			parkedPulls:    reg.Gauge("netps_server_parked_pulls"),
 		}
 	}
@@ -438,16 +301,6 @@ func WithShards(n int) ServerOption {
 	}
 }
 
-// WithHandlerPool overrides the handler pool size (DefaultPoolSize): how
-// many goroutines serve all multiplexed connections together.
-func WithHandlerPool(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.poolSize = n
-		}
-	}
-}
-
 // WithCompletedBytes overrides the completed-aggregate log's total payload
 // byte budget (DefaultCompletedBytes). Smaller budgets re-answer a
 // narrower window of retried pulls before falling back to OpErr.
@@ -459,21 +312,10 @@ func WithCompletedBytes(n int) ServerOption {
 	}
 }
 
-// WithCompletedKeys overrides the completed log's identity-tier size
-// (DefaultCompletedKeys): how many reclaimed (key, iter) pairs are
-// remembered as completed after their payload ages out.
-func WithCompletedKeys(n int) ServerOption {
-	return func(s *Server) {
-		if n >= 0 {
-			s.completedKeys = n
-		}
-	}
-}
-
-// WithServerTimeouts overrides the per-frame read deadline applied while a
-// pool worker drains a readable connection, and the per-response write
-// deadline (DefaultServerReadTimeout / DefaultServerWriteTimeout).
-// Zero disables the corresponding deadline.
+// WithServerTimeouts overrides the read deadline on the remainder of a
+// frame whose first byte has arrived, and the per-response write deadline
+// (DefaultServerReadTimeout / DefaultServerWriteTimeout). Zero disables
+// the corresponding deadline.
 func WithServerTimeouts(read, write time.Duration) ServerOption {
 	return func(s *Server) {
 		s.readTimeout, s.writeTimeout = read, write
@@ -489,11 +331,9 @@ func NewServer(workers int, opts ...ServerOption) (*Server, error) {
 	s := &Server{
 		workers:        workers,
 		shardCount:     DefaultShards,
-		poolSize:       DefaultPoolSize,
 		dedupCap:       DefaultDedupCap,
 		dedupClients:   DefaultDedupClients,
 		completedBytes: DefaultCompletedBytes,
-		completedKeys:  DefaultCompletedKeys,
 		readTimeout:    DefaultServerReadTimeout,
 		writeTimeout:   DefaultServerWriteTimeout,
 		conns:          make(map[net.Conn]*srvConn),
@@ -503,8 +343,8 @@ func NewServer(workers int, opts ...ServerOption) (*Server, error) {
 	}
 	s.shards = make([]*shard, s.shardCount)
 	perShardBytes := s.completedBytes / s.shardCount
-	perShardKeys := s.completedKeys / s.shardCount
-	if s.completedKeys > 0 && perShardKeys == 0 {
+	perShardKeys := DefaultCompletedKeys / s.shardCount
+	if perShardKeys == 0 {
 		perShardKeys = 1
 	}
 	for i := range s.shards {
@@ -515,7 +355,6 @@ func NewServer(workers int, opts ...ServerOption) (*Server, error) {
 		}
 	}
 	s.inst.shardsGauge.Set(int64(s.shardCount))
-	s.inst.poolWorkers.Set(int64(s.poolSize))
 	return s, nil
 }
 
@@ -602,98 +441,67 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", errors.New("netps: server closed")
 	}
 	s.ln = ln
-	if !s.started {
-		mux, err := newServeMux(s)
-		if err != nil {
-			s.mu.Unlock()
-			ln.Close()
-			return "", err
-		}
-		s.mux = mux
-		s.started = true
-		if mux.needPool() {
-			s.work = make(chan *srvConn, workQueueCap)
-			for i := 0; i < s.poolSize; i++ {
-				s.workerWG.Add(1)
-				s.goroutines.Add(1)
-				go s.worker()
-			}
-		}
-	}
+	s.wg.Add(1)
 	s.mu.Unlock()
-	s.acceptWG.Add(1)
 	s.goroutines.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }
 
+// acceptLoop starts one serve goroutine per accepted connection.
 func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.acceptWG.Done()
+	defer s.wg.Done()
 	defer s.goroutines.Add(-1)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		sc := &srvConn{s: s, conn: conn, br: bufio.NewReaderSize(conn, 4096)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
 			return
 		}
-		sc := &srvConn{s: s, conn: conn, br: bufio.NewReaderSize(conn, 4096), fd: -1}
 		s.conns[conn] = sc
 		s.inst.conns.Set(int64(len(s.conns)))
 		s.mu.Unlock()
-		if err := s.mux.register(sc); err != nil {
-			sc.close()
-		}
+		// This loop's own wg count is still held, so Add cannot race the
+		// Wait in Close.
+		s.wg.Add(1)
+		s.goroutines.Add(1)
+		go func() {
+			defer s.wg.Done()
+			defer s.goroutines.Add(-1)
+			s.serve(sc)
+		}()
 	}
 }
 
-// srvConn is one accepted connection's server-side state: the buffered
-// reader pool workers decode frames from, the write lock serializing
-// responses between workers and waiter continuations, and the multiplexer
-// registration.
+// srvConn is one accepted connection's server-side state. Only its serve
+// goroutine reads or writes the connection; Server.Close only closes it.
 type srvConn struct {
-	s      *Server
-	conn   net.Conn
-	br     *bufio.Reader
-	wmu    sync.Mutex
-	closed atomic.Bool
-	fd     int    // raw fd while epoll-registered; -1 otherwise
-	token  uint64 // multiplexer registration token; 0 when unregistered
+	s    *Server
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 // write frames and writes one response under the server's write deadline,
-// using the scatter-gather path (one writev for header + payload). The
-// connection is closed on write failure — framing may be torn mid-frame.
+// using the scatter-gather path (one writev for header + payload). On
+// failure the caller must drop the connection — framing may be torn
+// mid-frame.
 func (sc *srvConn) write(m message) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if sc.closed.Load() {
-		return errors.New("netps: connection closed")
-	}
 	if d := sc.s.writeTimeout; d > 0 {
 		sc.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := writeMessageVec(sc.conn, m); err != nil {
-		sc.close()
-		return err
-	}
-	return nil
+	return writeMessageVec(sc.conn, m)
 }
 
-// close tears the connection down exactly once: multiplexer
-// deregistration (while the fd is still valid), connection-table removal,
-// then the socket itself.
+// close removes the connection from the server's table and closes the
+// socket. Called by the serve goroutine on its way out and by
+// Server.Close to unblock it; a second call is harmless.
 func (sc *srvConn) close() {
-	if !sc.closed.CompareAndSwap(false, true) {
-		return
-	}
-	if sc.s.mux != nil {
-		sc.s.mux.remove(sc)
-	}
 	sc.s.mu.Lock()
 	delete(sc.s.conns, sc.conn)
 	sc.s.inst.conns.Set(int64(len(sc.s.conns)))
@@ -701,183 +509,131 @@ func (sc *srvConn) close() {
 	sc.conn.Close()
 }
 
-// submit hands a ready connection to the handler pool. No-op once Close
-// has shut the queue (the connection is being torn down anyway).
-func (s *Server) submit(sc *srvConn) {
-	s.workMu.RLock()
-	if !s.workClosed && s.work != nil {
-		s.work <- sc
-	}
-	s.workMu.RUnlock()
-}
-
-// resume returns a just-fulfilled parked connection to the serve loop.
-// Bytes already decoded into the bufio reader are invisible to epoll, so
-// those go straight to the pool; otherwise the multiplexer watches the
-// socket — submitting an idle connection would park a pool worker inside
-// a blocking read until the client's next request (or the read deadline),
-// starving every other connection behind it.
-func (s *Server) resume(sc *srvConn) {
-	if sc.br.Buffered() > 0 {
-		s.submit(sc)
-		return
-	}
-	s.mux.rearm(sc)
-}
-
-// worker is one handler-pool goroutine: it serves whichever connections
-// the multiplexer reports ready, one request batch at a time.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	defer s.goroutines.Add(-1)
-	for sc := range s.work {
-		s.inst.poolDepth.Set(int64(len(s.work)))
-		s.runConn(sc)
-	}
-}
-
-// runConn serves requests from sc until it parks on aggregation, dies, or
-// its read buffer runs dry — then hands it back to the multiplexer.
-func (s *Server) runConn(sc *srvConn) {
+// serve is the connection's request loop: read one frame, answer it,
+// repeat until the peer hangs up, a frame is malformed, or a write fails —
+// then drop the connection.
+func (s *Server) serve(sc *srvConn) {
+	defer sc.close()
 	for {
-		switch s.handleConn(sc) {
-		case connClosed, connParked:
-			return
-		case connOK:
-			if sc.br.Buffered() > 0 {
-				continue // pipelined request already decoded off the wire
+		// An idle connection waits for its next frame with no deadline; once
+		// the first byte is here the rest must follow within readTimeout, so
+		// a peer stalled mid-frame is dropped instead of parked forever.
+		if _, err := sc.br.Peek(1); err != nil {
+			return // EOF, or closed by Close
+		}
+		if s.readTimeout > 0 {
+			sc.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+		}
+		req, err := readMessage(sc.br)
+		if err != nil {
+			return // broken or stalled peer, or malformed/oversized frame
+		}
+		if s.readTimeout > 0 {
+			sc.conn.SetReadDeadline(time.Time{})
+		}
+		switch req.Op {
+		case OpPush:
+			resp, wake, result := s.processPush(req)
+			s.wake(wake, result)
+			if sc.write(resp) != nil {
+				return
 			}
-			s.mux.rearm(sc)
-			return
-		}
-	}
-}
-
-// connAction is handleConn's verdict on a connection.
-type connAction int
-
-const (
-	// connOK: the request was answered; the connection can be continued
-	// or re-armed.
-	connOK connAction = iota
-	// connParked: a pull is waiting on aggregation and a waiter
-	// continuation now owns the connection.
-	connParked
-	// connClosed: the connection died or was dropped.
-	connClosed
-)
-
-// handleConn reads and serves exactly one request from sc. The read
-// deadline bounds how long a slow peer mid-frame can occupy this worker.
-func (s *Server) handleConn(sc *srvConn) connAction {
-	if d := s.readTimeout; d > 0 {
-		sc.conn.SetReadDeadline(time.Now().Add(d))
-	}
-	req, err := readMessage(sc.br)
-	if err != nil {
-		sc.close()
-		return connClosed
-	}
-	switch req.Op {
-	case OpPush:
-		resp, wake, result := s.processPush(req)
-		for _, w := range wake {
-			w.fulfill(result)
-		}
-		if sc.write(resp) != nil {
-			return connClosed
-		}
-		return connOK
-	case OpPull:
-		result, errResp, parked := s.resolvePull(req, func() pullWaiter {
-			return connWaiter{sc: sc, req: req}
-		})
-		switch {
-		case errResp != nil:
-			if sc.write(*errResp) != nil {
-				return connClosed
+		case OpPull:
+			result, wait, errResp := s.resolvePull(req)
+			if wait != nil {
+				if result = <-wait; result.payload == nil {
+					// Woken by Close: fail the pull instead of hanging.
+					m := s.rejectMsg(req, errServerClosed)
+					errResp = &m
+				}
 			}
-			return connOK
-		case parked:
-			return connParked
-		default:
+			if errResp != nil {
+				if sc.write(*errResp) != nil {
+					return
+				}
+				continue
+			}
 			if sc.write(pullResp(req, result)) != nil {
-				return connClosed
+				return
 			}
 			s.countPullServed(req)
-			return connOK
+		case OpBatch:
+			if !s.serveBatch(sc, req) {
+				return
+			}
+		default:
+			// Protocol error: tell the peer, then drop the connection —
+			// framing may be out of sync.
+			sc.write(s.rejectMsg(req, "unknown op")) //nolint:errcheck // dropping anyway
+			return
 		}
-	case OpBatch:
-		return s.handleBatchConn(sc, req)
-	default:
-		// Protocol error: tell the peer, then drop the connection —
-		// framing may be out of sync.
-		sc.write(s.rejectMsg(req, "unknown op")) //nolint:errcheck // dropping anyway
-		sc.close()
-		return connClosed
 	}
 }
 
-// handleBatchConn answers a coalesced OpBatch frame on the pool path:
-// every sub-request runs through the same push/pull logic as singletons
-// (including per-sub-push replay deduplication), then exactly one OpBatch
-// response carrying the framed sub-responses is written. Sub-pulls blocked
-// on aggregation park the whole batch as waiter continuations instead of
-// blocking this worker.
-func (s *Server) handleBatchConn(sc *srvConn, req message) connAction {
+// serveBatch answers a coalesced OpBatch frame: every sub-request runs
+// through the same push/pull logic as singletons (including per-sub-push
+// replay deduplication), sub-pulls waiting on aggregation block this
+// connection's goroutine, then exactly one OpBatch response carrying the
+// framed sub-responses is written. Reports whether the connection is still
+// healthy.
+func (s *Server) serveBatch(sc *srvConn, req message) bool {
 	subs, err := decodeBatch(req.Payload)
 	if err != nil {
 		// The envelope frame was well-formed, so the stream stays in sync.
-		if sc.write(s.rejectMsg(req, "malformed batch: "+err.Error())) != nil {
-			return connClosed
-		}
-		return connOK
+		return sc.write(s.rejectMsg(req, "malformed batch: "+err.Error())) == nil
 	}
 	s.inst.batches.Inc()
 	s.inst.batchedMsgs.Add(uint64(len(subs)))
-	bp := &batchPending{sc: sc, req: req, subs: subs, resps: make([]message, len(subs))}
-	bp.remaining.Store(1) // handler sentinel: the batch cannot finish mid-walk
+	resps := make([]message, len(subs))
+	waits := make([]chan agg, len(subs))
 	for i, sub := range subs {
 		switch sub.Op {
 		case OpPush:
+			// May complete a sub-pull of this very batch parked earlier in
+			// the walk; its channel is buffered, so the send cannot block.
 			resp, wake, result := s.processPush(sub)
-			bp.resps[i] = resp
-			for _, w := range wake {
-				// May fulfill a sub-pull of this very batch parked earlier
-				// in the walk; the sentinel keeps the batch open.
-				w.fulfill(result)
-			}
+			s.wake(wake, result)
+			resps[i] = resp
 		case OpPull:
-			result, errResp, parked := s.resolvePull(sub, func() pullWaiter {
-				bp.remaining.Add(1)
-				return batchSubWaiter{bp: bp, idx: i}
-			})
+			result, wait, errResp := s.resolvePull(sub)
 			switch {
 			case errResp != nil:
-				bp.resps[i] = *errResp
-			case parked:
-				// resps[i] is set by the waiter when it fulfills.
+				resps[i] = *errResp
+			case wait != nil:
+				waits[i] = wait
 			default:
-				bp.resps[i] = pullResp(sub, result)
+				resps[i] = pullResp(sub, result)
 			}
 		default:
 			// Includes nested OpBatch: one level of coalescing only.
-			bp.resps[i] = s.rejectMsg(sub, "unbatchable op")
+			resps[i] = s.rejectMsg(sub, "unbatchable op")
 		}
 	}
-	if bp.remaining.Add(-1) == 0 {
-		// Nothing still parked: answer inline and keep the connection.
-		if bp.writeAndCount() != nil {
-			return connClosed
+	for i, wait := range waits {
+		if wait == nil {
+			continue
 		}
-		return connOK
+		if result := <-wait; result.payload == nil {
+			resps[i] = s.rejectMsg(subs[i], errServerClosed)
+		} else {
+			resps[i] = pullResp(subs[i], result)
+		}
 	}
-	return connParked
-}
-
-// writeErr answers a request with an OpErr response carrying text.
-func writeErr(w net.Conn, req message, text string) error {
-	return writeMessage(w, message{Op: OpErr, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: []byte(text)})
+	payload, err := encodeBatch(resps)
+	if err != nil {
+		return false
+	}
+	if sc.write(message{Op: OpBatch, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: payload}) != nil {
+		return false
+	}
+	// Count served pulls only now that the combined response is on the
+	// wire — same rule as the singleton path.
+	for i, sub := range subs {
+		if sub.Op == OpPull && resps[i].Op == OpPull {
+			s.countPullServed(sub)
+		}
+	}
+	return true
 }
 
 // rejectMsg builds an OpErr response and counts the rejection.
@@ -898,10 +654,10 @@ func pullResp(req message, a agg) message {
 }
 
 // processPush applies one push and returns its response (ack or OpErr)
-// plus any pull waiters to wake with the completed aggregate. Shared by
-// the pooled, blocking, and batch paths; the caller fulfills the waiters
-// (outside the shard lock) and writes the response.
-func (s *Server) processPush(req message) (resp message, wake []pullWaiter, result agg) {
+// plus any parked pulls to wake with the completed aggregate. Shared by
+// the singleton and batch paths; the caller wakes the waiters (outside the
+// shard lock) and writes the response.
+func (s *Server) processPush(req message) (resp message, wake []chan agg, result agg) {
 	s.inst.pushes.Inc()
 	if len(req.Payload) == 0 {
 		// An empty push would freeze the entry's shape at length zero and
@@ -1035,18 +791,36 @@ func (e *entry) agg() agg {
 	return agg{payload: e.encoded, codec: e.codec, orig: uint32(4 * len(e.sum))}
 }
 
-// resolvePull resolves one pull to exactly one of: a ready payload, an
-// error response, or a parked waiter. The waiter is built by mkWaiter and
-// registered under the shard lock; it is fulfilled outside it, by the
-// completing push (or by Close, with a nil payload).
-func (s *Server) resolvePull(req message, mkWaiter func() pullWaiter) (result agg, errResp *message, parked bool) {
+// wake delivers a to every parked pull in waiters; a nil payload means the
+// server closed. Each channel is buffered and sent to exactly once, so
+// this never blocks: the puller's own goroutine writes the response.
+func (s *Server) wake(waiters []chan agg, a agg) {
+	for _, ch := range waiters {
+		s.inst.parkedPulls.Dec()
+		ch <- a
+	}
+}
+
+// park registers a pull waiter on e. Caller holds the shard lock.
+func (s *Server) park(e *entry) chan agg {
+	ch := make(chan agg, 1)
+	e.waiters = append(e.waiters, ch)
+	s.inst.parkedPulls.Inc()
+	return ch
+}
+
+// resolvePull resolves one pull to exactly one of: a ready payload, a
+// channel to wait on, or an error response. The channel is registered
+// under the shard lock and receives exactly one value, from the completing
+// push or — with a nil payload — from Close.
+func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *message) {
 	s.inst.pulls.Inc()
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if s.closing.Load() {
-		sh.mu.Unlock()
 		m := s.rejectMsg(req, errServerClosed)
-		return agg{}, &m, false
+		return agg{}, nil, &m
 	}
 	k := entryKey{req.Key, req.Iter}
 	if e, ok := sh.entries[k]; ok {
@@ -1054,14 +828,9 @@ func (s *Server) resolvePull(req message, mkWaiter func() pullWaiter) (result ag
 			if e.encoded == nil {
 				e.encoded = encodeEntry(e)
 			}
-			result = e.agg()
-			sh.mu.Unlock()
-			return result, nil, false
+			return e.agg(), nil, nil
 		}
-		e.waiters = append(e.waiters, mkWaiter())
-		sh.mu.Unlock()
-		s.inst.parkedPulls.Inc()
-		return agg{}, nil, true
+		return agg{}, s.park(e), nil
 	}
 	// No live entry. A retried pull whose aggregate was already served and
 	// reclaimed (response lost on the wire) must not recreate an empty
@@ -1069,168 +838,20 @@ func (s *Server) resolvePull(req message, mkWaiter func() pullWaiter) (result ag
 	// completed log re-answers recent retries; older ones whose payload
 	// aged out fail fast with OpErr.
 	if p, ok := sh.completed.payload(k); ok {
-		sh.mu.Unlock()
 		s.inst.replayedPulls.Inc()
-		return p, nil, false
+		return p, nil, nil
 	}
 	if sh.completed.known(k) {
-		sh.mu.Unlock()
 		s.inst.lostPulls.Inc()
 		m := s.rejectMsg(req, errAggregateReclaimed)
-		return agg{}, &m, false
+		return agg{}, nil, &m
 	}
 	// Genuinely early pull (pulls may legitimately arrive before pushes):
 	// create the entry and wait for aggregation.
 	e := &entry{}
 	sh.entries[k] = e
 	s.inst.entries.Add(1)
-	e.waiters = append(e.waiters, mkWaiter())
-	sh.mu.Unlock()
-	s.inst.parkedPulls.Inc()
-	return agg{}, nil, true
-}
-
-// preparePull is the channel form of resolvePull, used by the blocking
-// serve path and in-package benchmarks: exactly one of result, wait, or
-// errResp is set, and a nil-payload receive on wait means the server
-// closed.
-func (s *Server) preparePull(req message) (result agg, wait chan agg, errResp *message) {
-	var ch chan agg
-	result, errResp, parked := s.resolvePull(req, func() pullWaiter {
-		ch = make(chan agg, 1)
-		return chanWaiter{s: s, ch: ch}
-	})
-	if parked {
-		return agg{}, ch, nil
-	}
-	return result, nil, errResp
-}
-
-// serveBlocking is the portable per-connection serve loop used when no
-// connection multiplexer is available (non-Linux builds, or connections
-// without raw-socket access): one goroutine per connection, pulls
-// blocking in-handler on a channel waiter — the pre-pool behavior, kept
-// as a fallback.
-func (s *Server) serveBlocking(sc *srvConn) {
-	defer sc.close()
-	for {
-		req, err := readMessage(sc.br)
-		if err != nil {
-			return // EOF, broken peer, or malformed/oversized frame
-		}
-		switch req.Op {
-		case OpPush:
-			resp, wake, result := s.processPush(req)
-			for _, w := range wake {
-				w.fulfill(result)
-			}
-			if sc.write(resp) != nil {
-				return
-			}
-		case OpPull:
-			result, wait, errResp := s.preparePull(req)
-			if errResp != nil {
-				if sc.write(*errResp) != nil {
-					return
-				}
-				continue
-			}
-			if wait != nil {
-				if result = <-wait; result.payload == nil {
-					// Woken by Close: fail the pull instead of hanging.
-					if sc.write(s.rejectMsg(req, errServerClosed)) != nil {
-						return
-					}
-					continue
-				}
-			}
-			if sc.write(pullResp(req, result)) != nil {
-				return
-			}
-			s.countPullServed(req)
-		case OpBatch:
-			if !s.serveBatchBlocking(sc, req) {
-				return
-			}
-		default:
-			sc.write(s.rejectMsg(req, "unknown op")) //nolint:errcheck // dropping anyway
-			return
-		}
-	}
-}
-
-// serveBatchBlocking is the blocking-path batch handler: sub-pulls waiting
-// on aggregation block this connection's goroutine, exactly like the
-// pre-pool server. Reports whether the connection is still healthy.
-func (s *Server) serveBatchBlocking(sc *srvConn, req message) bool {
-	subs, err := decodeBatch(req.Payload)
-	if err != nil {
-		return sc.write(s.rejectMsg(req, "malformed batch: "+err.Error())) == nil
-	}
-	s.inst.batches.Inc()
-	s.inst.batchedMsgs.Add(uint64(len(subs)))
-	resps := make([]message, len(subs))
-	waits := make([]chan agg, len(subs))
-	for i, sub := range subs {
-		switch sub.Op {
-		case OpPush:
-			resp, wake, result := s.processPush(sub)
-			for _, w := range wake {
-				w.fulfill(result)
-			}
-			resps[i] = resp
-		case OpPull:
-			result, wait, errResp := s.preparePull(sub)
-			switch {
-			case errResp != nil:
-				resps[i] = *errResp
-			case wait != nil:
-				waits[i] = wait
-			default:
-				resps[i] = pullResp(sub, result)
-			}
-		default:
-			resps[i] = s.rejectMsg(sub, "unbatchable op")
-		}
-	}
-	for i, wait := range waits {
-		if wait == nil {
-			continue
-		}
-		if result := <-wait; result.payload == nil {
-			resps[i] = s.rejectMsg(subs[i], errServerClosed)
-		} else {
-			resps[i] = pullResp(subs[i], result)
-		}
-	}
-	payload, err := encodeBatch(resps)
-	if err != nil {
-		sc.close()
-		return false
-	}
-	if sc.write(message{Op: OpBatch, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: payload}) != nil {
-		return false
-	}
-	// Count served pulls only now that the combined response is on the
-	// wire — same rule as the singleton path.
-	for i, sub := range subs {
-		if sub.Op == OpPull && resps[i].Op == OpPull {
-			s.countPullServed(sub)
-		}
-	}
-	return true
-}
-
-// spawnBlocking serves sc on a dedicated goroutine — the non-multiplexed
-// fallback path.
-func (s *Server) spawnBlocking(sc *srvConn) {
-	s.acceptWG.Add(1)
-	s.goroutines.Add(1)
-	go func() {
-		defer s.acceptWG.Done()
-		defer s.goroutines.Add(-1)
-		s.serveBlocking(sc)
-	}()
+	return agg{}, s.park(e), nil
 }
 
 // countPullServed performs the post-write pull bookkeeping: Seq-level
@@ -1238,6 +859,12 @@ func (s *Server) spawnBlocking(sc *srvConn) {
 // has been served. Reclaimed aggregates are remembered in the shard's
 // completed log so a retried pull whose response was lost on the wire is
 // re-answered instead of hanging.
+//
+// It runs after the response write, never before: a response lost on the
+// wire must leave the entry live for the client's retry. So an entry is
+// reclaimed after its last pull's response is written, and a client that
+// has just read that response may still see the entry counted until the
+// serving goroutine gets here.
 func (s *Server) countPullServed(req message) {
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
@@ -1266,6 +893,10 @@ func (s *Server) countPullServed(req message) {
 }
 
 // Outstanding returns the number of live aggregation entries (leak check).
+// An entry is reclaimed after its last pull's response is written (see
+// countPullServed), so right after a Pull returns the count may still
+// include that entry; it is exact once that connection's next request has
+// been answered, or Close has returned.
 func (s *Server) Outstanding() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -1276,17 +907,14 @@ func (s *Server) Outstanding() int {
 	return n
 }
 
-// Goroutines returns the server's current goroutine count — accept loops,
-// the multiplexer poller, pool workers, and any fallback per-connection
-// goroutines. This is the macro-benchmark's evidence that serving N
-// clients costs about pool-size goroutines, not N.
+// Goroutines returns the server's current goroutine count: one per accept
+// loop plus one per live connection.
 func (s *Server) Goroutines() int64 { return s.goroutines.Load() }
 
 // Close stops the listener, fails every blocked pull waiter, closes open
-// connections, and drains the multiplexer and handler pool. Workers
-// blocked in Pull receive an error instead of hanging forever — the
-// graceful half of the failure story; the client-side retry/backoff is
-// the other half.
+// connections, and waits for the serve goroutines. Workers blocked in Pull
+// receive an error instead of hanging forever — the graceful half of the
+// failure story; the client-side retry/backoff is the other half.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1300,44 +928,30 @@ func (s *Server) Close() error {
 	for _, sc := range s.conns {
 		scs = append(scs, sc)
 	}
-	started := s.started
 	s.mu.Unlock()
 	var err error
 	if ln != nil {
 		err = ln.Close()
 	}
-	// Fail blocked pull waiters: a nil payload tells each continuation or
-	// channel receiver the server closed. closing is already set, so no
-	// new waiter can park after this sweep.
-	var wake []pullWaiter
+	// Fail blocked pull waiters: a nil payload tells each parked serve
+	// goroutine the server closed. closing is already set, so no new
+	// waiter can park after this sweep.
+	var parked []chan agg
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			wake = append(wake, e.waiters...)
+			parked = append(parked, e.waiters...)
 			e.waiters = nil
 		}
 		sh.mu.Unlock()
 	}
-	for _, w := range wake {
-		w.fulfill(agg{})
-	}
-	// Unblock handlers stuck mid-frame and sweep idle connections.
+	s.wake(parked, agg{})
+	// Unblock handlers stuck mid-frame or mid-write and sweep idle
+	// connections.
 	for _, sc := range scs {
 		sc.close()
 	}
-	if started {
-		// Poller first (it may still be submitting), then shut the queue
-		// and drain the pool, then any fallback goroutines.
-		s.mux.stop()
-		s.workMu.Lock()
-		s.workClosed = true
-		if s.work != nil {
-			close(s.work)
-		}
-		s.workMu.Unlock()
-		s.workerWG.Wait()
-	}
-	s.acceptWG.Wait()
+	s.wg.Wait()
 	return err
 }
 

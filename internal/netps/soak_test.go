@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,21 +12,18 @@ import (
 )
 
 // TestSoak256Clients drives 256 concurrent clients through several
-// push/pull iterations against the sharded, pooled server — the
-// race-detector workout for the shard locks, the waiter continuations,
-// and the multiplexer rearm path. It also checks the goroutine economy:
-// with the connection multiplexer, hundreds of live connections must cost
-// ~pool-size goroutines, not one each.
+// push/pull iterations against the sharded server — the race-detector
+// workout for the shard locks and the serve goroutines. It also checks the
+// goroutine economy: exactly one serve goroutine per live connection, and
+// none left once the clients are gone.
 func TestSoak256Clients(t *testing.T) {
 	const (
 		clients = 256
 		iters   = 4
-		pool    = 8
 	)
 	reg := metrics.NewRegistry()
 	srv, err := NewServer(1,
 		WithShards(8),
-		WithHandlerPool(pool),
 		WithDedupClients(2*clients),
 		WithServerMetrics(reg))
 	if err != nil {
@@ -82,16 +78,16 @@ func TestSoak256Clients(t *testing.T) {
 		}(i)
 	}
 	ready.Wait()
-	if runtime.GOOS == "linux" {
-		// All 256 connections are dialed and idle-or-active right now; the
-		// pooled server must be running pool workers + accept loop +
-		// poller, nowhere near one goroutine per connection.
-		if g := srv.Goroutines(); g > pool+4 {
-			t.Errorf("server goroutines = %d with %d live clients, want <= pool(%d)+4", g, clients, pool)
-		}
+	// All 256 connections are dialed and answered once: the accept loop
+	// plus one serve goroutine each.
+	if g := srv.Goroutines(); g != clients+1 {
+		t.Errorf("server goroutines = %d with %d live clients, want %d", g, clients, clients+1)
 	}
 	release.Done()
 	wg.Wait()
+	// Every client has closed its connection: no serve goroutine may outlive
+	// its connection.
+	waitFor(t, 2*time.Second, "serve goroutines to exit", func() bool { return srv.Goroutines() == 1 })
 	close(errs)
 	for err := range errs {
 		t.Error(err)
@@ -109,17 +105,13 @@ func TestSoak256Clients(t *testing.T) {
 		}
 		c.Close()
 	}
-	if n := srv.Outstanding(); n != 0 {
-		t.Errorf("Outstanding = %d after drain, want 0", n)
-	}
+	waitOutstanding(t, srv, 0)
 }
 
-// TestServeBlockingPath exercises the portable per-connection fallback
-// (non-multiplexed conns and non-Linux builds) end to end over net.Pipe:
-// pushes, ready pulls, parked pulls fulfilled by another connection, and
-// batches — the same shared processPush/resolvePull core, different
-// connection economics.
-func TestServeBlockingPath(t *testing.T) {
+// TestServeOverPipe exercises the serve loop end to end over net.Pipe — no
+// sockets, no listener, any net.Conn: pushes, ready pulls, parked pulls
+// completed by another connection, batches, and an unknown op.
+func TestServeOverPipe(t *testing.T) {
 	srv, err := NewServer(2, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +119,15 @@ func TestServeBlockingPath(t *testing.T) {
 	defer srv.Close()
 	attach := func() net.Conn {
 		cli, side := net.Pipe()
-		sc := &srvConn{s: srv, conn: side, br: bufio.NewReaderSize(side, 4096), fd: -1}
+		sc := &srvConn{s: srv, conn: side, br: bufio.NewReaderSize(side, 4096)}
 		srv.mu.Lock()
 		srv.conns[side] = sc
 		srv.mu.Unlock()
-		srv.spawnBlocking(sc)
+		srv.wg.Add(1)
+		go func() {
+			defer srv.wg.Done()
+			srv.serve(sc)
+		}()
 		return cli
 	}
 	a, b := attach(), attach()
@@ -151,7 +147,7 @@ func TestServeBlockingPath(t *testing.T) {
 	}
 
 	// Worker A pushes; its pull parks until worker B's push completes the
-	// aggregate — the blocking path holds A's serve goroutine on a channel.
+	// aggregate — A's serve goroutine waits on a channel meanwhile.
 	if resp := rt(a, message{Op: OpPush, Key: "w", Iter: 1, Seq: 1<<32 | 1, Payload: Encode([]float32{1})}); resp.Op != OpPush {
 		t.Fatalf("push A: %+v", resp)
 	}
@@ -219,7 +215,5 @@ func TestServeBlockingPath(t *testing.T) {
 		t.Fatal("connection survived an unknown op")
 	}
 
-	if n := srv.Outstanding(); n != 0 {
-		t.Errorf("Outstanding = %d, want 0", n)
-	}
+	waitOutstanding(t, srv, 0)
 }

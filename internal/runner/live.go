@@ -102,9 +102,6 @@ type LiveConfig struct {
 	// (netps.DefaultShards); ignored by the ring backend. <= 0 keeps the
 	// default; 1 reproduces the old single-mutex server.
 	PSShards int
-	// PSPool overrides the PS server's handler-pool size
-	// (netps.DefaultPoolSize); ignored by the ring backend.
-	PSPool int
 	// FuseTheta, when > 0, buckets gradients smaller than this many bytes
 	// into fused CommTasks (core.Fuser): the small-tensor long tail then
 	// pays one per-message overhead per bucket instead of one each. Must
@@ -558,9 +555,6 @@ func buildPSTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 	srvOpts := []netps.ServerOption{}
 	if cfg.PSShards > 0 {
 		srvOpts = append(srvOpts, netps.WithShards(cfg.PSShards))
-	}
-	if cfg.PSPool > 0 {
-		srvOpts = append(srvOpts, netps.WithHandlerPool(cfg.PSPool))
 	}
 	if cfg.Metrics != nil {
 		srvOpts = append(srvOpts, netps.WithServerMetrics(cfg.Metrics))
