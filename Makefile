@@ -26,21 +26,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs a short smoke of every fuzz target (wire-protocol decoders:
-# arbitrary bytes may error but must never panic or over-allocate). Go
-# accepts one -fuzz target per invocation, so each runs separately for
-# $(FUZZTIME). The committed corpora under testdata/fuzz are replayed by
-# plain `go test` regardless; this target searches for new inputs.
+# fuzz runs a short smoke of every fuzz target: the one frame reader
+# (arbitrary bytes may error but must never panic or over-allocate, and an
+# accepted frame re-encodes to the same bytes), netps's OpBatch envelope,
+# and what each transport does with a frame that parsed. Go accepts one
+# -fuzz target per invocation, so each runs separately for $(FUZZTIME).
+# The committed corpora under testdata/fuzz are replayed by plain
+# `go test` regardless; this target searches for new inputs.
 fuzz:
-	$(GO) test ./internal/netps -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netps -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netps -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netar -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 
 # docs validates the documentation set: vet keeps the package docs
 # compiling with the code they describe, checklinks fails on any relative
 # markdown link or heading anchor whose target moved or was renamed, and
 # checkdocs requires a doc comment on every exported symbol of the
-# operator-facing packages.
+# operator-facing packages and of internal/wire (the frame both live
+# transports depend on).
 docs: vet
 	sh scripts/checklinks.sh
 	sh scripts/checkdocs.sh

@@ -391,9 +391,7 @@ func decodeTopK(dst []float32, payload []byte, n int) ([]float32, error) {
 		return dst, fmt.Errorf("compress: top-k payload %dB, count %d, for %d elements", len(payload), k, n)
 	}
 	base := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, make([]float32, n)...) // one growth, after the count checked out
 	for e := 0; e < int(k); e++ {
 		off := 4 + 8*e
 		i := binary.BigEndian.Uint32(payload[off:])

@@ -1,6 +1,7 @@
-// Micro-benchmark of the netar frame hot path. Every ring hop frames one
-// segment, so writeMessage must stay allocation-free (pooled header
-// staging) even with the codec envelope fields set.
+// Micro-benchmark of the netar per-hop send path. Every ring hop encodes
+// one segment into the peer's reused staging buffer and frames it, so the
+// pair must stay allocation-free (wire.Write's pooled staging) even with
+// the codec envelope fields set.
 //
 // Run with:
 //
@@ -10,24 +11,20 @@ package netar
 import (
 	"io"
 	"testing"
+
+	"bytescheduler/internal/compress"
+	"bytescheduler/internal/wire"
 )
 
 func BenchmarkFrameEncode(b *testing.B) {
-	m := message{
-		Op:      OpData,
-		Codec:   1, // compress.CodecFP16
-		Iter:    7,
-		Seq:     42,
-		Step:    3,
-		Chunk:   1,
-		Orig:    256 << 10,
-		Key:     "layer12/weight:3",
-		Payload: make([]byte, 128<<10),
-	}
+	h := wire.Header{Op: uint8(OpData), Iter: 7, Seq: 42, Step: 3, Chunk: 1, Key: "layer12/weight:3"}
+	seg := make([]float32, 64<<10)
+	var payload []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessage(io.Discard, m); err != nil {
+		payload, h.Codec, h.Orig = wire.AppendFloats(payload[:0], compress.FP16Codec(), seg)
+		if err := wire.Write(io.Discard, h, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,13 +93,13 @@ func WithConfig(cfg Config) Option {
 			}
 		}
 		if cfg.BackoffBase > 0 {
-			p.backoffBase = cfg.BackoffBase
+			p.dialDelay.Base = cfg.BackoffBase
 		}
 		if cfg.BackoffMax > 0 {
-			p.backoffMax = cfg.BackoffMax
+			p.dialDelay.Max = cfg.BackoffMax
 		}
 		if cfg.BackoffJitter > 0 {
-			p.jitterFrac = cfg.BackoffJitter
+			p.dialDelay.Jitter = cfg.BackoffJitter
 		}
 		if cfg.MaxPending > 0 {
 			p.maxPending = cfg.MaxPending

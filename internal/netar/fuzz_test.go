@@ -1,7 +1,11 @@
-// Fuzz target for the netar ring framing. Contract: arbitrary bytes may
-// error but never panic, a decoded frame survives an encode/decode round
-// trip bit-for-bit, and the decoder never allocates a payload the input
-// did not actually carry (the capped-preallocation property).
+// Fuzz target for netar's half of the wire protocol. Framing itself —
+// arbitrary bytes never panic the reader, never over-allocate, and an
+// accepted frame re-encodes to the same bytes — is wire.FuzzRead's
+// contract. Here the contract is what a Peer does with a frame that
+// parsed: it parks in the (key, iter, step) slot its header names, the
+// waiting step finds it there, a segment whose envelope does not decode
+// (adversarial codec id, original length, payload framing) surfaces as an
+// error — never a panic — and the slot is reclaimed either way.
 //
 // Run continuously with:
 //
@@ -14,76 +18,88 @@ package netar
 
 import (
 	"bytes"
-	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
+
+	"bytescheduler/internal/wire"
 )
 
-func FuzzDecodeFrame(f *testing.F) {
-	frame := func(m message) []byte {
-		var b bytes.Buffer
-		if err := writeMessage(&b, m); err != nil {
-			f.Fatal(err)
-		}
-		return b.Bytes()
+// frame encodes m as it goes on the wire, for seeding.
+func frame(t testing.TB, m message) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := writeMsg(&b, m); err != nil {
+		t.Fatal(err)
 	}
+	return b.Bytes()
+}
+
+// codecSeeds are codec-bearing segments: fp16, int8, and top-k payloads
+// under their envelope codec ids and original-length fields.
+func codecSeeds() []message {
+	seed := func(codec uint8, seq uint64, step, chunk uint16, orig uint32, key string, payload []byte) message {
+		m := seg(key, 2, seq, step, chunk, payload)
+		m.Codec, m.Orig = codec, orig
+		return m
+	}
+	return []message{
+		seed(1, 8, 3, 1, 8, "L05[1/4]", []byte{0x3c, 0x00, 0xbc, 0x00}),
+		seed(2, 9, 4, 2, 12, "L05[2/4]", []byte{0x3c, 0x81, 0x02, 0x04, 0x7f, 0x81, 0x00}),
+		seed(3, 10, 5, 3, 16, "L05[3/4]", []byte{0, 0, 0, 1, 0, 0, 0, 0, 0x3f, 0x80, 0, 0}),
+	}
+}
+
+// xiterSeeds are cross-iteration segments: with the streaming coordinated
+// release, iteration i and i+1 segments for the same key are in flight at
+// once; the iter field is the only discriminator the pending table sees.
+func xiterSeeds() []message {
+	return []message{
+		seg("L05[1/4]", 3, 11, 1, 0, f32(1, 2)),
+		seg("L05[1/4]", 4, 12, 1, 0, f32(3, 4)),
+	}
+}
+
+// sameBits compares fp32 values by bit pattern, so NaNs compare equal.
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
+func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(frame(message{Op: OpData, Iter: 2, Seq: 7, Step: 3, Chunk: 1, Key: "L05[1/4]", Payload: encodeFloats([]float32{1, -2, 3.5})}))
-	f.Add(frame(message{Op: OpErr, Payload: []byte("pending table full")}))
-	f.Add(frame(message{Op: OpData, Key: ""}))
-	// Codec-bearing segments: fp16, int8, and top-k payloads under their
-	// envelope codec ids and original-length fields.
-	f.Add(frame(message{Op: OpData, Codec: 1, Iter: 2, Seq: 8, Step: 3, Chunk: 1, Orig: 8,
-		Key: "L05[1/4]", Payload: []byte{0x3c, 0x00, 0xbc, 0x00}}))
-	f.Add(frame(message{Op: OpData, Codec: 2, Iter: 2, Seq: 9, Step: 4, Chunk: 2, Orig: 12,
-		Key: "L05[2/4]", Payload: []byte{0x3c, 0x81, 0x02, 0x04, 0x7f, 0x81, 0x00}}))
-	f.Add(frame(message{Op: OpData, Codec: 3, Iter: 2, Seq: 10, Step: 5, Chunk: 3, Orig: 16,
-		Key: "L05[3/4]", Payload: []byte{0, 0, 0, 1, 0, 0, 0, 0, 0x3f, 0x80, 0, 0}}))
-	// Cross-iteration segments: with the streaming coordinated release,
-	// iteration i and i+1 segments for the same key are in flight at once;
-	// the iter field is the only discriminator the pending table sees.
-	f.Add(frame(message{Op: OpData, Iter: 3, Seq: 11, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: encodeFloats([]float32{1, 2})}))
-	f.Add(frame(message{Op: OpData, Iter: 4, Seq: 12, Step: 1, Chunk: 0, Key: "L05[1/4]", Payload: encodeFloats([]float32{3, 4})}))
-	// Adversarial length prefix: near-maxMessage advertised, zero carried.
-	huge := frame(message{Op: OpData, Key: "x"})
-	binary.BigEndian.PutUint32(huge[len(huge)-4:], maxMessage-1)
-	f.Add(huge)
-	// Over-limit prefix must be rejected outright.
-	over := frame(message{Op: OpData, Key: "x"})
-	binary.BigEndian.PutUint32(over[len(over)-4:], maxMessage+1)
-	f.Add(over)
+	f.Add(frame(f, seg("L05[1/4]", 2, 7, 3, 1, f32(1, -2, 3.5))))
+	f.Add(frame(f, message{Header: wire.Header{Op: uint8(OpErr)}, Payload: []byte("pending table full")}))
+	f.Add(frame(f, seg("", 0, 0, 0, 0, nil)))
+	for _, m := range append(codecSeeds(), xiterSeeds()...) {
+		f.Add(frame(f, m))
+	}
+	// A ragged fp32 payload, and a top-k one too short for its own count.
+	f.Add(frame(f, seg("x", 0, 0, 0, 0, []byte{1, 2, 3})))
+	short := codecSeeds()[2]
+	short.Payload = []byte{0, 0, 1}
+	f.Add(frame(f, short))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := readMessage(bytes.NewReader(data))
+		m, err := readMsg(bytes.NewReader(data))
 		if err != nil {
-			return // rejected: fine, as long as it did not panic
+			return // rejected by the frame reader: wire.FuzzRead's territory
 		}
-		if len(m.Payload) > len(data) {
-			t.Fatalf("decoded payload %d bytes from %d input bytes", len(m.Payload), len(data))
-		}
-		var b bytes.Buffer
-		if err := writeMessage(&b, m); err != nil {
-			t.Fatalf("re-encode of decoded frame failed: %v", err)
-		}
-		m2, err := readMessage(bytes.NewReader(b.Bytes()))
+		p, err := NewPeer(0, 2)
 		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+			t.Fatal(err)
 		}
-		if m.Op != m2.Op || m.Codec != m2.Codec || m.Iter != m2.Iter || m.Seq != m2.Seq ||
-			m.Step != m2.Step || m.Chunk != m2.Chunk || m.Orig != m2.Orig || m.Key != m2.Key ||
-			!bytes.Equal(m.Payload, m2.Payload) {
-			t.Fatalf("round trip diverged: %+v vs %+v", m, m2)
+		defer p.Close()
+		if !p.deliver(m) {
+			t.Fatal("an empty pending table refused a segment")
 		}
-		// The codec-aware segment decoder must reject adversarial codec ids,
-		// original lengths, and payload framing without panicking.
-		_, _ = decodeSegment(m)
-		// Float payloads must decode iff their length is a multiple of 4,
-		// and re-encode losslessly (bit patterns, including NaNs).
-		if fs, err := decodeFloats(m.Payload); err == nil {
-			if re := encodeFloats(fs); !bytes.Equal(re, m.Payload) && len(m.Payload) > 0 {
-				t.Fatalf("float round trip diverged:\n in  %x\n out %x", m.Payload, re)
-			}
-		} else if len(m.Payload)%4 == 0 {
-			t.Fatalf("aligned payload rejected by decodeFloats: %v", err)
+		want, decodeErr := wire.Floats(nil, m.Header, m.Payload)
+		got, err := p.recvSegment(m.Key, m.Iter, m.Step, m.Chunk, len(want))
+		if (err == nil) != (decodeErr == nil) {
+			t.Fatalf("recvSegment err = %v, envelope decode err = %v", err, decodeErr)
+		}
+		if err == nil && !slices.EqualFunc(got, want, sameBits) {
+			t.Fatalf("received %v, frame carried %v", got, want)
+		}
+		if len(p.slots) != 0 {
+			t.Fatalf("%d slots left after the step consumed its segment", len(p.slots))
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package netar
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/stats"
 	"bytescheduler/internal/trace"
+	"bytescheduler/internal/wire"
 )
 
 // Option configures a Peer.
@@ -107,9 +109,7 @@ type Peer struct {
 	timeout     time.Duration
 	stepTimeout time.Duration
 	dialRetries int
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	jitterFrac  float64
+	dialDelay   wire.Backoff
 	maxPending  int
 	codec       compress.Codec
 	inst        peerInstruments
@@ -152,9 +152,7 @@ func NewPeer(rank, size int, opts ...Option) (*Peer, error) {
 		timeout:     DefaultTimeout,
 		stepTimeout: DefaultStepTimeout,
 		dialRetries: DefaultDialRetries,
-		backoffBase: DefaultBackoffBase,
-		backoffMax:  DefaultBackoffMax,
-		jitterFrac:  DefaultBackoffJitter,
+		dialDelay:   wire.Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: DefaultBackoffJitter},
 		maxPending:  DefaultMaxPending,
 		slots:       make(map[slotKey]*slot),
 		conns:       make(map[net.Conn]struct{}),
@@ -258,18 +256,11 @@ func (p *Peer) Dial(succAddr string) error {
 
 // backoff sleeps the exponential, jittered delay for the given attempt.
 func (p *Peer) backoff(attempt int) {
-	d := p.backoffBase << uint(attempt)
-	if p.backoffMax > 0 && (d > p.backoffMax || d <= 0) {
-		d = p.backoffMax
-	}
-	if d <= 0 {
-		return
-	}
 	p.mu.Lock()
-	jitter := p.rng.Jitter(p.jitterFrac)
+	jitter := p.rng.Jitter(p.dialDelay.Jitter)
 	p.mu.Unlock()
 	select {
-	case <-time.After(time.Duration(float64(d) * jitter)):
+	case <-time.After(p.dialDelay.Delay(attempt, jitter)):
 	case <-p.done:
 	}
 }
@@ -315,33 +306,29 @@ func (p *Peer) readLoop(conn net.Conn) {
 		p.mu.Unlock()
 		conn.Close()
 	}()
+	br := bufio.NewReaderSize(conn, 4096)
 	for {
-		m, err := readMessage(conn)
-		if err != nil {
+		var m message
+		var err error
+		if m.Header, m.Payload, err = wire.Read(br); err != nil {
 			return
 		}
-		switch m.Op {
+		switch Op(m.Op) {
 		case OpData:
 			if !p.deliver(m) {
 				// Pending table full: tell the predecessor its segment was
 				// rejected, then drop the connection — its framing is no
 				// longer trusted to stay in sync with our slot state.
 				p.inst.drops.Inc()
-				p.notifyErr(conn, message{
-					Op:      OpErr,
-					Iter:    m.Iter,
-					Key:     m.Key,
-					Payload: []byte(fmt.Sprintf("netar: rank %d pending table full (%d slots)", p.rank, p.maxPending)),
-				})
+				p.notifyErr(conn, wire.Header{Op: uint8(OpErr), Iter: m.Iter, Key: m.Key},
+					fmt.Sprintf("netar: rank %d pending table full (%d slots)", p.rank, p.maxPending))
 				return
 			}
 		default:
 			// Unknown op: the stream framing may be out of sync; report and
 			// drop the connection rather than misparse everything after it.
-			p.notifyErr(conn, message{
-				Op:      OpErr,
-				Payload: []byte(fmt.Sprintf("netar: rank %d unknown op %d", p.rank, m.Op)),
-			})
+			p.notifyErr(conn, wire.Header{Op: uint8(OpErr)},
+				fmt.Sprintf("netar: rank %d unknown op %d", p.rank, m.Op))
 			return
 		}
 	}
@@ -350,27 +337,28 @@ func (p *Peer) readLoop(conn net.Conn) {
 // notifyErr best-effort writes an OpErr frame back to the predecessor on
 // the inbound connection (the only traffic that flows "backwards"); the
 // caller drops the connection right after, so failures are ignored.
-func (p *Peer) notifyErr(conn net.Conn, m message) {
+func (p *Peer) notifyErr(conn net.Conn, h wire.Header, text string) {
 	if p.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(p.timeout))
 	}
-	_ = writeMessage(conn, m)
+	_ = wire.Write(conn, h, []byte(text))
 }
 
 // monitorLoop drains the outbound connection for OpErr notifications from
 // the successor (the only traffic that flows "backwards" on the ring).
 func (p *Peer) monitorLoop(conn net.Conn) {
 	defer p.wg.Done()
+	br := bufio.NewReaderSize(conn, 4096)
 	for {
-		m, err := readMessage(conn)
+		h, payload, err := wire.Read(br)
 		if err != nil {
 			return
 		}
-		if m.Op == OpErr {
+		if Op(h.Op) == OpErr {
 			p.inst.remoteErrors.Inc()
 			p.mu.Lock()
 			if p.remoteErr == nil {
-				p.remoteErr = fmt.Errorf("netar: successor rejected segment: %s", string(m.Payload))
+				p.remoteErr = fmt.Errorf("netar: successor rejected segment: %s", string(payload))
 			}
 			p.mu.Unlock()
 		}
@@ -438,14 +426,7 @@ func (p *Peer) dropSlot(k slotKey) {
 // buffer is reused under the same lock, so steady-state sends do not
 // allocate.
 func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, seg []float32) error {
-	m := message{
-		Op:    OpData,
-		Iter:  iter,
-		Seq:   p.seq.Add(1),
-		Step:  step,
-		Chunk: chunk,
-		Key:   key,
-	}
+	h := wire.Header{Op: uint8(OpData), Iter: iter, Seq: p.seq.Add(1), Step: step, Chunk: chunk, Key: key}
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
 	if p.succ == nil {
@@ -461,23 +442,19 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 	if closed {
 		return fmt.Errorf("netar: peer closed")
 	}
-	if !p.codec.IsIdentity() {
-		m.Codec = uint8(p.codec.ID())
-		m.Orig = uint32(4 * len(seg))
-	}
-	// The identity codec's encoding is exactly encodeFloats, so one append
-	// path serves both; the buffer is safe to reuse because the write
-	// below completes before sendMu is released.
-	m.Payload = p.codec.AppendEncode(p.encBuf[:0], seg)
-	p.encBuf = m.Payload[:0]
+	// The staging buffer is safe to reuse because the write below completes
+	// before sendMu is released.
+	var payload []byte
+	payload, h.Codec, h.Orig = wire.AppendFloats(p.encBuf[:0], p.codec, seg)
+	p.encBuf = payload[:0]
 	if p.timeout > 0 {
 		p.succ.SetWriteDeadline(time.Now().Add(p.timeout))
 	}
-	if err := writeMessage(p.succ, m); err != nil {
+	if err := wire.Write(p.succ, h, payload); err != nil {
 		return fmt.Errorf("netar: send step %d to successor: %w", step, err)
 	}
 	p.inst.steps.Inc()
-	p.inst.bytesSent.Add(uint64(len(m.Payload)))
+	p.inst.bytesSent.Add(uint64(len(payload)))
 	return nil
 }
 
@@ -505,9 +482,9 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 			return nil, fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
 				step, key, iter, m.Chunk, wantChunk)
 		}
-		vals, err := decodeSegment(m)
+		vals, err := wire.Floats(nil, m.Header, m.Payload)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("netar: step %d of %s#%d: %w", step, key, iter, err)
 		}
 		if len(vals) != wantLen {
 			return nil, fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",

@@ -3,63 +3,63 @@ package netar
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/tensor"
+	"bytescheduler/internal/wire"
 )
+
+// seg builds an OpData frame; writeMsg and readMsg put one frame on a raw
+// test socket; f32 is a raw fp32 payload.
+func seg(key string, iter uint32, seq uint64, step, chunk uint16, payload []byte) message {
+	return message{Header: wire.Header{Op: uint8(OpData), Iter: iter, Seq: seq, Step: step, Chunk: chunk, Key: key}, Payload: payload}
+}
+
+func writeMsg(w io.Writer, m message) error { return wire.Write(w, m.Header, m.Payload) }
+
+func readMsg(r io.Reader) (m message, err error) {
+	m.Header, m.Payload, err = wire.Read(r)
+	return m, err
+}
+
+func f32(v ...float32) []byte {
+	p, _, _ := wire.AppendFloats(nil, compress.Identity(), v)
+	return p
+}
 
 func TestProtocolRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := message{
-		Op: OpData, Iter: 7, Seq: 99, Step: 3, Chunk: 2,
-		Key: "L03[1/4]", Payload: encodeFloats([]float32{1.5, -2}),
-	}
-	if err := writeMessage(&buf, in); err != nil {
+	in := seg("L03[1/4]", 7, 99, 3, 2, f32(1.5, -2))
+	if err := writeMsg(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readMessage(&buf)
+	out, err := readMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Op != in.Op || out.Iter != in.Iter || out.Seq != in.Seq ||
-		out.Step != in.Step || out.Chunk != in.Chunk || out.Key != in.Key ||
-		!bytes.Equal(out.Payload, in.Payload) {
+	if out.Header != in.Header || !bytes.Equal(out.Payload, in.Payload) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
 	}
 }
 
 func TestProtocolEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMessage(&buf, message{Op: OpData, Key: "k"}); err != nil {
+	if err := writeMsg(&buf, seg("k", 0, 0, 0, 0, nil)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readMessage(&buf)
+	out, err := readMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Payload) != 0 || out.Key != "k" {
 		t.Fatalf("empty payload mishandled: %+v", out)
-	}
-}
-
-func TestEncodeDecodeFloats(t *testing.T) {
-	v := []float32{1.5, -2.25, 0, 3e7}
-	got, err := decodeFloats(encodeFloats(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range v {
-		if got[i] != v[i] {
-			t.Fatalf("decode mismatch at %d: %v vs %v", i, got[i], v[i])
-		}
-	}
-	if _, err := decodeFloats([]byte{1, 2, 3}); err == nil {
-		t.Fatal("ragged payload accepted")
 	}
 }
 
@@ -437,10 +437,10 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := injectConn(t, p)
-	frame := message{Op: OpData, Iter: 1, Step: 0, Chunk: 1, Key: "k", Payload: encodeFloats([]float32{2, 3})}
+	frame := seg("k", 1, 0, 0, 1, f32(2, 3))
 	for i := 0; i < 2; i++ {
 		frame.Seq = uint64(i + 1)
-		if err := writeMessage(conn, frame); err != nil {
+		if err := writeMsg(conn, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -476,22 +476,20 @@ func TestPendingTableOverflow(t *testing.T) {
 	}
 	conn := injectConn(t, p)
 	for step := 0; step < 5; step++ {
-		m := message{Op: OpData, Iter: 1, Step: uint16(step), Chunk: 0, Key: "flood",
-			Seq: uint64(step + 1), Payload: encodeFloats([]float32{1})}
-		if err := writeMessage(conn, m); err != nil {
+		if err := writeMsg(conn, seg("flood", 1, uint64(step+1), uint16(step), 0, f32(1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The fifth frame overflows the 4-slot table: expect an OpErr frame
 	// back, then EOF as the peer drops the connection.
-	reply, err := readMessage(conn)
+	reply, err := readMsg(conn)
 	if err != nil {
 		t.Fatalf("no overflow notification: %v", err)
 	}
-	if reply.Op != OpErr || !bytes.Contains(reply.Payload, []byte("pending table full")) {
+	if Op(reply.Op) != OpErr || !bytes.Contains(reply.Payload, []byte("pending table full")) {
 		t.Fatalf("unexpected overflow reply: %+v", reply)
 	}
-	if _, err := readMessage(conn); err == nil {
+	if _, err := readMsg(conn); err == nil {
 		t.Fatal("connection stayed open after overflow")
 	}
 	if n := reg.Counter("netar_dropped_segments_total").Value(); n != 1 {

@@ -29,25 +29,20 @@
 // reader goroutine, so a step's send can never deadlock against the ring's
 // cyclic dependency: the predecessor's reader always consumes.
 //
-// The transport reuses the netps hardening patterns: per-frame write
-// deadlines, bounded dial retry with exponential backoff and deterministic
-// jitter, a step-receive timeout so a dead peer surfaces as an error
-// instead of a hang, duplicate-segment drops (the Seq-dedup analogue for a
+// The frame — layout, limits, the one-writev write, the bounded read, the
+// fp32/codec payload envelope and the retry-delay curve — is
+// internal/wire's, shared with netps; this package owns the op codes, the
+// slot dispatch and the collective schedule on top of it. The hardening
+// patterns are netps's too: per-frame write deadlines, bounded dial retry
+// with exponential backoff and deterministic jitter, a step-receive
+// timeout so a dead peer surfaces as an error instead of a hang,
+// duplicate-segment drops (the Seq-dedup analogue for a
 // persistent-connection transport), a bounded pending-slot table so a
 // misbehaving peer cannot balloon memory, and graceful Close that fails
 // blocked waiters. All knobs live in Config.
 package netar
 
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-	"sync"
-
-	"bytescheduler/internal/compress"
-)
+import "bytescheduler/internal/wire"
 
 // Op is the wire operation code.
 type Op uint8
@@ -63,188 +58,16 @@ const (
 	OpErr Op = 2
 )
 
-// maxMessage bounds a single framed message (payload plus header).
-const maxMessage = 512 << 20
-
-// maxPrealloc caps the up-front payload allocation while reading a frame:
-// a malicious length prefix can make the decoder *work* at most this hard
-// before the stream runs dry, never allocate the full advertised size.
-const maxPrealloc = 4 << 20
-
-// message is one framed ring segment.
-//
-//	op(1) codec(1) iter(4) seq(8) step(2) chunk(2) orig(4) keyLen(2) key payloadLen(4) payload
+// message is one framed ring segment: the shared wire header and its
+// payload. Header.Op holds an Op; Seq is a per-peer monotonic frame
+// counter, for tracing and duplicate diagnostics (a persistent connection
+// does not replay frames the way netps retries do, so it is observability,
+// not correctness); Step is the position in the 2(M-1)-step collective
+// schedule; Chunk is the vector chunk index the payload covers, which the
+// receiver verifies against the schedule, catching ring misconfiguration.
 type message struct {
-	Op Op
-	// Codec is the wire codec id the payload is encoded with
-	// (compress.CodecID); 0 is raw fp32, so pre-codec frames parse
-	// unchanged.
-	Codec uint8
-	Iter  uint32
-	// Seq is a per-peer monotonic frame counter, for tracing and duplicate
-	// diagnostics (a persistent connection does not replay frames the way
-	// netps retries do, so Seq is observability, not correctness).
-	Seq uint64
-	// Step is the position in the 2(M-1)-step collective schedule.
-	Step uint16
-	// Chunk is the vector chunk index the payload covers; the receiver
-	// verifies it against the schedule, catching ring misconfiguration.
-	Chunk uint16
-	// Orig is the original (uncompressed) fp32 byte length of the segment;
-	// 0 when Codec is 0, where the payload length is the original length.
-	Orig    uint32
-	Key     string
+	wire.Header
 	Payload []byte
-}
-
-// fixedHeader is the length of the constant-size header prefix.
-const fixedHeader = 1 + 1 + 4 + 8 + 2 + 2 + 4 + 2
-
-// headerPool recycles the frame-header staging buffer so steady-state
-// writes do not allocate (writeMessage is on every ring hop's hot path).
-var headerPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
-
-// writeMessage frames and writes one message. With the pooled header
-// staging buffer this is 0 allocs/op in steady state.
-func writeMessage(w io.Writer, m message) error {
-	if len(m.Key) > 1<<16-1 {
-		return fmt.Errorf("netar: key too long (%d bytes)", len(m.Key))
-	}
-	if len(m.Payload) > maxMessage {
-		return fmt.Errorf("netar: payload too large (%d bytes)", len(m.Payload))
-	}
-	bp := headerPool.Get().(*[]byte)
-	need := fixedHeader + len(m.Key) + 4
-	if cap(*bp) < need {
-		*bp = make([]byte, 0, need)
-	}
-	hdr := (*bp)[:need]
-	hdr[0] = byte(m.Op)
-	hdr[1] = m.Codec
-	binary.BigEndian.PutUint32(hdr[2:6], m.Iter)
-	binary.BigEndian.PutUint64(hdr[6:14], m.Seq)
-	binary.BigEndian.PutUint16(hdr[14:16], m.Step)
-	binary.BigEndian.PutUint16(hdr[16:18], m.Chunk)
-	binary.BigEndian.PutUint32(hdr[18:22], m.Orig)
-	binary.BigEndian.PutUint16(hdr[22:24], uint16(len(m.Key)))
-	copy(hdr[fixedHeader:], m.Key)
-	binary.BigEndian.PutUint32(hdr[fixedHeader+len(m.Key):], uint32(len(m.Payload)))
-	_, err := w.Write(hdr)
-	*bp = hdr[:0]
-	headerPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	if len(m.Payload) > 0 {
-		if _, err := w.Write(m.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readPayload reads exactly n payload bytes with the up-front allocation
-// capped at maxPrealloc: small payloads get one exact allocation, large
-// ones grow with the bytes that actually arrive, so an adversarial length
-// prefix cannot force a giant allocation before the stream runs dry.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if n <= maxPrealloc {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	var b bytes.Buffer
-	b.Grow(maxPrealloc)
-	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// readMessage reads one framed message. It returns an error — never
-// panics, never allocates beyond the bytes actually received — on
-// truncated or adversarial input (FuzzDecodeMessage enforces this).
-func readMessage(r io.Reader) (message, error) {
-	var fixed [fixedHeader]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return message{}, err
-	}
-	m := message{
-		Op:    Op(fixed[0]),
-		Codec: fixed[1],
-		Iter:  binary.BigEndian.Uint32(fixed[2:6]),
-		Seq:   binary.BigEndian.Uint64(fixed[6:14]),
-		Step:  binary.BigEndian.Uint16(fixed[14:16]),
-		Chunk: binary.BigEndian.Uint16(fixed[16:18]),
-		Orig:  binary.BigEndian.Uint32(fixed[18:22]),
-	}
-	keyLen := int(binary.BigEndian.Uint16(fixed[22:24]))
-	buf := make([]byte, keyLen+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return message{}, err
-	}
-	m.Key = string(buf[:keyLen])
-	payloadLen := binary.BigEndian.Uint32(buf[keyLen:])
-	if payloadLen > maxMessage {
-		return message{}, fmt.Errorf("netar: payload length %d exceeds limit", payloadLen)
-	}
-	payload, err := readPayload(r, int(payloadLen))
-	if err != nil {
-		return message{}, err
-	}
-	m.Payload = payload
-	return m, nil
-}
-
-// encodeFloats serializes a float32 vector big-endian.
-func encodeFloats(v []float32) []byte {
-	out := make([]byte, len(v)*4)
-	for i, f := range v {
-		binary.BigEndian.PutUint32(out[i*4:], math.Float32bits(f))
-	}
-	return out
-}
-
-// decodeFloats parses a big-endian float32 vector payload.
-func decodeFloats(payload []byte) ([]float32, error) {
-	if len(payload)%4 != 0 {
-		return nil, fmt.Errorf("netar: payload not a float32 vector (%d bytes)", len(payload))
-	}
-	out := make([]float32, len(payload)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[i*4:]))
-	}
-	return out, nil
-}
-
-// decodeSegment recovers a segment's float32 values by its codec envelope:
-// codec 0 is the raw fp32 path, anything else decodes Orig/4 elements
-// through the identified codec. The caller verifies the element count
-// against the schedule.
-func decodeSegment(m message) ([]float32, error) {
-	if m.Codec == 0 {
-		return decodeFloats(m.Payload)
-	}
-	cd, err := compress.CodecByID(compress.CodecID(m.Codec))
-	if err != nil {
-		return nil, fmt.Errorf("netar: segment: %v", err)
-	}
-	if m.Orig == 0 || m.Orig%4 != 0 {
-		return nil, fmt.Errorf("netar: segment original length %d not a positive multiple of 4", m.Orig)
-	}
-	n := int(m.Orig / 4)
-	return cd.AppendDecode(make([]float32, 0, n), m.Payload, n)
 }
 
 // chunkBounds cuts a vector of n values into m near-equal chunks and

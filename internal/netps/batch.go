@@ -13,26 +13,19 @@ type BatchPush struct {
 	Grad []float32
 }
 
-// BatchPull is one parameter pull inside a coalesced batch.
-type BatchPull struct {
-	Key  string
-	Iter uint32
-}
-
 // roundTripBatch sends framed sub-requests under one OpBatch envelope and
 // returns the framed sub-responses in request order. Sub-request Seqs must
 // already be assigned by the caller (and are therefore stable across the
 // envelope's transport retries, which is what lets the server deduplicate
-// replayed sub-pushes individually). blocking marks batches containing
-// pulls, which may legitimately wait on cross-worker aggregation.
-func (c *Client) roundTripBatch(subs []message, blocking bool) ([]message, error) {
+// replayed sub-pushes individually).
+func (c *Client) roundTripBatch(subs []message) ([]message, error) {
 	payload, err := encodeBatch(subs)
 	if err != nil {
 		return nil, err
 	}
 	c.inst.batches.Inc()
 	c.inst.batchedMsgs.Add(uint64(len(subs)))
-	resp, err := c.roundTrip(message{Op: OpBatch, Payload: payload, blocking: blocking})
+	resp, err := c.roundTrip(newMessage(OpBatch, "", 0, 0, payload))
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +37,7 @@ func (c *Client) roundTripBatch(subs []message, blocking bool) ([]message, error
 		return nil, fmt.Errorf("netps: batch answered %d of %d sub-requests", len(out), len(subs))
 	}
 	for i := range out {
-		if out[i].Seq != subs[i].Seq || (out[i].Op != OpErr && (out[i].Key != subs[i].Key || out[i].Iter != subs[i].Iter)) {
+		if out[i].Seq != subs[i].Seq || (Op(out[i].Op) != OpErr && (out[i].Key != subs[i].Key || out[i].Iter != subs[i].Iter)) {
 			return nil, fmt.Errorf("netps: mismatched batch sub-response %d (%v/%s/%d)", i, out[i].Op, out[i].Key, out[i].Iter)
 		}
 	}
@@ -53,7 +46,7 @@ func (c *Client) roundTripBatch(subs []message, blocking bool) ([]message, error
 
 // subErr converts an OpErr sub-response into a ServerError, nil otherwise.
 func subErr(m message) error {
-	if m.Op == OpErr {
+	if Op(m.Op) == OpErr {
 		return &ServerError{Msg: string(m.Payload)}
 	}
 	return nil
@@ -75,7 +68,7 @@ func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
 		subs[i] = c.pushMessage(it.Key, it.Iter, it.Grad)
 		subs[i].Seq = c.nextSeq()
 	}
-	out, err := c.roundTripBatch(subs, false)
+	out, err := c.roundTripBatch(subs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,38 +81,6 @@ func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
 		}
 	}
 	return errs, nil
-}
-
-// PullBatch requests several aggregated partitions under one framed write.
-// The batch response arrives once every requested partition is aggregated,
-// so batch pulls trade per-message overhead against head-of-line latency:
-// only batch pulls whose keys become ready together (e.g. partitions of
-// one tensor). Returns one value and one error slot per item, plus the
-// whole-batch transport outcome.
-func (c *Client) PullBatch(items []BatchPull) ([][]float32, []error, error) {
-	if len(items) == 0 {
-		return nil, nil, nil
-	}
-	subs := make([]message, len(items))
-	for i, it := range items {
-		subs[i] = message{Op: OpPull, Iter: it.Iter, Key: it.Key, Seq: c.nextSeq()}
-	}
-	out, err := c.roundTripBatch(subs, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([][]float32, len(items))
-	errs := make([]error, len(items))
-	for i := range out {
-		if errs[i] = subErr(out[i]); errs[i] != nil {
-			c.inst.serverErrors.Inc()
-			continue
-		}
-		if vals[i], errs[i] = decodePayload(out[i]); errs[i] == nil {
-			c.inst.bytesPulled.Add(uint64(len(out[i].Payload)))
-		}
-	}
-	return vals, errs, nil
 }
 
 // Batcher coalesces pushes to one shard into OpBatch frames, amortizing

@@ -1,8 +1,10 @@
 package netps
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,22 +12,19 @@ import (
 	"bytescheduler/internal/metrics"
 )
 
-// TestPushBatchPullBatch round-trips a coalesced push from two workers and a
-// coalesced pull, checking aggregation works exactly as for plain messages.
-func TestPushBatchPullBatch(t *testing.T) {
-	_, addr := startServer(t, 2)
+// TestPushBatchAggregates round-trips a coalesced push from two workers,
+// checking aggregation works exactly as for plain messages.
+func TestPushBatchAggregates(t *testing.T) {
+	srv, addr := startServer(t, 2)
 	c0, c1 := NewClient(addr), NewClient(addr)
 	defer c0.Close()
 	defer c1.Close()
 
-	items := func(scale float32) []BatchPush {
-		return []BatchPush{
+	for c, scale := range map[*Client]float32{c0: 1, c1: 10} {
+		errs, err := c.PushBatch([]BatchPush{
 			{Key: "a", Iter: 0, Grad: []float32{1 * scale, 2 * scale}},
 			{Key: "b", Iter: 0, Grad: []float32{3 * scale}},
-		}
-	}
-	for _, c := range []*Client{c0} {
-		errs, err := c.PushBatch(items(1))
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,33 +34,21 @@ func TestPushBatchPullBatch(t *testing.T) {
 			}
 		}
 	}
-	errs, err := c1.PushBatch(items(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("sub-push %d: %v", i, e)
+	// Both workers pull, so the server reclaims the entries.
+	for _, c := range []*Client{c0, c1} {
+		a, err := c.Pull("a", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Pull("b", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a, []float32{11, 22}) || !slices.Equal(b, []float32{33}) {
+			t.Fatalf("pulled a=%v b=%v, want [11 22] [33]", a, b)
 		}
 	}
-
-	vals, errs, err := c0.PullBatch([]BatchPull{{Key: "a", Iter: 0}, {Key: "b", Iter: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("sub-pull %d: %v", i, e)
-		}
-	}
-	wantA, wantB := []float32{11, 22}, []float32{33}
-	if vals[0][0] != wantA[0] || vals[0][1] != wantA[1] || vals[1][0] != wantB[0] {
-		t.Fatalf("batch pull = %v, want [%v %v]", vals, wantA, wantB)
-	}
-	// The other worker must pull too so the server reclaims the entries.
-	if _, _, err := c1.PullBatch([]BatchPull{{Key: "a", Iter: 0}, {Key: "b", Iter: 0}}); err != nil {
-		t.Fatal(err)
-	}
+	waitOutstanding(t, srv, 0)
 }
 
 // TestBatchAmortizesMessages pins the θ-amortization claim in metric form:
@@ -107,22 +94,22 @@ func TestBatchReplayDeduplicated(t *testing.T) {
 	defer conn.Close()
 
 	subs := []message{
-		{Op: OpPush, Key: "a", Iter: 0, Seq: 1<<32 | 1, Payload: Encode([]float32{5})},
-		{Op: OpPush, Key: "b", Iter: 0, Seq: 1<<32 | 2, Payload: Encode([]float32{7})},
+		newMessage(OpPush, "a", 0, 1<<32|1, f32(5)),
+		newMessage(OpPush, "b", 0, 1<<32|2, f32(7)),
 	}
 	payload, err := encodeBatch(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for replay := 0; replay < 3; replay++ {
-		if err := writeMessage(conn, message{Op: OpBatch, Payload: payload}); err != nil {
+		if err := writeMsg(conn, newMessage(OpBatch, "", 0, 0, payload)); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readMessage(conn)
+		resp, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Op != OpBatch {
+		if Op(resp.Op) != OpBatch {
 			t.Fatalf("replay %d answered %v", replay, resp.Op)
 		}
 	}
@@ -141,8 +128,9 @@ func TestBatchReplayDeduplicated(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsUnbatchableOps crafts a batch containing a nested batch
-// and checks the server rejects the sub-message individually while
+// TestBatchRejectsUnbatchableOps crafts a batch containing a pull and a
+// nested batch and checks the server rejects those sub-messages
+// individually — still one OpBatch response, connection kept — while
 // answering the rest.
 func TestBatchRejectsUnbatchableOps(t *testing.T) {
 	_, addr := startServer(t, 1)
@@ -153,17 +141,18 @@ func TestBatchRejectsUnbatchableOps(t *testing.T) {
 	defer conn.Close()
 
 	subs := []message{
-		{Op: OpPush, Key: "ok", Iter: 0, Seq: 2<<32 | 1, Payload: Encode([]float32{1})},
-		{Op: OpBatch, Key: "nested", Seq: 2<<32 | 2},
+		newMessage(OpPush, "ok", 0, 2<<32|1, f32(1)),
+		newMessage(OpPull, "ok", 0, 2<<32|2, nil),
+		newMessage(OpBatch, "nested", 0, 2<<32|3, nil),
 	}
 	payload, err := encodeBatch(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMessage(conn, message{Op: OpBatch, Payload: payload}); err != nil {
+	if err := writeMsg(conn, newMessage(OpBatch, "", 0, 0, payload)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readMessage(conn)
+	resp, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +160,24 @@ func TestBatchRejectsUnbatchableOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("batch answered %d subs, want 2", len(out))
+	if Op(resp.Op) != OpBatch || len(out) != 3 {
+		t.Fatalf("batch answered op %v with %d subs, want OpBatch with 3", resp.Op, len(out))
 	}
-	if out[0].Op != OpPush {
+	if Op(out[0].Op) != OpPush {
 		t.Fatalf("valid sub-push answered %v", out[0].Op)
 	}
-	if out[1].Op != OpErr {
-		t.Fatalf("nested batch answered %v, want OpErr", out[1].Op)
+	for i, what := range map[int]string{1: "sub-pull", 2: "nested batch"} {
+		if Op(out[i].Op) != OpErr || string(out[i].Payload) != "unbatchable op" || out[i].Seq != subs[i].Seq {
+			t.Fatalf("%s answered %+v, want OpErr \"unbatchable op\"", what, out[i])
+		}
+	}
+	// The rejection cost nothing else: the connection still serves, and the
+	// push that rode along was summed.
+	if err := writeMsg(conn, newMessage(OpPull, "ok", 0, 2<<32|4, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readMsg(conn); err != nil || Op(resp.Op) != OpPull || !bytes.Equal(resp.Payload, f32(1)) {
+		t.Fatalf("pull after rejected batch = %+v (%v), want the pushed [1]", resp, err)
 	}
 }
 
@@ -286,8 +285,8 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 // payloads without panicking.
 func TestBatchEncodingBounds(t *testing.T) {
 	subs := []message{
-		{Op: OpPush, Key: "k", Iter: 1, Seq: 9, Payload: []byte{1, 2, 3, 4}},
-		{Op: OpPull, Key: "k2", Iter: 1, Seq: 10},
+		newMessage(OpPush, "k", 1, 9, []byte{1, 2, 3, 4}),
+		newMessage(OpPull, "k2", 1, 10, nil),
 	}
 	payload, err := encodeBatch(subs)
 	if err != nil {

@@ -1,7 +1,7 @@
-// Micro-benchmarks of the netps hot paths: message framing (the two-per-RPC
-// writeMessage staging buffer, now pooled), batch envelope encoding (now
-// sized exactly up front), and the server's pull fast path (the aggregate's
-// float32 marshal, now computed once per entry instead of once per pull).
+// Micro-benchmarks of the netps hot paths: message framing (wire.Write's
+// pooled staging, two frames per RPC), batch envelope encoding (sized
+// exactly up front), and the server's pull fast path (the aggregate's
+// float32 marshal, computed once per entry instead of once per pull).
 //
 // Run with:
 //
@@ -11,24 +11,21 @@ package netps
 import (
 	"fmt"
 	"io"
+	"net"
 	"testing"
+
+	"bytescheduler/internal/compress"
 )
 
 // BenchmarkProtocolEncode frames one push message (256 KB payload) per
 // iteration — the client-side cost of putting a scheduled partition on the
 // wire. With the pooled header buffer this is 0 allocs/op.
 func BenchmarkProtocolEncode(b *testing.B) {
-	m := message{
-		Op:      OpPush,
-		Iter:    7,
-		Seq:     1<<32 | 42,
-		Key:     "layer12/weight:3",
-		Payload: make([]byte, 256<<10),
-	}
+	m := newMessage(OpPush, "layer12/weight:3", 7, 1<<32|42, make([]byte, 256<<10))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessage(io.Discard, m); err != nil {
+		if err := writeMsg(io.Discard, m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,13 +37,7 @@ func BenchmarkProtocolEncode(b *testing.B) {
 func BenchmarkProtocolEncodeBatch(b *testing.B) {
 	subs := make([]message, 32)
 	for i := range subs {
-		subs[i] = message{
-			Op:      OpPush,
-			Iter:    3,
-			Seq:     uint64(i + 1),
-			Key:     fmt.Sprintf("layer%d/weight:0", i),
-			Payload: make([]byte, 8<<10),
-		}
+		subs[i] = newMessage(OpPush, fmt.Sprintf("layer%d/weight:0", i), 3, uint64(i+1), make([]byte, 8<<10))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -72,11 +63,11 @@ func BenchmarkServerPull(b *testing.B) {
 	for i := range grad {
 		grad[i] = float32(i) * 0.5
 	}
-	push := message{Op: OpPush, Iter: 1, Seq: 1<<32 | 1, Key: "w", Payload: encode(grad)}
-	if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
+	push := newMessage(OpPush, "w", 1, 1<<32|1, f32(grad...))
+	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
 		b.Fatalf("push rejected: %s", resp.Payload)
 	}
-	req := message{Op: OpPull, Iter: 1, Key: "w"}
+	req := newMessage(OpPull, "w", 1, 0, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,43 +79,47 @@ func BenchmarkServerPull(b *testing.B) {
 }
 
 // BenchmarkProtocolEncodeCodec frames a codec-bearing push (fp16, 128 KB
-// compressed from 256 KB) per iteration — the envelope's new codec id and
+// compressed from 256 KB) per iteration — the envelope's codec id and
 // original-length fields must not reintroduce allocations.
 func BenchmarkProtocolEncodeCodec(b *testing.B) {
-	m := message{
-		Op:      OpPush,
-		Codec:   1, // compress.CodecFP16
-		Iter:    7,
-		Seq:     1<<32 | 42,
-		Orig:    256 << 10,
-		Key:     "layer12/weight:3",
-		Payload: make([]byte, 128<<10),
-	}
+	m := newMessage(OpPush, "layer12/weight:3", 7, 1<<32|42, make([]byte, 128<<10))
+	m.Codec, m.Orig = uint8(compress.CodecFP16), 256<<10
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessage(io.Discard, m); err != nil {
+		if err := writeMsg(io.Discard, m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkProtocolEncodeVecCodec is the scatter-gather (response-path)
-// variant of BenchmarkProtocolEncodeCodec.
+// BenchmarkProtocolEncodeVecCodec writes a codec-bearing pull response
+// (int8, 64 KB) to a loopback TCP connection, where the scatter-gather
+// write really is one writev: header and payload leave in one syscall and
+// the pooled staging keeps it at 0 allocs/op.
 func BenchmarkProtocolEncodeVecCodec(b *testing.B) {
-	m := message{
-		Op:      OpPull,
-		Codec:   2, // compress.CodecInt8
-		Iter:    7,
-		Seq:     1<<32 | 42,
-		Orig:    256 << 10,
-		Key:     "layer12/weight:3",
-		Payload: make([]byte, 4+64<<10),
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, c) //nolint:errcheck // drain until the writer hangs up
+			c.Close()
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	m := newMessage(OpPull, "layer12/weight:3", 7, 1<<32|42, make([]byte, 4+64<<10))
+	m.Codec, m.Orig = uint8(compress.CodecInt8), 256<<10
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessageVec(io.Discard, m); err != nil {
+		if err := writeMsg(conn, m); err != nil {
 			b.Fatal(err)
 		}
 	}

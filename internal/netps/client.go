@@ -1,6 +1,7 @@
 package netps
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/stats"
 	"bytescheduler/internal/trace"
+	"bytescheduler/internal/wire"
 )
 
 // Default client hardening and batching knobs; override with Options or a
@@ -69,7 +71,7 @@ func WithRetries(n int) Option { return func(c *Client) { c.maxRetries = n } }
 // WithBackoff sets the exponential backoff base and cap between transport
 // retries.
 func WithBackoff(base, max time.Duration) Option {
-	return func(c *Client) { c.backoffBase, c.backoffMax = base, max }
+	return func(c *Client) { c.retryDelay.Base, c.retryDelay.Max = base, max }
 }
 
 // WithSeed seeds the deterministic backoff jitter (reproducible tests).
@@ -160,9 +162,7 @@ type Client struct {
 	timeout     time.Duration
 	pullTimeout time.Duration
 	maxRetries  int
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	jitterFrac  float64
+	retryDelay  wire.Backoff
 	batchBytes  int
 	batchDelay  time.Duration
 	id          uint32
@@ -173,22 +173,28 @@ type Client struct {
 
 	mu     sync.Mutex
 	rng    *stats.RNG
-	idle   []net.Conn
+	idle   []*clientConn
 	closed bool
+}
+
+// clientConn is one connection to the server with the buffered reader that
+// lives and dies with it: frames are written to the raw conn (one writev)
+// and read through br (one read syscall per small frame instead of three).
+type clientConn struct {
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 // NewClient creates a client for the shard at addr.
 func NewClient(addr string, opts ...Option) *Client {
 	c := &Client{
-		addr:        addr,
-		timeout:     DefaultTimeout,
-		maxRetries:  DefaultRetries,
-		backoffBase: DefaultBackoffBase,
-		backoffMax:  DefaultBackoffMax,
-		jitterFrac:  DefaultBackoffJitter,
-		batchBytes:  DefaultBatchBytes,
-		batchDelay:  DefaultBatchDelay,
-		id:          clientIDs.Add(1),
+		addr:       addr,
+		timeout:    DefaultTimeout,
+		maxRetries: DefaultRetries,
+		retryDelay: wire.Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: DefaultBackoffJitter},
+		batchBytes: DefaultBatchBytes,
+		batchDelay: DefaultBatchDelay,
+		id:         clientIDs.Add(1),
 	}
 	for _, o := range opts {
 		o(c)
@@ -208,7 +214,7 @@ func (c *Client) nextSeq() uint64 {
 }
 
 // conn returns a pooled connection (reused=true) or dials a fresh one.
-func (c *Client) conn() (conn net.Conn, reused bool, err error) {
+func (c *Client) conn() (conn *clientConn, reused bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -226,21 +232,26 @@ func (c *Client) conn() (conn net.Conn, reused bool, err error) {
 }
 
 // dial opens a fresh connection under the client's timeout.
-func (c *Client) dial() (net.Conn, error) {
+func (c *Client) dial() (*clientConn, error) {
+	var d net.Dialer
 	if c.timeout > 0 {
-		return net.DialTimeout("tcp", c.addr, c.timeout)
+		d.Timeout = c.timeout
 	}
-	return net.Dial("tcp", c.addr)
+	conn, err := d.Dial("tcp", c.addr)
+	if err != nil {
+		return nil, err
+	}
+	return &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 4096)}, nil
 }
 
-func (c *Client) release(conn net.Conn) {
+func (c *Client) release(cc *clientConn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		conn.Close()
+		cc.conn.Close()
 		return
 	}
-	c.idle = append(c.idle, conn)
+	c.idle = append(c.idle, cc)
 }
 
 func (c *Client) isClosed() bool {
@@ -251,37 +262,20 @@ func (c *Client) isClosed() bool {
 
 // backoff sleeps the exponential, jittered delay for the given attempt.
 func (c *Client) backoff(attempt int) {
-	// Clamp the shift before it can overflow int64: past attempt 62 the
-	// doubling has long exceeded any sane cap anyway. Overflow must clamp
-	// even with no max configured — a wrapped-negative delay used to hit
-	// the d <= 0 fast path below and turn the retry loop into a hot spin.
-	shift := uint(attempt)
-	if shift > 62 {
-		shift = 62
-	}
-	d := c.backoffBase << shift
-	overflowed := d <= 0 || d>>shift != c.backoffBase
-	if c.backoffMax > 0 && (d > c.backoffMax || overflowed) {
-		d = c.backoffMax
-	} else if overflowed {
-		d = c.backoffBase // uncapped client: hold at least the base delay
-	}
-	if d <= 0 {
-		return // backoffBase itself is zero: backoff disabled
-	}
 	c.mu.Lock()
-	jitter := c.rng.Jitter(c.jitterFrac)
+	jitter := c.rng.Jitter(c.retryDelay.Jitter)
 	c.mu.Unlock()
-	time.Sleep(time.Duration(float64(d) * jitter))
+	time.Sleep(c.retryDelay.Delay(attempt, jitter))
 }
 
 // exchange performs one request/response on one connection, owning the
 // connection's fate: pooled on success, closed on failure.
-func (c *Client) exchange(conn net.Conn, req message) (message, error) {
+func (c *Client) exchange(cc *clientConn, req message) (message, error) {
+	conn := cc.conn
 	if c.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	if err := writeMessage(conn, req); err != nil {
+	if err := wire.Write(conn, req.Header, req.Payload); err != nil {
 		conn.Close()
 		return message{}, err
 	}
@@ -290,10 +284,10 @@ func (c *Client) exchange(conn net.Conn, req message) (message, error) {
 	// request (as roundTrip once did) undercounted and skewed msgs/bytes
 	// ratios.
 	c.inst.msgs.Inc()
-	// Pulls (and batches containing one) wait for cross-worker aggregation
-	// and may legitimately block far longer than a push acknowledgement.
+	// Pulls wait for cross-worker aggregation and may legitimately block
+	// far longer than a push acknowledgement.
 	readTimeout := c.timeout
-	if req.Op == OpPull || req.blocking {
+	if Op(req.Op) == OpPull {
 		readTimeout = c.pullTimeout
 	}
 	if readTimeout > 0 {
@@ -301,22 +295,23 @@ func (c *Client) exchange(conn net.Conn, req message) (message, error) {
 	} else {
 		conn.SetReadDeadline(time.Time{})
 	}
-	resp, err := readMessage(conn)
-	if err != nil {
+	var resp message
+	var err error
+	if resp.Header, resp.Payload, err = wire.Read(cc.br); err != nil {
 		conn.Close()
 		return message{}, err
 	}
 	conn.SetDeadline(time.Time{})
-	if resp.Op == OpErr {
+	if Op(resp.Op) == OpErr {
 		// Application-level rejection: the connection is still in sync.
-		c.release(conn)
+		c.release(cc)
 		return message{}, &ServerError{Msg: string(resp.Payload)}
 	}
 	if resp.Op != req.Op || resp.Key != req.Key || resp.Iter != req.Iter || resp.Seq != req.Seq {
 		conn.Close()
 		return message{}, fmt.Errorf("netps: mismatched response %v/%s/%d", resp.Op, resp.Key, resp.Iter)
 	}
-	c.release(conn)
+	c.release(cc)
 	return resp, nil
 }
 
@@ -355,12 +350,12 @@ func (c *Client) roundTrip(req message) (message, error) {
 	c.inst.inflight.Dec()
 	if c.tracer != nil {
 		c.tracer.Add(fmt.Sprintf("netps/c%d", c.id),
-			fmt.Sprintf("%s %s#%d", opName(req.Op), req.Key, req.Iter),
+			fmt.Sprintf("%s %s#%d", opName(Op(req.Op)), req.Key, req.Iter),
 			start, start.Add(elapsed))
 	}
 	switch {
 	case err == nil:
-		switch req.Op {
+		switch Op(req.Op) {
 		case OpPush:
 			c.inst.pushSeconds.Observe(elapsed.Seconds())
 			c.inst.bytesPushed.Add(uint64(len(req.Payload)))
@@ -424,38 +419,13 @@ func (c *Client) attempt(req message) (message, error) {
 	}
 }
 
-// pushMessage frames one push through the client's codec. Identity keeps
-// the legacy envelope (codec 0, orig 0) byte-for-byte; other codecs carry
-// the codec id and the original fp32 byte length so the server can decode
-// without out-of-band configuration.
+// pushMessage frames one push through the client's codec; the envelope
+// carries what the server needs to decode without out-of-band
+// configuration.
 func (c *Client) pushMessage(key string, iter uint32, grad []float32) message {
-	m := message{Op: OpPush, Iter: iter, Key: key}
-	if c.codec.IsIdentity() {
-		m.Payload = Encode(grad)
-		return m
-	}
-	m.Codec = uint8(c.codec.ID())
-	m.Orig = uint32(4 * len(grad))
-	m.Payload = c.codec.AppendEncode(make([]byte, 0, c.codec.EncodedLen(len(grad))), grad)
+	m := newMessage(OpPush, key, iter, 0, nil)
+	m.Payload, m.Codec, m.Orig = wire.AppendFloats(make([]byte, 0, c.codec.EncodedLen(len(grad))), c.codec, grad)
 	return m
-}
-
-// decodePayload decodes a pull response by its codec envelope: codec 0 is
-// the raw fp32 path, anything else decodes Orig/4 elements through the
-// identified codec.
-func decodePayload(m message) ([]float32, error) {
-	if m.Codec == 0 {
-		return Decode(m.Payload)
-	}
-	cd, err := compress.CodecByID(compress.CodecID(m.Codec))
-	if err != nil {
-		return nil, fmt.Errorf("netps: pull response: %v", err)
-	}
-	if m.Orig == 0 || m.Orig%4 != 0 {
-		return nil, fmt.Errorf("netps: pull response original length %d not a positive multiple of 4", m.Orig)
-	}
-	n := int(m.Orig / 4)
-	return cd.AppendDecode(make([]float32, 0, n), m.Payload, n)
 }
 
 // Push sends a gradient partition and returns when the server acknowledges
@@ -468,11 +438,15 @@ func (c *Client) Push(key string, iter uint32, grad []float32) error {
 // Pull blocks until the partition is aggregated across all workers and
 // returns the summed values.
 func (c *Client) Pull(key string, iter uint32) ([]float32, error) {
-	resp, err := c.roundTrip(message{Op: OpPull, Iter: iter, Key: key})
+	resp, err := c.roundTrip(newMessage(OpPull, key, iter, 0, nil))
 	if err != nil {
 		return nil, err
 	}
-	return decodePayload(resp)
+	vals, err := wire.Floats(nil, resp.Header, resp.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("netps: pull response: %w", err)
+	}
+	return vals, nil
 }
 
 // Close closes pooled connections; in-flight round trips own their
@@ -481,8 +455,8 @@ func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	for _, conn := range c.idle {
-		conn.Close()
+	for _, cc := range c.idle {
+		cc.conn.Close()
 	}
 	c.idle = nil
 }

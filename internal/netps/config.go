@@ -12,11 +12,11 @@ import "time"
 //
 // See docs/ARCHITECTURE.md ("Live path") for where each knob bites.
 type Config struct {
-	// Timeout bounds each frame write and each non-blocking response read.
+	// Timeout bounds each frame write and each push-response read.
 	// Default DefaultTimeout.
 	Timeout time.Duration
-	// PullTimeout bounds how long a pull (or a batch containing one) may
-	// wait for cross-worker aggregation. Default 0: wait forever — a
+	// PullTimeout bounds how long a pull may wait for cross-worker
+	// aggregation. Default 0: wait forever — a
 	// closing server fails waiters instead of leaking them, so a deadline
 	// is only needed to bound tail latency.
 	PullTimeout time.Duration
@@ -62,13 +62,13 @@ func WithConfig(cfg Config) Option {
 			}
 		}
 		if cfg.BackoffBase > 0 {
-			c.backoffBase = cfg.BackoffBase
+			c.retryDelay.Base = cfg.BackoffBase
 		}
 		if cfg.BackoffMax > 0 {
-			c.backoffMax = cfg.BackoffMax
+			c.retryDelay.Max = cfg.BackoffMax
 		}
 		if cfg.BackoffJitter > 0 {
-			c.jitterFrac = cfg.BackoffJitter
+			c.retryDelay.Jitter = cfg.BackoffJitter
 		}
 		if cfg.BatchBytes > 0 {
 			c.batchBytes = cfg.BatchBytes

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/wire"
 )
 
 // TestDedupWindowBounded replays far more distinct pushes than the dedup
@@ -71,17 +72,11 @@ func TestDedupClientWindowsBounded(t *testing.T) {
 	defer conn.Close()
 	const clients = DefaultDedupClients + 44
 	for i := 1; i <= clients; i++ {
-		push := message{
-			Op:      OpPush,
-			Key:     fmt.Sprintf("k%d", i),
-			Iter:    0,
-			Seq:     uint64(i)<<32 | 1,
-			Payload: Encode([]float32{1}),
-		}
-		if err := writeMessage(conn, push); err != nil {
+		push := newMessage(OpPush, fmt.Sprintf("k%d", i), 0, uint64(i)<<32|1, f32(1))
+		if err := writeMsg(conn, push); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readMessage(conn); err != nil {
+		if _, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,36 +108,36 @@ func TestPushReplayAcksWithoutDoubleSum(t *testing.T) {
 	defer conn.Close()
 
 	seq := uint64(7)<<32 | 1
-	push := message{Op: OpPush, Key: "w", Iter: 3, Seq: seq, Payload: Encode([]float32{2})}
+	push := newMessage(OpPush, "w", 3, seq, f32(2))
 	for attempt := 0; attempt < 2; attempt++ { // original + replay
-		if err := writeMessage(conn, push); err != nil {
+		if err := writeMsg(conn, push); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readMessage(conn)
+		resp, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Op != OpPush || resp.Seq != seq {
+		if Op(resp.Op) != OpPush || resp.Seq != seq {
 			t.Fatalf("attempt %d response: %+v", attempt, resp)
 		}
 	}
 	// Second worker's push completes the aggregate.
-	push2 := message{Op: OpPush, Key: "w", Iter: 3, Seq: uint64(8)<<32 | 1, Payload: Encode([]float32{5})}
-	if err := writeMessage(conn, push2); err != nil {
+	push2 := newMessage(OpPush, "w", 3, uint64(8)<<32|1, f32(5))
+	if err := writeMsg(conn, push2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readMessage(conn); err != nil {
+	if _, err := readMsg(conn); err != nil {
 		t.Fatal(err)
 	}
-	pull := message{Op: OpPull, Key: "w", Iter: 3, Seq: uint64(7)<<32 | 2}
-	if err := writeMessage(conn, pull); err != nil {
+	pull := newMessage(OpPull, "w", 3, uint64(7)<<32|2, nil)
+	if err := writeMsg(conn, pull); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readMessage(conn)
+	resp, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := Decode(resp.Payload)
+	vals, err := wire.Floats(nil, resp.Header, resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"bytescheduler/internal/compress"
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/wire"
 )
 
 // --- Reclaimed-entry pull replay (the retried-pull-forever-hang fix) ---
@@ -24,11 +26,11 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push := message{Op: OpPush, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 1, Payload: Encode([]float32{3, 4})}
-	if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
+	push := newMessage(OpPush, "w", 1, uint64(1)<<32|1, f32(3, 4))
+	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
 		t.Fatalf("push response: %+v", resp)
 	}
-	pull := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 2}
+	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
 	result, wait, errResp := srv.resolvePull(pull)
 	if wait != nil || errResp != nil || result.payload == nil {
 		t.Fatalf("first pull not ready: result=%v wait=%v err=%v", result, wait, errResp)
@@ -38,7 +40,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 		t.Fatalf("entry not reclaimed: Outstanding = %d", srv.Outstanding())
 	}
 	// The response is lost; the client retries with a fresh Seq.
-	retry := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 3}
+	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|3, nil)
 	result, wait, errResp = srv.resolvePull(retry)
 	if wait != nil {
 		t.Fatal("retried pull parked on a recreated entry — would hang forever")
@@ -46,7 +48,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	if errResp != nil {
 		t.Fatalf("retried pull rejected: %s", errResp.Payload)
 	}
-	got, err := Decode(result.payload)
+	got, err := wire.Floats(nil, wire.Header{}, result.payload)
 	if err != nil || len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("replayed payload = %v (%v), want [3 4]", got, err)
 	}
@@ -68,14 +70,14 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push := message{Op: OpPush, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 1, Payload: Encode([]float32{3})}
+	push := newMessage(OpPush, "w", 1, uint64(1)<<32|1, f32(3))
 	srv.processPush(push)
-	pull := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 2}
+	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
 	if _, wait, errResp := srv.resolvePull(pull); wait != nil || errResp != nil {
 		t.Fatalf("first pull not ready: wait=%v err=%v", wait, errResp)
 	}
 	srv.countPullServed(pull)
-	retry := message{Op: OpPull, Key: "w", Iter: 1, Seq: uint64(1)<<32 | 3}
+	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|3, nil)
 	result, wait, errResp := srv.resolvePull(retry)
 	if wait != nil || result.payload != nil {
 		t.Fatal("retry after payload eviction must fail fast, not park or serve")
@@ -141,7 +143,7 @@ func TestMsgsCountsRetriedFrames(t *testing.T) {
 		if err != nil {
 			return
 		}
-		readMessage(bufio.NewReader(conn)) //nolint:errcheck // dropping on purpose
+		readMsg(bufio.NewReader(conn)) //nolint:errcheck // dropping on purpose
 		conn.Close()
 		// Retry connection: behave.
 		conn, err = ln.Accept()
@@ -149,11 +151,11 @@ func TestMsgsCountsRetriedFrames(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		req, err := readMessage(bufio.NewReader(conn))
+		req, err := readMsg(bufio.NewReader(conn))
 		if err != nil {
 			return
 		}
-		writeMessage(conn, pushAck(req)) //nolint:errcheck // test server
+		writeMsg(conn, pushAck(req)) //nolint:errcheck // test server
 	}()
 	reg := metrics.NewRegistry()
 	c := NewClient(ln.Addr().String(),
@@ -181,15 +183,15 @@ func TestMsgsCountsRetriedFrames(t *testing.T) {
 // TestBackoffOverflowStillSleeps exercises the uncapped-backoff overflow:
 // with WithBackoff(base, 0), a deep retry attempt used to shift the delay
 // negative and skip sleeping entirely, turning the retry loop into a hot
-// spin. The overflowed delay must clamp back to (at least) the base.
+// spin. An uncapped delay now saturates (wire.Backoff), so the test reads
+// the delay the client would sleep instead of sleeping it.
 func TestBackoffOverflowStillSleeps(t *testing.T) {
-	c := NewClient("127.0.0.1:1", WithBackoff(4*time.Millisecond, 0), WithSeed(7))
+	const base = 4 * time.Millisecond
+	c := NewClient("127.0.0.1:1", WithBackoff(base, 0), WithSeed(7))
 	defer c.Close()
 	for _, attempt := range []int{45, 64, 200} { // shifted past int64, incl. past the width
-		start := time.Now()
-		c.backoff(attempt)
-		if elapsed := time.Since(start); elapsed < time.Millisecond {
-			t.Fatalf("backoff(%d) returned after %v — overflow skipped the sleep", attempt, elapsed)
+		if d := c.retryDelay.Delay(attempt, 1); d < base {
+			t.Fatalf("delay(%d) = %v — overflow would skip the sleep", attempt, d)
 		}
 	}
 }
@@ -307,9 +309,8 @@ func TestDedupGaugeTracksClientEviction(t *testing.T) {
 	}
 	for client := 1; client <= 3; client++ { // third client evicts the first
 		for n := 1; n <= 3; n++ {
-			push := message{Op: OpPush, Key: fmt.Sprintf("k%d-%d", client, n),
-				Seq: uint64(client)<<32 | uint64(n), Payload: Encode([]float32{1})}
-			if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
+			push := newMessage(OpPush, fmt.Sprintf("k%d-%d", client, n), 0, uint64(client)<<32|uint64(n), f32(1))
+			if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
 				t.Fatalf("push rejected: %s", resp.Payload)
 			}
 		}
@@ -341,14 +342,41 @@ func BenchmarkRecordPushGauge(b *testing.B) {
 			sh.mu.Unlock()
 		}
 	}
-	payload := Encode(make([]float32, 64))
+	payload := f32(make([]float32, 64)...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		push := message{Op: OpPush, Key: "hot", Iter: uint32(i),
-			Seq: uint64(200)<<32 | uint64(i+1), Payload: payload}
-		if resp, _, _ := srv.processPush(push); resp.Op != OpPush {
+		push := newMessage(OpPush, "hot", uint32(i), uint64(200)<<32|uint64(i+1), payload)
+		if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
 			b.Fatalf("push rejected: %s", resp.Payload)
 		}
+	}
+}
+
+// --- a top-k push too short for its own count ---
+
+// TestShortTopKPushRejected: the server used to read a top-k push's
+// element count before validating the payload, so a 1–3 byte payload
+// indexed past its end and panicked the serve goroutine — one bad frame
+// took the whole process down. The envelope is decoded (and so
+// length-checked) first now; the push is rejected like any other
+// undecodable one and the connection keeps serving.
+func TestShortTopKPushRejected(t *testing.T) {
+	srv, err := NewServer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	push := newMessage(OpPush, "w", 1, 1<<32|1, []byte{0, 0, 1})
+	push.Codec, push.Orig = uint8(compress.CodecTopK), 16
+	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpErr || !strings.Contains(string(resp.Payload), "undecodable") {
+		t.Fatalf("short top-k push answered %+v, want an undecodable-push OpErr", resp)
+	}
+	push.Payload = []byte{0, 0, 0, 0} // well-formed, but carries nothing
+	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpErr {
+		t.Fatalf("empty top-k push answered %+v, want OpErr", resp)
+	}
+	if srv.Outstanding() != 0 {
+		t.Fatalf("rejected pushes left %d entries", srv.Outstanding())
 	}
 }

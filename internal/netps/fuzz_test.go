@@ -1,9 +1,11 @@
-// Fuzz targets for the netps wire protocol. The decoder contract under
-// fuzz: arbitrary bytes may produce an error but never a panic, and a
-// successfully decoded message must survive a re-encode/re-decode round
-// trip bit-for-bit. A second property pins the over-allocation fix: the
-// decoder must not allocate anywhere near an adversarial length prefix
-// that the stream cannot back with real bytes.
+// Fuzz targets for netps's half of the wire protocol. Framing itself —
+// arbitrary bytes never panic the reader, never over-allocate, and an
+// accepted frame re-encodes to the same bytes — is wire.FuzzRead's
+// contract. Here the contract is what netps does with a frame that parsed:
+// the server answers it (ack or OpErr, never a panic, whatever codec id,
+// original length or payload framing it claims), an accepted push is
+// pullable and decodes to the element count it was summed under, and the
+// OpBatch envelope round-trips.
 //
 // Run continuously with:
 //
@@ -17,106 +19,133 @@ package netps
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
+
+	"bytescheduler/internal/wire"
 )
 
-// frame encodes m exactly as writeMessage would, for seeding.
+// frame encodes m as it goes on the wire, for seeding.
 func frame(t testing.TB, m message) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := writeMessage(&b, m); err != nil {
+	if err := writeMsg(&b, m); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
 }
 
+// codecSeeds are codec-bearing frames: fp16 (2 elements), int8 (scale + 3
+// quanta), and top-k (count 1, index 0) payloads under their envelope
+// codec ids.
+func codecSeeds() []message {
+	seed := func(op Op, codec uint8, seq uint64, orig uint32, key string, payload []byte) message {
+		m := newMessage(op, key, 5, seq, payload)
+		m.Codec, m.Orig = codec, orig
+		return m
+	}
+	return []message{
+		seed(OpPush, 1, 11, 8, "w0/L07[0/4]", []byte{0x3c, 0x00, 0xbc, 0x00}),
+		seed(OpPush, 2, 12, 12, "w0/L07[1/4]", []byte{0x3c, 0x81, 0x02, 0x04, 0x7f, 0x81, 0x00}),
+		seed(OpPull, 3, 0, 16, "w0/L07[2/4]", []byte{0, 0, 0, 1, 0, 0, 0, 0, 0x3f, 0x80, 0, 0}),
+	}
+}
+
+// xiterSeeds are cross-iteration frames: with pipelining, iteration i and
+// i+1 frames for the same tensor key interleave on one connection; the
+// iter field is the only discriminator the server's dedup and aggregation
+// see.
+func xiterSeeds() []message {
+	return []message{
+		newMessage(OpPush, "w0/L00[0/2]", 6, 20, []byte{1, 2, 3, 4}),
+		newMessage(OpPush, "w0/L00[0/2]", 7, 21, []byte{5, 6, 7, 8}),
+		newMessage(OpPull, "w0/L00[1/2]", 7, 0, nil),
+	}
+}
+
+// xiterBatch is a pipelined batch: iteration i and i+1 subs for the same
+// key in one envelope, the wire shape two in-flight iterations produce.
+func xiterBatch() []message {
+	return []message{
+		newMessage(OpPush, "w1/L02[0/2]", 6, 5, []byte{1, 2, 3, 4}),
+		newMessage(OpPush, "w1/L02[0/2]", 7, 6, []byte{5, 6, 7, 8}),
+		newMessage(OpPull, "w1/L02[1/2]", 6, 0, nil),
+	}
+}
+
 func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(frame(f, message{Op: OpPush, Iter: 3, Seq: 9, Key: "w0/L07[0/4]", Payload: []byte{1, 2, 3, 4}}))
-	f.Add(frame(f, message{Op: OpPull, Key: "k"}))
-	f.Add(frame(f, message{Op: OpErr, Payload: []byte("bad request")}))
-	// Codec-bearing frames: fp16 (2 elements), int8 (scale + 3 quanta), and
-	// top-k (count 1, index 0) payloads under their envelope codec ids.
-	f.Add(frame(f, message{Op: OpPush, Codec: 1, Iter: 5, Seq: 11, Orig: 8,
-		Key: "w0/L07[0/4]", Payload: []byte{0x3c, 0x00, 0xbc, 0x00}}))
-	f.Add(frame(f, message{Op: OpPush, Codec: 2, Iter: 5, Seq: 12, Orig: 12,
-		Key: "w0/L07[1/4]", Payload: []byte{0x3c, 0x81, 0x02, 0x04, 0x7f, 0x81, 0x00}}))
-	f.Add(frame(f, message{Op: OpPull, Codec: 3, Iter: 5, Orig: 16,
-		Key: "w0/L07[2/4]", Payload: []byte{0, 0, 0, 1, 0, 0, 0, 0, 0x3f, 0x80, 0, 0}}))
-	// Cross-iteration frames: with pipelining, iteration i and i+1 frames
-	// for the same tensor key interleave on one connection; the iter field
-	// is the only discriminator the server's dedup and aggregation see.
-	f.Add(frame(f, message{Op: OpPush, Iter: 6, Seq: 20, Key: "w0/L00[0/2]", Payload: []byte{1, 2, 3, 4}}))
-	f.Add(frame(f, message{Op: OpPush, Iter: 7, Seq: 21, Key: "w0/L00[0/2]", Payload: []byte{5, 6, 7, 8}}))
-	f.Add(frame(f, message{Op: OpPull, Iter: 7, Key: "w0/L00[1/2]"}))
-	// Adversarial length prefix: header advertises a near-maxMessage
-	// payload backed by nothing.
-	huge := frame(f, message{Op: OpPush, Key: "x"})
-	binary.BigEndian.PutUint32(huge[len(huge)-4:], maxMessage-1)
-	f.Add(huge)
-	// Over-limit length prefix.
-	over := frame(f, message{Op: OpPush, Key: "x"})
-	binary.BigEndian.PutUint32(over[len(over)-4:], maxMessage+1)
-	f.Add(over)
+	f.Add(frame(f, newMessage(OpPush, "w0/L07[0/4]", 3, 9, []byte{1, 2, 3, 4})))
+	f.Add(frame(f, newMessage(OpPull, "k", 0, 0, nil)))
+	f.Add(frame(f, newMessage(OpErr, "", 0, 0, []byte("bad request"))))
+	for _, m := range append(codecSeeds(), xiterSeeds()...) {
+		f.Add(frame(f, m))
+	}
+	// A top-k push too short to hold its own count.
+	short := codecSeeds()[2]
+	short.Op, short.Payload = uint8(OpPush), []byte{0, 0, 1}
+	f.Add(frame(f, short))
+	// A ragged raw-fp32 push.
+	f.Add(frame(f, newMessage(OpPush, "x", 0, 0, []byte{1, 2, 3})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := readMessage(bytes.NewReader(data))
+		req, err := readMsg(bytes.NewReader(data))
 		if err != nil {
-			return // rejected input: fine, as long as it did not panic
+			return // rejected by the frame reader: wire.FuzzRead's territory
 		}
-		// Round trip: decoded messages must re-encode and re-decode
-		// identically.
-		var b bytes.Buffer
-		if err := writeMessage(&b, m); err != nil {
-			t.Fatalf("re-encode of decoded message failed: %v", err)
-		}
-		m2, err := readMessage(bytes.NewReader(b.Bytes()))
+		srv, err := NewServer(1, WithShards(1))
 		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+			t.Fatal(err)
 		}
-		if m.Op != m2.Op || m.Codec != m2.Codec || m.Iter != m2.Iter || m.Seq != m2.Seq ||
-			m.Orig != m2.Orig || m.Key != m2.Key || !bytes.Equal(m.Payload, m2.Payload) {
-			t.Fatalf("round trip diverged: %+v vs %+v", m, m2)
+		defer srv.Close()
+		// One worker, so an accepted push completes its aggregate at once.
+		resp, _, _ := srv.processPush(req)
+		if resp.Seq != req.Seq || resp.Key != req.Key || resp.Iter != req.Iter {
+			t.Fatalf("response %+v does not echo request %+v", resp.Header, req.Header)
 		}
-		// The payload can never exceed what the input actually carried.
-		if len(m.Payload) > len(data) {
-			t.Fatalf("decoded payload %d bytes from %d input bytes", len(m.Payload), len(data))
+		switch Op(resp.Op) {
+		case OpErr:
+		case OpPush:
+			result, wait, errResp := srv.resolvePull(req)
+			if wait != nil || errResp != nil {
+				t.Fatalf("accepted push not pullable (wait %v, err %v)", wait != nil, errResp)
+			}
+			pulled := pullResp(req, result)
+			vals, err := wire.Floats(nil, pulled.Header, pulled.Payload)
+			if err != nil {
+				t.Fatalf("aggregate of an accepted push does not decode: %v", err)
+			}
+			if want, err := wire.Floats(nil, req.Header, req.Payload); err != nil || len(vals) != len(want) {
+				t.Fatalf("pulled %d values for a push of %d (%v)", len(vals), len(want), err)
+			}
+		default:
+			t.Fatalf("push answered with op %d", resp.Op)
 		}
-		// The codec-aware payload decoder must reject adversarial codec
-		// ids, original lengths, and payload framing without panicking.
-		_, _ = decodePayload(m)
 	})
 }
 
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
-	one, err := encodeBatch([]message{{Op: OpPush, Iter: 1, Seq: 2, Key: "a", Payload: []byte{0, 0, 128, 63}}})
+	one, err := encodeBatch([]message{newMessage(OpPush, "a", 1, 2, []byte{0, 0, 128, 63})})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(one)
 	two, err := encodeBatch([]message{
-		{Op: OpPush, Seq: 3, Key: "w1/L00[0/2]", Payload: []byte{1, 2, 3, 4}},
-		{Op: OpPull, Seq: 4, Key: "w1/L00[1/2]"},
+		newMessage(OpPush, "w1/L00[0/2]", 0, 3, []byte{1, 2, 3, 4}),
+		newMessage(OpPull, "w1/L00[1/2]", 0, 4, nil),
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(two)
-	// A pipelined batch: iteration i and i+1 subs for the same key in one
-	// envelope, the wire shape two in-flight iterations produce.
-	xiter, err := encodeBatch([]message{
-		{Op: OpPush, Iter: 6, Seq: 5, Key: "w1/L02[0/2]", Payload: []byte{1, 2, 3, 4}},
-		{Op: OpPush, Iter: 7, Seq: 6, Key: "w1/L02[0/2]", Payload: []byte{5, 6, 7, 8}},
-		{Op: OpPull, Iter: 6, Key: "w1/L02[1/2]"},
-	})
+	xiter, err := encodeBatch(xiterBatch())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(xiter)
 	// Truncations at every interesting boundary of a valid envelope.
-	for _, cut := range []int{1, fixedHeader - 1, fixedHeader, fixedHeader + 1, len(two) - 1} {
+	fixed := wire.Size(wire.Header{}, 0) - 4 // the constant-size header prefix
+	for _, cut := range []int{1, fixed - 1, fixed, fixed + 1, len(two) - 1} {
 		f.Add(two[:cut])
 	}
 

@@ -3,21 +3,25 @@ package netps
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/tensor"
+	"bytescheduler/internal/wire"
 )
 
 func TestProtocolRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := message{Op: OpPull, Iter: 7, Key: "L03/weight[2/4]", Payload: []byte{1, 2, 3, 4}}
-	if err := writeMessage(&buf, in); err != nil {
+	in := newMessage(OpPull, "L03/weight[2/4]", 7, 0, []byte{1, 2, 3, 4})
+	if err := writeMsg(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readMessage(&buf)
+	out, err := readMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +32,10 @@ func TestProtocolRoundTrip(t *testing.T) {
 
 func TestProtocolEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMessage(&buf, message{Op: OpPush, Key: "k"}); err != nil {
+	if err := writeMsg(&buf, newMessage(OpPush, "k", 0, 0, nil)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readMessage(&buf)
+	out, err := readMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,20 +44,41 @@ func TestProtocolEmptyPayload(t *testing.T) {
 	}
 }
 
+// TestEncodeDecode checks the push envelope the client builds decodes back
+// through wire.Floats, and that the identity codec stays codec 0 / orig 0.
 func TestEncodeDecode(t *testing.T) {
-	v := []float32{1.5, -2.25, 0, 3e7}
-	got, err := Decode(Encode(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range v {
-		if got[i] != v[i] {
-			t.Fatalf("decode mismatch at %d: %v vs %v", i, got[i], v[i])
+	v := []float32{1.5, -2.25, 0, 1024} // exact in fp16 too
+	for _, cd := range []compress.Codec{compress.Identity(), compress.FP16Codec()} {
+		c := NewClient("127.0.0.1:1", WithCodec(cd))
+		m := c.pushMessage("k", 1, v)
+		if cd.IsIdentity() && (m.Codec != 0 || m.Orig != 0 || len(m.Payload) != 4*len(v)) {
+			t.Fatalf("identity envelope = codec %d orig %d, %d bytes", m.Codec, m.Orig, len(m.Payload))
+		}
+		got, err := wire.Floats(nil, m.Header, m.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, v) {
+			t.Fatalf("%s: decoded %v, want %v", cd.Name(), got, v)
 		}
 	}
-	if _, err := Decode([]byte{1, 2, 3}); err == nil {
+	if _, err := wire.Floats(nil, wire.Header{}, []byte{1, 2, 3}); err == nil {
 		t.Fatal("ragged payload accepted")
 	}
+}
+
+// writeMsg and readMsg put one frame on a raw test socket; f32 is a raw
+// fp32 payload.
+func writeMsg(w io.Writer, m message) error { return wire.Write(w, m.Header, m.Payload) }
+
+func readMsg(r io.Reader) (m message, err error) {
+	m.Header, m.Payload, err = wire.Read(r)
+	return m, err
+}
+
+func f32(v ...float32) []byte {
+	p, _, _ := wire.AppendFloats(nil, compress.Identity(), v)
+	return p
 }
 
 func startServer(t *testing.T, workers int, opts ...ServerOption) (*Server, string) {

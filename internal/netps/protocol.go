@@ -23,21 +23,23 @@
 //
 // Because §2.2's cost model charges a per-message overhead θ on every
 // transfer, small scheduled partitions are wire-inefficient one request at
-// a time. The OpBatch envelope coalesces many push/pull sub-messages into
-// one frame (Client.PushBatch / Client.PullBatch); Batcher queues pushes
-// and flushes on size, deadline, or the scheduler's flush hook
-// (FlushAsync), so one wire round trip carries a whole releasing pass.
-// Per-sub-message sequence numbers stay stable across envelope retries,
-// keeping server-side dedup exact for batches too.
+// a time. The OpBatch envelope coalesces many push sub-messages into one
+// frame (Client.PushBatch); Batcher queues pushes and flushes on size,
+// deadline, or the scheduler's flush hook (FlushAsync), so one wire round
+// trip can carry a whole releasing pass. Per-sub-message sequence numbers
+// stay stable across envelope retries, keeping server-side dedup exact for
+// batches too.
+//
+// The frame itself — layout, limits, the one-writev write, the bounded
+// read, the fp32/codec payload envelope and the retry-delay curve — is
+// internal/wire's, shared with netar; this package owns the op codes and
+// the request/response state machines on top of it.
 package netps
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
-	"sync"
+
+	"bytescheduler/internal/wire"
 )
 
 // Op is the wire operation code.
@@ -53,9 +55,9 @@ const (
 	// message. It replaces silently dropping the connection on application
 	// errors, so clients can tell "request rejected" from "peer died".
 	OpErr Op = 3
-	// OpBatch coalesces several push/pull sub-requests to the same server
-	// under one framed write, amortizing the per-message overhead θ the
-	// paper's §2.2 cost model charges every transfer. The payload is a
+	// OpBatch coalesces several push sub-requests to the same server under
+	// one framed write, amortizing the per-message overhead θ the paper's
+	// §2.2 cost model charges every transfer. The payload is a
 	// concatenation of framed sub-messages (same wire format, recursively);
 	// the response is one OpBatch frame whose payload concatenates the
 	// framed sub-responses in request order. Each sub-request keeps its own
@@ -64,93 +66,17 @@ const (
 	OpBatch Op = 4
 )
 
-// maxMessage bounds a single framed message (payload plus header).
-const maxMessage = 512 << 20
-
-// maxPrealloc caps the up-front payload allocation while reading a frame:
-// a malicious length prefix can make the decoder *work* at most this hard
-// before the stream runs dry, never allocate the full advertised size.
-const maxPrealloc = 4 << 20
-
-// header is the fixed-size request/response prefix.
-//
-//	op(1) codec(1) iter(4) seq(8) orig(4) keyLen(2) key payloadLen(4) payload
+// message is one frame: the shared wire header (Step and Chunk stay zero
+// here) and its payload. Header.Op holds an Op.
 type message struct {
-	Op Op
-	// Codec is the wire-codec id (compress.CodecID) the payload is encoded
-	// with; 0 is raw fp32, so every pre-codec frame parses unchanged.
-	Codec uint8
-	Iter  uint32
-	// Seq identifies the logical request. A client keeps the same Seq when
-	// it retries a request on a new connection, so the server can
-	// deduplicate pushes whose first attempt was processed but whose
-	// acknowledgement was lost (gradient sums are not idempotent).
-	// Responses echo the request's Seq.
-	Seq uint64
-	// Orig is the original (uncompressed) payload byte length when Codec is
-	// non-zero — the receiver needs the element count to decode (fp16/int8
-	// sizes derive from it; top-k zero-fills to it). Zero when Codec is 0.
-	Orig    uint32
-	Key     string
+	wire.Header
 	Payload []byte
-	// blocking marks a request whose response may legitimately wait on
-	// cross-worker aggregation (a pull, or a batch containing one), so the
-	// client applies the pull read deadline instead of the push deadline.
-	// Not serialized.
-	blocking bool
 }
 
-// fixedHeader is the length of the constant-size header prefix.
-const fixedHeader = 1 + 1 + 4 + 8 + 4 + 2
-
-// putFixed serializes the constant-size header prefix of m into
-// hdr[:fixedHeader] followed by the key and the payload length — the shared
-// layout of appendMessage, writeMessage and writeMessageVec. hdr must be
-// fixedHeader+len(key)+4 bytes.
-func putFixed(hdr []byte, m message) {
-	hdr[0] = byte(m.Op)
-	hdr[1] = m.Codec
-	binary.BigEndian.PutUint32(hdr[2:6], m.Iter)
-	binary.BigEndian.PutUint64(hdr[6:14], m.Seq)
-	binary.BigEndian.PutUint32(hdr[14:18], m.Orig)
-	binary.BigEndian.PutUint16(hdr[18:20], uint16(len(m.Key)))
-	copy(hdr[fixedHeader:], m.Key)
-	binary.BigEndian.PutUint32(hdr[fixedHeader+len(m.Key):], uint32(len(m.Payload)))
-}
-
-// parseFixed deserializes the constant-size prefix (the inverse of
-// putFixed's first fixedHeader bytes) and returns the key length.
-func parseFixed(fixed []byte) (message, int) {
-	m := message{
-		Op:    Op(fixed[0]),
-		Codec: fixed[1],
-		Iter:  binary.BigEndian.Uint32(fixed[2:6]),
-		Seq:   binary.BigEndian.Uint64(fixed[6:14]),
-		Orig:  binary.BigEndian.Uint32(fixed[14:18]),
-	}
-	return m, int(binary.BigEndian.Uint16(fixed[18:20]))
-}
-
-// appendMessage frames m onto buf (the same wire format writeMessage
-// emits) and returns the extended slice — used to build OpBatch payloads.
-func appendMessage(buf []byte, m message) ([]byte, error) {
-	if len(m.Key) > 1<<16-1 {
-		return nil, fmt.Errorf("netps: key too long (%d bytes)", len(m.Key))
-	}
-	if len(m.Payload) > maxMessage {
-		return nil, fmt.Errorf("netps: payload too large (%d bytes)", len(m.Payload))
-	}
-	bp := headerPool.Get().(*[]byte)
-	need := fixedHeader + len(m.Key) + 4
-	if cap(*bp) < need {
-		*bp = make([]byte, 0, need)
-	}
-	hdr := (*bp)[:need]
-	putFixed(hdr, m)
-	buf = append(buf, hdr...)
-	buf = append(buf, m.Payload...)
-	headerPool.Put(bp)
-	return buf, nil
+// newMessage builds a frame; the fields beyond the common four are set on
+// the result.
+func newMessage(op Op, key string, iter uint32, seq uint64, payload []byte) message {
+	return message{Header: wire.Header{Op: uint8(op), Iter: iter, Seq: seq, Key: key}, Payload: payload}
 }
 
 // encodeBatch frames sub-messages into one OpBatch payload. The buffer is
@@ -159,190 +85,32 @@ func appendMessage(buf []byte, m message) ([]byte, error) {
 func encodeBatch(subs []message) ([]byte, error) {
 	total := 0
 	for _, m := range subs {
-		total += fixedHeader + len(m.Key) + 4 + len(m.Payload)
+		total += wire.Size(m.Header, len(m.Payload))
 	}
-	if total > maxMessage {
+	if total > wire.MaxMessage {
 		return nil, fmt.Errorf("netps: batch payload too large (%d bytes)", total)
 	}
 	buf := make([]byte, 0, total)
 	for _, m := range subs {
 		var err error
-		if buf, err = appendMessage(buf, m); err != nil {
+		if buf, err = wire.Append(buf, m.Header, m.Payload); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
 }
 
-// decodeBatch parses an OpBatch payload back into its framed sub-messages.
+// decodeBatch parses an OpBatch payload back into its framed sub-messages;
+// their payloads alias the envelope.
 func decodeBatch(payload []byte) ([]message, error) {
 	var subs []message
-	off := 0
-	for off < len(payload) {
-		if len(payload)-off < fixedHeader {
-			return nil, fmt.Errorf("netps: truncated batch sub-header at offset %d", off)
+	for len(payload) > 0 {
+		var m message
+		var err error
+		if m.Header, m.Payload, payload, err = wire.Next(payload); err != nil {
+			return nil, fmt.Errorf("netps: batch sub-message %d: %w", len(subs), err)
 		}
-		m, keyLen := parseFixed(payload[off : off+fixedHeader])
-		off += fixedHeader
-		if len(payload)-off < keyLen+4 {
-			return nil, fmt.Errorf("netps: truncated batch sub-key at offset %d", off)
-		}
-		m.Key = string(payload[off : off+keyLen])
-		off += keyLen
-		payloadLen := int(binary.BigEndian.Uint32(payload[off : off+4]))
-		off += 4
-		if payloadLen > maxMessage || len(payload)-off < payloadLen {
-			return nil, fmt.Errorf("netps: truncated batch sub-payload at offset %d", off)
-		}
-		if payloadLen > 0 {
-			m.Payload = payload[off : off+payloadLen : off+payloadLen]
-		}
-		off += payloadLen
 		subs = append(subs, m)
 	}
 	return subs, nil
-}
-
-// headerPool recycles writeMessage's header staging buffers. Headers are
-// fixedHeader + key + 4 bytes — small and extremely hot (two per RPC on
-// the live path) — so pooling removes one allocation per framed write.
-// The pool stores *[]byte, not []byte, so Put does not itself allocate an
-// interface box for the slice header.
-var headerPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	},
-}
-
-// writeMessage frames and writes one message. The header is staged in a
-// pooled buffer that is returned before writing the payload, so steady-
-// state framing does not allocate.
-func writeMessage(w io.Writer, m message) error {
-	if len(m.Key) > 1<<16-1 {
-		return fmt.Errorf("netps: key too long (%d bytes)", len(m.Key))
-	}
-	if len(m.Payload) > maxMessage {
-		return fmt.Errorf("netps: payload too large (%d bytes)", len(m.Payload))
-	}
-	bp := headerPool.Get().(*[]byte)
-	n := fixedHeader + len(m.Key) + 4
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
-	}
-	hdr := (*bp)[:n]
-	putFixed(hdr, m)
-	_, err := w.Write(hdr)
-	headerPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	if len(m.Payload) > 0 {
-		if _, err := w.Write(m.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// vecPool recycles the two-element net.Buffers used by writeMessageVec.
-// Stored as a pointer for the same no-box reason as headerPool.
-var vecPool = sync.Pool{
-	New: func() any {
-		v := make(net.Buffers, 0, 2)
-		return &v
-	},
-}
-
-// writeMessageVec frames and writes one message with a scatter-gather
-// write: header and payload go out in a single writev instead of two
-// Write calls, halving syscalls on the response path without copying the
-// payload into the header buffer. The pooled header is retained until the
-// write completes (net.Buffers may consume it incrementally), then
-// recycled — steady-state framing still does not allocate.
-func writeMessageVec(w io.Writer, m message) error {
-	if len(m.Key) > 1<<16-1 {
-		return fmt.Errorf("netps: key too long (%d bytes)", len(m.Key))
-	}
-	if len(m.Payload) > maxMessage {
-		return fmt.Errorf("netps: payload too large (%d bytes)", len(m.Payload))
-	}
-	bp := headerPool.Get().(*[]byte)
-	n := fixedHeader + len(m.Key) + 4
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
-	}
-	hdr := (*bp)[:n]
-	putFixed(hdr, m)
-	if len(m.Payload) == 0 {
-		_, err := w.Write(hdr)
-		headerPool.Put(bp)
-		return err
-	}
-	vp := vecPool.Get().(*net.Buffers)
-	bufs := append((*vp)[:0], hdr, m.Payload)
-	*vp = bufs
-	_, err := vp.WriteTo(w)
-	// WriteTo consumes the Buffers it is called on — it advances *vp to
-	// zero length AND zero capacity. Restore the pooled slice from the
-	// pre-consume header so the pool keeps the backing array; pooling the
-	// consumed cap-0 slice would make every subsequent frame reallocate
-	// the two-element array (the pool would recycle nothing).
-	bufs[0], bufs[1] = nil, nil // drop payload references before pooling
-	*vp = bufs[:0]
-	vecPool.Put(vp)
-	headerPool.Put(bp)
-	return err
-}
-
-// readPayload reads exactly n payload bytes with the up-front allocation
-// capped at maxPrealloc: small payloads get one exact allocation, large
-// ones grow with the bytes that actually arrive, so an adversarial length
-// prefix cannot force a giant allocation before the stream runs dry.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if n <= maxPrealloc {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	var b bytes.Buffer
-	b.Grow(maxPrealloc)
-	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// readMessage reads one framed message. It returns an error — never
-// panics, never allocates beyond the bytes actually received — on
-// truncated or adversarial input (FuzzDecodeMessage enforces this).
-func readMessage(r io.Reader) (message, error) {
-	var fixed [fixedHeader]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return message{}, err
-	}
-	m, keyLen := parseFixed(fixed[:])
-	buf := make([]byte, keyLen+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return message{}, err
-	}
-	m.Key = string(buf[:keyLen])
-	payloadLen := binary.BigEndian.Uint32(buf[keyLen:])
-	if payloadLen > maxMessage {
-		return message{}, fmt.Errorf("netps: payload length %d exceeds limit", payloadLen)
-	}
-	payload, err := readPayload(r, int(payloadLen))
-	if err != nil {
-		return message{}, err
-	}
-	m.Payload = payload
-	return m, nil
 }

@@ -14,6 +14,7 @@ import (
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/ps"
+	"bytescheduler/internal/wire"
 )
 
 // errServerClosed is the error text sent to pull waiters failed by Close.
@@ -157,12 +158,12 @@ type entry struct {
 	// push's payload header), so the aggregate is re-sparsified to the same
 	// count; 0 for other codecs.
 	topk uint32
-	// encoded caches the wire serialization of sum (under codec), computed
+	// result caches the wire serialization of sum (under codec), computed
 	// once when aggregation completes (sum is frozen from then on: overflow
 	// pushes are rejected). Every pull response shares this one buffer —
 	// responses only ever read it — so serving W workers costs one
 	// marshal total instead of one per pull.
-	encoded []byte
+	result agg
 	// pullSeen records which logical pulls were already counted as served,
 	// so a retried pull is re-answered without double-counting toward
 	// entry reclamation. Bounded by the entry's own lifecycle: the entry
@@ -176,8 +177,8 @@ type entry struct {
 
 // agg is a completed aggregate in wire form: the encoded payload plus the
 // codec envelope fields (codec id, original byte length) every pull
-// response must echo so the client can decode. codec 0 leaves orig 0 —
-// byte-identical to pre-codec responses.
+// response must echo so the client can decode, as wire.AppendFloats
+// returned them.
 type agg struct {
 	payload []byte
 	codec   uint8
@@ -487,15 +488,14 @@ type srvConn struct {
 	br   *bufio.Reader
 }
 
-// write frames and writes one response under the server's write deadline,
-// using the scatter-gather path (one writev for header + payload). On
-// failure the caller must drop the connection — framing may be torn
-// mid-frame.
+// write frames and writes one response under the server's write deadline
+// (one writev for header + payload). On failure the caller must drop the
+// connection — framing may be torn mid-frame.
 func (sc *srvConn) write(m message) error {
 	if d := sc.s.writeTimeout; d > 0 {
 		sc.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	return writeMessageVec(sc.conn, m)
+	return wire.Write(sc.conn, m.Header, m.Payload)
 }
 
 // close removes the connection from the server's table and closes the
@@ -524,14 +524,15 @@ func (s *Server) serve(sc *srvConn) {
 		if s.readTimeout > 0 {
 			sc.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 		}
-		req, err := readMessage(sc.br)
-		if err != nil {
+		var req message
+		var err error
+		if req.Header, req.Payload, err = wire.Read(sc.br); err != nil {
 			return // broken or stalled peer, or malformed/oversized frame
 		}
 		if s.readTimeout > 0 {
 			sc.conn.SetReadDeadline(time.Time{})
 		}
-		switch req.Op {
+		switch Op(req.Op) {
 		case OpPush:
 			resp, wake, result := s.processPush(req)
 			s.wake(wake, result)
@@ -570,12 +571,11 @@ func (s *Server) serve(sc *srvConn) {
 	}
 }
 
-// serveBatch answers a coalesced OpBatch frame: every sub-request runs
-// through the same push/pull logic as singletons (including per-sub-push
-// replay deduplication), sub-pulls waiting on aggregation block this
-// connection's goroutine, then exactly one OpBatch response carrying the
-// framed sub-responses is written. Reports whether the connection is still
-// healthy.
+// serveBatch answers a coalesced OpBatch frame: every sub-push runs
+// through the same logic as a singleton (including per-sub-push replay
+// deduplication), anything else is rejected individually, then exactly one
+// OpBatch response carrying the framed sub-responses is written. Reports
+// whether the connection is still healthy.
 func (s *Server) serveBatch(sc *srvConn, req message) bool {
 	subs, err := decodeBatch(req.Payload)
 	if err != nil {
@@ -585,72 +585,41 @@ func (s *Server) serveBatch(sc *srvConn, req message) bool {
 	s.inst.batches.Inc()
 	s.inst.batchedMsgs.Add(uint64(len(subs)))
 	resps := make([]message, len(subs))
-	waits := make([]chan agg, len(subs))
 	for i, sub := range subs {
-		switch sub.Op {
-		case OpPush:
-			// May complete a sub-pull of this very batch parked earlier in
-			// the walk; its channel is buffered, so the send cannot block.
-			resp, wake, result := s.processPush(sub)
-			s.wake(wake, result)
-			resps[i] = resp
-		case OpPull:
-			result, wait, errResp := s.resolvePull(sub)
-			switch {
-			case errResp != nil:
-				resps[i] = *errResp
-			case wait != nil:
-				waits[i] = wait
-			default:
-				resps[i] = pullResp(sub, result)
-			}
-		default:
-			// Includes nested OpBatch: one level of coalescing only.
+		if Op(sub.Op) != OpPush {
+			// Pulls (a batch must not wait on aggregation) and nested
+			// batches (one level of coalescing only).
 			resps[i] = s.rejectMsg(sub, "unbatchable op")
-		}
-	}
-	for i, wait := range waits {
-		if wait == nil {
 			continue
 		}
-		if result := <-wait; result.payload == nil {
-			resps[i] = s.rejectMsg(subs[i], errServerClosed)
-		} else {
-			resps[i] = pullResp(subs[i], result)
-		}
+		resp, wake, result := s.processPush(sub)
+		s.wake(wake, result)
+		resps[i] = resp
 	}
 	payload, err := encodeBatch(resps)
 	if err != nil {
 		return false
 	}
-	if sc.write(message{Op: OpBatch, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: payload}) != nil {
-		return false
-	}
-	// Count served pulls only now that the combined response is on the
-	// wire — same rule as the singleton path.
-	for i, sub := range subs {
-		if sub.Op == OpPull && resps[i].Op == OpPull {
-			s.countPullServed(sub)
-		}
-	}
-	return true
+	return sc.write(newMessage(OpBatch, req.Key, req.Iter, req.Seq, payload)) == nil
 }
 
 // rejectMsg builds an OpErr response and counts the rejection.
 func (s *Server) rejectMsg(req message, text string) message {
 	s.inst.rejects.Inc()
-	return message{Op: OpErr, Iter: req.Iter, Seq: req.Seq, Key: req.Key, Payload: []byte(text)}
+	return newMessage(OpErr, req.Key, req.Iter, req.Seq, []byte(text))
 }
 
 // pushAck is the empty-payload acknowledgement echoing a push's identity.
 func pushAck(req message) message {
-	return message{Op: OpPush, Iter: req.Iter, Seq: req.Seq, Key: req.Key}
+	return newMessage(OpPush, req.Key, req.Iter, req.Seq, nil)
 }
 
 // pullResp frames a completed aggregate as a pull response, echoing the
 // codec envelope fields so the client can decode.
 func pullResp(req message, a agg) message {
-	return message{Op: OpPull, Codec: a.codec, Iter: req.Iter, Seq: req.Seq, Orig: a.orig, Key: req.Key, Payload: a.payload}
+	m := newMessage(OpPull, req.Key, req.Iter, req.Seq, a.payload)
+	m.Codec, m.Orig = a.codec, a.orig
+	return m
 }
 
 // processPush applies one push and returns its response (ack or OpErr)
@@ -670,26 +639,20 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 	var topk uint32
 	n := len(req.Payload) / 4
 	if req.Codec != 0 {
-		c, err := compress.CodecByID(compress.CodecID(req.Codec))
-		if err != nil {
-			return s.rejectMsg(req, err.Error()), nil, agg{}
+		dp := decPool.Get().(*[]float32)
+		defer decPool.Put(dp)
+		var err error
+		if vals, err = wire.Floats((*dp)[:0], req.Header, req.Payload); err != nil {
+			return s.rejectMsg(req, "undecodable push: "+err.Error()), nil, agg{}
 		}
-		if req.Orig == 0 || req.Orig%4 != 0 || req.Orig > maxMessage {
-			return s.rejectMsg(req, fmt.Sprintf("bad original length %d for codec push", req.Orig)), nil, agg{}
-		}
-		n = int(req.Orig / 4)
+		*dp = vals[:0]
+		n = len(vals)
+		// Decoding validated the payload, so a top-k one has its count.
 		if compress.CodecID(req.Codec) == compress.CodecTopK {
 			if topk = binary.BigEndian.Uint32(req.Payload); topk == 0 {
 				return s.rejectMsg(req, "empty top-k push"), nil, agg{}
 			}
 		}
-		dp := decPool.Get().(*[]float32)
-		defer decPool.Put(dp)
-		vals, err = c.AppendDecode((*dp)[:0], req.Payload, n)
-		if err != nil {
-			return s.rejectMsg(req, "undecodable push: "+err.Error()), nil, agg{}
-		}
-		*dp = vals[:0]
 	} else if len(req.Payload)%4 != 0 {
 		// The frame itself was well-formed, so the stream stays in sync:
 		// reject the request but keep the connection.
@@ -755,8 +718,8 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 	if e.pushes == s.workers {
 		wake = e.waiters
 		e.waiters = nil
-		e.encoded = encodeEntry(e)
-		result = e.agg()
+		e.result = encodeEntry(e)
+		result = e.result
 	}
 	sh.mu.Unlock()
 	return pushAck(req), wake, result
@@ -767,28 +730,15 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 var decPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // encodeEntry serializes a completed aggregate under the entry's codec.
-func encodeEntry(e *entry) []byte {
-	id := compress.CodecID(e.codec)
-	if id == compress.CodecIdentity {
-		return encode(e.sum)
-	}
-	var c compress.Codec
-	if id == compress.CodecTopK {
+func encodeEntry(e *entry) agg {
+	c, _ := compress.CodecByID(compress.CodecID(e.codec)) // validated at push time
+	if e.topk > 0 {
 		// Re-sparsify to the same per-worker count the pushes carried.
 		c, _ = compress.TopKCodecCount(int(e.topk))
-	} else {
-		c, _ = compress.CodecByID(id) // id was validated at push time
 	}
-	return c.AppendEncode(make([]byte, 0, c.EncodedLen(len(e.sum))), e.sum)
-}
-
-// agg returns the entry's completed aggregate in wire form. Callers hold
-// the shard lock and aggregation must be complete (encoded != nil).
-func (e *entry) agg() agg {
-	if e.codec == 0 {
-		return agg{payload: e.encoded}
-	}
-	return agg{payload: e.encoded, codec: e.codec, orig: uint32(4 * len(e.sum))}
+	var a agg
+	a.payload, a.codec, a.orig = wire.AppendFloats(make([]byte, 0, c.EncodedLen(len(e.sum))), c, e.sum)
+	return a
 }
 
 // wake delivers a to every parked pull in waiters; a nil payload means the
@@ -825,10 +775,7 @@ func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *m
 	k := entryKey{req.Key, req.Iter}
 	if e, ok := sh.entries[k]; ok {
 		if e.pushes >= s.workers {
-			if e.encoded == nil {
-				e.encoded = encodeEntry(e)
-			}
-			return e.agg(), nil, nil
+			return e.result, nil, nil // set by the push that completed it
 		}
 		return agg{}, s.park(e), nil
 	}
@@ -888,7 +835,7 @@ func (s *Server) countPullServed(req message) {
 	if e.served >= s.workers {
 		delete(sh.entries, k)
 		s.inst.entries.Add(-1)
-		sh.completed.add(k, e.agg())
+		sh.completed.add(k, e.result)
 	}
 }
 
@@ -954,27 +901,3 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	return err
 }
-
-// encode serializes a float32 vector big-endian.
-func encode(v []float32) []byte {
-	out := make([]byte, len(v)*4)
-	for i, f := range v {
-		binary.BigEndian.PutUint32(out[i*4:], math.Float32bits(f))
-	}
-	return out
-}
-
-// Decode parses a big-endian float32 vector payload.
-func Decode(payload []byte) ([]float32, error) {
-	if len(payload)%4 != 0 {
-		return nil, errors.New("netps: payload not a float32 vector")
-	}
-	out := make([]float32, len(payload)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[i*4:]))
-	}
-	return out, nil
-}
-
-// Encode serializes a float32 vector for pushing.
-func Encode(v []float32) []byte { return encode(v) }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/wire"
 )
 
 // TestSoak256Clients drives 256 concurrent clients through several
@@ -136,10 +137,10 @@ func TestServeOverPipe(t *testing.T) {
 
 	rt := func(conn net.Conn, m message) message {
 		t.Helper()
-		if err := writeMessage(conn, m); err != nil {
+		if err := writeMsg(conn, m); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readMessage(conn)
+		resp, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,70 +149,63 @@ func TestServeOverPipe(t *testing.T) {
 
 	// Worker A pushes; its pull parks until worker B's push completes the
 	// aggregate — A's serve goroutine waits on a channel meanwhile.
-	if resp := rt(a, message{Op: OpPush, Key: "w", Iter: 1, Seq: 1<<32 | 1, Payload: Encode([]float32{1})}); resp.Op != OpPush {
+	if resp := rt(a, newMessage(OpPush, "w", 1, 1<<32|1, f32(1))); Op(resp.Op) != OpPush {
 		t.Fatalf("push A: %+v", resp)
 	}
 	pulled := make(chan message, 1)
 	go func() {
-		pulled <- rt(a, message{Op: OpPull, Key: "w", Iter: 1, Seq: 1<<32 | 2})
+		pulled <- rt(a, newMessage(OpPull, "w", 1, 1<<32|2, nil))
 	}()
 	select {
 	case resp := <-pulled:
 		t.Fatalf("pull answered before aggregation completed: %+v", resp)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if resp := rt(b, message{Op: OpPush, Key: "w", Iter: 1, Seq: 2<<32 | 1, Payload: Encode([]float32{4})}); resp.Op != OpPush {
+	if resp := rt(b, newMessage(OpPush, "w", 1, 2<<32|1, f32(4))); Op(resp.Op) != OpPush {
 		t.Fatalf("push B: %+v", resp)
 	}
 	resp := <-pulled
-	if vals, err := Decode(resp.Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
+	if vals, err := wire.Floats(nil, resp.Header, resp.Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
 		t.Fatalf("parked pull payload = %v (%v), want [5]", resp.Payload, err)
 	}
 
-	// A batch of push+pull against an aggregate B completes mid-batch.
-	subs := []message{
-		{Op: OpPush, Key: "x", Iter: 1, Seq: 1<<32 | 3, Payload: Encode([]float32{2})},
-		{Op: OpPull, Key: "x", Iter: 1, Seq: 1<<32 | 4},
-	}
-	payload, err := encodeBatch(subs)
+	// A batch of pushes; worker B's push completes the aggregate, which A
+	// then pulls ready.
+	payload, err := encodeBatch([]message{newMessage(OpPush, "x", 1, 1<<32|3, f32(2))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := make(chan message, 1)
-	go func() {
-		batched <- rt(a, message{Op: OpBatch, Seq: 1<<32 | 5, Payload: payload})
-	}()
-	if resp := rt(b, message{Op: OpPush, Key: "x", Iter: 1, Seq: 2<<32 | 2, Payload: Encode([]float32{3})}); resp.Op != OpPush {
-		t.Fatalf("push B x: %+v", resp)
-	}
-	env := <-batched
-	if env.Op != OpBatch {
+	env := rt(a, newMessage(OpBatch, "", 0, 1<<32|5, payload))
+	if Op(env.Op) != OpBatch {
 		t.Fatalf("batch envelope: %+v", env)
 	}
-	resps, err := decodeBatch(env.Payload)
-	if err != nil || len(resps) != 2 {
-		t.Fatalf("batch decode: %v (%v)", resps, err)
+	if resps, err := decodeBatch(env.Payload); err != nil || len(resps) != 1 || Op(resps[0].Op) != OpPush {
+		t.Fatalf("batch decode: %v (%v), want one push ack", resps, err)
 	}
-	if vals, err := Decode(resps[1].Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
-		t.Fatalf("batched pull = %v (%v), want [5]", vals, err)
+	if resp := rt(b, newMessage(OpPush, "x", 1, 2<<32|2, f32(3))); Op(resp.Op) != OpPush {
+		t.Fatalf("push B x: %+v", resp)
+	}
+	resp = rt(a, newMessage(OpPull, "x", 1, 1<<32|4, nil))
+	if vals, err := wire.Floats(nil, resp.Header, resp.Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
+		t.Fatalf("pull after batch = %v (%v), want [5]", vals, err)
 	}
 
 	// Worker B drains its pulls so both entries reclaim.
 	for _, key := range []string{"w", "x"} {
-		resp := rt(b, message{Op: OpPull, Key: key, Iter: 1, Seq: 2<<32 | 9})
-		if resp.Op != OpPull {
+		resp := rt(b, newMessage(OpPull, key, 1, 2<<32|9, nil))
+		if Op(resp.Op) != OpPull {
 			t.Fatalf("pull B %s: %+v", key, resp)
 		}
 	}
 
 	// Unknown op: rejected, then the connection is dropped.
-	if err := writeMessage(a, message{Op: 99, Key: "z", Seq: 1<<32 | 6}); err != nil {
+	if err := writeMsg(a, newMessage(99, "z", 0, 1<<32|6, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := readMessage(a); err != nil || resp.Op != OpErr {
+	if resp, err := readMsg(a); err != nil || Op(resp.Op) != OpErr {
 		t.Fatalf("unknown op response = %+v (%v), want OpErr", resp, err)
 	}
-	if _, err := readMessage(a); err == nil {
+	if _, err := readMsg(a); err == nil {
 		t.Fatal("connection survived an unknown op")
 	}
 

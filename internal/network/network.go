@@ -168,9 +168,12 @@ type Fabric struct {
 	bytesPerS float64
 	up, down  []link
 	pending   []*Transfer
-	delivered uint64
-	sentBytes int64
-	rec       *trace.Recorder
+	// blockedSrc is dispatch's scratch: one flag per source node, all false
+	// between calls.
+	blockedSrc []bool
+	delivered  uint64
+	sentBytes  int64
+	rec        *trace.Recorder
 	// faults, when non-nil, injects deterministic degradation (drops,
 	// outages, latency spikes); see InjectFaults.
 	faults *faultState
@@ -260,7 +263,14 @@ func (f *Fabric) Send(t *Transfer) {
 // queue is FIFO and has head-of-line blocking — and (b) both its source
 // uplink and destination downlink are idle.
 func (f *Fabric) dispatch() {
-	var blockedSrc map[int]bool
+	// dispatch can re-enter — start runs OnStart inline and a callback may
+	// Send — so the scratch is taken on entry and put back, cleared, on
+	// exit; a nested call finds none and allocates its own.
+	blockedSrc := f.blockedSrc
+	f.blockedSrc = nil
+	if blockedSrc == nil {
+		blockedSrc = make([]bool, len(f.up))
+	}
 	kept := f.pending[:0]
 	for _, t := range f.pending {
 		if blockedSrc[t.Src] {
@@ -268,15 +278,14 @@ func (f *Fabric) dispatch() {
 			continue
 		}
 		if f.up[t.Src].busy || f.down[t.Dst].busy || f.outageBlocked(t) {
-			if blockedSrc == nil {
-				blockedSrc = make(map[int]bool)
-			}
 			blockedSrc[t.Src] = true
 			kept = append(kept, t)
 			continue
 		}
 		f.start(t)
 	}
+	clear(blockedSrc)
+	f.blockedSrc = blockedSrc
 	// Zero trailing slots so started transfers are collectable.
 	for i := len(kept); i < len(f.pending); i++ {
 		f.pending[i] = nil

@@ -17,23 +17,12 @@ import (
 // gradient for that layer; the collective's completion opens the gate on
 // every worker simultaneously.
 type AllReducePlugin struct {
-	ring        *allreduce.Ring
-	layers      []model.Layer
-	workers     int
-	sched       *core.Scheduler
-	unit        int64
-	partitionFn func(tensor.Tensor) int64
+	ring    *allreduce.Ring
+	layers  []model.Layer
+	workers int
+	sched   *core.Scheduler
 
 	pending map[layerIter]*collectiveState
-}
-
-// unitFor resolves the partition unit for a tensor, matching the Core's own
-// Enqueue-time resolution.
-func (p *AllReducePlugin) unitFor(tt tensor.Tensor) int64 {
-	if p.partitionFn != nil {
-		return p.partitionFn(tt)
-	}
-	return p.unit
 }
 
 type layerIter struct {
@@ -50,13 +39,11 @@ type collectiveState struct {
 // NewAllReduce creates the plugin with its master scheduler.
 func NewAllReduce(ring *allreduce.Ring, m *model.Model, workers int, policy core.Policy) *AllReducePlugin {
 	return &AllReducePlugin{
-		ring:        ring,
-		layers:      m.Layers,
-		workers:     workers,
-		sched:       core.New(policy),
-		unit:        policy.PartitionUnit,
-		partitionFn: policy.PartitionFn,
-		pending:     make(map[layerIter]*collectiveState),
+		ring:    ring,
+		layers:  m.Layers,
+		workers: workers,
+		sched:   core.New(policy),
+		pending: make(map[layerIter]*collectiveState),
 	}
 }
 
@@ -64,8 +51,6 @@ func NewAllReduce(ring *allreduce.Ring, m *model.Model, workers int, policy core
 // runtime auto-tuning (§5: for all-reduce the knobs change without stopping
 // training).
 func (p *AllReducePlugin) SetParams(partition, credit int64) {
-	p.unit = partition
-	p.partitionFn = nil
 	p.sched.SetPartitionUnit(partition)
 	p.sched.SetCredit(credit)
 }
@@ -94,12 +79,11 @@ func (p *AllReducePlugin) GradientReady(worker, layer, iter int, done func()) {
 	}
 	st.launched = true
 
-	tensors := p.layers[layer].Tensors
-	for _, tt := range tensors {
-		st.remaining += len(tensor.Partition(tt, p.unitFor(tt)))
-	}
-	for _, tt := range tensors {
-		task := &core.Task{
+	// Enqueue every tensor before any may start: the Core partitions each,
+	// and the gate needs the total partition count up front.
+	tasks := make([]*core.Task, len(p.layers[layer].Tensors))
+	for i, tt := range p.layers[layer].Tensors {
+		tasks[i] = &core.Task{
 			Tensor: tt,
 			Start: func(sub tensor.Sub, subDone func()) {
 				p.ring.Submit(&allreduce.Op{
@@ -118,7 +102,10 @@ func (p *AllReducePlugin) GradientReady(worker, layer, iter int, done func()) {
 				})
 			},
 		}
-		p.sched.Enqueue(task)
+		p.sched.Enqueue(tasks[i])
+		st.remaining += len(tasks[i].Subs())
+	}
+	for _, task := range tasks {
 		p.sched.NotifyReady(task)
 	}
 }

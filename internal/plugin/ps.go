@@ -24,21 +24,10 @@ import (
 // been pulled back; scheduler credit returns on transport-level
 // acknowledgements.
 type PSPlugin struct {
-	cluster     *ps.Cluster
-	layers      []model.Layer
-	up          []*core.Scheduler // per worker, schedules pushes
-	down        []*core.Scheduler // per worker, schedules pulls
-	unit        int64
-	partitionFn func(tensor.Tensor) int64
-}
-
-// unitFor resolves the partition unit for a tensor, matching the Core's own
-// Enqueue-time resolution.
-func (p *PSPlugin) unitFor(tt tensor.Tensor) int64 {
-	if p.partitionFn != nil {
-		return p.partitionFn(tt)
-	}
-	return p.unit
+	cluster *ps.Cluster
+	layers  []model.Layer
+	up      []*core.Scheduler // per worker, schedules pushes
+	down    []*core.Scheduler // per worker, schedules pulls
 }
 
 // NewPS creates the plugin. Each worker gets an upload and a download
@@ -47,12 +36,10 @@ func (p *PSPlugin) unitFor(tt tensor.Tensor) int64 {
 func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 	workers := cluster.Config().Workers
 	p := &PSPlugin{
-		cluster:     cluster,
-		layers:      m.Layers,
-		up:          make([]*core.Scheduler, workers),
-		down:        make([]*core.Scheduler, workers),
-		unit:        policy.PartitionUnit,
-		partitionFn: policy.PartitionFn,
+		cluster: cluster,
+		layers:  m.Layers,
+		up:      make([]*core.Scheduler, workers),
+		down:    make([]*core.Scheduler, workers),
 	}
 	// Pull tasks arrive pre-partitioned (one CommTask per partition, each
 	// becoming ready when its aggregation completes), so the download
@@ -71,8 +58,6 @@ func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 // Cores, for runtime auto-tuning. Layers announced from now on use the new
 // partition size; a per-layer PartitionFn, if any, is cleared.
 func (p *PSPlugin) SetParams(partition, credit int64) {
-	p.unit = partition
-	p.partitionFn = nil
 	for w := range p.up {
 		p.up[w].SetPartitionUnit(partition)
 		p.up[w].SetCredit(credit)
@@ -94,19 +79,30 @@ func (p *PSPlugin) GradientReady(worker, layer, iter int, done func()) {
 	upSched, downSched := p.up[worker], p.down[worker]
 	tensors := p.layers[layer].Tensors
 
+	// One push CommTask per tensor. Enqueue them all first: the Core
+	// partitions each tensor, and its partitions are both the gate count
+	// and the pull tasks — partitioning is the Core's decision alone.
+	pushes := make([]*core.Task, len(tensors))
 	// The engine gate opens when every partition of every tensor in the
 	// layer has been pulled back. Count partitions up front so a fast
 	// first delivery cannot fire the gate early.
 	remaining := 0
-	for _, tt := range tensors {
-		remaining += len(tensor.Partition(tt, p.unitFor(tt)))
+	for i, tt := range tensors {
+		pushes[i] = &core.Task{
+			Tensor: tt,
+			Start: func(sub tensor.Sub, subDone func()) {
+				p.cluster.Push(iter, worker, sub, subDone)
+			},
+		}
+		upSched.Enqueue(pushes[i])
+		remaining += len(pushes[i].Subs())
 	}
 	state := &layerState{remaining: remaining, done: done}
 
-	for _, tt := range tensors {
+	for i, tt := range tensors {
 		// One pull CommTask per partition: each becomes ready
 		// independently, when its own aggregation completes.
-		for _, sub := range tensor.Partition(tt, p.unitFor(tt)) {
+		for _, sub := range pushes[i].Subs() {
 			sub := sub
 			pullTask := &core.Task{
 				// The pull task's payload is exactly one partition; the
@@ -124,16 +120,7 @@ func (p *PSPlugin) GradientReady(worker, layer, iter int, done func()) {
 				downSched.NotifyReady(pullTask)
 			})
 		}
-
-		// One push CommTask per tensor; the Core partitions it.
-		pushTask := &core.Task{
-			Tensor: tt,
-			Start: func(sub tensor.Sub, subDone func()) {
-				p.cluster.Push(iter, worker, sub, subDone)
-			},
-		}
-		upSched.Enqueue(pushTask)
-		upSched.NotifyReady(pushTask)
+		upSched.NotifyReady(pushes[i])
 	}
 }
 

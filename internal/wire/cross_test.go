@@ -1,0 +1,82 @@
+package wire_test
+
+import (
+	"bufio"
+	"net"
+	"slices"
+	"testing"
+	"time"
+
+	"bytescheduler/internal/netar"
+	"bytescheduler/internal/netps"
+	"bytescheduler/internal/wire"
+)
+
+// TestBothTransportsSpeakOneFrame reads, with nothing but wire.Read, the
+// first frame a netps.Client and a netar.Peer each put on a raw socket:
+// one layout under both transports, with netps leaving the ring's schedule
+// fields zero.
+func TestBothTransportsSpeakOneFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type got struct {
+		h    wire.Header
+		vals []float32
+	}
+	frames := make(chan got, 2)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			h, payload, err := wire.Read(bufio.NewReader(conn))
+			if err != nil {
+				t.Errorf("wire.Read: %v", err)
+			}
+			vals, err := wire.Floats(nil, h, payload)
+			if err != nil {
+				t.Errorf("wire.Floats: %v", err)
+			}
+			frames <- got{h, vals}
+			// Acknowledge by echoing the header, which is what a netps push
+			// ack is; the ring peer ignores it.
+			wire.Write(conn, h, nil) //nolint:errcheck // the assertion is on what was read
+			conn.Close()
+		}
+	}()
+	grad := []float32{1.5, -2, 3}
+
+	c := netps.NewClient(ln.Addr().String(), netps.WithClientID(7), netps.WithTimeout(5*time.Second), netps.WithRetries(0))
+	defer c.Close()
+	if err := c.Push("L03[1/4]", 9, grad); err != nil {
+		t.Fatalf("push against a wire-only server: %v", err)
+	}
+	f := <-frames
+	want := wire.Header{Op: uint8(netps.OpPush), Iter: 9, Seq: 7<<32 | 1, Key: "L03[1/4]"}
+	if f.h != want || !slices.Equal(f.vals, grad) {
+		t.Fatalf("netps frame = %+v %v, want %+v %v", f.h, f.vals, want, grad)
+	}
+
+	p, err := netar.NewPeer(1, 3, netar.WithConfig(netar.Config{StepTimeout: 50 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Dial(ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	// The collective cannot finish (nobody answers); its first segment is
+	// what this test reads. Rank 1 of 3 opens by sending chunk 1 at step 0.
+	if _, err := p.AllReduce("L03[1/4]", 9, grad); err == nil {
+		t.Fatal("a ring of one live peer completed a collective")
+	}
+	f = <-frames
+	want = wire.Header{Op: uint8(netar.OpData), Iter: 9, Seq: 1, Step: 0, Chunk: 1, Key: "L03[1/4]"}
+	if f.h != want || !slices.Equal(f.vals, grad[1:2]) {
+		t.Fatalf("netar frame = %+v %v, want %+v %v", f.h, f.vals, want, grad[1:2])
+	}
+}

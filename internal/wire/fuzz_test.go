@@ -1,0 +1,110 @@
+// Fuzz target for the one frame reader both live transports use. The
+// contract under fuzz: arbitrary bytes may produce an error but never a
+// panic; the reader never allocates a payload the input did not actually
+// carry (the capped-preallocation property); an accepted frame re-encodes
+// to exactly the bytes it was read from, through Write and Append alike,
+// and Next agrees with Read; and the payload envelope decoder rejects
+// adversarial codec ids, original lengths and payload framing without
+// panicking, while raw fp32 payloads re-encode bit for bit (NaNs included).
+//
+// Run continuously with:
+//
+//	go test ./internal/wire/ -fuzz FuzzRead -fuzztime 30s
+//
+// CI runs a short smoke (make fuzz); the committed corpus under
+// testdata/fuzz keeps the interesting seeds regression-tested by plain
+// `go test`.
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"bytescheduler/internal/compress"
+)
+
+// seed is one corpus frame.
+type seed struct {
+	h       Header
+	payload []byte
+}
+
+// codecSeeds are codec-bearing frames as both transports shape them: fp16
+// (2 elements), int8 (scale + 3 quanta) and top-k (count 1, index 0)
+// payloads under their envelope codec ids — a PS push, a ring segment with
+// its schedule position, a PS pull response.
+func codecSeeds() []seed {
+	return []seed{
+		{Header{Op: 1, Codec: 1, Iter: 5, Seq: 11, Orig: 8, Key: "w0/L07[0/4]"}, []byte{0x3c, 0x00, 0xbc, 0x00}},
+		{Header{Op: 1, Codec: 2, Iter: 2, Seq: 9, Step: 4, Chunk: 2, Orig: 12, Key: "L05[2/4]"}, []byte{0x3c, 0x81, 0x02, 0x04, 0x7f, 0x81, 0x00}},
+		{Header{Op: 2, Codec: 3, Iter: 5, Orig: 16, Key: "w0/L07[2/4]"}, []byte{0, 0, 0, 1, 0, 0, 0, 0, 0x3f, 0x80, 0, 0}},
+	}
+}
+
+// xiterSeeds are cross-iteration frames: with pipelining, iteration i and
+// i+1 frames for the same key are in flight on one connection at once, and
+// the iter field is the only thing that tells them apart.
+func xiterSeeds() []seed {
+	return []seed{
+		{Header{Op: 1, Iter: 6, Seq: 20, Key: "w0/L00[0/2]"}, []byte{1, 2, 3, 4}},
+		{Header{Op: 1, Iter: 7, Seq: 21, Key: "w0/L00[0/2]"}, []byte{5, 6, 7, 8}},
+		{Header{Op: 1, Iter: 4, Seq: 12, Step: 1, Key: "L05[1/4]"}, []byte{0x40, 0x40, 0, 0, 0x40, 0x80, 0, 0}},
+	}
+}
+
+func FuzzRead(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(frame(f, Header{Op: 1, Iter: 3, Seq: 9, Key: "w0/L07[0/4]"}, []byte{1, 2, 3, 4}))
+	f.Add(frame(f, Header{Op: 2, Key: "k"}, nil))
+	f.Add(frame(f, Header{Op: 3}, []byte("bad request")))
+	for _, s := range append(codecSeeds(), xiterSeeds()...) {
+		f.Add(frame(f, s.h, s.payload))
+	}
+	// Adversarial length prefix: a near-limit payload backed by nothing.
+	huge := frame(f, Header{Op: 1, Key: "x"}, nil)
+	binary.BigEndian.PutUint32(huge[len(huge)-4:], MaxMessage-1)
+	f.Add(huge)
+	// An over-limit prefix must be rejected outright.
+	over := frame(f, Header{Op: 1, Key: "x"}, nil)
+	binary.BigEndian.PutUint32(over[len(over)-4:], MaxMessage+1)
+	f.Add(over)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, payload, err := Read(bytes.NewReader(data))
+		nh, npayload, rest, nerr := Next(data)
+		if (err == nil) != (nerr == nil) {
+			t.Fatalf("Read err = %v, Next err = %v", err, nerr)
+		}
+		if err != nil {
+			return // rejected input: fine, as long as it did not panic
+		}
+		if nh != h || !bytes.Equal(npayload, payload) {
+			t.Fatalf("Read and Next disagree: %+v (%d bytes) vs %+v (%d bytes)", h, len(payload), nh, len(npayload))
+		}
+		// The payload can never exceed what the input actually carried.
+		if len(payload) > len(data) {
+			t.Fatalf("decoded payload %d bytes from %d input bytes", len(payload), len(data))
+		}
+		// An accepted frame re-encodes to the bytes it was read from.
+		consumed := data[:len(data)-len(rest)]
+		if re := frame(t, h, payload); !bytes.Equal(re, consumed) {
+			t.Fatalf("Write round trip diverged:\n in  %x\n out %x", consumed, re)
+		}
+		if re, err := Append(nil, h, payload); err != nil || !bytes.Equal(re, consumed) {
+			t.Fatalf("Append round trip diverged (%v):\n in  %x\n out %x", err, consumed, re)
+		}
+		vals, err := Floats(nil, h, payload)
+		if h.Codec != 0 {
+			return // lossy or sparse: decoding without a panic is the contract
+		}
+		// Raw fp32 payloads decode iff their length is a multiple of 4, and
+		// re-encode losslessly (bit patterns, including NaNs).
+		if (err == nil) != (len(payload)%4 == 0) {
+			t.Fatalf("%d-byte fp32 payload: decode err = %v", len(payload), err)
+		}
+		if re, _, _ := AppendFloats(nil, compress.Identity(), vals); err == nil && !bytes.Equal(re, payload) {
+			t.Fatalf("float round trip diverged:\n in  %x\n out %x", payload, re)
+		}
+	})
+}

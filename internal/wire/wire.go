@@ -1,0 +1,329 @@
+// Package wire is the one frame layer under both live transports. netps
+// (parameter server) and netar (ring all-reduce) do the same job below
+// their state machines — put a keyed, codec-tagged fp32 partition on a TCP
+// socket as cheaply as the per-message overhead θ of §2.2/§4.2 allows — so
+// they do it with the same code: this package is the only place that knows
+// the frame layout, how fp32 vectors and codec payloads sit in it, how a
+// frame is written to and read from a socket, and how a retry delay grows.
+//
+// One layout for everybody, big-endian:
+//
+//	op(1) codec(1) iter(4) seq(8) step(2) chunk(2) orig(4) keyLen(2) key payloadLen(4) payload
+//
+// Op is an opaque byte here; each transport defines its own op codes.
+// netps leaves Step and Chunk zero. All endpoints live in this repository
+// and are built from one commit: the format carries no version and no
+// cross-version compatibility is promised.
+//
+// A frame costs one write: Write stages the header in a pooled buffer and
+// hands header and payload to the kernel in a single writev (net.Buffers),
+// which only works on the raw net.Conn — a wrapper type silently degrades
+// it to one write per buffer. A frame costs (at most) one read when the
+// connection is read through a bufio.Reader that lives and dies with it;
+// Read takes any io.Reader and never trusts a length prefix further than
+// the bytes that actually arrive.
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"slices"
+	"sync"
+	"time"
+
+	"bytescheduler/internal/compress"
+)
+
+// MaxMessage bounds a single frame's payload, on write and on read.
+const MaxMessage = 512 << 20
+
+// maxPrealloc caps the up-front payload allocation while reading a frame:
+// a malicious length prefix can make the decoder *work* at most this hard
+// before the stream runs dry, never allocate the full advertised size.
+const maxPrealloc = 4 << 20
+
+// maxKey is the longest key the 2-byte length prefix can carry.
+const maxKey = 1<<16 - 1
+
+// fixedLen is the length of the constant-size header prefix, up to and
+// including keyLen.
+const fixedLen = 1 + 1 + 4 + 8 + 2 + 2 + 4 + 2
+
+// Header is everything in a frame but its payload.
+type Header struct {
+	// Op is the transport's operation code, opaque to this package.
+	Op uint8
+	// Codec is the wire-codec id (compress.CodecID) the payload is encoded
+	// with; 0 is raw fp32.
+	Codec uint8
+	// Iter is the training iteration the frame belongs to.
+	Iter uint32
+	// Seq identifies the logical request (netps: stable across the retries
+	// of one request, so the server can deduplicate replayed pushes; netar:
+	// a per-peer frame counter for diagnostics).
+	Seq uint64
+	// Step and Chunk place a ring segment in the 2(M-1)-step collective
+	// schedule; netps leaves them zero.
+	Step, Chunk uint16
+	// Orig is the original (uncompressed) fp32 byte length when Codec is
+	// non-zero — the receiver needs the element count to decode. Zero when
+	// Codec is 0, where the payload length is the original length.
+	Orig uint32
+	// Key names the partition; at most 65 535 bytes.
+	Key string
+}
+
+// Size returns the framed length of h with a payload of n bytes.
+func Size(h Header, n int) int { return fixedLen + len(h.Key) + 4 + n }
+
+// check enforces the write-side limits.
+func check(h Header, n int) error {
+	if len(h.Key) > maxKey {
+		return fmt.Errorf("wire: key too long (%d bytes)", len(h.Key))
+	}
+	if n > MaxMessage {
+		return fmt.Errorf("wire: payload too large (%d bytes)", n)
+	}
+	return nil
+}
+
+// appendHeader appends everything that precedes an n-byte payload.
+func appendHeader(dst []byte, h Header, n int) []byte {
+	dst = append(dst, h.Op, h.Codec)
+	dst = binary.BigEndian.AppendUint32(dst, h.Iter)
+	dst = binary.BigEndian.AppendUint64(dst, h.Seq)
+	dst = binary.BigEndian.AppendUint16(dst, h.Step)
+	dst = binary.BigEndian.AppendUint16(dst, h.Chunk)
+	dst = binary.BigEndian.AppendUint32(dst, h.Orig)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(h.Key)))
+	dst = append(dst, h.Key...)
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
+}
+
+// parseFixed decodes the constant-size prefix and returns the key length.
+func parseFixed(b []byte) (Header, int) {
+	_ = b[fixedLen-1]
+	return Header{
+		Op:    b[0],
+		Codec: b[1],
+		Iter:  binary.BigEndian.Uint32(b[2:6]),
+		Seq:   binary.BigEndian.Uint64(b[6:14]),
+		Step:  binary.BigEndian.Uint16(b[14:16]),
+		Chunk: binary.BigEndian.Uint16(b[16:18]),
+		Orig:  binary.BigEndian.Uint32(b[18:22]),
+	}, int(binary.BigEndian.Uint16(b[22:24]))
+}
+
+// staging is the per-frame scratch: the header bytes and the two-element
+// scatter-gather vector. Pooled by pointer so Put does not allocate an
+// interface box; headers are small and extremely hot (two per RPC on the
+// live path), so steady-state framing does not allocate.
+type staging struct {
+	hdr []byte
+	vec [2][]byte
+	// bufs is the slice header WriteTo consumes; it lives here rather than
+	// on Write's stack because WriteTo's receiver escapes.
+	bufs net.Buffers
+}
+
+var stagingPool = sync.Pool{New: func() any { return &staging{hdr: make([]byte, 0, 256)} }}
+
+// Write frames h and payload onto w: one Write when the payload is empty,
+// otherwise one scatter-gather write (a single writev when w is a raw
+// net.Conn) — the payload is never copied into the header buffer.
+func Write(w io.Writer, h Header, payload []byte) error {
+	if err := check(h, len(payload)); err != nil {
+		return err
+	}
+	s := stagingPool.Get().(*staging)
+	s.hdr = appendHeader(s.hdr[:0], h, len(payload))
+	var err error
+	if len(payload) == 0 {
+		_, err = w.Write(s.hdr)
+	} else {
+		// WriteTo consumes the Buffers it is called on — it advances the
+		// slice to zero length AND zero capacity. So the pool keeps the
+		// backing array (vec) and every write re-slices it; pooling the
+		// consumed slice itself would recycle nothing and make every frame
+		// reallocate the two-element array.
+		s.vec[0], s.vec[1] = s.hdr, payload
+		s.bufs = s.vec[:]
+		_, err = s.bufs.WriteTo(w)
+		s.vec[1] = nil // drop the payload reference before pooling
+	}
+	// The header is retained until the write has completed (net.Buffers
+	// may consume it incrementally), then recycled.
+	stagingPool.Put(s)
+	return err
+}
+
+// Append frames h and payload onto dst (the same bytes Write emits) and
+// returns the extended slice — how OpBatch-style envelopes are built.
+func Append(dst []byte, h Header, payload []byte) ([]byte, error) {
+	if err := check(h, len(payload)); err != nil {
+		return dst, err
+	}
+	return append(appendHeader(dst, h, len(payload)), payload...), nil
+}
+
+// Next parses the frame at the front of buf (the inverse of Append) and
+// returns it with the unparsed remainder. The payload aliases buf.
+func Next(buf []byte) (h Header, payload, rest []byte, err error) {
+	if len(buf) < fixedLen {
+		return Header{}, nil, nil, errors.New("wire: truncated header")
+	}
+	h, keyLen := parseFixed(buf)
+	buf = buf[fixedLen:]
+	if len(buf) < keyLen+4 {
+		return Header{}, nil, nil, errors.New("wire: truncated key")
+	}
+	h.Key = string(buf[:keyLen])
+	n := binary.BigEndian.Uint32(buf[keyLen:])
+	buf = buf[keyLen+4:]
+	if n > MaxMessage || uint64(len(buf)) < uint64(n) {
+		return Header{}, nil, nil, errors.New("wire: truncated payload")
+	}
+	if n > 0 {
+		payload = buf[:n:n]
+	}
+	return h, payload, buf[n:], nil
+}
+
+// Read reads one frame. It returns an error — never panics, never
+// allocates beyond the bytes actually received — on truncated or
+// adversarial input (FuzzRead enforces this).
+func Read(r io.Reader) (Header, []byte, error) {
+	s := stagingPool.Get().(*staging)
+	defer stagingPool.Put(s)
+	fixed := s.hdr[:fixedLen]
+	if _, err := io.ReadFull(r, fixed); err != nil {
+		return Header{}, nil, err
+	}
+	h, keyLen := parseFixed(fixed)
+	s.hdr = slices.Grow(s.hdr[:0], keyLen+4)
+	buf := s.hdr[:keyLen+4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Header{}, nil, err
+	}
+	h.Key = string(buf[:keyLen])
+	n := binary.BigEndian.Uint32(buf[keyLen:])
+	if n > MaxMessage {
+		return Header{}, nil, fmt.Errorf("wire: payload length %d exceeds limit", n)
+	}
+	payload, err := readPayload(r, int(n))
+	if err != nil {
+		return Header{}, nil, err
+	}
+	return h, payload, nil
+}
+
+// readPayload reads exactly n payload bytes with the up-front allocation
+// capped at maxPrealloc: small payloads get one exact allocation, large
+// ones grow with the bytes that actually arrive, so an adversarial length
+// prefix cannot force a giant allocation before the stream runs dry.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	if n <= maxPrealloc {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	var b bytes.Buffer
+	b.Grow(maxPrealloc)
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// AppendFloats encodes v through c onto dst and returns the payload with
+// the two envelope fields its Header must carry. The identity codec is
+// codec 0 with orig 0: the payload length is the original length.
+func AppendFloats(dst []byte, c compress.Codec, v []float32) (payload []byte, codec uint8, orig uint32) {
+	payload = c.AppendEncode(dst, v)
+	if c.IsIdentity() {
+		return payload, 0, 0
+	}
+	return payload, uint8(c.ID()), uint32(4 * len(v))
+}
+
+// Floats appends the fp32 values of a frame's payload to dst, decoding by
+// the envelope in h: codec 0 is raw fp32, anything else decodes Orig/4
+// elements through the identified codec. Orig is validated before
+// anything is decoded; the caller checks the element count against what
+// it expects.
+func Floats(dst []float32, h Header, payload []byte) ([]float32, error) {
+	c := compress.Identity()
+	n := len(payload) / 4
+	if h.Codec != 0 {
+		var err error
+		if c, err = compress.CodecByID(compress.CodecID(h.Codec)); err != nil {
+			return dst, err
+		}
+		if h.Orig == 0 || h.Orig%4 != 0 || h.Orig > MaxMessage {
+			return dst, fmt.Errorf("wire: original length %d is not a positive multiple of 4 within limits", h.Orig)
+		}
+		n = int(h.Orig / 4)
+	} else if len(payload)%4 != 0 {
+		return dst, fmt.Errorf("wire: payload not a float32 vector (%d bytes)", len(payload))
+	}
+	if n <= len(payload) {
+		// Dense payloads get one exact allocation. A sparse (top-k) payload
+		// may claim far more elements than it carries bytes, so it grows
+		// only after the codec has validated its count.
+		dst = slices.Grow(dst, n)
+	}
+	return c.AppendDecode(dst, payload, n)
+}
+
+// Backoff is the retry-delay policy both transports share: exponential
+// from Base, capped at Max, spread by a multiplicative jitter the caller
+// draws from its own (seeded, locked) generator with fraction Jitter.
+type Backoff struct {
+	// Base is the first retry delay; it doubles per attempt. Zero or
+	// negative disables backoff.
+	Base time.Duration
+	// Max caps the delay; zero or negative means uncapped.
+	Max time.Duration
+	// Jitter is the fraction the caller passes to its generator to draw
+	// Delay's jitter factor, uniform in [1-Jitter, 1+Jitter].
+	Jitter float64
+}
+
+// uncapped bounds an uncapped backoff below the int64 overflow, with
+// headroom for the jitter factor.
+const uncapped = time.Duration(1) << 61
+
+// Delay returns the delay before retry number attempt (0-based), scaled by
+// jitter. It doubles without ever shifting past int64 — a wrapped-negative
+// delay would skip the sleep and turn a retry loop into a hot spin — so it
+// is monotone in attempt, positive for a positive Base, and never above a
+// positive Max (before jitter).
+func (b Backoff) Delay(attempt int, jitter float64) time.Duration {
+	if b.Base <= 0 {
+		return 0
+	}
+	limit := b.Max
+	if limit <= 0 || limit > uncapped {
+		limit = uncapped
+	}
+	d := b.Base
+	for ; attempt > 0 && d < limit; attempt-- {
+		d <<= 1
+	}
+	if d > limit {
+		d = limit
+	}
+	return time.Duration(float64(d) * jitter)
+}

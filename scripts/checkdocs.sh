@@ -12,10 +12,11 @@
 # checked (idiomatic enums document the block once).
 #
 # Usage: scripts/checkdocs.sh [pkg-dir ...]
-#        (defaults to the packages with operator-facing API surface)
+#        (defaults to the packages with operator-facing API surface, plus
+#        internal/wire: the frame format both live transports depend on)
 set -u
 
-dirs="${*:-internal/autotune internal/tune internal/metrics}"
+dirs="${*:-internal/autotune internal/tune internal/metrics internal/wire}"
 
 fail=0
 total=0
