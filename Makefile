@@ -52,7 +52,11 @@ docs: vet
 # verify is the CI gate: everything must build, pass vet + staticcheck,
 # pass the full test suite with the race detector on (./... includes the
 # live netps/netar transports and the runner's live harness), survive a
-# fuzz smoke on every wire decoder, and have intact docs.
+# fuzz smoke on every wire decoder, and have intact docs. The race pass
+# includes TestParallelMatchesSerial, which also holds every non-live
+# experiment it runs to internal/experiments/testdata/quick_seed1.json; a PR
+# that means to move a table regenerates that snapshot (~3 min, command in
+# internal/experiments/determinism_test.go's file comment) and reviews its diff.
 verify: build vet staticcheck race fuzz docs
 
 bench:

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"bytescheduler/internal/allreduce"
+	"bytescheduler/internal/autotune"
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/model"
@@ -438,10 +439,12 @@ type OnlineTuneResult struct {
 }
 
 // TuneOnline tunes partition and credit sizes on a single continuous
-// training run — the paper's deployed mechanism (§4.3/§5), where BO
-// profiles candidate configurations on live windows. The experiment's
-// Policy provides the starting point and must be a partitioned scheduler
-// policy (e.g. WithPartitionCredit).
+// training run — the paper's deployed mechanism (§4.3/§5). The tuner is
+// the online controller the live path runs (warmup, dwell windows, guarded
+// rollback, settle), fed the simulator's virtual iteration times and
+// proposing through Bayesian Optimization. The experiment's Policy
+// provides the starting point and must be a partitioned scheduler policy
+// (e.g. WithPartitionCredit); trials is the number of proposals probed.
 func TuneOnline(e Experiment, trials int, seed int64) (OnlineTuneResult, error) {
 	cfg, err := e.runnerConfig()
 	if err != nil {
@@ -449,17 +452,16 @@ func TuneOnline(e Experiment, trials int, seed int64) (OnlineTuneResult, error) 
 	}
 	res, err := runner.RunOnlineTuned(runner.OnlineConfig{
 		Config:         cfg,
-		Trials:         trials,
-		TuneSeed:       seed,
+		AutoTune:       autotune.Config{Trials: trials, Seed: seed},
 		RestartPenalty: 5,
 	})
 	if err != nil {
 		return OnlineTuneResult{}, err
 	}
 	return OnlineTuneResult{
-		Partition:   res.BestPartition,
-		Credit:      res.BestCredit,
-		FirstSpeed:  res.FirstWindowSpeed,
+		Partition:   res.Report.Final.Partition,
+		Credit:      res.Report.Final.Credit,
+		FirstSpeed:  res.FirstSpeed,
 		FinalSpeed:  res.FinalSpeed,
 		Restarts:    res.Restarts,
 		OverheadSec: res.TuningOverhead,

@@ -171,8 +171,11 @@ func TestTuneOnline(t *testing.T) {
 	if res.FinalSpeed <= res.FirstSpeed {
 		t.Fatalf("online tuning did not improve: %.0f -> %.0f", res.FirstSpeed, res.FinalSpeed)
 	}
-	if res.Restarts > 0 && res.OverheadSec <= 0 {
-		t.Fatal("restart overhead not accounted")
+	if res.Partition >= 64<<20 || res.Credit <= 0 {
+		t.Fatalf("tuner stuck at the bad start: %+v", res)
+	}
+	if res.Restarts == 0 || res.OverheadSec != float64(res.Restarts)*5 {
+		t.Fatalf("restart overhead not accounted: %d restarts, %.0fs", res.Restarts, res.OverheadSec)
 	}
 	bad := vggExperiment(bs.Vanilla())
 	if _, err := bs.TuneOnline(bad, 6, 2); err == nil {

@@ -52,6 +52,7 @@ type expJSON struct {
 type snapshot struct {
 	GeneratedAt       string    `json:"generated_at"`
 	GoVersion         string    `json:"go_version"`
+	GOARCH            string    `json:"goarch"`
 	Cores             int       `json:"cores"`
 	Workers           int       `json:"workers"`
 	Quick             bool      `json:"quick"`
@@ -202,6 +203,7 @@ func main() {
 		snap := snapshot{
 			GeneratedAt:       time.Now().UTC().Format(time.RFC3339),
 			GoVersion:         runtime.Version(),
+			GOARCH:            runtime.GOARCH,
 			Cores:             runtime.NumCPU(),
 			Workers:           eng.Workers(),
 			Quick:             !*full,

@@ -90,9 +90,6 @@ type options struct {
 	LiveLayers string
 	// LiveCompute is the per-layer compute sleep for each pass.
 	LiveCompute time.Duration
-	// PSShards is the live PS server's lock-domain count (0 keeps the
-	// netps default).
-	PSShards int
 	// FuseTheta buckets live tensors smaller than this many bytes into one
 	// fused message (0 disables fusion).
 	FuseTheta int64
@@ -154,8 +151,6 @@ func main() {
 		"live per-layer gradient KB, front to back (with -backend)")
 	flag.DurationVar(&o.LiveCompute, "live-compute", 500*time.Microsecond,
 		"live per-layer compute sleep per pass (with -backend)")
-	flag.IntVar(&o.PSShards, "ps-shards", 0,
-		"live PS server lock-domain count (with -backend ps; 0 = netps default, 1 = single lock)")
 	flag.Int64Var(&o.FuseTheta, "fuse-theta", 0,
 		"live fusion threshold in bytes: smaller tensors ride one fused message (0 disables; with -backend)")
 	flag.StringVar(&o.Codec, "codec", "",
@@ -426,7 +421,6 @@ func runLive(o options) error {
 		ForwardCompute:  o.LiveCompute,
 		BackwardCompute: o.LiveCompute,
 		Seed:            o.Seed,
-		PSShards:        o.PSShards,
 		FuseTheta:       o.FuseTheta,
 		Codec:           codec,
 	}

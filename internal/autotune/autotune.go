@@ -202,6 +202,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// BudgetIters is the number of iterations a run must feed the controller
+// for one whole search episode — warmup, then the baseline window, Trials
+// probes and at most one rollback re-validation — followed by steady
+// settled windows, each window DwellIters clean iterations behind one
+// discarded transition iteration.
+func (c Config) BudgetIters(steady int) int {
+	c = c.withDefaults()
+	return c.WarmupIters + (c.Trials+2+steady)*(c.DwellIters+1)
+}
+
 // newSuggester builds the episode's tuner.
 func newSuggester(name string, b tune.Bounds, seed int64) tune.Tuner {
 	switch name {

@@ -103,22 +103,6 @@ func P3() Policy {
 	}
 }
 
-// TicTacLike returns a priority-only policy: critical-path scheduling
-// without tensor partitioning or credit control, approximating TicTac's
-// order-optimization-only approach. Unlike LayerPriority, the ordering
-// comes from DAG timing analysis (DAGTimings.CriticalPathRanks): layers are
-// ranked by the remaining critical-path length to the op that consumes the
-// pulled parameter, so a tail-heavy profile schedules its expensive tail
-// transfers ahead of cheap front layers. It panics on an invalid timing
-// profile, surfacing configuration bugs at construction like New.
-func TicTacLike(d DAGTimings) Policy {
-	ranks, err := d.CriticalPathRanks()
-	if err != nil {
-		panic(err)
-	}
-	return Policy{Name: "tictac", Priority: RankPriority(ranks)}
-}
-
 // ByteScheduler returns the paper's policy with the given partition unit
 // and credit size (both in bytes).
 func ByteScheduler(partitionUnit, creditBytes int64) Policy {

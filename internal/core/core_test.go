@@ -43,10 +43,6 @@ func TestPolicyConstructors(t *testing.T) {
 	if p := ByteScheduler(4<<20, 16<<20); p.PartitionUnit != 4<<20 || p.CreditBytes != 16<<20 {
 		t.Fatalf("ByteScheduler = %+v", p)
 	}
-	d := DAGTimings{FP: []float64{1e-3, 1e-3, 1e-3}, LayerBytes: []int64{1 << 20, 1 << 20, 1 << 20}, BytesPerSec: 1e9}
-	if p := TicTacLike(d); p.PartitionUnit != 0 || p.CreditBytes != 0 || p.Priority == nil {
-		t.Fatalf("TicTacLike = %+v", p)
-	}
 }
 
 func TestPolicyValidate(t *testing.T) {

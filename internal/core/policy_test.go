@@ -154,12 +154,12 @@ func TestCriticalPathUniformProfile(t *testing.T) {
 	}
 }
 
-// TestCriticalPathTailHeavyProfile is the TicTacLike regression test: on a
-// tail-heavy profile (a huge transfer late in the DAG, e.g. a classifier
-// layer, behind a short forward suffix) the critical-path policy must order
+// TestCriticalPathTailHeavyProfile is the TicTac-order regression test: on
+// a tail-heavy profile (a huge transfer late in the DAG, e.g. a classifier
+// layer, behind a short forward suffix) PriorityCriticalPath must order
 // layers differently from plain layer index — the tail's transfer time
-// dominates its remaining path. The old TicTacLike was a mislabeled alias
-// for LayerPriority and sorted both profiles identically.
+// dominates its remaining path. An early TicTac policy was a mislabeled
+// alias for LayerPriority and sorted both profiles identically.
 func TestCriticalPathTailHeavyProfile(t *testing.T) {
 	d := DAGTimings{
 		// 1 ms of forward per layer; the last layer carries 64 MB while the
@@ -169,7 +169,7 @@ func TestCriticalPathTailHeavyProfile(t *testing.T) {
 		LayerBytes:  []int64{256 << 10, 256 << 10, 256 << 10, 64 << 20},
 		BytesPerSec: 1e9,
 	}
-	ranks, err := d.CriticalPathRanks()
+	ranks, err := PriorityCriticalPath.Ranks(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCriticalPathTailHeavyProfile(t *testing.T) {
 	// The two policies must disagree through the Policy surface too.
 	tail := tensor.Tensor{Layer: 3, Bytes: 64 << 20}
 	front := tensor.Tensor{Layer: 0, Bytes: 256 << 10}
-	cp := TicTacLike(d).Priority
+	cp := RankPriority(ranks)
 	if cp(tail, 1) >= cp(front, 2) {
 		t.Fatal("critical-path policy does not prefer the tail transfer")
 	}

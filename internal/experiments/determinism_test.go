@@ -8,12 +8,23 @@
 // second set of tests checks the memoizing cache itself: a warm rerun
 // replays identical metrics while recording cache hits.
 //
+// The parallel run is also held, bitwise, to testdata/quick_seed1.json —
+// a committed benchsuite snapshot of every non-live experiment — so a change
+// that moves any table shows up as a diff of that file, not only as a
+// serial/parallel disagreement. A PR that means to move a table regenerates
+// it (27 experiments, ~3 min) and reviews the diff:
+//
+//	go run ./cmd/benchsuite -parallel 1 -json internal/experiments/testdata/quick_seed1.json \
+//	  -run FIG2,FIG4A,FIG4B,FIG9,FIG10,FIG11,FIG12,FIG13,FIG14,TAB1,TXT1,TXT3,ABL-CREDIT,ABL-PARTITION,ABL-PRIORITY,ABL-BARRIER,ABL-ASYNC,ABL-COLLECTIVE,EXT-ONLINE,EXT-LAYERWISE,EXT-COSCHED,EXT-COMPRESS,EXT-ZOO,EXT-FAULTS,EXT-BALANCE,EXT-CLUSTER,THM1
+//
 // Under -race the suite shrinks to a representative subset of experiments
 // (see determinism_ids_race_test.go); without -race it covers them all.
 package experiments
 
 import (
+	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"bytescheduler/internal/sweep"
@@ -47,21 +58,57 @@ func determinismExperiments(t *testing.T) []Experiment {
 }
 
 // sameMetrics compares two metric maps for exact (bitwise) equality and
-// reports the first divergence.
-func sameMetrics(t *testing.T, label string, serial, parallel map[string]float64) {
+// reports the first divergence; label names the two sides, reference first.
+func sameMetrics(t *testing.T, label string, want, got map[string]float64) {
 	t.Helper()
-	if len(serial) != len(parallel) {
-		t.Fatalf("%s: metric count diverged: serial %d vs parallel %d", label, len(serial), len(parallel))
+	if len(want) != len(got) {
+		t.Fatalf("%s: metric count diverged: %d vs %d", label, len(want), len(got))
 	}
-	for k, v := range serial {
-		w, ok := parallel[k]
+	for k, v := range want {
+		w, ok := got[k]
 		if !ok {
-			t.Fatalf("%s: metric %q missing from parallel run", label, k)
+			t.Fatalf("%s: metric %q missing from the second", label, k)
 		}
 		if v != w {
-			t.Fatalf("%s: metric %q diverged: serial %v vs parallel %v", label, k, v, w)
+			t.Fatalf("%s: metric %q diverged: %v vs %v", label, k, v, w)
 		}
 	}
+}
+
+// goldenMetrics loads the committed snapshot's per-experiment metrics
+// (JSON float64 round-trips exactly). Floating-point results are only
+// comparable on the architecture that wrote them (fused multiply-add
+// differs), so elsewhere it logs and returns nil.
+func goldenMetrics(t *testing.T) map[string]map[string]float64 {
+	t.Helper()
+	buf, err := os.ReadFile("testdata/quick_seed1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		GOARCH      string `json:"goarch"`
+		Quick       bool   `json:"quick"`
+		Seed        int64  `json:"seed"`
+		Experiments []struct {
+			ID      string             `json:"id"`
+			Metrics map[string]float64 `json:"metrics"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if !snap.Quick || snap.Seed != 1 {
+		t.Fatalf("testdata/quick_seed1.json was written with quick=%v seed=%d", snap.Quick, snap.Seed)
+	}
+	if snap.GOARCH != runtime.GOARCH {
+		t.Logf("golden snapshot is from %s, this is %s: golden comparison skipped", snap.GOARCH, runtime.GOARCH)
+		return nil
+	}
+	golden := make(map[string]map[string]float64, len(snap.Experiments))
+	for _, e := range snap.Experiments {
+		golden[e.ID] = e.Metrics
+	}
+	return golden
 }
 
 // TestParallelMatchesSerial runs each experiment twice — once on a
@@ -69,8 +116,10 @@ func sameMetrics(t *testing.T, label string, serial, parallel map[string]float64
 // caches — and requires bitwise-identical metrics. Subtests run in
 // parallel with each other: each pair of engines is private, so the only
 // shared state is the scheduler/runner code under test, which is exactly
-// what the race detector should see contended.
+// what the race detector should see contended. The parallel run's metrics
+// must also equal the committed golden snapshot's.
 func TestParallelMatchesSerial(t *testing.T) {
+	golden := goldenMetrics(t)
 	for _, exp := range determinismExperiments(t) {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -91,7 +140,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameMetrics(t, exp.ID, serial.Metrics, par.Metrics)
+			sameMetrics(t, exp.ID+": serial vs parallel", serial.Metrics, par.Metrics)
+			if golden != nil {
+				sameMetrics(t, exp.ID+": testdata/quick_seed1.json (regenerate: see the file comment) vs parallel", golden[exp.ID], par.Metrics)
+			}
 			if len(serial.Rows) != len(par.Rows) {
 				t.Fatalf("%s: row count diverged: serial %d vs parallel %d",
 					exp.ID, len(serial.Rows), len(par.Rows))
@@ -122,7 +174,7 @@ func TestEngineCacheCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMetrics(t, "FIG2 warm rerun", cold.Metrics, warm.Metrics)
+	sameMetrics(t, "FIG2: cold vs warm rerun", cold.Metrics, warm.Metrics)
 	trialsWarm, hitsWarm := eng.Stats()
 	if hitsWarm <= hitsCold {
 		t.Fatalf("warm rerun recorded no cache hits: cold %d/%d, warm %d/%d",

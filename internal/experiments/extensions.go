@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"bytescheduler/internal/autotune"
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/model"
@@ -38,10 +39,7 @@ func ExtOnlineTuning(o Opts) (Table, error) {
 			Jitter:        0.02,
 			Seed:          o.Seed,
 		},
-		WindowIters:    4,
-		Trials:         trials,
-		FinalWindows:   2,
-		TuneSeed:       o.Seed + 31,
+		AutoTune:       autotune.Config{Trials: trials, Seed: o.Seed + 31},
 		RestartPenalty: 5,
 	}
 	res, err := runner.RunOnlineTuned(oc)
@@ -51,23 +49,25 @@ func ExtOnlineTuning(o Opts) (Table, error) {
 	tab := Table{
 		ID:      "EXT-ONLINE",
 		Title:   "runtime auto-tuning on a live run (VGG16 PS RDMA, poor 64MB/64MB start)",
-		Columns: []string{"window", "partition_MB", "credit_MB", "speed"},
+		Columns: []string{"iter", "action", "partition_MB", "credit_MB", "speed"},
 		Metrics: map[string]float64{
-			"first_speed":     res.FirstWindowSpeed,
+			"first_speed":     res.FirstSpeed,
 			"final_speed":     res.FinalSpeed,
-			"improvement_pct": speedupPct(res.FirstWindowSpeed, res.FinalSpeed),
+			"improvement_pct": speedupPct(res.FirstSpeed, res.FinalSpeed),
 			"restarts":        float64(res.Restarts),
 			"overhead_sec":    res.TuningOverhead,
 		},
 	}
-	for _, w := range res.Windows {
+	for _, d := range res.Report.Decisions {
 		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%d", w.Window), mb(w.Partition), mb(w.Credit), f0(w.Speed),
+			fmt.Sprintf("%d", d.Iter), d.Action, mb(d.Setting.Partition), mb(d.Setting.Credit),
+			f0(d.Speed * res.SamplesPerIter),
 		})
 	}
+	best := res.Report.Final
 	tab.Notes = append(tab.Notes,
-		fmt.Sprintf("converged to %s/%s MB; %d PS restarts cost %.0fs of tuning overhead",
-			mb(res.BestPartition), mb(res.BestCredit), res.Restarts, res.TuningOverhead))
+		fmt.Sprintf("converged to %s/%s MB after %d probes and %d rollback(s); %d PS restarts cost %.0fs of tuning overhead",
+			mb(best.Partition), mb(best.Credit), res.Report.Probes, res.Report.Rollbacks, res.Restarts, res.TuningOverhead))
 	return tab, nil
 }
 

@@ -108,6 +108,25 @@ func TestServerCloseUnblocksIdleConnections(t *testing.T) {
 	}
 }
 
+func TestListenTwiceRejectedAndCloseReturns(t *testing.T) {
+	// Close stops the one accept loop it knows about: a second Listen that
+	// replaced s.ln would strand the first loop and wedge Close.
+	srv, _ := startServer(t, 1)
+	if addr, err := srv.Listen("127.0.0.1:0"); err == nil {
+		t.Errorf("second Listen bound %s, want an error", addr)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close hung after a second Listen")
+	}
+}
+
 func TestTruncatedFrameFromServer(t *testing.T) {
 	// A fake shard that answers every request with a truncated frame, then
 	// closes: the client must error out, not hang or misparse.

@@ -429,7 +429,8 @@ func (s *Server) DedupSize() int {
 }
 
 // Listen binds to addr (e.g. "127.0.0.1:0") and serves connections until
-// Close. It returns the bound address.
+// Close. It returns the bound address. A server listens once: Close stops
+// one accept loop, so a second Listen is an error.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -440,6 +441,11 @@ func (s *Server) Listen(addr string) (string, error) {
 		s.mu.Unlock()
 		ln.Close()
 		return "", errors.New("netps: server closed")
+	}
+	if s.ln != nil {
+		s.mu.Unlock()
+		ln.Close()
+		return "", errors.New("netps: already listening")
 	}
 	s.ln = ln
 	s.wg.Add(1)

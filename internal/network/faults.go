@@ -101,9 +101,6 @@ func (f *Fabric) InjectFaults(fc FaultConfig) error {
 	if err := fc.Validate(f.Nodes()); err != nil {
 		return err
 	}
-	if fc.RetransmitDelay == 0 {
-		fc.RetransmitDelay = DefaultRetransmitDelay
-	}
 	f.faults = &faultState{cfg: fc, rng: stats.NewRNG(fc.Seed)}
 	// Re-arm dispatch at every outage end: transfers deferred by the
 	// outage have no other wake-up edge.
@@ -141,22 +138,25 @@ func (f *Fabric) outageBlocked(t *Transfer) bool {
 	return false
 }
 
-// faultPenalty returns the extra service time injected into one message.
-// Draws happen in deterministic event order, so a seeded run replays
-// identically.
-func (f *Fabric) faultPenalty() float64 {
-	fs := f.faults
-	if fs == nil {
-		return 0
+// Penalty draws the extra service time, in seconds, that the fault model
+// injects into one message: a geometric number of retransmit timeouts plus
+// an optional latency spike, with the count of each. Both the simulated
+// fabric and the live runner's link shaper draw from it; draws happen in
+// the caller's deterministic order, so a seeded run replays identically.
+func (fc FaultConfig) Penalty(rng *stats.RNG) (sec float64, retransmits, spikes uint64) {
+	if fc.DropProb > 0 {
+		rto := fc.RetransmitDelay
+		if rto == 0 {
+			rto = DefaultRetransmitDelay
+		}
+		for rng.Float64() < fc.DropProb {
+			sec += rto
+			retransmits++
+		}
 	}
-	var extra float64
-	for fs.cfg.DropProb > 0 && fs.rng.Float64() < fs.cfg.DropProb {
-		extra += fs.cfg.RetransmitDelay
-		fs.stats.Retransmits++
+	if fc.SpikeProb > 0 && rng.Float64() < fc.SpikeProb {
+		sec += fc.SpikeSec
+		spikes++
 	}
-	if fs.cfg.SpikeProb > 0 && fs.rng.Float64() < fs.cfg.SpikeProb {
-		extra += fs.cfg.SpikeSec
-		fs.stats.Spikes++
-	}
-	return extra
+	return sec, retransmits, spikes
 }

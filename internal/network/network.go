@@ -305,7 +305,13 @@ func (f *Fabric) start(t *Transfer) {
 		overhead = f.prof.PipelinedOverhead
 		t.pipelined = true
 	}
-	dur := overhead + float64(t.Bytes)/f.bytesPerS + f.faultPenalty()
+	dur := overhead + float64(t.Bytes)/f.bytesPerS
+	if fs := f.faults; fs != nil {
+		sec, retransmits, spikes := fs.cfg.Penalty(fs.rng)
+		dur += sec
+		fs.stats.Retransmits += retransmits
+		fs.stats.Spikes += spikes
+	}
 	t.start = now
 	src.busy, dst.busy = true, true
 	src.busyTime += dur

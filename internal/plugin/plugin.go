@@ -21,6 +21,7 @@ package plugin
 
 import (
 	"fmt"
+	"strings"
 
 	"bytescheduler/internal/engine"
 )
@@ -52,7 +53,7 @@ func (f Framework) String() string {
 
 // FrameworkByName parses a framework name (case-insensitive).
 func FrameworkByName(name string) (Framework, error) {
-	switch lower(name) {
+	switch strings.ToLower(name) {
 	case "mxnet":
 		return MXNet, nil
 	case "tensorflow", "tf":
@@ -86,16 +87,4 @@ func (f Framework) DependencyMode(scheduled bool) engine.DependencyMode {
 		return engine.PerLayer
 	}
 	return engine.GlobalBarrier
-}
-
-func lower(s string) string {
-	out := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out[i] = c
-	}
-	return string(out)
 }

@@ -3,10 +3,7 @@ package runner
 import (
 	"fmt"
 
-	"bytescheduler/internal/engine"
 	"bytescheduler/internal/network"
-	"bytescheduler/internal/plugin"
-	"bytescheduler/internal/ps"
 	"bytescheduler/internal/sim"
 )
 
@@ -32,6 +29,9 @@ func RunCoScheduled(cfgs []Config) ([]Result, error) {
 		if cfgs[i].Arch != PS {
 			return nil, fmt.Errorf("runner: job %d: co-scheduling supports the PS architecture", i)
 		}
+		if cfgs[i].Faults != nil {
+			return nil, fmt.Errorf("runner: job %d: fault injection configures the fabric, which co-scheduled jobs share; it is single-job only", i)
+		}
 		if cfgs[i].Machines() != cfgs[0].Machines() ||
 			cfgs[i].BandwidthGbps != cfgs[0].BandwidthGbps ||
 			cfgs[i].Transport.Name != cfgs[0].Transport.Name {
@@ -40,44 +40,15 @@ func RunCoScheduled(cfgs []Config) ([]Result, error) {
 	}
 
 	se := sim.New()
-	machines := cfgs[0].Machines()
-	fab := network.NewFabric(se, 2*machines, cfgs[0].BandwidthGbps, cfgs[0].Transport)
-
-	type job struct {
-		cfg     Config
-		eng     *engine.Engine
-		plug    *plugin.PSPlugin
-		cluster *ps.Cluster
-	}
-	jobs := make([]*job, 0, len(cfgs))
+	fab := network.NewFabric(se, 2*cfgs[0].Machines(), cfgs[0].BandwidthGbps, cfgs[0].Transport)
+	// Jobs on the same hosts contend for the NIC, not the GPUs: each job
+	// keeps its own engine (its own GPUs) on the one fabric.
+	jobs := make([]*instance, len(cfgs))
 	for i, cfg := range cfgs {
-		assignment := ps.RoundRobinTensor
-		if cfg.Policy.PartitionUnit > 0 {
-			assignment = ps.SpreadPartitions
-		}
-		if cfg.Assignment != nil {
-			assignment = *cfg.Assignment
-		}
-		cluster, err := ps.New(se, fab, ps.Config{
-			Workers:          machines,
-			Servers:          machines,
-			Assignment:       assignment,
-			Async:            cfg.Async,
-			UpdateSecPerByte: ps.DefaultUpdateSecPerByte,
-			ShardBytes:       psShardBytes,
-		})
-		if err != nil {
+		var err error
+		if jobs[i], err = build(se, fab, cfg, engineConfig(cfg)); err != nil {
 			return nil, fmt.Errorf("runner: job %d: %w", i, err)
 		}
-		plug := plugin.NewPS(cluster, cfg.Model, cfg.Policy)
-		engCfg := engineConfig(cfg)
-		// Jobs on the same hosts contend for the NIC, not the GPUs: each
-		// job keeps its own engine (its own GPUs).
-		eng, err := engine.New(se, engCfg, plug)
-		if err != nil {
-			return nil, fmt.Errorf("runner: job %d: %w", i, err)
-		}
-		jobs = append(jobs, &job{cfg: cfg, eng: eng, plug: plug, cluster: cluster})
 	}
 	for _, j := range jobs {
 		j.eng.Start()
@@ -86,13 +57,10 @@ func RunCoScheduled(cfgs []Config) ([]Result, error) {
 
 	results := make([]Result, len(jobs))
 	for i, j := range jobs {
-		res := summarize(j.cfg, j.eng.Result())
-		res.LoadImbalance = j.cluster.LoadImbalance()
-		for w := 0; w < machines; w++ {
-			res.UpStats = addStats(res.UpStats, j.plug.UpScheduler(w).Stats())
-			res.DownStats = addStats(res.DownStats, j.plug.DownScheduler(w).Stats())
+		results[i] = summarize(cfgs[i], j.eng.Result())
+		if err := j.collect(&results[i]); err != nil {
+			return nil, fmt.Errorf("runner: job %d: %w", i, err)
 		}
-		results[i] = res
 	}
 	return results, nil
 }

@@ -98,10 +98,6 @@ type LiveConfig struct {
 	// Seed seeds transport jitter; runs are *not* bitwise deterministic —
 	// this is wall-clock measurement, not simulation.
 	Seed int64
-	// PSShards overrides the PS server's lock-domain count
-	// (netps.DefaultShards); ignored by the ring backend. <= 0 keeps the
-	// default; 1 reproduces the old single-mutex server.
-	PSShards int
 	// FuseTheta, when > 0, buckets gradients smaller than this many bytes
 	// into fused CommTasks (core.Fuser): the small-tensor long tail then
 	// pays one per-message overhead per bucket instead of one each. Must
@@ -390,13 +386,6 @@ type LiveResult struct {
 // wait phase's outcome.
 type liveComm func(key string, iter uint32, in, out []float32, sent func()) error
 
-// liveTransport is one worker's transport endpoint.
-type liveTransport struct {
-	comm   liveComm
-	attach func(s *core.AsyncScheduler) // optional (flush-hook coalescing)
-	close  func()
-}
-
 // RunLive executes the configured live training run and returns its
 // measured per-iteration time. Unlike Run, this is wall-clock measurement
 // over real sockets — results vary run to run and across machines.
@@ -418,7 +407,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	for r := range transports {
 		if len(cfg.Shape) > 0 {
 			shaper := newLinkShaper(cfg.Shape, cfg.Seed+int64(r)*101+1, cfg.Metrics)
-			transports[r].comm = shaper.wrap(transports[r].comm)
+			transports[r] = shaper.wrap(transports[r])
 		}
 	}
 	var ctrl *autotune.Controller
@@ -474,7 +463,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 
 // buildLiveTransports wires one transport endpoint per worker plus a
 // teardown closing them all.
-func buildLiveTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
+func buildLiveTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 	switch cfg.Backend {
 	case LiveBackendRing:
 		return buildRingTransports(cfg)
@@ -526,40 +515,33 @@ func dialRing(cfg LiveConfig) ([]*netar.Peer, func(), error) {
 	return peers, teardown, nil
 }
 
-func buildRingTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
+func buildRingTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 	peers, teardown, err := dialRing(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	transports := make([]liveTransport, cfg.Workers)
+	transports := make([]liveComm, cfg.Workers)
 	for r, peer := range peers {
-		transports[r] = liveTransport{
-			// The collective is indivisible: the whole op is the send
-			// phase, so credit is held until it returns (safe: coordinated
-			// release admits in one total order on every peer).
-			comm: func(key string, iter uint32, in, out []float32, sent func()) error {
-				sum, err := peer.AllReduce(key, iter, in)
-				if err != nil {
-					return err
-				}
-				copy(out, sum)
-				sent()
-				return nil
-			},
+		// The collective is indivisible: the whole op is the send phase,
+		// so credit is held until it returns (safe: coordinated release
+		// admits in one total order on every peer).
+		transports[r] = func(key string, iter uint32, in, out []float32, sent func()) error {
+			sum, err := peer.AllReduce(key, iter, in)
+			if err != nil {
+				return err
+			}
+			copy(out, sum)
+			sent()
+			return nil
 		}
 	}
 	return transports, teardown, nil
 }
 
-func buildPSTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
-	srvOpts := []netps.ServerOption{}
-	if cfg.PSShards > 0 {
-		srvOpts = append(srvOpts, netps.WithShards(cfg.PSShards))
-	}
-	if cfg.Metrics != nil {
-		srvOpts = append(srvOpts, netps.WithServerMetrics(cfg.Metrics))
-	}
-	srv, err := netps.NewServer(cfg.Workers, srvOpts...)
+func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
+	// Every option below takes its zero value (nil registry, nil tracer,
+	// identity codec) to mean "off".
+	srv, err := netps.NewServer(cfg.Workers, netps.WithServerMetrics(cfg.Metrics))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -569,61 +551,35 @@ func buildPSTransports(cfg LiveConfig) ([]liveTransport, func(), error) {
 		return nil, nil, err
 	}
 	clients := make([]*netps.Client, cfg.Workers)
-	batchers := make([]*netps.Batcher, cfg.Workers)
 	teardown := func() {
-		for _, b := range batchers {
-			if b != nil {
-				b.Close()
-			}
-		}
 		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
+			c.Close()
 		}
 		srv.Close()
 	}
-	transports := make([]liveTransport, cfg.Workers)
+	transports := make([]liveComm, cfg.Workers)
 	for r := 0; r < cfg.Workers; r++ {
-		opts := []netps.Option{
-			netps.WithClientID(uint32(r + 1)),
-			netps.WithSeed(cfg.Seed + int64(r)),
-		}
-		if !cfg.Codec.IsIdentity() {
-			opts = append(opts, netps.WithCodec(cfg.Codec))
-		}
-		if cfg.Metrics != nil {
-			opts = append(opts, netps.WithMetrics(cfg.Metrics))
-		}
-		if cfg.Trace != nil {
-			opts = append(opts, netps.WithTracer(cfg.Trace))
-		}
-		client := netps.NewClient(addr, opts...)
+		client := netps.NewClient(addr,
+			netps.WithClientID(uint32(r+1)),
+			netps.WithSeed(cfg.Seed+int64(r)),
+			netps.WithCodec(cfg.Codec),
+			netps.WithMetrics(cfg.Metrics),
+			netps.WithTracer(cfg.Trace))
 		clients[r] = client
-		batcher := netps.NewBatcher(client)
-		batchers[r] = batcher
-		transports[r] = liveTransport{
-			comm: func(key string, iter uint32, in, out []float32, sent func()) error {
-				pushed := make(chan error, 1)
-				batcher.Push(key, iter, in, func(err error) { pushed <- err })
-				if err := <-pushed; err != nil {
-					return err
-				}
-				// The push is on the wire and acknowledged; the pull
-				// below blocks until every worker pushed. Hand the
-				// scheduler its credit back first (see liveComm).
-				sent()
-				sum, err := client.Pull(key, iter)
-				if err != nil {
-					return err
-				}
-				copy(out, sum)
-				return nil
-			},
-			// The scheduler's flush hook is the Batcher's coalescing
-			// point: one wire frame per releasing pass (§2.2's θ
-			// amortization), without adding latency beyond the pass.
-			attach: func(s *core.AsyncScheduler) { s.SetFlushHook(batcher.FlushAsync) },
+		transports[r] = func(key string, iter uint32, in, out []float32, sent func()) error {
+			if err := client.Push(key, iter, in); err != nil {
+				return err
+			}
+			// The push is on the wire and acknowledged; the pull below
+			// blocks until every worker pushed. Hand the scheduler its
+			// credit back first (see liveComm).
+			sent()
+			sum, err := client.Pull(key, iter)
+			if err != nil {
+				return err
+			}
+			copy(out, sum)
+			return nil
 		}
 	}
 	return transports, teardown, nil
@@ -726,7 +682,7 @@ func eachSpan(members []*liveGrad, offsets []int64, lo, hi int64, fn func(g *liv
 // from the previous pass finish under the old config, and the controller's
 // per-iteration pinning keeps partition counts — which the transport keys
 // embed — identical across workers.
-func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl *autotune.Controller, starts []time.Time) (core.Stats, error) {
+func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *autotune.Controller, starts []time.Time) (core.Stats, error) {
 	layers := len(cfg.LayerBytes)
 	coordinated := cfg.coordinated()
 	// order is the run's priority table as a function. It reads
@@ -754,9 +710,6 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 	if cfg.Metrics != nil && rank == 0 {
 		sched.Instrument(cfg.Metrics)
 	}
-	if tr.attach != nil {
-		tr.attach(sched)
-	}
 	releaser, err := core.NewStreamReleaser(cfg.releaseWindow(), coordinated, order, sched)
 	if err != nil {
 		return core.Stats{}, err
@@ -770,7 +723,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 			}
 			// The content-derived bucket name is identical on every worker
 			// that bucketed the same members.
-			return startFn(tr.comm, fd.Tensor.Name, members, fd.Offsets())
+			return startFn(comm, fd.Tensor.Name, members, fd.Offsets())
 		},
 	}, releaser)
 	if err != nil {
@@ -832,7 +785,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, tr liveTransport, ctrl 
 			t := &core.Task{
 				Tensor:   tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
 				Meta:     g,
-				StartErr: startFn(tr.comm, names[l], []*liveGrad{g}, nil),
+				StartErr: startFn(comm, names[l], []*liveGrad{g}, nil),
 			}
 			t.OnFinished = func() {
 				if err := t.Err(); err != nil {

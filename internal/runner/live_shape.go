@@ -120,31 +120,12 @@ func (s *linkShaper) hold(iter int, bytes int64) {
 	if ph.Gbps > 0 {
 		d += time.Duration(float64(bytes) * 8 / ph.Gbps)
 	}
-	d += s.faultPenalty(ph.Faults)
+	sec, _, _ := ph.Faults.Penalty(s.rng)
+	d += time.Duration(sec * float64(time.Second))
 	if d > 0 {
 		time.Sleep(d)
 	}
 	s.link <- struct{}{}
 	s.msgs.Inc()
 	s.delay.Observe(d.Seconds())
-}
-
-// faultPenalty draws the phase's per-message fault delay: a geometric
-// number of retransmit timeouts plus an optional latency spike — the same
-// model network.faultPenalty applies in the simulator.
-func (s *linkShaper) faultPenalty(fc network.FaultConfig) time.Duration {
-	var sec float64
-	if fc.DropProb > 0 {
-		rto := fc.RetransmitDelay
-		if rto == 0 {
-			rto = network.DefaultRetransmitDelay
-		}
-		for s.rng.Float64() < fc.DropProb {
-			sec += rto
-		}
-	}
-	if fc.SpikeProb > 0 && s.rng.Float64() < fc.SpikeProb {
-		sec += fc.SpikeSec
-	}
-	return time.Duration(sec * float64(time.Second))
 }

@@ -3,28 +3,26 @@ package runner
 import (
 	"fmt"
 
-	"bytescheduler/internal/tune"
+	"bytescheduler/internal/autotune"
+	"bytescheduler/internal/sim"
 )
+
+// onlineSteadyWindows is how many settled windows the iteration budget
+// leaves after the search, for FinalSpeed to average.
+const onlineSteadyWindows = 2
 
 // OnlineConfig drives runtime auto-tuning: the paper's actual deployment
 // mechanism (§4.3, §5), where worker 0's Core profiles the training speed
-// of candidate (partition, credit) configurations on the live job and
+// of candidate (partition, credit) configurations on the running job and
 // Bayesian Optimization proposes the next candidate.
 type OnlineConfig struct {
 	// Config is the training setup; its Policy provides the starting
-	// partition/credit values and Iterations is ignored (derived from the
-	// window schedule below).
+	// partition/credit values and Iterations is ignored (derived from
+	// AutoTune's warmup, dwell and trial counts).
 	Config
-	// WindowIters is the number of iterations profiled per configuration
-	// trial.
-	WindowIters int
-	// Trials is the number of tuner proposals to evaluate.
-	Trials int
-	// FinalWindows is the number of windows run at the best configuration
-	// after the search completes, whose speed is reported as FinalSpeed.
-	FinalWindows int
-	// TuneSeed seeds the tuner.
-	TuneSeed int64
+	// AutoTune parameterizes the controller — the same autotune.Controller
+	// RunLive drives, here fed virtual iteration times.
+	AutoTune autotune.Config
 	// RestartPenalty models the PS-mode checkpoint-restart cost paid on
 	// every partition-size change (§5: ~5-9 s per restart); the penalty is
 	// accounted in TuningOverhead rather than simulated. All-reduce
@@ -32,137 +30,88 @@ type OnlineConfig struct {
 	RestartPenalty float64
 }
 
-// WindowSample is one profiled configuration.
-type WindowSample struct {
-	// Window is the 0-based profiling window index.
-	Window int
-	// Partition and Credit are the active knob values, in bytes.
-	Partition, Credit int64
-	// Speed is the measured training speed over the window.
-	Speed float64
-}
-
 // OnlineResult summarizes an online-tuned run.
 type OnlineResult struct {
-	// Windows are the profiled samples in order.
-	Windows []WindowSample
-	// BestPartition/BestCredit are the tuner's final choice.
-	BestPartition, BestCredit int64
-	// FirstWindowSpeed is the speed at the starting configuration;
-	// FinalSpeed the speed at the tuned configuration (averaged over the
-	// final windows).
-	FirstWindowSpeed, FinalSpeed float64
-	// Restarts counts partition-size changes (PS restarts);
-	// TuningOverhead is Restarts*RestartPenalty seconds.
+	// Report is the controller's own summary; its speeds are iterations
+	// per second.
+	Report autotune.Report
+	// SamplesPerIter scales Report's speeds to samples per second.
+	SamplesPerIter float64
+	// FirstSpeed is the baseline window's speed at the starting
+	// configuration; FinalSpeed the mean over the steady windows after the
+	// search settled. Both in samples per second.
+	FirstSpeed, FinalSpeed float64
+	// Restarts counts the decisions whose partition differs from the
+	// previous one (PS restarts); TuningOverhead is
+	// Restarts*RestartPenalty seconds on PS and 0 on all-reduce.
 	Restarts       int
 	TuningOverhead float64
 }
 
-// RunOnlineTuned executes one simulated training job while tuning partition
-// and credit sizes on the fly. Unlike Tune-by-replay (SpeedWithParams),
-// every sample here comes from a window of the same continuous run, with
-// compute jitter noise if configured — the regime Bayesian Optimization's
-// noise resilience is for.
+// RunOnlineTuned executes one simulated training job while
+// autotune.Controller tunes partition and credit sizes on the fly. Unlike
+// Tune-by-replay (SpeedWithParams), every sample comes from a window of
+// the same continuous run, with compute jitter noise if configured — the
+// regime Bayesian Optimization's noise resilience is for. The controller
+// sees virtual time, so its rollback, revalidate and settle are
+// reproducible bit for bit.
 func RunOnlineTuned(oc OnlineConfig) (OnlineResult, error) {
 	cfg := oc.Config.withDefaults()
-	if oc.WindowIters <= 0 {
-		oc.WindowIters = 5
+	if !cfg.Scheduled {
+		return OnlineResult{}, fmt.Errorf("runner: online tuning needs a scheduled starting policy")
 	}
-	if oc.Trials <= 0 {
-		oc.Trials = 10
-	}
-	if oc.FinalWindows <= 0 {
-		oc.FinalWindows = 2
-	}
-	if !cfg.Scheduled || cfg.Policy.PartitionUnit <= 0 {
-		return OnlineResult{}, fmt.Errorf("runner: online tuning needs a scheduled, partitioned starting policy")
-	}
-	// Window 0 profiles the starting configuration, then one window per
-	// trial, then the final windows.
-	windows := 1 + oc.Trials + oc.FinalWindows
-	cfg.Iterations = windows*oc.WindowIters + 1 // +1: last boundary
-	cfg.Warmup = 0
-
-	bo := tune.NewBO(tune.ParamBounds(), oc.TuneSeed)
-	samplesPerIter := float64(cfg.Model.BatchPerGPU) * float64(cfg.GPUs)
-
-	var (
-		res        OnlineResult
-		inst       *instance
-		windowFrom float64
-		window     int
-		curPart    = cfg.Policy.PartitionUnit
-		curCredit  = cfg.Policy.CreditBytes
-		pendingX   []float64
-	)
-
-	engCfg := engineConfig(cfg)
-	engCfg.OnIteration = func(iter int, at float64) {
-		if iter == 0 || iter%oc.WindowIters != 0 {
-			return
-		}
-		speed := samplesPerIter * float64(oc.WindowIters) / (at - windowFrom)
-		windowFrom = at
-		res.Windows = append(res.Windows, WindowSample{
-			Window: window, Partition: curPart, Credit: curCredit, Speed: speed,
-		})
-		if window == 0 {
-			res.FirstWindowSpeed = speed
-		}
-		// Report the finished window to the tuner: window 0 profiled the
-		// user's starting configuration, later windows profiled tuner
-		// proposals.
-		if pendingX != nil {
-			bo.Observe(pendingX, speed)
-			pendingX = nil
-		} else {
-			bo.Observe(tune.VectorFromParams(curPart, curCredit), speed)
-		}
-		window++
-		switch {
-		case window <= oc.Trials:
-			// Propose and apply the next configuration.
-			pendingX = bo.Next()
-			p, c := tune.ParamsFromVector(pendingX)
-			if p != curPart {
-				res.Restarts++
-			}
-			curPart, curCredit = p, c
-			inst.setParams(p, c)
-		case window == oc.Trials+1:
-			// Search done: adopt the best configuration.
-			best := bo.Best()
-			p, c := tune.ParamsFromVector(best.X)
-			if p != curPart {
-				res.Restarts++
-			}
-			curPart, curCredit = p, c
-			res.BestPartition, res.BestCredit = p, c
-			inst.setParams(p, c)
-		}
-	}
-
-	var err error
-	inst, err = build(cfg, engCfg)
+	cur := autotune.Setting{Partition: cfg.Policy.PartitionUnit, Credit: cfg.Policy.CreditBytes}
+	ctrl, err := autotune.New(cur, oc.AutoTune)
 	if err != nil {
 		return OnlineResult{}, err
 	}
-	inst.eng.Start()
-	inst.se.Run()
+	cfg.Iterations = oc.AutoTune.BudgetIters(onlineSteadyWindows) + 1 // +1: the last boundary
+	cfg.Warmup = 0
 
-	// FinalSpeed: average over the post-search windows.
-	var sum float64
-	n := 0
-	for _, w := range res.Windows {
-		if w.Window > oc.Trials {
-			sum += w.Speed
-			n++
+	var (
+		inst *instance
+		prev float64
+	)
+	engCfg := engineConfig(cfg)
+	engCfg.OnIteration = func(iter int, at float64) {
+		if iter > 0 {
+			ctrl.ObserveIteration(iter-1, at-prev)
+		}
+		prev = at
+		if s := ctrl.ConfigFor(iter); s != cur {
+			cur = s
+			inst.setParams(s.Partition, s.Credit)
 		}
 	}
-	if n == 0 {
-		return OnlineResult{}, fmt.Errorf("runner: no final windows recorded (windows=%d)", len(res.Windows))
+	se := sim.New()
+	if inst, err = build(se, nil, cfg, engCfg); err != nil {
+		return OnlineResult{}, err
 	}
-	res.FinalSpeed = sum / float64(n)
+	inst.eng.Start()
+	se.Run()
+
+	res := OnlineResult{
+		Report:         ctrl.Report(),
+		SamplesPerIter: float64(cfg.Model.BatchPerGPU) * float64(cfg.GPUs),
+	}
+	decisions := res.Report.Decisions
+	steady := 0
+	for i := len(decisions) - 1; i >= 0 && decisions[i].Action == "steady"; i-- {
+		res.FinalSpeed += decisions[i].Speed
+		steady++
+	}
+	if steady == 0 {
+		return OnlineResult{}, fmt.Errorf("runner: online tuning did not settle in %d iterations (%d decisions)", cfg.Iterations, len(decisions))
+	}
+	res.FirstSpeed = decisions[0].Speed * res.SamplesPerIter
+	res.FinalSpeed *= res.SamplesPerIter / float64(steady)
+	part := cfg.Policy.PartitionUnit
+	for _, d := range decisions {
+		if d.Setting.Partition != part {
+			part = d.Setting.Partition
+			res.Restarts++
+		}
+	}
 	if cfg.Arch == PS {
 		res.TuningOverhead = float64(res.Restarts) * oc.RestartPenalty
 	}

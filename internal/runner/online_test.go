@@ -1,12 +1,15 @@
 package runner
 
 import (
+	"reflect"
 	"testing"
 
+	"bytescheduler/internal/autotune"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/model"
 	"bytescheduler/internal/network"
 	"bytescheduler/internal/plugin"
+	"bytescheduler/internal/ps"
 )
 
 func onlineBase(t *testing.T) OnlineConfig {
@@ -23,10 +26,7 @@ func onlineBase(t *testing.T) OnlineConfig {
 			Policy:    core.ByteScheduler(64<<20, 64<<20),
 			Scheduled: true,
 		},
-		WindowIters:    4,
-		Trials:         8,
-		FinalWindows:   2,
-		TuneSeed:       5,
+		AutoTune:       autotune.Config{Trials: 8, Seed: 5},
 		RestartPenalty: 5,
 	}
 }
@@ -36,42 +36,77 @@ func TestOnlineTuningImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Windows) == 0 || res.FirstWindowSpeed <= 0 {
-		t.Fatalf("no windows recorded: %+v", res)
+	rep := res.Report
+	if len(rep.Decisions) == 0 || res.FirstSpeed <= 0 {
+		t.Fatalf("no windows judged: %+v", res)
 	}
-	if res.FinalSpeed <= res.FirstWindowSpeed {
-		t.Fatalf("online tuning did not improve: first %.0f final %.0f",
-			res.FirstWindowSpeed, res.FinalSpeed)
+	if res.FinalSpeed <= res.FirstSpeed {
+		t.Fatalf("online tuning did not improve: first %.0f final %.0f", res.FirstSpeed, res.FinalSpeed)
 	}
-	if res.BestPartition <= 0 || res.BestCredit <= 0 {
-		t.Fatalf("no best configuration: %+v", res)
+	// The controller's whole state machine runs on virtual time: from the
+	// terrible 64MB start some probe regresses past the rollback bar, the
+	// incumbent is re-validated, and the episode settles far below 32MB.
+	rolled := false
+	for i, d := range rep.Decisions[:len(rep.Decisions)-1] {
+		if d.Action == "rollback" {
+			rolled = true
+			if next := rep.Decisions[i+1]; next.Action != "revalidate" || next.State != autotune.StateRecovering {
+				t.Fatalf("rollback at iter %d followed by %+v, want revalidate", d.Iter, next)
+			}
+		}
 	}
-	// The tuned partition must be far below the terrible 64MB start.
-	if res.BestPartition >= 32<<20 {
-		t.Fatalf("tuner stuck near the bad start: partition %d", res.BestPartition)
+	if !rolled || rep.Rollbacks != 1 {
+		t.Fatalf("no guarded rollback in %+v", rep.Decisions)
+	}
+	if !rep.Settled || rep.Final != rep.Best || rep.Final.Partition >= 32<<20 || rep.Final.Credit <= 0 {
+		t.Fatalf("did not settle away from the bad start: settled=%v final=%v best=%v", rep.Settled, rep.Final, rep.Best)
+	}
+}
+
+// Virtual time makes the tuner a pure function of its seeds: two runs must
+// agree on every field of every decision.
+func TestOnlineTuningDeterministic(t *testing.T) {
+	oc := onlineBase(t)
+	oc.Jitter, oc.Seed = 0.05, 3
+	a, err := RunOnlineTuned(oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunOnlineTuned(oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seeds, different runs:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestOnlineTuningRestartAccounting(t *testing.T) {
-	res, err := RunOnlineTuned(onlineBase(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Restarts == 0 {
-		t.Fatal("partition changes must count as PS restarts")
-	}
-	if res.TuningOverhead != float64(res.Restarts)*5 {
-		t.Fatalf("overhead %.1f != restarts %d x 5s", res.TuningOverhead, res.Restarts)
-	}
-	// All-reduce adjusts live: no overhead.
 	oc := onlineBase(t)
-	oc.Arch = AllReduce
-	arRes, err := RunOnlineTuned(oc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arRes.TuningOverhead != 0 {
-		t.Fatalf("all-reduce tuning overhead %.1f, want 0", arRes.TuningOverhead)
+	for _, arch := range []Arch{PS, AllReduce} {
+		oc.Arch = arch
+		res, err := RunOnlineTuned(oc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes, part := 0, oc.Policy.PartitionUnit
+		for _, d := range res.Report.Decisions {
+			if d.Setting.Partition != part {
+				changes++
+				part = d.Setting.Partition
+			}
+		}
+		if changes == 0 || res.Restarts != changes {
+			t.Fatalf("%v: restarts %d, partition changes %d", arch, res.Restarts, changes)
+		}
+		// All-reduce adjusts live: no overhead.
+		want := float64(changes) * oc.RestartPenalty
+		if arch == AllReduce {
+			want = 0
+		}
+		if res.TuningOverhead != want {
+			t.Fatalf("%v: overhead %.1f, want %.1f (%d changes)", arch, res.TuningOverhead, want, changes)
+		}
 	}
 }
 
@@ -83,18 +118,27 @@ func TestOnlineTuningUnderJitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FinalSpeed <= res.FirstWindowSpeed {
-		t.Fatalf("noisy online tuning did not improve: first %.0f final %.0f",
-			res.FirstWindowSpeed, res.FinalSpeed)
+	if res.FinalSpeed <= res.FirstSpeed {
+		t.Fatalf("noisy online tuning did not improve: first %.0f final %.0f", res.FirstSpeed, res.FinalSpeed)
 	}
 }
 
 func TestOnlineTuningValidation(t *testing.T) {
-	oc := onlineBase(t)
-	oc.Policy = core.FIFO()
-	oc.Scheduled = false
-	if _, err := RunOnlineTuned(oc); err == nil {
-		t.Fatal("accepted an unscheduled starting policy")
+	unscheduled := onlineBase(t)
+	unscheduled.Policy = core.FIFO()
+	unscheduled.Scheduled = false
+	noCredit := onlineBase(t)
+	noCredit.Policy.CreditBytes = 0
+	badTuner := onlineBase(t)
+	badTuner.AutoTune.Suggester = "simplex"
+	for name, oc := range map[string]OnlineConfig{
+		"unscheduled starting policy": unscheduled,
+		"zero starting credit":        noCredit,
+		"unknown suggester":           badTuner,
+	} {
+		if _, err := RunOnlineTuned(oc); err == nil {
+			t.Errorf("accepted %s", name)
+		}
 	}
 }
 
@@ -180,6 +224,36 @@ func TestCoScheduledSchedulingStillHelps(t *testing.T) {
 	}
 }
 
+// A co-scheduled job is wired by the same build as a solo job, so its
+// placement strategy reaches the PS assigner.
+func TestCoScheduledHonoursPlacement(t *testing.T) {
+	mk := func(placement ps.Strategy) Config {
+		whole := ps.RoundRobinTensor
+		return Config{
+			Model:         model.VGG16(),
+			Framework:     plugin.MXNet,
+			Arch:          PS,
+			Transport:     network.RDMA(),
+			BandwidthGbps: 100,
+			GPUs:          32,
+			Policy:        core.ByteScheduler(2<<20, 16<<20),
+			Scheduled:     true,
+			Assignment:    &whole,
+			Placement:     placement,
+			Iterations:    4,
+			Warmup:        1,
+		}
+	}
+	res, err := RunCoScheduled([]Config{mk(ps.StrategyRoundRobin), mk(ps.StrategySizeBalanced)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, lpt := res[0].PlannedImbalance, res[1].PlannedImbalance
+	if rr <= 0 || lpt <= 0 || lpt >= rr {
+		t.Fatalf("planned imbalance round-robin %.3f, size-balanced %.3f: placement ignored", rr, lpt)
+	}
+}
+
 func TestCoScheduledValidation(t *testing.T) {
 	good := Config{
 		Model:         model.VGG16(),
@@ -202,5 +276,10 @@ func TestCoScheduledValidation(t *testing.T) {
 	big.GPUs = 32
 	if _, err := RunCoScheduled([]Config{good, big}); err == nil {
 		t.Error("accepted mismatched cluster shapes")
+	}
+	faulty := good
+	faulty.Faults = &network.FaultConfig{DropProb: 0.1, RetransmitDelay: 1e-3}
+	if _, err := RunCoScheduled([]Config{good, faulty}); err == nil {
+		t.Error("accepted a per-job fault config on the shared fabric")
 	}
 }

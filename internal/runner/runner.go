@@ -253,15 +253,16 @@ type Result struct {
 
 // instance is a wired simulation ready to start.
 type instance struct {
-	se        *sim.Engine
 	eng       *engine.Engine
 	setParams func(partition, credit int64)
 	collect   func(res *Result) error
 }
 
-// build wires a complete simulation from the configuration. engCfg lets
-// callers attach hooks (e.g. OnIteration for online tuning) before wiring.
-func build(cfg Config, engCfg engine.Config) (*instance, error) {
+// build wires a complete simulation onto se from the configuration. engCfg
+// lets callers attach hooks (e.g. OnIteration for online tuning) before
+// wiring. A PS job builds its own fabric unless fab is non-nil, the fabric
+// co-scheduled jobs share.
+func build(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config) (*instance, error) {
 	if cfg.Compression != nil {
 		if err := cfg.Compression.Validate(); err != nil {
 			return nil, err
@@ -288,16 +289,17 @@ func build(cfg Config, engCfg engine.Config) (*instance, error) {
 		}
 		cfg.Policy.Priority = core.RankPriority(ranks)
 	}
-	se := sim.New()
 	machines := cfg.Machines()
-	inst := &instance{se: se}
+	inst := &instance{}
 	switch cfg.Arch {
 	case PS:
-		fab := network.NewFabric(se, 2*machines, cfg.BandwidthGbps, cfg.Transport)
-		fab.SetTrace(cfg.Trace)
-		if cfg.Faults != nil {
-			if err := fab.InjectFaults(*cfg.Faults); err != nil {
-				return nil, err
+		if fab == nil {
+			fab = network.NewFabric(se, 2*machines, cfg.BandwidthGbps, cfg.Transport)
+			fab.SetTrace(cfg.Trace)
+			if cfg.Faults != nil {
+				if err := fab.InjectFaults(*cfg.Faults); err != nil {
+					return nil, err
+				}
 			}
 		}
 		assignment := ps.RoundRobinTensor
@@ -397,12 +399,13 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Cluster != nil {
 		return runCluster(cfg)
 	}
-	inst, err := build(cfg, engineConfig(cfg))
+	se := sim.New()
+	inst, err := build(se, nil, cfg, engineConfig(cfg))
 	if err != nil {
 		return Result{}, err
 	}
 	inst.eng.Start()
-	inst.se.Run()
+	se.Run()
 	if leaked := inst.eng.OutstandingGates(); leaked != 0 {
 		return Result{}, fmt.Errorf("runner: %d communication gates never opened", leaked)
 	}
