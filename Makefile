@@ -43,8 +43,8 @@ fuzz:
 # compiling with the code they describe, checklinks fails on any relative
 # markdown link or heading anchor whose target moved or was renamed, and
 # checkdocs requires a doc comment on every exported symbol of the
-# operator-facing packages and of internal/wire (the frame both live
-# transports depend on).
+# operator-facing packages, of internal/wire (the frame both live
+# transports depend on) and of internal/netps (the PS client API).
 docs: vet
 	sh scripts/checklinks.sh
 	sh scripts/checkdocs.sh
@@ -52,8 +52,14 @@ docs: vet
 # verify is the CI gate: everything must build, pass vet + staticcheck,
 # pass the full test suite with the race detector on (./... includes the
 # live netps/netar transports and the runner's live harness), survive a
-# fuzz smoke on every wire decoder, and have intact docs. The race pass
-# includes TestParallelMatchesSerial, which also holds every non-live
+# fuzz smoke on every wire decoder, and have intact docs. The race pass is
+# where the live transports' buffer reuse is held to its ownership rules:
+# internal/netps's TestBufferOwnership (a recycled read, encode or sum
+# buffer touched after its owner moved on is a race report) and
+# TestBulkPathAllocBudget (the bytes one push+pull iteration may allocate,
+# stated so it holds with the detector on); CI refuses a build tag on any
+# live-transport test file, which would skip it here. The race pass also
+# includes TestParallelMatchesSerial, which holds every non-live
 # experiment it runs to internal/experiments/testdata/quick_seed1.json; a PR
 # that means to move a table regenerates that snapshot (~3 min, command in
 # internal/experiments/determinism_test.go's file comment) and reviews its diff.

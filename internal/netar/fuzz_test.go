@@ -91,7 +91,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatal("an empty pending table refused a segment")
 		}
 		want, decodeErr := wire.Floats(nil, m.Header, m.Payload)
-		got, err := p.recvSegment(m.Key, m.Iter, m.Step, m.Chunk, len(want))
+		got := make([]float32, len(want))
+		err = p.recvSegment(m.Key, m.Iter, m.Step, m.Chunk, got)
 		if (err == nil) != (decodeErr == nil) {
 			t.Fatalf("recvSegment err = %v, envelope decode err = %v", err, decodeErr)
 		}

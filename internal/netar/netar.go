@@ -459,15 +459,16 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 }
 
 // recvSegment blocks until the predecessor's segment for (key, iter, step)
-// arrives, the step timeout fires, or the peer closes. It verifies the
-// received chunk index and length against the schedule, catching ring
-// misconfiguration (wrong rank order, mismatched sizes) at the first step
-// instead of as silently wrong sums.
-func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint16, wantLen int) ([]float32, error) {
+// arrives, the step timeout fires, or the peer closes, and decodes it into
+// dst. It verifies the received chunk index and length (len(dst) values)
+// against the schedule, catching ring misconfiguration (wrong rank order,
+// mismatched sizes) at the first step instead of as silently wrong sums; a
+// segment of the wrong length is that error and never written past dst.
+func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint16, dst []float32) error {
 	k := slotKey{key: key, iter: iter, step: step}
 	s, err := p.waiterSlot(k)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var timeout <-chan time.Time
 	if p.stepTimeout > 0 {
@@ -479,26 +480,28 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 	case m := <-s.ch:
 		p.dropSlot(k)
 		if m.Chunk != wantChunk {
-			return nil, fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
+			return fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
 				step, key, iter, m.Chunk, wantChunk)
 		}
-		vals, err := wire.Floats(nil, m.Header, m.Payload)
+		// Capacity clipped to len(dst): a longer segment reallocates
+		// instead of overrunning into the neighbouring chunk.
+		vals, err := wire.Floats(dst[:0:len(dst)], m.Header, m.Payload)
 		if err != nil {
-			return nil, fmt.Errorf("netar: step %d of %s#%d: %w", step, key, iter, err)
+			return fmt.Errorf("netar: step %d of %s#%d: %w", step, key, iter, err)
 		}
-		if len(vals) != wantLen {
-			return nil, fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",
-				step, key, iter, m.Chunk, len(vals), wantLen)
+		if len(vals) != len(dst) {
+			return fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",
+				step, key, iter, m.Chunk, len(vals), len(dst))
 		}
 		p.inst.bytesRecv.Add(uint64(len(m.Payload)))
-		return vals, nil
+		return nil
 	case <-p.done:
 		p.dropSlot(k)
-		return nil, fmt.Errorf("netar: peer closed while waiting for step %d of %s#%d", step, key, iter)
+		return fmt.Errorf("netar: peer closed while waiting for step %d of %s#%d", step, key, iter)
 	case <-timeout:
 		p.dropSlot(k)
 		p.inst.stepTimeouts.Inc()
-		return nil, fmt.Errorf("netar: timeout after %v waiting for step %d of %s#%d (dead peer?)",
+		return fmt.Errorf("netar: timeout after %v waiting for step %d of %s#%d (dead peer?)",
 			p.stepTimeout, step, key, iter)
 	}
 }
@@ -548,7 +551,9 @@ func (p *Peer) allReduce(key string, iter uint32, data []float32) ([]float32, er
 	bounds := chunkBounds(len(acc), m)
 	// Reduce-scatter: after step s every rank has accumulated one more
 	// partial sum; after M-1 steps rank r owns the fully reduced chunk
-	// (r+1) mod M.
+	// (r+1) mod M. Incoming partial sums land in one scratch per collective
+	// (chunk 0 is never shorter than any other).
+	scratch := make([]float32, bounds[1])
 	for s := 0; s < m-1; s++ {
 		sendChunk := mod(p.rank-s, m)
 		recvChunk := mod(p.rank-s-1, m)
@@ -556,17 +561,18 @@ func (p *Peer) allReduce(key string, iter uint32, data []float32) ([]float32, er
 		if err := p.sendSegment(key, iter, uint16(s), uint16(sendChunk), seg); err != nil {
 			return nil, err
 		}
-		vals, err := p.recvSegment(key, iter, uint16(s), uint16(recvChunk), bounds[recvChunk+1]-bounds[recvChunk])
-		if err != nil {
+		dst := acc[bounds[recvChunk]:bounds[recvChunk+1]]
+		vals := scratch[:len(dst)]
+		if err := p.recvSegment(key, iter, uint16(s), uint16(recvChunk), vals); err != nil {
 			return nil, err
 		}
-		dst := acc[bounds[recvChunk]:bounds[recvChunk+1]]
 		for i, v := range vals {
 			dst[i] += v
 		}
 	}
 	// All-gather: circulate the reduced chunks. At gather step s rank r
-	// sends chunk (r+1-s) mod M (reduced) and receives chunk (r-s) mod M.
+	// sends chunk (r+1-s) mod M (reduced) and receives chunk (r-s) mod M,
+	// decoded in place.
 	for s := 0; s < m-1; s++ {
 		step := uint16(m - 1 + s)
 		sendChunk := mod(p.rank+1-s, m)
@@ -575,11 +581,9 @@ func (p *Peer) allReduce(key string, iter uint32, data []float32) ([]float32, er
 		if err := p.sendSegment(key, iter, step, uint16(sendChunk), seg); err != nil {
 			return nil, err
 		}
-		vals, err := p.recvSegment(key, iter, step, uint16(recvChunk), bounds[recvChunk+1]-bounds[recvChunk])
-		if err != nil {
+		if err := p.recvSegment(key, iter, step, uint16(recvChunk), acc[bounds[recvChunk]:bounds[recvChunk+1]]); err != nil {
 			return nil, err
 		}
-		copy(acc[bounds[recvChunk]:bounds[recvChunk+1]], vals)
 	}
 	return acc, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -446,8 +447,8 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 	}
 	dups := reg.Counter("netar_dup_segments_total")
 	waitCounter(t, dups, 1)
-	got, err := p.recvSegment("k", 1, 0, 1, 2)
-	if err != nil {
+	got := make([]float32, 2)
+	if err := p.recvSegment("k", 1, 0, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 2 || got[1] != 3 {
@@ -455,6 +456,31 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 	}
 	if n := dups.Value(); n != 1 {
 		t.Fatalf("dup counter = %d, want 1", n)
+	}
+}
+
+// TestRecvSegmentWrongLengthInPlace: a segment decodes straight into the
+// chunk of the accumulator it belongs to, so one that is longer or shorter
+// than the chunk must be the length-mismatch error without touching the
+// neighbouring chunk.
+func TestRecvSegmentWrongLengthInPlace(t *testing.T) {
+	p, err := NewPeer(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for step, payload := range [][]byte{f32(1, 2, 3), f32(1)} {
+		acc := []float32{-1, -1, -1, -1}
+		if !p.deliver(seg("k", 1, 1, uint16(step), 0, payload)) {
+			t.Fatal("an empty pending table refused a segment")
+		}
+		err := p.recvSegment("k", 1, uint16(step), 0, acc[:2])
+		if err == nil || !strings.Contains(err.Error(), "vector length mismatch") {
+			t.Fatalf("%d-byte segment into a 2-value chunk: err = %v, want a vector length mismatch", len(payload), err)
+		}
+		if acc[2] != -1 || acc[3] != -1 {
+			t.Fatalf("%d-byte segment overran its chunk: %v", len(payload), acc)
+		}
 	}
 }
 
@@ -496,7 +522,8 @@ func TestPendingTableOverflow(t *testing.T) {
 		t.Fatalf("drop counter = %d, want 1", n)
 	}
 	// The parked segments below the bound are still deliverable.
-	if got, err := p.recvSegment("flood", 1, 0, 0, 1); err != nil || got[0] != 1 {
+	got := make([]float32, 1)
+	if err := p.recvSegment("flood", 1, 0, 0, got); err != nil || got[0] != 1 {
 		t.Fatalf("parked segment lost after overflow: %v %v", got, err)
 	}
 }

@@ -2,6 +2,7 @@ package netps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -25,11 +26,13 @@ func (c *Client) roundTripBatch(subs []message) ([]message, error) {
 	}
 	c.inst.batches.Inc()
 	c.inst.batchedMsgs.Add(uint64(len(subs)))
-	resp, err := c.roundTrip(newMessage(OpBatch, "", 0, 0, payload))
-	if err != nil {
+	// The sub-responses alias the payload they are parsed from, so it is
+	// copied out of the connection's read buffer.
+	var resp []byte
+	if err := c.roundTrip(newMessage(OpBatch, "", 0, 0, payload), func(m message) { resp = slices.Clone(m.Payload) }); err != nil {
 		return nil, err
 	}
-	out, err := decodeBatch(resp.Payload)
+	out, err := decodeBatch(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +68,7 @@ func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
 	}
 	subs := make([]message, len(items))
 	for i, it := range items {
-		subs[i] = c.pushMessage(it.Key, it.Iter, it.Grad)
+		subs[i] = c.pushMessage(nil, it.Key, it.Iter, it.Grad)
 		subs[i].Seq = c.nextSeq()
 	}
 	out, err := c.roundTripBatch(subs)

@@ -1,0 +1,294 @@
+// Tests for the bulk path's buffer reuse: what one push + pull cycle may
+// allocate, and who owns each recycled buffer until when (ARCHITECTURE,
+// "Buffer ownership"). Both run under the race detector; the ownership
+// test is meant for -race -count=10.
+package netps
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// constVec returns n copies of v.
+func constVec(n int, v float32) []float32 {
+	vec := make([]float32, n)
+	for i := range vec {
+		vec[i] = v
+	}
+	return vec
+}
+
+// checkConst fails unless got is exactly n copies of want.
+func checkConst(t *testing.T, what string, got []float32, n int, want float32) {
+	t.Helper()
+	if len(got) != n {
+		t.Errorf("%s: %d values, want %d", what, len(got), n)
+		return
+	}
+	for i, v := range got {
+		if v != want {
+			t.Errorf("%s: value %d = %v, want %v", what, i, v, want)
+			return
+		}
+	}
+}
+
+// TestBulkPathAllocBudget guards the number the bulk path is built for:
+// two workers each Push + PullInto one 256 KB partition per iteration, and
+// after a warm-up one such iteration allocates at most four partitions'
+// worth of bytes — the aggregate's wire form (shared by every puller and
+// the completed log, so left to the collector) plus room for pool misses.
+// Before the buffers were reused it allocated about ten. A byte budget, not
+// an allocation count: it holds under the race detector too, where
+// sync.Pool drops a quarter of its puts.
+func TestBulkPathAllocBudget(t *testing.T) {
+	const (
+		floats = 64 << 10 // 256 KB of fp32
+		warmup = 10
+		iters  = 100
+	)
+	_, addr := startServer(t, 2)
+	var clients [2]*Client
+	var grads, outs [2][]float32
+	for w := range clients {
+		clients[w] = NewClient(addr, WithClientID(uint32(w+1)))
+		defer clients[w].Close()
+		grads[w], outs[w] = make([]float32, floats), make([]float32, floats)
+	}
+	run := func(from, to uint32) {
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				c := clients[w]
+				for iter := from; iter < to; iter++ {
+					grad := grads[w]
+					for i := range grad {
+						grad[i] = float32(int(iter)%5 + w + i%3)
+					}
+					if err := c.Push("part", iter, grad); err != nil {
+						t.Errorf("worker %d push %d: %v", w, iter, err)
+						return
+					}
+					out := outs[w]
+					if err := c.PullInto("part", iter, out); err != nil {
+						t.Errorf("worker %d pull %d: %v", w, iter, err)
+						return
+					}
+					for i, v := range out {
+						if want := float32(2*(int(iter)%5) + 1 + 2*(i%3)); v != want {
+							t.Errorf("worker %d iter %d: sum[%d] = %v, want %v", w, iter, i, v, want)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	run(0, warmup)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(warmup, warmup+iters)
+	runtime.ReadMemStats(&after)
+	perIter := (after.TotalAlloc - before.TotalAlloc) / iters
+	t.Logf("%d KB allocated per iteration of 2 x 256 KB each way", perIter>>10)
+	if budget := uint64(4 * 4 * floats); perIter > budget {
+		t.Fatalf("one push+pull iteration allocates %d KB, budget %d KB", perIter>>10, budget>>10)
+	}
+}
+
+// TestBufferOwnership pins who owns each recycled buffer until when.
+func TestBufferOwnership(t *testing.T) {
+	// (a) A response is decoded before its connection returns to the idle
+	// pool: eight goroutines share one client, so connections are recycled
+	// between them, and every pulled vector is checked only after a later
+	// request has been through the pool again.
+	t.Run("pull results survive connection reuse", func(t *testing.T) {
+		_, addr := startServer(t, 1)
+		c := NewClient(addr)
+		defer c.Close()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				key, n := fmt.Sprintf("g%d", g), 2048+512*g
+				var kept []float32 // the last Pull's result, re-read after later requests
+				var keptWant float32
+				into := make([]float32, n)
+				for round := uint32(0); round < 12; round++ {
+					want := float32(100*g) + float32(round)
+					if err := c.Push(key, round, constVec(n, want)); err != nil {
+						t.Errorf("%s push %d: %v", key, round, err)
+						return
+					}
+					got, err := into, error(nil)
+					if round%2 == 0 {
+						got, err = c.Pull(key, round)
+					} else {
+						err = c.PullInto(key, round, into)
+					}
+					if err != nil {
+						t.Errorf("%s pull %d: %v", key, round, err)
+						return
+					}
+					checkConst(t, fmt.Sprintf("%s round %d", key, round), got, n, want)
+					if kept != nil {
+						checkConst(t, fmt.Sprintf("%s: an earlier Pull's result, read at round %d", key, round), kept, n, keptWant)
+					}
+					if round%2 == 0 {
+						kept, keptWant = got, want
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+
+	// (b) An OpErr's text is copied out of the connection's read buffer: a
+	// large pull on the same connection right after must not rewrite it.
+	t.Run("server error text survives the next response", func(t *testing.T) {
+		_, addr := startServer(t, 1)
+		c := NewClient(addr)
+		defer c.Close()
+		const n = 4096
+		// Grow the one pooled connection's buffer well past the error text.
+		if err := c.Push("warm", 0, constVec(n, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Pull("warm", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Push("k", 0, constVec(n, 2)); err != nil {
+			t.Fatal(err)
+		}
+		rejected := c.Push("k", 0, constVec(n, 2))
+		got, err := c.Pull("k", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConst(t, "pull after rejection", got, n, 2)
+		var se *ServerError
+		if !errors.As(rejected, &se) {
+			t.Fatalf("overflow push = %v, want a ServerError", rejected)
+		}
+		if want := "push overflow for k (all 1 workers already pushed)"; se.Msg != want {
+			t.Fatalf("ServerError text after a later pull = %q, want %q", se.Msg, want)
+		}
+	})
+
+	// (c) PullInto never reallocates and never writes past len(out).
+	t.Run("PullInto refuses a wrong-length destination", func(t *testing.T) {
+		_, addr := startServer(t, 1)
+		c := NewClient(addr)
+		defer c.Close()
+		const n = 1024
+		if err := c.Push("k", 0, constVec(n, 3)); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{n - 1, n + 1, 0} {
+			backing := constVec(n+8, -1)
+			if err := c.PullInto("k", 0, backing[:m]); err == nil {
+				t.Fatalf("PullInto accepted a %d-value destination for a %d-value aggregate", m, n)
+			}
+			checkConst(t, fmt.Sprintf("beyond a %d-value destination", m), backing[m:], n+8-m, -1)
+		}
+		out := make([]float32, n)
+		if err := c.PullInto("k", 0, out); err != nil {
+			t.Fatal(err)
+		}
+		checkConst(t, "exact-length destination", out, n, 3)
+	})
+
+	// (d) The encode buffer is held through the retries of its round trip:
+	// the server swallows the first frame and drops the connection (a lost
+	// ack), other pushes go through the encode pool meanwhile, and the
+	// replay must carry the same bytes as the original.
+	t.Run("retried push replays identical bytes", func(t *testing.T) {
+		_, realAddr := startServer(t, 1)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		const n = 2048
+		frames := make(chan message, 2) // the original and its replay
+		go func() {
+			defer close(frames)
+			for attempt := 0; attempt < 2; attempt++ {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				req, err := readMsg(conn)
+				if err != nil {
+					conn.Close()
+					return
+				}
+				frames <- req // readMsg's payload is the frame's own
+				if attempt == 0 {
+					// Had Push given its buffer back already, these would
+					// encode into it before the replay is written.
+					other := NewClient(realAddr)
+					for i := uint32(0); i < 8; i++ {
+						if err := other.Push("noise", i, constVec(n, -7)); err != nil {
+							t.Errorf("noise push: %v", err)
+						}
+					}
+					other.Close()
+				} else {
+					writeMsg(conn, pushAck(req)) //nolint:errcheck // test server
+				}
+				conn.Close()
+			}
+		}()
+		c := NewClient(ln.Addr().String(), WithTimeout(2*time.Second), WithRetries(2),
+			WithBackoff(time.Millisecond, 10*time.Millisecond), WithSeed(1))
+		defer c.Close()
+		grad := constVec(n, 5)
+		if err := c.Push("k", 9, grad); err != nil {
+			t.Fatalf("push: %v", err)
+		}
+		first, replay := <-frames, <-frames
+		want := c.pushMessage(nil, "k", 9, grad).Payload
+		if first.Header != replay.Header || !bytes.Equal(first.Payload, want) || !bytes.Equal(replay.Payload, want) {
+			t.Fatalf("replay differs from the original push: headers %+v / %+v, payloads equal to the encoding: %v / %v",
+				first.Header, replay.Header, bytes.Equal(first.Payload, want), bytes.Equal(replay.Payload, want))
+		}
+	})
+
+	// (e) An entry keeps its shape after its sum went back to the pool: an
+	// overflow push and a size-mismatched one arriving after aggregation
+	// completed are rejected as before.
+	t.Run("late pushes rejected after the sum is pooled", func(t *testing.T) {
+		_, addr := startServer(t, 1)
+		c := NewClient(addr)
+		defer c.Close()
+		if err := c.Push("k", 0, constVec(3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			n    int
+			want string
+		}{{3, "push overflow for k"}, {2, "push size mismatch for k"}, {4, "push size mismatch for k"}} {
+			var se *ServerError
+			if err := c.Push("k", 0, constVec(tc.n, 1)); !errors.As(err, &se) || !strings.HasPrefix(se.Msg, tc.want) {
+				t.Fatalf("%d-value push after completion = %v, want %q", tc.n, err, tc.want)
+			}
+		}
+		got, err := c.Pull("k", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConst(t, "aggregate after rejected late pushes", got, 3, 1)
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,12 +178,16 @@ type Client struct {
 	closed bool
 }
 
-// clientConn is one connection to the server with the buffered reader that
-// lives and dies with it: frames are written to the raw conn (one writev)
-// and read through br (one read syscall per small frame instead of three).
+// clientConn is one connection to the server with the buffered reader and
+// the payload buffer that live and die with it: frames are written to the
+// raw conn (one writev) and read through br (one read syscall per small
+// frame instead of three), a response's payload landing in buf — valid
+// until the connection's next read, so exchange hands it to the request's
+// recv before the connection goes back to the idle pool.
 type clientConn struct {
 	conn net.Conn
 	br   *bufio.Reader
+	buf  []byte
 }
 
 // NewClient creates a client for the shard at addr.
@@ -269,15 +274,19 @@ func (c *Client) backoff(attempt int) {
 }
 
 // exchange performs one request/response on one connection, owning the
-// connection's fate: pooled on success, closed on failure.
-func (c *Client) exchange(cc *clientConn, req message) (message, error) {
+// connection's fate: pooled on success, closed on failure. The response
+// payload is a view of the connection's read buffer, so everything that
+// outlives the exchange leaves it before release: recv (nil for a response
+// nobody reads) decodes or copies a matching response, and an OpErr's text
+// is copied into the ServerError. It returns the response's payload length.
+func (c *Client) exchange(cc *clientConn, req message, recv func(resp message)) (int, error) {
 	conn := cc.conn
 	if c.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
 	if err := wire.Write(conn, req.Header, req.Payload); err != nil {
 		conn.Close()
-		return message{}, err
+		return 0, err
 	}
 	// Count wire frames where they actually hit the wire: retries and
 	// stale-conn redials each write another frame, so counting per logical
@@ -297,22 +306,27 @@ func (c *Client) exchange(cc *clientConn, req message) (message, error) {
 	}
 	var resp message
 	var err error
-	if resp.Header, resp.Payload, err = wire.Read(cc.br); err != nil {
+	if resp.Header, resp.Payload, err = wire.ReadInto(cc.br, cc.buf); err != nil {
 		conn.Close()
-		return message{}, err
+		return 0, err
 	}
+	cc.buf = wire.Retain(cc.buf, resp.Payload)
 	conn.SetDeadline(time.Time{})
 	if Op(resp.Op) == OpErr {
 		// Application-level rejection: the connection is still in sync.
+		rejected := &ServerError{Msg: string(resp.Payload)}
 		c.release(cc)
-		return message{}, &ServerError{Msg: string(resp.Payload)}
+		return 0, rejected
 	}
 	if resp.Op != req.Op || resp.Key != req.Key || resp.Iter != req.Iter || resp.Seq != req.Seq {
 		conn.Close()
-		return message{}, fmt.Errorf("netps: mismatched response %v/%s/%d", resp.Op, resp.Key, resp.Iter)
+		return 0, fmt.Errorf("netps: mismatched response %v/%s/%d", resp.Op, resp.Key, resp.Iter)
+	}
+	if recv != nil {
+		recv(resp)
 	}
 	c.release(cc)
-	return resp, nil
+	return len(resp.Payload), nil
 }
 
 // opName labels an op for spans and error text.
@@ -340,12 +354,12 @@ func opName(op Op) string {
 // counters, byte counters, an in-flight gauge, and — when a tracer is
 // attached — one wall-clock span on the client's lane covering the whole
 // logical request.
-func (c *Client) roundTrip(req message) (message, error) {
+func (c *Client) roundTrip(req message, recv func(resp message)) error {
 	req.Seq = c.nextSeq()
 	c.inst.requests.Inc()
 	c.inst.inflight.Inc()
 	start := time.Now()
-	resp, err := c.attempt(req)
+	n, err := c.attempt(req, recv)
 	elapsed := time.Since(start)
 	c.inst.inflight.Dec()
 	if c.tracer != nil {
@@ -361,7 +375,7 @@ func (c *Client) roundTrip(req message) (message, error) {
 			c.inst.bytesPushed.Add(uint64(len(req.Payload)))
 		case OpPull:
 			c.inst.pullSeconds.Observe(elapsed.Seconds())
-			c.inst.bytesPulled.Add(uint64(len(resp.Payload)))
+			c.inst.bytesPulled.Add(uint64(n))
 		case OpBatch:
 			c.inst.batchSeconds.Observe(elapsed.Seconds())
 		}
@@ -370,7 +384,7 @@ func (c *Client) roundTrip(req message) (message, error) {
 	default:
 		c.inst.failures.Inc()
 	}
-	return resp, err
+	return err
 }
 
 func isServerError(err error) bool {
@@ -379,72 +393,93 @@ func isServerError(err error) bool {
 }
 
 // attempt runs the retry loop for one logical request.
-func (c *Client) attempt(req message) (message, error) {
-	var lastErr error
+func (c *Client) attempt(req message, recv func(resp message)) (int, error) {
 	for attempt := 0; ; attempt++ {
 		conn, reused, err := c.conn()
 		if err == nil {
-			var resp message
-			resp, err = c.exchange(conn, req)
-			if err == nil {
-				return resp, nil
-			}
-			if isServerError(err) {
-				return message{}, err
+			var n int
+			n, err = c.exchange(conn, req, recv)
+			if err == nil || isServerError(err) {
+				return n, err
 			}
 			if reused {
 				// Stale pooled connection: the server closed it while it
 				// sat idle, so the request was never processed. Replay
 				// immediately on a fresh dial, free of retry budget.
 				c.inst.redials.Inc()
-				if fresh, derr := c.dial(); derr == nil {
-					resp, err = c.exchange(fresh, req)
-					if err == nil {
-						return resp, nil
+				if conn, err = c.dial(); err == nil {
+					n, err = c.exchange(conn, req, recv)
+					if err == nil || isServerError(err) {
+						return n, err
 					}
-					if isServerError(err) {
-						return message{}, err
-					}
-				} else {
-					err = derr
 				}
 			}
 		}
-		lastErr = err
 		if attempt >= c.maxRetries || c.isClosed() {
-			return message{}, lastErr
+			return 0, err
 		}
 		c.inst.retries.Inc()
 		c.backoff(attempt)
 	}
 }
 
-// pushMessage frames one push through the client's codec; the envelope
-// carries what the server needs to decode without out-of-band
-// configuration.
-func (c *Client) pushMessage(key string, iter uint32, grad []float32) message {
+// encPool recycles Push's encode buffers: one is held through every retry
+// of the round trip that sends it and returned once that round trip has.
+var encPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// pushMessage frames one push through the client's codec, encoding onto
+// dst; the envelope carries what the server needs to decode without
+// out-of-band configuration.
+func (c *Client) pushMessage(dst []byte, key string, iter uint32, grad []float32) message {
 	m := newMessage(OpPush, key, iter, 0, nil)
-	m.Payload, m.Codec, m.Orig = wire.AppendFloats(make([]byte, 0, c.codec.EncodedLen(len(grad))), c.codec, grad)
+	m.Payload, m.Codec, m.Orig = wire.AppendFloats(slices.Grow(dst, c.codec.EncodedLen(len(grad))), c.codec, grad)
 	return m
 }
 
 // Push sends a gradient partition and returns when the server acknowledges
 // it.
 func (c *Client) Push(key string, iter uint32, grad []float32) error {
-	_, err := c.roundTrip(c.pushMessage(key, iter, grad))
+	bp := encPool.Get().(*[]byte)
+	m := c.pushMessage((*bp)[:0], key, iter, grad)
+	err := c.roundTrip(m, nil)
+	*bp = m.Payload[:0]
+	encPool.Put(bp)
 	return err
 }
 
 // Pull blocks until the partition is aggregated across all workers and
-// returns the summed values.
+// returns the summed values in a slice of their own.
 func (c *Client) Pull(key string, iter uint32) ([]float32, error) {
-	resp, err := c.roundTrip(newMessage(OpPull, key, iter, 0, nil))
+	return c.pull(key, iter, nil)
+}
+
+// PullInto is Pull decoding straight into out, the caller's buffer for the
+// partition, instead of into a new slice. An aggregate that does not have
+// exactly len(out) values is an error — out is never swapped for a
+// reallocated slice behind the caller's back, and nothing is written past
+// len(out).
+func (c *Client) PullInto(key string, iter uint32, out []float32) error {
+	vals, err := c.pull(key, iter, out)
+	if err == nil && len(vals) != len(out) {
+		return fmt.Errorf("netps: pull response: %d values for a %d-value destination", len(vals), len(out))
+	}
+	return err
+}
+
+// pull is the one pull path: the response is decoded out of the
+// connection's read buffer onto out[:0] — capacity clipped to len(out), so
+// a longer aggregate reallocates instead of overrunning the caller's
+// slice — before the connection is released.
+func (c *Client) pull(key string, iter uint32, out []float32) (vals []float32, err error) {
+	var derr error
+	err = c.roundTrip(newMessage(OpPull, key, iter, 0, nil), func(resp message) {
+		vals, derr = wire.Floats(out[:0:len(out)], resp.Header, resp.Payload)
+	})
 	if err != nil {
 		return nil, err
 	}
-	vals, err := wire.Floats(nil, resp.Header, resp.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("netps: pull response: %w", err)
+	if derr != nil {
+		return nil, fmt.Errorf("netps: pull response: %w", derr)
 	}
 	return vals, nil
 }

@@ -358,14 +358,14 @@ func TestPushReplayDeduplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.exchange(conn, req); err != nil {
+	if _, err := c.exchange(conn, req, nil); err != nil {
 		t.Fatal(err)
 	}
 	conn, err = c.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.exchange(conn, req); err != nil {
+	if _, err := c.exchange(conn, req, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Pull("w", 0)

@@ -45,6 +45,7 @@ import (
 // Op is the wire operation code.
 type Op uint8
 
+// The op codes of the PS protocol.
 const (
 	// OpPush carries a gradient partition worker -> server.
 	OpPush Op = 1

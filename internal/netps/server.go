@@ -148,7 +148,13 @@ type entryKey struct {
 }
 
 type entry struct {
-	sum    []float32
+	// sum is the running fp32 aggregate in a pooled buffer: taken by the
+	// first push, returned the moment the completing push has encoded
+	// result, nil outside that span. n is its length — the entry's shape,
+	// fixed by the first push and outliving sum, 0 until then (an empty
+	// push is rejected before it can shape anything).
+	sum    *[]float32
+	n      int
 	pushes int
 	// codec is the wire codec all of this entry's pushes arrived under
 	// (fixed by the first push; mixed-codec pushes to one key are
@@ -159,10 +165,11 @@ type entry struct {
 	// count; 0 for other codecs.
 	topk uint32
 	// result caches the wire serialization of sum (under codec), computed
-	// once when aggregation completes (sum is frozen from then on: overflow
-	// pushes are rejected). Every pull response shares this one buffer —
-	// responses only ever read it — so serving W workers costs one
-	// marshal total instead of one per pull.
+	// once when aggregation completes (overflow pushes are rejected from
+	// then on). Every pull response — parked pullers, in-flight writes, the
+	// completed log — shares this one buffer and only ever reads it, so it
+	// is left to the collector; serving W workers costs one marshal total
+	// instead of one per pull.
 	result agg
 	// pullSeen records which logical pulls were already counted as served,
 	// so a retried pull is re-answered without double-counting toward
@@ -488,10 +495,13 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // srvConn is one accepted connection's server-side state. Only its serve
 // goroutine reads or writes the connection; Server.Close only closes it.
+// buf is the connection's payload buffer: a request's payload is a view of
+// it, consumed (summed, or parsed as a batch) before the next read.
 type srvConn struct {
 	s    *Server
 	conn net.Conn
 	br   *bufio.Reader
+	buf  []byte
 }
 
 // write frames and writes one response under the server's write deadline
@@ -532,9 +542,10 @@ func (s *Server) serve(sc *srvConn) {
 		}
 		var req message
 		var err error
-		if req.Header, req.Payload, err = wire.Read(sc.br); err != nil {
+		if req.Header, req.Payload, err = wire.ReadInto(sc.br, sc.buf); err != nil {
 			return // broken or stalled peer, or malformed/oversized frame
 		}
+		sc.buf = wire.Retain(sc.buf, req.Payload)
 		if s.readTimeout > 0 {
 			sc.conn.SetReadDeadline(time.Time{})
 		}
@@ -645,8 +656,8 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 	var topk uint32
 	n := len(req.Payload) / 4
 	if req.Codec != 0 {
-		dp := decPool.Get().(*[]float32)
-		defer decPool.Put(dp)
+		dp := f32Pool.Get().(*[]float32)
+		defer f32Pool.Put(dp)
 		var err error
 		if vals, err = wire.Floats((*dp)[:0], req.Header, req.Payload); err != nil {
 			return s.rejectMsg(req, "undecodable push: "+err.Error()), nil, agg{}
@@ -686,12 +697,10 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 		sh.entries[k] = e
 		s.inst.entries.Add(1)
 	}
-	if e.sum == nil {
-		e.sum = make([]float32, n)
-		e.codec = req.Codec
-		e.topk = topk
+	if e.n == 0 {
+		e.n, e.codec, e.topk = n, req.Codec, topk
 	}
-	if len(e.sum) != n {
+	if e.n != n {
 		sh.mu.Unlock()
 		return s.rejectMsg(req, fmt.Sprintf("push size mismatch for %s", req.Key)), nil, agg{}
 	}
@@ -707,14 +716,22 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 		sh.mu.Unlock()
 		return s.rejectMsg(req, fmt.Sprintf("push overflow for %s (all %d workers already pushed)", req.Key, s.workers)), nil, agg{}
 	}
-	if vals != nil {
-		for i := range e.sum {
-			e.sum[i] += vals[i]
+	if e.pushes == 0 {
+		// The first push is the sum so far: assigned, not added to zeros.
+		e.sum = f32Pool.Get().(*[]float32)
+		if vals != nil {
+			*e.sum = append((*e.sum)[:0], vals...)
+		} else {
+			*e.sum, _ = wire.Floats((*e.sum)[:0], req.Header, req.Payload) // raw fp32, length checked above
+		}
+	} else if sum := *e.sum; vals != nil {
+		for i := range sum {
+			sum[i] += vals[i]
 		}
 	} else {
-		for i := range e.sum {
+		for i := range sum {
 			bits := binary.BigEndian.Uint32(req.Payload[i*4:])
-			e.sum[i] += math.Float32frombits(bits)
+			sum[i] += math.Float32frombits(bits)
 		}
 	}
 	if req.Seq != 0 {
@@ -726,14 +743,17 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 		e.waiters = nil
 		e.result = encodeEntry(e)
 		result = e.result
+		f32Pool.Put(e.sum)
+		e.sum = nil
 	}
 	sh.mu.Unlock()
 	return pushAck(req), wake, result
 }
 
-// decPool recycles processPush's codec-decode scratch so codec-bearing
-// pushes stay allocation-free in steady state.
-var decPool = sync.Pool{New: func() any { return new([]float32) }}
+// f32Pool recycles processPush's fp32 vectors — the codec-decode scratch
+// of one push and the running sum of one entry — so a push allocates
+// neither in steady state.
+var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
 
 // encodeEntry serializes a completed aggregate under the entry's codec.
 func encodeEntry(e *entry) agg {
@@ -743,7 +763,7 @@ func encodeEntry(e *entry) agg {
 		c, _ = compress.TopKCodecCount(int(e.topk))
 	}
 	var a agg
-	a.payload, a.codec, a.orig = wire.AppendFloats(make([]byte, 0, c.EncodedLen(len(e.sum))), c, e.sum)
+	a.payload, a.codec, a.orig = wire.AppendFloats(make([]byte, 0, c.EncodedLen(e.n)), c, *e.sum)
 	return a
 }
 

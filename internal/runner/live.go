@@ -10,6 +10,7 @@ package runner
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -574,12 +575,7 @@ func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 			// blocks until every worker pushed. Hand the scheduler its
 			// credit back first (see liveComm).
 			sent()
-			sum, err := client.Pull(key, iter)
-			if err != nil {
-				return err
-			}
-			copy(out, sum)
-			return nil
+			return client.PullInto(key, iter, out)
 		}
 	}
 	return transports, teardown, nil
@@ -624,7 +620,14 @@ func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64) c
 			// buffers: the unfused path copies nothing.
 			in, out = members[0].grad[lo/4:hi/4], members[0].out[lo/4:hi/4]
 		} else {
-			in, out = make([]float32, sub.Bytes/4), make([]float32, sub.Bytes/4)
+			// A fused partition gathers into, and scatters out of, the two
+			// halves of one pooled buffer, kept until this call is done with
+			// both: across the transport's own retries, past done(err).
+			n := int(sub.Bytes / 4)
+			bp := fusePool.Get().(*[]float32)
+			defer fusePool.Put(bp)
+			*bp = slices.Grow((*bp)[:0], 2*n)[:2*n]
+			in, out = (*bp)[:n], (*bp)[n:]
 			eachSpan(members, offsets, lo, hi, func(g *liveGrad, m0, m1, p0 int64) { copy(in[p0:], g.grad[m0:m1]) })
 		}
 		key := fmt.Sprintf("%s[%d/%d]", name, sub.Index, sub.Count)
@@ -657,6 +660,9 @@ func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64) c
 		}
 	}
 }
+
+// fusePool recycles startFn's fused gather/scatter buffers.
+var fusePool = sync.Pool{New: func() any { return new([]float32) }}
 
 // eachSpan visits the members a fused partition [lo, hi) overlaps: member i
 // occupies bytes [offsets[i], offsets[i]+4*len(grad)) of the fused buffer.

@@ -226,6 +226,31 @@ func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
 	}
 }
 
+// TestRunLiveFusedPooledBuffers recycles the fused gather/scatter buffers
+// as hard as a small run can: with FuseTheta above most layers a pass forms
+// 12–24 KB buckets, each cut into several 8 KB partitions of differing last
+// size that are in flight together on both workers, so pooled buffers of
+// mixed sizes change hands between goroutines for a dozen iterations. The
+// race detector is the referee for a buffer returned while its partition
+// still reads or fills it; the worker's aggregation check for a scatter out
+// of the wrong one.
+func TestRunLiveFusedPooledBuffers(t *testing.T) {
+	for _, backend := range []LiveBackend{LiveBackendPS, LiveBackendRing} {
+		cfg := liveBase(backend)
+		cfg.Workers = 2
+		cfg.LayerBytes = []int64{16 << 10, 6 << 10, 2 << 10, 10 << 10, 1 << 10, 512, 5 << 10, 3 << 10, 256}
+		cfg.FuseTheta = 12 << 10
+		cfg.Iterations = 12
+		res, err := RunLive(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if res.Stats.SubsFinished == 0 {
+			t.Fatalf("%s: no sub-tasks finished", backend)
+		}
+	}
+}
+
 // TestRunLiveCodecs drives every wire codec end to end on both backends.
 // Constant per-rank gradients make fp16 and int8 bit-exact, so the full
 // aggregation check still applies; top-k verifies the relaxed invariant.

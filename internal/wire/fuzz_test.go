@@ -3,7 +3,11 @@
 // panic; the reader never allocates a payload the input did not actually
 // carry (the capped-preallocation property); an accepted frame re-encodes
 // to exactly the bytes it was read from, through Write and Append alike,
-// and Next agrees with Read; and the payload envelope decoder rejects
+// and Next agrees with Read; ReadInto, driven over the input's consecutive
+// frames through one reused, dirty buffer as a connection drives it, agrees
+// with Next frame by frame, never lets a payload reach past its own length
+// into the buffer, and allocates no more than Read may on a length prefix
+// backed by nothing; and the payload envelope decoder rejects
 // adversarial codec ids, original lengths and payload framing without
 // panicking, while raw fp32 payloads re-encode bit for bit (NaNs included).
 //
@@ -53,6 +57,30 @@ func xiterSeeds() []seed {
 	}
 }
 
+// streamSeeds are several frames back to back, as one connection carries
+// them: a payload that outgrows the connection's buffer, smaller ones that
+// land in what it left behind (an error text after a pull response, an
+// empty ack), and payloads one byte either side of the buffer's capacity.
+func streamSeeds() [][]seed {
+	big := make([]byte, 96)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	return [][]seed{
+		{{Header{Op: 2, Iter: 1, Seq: 3, Key: "w0/L00[0/1]"}, big}, {Header{Op: 3, Iter: 1, Seq: 4, Key: "w0/L00[0/1]"}, []byte("push overflow")}, {Header{Op: 1, Iter: 2, Seq: 5, Key: "w0/L00[0/1]"}, nil}},
+		{{Header{Op: 1, Key: "a"}, []byte{1, 2, 3, 4}}, {Header{Op: 2, Key: "a"}, big[:64]}, {Header{Op: 2, Key: "b"}, big[:65]}, {Header{Op: 1, Key: "a"}, []byte{9}}},
+	}
+}
+
+// stream concatenates frames as one connection would carry them.
+func stream(t testing.TB, frames []seed) []byte {
+	var b []byte
+	for _, s := range frames {
+		b = append(b, frame(t, s.h, s.payload)...)
+	}
+	return b
+}
+
 func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(f, Header{Op: 1, Iter: 3, Seq: 9, Key: "w0/L07[0/4]"}, []byte{1, 2, 3, 4}))
@@ -69,8 +97,14 @@ func FuzzRead(f *testing.F) {
 	over := frame(f, Header{Op: 1, Key: "x"}, nil)
 	binary.BigEndian.PutUint32(over[len(over)-4:], MaxMessage+1)
 	f.Add(over)
+	for _, frames := range streamSeeds() {
+		f.Add(stream(f, frames))
+	}
+	// A good frame, then the adversarial prefix with the buffer warm.
+	f.Add(append(stream(f, streamSeeds()[0]), huge...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		readStream(t, data)
 		h, payload, err := Read(bytes.NewReader(data))
 		nh, npayload, rest, nerr := Next(data)
 		if (err == nil) != (nerr == nil) {
@@ -107,4 +141,45 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("float round trip diverged:\n in  %x\n out %x", payload, re)
 		}
 	})
+}
+
+// readStream reads data's consecutive frames the way a connection does —
+// ReadInto through one buffer, dirtied before every read, Retain after —
+// until the first frame either reader rejects.
+func readStream(t *testing.T, data []byte) {
+	r := bytes.NewReader(data)
+	buf := make([]byte, 0, 64)
+	grew := allocated(func() {
+		for rest := data; ; {
+			dirty(buf)
+			h, payload, err := ReadInto(r, buf)
+			nh, npayload, nrest, nerr := Next(rest)
+			if (err == nil) != (nerr == nil) {
+				t.Fatalf("frame at %d: ReadInto err = %v, Next err = %v", len(data)-len(rest), err, nerr)
+			}
+			if err != nil {
+				return
+			}
+			if nh != h || !bytes.Equal(npayload, payload) {
+				t.Fatalf("frame at %d: ReadInto and Next disagree: %+v (%d bytes) vs %+v (%d bytes)",
+					len(data)-len(rest), h, len(payload), nh, len(npayload))
+			}
+			if n := len(payload); n > 0 && n <= cap(buf) {
+				if &payload[0] != &buf[:1][0] || cap(payload) != n || !isDirty(buf[n:cap(buf)]) {
+					t.Fatalf("frame at %d: %d-byte payload (cap %d) does not sit exactly at the front of the %d-byte buffer",
+						len(data)-len(rest), n, cap(payload), cap(buf))
+				}
+			}
+			if re, err := Append(nil, h, payload); err != nil || !bytes.Equal(re, rest[:len(rest)-len(nrest)]) {
+				t.Fatalf("frame at %d re-encodes differently (%v)", len(data)-len(rest), err)
+			}
+			buf, rest = Retain(buf, payload), nrest
+		}
+	})
+	// Everything allocated is owed to bytes that arrived (payloads, their
+	// re-encodings, growth by doubling) plus at most one capped
+	// preallocation for a length prefix the stream then failed to back.
+	if limit := uint64(2*maxPrealloc + 16*len(data) + 64<<10); grew > limit {
+		t.Fatalf("reading a %d-byte stream allocated %d bytes, limit %d", len(data), grew, limit)
+	}
 }

@@ -193,10 +193,18 @@ func Next(buf []byte) (h Header, payload, rest []byte, err error) {
 	return h, payload, buf[n:], nil
 }
 
-// Read reads one frame. It returns an error — never panics, never
-// allocates beyond the bytes actually received — on truncated or
-// adversarial input (FuzzRead enforces this).
-func Read(r io.Reader) (Header, []byte, error) {
+// Read reads one frame into a payload of its own: ReadInto with no buffer.
+func Read(r io.Reader) (Header, []byte, error) { return ReadInto(r, nil) }
+
+// ReadInto reads one frame, placing the payload in buf's backing array when
+// it fits in cap(buf) and in a fresh allocation otherwise. A payload that
+// landed in buf is valid only until buf's owner reads into it again — a
+// connection's read buffer until that connection's next read — so whatever
+// must outlive that is decoded or copied out first; the returned slice
+// never reaches past its own length into the rest of buf. ReadInto returns
+// an error — never panics, never allocates beyond the bytes actually
+// received — on truncated or adversarial input (FuzzRead enforces this).
+func ReadInto(r io.Reader, buf []byte) (Header, []byte, error) {
 	s := stagingPool.Get().(*staging)
 	defer stagingPool.Put(s)
 	fixed := s.hdr[:fixedLen]
@@ -205,46 +213,63 @@ func Read(r io.Reader) (Header, []byte, error) {
 	}
 	h, keyLen := parseFixed(fixed)
 	s.hdr = slices.Grow(s.hdr[:0], keyLen+4)
-	buf := s.hdr[:keyLen+4]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	kb := s.hdr[:keyLen+4]
+	if _, err := io.ReadFull(r, kb); err != nil {
 		return Header{}, nil, err
 	}
-	h.Key = string(buf[:keyLen])
-	n := binary.BigEndian.Uint32(buf[keyLen:])
+	h.Key = string(kb[:keyLen])
+	n := binary.BigEndian.Uint32(kb[keyLen:])
 	if n > MaxMessage {
 		return Header{}, nil, fmt.Errorf("wire: payload length %d exceeds limit", n)
 	}
-	payload, err := readPayload(r, int(n))
+	payload, err := readPayload(r, int(n), buf)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	return h, payload, nil
 }
 
-// readPayload reads exactly n payload bytes with the up-front allocation
-// capped at maxPrealloc: small payloads get one exact allocation, large
-// ones grow with the bytes that actually arrive, so an adversarial length
-// prefix cannot force a giant allocation before the stream runs dry.
-func readPayload(r io.Reader, n int) ([]byte, error) {
+// Retain returns the read buffer a connection keeps for its next ReadInto,
+// given the one it passed and the payload that came back: a payload that
+// outgrew buf replaces it, so the buffer settles at the largest frame the
+// connection carries — up to maxPrealloc; larger frames are allocated per
+// read and left to the collector.
+func Retain(buf, payload []byte) []byte {
+	if cap(payload) > cap(buf) && cap(payload) <= maxPrealloc {
+		return payload[:0]
+	}
+	return buf
+}
+
+// readPayload reads exactly n payload bytes, into buf when they fit.
+// Otherwise the up-front allocation is capped at maxPrealloc: small
+// payloads get one exact allocation, large ones grow with the bytes that
+// actually arrive, so an adversarial length prefix cannot force a giant
+// allocation before the stream runs dry.
+func readPayload(r io.Reader, n int, buf []byte) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if n <= maxPrealloc {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+	switch {
+	case n <= cap(buf):
+		buf = buf[:n:n]
+	case n <= maxPrealloc:
+		buf = make([]byte, n)
+	default:
+		var b bytes.Buffer
+		b.Grow(maxPrealloc)
+		if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
-		return buf, nil
+		return b.Bytes(), nil
 	}
-	var b bytes.Buffer
-	b.Grow(maxPrealloc)
-	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return b.Bytes(), nil
+	return buf, nil
 }
 
 // AppendFloats encodes v through c onto dst and returns the payload with

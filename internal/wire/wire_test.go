@@ -34,6 +34,17 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// dirty fills buf to its capacity with a marker byte, as a buffer the
+// previous frame left behind; isDirty reports whether b still holds it.
+func dirty(buf []byte) {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = 0xa5
+	}
+}
+
+func isDirty(b []byte) bool { return bytes.Count(b, []byte{0xa5}) == len(b) }
+
 // TestRoundTrip sends random headers with payload lengths on both sides of
 // the prealloc cap through Write→Read and Append→Next.
 func TestRoundTrip(t *testing.T) {
@@ -79,6 +90,71 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if gotH != h || !bytes.Equal(gotP, payload) || !bytes.Equal(rest, []byte{0xee}) {
 			t.Fatalf("payload %d: Next returned %+v (%d bytes, rest %x)", n, gotH, len(gotP), rest)
+		}
+	}
+}
+
+// TestWriteMessageVecSteadyStateAllocs holds the writev path every frame
+// takes to a byte budget: at most 1 KB allocated per 64 KB frame in steady
+// state. net.Buffers.WriteTo consumes its receiver down to zero length AND
+// zero capacity, so pooling the consumed slice recycled nothing and every
+// payload-bearing frame reallocated the two-element array; Write pools the
+// backing array instead. It is a budget in bytes, not an allocation count,
+// so it also holds under the race detector, where sync.Pool drops a quarter
+// of its puts and the staging is now and then rebuilt.
+func TestWriteMessageVecSteadyStateAllocs(t *testing.T) {
+	h := Header{Op: 2, Codec: 2, Iter: 7, Seq: 1<<32 | 42, Orig: 256 << 10, Key: "layer12/weight:3"}
+	payload := make([]byte, 4+64<<10)
+	write := func() {
+		if err := Write(io.Discard, h, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // the first write may populate the pool
+	const frames = 200
+	grew := allocated(func() {
+		for i := 0; i < frames; i++ {
+			write()
+		}
+	})
+	if per := grew / frames; per > 1<<10 {
+		t.Fatalf("Write allocates %d B per 64 KB frame in steady state, budget 1 KB (pooled staging consumed?)", per)
+	}
+}
+
+// TestReadIntoReusesBuffer walks one connection-style buffer through frames
+// on both sides of its capacity and of the prealloc cap: a payload that
+// fits lands in the buffer, clipped to its own length; one that does not is
+// allocated as Read would, and Retain adopts it only up to maxPrealloc.
+func TestReadIntoReusesBuffer(t *testing.T) {
+	var buf []byte
+	for _, n := range []int{0, 64, 16, 64, 65, maxPrealloc, maxPrealloc + 1, 16} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(n + i)
+		}
+		dirty(buf)
+		h := Header{Op: 1, Iter: uint32(n), Key: "k"}
+		gotH, got, err := ReadInto(bytes.NewReader(frame(t, h, payload)), buf)
+		if err != nil || gotH != h || !bytes.Equal(got, payload) {
+			t.Fatalf("payload %d: ReadInto = %+v, %d bytes, %v", n, gotH, len(got), err)
+		}
+		fits := n > 0 && n <= cap(buf)
+		if aliases := n > 0 && cap(buf) > 0 && &got[0] == &buf[:1][0]; aliases != fits {
+			t.Fatalf("payload %d with a %d-byte buffer: in the buffer = %v, want %v", n, cap(buf), aliases, fits)
+		}
+		if fits && cap(got) != n {
+			t.Fatalf("payload %d reaches %d bytes into the buffer", n, cap(got))
+		}
+		if fits && !isDirty(buf[n:cap(buf)]) {
+			t.Fatalf("payload %d wrote past its length", n)
+		}
+		wantCap := max(cap(buf), n)
+		if n > maxPrealloc {
+			wantCap = cap(buf)
+		}
+		if buf = Retain(buf, got); cap(buf) != wantCap || len(buf) != 0 {
+			t.Fatalf("after payload %d: retained len %d cap %d, want 0 and %d", n, len(buf), cap(buf), wantCap)
 		}
 	}
 }

@@ -13,10 +13,12 @@
 #
 # Usage: scripts/checkdocs.sh [pkg-dir ...]
 #        (defaults to the packages with operator-facing API surface, plus
-#        internal/wire: the frame format both live transports depend on)
+#        internal/wire and internal/netps: the frame format both live
+#        transports depend on, and the PS client API with its buffer
+#        ownership contracts)
 set -u
 
-dirs="${*:-internal/autotune internal/tune internal/metrics internal/wire}"
+dirs="${*:-internal/autotune internal/tune internal/metrics internal/wire internal/netps}"
 
 fail=0
 total=0
