@@ -13,6 +13,7 @@
 package bytescheduler_test
 
 import (
+	"runtime"
 	"testing"
 
 	"bytescheduler/internal/core"
@@ -212,6 +213,44 @@ func BenchmarkGPFitPredict(b *testing.B) {
 		}
 		gp.Predict([]float64{0.3, 0.7})
 	}
+}
+
+// BenchmarkSimTrial is the benchmark's sim_ps trial (bench/README.md): fine
+// partitions put nearly all of its 27 200 sub-tasks' work on the
+// per-partition path through sim, core, plugin, ps and network, so allocs/sub
+// and ns/sub are that path's cost.
+func BenchmarkSimTrial(b *testing.B) {
+	cfg := runner.Config{
+		Model:         model.VGG16(),
+		Framework:     plugin.MXNet,
+		Arch:          runner.PS,
+		Transport:     network.TCP(),
+		BandwidthGbps: 10,
+		GPUs:          16,
+		Policy:        core.ByteScheduler(160<<10, 640<<10),
+		Scheduled:     true,
+		Iterations:    2,
+		Warmup:        1,
+		Jitter:        0.02,
+	}
+	var subs uint64
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		res, err := runner.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs += res.UpStats.SubsFinished + res.DownStats.SubsFinished
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(subs), "allocs/sub")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(subs), "ns/sub")
 }
 
 func BenchmarkFullTrainingRun(b *testing.B) {

@@ -20,10 +20,8 @@ var ErrShutdown = errors.New("core: scheduler shut down")
 // All policy semantics are identical to Scheduler: AsyncScheduler contains
 // one and delegates every decision to it. Each partition's Start runs on
 // its own goroutine (substrates may block); completions re-enter the
-// scheduler under the mutex. The caller's Task struct is never mutated
-// beyond the scheduler-owned bookkeeping, so a Task rejected here (or
-// failed and rebuilt) can be enqueued again without double-wrapping its
-// Start function.
+// scheduler under the mutex. The caller's Task fields are never written, so
+// a Task rejected here can be fixed and enqueued again.
 type AsyncScheduler struct {
 	mu   sync.Mutex
 	idle *sync.Cond // signaled whenever active or in-flight work shrinks
@@ -44,23 +42,27 @@ func NewAsync(policy Policy) *AsyncScheduler {
 	a.idle = sync.NewCond(&a.mu)
 	// Substrate calls run outside the lock on their own goroutines;
 	// completion callbacks re-enter scheduler state under the lock.
-	a.s.spawn = func(f func()) {
+	a.s.spawn = func(h *Handle) {
 		a.active++ // mu is held by the caller (Enqueue/NotifyReady/guard)
-		go func() {
-			f()
-			a.mu.Lock()
-			a.active--
-			a.idle.Broadcast()
-			a.mu.Unlock()
-		}()
+		go a.run(h)
 	}
-	a.s.guard = func(f func()) {
+	a.s.guard = func(h *Handle, err error) {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		f()
+		a.s.complete(h, err)
 		a.idle.Broadcast()
 	}
 	return a
+}
+
+// run is one substrate goroutine: the partition's launch, then the
+// bookkeeping Shutdown waits on.
+func (a *AsyncScheduler) run(h *Handle) {
+	h.launch()
+	a.mu.Lock()
+	a.active--
+	a.idle.Broadcast()
+	a.mu.Unlock()
 }
 
 // Policy returns the scheduler policy.
@@ -72,10 +74,7 @@ func (a *AsyncScheduler) Policy() Policy { return a.s.policy }
 // Scheduler (missing Start, double enqueue) is returned as an error here:
 // a live deployment wants a rejected task, not a crashed trainer.
 func (a *AsyncScheduler) Enqueue(t *Task) error {
-	if t == nil {
-		return errors.New("core: task must have a Start function")
-	}
-	if _, err := t.normalizedStart(); err != nil {
+	if err := t.validate(); err != nil {
 		return err
 	}
 	a.mu.Lock()

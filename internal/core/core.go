@@ -21,6 +21,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"time"
 
 	"bytescheduler/internal/tensor"
 	"bytescheduler/internal/trace"
@@ -126,17 +127,26 @@ type StartFn func(sub tensor.Sub, done func())
 // partition until the policy's retry budget is exhausted.
 type StartErrFn func(sub tensor.Sub, done func(error))
 
+// Starter is the allocation-free form of Start: a record the substrate
+// already keeps receives the partition's Handle instead of a closure built
+// for it. StartSub must eventually call h.Done exactly once.
+type Starter interface {
+	StartSub(h *Handle)
+}
+
 // Task is a CommTask: the unified abstraction for one tensor's
 // communication.
 type Task struct {
 	// Tensor is the communication payload.
 	Tensor tensor.Tensor
-	// Start launches one partition. Exactly one of Start and StartErr is
-	// required.
+	// Start launches one partition. Exactly one of Start, StartErr and
+	// Starter is required; the function forms are adapters onto the Handle.
 	Start StartFn
 	// StartErr launches one partition and may report failure; it takes
 	// precedence for substrates that can fail (e.g. real sockets).
 	StartErr StartErrFn
+	// Starter launches one partition given its Handle.
+	Starter Starter
 	// OnFinished, if non-nil, fires once when every partition of the task
 	// has resolved — completed or permanently failed. Check Err to tell
 	// the two apart.
@@ -147,11 +157,11 @@ type Task struct {
 	Meta any
 
 	subs      []tensor.Sub
+	one       [1]tensor.Sub // backs subs for a task that is not split
 	remaining int
 	enqueued  bool
 	ready     bool
-	start     StartErrFn // normalized at Enqueue; never the caller's field
-	err       error      // first permanent partition failure
+	err       error // first permanent partition failure
 }
 
 // Subs returns the task's partitions; valid after Enqueue.
@@ -161,37 +171,72 @@ func (t *Task) Subs() []tensor.Sub { return t.subs }
 // resolved partition succeeded. Stable once OnFinished has fired.
 func (t *Task) Err() error { return t.err }
 
-// normalizedStart resolves the task's start function without mutating the
-// caller-visible fields (a task re-submitted after an error must not see a
-// double-wrapped Start).
-func (t *Task) normalizedStart() (StartErrFn, error) {
-	switch {
-	case t == nil:
-		return nil, fmt.Errorf("core: nil task")
-	case t.Start != nil && t.StartErr != nil:
-		return nil, fmt.Errorf("core: task %s has both Start and StartErr", t.Tensor)
-	case t.StartErr != nil:
-		return t.StartErr, nil
-	case t.Start != nil:
-		orig := t.Start
-		return func(sub tensor.Sub, done func(error)) {
-			orig(sub, func() { done(nil) })
-		}, nil
+// validate reports a task no scheduler can start.
+func (t *Task) validate() error {
+	if t == nil {
+		return fmt.Errorf("core: nil task")
 	}
-	return nil, fmt.Errorf("core: task must have a Start function")
+	fn, starter := t.Start != nil || t.StartErr != nil, t.Starter != nil
+	switch {
+	case (t.Start != nil && t.StartErr != nil) || (fn && starter):
+		return fmt.Errorf("core: task %s has more than one of Start, StartErr and Starter", t.Tensor)
+	case !fn && !starter:
+		return fmt.Errorf("core: task must have a Start function")
+	}
+	return nil
 }
 
-type queueItem struct {
-	sub      tensor.Sub
-	task     *Task
-	prio     int64
-	seq      uint64
-	idx      int
-	started  bool
-	attempts int // failed attempts so far
+// resolved counts one partition completed or permanently failed.
+func (t *Task) resolved() {
+	t.remaining--
+	if t.remaining == 0 && t.OnFinished != nil {
+		t.OnFinished()
+	}
 }
 
-type priorityQueue []*queueItem
+// Handle is one partition's record from NotifyReady to completion: its
+// entry in the scheduler's queues and, once started, the substrate's
+// completion handle. A task's handles are one slab made in NotifyReady that
+// lives as long as the task, so a second Done on one is always detected.
+type Handle struct {
+	s         *Scheduler
+	task      *Task
+	i         int // index into task.subs
+	prio      int64
+	seq       uint64
+	started   bool
+	finished  bool
+	attempts  int       // failed attempts so far
+	spanStart time.Time // set when a tracer or the latency histogram is attached
+}
+
+// Sub returns the partition this handle stands for.
+func (h *Handle) Sub() tensor.Sub { return h.task.subs[h.i] }
+
+// Done reports the partition's outcome, exactly once per start: Done(nil) is
+// notify_finish; Done(err) returns its credit at once and requeues it until
+// the policy's retry budget is exhausted.
+func (h *Handle) Done(err error) {
+	if guard := h.s.guard; guard != nil {
+		guard(h, err)
+		return
+	}
+	h.s.complete(h, err)
+}
+
+// launch hands the partition to the substrate in the form the task supplied.
+func (h *Handle) launch() {
+	switch t := h.task; {
+	case t.Starter != nil:
+		t.Starter.StartSub(h)
+	case t.StartErr != nil:
+		t.StartErr(h.Sub(), h.Done)
+	default:
+		t.Start(h.Sub(), func() { h.Done(nil) })
+	}
+}
+
+type priorityQueue []*Handle
 
 func (q priorityQueue) Len() int { return len(q) }
 
@@ -202,17 +247,9 @@ func (q priorityQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q priorityQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
+func (q priorityQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *priorityQueue) Push(x any) {
-	it := x.(*queueItem)
-	it.idx = len(*q)
-	*q = append(*q, it)
-}
+func (q *priorityQueue) Push(x any) { *q = append(*q, x.(*Handle)) }
 
 func (q *priorityQueue) Pop() any {
 	old := *q
@@ -272,12 +309,12 @@ type Scheduler struct {
 	inst   instruments
 	tracer *trace.Wall
 
-	// spawn, when non-nil, runs a partition's Start call (AsyncScheduler
+	// spawn, when non-nil, runs a partition's launch (AsyncScheduler
 	// installs a goroutine launcher; the simulator runs inline).
-	spawn func(f func())
-	// guard, when non-nil, serializes completion callbacks re-entering
-	// scheduler state (AsyncScheduler installs its mutex).
-	guard func(f func())
+	spawn func(h *Handle)
+	// guard, when non-nil, serializes a completion re-entering scheduler
+	// state (AsyncScheduler installs its mutex around complete).
+	guard func(h *Handle, err error)
 	// flushHook, when non-nil, fires at the end of every scheduling pass
 	// that released at least one partition — the transport's cue that no
 	// further releases are imminent, so a coalescing batcher (e.g.
@@ -285,21 +322,10 @@ type Scheduler struct {
 	flushHook func()
 }
 
-// seqQueue is a min-heap of queueItems by arrival seq.
-type seqQueue []*queueItem
+// seqQueue is the same min-heap of Handles ordered by arrival seq alone.
+type seqQueue struct{ priorityQueue }
 
-func (q seqQueue) Len() int           { return len(q) }
-func (q seqQueue) Less(i, j int) bool { return q[i].seq < q[j].seq }
-func (q seqQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *seqQueue) Push(x any)        { *q = append(*q, x.(*queueItem)) }
-func (q *seqQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
-}
+func (q seqQueue) Less(i, j int) bool { return q.priorityQueue[i].seq < q.priorityQueue[j].seq }
 
 // New returns a scheduler for the given policy. It panics on an invalid
 // policy, surfacing configuration bugs at construction.
@@ -343,21 +369,19 @@ func (s *Scheduler) CreditAvailable() int64 {
 // most frameworks post communication operations before the tensor is
 // computed.
 func (s *Scheduler) Enqueue(t *Task) {
-	start, err := t.normalizedStart()
-	if err != nil {
+	if err := t.validate(); err != nil {
 		panic(err.Error())
 	}
 	if t.enqueued {
 		panic(fmt.Sprintf("core: task %s enqueued twice", t.Tensor))
 	}
 	t.enqueued = true
-	t.start = start
 	t.err = nil
 	unit := s.policy.PartitionUnit
 	if s.policy.PartitionFn != nil {
 		unit = s.policy.PartitionFn(t.Tensor)
 	}
-	t.subs = tensor.Partition(t.Tensor, unit)
+	t.subs = tensor.AppendPartition(t.one[:0], t.Tensor, unit)
 	t.remaining = len(t.subs)
 	s.stats.tasksEnqueued.Add(1)
 	s.inst.tasksEnqueued.Inc()
@@ -409,15 +433,11 @@ func (s *Scheduler) NotifyReady(t *Task) {
 		panic(fmt.Sprintf("core: task %s ready twice", t.Tensor))
 	}
 	t.ready = true
-	for _, sub := range t.subs {
-		s.seq++
-		prio := int64(s.seq)
-		if s.policy.Priority != nil {
-			prio = s.policy.Priority(t.Tensor, s.seq)
-		}
-		it := &queueItem{sub: sub, task: t, prio: prio, seq: s.seq}
-		heap.Push(&s.queue, it)
-		heap.Push(&s.arrivals, it)
+	handles := make([]Handle, len(t.subs))
+	for i := range handles {
+		h := &handles[i]
+		h.s, h.task, h.i = s, t, i
+		s.push(h)
 	}
 	setMax(&s.stats.maxQueueLen, int64(len(s.queue)))
 	s.inst.queueDepth.Set(int64(len(s.queue)))
@@ -446,7 +466,7 @@ func (s *Scheduler) schedule() {
 	released := 0
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		if s.limited && s.credit < head.sub.Bytes && s.inflight > 0 {
+		if s.limited && s.credit < head.Sub().Bytes && s.inflight > 0 {
 			break // wait until a subtask finishes and returns credit
 		}
 		heap.Pop(&s.queue)
@@ -459,68 +479,69 @@ func (s *Scheduler) schedule() {
 	}
 }
 
-func (s *Scheduler) start(it *queueItem) {
-	it.started = true
+// push stamps a handle with its arrival sequence and priority and queues it.
+func (s *Scheduler) push(h *Handle) {
+	s.seq++
+	h.seq, h.prio = s.seq, int64(s.seq)
+	if s.policy.Priority != nil {
+		h.prio = s.policy.Priority(h.task.Tensor, s.seq)
+	}
+	heap.Push(&s.queue, h)
+	heap.Push(&s.arrivals, h)
+}
+
+func (s *Scheduler) start(h *Handle) {
+	h.started = true
 	// A started partition that arrived after a still-queued one means
 	// priority let it jump the line. Prune already-started arrivals lazily.
-	for len(s.arrivals) > 0 && s.arrivals[0].started {
+	for s.arrivals.Len() > 0 && s.arrivals.priorityQueue[0].started {
 		heap.Pop(&s.arrivals)
 	}
-	if len(s.arrivals) > 0 && s.arrivals[0].seq < it.seq {
+	if s.arrivals.Len() > 0 && s.arrivals.priorityQueue[0].seq < h.seq {
 		s.stats.preemptions.Add(1)
 		s.inst.preemptions.Inc()
 	}
+	bytes := h.Sub().Bytes
 	if s.limited {
-		s.credit -= it.sub.Bytes
+		s.credit -= bytes
 	}
 	s.inflight++
-	s.inflightBytes += it.sub.Bytes
+	s.inflightBytes += bytes
 	setMax(&s.stats.maxInflightBytes, s.inflightBytes)
 	s.stats.subsStarted.Add(1)
 	s.inst.subsStarted.Inc()
 	s.observeGauges()
-	task := it.task
-	sub := it.sub
-	endSpan := s.beginSpan(sub)
-	finished := false
-	complete := func(err error) {
-		if finished {
-			panic(fmt.Sprintf("core: done called twice for %s", sub))
-		}
-		finished = true
-		if endSpan != nil {
-			endSpan()
-		}
-		if s.limited {
-			s.credit += sub.Bytes
-		}
-		s.inflight--
-		s.inflightBytes -= sub.Bytes
-		s.observeGauges()
-		if err != nil {
-			s.fail(it, err)
-			s.schedule()
-			return
-		}
+	s.beginSpan(h)
+	if s.spawn != nil {
+		s.spawn(h)
+	} else {
+		h.launch()
+	}
+}
+
+// complete resolves a started partition: the span ends, its credit returns,
+// and it either finishes, is requeued or fails its task.
+func (s *Scheduler) complete(h *Handle, err error) {
+	if h.finished {
+		panic(fmt.Sprintf("core: done called twice for %s", h.Sub()))
+	}
+	h.finished = true
+	s.endSpan(h)
+	bytes := h.Sub().Bytes
+	if s.limited {
+		s.credit += bytes
+	}
+	s.inflight--
+	s.inflightBytes -= bytes
+	s.observeGauges()
+	if err != nil {
+		s.fail(h, err)
+	} else {
 		s.stats.subsFinished.Add(1)
 		s.inst.subsFinished.Inc()
-		task.remaining--
-		if task.remaining == 0 && task.OnFinished != nil {
-			task.OnFinished()
-		}
-		s.schedule()
+		h.task.resolved()
 	}
-	done := complete
-	if s.guard != nil {
-		inner := complete
-		done = func(err error) { s.guard(func() { inner(err) }) }
-	}
-	call := func() { task.start(sub, done) }
-	if s.spawn != nil {
-		s.spawn(call)
-	} else {
-		call()
-	}
+	s.schedule()
 }
 
 // fail handles a partition whose Start reported an error: credit has
@@ -528,20 +549,13 @@ func (s *Scheduler) start(it *queueItem) {
 // retry budget lasts, then declared permanently failed. A permanently
 // failed partition still resolves the task (OnFinished fires, Err is set)
 // so waiters never hang on a dead substrate.
-func (s *Scheduler) fail(it *queueItem, err error) {
-	task := it.task
-	if it.attempts < s.policy.MaxRetries {
-		it.attempts++
+func (s *Scheduler) fail(h *Handle, err error) {
+	task := h.task
+	if h.attempts < s.policy.MaxRetries {
 		s.stats.retries.Add(1)
 		s.inst.retries.Inc()
-		s.seq++
-		prio := int64(s.seq)
-		if s.policy.Priority != nil {
-			prio = s.policy.Priority(task.Tensor, s.seq)
-		}
-		re := &queueItem{sub: it.sub, task: task, prio: prio, seq: s.seq, attempts: it.attempts}
-		heap.Push(&s.queue, re)
-		heap.Push(&s.arrivals, re)
+		// A fresh handle: the failed one may still sit, started, in arrivals.
+		s.push(&Handle{s: s, task: task, i: h.i, attempts: h.attempts + 1})
 		setMax(&s.stats.maxQueueLen, int64(len(s.queue)))
 		s.inst.queueDepth.Set(int64(len(s.queue)))
 		return
@@ -551,8 +565,5 @@ func (s *Scheduler) fail(it *queueItem, err error) {
 	if task.err == nil {
 		task.err = err
 	}
-	task.remaining--
-	if task.remaining == 0 && task.OnFinished != nil {
-		task.OnFinished()
-	}
+	task.resolved()
 }

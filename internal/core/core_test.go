@@ -9,9 +9,24 @@ import (
 )
 
 // fakeNet collects started subs and lets the test complete them manually.
+// With handles set, its tasks reach it as a Starter holding the partition's
+// Handle instead of through the Start closure adapter.
 type fakeNet struct {
 	started []tensor.Sub
 	dones   []func()
+	handles bool
+}
+
+// StartSub implements Starter.
+func (f *fakeNet) StartSub(h *Handle) {
+	f.start(h.Sub(), func() { h.Done(nil) })
+}
+
+// bothStartPaths runs a property once through Task.Start and once through
+// Task.Starter.
+func bothStartPaths(t *testing.T, property func(t *testing.T, handles bool)) {
+	t.Run("closure", func(t *testing.T) { property(t, false) })
+	t.Run("handle", func(t *testing.T) { property(t, true) })
 }
 
 func (f *fakeNet) start(sub tensor.Sub, done func()) {
@@ -27,10 +42,13 @@ func (f *fakeNet) finishNext() {
 }
 
 func mkTask(net *fakeNet, layer int, bytes int64) *Task {
-	return &Task{
-		Tensor: tensor.Tensor{Layer: layer, Name: "w", Bytes: bytes},
-		Start:  net.start,
+	task := &Task{Tensor: tensor.Tensor{Layer: layer, Name: "w", Bytes: bytes}}
+	if net.handles {
+		task.Starter = net
+	} else {
+		task.Start = net.start
 	}
+	return task
 }
 
 func TestPolicyConstructors(t *testing.T) {
@@ -241,6 +259,7 @@ func TestMisusePanics(t *testing.T) {
 		fn()
 	}
 	check("nil start", func() { New(FIFO()).Enqueue(&Task{}) })
+	check("start and starter", func() { New(FIFO()).Enqueue(&Task{Start: net.start, Starter: net}) })
 	check("double enqueue", func() {
 		s := New(FIFO())
 		task := mkTask(net, 0, 10)
@@ -266,6 +285,15 @@ func TestMisusePanics(t *testing.T) {
 		done := n.dones[0]
 		done()
 		done()
+	})
+	check("double done on a handle", func() {
+		s := New(FIFO())
+		n := &fakeNet{handles: true}
+		task := mkTask(n, 0, 10)
+		s.Enqueue(task)
+		s.NotifyReady(task)
+		n.dones[0]()
+		n.dones[0]()
 	})
 }
 
@@ -298,11 +326,15 @@ func TestStatsCounters(t *testing.T) {
 // one at a time, the start order is exactly (priority, arrival) order after
 // the first (which starts before the rest arrive).
 func TestPriorityOrderProperty(t *testing.T) {
+	bothStartPaths(t, testPriorityOrderProperty)
+}
+
+func testPriorityOrderProperty(t *testing.T, handles bool) {
 	f := func(layersRaw []uint8) bool {
 		if len(layersRaw) == 0 {
 			return true
 		}
-		net := &fakeNet{}
+		net := &fakeNet{handles: handles}
 		s := New(Policy{Name: "t", CreditBytes: 1, Priority: LayerPriority})
 		for _, l := range layersRaw {
 			task := mkTask(net, int(l), 1000) // every sub exceeds credit: pure serial
@@ -336,13 +368,17 @@ func TestPriorityOrderProperty(t *testing.T) {
 // credit equals the configured credit and nothing is in flight, for any
 // partition/credit combination.
 func TestCreditConservationProperty(t *testing.T) {
+	bothStartPaths(t, testCreditConservationProperty)
+}
+
+func testCreditConservationProperty(t *testing.T, handles bool) {
 	f := func(unitRaw, creditRaw uint8, sizes []uint16) bool {
 		unit := int64(unitRaw)%500 + 64 // keep partition counts bounded
 		credit := int64(creditRaw)%1000 + 1
 		if len(sizes) > 16 {
 			sizes = sizes[:16]
 		}
-		net := &fakeNet{}
+		net := &fakeNet{handles: handles}
 		s := New(Policy{Name: "t", PartitionUnit: unit, CreditBytes: credit, Priority: LayerPriority})
 		total := 0
 		for i, raw := range sizes {

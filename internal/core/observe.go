@@ -133,17 +133,19 @@ func spanLane(sub tensor.Sub) string {
 	return fmt.Sprintf("core/L%02d", sub.Parent.Layer)
 }
 
-// beginSpan captures a partition's start instant when either the tracer or
-// the latency histogram needs it; the returned func records both at finish.
-func (s *Scheduler) beginSpan(sub tensor.Sub) func() {
-	if s.tracer == nil && s.inst.partitionSeconds == nil {
-		return nil
+// beginSpan stamps a partition's start instant when either the tracer or
+// the latency histogram needs it; endSpan records both at finish.
+func (s *Scheduler) beginSpan(h *Handle) {
+	if s.tracer != nil || s.inst.partitionSeconds != nil {
+		h.spanStart = time.Now()
 	}
-	tracer, hist := s.tracer, s.inst.partitionSeconds
-	start := time.Now()
-	return func() {
-		end := time.Now()
-		hist.Observe(end.Sub(start).Seconds())
-		tracer.Add(spanLane(sub), spanName(sub), start, end)
+}
+
+func (s *Scheduler) endSpan(h *Handle) {
+	if h.spanStart.IsZero() {
+		return
 	}
+	end := time.Now()
+	s.inst.partitionSeconds.Observe(end.Sub(h.spanStart).Seconds())
+	s.tracer.Add(spanLane(h.Sub()), spanName(h.Sub()), h.spanStart, end)
 }

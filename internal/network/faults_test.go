@@ -21,7 +21,7 @@ func runTransfers(t *testing.T, fc *FaultConfig, n int, bytes int64) (float64, F
 	for i := 0; i < n; i++ {
 		fab.Send(&Transfer{
 			Src: 0, Dst: 1, Bytes: bytes,
-			OnDelivered: func() { last = eng.Now() },
+			Sink: onDelivered(func() { last = eng.Now() }),
 		})
 	}
 	eng.Run()
@@ -100,7 +100,7 @@ func TestOutageStallsAndRecovers(t *testing.T) {
 	}
 	var delivered float64
 	fab.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20,
-		OnDelivered: func() { delivered = eng.Now() }})
+		Sink: onDelivered(func() { delivered = eng.Now() })})
 	eng.Run()
 	if delivered < outEnd {
 		t.Fatalf("delivered at %v, inside the outage window [0,%v)", delivered, outEnd)
@@ -127,9 +127,9 @@ func TestOutagePreservesFIFO(t *testing.T) {
 	}
 	var order []int
 	fab.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 10,
-		OnDelivered: func() { order = append(order, 1) }})
+		Sink: onDelivered(func() { order = append(order, 1) })})
 	fab.Send(&Transfer{Src: 0, Dst: 2, Bytes: 1 << 10,
-		OnDelivered: func() { order = append(order, 2) }})
+		Sink: onDelivered(func() { order = append(order, 2) })})
 	eng.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("delivery order = %v, want [1 2] (FIFO across the outage)", order)

@@ -139,6 +139,17 @@ type link struct {
 	queued   int // transfers pending whose source/destination is this link
 }
 
+// Sink receives a transfer's progress as method calls on a record the
+// sender already keeps, so no closure is built per message. One sink can
+// serve many transfers; none may be kept past Acked.
+type Sink interface {
+	// Delivered: the payload has fully arrived at Dst.
+	Delivered(t *Transfer)
+	// Acked: AckDelay after delivery, the sender-side completion
+	// notification used for credit return.
+	Acked(t *Transfer)
+}
+
 // Transfer is one message in flight between two fabric nodes.
 type Transfer struct {
 	// Src and Dst are fabric node indices.
@@ -150,15 +161,21 @@ type Transfer struct {
 	Prio int
 	// OnStart fires when transmission begins.
 	OnStart func()
-	// OnDelivered fires when the payload has fully arrived at Dst.
-	OnDelivered func()
-	// OnAcked fires AckDelay after delivery: the sender-side completion
-	// notification used for credit return.
-	OnAcked func()
+	// Sink, if non-nil, is told of delivery and, AckDelay later, of the ack.
+	// Tag is the sender's own label (e.g. which stripe of a partition).
+	Sink Sink
+	Tag  int
 
-	start     float64
-	pipelined bool
+	fab    *Fabric
+	start  float64
+	pooled bool // from Fabric.NewTransfer: the fabric takes it back
 }
+
+// The steps of a transfer that are events: Transfer is its own sim.Handler.
+const (
+	stepDelivered = iota
+	stepAcked
+)
 
 // Fabric is a set of nodes connected by a non-blocking switch; each node has
 // an uplink and a downlink of equal nominal bandwidth.
@@ -168,12 +185,17 @@ type Fabric struct {
 	bytesPerS float64
 	up, down  []link
 	pending   []*Transfer
+	// dispatching is set while dispatch scans pending: a Send from inside a
+	// callback only enqueues, and the running scan reaches the new transfer.
+	dispatching bool
 	// blockedSrc is dispatch's scratch: one flag per source node, all false
 	// between calls.
 	blockedSrc []bool
-	delivered  uint64
-	sentBytes  int64
-	rec        *trace.Recorder
+	// free holds the pooled transfers whose last callback has returned.
+	free      sim.FreeList[Transfer]
+	delivered uint64
+	sentBytes int64
+	rec       *trace.Recorder
 	// faults, when non-nil, injects deterministic degradation (drops,
 	// outages, latency spikes); see InjectFaults.
 	faults *faultState
@@ -197,11 +219,12 @@ func NewFabric(eng *sim.Engine, n int, gbps float64, prof Profile) *Fabric {
 		bps = cap
 	}
 	return &Fabric{
-		eng:       eng,
-		prof:      prof,
-		bytesPerS: bps,
-		up:        make([]link, n),
-		down:      make([]link, n),
+		eng:        eng,
+		prof:       prof,
+		bytesPerS:  bps,
+		up:         make([]link, n),
+		down:       make([]link, n),
+		blockedSrc: make([]bool, n),
 	}
 }
 
@@ -240,6 +263,22 @@ func (f *Fabric) Utilization(node int) (up, down float64) {
 // source is the given node.
 func (f *Fabric) QueueDepth(node int) int { return f.up[node].queued }
 
+// NewTransfer returns a zeroed transfer from the fabric's free list to fill
+// in and Send; the fabric takes it back once its last callback has returned.
+func (f *Fabric) NewTransfer() *Transfer {
+	t := f.free.Get()
+	t.pooled = true
+	return t
+}
+
+// release recycles a finished transfer unless the caller allocated it.
+func (f *Fabric) release(t *Transfer) {
+	if t.pooled {
+		*t = Transfer{}
+		f.free.Put(t)
+	}
+}
+
 // Send enqueues a transfer. Messages from the same source node are served in
 // strict FIFO order (NIC transmit queue); messages from different sources
 // destined to a busy receiver wait without blocking one another.
@@ -253,6 +292,7 @@ func (f *Fabric) Send(t *Transfer) {
 	if t.Bytes < 0 {
 		panic("network: negative transfer size")
 	}
+	t.fab = f
 	f.up[t.Src].queued++
 	f.pending = append(f.pending, t)
 	f.dispatch()
@@ -263,34 +303,27 @@ func (f *Fabric) Send(t *Transfer) {
 // queue is FIFO and has head-of-line blocking — and (b) both its source
 // uplink and destination downlink are idle.
 func (f *Fabric) dispatch() {
-	// dispatch can re-enter — start runs OnStart inline and a callback may
-	// Send — so the scratch is taken on entry and put back, cleared, on
-	// exit; a nested call finds none and allocates its own.
-	blockedSrc := f.blockedSrc
-	f.blockedSrc = nil
-	if blockedSrc == nil {
-		blockedSrc = make([]bool, len(f.up))
+	if f.dispatching {
+		return // Send from an OnStart callback: the scan below picks it up
 	}
-	kept := f.pending[:0]
-	for _, t := range f.pending {
-		if blockedSrc[t.Src] {
-			kept = append(kept, t)
+	f.dispatching = true
+	// Compact in place by index: start runs OnStart inline, and a Send from
+	// it appends to (and may move) f.pending mid-scan.
+	kept := 0
+	for i := 0; i < len(f.pending); i++ {
+		t := f.pending[i]
+		if !f.blockedSrc[t.Src] && !f.up[t.Src].busy && !f.down[t.Dst].busy && !f.outageBlocked(t) {
+			f.start(t)
 			continue
 		}
-		if f.up[t.Src].busy || f.down[t.Dst].busy || f.outageBlocked(t) {
-			blockedSrc[t.Src] = true
-			kept = append(kept, t)
-			continue
-		}
-		f.start(t)
+		f.blockedSrc[t.Src] = true
+		f.pending[kept] = t
+		kept++
 	}
-	clear(blockedSrc)
-	f.blockedSrc = blockedSrc
-	// Zero trailing slots so started transfers are collectable.
-	for i := len(kept); i < len(f.pending); i++ {
-		f.pending[i] = nil
-	}
-	f.pending = kept
+	clear(f.blockedSrc)
+	clear(f.pending[kept:]) // started transfers must not stay reachable
+	f.pending = f.pending[:kept]
+	f.dispatching = false
 }
 
 func (f *Fabric) start(t *Transfer) {
@@ -303,7 +336,6 @@ func (f *Fabric) start(t *Transfer) {
 	overhead := f.prof.MsgOverhead
 	if src.served > 0 && nearlyEqual(now, src.lastEnd) {
 		overhead = f.prof.PipelinedOverhead
-		t.pipelined = true
 	}
 	dur := overhead + float64(t.Bytes)/f.bytesPerS
 	if fs := f.faults; fs != nil {
@@ -319,26 +351,36 @@ func (f *Fabric) start(t *Transfer) {
 	if t.OnStart != nil {
 		t.OnStart()
 	}
-	f.eng.Schedule(dur, func() {
-		end := f.eng.Now()
-		if f.rec != nil {
-			f.rec.Add(fmt.Sprintf("n%02d/up", t.Src),
-				fmt.Sprintf("x%d->%d L%d", t.Src, t.Dst, t.Prio), t.start, end)
-		}
-		src.busy, dst.busy = false, false
-		src.lastEnd, dst.lastEnd = end, end
-		src.served++
-		dst.served++
-		f.delivered++
-		f.sentBytes += t.Bytes
-		if t.OnDelivered != nil {
-			t.OnDelivered()
-		}
-		if t.OnAcked != nil {
-			f.eng.Schedule(f.prof.AckDelay, t.OnAcked)
-		}
-		f.dispatch()
-	})
+	f.eng.After(dur, t, stepDelivered)
+}
+
+// Fire implements sim.Handler: the message arrives, or its ack does.
+func (t *Transfer) Fire(step int) {
+	f := t.fab
+	if step == stepAcked {
+		t.Sink.Acked(t)
+		f.release(t)
+		return
+	}
+	end := f.eng.Now()
+	if f.rec != nil {
+		f.rec.Add(fmt.Sprintf("n%02d/up", t.Src),
+			fmt.Sprintf("x%d->%d L%d", t.Src, t.Dst, t.Prio), t.start, end)
+	}
+	src, dst := &f.up[t.Src], &f.down[t.Dst]
+	src.busy, dst.busy = false, false
+	src.lastEnd, dst.lastEnd = end, end
+	src.served++
+	dst.served++
+	f.delivered++
+	f.sentBytes += t.Bytes
+	if t.Sink != nil {
+		t.Sink.Delivered(t)
+		f.eng.After(f.prof.AckDelay, t, stepAcked)
+	} else {
+		f.release(t)
+	}
+	f.dispatch()
 }
 
 func nearlyEqual(a, b float64) bool {

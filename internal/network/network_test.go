@@ -10,6 +10,18 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// sinkFuncs is the closure form of a Sink; onDelivered the common case.
+type sinkFuncs struct{ delivered, acked func() }
+
+func (s sinkFuncs) Delivered(*Transfer) { s.delivered() }
+func (s sinkFuncs) Acked(*Transfer) {
+	if s.acked != nil {
+		s.acked()
+	}
+}
+
+func onDelivered(fn func()) Sink { return sinkFuncs{delivered: fn} }
+
 func TestProfiles(t *testing.T) {
 	tcp, rdma := TCP(), RDMA()
 	if tcp.MsgOverhead <= rdma.MsgOverhead {
@@ -57,9 +69,11 @@ func TestSingleTransferTiming(t *testing.T) {
 	var started, delivered, acked float64 = -1, -1, -1
 	f.Send(&Transfer{
 		Src: 0, Dst: 1, Bytes: 1 << 20,
-		OnStart:     func() { started = eng.Now() },
-		OnDelivered: func() { delivered = eng.Now() },
-		OnAcked:     func() { acked = eng.Now() },
+		OnStart: func() { started = eng.Now() },
+		Sink: sinkFuncs{
+			delivered: func() { delivered = eng.Now() },
+			acked:     func() { acked = eng.Now() },
+		},
 	})
 	eng.Run()
 	if started != 0 {
@@ -82,8 +96,8 @@ func TestDuplexIndependence(t *testing.T) {
 	eng := sim.New()
 	f := NewFabric(eng, 2, 10, RDMA())
 	var d1, d2 float64
-	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 10 << 20, OnDelivered: func() { d1 = eng.Now() }})
-	f.Send(&Transfer{Src: 1, Dst: 0, Bytes: 10 << 20, OnDelivered: func() { d2 = eng.Now() }})
+	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 10 << 20, Sink: onDelivered(func() { d1 = eng.Now() })})
+	f.Send(&Transfer{Src: 1, Dst: 0, Bytes: 10 << 20, Sink: onDelivered(func() { d2 = eng.Now() })})
 	eng.Run()
 	if !almost(d1, d2) {
 		t.Fatalf("duplex transfers not concurrent: %v vs %v", d1, d2)
@@ -100,9 +114,9 @@ func TestUplinkFIFOHeadOfLine(t *testing.T) {
 	eng := sim.New()
 	f := NewFabric(eng, 3, 10, TCP())
 	var order []int
-	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, OnDelivered: func() { order = append(order, 1) }})
-	f.Send(&Transfer{Src: 0, Dst: 2, Bytes: 1 << 20, OnDelivered: func() { order = append(order, 2) }})
-	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, OnDelivered: func() { order = append(order, 3) }})
+	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, Sink: onDelivered(func() { order = append(order, 1) })})
+	f.Send(&Transfer{Src: 0, Dst: 2, Bytes: 1 << 20, Sink: onDelivered(func() { order = append(order, 2) })})
+	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, Sink: onDelivered(func() { order = append(order, 3) })})
 	if f.QueueDepth(0) != 2 {
 		t.Fatalf("queue depth = %d, want 2", f.QueueDepth(0))
 	}
@@ -119,8 +133,8 @@ func TestReceiverContention(t *testing.T) {
 	f := NewFabric(eng, 3, 10, RDMA())
 	var last float64
 	done := func() { last = eng.Now() }
-	f.Send(&Transfer{Src: 0, Dst: 2, Bytes: 10 << 20, OnDelivered: done})
-	f.Send(&Transfer{Src: 1, Dst: 2, Bytes: 10 << 20, OnDelivered: done})
+	f.Send(&Transfer{Src: 0, Dst: 2, Bytes: 10 << 20, Sink: onDelivered(done)})
+	f.Send(&Transfer{Src: 1, Dst: 2, Bytes: 10 << 20, Sink: onDelivered(done)})
 	eng.Run()
 	one := f.TransferTime(10 << 20)
 	// Second message is pipelined on the downlink side but pays full
@@ -138,7 +152,7 @@ func TestNoCrossSourceHeadOfLine(t *testing.T) {
 	var d2 float64
 	f.Send(&Transfer{Src: 0, Dst: 3, Bytes: 100 << 20}) // occupies downlink 3 for a while
 	f.Send(&Transfer{Src: 1, Dst: 3, Bytes: 1 << 20})   // waits on downlink 3
-	f.Send(&Transfer{Src: 2, Dst: 0, Bytes: 1 << 20, OnDelivered: func() { d2 = eng.Now() }})
+	f.Send(&Transfer{Src: 2, Dst: 0, Bytes: 1 << 20, Sink: onDelivered(func() { d2 = eng.Now() })})
 	eng.Run()
 	if !almost(d2, f.TransferTime(1<<20)) {
 		t.Fatalf("independent transfer delayed: %v want %v", d2, f.TransferTime(1<<20))
@@ -153,7 +167,7 @@ func TestPipelinedOverhead(t *testing.T) {
 	f := NewFabric(eng, 2, 10, prof)
 	var last float64
 	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20})
-	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, OnDelivered: func() { last = eng.Now() }})
+	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, Sink: onDelivered(func() { last = eng.Now() })})
 	eng.Run()
 	bw := GbpsToBytes(10) * prof.Efficiency
 	want := prof.MsgOverhead + prof.PipelinedOverhead + 2*float64(1<<20)/bw
@@ -170,7 +184,7 @@ func TestIdleGapPaysFullOverhead(t *testing.T) {
 	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20})
 	// Second message submitted long after the first drains.
 	eng.Schedule(1.0, func() {
-		f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, OnDelivered: func() { last = eng.Now() }})
+		f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, Sink: onDelivered(func() { last = eng.Now() })})
 	})
 	eng.Run()
 	want := 1.0 + f.TransferTime(1<<20)
@@ -248,7 +262,7 @@ func TestConservationProperty(t *testing.T) {
 			bytes := int64(r)*100 + 1
 			wantBytes += bytes
 			want++
-			fab.Send(&Transfer{Src: src, Dst: dst, Bytes: bytes, OnDelivered: func() { got++ }})
+			fab.Send(&Transfer{Src: src, Dst: dst, Bytes: bytes, Sink: onDelivered(func() { got++ })})
 		}
 		eng.Run()
 		return got == want && fab.SentBytes() == wantBytes && int(fab.Delivered()) == want
@@ -268,7 +282,7 @@ func TestFIFOProperty(t *testing.T) {
 			i := i
 			fab.Send(&Transfer{
 				Src: 0, Dst: 1 + i%2, Bytes: int64(r) + 1,
-				OnDelivered: func() { order = append(order, i) },
+				Sink: onDelivered(func() { order = append(order, i) }),
 			})
 		}
 		eng.Run()
@@ -281,5 +295,65 @@ func TestFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A Send from inside OnStart re-enters the fabric while dispatch is scanning
+// its pending list. The nested transfer here cannot start at once (2->3 has
+// just taken node 3's downlink), so it must stay queued — not be dropped when
+// the outer scan writes back the transfers it kept.
+func TestSendFromOnStartIsNotLost(t *testing.T) {
+	eng := sim.New()
+	f := NewFabric(eng, 4, 10, RDMA())
+	var got []string
+	note := func(name string) Sink { return onDelivered(func() { got = append(got, name) }) }
+	f.Send(&Transfer{Src: 0, Dst: 1, Bytes: 1 << 20, Sink: note("0->1")})
+	f.Send(&Transfer{Src: 2, Dst: 3, Bytes: 1 << 20, Sink: note("2->3"),
+		OnStart: func() {
+			f.Send(&Transfer{Src: 0, Dst: 3, Bytes: 1 << 20, Sink: note("0->3")})
+		}})
+	if f.QueueDepth(0) != 1 {
+		t.Fatalf("queue depth at node 0 = %d, want the nested transfer waiting", f.QueueDepth(0))
+	}
+	eng.Run()
+	if len(got) != 3 || got[2] != "0->3" {
+		t.Fatalf("delivered %v, want all three with 0->3 last", got)
+	}
+	if f.Delivered() != 3 || f.QueueDepth(0) != 0 {
+		t.Fatalf("fabric counted %d delivered, %d still queued at node 0", f.Delivered(), f.QueueDepth(0))
+	}
+}
+
+// A pooled transfer goes back to the fabric after its ack and comes out of
+// NewTransfer again, zeroed; one the caller allocated is never handed out.
+func TestPooledTransferReuse(t *testing.T) {
+	eng := sim.New()
+	f := NewFabric(eng, 2, 10, RDMA())
+	acks := 0
+	sink := sinkFuncs{delivered: func() {}, acked: func() { acks++ }}
+
+	own := &Transfer{Src: 0, Dst: 1, Bytes: 1 << 10, Sink: sink}
+	f.Send(own)
+	eng.Run()
+	if got := f.NewTransfer(); got == own {
+		t.Fatal("a caller-allocated transfer was recycled")
+	}
+
+	first := f.NewTransfer()
+	first.Src, first.Dst, first.Bytes, first.Sink, first.Tag = 0, 1, 1<<10, sink, 7
+	f.Send(first)
+	if f.NewTransfer() == first {
+		t.Fatal("a transfer in flight was handed out again")
+	}
+	eng.Run()
+	again := f.NewTransfer()
+	if again != first {
+		t.Fatal("an acked pooled transfer was not reused")
+	}
+	if again.Sink != nil || again.Tag != 0 || again.Bytes != 0 {
+		t.Fatalf("recycled transfer not zeroed: %+v", again)
+	}
+	if acks != 2 || f.Delivered() != 2 {
+		t.Fatalf("acks=%d delivered=%d, want 2 and 2", acks, f.Delivered())
 	}
 }

@@ -28,6 +28,7 @@ type PSPlugin struct {
 	layers  []model.Layer
 	up      []*core.Scheduler // per worker, schedules pushes
 	down    []*core.Scheduler // per worker, schedules pulls
+	ids     [][]int           // the cluster's id of each layer's tensors
 }
 
 // NewPS creates the plugin. Each worker gets an upload and a download
@@ -40,6 +41,12 @@ func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 		layers:  m.Layers,
 		up:      make([]*core.Scheduler, workers),
 		down:    make([]*core.Scheduler, workers),
+		ids:     make([][]int, len(m.Layers)),
+	}
+	for l, layer := range m.Layers {
+		for _, tt := range layer.Tensors {
+			p.ids[l] = append(p.ids[l], cluster.TensorID(tt))
+		}
 	}
 	// Pull tasks arrive pre-partitioned (one CommTask per partition, each
 	// becoming ready when its aggregation completes), so the download
@@ -82,47 +89,85 @@ func (p *PSPlugin) GradientReady(worker, layer, iter int, done func()) {
 	// One push CommTask per tensor. Enqueue them all first: the Core
 	// partitions each tensor, and its partitions are both the gate count
 	// and the pull tasks — partitioning is the Core's decision alone.
-	pushes := make([]*core.Task, len(tensors))
 	// The engine gate opens when every partition of every tensor in the
 	// layer has been pulled back. Count partitions up front so a fast
 	// first delivery cannot fire the gate early.
-	remaining := 0
+	gate := &layerState{done: done}
+	syncs := make([]tensorSync, len(tensors))
 	for i, tt := range tensors {
-		pushes[i] = &core.Task{
-			Tensor: tt,
-			Start: func(sub tensor.Sub, subDone func()) {
-				p.cluster.Push(iter, worker, sub, subDone)
-			},
-		}
-		upSched.Enqueue(pushes[i])
-		remaining += len(pushes[i].Subs())
+		ts := &syncs[i]
+		ts.p, ts.worker, ts.iter, ts.id, ts.gate = p, worker, iter, p.ids[layer][i], gate
+		ts.push = core.Task{Tensor: tt, Starter: ts}
+		upSched.Enqueue(&ts.push)
+		gate.remaining += len(ts.push.Subs())
 	}
-	state := &layerState{remaining: remaining, done: done}
-
-	for i, tt := range tensors {
+	for i := range syncs {
+		ts := &syncs[i]
 		// One pull CommTask per partition: each becomes ready
 		// independently, when its own aggregation completes.
-		for _, sub := range pushes[i].Subs() {
-			sub := sub
-			pullTask := &core.Task{
-				// The pull task's payload is exactly one partition; the
-				// scheduler will not re-split it (Bytes <= unit), and
-				// priority still derives from the layer.
-				Tensor: tensor.Tensor{Layer: tt.Layer, Name: tt.Name + "/pull", Bytes: sub.Bytes},
-				Start: func(_ tensor.Sub, subDone func()) {
-					p.cluster.Pull(iter, worker, sub,
-						func() { state.delivered() },
-						subDone)
-				},
+		ts.parts = make([]partSync, len(ts.push.Subs()))
+		for j, sub := range ts.push.Subs() {
+			part := &ts.parts[j]
+			part.ts, part.index = ts, j
+			// The pull task's payload is exactly one partition; the
+			// scheduler will not re-split it (Bytes <= unit), and
+			// priority still derives from the layer.
+			part.pull = core.Task{
+				Tensor:  tensor.Tensor{Layer: sub.Parent.Layer, Name: sub.Parent.Name, Bytes: sub.Bytes},
+				Starter: part,
 			}
-			downSched.Enqueue(pullTask)
-			p.cluster.WhenPullable(iter, worker, sub, func() {
-				downSched.NotifyReady(pullTask)
-			})
+			downSched.Enqueue(&part.pull)
+			p.cluster.WhenPullable(iter, worker, ts.id, sub, ts)
 		}
-		upSched.NotifyReady(pushes[i])
+		upSched.NotifyReady(&ts.push)
 	}
 }
+
+// tensorSync is one tensor's synchronization on one worker in one iteration:
+// the push task's Starter and every partition's ps.Receiver, so a partition's
+// trip through both Cores and the cluster builds no closure.
+type tensorSync struct {
+	p                *PSPlugin
+	worker, iter, id int
+	gate             *layerState
+	push             core.Task
+	parts            []partSync // by Sub.Index
+}
+
+// partSync is one partition: its pull task (whose Starter it is) and the
+// handles both Cores are waiting on.
+type partSync struct {
+	ts           *tensorSync
+	index        int
+	pull         core.Task
+	pushH, pullH *core.Handle
+}
+
+// StartSub implements core.Starter for the push task.
+func (ts *tensorSync) StartSub(h *core.Handle) {
+	sub := h.Sub()
+	ts.parts[sub.Index].pushH = h
+	ts.p.cluster.Push(ts.iter, ts.worker, ts.id, sub, ts)
+}
+
+// StartSub implements core.Starter for one partition's pull task.
+func (part *partSync) StartSub(h *core.Handle) {
+	ts := part.ts
+	part.pullH = h
+	ts.p.cluster.Pull(ts.iter, ts.worker, ts.id, ts.push.Subs()[part.index], ts)
+}
+
+// PushAcked implements ps.Receiver: the push's credit returns.
+func (ts *tensorSync) PushAcked(part int) { ts.parts[part].pushH.Done(nil) }
+
+// Pullable implements ps.Receiver: the partition's pull joins the queue.
+func (ts *tensorSync) Pullable(part int) { ts.p.down[ts.worker].NotifyReady(&ts.parts[part].pull) }
+
+// PullDelivered implements ps.Receiver.
+func (ts *tensorSync) PullDelivered(int) { ts.gate.delivered() }
+
+// PullAcked implements ps.Receiver: the pull's credit returns.
+func (ts *tensorSync) PullAcked(part int) { ts.parts[part].pullH.Done(nil) }
 
 // layerState tracks outstanding partition deliveries for one (worker,
 // layer, iteration) and opens the engine gate when all have arrived.

@@ -89,18 +89,40 @@ type Config struct {
 // DefaultUpdateSecPerByte models a ~25 GB/s memory-bound SGD update.
 const DefaultUpdateSecPerByte = 1.0 / 25e9
 
+// Receiver is told of a partition's progress through the cluster. One record
+// on the caller's side (the plugin keeps one per tensor, worker and
+// iteration) stands in for four closures per partition; part is Sub.Index.
+type Receiver interface {
+	// PushAcked: the sender learned the whole partition's push completed —
+	// the scheduler's credit-return signal.
+	PushAcked(part int)
+	// Pullable: the partition can now be pulled (see WhenPullable).
+	Pullable(part int)
+	// PullDelivered: the pulled data has arrived at the worker — what the
+	// next iteration's forward pass waits on.
+	PullDelivered(part int)
+	// PullAcked: the pull's credit may be returned.
+	PullAcked(part int)
+}
+
 // Cluster wires workers and servers over a fabric.
 type Cluster struct {
 	eng *sim.Engine
 	fab *network.Fabric
 	cfg Config
 
-	assigner     Assigner
-	tensorServer map[tensorID]int
-	partServer   map[partID]int
+	assigner Assigner
+	ids      map[tensorID]int // TensorID's intern table
+	tensors  []placement      // by interned id
 
-	aggs      map[subKey]*aggState
+	aggs      map[aggKey]*aggState
 	recvBytes []int64 // per-server pushed bytes, for load accounting
+
+	// A request is recycled at its last ack (a watch: its last chunk), an
+	// aggregation slot at its last pull's delivery — before the callback
+	// that step owes runs, so no live callback reaches a recycled record.
+	freeReqs sim.FreeList[request]
+	freeAggs sim.FreeList[aggState]
 }
 
 type tensorID struct {
@@ -108,43 +130,50 @@ type tensorID struct {
 	name  string
 }
 
-type partID struct {
-	tensorID
-	index int
+// placement is a tensor's sticky server assignment, stored as server+1 so
+// the zero value means "not assigned yet".
+type placement struct {
+	id     tensorID
+	whole  int   // RoundRobinTensor: the tensor's one server
+	byPart []int // SpreadPartitions: by partition index
 }
 
-type subKey struct {
-	iter int
-	partID
-	chunk int
+type aggKey struct {
+	iter, tensor, part, chunk int
 }
 
-// chunk is one server-directed piece of a partition: the whole partition on
-// one server normally, or a stripe when big-array sharding applies.
-type chunk struct {
-	idx    int
-	server int
-	bytes  int64
+// The kinds of request.
+const (
+	reqPush = iota
+	reqPull
+	reqWatch
+)
+
+// request is one Push, Pull or WhenPullable in progress: the Sink of its
+// transfers and the countdown over its chunks.
+type request struct {
+	c            *Cluster
+	kind         int
+	rcv          Receiver
+	iter, worker int
+	tensor, part int
+	left         int // chunks still to deliver (pull) or become pullable (watch)
+	acks         int // chunks still to be acked
 }
 
-type pullReq struct {
-	worker      int
-	onDelivered func()
-	onAcked     func()
-}
-
-type watch struct {
-	worker int
-	fn     func()
-}
-
+// aggState is one chunk's aggregation on its server. It is its own update
+// event: Fire(worker) applies one worker's push in async mode, Fire(-1)
+// the aggregate of all of them in sync mode.
 type aggState struct {
+	c              *Cluster
+	key            aggKey
+	server         int
 	bytes          int64
 	pushesApplied  int
 	updated        bool
-	appliedWorkers map[int]bool // async mode
-	waiting        []pullReq
-	watchers       []watch
+	applied        []bool     // by worker; async mode
+	waiting        []*request // pulls issued before the chunk was ready
+	watchers       []*request
 	pullsDelivered int
 }
 
@@ -165,14 +194,13 @@ func New(eng *sim.Engine, fab *network.Fabric, cfg Config) (*Cluster, error) {
 		assigner = NewAssigner(cfg.Strategy, cfg.Servers)
 	}
 	return &Cluster{
-		eng:          eng,
-		fab:          fab,
-		cfg:          cfg,
-		assigner:     assigner,
-		tensorServer: make(map[tensorID]int),
-		partServer:   make(map[partID]int),
-		aggs:         make(map[subKey]*aggState),
-		recvBytes:    make([]int64, cfg.Servers),
+		eng:       eng,
+		fab:       fab,
+		cfg:       cfg,
+		assigner:  assigner,
+		ids:       make(map[tensorID]int),
+		aggs:      make(map[aggKey]*aggState),
+		recvBytes: make([]int64, cfg.Servers),
 	}, nil
 }
 
@@ -186,28 +214,47 @@ func (c *Cluster) ServerLoad() []int64 {
 	return out
 }
 
+// TensorID interns a tensor: Push, Pull and WhenPullable take the small
+// integer in place of its (layer, name) pair, so no hop hashes a string.
+// Intern once per tensor and keep the id.
+func (c *Cluster) TensorID(t tensor.Tensor) int {
+	key := tensorID{t.Layer, t.Name}
+	id, ok := c.ids[key]
+	if !ok {
+		id = len(c.tensors)
+		c.ids[key] = id
+		c.tensors = append(c.tensors, placement{id: key})
+	}
+	return id
+}
+
 // ServerOf returns the server index (0-based) a partition is assigned to.
 // Assignment is sticky: the first call for a tensor/partition decides, by
 // consulting the configured Assigner once per unit and caching the result.
 func (c *Cluster) ServerOf(sub tensor.Sub) int {
-	tid := tensorID{sub.Parent.Layer, sub.Parent.Name}
-	switch c.cfg.Assignment {
-	case SpreadPartitions:
-		pid := partID{tid, sub.Index}
-		if s, ok := c.partServer[pid]; ok {
-			return s
+	return c.serverOf(c.TensorID(sub.Parent), sub)
+}
+
+func (c *Cluster) serverOf(tid int, sub tensor.Sub) int {
+	pl := &c.tensors[tid]
+	spread := c.cfg.Assignment == SpreadPartitions
+	slot, bytes := &pl.whole, sub.Parent.Bytes
+	if spread {
+		for len(pl.byPart) <= sub.Index {
+			pl.byPart = append(pl.byPart, 0)
 		}
-		s := c.assigner.Assign(fmt.Sprintf("L%d/%s#%d", tid.layer, tid.name, sub.Index), sub.Bytes)
-		c.partServer[pid] = s
-		return s
-	default:
-		if s, ok := c.tensorServer[tid]; ok {
-			return s
-		}
-		s := c.assigner.Assign(fmt.Sprintf("L%d/%s", tid.layer, tid.name), sub.Parent.Bytes)
-		c.tensorServer[tid] = s
-		return s
+		slot, bytes = &pl.byPart[sub.Index], sub.Bytes
 	}
+	if *slot == 0 {
+		var unit string
+		if spread {
+			unit = fmt.Sprintf("L%d/%s#%d", pl.id.layer, pl.id.name, sub.Index)
+		} else {
+			unit = fmt.Sprintf("L%d/%s", pl.id.layer, pl.id.name)
+		}
+		*slot = c.assigner.Assign(unit, bytes) + 1
+	}
+	return *slot - 1
 }
 
 // AssignerName reports the placement strategy in effect, e.g.
@@ -221,204 +268,192 @@ func (c *Cluster) PlannedLoad() []int64 { return c.assigner.Load() }
 
 func (c *Cluster) serverNode(server int) int { return c.cfg.Workers + server }
 
-// chunksOf returns the server-directed pieces of a partition. Big-array
-// sharding stripes oversized partitions across every server, starting at
-// the tensor's round-robin home for determinism.
-func (c *Cluster) chunksOf(sub tensor.Sub) []chunk {
-	base := c.ServerOf(sub)
-	if c.cfg.ShardBytes <= 0 || sub.Bytes <= c.cfg.ShardBytes || c.cfg.Servers == 1 {
-		return []chunk{{idx: 0, server: base, bytes: sub.Bytes}}
+// chunks returns how many server-directed pieces a partition travels as:
+// one, or a stripe per server when big-array sharding applies.
+func (c *Cluster) chunks(bytes int64) int {
+	if c.cfg.ShardBytes <= 0 || bytes <= c.cfg.ShardBytes {
+		return 1
 	}
-	s := c.cfg.Servers
-	out := make([]chunk, 0, s)
-	stride := sub.Bytes / int64(s)
-	var off int64
-	for i := 0; i < s; i++ {
-		size := stride
-		if i == s-1 {
-			size = sub.Bytes - off
-		}
-		out = append(out, chunk{idx: i, server: (base + i) % s, bytes: size})
-		off += size
-	}
-	return out
+	return c.cfg.Servers
 }
 
-func (c *Cluster) key(iter int, sub tensor.Sub, chunkIdx int) subKey {
-	return subKey{iter, partID{tensorID{sub.Parent.Layer, sub.Parent.Name}, sub.Index}, chunkIdx}
+// chunk returns the server and size of stripe i of n. Stripes start at the
+// partition's home server for determinism; the last takes the remainder.
+func (c *Cluster) chunk(home int, bytes int64, n, i int) (server int, size int64) {
+	size = bytes / int64(n)
+	if i == n-1 {
+		size = bytes - size*int64(n-1)
+	}
+	return (home + i) % c.cfg.Servers, size
 }
 
-func (c *Cluster) agg(key subKey, bytes int64) *aggState {
+// begin opens a request and returns it with its home server and chunk count.
+func (c *Cluster) begin(kind, iter, worker, tid int, sub tensor.Sub, rcv Receiver) (r *request, home, chunks int) {
+	if worker < 0 || worker >= c.cfg.Workers {
+		panic(fmt.Sprintf("ps: worker %d out of range", worker))
+	}
+	home, chunks = c.serverOf(tid, sub), c.chunks(sub.Bytes)
+	r = c.freeReqs.Get()
+	*r = request{c: c, kind: kind, rcv: rcv, iter: iter, worker: worker, tensor: tid, part: sub.Index, left: chunks, acks: chunks}
+	return r, home, chunks
+}
+
+// agg returns one chunk's aggregation slot, a recycled one (its slices keep
+// their capacity) at the chunk's first touch.
+func (c *Cluster) agg(r *request, chunk, server int, bytes int64) *aggState {
+	key := aggKey{r.iter, r.tensor, r.part, chunk}
 	a, ok := c.aggs[key]
-	if !ok {
-		a = &aggState{bytes: bytes}
-		if c.cfg.Async {
-			a.appliedWorkers = make(map[int]bool, c.cfg.Workers)
-		}
-		c.aggs[key] = a
+	if ok {
+		return a
 	}
+	a = c.freeAggs.Get()
+	if c.cfg.Async && a.applied == nil {
+		a.applied = make([]bool, c.cfg.Workers)
+	}
+	a.c, a.key, a.server, a.bytes = c, key, server, bytes
+	c.aggs[key] = a
 	return a
 }
 
-// Push transmits worker's gradient partition to its server (or servers,
-// under big-array sharding) for iteration iter. onAcked (optional) fires
-// when the sender learns the whole partition's push completed — the
-// scheduler's credit-return signal.
-func (c *Cluster) Push(iter, worker int, sub tensor.Sub, onAcked func()) {
-	if worker < 0 || worker >= c.cfg.Workers {
-		panic(fmt.Sprintf("ps: worker %d out of range", worker))
-	}
-	chs := c.chunksOf(sub)
-	acked := countdown(len(chs), onAcked)
-	for _, ch := range chs {
-		ch := ch
-		key := c.key(iter, sub, ch.idx)
-		c.fab.Send(&network.Transfer{
-			Src:   worker,
-			Dst:   c.serverNode(ch.server),
-			Bytes: ch.bytes,
-			Prio:  sub.Parent.Layer,
-			OnDelivered: func() {
-				c.recvBytes[ch.server] += ch.bytes
-				a := c.agg(key, ch.bytes)
-				updateDelay := c.cfg.UpdateSecPerByte * float64(ch.bytes)
-				if c.cfg.Async {
-					// Each push is applied independently.
-					c.eng.Schedule(updateDelay, func() {
-						a.appliedWorkers[worker] = true
-						c.flush(key, a, ch.server)
-					})
-					return
-				}
-				a.pushesApplied++
-				if a.pushesApplied == c.cfg.Workers {
-					c.eng.Schedule(updateDelay, func() {
-						a.updated = true
-						c.flush(key, a, ch.server)
-					})
-				}
-			},
-			OnAcked: acked,
-		})
+// send puts one chunk of r on the wire.
+func (c *Cluster) send(r *request, src, dst int, bytes int64, prio, chunk int) {
+	t := c.fab.NewTransfer()
+	t.Src, t.Dst, t.Bytes, t.Prio, t.Sink, t.Tag = src, dst, bytes, prio, r, chunk
+	c.fab.Send(t)
+}
+
+// Push transmits worker's gradient partition of tensor tid (see TensorID) to
+// its server (or servers, under big-array sharding) for iteration iter, and
+// tells rcv when the push is acked.
+func (c *Cluster) Push(iter, worker, tid int, sub tensor.Sub, rcv Receiver) {
+	r, home, n := c.begin(reqPush, iter, worker, tid, sub, rcv)
+	for i := 0; i < n; i++ {
+		server, bytes := c.chunk(home, sub.Bytes, n, i)
+		c.send(r, worker, c.serverNode(server), bytes, sub.Parent.Layer, i)
 	}
 }
 
-// countdown returns a callback that invokes fn after n calls; nil fn yields
-// nil.
-func countdown(n int, fn func()) func() {
-	if fn == nil {
-		return nil
-	}
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 {
-			fn()
-		}
-		if remaining < 0 {
-			panic("ps: countdown underflow")
-		}
-	}
+// Pull requests the aggregated parameter partition for worker and tells rcv
+// of its delivery and ack. Each chunk's transfer starts as soon as it is
+// ready on its server: after all pushes in sync mode, after this worker's
+// own push in async mode.
+func (c *Cluster) Pull(iter, worker, tid int, sub tensor.Sub, rcv Receiver) {
+	c.await(reqPull, iter, worker, tid, sub, rcv)
 }
 
-// Pull requests the aggregated parameter partition for worker. onDelivered
-// fires when the data has arrived at the worker (the dependency the next
-// iteration's forward pass waits on); onAcked fires when the scheduler may
-// return credit. The transfer starts as soon as the partition is ready on
-// the server: after all pushes in sync mode, after this worker's own push in
-// async mode.
-func (c *Cluster) Pull(iter, worker int, sub tensor.Sub, onDelivered, onAcked func()) {
-	if worker < 0 || worker >= c.cfg.Workers {
-		panic(fmt.Sprintf("ps: worker %d out of range", worker))
-	}
-	chs := c.chunksOf(sub)
-	delivered := countdown(len(chs), onDelivered)
-	acked := countdown(len(chs), onAcked)
-	for _, ch := range chs {
-		key := c.key(iter, sub, ch.idx)
-		a := c.agg(key, ch.bytes)
-		req := pullReq{worker, delivered, acked}
-		if c.ready(a, worker) {
-			c.startPull(key, a, ch.server, req)
-			continue
-		}
-		a.waiting = append(a.waiting, req)
-	}
-}
-
-// WhenPullable invokes fn as soon as the partition is ready to be pulled by
+// WhenPullable tells rcv as soon as the partition is ready to be pulled by
 // worker for iteration iter: after aggregation and update in sync mode,
 // after the worker's own push is applied in async mode. If already ready,
-// fn runs inline. This lets a scheduler delay issuing the pull (and holding
-// credit) until the pull can actually proceed.
-func (c *Cluster) WhenPullable(iter, worker int, sub tensor.Sub, fn func()) {
-	if worker < 0 || worker >= c.cfg.Workers {
-		panic(fmt.Sprintf("ps: worker %d out of range", worker))
-	}
-	chs := c.chunksOf(sub)
-	each := countdown(len(chs), fn)
-	for _, ch := range chs {
-		key := c.key(iter, sub, ch.idx)
-		a := c.agg(key, ch.bytes)
-		if c.ready(a, worker) {
-			each()
-			continue
+// rcv is told inline. This lets a scheduler delay issuing the pull (and
+// holding credit) until the pull can actually proceed.
+func (c *Cluster) WhenPullable(iter, worker, tid int, sub tensor.Sub, rcv Receiver) {
+	c.await(reqWatch, iter, worker, tid, sub, rcv)
+}
+
+// await opens a pull or a watch: each chunk is served at once if worker can
+// already pull it, and parked on its aggregation slot otherwise.
+func (c *Cluster) await(kind, iter, worker, tid int, sub tensor.Sub, rcv Receiver) {
+	r, home, n := c.begin(kind, iter, worker, tid, sub, rcv)
+	for i := 0; i < n; i++ {
+		server, bytes := c.chunk(home, sub.Bytes, n, i)
+		switch a := c.agg(r, i, server, bytes); {
+		case c.ready(a, worker):
+			c.serve(a, r)
+		case kind == reqPull:
+			a.waiting = append(a.waiting, r)
+		default:
+			a.watchers = append(a.watchers, r)
 		}
-		a.watchers = append(a.watchers, watch{worker, each})
+	}
+}
+
+// serve gives r the chunk it waited for: a pull's transfer starts; a watch
+// counts it and, at the last, tells the receiver.
+func (c *Cluster) serve(a *aggState, r *request) {
+	if r.kind == reqPull {
+		c.send(r, c.serverNode(a.server), r.worker, a.bytes, 0, a.key.chunk)
+	} else if r.left--; r.left == 0 {
+		rcv, part := r.rcv, r.part
+		c.freeReqs.Put(r)
+		rcv.Pullable(part)
 	}
 }
 
 func (c *Cluster) ready(a *aggState, worker int) bool {
 	if c.cfg.Async {
-		return a.appliedWorkers[worker]
+		return a.applied[worker]
 	}
 	return a.updated
 }
 
-func (c *Cluster) flush(key subKey, a *aggState, server int) {
-	kept := a.waiting[:0]
-	for _, req := range a.waiting {
-		if c.ready(a, req.worker) {
-			c.startPull(key, a, server, req)
-		} else {
-			kept = append(kept, req)
-		}
+// Fire implements sim.Handler: the server-side update has been applied.
+func (a *aggState) Fire(worker int) {
+	if worker >= 0 {
+		a.applied[worker] = true
+	} else {
+		a.updated = true
 	}
-	for i := len(kept); i < len(a.waiting); i++ {
-		a.waiting[i] = pullReq{}
-	}
-	a.waiting = kept
-
-	keptW := a.watchers[:0]
-	for _, w := range a.watchers {
-		if c.ready(a, w.worker) {
-			w.fn()
-		} else {
-			keptW = append(keptW, w)
-		}
-	}
-	for i := len(keptW); i < len(a.watchers); i++ {
-		a.watchers[i] = watch{}
-	}
-	a.watchers = keptW
+	// Parked pulls start before watchers hear, as they always have.
+	a.waiting = a.c.wake(a, a.waiting)
+	a.watchers = a.c.wake(a, a.watchers)
 }
 
-func (c *Cluster) startPull(key subKey, a *aggState, server int, req pullReq) {
-	c.fab.Send(&network.Transfer{
-		Src:   c.serverNode(server),
-		Dst:   req.worker,
-		Bytes: a.bytes,
-		OnDelivered: func() {
-			if req.onDelivered != nil {
-				req.onDelivered()
-			}
-			a.pullsDelivered++
-			if a.pullsDelivered == c.cfg.Workers && len(a.waiting) == 0 && len(a.watchers) == 0 {
-				delete(c.aggs, key) // all workers served; reclaim
-			}
-		},
-		OnAcked: req.onAcked,
-	})
+// wake serves the parked requests whose worker can now pull; returns the rest.
+func (c *Cluster) wake(a *aggState, parked []*request) []*request {
+	kept := parked[:0]
+	for _, r := range parked {
+		if c.ready(a, r.worker) {
+			c.serve(a, r)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	clear(parked[len(kept):])
+	return kept
+}
+
+// Delivered implements network.Sink. A pushed chunk is aggregated and, once
+// every push it waits for is in, updated at the optimizer's cost; a pulled
+// chunk counts toward the partition's delivery and its slot's end.
+func (r *request) Delivered(t *network.Transfer) {
+	c := r.c
+	if r.kind == reqPush {
+		server := t.Dst - c.cfg.Workers
+		c.recvBytes[server] += t.Bytes
+		a := c.agg(r, t.Tag, server, t.Bytes)
+		updateDelay := c.cfg.UpdateSecPerByte * float64(t.Bytes)
+		if c.cfg.Async {
+			c.eng.After(updateDelay, a, r.worker) // each push is applied independently
+		} else if a.pushesApplied++; a.pushesApplied == c.cfg.Workers {
+			c.eng.After(updateDelay, a, -1)
+		}
+		return
+	}
+	if r.left--; r.left == 0 {
+		r.rcv.PullDelivered(r.part)
+	}
+	a := c.aggs[aggKey{r.iter, r.tensor, r.part, t.Tag}]
+	a.pullsDelivered++
+	if a.pullsDelivered == c.cfg.Workers && len(a.waiting) == 0 && len(a.watchers) == 0 {
+		delete(c.aggs, a.key) // all workers served; reclaim
+		clear(a.applied)
+		*a = aggState{applied: a.applied, waiting: a.waiting, watchers: a.watchers}
+		c.freeAggs.Put(a)
+	}
+}
+
+// Acked implements network.Sink: the request ends with its last chunk's ack.
+func (r *request) Acked(*network.Transfer) {
+	if r.acks--; r.acks > 0 {
+		return
+	}
+	kind, rcv, part := r.kind, r.rcv, r.part
+	r.c.freeReqs.Put(r)
+	if kind == reqPush {
+		rcv.PushAcked(part)
+	} else {
+		rcv.PullAcked(part)
+	}
 }
 
 // Outstanding returns the number of live aggregation entries; useful for

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"fmt"
 	"testing"
 
 	"bytescheduler/internal/network"
@@ -16,6 +17,34 @@ func newTestCluster(t *testing.T, eng *sim.Engine, cfg Config) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// callbacks is the closure form of a Receiver; nil fields are skipped.
+type callbacks struct{ pushAcked, pullable, pullDelivered, pullAcked func() }
+
+func call(fn func()) {
+	if fn != nil {
+		fn()
+	}
+}
+
+func (cb callbacks) PushAcked(int)     { call(cb.pushAcked) }
+func (cb callbacks) Pullable(int)      { call(cb.pullable) }
+func (cb callbacks) PullDelivered(int) { call(cb.pullDelivered) }
+func (cb callbacks) PullAcked(int)     { call(cb.pullAcked) }
+
+// pushFn, pullFn and whenPullableFn are Push, Pull and WhenPullable taking
+// closures, interning the tensor on every call.
+func (c *Cluster) pushFn(iter, worker int, sub tensor.Sub, onAcked func()) {
+	c.Push(iter, worker, c.TensorID(sub.Parent), sub, callbacks{pushAcked: onAcked})
+}
+
+func (c *Cluster) pullFn(iter, worker int, sub tensor.Sub, onDelivered, onAcked func()) {
+	c.Pull(iter, worker, c.TensorID(sub.Parent), sub, callbacks{pullDelivered: onDelivered, pullAcked: onAcked})
+}
+
+func (c *Cluster) whenPullableFn(iter, worker int, sub tensor.Sub, fn func()) {
+	c.WhenPullable(iter, worker, c.TensorID(sub.Parent), sub, callbacks{pullable: fn})
 }
 
 func sub(layer int, name string, bytes int64) tensor.Sub {
@@ -44,8 +73,8 @@ func TestSyncPushPullSingleWorker(t *testing.T) {
 	c := newTestCluster(t, eng, Config{Workers: 1, Servers: 1})
 	var pushAcked, pullDone bool
 	s := sub(0, "w", 1<<20)
-	c.Push(0, 0, s, func() { pushAcked = true })
-	c.Pull(0, 0, s, func() { pullDone = true }, nil)
+	c.pushFn(0, 0, s, func() { pushAcked = true })
+	c.pullFn(0, 0, s, func() { pullDone = true }, nil)
 	eng.Run()
 	if !pushAcked || !pullDone {
 		t.Fatalf("pushAcked=%v pullDone=%v", pushAcked, pullDone)
@@ -60,12 +89,12 @@ func TestSyncWaitsForAllWorkers(t *testing.T) {
 	c := newTestCluster(t, eng, Config{Workers: 2, Servers: 1})
 	s := sub(0, "w", 1<<20)
 	var pull0At float64 = -1
-	c.Push(0, 0, s, nil)
-	c.Pull(0, 0, s, func() { pull0At = eng.Now() }, nil)
+	c.pushFn(0, 0, s, nil)
+	c.pullFn(0, 0, s, func() { pull0At = eng.Now() }, nil)
 	// Worker 1 pushes much later.
 	var push1Start float64 = 0.5
-	eng.Schedule(push1Start, func() { c.Push(0, 1, s, nil) })
-	eng.Schedule(push1Start, func() { c.Pull(0, 1, s, nil, nil) })
+	eng.Schedule(push1Start, func() { c.pushFn(0, 1, s, nil) })
+	eng.Schedule(push1Start, func() { c.pullFn(0, 1, s, nil, nil) })
 	eng.Run()
 	if pull0At < push1Start {
 		t.Fatalf("sync pull served at %v before worker 1 pushed at %v", pull0At, push1Start)
@@ -77,8 +106,8 @@ func TestAsyncDoesNotWait(t *testing.T) {
 	c := newTestCluster(t, eng, Config{Workers: 2, Servers: 1, Async: true})
 	s := sub(0, "w", 1<<20)
 	var pull0At float64 = -1
-	c.Push(0, 0, s, nil)
-	c.Pull(0, 0, s, func() { pull0At = eng.Now() }, nil)
+	c.pushFn(0, 0, s, nil)
+	c.pullFn(0, 0, s, func() { pull0At = eng.Now() }, nil)
 	// Worker 1 never pushes; async worker 0 must still be served.
 	eng.Run()
 	if pull0At < 0 {
@@ -96,8 +125,8 @@ func TestAsyncRequiresOwnPush(t *testing.T) {
 	served := false
 	// Worker 1 pushes, worker 0 only pulls: worker 0 must wait (its own
 	// push is the async readiness condition).
-	c.Push(0, 1, s, nil)
-	c.Pull(0, 0, s, func() { served = true }, nil)
+	c.pushFn(0, 1, s, nil)
+	c.pullFn(0, 0, s, func() { served = true }, nil)
 	eng.Run()
 	if served {
 		t.Fatal("async pull served without the worker's own push")
@@ -116,10 +145,10 @@ func TestPartitionGranularityPulls(t *testing.T) {
 	parent := tensor.Tensor{Layer: 0, Name: "w", Bytes: 100 << 20}
 	parts := tensor.Partition(parent, 50<<20)
 	var part0PulledAt, part1PushedAt float64 = -1, -1
-	c.Push(0, 0, parts[0], nil)
-	c.Pull(0, 0, parts[0], func() { part0PulledAt = eng.Now() }, nil)
-	c.Push(0, 0, parts[1], func() { part1PushedAt = eng.Now() })
-	c.Pull(0, 0, parts[1], nil, nil)
+	c.pushFn(0, 0, parts[0], nil)
+	c.pullFn(0, 0, parts[0], func() { part0PulledAt = eng.Now() }, nil)
+	c.pushFn(0, 0, parts[1], func() { part1PushedAt = eng.Now() })
+	c.pullFn(0, 0, parts[1], nil, nil)
 	eng.Run()
 	if part0PulledAt < 0 || part1PushedAt < 0 {
 		t.Fatal("operations did not complete")
@@ -185,8 +214,8 @@ func TestLoadImbalance(t *testing.T) {
 		for w := 0; w < 2; w++ {
 			for _, tt := range []tensor.Tensor{big, small} {
 				for _, p := range tensor.Partition(tt, unit) {
-					c.Push(0, w, p, nil)
-					c.Pull(0, w, p, nil, nil)
+					c.pushFn(0, w, p, nil)
+					c.pullFn(0, w, p, nil, nil)
 				}
 			}
 		}
@@ -209,15 +238,15 @@ func TestIterationsAreIndependent(t *testing.T) {
 	s := sub(0, "w", 1<<20)
 	var it1Pull float64 = -1
 	// Iteration 0: both workers. Iteration 1: both workers, later.
-	c.Push(0, 0, s, nil)
-	c.Push(0, 1, s, nil)
-	c.Pull(0, 0, s, nil, nil)
-	c.Pull(0, 1, s, nil, nil)
+	c.pushFn(0, 0, s, nil)
+	c.pushFn(0, 1, s, nil)
+	c.pullFn(0, 0, s, nil, nil)
+	c.pullFn(0, 1, s, nil, nil)
 	eng.Schedule(0.1, func() {
-		c.Push(1, 0, s, nil)
-		c.Push(1, 1, s, nil)
-		c.Pull(1, 0, s, func() { it1Pull = eng.Now() }, nil)
-		c.Pull(1, 1, s, nil, nil)
+		c.pushFn(1, 0, s, nil)
+		c.pushFn(1, 1, s, nil)
+		c.pullFn(1, 0, s, func() { it1Pull = eng.Now() }, nil)
+		c.pullFn(1, 1, s, nil, nil)
 	})
 	eng.Run()
 	if it1Pull < 0.1 {
@@ -237,8 +266,8 @@ func TestUpdateCostDelaysPull(t *testing.T) {
 	}
 	s := sub(0, "w", 1<<20)
 	var slowAt float64
-	slow.Push(0, 0, s, nil)
-	slow.Pull(0, 0, s, func() { slowAt = eng.Now() }, nil)
+	slow.pushFn(0, 0, s, nil)
+	slow.pullFn(0, 0, s, func() { slowAt = eng.Now() }, nil)
 	eng.Run()
 
 	eng2 := sim.New()
@@ -248,8 +277,8 @@ func TestUpdateCostDelaysPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fastAt float64
-	fast.Push(0, 0, s, nil)
-	fast.Pull(0, 0, s, func() { fastAt = eng2.Now() }, nil)
+	fast.pushFn(0, 0, s, nil)
+	fast.pullFn(0, 0, s, func() { fastAt = eng2.Now() }, nil)
 	eng2.Run()
 	wantDelta := 1e-6 * float64(1<<20)
 	if slowAt-fastAt < wantDelta*0.9 {
@@ -261,8 +290,8 @@ func TestWorkerRangePanics(t *testing.T) {
 	eng := sim.New()
 	c := newTestCluster(t, eng, Config{Workers: 1, Servers: 1})
 	for name, fn := range map[string]func(){
-		"push": func() { c.Push(0, 5, sub(0, "w", 1), nil) },
-		"pull": func() { c.Pull(0, -1, sub(0, "w", 1), nil, nil) },
+		"push": func() { c.pushFn(0, 5, sub(0, "w", 1), nil) },
+		"pull": func() { c.pullFn(0, -1, sub(0, "w", 1), nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -281,5 +310,76 @@ func TestAssignmentString(t *testing.T) {
 	}
 	if Assignment(9).String() == "" {
 		t.Fatal("unknown assignment should still format")
+	}
+}
+
+// tally is a Receiver counting every callback per (kind, part), and pulling
+// a partition the moment it turns pullable, as the plugin's download Core
+// does when credit allows.
+type tally struct {
+	c            *Cluster
+	iter, worker int
+	subs         []tensor.Sub
+	counts       map[string]int
+}
+
+func (tl *tally) note(kind string, part int) { tl.counts[fmt.Sprintf("%s/%d", kind, part)]++ }
+
+func (tl *tally) PushAcked(part int)     { tl.note("pushAcked", part) }
+func (tl *tally) PullDelivered(part int) { tl.note("pullDelivered", part) }
+func (tl *tally) PullAcked(part int)     { tl.note("pullAcked", part) }
+func (tl *tally) Pullable(part int) {
+	tl.note("pullable", part)
+	tl.c.Pull(tl.iter, tl.worker, tl.c.TensorID(tl.subs[part].Parent), tl.subs[part], tl)
+}
+
+// Requests and aggregation slots are recycled across partitions and
+// iterations. Every receiver must still hear each of its four callbacks
+// exactly once per partition — sync and async, striped or not — and nothing
+// may be left outstanding.
+func TestRecycledRecordsServeEveryCallbackOnce(t *testing.T) {
+	for _, cfg := range []Config{
+		{Workers: 3, Servers: 2, Assignment: SpreadPartitions},
+		{Workers: 3, Servers: 2, Assignment: SpreadPartitions, Async: true},
+		{Workers: 2, Servers: 3, ShardBytes: 1 << 10}, // every partition striped over 3 servers
+	} {
+		eng := sim.New()
+		c := newTestCluster(t, eng, cfg)
+		subs := tensor.Partition(tensor.Tensor{Layer: 1, Name: "w", Bytes: 40 << 10}, 4<<10)
+		id := c.TensorID(subs[0].Parent)
+		var tallies []*tally
+		for iter := 0; iter < 4; iter++ {
+			iter := iter
+			eng.Schedule(float64(iter), func() {
+				for w := 0; w < cfg.Workers; w++ {
+					tl := &tally{c: c, iter: iter, worker: w, subs: subs, counts: map[string]int{}}
+					tallies = append(tallies, tl)
+					for _, s := range subs {
+						c.WhenPullable(iter, w, id, s, tl)
+						c.Push(iter, w, id, s, tl)
+					}
+				}
+			})
+		}
+		eng.Run()
+		for _, tl := range tallies {
+			if len(tl.counts) != 4*len(subs) {
+				t.Fatalf("%+v: iter %d worker %d heard %d distinct callbacks, want %d: %v",
+					cfg, tl.iter, tl.worker, len(tl.counts), 4*len(subs), tl.counts)
+			}
+			for k, n := range tl.counts {
+				if n != 1 {
+					t.Fatalf("%+v: iter %d worker %d heard %s %d times", cfg, tl.iter, tl.worker, k, n)
+				}
+			}
+		}
+		if c.Outstanding() != 0 {
+			t.Fatalf("%+v: %d aggregation slots never reclaimed", cfg, c.Outstanding())
+		}
+		// One iteration's worth of records carried all four.
+		perIter := cfg.Workers * len(subs)
+		if got := len(c.freeReqs); got == 0 || got > 3*perIter {
+			t.Fatalf("%+v: %d request records for %d requests per iteration: not recycled", cfg, got, 3*perIter)
+		}
 	}
 }

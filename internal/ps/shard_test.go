@@ -21,8 +21,8 @@ func TestShardingSpreadsBigTensor(t *testing.T) {
 	eng := sim.New()
 	c, _ := shardCluster(t, eng, 1, 4, 8<<20)
 	big := sub(0, "big", 64<<20)
-	c.Push(0, 0, big, nil)
-	c.Pull(0, 0, big, nil, nil)
+	c.pushFn(0, 0, big, nil)
+	c.pullFn(0, 0, big, nil, nil)
 	eng.Run()
 	loads := c.ServerLoad()
 	for s, b := range loads {
@@ -40,7 +40,7 @@ func TestShardingThresholdInclusive(t *testing.T) {
 	eng := sim.New()
 	c, _ := shardCluster(t, eng, 1, 4, 8<<20)
 	at := sub(0, "edge", 8<<20)
-	c.Push(0, 0, at, nil)
+	c.pushFn(0, 0, at, nil)
 	eng.Run()
 	nonZero := 0
 	for _, b := range c.ServerLoad() {
@@ -57,7 +57,7 @@ func TestShardingDisabled(t *testing.T) {
 	eng := sim.New()
 	c, _ := shardCluster(t, eng, 1, 4, 0)
 	big := sub(0, "big", 64<<20)
-	c.Push(0, 0, big, nil)
+	c.pushFn(0, 0, big, nil)
 	eng.Run()
 	nonZero := 0
 	for _, b := range c.ServerLoad() {
@@ -75,8 +75,8 @@ func TestShardedPushAckOnce(t *testing.T) {
 	c, _ := shardCluster(t, eng, 2, 4, 1<<20)
 	big := sub(0, "big", 16<<20)
 	acks := 0
-	c.Push(0, 0, big, func() { acks++ })
-	c.Push(0, 1, big, nil)
+	c.pushFn(0, 0, big, func() { acks++ })
+	c.pushFn(0, 1, big, nil)
 	eng.Run()
 	if acks != 1 {
 		t.Fatalf("push acked %d times, want exactly 1 (after all stripes)", acks)
@@ -89,10 +89,10 @@ func TestShardedPullDeliversOnce(t *testing.T) {
 	big := sub(0, "big", 16<<20)
 	delivered, acked := 0, 0
 	for w := 0; w < 2; w++ {
-		c.Push(0, w, big, nil)
+		c.pushFn(0, w, big, nil)
 	}
-	c.Pull(0, 0, big, func() { delivered++ }, func() { acked++ })
-	c.Pull(0, 1, big, nil, nil)
+	c.pullFn(0, 0, big, func() { delivered++ }, func() { acked++ })
+	c.pullFn(0, 1, big, nil, nil)
 	eng.Run()
 	if delivered != 1 || acked != 1 {
 		t.Fatalf("delivered=%d acked=%d, want 1/1", delivered, acked)
@@ -107,13 +107,13 @@ func TestShardedWhenPullableFiresOnce(t *testing.T) {
 	c, _ := shardCluster(t, eng, 2, 4, 1<<20)
 	big := sub(0, "big", 16<<20)
 	fired := 0
-	c.WhenPullable(0, 0, big, func() { fired++ })
+	c.whenPullableFn(0, 0, big, func() { fired++ })
 	for w := 0; w < 2; w++ {
-		c.Push(0, w, big, nil)
+		c.pushFn(0, w, big, nil)
 	}
 	// Pull both workers so the aggregation entries drain.
 	for w := 0; w < 2; w++ {
-		c.Pull(0, w, big, nil, nil)
+		c.pullFn(0, w, big, nil, nil)
 	}
 	eng.Run()
 	if fired != 1 {
@@ -127,8 +127,8 @@ func TestShardedSingleServerNoOp(t *testing.T) {
 	c, _ := shardCluster(t, eng, 1, 1, 1<<20)
 	big := sub(0, "big", 16<<20)
 	done := false
-	c.Push(0, 0, big, nil)
-	c.Pull(0, 0, big, func() { done = true }, nil)
+	c.pushFn(0, 0, big, nil)
+	c.pullFn(0, 0, big, func() { done = true }, nil)
 	eng.Run()
 	if !done {
 		t.Fatal("pull never completed")
@@ -142,9 +142,9 @@ func TestShardedPipeliningBeatsWholeTensor(t *testing.T) {
 		eng := sim.New()
 		c, _ := shardCluster(t, eng, 1, 4, shard)
 		big := sub(0, "big", 64<<20)
-		c.Push(0, 0, big, nil)
+		c.pushFn(0, 0, big, nil)
 		var at float64
-		c.Pull(0, 0, big, func() { at = eng.Now() }, nil)
+		c.pullFn(0, 0, big, func() { at = eng.Now() }, nil)
 		eng.Run()
 		return at
 	}

@@ -1,0 +1,112 @@
+package runner
+
+import (
+	"math"
+	"testing"
+
+	"bytescheduler/internal/core"
+	"bytescheduler/internal/model"
+	"bytescheduler/internal/network"
+	"bytescheduler/internal/plugin"
+	"bytescheduler/internal/sim"
+)
+
+// simPSTrial is the benchmark's sim_ps trial (bench/README.md): fine
+// partitions, so nearly all of its 27 200 sub-tasks' work is in sim, core,
+// plugin, ps and network.
+func simPSTrial(seed int64) Config {
+	return Config{
+		Model:         model.VGG16(),
+		Framework:     plugin.MXNet,
+		Arch:          PS,
+		Transport:     network.TCP(),
+		BandwidthGbps: 10,
+		GPUs:          16,
+		Policy:        core.ByteScheduler(160<<10, 640<<10),
+		Scheduled:     true,
+		Iterations:    2,
+		Warmup:        1,
+		Jitter:        0.02,
+		Seed:          seed,
+	}
+}
+
+// golden is one trial's outcome with every float as its bit pattern: the
+// referee is order, so "close" is a failure.
+type golden struct {
+	samples, iter, load, planned, gpu uint64
+	up, down                          core.Stats
+	fired                             uint64
+}
+
+func observe(t *testing.T, cfg Config) golden {
+	t.Helper()
+	se := sim.New()
+	res, err := runOn(se, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return golden{
+		samples: math.Float64bits(res.SamplesPerSec),
+		iter:    math.Float64bits(res.IterTime),
+		load:    math.Float64bits(res.LoadImbalance),
+		planned: math.Float64bits(res.PlannedImbalance),
+		gpu:     math.Float64bits(res.GPUUtilization),
+		up:      res.UpStats,
+		down:    res.DownStats,
+		fired:   se.Fired(),
+	}
+}
+
+// TestSimTrialGolden pins five trials — result bits, both schedulers'
+// counters and the number of events fired — to the values recorded at
+// commit bbfebec, before the per-partition path stopped allocating. Any
+// change to which event is scheduled when, or to a tie-break between events
+// due at the same instant, moves at least one of them; it fails in seconds
+// where the determinism suite takes most of a minute.
+func TestSimTrialGolden(t *testing.T) {
+	allreduce := simPSTrial(1)
+	allreduce.Arch, allreduce.Transport, allreduce.BandwidthGbps = AllReduce, network.RDMA(), 100
+	async := simPSTrial(1)
+	async.Async = true
+	// Unpartitioned FIFO: whole tensors placed round-robin, the two above
+	// 32 MB striped across both servers (the chunked path).
+	fifo := simPSTrial(1)
+	fifo.Policy, fifo.Scheduled = core.FIFO(), false
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want golden
+	}{
+		{"sim_ps/seed1", simPSTrial(1), golden{samples: 0x40833934c9ac3f47, iter: 0x3feaa255bc049f29, load: 0x3ff0026e7ccb386f, planned: 0x3ff0026e7ccb386f, gpu: 0x3fc568b71829507d, up: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x338c, MaxQueueLen: 3262, MaxInflightBytes: 655360}, down: core.Stats{TasksEnqueued: 0x3520, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0xb, MaxQueueLen: 5, MaxInflightBytes: 655360}, fired: 0xefd0}},
+		{"sim_ps/seed2", simPSTrial(2), golden{samples: 0x408338fc942d921d, iter: 0x3feaa2a39d9042d4, load: 0x3ff0026e7ccb386f, planned: 0x3ff0026e7ccb386f, gpu: 0x3fc559b4ca023a59, up: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x338c, MaxQueueLen: 3262, MaxInflightBytes: 655360}, down: core.Stats{TasksEnqueued: 0x3520, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x5, MaxQueueLen: 4, MaxInflightBytes: 655360}, fired: 0xefd0}},
+		{"sim_ps/seed3", simPSTrial(3), golden{samples: 0x4083368d04176bb7, iter: 0x3feaa604113731a3, load: 0x3ff0026e7ccb386f, planned: 0x3ff0026e7ccb386f, gpu: 0x3fc55ed84030b56d, up: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x338c, MaxQueueLen: 3263, MaxInflightBytes: 655360}, down: core.Stats{TasksEnqueued: 0x3520, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x64, MaxQueueLen: 14, MaxInflightBytes: 655360}, fired: 0xefd0}},
+		{"allreduce_rdma", allreduce, golden{samples: 0x40a6a3374de55824, iter: 0x3fc69e05cb627c9f, load: 0x0, planned: 0x0, gpu: 0x3fe928b08a692e85, up: core.Stats{TasksEnqueued: 0x40, SubsStarted: 0x1a90, SubsFinished: 0x1a90, Preemptions: 0x19c6, MaxQueueLen: 3054, MaxInflightBytes: 655360}, fired: 0x35a0}},
+		{"async_ps", async, golden{samples: 0x408341ac01d056cc, iter: 0x3fea96a034fbb574, load: 0x3ff0026e7ccb386f, planned: 0x3ff0026e7ccb386f, gpu: 0x3fc5723891503bf0, up: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x338c, MaxQueueLen: 3262, MaxInflightBytes: 655360}, down: core.Stats{TasksEnqueued: 0x3520, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x0, MaxQueueLen: 1, MaxInflightBytes: 655360}, fired: 0x10a60}},
+		{"fifo_sharded", fifo, golden{samples: 0x4084dd93a8253893, iter: 0x3fe889bf23940cbd, load: 0x3ff22c5ba5022db3, planned: 0x3fffff34a5b032a2, gpu: 0x3fc7286ad83ae40b, up: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x80, SubsFinished: 0x80, Preemptions: 0x0, MaxQueueLen: 1, MaxInflightBytes: 537042176}, down: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x80, SubsFinished: 0x80, Preemptions: 0x0, MaxQueueLen: 1, MaxInflightBytes: 441582848}, fired: 0x324}},
+	} {
+		if got := observe(t, tc.cfg); got != tc.want {
+			t.Errorf("%s moved:\n got %#v\nwant %#v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSimTrialAllocBudget holds the sim_ps trial to 140 000 allocations —
+// about five per sub-task, where each used to cost twenty (562 699 a trial):
+// a closure or a fresh record creeping back onto the per-partition path
+// costs at least one allocation per sub-task, 27 200 a trial, and shows here.
+// The trial measured 41 337; the margin is for the race detector's build and
+// for set-up that legitimately grows, not for per-partition allocations.
+func TestSimTrialAllocBudget(t *testing.T) {
+	const budget = 140_000
+	cfg := simPSTrial(1)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("one sim_ps trial allocated %.0f times, budget %d", allocs, budget)
+	}
+	t.Logf("one sim_ps trial: %.0f allocations (budget %d)", allocs, budget)
+}

@@ -388,7 +388,11 @@ func engineConfig(cfg Config) engine.Config {
 }
 
 // Run executes the configured training and returns its measured speed.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (Result, error) { return runOn(sim.New(), cfg) }
+
+// runOn is Run on a caller-owned simulator, so a test can read the event
+// count of the trial it just ran.
+func runOn(se *sim.Engine, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -399,7 +403,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Cluster != nil {
 		return runCluster(cfg)
 	}
-	se := sim.New()
 	inst, err := build(se, nil, cfg, engineConfig(cfg))
 	if err != nil {
 		return Result{}, err

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Server models a resource that serves one job at a time in FIFO order, such
 // as a GPU compute stream or a NIC transmit queue. Jobs are non-preemptible
 // once started, which is exactly the property that makes communication
@@ -10,7 +12,8 @@ type Server struct {
 	name    string
 	busy    bool
 	busyEnd Time
-	queue   []*job
+	queue   []job
+	serving job // the job in service; the server is its completion event
 	// LastIdleAt records when the server last became idle; it is used to
 	// account utilization.
 	lastIdleAt Time
@@ -57,8 +60,7 @@ func (s *Server) Submit(duration Time, onStart, onDone func()) {
 	if duration < 0 {
 		panic("sim: negative job duration")
 	}
-	j := &job{duration: duration, onStart: onStart, onDone: onDone}
-	s.queue = append(s.queue, j)
+	s.queue = append(s.queue, job{duration: duration, onStart: onStart, onDone: onDone})
 	s.dispatch()
 }
 
@@ -67,20 +69,28 @@ func (s *Server) dispatch() {
 		return
 	}
 	j := s.queue[0]
-	s.queue = s.queue[1:]
+	// Delete shifts and zeroes the vacated slot: a reslice would keep the
+	// served job's callbacks reachable behind the head.
+	s.queue = slices.Delete(s.queue, 0, 1)
+	s.serving = j
 	s.busy = true
 	s.busyEnd = s.eng.Now() + j.duration
 	s.busyTime += j.duration
 	if j.onStart != nil {
 		j.onStart()
 	}
-	s.eng.Schedule(j.duration, func() {
-		s.busy = false
-		s.served++
-		s.lastIdleAt = s.eng.Now()
-		if j.onDone != nil {
-			j.onDone()
-		}
-		s.dispatch()
-	})
+	s.eng.After(j.duration, s, 0)
+}
+
+// Fire implements Handler: the job in service completes.
+func (s *Server) Fire(int) {
+	onDone := s.serving.onDone
+	s.serving = job{}
+	s.busy = false
+	s.served++
+	s.lastIdleAt = s.eng.Now()
+	if onDone != nil {
+		onDone()
+	}
+	s.dispatch()
 }

@@ -20,14 +20,49 @@ import (
 // Time is a simulated instant, in seconds since the start of the run.
 type Time = float64
 
+// Handler receives typed events. A record that implements it is its own
+// callback: scheduling it with After captures nothing and allocates nothing,
+// and arg tells the record which of its steps is due.
+type Handler interface {
+	Fire(arg int)
+}
+
+// handlerFunc is the closure adapter: Schedule and At post the same kind of
+// event as After, with the callback as its receiver.
+type handlerFunc func()
+
+// Fire implements Handler.
+func (f handlerFunc) Fire(int) { f() }
+
+// FreeList holds the recycled records of one kind that one per-trial object
+// (an Engine, a Fabric, a Cluster) owns — never a package-level pool, so
+// parallel sweep workers share nothing. The owner resets what Get returns.
+type FreeList[T any] []*T
+
+// Get takes the most recently recycled record, or allocates.
+func (f *FreeList[T]) Get() *T {
+	n := len(*f)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*f)[n-1]
+	*f = (*f)[:n-1]
+	return x
+}
+
+// Put recycles x, which nothing a live callback can reach may still point at.
+func (f *FreeList[T]) Put(x *T) { *f = append(*f, x) }
+
 // Event is a scheduled callback. The zero Event is invalid; use
 // Engine.Schedule or Engine.At to create one.
 type Event struct {
 	when   Time
 	seq    uint64
-	fn     func()
+	h      Handler
+	arg    int
 	index  int // heap index; -1 once popped or canceled
 	canc   bool
+	pooled bool // posted by After: no handle escaped, so the engine reuses it
 	engine *Engine
 }
 
@@ -91,6 +126,9 @@ type Engine struct {
 	queue   eventQueue
 	running bool
 	fired   uint64
+	// free holds the events After posted that have since fired; an event
+	// enters it just before its handler runs.
+	free FreeList[Event]
 }
 
 // New returns a new Engine with the clock at zero.
@@ -117,18 +155,34 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 }
 
 // At arranges for fn to run at absolute time when, which must not precede the
-// current time.
+// current time. The returned handle stays valid (and Cancel on it harmless)
+// after the event fires: an event with a handle is never reused.
 func (e *Engine) At(when Time, fn func()) *Event {
-	if when < e.now || math.IsNaN(when) {
-		panic(fmt.Sprintf("sim: scheduling into the past: now=%v when=%v", e.now, when))
-	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.seq++
-	ev := &Event{when: when, seq: e.seq, fn: fn, engine: e}
-	heap.Push(&e.queue, ev)
+	ev := &Event{engine: e}
+	e.post(ev, when, handlerFunc(fn), 0)
 	return ev
+}
+
+// After arranges for h.Fire(arg) to run after delay (not negative or NaN),
+// in the same (time, sequence) order as Schedule. It returns no handle, so
+// the event cannot be canceled — and, once fired, goes back to the engine to
+// carry a later After: a steady stream of typed events allocates nothing.
+func (e *Engine) After(delay Time, h Handler, arg int) {
+	ev := e.free.Get()
+	ev.engine, ev.pooled = e, true
+	e.post(ev, e.now+delay, h, arg)
+}
+
+func (e *Engine) post(ev *Event, when Time, h Handler, arg int) {
+	if when < e.now || math.IsNaN(when) {
+		panic(fmt.Sprintf("sim: scheduling into the past: now=%v when=%v", e.now, when))
+	}
+	e.seq++
+	ev.when, ev.seq, ev.h, ev.arg = when, e.seq, h, arg
+	heap.Push(&e.queue, ev)
 }
 
 // Step fires the single earliest pending event and returns true, or returns
@@ -141,7 +195,12 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.when
 		e.fired++
-		ev.fn()
+		h, arg := ev.h, ev.arg
+		if ev.pooled {
+			ev.h = nil
+			e.free.Put(ev)
+		}
+		h.Fire(arg)
 		return true
 	}
 	return false

@@ -54,25 +54,28 @@ func (s Sub) Last() bool { return s.Index == s.Count-1 }
 // or >= t.Bytes yields a single partition covering the whole tensor. All
 // partitions except possibly the last have exactly unit bytes, mirroring how
 // the frameworks' zero-copy slicing splits flat buffers.
-func Partition(t Tensor, unit int64) []Sub {
-	if t.Bytes <= 0 {
-		return []Sub{{Parent: t, Index: 0, Count: 1, Offset: 0, Bytes: t.Bytes}}
-	}
-	if unit <= 0 || unit >= t.Bytes {
-		return []Sub{{Parent: t, Index: 0, Count: 1, Offset: 0, Bytes: t.Bytes}}
+func Partition(t Tensor, unit int64) []Sub { return AppendPartition(nil, t, unit) }
+
+// AppendPartition is Partition appending to dst, so a caller with storage
+// for the common single-partition case allocates nothing.
+func AppendPartition(dst []Sub, t Tensor, unit int64) []Sub {
+	if t.Bytes <= 0 || unit <= 0 || unit >= t.Bytes {
+		return append(dst, Sub{Parent: t, Index: 0, Count: 1, Offset: 0, Bytes: t.Bytes})
 	}
 	count := int((t.Bytes + unit - 1) / unit)
-	subs := make([]Sub, 0, count)
+	if cap(dst)-len(dst) < count {
+		dst = append(make([]Sub, 0, len(dst)+count), dst...)
+	}
 	var off int64
 	for i := 0; i < count; i++ {
 		size := unit
 		if rem := t.Bytes - off; rem < size {
 			size = rem
 		}
-		subs = append(subs, Sub{Parent: t, Index: i, Count: count, Offset: off, Bytes: size})
+		dst = append(dst, Sub{Parent: t, Index: i, Count: count, Offset: off, Bytes: size})
 		off += size
 	}
-	return subs
+	return dst
 }
 
 // TotalBytes sums the sizes of the given tensors.

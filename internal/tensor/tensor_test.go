@@ -109,3 +109,33 @@ func TestPartitionProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAppendPartition(t *testing.T) {
+	tt := Tensor{Layer: 2, Name: "w", Bytes: 1000}
+	for _, unit := range []int64{0, 300, 1000, 5000} {
+		want := Partition(tt, unit)
+		var one [1]Sub
+		got := AppendPartition(one[:0], tt, unit)
+		if len(got) != len(want) {
+			t.Fatalf("unit %d: %d partitions, want %d", unit, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("unit %d: partition %d = %+v, want %+v", unit, i, got[i], want[i])
+			}
+		}
+		if inPlace := &got[0] == &one[0]; inPlace != (len(want) == 1) {
+			t.Fatalf("unit %d: used the caller's storage = %v with %d partitions", unit, inPlace, len(want))
+		}
+	}
+	// The single-partition case is the one a caller provides storage for.
+	var one [1]Sub
+	if n := testing.AllocsPerRun(100, func() { AppendPartition(one[:0], tt, 0) }); n != 0 {
+		t.Fatalf("single partition into the caller's storage allocated %v times", n)
+	}
+	// A non-empty dst keeps its contents.
+	pre := []Sub{{Index: 9}}
+	if got := AppendPartition(pre, tt, 300); len(got) != 5 || got[0].Index != 9 || got[1].Index != 0 {
+		t.Fatalf("append to a non-empty slice: %+v", got)
+	}
+}
