@@ -39,12 +39,14 @@ type expResult struct {
 	seconds float64
 }
 
-// expJSON is the per-experiment slice of the -json snapshot.
+// expJSON is the per-experiment slice of the -json snapshot: the metrics
+// and the rendered rows, so a snapshot diff shows a moved row too.
 type expJSON struct {
 	ID          string             `json:"id"`
 	Title       string             `json:"title"`
 	WallSeconds float64            `json:"wall_seconds"`
 	Metrics     map[string]float64 `json:"metrics"`
+	Rows        [][]string         `json:"rows"`
 }
 
 // snapshot is the -json perf snapshot: per-experiment metrics and
@@ -222,6 +224,7 @@ func main() {
 				Title:       r.tab.Title,
 				WallSeconds: results[i].seconds,
 				Metrics:     r.tab.Metrics,
+				Rows:        r.tab.Rows,
 			})
 		}
 		buf, err := json.MarshalIndent(snap, "", "  ")

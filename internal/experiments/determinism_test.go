@@ -2,15 +2,16 @@
 //
 // The contract under test is the one benchsuite -measure-serial enforces at
 // run time: for every registered experiment, executing on a parallel engine
-// (4 workers, cold cache) produces Table.Metrics bitwise-identical to a
-// serial engine (1 worker, cold cache) at the same seed — trial order,
-// worker interleaving, and cache hits must never leak into results. A
-// second set of tests checks the memoizing cache itself: a warm rerun
-// replays identical metrics while recording cache hits.
+// (4 workers, cold cache) produces Table.Metrics and Table.Rows
+// bitwise-identical to a serial engine (1 worker, cold cache) at the same
+// seed — trial order, worker interleaving, and cache hits must never leak
+// into results. A second set of tests checks the memoizing cache itself: a
+// warm rerun replays identical metrics while recording cache hits.
 //
 // The parallel run is also held, bitwise, to testdata/quick_seed1.json —
-// a committed benchsuite snapshot of every non-live experiment — so a change
-// that moves any table shows up as a diff of that file, not only as a
+// a committed benchsuite snapshot of every non-live experiment, metrics and
+// rendered rows — so a change that moves any table, even one row and no
+// summary metric, shows up as a diff of that file, not only as a
 // serial/parallel disagreement. A PR that means to move a table regenerates
 // it (27 experiments, ~3 min) and reviews the diff:
 //
@@ -25,6 +26,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bytescheduler/internal/sweep"
@@ -32,10 +34,10 @@ import (
 
 // heavyDeterminism names the experiments whose quick sizing still costs
 // minutes per run: double-executing them inside go test would dominate the
-// whole suite's wall clock. They are skipped unless DETERMINISM_FULL=1;
-// the same serial-vs-parallel bitwise check runs over the complete
-// registry — these included — via `benchsuite -measure-serial`, which the
-// CI bench-smoke job executes.
+// whole suite's wall clock. They are skipped unless DETERMINISM_FULL=1,
+// which the CI bench-smoke job sets so they are held to the snapshot on
+// every change; it also runs `benchsuite -measure-serial`, the same
+// serial-vs-parallel bitwise check over the complete registry.
 var heavyDeterminism = map[string]bool{"FIG4A": true, "FIG13": true, "FIG14": true}
 
 // determinismExperiments resolves the build-specific ID list to concrete
@@ -75,24 +77,42 @@ func sameMetrics(t *testing.T, label string, want, got map[string]float64) {
 	}
 }
 
-// goldenMetrics loads the committed snapshot's per-experiment metrics
-// (JSON float64 round-trips exactly). Floating-point results are only
+// sameRows compares two rendered tables row by row and reports the first
+// divergence; label names the two sides, reference first.
+func sameRows(t *testing.T, label string, want, got [][]string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: row count diverged: %d vs %d", label, len(want), len(got))
+	}
+	for i := range want {
+		if !slices.Equal(want[i], got[i]) {
+			t.Fatalf("%s: row %d diverged: %q vs %q", label, i, want[i], got[i])
+		}
+	}
+}
+
+// goldenTable is one experiment's entry in the committed snapshot.
+type goldenTable struct {
+	ID      string             `json:"id"`
+	Metrics map[string]float64 `json:"metrics"`
+	Rows    [][]string         `json:"rows"`
+}
+
+// goldenTables loads the committed snapshot's per-experiment metrics and
+// rows (JSON float64 round-trips exactly). Floating-point results are only
 // comparable on the architecture that wrote them (fused multiply-add
 // differs), so elsewhere it logs and returns nil.
-func goldenMetrics(t *testing.T) map[string]map[string]float64 {
+func goldenTables(t *testing.T) map[string]goldenTable {
 	t.Helper()
 	buf, err := os.ReadFile("testdata/quick_seed1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap struct {
-		GOARCH      string `json:"goarch"`
-		Quick       bool   `json:"quick"`
-		Seed        int64  `json:"seed"`
-		Experiments []struct {
-			ID      string             `json:"id"`
-			Metrics map[string]float64 `json:"metrics"`
-		} `json:"experiments"`
+		GOARCH      string        `json:"goarch"`
+		Quick       bool          `json:"quick"`
+		Seed        int64         `json:"seed"`
+		Experiments []goldenTable `json:"experiments"`
 	}
 	if err := json.Unmarshal(buf, &snap); err != nil {
 		t.Fatal(err)
@@ -104,22 +124,22 @@ func goldenMetrics(t *testing.T) map[string]map[string]float64 {
 		t.Logf("golden snapshot is from %s, this is %s: golden comparison skipped", snap.GOARCH, runtime.GOARCH)
 		return nil
 	}
-	golden := make(map[string]map[string]float64, len(snap.Experiments))
+	golden := make(map[string]goldenTable, len(snap.Experiments))
 	for _, e := range snap.Experiments {
-		golden[e.ID] = e.Metrics
+		golden[e.ID] = e
 	}
 	return golden
 }
 
 // TestParallelMatchesSerial runs each experiment twice — once on a
 // 1-worker engine and once on a 4-worker engine, both with cold private
-// caches — and requires bitwise-identical metrics. Subtests run in
+// caches — and requires bitwise-identical metrics and rows. Subtests run in
 // parallel with each other: each pair of engines is private, so the only
 // shared state is the scheduler/runner code under test, which is exactly
 // what the race detector should see contended. The parallel run's metrics
-// must also equal the committed golden snapshot's.
+// and rows must also equal the committed golden snapshot's.
 func TestParallelMatchesSerial(t *testing.T) {
-	golden := goldenMetrics(t)
+	golden := goldenTables(t)
 	for _, exp := range determinismExperiments(t) {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -127,7 +147,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Skipf("%s measures the live network stack: wall-clock metrics are not bitwise-reproducible", exp.ID)
 			}
 			if heavyDeterminism[exp.ID] && os.Getenv("DETERMINISM_FULL") == "" {
-				t.Skipf("%s costs minutes per run; set DETERMINISM_FULL=1, or rely on benchsuite -measure-serial (CI bench-smoke) which verifies it", exp.ID)
+				t.Skipf("%s costs minutes per run; set DETERMINISM_FULL=1 (CI bench-smoke does)", exp.ID)
 			}
 			t.Parallel()
 			serial, err := exp.Run(Opts{Quick: true, Seed: 1,
@@ -141,12 +161,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameMetrics(t, exp.ID+": serial vs parallel", serial.Metrics, par.Metrics)
+			sameRows(t, exp.ID+": serial vs parallel", serial.Rows, par.Rows)
 			if golden != nil {
-				sameMetrics(t, exp.ID+": testdata/quick_seed1.json (regenerate: see the file comment) vs parallel", golden[exp.ID], par.Metrics)
-			}
-			if len(serial.Rows) != len(par.Rows) {
-				t.Fatalf("%s: row count diverged: serial %d vs parallel %d",
-					exp.ID, len(serial.Rows), len(par.Rows))
+				const label = ": testdata/quick_seed1.json (regenerate: see the file comment) vs parallel"
+				sameMetrics(t, exp.ID+label, golden[exp.ID].Metrics, par.Metrics)
+				sameRows(t, exp.ID+label, golden[exp.ID].Rows, par.Rows)
 			}
 		})
 	}
