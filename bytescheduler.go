@@ -19,9 +19,6 @@
 package bytescheduler
 
 import (
-	"fmt"
-	"strings"
-
 	"bytescheduler/internal/allreduce"
 	"bytescheduler/internal/autotune"
 	"bytescheduler/internal/compress"
@@ -88,11 +85,12 @@ func (a Arch) runnerArch() runner.Arch {
 type Framework int
 
 const (
-	// MXNet is a declarative engine without a global barrier.
+	// MXNet gates each layer on its own communication (no global
+	// barrier).
 	MXNet Framework = iota
-	// TensorFlow is a declarative engine with a global barrier.
+	// TensorFlow has an inter-iteration global barrier.
 	TensorFlow
-	// PyTorch is an imperative engine with a global barrier.
+	// PyTorch has an inter-iteration global barrier.
 	PyTorch
 )
 
@@ -229,9 +227,9 @@ type Experiment struct {
 	// Collective selects the all-reduce algorithm: "" or "ring",
 	// "halving-doubling"/"hd", "double-tree"/"tree". Ignored for PS.
 	Collective string
-	// Compression enables gradient compression: "" (none), "fp16",
-	// "int8", or "topk:<keep>" such as "topk:0.01". Composes with
-	// scheduling (§8).
+	// Compression enables gradient compression, spelled as the live
+	// -codec flag is: "" or "none", "fp16", "int8", or "topk:<keep>" such
+	// as "topk:0.01" (case-insensitive). Composes with scheduling (§8).
 	Compression string
 	// Assignment selects the PS placement strategy over tensors (or
 	// partitions, once the policy partitions): "" or "round-robin" (the
@@ -279,28 +277,27 @@ type Measurement struct {
 	Retransmits, Spikes, OutageDeferred uint64
 }
 
+// parseCompression reads a compression spec in the live -codec vocabulary
+// (compress.ParseCodec) and returns the simulated compressor for it, nil for
+// the identity.
 func parseCompression(spec string) (*compress.Compressor, error) {
-	switch {
-	case spec == "":
-		return nil, nil
-	case spec == "fp16":
-		c := compress.NewFP16()
-		return &c, nil
-	case spec == "int8":
-		c := compress.NewInt8()
-		return &c, nil
-	case strings.HasPrefix(spec, "topk:"):
-		var keep float64
-		if _, err := fmt.Sscanf(spec, "topk:%g", &keep); err != nil {
-			return nil, fmt.Errorf("bytescheduler: bad top-k spec %q", spec)
-		}
-		c := compress.NewTopK(keep)
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return &c, nil
+	codec, err := compress.ParseCodec(spec)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("bytescheduler: unknown compression %q", spec)
+	var c compress.Compressor
+	switch codec.ID() {
+	case compress.CodecIdentity:
+		return nil, nil
+	case compress.CodecFP16:
+		c = compress.NewFP16()
+	case compress.CodecInt8:
+		c = compress.NewInt8()
+	default:
+		c = compress.NewTopK(0)
+	}
+	c.Codec = codec // the parsed codec, top-k keep ratio included
+	return &c, nil
 }
 
 func (e Experiment) runnerConfig() (runner.Config, error) {

@@ -161,6 +161,25 @@ func TestCollectiveAndCompressionOptions(t *testing.T) {
 	}
 }
 
+// Experiment.Compression takes exactly the live -codec vocabulary: every
+// spelling compress.ParseCodec accepts, and nothing with trailing garbage or
+// a keep ratio that would inflate traffic.
+func TestCompressionSpec(t *testing.T) {
+	e := vggExperiment(bs.Vanilla())
+	for _, spec := range []string{"", "none", "fp16", "FP16", "int8", "topk:0.01"} {
+		e.Compression = spec
+		if _, err := bs.Linear(e); err != nil {
+			t.Errorf("compression %q rejected: %v", spec, err)
+		}
+	}
+	for _, spec := range []string{"topk:0.01abc", "topk:0.6", "gzip"} {
+		e.Compression = spec
+		if _, err := bs.Linear(e); err == nil {
+			t.Errorf("compression %q accepted", spec)
+		}
+	}
+}
+
 func TestTuneOnline(t *testing.T) {
 	e := vggExperiment(bs.WithPartitionCredit(64<<20, 64<<20)) // poor start
 	e.GPUs = 8

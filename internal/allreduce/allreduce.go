@@ -38,8 +38,6 @@ type Op struct {
 	Bytes int64
 	// Prio is recorded for diagnostics; ordering is strictly FIFO.
 	Prio int
-	// OnStart fires when the collective begins on the ring.
-	OnStart func()
 	// OnDone fires when the reduced result is available on all workers.
 	OnDone func()
 	// OnAcked fires when the scheduler may return credit (completion
@@ -174,9 +172,6 @@ func (r *Ring) dispatch() {
 	dur := r.OpTime(op.Bytes, pipelined)
 	r.busy = true
 	r.busyTime += dur
-	if op.OnStart != nil {
-		op.OnStart()
-	}
 	r.eng.Schedule(dur, func() {
 		if r.rec != nil {
 			r.rec.Add("ring", fmt.Sprintf("ar L%d", op.Prio), now, r.eng.Now())

@@ -150,15 +150,18 @@ func TestAckDelay(t *testing.T) {
 	}
 }
 
+// An op submitted to an idle ring starts at once, not on a later event.
 func TestOnStartFires(t *testing.T) {
 	eng := sim.New()
 	r := newRing(t, eng, 2)
-	started := false
-	r.Submit(&Op{Bytes: 1, OnStart: func() { started = true }})
-	if !started {
-		t.Fatal("OnStart must fire synchronously when the ring is idle")
+	r.Submit(&Op{Bytes: 1})
+	if !r.Busy() || r.QueueLen() != 0 {
+		t.Fatalf("idle ring left the op queued: busy=%v queued=%d", r.Busy(), r.QueueLen())
 	}
 	eng.Run()
+	if r.Busy() || r.Served() != 1 {
+		t.Fatalf("after the run: busy=%v served=%d", r.Busy(), r.Served())
+	}
 }
 
 func TestNegativeSizePanics(t *testing.T) {

@@ -16,82 +16,48 @@ import (
 	"bytescheduler/internal/tensor"
 )
 
-// Method selects the compression scheme.
-type Method int
-
-const (
-	// None is the identity.
-	None Method = iota
-	// FP16 casts fp32 gradients to half precision: 2x smaller, very
-	// cheap codec.
-	FP16
-	// Int8 quantizes to 8-bit with per-tensor scales (QSGD-style): 4x
-	// smaller, moderate codec cost.
-	Int8
-	// TopK sends the largest-magnitude fraction of values with their
-	// indices (sparse synchronization): size 2*ratio of the original
-	// (value + index per kept element), expensive selection.
-	TopK
-)
-
-// String returns the method name.
-func (m Method) String() string {
-	switch m {
-	case None:
-		return "none"
-	case FP16:
-		return "fp16"
-	case Int8:
-		return "int8"
-	case TopK:
-		return "topk"
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// Compressor describes one compression configuration.
+// Compressor describes one compression configuration: the wire codec the
+// live transports encode with, plus what it costs on the GPU.
 type Compressor struct {
-	// Method selects the scheme.
-	Method Method
-	// KeepRatio is the fraction of elements kept by TopK (ignored
-	// otherwise).
-	KeepRatio float64
+	// Codec selects the scheme (the identity codec compresses nothing).
+	Codec Codec
 	// CodecBytesPerSec is the encode+decode throughput per original byte
 	// (GPU-side casting/quantization/selection).
 	CodecBytesPerSec float64
 }
 
-// NewFP16 returns the half-precision compressor.
+// NewFP16 returns the half-precision compressor: 2x smaller, very cheap
+// codec.
 func NewFP16() Compressor {
-	return Compressor{Method: FP16, CodecBytesPerSec: 200e9}
+	return Compressor{Codec: FP16Codec(), CodecBytesPerSec: 200e9}
 }
 
-// NewInt8 returns the 8-bit quantization compressor.
+// NewInt8 returns the 8-bit quantization compressor (QSGD-style
+// per-tensor scale): 4x smaller, moderate codec cost.
 func NewInt8() Compressor {
-	return Compressor{Method: Int8, CodecBytesPerSec: 80e9}
+	return Compressor{Codec: Int8Codec(), CodecBytesPerSec: 80e9}
 }
 
 // NewTopK returns a sparse compressor keeping the given fraction of
-// elements (e.g. 0.01 for top-1%).
+// elements (e.g. 0.01 for top-1%) with their indices: expensive selection.
+// A keep ratio TopKCodec refuses is reported by Validate.
 func NewTopK(keep float64) Compressor {
-	return Compressor{Method: TopK, KeepRatio: keep, CodecBytesPerSec: 25e9}
+	return Compressor{Codec: Codec{id: CodecTopK, keep: keep}, CodecBytesPerSec: 25e9}
 }
 
 // Validate reports configuration errors.
 func (c Compressor) Validate() error {
-	switch c.Method {
-	case None, FP16, Int8:
-	case TopK:
-		// Each kept fp32 value carries a 4-byte index, so the wire size
-		// is 2*KeepRatio of the original (see Ratio): any KeepRatio above
-		// 0.5 would silently *inflate* traffic past the uncompressed size.
-		if c.KeepRatio <= 0 || c.KeepRatio > 0.5 {
-			return fmt.Errorf("compress: top-k keep ratio %v out of (0,0.5] (value+index wire cost is 2*keep)", c.KeepRatio)
-		}
-	default:
-		return fmt.Errorf("compress: unknown method %d", int(c.Method))
+	if c.Codec.IsIdentity() {
+		return nil
 	}
-	if c.Method != None && c.CodecBytesPerSec <= 0 {
+	if c.Codec.id == CodecTopK {
+		// The one top-k range check; a count-pinned codec (keep 0) has no
+		// size ratio and fails it too.
+		if _, err := TopKCodec(c.Codec.keep); err != nil {
+			return err
+		}
+	}
+	if c.CodecBytesPerSec <= 0 {
 		return fmt.Errorf("compress: non-positive codec throughput")
 	}
 	return nil
@@ -99,14 +65,14 @@ func (c Compressor) Validate() error {
 
 // Ratio returns the compressed-size multiplier.
 func (c Compressor) Ratio() float64 {
-	switch c.Method {
-	case FP16:
+	switch c.Codec.id {
+	case CodecFP16:
 		return 0.5
-	case Int8:
+	case CodecInt8:
 		return 0.25
-	case TopK:
+	case CodecTopK:
 		// Each kept fp32 value carries a 4-byte index.
-		return 2 * c.KeepRatio
+		return 2 * c.Codec.keep
 	default:
 		return 1
 	}
@@ -115,7 +81,7 @@ func (c Compressor) Ratio() float64 {
 // CodecSecPerByte returns the encode+decode latency per original gradient
 // byte.
 func (c Compressor) CodecSecPerByte() float64 {
-	if c.Method == None {
+	if c.Codec.IsIdentity() {
 		return 0
 	}
 	return 1 / c.CodecBytesPerSec

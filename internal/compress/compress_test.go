@@ -16,22 +16,26 @@ func TestRatios(t *testing.T) {
 	if NewTopK(0.01).Ratio() != 0.02 {
 		t.Fatal("topk ratio must include index overhead")
 	}
-	if (Compressor{Method: None}).Ratio() != 1 {
+	if (Compressor{}).Ratio() != 1 {
 		t.Fatal("none ratio")
 	}
 }
 
 func TestValidate(t *testing.T) {
-	for _, c := range []Compressor{NewFP16(), NewInt8(), NewTopK(0.01), {Method: None}} {
+	for _, c := range []Compressor{NewFP16(), NewInt8(), NewTopK(0.01), {}} {
 		if err := c.Validate(); err != nil {
-			t.Errorf("%v: %v", c.Method, err)
+			t.Errorf("%v: %v", c.Codec.Name(), err)
 		}
 	}
+	counted, err := TopKCodecCount(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := []Compressor{
-		{Method: TopK, KeepRatio: 0, CodecBytesPerSec: 1},
-		{Method: TopK, KeepRatio: 1.5, CodecBytesPerSec: 1},
-		{Method: FP16, CodecBytesPerSec: 0},
-		{Method: Method(9)},
+		NewTopK(0),
+		NewTopK(1.5),
+		{Codec: counted, CodecBytesPerSec: 1}, // a pinned count has no size ratio
+		{Codec: FP16Codec()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -41,7 +45,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestCodecCost(t *testing.T) {
-	if (Compressor{Method: None}).CodecSecPerByte() != 0 {
+	if (Compressor{}).CodecSecPerByte() != 0 {
 		t.Fatal("identity codec must be free")
 	}
 	if NewFP16().CodecSecPerByte() >= NewTopK(0.01).CodecSecPerByte() {
@@ -73,7 +77,7 @@ func TestApplyScalesSizes(t *testing.T) {
 
 func TestApplyIdentity(t *testing.T) {
 	m := model.VGG16()
-	got, err := (Compressor{Method: None}).Apply(m)
+	got, err := (Compressor{}).Apply(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +104,7 @@ func TestApplyFloorsTinyTensors(t *testing.T) {
 // Regression: Apply used to panic on an invalid configuration; a bad CLI
 // spec must surface as an error instead of crashing the process.
 func TestApplyInvalidConfigReturnsError(t *testing.T) {
-	bad := Compressor{Method: TopK, KeepRatio: 0, CodecBytesPerSec: 1}
-	got, err := bad.Apply(model.VGG16())
+	got, err := NewTopK(0).Apply(model.VGG16())
 	if err == nil {
 		t.Fatal("invalid compressor accepted by Apply")
 	}
@@ -110,14 +113,14 @@ func TestApplyInvalidConfigReturnsError(t *testing.T) {
 	}
 }
 
-// Regression: KeepRatio in (0.5, 1] used to pass Validate even though the
-// value+index wire cost (2*KeepRatio) exceeds the uncompressed size.
+// Regression: a keep ratio in (0.5, 1] used to pass Validate even though
+// the value+index wire cost (2*keep) exceeds the uncompressed size.
 func TestTopKRejectsWireInflation(t *testing.T) {
 	if err := NewTopK(0.6).Validate(); err == nil {
-		t.Fatal("KeepRatio 0.6 accepted: Ratio() = 1.2 would inflate wire traffic")
+		t.Fatal("keep ratio 0.6 accepted: Ratio() = 1.2 would inflate wire traffic")
 	}
 	if err := NewTopK(0.5).Validate(); err != nil {
-		t.Fatalf("KeepRatio 0.5 (break-even) rejected: %v", err)
+		t.Fatalf("keep ratio 0.5 (break-even) rejected: %v", err)
 	}
 }
 
@@ -143,13 +146,16 @@ func TestApplyElementAlignedSizes(t *testing.T) {
 	}
 }
 
+// Each compressor names its scheme in the -codec vocabulary, so the name
+// parses back to the codec the compressor holds.
 func TestMethodString(t *testing.T) {
-	for m, want := range map[Method]string{None: "none", FP16: "fp16", Int8: "int8", TopK: "topk"} {
-		if m.String() != want {
-			t.Errorf("%d = %q", int(m), m.String())
+	for want, c := range map[string]Compressor{"none": {}, "fp16": NewFP16(), "int8": NewInt8(), "topk:0.01": NewTopK(0.01)} {
+		if got := c.Codec.Name(); got != want {
+			t.Errorf("%s: name %q", want, got)
 		}
-	}
-	if Method(9).String() == "" {
-		t.Error("unknown method must format")
+		back, err := ParseCodec(c.Codec.Name())
+		if err != nil || back != c.Codec {
+			t.Errorf("%s: parses back to %v, %v", want, back.Name(), err)
+		}
 	}
 }

@@ -2,19 +2,16 @@
 // data-parallel DNN training: the layer-wise computation/communication DAG
 // of the paper's Figure 1.
 //
-// Two executor flavors are provided, mirroring the two engine families the
-// paper must integrate with (§3.3):
-//
-//   - Declarative (TensorFlow, MXNet): the engine materializes the full
-//     dependency graph — forward/backward compute nodes, communication
-//     gates (Dependency Proxies), and optionally an inter-iteration global
-//     barrier — and fires nodes as their dependencies resolve.
-//   - Imperative (PyTorch): the engine executes operations in program
-//     order, blocking at forward pre-hooks until the layer's communication
-//     completes, with backward hooks announcing gradients.
-//
-// For chain-structured models the two produce identical schedules (verified
-// by tests), which is the paper's Opportunity 1: the same DAG underneath.
+// One executor runs every framework. Each worker executes its operations in
+// program order — the forward pass layer by layer, then the backward pass in
+// reverse — on its own GPU. A forward pre-hook blocks each layer until that
+// layer's communication from the previous iteration has completed, and a
+// backward hook announces each gradient as it is produced: together they are
+// the paper's Dependency Proxy (§3.3), which is why MXNet's and TensorFlow's
+// declarative graphs and PyTorch's imperative loop present the same chain
+// DAG to the scheduler (Opportunity 1). Frameworks differ only in the
+// DependencyMode: whether the next iteration waits per layer or behind a
+// global barrier (Figure 3).
 //
 // Communication itself is delegated to a CommHook — the plugin boundary.
 // The engine calls GradientReady when a layer's gradient is available
@@ -32,29 +29,6 @@ import (
 	"bytescheduler/internal/stats"
 	"bytescheduler/internal/trace"
 )
-
-// Mode selects the executor flavor.
-type Mode int
-
-const (
-	// Declarative executes a materialized dependency graph (TensorFlow,
-	// MXNet).
-	Declarative Mode = iota
-	// Imperative executes operations in program order with hooks
-	// (PyTorch).
-	Imperative
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case Declarative:
-		return "declarative"
-	case Imperative:
-		return "imperative"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // DependencyMode selects how the next iteration's forward pass depends on
 // communication.
@@ -108,8 +82,6 @@ type Config struct {
 	// Workers is the number of communicating training processes (machines
 	// in PS setups, ring members in all-reduce setups).
 	Workers int
-	// Mode selects the executor flavor.
-	Mode Mode
 	// Dependency selects per-layer gating or the global barrier.
 	Dependency DependencyMode
 	// Iterations is the number of training iterations to run.
@@ -151,11 +123,6 @@ func (c Config) Validate() error {
 	}
 	if c.LocalAggSecPerByte < 0 {
 		return fmt.Errorf("engine: negative local aggregation cost")
-	}
-	switch c.Mode {
-	case Declarative, Imperative:
-	default:
-		return fmt.Errorf("engine: unknown mode %d", int(c.Mode))
 	}
 	switch c.Dependency {
 	case PerLayer, GlobalBarrier:
@@ -300,12 +267,7 @@ func (e *Engine) Start() {
 	}
 	e.started = true
 	for _, ws := range e.workers {
-		switch e.cfg.Mode {
-		case Declarative:
-			e.startDeclarative(ws)
-		default:
-			e.startImperative(ws)
-		}
+		e.forward(ws, 0, 0)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"bytescheduler/internal/model"
@@ -58,7 +59,6 @@ func TestConfigValidate(t *testing.T) {
 		{Model: m, Workers: 1, Iterations: 1, Jitter: 1.0},
 		{Model: m, Workers: 1, Iterations: 1, Jitter: -0.1},
 		{Model: m, Workers: 1, Iterations: 1, LocalAggSecPerByte: -1},
-		{Model: m, Workers: 1, Iterations: 1, Mode: Mode(9)},
 		{Model: m, Workers: 1, Iterations: 1, Dependency: DependencyMode(9)},
 	}
 	for i, cfg := range bad {
@@ -72,13 +72,10 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestModeStrings(t *testing.T) {
-	if Declarative.String() != "declarative" || Imperative.String() != "imperative" {
-		t.Fatal("Mode.String")
-	}
 	if PerLayer.String() != "per-layer" || GlobalBarrier.String() != "global-barrier" {
 		t.Fatal("DependencyMode.String")
 	}
-	if Mode(7).String() == "" || DependencyMode(7).String() == "" {
+	if DependencyMode(7).String() == "" {
 		t.Fatal("unknown values must format")
 	}
 }
@@ -86,18 +83,12 @@ func TestModeStrings(t *testing.T) {
 func TestComputeOnlyIterationTime(t *testing.T) {
 	// With instant communication, iteration time equals compute time.
 	m := model.Synthetic("s", 4, 1024, 0.010)
-	for _, mode := range []Mode{Declarative, Imperative} {
-		se := sim.New()
-		cfg := baseConfig(m, 5)
-		cfg.Mode = mode
-		res := run(t, se, cfg, &instantHook{})
-		got := res.AvgIterTime(1)
-		if math.Abs(got-0.010) > 1e-9 {
-			t.Errorf("%v: iter time %v, want 0.010", mode, got)
-		}
-		if len(res.FPStarts) != 5 {
-			t.Errorf("%v: FPStarts len %d", mode, len(res.FPStarts))
-		}
+	res := run(t, sim.New(), baseConfig(m, 5), &instantHook{})
+	if got := res.AvgIterTime(1); math.Abs(got-0.010) > 1e-9 {
+		t.Errorf("iter time %v, want 0.010", got)
+	}
+	if len(res.FPStarts) != 5 {
+		t.Errorf("FPStarts len %d", len(res.FPStarts))
 	}
 }
 
@@ -105,53 +96,14 @@ func TestBackwardHookOrder(t *testing.T) {
 	// Gradients must arrive from the last layer to the first, per
 	// iteration, matching backward propagation.
 	m := model.Synthetic("s", 3, 1024, 0.01)
-	for _, mode := range []Mode{Declarative, Imperative} {
-		se := sim.New()
-		h := &instantHook{}
-		cfg := baseConfig(m, 2)
-		cfg.Mode = mode
-		run(t, se, cfg, h)
-		want := []string{
-			"w0/l2/t0", "w0/l1/t0", "w0/l0/t0",
-			"w0/l2/t1", "w0/l1/t1", "w0/l0/t1",
-		}
-		if len(h.calls) != len(want) {
-			t.Fatalf("%v: calls %v", mode, h.calls)
-		}
-		for i := range want {
-			if h.calls[i] != want[i] {
-				t.Fatalf("%v: calls %v, want %v", mode, h.calls, want)
-			}
-		}
+	h := &instantHook{}
+	run(t, sim.New(), baseConfig(m, 2), h)
+	want := []string{
+		"w0/l2/t0", "w0/l1/t0", "w0/l0/t0",
+		"w0/l2/t1", "w0/l1/t1", "w0/l0/t1",
 	}
-}
-
-func TestExecutorEquivalence(t *testing.T) {
-	// Declarative and imperative executors must produce identical
-	// schedules for chain models (the paper's "same DAG" observation).
-	m := model.VGG16()
-	for _, dep := range []DependencyMode{PerLayer, GlobalBarrier} {
-		var results []Result
-		for _, mode := range []Mode{Declarative, Imperative} {
-			se := sim.New()
-			h := &delayHook{se: se, delays: make([]float64, m.NumLayers())}
-			for i := range h.delays {
-				h.delays[i] = 0.001 * float64(i+1)
-			}
-			cfg := baseConfig(m, 4)
-			cfg.Mode = mode
-			cfg.Dependency = dep
-			results = append(results, run(t, se, cfg, h))
-		}
-		a, b := results[0], results[1]
-		for i := range a.FPStarts {
-			if math.Abs(a.FPStarts[i]-b.FPStarts[i]) > 1e-9 {
-				t.Fatalf("%v: FPStarts diverge at %d: %v vs %v", dep, i, a.FPStarts, b.FPStarts)
-			}
-		}
-		if math.Abs(a.Finish-b.Finish) > 1e-9 {
-			t.Fatalf("%v: Finish diverge: %v vs %v", dep, a.Finish, b.Finish)
-		}
+	if !slices.Equal(h.calls, want) {
+		t.Fatalf("calls %v, want %v", h.calls, want)
 	}
 }
 
@@ -180,24 +132,20 @@ func TestForwardNeverPrecedesGate(t *testing.T) {
 	// Record when each layer's comm completes; FP of iteration t+1 must
 	// not start before iteration t's layer-0 comm completion.
 	m := model.Synthetic("s", 3, 1024, 0.002)
-	for _, mode := range []Mode{Declarative, Imperative} {
-		se := sim.New()
-		var layer0Done []float64
-		hook := CommHookFunc(func(worker, layer, iter int, done func()) {
-			se.Schedule(0.01, func() {
-				if layer == 0 {
-					layer0Done = append(layer0Done, se.Now())
-				}
-				done()
-			})
-		})
-		cfg := baseConfig(m, 3)
-		cfg.Mode = mode
-		res := run(t, se, cfg, hook)
-		for tIdx := 1; tIdx < 3; tIdx++ {
-			if res.FPStarts[tIdx] < layer0Done[tIdx-1]-1e-12 {
-				t.Fatalf("%v: FP %d started at %v before gate at %v", mode, tIdx, res.FPStarts[tIdx], layer0Done[tIdx-1])
+	se := sim.New()
+	var layer0Done []float64
+	hook := CommHookFunc(func(worker, layer, iter int, done func()) {
+		se.Schedule(0.01, func() {
+			if layer == 0 {
+				layer0Done = append(layer0Done, se.Now())
 			}
+			done()
+		})
+	})
+	res := run(t, se, baseConfig(m, 3), hook)
+	for tIdx := 1; tIdx < 3; tIdx++ {
+		if res.FPStarts[tIdx] < layer0Done[tIdx-1]-1e-12 {
+			t.Fatalf("FP %d started at %v before gate at %v", tIdx, res.FPStarts[tIdx], layer0Done[tIdx-1])
 		}
 	}
 }

@@ -2,14 +2,10 @@ package engine
 
 import "fmt"
 
-// startImperative drives one worker PyTorch-style: strict program order,
-// blocking at each layer's forward pre-hook until the layer's parameters
-// are synchronized, and announcing gradients from backward hooks.
-func (e *Engine) startImperative(ws *workerState) {
-	e.impForward(ws, 0, 0)
-}
-
-func (e *Engine) impForward(ws *workerState, iter, layer int) {
+// forward runs worker ws's forward op for (iter, layer) in program order,
+// after its forward pre-hook: the wait until the previous iteration's
+// communication for this layer (or the global barrier) has completed.
+func (e *Engine) forward(ws *workerState, iter, layer int) {
 	run := func() {
 		var onStart func()
 		if layer == 0 {
@@ -17,14 +13,12 @@ func (e *Engine) impForward(ws *workerState, iter, layer int) {
 		}
 		e.runCompute(ws, fmt.Sprintf("f%d@%d", layer, iter), e.fp[layer], onStart, func() {
 			if layer+1 < len(e.fp) {
-				e.impForward(ws, iter, layer+1)
+				e.forward(ws, iter, layer+1)
 				return
 			}
-			e.impBackward(ws, iter, len(e.bp)-1)
+			e.backward(ws, iter, len(e.bp)-1)
 		})
 	}
-	// The forward pre-hook: wait until the previous iteration's
-	// communication for this layer (or the global barrier) has completed.
 	if g := e.fpGate(ws, layer, iter); g != nil {
 		g.wait(run)
 		return
@@ -32,16 +26,17 @@ func (e *Engine) impForward(ws *workerState, iter, layer int) {
 	run()
 }
 
-func (e *Engine) impBackward(ws *workerState, iter, layer int) {
+// backward runs the backward op for (iter, layer); its backward hook
+// announces the layer's gradient before the next op is issued.
+func (e *Engine) backward(ws *workerState, iter, layer int) {
 	e.runCompute(ws, fmt.Sprintf("b%d@%d", layer, iter), e.bp[layer], nil, func() {
-		// Backward hook: the layer's gradient exists now.
 		e.gradientProduced(ws, layer, iter)
 		if layer > 0 {
-			e.impBackward(ws, iter, layer-1)
+			e.backward(ws, iter, layer-1)
 			return
 		}
 		if iter+1 < e.cfg.Iterations {
-			e.impForward(ws, iter+1, 0)
+			e.forward(ws, iter+1, 0)
 			return
 		}
 		e.workerFinished()

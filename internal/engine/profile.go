@@ -19,8 +19,8 @@ type TimingProfile struct {
 	LayerBytes []int64
 }
 
-// Profile analyzes the model's chain DAG — the graph both executor
-// flavors run — into a timing profile.
+// Profile analyzes the model's chain DAG — the graph the executor runs —
+// into a timing profile.
 func Profile(m *model.Model) TimingProfile {
 	p := TimingProfile{FP: m.FPTimes(), BP: m.BPTimes(), LayerBytes: make([]int64, len(m.Layers))}
 	for i, l := range m.Layers {

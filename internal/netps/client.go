@@ -16,8 +16,8 @@ import (
 	"bytescheduler/internal/wire"
 )
 
-// Default client hardening and batching knobs; override with Options or a
-// Config (see WithConfig).
+// Default client hardening and batching knobs; override with Options (the
+// batching ones through a Config, see WithConfig).
 const (
 	// DefaultTimeout bounds each write and each push-response read.
 	DefaultTimeout = 15 * time.Second

@@ -17,9 +17,9 @@
 // while they sat idle; servers deduplicate replayed pushes by request
 // sequence number, answer application errors with OpErr instead of dropping
 // the connection, and fail blocked pull waiters on Close instead of leaking
-// them. All client-side knobs — deadlines, retry budget, backoff shape,
-// batching thresholds — live in Config. See DESIGN.md, "Fault model &
-// degradation".
+// them. The client's deadlines, retry budget and backoff are set with
+// WithTimeout, WithPullTimeout, WithRetries and WithBackoff; its batching
+// thresholds live in Config. See DESIGN.md, "Fault model & degradation".
 //
 // Because §2.2's cost model charges a per-message overhead θ on every
 // transfer, small scheduled partitions are wire-inefficient one request at

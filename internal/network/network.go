@@ -19,6 +19,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"bytescheduler/internal/sim"
 	"bytescheduler/internal/trace"
@@ -97,31 +98,12 @@ func RDMA() Profile {
 // ProfileByName returns TCP() or RDMA() by case-insensitive name.
 func ProfileByName(name string) (Profile, error) {
 	switch {
-	case equalFold(name, "tcp"):
+	case strings.EqualFold(name, "tcp"):
 		return TCP(), nil
-	case equalFold(name, "rdma"):
+	case strings.EqualFold(name, "rdma"):
 		return RDMA(), nil
 	}
 	return Profile{}, fmt.Errorf("network: unknown transport %q", name)
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // GbpsToBytes converts a link speed in Gbps to bytes per second.
@@ -159,8 +141,6 @@ type Transfer struct {
 	// Prio is recorded for diagnostics only; the fabric itself is strictly
 	// FIFO — priority is the scheduler's job, above the fabric.
 	Prio int
-	// OnStart fires when transmission begins.
-	OnStart func()
 	// Sink, if non-nil, is told of delivery and, AckDelay later, of the ack.
 	// Tag is the sender's own label (e.g. which stripe of a partition).
 	Sink Sink
@@ -185,9 +165,6 @@ type Fabric struct {
 	bytesPerS float64
 	up, down  []link
 	pending   []*Transfer
-	// dispatching is set while dispatch scans pending: a Send from inside a
-	// callback only enqueues, and the running scan reaches the new transfer.
-	dispatching bool
 	// blockedSrc is dispatch's scratch: one flag per source node, all false
 	// between calls.
 	blockedSrc []bool
@@ -303,15 +280,8 @@ func (f *Fabric) Send(t *Transfer) {
 // queue is FIFO and has head-of-line blocking — and (b) both its source
 // uplink and destination downlink are idle.
 func (f *Fabric) dispatch() {
-	if f.dispatching {
-		return // Send from an OnStart callback: the scan below picks it up
-	}
-	f.dispatching = true
-	// Compact in place by index: start runs OnStart inline, and a Send from
-	// it appends to (and may move) f.pending mid-scan.
 	kept := 0
-	for i := 0; i < len(f.pending); i++ {
-		t := f.pending[i]
+	for _, t := range f.pending {
 		if !f.blockedSrc[t.Src] && !f.up[t.Src].busy && !f.down[t.Dst].busy && !f.outageBlocked(t) {
 			f.start(t)
 			continue
@@ -323,7 +293,6 @@ func (f *Fabric) dispatch() {
 	clear(f.blockedSrc)
 	clear(f.pending[kept:]) // started transfers must not stay reachable
 	f.pending = f.pending[:kept]
-	f.dispatching = false
 }
 
 func (f *Fabric) start(t *Transfer) {
@@ -348,9 +317,6 @@ func (f *Fabric) start(t *Transfer) {
 	src.busy, dst.busy = true, true
 	src.busyTime += dur
 	dst.busyTime += dur
-	if t.OnStart != nil {
-		t.OnStart()
-	}
 	f.eng.After(dur, t, stepDelivered)
 }
 

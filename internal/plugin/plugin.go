@@ -8,15 +8,15 @@
 // and opens the engine's dependency gates when the synchronized parameters
 // are available — the Dependency Proxy contract.
 //
-// Framework flavors differ only in executor mode and barrier behavior:
+// Framework flavors run the same engine executor and differ only in
+// barrier behavior (Figure 3):
 //
-//   - MXNet: declarative engine, native per-layer dependencies.
-//   - TensorFlow: declarative engine with an inter-iteration global
-//     barrier; enabling ByteScheduler rewrites the graph to per-layer
-//     out-of-engine dependencies (crossing the barrier, §3.4).
-//   - PyTorch: imperative engine with a barrier-like training loop; the
-//     plugin uses backward hooks and forward pre-hooks, crossing the
-//     barrier the same way.
+//   - MXNet: native per-layer dependencies.
+//   - TensorFlow: an inter-iteration global barrier; enabling
+//     ByteScheduler rewrites the graph to per-layer out-of-engine
+//     dependencies (crossing the barrier, §3.4).
+//   - PyTorch: a barrier-like training loop; the plugin uses backward
+//     hooks and forward pre-hooks, crossing the barrier the same way.
 package plugin
 
 import (
@@ -30,11 +30,11 @@ import (
 type Framework int
 
 const (
-	// MXNet is a declarative engine without a global barrier.
+	// MXNet has no global barrier.
 	MXNet Framework = iota
-	// TensorFlow is a declarative engine with a global barrier.
+	// TensorFlow has a global barrier.
 	TensorFlow
-	// PyTorch is an imperative engine with a global barrier.
+	// PyTorch has a global barrier.
 	PyTorch
 )
 
@@ -62,14 +62,6 @@ func FrameworkByName(name string) (Framework, error) {
 		return PyTorch, nil
 	}
 	return 0, fmt.Errorf("plugin: unknown framework %q", name)
-}
-
-// EngineMode returns the executor flavor the framework uses.
-func (f Framework) EngineMode() engine.Mode {
-	if f == PyTorch {
-		return engine.Imperative
-	}
-	return engine.Declarative
 }
 
 // HasGlobalBarrier reports whether the vanilla framework inserts an

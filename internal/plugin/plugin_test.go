@@ -13,11 +13,6 @@ import (
 )
 
 func TestFrameworkMapping(t *testing.T) {
-	if MXNet.EngineMode() != engine.Declarative ||
-		TensorFlow.EngineMode() != engine.Declarative ||
-		PyTorch.EngineMode() != engine.Imperative {
-		t.Fatal("engine modes wrong")
-	}
 	if MXNet.HasGlobalBarrier() {
 		t.Fatal("MXNet has no barrier")
 	}
@@ -70,7 +65,7 @@ func runPS(t *testing.T, m *model.Model, workers, iters int, policy core.Policy)
 	plug := NewPS(cluster, m, policy)
 	eng, err := engine.New(se, engine.Config{
 		Model: m, Workers: workers, Iterations: iters,
-		Mode: engine.Declarative, Dependency: engine.PerLayer,
+		Dependency: engine.PerLayer,
 	}, plug)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +129,7 @@ func TestPSSchedulingBeatsFIFO(t *testing.T) {
 }
 
 // runAR wires sim+ring+engine+plugin for all-reduce.
-func runAR(t *testing.T, m *model.Model, workers, iters int, policy core.Policy, mode engine.Mode) (engine.Result, *AllReducePlugin, *allreduce.Ring) {
+func runAR(t *testing.T, m *model.Model, workers, iters int, policy core.Policy) (engine.Result, *AllReducePlugin, *allreduce.Ring) {
 	t.Helper()
 	se := sim.New()
 	ring, err := allreduce.New(se, workers, 10, network.RDMA())
@@ -144,7 +139,7 @@ func runAR(t *testing.T, m *model.Model, workers, iters int, policy core.Policy,
 	plug := NewAllReduce(ring, m, workers, policy)
 	eng, err := engine.New(se, engine.Config{
 		Model: m, Workers: workers, Iterations: iters,
-		Mode: mode, Dependency: engine.PerLayer,
+		Dependency: engine.PerLayer,
 	}, plug)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +151,7 @@ func runAR(t *testing.T, m *model.Model, workers, iters int, policy core.Policy,
 
 func TestAllReduceEndToEnd(t *testing.T) {
 	m := model.Synthetic("s", 4, 1<<20, 0.005)
-	res, plug, ring := runAR(t, m, 4, 3, core.ByteScheduler(512<<10, 2<<20), engine.Imperative)
+	res, plug, ring := runAR(t, m, 4, 3, core.ByteScheduler(512<<10, 2<<20))
 	if res.Finish <= 0 {
 		t.Fatal("run did not complete")
 	}
@@ -182,8 +177,7 @@ func TestAllReduceWaitsForAllWorkers(t *testing.T) {
 	plug := NewAllReduce(ring, m, 3, core.ByteScheduler(1<<20, 4<<20))
 	eng, err := engine.New(se, engine.Config{
 		Model: m, Workers: 3, Iterations: 4,
-		Mode: engine.Imperative, Dependency: engine.PerLayer,
-		Jitter: 0.2, Seed: 11,
+		Dependency: engine.PerLayer, Jitter: 0.2, Seed: 11,
 	}, plug)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +197,7 @@ func TestAllReduceSingleMasterOrder(t *testing.T) {
 	// scheduler; the ring enforces FIFO, so just verify the plugin uses a
 	// single scheduler regardless of worker count.
 	m := model.Synthetic("s", 2, 1<<20, 0.002)
-	_, plug, _ := runAR(t, m, 4, 2, core.ByteScheduler(1<<20, 0), engine.Declarative)
+	_, plug, _ := runAR(t, m, 4, 2, core.ByteScheduler(1<<20, 0))
 	st := plug.Scheduler().Stats()
 	if st.SubsStarted != 2*2 { // 2 layers x 2 iterations (one partition each)
 		t.Fatalf("master scheduler started %d subs, want 4", st.SubsStarted)

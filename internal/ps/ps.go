@@ -67,9 +67,6 @@ type Config struct {
 	// round-robin (default, the paper's baseline), size-balanced LPT, or
 	// consistent hash-ring. See Strategy and Assigner.
 	Strategy Strategy
-	// Assigner, if non-nil, overrides Strategy with a custom placement
-	// implementation (e.g. a pre-built HashRing with a specific topology).
-	Assigner Assigner
 	// Async enables asynchronous training: a worker's pull becomes ready
 	// as soon as its own push is applied, without waiting for the other
 	// workers.
@@ -189,15 +186,11 @@ func New(eng *sim.Engine, fab *network.Fabric, cfg Config) (*Cluster, error) {
 	if cfg.UpdateSecPerByte < 0 {
 		return nil, fmt.Errorf("ps: negative update cost")
 	}
-	assigner := cfg.Assigner
-	if assigner == nil {
-		assigner = NewAssigner(cfg.Strategy, cfg.Servers)
-	}
 	return &Cluster{
 		eng:       eng,
 		fab:       fab,
 		cfg:       cfg,
-		assigner:  assigner,
+		assigner:  NewAssigner(cfg.Strategy, cfg.Servers),
 		ids:       make(map[tensorID]int),
 		aggs:      make(map[aggKey]*aggState),
 		recvBytes: make([]int64, cfg.Servers),

@@ -83,13 +83,6 @@ type LiveConfig struct {
 	// until layer l's gradient synchronization from iteration i finished —
 	// the dependency structure that makes front-layer priority pay.
 	ForwardCompute, BackwardCompute time.Duration
-	// BackwardTimes, when non-empty, replaces the uniform BackwardCompute
-	// knob with per-op profiled backward durations, one per layer (same
-	// front-to-back order as LayerBytes): the backward pass sleeps
-	// BackwardTimes[l] before emitting layer l's gradient, and the
-	// critical-path priority sees the same per-op profile instead of a
-	// uniform backward cost.
-	BackwardTimes []time.Duration
 	// Metrics, if non-nil, instruments worker 0's scheduler and every
 	// transport endpoint against the registry (core_*, netps_*/netar_*).
 	Metrics *metrics.Registry
@@ -111,18 +104,14 @@ type LiveConfig struct {
 	// codecs relax the runner's aggregation verification accordingly.
 	Codec compress.Codec
 	// Priority, when not PriorityDefault, derives the scheduling order
-	// from the run's layer profile (uniform ForwardCompute per layer,
-	// LayerBytes, LinkBytesPerSec) and overrides the policy's priority
-	// function with the resulting rank table: layer index, TicTac-style
-	// critical path, or a seeded random permutation for ablation. The
-	// table is materialized once per run, so every worker — and, on
-	// coordinated ring runs, every peer's agreed admission order — uses
-	// the same ranks.
+	// from the run's layer profile (uniform ForwardCompute and
+	// BackwardCompute per layer, LayerBytes, liveLinkBytesPerSec) and
+	// overrides the policy's priority function with the resulting rank
+	// table: layer index, TicTac-style critical path, or a seeded random
+	// permutation for ablation. The table is materialized once per run,
+	// so every worker — and, on coordinated ring runs, every peer's agreed
+	// admission order — uses the same ranks.
 	Priority core.PriorityPolicy
-	// LinkBytesPerSec is the modeled link rate the critical-path priority
-	// uses to convert layer bytes into transfer time; 0 defaults to
-	// DefaultLiveLinkBytesPerSec (loopback-order).
-	LinkBytesPerSec float64
 	// Pipeline selects cross-iteration pipelining (see PipelineMode):
 	// whether a backward pass's gradient tasks reach the scheduler as the
 	// pass produces them (overlapping iteration i's backward compute and
@@ -209,39 +198,24 @@ func ParsePipelineMode(s string) (PipelineMode, error) {
 	return 0, fmt.Errorf("runner: unknown pipeline mode %q (want auto, on or off)", s)
 }
 
-// DefaultLiveLinkBytesPerSec is the loopback-order link-rate estimate the
-// critical-path priority falls back to when LinkBytesPerSec is unset.
-const DefaultLiveLinkBytesPerSec = 1 << 30
-
-// backwardTime returns layer l's backward compute duration: the profiled
-// per-op time when BackwardTimes is set, the uniform knob otherwise.
-func (c LiveConfig) backwardTime(l int) time.Duration {
-	if len(c.BackwardTimes) > 0 {
-		return c.BackwardTimes[l]
-	}
-	return c.BackwardCompute
-}
+// liveLinkBytesPerSec is the loopback-order link rate the critical-path
+// priority uses to convert layer bytes into transfer time.
+const liveLinkBytesPerSec = 1 << 30
 
 // priorityRanks materializes the run's priority strategy into a per-layer
 // rank table (nil for PriorityDefault). The live profile has uniform
-// forward compute per layer; the backward profile is per-op when
-// BackwardTimes is set, so the critical path sees where in the pass each
-// gradient surfaces rather than a uniform backward cost.
+// forward and backward compute per layer.
 func (c LiveConfig) priorityRanks() ([]int64, error) {
 	if c.Priority == core.PriorityDefault {
 		return nil, nil
-	}
-	rate := c.LinkBytesPerSec
-	if rate == 0 {
-		rate = DefaultLiveLinkBytesPerSec
 	}
 	fp := make([]float64, len(c.LayerBytes))
 	bp := make([]float64, len(c.LayerBytes))
 	for i := range fp {
 		fp[i] = c.ForwardCompute.Seconds()
-		bp[i] = c.backwardTime(i).Seconds()
+		bp[i] = c.BackwardCompute.Seconds()
 	}
-	return c.Priority.Ranks(core.DAGTimings{FP: fp, BP: bp, LayerBytes: c.LayerBytes, BytesPerSec: rate}, c.Seed)
+	return c.Priority.Ranks(core.DAGTimings{FP: fp, BP: bp, LayerBytes: c.LayerBytes, BytesPerSec: liveLinkBytesPerSec}, c.Seed)
 }
 
 // Validate reports configuration errors.
@@ -260,14 +234,6 @@ func (c LiveConfig) Validate() error {
 	for l, b := range c.LayerBytes {
 		if b <= 0 || b%4 != 0 {
 			return fmt.Errorf("runner: layer %d size %d is not a positive multiple of 4", l, b)
-		}
-	}
-	if len(c.BackwardTimes) > 0 && len(c.BackwardTimes) != len(c.LayerBytes) {
-		return fmt.Errorf("runner: %d backward times for %d layers", len(c.BackwardTimes), len(c.LayerBytes))
-	}
-	for l, bt := range c.BackwardTimes {
-		if bt < 0 {
-			return fmt.Errorf("runner: negative backward time %v for layer %d", bt, l)
 		}
 	}
 	if err := c.Policy.Validate(); err != nil {
@@ -289,9 +255,6 @@ func (c LiveConfig) Validate() error {
 	case core.PriorityDefault, core.PriorityLayer, core.PriorityCriticalPath, core.PriorityRandom:
 	default:
 		return fmt.Errorf("runner: unknown priority policy %d", int(c.Priority))
-	}
-	if c.LinkBytesPerSec < 0 {
-		return fmt.Errorf("runner: negative link rate %v", c.LinkBytesPerSec)
 	}
 	switch c.Pipeline {
 	case PipelineAuto, PipelineOn, PipelineOff:
@@ -784,8 +747,8 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 		// pipeline as they do; how long each waits there is the window's
 		// business, not this loop's.
 		for l := layers - 1; l >= 0; l-- {
-			if bt := cfg.backwardTime(l); bt > 0 {
-				time.Sleep(bt)
+			if cfg.BackwardCompute > 0 {
+				time.Sleep(cfg.BackwardCompute)
 			}
 			g := &liveGrad{iter: uint32(it), grad: grads[l], out: outs[l], gate: gates[l]}
 			t := &core.Task{

@@ -37,11 +37,6 @@ func TestLivePipelineValidation(t *testing.T) {
 		t.Fatal("negative pipeline window accepted")
 	}
 	cfg = liveBase(LiveBackendPS)
-	cfg.LinkBytesPerSec = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative link rate accepted")
-	}
-	cfg = liveBase(LiveBackendPS)
 	cfg.Priority = core.PriorityPolicy(99)
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("unknown priority policy accepted")

@@ -68,7 +68,7 @@ const ncclIntraBytesPerSec = 10e9
 type Config struct {
 	// Model is the DNN to train.
 	Model *model.Model
-	// Framework selects engine flavor and barrier behavior.
+	// Framework selects barrier behavior.
 	Framework plugin.Framework
 	// Arch selects PS or all-reduce.
 	Arch Arch
@@ -76,10 +76,9 @@ type Config struct {
 	Transport network.Profile
 	// BandwidthGbps is the per-direction NIC speed.
 	BandwidthGbps float64
-	// GPUs is the total GPU count; must be a multiple of GPUsPerMachine.
+	// GPUs is the total GPU count; must be a multiple of
+	// DefaultGPUsPerMachine.
 	GPUs int
-	// GPUsPerMachine defaults to DefaultGPUsPerMachine when zero.
-	GPUsPerMachine int
 	// Policy is the communication scheduling policy (core.FIFO() for the
 	// vanilla baseline).
 	Policy core.Policy
@@ -146,9 +145,6 @@ type Config struct {
 
 // withDefaults fills derived fields.
 func (c Config) withDefaults() Config {
-	if c.GPUsPerMachine == 0 {
-		c.GPUsPerMachine = DefaultGPUsPerMachine
-	}
 	if c.Iterations == 0 {
 		c.Iterations = 12
 	}
@@ -175,8 +171,8 @@ func (c Config) Validate() error {
 	if c.BandwidthGbps <= 0 {
 		return fmt.Errorf("runner: non-positive bandwidth %v", c.BandwidthGbps)
 	}
-	if c.GPUs <= 0 || c.GPUs%c.GPUsPerMachine != 0 {
-		return fmt.Errorf("runner: GPUs=%d not a positive multiple of %d per machine", c.GPUs, c.GPUsPerMachine)
+	if c.GPUs <= 0 || c.GPUs%DefaultGPUsPerMachine != 0 {
+		return fmt.Errorf("runner: GPUs=%d not a positive multiple of %d per machine", c.GPUs, DefaultGPUsPerMachine)
 	}
 	if err := c.Policy.Validate(); err != nil {
 		return err
@@ -208,10 +204,7 @@ func (c Config) Validate() error {
 }
 
 // Machines returns the number of worker machines.
-func (c Config) Machines() int {
-	c = c.withDefaults()
-	return c.GPUs / c.GPUsPerMachine
-}
+func (c Config) Machines() int { return c.GPUs / DefaultGPUsPerMachine }
 
 // Name returns a human-readable setup label like
 // "MXNet PS RDMA VGG16 x32gpu".
@@ -343,7 +336,7 @@ func build(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config
 		if err != nil {
 			return nil, err
 		}
-		ring.SetIntraNode(cfg.GPUsPerMachine, ncclIntraBytesPerSec)
+		ring.SetIntraNode(DefaultGPUsPerMachine, ncclIntraBytesPerSec)
 		ring.SetAlgorithm(cfg.Collective)
 		ring.SetTrace(cfg.Trace)
 		plug := plugin.NewAllReduce(ring, cfg.Model, machines, cfg.Policy)
@@ -370,14 +363,14 @@ func build(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config
 func engineConfig(cfg Config) engine.Config {
 	// PS workers aggregate local GPUs before the NIC sees a gradient; for
 	// all-reduce the intra-node stage is part of the collective itself.
-	localAgg := 2 * float64(cfg.GPUsPerMachine-1) / float64(cfg.GPUsPerMachine) / intraMachineBytesPerSec
+	const g = DefaultGPUsPerMachine
+	localAgg := 2 * float64(g-1) / float64(g) / intraMachineBytesPerSec
 	if cfg.Arch == AllReduce {
 		localAgg = 0
 	}
 	return engine.Config{
 		Model:              cfg.Model,
 		Workers:            cfg.Machines(),
-		Mode:               cfg.Framework.EngineMode(),
 		Dependency:         cfg.Framework.DependencyMode(cfg.Scheduled),
 		Iterations:         cfg.Iterations,
 		LocalAggSecPerByte: localAgg,

@@ -8,17 +8,13 @@ import "slices"
 // scheduling matter: a large tensor that has entered the queue blocks
 // higher-priority tensors behind it.
 type Server struct {
-	eng     *Engine
-	name    string
-	busy    bool
-	busyEnd Time
-	queue   []job
-	serving job // the job in service; the server is its completion event
-	// LastIdleAt records when the server last became idle; it is used to
-	// account utilization.
-	lastIdleAt Time
-	busyTime   Time
-	served     uint64
+	eng      *Engine
+	name     string
+	busy     bool
+	queue    []job
+	serving  job // the job in service; the server is its completion event
+	busyTime Time
+	served   uint64
 }
 
 type job struct {
@@ -35,17 +31,6 @@ func NewServer(eng *Engine, name string) *Server {
 
 // Name returns the diagnostic name given at construction.
 func (s *Server) Name() string { return s.name }
-
-// Busy reports whether a job is currently in service.
-func (s *Server) Busy() bool { return s.busy }
-
-// BusyEnd returns the time the in-service job completes; meaningful only
-// when Busy is true.
-func (s *Server) BusyEnd() Time { return s.busyEnd }
-
-// QueueLen returns the number of jobs waiting (not counting the one in
-// service).
-func (s *Server) QueueLen() int { return len(s.queue) }
 
 // Served returns the number of jobs completed so far.
 func (s *Server) Served() uint64 { return s.served }
@@ -74,7 +59,6 @@ func (s *Server) dispatch() {
 	s.queue = slices.Delete(s.queue, 0, 1)
 	s.serving = j
 	s.busy = true
-	s.busyEnd = s.eng.Now() + j.duration
 	s.busyTime += j.duration
 	if j.onStart != nil {
 		j.onStart()
@@ -88,7 +72,6 @@ func (s *Server) Fire(int) {
 	s.serving = job{}
 	s.busy = false
 	s.served++
-	s.lastIdleAt = s.eng.Now()
 	if onDone != nil {
 		onDone()
 	}

@@ -99,9 +99,9 @@ func Key(cfg runner.Config) (string, bool) {
 	h := fnv.New64a()
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 
-	w("fw=%d|arch=%d|bw=%g|gpus=%d|gpm=%d|sched=%t|async=%t|coll=%d|place=%d|iters=%d|warm=%d|jit=%g|seed=%d|",
-		int(cfg.Framework), int(cfg.Arch), cfg.BandwidthGbps, cfg.GPUs, cfg.GPUsPerMachine,
-		cfg.Scheduled, cfg.Async, int(cfg.Collective), int(cfg.Placement),
+	w("fw=%d|arch=%d|bw=%g|gpus=%d|sched=%t|async=%t|coll=%d|place=%d|iters=%d|warm=%d|jit=%g|seed=%d|",
+		int(cfg.Framework), int(cfg.Arch), cfg.BandwidthGbps, cfg.GPUs, cfg.Scheduled,
+		cfg.Async, int(cfg.Collective), int(cfg.Placement),
 		cfg.Iterations, cfg.Warmup, cfg.Jitter, cfg.Seed)
 	t := cfg.Transport
 	w("tp=%s,%g,%g,%g,%g,%g,%g,%g,%g|", t.Name, t.MsgOverhead, t.PipelinedOverhead,
@@ -112,7 +112,7 @@ func Key(cfg runner.Config) (string, bool) {
 	}
 	if cfg.Compression != nil {
 		c := cfg.Compression
-		w("comp=%d,%g,%g|", int(c.Method), c.KeepRatio, c.CodecBytesPerSec)
+		w("comp=%s,%g|", c.Codec.Name(), c.CodecBytesPerSec)
 	}
 	if cfg.Faults != nil {
 		f := cfg.Faults
@@ -124,7 +124,7 @@ func Key(cfg runner.Config) (string, bool) {
 	m := cfg.Model
 	w("model=%s,%d,%s,%g,%g,%d|", m.Name, m.BatchPerGPU, m.SampleUnit, m.PerGPUSpeed, m.FPFraction, len(m.Layers))
 	for _, l := range m.Layers {
-		w("L%d,%g:", l.Index, l.ComputeWeight)
+		w("L%d,%s,%g:", l.Index, l.Name, l.ComputeWeight)
 		for _, tn := range l.Tensors {
 			w("%s,%d,%d;", tn.Name, tn.Layer, tn.Bytes)
 		}

@@ -14,7 +14,6 @@ type BO struct {
 	bounds     Bounds
 	gp         *GP
 	rng        *stats.RNG
-	xi         float64
 	initPoints int
 	candidates int
 
@@ -28,11 +27,11 @@ type BO struct {
 	perms [][]int
 }
 
+// boXI is the EI exploration parameter (the paper's default).
+const boXI = 0.1
+
 // BOOption customizes the tuner.
 type BOOption func(*BO)
-
-// WithXI sets the EI exploration parameter (paper default 0.1).
-func WithXI(xi float64) BOOption { return func(b *BO) { b.xi = xi } }
 
 // WithInitPoints sets the number of quasi-random warmup evaluations.
 func WithInitPoints(n int) BOOption { return func(b *BO) { b.initPoints = n } }
@@ -50,7 +49,6 @@ func NewBO(bounds Bounds, seed int64, opts ...BOOption) *BO {
 		bounds:     bounds,
 		gp:         NewGP(),
 		rng:        stats.NewRNG(seed),
-		xi:         0.1,
 		initPoints: 3,
 		candidates: 256,
 		inc:        newBest(),
@@ -119,7 +117,7 @@ func (b *BO) acquire() []float64 {
 	bestEI := math.Inf(-1)
 	for i := 0; i < b.candidates; i++ {
 		u := b.randomPoint()
-		ei := b.gp.ExpectedImprovement(u, bestY, b.xi)
+		ei := b.gp.ExpectedImprovement(u, bestY, boXI)
 		if ei > bestEI {
 			bestEI = ei
 			bestU = u
