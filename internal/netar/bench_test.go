@@ -1,15 +1,18 @@
-// Micro-benchmark of the netar per-hop send path. Every ring hop encodes
-// one segment into the peer's reused staging buffer and frames it, so the
-// pair must stay allocation-free (wire.Write's pooled staging) even with
-// the codec envelope fields set.
+// Micro-benchmarks of the netar bulk path. Every ring hop encodes one
+// segment into the peer's reused staging buffer and frames it, so the pair
+// must stay allocation-free (wire.Write's pooled staging) even with the
+// codec envelope fields set; a whole loopback collective reduces into the
+// caller's buffer through recycled segment buffers and scratch, so its
+// allocs/op counts only per-segment bookkeeping.
 //
 // Run with:
 //
-//	go test -bench FrameEncode -benchmem ./internal/netar/
+//	go test -run '^$' -bench 'FrameEncode|AllReduceInto' -benchmem ./internal/netar/
 package netar
 
 import (
 	"io"
+	"sync"
 	"testing"
 
 	"bytescheduler/internal/compress"
@@ -28,4 +31,32 @@ func BenchmarkFrameEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAllReduceInto runs one 256 KB collective per op on a 2-peer
+// loopback ring; allocs/op and B/op cover both peers.
+func BenchmarkAllReduceInto(b *testing.B) {
+	const floats = 64 << 10
+	peers := buildRing(b, 2)
+	var ins, outs [2][]float32
+	for r := range ins {
+		ins[r], outs[r] = make([]float32, floats), make([]float32, floats)
+	}
+	b.SetBytes(4 * floats)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for r, p := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				if err := p.AllReduceInto("bench", uint32(i), ins[r], outs[r]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

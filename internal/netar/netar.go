@@ -98,10 +98,11 @@ type slot struct {
 // keyed collectives over those two persistent connections.
 //
 // The contract mirrors the simulator's collective: every peer must call
-// AllReduce with the same (key, iter) and the same vector length, exactly
-// once per collective. Distinct (key, iter) collectives may be issued
-// concurrently and in any per-peer order — segments are dispatched to
-// per-(key, iter, step) slots, not assumed to arrive in lockstep.
+// AllReduceInto (or AllReduce) with the same (key, iter) and the same
+// vector length, exactly once per collective. Distinct (key, iter)
+// collectives may be issued concurrently and in any per-peer order —
+// segments are dispatched to per-(key, iter, step) slots, not assumed to
+// arrive in lockstep.
 type Peer struct {
 	rank int
 	size int
@@ -124,6 +125,10 @@ type Peer struct {
 	// encBuf is the codec staging buffer for outbound segments, reused
 	// under sendMu so steady-state sends do not allocate.
 	encBuf []byte
+
+	// The recycler: inbound segment buffers and reduce-scatter scratch.
+	payloads freeList[byte]
+	scratch  freeList[float32]
 
 	mu        sync.Mutex
 	rng       *stats.RNG
@@ -310,9 +315,12 @@ func (p *Peer) readLoop(conn net.Conn) {
 	for {
 		var m message
 		var err error
-		if m.Header, m.Payload, err = wire.Read(br); err != nil {
+		buf := p.payloads.get(0)
+		if m.Header, m.Payload, err = wire.ReadInto(br, buf); err != nil {
 			return
 		}
+		// The buffer travels with the segment to whoever consumes it.
+		m.buf = wire.Retain(buf, m.Payload)
 		switch Op(m.Op) {
 		case OpData:
 			if !p.deliver(m) {
@@ -391,6 +399,7 @@ func (p *Peer) deliver(m message) bool {
 	case s.ch <- m:
 	default:
 		p.inst.dups.Inc()
+		p.payloads.put(m.buf)
 	}
 	return true
 }
@@ -479,6 +488,7 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 	select {
 	case m := <-s.ch:
 		p.dropSlot(k)
+		defer p.payloads.put(m.buf)
 		if m.Chunk != wantChunk {
 			return fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
 				step, key, iter, m.Chunk, wantChunk)
@@ -509,25 +519,35 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 // mod is the positive remainder of a modulo m.
 func mod(a, m int) int { return ((a % m) + m) % m }
 
-// AllReduce runs one segmented ring collective: the element-wise sum of
-// every peer's data vector, returned to every peer. All peers must call it
-// with the same (key, iter) and the same vector length, exactly once per
-// collective; distinct (key, iter) collectives may run concurrently.
-// Because AllReduce blocks until every peer participates, peers that issue
-// collectives strictly sequentially must agree on the order; issuing them
-// from concurrent goroutines (as the core scheduler does, one per
-// partition) is order-free — the keyed slots pair up segments however they
-// interleave.
-//
-// The schedule is the bandwidth-optimal reduce-scatter + all-gather: in
-// reduce-scatter step s, rank r sends chunk (r-s) mod M and accumulates
-// chunk (r-s-1) mod M, so after M-1 steps rank r holds the fully reduced
-// chunk (r+1) mod M; all-gather then circulates the reduced chunks.
+// AllReduce is AllReduceInto into a fresh vector; a caller that owns the
+// output buffer calls AllReduceInto and allocates nothing.
 func (p *Peer) AllReduce(key string, iter uint32, data []float32) ([]float32, error) {
+	out := make([]float32, len(data))
+	return out, p.AllReduceInto(key, iter, data, out)
+}
+
+// AllReduceInto runs one segmented ring collective: the element-wise sum
+// of every peer's in vector, written to out (same length, may alias in).
+// All peers must call it with the same (key, iter) and the same vector
+// length, exactly once per collective; distinct (key, iter) collectives
+// may run concurrently. Because a collective blocks until every peer
+// participates, peers that issue collectives strictly sequentially must
+// agree on the order; issuing them from concurrent goroutines (as the core
+// scheduler does, one per partition) is order-free — the keyed slots pair
+// up segments however they interleave.
+//
+// The schedule is the bandwidth-optimal reduce-scatter + all-gather, run
+// in out: in reduce-scatter step s, rank r sends chunk (r-s) mod M and
+// accumulates chunk (r-s-1) mod M, so after M-1 steps rank r holds the
+// fully reduced chunk (r+1) mod M; all-gather then circulates them.
+func (p *Peer) AllReduceInto(key string, iter uint32, in, out []float32) error {
+	if len(out) != len(in) {
+		return fmt.Errorf("netar: %s#%d: output has %d values, input %d", key, iter, len(out), len(in))
+	}
 	start := time.Now()
 	p.inst.ops.Inc()
 	p.inst.inflight.Inc()
-	out, err := p.allReduce(key, iter, data)
+	err := p.allReduce(key, iter, in, out)
 	p.inst.inflight.Dec()
 	p.inst.opSeconds.Observe(time.Since(start).Seconds())
 	if p.tracer != nil {
@@ -535,36 +555,36 @@ func (p *Peer) AllReduce(key string, iter uint32, data []float32) ([]float32, er
 			fmt.Sprintf("allreduce %s#%d", key, iter),
 			start, time.Now())
 	}
-	return out, err
+	return err
 }
 
-func (p *Peer) allReduce(key string, iter uint32, data []float32) ([]float32, error) {
-	acc := make([]float32, len(data))
-	copy(acc, data)
+func (p *Peer) allReduce(key string, iter uint32, in, out []float32) error {
+	if len(in) > 0 && &in[0] != &out[0] {
+		copy(out, in)
+	}
 	if p.size == 1 {
-		return acc, nil
+		return nil
 	}
 	if p.isClosed() {
-		return nil, fmt.Errorf("netar: peer closed")
+		return fmt.Errorf("netar: peer closed")
 	}
 	m := p.size
-	bounds := chunkBounds(len(acc), m)
 	// Reduce-scatter: after step s every rank has accumulated one more
 	// partial sum; after M-1 steps rank r owns the fully reduced chunk
-	// (r+1) mod M. Incoming partial sums land in one scratch per collective
+	// (r+1) mod M. Incoming partial sums land in one recycled scratch
 	// (chunk 0 is never shorter than any other).
-	scratch := make([]float32, bounds[1])
+	scratch := p.scratch.get(chunkBound(len(out), m, 1))
+	defer p.scratch.put(scratch)
 	for s := 0; s < m-1; s++ {
 		sendChunk := mod(p.rank-s, m)
 		recvChunk := mod(p.rank-s-1, m)
-		seg := acc[bounds[sendChunk]:bounds[sendChunk+1]]
-		if err := p.sendSegment(key, iter, uint16(s), uint16(sendChunk), seg); err != nil {
-			return nil, err
+		if err := p.sendSegment(key, iter, uint16(s), uint16(sendChunk), chunk(out, m, sendChunk)); err != nil {
+			return err
 		}
-		dst := acc[bounds[recvChunk]:bounds[recvChunk+1]]
+		dst := chunk(out, m, recvChunk)
 		vals := scratch[:len(dst)]
 		if err := p.recvSegment(key, iter, uint16(s), uint16(recvChunk), vals); err != nil {
-			return nil, err
+			return err
 		}
 		for i, v := range vals {
 			dst[i] += v
@@ -577,15 +597,14 @@ func (p *Peer) allReduce(key string, iter uint32, data []float32) ([]float32, er
 		step := uint16(m - 1 + s)
 		sendChunk := mod(p.rank+1-s, m)
 		recvChunk := mod(p.rank-s, m)
-		seg := acc[bounds[sendChunk]:bounds[sendChunk+1]]
-		if err := p.sendSegment(key, iter, step, uint16(sendChunk), seg); err != nil {
-			return nil, err
+		if err := p.sendSegment(key, iter, step, uint16(sendChunk), chunk(out, m, sendChunk)); err != nil {
+			return err
 		}
-		if err := p.recvSegment(key, iter, step, uint16(recvChunk), acc[bounds[recvChunk]:bounds[recvChunk+1]]); err != nil {
-			return nil, err
+		if err := p.recvSegment(key, iter, step, uint16(recvChunk), chunk(out, m, recvChunk)); err != nil {
+			return err
 		}
 	}
-	return acc, nil
+	return nil
 }
 
 // Close shuts the peer down: the listener stops accepting, all

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,21 +76,19 @@ func TestChunkBounds(t *testing.T) {
 		{0, 3, []int{0, 0, 0, 0}},
 		{7, 1, []int{0, 7}},
 	} {
-		got := chunkBounds(tc.n, tc.m)
-		if len(got) != len(tc.want) {
-			t.Fatalf("chunkBounds(%d,%d) = %v, want %v", tc.n, tc.m, got, tc.want)
+		got := make([]int, tc.m+1)
+		for c := range got {
+			got[c] = chunkBound(tc.n, tc.m, c)
 		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("chunkBounds(%d,%d) = %v, want %v", tc.n, tc.m, got, tc.want)
-			}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("chunkBound(%d,%d,0..%d) = %v, want %v", tc.n, tc.m, tc.m, got, tc.want)
 		}
 	}
 }
 
 // buildRing creates an M-peer loopback ring with every peer listening and
 // dialed to its successor, torn down on test cleanup.
-func buildRing(t *testing.T, m int, opts ...Option) []*Peer {
+func buildRing(t testing.TB, m int, opts ...Option) []*Peer {
 	t.Helper()
 	peers := make([]*Peer, m)
 	for r := 0; r < m; r++ {

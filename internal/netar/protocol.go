@@ -42,7 +42,11 @@
 // blocked waiters. All knobs live in Config.
 package netar
 
-import "bytescheduler/internal/wire"
+import (
+	"sync"
+
+	"bytescheduler/internal/wire"
+)
 
 // Op is the wire operation code.
 type Op uint8
@@ -65,26 +69,46 @@ const (
 // not correctness); Step is the position in the 2(M-1)-step collective
 // schedule; Chunk is the vector chunk index the payload covers, which the
 // receiver verifies against the schedule, catching ring misconfiguration.
+// buf is the recycled buffer Payload was read into; nil if built in memory.
 type message struct {
 	wire.Header
 	Payload []byte
+	buf     []byte
 }
 
-// chunkBounds cuts a vector of n values into m near-equal chunks and
-// returns the m+1 boundary indices: chunk c covers [bounds[c], bounds[c+1]).
-// The first n%m chunks get one extra value, so sizes differ by at most one
-// and every peer computes identical boundaries independently.
-func chunkBounds(n, m int) []int {
-	bounds := make([]int, m+1)
-	q, rem := n/m, n%m
-	off := 0
-	for c := 0; c < m; c++ {
-		bounds[c] = off
-		off += q
-		if c < rem {
-			off++
-		}
+// chunkBound is where chunk c starts when n values are cut into m chunks
+// (chunkBound(n, m, m) is n): the first n%m get one extra value, so sizes
+// differ by at most one and every peer computes the same bounds.
+func chunkBound(n, m, c int) int { return c*(n/m) + min(c, n%m) }
+
+// chunk is chunk c of v cut into m chunks.
+func chunk(v []float32, m, c int) []float32 {
+	return v[chunkBound(len(v), m, c):chunkBound(len(v), m, c+1)]
+}
+
+// freeList is a mutex-guarded stack of reusable buffers; unlike a
+// sync.Pool it keeps every put, under the race detector too.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	bufs [][]T
+}
+
+// get pops a buffer of length n, allocating if the top one is too short.
+func (f *freeList[T]) get(n int) (b []T) {
+	f.mu.Lock()
+	if k := len(f.bufs); k > 0 {
+		b, f.bufs = f.bufs[k-1], f.bufs[:k-1]
 	}
-	bounds[m] = off
-	return bounds
+	f.mu.Unlock()
+	if cap(b) < n {
+		b = make([]T, n)
+	}
+	return b[:n]
+}
+
+// put pushes b for reuse; the caller must not touch it afterwards.
+func (f *freeList[T]) put(b []T) {
+	f.mu.Lock()
+	f.bufs = append(f.bufs, b)
+	f.mu.Unlock()
 }

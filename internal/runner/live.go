@@ -490,13 +490,11 @@ func buildRingTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 		// so credit is held until it returns (safe: coordinated release
 		// admits in one total order on every peer).
 		transports[r] = func(key string, iter uint32, in, out []float32, sent func()) error {
-			sum, err := peer.AllReduce(key, iter, in)
-			if err != nil {
-				return err
+			err := peer.AllReduceInto(key, iter, in, out)
+			if err == nil {
+				sent()
 			}
-			copy(out, sum)
-			sent()
-			return nil
+			return err
 		}
 	}
 	return transports, teardown, nil
@@ -830,21 +828,20 @@ func MeasureRingCollective(workers, floats, reps int) (float64, error) {
 	}
 	defer teardown()
 	const warmup = 2
-	data := make([][]float32, workers)
+	data, outs := make([][]float32, workers), make([][]float32, workers)
 	for r := range data {
-		data[r] = make([]float32, floats)
+		data[r], outs[r] = make([]float32, floats), make([]float32, floats)
 	}
+	errs := make([]error, workers)
 	var elapsed time.Duration
 	for op := 0; op < warmup+reps; op++ {
 		begin := time.Now()
-		errs := make([]error, workers)
 		var wg sync.WaitGroup
 		for r := 0; r < workers; r++ {
-			r := r
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errs[r] = peers[r].AllReduce("bench", uint32(op), data[r])
+				errs[r] = peers[r].AllReduceInto("bench", uint32(op), data[r], outs[r])
 			}()
 		}
 		wg.Wait()
