@@ -1,11 +1,12 @@
 // Micro-benchmarks of the netps hot paths: message framing (wire.Write's
 // pooled staging, two frames per RPC), batch envelope encoding (sized
-// exactly up front), and the server's pull fast path (the aggregate's
-// float32 marshal, computed once per entry instead of once per pull).
+// exactly up front), the server's pull fast path (the aggregate's float32
+// marshal, computed once per entry instead of once per pull), and one
+// whole aggregate's push + pull cycle on the server.
 //
 // Run with:
 //
-//	go test -bench 'ProtocolEncode|ServerPull' -benchmem ./internal/netps/
+//	go test -bench 'ProtocolEncode|ServerPull|ServerPushPull' -benchmem ./internal/netps/
 package netps
 
 import (
@@ -50,7 +51,8 @@ func BenchmarkProtocolEncodeBatch(b *testing.B) {
 
 // BenchmarkServerPull measures the server's ready-pull fast path: one
 // aggregated 64 K-element entry served repeatedly, as happens when many
-// workers pull the same completed aggregate. With the per-entry encoded
+// workers pull the same completed aggregate, each pull dropping the
+// reference it took as a failed write would. With the per-entry encoded
 // cache this is 0 allocs/op; previously every pull re-marshaled the whole
 // float32 sum (len(v)*4 bytes per pull).
 func BenchmarkServerPull(b *testing.B) {
@@ -68,6 +70,7 @@ func BenchmarkServerPull(b *testing.B) {
 		b.Fatalf("push rejected: %s", resp.Payload)
 	}
 	req := newMessage(OpPull, "w", 1, 0, nil)
+	sh := srv.shard(req.Key)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,6 +78,54 @@ func BenchmarkServerPull(b *testing.B) {
 		if errResp != nil || wait != nil || len(result.payload) != len(grad)*4 {
 			b.Fatal("pull not served from the ready fast path")
 		}
+		sh.mu.Lock()
+		unref(&sh.aggFree, result)
+		sh.mu.Unlock()
+	}
+}
+
+// BenchmarkServerPushPull measures one whole aggregate's life on the
+// server: two workers' 64 K-float pushes, both pulls, and each pull's
+// post-write bookkeeping, which drops its reference and reclaims the entry
+// into the completed log. After a warm-up that fills the log, allocs/op is
+// the PS bulk path's steady-state cost on the server: the aggregate's
+// buffer and its sum are recycled, not allocated.
+func BenchmarkServerPushPull(b *testing.B) {
+	srv, err := NewServer(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	grad := make([]float32, 64<<10)
+	for i := range grad {
+		grad[i] = float32(i) * 0.5
+	}
+	payload := f32(grad...)
+	cycle := func(i int) {
+		iter, seq := uint32(i), uint64(2*i+1)
+		for w := uint64(1); w <= 2; w++ {
+			push := newMessage(OpPush, "w", iter, w<<32|seq, payload)
+			if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
+				b.Fatalf("push rejected: %s", resp.Payload)
+			}
+		}
+		for w := uint64(1); w <= 2; w++ {
+			pull := newMessage(OpPull, "w", iter, w<<32|(seq+1), nil)
+			result, wait, errResp := srv.resolvePull(pull)
+			if errResp != nil || wait != nil || len(result.payload) != len(payload) {
+				b.Fatal("completed aggregate not ready")
+			}
+			srv.countPullServed(pull, result)
+		}
+	}
+	const warmup = 16 // twice the 256 KB payloads one shard's completed log holds
+	for i := 0; i < warmup; i++ {
+		cycle(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(warmup + i)
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bytescheduler/internal/wire"
 )
 
 // constVec returns n copies of v.
@@ -42,12 +44,14 @@ func checkConst(t *testing.T, what string, got []float32, n int, want float32) {
 
 // TestBulkPathAllocBudget guards the number the bulk path is built for:
 // two workers each Push + PullInto one 256 KB partition per iteration, and
-// after a warm-up one such iteration allocates at most four partitions'
-// worth of bytes — the aggregate's wire form (shared by every puller and
-// the completed log, so left to the collector) plus room for pool misses.
-// Before the buffers were reused it allocated about ten. A byte budget, not
-// an allocation count: it holds under the race detector too, where
-// sync.Pool drops a quarter of its puts.
+// after a warm-up one such iteration allocates at most an eighth of a
+// partition's bytes. Every gradient-sized buffer is recycled: the push
+// encode buffer through the client's free list, the sum and the
+// aggregate's wire form through their shard's, the latter once the last
+// reference from a puller or the completed log is dropped, so what is left
+// is per-request bookkeeping. A byte budget, not an allocation count, and
+// held under the race detector too: the bulk buffers are on free lists,
+// not sync.Pool, which drops a quarter of its puts there.
 func TestBulkPathAllocBudget(t *testing.T) {
 	const (
 		floats = 64 << 10 // 256 KB of fp32
@@ -101,7 +105,7 @@ func TestBulkPathAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perIter := (after.TotalAlloc - before.TotalAlloc) / iters
 	t.Logf("%d KB allocated per iteration of 2 x 256 KB each way", perIter>>10)
-	if budget := uint64(4 * 4 * floats); perIter > budget {
+	if budget := uint64(4 * floats / 8); perIter > budget {
 		t.Fatalf("one push+pull iteration allocates %d KB, budget %d KB", perIter>>10, budget>>10)
 	}
 }
@@ -211,49 +215,51 @@ func TestBufferOwnership(t *testing.T) {
 
 	// (d) The encode buffer is held through the retries of its round trip:
 	// the server swallows the first frame and drops the connection (a lost
-	// ack), other pushes go through the encode pool meanwhile, and the
-	// replay must carry the same bytes as the original.
+	// ack), the same client's free list serves other pushes meanwhile, and
+	// the replay must carry the same bytes as the original.
 	t.Run("retried push replays identical bytes", func(t *testing.T) {
-		_, realAddr := startServer(t, 1)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ln.Close()
 		const n = 2048
+		c := NewClient(ln.Addr().String(), WithTimeout(2*time.Second), WithRetries(2),
+			WithBackoff(time.Millisecond, 10*time.Millisecond), WithSeed(1))
+		defer c.Close()
 		frames := make(chan message, 2) // the original and its replay
 		go func() {
-			defer close(frames)
-			for attempt := 0; attempt < 2; attempt++ {
+			for {
 				conn, err := ln.Accept()
 				if err != nil {
 					return
 				}
-				req, err := readMsg(conn)
-				if err != nil {
-					conn.Close()
-					return
-				}
-				frames <- req // readMsg's payload is the frame's own
-				if attempt == 0 {
-					// Had Push given its buffer back already, these would
-					// encode into it before the replay is written.
-					other := NewClient(realAddr)
-					for i := uint32(0); i < 8; i++ {
-						if err := other.Push("noise", i, constVec(n, -7)); err != nil {
-							t.Errorf("noise push: %v", err)
+				go func() {
+					defer conn.Close()
+					for {
+						req, err := readMsg(conn)
+						if err != nil {
+							return
 						}
+						if req.Key == "k" {
+							frames <- req // readMsg's payload is the frame's own
+							if len(frames) == 1 {
+								// Had Push given its buffer back already,
+								// these would encode into it before the
+								// replay is written.
+								for i := uint32(0); i < 8; i++ {
+									if err := c.Push("noise", i, constVec(n, -7)); err != nil {
+										t.Errorf("noise push: %v", err)
+									}
+								}
+								return // the lost ack
+							}
+						}
+						writeMsg(conn, pushAck(req)) //nolint:errcheck // test server
 					}
-					other.Close()
-				} else {
-					writeMsg(conn, pushAck(req)) //nolint:errcheck // test server
-				}
-				conn.Close()
+				}()
 			}
 		}()
-		c := NewClient(ln.Addr().String(), WithTimeout(2*time.Second), WithRetries(2),
-			WithBackoff(time.Millisecond, 10*time.Millisecond), WithSeed(1))
-		defer c.Close()
 		grad := constVec(n, 5)
 		if err := c.Push("k", 9, grad); err != nil {
 			t.Fatalf("push: %v", err)
@@ -266,7 +272,7 @@ func TestBufferOwnership(t *testing.T) {
 		}
 	})
 
-	// (e) An entry keeps its shape after its sum went back to the pool: an
+	// (e) An entry keeps its shape after its sum went back to the shard: an
 	// overflow push and a size-mismatched one arriving after aggregation
 	// completed are rejected as before.
 	t.Run("late pushes rejected after the sum is pooled", func(t *testing.T) {
@@ -291,4 +297,132 @@ func TestBufferOwnership(t *testing.T) {
 		}
 		checkConst(t, "aggregate after rejected late pushes", got, 3, 1)
 	})
+
+	// (f) A response whose write is still in flight keeps its buffer: the
+	// pull's original and its retry (same Seq) both resolve, the retry is
+	// written and reclaims the entry, and eight more aggregates cycle
+	// through a completed log holding two, evicting the first one and
+	// reusing freed buffers.
+	t.Run("a held response survives buffer reuse", func(t *testing.T) {
+		srv, ps := refServer(t, 1, WithCompletedBytes(2*4*refFloats))
+		ps.push(0, 1)
+		heldReq, held := ps.pull(0, 1<<32|1) // its write still in flight
+		ps.serve(ps.pull(0, 1<<32|1))        // the retry's write completed
+		reused, seen := false, map[*byte]bool{}
+		for iter := uint32(1); iter <= 8; iter++ {
+			ps.push(iter, float32(10+iter))
+			req, a := ps.pull(iter, 1<<32|uint64(iter+1))
+			reused = reused || seen[&a.payload[0]]
+			seen[&a.payload[0]] = true
+			ps.serve(req, a)
+		}
+		if !reused {
+			t.Fatal("no aggregate buffer was reused; the test proves nothing")
+		}
+		checkConst(t, "a response held across reuse", ps.decode(heldReq, held), refFloats, 1)
+		srv.countPullServed(heldReq, held)
+	})
+
+	// (g) The same for a pull replayed from the completed log: it survives
+	// its own payload's eviction.
+	t.Run("a replayed response survives its eviction", func(t *testing.T) {
+		srv, ps := refServer(t, 1, WithCompletedBytes(2*4*refFloats))
+		ps.push(0, 1)
+		ps.serve(ps.pull(0, 1<<32|1)) // reclaimed into the completed log
+		replayReq, replay := ps.pull(0, 1<<32|2)
+		for iter := uint32(1); iter <= 8; iter++ {
+			ps.push(iter, float32(10+iter))
+			ps.serve(ps.pull(iter, 1<<32|uint64(iter+2)))
+		}
+		if _, _, errResp := srv.resolvePull(newMessage(OpPull, "k", 0, 1<<32|99, nil)); errResp == nil {
+			t.Fatal("the replayed payload was never evicted from the completed log")
+		}
+		checkConst(t, "a replayed response held across its eviction", ps.decode(replayReq, replay), refFloats, 1)
+		srv.countPullServed(replayReq, replay)
+	})
+
+	// (h) References balance: with no completed log, once a parked puller
+	// and a ready one have both been served, the aggregate's count is back
+	// at zero and the next aggregate encodes into the same buffer.
+	t.Run("references balance", func(t *testing.T) {
+		srv, ps := refServer(t, 2, WithCompletedBytes(0))
+		var prev *byte
+		for iter := uint32(0); iter < 4; iter++ {
+			early := newMessage(OpPull, "k", iter, 1<<32|uint64(iter), nil)
+			_, wait, errResp := srv.resolvePull(early)
+			if wait == nil || errResp != nil {
+				t.Fatalf("iter %d: early pull did not park", iter)
+			}
+			ps.push(iter, 1)
+			resp, wake, result := srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, 2)...)))
+			if Op(resp.Op) != OpPush || len(wake) != 1 {
+				t.Fatalf("iter %d: completing push answered %+v, woke %d", iter, resp.Header, len(wake))
+			}
+			srv.wake(wake, result)
+			parked := <-wait
+			lateReq, late := ps.pull(iter, 2<<32|uint64(iter))
+			checkConst(t, "parked pull", ps.decode(early, parked), refFloats, 3)
+			checkConst(t, "ready pull", ps.decode(lateReq, late), refFloats, 3)
+			ps.serve(early, parked)
+			ps.serve(lateReq, late)
+			if iter > 0 && &late.payload[0] != prev {
+				t.Fatalf("iter %d: aggregate not encoded into the previous one's buffer — a reference was never dropped", iter)
+			}
+			prev = &late.payload[0]
+		}
+	})
+}
+
+// refFloats is the aggregate length of the reference-count sub-tests: 1 KB
+// on the wire, so a completed log of a few KB evicts quickly.
+const refFloats = 256
+
+// refDriver drives one key's aggregates through a server's request
+// handlers directly, as serve would, with the write left to the test.
+type refDriver struct {
+	t   *testing.T
+	srv *Server
+}
+
+func refServer(t *testing.T, workers int, opts ...ServerOption) (*Server, refDriver) {
+	srv, err := NewServer(workers, append(opts, WithShards(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, refDriver{t, srv}
+}
+
+// push sends one refFloats-long push of v for iteration iter of "k".
+func (d refDriver) push(iter uint32, v float32) {
+	d.t.Helper()
+	if resp, _, _ := d.srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, v)...))); Op(resp.Op) != OpPush {
+		d.t.Fatalf("push %d rejected: %s", iter, resp.Payload)
+	}
+}
+
+// pull resolves a ready pull of iteration iter and returns it with the
+// reference it holds on the aggregate.
+func (d refDriver) pull(iter uint32, seq uint64) (message, agg) {
+	d.t.Helper()
+	req := newMessage(OpPull, "k", iter, seq, nil)
+	a, wait, errResp := d.srv.resolvePull(req)
+	if wait != nil || errResp != nil {
+		d.t.Fatalf("pull %d not ready (wait %v, err %v)", iter, wait != nil, errResp)
+	}
+	return req, a
+}
+
+// serve finishes a pull whose response write succeeded.
+func (d refDriver) serve(req message, a agg) { d.srv.countPullServed(req, a) }
+
+// decode reads a pull response's values out of the aggregate buffer.
+func (d refDriver) decode(req message, a agg) []float32 {
+	d.t.Helper()
+	resp := pullResp(req, a)
+	v, err := wire.Floats(nil, resp.Header, resp.Payload)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	return v
 }

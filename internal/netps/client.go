@@ -172,10 +172,11 @@ type Client struct {
 	inst        clientInstruments
 	tracer      *trace.Wall
 
-	mu     sync.Mutex
-	rng    *stats.RNG
-	idle   []*clientConn
-	closed bool
+	mu      sync.Mutex
+	rng     *stats.RNG
+	idle    []*clientConn
+	closed  bool
+	encFree [][]byte // idle Push encode buffers; one is held through its round trip's retries
 }
 
 // clientConn is one connection to the server with the buffered reader and
@@ -423,10 +424,6 @@ func (c *Client) attempt(req message, recv func(resp message)) (int, error) {
 	}
 }
 
-// encPool recycles Push's encode buffers: one is held through every retry
-// of the round trip that sends it and returned once that round trip has.
-var encPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // pushMessage frames one push through the client's codec, encoding onto
 // dst; the envelope carries what the server needs to decode without
 // out-of-band configuration.
@@ -439,11 +436,14 @@ func (c *Client) pushMessage(dst []byte, key string, iter uint32, grad []float32
 // Push sends a gradient partition and returns when the server acknowledges
 // it.
 func (c *Client) Push(key string, iter uint32, grad []float32) error {
-	bp := encPool.Get().(*[]byte)
-	m := c.pushMessage((*bp)[:0], key, iter, grad)
+	c.mu.Lock()
+	buf := pop(&c.encFree)
+	c.mu.Unlock()
+	m := c.pushMessage(buf[:0], key, iter, grad)
 	err := c.roundTrip(m, nil)
-	*bp = m.Payload[:0]
-	encPool.Put(bp)
+	c.mu.Lock()
+	c.encFree = append(c.encFree, m.Payload)
+	c.mu.Unlock()
 	return err
 }
 

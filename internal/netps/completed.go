@@ -25,11 +25,33 @@ type completedLog struct {
 	bytes  int // current payload-tier usage
 
 	payloads map[entryKey]agg
-	order    []entryKey // payload-tier FIFO
+	order    fifo // payload-tier FIFO
 
 	knownCap   int // identity-tier size, at least 1
 	knownSet   map[entryKey]struct{}
-	knownOrder []entryKey // identity-tier FIFO
+	knownOrder fifo // identity-tier FIFO
+}
+
+// fifo is a ring of keys that grows only when full.
+type fifo struct {
+	buf     []entryKey
+	head, n int
+}
+
+func (q *fifo) push(k entryKey) {
+	if q.n == len(q.buf) { // unroll oldest-first into twice the room
+		q.buf = append(append(make([]entryKey, 0, max(8, 2*q.n)), q.buf[q.head:]...), q.buf[:q.head]...)
+		q.buf, q.head = q.buf[:cap(q.buf)], 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = k
+	q.n++
+}
+
+func (q *fifo) pop() entryKey {
+	k := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return k
 }
 
 func newCompletedLog(budget, knownCap int) completedLog {
@@ -42,20 +64,18 @@ func newCompletedLog(budget, knownCap int) completedLog {
 }
 
 // add records a reclaimed aggregate (payload plus the codec envelope
-// fields a re-answered pull must echo). The payload is retained by
-// reference (it is the entry's frozen encoded buffer — nothing mutates it
-// after aggregation completes).
-func (l *completedLog) add(k entryKey, a agg) {
+// fields a re-answered pull must echo) with the entry's reference to it,
+// which a payload the tier cannot hold, replacement and eviction drop.
+func (l *completedLog) add(k entryKey, a agg, free *[]*aggBuf) {
 	if _, ok := l.knownSet[k]; !ok {
-		if len(l.knownOrder) >= l.knownCap {
-			old := l.knownOrder[0]
-			l.knownOrder = l.knownOrder[1:]
-			delete(l.knownSet, old)
+		if l.knownOrder.n >= l.knownCap {
+			delete(l.knownSet, l.knownOrder.pop())
 		}
 		l.knownSet[k] = struct{}{}
-		l.knownOrder = append(l.knownOrder, k)
+		l.knownOrder.push(k)
 	}
 	if l.budget <= 0 || len(a.payload) > l.budget {
+		unref(free, a)
 		return // payload can never fit; the identity tier still covers it
 	}
 	if old, ok := l.payloads[k]; ok {
@@ -63,17 +83,18 @@ func (l *completedLog) add(k entryKey, a agg) {
 		// re-push): keep the newest payload, adjust usage in place.
 		l.bytes += len(a.payload) - len(old.payload)
 		l.payloads[k] = a
+		unref(free, old)
 	} else {
 		l.payloads[k] = a
-		l.order = append(l.order, k)
+		l.order.push(k)
 		l.bytes += len(a.payload)
 	}
-	for l.bytes > l.budget && len(l.order) > 0 {
-		old := l.order[0]
-		l.order = l.order[1:]
+	for l.bytes > l.budget && l.order.n > 0 {
+		old := l.order.pop()
 		if p, ok := l.payloads[old]; ok {
 			l.bytes -= len(p.payload)
 			delete(l.payloads, old)
+			unref(free, p)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	if wait != nil || errResp != nil || result.payload == nil {
 		t.Fatalf("first pull not ready: result=%v wait=%v err=%v", result, wait, errResp)
 	}
-	srv.countPullServed(pull) // response written; entry reclaimed
+	srv.countPullServed(pull, result) // response written; entry reclaimed
 	if srv.Outstanding() != 0 {
 		t.Fatalf("entry not reclaimed: Outstanding = %d", srv.Outstanding())
 	}
@@ -73,12 +73,13 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	push := newMessage(OpPush, "w", 1, uint64(1)<<32|1, f32(3))
 	srv.processPush(push)
 	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
-	if _, wait, errResp := srv.resolvePull(pull); wait != nil || errResp != nil {
+	result, wait, errResp := srv.resolvePull(pull)
+	if wait != nil || errResp != nil {
 		t.Fatalf("first pull not ready: wait=%v err=%v", wait, errResp)
 	}
-	srv.countPullServed(pull)
+	srv.countPullServed(pull, result)
 	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|3, nil)
-	result, wait, errResp := srv.resolvePull(retry)
+	result, wait, errResp = srv.resolvePull(retry)
 	if wait != nil || result.payload != nil {
 		t.Fatal("retry after payload eviction must fail fast, not park or serve")
 	}

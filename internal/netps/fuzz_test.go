@@ -4,8 +4,9 @@
 // contract. Here the contract is what netps does with a frame that parsed:
 // the server answers it (ack or OpErr, never a panic, whatever codec id,
 // original length or payload framing it claims), an accepted push is
-// pullable and decodes to the element count it was summed under, and the
-// OpBatch envelope round-trips.
+// pullable and decodes to its values as its codec re-encodes them — and so
+// does the next aggregate of its key, encoded into the first one's recycled
+// buffer — and the OpBatch envelope round-trips.
 //
 // Run continuously with:
 //
@@ -19,8 +20,11 @@ package netps
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
+	"bytescheduler/internal/compress"
 	"bytescheduler/internal/wire"
 )
 
@@ -92,7 +96,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return // rejected by the frame reader: wire.FuzzRead's territory
 		}
-		srv, err := NewServer(1, WithShards(1))
+		// No completed log, so a reclaimed aggregate's buffer is free at once.
+		srv, err := NewServer(1, WithShards(1), WithCompletedBytes(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,23 +109,74 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		switch Op(resp.Op) {
 		case OpErr:
+			return
 		case OpPush:
-			result, wait, errResp := srv.resolvePull(req)
-			if wait != nil || errResp != nil {
-				t.Fatalf("accepted push not pullable (wait %v, err %v)", wait != nil, errResp)
-			}
-			pulled := pullResp(req, result)
-			vals, err := wire.Floats(nil, pulled.Header, pulled.Payload)
-			if err != nil {
-				t.Fatalf("aggregate of an accepted push does not decode: %v", err)
-			}
-			if want, err := wire.Floats(nil, req.Header, req.Payload); err != nil || len(vals) != len(want) {
-				t.Fatalf("pulled %d values for a push of %d (%v)", len(vals), len(want), err)
-			}
 		default:
 			t.Fatalf("push answered with op %d", resp.Op)
 		}
+		first := pullPushed(t, srv, req)
+		// A second aggregate of the same key, pushed under the same codec
+		// with other values and (for top-k) another count, encodes into the
+		// first one's recycled buffer.
+		vals, _ := wire.Floats(nil, req.Header, req.Payload)
+		next := make([]float32, len(vals)+1)
+		for i, v := range vals {
+			next[len(vals)-i] = -2 * v
+		}
+		c := pushCodec(req)
+		if c.ID() == compress.CodecTopK {
+			c, _ = compress.TopKCodecCount(int(binary.BigEndian.Uint32(req.Payload))%len(next) + 1)
+		}
+		req2 := newMessage(OpPush, req.Key, req.Iter+1, req.Seq+1, nil)
+		req2.Payload, req2.Codec, req2.Orig = wire.AppendFloats(nil, c, next)
+		if resp, _, _ := srv.processPush(req2); Op(resp.Op) != OpPush {
+			t.Fatalf("second push rejected: %s", resp.Payload)
+		}
+		if second := pullPushed(t, srv, req2); cap(first) >= len(second) && &first[0] != &second[0] {
+			t.Fatal("the second aggregate did not reuse the first one's free buffer")
+		}
 	})
+}
+
+// pushCodec is the codec the server re-encodes an accepted push's
+// aggregate with: the push's own, top-k keeping the push's count.
+func pushCodec(req message) compress.Codec {
+	c, _ := compress.CodecByID(compress.CodecID(req.Codec))
+	if c.ID() == compress.CodecTopK {
+		c, _ = compress.TopKCodecCount(int(binary.BigEndian.Uint32(req.Payload)))
+	}
+	return c
+}
+
+// pullPushed pulls the aggregate of req, an accepted push on a one-worker
+// server, checks it decodes to req's values as the push's codec re-encodes
+// them, and serves the pull, reclaiming the entry. It returns the payload,
+// whose buffer is then free for the next aggregate.
+func pullPushed(t *testing.T, srv *Server, req message) []byte {
+	t.Helper()
+	pull := newMessage(OpPull, req.Key, req.Iter, 0, nil)
+	result, wait, errResp := srv.resolvePull(pull)
+	if wait != nil || errResp != nil {
+		t.Fatalf("accepted push not pullable (wait %v, err %v)", wait != nil, errResp)
+	}
+	pulled := pullResp(pull, result)
+	got, err := wire.Floats(nil, pulled.Header, pulled.Payload)
+	if err != nil {
+		t.Fatalf("aggregate of an accepted push does not decode: %v", err)
+	}
+	pushed, err := wire.Floats(nil, req.Header, req.Payload)
+	if err != nil || len(got) != len(pushed) {
+		t.Fatalf("pulled %d values for a push of %d (%v)", len(got), len(pushed), err)
+	}
+	p, codec, orig := wire.AppendFloats(nil, pushCodec(req), pushed)
+	want, _ := wire.Floats(nil, wire.Header{Codec: codec, Orig: orig}, p)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("pulled value %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	srv.countPullServed(pull, result)
+	return result.payload
 }
 
 func FuzzDecodeBatch(f *testing.F) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,6 +141,9 @@ type shard struct {
 	// per push instead of a full table rescan.
 	seqs      int
 	completed completedLog
+	// Free lists of unreferenced aggregate records and unheld sums.
+	aggFree []*aggBuf
+	sums    [][]float32
 }
 
 type entryKey struct {
@@ -148,12 +152,11 @@ type entryKey struct {
 }
 
 type entry struct {
-	// sum is the running fp32 aggregate in a pooled buffer: taken by the
-	// first push, returned the moment the completing push has encoded
-	// result, nil outside that span. n is its length — the entry's shape,
-	// fixed by the first push and outliving sum, 0 until then (an empty
-	// push is rejected before it can shape anything).
-	sum    *[]float32
+	// sum is the running fp32 aggregate, a vector from the shard's sums held
+	// from the first push until the completing one has encoded result. n is
+	// its length — the entry's shape, fixed by the first push and outliving
+	// sum, 0 until then (an empty push is rejected before it shapes anything).
+	sum    []float32
 	n      int
 	pushes int
 	// codec is the wire codec all of this entry's pushes arrived under
@@ -164,12 +167,9 @@ type entry struct {
 	// push's payload header), so the aggregate is re-sparsified to the same
 	// count; 0 for other codecs.
 	topk uint32
-	// result caches the wire serialization of sum (under codec), computed
-	// once when aggregation completes (overflow pushes are rejected from
-	// then on). Every pull response — parked pullers, in-flight writes, the
-	// completed log — shares this one buffer and only ever reads it, so it
-	// is left to the collector; serving W workers costs one marshal total
-	// instead of one per pull.
+	// result is sum's wire form under codec, encoded once when aggregation
+	// completes (overflow pushes are rejected from then on) and only read
+	// by every pull response after, each holding a reference (see agg).
 	result agg
 	// pullSeen records which logical pulls were already counted as served,
 	// so a retried pull is re-answered without double-counting toward
@@ -185,11 +185,36 @@ type entry struct {
 // agg is a completed aggregate in wire form: the encoded payload plus the
 // codec envelope fields (codec id, original byte length) every pull
 // response must echo so the client can decode, as wire.AppendFloats
-// returned them.
+// returned them. payload lives in buf, nil in a close wake-up: the entry
+// holds a reference until reclaim hands it to the completed log, and each
+// pull handed the aggregate holds one until its response is written.
 type agg struct {
 	payload []byte
 	codec   uint8
 	orig    uint32
+	buf     *aggBuf
+}
+
+// aggBuf is a recycled aggregate buffer and its reference count.
+type aggBuf struct {
+	b    []byte
+	refs int
+}
+
+// unref drops one of a's references; the last puts its record on free, the
+// shard's aggFree. Caller holds the shard lock.
+func unref(free *[]*aggBuf, a agg) {
+	if a.buf.refs--; a.buf.refs == 0 {
+		*free = append(*free, a.buf)
+	}
+}
+
+// pop takes the top of a free list, or the zero value from an empty one.
+func pop[T any](list *[]T) (v T) {
+	if k := len(*list); k > 0 {
+		v, *list = (*list)[k-1], (*list)[:k-1]
+	}
+	return v
 }
 
 // seqWindow is a bounded set of recently seen Seqs: a hash set for O(1)
@@ -572,9 +597,13 @@ func (s *Server) serve(sc *srvConn) {
 				continue
 			}
 			if sc.write(pullResp(req, result)) != nil {
+				sh := s.shard(req.Key) // not served: only drop the reference
+				sh.mu.Lock()
+				unref(&sh.aggFree, result)
+				sh.mu.Unlock()
 				return
 			}
-			s.countPullServed(req)
+			s.countPullServed(req, result)
 		case OpBatch:
 			if !s.serveBatch(sc, req) {
 				return
@@ -718,13 +747,12 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 	}
 	if e.pushes == 0 {
 		// The first push is the sum so far: assigned, not added to zeros.
-		e.sum = f32Pool.Get().(*[]float32)
-		if vals != nil {
-			*e.sum = append((*e.sum)[:0], vals...)
+		if sum := pop(&sh.sums)[:0]; vals != nil {
+			e.sum = append(sum, vals...)
 		} else {
-			*e.sum, _ = wire.Floats((*e.sum)[:0], req.Header, req.Payload) // raw fp32, length checked above
+			e.sum, _ = wire.Floats(sum, req.Header, req.Payload) // raw fp32, length checked above
 		}
-	} else if sum := *e.sum; vals != nil {
+	} else if sum := e.sum; vals != nil {
 		for i := range sum {
 			sum[i] += vals[i]
 		}
@@ -741,29 +769,34 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 	if e.pushes == s.workers {
 		wake = e.waiters
 		e.waiters = nil
-		e.result = encodeEntry(e)
+		e.result = sh.encodeEntry(e)
+		e.result.buf.refs += len(wake) // one per woken puller, dropped after its write
 		result = e.result
-		f32Pool.Put(e.sum)
+		sh.sums = append(sh.sums, e.sum)
 		e.sum = nil
 	}
 	sh.mu.Unlock()
 	return pushAck(req), wake, result
 }
 
-// f32Pool recycles processPush's fp32 vectors — the codec-decode scratch
-// of one push and the running sum of one entry — so a push allocates
-// neither in steady state.
+// f32Pool recycles the fp32 scratch a codec-bearing push is decoded into
+// before processPush takes the shard lock.
 var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
 
-// encodeEntry serializes a completed aggregate under the entry's codec.
-func encodeEntry(e *entry) agg {
+// encodeEntry serializes a completed aggregate under the entry's codec into
+// a free record, referenced once by the entry. Caller holds sh.mu.
+func (sh *shard) encodeEntry(e *entry) agg {
 	c, _ := compress.CodecByID(compress.CodecID(e.codec)) // validated at push time
 	if e.topk > 0 {
 		// Re-sparsify to the same per-worker count the pushes carried.
 		c, _ = compress.TopKCodecCount(int(e.topk))
 	}
-	var a agg
-	a.payload, a.codec, a.orig = wire.AppendFloats(make([]byte, 0, c.EncodedLen(e.n)), c, *e.sum)
+	a := agg{buf: pop(&sh.aggFree)}
+	if a.buf == nil {
+		a.buf = new(aggBuf)
+	}
+	a.payload, a.codec, a.orig = wire.AppendFloats(slices.Grow(a.buf.b[:0], c.EncodedLen(e.n)), c, e.sum)
+	a.buf.b, a.buf.refs = a.payload, 1
 	return a
 }
 
@@ -788,7 +821,8 @@ func (s *Server) park(e *entry) chan agg {
 // resolvePull resolves one pull to exactly one of: a ready payload, a
 // channel to wait on, or an error response. The channel is registered
 // under the shard lock and receives exactly one value, from the completing
-// push or — with a nil payload — from Close.
+// push or — with a nil payload — from Close. A payload holds a reference,
+// dropped by countPullServed or, if the write failed, by serve.
 func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *message) {
 	s.inst.pulls.Inc()
 	sh := s.shard(req.Key)
@@ -801,6 +835,7 @@ func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *m
 	k := entryKey{req.Key, req.Iter}
 	if e, ok := sh.entries[k]; ok {
 		if e.pushes >= s.workers {
+			e.result.buf.refs++
 			return e.result, nil, nil // set by the push that completed it
 		}
 		return agg{}, s.park(e), nil
@@ -812,6 +847,7 @@ func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *m
 	// aged out fail fast with OpErr.
 	if p, ok := sh.completed.payload(k); ok {
 		s.inst.replayedPulls.Inc()
+		p.buf.refs++
 		return p, nil, nil
 	}
 	if sh.completed.known(k) {
@@ -827,21 +863,22 @@ func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *m
 	return agg{}, s.park(e), nil
 }
 
-// countPullServed performs the post-write pull bookkeeping: Seq-level
-// retry dedup, the served count, and entry reclamation once every worker
-// has been served. Reclaimed aggregates are remembered in the shard's
-// completed log so a retried pull whose response was lost on the wire is
-// re-answered instead of hanging.
+// countPullServed performs the post-write pull bookkeeping: dropping the
+// pull's reference to its response a, Seq-level retry dedup, the served
+// count, and entry reclamation once every worker has been served, which
+// moves the entry's reference into the shard's completed log so a retried
+// pull whose response was lost on the wire is re-answered.
 //
 // It runs after the response write, never before: a response lost on the
 // wire must leave the entry live for the client's retry. So an entry is
 // reclaimed after its last pull's response is written, and a client that
 // has just read that response may still see the entry counted until the
 // serving goroutine gets here.
-func (s *Server) countPullServed(req message) {
+func (s *Server) countPullServed(req message, a agg) {
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	unref(&sh.aggFree, a)
 	k := entryKey{req.Key, req.Iter}
 	e, ok := sh.entries[k]
 	if !ok {
@@ -861,7 +898,7 @@ func (s *Server) countPullServed(req message) {
 	if e.served >= s.workers {
 		delete(sh.entries, k)
 		s.inst.entries.Add(-1)
-		sh.completed.add(k, e.result)
+		sh.completed.add(k, e.result, &sh.aggFree)
 	}
 }
 
