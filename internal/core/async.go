@@ -99,7 +99,7 @@ func (a *AsyncScheduler) NotifyReady(t *Task) error {
 	if !t.enqueued {
 		return fmt.Errorf("core: NotifyReady before Enqueue for %s", t.Tensor)
 	}
-	if t.ready {
+	if t.handles != nil {
 		return fmt.Errorf("core: task %s ready twice", t.Tensor)
 	}
 	a.s.NotifyReady(t)

@@ -29,6 +29,8 @@ import (
 
 // PriorityFn maps a tensor and its arrival sequence to a priority; lower
 // values are scheduled first. A nil PriorityFn means FIFO (arrival order).
+// Every partition sees its parent tensor, the task's Tensor: a PS pull
+// partition made ready on its own sees the same tensor as its push.
 type PriorityFn func(t tensor.Tensor, arrivalSeq uint64) int64
 
 // LayerPriority is the paper's priority function: the index of the DNN
@@ -158,13 +160,13 @@ type Task struct {
 
 	subs      []tensor.Sub
 	one       [1]tensor.Sub // backs subs for a task that is not split
+	handles   []Handle      // by partition; made when the first one is ready
 	remaining int
 	enqueued  bool
-	ready     bool
 	err       error // first permanent partition failure
 }
 
-// Subs returns the task's partitions; valid after Enqueue.
+// Subs returns the task's partitions; valid after Enqueue or EnqueueSubs.
 func (t *Task) Subs() []tensor.Sub { return t.subs }
 
 // Err returns the first permanent partition failure, or nil if every
@@ -194,10 +196,10 @@ func (t *Task) resolved() {
 	}
 }
 
-// Handle is one partition's record from NotifyReady to completion: its
-// entry in the scheduler's queues and, once started, the substrate's
-// completion handle. A task's handles are one slab made in NotifyReady that
-// lives as long as the task, so a second Done on one is always detected.
+// Handle is one partition's record from readiness to completion: its entry
+// in the scheduler's queues and, once started, the substrate's completion
+// handle. A task's handles are one slab that lives as long as the task, so
+// a second readiness or a second Done on one is always detected.
 type Handle struct {
 	s         *Scheduler
 	task      *Task
@@ -369,20 +371,27 @@ func (s *Scheduler) CreditAvailable() int64 {
 // most frameworks post communication operations before the tensor is
 // computed.
 func (s *Scheduler) Enqueue(t *Task) {
+	unit := s.policy.PartitionUnit
+	if s.policy.PartitionFn != nil {
+		unit = s.policy.PartitionFn(t.Tensor)
+	}
+	s.EnqueueSubs(t, tensor.AppendPartition(t.one[:0], t.Tensor, unit))
+}
+
+// EnqueueSubs is Enqueue for a task the caller has already partitioned;
+// subs may be shared by many tasks, as the scheduler only reads it.
+func (s *Scheduler) EnqueueSubs(t *Task, subs []tensor.Sub) {
 	if err := t.validate(); err != nil {
 		panic(err.Error())
 	}
 	if t.enqueued {
 		panic(fmt.Sprintf("core: task %s enqueued twice", t.Tensor))
 	}
-	t.enqueued = true
-	t.err = nil
-	unit := s.policy.PartitionUnit
-	if s.policy.PartitionFn != nil {
-		unit = s.policy.PartitionFn(t.Tensor)
+	if len(subs) == 0 {
+		panic(fmt.Sprintf("core: task %s enqueued with no partitions", t.Tensor))
 	}
-	t.subs = tensor.AppendPartition(t.one[:0], t.Tensor, unit)
-	t.remaining = len(t.subs)
+	t.enqueued, t.err = true, nil
+	t.subs, t.remaining = subs, len(subs)
 	s.stats.tasksEnqueued.Add(1)
 	s.inst.tasksEnqueued.Inc()
 }
@@ -429,19 +438,35 @@ func (s *Scheduler) NotifyReady(t *Task) {
 	if !t.enqueued {
 		panic(fmt.Sprintf("core: NotifyReady before Enqueue for %s", t.Tensor))
 	}
-	if t.ready {
-		panic(fmt.Sprintf("core: task %s ready twice", t.Tensor))
+	for i := range t.subs {
+		s.ready(t, i)
 	}
-	t.ready = true
-	handles := make([]Handle, len(t.subs))
-	for i := range handles {
-		h := &handles[i]
-		h.s, h.task, h.i = s, t, i
-		s.push(h)
-	}
-	setMax(&s.stats.maxQueueLen, int64(len(s.queue)))
-	s.inst.queueDepth.Set(int64(len(s.queue)))
 	s.schedule()
+}
+
+// NotifySubReady marks partition i of the task ready on its own — a PS pull
+// partition aggregated while the rest of its tensor is not (Theorem 1,
+// condition 3) — queueing it exactly as NotifyReady would have.
+func (s *Scheduler) NotifySubReady(t *Task, i int) {
+	if i < 0 || i >= len(t.subs) {
+		panic(fmt.Sprintf("core: partition %d of %s ready, %d enqueued", i, t.Tensor, len(t.subs)))
+	}
+	s.ready(t, i)
+	s.schedule()
+}
+
+// ready queues partition i. The task's handle slab, made with its first
+// ready partition, is its one readiness record: a second readiness panics.
+func (s *Scheduler) ready(t *Task, i int) {
+	if t.handles == nil {
+		t.handles = make([]Handle, len(t.subs))
+	}
+	h := &t.handles[i]
+	if h.s != nil {
+		panic(fmt.Sprintf("core: %s ready twice", t.subs[i]))
+	}
+	h.s, h.task, h.i = s, t, i
+	s.push(h)
 }
 
 // SetFlushHook installs fn to run at the end of every scheduling pass that
@@ -488,6 +513,8 @@ func (s *Scheduler) push(h *Handle) {
 	}
 	heap.Push(&s.queue, h)
 	heap.Push(&s.arrivals, h)
+	setMax(&s.stats.maxQueueLen, int64(len(s.queue)))
+	s.inst.queueDepth.Set(int64(len(s.queue)))
 }
 
 func (s *Scheduler) start(h *Handle) {
@@ -556,8 +583,6 @@ func (s *Scheduler) fail(h *Handle, err error) {
 		s.inst.retries.Inc()
 		// A fresh handle: the failed one may still sit, started, in arrivals.
 		s.push(&Handle{s: s, task: task, i: h.i, attempts: h.attempts + 1})
-		setMax(&s.stats.maxQueueLen, int64(len(s.queue)))
-		s.inst.queueDepth.Set(int64(len(s.queue)))
 		return
 	}
 	s.stats.failures.Add(1)

@@ -19,6 +19,7 @@ import (
 type AllReducePlugin struct {
 	ring    *allreduce.Ring
 	layers  []model.Layer
+	parts   partitions
 	workers int
 	sched   *core.Scheduler
 
@@ -79,8 +80,8 @@ func (p *AllReducePlugin) GradientReady(worker, layer, iter int, done func()) {
 	}
 	st.launched = true
 
-	// Enqueue every tensor before any may start: the Core partitions each,
-	// and the gate needs the total partition count up front.
+	// Enqueue every tensor before any may start: the gate needs the total
+	// partition count up front.
 	tasks := make([]*core.Task, len(p.layers[layer].Tensors))
 	for i, tt := range p.layers[layer].Tensors {
 		tasks[i] = &core.Task{
@@ -102,8 +103,9 @@ func (p *AllReducePlugin) GradientReady(worker, layer, iter int, done func()) {
 				})
 			},
 		}
-		p.sched.Enqueue(tasks[i])
-		st.remaining += len(tasks[i].Subs())
+		subs := p.parts.of(p.sched, tt)
+		p.sched.EnqueueSubs(tasks[i], subs)
+		st.remaining += len(subs)
 	}
 	for _, task := range tasks {
 		p.sched.NotifyReady(task)

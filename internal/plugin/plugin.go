@@ -23,7 +23,9 @@ import (
 	"fmt"
 	"strings"
 
+	"bytescheduler/internal/core"
 	"bytescheduler/internal/engine"
+	"bytescheduler/internal/tensor"
 )
 
 // Framework identifies the simulated training framework.
@@ -79,4 +81,30 @@ func (f Framework) DependencyMode(scheduled bool) engine.DependencyMode {
 		return engine.PerLayer
 	}
 	return engine.GlobalBarrier
+}
+
+// partitions keeps each tensor's partitions at a scheduler's current unit,
+// shared by every worker, iteration and direction (core.EnqueueSubs only
+// reads them) until the unit changes; under a per-layer PartitionFn each
+// call partitions afresh, as Enqueue does. The zero value is ready to use.
+type partitions struct {
+	unit int64
+	subs map[tensor.Tensor][]tensor.Sub
+}
+
+// of returns t partitioned under s's policy.
+func (c *partitions) of(s *core.Scheduler, t tensor.Tensor) []tensor.Sub {
+	pol := s.Policy()
+	if pol.PartitionFn != nil {
+		return tensor.Partition(t, pol.PartitionFn(t))
+	}
+	if c.subs == nil || pol.PartitionUnit != c.unit {
+		c.unit, c.subs = pol.PartitionUnit, map[tensor.Tensor][]tensor.Sub{}
+	}
+	subs, ok := c.subs[t]
+	if !ok {
+		subs = tensor.Partition(t, c.unit)
+		c.subs[t] = subs
+	}
+	return subs
 }

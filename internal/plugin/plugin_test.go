@@ -97,6 +97,59 @@ func TestPSEndToEnd(t *testing.T) {
 			if st.SubsStarted != st.SubsFinished {
 				t.Fatalf("worker %d %s: %d in flight at end", w, dir, st.SubsStarted-st.SubsFinished)
 			}
+			// One task per tensor per iteration in both directions: a
+			// pull's partitions become ready one by one inside it.
+			if st.TasksEnqueued != 4*3 {
+				t.Fatalf("worker %d %s enqueued %d tasks, want 12", w, dir, st.TasksEnqueued)
+			}
+		}
+	}
+}
+
+// retunePS calls SetParams once, at the first gradient of iteration at.
+type retunePS struct {
+	*PSPlugin
+	at           int
+	unit, credit int64
+}
+
+func (r *retunePS) GradientReady(worker, layer, iter int, done func()) {
+	if iter == r.at && r.at >= 0 {
+		r.SetParams(r.unit, r.credit)
+		r.at = -1
+	}
+	r.PSPlugin.GradientReady(worker, layer, iter, done)
+}
+
+// The shared partitions follow SetParams: layers announced after it use the
+// new unit in both directions.
+func TestPSSetParamsRepartitions(t *testing.T) {
+	m := model.Synthetic("s", 4, 1<<20, 0.005)
+	se := sim.New()
+	fab := network.NewFabric(se, 4, 10, network.RDMA())
+	cluster, err := ps.New(se, fab, ps.Config{Workers: 2, Servers: 2, Assignment: ps.SpreadPartitions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plug := &retunePS{PSPlugin: NewPS(cluster, m, core.ByteScheduler(256<<10, 1<<20)),
+		at: 1, unit: 512 << 10, credit: 1 << 20}
+	eng, err := engine.New(se, engine.Config{Model: m, Workers: 2, Iterations: 3, Dependency: engine.PerLayer}, plug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	se.Run()
+	if eng.Result().Finish <= 0 || cluster.Outstanding() != 0 {
+		t.Fatalf("run did not complete cleanly: finish %v, %d entries left", eng.Result().Finish, cluster.Outstanding())
+	}
+	// 4 layers of 4 partitions of 256 KB in iteration 0, then 2 of 512
+	// KB in iterations 1 and 2: 48 if the old partitions outlived the
+	// change, 24 if it reached back into iteration 0.
+	for w := 0; w < 2; w++ {
+		for dir, sched := range map[string]*core.Scheduler{"up": plug.UpScheduler(w), "down": plug.DownScheduler(w)} {
+			if st := sched.Stats(); st.SubsStarted != 4*4+4*2*2 || st.SubsFinished != st.SubsStarted {
+				t.Fatalf("worker %d %s started %d and finished %d subs, want 32", w, dir, st.SubsStarted, st.SubsFinished)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/model"
 	"bytescheduler/internal/ps"
-	"bytescheduler/internal/tensor"
 )
 
 // PSPlugin binds framework engines to the parameter-server substrate. Each
@@ -26,6 +25,7 @@ import (
 type PSPlugin struct {
 	cluster *ps.Cluster
 	layers  []model.Layer
+	parts   partitions
 	up      []*core.Scheduler // per worker, schedules pushes
 	down    []*core.Scheduler // per worker, schedules pulls
 	ids     [][]int           // the cluster's id of each layer's tensors
@@ -48,15 +48,9 @@ func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 			p.ids[l] = append(p.ids[l], cluster.TensorID(tt))
 		}
 	}
-	// Pull tasks arrive pre-partitioned (one CommTask per partition, each
-	// becoming ready when its aggregation completes), so the download
-	// scheduler must not split them again.
-	downPolicy := policy
-	downPolicy.PartitionUnit = 0
-	downPolicy.PartitionFn = nil
 	for w := 0; w < workers; w++ {
 		p.up[w] = core.New(policy)
-		p.down[w] = core.New(downPolicy)
+		p.down[w] = core.New(policy)
 	}
 	return p
 }
@@ -68,9 +62,7 @@ func (p *PSPlugin) SetParams(partition, credit int64) {
 	for w := range p.up {
 		p.up[w].SetPartitionUnit(partition)
 		p.up[w].SetCredit(credit)
-		// The download scheduler receives pre-partitioned tasks; only its
-		// credit changes.
-		p.down[w].SetCredit(credit)
+		p.down[w].SetCredit(credit) // pulls reuse their push's partitions
 	}
 }
 
@@ -86,37 +78,29 @@ func (p *PSPlugin) GradientReady(worker, layer, iter int, done func()) {
 	upSched, downSched := p.up[worker], p.down[worker]
 	tensors := p.layers[layer].Tensors
 
-	// One push CommTask per tensor. Enqueue them all first: the Core
-	// partitions each tensor, and its partitions are both the gate count
-	// and the pull tasks — partitioning is the Core's decision alone.
-	// The engine gate opens when every partition of every tensor in the
-	// layer has been pulled back. Count partitions up front so a fast
-	// first delivery cannot fire the gate early.
+	// One push and one pull CommTask per tensor over the same partitions,
+	// which are both the gate count and the pull's units of readiness. The
+	// engine gate opens when every partition of every tensor in the layer
+	// has been pulled back. Count partitions up front so a fast first
+	// delivery cannot fire the gate early.
 	gate := &layerState{done: done}
 	syncs := make([]tensorSync, len(tensors))
 	for i, tt := range tensors {
+		subs := p.parts.of(upSched, tt)
 		ts := &syncs[i]
 		ts.p, ts.worker, ts.iter, ts.id, ts.gate = p, worker, iter, p.ids[layer][i], gate
+		ts.handles = make([]partHandles, len(subs))
 		ts.push = core.Task{Tensor: tt, Starter: ts}
-		upSched.Enqueue(&ts.push)
-		gate.remaining += len(ts.push.Subs())
+		ts.pull = core.Task{Tensor: tt, Starter: (*pullStarter)(ts)}
+		upSched.EnqueueSubs(&ts.push, subs)
+		downSched.EnqueueSubs(&ts.pull, subs)
+		gate.remaining += len(subs)
 	}
 	for i := range syncs {
 		ts := &syncs[i]
-		// One pull CommTask per partition: each becomes ready
-		// independently, when its own aggregation completes.
-		ts.parts = make([]partSync, len(ts.push.Subs()))
-		for j, sub := range ts.push.Subs() {
-			part := &ts.parts[j]
-			part.ts, part.index = ts, j
-			// The pull task's payload is exactly one partition; the
-			// scheduler will not re-split it (Bytes <= unit), and
-			// priority still derives from the layer.
-			part.pull = core.Task{
-				Tensor:  tensor.Tensor{Layer: sub.Parent.Layer, Name: sub.Parent.Name, Bytes: sub.Bytes},
-				Starter: part,
-			}
-			downSched.Enqueue(&part.pull)
+		// Each partition's pull becomes ready on its own, when its
+		// aggregation completes.
+		for _, sub := range ts.push.Subs() {
 			p.cluster.WhenPullable(iter, worker, ts.id, sub, ts)
 		}
 		upSched.NotifyReady(&ts.push)
@@ -124,50 +108,47 @@ func (p *PSPlugin) GradientReady(worker, layer, iter int, done func()) {
 }
 
 // tensorSync is one tensor's synchronization on one worker in one iteration:
-// the push task's Starter and every partition's ps.Receiver, so a partition's
+// both tasks' Starter and every partition's ps.Receiver, so a partition's
 // trip through both Cores and the cluster builds no closure.
 type tensorSync struct {
 	p                *PSPlugin
 	worker, iter, id int
 	gate             *layerState
-	push             core.Task
-	parts            []partSync // by Sub.Index
+	push, pull       core.Task
+	handles          []partHandles // by Sub.Index
 }
 
-// partSync is one partition: its pull task (whose Starter it is) and the
-// handles both Cores are waiting on.
-type partSync struct {
-	ts           *tensorSync
-	index        int
-	pull         core.Task
-	pushH, pullH *core.Handle
-}
+// partHandles are the handles both Cores wait on for one partition.
+type partHandles struct{ push, pull *core.Handle }
 
 // StartSub implements core.Starter for the push task.
 func (ts *tensorSync) StartSub(h *core.Handle) {
 	sub := h.Sub()
-	ts.parts[sub.Index].pushH = h
+	ts.handles[sub.Index].push = h
 	ts.p.cluster.Push(ts.iter, ts.worker, ts.id, sub, ts)
 }
 
-// StartSub implements core.Starter for one partition's pull task.
-func (part *partSync) StartSub(h *core.Handle) {
-	ts := part.ts
-	part.pullH = h
-	ts.p.cluster.Pull(ts.iter, ts.worker, ts.id, ts.push.Subs()[part.index], ts)
+// pullStarter is a tensorSync in its role as the pull task's Starter.
+type pullStarter tensorSync
+
+// StartSub implements core.Starter for the pull task.
+func (pl *pullStarter) StartSub(h *core.Handle) {
+	ts, sub := (*tensorSync)(pl), h.Sub()
+	ts.handles[sub.Index].pull = h
+	ts.p.cluster.Pull(ts.iter, ts.worker, ts.id, sub, ts)
 }
 
 // PushAcked implements ps.Receiver: the push's credit returns.
-func (ts *tensorSync) PushAcked(part int) { ts.parts[part].pushH.Done(nil) }
+func (ts *tensorSync) PushAcked(part int) { ts.handles[part].push.Done(nil) }
 
 // Pullable implements ps.Receiver: the partition's pull joins the queue.
-func (ts *tensorSync) Pullable(part int) { ts.p.down[ts.worker].NotifyReady(&ts.parts[part].pull) }
+func (ts *tensorSync) Pullable(part int) { ts.p.down[ts.worker].NotifySubReady(&ts.pull, part) }
 
 // PullDelivered implements ps.Receiver.
 func (ts *tensorSync) PullDelivered(int) { ts.gate.delivered() }
 
 // PullAcked implements ps.Receiver: the pull's credit returns.
-func (ts *tensorSync) PullAcked(part int) { ts.parts[part].pullH.Done(nil) }
+func (ts *tensorSync) PullAcked(part int) { ts.handles[part].pull.Done(nil) }
 
 // layerState tracks outstanding partition deliveries for one (worker,
 // layer, iteration) and opens the engine gate when all have arrived.
