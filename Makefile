@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 FUZZTIME ?= 20s
 
-.PHONY: build vet staticcheck test race fuzz docs verify bench
+.PHONY: build vet staticcheck test race fuzz docs loc verify bench
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,11 @@ fuzz:
 docs: vet
 	sh scripts/checklinks.sh
 	sh scripts/checkdocs.sh
+
+# loc prints non-test Go lines per package and their total outside bench/,
+# the size figure ROADMAP.md and CHANGES.md quote.
+loc:
+	sh scripts/loc.sh
 
 # verify is the CI gate: everything must build, pass vet + staticcheck,
 # pass the full test suite with the race detector on (./... includes the

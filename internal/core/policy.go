@@ -129,19 +129,11 @@ func (d DAGTimings) Validate() error {
 // entirely. With BP nil the backward segment contributes nothing and the
 // ranks reduce to the transfer + forward-suffix form.
 func (d DAGTimings) CriticalPathRanks() ([]int64, error) {
-	if err := d.Validate(); err != nil {
+	remaining, err := d.pathLengths()
+	if err != nil {
 		return nil, err
 	}
-	n := len(d.FP)
-	remaining := make([]float64, n)
-	suffix := 0.0
-	for l := n - 1; l >= 0; l-- {
-		suffix += d.FP[l]
-		if d.BP != nil {
-			suffix += d.BP[l]
-		}
-		remaining[l] = float64(d.LayerBytes[l])/d.BytesPerSec + suffix
-	}
+	n := len(remaining)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -167,21 +159,35 @@ func (d DAGTimings) CriticalPathRanks() ([]int64, error) {
 // per-op profiled BP timings (not a uniform backward-compute assumption)
 // shape where delay-sensitive jobs land.
 func (d DAGTimings) CriticalPathSec() (float64, error) {
-	if err := d.Validate(); err != nil {
+	remaining, err := d.pathLengths()
+	if err != nil {
 		return 0, err
 	}
 	longest := 0.0
+	for _, r := range remaining {
+		if r > longest {
+			longest = r
+		}
+	}
+	return longest, nil
+}
+
+// pathLengths validates the profile and returns R(l) for every layer, the
+// path length CriticalPathRanks orders by and CriticalPathSec maximizes.
+func (d DAGTimings) pathLengths() ([]float64, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	remaining := make([]float64, len(d.FP))
 	suffix := 0.0
 	for l := len(d.FP) - 1; l >= 0; l-- {
 		suffix += d.FP[l]
 		if d.BP != nil {
 			suffix += d.BP[l]
 		}
-		if r := float64(d.LayerBytes[l])/d.BytesPerSec + suffix; r > longest {
-			longest = r
-		}
+		remaining[l] = float64(d.LayerBytes[l])/d.BytesPerSec + suffix
 	}
-	return longest, nil
+	return remaining, nil
 }
 
 // LayerRanks returns the identity rank table: rank(l) = l, the paper's

@@ -107,10 +107,9 @@ type Peer struct {
 	rank int
 	size int
 
-	timeout     time.Duration
+	// stepTimeout (DefaultStepTimeout; 0 waits forever) and maxPending
+	// (DefaultMaxPending) are fields so tests can tighten them.
 	stepTimeout time.Duration
-	dialRetries int
-	dialDelay   wire.Backoff
 	maxPending  int
 	codec       compress.Codec
 	inst        peerInstruments
@@ -154,10 +153,7 @@ func NewPeer(rank, size int, opts ...Option) (*Peer, error) {
 	p := &Peer{
 		rank:        rank,
 		size:        size,
-		timeout:     DefaultTimeout,
 		stepTimeout: DefaultStepTimeout,
-		dialRetries: DefaultDialRetries,
-		dialDelay:   wire.Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: DefaultBackoffJitter},
 		maxPending:  DefaultMaxPending,
 		slots:       make(map[slotKey]*slot),
 		conns:       make(map[net.Conn]struct{}),
@@ -228,15 +224,10 @@ func (p *Peer) Dial(succAddr string) error {
 		if p.isClosed() {
 			return fmt.Errorf("netar: peer closed")
 		}
-		if p.timeout > 0 {
-			conn, err = net.DialTimeout("tcp", succAddr, p.timeout)
-		} else {
-			conn, err = net.Dial("tcp", succAddr)
-		}
-		if err == nil {
+		if conn, err = net.DialTimeout("tcp", succAddr, DefaultTimeout); err == nil {
 			break
 		}
-		if attempt >= p.dialRetries {
+		if attempt >= DefaultDialRetries {
 			return fmt.Errorf("netar: dial successor %s: %w", succAddr, err)
 		}
 		p.inst.dialRetries.Inc()
@@ -262,10 +253,10 @@ func (p *Peer) Dial(succAddr string) error {
 // backoff sleeps the exponential, jittered delay for the given attempt.
 func (p *Peer) backoff(attempt int) {
 	p.mu.Lock()
-	jitter := p.rng.Jitter(p.dialDelay.Jitter)
+	jitter := p.rng.Jitter(dialDelay.Jitter)
 	p.mu.Unlock()
 	select {
-	case <-time.After(p.dialDelay.Delay(attempt, jitter)):
+	case <-time.After(dialDelay.Delay(attempt, jitter)):
 	case <-p.done:
 	}
 }
@@ -346,9 +337,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 // the inbound connection (the only traffic that flows "backwards"); the
 // caller drops the connection right after, so failures are ignored.
 func (p *Peer) notifyErr(conn net.Conn, h wire.Header, text string) {
-	if p.timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(p.timeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 	_ = wire.Write(conn, h, []byte(text))
 }
 
@@ -405,7 +394,7 @@ func (p *Peer) deliver(m message) bool {
 }
 
 // waiterSlot returns the slot for k, creating it if the segment has not
-// arrived yet. Waiter-created slots are exempt from the MaxPending bound:
+// arrived yet. Waiter-created slots are exempt from the maxPending bound:
 // waiters are bounded by the caller's own concurrency (the scheduler's
 // credit), not by a remote peer.
 func (p *Peer) waiterSlot(k slotKey) (*slot, error) {
@@ -456,9 +445,7 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 	var payload []byte
 	payload, h.Codec, h.Orig = wire.AppendFloats(p.encBuf[:0], p.codec, seg)
 	p.encBuf = payload[:0]
-	if p.timeout > 0 {
-		p.succ.SetWriteDeadline(time.Now().Add(p.timeout))
-	}
+	p.succ.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 	if err := wire.Write(p.succ, h, payload); err != nil {
 		return fmt.Errorf("netar: send step %d to successor: %w", step, err)
 	}

@@ -330,11 +330,10 @@ func TestVectorLengthMismatch(t *testing.T) {
 }
 
 // TestStepTimeout: a peer whose partner never shows up must error out
-// after StepTimeout instead of hanging forever.
+// after its step timeout instead of hanging forever.
 func TestStepTimeout(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StepTimeout = 50 * time.Millisecond
-	peers := buildRing(t, 2, WithConfig(cfg))
+	peers := buildRing(t, 2)
+	peers[0].stepTimeout = 50 * time.Millisecond
 	start := time.Now()
 	_, err := peers[0].AllReduce("g", 0, []float32{1, 2})
 	if err == nil {
@@ -484,18 +483,17 @@ func TestRecvSegmentWrongLengthInPlace(t *testing.T) {
 }
 
 // TestPendingTableOverflow: a flood of out-of-order segments beyond
-// MaxPending must be rejected with an OpErr back to the sender and the
-// connection dropped — bounded memory no matter how the predecessor
-// misbehaves.
+// the pending table's bound must be rejected with an OpErr back to the
+// sender and the connection dropped — bounded memory no matter how the
+// predecessor misbehaves.
 func TestPendingTableOverflow(t *testing.T) {
 	reg := metrics.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.MaxPending = 4
-	p, err := NewPeer(0, 2, WithMetrics(reg), WithConfig(cfg))
+	p, err := NewPeer(0, 2, WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.maxPending = 4
 	if err := p.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

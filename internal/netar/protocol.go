@@ -39,7 +39,7 @@
 // duplicate-segment drops (the Seq-dedup analogue for a
 // persistent-connection transport), a bounded pending-slot table so a
 // misbehaving peer cannot balloon memory, and graceful Close that fails
-// blocked waiters. All knobs live in Config.
+// blocked waiters. Their bounds are the Default* constants.
 package netar
 
 import (

@@ -175,7 +175,7 @@ func TestBufferOwnership(t *testing.T) {
 		if err := c.Push("k", 0, constVec(n, 2)); err != nil {
 			t.Fatal(err)
 		}
-		rejected := c.Push("k", 0, constVec(n, 2))
+		rejected := c.Push("k", 0, constVec(n/2, 2))
 		got, err := c.Pull("k", 0)
 		if err != nil {
 			t.Fatal(err)
@@ -183,9 +183,9 @@ func TestBufferOwnership(t *testing.T) {
 		checkConst(t, "pull after rejection", got, n, 2)
 		var se *ServerError
 		if !errors.As(rejected, &se) {
-			t.Fatalf("overflow push = %v, want a ServerError", rejected)
+			t.Fatalf("mismatched push = %v, want a ServerError", rejected)
 		}
-		if want := "push overflow for k (all 1 workers already pushed)"; se.Msg != want {
+		if want := "push size mismatch for k"; se.Msg != want {
 			t.Fatalf("ServerError text after a later pull = %q, want %q", se.Msg, want)
 		}
 	})
@@ -273,23 +273,29 @@ func TestBufferOwnership(t *testing.T) {
 	})
 
 	// (e) An entry keeps its shape after its sum went back to the shard: an
-	// overflow push and a size-mismatched one arriving after aggregation
-	// completed are rejected as before.
+	// overflow push from a second client and size-mismatched ones arriving
+	// after aggregation completed are rejected as before, and the first
+	// client's well-formed re-push is acknowledged without being summed.
 	t.Run("late pushes rejected after the sum is pooled", func(t *testing.T) {
 		_, addr := startServer(t, 1)
-		c := NewClient(addr)
+		c, other := NewClient(addr), NewClient(addr)
 		defer c.Close()
+		defer other.Close()
 		if err := c.Push("k", 0, constVec(3, 1)); err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
+			c    *Client
 			n    int
 			want string
-		}{{3, "push overflow for k"}, {2, "push size mismatch for k"}, {4, "push size mismatch for k"}} {
+		}{{other, 3, "push overflow for k"}, {c, 2, "push size mismatch for k"}, {other, 4, "push size mismatch for k"}} {
 			var se *ServerError
-			if err := c.Push("k", 0, constVec(tc.n, 1)); !errors.As(err, &se) || !strings.HasPrefix(se.Msg, tc.want) {
+			if err := tc.c.Push("k", 0, constVec(tc.n, 1)); !errors.As(err, &se) || !strings.HasPrefix(se.Msg, tc.want) {
 				t.Fatalf("%d-value push after completion = %v, want %q", tc.n, err, tc.want)
 			}
+		}
+		if err := c.Push("k", 0, constVec(3, 5)); err != nil {
+			t.Fatalf("re-push from the client already summed = %v, want an ack", err)
 		}
 		got, err := c.Pull("k", 0)
 		if err != nil {

@@ -13,6 +13,9 @@ package netps
 //     the payload aged out proves the aggregate existed but is gone, so
 //     the retry fails fast with OpErr instead of hanging.
 //
+// The identity tier also answers a late push replay (one with a client
+// Seq): it is acknowledged, never summed into a fresh aggregate.
+//
 // A total miss means the pull is legitimately early (pulls may precede
 // pushes), and the caller creates a live entry as usual. FIFO is the
 // right eviction order here: client retry budgets expire in bounded time,
@@ -79,8 +82,9 @@ func (l *completedLog) add(k entryKey, a agg, free *[]*aggBuf) {
 		return // payload can never fit; the identity tier still covers it
 	}
 	if old, ok := l.payloads[k]; ok {
-		// Same (key, iter) reclaimed again (e.g. after a crash-recovery
-		// re-push): keep the newest payload, adjust usage in place.
+		// Same (key, iter) reclaimed again (re-aggregated from Seq-0
+		// pushes, which name no client): keep the newest payload, adjust
+		// usage in place.
 		l.bytes += len(a.payload) - len(old.payload)
 		l.payloads[k] = a
 		unref(free, old)
@@ -110,5 +114,6 @@ func (l *completedLog) payload(k entryKey) (agg, bool) {
 // all (payload retained or already evicted).
 func (l *completedLog) known(k entryKey) bool {
 	_, ok := l.knownSet[k]
-	return ok
+	_, kept := l.payloads[k]
+	return ok || kept
 }

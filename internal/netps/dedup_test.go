@@ -2,6 +2,7 @@ package netps
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"testing"
 
@@ -9,81 +10,148 @@ import (
 	"bytescheduler/internal/wire"
 )
 
-// TestDedupWindowBounded replays far more distinct pushes than the dedup
-// window holds and checks the table stays bounded — the regression for the
-// unbounded Seq-dedup growth that used to leak memory for the lifetime of
-// a training run.
-func TestDedupWindowBounded(t *testing.T) {
-	const cap = 16
-	reg := metrics.NewRegistry()
-	// One shard: the dedup cap and eviction counts below assume all keys
-	// share one window table, as in the pre-shard server.
-	srv, err := NewServer(1, WithDedupCap(cap), WithShards(1), WithServerMetrics(reg))
+// replayState is everything the server remembers to recognize replays:
+// live entries and the clients they list, and the completed log's tiers.
+type replayState struct {
+	entries, maxListed, known, payloads int
+}
+
+func stateOf(srv *Server) (st replayState) {
+	for _, sh := range srv.shards {
+		sh.mu.Lock()
+		st.entries += len(sh.entries)
+		for _, e := range sh.entries {
+			st.maxListed = max(st.maxListed, len(e.pushers), len(e.pullers))
+		}
+		st.known += len(sh.completed.knownSet)
+		st.payloads += len(sh.completed.payloads)
+		sh.mu.Unlock()
+	}
+	return st
+}
+
+// pushAt and pullAt drive one request through the server's handlers in
+// process, failing unless a push is acknowledged and a pull is answered at
+// once; pullAt counts the pull served, as serve does after its write.
+func pushAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64, v ...float32) {
+	t.Helper()
+	resp, wake, result := srv.processPush(newMessage(OpPush, key, iter, seq, f32(v...)))
+	if Op(resp.Op) != OpPush {
+		t.Fatalf("push %s#%d seq %#x answered %v %q", key, iter, seq, Op(resp.Op), resp.Payload)
+	}
+	srv.wake(wake, result)
+}
+
+func pullAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64) []float32 {
+	t.Helper()
+	req := newMessage(OpPull, key, iter, seq, nil)
+	a, wait, errResp := srv.resolvePull(req)
+	if wait != nil || errResp != nil {
+		t.Fatalf("pull %s#%d seq %#x not answered (parked %v, err %v)", key, iter, seq, wait != nil, errResp)
+	}
+	resp := pullResp(req, a)
+	vals, err := wire.Floats(nil, resp.Header, resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	srv.countPullServed(req, a)
+	return vals
+}
+
+// TestDedupWindowBounded pushes, replays and pulls more distinct
+// (key, iter) pairs than the completed log's identity tier holds. Replay
+// state lives only in live entries and the completed log: with every entry
+// reclaimed nothing is left per entry or per client, and the log stays at
+// its bound.
+func TestDedupWindowBounded(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, err := NewServer(1, WithShards(1), WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := NewClient(addr)
-	defer c.Close()
-	const pushes = 100
-	for i := 0; i < pushes; i++ {
-		if err := c.Push(fmt.Sprintf("k%d", i), 0, []float32{1}); err != nil {
-			t.Fatal(err)
+	const n = DefaultCompletedKeys + 100
+	for i := uint32(0); i < n; i++ {
+		key := fmt.Sprintf("k%d", i%7)
+		pushAt(t, srv, key, i, 1<<32|uint64(3*i+1), 1)
+		pushAt(t, srv, key, i, 1<<32|uint64(3*i+2), 1) // re-sent under a fresh Seq
+		if got := pullAt(t, srv, key, i, 1<<32|uint64(3*i+3)); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("%s#%d = %v, want [1]", key, i, got)
 		}
 	}
-	if got := srv.DedupSize(); got != cap {
-		t.Fatalf("DedupSize = %d after %d pushes, want window cap %d", got, pushes, cap)
+	st := stateOf(srv)
+	if st.entries != 0 || st.known != DefaultCompletedKeys {
+		t.Fatalf("replay state after %d aggregates = %+v, want no live entry and %d known", n, st, DefaultCompletedKeys)
 	}
+	if st.payloads*4 > DefaultCompletedBytes {
+		t.Fatalf("completed log holds %d payloads, over its %d-byte budget", st.payloads, DefaultCompletedBytes)
+	}
+	// The newest aggregate is still known: a late replay is acknowledged.
+	pushAt(t, srv, fmt.Sprintf("k%d", (n-1)%7), n-1, 1<<32|uint64(3*n+1), 1)
 	snap := reg.Snapshot()
-	if got := snap.Counters["netps_server_dedup_evictions_total"]; got != pushes-cap {
-		t.Fatalf("evictions = %d, want %d", got, pushes-cap)
+	if got := snap.Counters["netps_server_dedup_hits_total"]; got != n+1 {
+		t.Fatalf("dedup hits = %d, want %d", got, n+1)
 	}
-	if got := snap.Gauges["netps_server_dedup_seqs"]; got != cap {
-		t.Fatalf("dedup_seqs gauge = %d, want %d", got, cap)
-	}
-	if got := snap.Counters["netps_server_pushes_total"]; got != pushes {
-		t.Fatalf("pushes counter = %d, want %d", got, pushes)
+	if got := snap.Gauges["netps_server_entries"]; got != 0 {
+		t.Fatalf("entries gauge = %d, want 0", got)
 	}
 }
 
-// TestDedupClientWindowsBounded sprays pushes from more distinct client
-// identities than the server tracks; the LRU client eviction must bound
-// the table even when no single window fills.
+// TestDedupClientWindowsBounded sprays pushes and pulls from hundreds of
+// client identities, each re-sending both under fresh Seqs. No state is kept
+// per client: each live entry lists at most its workers, and once every
+// worker has been served nothing but the completed log remains.
 func TestDedupClientWindowsBounded(t *testing.T) {
-	// One shard, so DefaultDedupClients bounds one table rather than one
-	// table per shard.
-	srv, err := NewServer(1, WithDedupCap(4), WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	const workers, clients = 4, 300
+	reg := metrics.NewRegistry()
+	srv, addr := startServer(t, workers, WithServerMetrics(reg))
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	const clients = DefaultDedupClients + 44
-	for i := 1; i <= clients; i++ {
-		push := newMessage(OpPush, fmt.Sprintf("k%d", i), 0, uint64(i)<<32|1, f32(1))
-		if err := writeMsg(conn, push); err != nil {
+	rt := func(m message) message {
+		t.Helper()
+		if err := writeMsg(conn, m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readMsg(conn); err != nil {
+		resp, err := readMsg(conn)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if Op(resp.Op) != Op(m.Op) {
+			t.Fatalf("%v %s answered %v %q", Op(m.Op), m.Key, Op(resp.Op), resp.Payload)
+		}
+		return resp
+	}
+	key := func(c int) string { return fmt.Sprintf("k%d", (c-1)/workers) }
+	for c := 1; c <= clients; c++ {
+		for n := uint64(1); n <= 2; n++ {
+			rt(newMessage(OpPush, key(c), 0, uint64(c)<<32|n, f32(1)))
 		}
 	}
-	// One Seq per client: the surviving window count equals the total size.
-	if got := srv.DedupSize(); got != DefaultDedupClients {
-		t.Fatalf("DedupSize = %d across %d clients, want LRU bound %d",
-			got, clients, DefaultDedupClients)
+	if st := stateOf(srv); st.entries != clients/workers || st.maxListed != workers {
+		t.Fatalf("after pushes: %+v, want %d entries listing %d clients each", st, clients/workers, workers)
+	}
+	for c := 1; c <= clients; c++ {
+		for n := uint64(3); n <= 4; n++ { // the pull and its retry
+			resp := rt(newMessage(OpPull, key(c), 0, uint64(c)<<32|n, nil))
+			if vals, err := wire.Floats(nil, resp.Header, resp.Payload); err != nil || len(vals) != 1 || vals[0] != workers {
+				t.Fatalf("client %d pull = %v (%v), want [%d]", c, vals, err, workers)
+			}
+		}
+	}
+	if st := stateOf(srv); st.entries != 0 || st.known != clients/workers {
+		t.Fatalf("after pulls: %+v, want no live entry and %d known", st, clients/workers)
+	}
+	// Every re-push is a hit, and so is every pull retry but the last
+	// worker's of each entry, which the completed log answers.
+	snap := reg.Snapshot()
+	if got, want := snap.Counters["netps_server_dedup_hits_total"], uint64(clients+clients-clients/workers); got != want {
+		t.Fatalf("dedup hits = %d, want %d", got, want)
+	}
+	if got := snap.Counters["netps_server_replayed_pulls_total"]; got != clients/workers {
+		t.Fatalf("replayed pulls = %d, want %d", got, clients/workers)
 	}
 }
 
@@ -146,5 +214,219 @@ func TestPushReplayAcksWithoutDoubleSum(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["netps_server_dedup_hits_total"]; got != 1 {
 		t.Fatalf("dedup hits = %d, want 1", got)
+	}
+}
+
+// TestRepushUnderFreshSeqCountedOnce is the core-level retry: a worker
+// re-sends its push under a fresh Seq, which no transport-level window
+// recognizes. The server keys replay on the worker, so the re-push is
+// acknowledged and not summed, and the other worker's push still fits.
+func TestRepushUnderFreshSeqCountedOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	_, addr := startServer(t, 2, WithServerMetrics(reg))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rt := func(m message) message {
+		t.Helper()
+		if err := writeMsg(conn, m); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readMsg(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, push := range []message{
+		newMessage(OpPush, "w", 3, 7<<32|1, f32(2)),
+		newMessage(OpPush, "w", 3, 7<<32|2, f32(2)), // worker 7's re-push
+		newMessage(OpPush, "w", 3, 8<<32|1, f32(5)),
+	} {
+		if resp := rt(push); Op(resp.Op) != OpPush || resp.Seq != push.Seq {
+			t.Fatalf("push seq %#x answered %v %q", push.Seq, Op(resp.Op), resp.Payload)
+		}
+	}
+	resp := rt(newMessage(OpPull, "w", 3, 7<<32|3, nil))
+	if vals, err := wire.Floats(nil, resp.Header, resp.Payload); err != nil || len(vals) != 1 || vals[0] != 7 {
+		t.Fatalf("aggregate = %v (%v), want [7]", vals, err)
+	}
+	if got := reg.Snapshot().Counters["netps_server_dedup_hits_total"]; got != 1 {
+		t.Fatalf("dedup hits = %d, want 1", got)
+	}
+}
+
+// TestReplayProperty drives the server's handlers in process — no sockets —
+// through seeded random interleavings of every worker's push and pull of
+// several keys over several iterations, with replays injected between them:
+// a push again under its own Seq (a lost ack), a push re-sent under a fresh
+// Seq (a core-level retry), a served pull retried, and any of those after
+// the aggregate was reclaimed. Every aggregate must equal the sum of the
+// distinct workers' vectors, no push be rejected, the dedup hits equal the
+// replays that reached a live entry's lists or the completed log's push
+// check, and no entry outlive its last pull.
+func TestReplayProperty(t *testing.T) {
+	type part struct {
+		key    string
+		iter   uint32
+		floats int
+	}
+	type parked struct {
+		req  message
+		wait chan agg
+		p    part
+		w    int
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		workers, keys, iters := 1+rng.Intn(4), 1+rng.Intn(3), 1+rng.Intn(3)
+		reg := metrics.NewRegistry()
+		srv, err := NewServer(workers, WithShards(1+rng.Intn(3)), WithServerMetrics(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fail := func(format string, args ...any) {
+			t.Helper()
+			srv.Close()
+			t.Fatalf("seed %d (%d workers): %s", seed, workers, fmt.Sprintf(format, args...))
+		}
+		vec := func(p part, w int) []float32 {
+			v := make([]float32, p.floats)
+			for i := range v {
+				v[i] = float32((w+1)*(i+1) + 7*int(p.iter))
+			}
+			return v
+		}
+		want := func(p part) []float32 {
+			sum := make([]float32, p.floats)
+			for w := 0; w < workers; w++ {
+				for i, x := range vec(p, w) {
+					sum[i] += x
+				}
+			}
+			return sum
+		}
+		check := func(what string, p part, req message, a agg) {
+			t.Helper()
+			resp := pullResp(req, a)
+			got, err := wire.Floats(nil, resp.Header, resp.Payload)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want(p)) {
+				fail("%s of %v = %v (%v), want %v", what, p, got, err, want(p))
+			}
+		}
+
+		// Each worker pushes then pulls every part, in its own random order.
+		var parts []part
+		for k := 0; k < keys; k++ {
+			for i := 0; i < iters; i++ {
+				parts = append(parts, part{fmt.Sprintf("key%d", k), uint32(i), 1 + k})
+			}
+		}
+		todo := make([][]part, workers)
+		for w := range todo {
+			todo[w] = append([]part(nil), parts...)
+			rng.Shuffle(len(todo[w]), func(i, j int) { todo[w][i], todo[w][j] = todo[w][j], todo[w][i] })
+		}
+		pushedNext := make([]bool, workers) // the head of todo[w] is pushed, its pull next
+		seqs := make([]uint64, workers)
+		nextSeq := func(w int) uint64 { seqs[w]++; return uint64(w+1)<<32 | seqs[w] }
+		served := map[part]int{} // pulls counted per part: reclaimed at workers
+		var pushes []message     // acknowledged pushes, for replay
+		var pulls []parked       // served pulls, for retry
+		var waiting []parked
+		var hits uint64
+
+		push := func(m message) {
+			t.Helper()
+			resp, wake, result := srv.processPush(m)
+			if Op(resp.Op) != OpPush {
+				fail("push %s#%d seq %#x rejected: %s", m.Key, m.Iter, m.Seq, resp.Payload)
+			}
+			srv.wake(wake, result)
+			for i := 0; i < len(waiting); i++ {
+				select {
+				case a := <-waiting[i].wait:
+					pw := waiting[i]
+					check("parked pull", pw.p, pw.req, a)
+					srv.countPullServed(pw.req, a)
+					served[pw.p]++
+					pulls = append(pulls, pw)
+					waiting = append(waiting[:i], waiting[i+1:]...)
+					i--
+				default:
+				}
+			}
+		}
+		for {
+			var live []int
+			for w := range todo {
+				if len(todo[w]) > 0 {
+					live = append(live, w)
+				}
+			}
+			if len(live) == 0 {
+				break
+			}
+			w := live[rng.Intn(len(live))]
+			p := todo[w][0]
+			if !pushedNext[w] {
+				m := newMessage(OpPush, p.key, p.iter, nextSeq(w), f32(vec(p, w)...))
+				push(m)
+				pushes = append(pushes, m)
+				pushedNext[w] = true
+			} else {
+				req := newMessage(OpPull, p.key, p.iter, nextSeq(w), nil)
+				a, wait, errResp := srv.resolvePull(req)
+				switch {
+				case errResp != nil:
+					fail("pull of %v rejected: %s", p, errResp.Payload)
+				case wait != nil:
+					waiting = append(waiting, parked{req, wait, p, w})
+				default:
+					check("pull", p, req, a)
+					srv.countPullServed(req, a)
+					served[p]++
+					pulls = append(pulls, parked{req, nil, p, w})
+				}
+				todo[w], pushedNext[w] = todo[w][1:], false
+			}
+			// Inject a replay between steps, now and then.
+			switch r := rng.Intn(8); {
+			case r < 2 && len(pushes) > 0:
+				m := pushes[rng.Intn(len(pushes))]
+				if r == 1 { // a core-level retry: same worker, fresh Seq
+					m.Seq = nextSeq(int(m.Seq>>32) - 1)
+				}
+				push(m)
+				hits++
+			case r == 2 && len(pulls) > 0:
+				pr := pulls[rng.Intn(len(pulls))]
+				req := pr.req
+				if rng.Intn(2) == 0 {
+					req.Seq = nextSeq(pr.w)
+				}
+				a, wait, errResp := srv.resolvePull(req)
+				if wait != nil || errResp != nil {
+					fail("retried pull of %v not answered (parked %v, err %v)", pr.p, wait != nil, errResp)
+				}
+				check("retried pull", pr.p, req, a)
+				if served[pr.p] < workers {
+					hits++ // a live entry already counted this worker
+				}
+				srv.countPullServed(req, a)
+			}
+		}
+		if len(waiting) != 0 {
+			fail("%d pulls still parked at quiescence", len(waiting))
+		}
+		if got := reg.Snapshot().Counters["netps_server_dedup_hits_total"]; got != hits {
+			fail("dedup hits = %d, want the %d replays injected", got, hits)
+		}
+		if n := srv.Outstanding(); n != 0 {
+			fail("Outstanding() = %d at quiescence", n)
+		}
+		srv.Close()
 	}
 }

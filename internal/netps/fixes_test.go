@@ -296,61 +296,51 @@ func TestEmptyPushRejected(t *testing.T) {
 	}
 }
 
-// --- dedup gauge running count ---
+// --- replay state follows the entries ---
 
-// TestDedupGaugeTracksClientEviction checks the O(1) running count stays
-// exact through whole-window client evictions, where the bookkeeping is
-// easiest to get wrong (pre-fix, a full-table rescan recomputed it on
-// every push instead).
+// TestDedupGaugeTracksClientEviction checks replay state lives and dies
+// with its entries: three clients push three keys, each push re-sent under
+// a fresh Seq, and each entry lists exactly its three pushers while the
+// entries gauge matches Outstanding. Once every client has pulled (and
+// retried) each key, the entries are gone, the gauge is back at zero and
+// only the completed log remembers the keys.
 func TestDedupGaugeTracksClientEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, err := NewServer(1, WithShards(1), WithDedupCap(8), WithDedupClients(2), WithServerMetrics(reg))
+	srv, err := NewServer(3, WithShards(1), WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for client := 1; client <= 3; client++ { // third client evicts the first
-		for n := 1; n <= 3; n++ {
-			push := newMessage(OpPush, fmt.Sprintf("k%d-%d", client, n), 0, uint64(client)<<32|uint64(n), f32(1))
-			if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
-				t.Fatalf("push rejected: %s", resp.Payload)
+	defer srv.Close()
+	gauge := func() int { return int(reg.Snapshot().Gauges["netps_server_entries"]) }
+	seq := map[int]uint64{}
+	next := func(client int) uint64 { seq[client]++; return uint64(client)<<32 | seq[client] }
+	for client := 1; client <= 3; client++ {
+		for k := 1; k <= 3; k++ {
+			pushAt(t, srv, fmt.Sprintf("k%d", k), 0, next(client), 1)
+			pushAt(t, srv, fmt.Sprintf("k%d", k), 0, next(client), 1)
+		}
+	}
+	if st := stateOf(srv); st.entries != 3 || st.maxListed != 3 || gauge() != 3 {
+		t.Fatalf("after pushes: %+v, entries gauge %d; want 3 entries listing 3 clients each", st, gauge())
+	}
+	for client := 1; client <= 3; client++ {
+		for k := 1; k <= 3; k++ {
+			for range 2 { // the pull and its retry
+				if got := pullAt(t, srv, fmt.Sprintf("k%d", k), 0, next(client)); len(got) != 1 || got[0] != 3 {
+					t.Fatalf("client %d k%d = %v, want [3]", client, k, got)
+				}
 			}
 		}
-	}
-	want := srv.DedupSize() // ground truth from the per-shard counts
-	if want != 6 {          // 2 surviving clients x 3 seqs
-		t.Fatalf("DedupSize = %d, want 6", want)
-	}
-	if got := reg.Snapshot().Gauges["netps_server_dedup_seqs"]; got != int64(want) {
-		t.Fatalf("dedup_seqs gauge = %d, want %d (running count drifted)", got, want)
-	}
-}
-
-// BenchmarkRecordPushGauge measures the per-push dedup-gauge cost with
-// many resident client windows: the running count is O(1) per push, where
-// rescanning the table would be O(total remembered Seqs).
-func BenchmarkRecordPushGauge(b *testing.B) {
-	reg := metrics.NewRegistry()
-	srv, err := NewServer(2, WithShards(1), WithServerMetrics(reg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Populate 128 clients x 512 seqs of dedup state.
-	for client := 1; client <= 128; client++ {
-		for n := 1; n <= 512; n++ {
-			sh := srv.shard("warm")
-			sh.mu.Lock()
-			sh.recordPush(srv, uint64(client)<<32|uint64(n))
-			sh.mu.Unlock()
+		want := 3 // every entry waits for its last puller
+		if client == 3 {
+			want = 0
+		}
+		if srv.Outstanding() != want || gauge() != want {
+			t.Fatalf("after client %d pulled: Outstanding %d, gauge %d, want %d", client, srv.Outstanding(), gauge(), want)
 		}
 	}
-	payload := f32(make([]float32, 64)...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		push := newMessage(OpPush, "hot", uint32(i), uint64(200)<<32|uint64(i+1), payload)
-		if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
-			b.Fatalf("push rejected: %s", resp.Payload)
-		}
+	if st := stateOf(srv); st.entries != 0 || st.known != 3 {
+		t.Fatalf("after pulls: %+v, want no live entry and 3 known", st)
 	}
 }
 

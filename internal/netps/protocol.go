@@ -14,8 +14,9 @@
 // The transport is failure-hardened for the live path: clients carry
 // per-request read/write deadlines, bounded retry with exponential backoff
 // and deterministic jitter, and redial pooled connections the server closed
-// while they sat idle; servers deduplicate replayed pushes by request
-// sequence number, answer application errors with OpErr instead of dropping
+// while they sat idle; servers deduplicate replayed pushes and pulls by the
+// client half of the request sequence number, one record per (key, iter),
+// answer application errors with OpErr instead of dropping
 // the connection, and fail blocked pull waiters on Close instead of leaking
 // them. The client's deadlines, retry budget and backoff are set with
 // WithTimeout, WithPullTimeout, WithRetries and WithBackoff; its batching

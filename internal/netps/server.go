@@ -27,24 +27,11 @@ const errServerClosed = "server closed"
 // instead of waiting for pushes that will never come.
 const errAggregateReclaimed = "aggregate reclaimed"
 
-// DefaultDedupCap bounds the per-client push-dedup window: how many recent
-// request Seqs the server remembers per client. Credit bounds how many
-// requests a worker can have outstanding, so a window of a few thousand is
-// far beyond any replay horizon while keeping memory O(clients · cap)
-// instead of growing without bound across long runs and reconnects.
-const DefaultDedupCap = 4096
-
-// DefaultDedupClients bounds how many distinct client identities each
-// shard's dedup table tracks; least-recently-active clients are evicted
-// first. Reconnecting workers mint fresh client IDs, so without this bound
-// a long-lived server would accrete one window per client generation.
-const DefaultDedupClients = 256
-
 // DefaultShards is the number of independent lock domains the (key, iter)
-// entry space and the dedup tables are partitioned across. Keys map to
-// shards by ps.KeyHash — the same stable FNV-1a the hash-ring assigner
-// uses to place keys across servers — so a replayed push always lands in
-// the shard that remembers its Seq.
+// entry space is partitioned across. Keys map to shards by ps.KeyHash —
+// the same stable FNV-1a the hash-ring assigner uses to place keys across
+// servers — so a replayed push always lands in the shard that remembers
+// its entry.
 const DefaultShards = 16
 
 // DefaultCompletedBytes is the total byte budget (across shards) for the
@@ -75,30 +62,28 @@ const DefaultServerWriteTimeout = 15 * time.Second
 // pulls once every worker has pushed. Deploy one Server per PS rank and
 // spread keys across them, exactly like the simulated cluster.
 //
-// Internally the server is sharded: the (key, iter) entry space and the
-// per-client dedup tables are partitioned across independent lock domains
-// by ps.KeyHash, so requests for different keys do not contend on one
-// global mutex. Every connection is served by its own goroutine; the Go
-// runtime's netpoller is the multiplexer, so an idle connection costs a
-// parked goroutine and nothing else. A pull that must wait for aggregation
-// is a channel receive in its connection's goroutine: the completing push
-// only sends on that channel, so only a connection's own goroutine ever
-// writes to it, and a puller that stops draining its socket delays nobody
-// but itself.
+// Internally the server is sharded: the (key, iter) entry space is
+// partitioned across independent lock domains by ps.KeyHash, so requests
+// for different keys do not contend on one global mutex. Every connection
+// is served by its own goroutine; the Go runtime's netpoller is the
+// multiplexer, so an idle connection costs a parked goroutine and nothing
+// else. A pull that must wait for aggregation is a channel receive in its
+// connection's goroutine: the completing push only sends on that channel,
+// so only a connection's own goroutine ever writes to it, and a puller
+// that stops draining its socket delays nobody but itself.
 //
 // The server is hardened for the live path: application errors are
-// answered with OpErr instead of dropping the connection, replayed pushes
-// (same request Seq) are acknowledged without double-summing, retried
-// pulls arriving after their aggregate was reclaimed are re-answered from
-// a bounded completed log (or failed fast once it ages out), and Close
-// fails every blocked pull waiter and open connection instead of leaking
-// them — a crashed or drained shard surfaces as an error at the worker,
-// never as a hang.
+// answered with OpErr instead of dropping the connection, a second push
+// from one client to one (key, iter) — a retry under the same Seq or a
+// re-send under a fresh one — is acknowledged without double-summing,
+// retried pulls arriving after their aggregate was reclaimed are
+// re-answered from a bounded completed log (or failed fast once it ages
+// out), and Close fails every blocked pull waiter and open connection
+// instead of leaking them — a crashed or drained shard surfaces as an
+// error at the worker, never as a hang.
 type Server struct {
 	workers        int
 	shardCount     int
-	dedupCap       int
-	dedupClients   int
 	completedBytes int
 	readTimeout    time.Duration
 	writeTimeout   time.Duration
@@ -123,23 +108,13 @@ type Server struct {
 	goroutines atomic.Int64
 }
 
-// shard is one lock domain: a partition of the entry space, the dedup
-// tables for pushes landing in it, and the completed-aggregate log for
-// entries reclaimed from it. A key's pushes, pulls, and replays all hash
-// to the same shard, so exactly-once summing needs only this one lock.
+// shard is one lock domain: a partition of the entry space and the
+// completed-aggregate log for entries reclaimed from it. A key's pushes,
+// pulls, and replays all hash to the same shard, so exactly-once summing
+// needs only this one lock.
 type shard struct {
-	mu      sync.Mutex
-	entries map[entryKey]*entry
-	// dedup holds one bounded window of recently seen push Seqs per client
-	// (the high 32 bits of every Seq identify the client). Client Seqs are
-	// monotonic, so FIFO eviction within a window prunes the lowest live
-	// Seqs first — watermark semantics with an LRU bound.
-	dedup    map[uint32]*seqWindow
-	dedupUse uint64 // logical clock for client-window LRU eviction
-	// seqs is the running total of remembered Seqs across this shard's
-	// windows, maintained on add/evict so the dedup-size gauge costs O(1)
-	// per push instead of a full table rescan.
-	seqs      int
+	mu        sync.Mutex
+	entries   map[entryKey]*entry
 	completed completedLog
 	// Free lists of unreferenced aggregate records and unheld sums.
 	aggFree []*aggBuf
@@ -171,15 +146,31 @@ type entry struct {
 	// completes (overflow pushes are rejected from then on) and only read
 	// by every pull response after, each holding a reference (see agg).
 	result agg
-	// pullSeen records which logical pulls were already counted as served,
-	// so a retried pull is re-answered without double-counting toward
-	// entry reclamation. Bounded by the entry's own lifecycle: the entry
-	// is reclaimed once every worker's pull has been served.
-	pullSeen map[uint64]struct{}
+	// pushers and pullers are the clients (the high half of a request's
+	// Seq) whose push this entry summed and whose pull it counted as served,
+	// at most workers each. Every worker pushes and pulls a (key, iter)
+	// once, so a client already listed is replaying — after a lost response,
+	// or re-sending under a fresh Seq — and is answered without being
+	// counted again.
+	pushers, pullers []uint32
 	// waiters are the pulls parked on this entry, one buffered channel each;
 	// the completing push (or Close, with a nil payload) sends exactly once.
 	waiters []chan agg
 	served  int
+}
+
+// listed reports whether seq's client is in ids. Seq 0 carries no client,
+// so it is never a replay.
+func listed(ids []uint32, seq uint64) bool {
+	return seq != 0 && slices.Contains(ids, uint32(seq>>32))
+}
+
+// list adds seq's client to ids, unless seq is 0.
+func list(ids []uint32, seq uint64) []uint32 {
+	if seq == 0 {
+		return ids
+	}
+	return append(ids, uint32(seq>>32))
 }
 
 // agg is a completed aggregate in wire form: the encoded payload plus the
@@ -217,65 +208,30 @@ func pop[T any](list *[]T) (v T) {
 	return v
 }
 
-// seqWindow is a bounded set of recently seen Seqs: a hash set for O(1)
-// membership plus a FIFO ring recording insertion order for eviction.
-type seqWindow struct {
-	seen    map[uint64]struct{}
-	order   []uint64
-	head    int
-	lastUse uint64
-}
-
-func (w *seqWindow) has(seq uint64) bool {
-	_, ok := w.seen[seq]
-	return ok
-}
-
-// add inserts seq, evicting the oldest remembered Seq when the window is
-// at capacity. Reports whether an eviction happened.
-func (w *seqWindow) add(seq uint64, capacity int) (evicted bool) {
-	if w.has(seq) {
-		return false
-	}
-	if len(w.order) < capacity {
-		w.order = append(w.order, seq)
-		w.seen[seq] = struct{}{}
-		return false
-	}
-	old := w.order[w.head]
-	delete(w.seen, old)
-	w.order[w.head] = seq
-	w.head = (w.head + 1) % capacity
-	w.seen[seq] = struct{}{}
-	return true
-}
-
 // serverInstruments are the server's resolved metric handles; all nil
 // (no-ops) unless WithServerMetrics attached a registry.
 type serverInstruments struct {
-	pushes         *metrics.Counter
-	pulls          *metrics.Counter
-	batches        *metrics.Counter
-	batchedMsgs    *metrics.Counter
-	dedupHits      *metrics.Counter
-	dedupEvictions *metrics.Counter
-	rejects        *metrics.Counter
-	replayedPulls  *metrics.Counter
-	lostPulls      *metrics.Counter
-	entries        *metrics.Gauge
-	conns          *metrics.Gauge
-	dedupSize      *metrics.Gauge
-	shardsGauge    *metrics.Gauge
-	parkedPulls    *metrics.Gauge
+	pushes        *metrics.Counter
+	pulls         *metrics.Counter
+	batches       *metrics.Counter
+	batchedMsgs   *metrics.Counter
+	dedupHits     *metrics.Counter
+	rejects       *metrics.Counter
+	replayedPulls *metrics.Counter
+	lostPulls     *metrics.Counter
+	entries       *metrics.Gauge
+	conns         *metrics.Gauge
+	shardsGauge   *metrics.Gauge
+	parkedPulls   *metrics.Gauge
 }
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
 // WithServerMetrics instruments the server against the given registry:
-// push/pull counters, dedup hit and eviction counters, rejection and
-// replayed/lost-pull counters, and gauges for live entries, open
-// connections, dedup table size, shard count, and parked pulls.
+// push/pull counters, a dedup hit counter, rejection and replayed/lost-pull
+// counters, and gauges for live entries, open connections, shard count,
+// and parked pulls.
 func WithServerMetrics(reg *metrics.Registry) ServerOption {
 	return func(s *Server) {
 		if reg == nil {
@@ -283,49 +239,25 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 			return
 		}
 		s.inst = serverInstruments{
-			pushes:         reg.Counter("netps_server_pushes_total"),
-			pulls:          reg.Counter("netps_server_pulls_total"),
-			batches:        reg.Counter("netps_server_batches_total"),
-			batchedMsgs:    reg.Counter("netps_server_batched_msgs_total"),
-			dedupHits:      reg.Counter("netps_server_dedup_hits_total"),
-			dedupEvictions: reg.Counter("netps_server_dedup_evictions_total"),
-			rejects:        reg.Counter("netps_server_rejects_total"),
-			replayedPulls:  reg.Counter("netps_server_replayed_pulls_total"),
-			lostPulls:      reg.Counter("netps_server_lost_pulls_total"),
-			entries:        reg.Gauge("netps_server_entries"),
-			conns:          reg.Gauge("netps_server_conns"),
-			dedupSize:      reg.Gauge("netps_server_dedup_seqs"),
-			shardsGauge:    reg.Gauge("netps_server_shards"),
-			parkedPulls:    reg.Gauge("netps_server_parked_pulls"),
-		}
-	}
-}
-
-// WithDedupCap overrides the per-client push-dedup window size
-// (DefaultDedupCap). Larger windows tolerate longer replay horizons;
-// smaller windows bound memory tighter.
-func WithDedupCap(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.dedupCap = n
-		}
-	}
-}
-
-// WithDedupClients overrides how many distinct client identities each
-// shard's dedup table tracks (DefaultDedupClients); least-recently-active
-// client windows are evicted whole.
-func WithDedupClients(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.dedupClients = n
+			pushes:        reg.Counter("netps_server_pushes_total"),
+			pulls:         reg.Counter("netps_server_pulls_total"),
+			batches:       reg.Counter("netps_server_batches_total"),
+			batchedMsgs:   reg.Counter("netps_server_batched_msgs_total"),
+			dedupHits:     reg.Counter("netps_server_dedup_hits_total"),
+			rejects:       reg.Counter("netps_server_rejects_total"),
+			replayedPulls: reg.Counter("netps_server_replayed_pulls_total"),
+			lostPulls:     reg.Counter("netps_server_lost_pulls_total"),
+			entries:       reg.Gauge("netps_server_entries"),
+			conns:         reg.Gauge("netps_server_conns"),
+			shardsGauge:   reg.Gauge("netps_server_shards"),
+			parkedPulls:   reg.Gauge("netps_server_parked_pulls"),
 		}
 	}
 }
 
 // WithShards overrides how many independent lock domains the entry space
-// and dedup tables are partitioned across (DefaultShards). One shard
-// reproduces the old single-mutex server.
+// is partitioned across (DefaultShards). One shard reproduces the old
+// single-mutex server.
 func WithShards(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -364,8 +296,6 @@ func NewServer(workers int, opts ...ServerOption) (*Server, error) {
 	s := &Server{
 		workers:        workers,
 		shardCount:     DefaultShards,
-		dedupCap:       DefaultDedupCap,
-		dedupClients:   DefaultDedupClients,
 		completedBytes: DefaultCompletedBytes,
 		readTimeout:    DefaultServerReadTimeout,
 		writeTimeout:   DefaultServerWriteTimeout,
@@ -383,7 +313,6 @@ func NewServer(workers int, opts ...ServerOption) (*Server, error) {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			entries:   make(map[entryKey]*entry),
-			dedup:     make(map[uint32]*seqWindow),
 			completed: newCompletedLog(perShardBytes, perShardKeys),
 		}
 	}
@@ -398,66 +327,6 @@ func (s *Server) shard(key string) *shard {
 		return s.shards[0]
 	}
 	return s.shards[ps.KeyHash(key)%uint64(len(s.shards))]
-}
-
-// dupPush reports whether seq was already summed. Caller holds sh.mu.
-func (sh *shard) dupPush(seq uint64) bool {
-	w, ok := sh.dedup[uint32(seq>>32)]
-	if !ok {
-		return false
-	}
-	sh.dedupUse++
-	w.lastUse = sh.dedupUse
-	return w.has(seq)
-}
-
-// recordPush remembers seq for replay deduplication, bounding both the
-// per-client window and the number of tracked clients, and maintains the
-// shard's running Seq count so the dedup-size gauge is O(1) per push.
-// Caller holds sh.mu.
-func (sh *shard) recordPush(s *Server, seq uint64) {
-	client := uint32(seq >> 32)
-	w, ok := sh.dedup[client]
-	if !ok {
-		if len(sh.dedup) >= s.dedupClients {
-			// Evict the least-recently-active client's window whole: its
-			// requests are the least likely to still be replayed.
-			var lruID uint32
-			var lru *seqWindow
-			for id, cand := range sh.dedup {
-				if lru == nil || cand.lastUse < lru.lastUse {
-					lruID, lru = id, cand
-				}
-			}
-			delete(sh.dedup, lruID)
-			sh.seqs -= len(lru.seen)
-			s.inst.dedupSize.Add(-int64(len(lru.seen)))
-			s.inst.dedupEvictions.Add(uint64(len(lru.order)))
-		}
-		w = &seqWindow{seen: make(map[uint64]struct{})}
-		sh.dedup[client] = w
-	}
-	sh.dedupUse++
-	w.lastUse = sh.dedupUse
-	if w.add(seq, s.dedupCap) {
-		// One Seq evicted, one inserted: the running count is unchanged.
-		s.inst.dedupEvictions.Inc()
-	} else {
-		sh.seqs++
-		s.inst.dedupSize.Add(1)
-	}
-}
-
-// DedupSize returns the total number of remembered push Seqs across all
-// shards — bounded by shards·clients·cap regardless of run length.
-func (s *Server) DedupSize() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.seqs
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Listen binds to addr (e.g. "127.0.0.1:0") and serves connections until
@@ -710,18 +579,16 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 		sh.mu.Unlock()
 		return s.rejectMsg(req, errServerClosed), nil, agg{}
 	}
-	if req.Seq != 0 && sh.dupPush(req.Seq) {
-		// Replayed push (client retried after a lost ack): acknowledge
-		// without summing again. The dedup window lives per client, not
-		// per entry, so a replay arriving after its entry was reclaimed is
-		// still recognized instead of corrupting a fresh aggregate.
-		sh.mu.Unlock()
-		s.inst.dedupHits.Inc()
-		return pushAck(req), nil, agg{}
-	}
 	k := entryKey{req.Key, req.Iter}
 	e, ok := sh.entries[k]
 	if !ok {
+		if req.Seq != 0 && sh.completed.known(k) {
+			// A replay arriving after its entry was reclaimed: acknowledged,
+			// not summed into a fresh aggregate.
+			sh.mu.Unlock()
+			s.inst.dedupHits.Inc()
+			return pushAck(req), nil, agg{}
+		}
 		e = &entry{}
 		sh.entries[k] = e
 		s.inst.entries.Add(1)
@@ -738,6 +605,13 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 		// aggregate wrong for at least one worker's decoder.
 		sh.mu.Unlock()
 		return s.rejectMsg(req, fmt.Sprintf("push codec mismatch for %s", req.Key)), nil, agg{}
+	}
+	if listed(e.pushers, req.Seq) {
+		// This client's push is already summed: a retry after a lost ack,
+		// or a re-send under a fresh Seq. Acknowledge without summing.
+		sh.mu.Unlock()
+		s.inst.dedupHits.Inc()
+		return pushAck(req), nil, agg{}
 	}
 	if e.pushes >= s.workers {
 		// More pushes than workers for one (key, iter): a protocol misuse
@@ -762,9 +636,7 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 			sum[i] += math.Float32frombits(bits)
 		}
 	}
-	if req.Seq != 0 {
-		sh.recordPush(s, req.Seq)
-	}
+	e.pushers = list(e.pushers, req.Seq)
 	e.pushes++
 	if e.pushes == s.workers {
 		wake = e.waiters
@@ -864,8 +736,8 @@ func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *m
 }
 
 // countPullServed performs the post-write pull bookkeeping: dropping the
-// pull's reference to its response a, Seq-level retry dedup, the served
-// count, and entry reclamation once every worker has been served, which
+// pull's reference to its response a, counting each client served once,
+// and entry reclamation once every worker has been served, which
 // moves the entry's reference into the shard's completed log so a retried
 // pull whose response was lost on the wire is re-answered.
 //
@@ -884,16 +756,11 @@ func (s *Server) countPullServed(req message, a agg) {
 	if !ok {
 		return
 	}
-	if req.Seq != 0 {
-		if _, dup := e.pullSeen[req.Seq]; dup {
-			s.inst.dedupHits.Inc()
-			return // retried pull: already counted
-		}
-		if e.pullSeen == nil {
-			e.pullSeen = make(map[uint64]struct{})
-		}
-		e.pullSeen[req.Seq] = struct{}{}
+	if listed(e.pullers, req.Seq) {
+		s.inst.dedupHits.Inc()
+		return // retried pull: already counted
 	}
+	e.pullers = list(e.pullers, req.Seq)
 	e.served++
 	if e.served >= s.workers {
 		delete(sh.entries, k)

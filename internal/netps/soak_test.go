@@ -23,10 +23,7 @@ func TestSoak256Clients(t *testing.T) {
 		iters   = 4
 	)
 	reg := metrics.NewRegistry()
-	srv, err := NewServer(1,
-		WithShards(8),
-		WithDedupClients(2*clients),
-		WithServerMetrics(reg))
+	srv, err := NewServer(1, WithShards(8), WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

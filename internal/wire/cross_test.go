@@ -61,7 +61,7 @@ func TestBothTransportsSpeakOneFrame(t *testing.T) {
 		t.Fatalf("netps frame = %+v %v, want %+v %v", f.h, f.vals, want, grad)
 	}
 
-	p, err := netar.NewPeer(1, 3, netar.WithConfig(netar.Config{StepTimeout: 50 * time.Millisecond}))
+	p, err := netar.NewPeer(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,18 @@ func TestBothTransportsSpeakOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The collective cannot finish (nobody answers); its first segment is
-	// what this test reads. Rank 1 of 3 opens by sending chunk 1 at step 0.
-	if _, err := p.AllReduce("L03[1/4]", 9, grad); err == nil {
+	// what this test reads. Rank 1 of 3 opens by sending chunk 1 at step 0,
+	// then waits for a segment until Close fails it.
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.AllReduce("L03[1/4]", 9, grad)
+		done <- err
+	}()
+	f = <-frames
+	p.Close()
+	if err := <-done; err == nil {
 		t.Fatal("a ring of one live peer completed a collective")
 	}
-	f = <-frames
 	want = wire.Header{Op: uint8(netar.OpData), Iter: 9, Seq: 1, Step: 0, Chunk: 1, Key: "L03[1/4]"}
 	if f.h != want || !slices.Equal(f.vals, grad[1:2]) {
 		t.Fatalf("netar frame = %+v %v, want %+v %v", f.h, f.vals, want, grad[1:2])
