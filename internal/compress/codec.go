@@ -18,16 +18,17 @@ package compress
 //	          the original — the same value+index model Ratio() charges.
 //
 // Encoding is append-style into a caller-supplied buffer and allocation-free
-// in steady state (top-k selection scratch comes from a sync.Pool), so the
-// transports' 0 allocs/op hot-path discipline holds with a codec attached.
+// into one with EncodedLen spare capacity (top-k selects in that same
+// buffer), so the transports' 0 allocs/op hot-path discipline holds with a
+// codec attached.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // CodecID is the one-byte codec identifier carried in the netps and netar
@@ -340,45 +341,43 @@ func decodeInt8(dst []float32, payload []byte, n int) ([]float32, error) {
 	return dst, nil
 }
 
-// idxPool recycles top-k selection scratch so steady-state encoding does
-// not allocate.
-var idxPool = sync.Pool{New: func() any { return new([]int32) }}
-
 // appendTopK encodes the k largest-|v| elements (ties keep the lower
 // index) as (index, value) pairs sorted by index — deterministic for a
-// given input, which keeps fused keys comparable across workers.
+// given input, which keeps fused keys comparable across workers. The
+// selection needs no scratch: its heap is the k output pairs themselves,
+// sorted by index in place at the end.
 func (c Codec) appendTopK(dst []byte, v []float32) []byte {
-	n := len(v)
-	k := c.topKCount(n)
-	sp := idxPool.Get().(*[]int32)
-	idx := (*sp)[:0]
-	// evicted(a, b): element a loses to element b in the keep-largest
-	// min-heap (smaller magnitude loses; equal magnitude, higher index
-	// loses — so the lowest indices survive ties).
-	evicted := func(a, b int32) bool {
-		va, vb := abs32(v[a]), abs32(v[b])
+	n, k := len(v), c.topKCount(len(v))
+	start := len(dst)
+	dst = slices.Grow(dst, 4+8*k)[:start+4+8*k]
+	binary.BigEndian.PutUint32(dst[start:], uint32(k))
+	heap := pairHeap(dst[start+4:])
+	// evicted(a, b): pair a loses to pair b in the keep-largest min-heap
+	// (smaller magnitude loses; equal magnitude, higher index loses — so
+	// the lowest indices survive ties).
+	evicted := func(a, b uint64) bool {
+		va, vb := abs32(math.Float32frombits(uint32(a))), abs32(math.Float32frombits(uint32(b)))
 		if va != vb {
 			return va < vb
 		}
-		return a > b
+		return a>>32 > b>>32
 	}
+	var top uint64 // the weakest kept pair, at the root
 	for i := 0; i < n; i++ {
-		if len(idx) < k {
-			idx = append(idx, int32(i))
-			siftUp(idx, len(idx)-1, evicted)
-		} else if evicted(idx[0], int32(i)) {
-			idx[0] = int32(i)
-			siftDown(idx, 0, evicted)
+		p := uint64(i)<<32 | uint64(math.Float32bits(v[i]))
+		switch {
+		case i < k:
+			heap.set(i, p)
+			heap[:8*i+8].siftUp(i, evicted)
+		case evicted(top, p):
+			heap.set(0, p)
+			heap.siftDown(0, evicted)
+		default:
+			continue
 		}
+		top = heap.at(0)
 	}
-	heapsortInt32(idx)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(k))
-	for _, i := range idx {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(i))
-		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(v[i]))
-	}
-	*sp = idx
-	idxPool.Put(sp)
+	heap.sort()
 	return dst
 }
 
@@ -410,44 +409,56 @@ func abs32(x float32) float32 {
 	return x
 }
 
-// siftUp/siftDown maintain a binary heap over idx ordered by less.
-func siftUp(idx []int32, i int, less func(a, b int32) bool) {
+// pairHeap is a binary heap of top-k output pairs, each a big-endian
+// uint64: the element index in the high half, its fp32 bits in the low.
+type pairHeap []byte
+
+func (h pairHeap) at(i int) uint64     { return binary.BigEndian.Uint64(h[8*i:]) }
+func (h pairHeap) set(i int, p uint64) { binary.BigEndian.PutUint64(h[8*i:], p) }
+
+func (h pairHeap) swap(i, j int) {
+	x, y := h.at(i), h.at(j)
+	h.set(i, y)
+	h.set(j, x)
+}
+
+func (h pairHeap) siftUp(i int, less func(a, b uint64) bool) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !less(idx[i], idx[p]) {
+		if !less(h.at(i), h.at(p)) {
 			return
 		}
-		idx[i], idx[p] = idx[p], idx[i]
+		h.swap(i, p)
 		i = p
 	}
 }
 
-func siftDown(idx []int32, i int, less func(a, b int32) bool) {
-	n := len(idx)
+func (h pairHeap) siftDown(i int, less func(a, b uint64) bool) {
+	n := len(h) / 8
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && less(idx[l], idx[m]) {
+		if l < n && less(h.at(l), h.at(m)) {
 			m = l
 		}
-		if r < n && less(idx[r], idx[m]) {
+		if r < n && less(h.at(r), h.at(m)) {
 			m = r
 		}
 		if m == i {
 			return
 		}
-		idx[i], idx[m] = idx[m], idx[i]
+		h.swap(i, m)
 		i = m
 	}
 }
 
-// heapsortInt32 sorts ascending without allocating (sort.Slice would box).
-func heapsortInt32(a []int32) {
-	desc := func(x, y int32) bool { return x > y } // max-heap -> ascending
-	for i := len(a)/2 - 1; i >= 0; i-- {
-		siftDown(a, i, desc)
+// sort orders the pairs by index, ascending, in place (heapsort).
+func (h pairHeap) sort() {
+	desc := func(x, y uint64) bool { return x>>32 > y>>32 }
+	for i := len(h)/16 - 1; i >= 0; i-- {
+		h.siftDown(i, desc)
 	}
-	for end := len(a) - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		siftDown(a[:end], 0, desc)
+	for end := len(h)/8 - 1; end > 0; end-- {
+		h.swap(0, end)
+		h[:8*end].siftDown(0, desc)
 	}
 }

@@ -1,8 +1,11 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -218,6 +221,54 @@ func TestTopKProperty(t *testing.T) {
 	}
 }
 
+// TestTopKEncodeAllocs: top-k selects in the tail of the caller's buffer,
+// so encoding into one with EncodedLen spare capacity allocates nothing —
+// under the race detector too, where a pooled scratch would be dropped now
+// and then. And the in-place selection emits exactly the bytes a sort-based
+// reference does (by |v| descending, then index ascending) over seeded
+// vectors dense in ties and signed zeros, for k of 1, n/2 and n.
+func TestTopKEncodeAllocs(t *testing.T) {
+	v := randVec(rand.New(rand.NewSource(7)), 4096)
+	c, err := TopKCodec(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 3+c.EncodedLen(len(v)))
+	if allocs := testing.AllocsPerRun(50, func() { dst = c.AppendEncode(dst[:3], v) }); allocs != 0 {
+		t.Fatalf("top-k AppendEncode into a presized buffer allocates %v times per call, want 0", allocs)
+	}
+
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(64)
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = []float32{0, float32(math.Copysign(0, -1)), 1, -1, 2, -2, 0.5}[r.Intn(7)]
+		}
+		for _, k := range []int{1, max(1, n/2), n} {
+			c, err := TopKCodecCount(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = i
+			}
+			sort.SliceStable(idx, func(a, b int) bool { return math.Abs(float64(v[idx[a]])) > math.Abs(float64(v[idx[b]])) })
+			kept := idx[:k]
+			sort.Ints(kept)
+			want := binary.BigEndian.AppendUint32([]byte("pre"), uint32(k))
+			for _, i := range kept {
+				want = binary.BigEndian.AppendUint32(want, uint32(i))
+				want = binary.BigEndian.AppendUint32(want, math.Float32bits(v[i]))
+			}
+			if got := c.AppendEncode([]byte("pre"), v); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d, k=%d of %v:\n got  %x\n want %x", trial, k, v, got, want)
+			}
+		}
+	}
+}
+
 func TestParseCodec(t *testing.T) {
 	good := map[string]CodecID{
 		"": CodecIdentity, "none": CodecIdentity, "identity": CodecIdentity,
@@ -278,8 +329,6 @@ func TestDecodeRejectsBadFraming(t *testing.T) {
 func benchCodecEncode(b *testing.B, c Codec) {
 	v := randVec(rand.New(rand.NewSource(5)), 4096)
 	dst := make([]byte, 0, c.EncodedLen(len(v)))
-	// Warm the selection scratch pool.
-	dst = c.AppendEncode(dst[:0], v)
 	b.SetBytes(int64(4 * len(v)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,6 @@
 // Micro-benchmarks of the netar bulk path. Every ring hop encodes one
 // segment into the peer's reused staging buffer and frames it, so the pair
-// must stay allocation-free (wire.Write's pooled staging) even with the
+// must stay allocation-free (the wire.Conn's own staging) even with the
 // codec envelope fields set; a whole loopback collective reduces into the
 // caller's buffer through recycled segment buffers and scratch, so its
 // allocs/op counts only per-segment bookkeeping.
@@ -11,7 +11,7 @@
 package netar
 
 import (
-	"io"
+	"net"
 	"sync"
 	"testing"
 
@@ -19,15 +19,21 @@ import (
 	"bytescheduler/internal/wire"
 )
 
+// discard is a net.Conn that swallows every write: framing alone.
+type discard struct{ net.Conn }
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
 func BenchmarkFrameEncode(b *testing.B) {
 	h := wire.Header{Op: uint8(OpData), Iter: 7, Seq: 42, Step: 3, Chunk: 1, Key: "layer12/weight:3"}
 	seg := make([]float32, 64<<10)
+	c := wire.NewConn(discard{})
 	var payload []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload, h.Codec, h.Orig = wire.AppendFloats(payload[:0], compress.FP16Codec(), seg)
-		if err := wire.Write(io.Discard, h, payload); err != nil {
+		if err := c.WriteFrame(h, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

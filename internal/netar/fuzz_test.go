@@ -19,6 +19,7 @@ package netar
 import (
 	"bytes"
 	"math"
+	"net"
 	"slices"
 	"testing"
 
@@ -87,7 +88,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		if !p.deliver(m) {
+		end, _ := net.Pipe() // never read: deliver only takes its buffer
+		defer end.Close()
+		if !p.deliver(wire.NewConn(end), m) {
 			t.Fatal("an empty pending table refused a segment")
 		}
 		want, decodeErr := wire.Floats(nil, m.Header, m.Payload)

@@ -1,15 +1,16 @@
 package netar
 
 import (
-	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/stats"
 	"bytescheduler/internal/trace"
 	"bytescheduler/internal/wire"
@@ -86,13 +87,6 @@ type slotKey struct {
 	step uint16
 }
 
-// slot parks one segment (or one waiter) for a schedule position. The
-// channel has capacity 1 so the predecessor's reader can always deposit
-// and move on — the deadlock-avoidance invariant of the ring.
-type slot struct {
-	ch chan message
-}
-
 // Peer is one rank of a live segmented ring all-reduce. It listens for its
 // predecessor, dials its successor, and runs any number of concurrent
 // keyed collectives over those two persistent connections.
@@ -118,21 +112,25 @@ type Peer struct {
 	seq atomic.Uint64
 
 	// sendMu serializes frame writes to the successor so concurrent
-	// collectives never interleave partial frames.
+	// collectives never interleave partial frames; monitorLoop reads the
+	// same connection without it.
 	sendMu sync.Mutex
-	succ   net.Conn
+	succ   *wire.Conn
 	// encBuf is the codec staging buffer for outbound segments, reused
 	// under sendMu so steady-state sends do not allocate.
 	encBuf []byte
 
-	// The recycler: inbound segment buffers and reduce-scatter scratch.
-	payloads freeList[byte]
-	scratch  freeList[float32]
-
-	mu        sync.Mutex
-	rng       *stats.RNG
-	ln        net.Listener
-	slots     map[slotKey]*slot
+	// mu guards, besides the slot table, the peer's recycled inbound segment
+	// buffers and reduce-scatter scratch.
+	mu       sync.Mutex
+	payloads recycle.List[[]byte]
+	scratch  recycle.List[[]float32]
+	rng      *stats.RNG
+	ln       net.Listener
+	// slots parks one segment (or one waiter) per schedule position, in a
+	// channel of capacity 1 so the predecessor's reader can always deposit
+	// and move on — the deadlock-avoidance invariant of the ring.
+	slots     map[slotKey]chan message
 	conns     map[net.Conn]struct{}
 	remoteErr error
 	closed    bool
@@ -155,7 +153,7 @@ func NewPeer(rank, size int, opts ...Option) (*Peer, error) {
 		size:        size,
 		stepTimeout: DefaultStepTimeout,
 		maxPending:  DefaultMaxPending,
-		slots:       make(map[slotKey]*slot),
+		slots:       make(map[slotKey]chan message),
 		conns:       make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
 	}
@@ -239,14 +237,14 @@ func (p *Peer) Dial(succAddr string) error {
 		conn.Close()
 		return fmt.Errorf("netar: already dialed")
 	}
-	p.succ = conn
+	p.succ = wire.NewConn(conn)
 	p.sendMu.Unlock()
 	if p.isClosed() {
 		conn.Close()
 		return fmt.Errorf("netar: peer closed")
 	}
 	p.wg.Add(1)
-	go p.monitorLoop(conn)
+	go p.monitorLoop(p.succ)
 	return nil
 }
 
@@ -302,31 +300,28 @@ func (p *Peer) readLoop(conn net.Conn) {
 		p.mu.Unlock()
 		conn.Close()
 	}()
-	br := bufio.NewReaderSize(conn, 4096)
+	c := wire.NewConn(conn)
 	for {
 		var m message
 		var err error
-		buf := p.payloads.get(0)
-		if m.Header, m.Payload, err = wire.ReadInto(br, buf); err != nil {
+		if m.Header, m.Payload, err = c.ReadFrame(); err != nil {
 			return
 		}
-		// The buffer travels with the segment to whoever consumes it.
-		m.buf = wire.Retain(buf, m.Payload)
 		switch Op(m.Op) {
 		case OpData:
-			if !p.deliver(m) {
+			if !p.deliver(c, m) {
 				// Pending table full: tell the predecessor its segment was
 				// rejected, then drop the connection — its framing is no
 				// longer trusted to stay in sync with our slot state.
 				p.inst.drops.Inc()
-				p.notifyErr(conn, wire.Header{Op: uint8(OpErr), Iter: m.Iter, Key: m.Key},
+				p.notifyErr(c, wire.Header{Op: uint8(OpErr), Iter: m.Iter, Key: m.Key},
 					fmt.Sprintf("netar: rank %d pending table full (%d slots)", p.rank, p.maxPending))
 				return
 			}
 		default:
 			// Unknown op: the stream framing may be out of sync; report and
 			// drop the connection rather than misparse everything after it.
-			p.notifyErr(conn, wire.Header{Op: uint8(OpErr)},
+			p.notifyErr(c, wire.Header{Op: uint8(OpErr)},
 				fmt.Sprintf("netar: rank %d unknown op %d", p.rank, m.Op))
 			return
 		}
@@ -336,18 +331,17 @@ func (p *Peer) readLoop(conn net.Conn) {
 // notifyErr best-effort writes an OpErr frame back to the predecessor on
 // the inbound connection (the only traffic that flows "backwards"); the
 // caller drops the connection right after, so failures are ignored.
-func (p *Peer) notifyErr(conn net.Conn, h wire.Header, text string) {
-	conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
-	_ = wire.Write(conn, h, []byte(text))
+func (p *Peer) notifyErr(c *wire.Conn, h wire.Header, text string) {
+	c.SetWriteDeadline(time.Now().Add(DefaultTimeout))
+	_ = c.WriteFrame(h, []byte(text))
 }
 
 // monitorLoop drains the outbound connection for OpErr notifications from
 // the successor (the only traffic that flows "backwards" on the ring).
-func (p *Peer) monitorLoop(conn net.Conn) {
+func (p *Peer) monitorLoop(c *wire.Conn) {
 	defer p.wg.Done()
-	br := bufio.NewReaderSize(conn, 4096)
 	for {
-		h, payload, err := wire.Read(br)
+		h, payload, err := c.ReadFrame()
 		if err != nil {
 			return
 		}
@@ -362,33 +356,33 @@ func (p *Peer) monitorLoop(conn net.Conn) {
 	}
 }
 
-// deliver parks a segment in its slot (creating the slot if the local
-// collective has not reached that step yet). It reports false when the
-// bounded pending table is full; duplicate segments for an already-filled
-// slot are counted and dropped — the Seq-dedup analogue for a
-// persistent-connection transport.
-func (p *Peer) deliver(m message) bool {
+// deliver parks a segment read from c in its slot (creating the slot if the
+// local collective has not reached that step yet), taking c's read buffer
+// with it to whoever consumes it; c reads on into a recycled one. It
+// reports false when the bounded pending table is full; duplicate segments
+// for an already-filled slot are counted and dropped — the Seq-dedup
+// analogue for a persistent-connection transport.
+func (p *Peer) deliver(c *wire.Conn, m message) bool {
 	k := slotKey{key: m.Key, iter: m.Iter, step: m.Step}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return true
 	}
 	s, ok := p.slots[k]
 	if !ok {
 		if len(p.slots) >= p.maxPending {
-			p.mu.Unlock()
 			return false
 		}
-		s = &slot{ch: make(chan message, 1)}
+		s = make(chan message, 1)
 		p.slots[k] = s
 	}
-	p.mu.Unlock()
+	m.buf = c.Take(p.payloads.Get())
 	select {
-	case s.ch <- m:
+	case s <- m:
 	default:
 		p.inst.dups.Inc()
-		p.payloads.put(m.buf)
+		p.payloads.Put(m.buf)
 	}
 	return true
 }
@@ -397,7 +391,7 @@ func (p *Peer) deliver(m message) bool {
 // arrived yet. Waiter-created slots are exempt from the maxPending bound:
 // waiters are bounded by the caller's own concurrency (the scheduler's
 // credit), not by a remote peer.
-func (p *Peer) waiterSlot(k slotKey) (*slot, error) {
+func (p *Peer) waiterSlot(k slotKey) (chan message, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -405,16 +399,20 @@ func (p *Peer) waiterSlot(k slotKey) (*slot, error) {
 	}
 	s, ok := p.slots[k]
 	if !ok {
-		s = &slot{ch: make(chan message, 1)}
+		s = make(chan message, 1)
 		p.slots[k] = s
 	}
 	return s, nil
 }
 
-// dropSlot removes k from the pending table.
-func (p *Peer) dropSlot(k slotKey) {
+// dropSlot removes k from the pending table and recycles buf, the buffer
+// of the segment consumed there (nil if none).
+func (p *Peer) dropSlot(k slotKey, buf []byte) {
 	p.mu.Lock()
 	delete(p.slots, k)
+	if buf != nil {
+		p.payloads.Put(buf)
+	}
 	p.mu.Unlock()
 }
 
@@ -446,7 +444,7 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 	payload, h.Codec, h.Orig = wire.AppendFloats(p.encBuf[:0], p.codec, seg)
 	p.encBuf = payload[:0]
 	p.succ.SetWriteDeadline(time.Now().Add(DefaultTimeout))
-	if err := wire.Write(p.succ, h, payload); err != nil {
+	if err := p.succ.WriteFrame(h, payload); err != nil {
 		return fmt.Errorf("netar: send step %d to successor: %w", step, err)
 	}
 	p.inst.steps.Inc()
@@ -473,9 +471,8 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 		timeout = t.C
 	}
 	select {
-	case m := <-s.ch:
-		p.dropSlot(k)
-		defer p.payloads.put(m.buf)
+	case m := <-s:
+		defer p.dropSlot(k, m.buf)
 		if m.Chunk != wantChunk {
 			return fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
 				step, key, iter, m.Chunk, wantChunk)
@@ -493,10 +490,10 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 		p.inst.bytesRecv.Add(uint64(len(m.Payload)))
 		return nil
 	case <-p.done:
-		p.dropSlot(k)
+		p.dropSlot(k, nil)
 		return fmt.Errorf("netar: peer closed while waiting for step %d of %s#%d", step, key, iter)
 	case <-timeout:
-		p.dropSlot(k)
+		p.dropSlot(k, nil)
 		p.inst.stepTimeouts.Inc()
 		return fmt.Errorf("netar: timeout after %v waiting for step %d of %s#%d (dead peer?)",
 			p.stepTimeout, step, key, iter)
@@ -560,8 +557,14 @@ func (p *Peer) allReduce(key string, iter uint32, in, out []float32) error {
 	// partial sum; after M-1 steps rank r owns the fully reduced chunk
 	// (r+1) mod M. Incoming partial sums land in one recycled scratch
 	// (chunk 0 is never shorter than any other).
-	scratch := p.scratch.get(chunkBound(len(out), m, 1))
-	defer p.scratch.put(scratch)
+	p.mu.Lock()
+	scratch := slices.Grow(p.scratch.Get()[:0], chunkBound(len(out), m, 1))
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.scratch.Put(scratch)
+		p.mu.Unlock()
+	}()
 	for s := 0; s < m-1; s++ {
 		sendChunk := mod(p.rank-s, m)
 		recvChunk := mod(p.rank-s-1, m)

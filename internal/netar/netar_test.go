@@ -24,7 +24,13 @@ func seg(key string, iter uint32, seq uint64, step, chunk uint16, payload []byte
 	return message{Header: wire.Header{Op: uint8(OpData), Iter: iter, Seq: seq, Step: step, Chunk: chunk, Key: key}, Payload: payload}
 }
 
-func writeMsg(w io.Writer, m message) error { return wire.Write(w, m.Header, m.Payload) }
+func writeMsg(w io.Writer, m message) error {
+	frame, err := wire.Append(nil, m.Header, m.Payload)
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	return err
+}
 
 func readMsg(r io.Reader) (m message, err error) {
 	m.Header, m.Payload, err = wire.Read(r)
@@ -467,9 +473,11 @@ func TestRecvSegmentWrongLengthInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	end, _ := net.Pipe() // never read: deliver only takes its buffer
+	defer end.Close()
 	for step, payload := range [][]byte{f32(1, 2, 3), f32(1)} {
 		acc := []float32{-1, -1, -1, -1}
-		if !p.deliver(seg("k", 1, 1, uint16(step), 0, payload)) {
+		if !p.deliver(wire.NewConn(end), seg("k", 1, 1, uint16(step), 0, payload)) {
 			t.Fatal("an empty pending table refused a segment")
 		}
 		err := p.recvSegment("k", 1, uint16(step), 0, acc[:2])

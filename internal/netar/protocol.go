@@ -42,11 +42,7 @@
 // blocked waiters. Their bounds are the Default* constants.
 package netar
 
-import (
-	"sync"
-
-	"bytescheduler/internal/wire"
-)
+import "bytescheduler/internal/wire"
 
 // Op is the wire operation code.
 type Op uint8
@@ -84,31 +80,4 @@ func chunkBound(n, m, c int) int { return c*(n/m) + min(c, n%m) }
 // chunk is chunk c of v cut into m chunks.
 func chunk(v []float32, m, c int) []float32 {
 	return v[chunkBound(len(v), m, c):chunkBound(len(v), m, c+1)]
-}
-
-// freeList is a mutex-guarded stack of reusable buffers; unlike a
-// sync.Pool it keeps every put, under the race detector too.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	bufs [][]T
-}
-
-// get pops a buffer of length n, allocating if the top one is too short.
-func (f *freeList[T]) get(n int) (b []T) {
-	f.mu.Lock()
-	if k := len(f.bufs); k > 0 {
-		b, f.bufs = f.bufs[k-1], f.bufs[:k-1]
-	}
-	f.mu.Unlock()
-	if cap(b) < n {
-		b = make([]T, n)
-	}
-	return b[:n]
-}
-
-// put pushes b for reuse; the caller must not touch it afterwards.
-func (f *freeList[T]) put(b []T) {
-	f.mu.Lock()
-	f.bufs = append(f.bufs, b)
-	f.mu.Unlock()
 }

@@ -1,5 +1,5 @@
-// Micro-benchmarks of the netps hot paths: message framing (wire.Write's
-// pooled staging, two frames per RPC), batch envelope encoding (sized
+// Micro-benchmarks of the netps hot paths: message framing (a wire.Conn's
+// own staging, two frames per RPC), batch envelope encoding (sized
 // exactly up front), the server's pull fast path (the aggregate's float32
 // marshal, computed once per entry instead of once per pull), and one
 // whole aggregate's push + pull cycle on the server.
@@ -16,17 +16,24 @@ import (
 	"testing"
 
 	"bytescheduler/internal/compress"
+	"bytescheduler/internal/wire"
 )
+
+// discard is a net.Conn that swallows every write: framing alone.
+type discard struct{ net.Conn }
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkProtocolEncode frames one push message (256 KB payload) per
 // iteration — the client-side cost of putting a scheduled partition on the
-// wire. With the pooled header buffer this is 0 allocs/op.
+// wire. With the connection's own header buffer this is 0 allocs/op.
 func BenchmarkProtocolEncode(b *testing.B) {
 	m := newMessage(OpPush, "layer12/weight:3", 7, 1<<32|42, make([]byte, 256<<10))
+	c := wire.NewConn(discard{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMsg(io.Discard, m); err != nil {
+		if err := c.WriteFrame(m.Header, m.Payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +73,7 @@ func BenchmarkServerPull(b *testing.B) {
 		grad[i] = float32(i) * 0.5
 	}
 	push := newMessage(OpPush, "w", 1, 1<<32|1, f32(grad...))
-	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
+	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpPush {
 		b.Fatalf("push rejected: %s", resp.Payload)
 	}
 	req := newMessage(OpPull, "w", 1, 0, nil)
@@ -105,7 +112,7 @@ func BenchmarkServerPushPull(b *testing.B) {
 		iter, seq := uint32(i), uint64(2*i+1)
 		for w := uint64(1); w <= 2; w++ {
 			push := newMessage(OpPush, "w", iter, w<<32|seq, payload)
-			if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
+			if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpPush {
 				b.Fatalf("push rejected: %s", resp.Payload)
 			}
 		}
@@ -135,10 +142,11 @@ func BenchmarkServerPushPull(b *testing.B) {
 func BenchmarkProtocolEncodeCodec(b *testing.B) {
 	m := newMessage(OpPush, "layer12/weight:3", 7, 1<<32|42, make([]byte, 128<<10))
 	m.Codec, m.Orig = uint8(compress.CodecFP16), 256<<10
+	c := wire.NewConn(discard{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMsg(io.Discard, m); err != nil {
+		if err := c.WriteFrame(m.Header, m.Payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,7 +155,7 @@ func BenchmarkProtocolEncodeCodec(b *testing.B) {
 // BenchmarkProtocolEncodeVecCodec writes a codec-bearing pull response
 // (int8, 64 KB) to a loopback TCP connection, where the scatter-gather
 // write really is one writev: header and payload leave in one syscall and
-// the pooled staging keeps it at 0 allocs/op.
+// the connection's own staging keeps it at 0 allocs/op.
 func BenchmarkProtocolEncodeVecCodec(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -167,10 +175,11 @@ func BenchmarkProtocolEncodeVecCodec(b *testing.B) {
 	defer conn.Close()
 	m := newMessage(OpPull, "layer12/weight:3", 7, 1<<32|42, make([]byte, 4+64<<10))
 	m.Codec, m.Orig = uint8(compress.CodecInt8), 256<<10
+	c := wire.NewConn(conn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMsg(conn, m); err != nil {
+		if err := c.WriteFrame(m.Header, m.Payload); err != nil {
 			b.Fatal(err)
 		}
 	}

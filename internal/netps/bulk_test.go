@@ -1,7 +1,7 @@
 // Tests for the bulk path's buffer reuse: what one push + pull cycle may
 // allocate, and who owns each recycled buffer until when (ARCHITECTURE,
-// "Buffer ownership"). Both run under the race detector; the ownership
-// test is meant for -race -count=10.
+// "Object and buffer ownership"). Both run under the race detector, and CI
+// repeats them with -race -count=3.
 package netps
 
 import (
@@ -46,12 +46,12 @@ func checkConst(t *testing.T, what string, got []float32, n int, want float32) {
 // two workers each Push + PullInto one 256 KB partition per iteration, and
 // after a warm-up one such iteration allocates at most an eighth of a
 // partition's bytes. Every gradient-sized buffer is recycled: the push
-// encode buffer through the client's free list, the sum and the
+// encode buffer through the client's list, the sum and the
 // aggregate's wire form through their shard's, the latter once the last
 // reference from a puller or the completed log is dropped, so what is left
 // is per-request bookkeeping. A byte budget, not an allocation count, and
-// held under the race detector too: the bulk buffers are on free lists,
-// not sync.Pool, which drops a quarter of its puts there.
+// held under the race detector too: the bulk buffers are on their owners'
+// recycle lists, which keep every put, where a sync.Pool drops a quarter.
 func TestBulkPathAllocBudget(t *testing.T) {
 	const (
 		floats = 64 << 10 // 256 KB of fp32
@@ -360,7 +360,7 @@ func TestBufferOwnership(t *testing.T) {
 				t.Fatalf("iter %d: early pull did not park", iter)
 			}
 			ps.push(iter, 1)
-			resp, wake, result := srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, 2)...)))
+			resp, wake, result := srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, 2)...)), new([]float32))
 			if Op(resp.Op) != OpPush || len(wake) != 1 {
 				t.Fatalf("iter %d: completing push answered %+v, woke %d", iter, resp.Header, len(wake))
 			}
@@ -402,14 +402,14 @@ func refServer(t *testing.T, workers int, opts ...ServerOption) (*Server, refDri
 // push sends one refFloats-long push of v for iteration iter of "k".
 func (d refDriver) push(iter uint32, v float32) {
 	d.t.Helper()
-	if resp, _, _ := d.srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, v)...))); Op(resp.Op) != OpPush {
+	if resp, _, _ := d.srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, v)...)), new([]float32)); Op(resp.Op) != OpPush {
 		d.t.Fatalf("push %d rejected: %s", iter, resp.Payload)
 	}
 }
 
 // pull resolves a ready pull of iteration iter and returns it with the
 // reference it holds on the aggregate.
-func (d refDriver) pull(iter uint32, seq uint64) (message, agg) {
+func (d refDriver) pull(iter uint32, seq uint64) (message, *agg) {
 	d.t.Helper()
 	req := newMessage(OpPull, "k", iter, seq, nil)
 	a, wait, errResp := d.srv.resolvePull(req)
@@ -420,10 +420,10 @@ func (d refDriver) pull(iter uint32, seq uint64) (message, agg) {
 }
 
 // serve finishes a pull whose response write succeeded.
-func (d refDriver) serve(req message, a agg) { d.srv.countPullServed(req, a) }
+func (d refDriver) serve(req message, a *agg) { d.srv.countPullServed(req, a) }
 
 // decode reads a pull response's values out of the aggregate buffer.
-func (d refDriver) decode(req message, a agg) []float32 {
+func (d refDriver) decode(req message, a *agg) []float32 {
 	d.t.Helper()
 	resp := pullResp(req, a)
 	v, err := wire.Floats(nil, resp.Header, resp.Payload)

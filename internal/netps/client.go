@@ -1,7 +1,6 @@
 package netps
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"slices"
@@ -11,6 +10,7 @@ import (
 
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/stats"
 	"bytescheduler/internal/trace"
 	"bytescheduler/internal/wire"
@@ -174,21 +174,9 @@ type Client struct {
 
 	mu      sync.Mutex
 	rng     *stats.RNG
-	idle    []*clientConn
+	idle    recycle.List[*wire.Conn]
 	closed  bool
-	encFree [][]byte // idle Push encode buffers; one is held through its round trip's retries
-}
-
-// clientConn is one connection to the server with the buffered reader and
-// the payload buffer that live and die with it: frames are written to the
-// raw conn (one writev) and read through br (one read syscall per small
-// frame instead of three), a response's payload landing in buf — valid
-// until the connection's next read, so exchange hands it to the request's
-// recv before the connection goes back to the idle pool.
-type clientConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	buf  []byte
+	encFree recycle.List[[]byte] // idle Push encode buffers; one is held through its round trip's retries
 }
 
 // NewClient creates a client for the shard at addr.
@@ -220,15 +208,13 @@ func (c *Client) nextSeq() uint64 {
 }
 
 // conn returns a pooled connection (reused=true) or dials a fresh one.
-func (c *Client) conn() (conn *clientConn, reused bool, err error) {
+func (c *Client) conn() (conn *wire.Conn, reused bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, false, fmt.Errorf("netps: client closed")
 	}
-	if n := len(c.idle); n > 0 {
-		conn = c.idle[n-1]
-		c.idle = c.idle[:n-1]
+	if conn = c.idle.Get(); conn != nil {
 		c.mu.Unlock()
 		return conn, true, nil
 	}
@@ -238,7 +224,7 @@ func (c *Client) conn() (conn *clientConn, reused bool, err error) {
 }
 
 // dial opens a fresh connection under the client's timeout.
-func (c *Client) dial() (*clientConn, error) {
+func (c *Client) dial() (*wire.Conn, error) {
 	var d net.Dialer
 	if c.timeout > 0 {
 		d.Timeout = c.timeout
@@ -247,17 +233,17 @@ func (c *Client) dial() (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 4096)}, nil
+	return wire.NewConn(conn), nil
 }
 
-func (c *Client) release(cc *clientConn) {
+func (c *Client) release(cc *wire.Conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		cc.conn.Close()
+		cc.Close()
 		return
 	}
-	c.idle = append(c.idle, cc)
+	c.idle.Put(cc)
 }
 
 func (c *Client) isClosed() bool {
@@ -280,19 +266,16 @@ func (c *Client) backoff(attempt int) {
 // outlives the exchange leaves it before release: recv (nil for a response
 // nobody reads) decodes or copies a matching response, and an OpErr's text
 // is copied into the ServerError. It returns the response's payload length.
-func (c *Client) exchange(cc *clientConn, req message, recv func(resp message)) (int, error) {
-	conn := cc.conn
+func (c *Client) exchange(conn *wire.Conn, req message, recv func(resp message)) (int, error) {
 	if c.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	if err := wire.Write(conn, req.Header, req.Payload); err != nil {
+	if err := conn.WriteFrame(req.Header, req.Payload); err != nil {
 		conn.Close()
 		return 0, err
 	}
-	// Count wire frames where they actually hit the wire: retries and
-	// stale-conn redials each write another frame, so counting per logical
-	// request (as roundTrip once did) undercounted and skewed msgs/bytes
-	// ratios.
+	// Count wire frames where they hit the wire: retries and stale-conn
+	// redials each write another frame.
 	c.inst.msgs.Inc()
 	// Pulls wait for cross-worker aggregation and may legitimately block
 	// far longer than a push acknowledgement.
@@ -307,16 +290,15 @@ func (c *Client) exchange(cc *clientConn, req message, recv func(resp message)) 
 	}
 	var resp message
 	var err error
-	if resp.Header, resp.Payload, err = wire.ReadInto(cc.br, cc.buf); err != nil {
+	if resp.Header, resp.Payload, err = conn.ReadFrame(); err != nil {
 		conn.Close()
 		return 0, err
 	}
-	cc.buf = wire.Retain(cc.buf, resp.Payload)
 	conn.SetDeadline(time.Time{})
 	if Op(resp.Op) == OpErr {
 		// Application-level rejection: the connection is still in sync.
 		rejected := &ServerError{Msg: string(resp.Payload)}
-		c.release(cc)
+		c.release(conn)
 		return 0, rejected
 	}
 	if resp.Op != req.Op || resp.Key != req.Key || resp.Iter != req.Iter || resp.Seq != req.Seq {
@@ -326,7 +308,7 @@ func (c *Client) exchange(cc *clientConn, req message, recv func(resp message)) 
 	if recv != nil {
 		recv(resp)
 	}
-	c.release(cc)
+	c.release(conn)
 	return len(resp.Payload), nil
 }
 
@@ -437,12 +419,12 @@ func (c *Client) pushMessage(dst []byte, key string, iter uint32, grad []float32
 // it.
 func (c *Client) Push(key string, iter uint32, grad []float32) error {
 	c.mu.Lock()
-	buf := pop(&c.encFree)
+	buf := c.encFree.Get()
 	c.mu.Unlock()
 	m := c.pushMessage(buf[:0], key, iter, grad)
 	err := c.roundTrip(m, nil)
 	c.mu.Lock()
-	c.encFree = append(c.encFree, m.Payload)
+	c.encFree.Put(m.Payload)
 	c.mu.Unlock()
 	return err
 }
@@ -491,7 +473,7 @@ func (c *Client) Close() {
 	defer c.mu.Unlock()
 	c.closed = true
 	for _, cc := range c.idle {
-		cc.conn.Close()
+		cc.Close()
 	}
 	c.idle = nil
 }

@@ -1,9 +1,11 @@
 package netps
 
+import "bytescheduler/internal/recycle"
+
 // completedLog remembers recently reclaimed (key, iter) aggregates so a
 // retried pull whose response was lost on the wire can be re-answered —
 // without it, the retry would recreate an empty entry and block on pushes
-// that already happened (the reclaimed-pull hang this PR fixes).
+// that already happened.
 //
 // Two FIFO tiers bound the memory:
 //
@@ -27,7 +29,7 @@ type completedLog struct {
 	budget int // payload-tier byte budget; <= 0 disables the tier
 	bytes  int // current payload-tier usage
 
-	payloads map[entryKey]agg
+	payloads map[entryKey]*agg
 	order    fifo // payload-tier FIFO
 
 	knownCap   int // identity-tier size, at least 1
@@ -60,7 +62,7 @@ func (q *fifo) pop() entryKey {
 func newCompletedLog(budget, knownCap int) completedLog {
 	return completedLog{
 		budget:   budget,
-		payloads: make(map[entryKey]agg),
+		payloads: make(map[entryKey]*agg),
 		knownCap: knownCap,
 		knownSet: make(map[entryKey]struct{}),
 	}
@@ -69,7 +71,7 @@ func newCompletedLog(budget, knownCap int) completedLog {
 // add records a reclaimed aggregate (payload plus the codec envelope
 // fields a re-answered pull must echo) with the entry's reference to it,
 // which a payload the tier cannot hold, replacement and eviction drop.
-func (l *completedLog) add(k entryKey, a agg, free *[]*aggBuf) {
+func (l *completedLog) add(k entryKey, a *agg, free *recycle.List[*agg]) {
 	if _, ok := l.knownSet[k]; !ok {
 		if l.knownOrder.n >= l.knownCap {
 			delete(l.knownSet, l.knownOrder.pop())
@@ -105,7 +107,7 @@ func (l *completedLog) add(k entryKey, a agg, free *[]*aggBuf) {
 
 // payload returns the retained aggregate for k, if its payload is still
 // within budget.
-func (l *completedLog) payload(k entryKey) (agg, bool) {
+func (l *completedLog) payload(k entryKey) (*agg, bool) {
 	p, ok := l.payloads[k]
 	return p, ok
 }

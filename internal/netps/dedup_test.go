@@ -35,7 +35,7 @@ func stateOf(srv *Server) (st replayState) {
 // once; pullAt counts the pull served, as serve does after its write.
 func pushAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64, v ...float32) {
 	t.Helper()
-	resp, wake, result := srv.processPush(newMessage(OpPush, key, iter, seq, f32(v...)))
+	resp, wake, result := srv.processPush(newMessage(OpPush, key, iter, seq, f32(v...)), new([]float32))
 	if Op(resp.Op) != OpPush {
 		t.Fatalf("push %s#%d seq %#x answered %v %q", key, iter, seq, Op(resp.Op), resp.Payload)
 	}
@@ -275,7 +275,7 @@ func TestReplayProperty(t *testing.T) {
 	}
 	type parked struct {
 		req  message
-		wait chan agg
+		wait chan *agg
 		p    part
 		w    int
 	}
@@ -308,7 +308,7 @@ func TestReplayProperty(t *testing.T) {
 			}
 			return sum
 		}
-		check := func(what string, p part, req message, a agg) {
+		check := func(what string, p part, req message, a *agg) {
 			t.Helper()
 			resp := pullResp(req, a)
 			got, err := wire.Floats(nil, resp.Header, resp.Payload)
@@ -340,7 +340,7 @@ func TestReplayProperty(t *testing.T) {
 
 		push := func(m message) {
 			t.Helper()
-			resp, wake, result := srv.processPush(m)
+			resp, wake, result := srv.processPush(m, new([]float32))
 			if Op(resp.Op) != OpPush {
 				fail("push %s#%d seq %#x rejected: %s", m.Key, m.Iter, m.Seq, resp.Payload)
 			}

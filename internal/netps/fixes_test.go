@@ -27,12 +27,12 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	push := newMessage(OpPush, "w", 1, uint64(1)<<32|1, f32(3, 4))
-	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpPush {
+	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpPush {
 		t.Fatalf("push response: %+v", resp)
 	}
 	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
 	result, wait, errResp := srv.resolvePull(pull)
-	if wait != nil || errResp != nil || result.payload == nil {
+	if wait != nil || errResp != nil || result == nil {
 		t.Fatalf("first pull not ready: result=%v wait=%v err=%v", result, wait, errResp)
 	}
 	srv.countPullServed(pull, result) // response written; entry reclaimed
@@ -71,7 +71,7 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	push := newMessage(OpPush, "w", 1, uint64(1)<<32|1, f32(3))
-	srv.processPush(push)
+	srv.processPush(push, new([]float32))
 	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
 	result, wait, errResp := srv.resolvePull(pull)
 	if wait != nil || errResp != nil {
@@ -80,7 +80,7 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	srv.countPullServed(pull, result)
 	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|3, nil)
 	result, wait, errResp = srv.resolvePull(retry)
-	if wait != nil || result.payload != nil {
+	if wait != nil || result != nil {
 		t.Fatal("retry after payload eviction must fail fast, not park or serve")
 	}
 	if errResp == nil || !strings.Contains(string(errResp.Payload), errAggregateReclaimed) {
@@ -360,11 +360,11 @@ func TestShortTopKPushRejected(t *testing.T) {
 	defer srv.Close()
 	push := newMessage(OpPush, "w", 1, 1<<32|1, []byte{0, 0, 1})
 	push.Codec, push.Orig = uint8(compress.CodecTopK), 16
-	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpErr || !strings.Contains(string(resp.Payload), "undecodable") {
+	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpErr || !strings.Contains(string(resp.Payload), "undecodable") {
 		t.Fatalf("short top-k push answered %+v, want an undecodable-push OpErr", resp)
 	}
 	push.Payload = []byte{0, 0, 0, 0} // well-formed, but carries nothing
-	if resp, _, _ := srv.processPush(push); Op(resp.Op) != OpErr {
+	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpErr {
 		t.Fatalf("empty top-k push answered %+v, want OpErr", resp)
 	}
 	if srv.Outstanding() != 0 {

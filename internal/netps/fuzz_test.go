@@ -103,7 +103,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		defer srv.Close()
 		// One worker, so an accepted push completes its aggregate at once.
-		resp, _, _ := srv.processPush(req)
+		resp, _, _ := srv.processPush(req, new([]float32))
 		if resp.Seq != req.Seq || resp.Key != req.Key || resp.Iter != req.Iter {
 			t.Fatalf("response %+v does not echo request %+v", resp.Header, req.Header)
 		}
@@ -129,7 +129,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		req2 := newMessage(OpPush, req.Key, req.Iter+1, req.Seq+1, nil)
 		req2.Payload, req2.Codec, req2.Orig = wire.AppendFloats(nil, c, next)
-		if resp, _, _ := srv.processPush(req2); Op(resp.Op) != OpPush {
+		if resp, _, _ := srv.processPush(req2, new([]float32)); Op(resp.Op) != OpPush {
 			t.Fatalf("second push rejected: %s", resp.Payload)
 		}
 		if second := pullPushed(t, srv, req2); cap(first) >= len(second) && &first[0] != &second[0] {

@@ -69,7 +69,13 @@ func TestEncodeDecode(t *testing.T) {
 
 // writeMsg and readMsg put one frame on a raw test socket; f32 is a raw
 // fp32 payload.
-func writeMsg(w io.Writer, m message) error { return wire.Write(w, m.Header, m.Payload) }
+func writeMsg(w io.Writer, m message) error {
+	frame, err := wire.Append(nil, m.Header, m.Payload)
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	return err
+}
 
 func readMsg(r io.Reader) (m message, err error) {
 	m.Header, m.Payload, err = wire.Read(r)

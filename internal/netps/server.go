@@ -1,7 +1,6 @@
 package netps
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/ps"
+	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/wire"
 )
 
@@ -117,8 +117,8 @@ type shard struct {
 	entries   map[entryKey]*entry
 	completed completedLog
 	// Free lists of unreferenced aggregate records and unheld sums.
-	aggFree []*aggBuf
-	sums    [][]float32
+	aggFree recycle.List[*agg]
+	sums    recycle.List[[]float32]
 }
 
 type entryKey struct {
@@ -145,7 +145,7 @@ type entry struct {
 	// result is sum's wire form under codec, encoded once when aggregation
 	// completes (overflow pushes are rejected from then on) and only read
 	// by every pull response after, each holding a reference (see agg).
-	result agg
+	result *agg
 	// pushers and pullers are the clients (the high half of a request's
 	// Seq) whose push this entry summed and whose pull it counted as served,
 	// at most workers each. Every worker pushes and pulls a (key, iter)
@@ -154,8 +154,8 @@ type entry struct {
 	// counted again.
 	pushers, pullers []uint32
 	// waiters are the pulls parked on this entry, one buffered channel each;
-	// the completing push (or Close, with a nil payload) sends exactly once.
-	waiters []chan agg
+	// the completing push (or Close, with nil) sends exactly once.
+	waiters []chan *agg
 	served  int
 }
 
@@ -173,39 +173,25 @@ func list(ids []uint32, seq uint64) []uint32 {
 	return append(ids, uint32(seq>>32))
 }
 
-// agg is a completed aggregate in wire form: the encoded payload plus the
-// codec envelope fields (codec id, original byte length) every pull
-// response must echo so the client can decode, as wire.AppendFloats
-// returned them. payload lives in buf, nil in a close wake-up: the entry
-// holds a reference until reclaim hands it to the completed log, and each
-// pull handed the aggregate holds one until its response is written.
+// agg is a completed aggregate in wire form, a record on its shard's free
+// list: the payload and codec envelope fields every pull response echoes,
+// as wire.AppendFloats returned them, and a reference count kept under the
+// shard lock — one for the entry until reclaim hands it to the completed
+// log, and one per pull handed it until its response is written.
 type agg struct {
 	payload []byte
 	codec   uint8
 	orig    uint32
-	buf     *aggBuf
+	refs    int
 }
 
-// aggBuf is a recycled aggregate buffer and its reference count.
-type aggBuf struct {
-	b    []byte
-	refs int
-}
-
-// unref drops one of a's references; the last puts its record on free, the
-// shard's aggFree. Caller holds the shard lock.
-func unref(free *[]*aggBuf, a agg) {
-	if a.buf.refs--; a.buf.refs == 0 {
-		*free = append(*free, a.buf)
+// unref drops one of a's references; the last poisons its bytes under test
+// and puts it on free, the shard's aggFree. Caller holds the shard lock.
+func unref(free *recycle.List[*agg], a *agg) {
+	if a.refs--; a.refs == 0 {
+		recycle.Poison(a.payload)
+		free.Put(a)
 	}
-}
-
-// pop takes the top of a free list, or the zero value from an empty one.
-func pop[T any](list *[]T) (v T) {
-	if k := len(*list); k > 0 {
-		v, *list = (*list)[k-1], (*list)[:k-1]
-	}
-	return v
 }
 
 // serverInstruments are the server's resolved metric handles; all nil
@@ -365,7 +351,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		sc := &srvConn{s: s, conn: conn, br: bufio.NewReaderSize(conn, 4096)}
+		sc := &srvConn{s: s, conn: wire.NewConn(conn)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -388,14 +374,13 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // srvConn is one accepted connection's server-side state. Only its serve
-// goroutine reads or writes the connection; Server.Close only closes it.
-// buf is the connection's payload buffer: a request's payload is a view of
-// it, consumed (summed, or parsed as a batch) before the next read.
+// goroutine reads or writes the connection; Server.Close only closes it. A
+// request's payload is a view of the connection's read buffer, consumed
+// before the next read; vals is processPush's decode scratch.
 type srvConn struct {
 	s    *Server
-	conn net.Conn
-	br   *bufio.Reader
-	buf  []byte
+	conn *wire.Conn
+	vals []float32
 }
 
 // write frames and writes one response under the server's write deadline
@@ -405,7 +390,7 @@ func (sc *srvConn) write(m message) error {
 	if d := sc.s.writeTimeout; d > 0 {
 		sc.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	return wire.Write(sc.conn, m.Header, m.Payload)
+	return sc.conn.WriteFrame(m.Header, m.Payload)
 }
 
 // close removes the connection from the server's table and closes the
@@ -413,7 +398,7 @@ func (sc *srvConn) write(m message) error {
 // Server.Close to unblock it; a second call is harmless.
 func (sc *srvConn) close() {
 	sc.s.mu.Lock()
-	delete(sc.s.conns, sc.conn)
+	delete(sc.s.conns, sc.conn.Conn)
 	sc.s.inst.conns.Set(int64(len(sc.s.conns)))
 	sc.s.mu.Unlock()
 	sc.conn.Close()
@@ -428,7 +413,7 @@ func (s *Server) serve(sc *srvConn) {
 		// An idle connection waits for its next frame with no deadline; once
 		// the first byte is here the rest must follow within readTimeout, so
 		// a peer stalled mid-frame is dropped instead of parked forever.
-		if _, err := sc.br.Peek(1); err != nil {
+		if err := sc.conn.Await(); err != nil {
 			return // EOF, or closed by Close
 		}
 		if s.readTimeout > 0 {
@@ -436,16 +421,15 @@ func (s *Server) serve(sc *srvConn) {
 		}
 		var req message
 		var err error
-		if req.Header, req.Payload, err = wire.ReadInto(sc.br, sc.buf); err != nil {
+		if req.Header, req.Payload, err = sc.conn.ReadFrame(); err != nil {
 			return // broken or stalled peer, or malformed/oversized frame
 		}
-		sc.buf = wire.Retain(sc.buf, req.Payload)
 		if s.readTimeout > 0 {
 			sc.conn.SetReadDeadline(time.Time{})
 		}
 		switch Op(req.Op) {
 		case OpPush:
-			resp, wake, result := s.processPush(req)
+			resp, wake, result := s.processPush(req, &sc.vals)
 			s.wake(wake, result)
 			if sc.write(resp) != nil {
 				return
@@ -453,7 +437,7 @@ func (s *Server) serve(sc *srvConn) {
 		case OpPull:
 			result, wait, errResp := s.resolvePull(req)
 			if wait != nil {
-				if result = <-wait; result.payload == nil {
+				if result = <-wait; result == nil {
 					// Woken by Close: fail the pull instead of hanging.
 					m := s.rejectMsg(req, errServerClosed)
 					errResp = &m
@@ -507,7 +491,7 @@ func (s *Server) serveBatch(sc *srvConn, req message) bool {
 			resps[i] = s.rejectMsg(sub, "unbatchable op")
 			continue
 		}
-		resp, wake, result := s.processPush(sub)
+		resp, wake, result := s.processPush(sub, &sc.vals)
 		s.wake(wake, result)
 		resps[i] = resp
 	}
@@ -531,7 +515,7 @@ func pushAck(req message) message {
 
 // pullResp frames a completed aggregate as a pull response, echoing the
 // codec envelope fields so the client can decode.
-func pullResp(req message, a agg) message {
+func pullResp(req message, a *agg) message {
 	m := newMessage(OpPull, req.Key, req.Iter, req.Seq, a.payload)
 	m.Codec, m.Orig = a.codec, a.orig
 	return m
@@ -540,13 +524,14 @@ func pullResp(req message, a agg) message {
 // processPush applies one push and returns its response (ack or OpErr)
 // plus any parked pulls to wake with the completed aggregate. Shared by
 // the singleton and batch paths; the caller wakes the waiters (outside the
-// shard lock) and writes the response.
-func (s *Server) processPush(req message) (resp message, wake []chan agg, result agg) {
+// shard lock) and writes the response. A codec-bearing push is decoded into
+// the caller's scratch.
+func (s *Server) processPush(req message, scratch *[]float32) (resp message, wake []chan *agg, result *agg) {
 	s.inst.pushes.Inc()
 	if len(req.Payload) == 0 {
 		// An empty push would freeze the entry's shape at length zero and
 		// poison every later well-formed push with a size mismatch.
-		return s.rejectMsg(req, "empty push payload"), nil, agg{}
+		return s.rejectMsg(req, "empty push payload"), nil, nil
 	}
 	// Decode codec-bearing payloads before taking the shard lock; the
 	// aggregate is always summed in fp32.
@@ -554,30 +539,28 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 	var topk uint32
 	n := len(req.Payload) / 4
 	if req.Codec != 0 {
-		dp := f32Pool.Get().(*[]float32)
-		defer f32Pool.Put(dp)
 		var err error
-		if vals, err = wire.Floats((*dp)[:0], req.Header, req.Payload); err != nil {
-			return s.rejectMsg(req, "undecodable push: "+err.Error()), nil, agg{}
+		if vals, err = wire.Floats((*scratch)[:0], req.Header, req.Payload); err != nil {
+			return s.rejectMsg(req, "undecodable push: "+err.Error()), nil, nil
 		}
-		*dp = vals[:0]
+		*scratch = vals
 		n = len(vals)
 		// Decoding validated the payload, so a top-k one has its count.
 		if compress.CodecID(req.Codec) == compress.CodecTopK {
 			if topk = binary.BigEndian.Uint32(req.Payload); topk == 0 {
-				return s.rejectMsg(req, "empty top-k push"), nil, agg{}
+				return s.rejectMsg(req, "empty top-k push"), nil, nil
 			}
 		}
 	} else if len(req.Payload)%4 != 0 {
 		// The frame itself was well-formed, so the stream stays in sync:
 		// reject the request but keep the connection.
-		return s.rejectMsg(req, "push payload not a float32 vector"), nil, agg{}
+		return s.rejectMsg(req, "push payload not a float32 vector"), nil, nil
 	}
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
 	if s.closing.Load() {
 		sh.mu.Unlock()
-		return s.rejectMsg(req, errServerClosed), nil, agg{}
+		return s.rejectMsg(req, errServerClosed), nil, nil
 	}
 	k := entryKey{req.Key, req.Iter}
 	e, ok := sh.entries[k]
@@ -587,7 +570,7 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 			// not summed into a fresh aggregate.
 			sh.mu.Unlock()
 			s.inst.dedupHits.Inc()
-			return pushAck(req), nil, agg{}
+			return pushAck(req), nil, nil
 		}
 		e = &entry{}
 		sh.entries[k] = e
@@ -598,30 +581,30 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 	}
 	if e.n != n {
 		sh.mu.Unlock()
-		return s.rejectMsg(req, fmt.Sprintf("push size mismatch for %s", req.Key)), nil, agg{}
+		return s.rejectMsg(req, fmt.Sprintf("push size mismatch for %s", req.Key)), nil, nil
 	}
 	if e.codec != req.Codec {
 		// Mixed codecs on one (key, iter) would make the re-encoded
 		// aggregate wrong for at least one worker's decoder.
 		sh.mu.Unlock()
-		return s.rejectMsg(req, fmt.Sprintf("push codec mismatch for %s", req.Key)), nil, agg{}
+		return s.rejectMsg(req, fmt.Sprintf("push codec mismatch for %s", req.Key)), nil, nil
 	}
 	if listed(e.pushers, req.Seq) {
 		// This client's push is already summed: a retry after a lost ack,
 		// or a re-send under a fresh Seq. Acknowledge without summing.
 		sh.mu.Unlock()
 		s.inst.dedupHits.Inc()
-		return pushAck(req), nil, agg{}
+		return pushAck(req), nil, nil
 	}
 	if e.pushes >= s.workers {
 		// More pushes than workers for one (key, iter): a protocol misuse
 		// that would corrupt the aggregate other workers already pulled.
 		sh.mu.Unlock()
-		return s.rejectMsg(req, fmt.Sprintf("push overflow for %s (all %d workers already pushed)", req.Key, s.workers)), nil, agg{}
+		return s.rejectMsg(req, fmt.Sprintf("push overflow for %s (all %d workers already pushed)", req.Key, s.workers)), nil, nil
 	}
 	if e.pushes == 0 {
 		// The first push is the sum so far: assigned, not added to zeros.
-		if sum := pop(&sh.sums)[:0]; vals != nil {
+		if sum := sh.sums.Get()[:0]; vals != nil {
 			e.sum = append(sum, vals...)
 		} else {
 			e.sum, _ = wire.Floats(sum, req.Header, req.Payload) // raw fp32, length checked above
@@ -642,40 +625,33 @@ func (s *Server) processPush(req message) (resp message, wake []chan agg, result
 		wake = e.waiters
 		e.waiters = nil
 		e.result = sh.encodeEntry(e)
-		e.result.buf.refs += len(wake) // one per woken puller, dropped after its write
+		e.result.refs += len(wake) // one per woken puller, dropped after its write
 		result = e.result
-		sh.sums = append(sh.sums, e.sum)
+		sh.sums.Put(e.sum)
 		e.sum = nil
 	}
 	sh.mu.Unlock()
 	return pushAck(req), wake, result
 }
 
-// f32Pool recycles the fp32 scratch a codec-bearing push is decoded into
-// before processPush takes the shard lock.
-var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
-
 // encodeEntry serializes a completed aggregate under the entry's codec into
 // a free record, referenced once by the entry. Caller holds sh.mu.
-func (sh *shard) encodeEntry(e *entry) agg {
+func (sh *shard) encodeEntry(e *entry) *agg {
 	c, _ := compress.CodecByID(compress.CodecID(e.codec)) // validated at push time
 	if e.topk > 0 {
 		// Re-sparsify to the same per-worker count the pushes carried.
 		c, _ = compress.TopKCodecCount(int(e.topk))
 	}
-	a := agg{buf: pop(&sh.aggFree)}
-	if a.buf == nil {
-		a.buf = new(aggBuf)
-	}
-	a.payload, a.codec, a.orig = wire.AppendFloats(slices.Grow(a.buf.b[:0], c.EncodedLen(e.n)), c, e.sum)
-	a.buf.b, a.buf.refs = a.payload, 1
+	a := recycle.Take(&sh.aggFree)
+	a.payload, a.codec, a.orig = wire.AppendFloats(slices.Grow(a.payload[:0], c.EncodedLen(e.n)), c, e.sum)
+	a.refs = 1
 	return a
 }
 
 // wake delivers a to every parked pull in waiters; a nil payload means the
 // server closed. Each channel is buffered and sent to exactly once, so
 // this never blocks: the puller's own goroutine writes the response.
-func (s *Server) wake(waiters []chan agg, a agg) {
+func (s *Server) wake(waiters []chan *agg, a *agg) {
 	for _, ch := range waiters {
 		s.inst.parkedPulls.Dec()
 		ch <- a
@@ -683,8 +659,8 @@ func (s *Server) wake(waiters []chan agg, a agg) {
 }
 
 // park registers a pull waiter on e. Caller holds the shard lock.
-func (s *Server) park(e *entry) chan agg {
-	ch := make(chan agg, 1)
+func (s *Server) park(e *entry) chan *agg {
+	ch := make(chan *agg, 1)
 	e.waiters = append(e.waiters, ch)
 	s.inst.parkedPulls.Inc()
 	return ch
@@ -695,22 +671,22 @@ func (s *Server) park(e *entry) chan agg {
 // under the shard lock and receives exactly one value, from the completing
 // push or — with a nil payload — from Close. A payload holds a reference,
 // dropped by countPullServed or, if the write failed, by serve.
-func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *message) {
+func (s *Server) resolvePull(req message) (result *agg, wait chan *agg, errResp *message) {
 	s.inst.pulls.Inc()
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if s.closing.Load() {
 		m := s.rejectMsg(req, errServerClosed)
-		return agg{}, nil, &m
+		return nil, nil, &m
 	}
 	k := entryKey{req.Key, req.Iter}
 	if e, ok := sh.entries[k]; ok {
 		if e.pushes >= s.workers {
-			e.result.buf.refs++
+			e.result.refs++
 			return e.result, nil, nil // set by the push that completed it
 		}
-		return agg{}, s.park(e), nil
+		return nil, s.park(e), nil
 	}
 	// No live entry. A retried pull whose aggregate was already served and
 	// reclaimed (response lost on the wire) must not recreate an empty
@@ -719,20 +695,20 @@ func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *m
 	// aged out fail fast with OpErr.
 	if p, ok := sh.completed.payload(k); ok {
 		s.inst.replayedPulls.Inc()
-		p.buf.refs++
+		p.refs++
 		return p, nil, nil
 	}
 	if sh.completed.known(k) {
 		s.inst.lostPulls.Inc()
 		m := s.rejectMsg(req, errAggregateReclaimed)
-		return agg{}, nil, &m
+		return nil, nil, &m
 	}
 	// Genuinely early pull (pulls may legitimately arrive before pushes):
 	// create the entry and wait for aggregation.
 	e := &entry{}
 	sh.entries[k] = e
 	s.inst.entries.Add(1)
-	return agg{}, s.park(e), nil
+	return nil, s.park(e), nil
 }
 
 // countPullServed performs the post-write pull bookkeeping: dropping the
@@ -746,7 +722,7 @@ func (s *Server) resolvePull(req message) (result agg, wait chan agg, errResp *m
 // reclaimed after its last pull's response is written, and a client that
 // has just read that response may still see the entry counted until the
 // serving goroutine gets here.
-func (s *Server) countPullServed(req message, a agg) {
+func (s *Server) countPullServed(req message, a *agg) {
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -813,7 +789,7 @@ func (s *Server) Close() error {
 	// Fail blocked pull waiters: a nil payload tells each parked serve
 	// goroutine the server closed. closing is already set, so no new
 	// waiter can park after this sweep.
-	var parked []chan agg
+	var parked []chan *agg
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
@@ -822,7 +798,7 @@ func (s *Server) Close() error {
 		}
 		sh.mu.Unlock()
 	}
-	s.wake(parked, agg{})
+	s.wake(parked, nil)
 	// Unblock handlers stuck mid-frame or mid-write and sweep idle
 	// connections.
 	for _, sc := range scs {

@@ -1,7 +1,6 @@
 package netps
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -117,7 +116,7 @@ func TestServeOverPipe(t *testing.T) {
 	defer srv.Close()
 	attach := func() net.Conn {
 		cli, side := net.Pipe()
-		sc := &srvConn{s: srv, conn: side, br: bufio.NewReaderSize(side, 4096)}
+		sc := &srvConn{s: srv, conn: wire.NewConn(side)}
 		srv.mu.Lock()
 		srv.conns[side] = sc
 		srv.mu.Unlock()

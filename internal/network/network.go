@@ -21,6 +21,7 @@ import (
 	"math"
 	"strings"
 
+	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/sim"
 	"bytescheduler/internal/trace"
 )
@@ -169,7 +170,7 @@ type Fabric struct {
 	// between calls.
 	blockedSrc []bool
 	// free holds the pooled transfers whose last callback has returned.
-	free      sim.FreeList[Transfer]
+	free      recycle.List[*Transfer]
 	delivered uint64
 	sentBytes int64
 	rec       *trace.Recorder
@@ -243,7 +244,7 @@ func (f *Fabric) QueueDepth(node int) int { return f.up[node].queued }
 // NewTransfer returns a zeroed transfer from the fabric's free list to fill
 // in and Send; the fabric takes it back once its last callback has returned.
 func (f *Fabric) NewTransfer() *Transfer {
-	t := f.free.Get()
+	t := recycle.Take(&f.free)
 	t.pooled = true
 	return t
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"bytescheduler/internal/network"
+	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/sim"
 	"bytescheduler/internal/tensor"
 )
@@ -118,8 +119,8 @@ type Cluster struct {
 	// A request is recycled at its last ack (a watch: its last chunk), an
 	// aggregation slot at its last pull's delivery — before the callback
 	// that step owes runs, so no live callback reaches a recycled record.
-	freeReqs sim.FreeList[request]
-	freeAggs sim.FreeList[aggState]
+	freeReqs recycle.List[*request]
+	freeAggs recycle.List[*aggState]
 }
 
 type tensorID struct {
@@ -286,7 +287,7 @@ func (c *Cluster) begin(kind, iter, worker, tid int, sub tensor.Sub, rcv Receive
 		panic(fmt.Sprintf("ps: worker %d out of range", worker))
 	}
 	home, chunks = c.serverOf(tid, sub), c.chunks(sub.Bytes)
-	r = c.freeReqs.Get()
+	r = recycle.Take(&c.freeReqs)
 	*r = request{c: c, kind: kind, rcv: rcv, iter: iter, worker: worker, tensor: tid, part: sub.Index, left: chunks, acks: chunks}
 	return r, home, chunks
 }
@@ -299,7 +300,7 @@ func (c *Cluster) agg(r *request, chunk, server int, bytes int64) *aggState {
 	if ok {
 		return a
 	}
-	a = c.freeAggs.Get()
+	a = recycle.Take(&c.freeAggs)
 	if c.cfg.Async && a.applied == nil {
 		a.applied = make([]bool, c.cfg.Workers)
 	}

@@ -20,6 +20,7 @@ import (
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/netar"
 	"bytescheduler/internal/netps"
+	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/tensor"
 	"bytescheduler/internal/trace"
 )
@@ -553,6 +554,12 @@ type liveGrad struct {
 	gate chan error
 }
 
+// fuseBufs is one worker's free list of fused gather/scatter buffers.
+type fuseBufs struct {
+	mu   sync.Mutex
+	free recycle.List[[]float32]
+}
+
 // startFn builds the partition start function of one scheduled task over
 // its member gradients: one member for a plain layer task, several — with
 // their byte offsets in the fused buffer — for a fusion bucket. name is the
@@ -567,30 +574,36 @@ type liveGrad struct {
 // whose send fails permanently never joins the countdown, so it cannot
 // reach zero; the task's OnFinished (with Err set) reports that case
 // instead.
-func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64) core.StartErrFn {
+//
+// A plain task's partition is a view of the worker's own buffers. A fused
+// task (bufs non-nil) takes one buffer from bufs and gathers into it when
+// its first partition starts, and scatters and returns it at the
+// countdown's zero; each partition uses its own span of both halves.
+func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64, bufs *fuseBufs) core.StartErrFn {
 	var (
 		mu       sync.Mutex
 		left     = -1
 		firstErr error
+		buf      []float32 // a fused task's gather half, then its scatter half
 	)
 	return func(sub tensor.Sub, done func(error)) {
-		lo, hi := sub.Offset, sub.Offset+sub.Bytes
-		var in, out []float32
-		if len(members) == 1 {
-			// A plain task's partition is a view of the worker's own
-			// buffers: the unfused path copies nothing.
-			in, out = members[0].grad[lo/4:hi/4], members[0].out[lo/4:hi/4]
-		} else {
-			// A fused partition gathers into, and scatters out of, the two
-			// halves of one pooled buffer, kept until this call is done with
-			// both: across the transport's own retries, past done(err).
-			n := int(sub.Bytes / 4)
-			bp := fusePool.Get().(*[]float32)
-			defer fusePool.Put(bp)
-			*bp = slices.Grow((*bp)[:0], 2*n)[:2*n]
-			in, out = (*bp)[:n], (*bp)[n:]
-			eachSpan(members, offsets, lo, hi, func(g *liveGrad, m0, m1, p0 int64) { copy(in[p0:], g.grad[m0:m1]) })
+		lo, hi := sub.Offset/4, (sub.Offset+sub.Bytes)/4
+		in, out := members[0].grad, members[0].out
+		if bufs != nil {
+			mu.Lock()
+			if buf == nil {
+				n := int(sub.Parent.Bytes / 2) // both halves of Bytes/4 floats
+				bufs.mu.Lock()
+				buf = slices.Grow(bufs.free.Get()[:0], n)[:n]
+				bufs.mu.Unlock()
+				for i, g := range members {
+					copy(buf[offsets[i]/4:], g.grad)
+				}
+			}
+			in, out = buf[:len(buf)/2], buf[len(buf)/2:]
+			mu.Unlock()
 		}
+		in, out = in[lo:hi], out[lo:hi]
 		key := fmt.Sprintf("%s[%d/%d]", name, sub.Index, sub.Count)
 		credited := false
 		err := comm(key, members[0].iter, in, out, func() {
@@ -600,9 +613,6 @@ func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64) c
 		if !credited {
 			done(err)
 			return
-		}
-		if err == nil && len(members) > 1 {
-			eachSpan(members, offsets, lo, hi, func(g *liveGrad, m0, m1, p0 int64) { copy(g.out[m0:m1], out[p0:]) })
 		}
 		mu.Lock()
 		if left < 0 {
@@ -614,26 +624,19 @@ func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64) c
 		}
 		last, res := left == 0, firstErr
 		mu.Unlock()
-		if last {
-			for _, g := range members {
-				g.gate <- res
-			}
+		if !last {
+			return
 		}
-	}
-}
-
-// fusePool recycles startFn's fused gather/scatter buffers.
-var fusePool = sync.Pool{New: func() any { return new([]float32) }}
-
-// eachSpan visits the members a fused partition [lo, hi) overlaps: member i
-// occupies bytes [offsets[i], offsets[i]+4*len(grad)) of the fused buffer.
-// fn receives the member, the overlap as a float range [m0, m1) of the
-// member's own buffers, and its first float p0 within the partition.
-func eachSpan(members []*liveGrad, offsets []int64, lo, hi int64, fn func(g *liveGrad, m0, m1, p0 int64)) {
-	for i, g := range members {
-		s, e := max(offsets[i], lo), min(offsets[i]+4*int64(len(g.grad)), hi)
-		if s < e {
-			fn(g, (s-offsets[i])/4, (e-offsets[i])/4, (s-lo)/4)
+		if bufs != nil {
+			for i, g := range members {
+				copy(g.out, buf[len(buf)/2+int(offsets[i]/4):])
+			}
+			bufs.mu.Lock()
+			bufs.free.Put(buf)
+			bufs.mu.Unlock()
+		}
+		for _, g := range members {
+			g.gate <- res
 		}
 	}
 }
@@ -681,6 +684,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 	if err != nil {
 		return core.Stats{}, err
 	}
+	bufs := new(fuseBufs)
 	fuser, err := core.NewFuser(core.FuserConfig{
 		Theta: cfg.FuseTheta,
 		Start: func(fd *core.Fused) core.StartErrFn {
@@ -690,7 +694,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 			}
 			// The content-derived bucket name is identical on every worker
 			// that bucketed the same members.
-			return startFn(comm, fd.Tensor.Name, members, fd.Offsets())
+			return startFn(comm, fd.Tensor.Name, members, fd.Offsets(), bufs)
 		},
 	}, releaser)
 	if err != nil {
@@ -752,7 +756,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 			t := &core.Task{
 				Tensor:   tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
 				Meta:     g,
-				StartErr: startFn(comm, names[l], []*liveGrad{g}, nil),
+				StartErr: startFn(comm, names[l], []*liveGrad{g}, nil, nil),
 			}
 			t.OnFinished = func() {
 				if err := t.Err(); err != nil {

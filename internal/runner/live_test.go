@@ -229,11 +229,12 @@ func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
 // TestRunLiveFusedPooledBuffers recycles the fused gather/scatter buffers
 // as hard as a small run can: with FuseTheta above most layers a pass forms
 // 12–24 KB buckets, each cut into several 8 KB partitions of differing last
-// size that are in flight together on both workers, so pooled buffers of
-// mixed sizes change hands between goroutines for a dozen iterations. The
-// race detector is the referee for a buffer returned while its partition
-// still reads or fills it; the worker's aggregation check for a scatter out
-// of the wrong one.
+// size that are in flight together on both workers, so each worker's
+// recycled buffers of mixed sizes change hands between tasks and
+// goroutines for a dozen iterations. A buffer returned before its task's
+// last scatter is poisoned with NaN under test, which the worker's exact
+// aggregation check reports; the race detector catches two tasks touching
+// one buffer.
 func TestRunLiveFusedPooledBuffers(t *testing.T) {
 	for _, backend := range []LiveBackend{LiveBackendPS, LiveBackendRing} {
 		cfg := liveBase(backend)

@@ -15,6 +15,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+
+	"bytescheduler/internal/recycle"
 )
 
 // Time is a simulated instant, in seconds since the start of the run.
@@ -33,25 +35,6 @@ type handlerFunc func()
 
 // Fire implements Handler.
 func (f handlerFunc) Fire(int) { f() }
-
-// FreeList holds the recycled records of one kind that one per-trial object
-// (an Engine, a Fabric, a Cluster) owns — never a package-level pool, so
-// parallel sweep workers share nothing. The owner resets what Get returns.
-type FreeList[T any] []*T
-
-// Get takes the most recently recycled record, or allocates.
-func (f *FreeList[T]) Get() *T {
-	n := len(*f)
-	if n == 0 {
-		return new(T)
-	}
-	x := (*f)[n-1]
-	*f = (*f)[:n-1]
-	return x
-}
-
-// Put recycles x, which nothing a live callback can reach may still point at.
-func (f *FreeList[T]) Put(x *T) { *f = append(*f, x) }
 
 // Event is a scheduled callback. The zero Event is invalid; use
 // Engine.Schedule or Engine.At to create one.
@@ -128,7 +111,7 @@ type Engine struct {
 	fired   uint64
 	// free holds the events After posted that have since fired; an event
 	// enters it just before its handler runs.
-	free FreeList[Event]
+	free recycle.List[*Event]
 }
 
 // New returns a new Engine with the clock at zero.
@@ -171,7 +154,7 @@ func (e *Engine) At(when Time, fn func()) *Event {
 // the event cannot be canceled — and, once fired, goes back to the engine to
 // carry a later After: a steady stream of typed events allocates nothing.
 func (e *Engine) After(delay Time, h Handler, arg int) {
-	ev := e.free.Get()
+	ev := recycle.Take(&e.free)
 	ev.engine, ev.pooled = e, true
 	e.post(ev, e.now+delay, h, arg)
 }

@@ -44,7 +44,7 @@ func TestBothTransportsSpeakOneFrame(t *testing.T) {
 			frames <- got{h, vals}
 			// Acknowledge by echoing the header, which is what a netps push
 			// ack is; the ring peer ignores it.
-			wire.Write(conn, h, nil) //nolint:errcheck // the assertion is on what was read
+			wire.NewConn(conn).WriteFrame(h, nil) //nolint:errcheck // the assertion is on what was read
 			conn.Close()
 		}
 	}()

@@ -2,12 +2,12 @@
 // contract under fuzz: arbitrary bytes may produce an error but never a
 // panic; the reader never allocates a payload the input did not actually
 // carry (the capped-preallocation property); an accepted frame re-encodes
-// to exactly the bytes it was read from, through Write and Append alike,
-// and Next agrees with Read; ReadInto, driven over the input's consecutive
-// frames through one reused, dirty buffer as a connection drives it, agrees
-// with Next frame by frame, never lets a payload reach past its own length
-// into the buffer, and allocates no more than Read may on a length prefix
-// backed by nothing; and the payload envelope decoder rejects
+// to exactly the bytes it was read from, through WriteFrame and Append
+// alike, and Next agrees with Read; a Conn, reading the input's consecutive
+// frames through its one reused, dirty buffer, agrees with Next frame by
+// frame, never lets a payload reach past its own length into the buffer,
+// and allocates no more than Read may on a length prefix backed by
+// nothing; and the payload envelope decoder rejects
 // adversarial codec ids, original lengths and payload framing without
 // panicking, while raw fp32 payloads re-encode bit for bit (NaNs included).
 //
@@ -21,6 +21,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -123,7 +124,7 @@ func FuzzRead(f *testing.F) {
 		// An accepted frame re-encodes to the bytes it was read from.
 		consumed := data[:len(data)-len(rest)]
 		if re := frame(t, h, payload); !bytes.Equal(re, consumed) {
-			t.Fatalf("Write round trip diverged:\n in  %x\n out %x", consumed, re)
+			t.Fatalf("WriteFrame round trip diverged:\n in  %x\n out %x", consumed, re)
 		}
 		if re, err := Append(nil, h, payload); err != nil || !bytes.Equal(re, consumed) {
 			t.Fatalf("Append round trip diverged (%v):\n in  %x\n out %x", err, consumed, re)
@@ -143,25 +144,25 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// readStream reads data's consecutive frames the way a connection does —
-// ReadInto through one buffer, dirtied before every read, Retain after —
-// until the first frame either reader rejects.
+// readStream reads data's consecutive frames through one Conn, its read
+// buffer dirtied before every read, until the first frame either reader
+// rejects.
 func readStream(t *testing.T, data []byte) {
-	r := bytes.NewReader(data)
-	buf := make([]byte, 0, 64)
+	c := &Conn{br: bufio.NewReader(bytes.NewReader(data)), rbuf: make([]byte, 0, 64)}
 	grew := allocated(func() {
 		for rest := data; ; {
+			buf := c.rbuf
 			dirty(buf)
-			h, payload, err := ReadInto(r, buf)
+			h, payload, err := c.ReadFrame()
 			nh, npayload, nrest, nerr := Next(rest)
 			if (err == nil) != (nerr == nil) {
-				t.Fatalf("frame at %d: ReadInto err = %v, Next err = %v", len(data)-len(rest), err, nerr)
+				t.Fatalf("frame at %d: ReadFrame err = %v, Next err = %v", len(data)-len(rest), err, nerr)
 			}
 			if err != nil {
 				return
 			}
 			if nh != h || !bytes.Equal(npayload, payload) {
-				t.Fatalf("frame at %d: ReadInto and Next disagree: %+v (%d bytes) vs %+v (%d bytes)",
+				t.Fatalf("frame at %d: ReadFrame and Next disagree: %+v (%d bytes) vs %+v (%d bytes)",
 					len(data)-len(rest), h, len(payload), nh, len(npayload))
 			}
 			if n := len(payload); n > 0 && n <= cap(buf) {
@@ -173,7 +174,7 @@ func readStream(t *testing.T, data []byte) {
 			if re, err := Append(nil, h, payload); err != nil || !bytes.Equal(re, rest[:len(rest)-len(nrest)]) {
 				t.Fatalf("frame at %d re-encodes differently (%v)", len(data)-len(rest), err)
 			}
-			buf, rest = Retain(buf, payload), nrest
+			rest = nrest
 		}
 	})
 	// Everything allocated is owed to bytes that arrived (payloads, their

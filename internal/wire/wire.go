@@ -15,16 +15,17 @@
 // and are built from one commit: the format carries no version and no
 // cross-version compatibility is promised.
 //
-// A frame costs one write: Write stages the header in a pooled buffer and
-// hands header and payload to the kernel in a single writev (net.Buffers),
-// which only works on the raw net.Conn — a wrapper type silently degrades
-// it to one write per buffer. A frame costs (at most) one read when the
-// connection is read through a bufio.Reader that lives and dies with it;
-// Read takes any io.Reader and never trusts a length prefix further than
+// A Conn owns everything one connection frames with. A frame costs one
+// write: WriteFrame stages the header in the Conn's own buffer and hands
+// header and payload to the kernel in a single writev (net.Buffers), which
+// only works on the raw net.Conn — a wrapper type silently degrades it to
+// one write per buffer. A frame costs (at most) one read through the Conn's
+// bufio.Reader, and the reader never trusts a length prefix further than
 // the bytes that actually arrive.
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -32,7 +33,6 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"bytescheduler/internal/compress"
@@ -118,51 +118,72 @@ func parseFixed(b []byte) (Header, int) {
 	}, int(binary.BigEndian.Uint16(b[22:24]))
 }
 
-// staging is the per-frame scratch: the header bytes and the two-element
-// scatter-gather vector. Pooled by pointer so Put does not allocate an
-// interface box; headers are small and extremely hot (two per RPC on the
-// live path), so steady-state framing does not allocate.
-type staging struct {
-	hdr []byte
-	vec [2][]byte
+// Conn is one connection's framing state, owned by whoever dialed or
+// accepted it: a 4 KB bufio.Reader and a read buffer for its one reader,
+// and header/writev staging for one writer at a time. The two sides share
+// no field, so one goroutine may read while another writes.
+type Conn struct {
+	net.Conn
+	br         *bufio.Reader
+	rhdr, rbuf []byte
+	whdr       []byte
+	vec        [2][]byte
 	// bufs is the slice header WriteTo consumes; it lives here rather than
-	// on Write's stack because WriteTo's receiver escapes.
+	// on WriteFrame's stack because WriteTo's receiver escapes.
 	bufs net.Buffers
 }
 
-var stagingPool = sync.Pool{New: func() any { return &staging{hdr: make([]byte, 0, 256)} }}
+// NewConn takes over c for framing; c itself stays reachable for deadlines
+// and Close.
+func NewConn(c net.Conn) *Conn { return &Conn{Conn: c, br: bufio.NewReaderSize(c, 4096)} }
 
-// Write frames h and payload onto w: one Write when the payload is empty,
-// otherwise one scatter-gather write (a single writev when w is a raw
-// net.Conn) — the payload is never copied into the header buffer.
-func Write(w io.Writer, h Header, payload []byte) error {
+// WriteFrame frames h and payload onto the raw connection: one Write when
+// the payload is empty, otherwise one scatter-gather write (a single
+// writev) — the payload is never copied into the header buffer.
+func (c *Conn) WriteFrame(h Header, payload []byte) error {
 	if err := check(h, len(payload)); err != nil {
 		return err
 	}
-	s := stagingPool.Get().(*staging)
-	s.hdr = appendHeader(s.hdr[:0], h, len(payload))
-	var err error
+	c.whdr = appendHeader(c.whdr[:0], h, len(payload))
 	if len(payload) == 0 {
-		_, err = w.Write(s.hdr)
-	} else {
-		// WriteTo consumes the Buffers it is called on — it advances the
-		// slice to zero length AND zero capacity. So the pool keeps the
-		// backing array (vec) and every write re-slices it; pooling the
-		// consumed slice itself would recycle nothing and make every frame
-		// reallocate the two-element array.
-		s.vec[0], s.vec[1] = s.hdr, payload
-		s.bufs = s.vec[:]
-		_, err = s.bufs.WriteTo(w)
-		s.vec[1] = nil // drop the payload reference before pooling
+		_, err := c.Conn.Write(c.whdr)
+		return err
 	}
-	// The header is retained until the write has completed (net.Buffers
-	// may consume it incrementally), then recycled.
-	stagingPool.Put(s)
+	// WriteTo consumes the Buffers it is called on — it advances the slice
+	// to zero length AND zero capacity. So the Conn keeps the backing array
+	// (vec) and every write re-slices it; keeping the consumed slice itself
+	// would make every frame reallocate the two-element array.
+	c.vec[0], c.vec[1] = c.whdr, payload
+	c.bufs = c.vec[:]
+	_, err := c.bufs.WriteTo(c.Conn)
+	c.vec[1] = nil // drop the payload reference
 	return err
 }
 
-// Append frames h and payload onto dst (the same bytes Write emits) and
-// returns the extended slice — how OpBatch-style envelopes are built.
+// ReadFrame reads one frame into the connection's read buffer, which grows
+// to the largest frame it carries up to maxPrealloc (larger ones are
+// allocated per read). The payload never reaches past its own length and is
+// valid only until the next ReadFrame, unless its buffer is taken with Take.
+func (c *Conn) ReadFrame() (Header, []byte, error) { return c.read(c.br) }
+
+// Take hands the caller the read buffer the last payload landed in, to own
+// from then on, and gives the connection next (may be nil) to read into.
+func (c *Conn) Take(next []byte) []byte {
+	b := c.rbuf
+	c.rbuf = next[:0]
+	return b
+}
+
+// Await blocks until the first byte of the next frame has arrived, without
+// consuming it: an idle connection waits with no deadline, and the caller
+// may arm one for the rest of the frame.
+func (c *Conn) Await() error {
+	_, err := c.br.Peek(1)
+	return err
+}
+
+// Append frames h and payload onto dst (the same bytes WriteFrame emits)
+// and returns the extended slice — how OpBatch-style envelopes are built.
 func Append(dst []byte, h Header, payload []byte) ([]byte, error) {
 	if err := check(h, len(payload)); err != nil {
 		return dst, err
@@ -193,52 +214,37 @@ func Next(buf []byte) (h Header, payload, rest []byte, err error) {
 	return h, payload, buf[n:], nil
 }
 
-// Read reads one frame into a payload of its own: ReadInto with no buffer.
-func Read(r io.Reader) (Header, []byte, error) { return ReadInto(r, nil) }
+// Read reads one frame from a reader no Conn owns into a payload of its
+// own.
+func Read(r io.Reader) (Header, []byte, error) { return new(Conn).read(r) }
 
-// ReadInto reads one frame, placing the payload in buf's backing array when
-// it fits in cap(buf) and in a fresh allocation otherwise. A payload that
-// landed in buf is valid only until buf's owner reads into it again — a
-// connection's read buffer until that connection's next read — so whatever
-// must outlive that is decoded or copied out first; the returned slice
-// never reaches past its own length into the rest of buf. ReadInto returns
-// an error — never panics, never allocates beyond the bytes actually
-// received — on truncated or adversarial input (FuzzRead enforces this).
-func ReadInto(r io.Reader, buf []byte) (Header, []byte, error) {
-	s := stagingPool.Get().(*staging)
-	defer stagingPool.Put(s)
-	fixed := s.hdr[:fixedLen]
-	if _, err := io.ReadFull(r, fixed); err != nil {
+// read reads one frame from r through c's header scratch and read buffer
+// (see ReadFrame). It returns an error — never panics, never allocates
+// beyond the bytes actually received — on truncated or adversarial input
+// (FuzzRead enforces this).
+func (c *Conn) read(r io.Reader) (Header, []byte, error) {
+	c.rhdr = slices.Grow(c.rhdr[:0], fixedLen)[:fixedLen]
+	if _, err := io.ReadFull(r, c.rhdr); err != nil {
 		return Header{}, nil, err
 	}
-	h, keyLen := parseFixed(fixed)
-	s.hdr = slices.Grow(s.hdr[:0], keyLen+4)
-	kb := s.hdr[:keyLen+4]
-	if _, err := io.ReadFull(r, kb); err != nil {
+	h, keyLen := parseFixed(c.rhdr)
+	c.rhdr = slices.Grow(c.rhdr[:0], keyLen+4)[:keyLen+4]
+	if _, err := io.ReadFull(r, c.rhdr); err != nil {
 		return Header{}, nil, err
 	}
-	h.Key = string(kb[:keyLen])
-	n := binary.BigEndian.Uint32(kb[keyLen:])
+	h.Key = string(c.rhdr[:keyLen])
+	n := binary.BigEndian.Uint32(c.rhdr[keyLen:])
 	if n > MaxMessage {
 		return Header{}, nil, fmt.Errorf("wire: payload length %d exceeds limit", n)
 	}
-	payload, err := readPayload(r, int(n), buf)
+	payload, err := readPayload(r, int(n), c.rbuf)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	return h, payload, nil
-}
-
-// Retain returns the read buffer a connection keeps for its next ReadInto,
-// given the one it passed and the payload that came back: a payload that
-// outgrew buf replaces it, so the buffer settles at the largest frame the
-// connection carries — up to maxPrealloc; larger frames are allocated per
-// read and left to the collector.
-func Retain(buf, payload []byte) []byte {
-	if cap(payload) > cap(buf) && cap(payload) <= maxPrealloc {
-		return payload[:0]
+	if cap(payload) > cap(c.rbuf) && cap(payload) <= maxPrealloc {
+		c.rbuf = payload[:0]
 	}
-	return buf
+	return h, payload, nil
 }
 
 // readPayload reads exactly n payload bytes, into buf when they fit.
