@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 FUZZTIME ?= 20s
 
-.PHONY: build vet staticcheck test race fuzz docs loc verify bench
+.PHONY: build vet staticcheck test race fuzz docs loc knobs verify bench
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,11 @@ docs: vet
 # the size figure ROADMAP.md and CHANGES.md quote.
 loc:
 	sh scripts/loc.sh
+
+# knobs lists every top-level With… option with its product callers (non-test
+# Go, bench/ included) and fails on one that only tests set.
+knobs:
+	sh scripts/knobs.sh
 
 # verify is the CI gate: everything must build, pass vet + staticcheck,
 # pass the full test suite with the race detector on (./... includes the

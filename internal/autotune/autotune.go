@@ -14,8 +14,9 @@
 //	   rollback   ▼  │ revalidate
 //	           Recovering
 //
-// Probing spends Trials suggester proposals, tracking the best config
-// seen. A probe that regresses more than RollbackPct below the incumbent
+// Probing spends Trials suggester proposals over tune.ParamBounds(),
+// tracking the best config seen. A probe that regresses more than
+// rollbackPct (35%) below the incumbent
 // triggers a guarded rollback: the controller reverts to the best-known
 // config for one window to re-validate it, at most once per search
 // episode, then resumes probing (each probe is dwell-bounded, so the harm
@@ -32,8 +33,9 @@
 // degrade — longer queues, a slower link — while compute still hides the
 // damage from iteration time, and the op latency surfaces it first. A
 // settled window whose mean op latency exceeds its own EWMA baseline by
-// more than LatencyPct counts as regressing under the same two-window
-// confirmation rule.
+// more than latencyPct (100%: it must double; loopback op latency is far
+// noisier than iteration time) counts as regressing under the same
+// two-window confirmation rule.
 package autotune
 
 import (
@@ -44,6 +46,21 @@ import (
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/trace"
 	"bytescheduler/internal/tune"
+)
+
+// The fixed regression bars (see the package doc). A test may assign the
+// controller's copies.
+const (
+	// rollbackPct triggers the guarded rollback: a probe slower than the
+	// incumbent best by more than this fraction reverts to best-known for
+	// a re-validation window.
+	rollbackPct = 0.35
+	// latencyPct is the secondary regression signal: a settled window
+	// whose mean transport op latency (netps_*/netar_* histogram delta)
+	// exceeds the settled latency EWMA by more than this fraction counts
+	// as regressing even while speed holds, under the same two-window
+	// confirmation as RetunePct.
+	latencyPct = 1.0
 )
 
 // Setting is one live (partition, credit) configuration in bytes.
@@ -117,9 +134,6 @@ type Config struct {
 	// Suggester selects the search algorithm: "bo" (constant-liar Bayesian
 	// optimization, the default), "grid", or "random".
 	Suggester string
-	// Bounds is the (log2 partition, log2 credit) search box; the zero
-	// value selects tune.ParamBounds().
-	Bounds tune.Bounds
 	// Seed seeds the suggester; retune episodes derive fresh streams.
 	Seed int64
 	// WarmupIters discards this many leading iterations before any window
@@ -132,23 +146,11 @@ type Config struct {
 	// Trials is the number of suggester proposals per search episode.
 	// Default 8.
 	Trials int
-	// RollbackPct triggers the guarded rollback: a probe slower than the
-	// incumbent best by more than this fraction reverts to best-known for
-	// a re-validation window. Default 0.35.
-	RollbackPct float64
 	// RetunePct triggers a new search episode: two consecutive settled
 	// windows slower than the EWMA baseline by more than this fraction
 	// mean the environment shifted (a single bad window is treated as
 	// noise and left out of the baseline). Default 0.30.
 	RetunePct float64
-	// LatencyPct is the secondary regression signal: a settled window
-	// whose mean transport op latency (netps_*/netar_* histogram delta)
-	// exceeds the settled latency EWMA by more than this fraction counts
-	// as regressing even while speed holds — compute can hide a degrading
-	// fabric from iteration time. Subject to the same two-consecutive-
-	// window confirmation as RetunePct. Default 1.0 (latency must double;
-	// loopback op latency is far noisier than iteration time).
-	LatencyPct float64
 	// Metrics, if non-nil, publishes the autotune_* series and lets the
 	// controller read the transport latency histograms (netps_*/netar_*).
 	Metrics *metrics.Registry
@@ -162,9 +164,6 @@ func (c Config) withDefaults() Config {
 	if c.Suggester == "" {
 		c.Suggester = "bo"
 	}
-	if c.Bounds.Dims() == 0 {
-		c.Bounds = tune.ParamBounds()
-	}
 	if c.WarmupIters <= 0 {
 		c.WarmupIters = 2
 	}
@@ -174,14 +173,8 @@ func (c Config) withDefaults() Config {
 	if c.Trials <= 0 {
 		c.Trials = 8
 	}
-	if c.RollbackPct <= 0 {
-		c.RollbackPct = 0.35
-	}
 	if c.RetunePct <= 0 {
 		c.RetunePct = 0.30
-	}
-	if c.LatencyPct <= 0 {
-		c.LatencyPct = 1.0
 	}
 	return c
 }
@@ -193,11 +186,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("autotune: unknown suggester %q (want bo, grid, or random)", c.Suggester)
 	}
-	if err := c.Bounds.Validate(); err != nil {
-		return err
-	}
-	if c.RollbackPct >= 1 || c.RetunePct >= 1 {
-		return fmt.Errorf("autotune: rollback %.2f / retune %.2f must be < 1", c.RollbackPct, c.RetunePct)
+	if c.RetunePct >= 1 {
+		return fmt.Errorf("autotune: retune %.2f must be < 1", c.RetunePct)
 	}
 	return nil
 }
@@ -205,15 +195,20 @@ func (c Config) Validate() error {
 // BudgetIters is the number of iterations a run must feed the controller
 // for one whole search episode — warmup, then the baseline window, Trials
 // probes and at most one rollback re-validation — followed by steady
-// settled windows, each window DwellIters clean iterations behind one
-// discarded transition iteration.
-func (c Config) BudgetIters(steady int) int {
+// settled windows. Every window after the baseline is DwellIters clean
+// iterations behind one discarded transition iteration, and behind up to
+// skew more when other workers pin iterations up to skew ahead of the
+// timing worker's observations: an iteration pinned before a switch runs
+// the old config and is discarded as residue. The episode's adopt decision
+// closes before iteration BudgetIters(0, skew).
+func (c Config) BudgetIters(steady, skew int) int {
 	c = c.withDefaults()
-	return c.WarmupIters + (c.Trials+2+steady)*(c.DwellIters+1)
+	return c.WarmupIters + c.DwellIters + 1 + (c.Trials+1+steady)*(c.DwellIters+1+skew)
 }
 
 // newSuggester builds the episode's tuner.
-func newSuggester(name string, b tune.Bounds, seed int64) tune.Tuner {
+func newSuggester(name string, seed int64) tune.Tuner {
+	b := tune.ParamBounds()
 	switch name {
 	case "grid":
 		return tune.NewGridSearch(b, 4)
@@ -265,6 +260,8 @@ type Controller struct {
 	mu  sync.Mutex
 	cfg Config
 
+	rollbackPct, latencyPct float64
+
 	tuner   tune.Tuner
 	state   State
 	episode int
@@ -309,22 +306,24 @@ func New(start Setting, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("autotune: starting setting %v needs a positive multiple-of-4 partition and positive credit", start)
 	}
 	c := &Controller{
-		cfg:       cfg,
-		tuner:     newSuggester(cfg.Suggester, cfg.Bounds, cfg.Seed),
-		state:     StateWarmup,
-		target:    start,
-		pinned:    make(map[int]Setting),
-		cand:      start,
-		winFrom:   time.Now(),
-		best:      start,
-		decisions: cfg.Metrics.Counter("autotune_decisions_total"),
-		probeC:    cfg.Metrics.Counter("autotune_probes_total"),
-		rollbackC: cfg.Metrics.Counter("autotune_rollbacks_total"),
-		retune:    cfg.Metrics.Counter("autotune_retunes_total"),
-		gPart:     cfg.Metrics.Gauge("autotune_partition_bytes"),
-		gCredit:   cfg.Metrics.Gauge("autotune_credit_bytes"),
-		gState:    cfg.Metrics.Gauge("autotune_state"),
-		hWindow:   cfg.Metrics.Histogram("autotune_window_iter_seconds"),
+		cfg:         cfg,
+		rollbackPct: rollbackPct,
+		latencyPct:  latencyPct,
+		tuner:       newSuggester(cfg.Suggester, cfg.Seed),
+		state:       StateWarmup,
+		target:      start,
+		pinned:      make(map[int]Setting),
+		cand:        start,
+		winFrom:     time.Now(),
+		best:        start,
+		decisions:   cfg.Metrics.Counter("autotune_decisions_total"),
+		probeC:      cfg.Metrics.Counter("autotune_probes_total"),
+		rollbackC:   cfg.Metrics.Counter("autotune_rollbacks_total"),
+		retune:      cfg.Metrics.Counter("autotune_retunes_total"),
+		gPart:       cfg.Metrics.Gauge("autotune_partition_bytes"),
+		gCredit:     cfg.Metrics.Gauge("autotune_credit_bytes"),
+		gState:      cfg.Metrics.Gauge("autotune_state"),
+		hWindow:     cfg.Metrics.Histogram("autotune_window_iter_seconds"),
 	}
 	if cfg.Metrics != nil {
 		for _, name := range []string{"netps_push_seconds", "netps_pull_seconds", "netar_op_seconds"} {
@@ -407,7 +406,7 @@ func (c *Controller) judge(iter int, speed float64) {
 		c.observeTuner(speed)
 		if speed > c.bestSpeed {
 			c.adoptBest(c.cand, speed)
-		} else if speed < c.bestSpeed*(1-c.cfg.RollbackPct) && !c.rolled {
+		} else if speed < c.bestSpeed*(1-c.rollbackPct) && !c.rolled {
 			// Guarded rollback: revert to best-known and re-validate it
 			// before probing on; at most once per episode (see package doc).
 			c.rolled = true
@@ -428,7 +427,7 @@ func (c *Controller) judge(iter int, speed float64) {
 		c.advance(iter, op)
 	case StateSettled:
 		slowSpeed := speed < c.baseline*(1-c.cfg.RetunePct)
-		slowOp := c.opBase > 0 && op > c.opBase*(1+c.cfg.LatencyPct)
+		slowOp := c.opBase > 0 && op > c.opBase*(1+c.latencyPct)
 		if slowSpeed || slowOp {
 			// One bad window is weather, two in a row is a shifted
 			// fabric: hold the baselines (averaging the dip in would
@@ -497,7 +496,7 @@ func (c *Controller) startEpisode(iter int, speed, op float64) {
 	c.report.Retunes++
 	c.retune.Inc()
 	c.decide(iter, "retune", speed, op)
-	c.tuner = newSuggester(c.cfg.Suggester, c.cfg.Bounds, c.cfg.Seed+int64(c.episode)*7919)
+	c.tuner = newSuggester(c.cfg.Suggester, c.cfg.Seed+int64(c.episode)*7919)
 	c.observeTuner(speed)
 	c.best = c.cand
 	c.bestSpeed = speed
@@ -515,7 +514,7 @@ func (c *Controller) observeTuner(speed float64) {
 	x := c.candX
 	if x == nil {
 		x = tune.VectorFromParams(c.cand.Partition, c.cand.Credit)
-		c.cfg.Bounds.Clamp(x)
+		tune.ParamBounds().Clamp(x)
 	}
 	c.tuner.Observe(x, speed)
 }

@@ -138,11 +138,12 @@ func TestLatencyRegressionTriggersRetune(t *testing.T) {
 	flat := func(Setting) float64 { return 50 }
 	c, err := New(start(), Config{
 		Suggester: "bo", Seed: 7, WarmupIters: 1, DwellIters: 2,
-		Trials: 4, LatencyPct: 0.5, Metrics: reg,
+		Trials: 4, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.latencyPct = 0.5
 	// Settle with healthy 1ms ops so the latency EWMA gets seeded.
 	it := 0
 	for ; it < 80; it++ {
@@ -189,7 +190,7 @@ func TestLatencyRegressionTriggersRetune(t *testing.T) {
 // through scripted fabric scenarios.
 func TestRollbackStateMachine(t *testing.T) {
 	// hostile: the starting config is the only fast point; every probe
-	// regresses far past RollbackPct.
+	// regresses far past rollbackPct.
 	hostile := func(s Setting) float64 {
 		if s == start() {
 			return 100
@@ -351,8 +352,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Setting{}, Config{}); err == nil {
 		t.Error("zero setting accepted")
 	}
-	if _, err := New(start(), Config{RollbackPct: 1.5}); err == nil {
-		t.Error("rollback fraction >= 1 accepted")
+	if _, err := New(start(), Config{RetunePct: 1.5}); err == nil {
+		t.Error("retune fraction >= 1 accepted")
 	}
 }
 

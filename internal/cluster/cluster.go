@@ -3,9 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
-
-	"bytescheduler/internal/ps"
 )
 
 // Job is one training job submitted to the cluster: its model profile
@@ -64,88 +61,6 @@ func (j Job) TotalTensors() int64 {
 	return j.TensorsPerIter * int64(j.Iterations) * int64(j.Workers)
 }
 
-// Admission selects the admission-control discipline.
-type Admission int
-
-const (
-	// AdmitFIFO admits strictly in arrival order: when the head of the
-	// queue does not fit, everything behind it waits — the baseline whose
-	// head-of-line blocking inflates tail job-completion times.
-	AdmitFIFO Admission = iota
-	// AdmitBackfill scans the queue in arrival order and admits any job
-	// that fits the free slots, letting small jobs flow around a blocked
-	// large head.
-	AdmitBackfill
-)
-
-// String returns the admission discipline name.
-func (a Admission) String() string {
-	switch a {
-	case AdmitFIFO:
-		return "fifo"
-	case AdmitBackfill:
-		return "backfill"
-	}
-	return fmt.Sprintf("Admission(%d)", int(a))
-}
-
-// Config describes the cluster the control plane manages.
-type Config struct {
-	// Nodes is the machine count; each node owns one network link.
-	Nodes int
-	// SlotsPerNode is the worker capacity of each node.
-	SlotsPerNode int
-	// LinkBytesPerSec is each node's link rate, used by delay-aware
-	// placement to convert queued bytes into time.
-	LinkBytesPerSec float64
-	// DelaySec is the per-node network delay (nil means uniform zero).
-	DelaySec []float64
-	// CreditPool is the cluster-wide credit budget (in-flight tensors)
-	// divided across admitted jobs.
-	CreditPool int64
-	// Admission selects FIFO or backfill admission.
-	Admission Admission
-	// Placement selects worker→node placement: ps.StrategyRoundRobin (the
-	// baseline) or ps.StrategyDelayAware (network-sensitive).
-	Placement ps.Strategy
-	// FairCredits splits the credit pool by weighted max-min with
-	// per-job tensor caps (FairShare); false splits it uniformly,
-	// remainder unallocated — the baseline.
-	FairCredits bool
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Nodes <= 0 || c.SlotsPerNode <= 0 {
-		return fmt.Errorf("cluster: need positive nodes and slots, got %dx%d", c.Nodes, c.SlotsPerNode)
-	}
-	if c.LinkBytesPerSec <= 0 {
-		return fmt.Errorf("cluster: non-positive link rate %v", c.LinkBytesPerSec)
-	}
-	if c.DelaySec != nil && len(c.DelaySec) != c.Nodes {
-		return fmt.Errorf("cluster: %d nodes but %d delays", c.Nodes, len(c.DelaySec))
-	}
-	for i, d := range c.DelaySec {
-		if d < 0 {
-			return fmt.Errorf("cluster: negative delay %v for node %d", d, i)
-		}
-	}
-	if c.CreditPool <= 0 {
-		return fmt.Errorf("cluster: non-positive credit pool %d", c.CreditPool)
-	}
-	switch c.Placement {
-	case ps.StrategyRoundRobin, ps.StrategyDelayAware:
-	default:
-		return fmt.Errorf("cluster: unsupported placement %v (want round-robin or delay-aware)", c.Placement)
-	}
-	switch c.Admission {
-	case AdmitFIFO, AdmitBackfill:
-	default:
-		return fmt.Errorf("cluster: unknown admission %d", int(c.Admission))
-	}
-	return nil
-}
-
 // member is one admitted job with its placement and current credit grant.
 type member struct {
 	job    Job
@@ -153,346 +68,175 @@ type member struct {
 	credit int64
 }
 
-// Stats counts control-plane events.
-type Stats struct {
-	Submitted, Admitted, Finished, Cancelled int
-}
-
-// Cluster is the thread-safe multi-job control plane: jobs are submitted,
-// queue under admission control, get their workers placed on nodes, and
-// share the credit pool until they finish or are cancelled. All methods are
-// safe for concurrent use; iteration orders are ID-sorted, so a single-
-// threaded caller (the fluid simulator) observes fully deterministic
-// behavior.
-type Cluster struct {
-	mu        sync.Mutex
-	cfg       Config
+// plane is one scenario run's control plane: jobs queue under admission
+// control, get their workers placed on nodes, and share the credit pool
+// until they finish. Scenario.Run owns it and drives it from one goroutine,
+// so it has no lock, and it visits running jobs in ascending ID order, so a
+// run is fully deterministic. Scenario.Fair picks the arm: backfill
+// admission, delay-aware placement and the weighted max-min credit split,
+// against FIFO admission, round-robin placement and a uniform split.
+type plane struct {
+	s         Scenario // defaults applied
 	delays    []float64
-	placer    *nodeAssigner
 	running   map[int]*member
 	order     []int // running IDs ascending
 	queue     []Job // arrival order
 	slotsFree []int // per node
 	freeSlots int
-	granted   int64 // credit ledger: sum of members' grants
-	stats     Stats
+	load      []int64 // per node: one BytesPerIter per placed worker
+	cursor    int     // round-robin placement's next candidate node
 }
 
-// New constructs a cluster control plane.
-func New(cfg Config) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	delays := make([]float64, cfg.Nodes)
-	copy(delays, cfg.DelaySec)
-	c := &Cluster{
-		cfg:       cfg,
-		delays:    delays,
+// newPlane returns the empty control plane of a validated scenario.
+func newPlane(s Scenario) *plane {
+	p := &plane{
+		s:         s,
+		delays:    s.delays(),
 		running:   make(map[int]*member),
-		slotsFree: make([]int, cfg.Nodes),
-		freeSlots: cfg.Nodes * cfg.SlotsPerNode,
+		slotsFree: make([]int, s.Nodes),
+		freeSlots: s.Nodes * s.SlotsPerNode,
+		load:      make([]int64, s.Nodes),
 	}
-	for n := range c.slotsFree {
-		c.slotsFree[n] = cfg.SlotsPerNode
+	for n := range p.slotsFree {
+		p.slotsFree[n] = s.SlotsPerNode
 	}
-	c.placer = &nodeAssigner{
-		strategy: cfg.Placement,
-		load:     make([]int64, cfg.Nodes),
-		free:     c.slotsFree,
-		delay:    delays,
-		rate:     cfg.LinkBytesPerSec,
-	}
-	return c, nil
+	return p
 }
 
-// Submit queues the job and runs admission; it reports whether the job was
-// admitted immediately. A job that can never fit the cluster is rejected.
-func (c *Cluster) Submit(j Job) (bool, error) {
+// submit queues the job and runs admission. A job that can never fit the
+// cluster is rejected.
+func (p *plane) submit(j Job) error {
 	if err := j.Validate(); err != nil {
-		return false, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j.Workers > c.cfg.Nodes*c.cfg.SlotsPerNode {
-		return false, fmt.Errorf("cluster: job %d needs %d workers, cluster has %d slots",
-			j.ID, j.Workers, c.cfg.Nodes*c.cfg.SlotsPerNode)
-	}
-	if _, ok := c.running[j.ID]; ok {
-		return false, fmt.Errorf("cluster: job %d already running", j.ID)
-	}
-	for _, q := range c.queue {
-		if q.ID == j.ID {
-			return false, fmt.Errorf("cluster: job %d already queued", j.ID)
-		}
-	}
-	c.stats.Submitted++
-	c.queue = append(c.queue, j)
-	c.admitLocked()
-	_, admitted := c.running[j.ID]
-	return admitted, nil
-}
-
-// Finish retires a running job: its slots, placed load, and credit grant
-// return to the pool and queued jobs are (re-)considered for admission.
-func (c *Cluster) Finish(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.removeLocked(id); err != nil {
 		return err
 	}
-	c.stats.Finished++
-	c.admitLocked()
+	if slots := p.s.Nodes * p.s.SlotsPerNode; j.Workers > slots {
+		return fmt.Errorf("cluster: job %d needs %d workers, cluster has %d slots", j.ID, j.Workers, slots)
+	}
+	p.queue = append(p.queue, j)
+	if p.admit() {
+		p.splitCredits()
+	}
 	return nil
 }
 
-// Cancel withdraws a job in any state: queued jobs leave the queue, running
-// jobs tear down exactly like Finish.
-func (c *Cluster) Cancel(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, q := range c.queue {
-		if q.ID == id {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			c.stats.Cancelled++
-			return nil
-		}
-	}
-	if err := c.removeLocked(id); err != nil {
-		return err
-	}
-	c.stats.Cancelled++
-	c.admitLocked()
-	return nil
-}
-
-// removeLocked tears down a running member, restoring slots, placement
-// load, and its credit grant.
-func (c *Cluster) removeLocked(id int) error {
-	m, ok := c.running[id]
+// finish retires a running job: its slots, placed load and credit grant
+// return to the pool, and queued jobs are (re-)considered for admission.
+func (p *plane) finish(id int) error {
+	m, ok := p.running[id]
 	if !ok {
 		return fmt.Errorf("cluster: job %d is not running", id)
 	}
 	for _, n := range m.nodes {
-		c.slotsFree[n]++
-		c.freeSlots++
-		c.placer.Release(n, m.job.BytesPerIter)
+		p.slotsFree[n]++
+		p.freeSlots++
+		p.load[n] -= m.job.BytesPerIter
 	}
-	c.granted -= m.credit
-	delete(c.running, id)
-	for i, oid := range c.order {
-		if oid == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.rebalanceCreditsLocked()
+	delete(p.running, id)
+	i := sort.SearchInts(p.order, id)
+	p.order = append(p.order[:i], p.order[i+1:]...)
+	p.admit()
+	p.splitCredits()
 	return nil
 }
 
-// admitLocked drains the queue under the configured discipline and
-// rebalances credits if membership changed.
-func (c *Cluster) admitLocked() {
-	changed := false
-	for i := 0; i < len(c.queue); {
-		j := c.queue[i]
-		if j.Workers <= c.freeSlots {
-			c.placeLocked(j)
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
+// admit drains the queue in arrival order and reports whether it admitted
+// anyone. The baseline stops at the first job that does not fit — the
+// head-of-line blocking that inflates tail job-completion times; under
+// Fair, backfill admits any job that fits, letting small jobs flow around a
+// blocked large head.
+func (p *plane) admit() (changed bool) {
+	for i := 0; i < len(p.queue); {
+		j := p.queue[i]
+		if j.Workers <= p.freeSlots {
+			p.place(j)
+			p.queue = append(p.queue[:i], p.queue[i+1:]...)
 			changed = true
 			continue
 		}
-		if c.cfg.Admission == AdmitFIFO {
-			break // head-of-line blocks everything behind it
+		if !p.s.Fair {
+			break
 		}
 		i++
 	}
-	if changed {
-		c.rebalanceCreditsLocked()
-	}
+	return changed
 }
 
-// placeLocked admits one job: every worker lands on a node chosen by the
-// placement strategy among nodes with free slots.
-func (c *Cluster) placeLocked(j Job) {
+// place admits one job: every worker lands on a node with a free slot.
+func (p *plane) place(j Job) {
 	m := &member{job: j, nodes: make([]int, j.Workers)}
 	for w := range m.nodes {
-		n := c.placer.Assign(fmt.Sprintf("j%d/w%d", j.ID, w), j.BytesPerIter)
-		c.slotsFree[n]--
-		c.freeSlots--
+		n := p.pick(j.BytesPerIter)
+		p.slotsFree[n]--
+		p.freeSlots--
+		p.load[n] += j.BytesPerIter
 		m.nodes[w] = n
 	}
-	c.running[j.ID] = m
-	at := sort.SearchInts(c.order, j.ID)
-	c.order = append(c.order, 0)
-	copy(c.order[at+1:], c.order[at:])
-	c.order[at] = j.ID
-	c.stats.Admitted++
+	p.running[j.ID] = m
+	at := sort.SearchInts(p.order, j.ID)
+	p.order = append(p.order, 0)
+	copy(p.order[at+1:], p.order[at:])
+	p.order[at] = j.ID
 }
 
-// rebalanceCreditsLocked re-divides the credit pool across the admitted
-// jobs. Contention-aware mode (FairCredits) runs the weighted max-min
-// allocator with each job's tensor count as its cap, so credit a small job
-// cannot use flows to tensor-heavy jobs instead of being stranded; the
-// baseline splits uniformly and strands both the remainder and any excess
-// over a job's appetite. The ledger invariant — granted never exceeds the
-// pool, and teardown returns exactly what was granted — is what the churn
-// soak test pins.
-func (c *Cluster) rebalanceCreditsLocked() {
-	c.granted = 0
-	n := len(c.order)
-	if n == 0 {
-		return
-	}
-	if c.cfg.FairCredits {
-		weights := make([]float64, n)
-		caps := make([]int64, n)
-		for k, id := range c.order {
-			j := c.running[id].job
-			weights[k] = j.Weight
-			caps[k] = j.TensorsPerIter * int64(j.Workers)
-		}
-		alloc := FairShare(c.cfg.CreditPool, weights, caps)
-		for k, id := range c.order {
-			c.running[id].credit = alloc[k]
-			c.granted += alloc[k]
-		}
-		return
-	}
-	share := c.cfg.CreditPool / int64(n)
-	for _, id := range c.order {
-		c.running[id].credit = share
-		c.granted += share
-	}
-}
-
-// Running returns the admitted job IDs in ascending order.
-func (c *Cluster) Running() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int{}, c.order...)
-}
-
-// QueueLen returns the number of jobs waiting for admission.
-func (c *Cluster) QueueLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
-// Placement returns the worker→node mapping of a running job.
-func (c *Cluster) Placement(id int) ([]int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.running[id]
-	if !ok {
-		return nil, false
-	}
-	return append([]int{}, m.nodes...), true
-}
-
-// Credit returns the running job's current credit grant.
-func (c *Cluster) Credit(id int) (int64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.running[id]
-	if !ok {
-		return 0, false
-	}
-	return m.credit, true
-}
-
-// CreditGranted returns the credit ledger: the sum of all members' grants.
-// It never exceeds the pool, and it returns to zero when the cluster
-// drains.
-func (c *Cluster) CreditGranted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.granted
-}
-
-// FreeSlots returns the free worker-slot count.
-func (c *Cluster) FreeSlots() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.freeSlots
-}
-
-// NodeLoad returns the per-node placed bytes (one BytesPerIter per placed
-// worker) — the live load delay-aware placement scores against.
-func (c *Cluster) NodeLoad() []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.placer.Load()
-}
-
-// Stats returns the control-plane event counters.
-func (c *Cluster) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// nodeAssigner generalizes the ps placement strategies from tensor→server
-// to job-worker→node: it implements ps.Assigner with the same scoring
-// rules, but restricts candidates to nodes with free worker slots and
-// releases load when jobs retire (tensors are placed once and live
-// forever; jobs come and go). It is only called under the Cluster's lock.
-type nodeAssigner struct {
-	strategy ps.Strategy
-	load     []int64
-	free     []int // shared with the Cluster's slot bookkeeping
-	delay    []float64
-	rate     float64
-	cursor   int
-}
-
-var _ ps.Assigner = (*nodeAssigner)(nil)
-
-// Name implements ps.Assigner.
-func (a *nodeAssigner) Name() string { return a.strategy.String() + "/nodes" }
-
-// Assign implements ps.Assigner: the next node with a free slot, chosen by
-// the strategy. Callers guarantee a free slot exists (admission control).
-func (a *nodeAssigner) Assign(_ string, bytes int64) int {
-	if a.strategy == ps.StrategyDelayAware {
-		// ps.DelayAware's earliest-finish score over the free nodes:
-		// queued bytes over the link rate, plus the node's delay.
+// pick chooses a worker's node among those with a free slot, by the ps
+// placement strategies generalized from tensor→server to worker→node. Under
+// Fair it is ps.DelayAware's earliest-finish score: queued bytes over the
+// link rate, plus the node's delay. The baseline is round-robin from a
+// cursor. Admission guarantees a free slot exists.
+func (p *plane) pick(bytes int64) int {
+	if p.s.Fair {
+		rate := p.s.linkBytesPerSec()
 		best := -1
 		var bestScore float64
-		for n := range a.load {
-			if a.free[n] == 0 {
+		for n := range p.load {
+			if p.slotsFree[n] == 0 {
 				continue
 			}
-			s := (float64(a.load[n])+float64(bytes))/a.rate + a.delay[n]
+			s := (float64(p.load[n])+float64(bytes))/rate + p.delays[n]
 			if best < 0 || s < bestScore {
 				best, bestScore = n, s
 			}
 		}
-		a.load[best] += bytes
 		return best
 	}
-	for i := 0; i < len(a.load); i++ {
-		n := (a.cursor + i) % len(a.load)
-		if a.free[n] > 0 {
-			a.cursor = (n + 1) % len(a.load)
-			a.load[n] += bytes
+	for i := range p.load {
+		n := (p.cursor + i) % len(p.load)
+		if p.slotsFree[n] > 0 {
+			p.cursor = (n + 1) % len(p.load)
 			return n
 		}
 	}
 	panic("cluster: no free node (admission control must prevent this)")
 }
 
-// Load implements ps.Assigner.
-func (a *nodeAssigner) Load() []int64 {
-	out := make([]int64, len(a.load))
-	copy(out, a.load)
-	return out
-}
-
-// Release returns a retired worker's bytes to the node's live load.
-func (a *nodeAssigner) Release(n int, bytes int64) {
-	a.load[n] -= bytes
-	if a.load[n] < 0 {
-		a.load[n] = 0
+// splitCredits re-divides the credit pool across the admitted jobs. Under
+// Fair it runs the weighted max-min allocator with each job's tensor count
+// as its cap, so credit a small job cannot use flows to tensor-heavy jobs
+// instead of being stranded; the baseline splits uniformly and strands both
+// the remainder and any excess over a job's appetite. The ledger invariant
+// — the grants never exceed the pool, and teardown returns exactly what was
+// granted — is what the churn soak test pins.
+func (p *plane) splitCredits() {
+	n := len(p.order)
+	if n == 0 {
+		return
+	}
+	if p.s.Fair {
+		weights := make([]float64, n)
+		caps := make([]int64, n)
+		for k, id := range p.order {
+			j := p.running[id].job
+			weights[k] = j.Weight
+			caps[k] = j.TensorsPerIter * int64(j.Workers)
+		}
+		alloc := FairShare(p.s.CreditPool, weights, caps)
+		for k, id := range p.order {
+			p.running[id].credit = alloc[k]
+		}
+		return
+	}
+	share := p.s.CreditPool / int64(n)
+	for _, id := range p.order {
+		p.running[id].credit = share
 	}
 }

@@ -2,21 +2,32 @@ package cluster
 
 import (
 	"testing"
-
-	"bytescheduler/internal/ps"
 )
 
-func testConfig() Config {
-	return Config{
-		Nodes:           4,
-		SlotsPerNode:    2,
-		LinkBytesPerSec: 1e9,
-		DelaySec:        []float64{0, 0.001, 0.002, 0.003},
-		CreditPool:      64,
-		Admission:       AdmitBackfill,
-		Placement:       ps.StrategyDelayAware,
-		FairCredits:     true,
+// testPlane is the control plane of a 4-node, 8-slot scenario: 1 GB/s
+// links, delays 0, 1, 2 and 3 ms, a 64-credit pool, and the given arm.
+func testPlane(fair bool) *plane {
+	return newPlane(Scenario{Nodes: 4, SlotsPerNode: 2, LinkGbps: 8, MaxDelayMs: 3,
+		CreditPool: 64, Fair: fair}.withDefaults())
+}
+
+// credit returns the running job's grant.
+func credit(t *testing.T, p *plane, id int) int64 {
+	t.Helper()
+	m, ok := p.running[id]
+	if !ok {
+		t.Fatalf("job %d is not running", id)
 	}
+	return m.credit
+}
+
+// granted is the credit ledger: the sum of the running jobs' grants.
+func granted(p *plane) int64 {
+	var g int64
+	for _, m := range p.running {
+		g += m.credit
+	}
+	return g
 }
 
 func job(id, workers int, weight float64, tensors, bytes int64) Job {
@@ -27,35 +38,39 @@ func job(id, workers int, weight float64, tensors, bytes int64) Job {
 	}
 }
 
-func mustSubmit(t *testing.T, c *Cluster, j Job) bool {
+// mustSubmit submits j and reports whether it was admitted at once.
+func mustSubmit(t *testing.T, p *plane, j Job) bool {
 	t.Helper()
-	admitted, err := c.Submit(j)
-	if err != nil {
-		t.Fatalf("Submit(%d): %v", j.ID, err)
+	if err := p.submit(j); err != nil {
+		t.Fatalf("submit(%d): %v", j.ID, err)
 	}
+	_, admitted := p.running[j.ID]
 	return admitted
 }
 
+// TestConfigValidate pins what the plane takes from its scenario — every
+// slot free, the delay ramp from the near to the far rack — and that a
+// scenario Validate refuses fails Run before any plane is built.
 func TestConfigValidate(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Nodes = 0 },
-		func(c *Config) { c.SlotsPerNode = 0 },
-		func(c *Config) { c.LinkBytesPerSec = 0 },
-		func(c *Config) { c.DelaySec = []float64{1} },
-		func(c *Config) { c.DelaySec = []float64{0, 0, 0, -1} },
-		func(c *Config) { c.CreditPool = 0 },
-		func(c *Config) { c.Placement = ps.StrategyHashRing },
-		func(c *Config) { c.Admission = Admission(9) },
+	p := testPlane(true)
+	if p.freeSlots != 8 || !equalInts(p.slotsFree, []int{2, 2, 2, 2}) {
+		t.Fatalf("free slots %d %v, want 8 as 2 per node", p.freeSlots, p.slotsFree)
 	}
-	for i, mutate := range bad {
-		cfg := testConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
+	for n, want := range []float64{0, 0.001, 0.002, 0.003} {
+		if d := p.delays[n]; d < want-1e-12 || d > want+1e-12 {
+			t.Fatalf("delays %v, want the 0..3 ms ramp", p.delays)
 		}
 	}
-	if err := testConfig().Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for i, s := range []Scenario{
+		{Jobs: 1, Nodes: -1},
+		{Jobs: 1, SlotsPerNode: -1},
+		{Jobs: 1, LinkGbps: -1},
+		{Jobs: 1, MaxDelayMs: -1},
+		{Jobs: 1, CreditPool: -1},
+	} {
+		if _, err := s.Run(); err == nil {
+			t.Errorf("case %d: invalid scenario ran: %+v", i, s)
+		}
 	}
 }
 
@@ -83,14 +98,7 @@ func TestJobValidate(t *testing.T) {
 // under FIFO but not under backfill.
 func TestAdmissionBackfillVsFIFO(t *testing.T) {
 	for _, fifo := range []bool{true, false} {
-		cfg := testConfig()
-		if fifo {
-			cfg.Admission = AdmitFIFO
-		}
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := testPlane(!fifo)
 		if !mustSubmit(t, c, job(1, 7, 1, 4, 1<<20)) {
 			t.Fatal("7-worker job not admitted into empty 8-slot cluster")
 		}
@@ -105,15 +113,14 @@ func TestAdmissionBackfillVsFIFO(t *testing.T) {
 			t.Fatal("backfill did not admit around the blocked head")
 		}
 		// Retiring the big job unblocks the queue in arrival order.
-		if err := c.Finish(1); err != nil {
+		if err := c.finish(1); err != nil {
 			t.Fatal(err)
 		}
-		running := c.Running()
-		if len(running) != 2 || running[0] != 2 || running[1] != 3 {
-			t.Fatalf("running after finish = %v, want [2 3]", running)
+		if !equalInts(c.order, []int{2, 3}) {
+			t.Fatalf("running after finish = %v, want [2 3]", c.order)
 		}
-		if c.QueueLen() != 0 {
-			t.Fatalf("queue not drained: %d", c.QueueLen())
+		if len(c.queue) != 0 {
+			t.Fatalf("queue not drained: %d", len(c.queue))
 		}
 	}
 }
@@ -123,18 +130,11 @@ func TestAdmissionBackfillVsFIFO(t *testing.T) {
 // subsequent equal-size workers spread toward higher-delay nodes only as
 // load accumulates.
 func TestPlacementDelayAware(t *testing.T) {
-	cfg := testConfig()
 	// 1 GB/s link, 10 MB per worker => 10 ms queueing per placed worker;
 	// delays 0,1,2,3 ms. Workers should fill near nodes first.
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testPlane(true)
 	mustSubmit(t, c, job(1, 4, 1, 4, 10<<20))
-	nodes, ok := c.Placement(1)
-	if !ok {
-		t.Fatal("placement missing")
-	}
+	nodes := c.running[1].nodes
 	// Scores walk: n0 (10ms), n1 (10+1 beats 20+0? 11 vs 20 -> n1), then
 	// n2 (12), then n3 (13).
 	want := []int{0, 1, 2, 3}
@@ -144,17 +144,16 @@ func TestPlacementDelayAware(t *testing.T) {
 		}
 	}
 	// Teardown releases live load: a new identical job repeats the walk.
-	if err := c.Finish(1); err != nil {
+	if err := c.finish(1); err != nil {
 		t.Fatal(err)
 	}
-	load := c.NodeLoad()
-	for n, b := range load {
+	for n, b := range c.load {
 		if b != 0 {
 			t.Fatalf("node %d still loaded with %d bytes after teardown", n, b)
 		}
 	}
 	mustSubmit(t, c, job(2, 4, 1, 4, 10<<20))
-	nodes, _ = c.Placement(2)
+	nodes = c.running[2].nodes
 	for i, n := range nodes {
 		if n != want[i] {
 			t.Fatalf("placement after teardown = %v, want %v", nodes, want)
@@ -166,22 +165,15 @@ func TestPlacementDelayAware(t *testing.T) {
 // cursor rotates in node order but never lands on a node without free
 // slots.
 func TestPlacementRoundRobinSkipsFullNodes(t *testing.T) {
-	cfg := testConfig()
-	cfg.Admission = AdmitFIFO
-	cfg.Placement = ps.StrategyRoundRobin
-	cfg.FairCredits = false
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testPlane(false)
 	mustSubmit(t, c, job(1, 2, 1, 4, 1<<20))
-	if nodes, _ := c.Placement(1); nodes[0] != 0 || nodes[1] != 1 {
+	if nodes := c.running[1].nodes; nodes[0] != 0 || nodes[1] != 1 {
 		t.Fatalf("first job placed on %v, want [0 1]", nodes)
 	}
 	// 6 workers over free slots n0:1 n1:1 n2:2 n3:2, cursor at 2: the
 	// second rotation must skip the now-full nodes 0 and 1.
 	mustSubmit(t, c, job(2, 6, 1, 4, 1<<20))
-	if nodes, _ := c.Placement(2); !equalInts(nodes, []int{2, 3, 0, 1, 2, 3}) {
+	if nodes := c.running[2].nodes; !equalInts(nodes, []int{2, 3, 0, 1, 2, 3}) {
 		t.Fatalf("second job placed on %v, want [2 3 0 1 2 3]", nodes)
 	}
 }
@@ -202,84 +194,60 @@ func equalInts(a, b []int) bool {
 // follow weights, are capped by a job's tensor appetite with the excess
 // flowing to jobs that can use it, and the ledger tracks membership.
 func TestCreditRebalance(t *testing.T) {
-	cfg := testConfig() // pool 64, fair credits
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testPlane(true) // pool 64, fair credits
 	// Job 1: weight 1 but only 4 tensors x 1 worker -> cap 4.
 	// Job 2: weight 1, 1000 tensors -> absorbs the freed credit.
 	mustSubmit(t, c, job(1, 1, 1, 4, 1<<20))
 	mustSubmit(t, c, job(2, 1, 1, 1000, 1<<20))
-	c1, _ := c.Credit(1)
-	c2, _ := c.Credit(2)
+	c1, c2 := credit(t, c, 1), credit(t, c, 2)
 	if c1 != 4 {
 		t.Fatalf("capped job granted %d credits, want its tensor cap 4", c1)
 	}
 	if c2 != 60 {
 		t.Fatalf("unsaturated job granted %d credits, want the remaining 60", c2)
 	}
-	if g := c.CreditGranted(); g != 64 {
+	if g := granted(c); g != 64 {
 		t.Fatalf("ledger %d, want the full pool 64", g)
 	}
 	// Departure returns the grant and rebalances survivors.
-	if err := c.Finish(2); err != nil {
+	if err := c.finish(2); err != nil {
 		t.Fatal(err)
 	}
-	c1, _ = c.Credit(1)
-	if c1 != 4 {
+	if c1 = credit(t, c, 1); c1 != 4 {
 		t.Fatalf("survivor grant %d after departure, want 4 (cap-bound)", c1)
 	}
-	if g := c.CreditGranted(); g != 4 {
+	if g := granted(c); g != 4 {
 		t.Fatalf("ledger %d after departure, want 4", g)
 	}
 	// Uniform baseline: pool/n each, remainder stranded, caps ignored.
-	cfg.FairCredits = false
-	c2u, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2u := testPlane(false)
 	mustSubmit(t, c2u, job(1, 1, 1, 4, 1<<20))
 	mustSubmit(t, c2u, job(2, 1, 1, 1000, 1<<20))
 	mustSubmit(t, c2u, job(3, 1, 1, 1000, 1<<20))
 	for id := 1; id <= 3; id++ {
-		if got, _ := c2u.Credit(id); got != 64/3 {
+		if got := credit(t, c2u, id); got != 64/3 {
 			t.Fatalf("uniform grant for job %d = %d, want %d", id, got, int64(64/3))
 		}
 	}
 }
 
 func TestSubmitErrors(t *testing.T) {
-	c, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit(job(1, 9, 1, 4, 1<<20)); err == nil {
+	c := testPlane(true)
+	if err := c.submit(job(1, 9, 1, 4, 1<<20)); err == nil {
 		t.Fatal("job larger than the cluster accepted")
 	}
+	if err := c.submit(job(1, 1, 0, 4, 1<<20)); err == nil {
+		t.Fatal("invalid job accepted")
+	}
 	mustSubmit(t, c, job(1, 1, 1, 4, 1<<20))
-	if _, err := c.Submit(job(1, 1, 1, 4, 1<<20)); err == nil {
-		t.Fatal("duplicate running ID accepted")
-	}
 	mustSubmit(t, c, job(2, 8, 1, 4, 1<<20)) // queued (7 free)
-	if _, err := c.Submit(job(2, 1, 1, 4, 1<<20)); err == nil {
-		t.Fatal("duplicate queued ID accepted")
-	}
-	if err := c.Finish(99); err == nil {
+	if err := c.finish(99); err == nil {
 		t.Fatal("finishing unknown job accepted")
 	}
-	if err := c.Cancel(99); err == nil {
-		t.Fatal("cancelling unknown job accepted")
+	if err := c.finish(2); err == nil {
+		t.Fatal("finishing a queued job accepted")
 	}
-	// Cancel dequeues the waiting job without touching the running one.
-	if err := c.Cancel(2); err != nil {
-		t.Fatal(err)
-	}
-	if c.QueueLen() != 0 || len(c.Running()) != 1 {
-		t.Fatalf("state after cancel: queue %d running %v", c.QueueLen(), c.Running())
-	}
-	st := c.Stats()
-	if st.Submitted != 2 || st.Admitted != 1 || st.Cancelled != 1 {
-		t.Fatalf("stats = %+v", st)
+	if len(c.queue) != 1 || !equalInts(c.order, []int{1}) {
+		t.Fatalf("state after refused requests: queue %d running %v", len(c.queue), c.order)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"bytescheduler/internal/engine"
 	"bytescheduler/internal/model"
-	"bytescheduler/internal/ps"
 )
 
 // Scenario describes a multi-job cluster simulation: hundreds of
@@ -239,27 +238,8 @@ func (s Scenario) Run() (Report, error) {
 	if err := s.Validate(); err != nil {
 		return Report{}, err
 	}
-	placement := ps.StrategyRoundRobin
-	admission := AdmitFIFO
-	if s.Fair {
-		placement = ps.StrategyDelayAware
-		admission = AdmitBackfill
-	}
-	cl, err := New(Config{
-		Nodes:           s.Nodes,
-		SlotsPerNode:    s.SlotsPerNode,
-		LinkBytesPerSec: s.linkBytesPerSec(),
-		DelaySec:        s.delays(),
-		CreditPool:      s.CreditPool,
-		Admission:       admission,
-		Placement:       placement,
-		FairCredits:     s.Fair,
-	})
-	if err != nil {
-		return Report{}, err
-	}
+	p := newPlane(s)
 	jobs := s.GenerateJobs()
-	delays := s.delays()
 	linkRate := s.linkBytesPerSec()
 
 	n := len(jobs)
@@ -290,24 +270,25 @@ func (s Scenario) Run() (Report, error) {
 	done := 0
 	busyBytes := 0.0
 	rates := make([]float64, n)
+	var running []int // the event's running jobs; finishing one edits p.order
 	maxEvents := 10*n + 1000
 	for events := 0; done < n; events++ {
 		if events > maxEvents {
 			return Report{}, fmt.Errorf("cluster: simulation stalled after %d events (%d/%d jobs done)", events, done, n)
 		}
 		for next < len(order) && arrivals[order[next]] <= t+1e-12 {
-			if _, err := cl.Submit(jobs[order[next]]); err != nil {
+			if err := p.submit(jobs[order[next]]); err != nil {
 				return Report{}, err
 			}
 			next++
 		}
-		running := cl.Running()
+		running = append(running[:0], p.order...)
 		for _, id := range running {
 			if admitAt[id] < 0 {
 				admitAt[id] = t
 			}
 		}
-		s.ratesFor(cl, jobs, running, delays, linkRate, rates)
+		p.ratesFor(jobs, running, rates)
 		dt := math.Inf(1)
 		if next < len(order) {
 			dt = arrivals[order[next]] - t
@@ -320,7 +301,7 @@ func (s Scenario) Run() (Report, error) {
 			}
 		}
 		if math.IsInf(dt, 1) {
-			return Report{}, fmt.Errorf("cluster: no progress at t=%v (%d running, %d queued)", t, len(running), cl.QueueLen())
+			return Report{}, fmt.Errorf("cluster: no progress at t=%v (%d running, %d queued)", t, len(running), len(p.queue))
 		}
 		if dt < 0 {
 			dt = 0
@@ -336,7 +317,7 @@ func (s Scenario) Run() (Report, error) {
 			if remaining[id] <= 1 {
 				remaining[id] = 0
 				doneAt[id] = t
-				if err := cl.Finish(id); err != nil {
+				if err := p.finish(id); err != nil {
 					return Report{}, err
 				}
 				done++
@@ -382,17 +363,18 @@ func (s Scenario) Run() (Report, error) {
 // whatever exceeds the worker's demand — the water-filled share therefore
 // dominates the uniform one pointwise, and the arms isolate the value of
 // work conservation rather than a reweighting of who wins.
-func (s Scenario) ratesFor(cl *Cluster, jobs []Job, running []int, delays []float64, linkRate float64, rates []float64) {
-	perNode := make([][]claim, s.Nodes)
+func (p *plane) ratesFor(jobs []Job, running []int, rates []float64) {
+	linkRate := p.s.linkBytesPerSec()
+	perNode := make([][]claim, p.s.Nodes)
 	for _, id := range running {
 		j := jobs[id]
-		nodes, _ := cl.Placement(id)
-		credit, _ := cl.Credit(id)
+		m := p.running[id]
+		credit := m.credit
 		if credit < 1 {
 			credit = 1 // a starved grant still pipelines one tensor
 		}
-		for _, node := range nodes {
-			stall := float64(j.TensorsPerIter) * delays[node] / float64(credit)
+		for _, node := range m.nodes {
+			stall := float64(j.TensorsPerIter) * p.delays[node] / float64(credit)
 			perNode[node] = append(perNode[node], claim{
 				job: id,
 				cap: float64(j.BytesPerIter) / (j.FloorSec + stall),
@@ -406,7 +388,7 @@ func (s Scenario) ratesFor(cl *Cluster, jobs []Job, running []int, delays []floa
 			continue
 		}
 		var shares []float64
-		if s.Fair {
+		if p.s.Fair {
 			weights := make([]float64, len(claims))
 			caps := make([]float64, len(claims))
 			for k, c := range claims {

@@ -2,116 +2,71 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"math/rand"
 	"testing"
-
-	"bytescheduler/internal/ps"
 )
 
-// TestSoak256JobChurn hammers the control plane with 256 jobs churning
-// concurrently — submit, wait for admission, then finish or cancel — the
-// same barrier-release shape as netps's 256-client soak. Run under -race
-// (the CI cluster leg does) it doubles as the data-race check for the
-// shared admission queue, slot bookkeeping, placement load, and credit
-// ledger. The pinned invariant: job teardown never leaks credit — the
-// ledger never exceeds the pool while jobs churn, and drains to exactly
-// zero when the last job leaves.
+// TestSoak256JobChurn churns the control plane through 256 jobs in a seeded
+// random order: each step submits the next job or finishes a random running
+// one. The pinned invariant: job teardown never leaks credit — the ledger
+// never exceeds the pool while jobs churn — and slots, credit and placed
+// load all return to zero when the last job leaves.
 func TestSoak256JobChurn(t *testing.T) {
 	const jobsN = 256
-	cfg := Config{
-		Nodes:           8,
-		SlotsPerNode:    4,
-		LinkBytesPerSec: 1e9,
-		DelaySec:        []float64{0, 0.001, 0.001, 0.002, 0.002, 0.003, 0.003, 0.004},
-		CreditPool:      256,
-		Admission:       AdmitBackfill,
-		Placement:       ps.StrategyDelayAware,
-		FairCredits:     true,
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ready, done sync.WaitGroup
-	release := make(chan struct{})
-	errs := make(chan error, jobsN)
-	ready.Add(jobsN)
-	done.Add(jobsN)
-	for i := 0; i < jobsN; i++ {
-		go func(i int) {
-			defer done.Done()
-			ready.Done()
-			<-release
-			j := Job{
-				ID: i, Model: fmt.Sprintf("soak%d", i),
-				Weight:         float64(1 + i%4),
-				Workers:        1 + i%3,
-				TensorsPerIter: int64(8 + i%64),
-				BytesPerIter:   1 << 20,
-				FloorSec:       0.001,
-				Iterations:     4,
-			}
-			if _, err := c.Submit(j); err != nil {
-				errs <- fmt.Errorf("submit %d: %w", i, err)
-				return
-			}
-			// Mid-churn ledger invariant: grants never exceed the pool.
-			if g := c.CreditGranted(); g > cfg.CreditPool {
-				errs <- fmt.Errorf("job %d saw credit ledger %d over pool %d", i, g, cfg.CreditPool)
-				return
-			}
-			if i%5 == 0 {
-				// Cancel in whatever state the job is in (queued or
-				// running) — the teardown path credit leaks would hide in.
-				if err := c.Cancel(i); err != nil {
-					errs <- fmt.Errorf("cancel %d: %w", i, err)
+	for _, fair := range []bool{true, false} {
+		s := Scenario{Nodes: 8, SlotsPerNode: 4, LinkGbps: 8, MaxDelayMs: 4,
+			CreditPool: 256, Fair: fair}.withDefaults()
+		c := newPlane(s)
+		rng := rand.New(rand.NewSource(1))
+		next, finished := 0, 0
+		for finished < jobsN {
+			if next < jobsN && (len(c.order) == 0 || rng.Intn(2) == 0) {
+				i := next
+				next++
+				if err := c.submit(Job{
+					ID: i, Model: fmt.Sprintf("soak%d", i),
+					Weight:         float64(1 + i%4),
+					Workers:        1 + i%3,
+					TensorsPerIter: int64(8 + i%64),
+					BytesPerIter:   1 << 20,
+					FloorSec:       0.001,
+					Iterations:     4,
+				}); err != nil {
+					t.Fatalf("fair=%v: submit %d: %v", fair, i, err)
 				}
-				return
-			}
-			// Wait out admission (32 slots, <=3 workers each: every job is
-			// eventually admitted as others retire), then finish.
-			for {
-				if _, running := c.Placement(i); running {
-					break
+			} else {
+				if len(c.order) == 0 {
+					t.Fatalf("fair=%v: %d jobs queued and none running", fair, len(c.queue))
 				}
-				runtime.Gosched()
+				if err := c.finish(c.order[rng.Intn(len(c.order))]); err != nil {
+					t.Fatalf("fair=%v: %v", fair, err)
+				}
+				finished++
 			}
-			if err := c.Finish(i); err != nil {
-				errs <- fmt.Errorf("finish %d: %w", i, err)
+			if g := granted(c); g > s.CreditPool {
+				t.Fatalf("fair=%v: credit ledger %d over pool %d", fair, g, s.CreditPool)
 			}
-		}(i)
-	}
-	ready.Wait()
-	close(release)
-	done.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	// Fully drained: every resource the churn borrowed is back.
-	if running := c.Running(); len(running) != 0 {
-		t.Fatalf("jobs still running after churn: %v", running)
-	}
-	if q := c.QueueLen(); q != 0 {
-		t.Fatalf("%d jobs still queued after churn", q)
-	}
-	if free := c.FreeSlots(); free != cfg.Nodes*cfg.SlotsPerNode {
-		t.Fatalf("slots leaked: %d free, want %d", free, cfg.Nodes*cfg.SlotsPerNode)
-	}
-	if g := c.CreditGranted(); g != 0 {
-		t.Fatalf("credit leaked: ledger %d after full drain", g)
-	}
-	for n, b := range c.NodeLoad() {
-		if b != 0 {
-			t.Fatalf("placement load leaked: node %d holds %d bytes", n, b)
 		}
-	}
-	st := c.Stats()
-	if st.Submitted != jobsN || st.Finished+st.Cancelled != jobsN {
-		t.Fatalf("lifecycle mismatch: %+v (want %d submitted and %d finished+cancelled)",
-			st, jobsN, jobsN)
+
+		// Fully drained: every resource the churn borrowed is back.
+		if len(c.order) != 0 || len(c.running) != 0 || len(c.queue) != 0 {
+			t.Fatalf("fair=%v: %v running, %d queued after churn", fair, c.order, len(c.queue))
+		}
+		if c.freeSlots != s.Nodes*s.SlotsPerNode {
+			t.Fatalf("fair=%v: slots leaked: %d free, want %d", fair, c.freeSlots, s.Nodes*s.SlotsPerNode)
+		}
+		for n, free := range c.slotsFree {
+			if free != s.SlotsPerNode {
+				t.Fatalf("fair=%v: node %d has %d free slots, want %d", fair, n, free, s.SlotsPerNode)
+			}
+		}
+		if g := granted(c); g != 0 {
+			t.Fatalf("fair=%v: credit leaked: ledger %d after full drain", fair, g)
+		}
+		for n, b := range c.load {
+			if b != 0 {
+				t.Fatalf("fair=%v: placement load leaked: node %d holds %d bytes", fair, n, b)
+			}
+		}
 	}
 }

@@ -12,8 +12,8 @@ package core
 // A Fuser sits between the framework plugin and a scheduler: Add replaces
 // the Enqueue+NotifyReady pair. Tensors at or above the threshold pass
 // straight through; smaller ones accumulate in a bucket that is flushed as
-// one fused CommTask when it reaches the byte limit or when the caller
-// flushes explicitly at a pass boundary. The fused task's priority
+// one fused CommTask when it reaches θ bytes or when the caller flushes
+// explicitly at a pass boundary. The fused task's priority
 // is the *minimum* (most urgent) of its members — fusion may delay an
 // urgent small tensor by at most one bucket, never demote it — and when
 // the fused task resolves it is unfused: every member's OnFinished fires
@@ -23,7 +23,7 @@ package core
 // workers must fuse identical member sets. Membership is deterministic
 // when (a) tasks are Added in the same order on every worker — true for
 // backward passes, which emit gradients in reverse layer order — and (b)
-// flushes happen at deterministic points — the byte limit and explicit
+// flushes happen at deterministic points — the θ size limit and explicit
 // pass-boundary Flush calls are the only triggers, so there is no
 // wall-clock flush that could diverge membership. The same determinism is
 // what lets a Fuser feed a StreamReleaser on coordinated runs: every peer
@@ -77,13 +77,11 @@ type FuseStartFn func(f *Fused) StartErrFn
 // FuserConfig configures a Fuser.
 type FuserConfig struct {
 	// Theta is the fusion threshold in bytes: tensors strictly smaller
-	// are bucketed, larger ones pass through untouched. <= 0 disables
-	// fusion (every task passes through).
+	// are bucketed, larger ones pass through untouched, and a bucket
+	// flushes once it holds Theta bytes — members are each under Theta, so
+	// buckets land in [Theta, 2Theta). <= 0 disables fusion (every task
+	// passes through).
 	Theta int64
-	// MaxBytes flushes the bucket once its accumulated size reaches it.
-	// 0 defaults to Theta — members are each under Theta, so buckets land
-	// in [Theta, 2Theta). Must be >= Theta when set.
-	MaxBytes int64
 	// Start builds each fused task's transmit function. Required when
 	// Theta > 0.
 	Start FuseStartFn
@@ -96,9 +94,6 @@ func (c FuserConfig) Validate() error {
 	}
 	if c.Start == nil {
 		return errors.New("core: fuser needs a Start function when Theta > 0")
-	}
-	if c.MaxBytes != 0 && c.MaxBytes < c.Theta {
-		return fmt.Errorf("core: fuser MaxBytes %d below Theta %d", c.MaxBytes, c.Theta)
 	}
 	return nil
 }
@@ -139,9 +134,6 @@ func NewFuser(cfg FuserConfig, sink TaskSink) (*Fuser, error) {
 	if sink == nil {
 		return nil, errors.New("core: fuser needs a sink")
 	}
-	if cfg.Theta > 0 && cfg.MaxBytes == 0 {
-		cfg.MaxBytes = cfg.Theta
-	}
 	return &Fuser{cfg: cfg, sink: sink}, nil
 }
 
@@ -172,7 +164,7 @@ func (f *Fuser) Add(t *Task) error {
 	}
 	f.pending = append(f.pending, t)
 	f.bytes += t.Tensor.Bytes
-	if f.bytes >= f.cfg.MaxBytes {
+	if f.bytes >= f.cfg.Theta {
 		batch := f.takeLocked()
 		f.stats.SizeFlushes++
 		f.mu.Unlock()

@@ -83,8 +83,7 @@ func TestFuserSizeFlush(t *testing.T) {
 	sink := &recordSink{}
 	var fused *Fused
 	f, err := NewFuser(FuserConfig{
-		Theta:    100,
-		MaxBytes: 100,
+		Theta: 100,
 		Start: func(fd *Fused) StartErrFn {
 			fused = fd
 			return noopStart
@@ -99,7 +98,7 @@ func TestFuserSizeFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i < 2 && len(sink.all()) != 0 {
-			t.Fatalf("bucket flushed after %d members (%d bytes), below MaxBytes", i+1, 40*(i+1))
+			t.Fatalf("bucket flushed after %d members (%d bytes), below Theta", i+1, 40*(i+1))
 		}
 	}
 	got := sink.all()
@@ -144,9 +143,8 @@ func TestFuserUnfuseExactlyOnce(t *testing.T) {
 	for _, outcome := range []error{nil, errors.New("substrate died")} {
 		sink := &recordSink{}
 		f, err := NewFuser(FuserConfig{
-			Theta:    100,
-			MaxBytes: 100,
-			Start:    func(*Fused) StartErrFn { return noopStart },
+			Theta: 100,
+			Start: func(*Fused) StartErrFn { return noopStart },
 		}, sink)
 		if err != nil {
 			t.Fatal(err)
@@ -193,8 +191,7 @@ func TestFuserSchedulerPriority(t *testing.T) {
 	var dones []func(error)
 	sink := schedSink{sched}
 	f, err := NewFuser(FuserConfig{
-		Theta:    80,
-		MaxBytes: 80,
+		Theta: 80,
 		Start: func(fd *Fused) StartErrFn {
 			return func(sub tensor.Sub, done func(error)) {
 				order = append(order, fd.Tensor.Name)
@@ -256,9 +253,8 @@ func (s schedSink) NotifyReady(t *Task) error { s.s.NotifyReady(t); return nil }
 func TestFuserSingletonSkipsWrapper(t *testing.T) {
 	sink := &recordSink{}
 	f, err := NewFuser(FuserConfig{
-		Theta:    100,
-		MaxBytes: 100,
-		Start:    func(*Fused) StartErrFn { t.Error("fused Start called for a singleton"); return noopStart },
+		Theta: 100,
+		Start: func(*Fused) StartErrFn { t.Error("fused Start called for a singleton"); return noopStart },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -279,9 +275,8 @@ func TestFuserSingletonSkipsWrapper(t *testing.T) {
 func TestFuserCloseFlushesAndRejects(t *testing.T) {
 	sink := &recordSink{}
 	f, err := NewFuser(FuserConfig{
-		Theta:    100,
-		MaxBytes: 1000,
-		Start:    func(*Fused) StartErrFn { return noopStart },
+		Theta: 100,
+		Start: func(*Fused) StartErrFn { return noopStart },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -305,10 +300,6 @@ func TestFuserCloseFlushesAndRejects(t *testing.T) {
 func TestFuserConfigValidate(t *testing.T) {
 	if _, err := NewFuser(FuserConfig{Theta: 100}, &recordSink{}); err == nil {
 		t.Fatal("fusion without a Start function accepted")
-	}
-	if _, err := NewFuser(FuserConfig{Theta: 100, MaxBytes: 50,
-		Start: func(*Fused) StartErrFn { return noopStart }}, &recordSink{}); err == nil {
-		t.Fatal("MaxBytes below Theta accepted")
 	}
 	if _, err := NewFuser(FuserConfig{Theta: 100,
 		Start: func(*Fused) StartErrFn { return noopStart }}, nil); err == nil {

@@ -88,9 +88,9 @@ func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
 
 // Batcher coalesces pushes to one shard into OpBatch frames, amortizing
 // the per-message overhead θ without giving up scheduling timeliness: a
-// queued push waits at most the flush deadline (Config.BatchDelay) for
+// queued push waits at most the flush deadline (DefaultBatchDelay) for
 // companions before being written anyway, and a queue exceeding
-// Config.BatchBytes flushes immediately. Because the scheduler releases
+// DefaultBatchBytes flushes immediately. Because the scheduler releases
 // partitions in priority order, the pushes that coalesce within one
 // deadline window are exactly the equal-priority sub-partitions Theorem 1
 // is indifferent about — batching never reorders across priorities.
@@ -120,7 +120,7 @@ func (p pendingPush) finish(err error) {
 }
 
 // NewBatcher wraps the client in a coalescing push queue using the
-// client's Config.BatchBytes / Config.BatchDelay thresholds.
+// DefaultBatchBytes / DefaultBatchDelay thresholds.
 func NewBatcher(c *Client) *Batcher {
 	return &Batcher{c: c}
 }

@@ -185,7 +185,8 @@ func TestBatchRejectsUnbatchableOps(t *testing.T) {
 // happens synchronously, without waiting out the deadline.
 func TestBatcherSizeFlush(t *testing.T) {
 	_, addr := startServer(t, 1)
-	c := NewClient(addr, WithConfig(Config{BatchBytes: 64, BatchDelay: time.Hour}))
+	c := NewClient(addr)
+	c.batchBytes, c.batchDelay = 64, time.Hour
 	defer c.Close()
 	b := NewBatcher(c)
 	defer b.Close()
@@ -217,7 +218,8 @@ func TestBatcherSizeFlush(t *testing.T) {
 // timer to write it.
 func TestBatcherDeadlineFlush(t *testing.T) {
 	_, addr := startServer(t, 1)
-	c := NewClient(addr, WithConfig(Config{BatchDelay: 5 * time.Millisecond}))
+	c := NewClient(addr)
+	c.batchDelay = 5 * time.Millisecond
 	defer c.Close()
 	b := NewBatcher(c)
 	defer b.Close()
@@ -238,7 +240,8 @@ func TestBatcherDeadlineFlush(t *testing.T) {
 // must return without blocking on I/O and the batch must still complete.
 func TestBatcherFlushAsync(t *testing.T) {
 	_, addr := startServer(t, 1)
-	c := NewClient(addr, WithConfig(Config{BatchDelay: time.Hour}))
+	c := NewClient(addr)
+	c.batchDelay = time.Hour
 	defer c.Close()
 	b := NewBatcher(c)
 
@@ -265,7 +268,8 @@ func TestBatcherFlushAsync(t *testing.T) {
 // subsequent pushes fail through their done callback.
 func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	_, addr := startServer(t, 1)
-	c := NewClient(addr, WithConfig(Config{BatchDelay: time.Hour}))
+	c := NewClient(addr)
+	c.batchDelay = time.Hour
 	defer c.Close()
 	b := NewBatcher(c)
 

@@ -224,8 +224,9 @@ func TestBufferOwnership(t *testing.T) {
 		}
 		defer ln.Close()
 		const n = 2048
-		c := NewClient(ln.Addr().String(), WithTimeout(2*time.Second), WithRetries(2),
-			WithBackoff(time.Millisecond, 10*time.Millisecond), WithSeed(1))
+		c := NewClient(ln.Addr().String(), WithSeed(1))
+		c.timeout, c.maxRetries = 2*time.Second, 2
+		c.retryDelay.Base, c.retryDelay.Max = time.Millisecond, 10*time.Millisecond
 		defer c.Close()
 		frames := make(chan message, 2) // the original and its replay
 		go func() {
@@ -310,7 +311,7 @@ func TestBufferOwnership(t *testing.T) {
 	// through a completed log holding two, evicting the first one and
 	// reusing freed buffers.
 	t.Run("a held response survives buffer reuse", func(t *testing.T) {
-		srv, ps := refServer(t, 1, WithCompletedBytes(2*4*refFloats))
+		srv, ps := refServer(t, 1, 2*4*refFloats)
 		ps.push(0, 1)
 		heldReq, held := ps.pull(0, 1<<32|1) // its write still in flight
 		ps.serve(ps.pull(0, 1<<32|1))        // the retry's write completed
@@ -332,7 +333,7 @@ func TestBufferOwnership(t *testing.T) {
 	// (g) The same for a pull replayed from the completed log: it survives
 	// its own payload's eviction.
 	t.Run("a replayed response survives its eviction", func(t *testing.T) {
-		srv, ps := refServer(t, 1, WithCompletedBytes(2*4*refFloats))
+		srv, ps := refServer(t, 1, 2*4*refFloats)
 		ps.push(0, 1)
 		ps.serve(ps.pull(0, 1<<32|1)) // reclaimed into the completed log
 		replayReq, replay := ps.pull(0, 1<<32|2)
@@ -351,7 +352,7 @@ func TestBufferOwnership(t *testing.T) {
 	// and a ready one have both been served, the aggregate's count is back
 	// at zero and the next aggregate encodes into the same buffer.
 	t.Run("references balance", func(t *testing.T) {
-		srv, ps := refServer(t, 2, WithCompletedBytes(0))
+		srv, ps := refServer(t, 2, 0)
 		var prev *byte
 		for iter := uint32(0); iter < 4; iter++ {
 			early := newMessage(OpPull, "k", iter, 1<<32|uint64(iter), nil)
@@ -390,8 +391,9 @@ type refDriver struct {
 	srv *Server
 }
 
-func refServer(t *testing.T, workers int, opts ...ServerOption) (*Server, refDriver) {
-	srv, err := NewServer(workers, append(opts, WithShards(1))...)
+// refServer is a one-shard server whose completed log holds completedBytes.
+func refServer(t *testing.T, workers, completedBytes int) (*Server, refDriver) {
+	srv, err := NewServer(workers, func(s *Server) { s.shardCount, s.completedBytes = 1, completedBytes })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 	"bytescheduler/internal/wire"
 )
 
-// Default client hardening and batching knobs; override with Options (the
-// batching ones through a Config, see WithConfig).
+// Client hardening and batching bounds. Every client uses them; the
+// package's tests tighten the matching unexported fields.
 const (
 	// DefaultTimeout bounds each write and each push-response read.
 	DefaultTimeout = 15 * time.Second
@@ -54,26 +54,6 @@ func (e *ServerError) Error() string { return "netps: server: " + e.Msg }
 
 // Option configures a Client.
 type Option func(*Client)
-
-// WithTimeout sets the per-request I/O deadline: every frame write, and
-// the response read of a push. Zero disables deadlines.
-func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
-
-// WithPullTimeout bounds how long a pull may wait for aggregation. The
-// default 0 waits forever — a pull legitimately blocks until every worker
-// has pushed, and a closing server now fails waiters instead of leaking
-// them, so a deadline is only needed to bound tail latency.
-func WithPullTimeout(d time.Duration) Option { return func(c *Client) { c.pullTimeout = d } }
-
-// WithRetries sets the transport retry budget per request (dial failures,
-// timeouts, broken connections). 0 fails fast.
-func WithRetries(n int) Option { return func(c *Client) { c.maxRetries = n } }
-
-// WithBackoff sets the exponential backoff base and cap between transport
-// retries.
-func WithBackoff(base, max time.Duration) Option {
-	return func(c *Client) { c.retryDelay.Base, c.retryDelay.Max = base, max }
-}
 
 // WithSeed seeds the deterministic backoff jitter (reproducible tests).
 func WithSeed(seed int64) Option { return func(c *Client) { c.rng = stats.NewRNG(seed) } }
@@ -159,7 +139,12 @@ type clientInstruments struct {
 // that are stable across retries so the server can deduplicate replayed
 // pushes.
 type Client struct {
-	addr        string
+	addr string
+	// timeout (DefaultTimeout) bounds every write and a push's response
+	// read; pullTimeout (0: wait forever) bounds a pull's wait for
+	// aggregation; maxRetries (DefaultRetries) and retryDelay budget and pace
+	// transport retries; batchBytes and batchDelay (DefaultBatch*) are the
+	// Batcher's flush thresholds. Zero timeouts disable deadlines.
 	timeout     time.Duration
 	pullTimeout time.Duration
 	maxRetries  int

@@ -65,7 +65,7 @@ func pullAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64) []fl
 // its bound.
 func TestDedupWindowBounded(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, err := NewServer(1, WithShards(1), WithServerMetrics(reg))
+	srv, err := NewServer(1, func(s *Server) { s.shardCount = 1 }, WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,8 @@ func TestReplayProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		workers, keys, iters := 1+rng.Intn(4), 1+rng.Intn(3), 1+rng.Intn(3)
 		reg := metrics.NewRegistry()
-		srv, err := NewServer(workers, WithShards(1+rng.Intn(3)), WithServerMetrics(reg))
+		shards := 1 + rng.Intn(3)
+		srv, err := NewServer(workers, func(s *Server) { s.shardCount = shards }, WithServerMetrics(reg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,14 +15,13 @@ import (
 	"bytescheduler/internal/tensor"
 )
 
-// fastClient returns a client with millisecond-scale retry/backoff knobs so
-// failure tests run quickly and deterministically.
+// fastClient returns a client with a millisecond-scale retry budget and
+// backoff so failure tests run quickly and deterministically.
 func fastClient(addr string, retries int) *Client {
-	return NewClient(addr,
-		WithTimeout(2*time.Second),
-		WithRetries(retries),
-		WithBackoff(2*time.Millisecond, 20*time.Millisecond),
-		WithSeed(42))
+	c := NewClient(addr, WithSeed(42))
+	c.timeout, c.maxRetries = 2*time.Second, retries
+	c.retryDelay.Base, c.retryDelay.Max = 2*time.Millisecond, 20*time.Millisecond
+	return c
 }
 
 func TestStalePooledConnectionRedial(t *testing.T) {
@@ -207,7 +206,8 @@ func stallPuller(t *testing.T, srv *Server, addr string) time.Duration {
 	if err := writeMsg(a, newMessage(OpPull, "big", 0, 1<<32|2, nil)); err != nil {
 		t.Fatal(err)
 	}
-	b := NewClient(addr, WithClientID(2), WithRetries(0))
+	b := NewClient(addr, WithClientID(2))
+	b.maxRetries = 0
 	t.Cleanup(func() { b.Close() })
 	start := time.Now()
 	if err := b.Push("big", 0, grad); err != nil {
@@ -233,7 +233,7 @@ func TestStalledPullerDoesNotDelayPusher(t *testing.T) {
 func TestWriteDeadlineDropsStalledPuller(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv, addr := startServer(t, 2, WithServerMetrics(reg),
-		WithServerTimeouts(DefaultServerReadTimeout, 500*time.Millisecond))
+		func(s *Server) { s.writeTimeout = 500 * time.Millisecond })
 	stallPuller(t, srv, addr)
 	// Only B's pooled connection may remain.
 	waitFor(t, 2*time.Second, "the stalled connection to be dropped", func() bool {
@@ -245,7 +245,7 @@ func TestWriteDeadlineDropsStalledPuller(t *testing.T) {
 // stalls is dropped after the read deadline, while other clients are served
 // throughout; a connection that has sent nothing carries no deadline.
 func TestMidFrameReadDeadline(t *testing.T) {
-	_, addr := startServer(t, 1, WithServerTimeouts(300*time.Millisecond, DefaultServerWriteTimeout))
+	_, addr := startServer(t, 1, func(s *Server) { s.readTimeout = 300 * time.Millisecond })
 	idle, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 // complete.
 func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, err := NewServer(1, WithShards(1), WithCompletedBytes(1), WithServerMetrics(reg))
+	srv, err := NewServer(1, func(s *Server) { s.shardCount, s.completedBytes = 1, 1 }, WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,8 @@ func TestReclaimedPullReplayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c1 := NewClient(addr, WithClientID(1), WithPullTimeout(2*time.Second))
+	c1 := NewClient(addr, WithClientID(1))
+	c1.pullTimeout = 2 * time.Second
 	defer c1.Close()
 	if err := c1.Push("w", 5, []float32{1, 2}); err != nil {
 		t.Fatal(err)
@@ -114,7 +115,8 @@ func TestReclaimedPullReplayEndToEnd(t *testing.T) {
 	}
 	// Entry reclaimed. A retried pull (different Seq — here a second
 	// client entirely) must still be answered.
-	c2 := NewClient(addr, WithClientID(2), WithPullTimeout(2*time.Second), WithRetries(0))
+	c2 := NewClient(addr, WithClientID(2))
+	c2.pullTimeout, c2.maxRetries = 2*time.Second, 0
 	defer c2.Close()
 	vals, err := c2.Pull("w", 5)
 	if err != nil {
@@ -159,10 +161,9 @@ func TestMsgsCountsRetriedFrames(t *testing.T) {
 		writeMsg(conn, pushAck(req)) //nolint:errcheck // test server
 	}()
 	reg := metrics.NewRegistry()
-	c := NewClient(ln.Addr().String(),
-		WithTimeout(2*time.Second), WithRetries(2),
-		WithBackoff(time.Millisecond, 10*time.Millisecond),
-		WithSeed(1), WithMetrics(reg))
+	c := NewClient(ln.Addr().String(), WithSeed(1), WithMetrics(reg))
+	c.timeout, c.maxRetries = 2*time.Second, 2
+	c.retryDelay.Base, c.retryDelay.Max = time.Millisecond, 10*time.Millisecond
 	defer c.Close()
 	if err := c.Push("k", 0, []float32{1}); err != nil {
 		t.Fatalf("push: %v", err)
@@ -182,13 +183,14 @@ func TestMsgsCountsRetriedFrames(t *testing.T) {
 // --- backoff overflow clamp ---
 
 // TestBackoffOverflowStillSleeps exercises the uncapped-backoff overflow:
-// with WithBackoff(base, 0), a deep retry attempt used to shift the delay
+// with an uncapped backoff (Max 0), a deep retry attempt used to shift the delay
 // negative and skip sleeping entirely, turning the retry loop into a hot
 // spin. An uncapped delay now saturates (wire.Backoff), so the test reads
 // the delay the client would sleep instead of sleeping it.
 func TestBackoffOverflowStillSleeps(t *testing.T) {
 	const base = 4 * time.Millisecond
-	c := NewClient("127.0.0.1:1", WithBackoff(base, 0), WithSeed(7))
+	c := NewClient("127.0.0.1:1", WithSeed(7))
+	c.retryDelay.Base, c.retryDelay.Max = base, 0
 	defer c.Close()
 	for _, attempt := range []int{45, 64, 200} { // shifted past int64, incl. past the width
 		if d := c.retryDelay.Delay(attempt, 1); d < base {
@@ -200,7 +202,8 @@ func TestBackoffOverflowStillSleeps(t *testing.T) {
 // TestBackoffOverflowClampsToMax keeps the capped behavior: overflow with
 // a max configured clamps to the max, not the base.
 func TestBackoffOverflowClampsToMax(t *testing.T) {
-	c := NewClient("127.0.0.1:1", WithBackoff(time.Millisecond, 5*time.Millisecond), WithSeed(7))
+	c := NewClient("127.0.0.1:1", WithSeed(7))
+	c.retryDelay.Base, c.retryDelay.Max = time.Millisecond, 5*time.Millisecond
 	defer c.Close()
 	start := time.Now()
 	c.backoff(90)
@@ -220,11 +223,13 @@ func TestBackoffOverflowClampsToMax(t *testing.T) {
 func TestIdleAnsweredConnDoesNotDelayFreshClient(t *testing.T) {
 	_, addr := startServer(t, 2)
 
-	a := NewClient(addr, WithClientID(1), WithPullTimeout(10*time.Second))
+	a := NewClient(addr, WithClientID(1))
+	a.pullTimeout = 10 * time.Second
 	defer a.Close()
 	b := NewClient(addr, WithClientID(2))
 	defer b.Close()
-	c := NewClient(addr, WithClientID(3), WithPullTimeout(10*time.Second))
+	c := NewClient(addr, WithClientID(3))
+	c.pullTimeout = 10 * time.Second
 	defer c.Close()
 
 	if err := a.Push("k", 1, []float32{1}); err != nil {
@@ -277,7 +282,8 @@ func TestEmptyPushRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := NewClient(addr, WithRetries(0))
+	c := NewClient(addr)
+	c.maxRetries = 0
 	defer c.Close()
 	err = c.Push("w", 0, nil)
 	if err == nil {
@@ -306,7 +312,7 @@ func TestEmptyPushRejected(t *testing.T) {
 // only the completed log remembers the keys.
 func TestDedupGaugeTracksClientEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, err := NewServer(3, WithShards(1), WithServerMetrics(reg))
+	srv, err := NewServer(3, func(s *Server) { s.shardCount = 1 }, WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

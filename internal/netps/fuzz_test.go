@@ -97,7 +97,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			return // rejected by the frame reader: wire.FuzzRead's territory
 		}
 		// No completed log, so a reclaimed aggregate's buffer is free at once.
-		srv, err := NewServer(1, WithShards(1), WithCompletedBytes(0))
+		srv, err := NewServer(1, func(s *Server) { s.shardCount, s.completedBytes = 1, 0 })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,9 +18,8 @@
 // client half of the request sequence number, one record per (key, iter),
 // answer application errors with OpErr instead of dropping
 // the connection, and fail blocked pull waiters on Close instead of leaking
-// them. The client's deadlines, retry budget and backoff are set with
-// WithTimeout, WithPullTimeout, WithRetries and WithBackoff; its batching
-// thresholds live in Config. See DESIGN.md, "Fault model & degradation".
+// them. Deadlines, retry budget, backoff and batching thresholds are the
+// Default* constants. See DESIGN.md, "Fault model & degradation".
 //
 // Because §2.2's cost model charges a per-message overhead θ on every
 // transfer, small scheduled partitions are wire-inefficient one request at

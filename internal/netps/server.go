@@ -82,7 +82,10 @@ const DefaultServerWriteTimeout = 15 * time.Second
 // instead of leaking them — a crashed or drained shard surfaces as an
 // error at the worker, never as a hang.
 type Server struct {
-	workers        int
+	workers int
+	// shardCount (DefaultShards), completedBytes (DefaultCompletedBytes) and
+	// the read and write deadlines (DefaultServer*Timeout; zero disables) are
+	// fields so the package's tests can shrink them.
 	shardCount     int
 	completedBytes int
 	readTimeout    time.Duration
@@ -238,38 +241,6 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 			shardsGauge:   reg.Gauge("netps_server_shards"),
 			parkedPulls:   reg.Gauge("netps_server_parked_pulls"),
 		}
-	}
-}
-
-// WithShards overrides how many independent lock domains the entry space
-// is partitioned across (DefaultShards). One shard reproduces the old
-// single-mutex server.
-func WithShards(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.shardCount = n
-		}
-	}
-}
-
-// WithCompletedBytes overrides the completed-aggregate log's total payload
-// byte budget (DefaultCompletedBytes). Smaller budgets re-answer a
-// narrower window of retried pulls before falling back to OpErr.
-func WithCompletedBytes(n int) ServerOption {
-	return func(s *Server) {
-		if n >= 0 {
-			s.completedBytes = n
-		}
-	}
-}
-
-// WithServerTimeouts overrides the read deadline on the remainder of a
-// frame whose first byte has arrived, and the per-response write deadline
-// (DefaultServerReadTimeout / DefaultServerWriteTimeout). Zero disables
-// the corresponding deadline.
-func WithServerTimeouts(read, write time.Duration) ServerOption {
-	return func(s *Server) {
-		s.readTimeout, s.writeTimeout = read, write
 	}
 }
 

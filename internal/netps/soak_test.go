@@ -22,7 +22,7 @@ func TestSoak256Clients(t *testing.T) {
 		iters   = 4
 	)
 	reg := metrics.NewRegistry()
-	srv, err := NewServer(1, WithShards(8), WithServerMetrics(reg))
+	srv, err := NewServer(1, func(s *Server) { s.shardCount = 8 }, WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,8 @@ func TestSoak256Clients(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := NewClient(addr,
-				WithClientID(uint32(id+1)),
-				WithSeed(int64(id)),
-				WithPullTimeout(30*time.Second))
+			c := NewClient(addr, WithClientID(uint32(id+1)), WithSeed(int64(id)))
+			c.pullTimeout = 30 * time.Second
 			defer c.Close()
 			key := fmt.Sprintf("layer-%d", id)
 			// Dial before the barrier so the goroutine-count check below
@@ -95,7 +93,8 @@ func TestSoak256Clients(t *testing.T) {
 	// Warmup (iter 0) was pushed once per distinct key and pulled once, so
 	// every entry must have been reclaimed.
 	for i := 0; i < clients; i++ {
-		c := NewClient(addr, WithClientID(uint32(clients+i+1)), WithPullTimeout(5*time.Second))
+		c := NewClient(addr, WithClientID(uint32(clients+i+1)))
+		c.pullTimeout = 5 * time.Second
 		if _, err := c.Pull(fmt.Sprintf("layer-%d", i), 0); err != nil {
 			c.Close()
 			t.Fatalf("drain warmup key %d: %v", i, err)
@@ -109,7 +108,7 @@ func TestSoak256Clients(t *testing.T) {
 // sockets, no listener, any net.Conn: pushes, ready pulls, parked pulls
 // completed by another connection, batches, and an unknown op.
 func TestServeOverPipe(t *testing.T) {
-	srv, err := NewServer(2, WithShards(2))
+	srv, err := NewServer(2, func(s *Server) { s.shardCount = 2 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,20 +72,18 @@ type Config struct {
 	// as soon as its own push is applied, without waiting for the other
 	// workers.
 	Async bool
-	// UpdateSecPerByte is the server-side optimizer cost per aggregated
-	// byte (SGD update is memory-bound). Zero disables update cost.
-	UpdateSecPerByte float64
-	// ShardBytes emulates MXNet's "big array" behavior: a tensor
-	// partition larger than this is internally striped across all
-	// servers as one chunk per server (still one FIFO message each, no
-	// scheduling involved). Zero disables sharding. This is a property of
-	// the vanilla PS, not of ByteScheduler: it bounds how badly a single
-	// huge tensor can hot-spot one server in the baseline.
-	ShardBytes int64
 }
 
-// DefaultUpdateSecPerByte models a ~25 GB/s memory-bound SGD update.
-const DefaultUpdateSecPerByte = 1.0 / 25e9
+// updateSecPerByte is the server-side optimizer cost per aggregated byte:
+// a ~25 GB/s memory-bound SGD update.
+const updateSecPerByte = 1.0 / 25e9
+
+// shardBytes emulates MXNet's "big array" behavior: a tensor partition
+// larger than this is internally striped across all servers as one chunk
+// per server (still one FIFO message each, no scheduling involved). This is
+// a property of the vanilla PS, not of ByteScheduler: it bounds how badly a
+// single huge tensor can hot-spot one server in the baseline.
+const shardBytes = 32 << 20
 
 // Receiver is told of a partition's progress through the cluster. One record
 // on the caller's side (the plugin keeps one per tensor, worker and
@@ -108,6 +106,11 @@ type Cluster struct {
 	eng *sim.Engine
 	fab *network.Fabric
 	cfg Config
+
+	// updateSecPerByte and shardBytes start at the package constants; a
+	// test may assign them (0 disables update cost or striping).
+	updateSecPerByte float64
+	shardBytes       int64
 
 	assigner Assigner
 	ids      map[tensorID]int // TensorID's intern table
@@ -184,17 +187,16 @@ func New(eng *sim.Engine, fab *network.Fabric, cfg Config) (*Cluster, error) {
 	if fab.Nodes() != cfg.Workers+cfg.Servers {
 		return nil, fmt.Errorf("ps: fabric has %d nodes, want %d", fab.Nodes(), cfg.Workers+cfg.Servers)
 	}
-	if cfg.UpdateSecPerByte < 0 {
-		return nil, fmt.Errorf("ps: negative update cost")
-	}
 	return &Cluster{
-		eng:       eng,
-		fab:       fab,
-		cfg:       cfg,
-		assigner:  NewAssigner(cfg.Strategy, cfg.Servers),
-		ids:       make(map[tensorID]int),
-		aggs:      make(map[aggKey]*aggState),
-		recvBytes: make([]int64, cfg.Servers),
+		eng:              eng,
+		fab:              fab,
+		cfg:              cfg,
+		updateSecPerByte: updateSecPerByte,
+		shardBytes:       shardBytes,
+		assigner:         NewAssigner(cfg.Strategy, cfg.Servers),
+		ids:              make(map[tensorID]int),
+		aggs:             make(map[aggKey]*aggState),
+		recvBytes:        make([]int64, cfg.Servers),
 	}, nil
 }
 
@@ -265,7 +267,7 @@ func (c *Cluster) serverNode(server int) int { return c.cfg.Workers + server }
 // chunks returns how many server-directed pieces a partition travels as:
 // one, or a stripe per server when big-array sharding applies.
 func (c *Cluster) chunks(bytes int64) int {
-	if c.cfg.ShardBytes <= 0 || bytes <= c.cfg.ShardBytes {
+	if c.shardBytes <= 0 || bytes <= c.shardBytes {
 		return 1
 	}
 	return c.cfg.Servers
@@ -415,7 +417,7 @@ func (r *request) Delivered(t *network.Transfer) {
 		server := t.Dst - c.cfg.Workers
 		c.recvBytes[server] += t.Bytes
 		a := c.agg(r, t.Tag, server, t.Bytes)
-		updateDelay := c.cfg.UpdateSecPerByte * float64(t.Bytes)
+		updateDelay := c.updateSecPerByte * float64(t.Bytes)
 		if c.cfg.Async {
 			c.eng.After(updateDelay, a, r.worker) // each push is applied independently
 		} else if a.pushesApplied++; a.pushesApplied == c.cfg.Workers {

@@ -60,9 +60,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(eng, fab, Config{Workers: 2, Servers: 2}); err == nil {
 		t.Error("accepted mismatched fabric size")
 	}
-	if _, err := New(eng, fab, Config{Workers: 2, Servers: 1, UpdateSecPerByte: -1}); err == nil {
-		t.Error("accepted negative update cost")
-	}
 	if _, err := New(eng, fab, Config{Workers: 2, Servers: 1}); err != nil {
 		t.Errorf("rejected valid config: %v", err)
 	}
@@ -205,10 +202,12 @@ func TestSpreadPartitionsAssignment(t *testing.T) {
 
 func TestLoadImbalance(t *testing.T) {
 	// One dominant tensor, naive assignment: all its bytes land on one
-	// server. With spreading, the load evens out.
+	// server (big-array striping off, or it would stripe the 64 MB tensor).
+	// With spreading, the load evens out.
 	run := func(assign Assignment, unit int64) float64 {
 		eng := sim.New()
 		c := newTestCluster(t, eng, Config{Workers: 2, Servers: 2, Assignment: assign})
+		c.shardBytes = 0
 		big := tensor.Tensor{Layer: 0, Name: "big", Bytes: 64 << 20}
 		small := tensor.Tensor{Layer: 1, Name: "small", Bytes: 1 << 20}
 		for w := 0; w < 2; w++ {
@@ -260,10 +259,11 @@ func TestIterationsAreIndependent(t *testing.T) {
 func TestUpdateCostDelaysPull(t *testing.T) {
 	eng := sim.New()
 	fab := network.NewFabric(eng, 2, 10, network.RDMA())
-	slow, err := New(eng, fab, Config{Workers: 1, Servers: 1, UpdateSecPerByte: 1e-6})
+	slow, err := New(eng, fab, Config{Workers: 1, Servers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	slow.updateSecPerByte = 1e-6
 	s := sub(0, "w", 1<<20)
 	var slowAt float64
 	slow.pushFn(0, 0, s, nil)
@@ -276,6 +276,7 @@ func TestUpdateCostDelaysPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast.updateSecPerByte = 0
 	var fastAt float64
 	fast.pushFn(0, 0, s, nil)
 	fast.pullFn(0, 0, s, func() { fastAt = eng2.Now() }, nil)
@@ -338,13 +339,18 @@ func (tl *tally) Pullable(part int) {
 // exactly once per partition — sync and async, striped or not — and nothing
 // may be left outstanding.
 func TestRecycledRecordsServeEveryCallbackOnce(t *testing.T) {
-	for _, cfg := range []Config{
-		{Workers: 3, Servers: 2, Assignment: SpreadPartitions},
-		{Workers: 3, Servers: 2, Assignment: SpreadPartitions, Async: true},
-		{Workers: 2, Servers: 3, ShardBytes: 1 << 10}, // every partition striped over 3 servers
+	for _, tc := range []struct {
+		cfg        Config
+		shardBytes int64
+	}{
+		{Config{Workers: 3, Servers: 2, Assignment: SpreadPartitions}, shardBytes},
+		{Config{Workers: 3, Servers: 2, Assignment: SpreadPartitions, Async: true}, shardBytes},
+		{Config{Workers: 2, Servers: 3}, 1 << 10}, // every partition striped over 3 servers
 	} {
+		cfg := tc.cfg
 		eng := sim.New()
 		c := newTestCluster(t, eng, cfg)
+		c.shardBytes = tc.shardBytes
 		subs := tensor.Partition(tensor.Tensor{Layer: 1, Name: "w", Bytes: 40 << 10}, 4<<10)
 		id := c.TensorID(subs[0].Parent)
 		var tallies []*tally

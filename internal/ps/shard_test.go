@@ -10,10 +10,11 @@ import (
 func shardCluster(t *testing.T, eng *sim.Engine, workers, servers int, shard int64) (*Cluster, *network.Fabric) {
 	t.Helper()
 	fab := network.NewFabric(eng, workers+servers, 10, network.RDMA())
-	c, err := New(eng, fab, Config{Workers: workers, Servers: servers, ShardBytes: shard})
+	c, err := New(eng, fab, Config{Workers: workers, Servers: servers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.shardBytes = shard
 	return c, fab
 }
 

@@ -20,11 +20,17 @@ func TestRunLiveAutoTunePS(t *testing.T) {
 	// Shape the link so iteration time is sleep-dominated: bare loopback
 	// is noisy enough to fake regressions and destabilize the assertion.
 	cfg.Shape = []LinkShape{{FromIter: 0, PerMessage: 150 * time.Microsecond}}
-	// RetunePct is pinned near 1 because this loopback micro-run has tens
-	// of percent of wall-clock noise per window; the retune path is
-	// exercised deterministically in internal/autotune and under shaped
-	// links by EXT-AUTOTUNE.
-	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 2, WarmupIters: 1, DwellIters: 2, Trials: 3, RetunePct: 0.95}
+	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 2, WarmupIters: 1, DwellIters: 2, Trials: 3}
+	// The second worker pins an iteration at most one ahead of worker 0's
+	// observations (its forward pass waits on worker 0's last push), so the
+	// first episode adopts before BudgetIters(0, 1), which
+	// autotune.TestSettleBoundProperty proves; the run observes iterations
+	// up to Iterations-2. What happens after the adopt — a retune opened by
+	// loopback noise in speed or op latency — is the controller's business.
+	budget := cfg.AutoTune.BudgetIters(0, 1)
+	if budget > cfg.Iterations-1 {
+		t.Fatalf("budget %d does not fit %d iterations", budget, cfg.Iterations)
+	}
 	res, err := RunLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +42,15 @@ func TestRunLiveAutoTunePS(t *testing.T) {
 	if rep.Probes < 3 {
 		t.Errorf("probes = %d, want >= 3", rep.Probes)
 	}
-	if !rep.Settled {
-		t.Errorf("controller did not settle in %d iterations: %+v", cfg.Iterations, rep)
+	adopted := -1
+	for _, d := range rep.Decisions {
+		if d.Action == "adopt" {
+			adopted = d.Iter
+			break
+		}
+	}
+	if adopted < 0 || adopted >= budget {
+		t.Errorf("first adopt at iteration %d, want one before %d: %+v", adopted, budget, rep.Decisions)
 	}
 	if rep.BestSpeed <= 0 {
 		t.Errorf("best speed %v, want > 0", rep.BestSpeed)

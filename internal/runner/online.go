@@ -65,7 +65,9 @@ func RunOnlineTuned(oc OnlineConfig) (OnlineResult, error) {
 	if err != nil {
 		return OnlineResult{}, err
 	}
-	cfg.Iterations = oc.AutoTune.BudgetIters(onlineSteadyWindows) + 1 // +1: the last boundary
+	// One timing worker observes every iteration before pinning the next, so
+	// no iteration is pinned ahead of a switch: skew 0.
+	cfg.Iterations = oc.AutoTune.BudgetIters(onlineSteadyWindows, 0) + 1 // +1: the last boundary
 	cfg.Warmup = 0
 
 	var (

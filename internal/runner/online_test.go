@@ -225,10 +225,10 @@ func TestCoScheduledSchedulingStillHelps(t *testing.T) {
 }
 
 // A co-scheduled job is wired by the same build as a solo job, so its
-// placement strategy reaches the PS assigner.
+// placement strategy reaches the PS assigner. The policy does not partition,
+// so the assigner places whole tensors.
 func TestCoScheduledHonoursPlacement(t *testing.T) {
 	mk := func(placement ps.Strategy) Config {
-		whole := ps.RoundRobinTensor
 		return Config{
 			Model:         model.VGG16(),
 			Framework:     plugin.MXNet,
@@ -236,9 +236,8 @@ func TestCoScheduledHonoursPlacement(t *testing.T) {
 			Transport:     network.RDMA(),
 			BandwidthGbps: 100,
 			GPUs:          32,
-			Policy:        core.ByteScheduler(2<<20, 16<<20),
+			Policy:        core.ByteScheduler(0, 16<<20),
 			Scheduled:     true,
-			Assignment:    &whole,
 			Placement:     placement,
 			Iterations:    4,
 			Warmup:        1,

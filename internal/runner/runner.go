@@ -47,11 +47,6 @@ func (a Arch) String() string {
 // DefaultGPUsPerMachine matches the paper's testbed (8x V100 per server).
 const DefaultGPUsPerMachine = 8
 
-// psShardBytes emulates MXNet's big-array bound: the vanilla PS stripes any
-// tensor larger than this across all servers, bounding single-server
-// hot-spotting in the baseline.
-const psShardBytes = 32 << 20
-
 // intraMachineBytesPerSec is the effective intra-machine aggregation
 // bandwidth for PS setups (8 GPUs copying gradients to host memory and
 // reducing there). Gradients pay a 2(G-1)/G per-byte cost before the NIC
@@ -103,10 +98,6 @@ type Config struct {
 	// codec latency before it is announced. Orthogonal to scheduling
 	// (§8).
 	Compression *compress.Compressor
-	// Assignment overrides the PS tensor placement granularity; nil selects
-	// the natural default — whole tensors for unpartitioned policies,
-	// partition spreading when the policy partitions.
-	Assignment *ps.Assignment
 	// Placement selects the PS placement algorithm over assignment units:
 	// round-robin (zero value, the paper's baseline), size-balanced greedy
 	// (LPT), or consistent hash-ring. Ignored for all-reduce. This is the
@@ -295,21 +286,18 @@ func build(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config
 				}
 			}
 		}
+		// Placement granularity: whole tensors for unpartitioned policies,
+		// partition spreading when the policy partitions.
 		assignment := ps.RoundRobinTensor
 		if cfg.Policy.PartitionUnit > 0 {
 			assignment = ps.SpreadPartitions
 		}
-		if cfg.Assignment != nil {
-			assignment = *cfg.Assignment
-		}
 		cluster, err := ps.New(se, fab, ps.Config{
-			Workers:          machines,
-			Servers:          machines,
-			Assignment:       assignment,
-			Strategy:         cfg.Placement,
-			Async:            cfg.Async,
-			UpdateSecPerByte: ps.DefaultUpdateSecPerByte,
-			ShardBytes:       psShardBytes,
+			Workers:    machines,
+			Servers:    machines,
+			Assignment: assignment,
+			Strategy:   cfg.Placement,
+			Async:      cfg.Async,
 		})
 		if err != nil {
 			return nil, err

@@ -7,7 +7,6 @@ import (
 	"bytescheduler/internal/model"
 	"bytescheduler/internal/network"
 	"bytescheduler/internal/plugin"
-	"bytescheduler/internal/ps"
 )
 
 func vggPS(t *testing.T, transport network.Profile, gbps float64, gpus int) Config {
@@ -284,23 +283,21 @@ func TestAsyncPSRuns(t *testing.T) {
 }
 
 func TestAssignmentOverride(t *testing.T) {
-	// Forcing naive assignment under a partitioned policy must leave the
-	// PS more imbalanced than the default spreading.
-	cfg := scheduled(Config{
+	// The PS places whole tensors when the policy does not partition and
+	// spreads partitions when it does: the same scheduled run leaves the PS
+	// more imbalanced without partitions than with them.
+	base := Config{
 		Model:         model.Transformer(),
 		Framework:     plugin.MXNet,
 		Arch:          PS,
 		Transport:     network.RDMA(),
 		BandwidthGbps: 100,
 		GPUs:          16,
-	}, 4<<20, 16<<20)
-	naive := ps.RoundRobinTensor
-	cfg.Assignment = &naive
-	forced := mustRun(t, cfg)
-	cfg.Assignment = nil
-	spread := mustRun(t, cfg)
-	if forced.LoadImbalance <= spread.LoadImbalance {
-		t.Fatalf("forced naive imbalance %.2f not worse than spread %.2f", forced.LoadImbalance, spread.LoadImbalance)
+	}
+	whole := mustRun(t, scheduled(base, 0, 16<<20))
+	spread := mustRun(t, scheduled(base, 4<<20, 16<<20))
+	if whole.LoadImbalance <= spread.LoadImbalance {
+		t.Fatalf("whole-tensor imbalance %.2f not worse than spread %.2f", whole.LoadImbalance, spread.LoadImbalance)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // Cache memoizes trial results by canonical configuration key. It is safe
 // for concurrent use and single-flight: the first requester of a key
 // computes, later requesters (even concurrent ones) wait and share the
-// outcome. A Cache may be shared between engines (see WithCache), which is
-// how a serial and a parallel engine can be compared without recomputing.
+// outcome. A Cache may be shared between engines, which is how a serial and
+// a parallel engine can be compared without recomputing.
 type Cache struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry
@@ -107,9 +107,6 @@ func Key(cfg runner.Config) (string, bool) {
 	w("tp=%s,%g,%g,%g,%g,%g,%g,%g,%g|", t.Name, t.MsgOverhead, t.PipelinedOverhead,
 		t.AckDelay, t.Efficiency, t.CollectiveLaunch, t.HopLatency, t.MaxGoodputGbps, t.CollectiveMaxGbps)
 	w("pol=%s,%d,%d,%d,%d,%d|", p.Name, p.PartitionUnit, p.CreditBytes, p.MaxRetries, prio, int(cfg.Priority))
-	if cfg.Assignment != nil {
-		w("assign=%d|", int(*cfg.Assignment))
-	}
 	if cfg.Compression != nil {
 		c := cfg.Compression
 		w("comp=%s,%g|", c.Codec.Name(), c.CodecBytesPerSec)

@@ -8,7 +8,6 @@ import (
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/network"
-	"bytescheduler/internal/ps"
 	"bytescheduler/internal/runner"
 )
 
@@ -43,8 +42,6 @@ func coverBase() runner.Config {
 	cfg.Policy = core.ByteScheduler(4<<20, 16<<20)
 	comp := compress.NewTopK(0.01)
 	cfg.Compression = &comp
-	spread := ps.SpreadPartitions
-	cfg.Assignment = &spread
 	cfg.Faults = &network.FaultConfig{Seed: 1, DropProb: 0.01, RetransmitDelay: 1e-3,
 		SpikeProb: 0.01, SpikeSec: 1e-3, Outages: []network.Outage{{Node: 1, Start: 0.1, Duration: 0.01}}}
 	return cfg

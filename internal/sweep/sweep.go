@@ -21,9 +21,8 @@
 //     (custom priority/partition functions, attached trace or metrics
 //     sinks) bypass the cache.
 //
-//   - Engine-level observability: sweep_trials_total and
-//     sweep_cache_hits_total counters plus a sweep_trial_ms wall-clock
-//     histogram, published through internal/metrics.
+//   - Lifetime trial and cache-hit counts (Stats), which benchsuite
+//     prints after a run.
 //
 // Concurrency contract: Map may be called from many goroutines at once
 // (the pool bounds global parallelism), but a trial body must never call
@@ -36,23 +35,21 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
-	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/runner"
 )
 
 // Engine executes independent simulation trials on a bounded worker pool
-// with a shared memoizing result cache.
+// with a memoizing result cache.
 type Engine struct {
 	workers int
 	sem     chan struct{}
-	cache   *Cache
-	reg     *metrics.Registry
+	// cache is the engine's own; a test may assign one engine's cache to
+	// another to share results.
+	cache *Cache
 
-	trials  *metrics.Counter
-	hits    *metrics.Counter
-	trialMS *metrics.Histogram
+	trials, hits atomic.Uint64
 }
 
 // Option configures an Engine.
@@ -62,37 +59,16 @@ type Option func(*Engine)
 // execution; the default is GOMAXPROCS.
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// WithCache attaches a (possibly shared) result cache. The default is a
-// fresh private cache.
-func WithCache(c *Cache) Option { return func(e *Engine) { e.cache = c } }
-
-// WithMetrics publishes the engine's counters and trial-latency histogram
-// into reg (sweep_trials_total, sweep_cache_hits_total, sweep_trial_ms).
-// Without it the engine still counts internally via a private registry.
-func WithMetrics(reg *metrics.Registry) Option { return func(e *Engine) { e.reg = reg } }
-
 // New constructs an engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{workers: runtime.GOMAXPROCS(0)}
+	e := &Engine{workers: runtime.GOMAXPROCS(0), cache: NewCache()}
 	for _, o := range opts {
 		o(e)
 	}
 	if e.workers < 1 {
 		e.workers = 1
 	}
-	if e.cache == nil {
-		e.cache = NewCache()
-	}
-	if e.reg == nil {
-		e.reg = metrics.NewRegistry()
-	}
 	e.sem = make(chan struct{}, e.workers)
-	e.trials = e.reg.Counter("sweep_trials_total")
-	e.hits = e.reg.Counter("sweep_cache_hits_total")
-	// Trial wall-clock in milliseconds: 0.1ms .. ~100s.
-	e.trialMS = e.reg.Histogram("sweep_trial_ms",
-		0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500,
-		1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5)
 	return e
 }
 
@@ -112,12 +88,9 @@ func Default() *Engine {
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Metrics returns the registry the engine publishes into.
-func (e *Engine) Metrics() *metrics.Registry { return e.reg }
-
 // Stats returns the engine's lifetime trial and cache-hit counts.
 func (e *Engine) Stats() (trials, cacheHits uint64) {
-	return e.trials.Value(), e.hits.Value()
+	return e.trials.Load(), e.hits.Load()
 }
 
 // Map runs fn(0) .. fn(n-1) across the worker pool and returns the error
@@ -175,28 +148,20 @@ func (e *Engine) Map(n int, fn func(i int) error) error {
 // Run executes inline on the calling goroutine — it never dispatches to
 // the worker pool, so it is safe inside Map trial bodies.
 func (e *Engine) Run(cfg runner.Config) (runner.Result, error) {
-	e.trials.Inc()
+	e.trials.Add(1)
 	key, ok := Key(cfg)
 	if !ok {
-		return e.timedRun(cfg)
+		return runner.Run(cfg)
 	}
 	ent, owner := e.cache.claim(key)
 	if !owner {
 		<-ent.done
-		e.hits.Inc()
+		e.hits.Add(1)
 		return ent.res, ent.err
 	}
-	ent.res, ent.err = e.timedRun(cfg)
+	ent.res, ent.err = runner.Run(cfg)
 	close(ent.done)
 	return ent.res, ent.err
-}
-
-// timedRun executes the trial and observes its wall-clock cost.
-func (e *Engine) timedRun(cfg runner.Config) (runner.Result, error) {
-	start := time.Now()
-	res, err := runner.Run(cfg)
-	e.trialMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	return res, err
 }
 
 // DeriveSeed mixes a base seed with a trial identity so per-trial

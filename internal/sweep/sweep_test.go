@@ -87,8 +87,7 @@ func TestMapZeroTrials(t *testing.T) {
 }
 
 func TestRunMemoizes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	e := New(WithWorkers(2), WithMetrics(reg))
+	e := New(WithWorkers(2))
 	cfg := testCfg(1)
 	first, err := e.Run(cfg)
 	if err != nil {
@@ -104,12 +103,6 @@ func TestRunMemoizes(t *testing.T) {
 	trials, hits := e.Stats()
 	if trials != 2 || hits != 1 {
 		t.Fatalf("trials=%d hits=%d, want 2/1", trials, hits)
-	}
-	if got := reg.Counter("sweep_cache_hits_total").Value(); got != 1 {
-		t.Fatalf("sweep_cache_hits_total = %d, want 1", got)
-	}
-	if got := reg.Counter("sweep_trials_total").Value(); got != 2 {
-		t.Fatalf("sweep_trials_total = %d, want 2", got)
 	}
 }
 
@@ -142,9 +135,9 @@ func TestRunConcurrentSingleFlight(t *testing.T) {
 }
 
 func TestSharedCacheAcrossEngines(t *testing.T) {
-	c := NewCache()
-	serial := New(WithWorkers(1), WithCache(c))
-	parallel := New(WithWorkers(4), WithCache(c))
+	serial := New(WithWorkers(1))
+	parallel := New(WithWorkers(4))
+	parallel.cache = serial.cache
 	cfg := testCfg(3)
 	a, err := serial.Run(cfg)
 	if err != nil {

@@ -78,7 +78,8 @@ func TestGridSearchFullPassExactlyOnce(t *testing.T) {
 // the surrogate's dataset holds exactly the true observations, and Best
 // reflects only real objective values.
 func TestBOConstantLiarRetractsLies(t *testing.T) {
-	b := NewBO(ParamBounds(), 3, WithInitPoints(3), WithCandidates(32))
+	b := NewBO(ParamBounds(), 3, WithInitPoints(3))
+	b.candidates = 32
 	obj := func(x []float64) float64 { return -(x[0]-20)*(x[0]-20) - (x[1]-24)*(x[1]-24) }
 
 	total := 0
@@ -117,7 +118,8 @@ func TestBOConstantLiarRetractsLies(t *testing.T) {
 // once the surrogate is active: the lie makes later proposals in the batch
 // aware of earlier ones.
 func TestBOConstantLiarSpreadsBatch(t *testing.T) {
-	b := NewBO(ParamBounds(), 5, WithInitPoints(3), WithCandidates(64))
+	b := NewBO(ParamBounds(), 5, WithInitPoints(3))
+	b.candidates = 64
 	obj := func(x []float64) float64 { return -(x[0] - 20) * (x[0] - 20) }
 	// Warm up with real observations so NextBatch goes through acquire().
 	for i := 0; i < 3; i++ {

@@ -15,7 +15,7 @@ type BO struct {
 	gp         *GP
 	rng        *stats.RNG
 	initPoints int
-	candidates int
+	candidates int // acquisition candidate-set size (256; tests shrink it)
 
 	xs   [][]float64 // normalized
 	ys   []float64
@@ -35,9 +35,6 @@ type BOOption func(*BO)
 
 // WithInitPoints sets the number of quasi-random warmup evaluations.
 func WithInitPoints(n int) BOOption { return func(b *BO) { b.initPoints = n } }
-
-// WithCandidates sets the acquisition candidate-set size.
-func WithCandidates(n int) BOOption { return func(b *BO) { b.candidates = n } }
 
 // NewBO constructs the tuner. It panics on invalid bounds, surfacing
 // configuration bugs at construction.

@@ -84,12 +84,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return sum
 }
-
-// MatVec returns A·x.
-func MatVec(a [][]float64, x []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, row := range a {
-		out[i] = Dot(row, x)
-	}
-	return out
-}

