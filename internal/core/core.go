@@ -19,7 +19,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -238,28 +237,50 @@ func (h *Handle) launch() {
 	}
 }
 
-type priorityQueue []*Handle
-
-func (q priorityQueue) Len() int { return len(q) }
-
-func (q priorityQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
-	}
-	return q[i].seq < q[j].seq
+// before orders handles by (prio, seq), a total order.
+func (h *Handle) before(o *Handle) bool {
+	return h.prio < o.prio || h.prio == o.prio && h.seq < o.seq
 }
 
-func (q priorityQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// priorityQueue is a binary min-heap of handles by (prio, seq).
+type priorityQueue []*Handle
 
-func (q *priorityQueue) Push(x any) { *q = append(*q, x.(*Handle)) }
+func (q *priorityQueue) push(h *Handle) {
+	s := append(*q, h)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = h
+	*q = s
+}
 
-func (q *priorityQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+func (q *priorityQueue) pop() {
+	s := *q
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	*q = s
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = last
+	}
 }
 
 // Stats are scheduler counters for analysis and tests. Obtain them through
@@ -294,10 +315,11 @@ type Stats struct {
 type Scheduler struct {
 	policy Policy
 	queue  priorityQueue
-	// arrivals mirrors queue ordered by arrival seq (lazily pruned of
-	// started items); it answers "is an earlier arrival still waiting?" in
-	// amortized O(log n) for the preemption counter.
-	arrivals      seqQueue
+	// arrivals holds queued handles in arrival order from index first on,
+	// pruned lazily of started ones; it answers "is an earlier arrival still
+	// waiting?" in amortized O(1) for the preemption counter.
+	arrivals      []*Handle
+	first         int
 	seq           uint64
 	credit        int64 // remaining credit; meaningful when limited
 	limited       bool
@@ -323,11 +345,6 @@ type Scheduler struct {
 	// netps.Batcher) can flush without waiting out its deadline.
 	flushHook func()
 }
-
-// seqQueue is the same min-heap of Handles ordered by arrival seq alone.
-type seqQueue struct{ priorityQueue }
-
-func (q seqQueue) Less(i, j int) bool { return q.priorityQueue[i].seq < q.priorityQueue[j].seq }
 
 // New returns a scheduler for the given policy. It panics on an invalid
 // policy, surfacing configuration bugs at construction.
@@ -494,7 +511,7 @@ func (s *Scheduler) schedule() {
 		if s.limited && s.credit < head.Sub().Bytes && s.inflight > 0 {
 			break // wait until a subtask finishes and returns credit
 		}
-		heap.Pop(&s.queue)
+		s.queue.pop()
 		s.start(head)
 		released++
 	}
@@ -511,8 +528,14 @@ func (s *Scheduler) push(h *Handle) {
 	if s.policy.Priority != nil {
 		h.prio = s.policy.Priority(h.task.Tensor, s.seq)
 	}
-	heap.Push(&s.queue, h)
-	heap.Push(&s.arrivals, h)
+	s.queue.push(h)
+	if s.first > 0 && len(s.arrivals) == cap(s.arrivals) && 2*s.first >= len(s.arrivals) {
+		// Compact in place rather than let append grow past a dead prefix.
+		n := copy(s.arrivals, s.arrivals[s.first:])
+		clear(s.arrivals[n:])
+		s.arrivals, s.first = s.arrivals[:n], 0
+	}
+	s.arrivals = append(s.arrivals, h)
 	setMax(&s.stats.maxQueueLen, int64(len(s.queue)))
 	s.inst.queueDepth.Set(int64(len(s.queue)))
 }
@@ -521,10 +544,13 @@ func (s *Scheduler) start(h *Handle) {
 	h.started = true
 	// A started partition that arrived after a still-queued one means
 	// priority let it jump the line. Prune already-started arrivals lazily.
-	for s.arrivals.Len() > 0 && s.arrivals.priorityQueue[0].started {
-		heap.Pop(&s.arrivals)
+	for s.first < len(s.arrivals) && s.arrivals[s.first].started {
+		s.arrivals[s.first] = nil
+		s.first++
 	}
-	if s.arrivals.Len() > 0 && s.arrivals.priorityQueue[0].seq < h.seq {
+	if s.first == len(s.arrivals) {
+		s.arrivals, s.first = s.arrivals[:0], 0
+	} else if s.arrivals[s.first].seq < h.seq {
 		s.stats.preemptions.Add(1)
 		s.inst.preemptions.Inc()
 	}

@@ -119,7 +119,30 @@ type link struct {
 	lastEnd  float64
 	served   uint64
 	busyTime float64
-	queued   int // transfers pending whose source/destination is this link
+}
+
+// fifo is one source uplink's NIC transmit queue: the transfers sent from it
+// and not yet started, in send order, from index head on.
+type fifo struct {
+	q    []*Transfer
+	head int
+}
+
+func (w *fifo) push(t *Transfer) {
+	if w.head > 0 && len(w.q) == cap(w.q) && 2*w.head >= len(w.q) {
+		// Compact in place rather than let append grow past a dead prefix.
+		n := copy(w.q, w.q[w.head:])
+		clear(w.q[n:])
+		w.q, w.head = w.q[:n], 0
+	}
+	w.q = append(w.q, t)
+}
+
+func (w *fifo) pop() {
+	w.q[w.head] = nil // a started transfer must not stay reachable
+	if w.head++; w.head == len(w.q) {
+		w.q, w.head = w.q[:0], 0
+	}
 }
 
 // Sink receives a transfer's progress as method calls on a record the
@@ -148,6 +171,7 @@ type Transfer struct {
 	Tag  int
 
 	fab    *Fabric
+	seq    uint64 // send order across the fabric
 	start  float64
 	pooled bool // from Fabric.NewTransfer: the fabric takes it back
 }
@@ -165,10 +189,11 @@ type Fabric struct {
 	prof      Profile
 	bytesPerS float64
 	up, down  []link
-	pending   []*Transfer
-	// blockedSrc is dispatch's scratch: one flag per source node, all false
-	// between calls.
-	blockedSrc []bool
+	// waiting is each source uplink's transmit queue; heads is dispatch's
+	// scratch, one slot per source, so appending to it never reallocates.
+	waiting []fifo
+	heads   []*Transfer
+	sent    uint64
 	// free holds the pooled transfers whose last callback has returned.
 	free      recycle.List[*Transfer]
 	delivered uint64
@@ -197,12 +222,13 @@ func NewFabric(eng *sim.Engine, n int, gbps float64, prof Profile) *Fabric {
 		bps = cap
 	}
 	return &Fabric{
-		eng:        eng,
-		prof:       prof,
-		bytesPerS:  bps,
-		up:         make([]link, n),
-		down:       make([]link, n),
-		blockedSrc: make([]bool, n),
+		eng:       eng,
+		prof:      prof,
+		bytesPerS: bps,
+		up:        make([]link, n),
+		down:      make([]link, n),
+		waiting:   make([]fifo, n),
+		heads:     make([]*Transfer, 0, n),
 	}
 }
 
@@ -239,7 +265,7 @@ func (f *Fabric) Utilization(node int) (up, down float64) {
 
 // QueueDepth returns the number of pending (not yet started) transfers whose
 // source is the given node.
-func (f *Fabric) QueueDepth(node int) int { return f.up[node].queued }
+func (f *Fabric) QueueDepth(node int) int { return len(f.waiting[node].q) - f.waiting[node].head }
 
 // NewTransfer returns a zeroed transfer from the fabric's free list to fill
 // in and Send; the fabric takes it back once its last callback has returned.
@@ -270,36 +296,41 @@ func (f *Fabric) Send(t *Transfer) {
 	if t.Bytes < 0 {
 		panic("network: negative transfer size")
 	}
-	t.fab = f
-	f.up[t.Src].queued++
-	f.pending = append(f.pending, t)
+	t.fab, t.seq = f, f.sent
+	f.sent++
+	f.waiting[t.Src].push(t)
 	f.dispatch()
 }
 
-// dispatch starts every eligible pending transfer. A transfer is eligible
-// when (a) it is the oldest pending transfer of its source uplink — the NIC
-// queue is FIFO and has head-of-line blocking — and (b) both its source
-// uplink and destination downlink are idle.
+// dispatch starts every eligible pending transfer. Only the head of a
+// source's queue can start — the NIC queue is FIFO and has head-of-line
+// blocking — and only while its source uplink and destination downlink are
+// idle and neither endpoint is in an outage. Heads are tried oldest send
+// first, so of two heads bound for one idle downlink the older one wins.
 func (f *Fabric) dispatch() {
-	kept := 0
-	for _, t := range f.pending {
-		if !f.blockedSrc[t.Src] && !f.up[t.Src].busy && !f.down[t.Dst].busy && !f.outageBlocked(t) {
-			f.start(t)
-			continue
+	heads := f.heads
+	for src := range f.waiting {
+		if w := &f.waiting[src]; w.head < len(w.q) && !f.up[src].busy {
+			t, i := w.q[w.head], len(heads)
+			heads = append(heads, t)
+			for ; i > 0 && heads[i-1].seq > t.seq; i-- { // insertion by send order
+				heads[i] = heads[i-1]
+			}
+			heads[i] = t
 		}
-		f.blockedSrc[t.Src] = true
-		f.pending[kept] = t
-		kept++
 	}
-	clear(f.blockedSrc)
-	clear(f.pending[kept:]) // started transfers must not stay reachable
-	f.pending = f.pending[:kept]
+	for _, t := range heads {
+		if !f.down[t.Dst].busy && !f.outageBlocked(t) {
+			f.waiting[t.Src].pop()
+			f.start(t)
+		}
+	}
+	clear(heads)
 }
 
 func (f *Fabric) start(t *Transfer) {
 	now := f.eng.Now()
 	src, dst := &f.up[t.Src], &f.down[t.Dst]
-	src.queued--
 
 	// Pipelining: if the uplink never drained between the previous message
 	// and this one, the stack amortizes the per-message cost.

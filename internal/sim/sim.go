@@ -12,11 +12,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-
-	"bytescheduler/internal/recycle"
 )
 
 // Time is a simulated instant, in seconds since the start of the run.
@@ -36,69 +33,63 @@ type handlerFunc func()
 // Fire implements Handler.
 func (f handlerFunc) Fire(int) { f() }
 
-// Event is a scheduled callback. The zero Event is invalid; use
-// Engine.Schedule or Engine.At to create one.
-type Event struct {
-	when   Time
-	seq    uint64
-	h      Handler
-	arg    int
-	index  int // heap index; -1 once popped or canceled
-	canc   bool
-	pooled bool // posted by After: no handle escaped, so the engine reuses it
-	engine *Engine
+// Event is the handle Schedule and At return. An event can be neither
+// canceled nor inspected once posted, so the handle carries nothing.
+type Event struct{}
+
+// event is one queue entry: h.Fire(arg) is due at (when, seq).
+type event struct {
+	when Time
+	seq  uint64
+	h    Handler
+	arg  int
 }
 
-// Canceled reports whether Cancel was called on the event before it fired.
-func (e *Event) Canceled() bool { return e.canc }
+func (a *event) before(b *event) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
+}
 
-// When returns the simulated time at which the event fires (or would have
-// fired, if canceled).
-func (e *Event) When() Time { return e.when }
+// eventQueue is a binary min-heap of events by (when, seq), held by value:
+// the queue is the events' only record, so there is nothing to recycle.
+type eventQueue []event
 
-// Cancel prevents a pending event from firing. Canceling an event that has
-// already fired or been canceled is a no-op.
-func (e *Event) Cancel() {
-	if e.canc || e.index < 0 {
-		e.canc = true
-		return
+func (q *eventQueue) push(ev event) {
+	s := append(*q, ev)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
 	}
-	e.canc = true
-	heap.Remove(&e.engine.queue, e.index)
-	e.index = -1
+	s[i] = ev
+	*q = s
 }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (q *eventQueue) pop() event {
+	s := *q
+	top, n := s[0], len(s)-1
+	last := s[n]
+	s[n] = event{} // the popped handler must not stay reachable
+	s = s[:n]
+	*q = s
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	if n > 0 {
+		s[i] = last
+	}
+	return top
 }
 
 // Engine is a discrete-event simulation engine. The zero value is ready to
@@ -109,9 +100,6 @@ type Engine struct {
 	queue   eventQueue
 	running bool
 	fired   uint64
-	// free holds the events After posted that have since fired; an event
-	// enters it just before its handler runs.
-	free recycle.List[*Event]
 }
 
 // New returns a new Engine with the clock at zero.
@@ -125,7 +113,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule arranges for fn to run after delay. A negative or NaN delay is an
 // error in the caller; Schedule panics to surface the bug immediately rather
@@ -138,55 +126,41 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 }
 
 // At arranges for fn to run at absolute time when, which must not precede the
-// current time. The returned handle stays valid (and Cancel on it harmless)
-// after the event fires: an event with a handle is never reused.
+// current time.
 func (e *Engine) At(when Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := &Event{engine: e}
-	e.post(ev, when, handlerFunc(fn), 0)
-	return ev
+	e.post(when, handlerFunc(fn), 0)
+	return &Event{}
 }
 
 // After arranges for h.Fire(arg) to run after delay (not negative or NaN),
-// in the same (time, sequence) order as Schedule. It returns no handle, so
-// the event cannot be canceled — and, once fired, goes back to the engine to
-// carry a later After: a steady stream of typed events allocates nothing.
+// in the same (time, sequence) order as Schedule. It returns no handle and,
+// with a record as the handler, allocates nothing.
 func (e *Engine) After(delay Time, h Handler, arg int) {
-	ev := recycle.Take(&e.free)
-	ev.engine, ev.pooled = e, true
-	e.post(ev, e.now+delay, h, arg)
+	e.post(e.now+delay, h, arg)
 }
 
-func (e *Engine) post(ev *Event, when Time, h Handler, arg int) {
+func (e *Engine) post(when Time, h Handler, arg int) {
 	if when < e.now || math.IsNaN(when) {
 		panic(fmt.Sprintf("sim: scheduling into the past: now=%v when=%v", e.now, when))
 	}
 	e.seq++
-	ev.when, ev.seq, ev.h, ev.arg = when, e.seq, h, arg
-	heap.Push(&e.queue, ev)
+	e.queue.push(event{when, e.seq, h, arg})
 }
 
 // Step fires the single earliest pending event and returns true, or returns
 // false if no events remain.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canc {
-			continue
-		}
-		e.now = ev.when
-		e.fired++
-		h, arg := ev.h, ev.arg
-		if ev.pooled {
-			ev.h = nil
-			e.free.Put(ev)
-		}
-		h.Fire(arg)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.queue.pop()
+	e.now = ev.when
+	e.fired++
+	ev.h.Fire(ev.arg)
+	return true
 }
 
 // Run fires events until none remain.
@@ -197,39 +171,5 @@ func (e *Engine) Run() {
 	e.running = true
 	defer func() { e.running = false }()
 	for e.Step() {
-	}
-}
-
-// RunUntil fires events until the clock would pass deadline or no events
-// remain. Events at exactly deadline still fire. It returns the number of
-// events fired.
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	if e.running {
-		panic("sim: RunUntil called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	start := e.fired
-	for e.queue.Len() > 0 {
-		next := e.queue[0].when
-		if next > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.fired - start
-}
-
-// RunWhile fires events while cond returns true and events remain.
-func (e *Engine) RunWhile(cond func() bool) {
-	if e.running {
-		panic("sim: RunWhile called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for cond() && e.Step() {
 	}
 }

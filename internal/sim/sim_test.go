@@ -72,45 +72,46 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	ev.Cancel() // double-cancel is a no-op
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", e.Pending())
-	}
-}
-
+// TestEngineCancelMiddleOfHeap: events posted into the middle of a large
+// heap while it drains — earlier, later and tied with what is queued — still
+// fire in (when, seq) order.
 func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	e := New()
-	var got []int
-	var evs []*Event
-	for i := 0; i < 20; i++ {
-		i := i
-		evs = append(evs, e.Schedule(Time(i), func() { got = append(got, i) }))
+	type key struct {
+		when Time
+		seq  int
 	}
-	evs[5].Cancel()
-	evs[13].Cancel()
+	var got []key
+	posted := 0
+	var post func(d Time)
+	post = func(d Time) {
+		k := key{e.Now() + d, posted}
+		posted++
+		e.Schedule(d, func() {
+			got = append(got, k)
+			if k.seq%3 == 0 && posted < 400 {
+				post(Time(k.seq % 7))
+				post(0)
+			}
+		})
+	}
+	for i := 0; i < 100; i++ {
+		post(Time(i % 13))
+	}
 	e.Run()
-	for _, v := range got {
-		if v == 5 || v == 13 {
-			t.Fatalf("canceled event %d fired", v)
-		}
+	if len(got) != posted {
+		t.Fatalf("fired %d of %d events", len(got), posted)
 	}
-	if len(got) != 18 {
-		t.Fatalf("fired %d events, want 18", len(got))
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a.when > b.when || a.when == b.when && a.seq > b.seq {
+			t.Fatalf("event %v fired before %v", a, b)
+		}
 	}
 }
 
+// TestEngineRunUntil: a caller runs to a deadline by stepping — Step fires
+// one event and moves the clock to it — and Run resumes from there.
 func TestEngineRunUntil(t *testing.T) {
 	e := New()
 	var got []Time
@@ -118,36 +119,29 @@ func TestEngineRunUntil(t *testing.T) {
 		d := d
 		e.Schedule(d, func() { got = append(got, d) })
 	}
-	n := e.RunUntil(3)
-	if n != 3 {
-		t.Fatalf("RunUntil fired %d, want 3", n)
+	for e.Now() < 3 && e.Step() {
 	}
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", e.Now())
+	if len(got) != 3 || e.Now() != 3 || e.Pending() != 2 {
+		t.Fatalf("fired %v, Now = %v, Pending = %d; want 3 events, 3, 2", got, e.Now(), e.Pending())
 	}
 	e.Run()
-	if len(got) != 5 {
-		t.Fatalf("total fired %d, want 5", len(got))
+	if len(got) != 5 || e.Step() {
+		t.Fatalf("total fired %d, want 5 and nothing left to step", len(got))
 	}
 }
 
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	e := New()
-	e.RunUntil(10)
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v, want 10 (idle clock must advance)", e.Now())
-	}
-}
-
+// TestEngineRunWhile: a Step loop under a condition stops exactly where the
+// condition turns false.
 func TestEngineRunWhile(t *testing.T) {
 	e := New()
 	count := 0
 	for i := 0; i < 10; i++ {
 		e.Schedule(Time(i), func() { count++ })
 	}
-	e.RunWhile(func() bool { return count < 4 })
-	if count != 4 {
-		t.Fatalf("count = %d, want 4", count)
+	for count < 4 && e.Step() {
+	}
+	if count != 4 || e.Fired() != 4 {
+		t.Fatalf("count = %d, Fired = %d, want 4", count, e.Fired())
 	}
 }
 
