@@ -381,33 +381,27 @@ func parseLiveLayers(s string) ([]int64, error) {
 	return out, nil
 }
 
-// runLive executes a live training loop over real loopback sockets (-backend)
-// and reports wall-clock speed against the unscheduled FIFO baseline on the
-// same topology.
-func runLive(o options) error {
+// liveConfig builds the live run's configuration from the flags.
+func liveConfig(o options) (runner.LiveConfig, error) {
 	backend, err := runner.ParseLiveBackend(o.Backend)
 	if err != nil {
-		return err
+		return runner.LiveConfig{}, err
 	}
 	layers, err := parseLiveLayers(o.LiveLayers)
 	if err != nil {
-		return err
+		return runner.LiveConfig{}, err
 	}
 	policy, priority, err := livePolicy(o)
 	if err != nil {
-		return err
+		return runner.LiveConfig{}, err
 	}
 	pipeline, err := runner.ParsePipelineMode(o.Pipeline)
 	if err != nil {
-		return err
+		return runner.LiveConfig{}, err
 	}
 	codec, err := compress.ParseCodec(o.Codec)
 	if err != nil {
-		return err
-	}
-	iters, warmup := o.Iters, o.Warmup
-	if iters < warmup+2 {
-		iters = warmup + 2
+		return runner.LiveConfig{}, err
 	}
 	cfg := runner.LiveConfig{
 		Backend:         backend,
@@ -416,8 +410,8 @@ func runLive(o options) error {
 		Policy:          policy,
 		Priority:        priority,
 		Pipeline:        pipeline,
-		Iterations:      iters,
-		Warmup:          warmup,
+		Iterations:      max(o.Iters, o.Warmup+2),
+		Warmup:          o.Warmup,
 		ForwardCompute:  o.LiveCompute,
 		BackwardCompute: o.LiveCompute,
 		Seed:            o.Seed,
@@ -431,20 +425,22 @@ func runLive(o options) error {
 			DwellIters: o.AutoTuneDwell,
 			Trials:     o.AutoTuneTrials,
 		}
-		// Stretch the run so one full search episode fits: each probe
-		// costs one transition iteration plus a dwell window, and a few
-		// steady windows confirm the adopted config.
-		trials, dwell := o.AutoTuneTrials, o.AutoTuneDwell
-		if trials <= 0 {
-			trials = 8
-		}
-		if dwell <= 0 {
-			dwell = 3
-		}
-		if min := warmup + (trials+2)*(dwell+1) + 3*dwell; iters < min {
-			iters = min
-			cfg.Iterations = iters
-		}
+		// Stretch the run so one whole search episode and three steady
+		// windows fit: the controller's warmup, every window's transition
+		// iteration and dwell, and the one iteration of pin skew a live
+		// worker's forward pass allows.
+		cfg.Iterations = max(cfg.Iterations, cfg.AutoTune.BudgetIters(3, 1))
+	}
+	return cfg, nil
+}
+
+// runLive executes a live training loop over real loopback sockets (-backend)
+// and reports wall-clock speed against the unscheduled FIFO baseline on the
+// same topology.
+func runLive(o options) error {
+	cfg, err := liveConfig(o)
+	if err != nil {
+		return err
 	}
 	var rec *trace.Recorder
 	if o.ChromeOut != "" {
@@ -474,18 +470,19 @@ func runLive(o options) error {
 	}
 
 	var total int64
-	for _, b := range layers {
+	for _, b := range cfg.LayerBytes {
 		total += b
 	}
+	policy := cfg.Policy.Name
 	fmt.Printf("live %s x%d workers, %d layers (%.0f KB), policy=%s\n",
-		backend, cfg.Workers, len(layers), float64(total)/1024, policy.Name)
-	if cfg.FuseTheta > 0 || !codec.IsIdentity() {
-		fmt.Printf("  wire:      fuse-theta=%d B, codec=%s\n", cfg.FuseTheta, codec.Name())
+		cfg.Backend, cfg.Workers, len(cfg.LayerBytes), float64(total)/1024, policy)
+	if cfg.FuseTheta > 0 || !cfg.Codec.IsIdentity() {
+		fmt.Printf("  wire:      fuse-theta=%d B, codec=%s\n", cfg.FuseTheta, cfg.Codec.Name())
 	}
-	if priority != core.PriorityDefault || pipeline != runner.PipelineAuto {
-		fmt.Printf("  schedule:  priority=%s, pipeline=%s\n", priority, pipeline)
+	if cfg.Priority != core.PriorityDefault || cfg.Pipeline != runner.PipelineAuto {
+		fmt.Printf("  schedule:  priority=%s, pipeline=%s\n", cfg.Priority, cfg.Pipeline)
 	}
-	fmt.Printf("  iter:      %10.2f ms  (%s)\n", res.IterTime*1e3, policy.Name)
+	fmt.Printf("  iter:      %10.2f ms  (%s)\n", res.IterTime*1e3, policy)
 	fmt.Printf("  baseline:  %10.2f ms  (fifo)\n", base.IterTime*1e3)
 	fmt.Printf("  speedup:   %+9.1f%% over unscheduled\n", (base.IterTime-res.IterTime)/res.IterTime*100)
 	fmt.Printf("  scheduler: %d partitions sent, %d preemptions\n",

@@ -180,6 +180,15 @@ func TestRunLiveAutoTune(t *testing.T) {
 	o.AutoTuneTrials = 2
 	o.AutoTuneDwell = 2
 	o.AutoTuneSuggester = "random"
+	// An autotuned run lasts one whole search episode plus three steady
+	// windows at one iteration of pin skew, whatever -iters says.
+	cfg, err := liveConfig(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cfg.AutoTune.BudgetIters(3, 1); cfg.Iterations != want {
+		t.Fatalf("autotuned run length %d, want BudgetIters(3, 1) = %d", cfg.Iterations, want)
+	}
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}

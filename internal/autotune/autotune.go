@@ -22,7 +22,7 @@
 // episode, then resumes probing (each probe is dwell-bounded, so the harm
 // of a further bad probe is already capped). After Trials probes the best
 // config is adopted and the controller settles, tracking a slow EWMA
-// baseline; two consecutive windows more than RetunePct below that
+// baseline; two consecutive windows more than retunePct below that
 // baseline — a bandwidth change, a new co-tenant, not a single noisy
 // window — start a fresh search episode.
 //
@@ -48,9 +48,18 @@ import (
 	"bytescheduler/internal/tune"
 )
 
-// The fixed regression bars (see the package doc). A test may assign the
-// controller's copies.
+// The fixed warmup and regression bars (see the package doc). A test may
+// assign the controller's copies of rollbackPct and latencyPct, and
+// Config.warmup.
 const (
+	// warmupIters discards this many leading iterations before any window
+	// accumulates (transport connect + socket warmup).
+	warmupIters = 2
+	// retunePct triggers a new search episode: two consecutive settled
+	// windows slower than the EWMA baseline by more than this fraction
+	// mean the environment shifted (a single bad window is treated as
+	// noise and left out of the baseline).
+	retunePct = 0.30
 	// rollbackPct triggers the guarded rollback: a probe slower than the
 	// incumbent best by more than this fraction reverts to best-known for
 	// a re-validation window.
@@ -59,7 +68,7 @@ const (
 	// whose mean transport op latency (netps_*/netar_* histogram delta)
 	// exceeds the settled latency EWMA by more than this fraction counts
 	// as regressing even while speed holds, under the same two-window
-	// confirmation as RetunePct.
+	// confirmation as retunePct.
 	latencyPct = 1.0
 )
 
@@ -136,9 +145,6 @@ type Config struct {
 	Suggester string
 	// Seed seeds the suggester; retune episodes derive fresh streams.
 	Seed int64
-	// WarmupIters discards this many leading iterations before any window
-	// accumulates (transport connect + socket warmup). Default 2.
-	WarmupIters int
 	// DwellIters is the hysteresis window: a config is judged only on this
 	// many clean iterations (the first iteration after every switch is
 	// additionally discarded as transition overlap). Default 3.
@@ -146,17 +152,14 @@ type Config struct {
 	// Trials is the number of suggester proposals per search episode.
 	// Default 8.
 	Trials int
-	// RetunePct triggers a new search episode: two consecutive settled
-	// windows slower than the EWMA baseline by more than this fraction
-	// mean the environment shifted (a single bad window is treated as
-	// noise and left out of the baseline). Default 0.30.
-	RetunePct float64
 	// Metrics, if non-nil, publishes the autotune_* series and lets the
 	// controller read the transport latency histograms (netps_*/netar_*).
 	Metrics *metrics.Registry
 	// Trace, if non-nil, records one span per decision on the "autotune"
 	// lane.
 	Trace *trace.Wall
+
+	warmup int // leading iterations discarded; warmupIters unless a test sets it
 }
 
 // withDefaults fills zero fields.
@@ -164,17 +167,14 @@ func (c Config) withDefaults() Config {
 	if c.Suggester == "" {
 		c.Suggester = "bo"
 	}
-	if c.WarmupIters <= 0 {
-		c.WarmupIters = 2
+	if c.warmup <= 0 {
+		c.warmup = warmupIters
 	}
 	if c.DwellIters <= 0 {
 		c.DwellIters = 3
 	}
 	if c.Trials <= 0 {
 		c.Trials = 8
-	}
-	if c.RetunePct <= 0 {
-		c.RetunePct = 0.30
 	}
 	return c
 }
@@ -185,9 +185,6 @@ func (c Config) Validate() error {
 	case "bo", "grid", "random":
 	default:
 		return fmt.Errorf("autotune: unknown suggester %q (want bo, grid, or random)", c.Suggester)
-	}
-	if c.RetunePct >= 1 {
-		return fmt.Errorf("autotune: retune %.2f must be < 1", c.RetunePct)
 	}
 	return nil
 }
@@ -203,7 +200,7 @@ func (c Config) Validate() error {
 // closes before iteration BudgetIters(0, skew).
 func (c Config) BudgetIters(steady, skew int) int {
 	c = c.withDefaults()
-	return c.WarmupIters + c.DwellIters + 1 + (c.Trials+1+steady)*(c.DwellIters+1+skew)
+	return c.warmup + c.DwellIters + 1 + (c.Trials+1+steady)*(c.DwellIters+1+skew)
 }
 
 // newSuggester builds the episode's tuner.
@@ -359,7 +356,7 @@ func (c *Controller) ConfigFor(iter int) Setting {
 func (c *Controller) ObserveIteration(iter int, seconds float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if iter < c.cfg.WarmupIters || seconds <= 0 {
+	if iter < c.cfg.warmup || seconds <= 0 {
 		return
 	}
 	s, ok := c.pinned[iter]
@@ -426,7 +423,7 @@ func (c *Controller) judge(iter int, speed float64) {
 		c.decide(iter, "revalidate", speed, op)
 		c.advance(iter, op)
 	case StateSettled:
-		slowSpeed := speed < c.baseline*(1-c.cfg.RetunePct)
+		slowSpeed := speed < c.baseline*(1-retunePct)
 		slowOp := c.opBase > 0 && op > c.opBase*(1+c.latencyPct)
 		if slowSpeed || slowOp {
 			// One bad window is weather, two in a row is a shifted

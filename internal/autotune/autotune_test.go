@@ -53,7 +53,7 @@ func start() Setting { return Setting{Partition: 4 << 20, Credit: 16 << 20} }
 
 func TestControllerConvergesNearOptimum(t *testing.T) {
 	f := peaked(20, 22, 100) // optimum at 1MB / 4MB, far from start
-	c, err := New(start(), Config{Suggester: "bo", Seed: 3, WarmupIters: 1, DwellIters: 2, Trials: 10})
+	c, err := New(start(), Config{Suggester: "bo", Seed: 3, warmup: 1, DwellIters: 2, Trials: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestControllerConvergesNearOptimum(t *testing.T) {
 }
 
 // TestSingleNoisyWindowDoesNotRetune pins the retune confirmation
-// requirement: one settled window past RetunePct is flagged ("regressing")
+// requirement: one settled window past retunePct is flagged ("regressing")
 // but held out of the baseline; only a second consecutive bad window
 // starts a new episode. Live loopback runs dip this deep from scheduler
 // noise alone, and a spurious episode costs Trials probe windows.
 func TestSingleNoisyWindowDoesNotRetune(t *testing.T) {
 	flat := func(Setting) float64 { return 50 }
 	slow := func(Setting) float64 { return 10 }
-	c, err := New(start(), Config{Suggester: "bo", Seed: 9, WarmupIters: 1, DwellIters: 2, Trials: 4})
+	c, err := New(start(), Config{Suggester: "bo", Seed: 9, warmup: 1, DwellIters: 2, Trials: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestLatencyRegressionTriggersRetune(t *testing.T) {
 	}
 	flat := func(Setting) float64 { return 50 }
 	c, err := New(start(), Config{
-		Suggester: "bo", Seed: 7, WarmupIters: 1, DwellIters: 2,
+		Suggester: "bo", Seed: 7, warmup: 1, DwellIters: 2,
 		Trials: 4, Metrics: reg,
 	})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestRollbackStateMachine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()
 			c, err := New(start(), Config{
-				Suggester: "bo", Seed: 11, WarmupIters: 1, DwellIters: 2,
+				Suggester: "bo", Seed: 11, warmup: 1, DwellIters: 2,
 				Trials: 6, Metrics: reg,
 			})
 			if err != nil {
@@ -285,7 +285,7 @@ func TestHostileRollbackExact(t *testing.T) {
 		}
 		return 10
 	}
-	c, err := New(start(), Config{Suggester: "random", Seed: 5, WarmupIters: 1, DwellIters: 2, Trials: 4})
+	c, err := New(start(), Config{Suggester: "random", Seed: 5, warmup: 1, DwellIters: 2, Trials: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestHostileRollbackExact(t *testing.T) {
 // contract: whatever the controller does between calls, every worker
 // asking for the same iteration gets the same config.
 func TestConfigForPinsAcrossWorkers(t *testing.T) {
-	c, err := New(start(), Config{WarmupIters: 1, DwellIters: 2, Trials: 4})
+	c, err := New(start(), Config{warmup: 1, DwellIters: 2, Trials: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +351,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Setting{}, Config{}); err == nil {
 		t.Error("zero setting accepted")
-	}
-	if _, err := New(start(), Config{RetunePct: 1.5}); err == nil {
-		t.Error("retune fraction >= 1 accepted")
 	}
 }
 

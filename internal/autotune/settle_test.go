@@ -41,12 +41,12 @@ func settleTrial(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	reg := metrics.NewRegistry()
 	cfg := Config{
-		Suggester:   []string{"bo", "random", "grid"}[rng.Intn(3)],
-		Seed:        seed,
-		WarmupIters: 1 + rng.Intn(2),
-		DwellIters:  2 + rng.Intn(2),
-		Trials:      2 + rng.Intn(5),
-		Metrics:     reg,
+		Suggester:  []string{"bo", "random", "grid"}[rng.Intn(3)],
+		Seed:       seed,
+		warmup:     1 + rng.Intn(2),
+		DwellIters: 2 + rng.Intn(2),
+		Trials:     2 + rng.Intn(5),
+		Metrics:    reg,
 	}
 	c, err := New(start(), cfg)
 	if err != nil {
@@ -120,7 +120,7 @@ func settleTrial(seed int64) error {
 		push.Observe(op)
 	}
 
-	shape := fmt.Sprintf("%s warmup %d dwell %d trials %d skew %d", cfg.Suggester, cfg.WarmupIters, cfg.DwellIters, cfg.Trials, skew)
+	shape := fmt.Sprintf("%s warmup %d dwell %d trials %d skew %d", cfg.Suggester, cfg.warmup, cfg.DwellIters, cfg.Trials, skew)
 	for _, d := range c.Report().Decisions {
 		if d.Action != "adopt" {
 			continue
@@ -145,7 +145,7 @@ func checkWindow(cfg Config, ds []Decision, k int, pinned []Setting, dur []float
 	if d.Action == "adopt" {
 		return nil
 	}
-	from, want := cfg.WarmupIters, cfg.DwellIters
+	from, want := cfg.warmup, cfg.DwellIters
 	if k > 0 {
 		from = ds[k-1].Iter + 1
 		if a := ds[k-1].Action; a != "steady" && a != "regressing" {

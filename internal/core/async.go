@@ -24,7 +24,7 @@ var ErrShutdown = errors.New("core: scheduler shut down")
 // a Task rejected here can be fixed and enqueued again.
 type AsyncScheduler struct {
 	mu   sync.Mutex
-	idle *sync.Cond // signaled whenever active or in-flight work shrinks
+	idle *sync.Cond // signaled whenever active or unresolved work shrinks
 	s    *Scheduler
 	down bool
 	// active counts substrate goroutines whose Start call has not yet
@@ -40,18 +40,13 @@ type AsyncScheduler struct {
 func NewAsync(policy Policy) *AsyncScheduler {
 	a := &AsyncScheduler{s: New(policy)}
 	a.idle = sync.NewCond(&a.mu)
-	// Substrate calls run outside the lock on their own goroutines;
-	// completion callbacks re-enter scheduler state under the lock.
+	// Substrate calls run outside the lock on their own goroutines; Sent
+	// and Done re-enter scheduler state under the lock and wake Shutdown.
 	a.s.spawn = func(h *Handle) {
-		a.active++ // mu is held by the caller (Enqueue/NotifyReady/guard)
+		a.active++ // mu is held by the caller (Enqueue, NotifyReady, Sent or Done)
 		go a.run(h)
 	}
-	a.s.guard = func(h *Handle, err error) {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		a.s.complete(h, err)
-		a.idle.Broadcast()
-	}
+	a.s.guard = a.idle
 	return a
 }
 
@@ -164,28 +159,26 @@ func (a *AsyncScheduler) SetParams(partitionUnit, creditBytes int64) error {
 // Stats snapshots the underlying counters. The counters are atomics, so no
 // lock is needed: scrapers can read mid-run without contending with the
 // scheduler.
-func (a *AsyncScheduler) Stats() Stats { return a.s.Snapshot() }
+func (a *AsyncScheduler) Stats() Stats { return a.s.Stats() }
 
-// Snapshot is an alias of Stats, mirroring Scheduler.Snapshot.
-func (a *AsyncScheduler) Snapshot() Stats { return a.s.Snapshot() }
-
-// Drained reports whether nothing is queued or in flight.
+// Drained reports whether nothing is queued and every started partition
+// has resolved.
 func (a *AsyncScheduler) Drained() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.s.Pending() == 0 && a.s.InFlight() == 0
+	return a.s.Pending() == 0 && a.s.open == 0
 }
 
-// Shutdown stops accepting work and waits for in-flight transmissions to
-// complete (including their completion callbacks, successful or failed).
-// Unlike a bare goroutine join, it also waits out done callbacks that
-// arrive after the substrate's Start call has already returned, so credit
-// accounting is quiescent when it returns.
+// Shutdown stops accepting work and waits until every started partition
+// has resolved (its Done has run, successful or failed) and every Start
+// call has returned. Unlike a bare goroutine join, it also waits out a
+// Done that arrives after the substrate's Start call has already returned,
+// so credit and completion accounting are quiescent when it returns.
 func (a *AsyncScheduler) Shutdown() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.down = true
-	for a.active > 0 || a.s.InFlight() > 0 {
+	for a.active > 0 || a.s.open > 0 {
 		a.idle.Wait()
 	}
 }

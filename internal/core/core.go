@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"bytescheduler/internal/tensor"
@@ -56,10 +57,11 @@ type Policy struct {
 	// tensor.
 	PartitionFn func(t tensor.Tensor) int64
 	// MaxRetries is the per-partition retry budget: how many times a
-	// SubCommTask whose Start reported failure (via StartErr) is requeued
-	// before it is declared permanently failed. Each failure returns the
-	// partition's credit immediately, so one dead substrate cannot strand
-	// the sliding window. 0 (the default) fails fast on the first error.
+	// SubCommTask whose send reported failure (Done(err) without Sent) is
+	// requeued before it is declared permanently failed. Each failure
+	// returns the partition's credit immediately, so one dead substrate
+	// cannot strand the sliding window. 0 (the default) fails fast on the
+	// first error.
 	MaxRetries int
 }
 
@@ -130,7 +132,8 @@ type StartErrFn func(sub tensor.Sub, done func(error))
 
 // Starter is the allocation-free form of Start: a record the substrate
 // already keeps receives the partition's Handle instead of a closure built
-// for it. StartSub must eventually call h.Done exactly once.
+// for it. StartSub must eventually call h.Done exactly once, and may call
+// h.Sent once before it (see Handle).
 type Starter interface {
 	StartSub(h *Handle)
 }
@@ -148,14 +151,10 @@ type Task struct {
 	StartErr StartErrFn
 	// Starter launches one partition given its Handle.
 	Starter Starter
-	// OnFinished, if non-nil, fires once when every partition of the task
-	// has resolved — completed or permanently failed. Check Err to tell
+	// OnFinished, if non-nil, fires once, after the last partition's Done
+	// — every partition completed or permanently failed. Check Err to tell
 	// the two apart.
 	OnFinished func()
-	// Meta is caller-owned metadata the scheduler never touches. The
-	// Fuser's transmit callback reads it to recover per-member state (e.g.
-	// the live runner's gradient buffers) from a fused task's members.
-	Meta any
 
 	subs      []tensor.Sub
 	one       [1]tensor.Sub // backs subs for a task that is not split
@@ -197,8 +196,16 @@ func (t *Task) resolved() {
 
 // Handle is one partition's record from readiness to completion: its entry
 // in the scheduler's queues and, once started, the substrate's completion
-// handle. A task's handles are one slab that lives as long as the task, so
-// a second readiness or a second Done on one is always detected.
+// token. A task's handles are one slab that lives as long as the task, so
+// a second readiness, Sent or Done on one is always detected.
+//
+// A started partition ends in exactly one Done. A split-phase substrate —
+// a PS push whose data lands a pull later — calls Sent first, once, when
+// the send phase succeeded: the credit returns there, and Done(err) then
+// only resolves the partition, a non-nil err failing it without a retry
+// because its bytes were delivered. Done without Sent is notify_finish:
+// credit and resolution at once, and an error is retried while the
+// policy's budget lasts.
 type Handle struct {
 	s         *Scheduler
 	task      *Task
@@ -206,6 +213,7 @@ type Handle struct {
 	prio      int64
 	seq       uint64
 	started   bool
+	sent      bool // credit returned by Sent
 	finished  bool
 	attempts  int       // failed attempts so far
 	spanStart time.Time // set when a tracer or the latency histogram is attached
@@ -214,15 +222,27 @@ type Handle struct {
 // Sub returns the partition this handle stands for.
 func (h *Handle) Sub() tensor.Sub { return h.task.subs[h.i] }
 
-// Done reports the partition's outcome, exactly once per start: Done(nil) is
-// notify_finish; Done(err) returns its credit at once and requeues it until
-// the policy's retry budget is exhausted.
-func (h *Handle) Done(err error) {
-	if guard := h.s.guard; guard != nil {
-		guard(h, err)
-		return
+// Sent reports that the partition's send phase succeeded: its credit
+// returns now, before its outcome.
+func (h *Handle) Sent() {
+	s := h.s
+	if g := s.guard; g != nil {
+		g.L.Lock()
+		defer g.L.Unlock()
+		defer g.Broadcast()
 	}
-	h.s.complete(h, err)
+	s.sentSub(h)
+}
+
+// Done reports the partition's outcome, exactly once per start (see Handle).
+func (h *Handle) Done(err error) {
+	s := h.s
+	if g := s.guard; g != nil {
+		g.L.Lock()
+		defer g.L.Unlock()
+		defer g.Broadcast()
+	}
+	s.complete(h, err)
 }
 
 // launch hands the partition to the substrate in the form the task supplied.
@@ -284,16 +304,15 @@ func (q *priorityQueue) pop() {
 }
 
 // Stats are scheduler counters for analysis and tests. Obtain them through
-// Snapshot (or the equivalent Stats method): the scheduler mutates its
-// counters while it runs, and the snapshot reads each field atomically so
-// concurrent consumers (benchsuite, runner, metric scrapers) never observe
-// torn values.
+// the Stats method: the scheduler mutates its counters while it runs, and
+// the snapshot reads each field atomically so concurrent consumers
+// (benchsuite, runner, metric scrapers) never observe torn values.
 type Stats struct {
 	// TasksEnqueued counts Enqueue calls.
 	TasksEnqueued uint64
 	// SubsStarted counts partitions released to the network.
 	SubsStarted uint64
-	// SubsFinished counts completed partitions.
+	// SubsFinished counts partitions whose Done reported success.
 	SubsFinished uint64
 	// Preemptions counts starts where the released partition arrived later
 	// than some partition still waiting in the queue — i.e. it jumped
@@ -307,7 +326,8 @@ type Stats struct {
 	// retry returned the partition's credit first, so the invariant
 	// SubsStarted == SubsFinished + Failures + Retries holds at quiescence.
 	Retries uint64
-	// Failures counts partitions that exhausted the retry budget.
+	// Failures counts partitions resolved failed: a send that exhausted
+	// the retry budget, or a wait phase (Done after Sent) that failed.
 	Failures uint64
 }
 
@@ -323,8 +343,9 @@ type Scheduler struct {
 	seq           uint64
 	credit        int64 // remaining credit; meaningful when limited
 	limited       bool
-	inflight      int
+	inflight      int // started partitions holding credit
 	inflightBytes int64
+	open          int // started partitions not yet resolved by Done
 	stats         statsCell
 	scheduling    bool
 
@@ -336,9 +357,10 @@ type Scheduler struct {
 	// spawn, when non-nil, runs a partition's launch (AsyncScheduler
 	// installs a goroutine launcher; the simulator runs inline).
 	spawn func(h *Handle)
-	// guard, when non-nil, serializes a completion re-entering scheduler
-	// state (AsyncScheduler installs its mutex around complete).
-	guard func(h *Handle, err error)
+	// guard, when non-nil, serializes Sent and Done re-entering scheduler
+	// state: they hold guard.L and broadcast before releasing it
+	// (AsyncScheduler installs its mutex and idle condition).
+	guard *sync.Cond
 	// flushHook, when non-nil, fires at the end of every scheduling pass
 	// that released at least one partition — the transport's cue that no
 	// further releases are imminent, so a coalescing batcher (e.g.
@@ -362,17 +384,14 @@ func New(policy Policy) *Scheduler {
 // Policy returns the scheduler's policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
 
-// Snapshot returns an atomically read copy of the scheduler counters; it
-// is safe to call from any goroutine while the scheduler runs.
-func (s *Scheduler) Snapshot() Stats { return s.stats.Snapshot() }
-
-// Stats returns a snapshot of the scheduler counters (alias of Snapshot).
-func (s *Scheduler) Stats() Stats { return s.Snapshot() }
+// Stats returns an atomically read copy of the scheduler counters; it is
+// safe to call from any goroutine while the scheduler runs.
+func (s *Scheduler) Stats() Stats { return s.stats.Snapshot() }
 
 // Pending returns the number of ready partitions waiting in the queue.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// InFlight returns the number of partitions currently in the network.
+// InFlight returns the number of started partitions still holding credit.
 func (s *Scheduler) InFlight() int { return s.inflight }
 
 // CreditAvailable returns the remaining credit in bytes; -1 when unlimited.
@@ -560,6 +579,7 @@ func (s *Scheduler) start(h *Handle) {
 	}
 	s.inflight++
 	s.inflightBytes += bytes
+	s.open++
 	setMax(&s.stats.maxInflightBytes, s.inflightBytes)
 	s.stats.subsStarted.Add(1)
 	s.inst.subsStarted.Inc()
@@ -572,14 +592,8 @@ func (s *Scheduler) start(h *Handle) {
 	}
 }
 
-// complete resolves a started partition: the span ends, its credit returns,
-// and it either finishes, is requeued or fails its task.
-func (s *Scheduler) complete(h *Handle, err error) {
-	if h.finished {
-		panic(fmt.Sprintf("core: done called twice for %s", h.Sub()))
-	}
-	h.finished = true
-	s.endSpan(h)
+// returnCredit gives a started partition's credit back.
+func (s *Scheduler) returnCredit(h *Handle) {
 	bytes := h.Sub().Bytes
 	if s.limited {
 		s.credit += bytes
@@ -587,34 +601,59 @@ func (s *Scheduler) complete(h *Handle, err error) {
 	s.inflight--
 	s.inflightBytes -= bytes
 	s.observeGauges()
-	if err != nil {
-		s.fail(h, err)
+}
+
+// sentSub returns a started partition's credit at the end of its send
+// phase and schedules what it frees.
+func (s *Scheduler) sentSub(h *Handle) {
+	if h.sent || h.finished {
+		panic(fmt.Sprintf("core: sent called twice or after done for %s", h.Sub()))
+	}
+	h.sent = true
+	s.returnCredit(h)
+	s.schedule()
+}
+
+// complete resolves a started partition: the span ends, and unless Sent
+// already returned its credit, the credit returns and a failure is retried
+// while the budget lasts. Otherwise it finishes or fails its task.
+func (s *Scheduler) complete(h *Handle, err error) {
+	if h.finished {
+		panic(fmt.Sprintf("core: done called twice for %s", h.Sub()))
+	}
+	h.finished = true
+	s.open--
+	s.endSpan(h)
+	if h.sent {
+		s.resolve(h, err)
+		return
+	}
+	s.returnCredit(h)
+	if err != nil && h.attempts < s.policy.MaxRetries {
+		s.stats.retries.Add(1)
+		s.inst.retries.Inc()
+		// A fresh handle: the failed one may still sit, started, in arrivals.
+		s.push(&Handle{s: s, task: h.task, i: h.i, attempts: h.attempts + 1})
 	} else {
-		s.stats.subsFinished.Add(1)
-		s.inst.subsFinished.Inc()
-		h.task.resolved()
+		s.resolve(h, err)
 	}
 	s.schedule()
 }
 
-// fail handles a partition whose Start reported an error: credit has
-// already been returned by the caller; the partition is requeued while the
-// retry budget lasts, then declared permanently failed. A permanently
-// failed partition still resolves the task (OnFinished fires, Err is set)
-// so waiters never hang on a dead substrate.
-func (s *Scheduler) fail(h *Handle, err error) {
+// resolve counts a partition's final outcome, then resolves its task. A
+// permanently failed partition still resolves the task (OnFinished fires,
+// Err is set) so waiters never hang on a dead substrate.
+func (s *Scheduler) resolve(h *Handle, err error) {
 	task := h.task
-	if h.attempts < s.policy.MaxRetries {
-		s.stats.retries.Add(1)
-		s.inst.retries.Inc()
-		// A fresh handle: the failed one may still sit, started, in arrivals.
-		s.push(&Handle{s: s, task: task, i: h.i, attempts: h.attempts + 1})
-		return
-	}
-	s.stats.failures.Add(1)
-	s.inst.failures.Inc()
-	if task.err == nil {
-		task.err = err
+	if err != nil {
+		s.stats.failures.Add(1)
+		s.inst.failures.Inc()
+		if task.err == nil {
+			task.err = err
+		}
+	} else {
+		s.stats.subsFinished.Add(1)
+		s.inst.subsFinished.Inc()
 	}
 	task.resolved()
 }

@@ -65,15 +65,6 @@ func (f *Fused) Members() []*Task { return f.members }
 // member i covers [Offsets()[i], Offsets()[i]+Members()[i].Tensor.Bytes).
 func (f *Fused) Offsets() []int64 { return f.offsets }
 
-// FuseStartFn builds the fused task's StartErr from the bucket's
-// composition, once per emitted bucket: the returned function transmits
-// the partition [sub.Offset, sub.Offset+sub.Bytes) of the fused buffer
-// whose layout f.Offsets describes, under the same contract as any Task's
-// StartErr. Building it per bucket gives the caller a place for per-task
-// state (the live runner's completion countdown) and lets fused and plain
-// tasks share one start function.
-type FuseStartFn func(f *Fused) StartErrFn
-
 // FuserConfig configures a Fuser.
 type FuserConfig struct {
 	// Theta is the fusion threshold in bytes: tensors strictly smaller
@@ -82,9 +73,12 @@ type FuserConfig struct {
 	// buckets land in [Theta, 2Theta). <= 0 disables fusion (every task
 	// passes through).
 	Theta int64
-	// Start builds each fused task's transmit function. Required when
-	// Theta > 0.
-	Start FuseStartFn
+	// Start builds each fused task's Starter from the bucket's
+	// composition, once per emitted bucket: the Starter transmits the
+	// partition [sub.Offset, sub.Offset+sub.Bytes) of the fused buffer
+	// whose layout f.Offsets describes, under the same contract as any
+	// Task's. Required when Theta > 0.
+	Start func(f *Fused) Starter
 }
 
 // Validate reports configuration errors.
@@ -259,7 +253,7 @@ func (f *Fuser) emit(batch []*Task) error {
 	sig.WriteByte(')')
 	fused.Tensor = tensor.Tensor{Layer: minLayer, Name: sig.String(), Bytes: total}
 
-	ft := &Task{Tensor: fused.Tensor, StartErr: f.cfg.Start(fused)}
+	ft := &Task{Tensor: fused.Tensor, Starter: f.cfg.Start(fused)}
 	// Unfuse: when every fused partition has resolved, each member
 	// resolves with the fused outcome, exactly once.
 	ft.OnFinished = func() {

@@ -31,6 +31,14 @@ func (s *recordSink) all() []*Task {
 
 func noopStart(sub tensor.Sub, done func(error)) { done(nil) }
 
+// starterFunc adapts a function to Starter.
+type starterFunc func(h *Handle)
+
+func (f starterFunc) StartSub(h *Handle) { f(h) }
+
+// noopStarter completes every partition at once.
+var noopStarter = starterFunc(func(h *Handle) { h.Done(nil) })
+
 func smallTask(layer int, bytes int64) *Task {
 	return &Task{
 		Tensor:   tensor.Tensor{Layer: layer, Name: "g", Bytes: bytes},
@@ -42,7 +50,7 @@ func TestFuserPassthroughAboveTheta(t *testing.T) {
 	sink := &recordSink{}
 	f, err := NewFuser(FuserConfig{
 		Theta: 100,
-		Start: func(*Fused) StartErrFn { t.Error("fused Start called for passthrough"); return noopStart },
+		Start: func(*Fused) Starter { t.Error("fused Start called for passthrough"); return noopStarter },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +92,9 @@ func TestFuserSizeFlush(t *testing.T) {
 	var fused *Fused
 	f, err := NewFuser(FuserConfig{
 		Theta: 100,
-		Start: func(fd *Fused) StartErrFn {
+		Start: func(fd *Fused) Starter {
 			fused = fd
-			return noopStart
+			return noopStarter
 		},
 	}, sink)
 	if err != nil {
@@ -144,7 +152,7 @@ func TestFuserUnfuseExactlyOnce(t *testing.T) {
 		sink := &recordSink{}
 		f, err := NewFuser(FuserConfig{
 			Theta: 100,
-			Start: func(*Fused) StartErrFn { return noopStart },
+			Start: func(*Fused) Starter { return noopStarter },
 		}, sink)
 		if err != nil {
 			t.Fatal(err)
@@ -192,11 +200,11 @@ func TestFuserSchedulerPriority(t *testing.T) {
 	sink := schedSink{sched}
 	f, err := NewFuser(FuserConfig{
 		Theta: 80,
-		Start: func(fd *Fused) StartErrFn {
-			return func(sub tensor.Sub, done func(error)) {
+		Start: func(fd *Fused) Starter {
+			return starterFunc(func(h *Handle) {
 				order = append(order, fd.Tensor.Name)
-				dones = append(dones, done)
-			}
+				dones = append(dones, h.Done)
+			})
 		},
 	}, sink)
 	if err != nil {
@@ -254,7 +262,7 @@ func TestFuserSingletonSkipsWrapper(t *testing.T) {
 	sink := &recordSink{}
 	f, err := NewFuser(FuserConfig{
 		Theta: 100,
-		Start: func(*Fused) StartErrFn { t.Error("fused Start called for a singleton"); return noopStart },
+		Start: func(*Fused) Starter { t.Error("fused Start called for a singleton"); return noopStarter },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +284,7 @@ func TestFuserCloseFlushesAndRejects(t *testing.T) {
 	sink := &recordSink{}
 	f, err := NewFuser(FuserConfig{
 		Theta: 100,
-		Start: func(*Fused) StartErrFn { return noopStart },
+		Start: func(*Fused) Starter { return noopStarter },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +310,7 @@ func TestFuserConfigValidate(t *testing.T) {
 		t.Fatal("fusion without a Start function accepted")
 	}
 	if _, err := NewFuser(FuserConfig{Theta: 100,
-		Start: func(*Fused) StartErrFn { return noopStart }}, nil); err == nil {
+		Start: func(*Fused) Starter { return noopStarter }}, nil); err == nil {
 		t.Fatal("nil sink accepted")
 	}
 }

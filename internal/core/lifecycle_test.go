@@ -1,0 +1,276 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"bytescheduler/internal/tensor"
+)
+
+// TestLifecycleProperty drives seeded programs of Start, StartErr and
+// Starter tasks through both the synchronous and the async scheduler. The
+// test loop plays the substrate: it picks a random started partition and
+// either calls Sent (Starter tasks only) or Done with nil or an error, so
+// split-phase partitions (Sent then Done(nil|err)) mix with Done(err)
+// without Sent, under retry budgets 0–2 and tight or unlimited credit.
+// Against its own model of what each call means, it asserts after every
+// step that credit rose at Sent and nowhere else, and at quiescence that:
+// the credit is whole and nothing is queued; every partition resolved
+// exactly once, a wait-phase failure (Done(err) after Sent) without a
+// retry; OnFinished fired once per task, inside its last partition's Done;
+// Err is the task's first permanent failure; and Stats count exactly the
+// model's starts, successes, failures and retries, with
+// SubsStarted == SubsFinished + Failures + Retries.
+func TestLifecycleProperty(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		for _, async := range []bool{false, true} {
+			runLifecycle(t, seed, async)
+		}
+	}
+}
+
+// lcAttempt is one started partition attempt, waiting for the test loop.
+type lcAttempt struct {
+	task, sub, try int
+	bytes          int64
+	h              *Handle     // Starter tasks: Sent is available
+	finish         func(error) // the attempt's Done
+	sent           bool
+}
+
+// lcPart is the model of one partition.
+type lcPart struct {
+	tries    int // Done(err) without Sent so far, each retried
+	resolved bool
+}
+
+// lcRig is one program's substrate and model. mu guards everything below
+// it: async launches record attempts from their own goroutines.
+type lcRig struct {
+	tasks []*Task
+
+	mu                                   sync.Mutex
+	pending                              []*lcAttempt
+	parts                                [][]lcPart
+	resolvedParts                        []int   // by task
+	fired                                []int   // OnFinished calls by task
+	firstErr                             []error // first permanent failure by task
+	inflight                             int     // started attempts holding credit
+	inflightBytes                        int64
+	started, finished, failures, retries uint64
+	bad                                  []string
+}
+
+func (r *lcRig) record(task int, sub tensor.Sub, h *Handle, finish func(error)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := &r.parts[task][sub.Index]
+	if p.resolved {
+		r.bad = append(r.bad, fmt.Sprintf("%s started again after it resolved", sub))
+	}
+	r.pending = append(r.pending, &lcAttempt{task: task, sub: sub.Index, try: p.tries, bytes: sub.Bytes, h: h, finish: finish})
+	r.inflight++
+	r.inflightBytes += sub.Bytes
+	r.started++
+}
+
+// lcStarter is a Starter task's record.
+type lcStarter struct {
+	r    *lcRig
+	task int
+}
+
+func (s lcStarter) StartSub(h *Handle) { s.r.record(s.task, h.Sub(), h, h.Done) }
+
+func runLifecycle(t *testing.T, seed int64, async bool) {
+	rng := rand.New(rand.NewSource(seed))
+	unit := 4 * (1 + rng.Int63n(3))
+	pol := Policy{Name: "lifecycle", PartitionUnit: unit, Priority: LayerPriority, MaxRetries: rng.Intn(3)}
+	if rng.Intn(2) == 0 {
+		pol.CreditBytes = []int64{1, unit, 2 * unit}[rng.Intn(3)]
+	}
+	name := fmt.Sprintf("seed %d async %v (unit %d, credit %d, retries %d)", seed, async, unit, pol.CreditBytes, pol.MaxRetries)
+
+	r := &lcRig{}
+	var s *Scheduler
+	var a *AsyncScheduler
+	if async {
+		a = NewAsync(pol)
+		s = a.s
+	} else {
+		s = New(pol)
+	}
+	// settled runs fn on the scheduler once every launched partition has
+	// reached the rig, under the async lock.
+	settled := func(fn func()) {
+		if a == nil {
+			fn()
+			return
+		}
+		for {
+			a.mu.Lock()
+			if a.active == 0 {
+				fn()
+				a.mu.Unlock()
+				return
+			}
+			a.mu.Unlock()
+			runtime.Gosched()
+		}
+	}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: %s", name, fmt.Sprintf(format, args...))
+	}
+	check := func() {
+		t.Helper()
+		var msg string
+		settled(func() {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			switch {
+			case len(r.bad) > 0:
+				msg = r.bad[0]
+			case s.InFlight() != r.inflight:
+				msg = fmt.Sprintf("%d partitions hold credit, model %d", s.InFlight(), r.inflight)
+			case s.limited && s.CreditAvailable() != pol.CreditBytes-r.inflightBytes:
+				msg = fmt.Sprintf("credit %d, model %d", s.CreditAvailable(), pol.CreditBytes-r.inflightBytes)
+			}
+		})
+		if msg != "" {
+			fail("%s", msg)
+		}
+	}
+
+	n := 2 + rng.Intn(5)
+	r.parts = make([][]lcPart, n)
+	r.resolvedParts, r.fired, r.firstErr = make([]int, n), make([]int, n), make([]error, n)
+	for i := 0; i < n; i++ {
+		tk := &Task{Tensor: tensor.Tensor{Layer: rng.Intn(4), Name: fmt.Sprintf("t%d", i), Bytes: 1 + rng.Int63n(4*unit)}}
+		switch rng.Intn(3) {
+		case 0:
+			tk.Starter = lcStarter{r, i}
+		case 1:
+			tk.StartErr = func(sub tensor.Sub, done func(error)) { r.record(i, sub, nil, done) }
+		default:
+			tk.Start = func(sub tensor.Sub, done func()) { r.record(i, sub, nil, func(error) { done() }) }
+		}
+		tk.OnFinished = func() {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			r.fired[i]++
+			if r.resolvedParts[i] != len(tk.Subs()) {
+				r.bad = append(r.bad, fmt.Sprintf("task %d finished with %d of %d partitions resolved", i, r.resolvedParts[i], len(tk.Subs())))
+			}
+		}
+		r.tasks = append(r.tasks, tk)
+		if a != nil {
+			if err := a.Enqueue(tk); err != nil {
+				fail("enqueue: %v", err)
+			}
+		} else {
+			s.Enqueue(tk)
+		}
+		r.parts[i] = make([]lcPart, len(tk.Subs()))
+	}
+
+	ready := 0
+	for {
+		check()
+		r.mu.Lock()
+		slices.SortFunc(r.pending, func(x, y *lcAttempt) int {
+			return cmp.Or(cmp.Compare(x.task, y.task), cmp.Compare(x.sub, y.sub), cmp.Compare(x.try, y.try))
+		})
+		idle := len(r.pending) == 0
+		r.mu.Unlock()
+		if ready < n && (idle || rng.Intn(3) == 0) {
+			if a != nil {
+				if err := a.NotifyReady(r.tasks[ready]); err != nil {
+					fail("ready: %v", err)
+				}
+			} else {
+				s.NotifyReady(r.tasks[ready])
+			}
+			ready++
+			continue
+		}
+		if idle {
+			break
+		}
+		r.mu.Lock()
+		i := rng.Intn(len(r.pending))
+		at := r.pending[i]
+		if at.h != nil && !at.sent && rng.Intn(2) == 0 {
+			at.sent = true
+			r.inflight--
+			r.inflightBytes -= at.bytes
+			r.mu.Unlock()
+			at.h.Sent()
+			continue
+		}
+		var err error
+		if r.tasks[at.task].Start == nil && rng.Intn(3) == 0 {
+			err = fmt.Errorf("task %d sub %d try %d failed (sent %v)", at.task, at.sub, at.try, at.sent)
+		}
+		r.pending = slices.Delete(r.pending, i, i+1)
+		if !at.sent {
+			r.inflight--
+			r.inflightBytes -= at.bytes
+		}
+		p := &r.parts[at.task][at.sub]
+		switch {
+		case err == nil:
+			r.finished++
+			p.resolved = true
+		case !at.sent && p.tries < pol.MaxRetries:
+			r.retries++
+			p.tries++
+		default:
+			r.failures++
+			p.resolved = true
+			if r.firstErr[at.task] == nil {
+				r.firstErr[at.task] = err
+			}
+		}
+		if p.resolved {
+			r.resolvedParts[at.task]++
+		}
+		r.mu.Unlock()
+		at.finish(err)
+	}
+
+	if a != nil {
+		a.Shutdown()
+	}
+	var queued, holding, open int
+	var credit int64
+	settled(func() { queued, holding, open, credit = s.Pending(), s.InFlight(), s.open, s.CreditAvailable() })
+	if queued != 0 || holding != 0 || open != 0 {
+		fail("quiescent with %d queued, %d holding credit, %d unresolved", queued, holding, open)
+	}
+	if s.limited && credit != pol.CreditBytes {
+		fail("credit %d at quiescence, want %d", credit, pol.CreditBytes)
+	}
+	for i, tk := range r.tasks {
+		if r.fired[i] != 1 {
+			fail("task %d OnFinished fired %d times", i, r.fired[i])
+		}
+		if tk.Err() != r.firstErr[i] {
+			fail("task %d Err = %v, want %v", i, tk.Err(), r.firstErr[i])
+		}
+	}
+	st := s.Stats()
+	want := Stats{SubsStarted: r.started, SubsFinished: r.finished, Failures: r.failures, Retries: r.retries}
+	got := Stats{SubsStarted: st.SubsStarted, SubsFinished: st.SubsFinished, Failures: st.Failures, Retries: st.Retries}
+	if got != want {
+		fail("stats %+v, model %+v", got, want)
+	}
+	if st.SubsStarted != st.SubsFinished+st.Failures+st.Retries {
+		fail("SubsStarted %d != SubsFinished %d + Failures %d + Retries %d", st.SubsStarted, st.SubsFinished, st.Failures, st.Retries)
+	}
+}

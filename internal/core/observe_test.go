@@ -26,7 +26,7 @@ func TestSnapshotConcurrentWithScheduling(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					st := a.Snapshot()
+					st := a.Stats()
 					if st.SubsFinished > st.SubsStarted {
 						t.Error("finished > started in snapshot")
 						return
@@ -56,7 +56,7 @@ func TestSnapshotConcurrentWithScheduling(t *testing.T) {
 	a.Shutdown()
 	close(stop)
 	scrapers.Wait()
-	st := a.Snapshot()
+	st := a.Stats()
 	if st.TasksEnqueued != tasks {
 		t.Fatalf("TasksEnqueued = %d, want %d", st.TasksEnqueued, tasks)
 	}

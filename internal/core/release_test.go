@@ -11,11 +11,18 @@ import (
 	"bytescheduler/internal/tensor"
 )
 
-// layerTask carries its layer in Meta too: a stamping releaser overwrites
-// Tensor.Layer at release.
+// layerStarter is a task's Starter that also carries its layer: a stamping
+// releaser overwrites Tensor.Layer at release.
+type layerStarter int
+
+func (layerStarter) StartSub(h *Handle) { h.Done(nil) }
+
 func layerTask(l int) *Task {
-	return &Task{Tensor: tensor.Tensor{Layer: l, Name: "g", Bytes: 1}, Meta: l}
+	return &Task{Tensor: tensor.Tensor{Layer: l, Name: "g", Bytes: 1}, Starter: layerStarter(l)}
 }
+
+// origin returns the layer layerTask built tk for.
+func origin(tk *Task) int { return int(tk.Starter.(layerStarter)) }
 
 // emitPass feeds one backward pass (layers back-to-front) through the
 // releaser and flushes at the pass boundary, mirroring the live worker.
@@ -56,7 +63,7 @@ func (s *releaseSink) NotifyReady(t *Task) error {
 func (s *releaseSink) layers() []int {
 	out := make([]int, len(s.released))
 	for i, tk := range s.released {
-		out[i] = tk.Meta.(int)
+		out[i] = origin(tk)
 	}
 	return out
 }
@@ -110,8 +117,8 @@ func TestStreamReleaserIsASink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tk := range sink.released {
-		if tk.Tensor.Layer != tk.Meta.(int) {
-			t.Fatalf("unstamped releaser rewrote layer %d to %d", tk.Meta.(int), tk.Tensor.Layer)
+		if tk.Tensor.Layer != origin(tk) {
+			t.Fatalf("unstamped releaser rewrote layer %d to %d", origin(tk), tk.Tensor.Layer)
 		}
 	}
 }
@@ -189,7 +196,7 @@ func TestStreamReleaserAgreement(t *testing.T) {
 		}
 		got := make([]release, len(sink.released))
 		for i, tk := range sink.released {
-			got[i] = release{tk.Meta.(int), tk.Tensor.Layer}
+			got[i] = release{origin(tk), tk.Tensor.Layer}
 		}
 		return got
 	}
@@ -217,7 +224,7 @@ func TestStreamReleaserTieBreak(t *testing.T) {
 func TestStreamReleaserErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	sink := &releaseSink{ready: func(tk *Task) error {
-		if tk.Meta.(int) == 2 {
+		if origin(tk) == 2 {
 			return fmt.Errorf("layer 2: %w", boom)
 		}
 		return nil
@@ -304,7 +311,7 @@ func TestFuserReleaserChainAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := NewFuser(FuserConfig{Theta: theta, Start: func(*Fused) StartErrFn { return noopStart }}, r)
+			f, err := NewFuser(FuserConfig{Theta: theta, Start: func(*Fused) Starter { return noopStarter }}, r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,16 +101,14 @@ func ExtAutoTune(o Opts) (Table, error) {
 	shapeB := phaseB
 	shapeB.FromIter = changeAt
 	cfg.Shape = []runner.LinkShape{phaseA, shapeB}
+	// Phase B halves throughput or worse; the controller's fixed 30 %
+	// retune bar leaves a wide margin on both sides (no spurious retunes
+	// from ±10% window noise, no missed detection of the real change).
 	cfg.AutoTune = &autotune.Config{
-		Suggester:   "bo",
-		Seed:        o.Seed + 3,
-		WarmupIters: 2,
-		DwellIters:  dwell,
-		Trials:      trials,
-		// Phase B halves throughput or worse; 0.30 leaves a wide margin on
-		// both sides (no spurious retunes from ±10% window noise, no
-		// missed detection of the real change).
-		RetunePct: 0.30,
+		Suggester:  "bo",
+		Seed:       o.Seed + 3,
+		DwellIters: dwell,
+		Trials:     trials,
 	}
 	live, err := runner.RunLive(cfg)
 	if err != nil {

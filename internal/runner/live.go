@@ -10,7 +10,7 @@ package runner
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 	"time"
 
@@ -20,7 +20,6 @@ import (
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/netar"
 	"bytescheduler/internal/netps"
-	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/tensor"
 	"bytescheduler/internal/trace"
 )
@@ -334,21 +333,21 @@ type LiveResult struct {
 // sum. The caller derives key from the partition's tensor identity (plain
 // or fused) so every worker addresses the same aggregation slot.
 //
-// Every transport is split-phase: sent() is called exactly once, iff the
-// send phase succeeded, and the caller returns the partition's scheduler
-// credit there. The PS transport invokes it once the local push is
-// acknowledged — before the pull, which blocks until every worker pushed —
-// so the cross-worker wait proceeds without holding the window, and credit
-// gates the bandwidth-consuming direction only. This matters: if blocking
-// pulls held credit, two workers whose windows filled with *different*
-// layer subsets would each wait forever for pushes the other has no credit
-// left to admit — a cross-worker deadlock the auto-tuner hits as soon as
-// it probes a credit smaller than a pass's total bytes (or one fused
-// bucket). A collective (the ring) is all send: it calls sent() when the
-// all-reduce returns, and coordinated release already guarantees identical
-// admission order. An error returned without sent() having been called is
-// a failed send (the scheduler retries it); one returned after is the
-// wait phase's outcome.
+// The PS transport is split-phase: it calls sent() exactly once, iff the
+// local push was acknowledged — before the pull, which blocks until every
+// worker pushed — and sent is the partition's core.Handle.Sent, so the
+// scheduler credit returns there and the cross-worker wait proceeds
+// without holding the window; credit gates the bandwidth-consuming
+// direction only. This matters: if blocking pulls held credit, two workers
+// whose windows filled with *different* layer subsets would each wait
+// forever for pushes the other has no credit left to admit — a
+// cross-worker deadlock the auto-tuner hits as soon as it probes a credit
+// smaller than a pass's total bytes (or one fused bucket). A collective
+// (the ring) is all send and never calls sent: its outcome returns the
+// credit, and coordinated release already guarantees identical admission
+// order. An error returned without sent() having been called is a failed
+// send (the scheduler retries it); one returned after is the wait phase's
+// outcome, which fails the task.
 type liveComm func(key string, iter uint32, in, out []float32, sent func()) error
 
 // RunLive executes the configured live training run and returns its
@@ -490,12 +489,8 @@ func buildRingTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 		// The collective is indivisible: the whole op is the send phase,
 		// so credit is held until it returns (safe: coordinated release
 		// admits in one total order on every peer).
-		transports[r] = func(key string, iter uint32, in, out []float32, sent func()) error {
-			err := peer.AllReduceInto(key, iter, in, out)
-			if err == nil {
-				sent()
-			}
-			return err
+		transports[r] = func(key string, iter uint32, in, out []float32, _ func()) error {
+			return peer.AllReduceInto(key, iter, in, out)
 		}
 	}
 	return transports, teardown, nil
@@ -543,102 +538,69 @@ func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 	return transports, teardown, nil
 }
 
-// liveGrad is one layer's gradient in one iteration: the buffers its
-// synchronization reads and fills, and the forward gate its outcome opens.
-// Tasks carry it as core.Task.Meta so a fusion bucket can recover its
-// members'.
-type liveGrad struct {
-	iter uint32
-	grad []float32
-	out  []float32
-	gate chan error
+// liveTask is one scheduled task of a live worker — a layer's gradient or a
+// fusion bucket of adjacent layers — as the core.Starter its partitions
+// start through. in and out are its windows of the worker's gradient and
+// output slabs; name is its cross-worker identity, to which the transport
+// key appends the partition index.
+type liveTask struct {
+	name    string
+	iter    uint32
+	in, out []float32
+	comm    liveComm
 }
 
-// fuseBufs is one worker's free list of fused gather/scatter buffers.
-type fuseBufs struct {
-	mu   sync.Mutex
-	free recycle.List[[]float32]
+// StartSub synchronizes one partition: the transport returns its credit
+// through Sent and its outcome through Done (see liveComm).
+func (t *liveTask) StartSub(h *core.Handle) {
+	sub := h.Sub()
+	lo, hi := sub.Offset/4, (sub.Offset+sub.Bytes)/4
+	key := fmt.Sprintf("%s[%d/%d]", t.name, sub.Index, sub.Count)
+	h.Done(t.comm(key, t.iter, t.in[lo:hi], t.out[lo:hi], h.Sent))
 }
 
-// startFn builds the partition start function of one scheduled task over
-// its member gradients: one member for a plain layer task, several — with
-// their byte offsets in the fused buffer — for a fusion bucket. name is the
-// task's cross-worker identity; the transport key appends the partition
-// index to it.
-//
-// Completion is split-phase on every transport (see liveComm): sent()
-// returns the partition's credit to the scheduler, and the task's outcome
-// reaches the members' forward gates when its last partition's wait phase
-// lands — a per-task countdown, because the scheduler's own OnFinished
-// fires at the last credit return, before the data is in. A partition
-// whose send fails permanently never joins the countdown, so it cannot
-// reach zero; the task's OnFinished (with Err set) reports that case
-// instead.
-//
-// A plain task's partition is a view of the worker's own buffers. A fused
-// task (bufs non-nil) takes one buffer from bufs and gathers into it when
-// its first partition starts, and scatters and returns it at the
-// countdown's zero; each partition uses its own span of both halves.
-func startFn(comm liveComm, name string, members []*liveGrad, offsets []int64, bufs *fuseBufs) core.StartErrFn {
-	var (
-		mu       sync.Mutex
-		left     = -1
-		firstErr error
-		buf      []float32 // a fused task's gather half, then its scatter half
-	)
-	return func(sub tensor.Sub, done func(error)) {
-		lo, hi := sub.Offset/4, (sub.Offset+sub.Bytes)/4
-		in, out := members[0].grad, members[0].out
-		if bufs != nil {
-			mu.Lock()
-			if buf == nil {
-				n := int(sub.Parent.Bytes / 2) // both halves of Bytes/4 floats
-				bufs.mu.Lock()
-				buf = slices.Grow(bufs.free.Get()[:0], n)[:n]
-				bufs.mu.Unlock()
-				for i, g := range members {
-					copy(buf[offsets[i]/4:], g.grad)
-				}
-			}
-			in, out = buf[:len(buf)/2], buf[len(buf)/2:]
-			mu.Unlock()
-		}
-		in, out = in[lo:hi], out[lo:hi]
-		key := fmt.Sprintf("%s[%d/%d]", name, sub.Index, sub.Count)
-		credited := false
-		err := comm(key, members[0].iter, in, out, func() {
-			credited = true
-			done(nil)
-		})
-		if !credited {
-			done(err)
-			return
-		}
-		mu.Lock()
-		if left < 0 {
-			left = sub.Count
-		}
-		left--
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		last, res := left == 0, firstErr
-		mu.Unlock()
-		if !last {
-			return
-		}
-		if bufs != nil {
-			for i, g := range members {
-				copy(g.out, buf[len(buf)/2+int(offsets[i]/4):])
-			}
-			bufs.mu.Lock()
-			bufs.free.Put(buf)
-			bufs.mu.Unlock()
-		}
-		for _, g := range members {
-			g.gate <- res
+// fusedTask is a fusion bucket's task. layerSlab lays sub-θ layers out
+// contiguously in emission order and a bucket is a run of consecutive sub-θ
+// Adds within one pass, so the bucket is the one window of the slab that
+// starts at its first member's; the members' own windows must sit at the
+// bucket's offsets in it.
+func fusedTask(fd *core.Fused) core.Starter {
+	members, n := fd.Members(), fd.Tensor.Bytes/4
+	first := members[0].Starter.(*liveTask)
+	t := &liveTask{name: fd.Tensor.Name, iter: first.iter, in: first.in[:n:n], out: first.out[:n:n], comm: first.comm}
+	for i, m := range members {
+		mt, off := m.Starter.(*liveTask), fd.Offsets()[i]/4
+		if &mt.in[0] != &t.in[off] || &mt.out[0] != &t.out[off] {
+			panic(fmt.Sprintf("runner: member %d of %s is not at its bucket offset in the slab", i, fd.Tensor.Name))
 		}
 	}
+	return t
+}
+
+// layerSlab lays every layer's gradient and output out as windows of one
+// slab, gradients in its first half and outputs in its second: sub-θ
+// layers first, contiguous in emission (back-to-front) order, then the
+// rest, so every fusion bucket is one window of each half. A window's
+// capacity runs to the end of its half, which is what lets fusedTask widen
+// a bucket's first member to the whole bucket.
+func layerSlab(layerBytes []int64, theta int64) (grads, outs [][]float32) {
+	var total int64
+	for _, b := range layerBytes {
+		total += b / 4
+	}
+	slab := make([]float32, 2*total)
+	g, o := slab[:total:total], slab[total:]
+	grads, outs = make([][]float32, len(layerBytes)), make([][]float32, len(layerBytes))
+	var off int64
+	for _, small := range []bool{true, false} {
+		for l := len(layerBytes) - 1; l >= 0; l-- {
+			if n := layerBytes[l] / 4; (layerBytes[l] < theta) == small {
+				grads[l], outs[l] = g[off:off+n], o[off:off+n]
+				off += n
+			}
+		}
+	}
+	return grads, outs
 }
 
 // liveWorker runs one worker's training loop: forward gated on the
@@ -684,35 +646,21 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 	if err != nil {
 		return core.Stats{}, err
 	}
-	bufs := new(fuseBufs)
-	fuser, err := core.NewFuser(core.FuserConfig{
-		Theta: cfg.FuseTheta,
-		Start: func(fd *core.Fused) core.StartErrFn {
-			members := make([]*liveGrad, len(fd.Members()))
-			for i, m := range fd.Members() {
-				members[i] = m.Meta.(*liveGrad)
-			}
-			// The content-derived bucket name is identical on every worker
-			// that bucketed the same members.
-			return startFn(comm, fd.Tensor.Name, members, fd.Offsets(), bufs)
-		},
-	}, releaser)
+	// A bucket's content-derived name is identical on every worker that
+	// bucketed the same members.
+	fuser, err := core.NewFuser(core.FuserConfig{Theta: cfg.FuseTheta, Start: fusedTask}, releaser)
 	if err != nil {
 		return core.Stats{}, err
 	}
 	defer fuser.Close()
 
-	grads := make([][]float32, layers)
-	outs := make([][]float32, layers)
+	grads, outs := layerSlab(cfg.LayerBytes, cfg.FuseTheta)
 	gates := make([]chan error, layers)
 	names := make([]string, layers)
-	for l, b := range cfg.LayerBytes {
-		n := int(b / 4)
-		grads[l] = make([]float32, n)
+	for l := range grads {
 		for i := range grads[l] {
-			grads[l][i] = float32(rank + 1)
+			grads[l][i] = float32((rank + 1) * (1 + l%8))
 		}
-		outs[l] = make([]float32, n)
 		gates[l] = make(chan error, 1)
 		names[l] = fmt.Sprintf("L%02d", l)
 	}
@@ -752,17 +700,14 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 			if cfg.BackwardCompute > 0 {
 				time.Sleep(cfg.BackwardCompute)
 			}
-			g := &liveGrad{iter: uint32(it), grad: grads[l], out: outs[l], gate: gates[l]}
 			t := &core.Task{
-				Tensor:   tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
-				Meta:     g,
-				StartErr: startFn(comm, names[l], []*liveGrad{g}, nil, nil),
+				Tensor:  tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
+				Starter: &liveTask{name: names[l], iter: uint32(it), in: grads[l], out: outs[l], comm: comm},
 			}
-			t.OnFinished = func() {
-				if err := t.Err(); err != nil {
-					g.gate <- err
-				}
-			}
+			// OnFinished runs under the scheduler's lock; the send cannot
+			// block, because layer l's next task is emitted only after the
+			// forward pass took this value.
+			t.OnFinished = func() { gates[l] <- t.Err() }
 			if err := fuser.Add(t); err != nil {
 				return sched.Stats(), err
 			}
@@ -791,16 +736,24 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 		cfg.Metrics.Counter("core_fusion_size_flushes_total").Add(fs.SizeFlushes)
 		cfg.Metrics.Counter("core_fusion_explicit_flushes_total").Add(fs.ExplicitFlushes)
 	}
-	// Verify the last iteration's sums: every element must be the
-	// cross-worker total of the constant per-rank gradients. Constant
-	// vectors make fp16 and int8 exact (small integers are representable
-	// in half precision; a constant vector quantizes to q=127 at scale
-	// maxAbs/127), so only top-k relaxes the check: it drops elements by
-	// design, and all contributions are positive, so surviving values lie
-	// in [0, want].
-	want := float32(cfg.Workers * (cfg.Workers + 1) / 2)
+	// Verify the last iteration's sums. Rank r fills layer l with
+	// (r+1)·(1 + l mod 8), so every layer sums to its own small integer and
+	// a partition or fused window aimed at the wrong layer shows. fp16
+	// carries these exactly (small integers are representable in half
+	// precision), and so does int8 on a message of one layer (one value
+	// quantizes to q=127 at scale maxAbs/127). A fused int8 message mixes
+	// layers, so each of the at most 2·Workers encodes on a value's path may
+	// round it by half a step, maxAbs/254, with maxAbs at most the largest
+	// sum. Top-k drops elements by design, and all contributions are
+	// positive, so surviving values lie in [0, want].
+	sum := cfg.Workers * (cfg.Workers + 1) / 2
+	var tol float64
+	if cfg.Codec.ID() == compress.CodecInt8 && cfg.FuseTheta > 0 {
+		tol = float64(cfg.Workers*sum*8) / 127
+	}
 	topk := cfg.Codec.ID() == compress.CodecTopK
 	for l := range outs {
+		want := float32(sum * (1 + l%8))
 		for i, v := range outs[l] {
 			if topk {
 				if v < 0 || v > want {
@@ -808,7 +761,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 				}
 				continue
 			}
-			if v != want {
+			if math.Abs(float64(v-want)) > tol {
 				return sched.Stats(), fmt.Errorf("layer %d[%d] = %v, want %v (aggregation corrupted)", l, i, v, want)
 			}
 		}

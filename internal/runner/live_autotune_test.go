@@ -15,12 +15,11 @@ func TestRunLiveAutoTunePS(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := liveBase(LiveBackendPS)
 	cfg.Workers = 2
-	cfg.Iterations, cfg.Warmup = 24, 1
 	cfg.Metrics = reg
 	// Shape the link so iteration time is sleep-dominated: bare loopback
 	// is noisy enough to fake regressions and destabilize the assertion.
 	cfg.Shape = []LinkShape{{FromIter: 0, PerMessage: 150 * time.Microsecond}}
-	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 2, WarmupIters: 1, DwellIters: 2, Trials: 3}
+	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 2, DwellIters: 2, Trials: 3}
 	// The second worker pins an iteration at most one ahead of worker 0's
 	// observations (its forward pass waits on worker 0's last push), so the
 	// first episode adopts before BudgetIters(0, 1), which
@@ -28,9 +27,7 @@ func TestRunLiveAutoTunePS(t *testing.T) {
 	// up to Iterations-2. What happens after the adopt — a retune opened by
 	// loopback noise in speed or op latency — is the controller's business.
 	budget := cfg.AutoTune.BudgetIters(0, 1)
-	if budget > cfg.Iterations-1 {
-		t.Fatalf("budget %d does not fit %d iterations", budget, cfg.Iterations)
-	}
+	cfg.Iterations, cfg.Warmup = budget+4, 1
 	res, err := RunLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +65,8 @@ func TestRunLiveAutoTunePS(t *testing.T) {
 // the atomic-release total order stays consistent and nothing deadlocks.
 func TestRunLiveAutoTuneRing(t *testing.T) {
 	cfg := liveBase(LiveBackendRing)
-	cfg.Iterations, cfg.Warmup = 20, 1
-	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 4, WarmupIters: 1, DwellIters: 2, Trials: 2}
+	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 4, DwellIters: 2, Trials: 2}
+	cfg.Iterations, cfg.Warmup = cfg.AutoTune.BudgetIters(0, 1)+3, 1
 	if !cfg.coordinated() {
 		t.Fatal("config should select coordinated release")
 	}
@@ -102,8 +99,8 @@ func TestRunLiveAutoTuneFusedPS(t *testing.T) {
 	cfg.LayerBytes = fusedLayers
 	cfg.FuseTheta = 4 << 10
 	cfg.Policy = core.ByteScheduler(8<<10, 1<<10)
-	cfg.Iterations, cfg.Warmup = 20, 1
-	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 4, WarmupIters: 1, DwellIters: 2, Trials: 2}
+	cfg.AutoTune = &autotune.Config{Suggester: "random", Seed: 4, DwellIters: 2, Trials: 2}
+	cfg.Iterations, cfg.Warmup = cfg.AutoTune.BudgetIters(0, 1)+3, 1
 	res, err := RunLive(cfg)
 	if err != nil {
 		t.Fatal(err)

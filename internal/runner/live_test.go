@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -83,6 +84,33 @@ func TestRunLivePSBindingCredit(t *testing.T) {
 	}
 	if res.Stats.SubsFinished == 0 {
 		t.Fatal("no sub-tasks finished")
+	}
+}
+
+// TestLiveWorkerPullFailureAfterAck fails one partition's pull after its
+// push was acknowledged. Its bytes were delivered, so the scheduler must not
+// retry it even with a retry budget: the partition resolves failed, counts
+// in Stats.Failures rather than SubsFinished, and its layer's forward gate
+// reports the error.
+func TestLiveWorkerPullFailureAfterAck(t *testing.T) {
+	cfg := liveBase(LiveBackendPS)
+	cfg.Workers = 1
+	cfg.Policy = cfg.Policy.WithMaxRetries(2)
+	lost := errors.New("pull lost")
+	comm := func(key string, iter uint32, in, out []float32, sent func()) error {
+		copy(out, in)
+		sent()
+		if iter == 1 && key == "L02[0/1]" {
+			return lost
+		}
+		return nil
+	}
+	stats, err := liveWorker(cfg, 0, nil, comm, nil, make([]time.Time, cfg.Iterations))
+	if !errors.Is(err, lost) {
+		t.Fatalf("err = %v, want the lost pull", err)
+	}
+	if stats.Failures != 1 || stats.Retries != 0 {
+		t.Fatalf("stats = %+v, want 1 failure and no retry", stats)
 	}
 }
 
@@ -197,8 +225,8 @@ func TestRunLiveRingFused(t *testing.T) {
 // agreed order, and the run must be deadlock-free at any credit — a 1-byte
 // window, a single partition, effectively unlimited — both held to the
 // pass boundary and streamed through a short window under adversarial
-// random priorities. The worker's aggregation check catches mis-scattered
-// or cross-iteration-mixed buckets.
+// random priorities. The worker's per-layer aggregation check catches
+// misrouted or cross-iteration-mixed buckets.
 func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
 	for _, mode := range []PipelineMode{PipelineAuto, PipelineOn} {
 		for _, credit := range []int64{1, 8 << 10, 1 << 30} {
@@ -226,15 +254,14 @@ func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
 	}
 }
 
-// TestRunLiveFusedPooledBuffers recycles the fused gather/scatter buffers
-// as hard as a small run can: with FuseTheta above most layers a pass forms
-// 12–24 KB buckets, each cut into several 8 KB partitions of differing last
-// size that are in flight together on both workers, so each worker's
-// recycled buffers of mixed sizes change hands between tasks and
-// goroutines for a dozen iterations. A buffer returned before its task's
-// last scatter is poisoned with NaN under test, which the worker's exact
-// aggregation check reports; the race detector catches two tasks touching
-// one buffer.
+// TestRunLiveFusedPooledBuffers drives fused buckets as windows of the
+// worker's slab as hard as a small run can: with FuseTheta above most
+// layers a pass forms 12–24 KB buckets, each cut into several 8 KB
+// partitions of differing last size that are in flight together on both
+// workers for a dozen iterations. Every layer carries its own value, so a
+// member at the wrong bucket offset or a partition aimed at the wrong
+// layer fails the worker's per-layer aggregation check; the race detector
+// catches two tasks writing one window.
 func TestRunLiveFusedPooledBuffers(t *testing.T) {
 	for _, backend := range []LiveBackend{LiveBackendPS, LiveBackendRing} {
 		cfg := liveBase(backend)
@@ -253,8 +280,9 @@ func TestRunLiveFusedPooledBuffers(t *testing.T) {
 }
 
 // TestRunLiveCodecs drives every wire codec end to end on both backends.
-// Constant per-rank gradients make fp16 and int8 bit-exact, so the full
-// aggregation check still applies; top-k verifies the relaxed invariant.
+// A layer's gradient is one small integer per rank, which fp16 and int8
+// carry bit-exactly, so the full aggregation check still applies; top-k
+// verifies the relaxed invariant.
 func TestRunLiveCodecs(t *testing.T) {
 	topk, err := compress.TopKCodec(0.25)
 	if err != nil {

@@ -89,24 +89,17 @@ func (s *Scheduler) Enqueue(t *CommTask) error {
 		Tensor:     tensor.Tensor{Layer: t.Layer, Name: t.Name, Bytes: t.Bytes},
 		OnFinished: t.OnFinished,
 	}
-	onStart, onFinish := t.OnSubStart, t.OnSubFinish
-	if start := t.Start; start != nil {
-		inner.Start = func(sub tensor.Sub, done func()) {
-			st := subTask(sub)
-			if onStart != nil {
-				onStart(st)
-			}
-			if onFinish == nil {
-				start(st, done)
-				return
-			}
-			start(st, func() {
-				onFinish(st, nil)
-				done()
-			})
+	// Adapt Start to the StartErr form once; a task with neither is left
+	// for the core to reject.
+	start := t.StartErr
+	if f := t.Start; f != nil {
+		if start != nil {
+			return taskError{t.Name, "has both Start and StartErr"}
 		}
+		start = func(st SubTask, done func(error)) { f(st, func() { done(nil) }) }
 	}
-	if start := t.StartErr; start != nil {
+	if start != nil {
+		onStart, onFinish := t.OnSubStart, t.OnSubFinish
 		inner.StartErr = func(sub tensor.Sub, done func(error)) {
 			st := subTask(sub)
 			if onStart != nil {
