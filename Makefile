@@ -28,8 +28,10 @@ race:
 
 # fuzz runs a short smoke of every fuzz target: the one frame reader
 # (arbitrary bytes may error but must never panic or over-allocate, and an
-# accepted frame re-encodes to the same bytes), netps's OpBatch envelope,
-# and what each transport does with a frame that parsed. Go accepts one
+# accepted frame re-encodes to the same bytes), netps's client connection
+# reader fed an arbitrary back-to-back frame stream with calls pending
+# (FuzzDecodeBatch: every call settles exactly once), and what each
+# transport does with a frame that parsed. Go accepts one
 # -fuzz target per invocation, so each runs separately for $(FUZZTIME).
 # The committed corpora under testdata/fuzz are replayed by plain
 # `go test` regardless; this target searches for new inputs.
@@ -41,13 +43,16 @@ fuzz:
 
 # docs validates the documentation set: vet keeps the package docs
 # compiling with the code they describe, checklinks fails on any relative
-# markdown link or heading anchor whose target moved or was renamed, and
+# markdown link or heading anchor whose target moved or was renamed,
 # checkdocs requires a doc comment on every exported symbol of the
 # operator-facing packages, of internal/wire (the frame both live
-# transports depend on) and of internal/netps (the PS client API).
+# transports depend on) and of internal/netps (the PS client API), and
+# checkmetrics holds ARCHITECTURE.md's Metric schema to exactly the
+# netps_* series the code registers.
 docs: vet
 	sh scripts/checklinks.sh
 	sh scripts/checkdocs.sh
+	sh scripts/checkmetrics.sh
 
 # loc prints non-test Go lines per package and their total outside bench/,
 # the size figure ROADMAP.md and CHANGES.md quote.

@@ -117,12 +117,10 @@ func (a *AsyncScheduler) SetTracer(w *trace.Wall) {
 	a.s.SetTracer(w)
 }
 
-// SetFlushHook installs a transport flush callback on the underlying
-// scheduler (see Scheduler.SetFlushHook); nil detaches. The hook runs with
-// the scheduler's lock held, so it must neither call back into this
-// AsyncScheduler nor block on network I/O — hand the actual write to the
-// transport's own goroutine (netps.Batcher.FlushAsync is built for exactly
-// this: it detaches the queue under its own lock and writes elsewhere).
+// SetFlushHook installs a callback on the underlying scheduler (see
+// Scheduler.SetFlushHook); nil detaches. The hook runs with the
+// scheduler's lock held, so it must neither call back into this
+// AsyncScheduler nor block on network I/O.
 func (a *AsyncScheduler) SetFlushHook(fn func()) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

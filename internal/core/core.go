@@ -362,9 +362,8 @@ type Scheduler struct {
 	// (AsyncScheduler installs its mutex and idle condition).
 	guard *sync.Cond
 	// flushHook, when non-nil, fires at the end of every scheduling pass
-	// that released at least one partition — the transport's cue that no
-	// further releases are imminent, so a coalescing batcher (e.g.
-	// netps.Batcher) can flush without waiting out its deadline.
+	// that released at least one partition: the cue that no further
+	// release is imminent.
 	flushHook func()
 }
 
@@ -507,12 +506,12 @@ func (s *Scheduler) ready(t *Task, i int) {
 
 // SetFlushHook installs fn to run at the end of every scheduling pass that
 // released at least one partition — i.e. the moment the scheduler knows no
-// further release is imminent (the queue drained or credit blocked). A
-// transport that coalesces sub-partition messages (netps.Batcher) uses
-// this as its flush point, so batching amortizes the per-message overhead
-// θ without adding latency beyond the scheduling pass itself. fn must not
-// re-enter the scheduler. Passing nil detaches. Attach before scheduling
-// begins; AsyncScheduler.SetFlushHook serializes for you.
+// further release is imminent (the queue drained or credit blocked). No
+// transport in this repository needs it: netps amortizes the per-message
+// overhead θ on its connection, writing whatever queued behind a write in
+// the next writev, so nothing waits for a flush. fn must not re-enter the
+// scheduler. Passing nil detaches. Attach before scheduling begins;
+// AsyncScheduler.SetFlushHook serializes for you.
 func (s *Scheduler) SetFlushHook(fn func()) { s.flushHook = fn }
 
 // schedule releases queued partitions while credit allows (Algorithm 1,

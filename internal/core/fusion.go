@@ -5,9 +5,9 @@ package core
 // *smaller* than the per-message overhead threshold θ into one CommTask,
 // so the long tail of tiny layers (biases, batch-norm parameters,
 // attention scalars) does not pay one full message overhead each (§2.2's θ
-// analysis — the same economics netps.Batcher exploits at the framing
-// layer, applied here at the scheduling layer where it also collapses
-// per-task bookkeeping and per-key transport state).
+// analysis — the same economics a netps connection exploits by writing
+// queued frames in one writev, applied here at the scheduling layer where
+// it also collapses per-task bookkeeping and per-key transport state).
 //
 // A Fuser sits between the framework plugin and a scheduler: Add replaces
 // the Enqueue+NotifyReady pair. Tensors at or above the threshold pass

@@ -25,12 +25,16 @@ func seg(key string, iter uint32, seq uint64, step, chunk uint16, payload []byte
 }
 
 func writeMsg(w io.Writer, m message) error {
-	frame, err := wire.Append(nil, m.Header, m.Payload)
-	if err == nil {
-		_, err = w.Write(frame)
-	}
-	return err
+	return wire.NewConn(sink{w: w}).WriteFrame(m.Header, m.Payload)
 }
+
+// sink is a net.Conn whose writes go to w: a wire.Conn's write side alone.
+type sink struct {
+	net.Conn
+	w io.Writer
+}
+
+func (s sink) Write(p []byte) (int, error) { return s.w.Write(p) }
 
 func readMsg(r io.Reader) (m message, err error) {
 	m.Header, m.Payload, err = wire.Read(r)

@@ -2,7 +2,9 @@ package netps
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -10,10 +12,11 @@ import (
 	"time"
 
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/wire"
 )
 
-// TestPushBatchAggregates round-trips a coalesced push from two workers,
-// checking aggregation works exactly as for plain messages.
+// TestPushBatchAggregates round-trips pushes written back to back from two
+// workers, checking aggregation works exactly as for single pushes.
 func TestPushBatchAggregates(t *testing.T) {
 	srv, addr := startServer(t, 2)
 	c0, c1 := NewClient(addr), NewClient(addr)
@@ -30,7 +33,7 @@ func TestPushBatchAggregates(t *testing.T) {
 		}
 		for i, e := range errs {
 			if e != nil {
-				t.Fatalf("sub-push %d: %v", i, e)
+				t.Fatalf("push %d: %v", i, e)
 			}
 		}
 	}
@@ -52,9 +55,10 @@ func TestPushBatchAggregates(t *testing.T) {
 }
 
 // TestBatchAmortizesMessages pins the θ-amortization claim in metric form:
-// pushing N partitions through PushBatch produces one wire frame
-// (netps_msgs_total) but N logical messages (netps_batched_msgs_total) —
-// the live counterpart of the simulator's per-message overhead model.
+// pushing N partitions through PushBatch puts N frames on the wire
+// (netps_msgs_total) in one writev (netps_writes_total) — the live
+// counterpart of the simulator's per-message overhead model, paid per
+// write rather than per frame.
 func TestBatchAmortizesMessages(t *testing.T) {
 	_, addr := startServer(t, 1)
 	reg := metrics.NewRegistry()
@@ -66,25 +70,30 @@ func TestBatchAmortizesMessages(t *testing.T) {
 	for i := range items {
 		items[i] = BatchPush{Key: fmt.Sprintf("k%d", i), Iter: 0, Grad: []float32{float32(i)}}
 	}
-	if _, err := c.PushBatch(items); err != nil {
+	errs, err := c.PushBatch(items)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("push %d: %v", i, e)
+		}
+	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["netps_msgs_total"]; got != 1 {
-		t.Fatalf("netps_msgs_total = %d, want 1 wire frame for the whole batch", got)
+	if got := snap.Counters["netps_msgs_total"]; got != n {
+		t.Fatalf("netps_msgs_total = %d, want %d frames", got, n)
 	}
-	if got := snap.Counters["netps_batched_msgs_total"]; got != n {
-		t.Fatalf("netps_batched_msgs_total = %d, want %d", got, n)
+	if got := snap.Counters["netps_writes_total"]; got != 1 {
+		t.Fatalf("netps_writes_total = %d, want the %d frames in one writev", got, n)
 	}
-	if got := snap.Counters["netps_batches_total"]; got != 1 {
-		t.Fatalf("netps_batches_total = %d, want 1", got)
+	if got := snap.Counters["netps_requests_total"]; got != n {
+		t.Fatalf("netps_requests_total = %d, want %d", got, n)
 	}
 }
 
-// TestBatchReplayDeduplicated replays an identical OpBatch frame (same
-// per-sub Seqs, as after a lost ack) and checks the server acknowledges the
-// duplicates without double-summing — sub-message Seq stability is what
-// makes batch retries safe.
+// TestBatchReplayDeduplicated replays the same pushes (same Seqs, as after
+// a lost ack) as back-to-back frames on one connection and checks the
+// server acknowledges the duplicates without double-summing.
 func TestBatchReplayDeduplicated(t *testing.T) {
 	_, addr := startServer(t, 1)
 	conn, err := net.Dial("tcp", addr)
@@ -93,24 +102,22 @@ func TestBatchReplayDeduplicated(t *testing.T) {
 	}
 	defer conn.Close()
 
-	subs := []message{
+	pushes := stream(t,
 		newMessage(OpPush, "a", 0, 1<<32|1, f32(5)),
 		newMessage(OpPush, "b", 0, 1<<32|2, f32(7)),
-	}
-	payload, err := encodeBatch(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	)
 	for replay := 0; replay < 3; replay++ {
-		if err := writeMsg(conn, newMessage(OpBatch, "", 0, 0, payload)); err != nil {
+		if _, err := conn.Write(pushes); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readMsg(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if Op(resp.Op) != OpBatch {
-			t.Fatalf("replay %d answered %v", replay, resp.Op)
+		for _, seq := range []uint64{1<<32 | 1, 1<<32 | 2} {
+			resp, err := readMsg(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if Op(resp.Op) != OpPush || resp.Seq != seq {
+				t.Fatalf("replay %d answered %v seq %x, want the ack of %x", replay, resp.Op, resp.Seq, seq)
+			}
 		}
 	}
 
@@ -128,10 +135,10 @@ func TestBatchReplayDeduplicated(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsUnbatchableOps crafts a batch containing a pull and a
-// nested batch and checks the server rejects those sub-messages
-// individually — still one OpBatch response, connection kept — while
-// answering the rest.
+// TestBatchRejectsUnbatchableOps writes a pull that must park between
+// pushes on one connection: the frames behind the parked pull are answered
+// without waiting for it — the push right behind it is acknowledged
+// before the pull, which only the frame after that push can complete.
 func TestBatchRejectsUnbatchableOps(t *testing.T) {
 	_, addr := startServer(t, 1)
 	conn, err := net.Dial("tcp", addr)
@@ -140,86 +147,62 @@ func TestBatchRejectsUnbatchableOps(t *testing.T) {
 	}
 	defer conn.Close()
 
-	subs := []message{
+	if _, err := conn.Write(stream(t,
 		newMessage(OpPush, "ok", 0, 2<<32|1, f32(1)),
-		newMessage(OpPull, "ok", 0, 2<<32|2, nil),
-		newMessage(OpBatch, "nested", 0, 2<<32|3, nil),
-	}
-	payload, err := encodeBatch(subs)
-	if err != nil {
+		newMessage(OpPull, "wait", 0, 2<<32|2, nil), // parks: "wait" has no push yet
+		newMessage(OpPush, "behind", 0, 2<<32|3, f32(2)),
+		newMessage(OpPush, "wait", 0, 2<<32|4, f32(3)), // completes "wait"
+	)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(conn, newMessage(OpBatch, "", 0, 0, payload)); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decodeBatch(resp.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Op(resp.Op) != OpBatch || len(out) != 3 {
-		t.Fatalf("batch answered op %v with %d subs, want OpBatch with 3", resp.Op, len(out))
-	}
-	if Op(out[0].Op) != OpPush {
-		t.Fatalf("valid sub-push answered %v", out[0].Op)
-	}
-	for i, what := range map[int]string{1: "sub-pull", 2: "nested batch"} {
-		if Op(out[i].Op) != OpErr || string(out[i].Payload) != "unbatchable op" || out[i].Seq != subs[i].Seq {
-			t.Fatalf("%s answered %+v, want OpErr \"unbatchable op\"", what, out[i])
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var order []uint64
+	var pulled message
+	for len(order) < 4 {
+		resp, err := readMsg(conn)
+		if err != nil {
+			t.Fatalf("after %d responses (seqs %x): %v", len(order), order, err)
+		}
+		order = append(order, resp.Seq)
+		if resp.Seq == 2<<32|2 {
+			pulled = resp
 		}
 	}
-	// The rejection cost nothing else: the connection still serves, and the
-	// push that rode along was summed.
-	if err := writeMsg(conn, newMessage(OpPull, "ok", 0, 2<<32|4, nil)); err != nil {
-		t.Fatal(err)
+	if i, j := slices.Index(order, 2<<32|3), slices.Index(order, 2<<32|2); i < 0 || j < 0 || i > j {
+		t.Fatalf("responses in seq order %x: the push behind the parked pull waited for it", order)
 	}
-	if resp, err := readMsg(conn); err != nil || Op(resp.Op) != OpPull || !bytes.Equal(resp.Payload, f32(1)) {
-		t.Fatalf("pull after rejected batch = %+v (%v), want the pushed [1]", resp, err)
+	if Op(pulled.Op) != OpPull || !bytes.Equal(pulled.Payload, f32(3)) {
+		t.Fatalf("parked pull answered %+v, want the pushed [3]", pulled)
 	}
 }
 
-// TestBatcherSizeFlush fills the queue past BatchBytes and checks the flush
-// happens synchronously, without waiting out the deadline.
+// TestBatcherSizeFlush pushes through a Batcher and checks each push has
+// completed by the time Push returns: there is no size threshold to reach.
 func TestBatcherSizeFlush(t *testing.T) {
 	_, addr := startServer(t, 1)
 	c := NewClient(addr)
-	c.batchBytes, c.batchDelay = 64, time.Hour
 	defer c.Close()
 	b := NewBatcher(c)
 	defer b.Close()
 
-	var mu sync.Mutex
 	var outcomes []error
-	done := func(err error) {
-		mu.Lock()
-		outcomes = append(outcomes, err)
-		mu.Unlock()
-	}
-	// 2 x 40 bytes crosses the 64-byte threshold on the second push.
-	b.Push("a", 0, make([]float32, 10), done)
-	b.Push("b", 0, make([]float32, 10), done)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(outcomes) != 2 {
-		t.Fatalf("%d outcomes after size flush, want 2 (deadline was 1h)", len(outcomes))
-	}
-	for i, err := range outcomes {
-		if err != nil {
-			t.Fatalf("push %d: %v", i, err)
+	done := func(err error) { outcomes = append(outcomes, err) }
+	for i, key := range []string{"a", "b"} {
+		b.Push(key, 0, make([]float32, 10), done)
+		if len(outcomes) != i+1 {
+			t.Fatalf("%d outcomes after %d pushes: Push returned before its push completed", len(outcomes), i+1)
+		}
+		if outcomes[i] != nil {
+			t.Fatalf("push %d: %v", i, outcomes[i])
 		}
 	}
 }
 
-// TestBatcherDeadlineFlush queues one small push and waits for the deadline
-// timer to write it.
+// TestBatcherDeadlineFlush checks a lone small push completes when Push
+// returns: there is no deadline timer to wait out.
 func TestBatcherDeadlineFlush(t *testing.T) {
 	_, addr := startServer(t, 1)
 	c := NewClient(addr)
-	c.batchDelay = 5 * time.Millisecond
 	defer c.Close()
 	b := NewBatcher(c)
 	defer b.Close()
@@ -231,45 +214,47 @@ func TestBatcherDeadlineFlush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadline flush never fired")
+	default:
+		t.Fatal("Push returned before its push completed")
 	}
 }
 
-// TestBatcherFlushAsync checks the scheduler-hook flush path: FlushAsync
-// must return without blocking on I/O and the batch must still complete.
+// TestBatcherFlushAsync checks concurrent pushes complete with no flush at
+// all, and that FlushAsync — still a valid flush hook — returns at once.
 func TestBatcherFlushAsync(t *testing.T) {
 	_, addr := startServer(t, 1)
 	c := NewClient(addr)
-	c.batchDelay = time.Hour
 	defer c.Close()
 	b := NewBatcher(c)
 
 	const n = 4
 	ch := make(chan error, n)
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		b.Push(fmt.Sprintf("k%d", i), 0, []float32{1}, func(err error) { ch <- err })
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b.Push(fmt.Sprintf("k%d", i), 0, []float32{1}, func(err error) { ch <- err })
+		}(i)
 	}
-	b.FlushAsync()
+	wg.Wait()
+	if len(ch) != n {
+		t.Fatalf("%d of %d pushes complete with no flush", len(ch), n)
+	}
 	for i := 0; i < n; i++ {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("async flush never completed")
+		if err := <-ch; err != nil {
+			t.Fatal(err)
 		}
 	}
+	b.FlushAsync()
 	b.Close()
 }
 
-// TestBatcherCloseFlushesAndRejects checks Close writes the remainder and
-// subsequent pushes fail through their done callback.
+// TestBatcherCloseFlushesAndRejects checks a push before Close completes
+// and pushes after it fail through their done callback.
 func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	_, addr := startServer(t, 1)
 	c := NewClient(addr)
-	c.batchDelay = time.Hour
 	defer c.Close()
 	b := NewBatcher(c)
 
@@ -277,7 +262,7 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	b.Push("a", 0, []float32{1}, func(err error) { ch <- err })
 	b.Close()
 	if err := <-ch; err != nil {
-		t.Fatalf("close flush: %v", err)
+		t.Fatalf("push before Close: %v", err)
 	}
 	b.Push("late", 0, []float32{1}, func(err error) { ch <- err })
 	if err := <-ch; err == nil {
@@ -285,37 +270,107 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	}
 }
 
-// TestBatchEncodingBounds checks decodeBatch survives truncated and ragged
-// payloads without panicking.
+// TestBatchEncodingBounds feeds two back-to-back responses, and every
+// truncation of them, to a client connection's reader with both calls
+// pending: a whole frame settles its call with its response, and every
+// call a cut leaves unanswered fails with the stream's end — io.EOF on a
+// frame boundary, io.ErrUnexpectedEOF inside one — never with a partial
+// frame's contents.
 func TestBatchEncodingBounds(t *testing.T) {
-	subs := []message{
-		newMessage(OpPush, "k", 1, 9, []byte{1, 2, 3, 4}),
+	reqs := []message{
+		newMessage(OpPush, "k", 1, 9, nil),
 		newMessage(OpPull, "k2", 1, 10, nil),
 	}
-	payload, err := encodeBatch(subs)
-	if err != nil {
-		t.Fatal(err)
+	resps := []message{
+		newMessage(OpPush, "k", 1, 9, nil),
+		newMessage(OpPull, "k2", 1, 10, f32(1.5, -2)),
 	}
-	out, err := decodeBatch(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Key != "k" || out[1].Seq != 10 {
-		t.Fatalf("decodeBatch = %+v", out)
-	}
-	// A prefix ending exactly on a sub-message boundary is a valid shorter
-	// batch; every other cut must be rejected as truncation.
-	first, err := encodeBatch(subs[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundary := map[int]bool{len(first): true}
-	for cut := 1; cut < len(payload); cut++ {
-		if boundary[cut] {
-			continue
+	data := stream(t, resps...)
+	first := len(frame(t, resps[0]))
+	for cut := 0; cut <= len(data); cut++ {
+		calls := readResponses(t, reqs, data[:cut])
+		push, pull := calls[0], calls[1]
+		wantEnd := io.ErrUnexpectedEOF
+		if cut == 0 || cut == first {
+			wantEnd = io.EOF
 		}
-		if _, err := decodeBatch(payload[:cut]); err == nil {
-			t.Fatalf("truncated batch at %d accepted", cut)
+		if cut >= first {
+			if push.err != nil {
+				t.Fatalf("cut %d: a whole push ack settled with %v", cut, push.err)
+			}
+		} else if !errors.Is(push.err, wantEnd) {
+			t.Fatalf("cut %d: a push missing its ack settled with %v, want %v", cut, push.err, wantEnd)
+		}
+		switch {
+		case cut == len(data):
+			vals, err := wire.Floats(nil, pull.resp.Header, pull.resp.Payload)
+			if pull.err != nil || err != nil || !slices.Equal(vals, []float32{1.5, -2}) {
+				t.Fatalf("whole stream: pull settled with %v (%v, %v)", vals, pull.err, err)
+			}
+		case cut > first:
+			if !errors.Is(pull.err, wantEnd) || pull.resp.Payload != nil {
+				t.Fatalf("cut %d: a pull missing part of its response settled with %d bytes (%v), want %v", cut, len(pull.resp.Payload), pull.err, wantEnd)
+			}
 		}
 	}
+	// A response whose Seq names a call for another key breaks the stream:
+	// the call fails instead of taking it.
+	calls := readResponses(t, reqs[:1], frame(t, newMessage(OpPush, "other", 1, 9, nil)))
+	if calls[0].err == nil {
+		t.Fatal("a response for another key settled the call")
+	}
+}
+
+// stream concatenates frames as one connection carries them.
+func stream(t testing.TB, msgs ...message) []byte {
+	var b []byte
+	for _, m := range msgs {
+		b = append(b, frame(t, m)...)
+	}
+	return b
+}
+
+// streamConn is a net.Conn whose reads come from r, whose writes vanish,
+// and whose Close does nothing: a server's half of a connection, replayed.
+type streamConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (s streamConn) Read(p []byte) (int, error)  { return s.r.Read(p) }
+func (s streamConn) Write(p []byte) (int, error) { return len(p), nil }
+func (s streamConn) Close() error                { return nil }
+
+// readResponses runs a client connection's reader over data, the bytes a
+// server sent, with one call pending per request in reqs, and returns the
+// calls once the reader has stopped at the end of data. It fails the test
+// unless every call settled exactly once.
+func readResponses(t testing.TB, reqs []message, data []byte) []*call {
+	t.Helper()
+	c := NewClient("stream")
+	cc := &clientConn{conn: wire.NewConn(streamConn{r: bytes.NewReader(data)}), pending: make(map[uint64]*call)}
+	calls := make([]*call, len(reqs))
+	for i, req := range reqs {
+		k := c.newCall(Op(req.Op), req.Key, req.Iter)
+		k.req = req
+		calls[i], cc.pending[req.Seq] = k, k
+	}
+	stopped := make(chan struct{})
+	c.readers.Add(1)
+	go func() {
+		c.read(cc)
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reader blocked: a call was settled twice")
+	}
+	for i, k := range calls {
+		if len(k.done) != 1 {
+			t.Fatalf("call %d (seq %x) never settled", i, k.req.Seq)
+		}
+		<-k.done
+	}
+	return calls
 }

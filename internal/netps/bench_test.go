@@ -1,6 +1,6 @@
 // Micro-benchmarks of the netps hot paths: message framing (a wire.Conn's
-// own staging, two frames per RPC), batch envelope encoding (sized
-// exactly up front), the server's pull fast path (the aggregate's float32
+// own staging, two frames per RPC), a writer's batch of frames flushed in
+// one writev, the server's pull fast path (the aggregate's float32
 // marshal, computed once per entry instead of once per pull), and one
 // whole aggregate's push + pull cycle on the server.
 //
@@ -39,18 +39,24 @@ func BenchmarkProtocolEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkProtocolEncodeBatch frames a 32-sub-message OpBatch envelope per
-// iteration: exact pre-sizing makes this one allocation regardless of the
-// sub-message count (it was O(log total) append-doublings).
+// BenchmarkProtocolEncodeBatch stages 32 push frames and flushes them in
+// one writev per iteration, as a client's writer drains its queue: the
+// connection's own staging makes this 0 allocs/op whatever the count.
 func BenchmarkProtocolEncodeBatch(b *testing.B) {
 	subs := make([]message, 32)
 	for i := range subs {
 		subs[i] = newMessage(OpPush, fmt.Sprintf("layer%d/weight:0", i), 3, uint64(i+1), make([]byte, 8<<10))
 	}
+	c := wire.NewConn(discard{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeBatch(subs); err != nil {
+		for _, m := range subs {
+			if err := c.Stage(m.Header, m.Payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}

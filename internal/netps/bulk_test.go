@@ -112,10 +112,11 @@ func TestBulkPathAllocBudget(t *testing.T) {
 
 // TestBufferOwnership pins who owns each recycled buffer until when.
 func TestBufferOwnership(t *testing.T) {
-	// (a) A response is decoded before its connection returns to the idle
-	// pool: eight goroutines share one client, so connections are recycled
-	// between them, and every pulled vector is checked only after a later
-	// request has been through the pool again.
+	// (a) A response is decoded out of the connection's read buffer before
+	// its call settles: eight goroutines share one client, so their
+	// responses interleave through its one reader and read buffer, and every
+	// pulled vector is checked only after later responses have been through
+	// that buffer again.
 	t.Run("pull results survive connection reuse", func(t *testing.T) {
 		_, addr := startServer(t, 1)
 		c := NewClient(addr)
@@ -165,7 +166,7 @@ func TestBufferOwnership(t *testing.T) {
 		c := NewClient(addr)
 		defer c.Close()
 		const n = 4096
-		// Grow the one pooled connection's buffer well past the error text.
+		// Grow the connection's read buffer well past the error text.
 		if err := c.Push("warm", 0, constVec(n, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -214,9 +215,10 @@ func TestBufferOwnership(t *testing.T) {
 	})
 
 	// (d) The encode buffer is held through the retries of its round trip:
-	// the server swallows the first frame and drops the connection (a lost
-	// ack), the same client's free list serves other pushes meanwhile, and
-	// the replay must carry the same bytes as the original.
+	// the server swallows the first frame, the same client's free list
+	// serves other pushes on the same connection meanwhile, then the server
+	// drops the connection (a lost ack), and the replay must carry the same
+	// bytes as the original.
 	t.Run("retried push replays identical bytes", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -245,15 +247,18 @@ func TestBufferOwnership(t *testing.T) {
 						if req.Key == "k" {
 							frames <- req // readMsg's payload is the frame's own
 							if len(frames) == 1 {
-								// Had Push given its buffer back already,
-								// these would encode into it before the
-								// replay is written.
-								for i := uint32(0); i < 8; i++ {
-									if err := c.Push("noise", i, constVec(n, -7)); err != nil {
-										t.Errorf("noise push: %v", err)
+								go func() {
+									// Had Push given its buffer back already,
+									// these would encode into it before the
+									// replay is written.
+									for i := uint32(0); i < 8; i++ {
+										if err := c.Push("noise", i, constVec(n, -7)); err != nil {
+											t.Errorf("noise push: %v", err)
+										}
 									}
-								}
-								return // the lost ack
+									conn.Close() // the lost ack
+								}()
+								continue
 							}
 						}
 						writeMsg(conn, pushAck(req)) //nolint:errcheck // test server
@@ -378,6 +383,80 @@ func TestBufferOwnership(t *testing.T) {
 			prev = &late.payload[0]
 		}
 	})
+
+	// (i) A call abandoned at its deadline returns only once nothing else
+	// can touch its record, and a late response to it is dropped, never
+	// decoded into out. A fake shard answers each pull after a delay spread
+	// around the client's pull deadline, so some pulls time out and some do
+	// not, and after every return the test takes out back: it writes a
+	// sentinel (a race report if anything else still wrote into out), waits
+	// until the pull's response has been written, pushes once more on the
+	// same connection — so the reader has handled that response — and
+	// checks the sentinel is intact.
+	t.Run("a late response to an abandoned call is dropped", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		const n, rounds = 16 << 10, 24
+		answered := make(chan uint32, rounds)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var wmu sync.Mutex
+			write := func(m message) {
+				wmu.Lock()
+				defer wmu.Unlock()
+				writeMsg(conn, m) //nolint:errcheck // test server
+			}
+			for {
+				req, err := readMsg(conn)
+				if err != nil {
+					return
+				}
+				if Op(req.Op) == OpPush {
+					write(pushAck(req))
+					continue
+				}
+				go func(req message) {
+					time.Sleep(time.Duration(req.Iter%5) * time.Millisecond)
+					write(newMessage(OpPull, req.Key, req.Iter, req.Seq, f32(constVec(n, float32(req.Iter))...)))
+					answered <- req.Iter
+				}(req)
+			}
+		}()
+		c := NewClient(ln.Addr().String())
+		c.pullTimeout, c.maxRetries = 2*time.Millisecond, 0
+		defer c.Close()
+		out := make([]float32, n)
+		abandoned := 0
+		for iter := uint32(0); iter < rounds; iter++ {
+			err := c.PullInto("k", iter, out)
+			if err == nil {
+				checkConst(t, fmt.Sprintf("pull %d", iter), out, n, float32(iter))
+			} else {
+				abandoned++
+			}
+			for i := range out {
+				out[i] = -5
+			}
+			if got := <-answered; got != iter {
+				t.Fatalf("the fake shard answered pull %d, want %d", got, iter)
+			}
+			if err := c.Push("sync", iter, []float32{1}); err != nil {
+				t.Fatal(err)
+			}
+			checkConst(t, fmt.Sprintf("pull %d's destination after its return", iter), out, n, -5)
+		}
+		if abandoned == 0 || abandoned == rounds {
+			t.Logf("%d of %d pulls abandoned: the deadline did not split them", abandoned, rounds)
+		}
+	})
+
 }
 
 // refFloats is the aggregate length of the reference-count sub-tests: 1 KB

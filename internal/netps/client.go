@@ -1,6 +1,7 @@
 package netps
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -16,10 +17,11 @@ import (
 	"bytescheduler/internal/wire"
 )
 
-// Client hardening and batching bounds. Every client uses them; the
-// package's tests tighten the matching unexported fields.
+// Client hardening bounds. Every client uses them; the package's tests
+// tighten the matching unexported fields.
 const (
-	// DefaultTimeout bounds each write and each push-response read.
+	// DefaultTimeout bounds each write and each push's wait for its
+	// acknowledgement.
 	DefaultTimeout = 15 * time.Second
 	// DefaultRetries is the per-request transport retry budget.
 	DefaultRetries = 3
@@ -30,12 +32,6 @@ const (
 	// DefaultBackoffJitter is the deterministic multiplicative jitter
 	// applied to every backoff delay, decorrelating worker retry storms.
 	DefaultBackoffJitter = 0.25
-	// DefaultBatchBytes is the Batcher's flush-by-size threshold.
-	DefaultBatchBytes = 256 << 10
-	// DefaultBatchDelay is the Batcher's flush deadline — the longest a
-	// queued push may wait for companions before being sent anyway, which
-	// bounds the latency cost coalescing can impose on an urgent partition.
-	DefaultBatchDelay = 500 * time.Microsecond
 )
 
 // clientIDs hands out process-unique client identities for request Seq
@@ -64,12 +60,12 @@ func WithSeed(seed int64) Option { return func(c *Client) { c.rng = stats.NewRNG
 func WithClientID(id uint32) Option { return func(c *Client) { c.id = id } }
 
 // WithMetrics instruments the client against the given registry: request
-// latency histograms (netps_push_seconds, netps_pull_seconds,
-// netps_batch_seconds), retry / redial / server-rejection counters, byte
-// counters, an in-flight request gauge, and the framing economics of
-// batching — netps_msgs_total counts wire frames written, while
-// netps_batched_msgs_total counts the logical sub-messages they carried,
-// so msgs/bytes quantifies the per-message overhead θ amortization.
+// latency histograms (netps_push_seconds, netps_pull_seconds), retry /
+// redial / server-rejection counters, byte counters, an in-flight request
+// gauge, and the framing economics of the one connection —
+// netps_msgs_total counts frames written and netps_writes_total the
+// writevs that carried them, so msgs per write is how far the per-message
+// overhead θ is amortized.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(c *Client) {
 		if reg == nil {
@@ -79,11 +75,9 @@ func WithMetrics(reg *metrics.Registry) Option {
 		c.inst = clientInstruments{
 			pushSeconds:  reg.Histogram("netps_push_seconds"),
 			pullSeconds:  reg.Histogram("netps_pull_seconds"),
-			batchSeconds: reg.Histogram("netps_batch_seconds"),
 			requests:     reg.Counter("netps_requests_total"),
 			msgs:         reg.Counter("netps_msgs_total"),
-			batches:      reg.Counter("netps_batches_total"),
-			batchedMsgs:  reg.Counter("netps_batched_msgs_total"),
+			writes:       reg.Counter("netps_writes_total"),
 			retries:      reg.Counter("netps_retries_total"),
 			redials:      reg.Counter("netps_redials_total"),
 			serverErrors: reg.Counter("netps_server_errors_total"),
@@ -112,11 +106,9 @@ func WithCodec(cd compress.Codec) Option { return func(c *Client) { c.codec = cd
 type clientInstruments struct {
 	pushSeconds  *metrics.Histogram
 	pullSeconds  *metrics.Histogram
-	batchSeconds *metrics.Histogram
 	requests     *metrics.Counter
 	msgs         *metrics.Counter
-	batches      *metrics.Counter
-	batchedMsgs  *metrics.Counter
+	writes       *metrics.Counter
 	retries      *metrics.Counter
 	redials      *metrics.Counter
 	serverErrors *metrics.Counter
@@ -126,43 +118,49 @@ type clientInstruments struct {
 	inflight     *metrics.Gauge
 }
 
-// Client is one worker's connection pool to a PS shard. Each in-flight
-// request uses its own connection (the scheduler above bounds concurrency
-// via credit), so pulls blocked on aggregation never head-of-line block
-// pushes.
+// Client is one worker's connection to a PS shard: one TCP connection,
+// dialed on first use, that every request pipelines on. The server answers
+// each request when it can, so pulls parked on aggregation never hold up
+// the pushes behind them, and the client's one reader goroutine hands
+// each response to its call by Seq. A caller that finds the connection
+// idle writes its own frame and then, in one writev, whatever other
+// callers queued meanwhile.
 //
-// The client is failure-hardened: per-request deadlines, bounded retry
-// with exponential backoff and deterministic jitter, and redial-on-stale
-// pooled connections (a server may close a pooled connection while it sits
-// idle; the first reuse then fails instantly and is replayed on a fresh
-// dial without consuming retry budget). Requests carry sequence numbers
-// that are stable across retries so the server can deduplicate replayed
-// pushes.
+// The client is failure-hardened: per-call deadlines, bounded retry with
+// exponential backoff and deterministic jitter, and redial: a connection
+// that breaks is forgotten, the next call dials afresh, and a call that
+// rode a connection opened before it (the server may close one while it
+// sits idle) is replayed once on the fresh dial without consuming retry
+// budget. Requests carry sequence numbers that are stable across retries
+// so the server can deduplicate replayed pushes.
 type Client struct {
 	addr string
-	// timeout (DefaultTimeout) bounds every write and a push's response
-	// read; pullTimeout (0: wait forever) bounds a pull's wait for
-	// aggregation; maxRetries (DefaultRetries) and retryDelay budget and pace
-	// transport retries; batchBytes and batchDelay (DefaultBatch*) are the
-	// Batcher's flush thresholds. Zero timeouts disable deadlines.
+	// timeout (DefaultTimeout) bounds every write and a push's wait for its
+	// acknowledgement; pullTimeout (0: wait forever) bounds a pull's wait
+	// for aggregation; maxRetries (DefaultRetries) and retryDelay budget and
+	// pace transport retries. Zero timeouts disable deadlines.
 	timeout     time.Duration
 	pullTimeout time.Duration
 	maxRetries  int
 	retryDelay  wire.Backoff
-	batchBytes  int
-	batchDelay  time.Duration
 	id          uint32
 	seq         atomic.Uint32
 	codec       compress.Codec
 	inst        clientInstruments
 	tracer      *trace.Wall
 
+	dialMu  sync.Mutex     // one dial at a time, so concurrent first calls share it
+	readers sync.WaitGroup // each connection's reader, which Close waits for
 	mu      sync.Mutex
 	rng     *stats.RNG
-	idle    recycle.List[*wire.Conn]
+	cc      *clientConn // the connection; nil before the first dial and after it broke
 	closed  bool
-	encFree recycle.List[[]byte] // idle Push encode buffers; one is held through its round trip's retries
+	calls   recycle.List[*call] // idle call records with their buffers
 }
+
+// errClientClosed fails the calls a closing client leaves pending, and
+// every call after.
+var errClientClosed = errors.New("netps: client closed")
 
 // NewClient creates a client for the shard at addr.
 func NewClient(addr string, opts ...Option) *Client {
@@ -171,8 +169,6 @@ func NewClient(addr string, opts ...Option) *Client {
 		timeout:    DefaultTimeout,
 		maxRetries: DefaultRetries,
 		retryDelay: wire.Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: DefaultBackoffJitter},
-		batchBytes: DefaultBatchBytes,
-		batchDelay: DefaultBatchDelay,
 		id:         clientIDs.Add(1),
 	}
 	for _, o := range opts {
@@ -192,49 +188,81 @@ func (c *Client) nextSeq() uint64 {
 	return uint64(c.id)<<32 | uint64(c.seq.Add(1))
 }
 
-// conn returns a pooled connection (reused=true) or dials a fresh one.
-func (c *Client) conn() (conn *wire.Conn, reused bool, err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("netps: client closed")
+// call is one logical request, a record on its client's free list. The
+// caller owns it until it sends the call and again once done has fired; in
+// between, the writer reads req and whoever claims the call — the reader
+// with its response, the call's deadline or a failure, first come only —
+// fills in the outcome.
+type call struct {
+	req  message
+	resp message // the response; a pull's payload sits in enc
+	// enc is the record's buffer: a push's encoding (req.Payload), or the
+	// read buffer a pull's response landed in, taken from the connection.
+	enc []byte
+	err error // the attempt's outcome: nil, a *ServerError or a transport error
+	// done receives once per attempt, when nothing but the caller will
+	// touch the call again; timer paces its deadline.
+	done  chan struct{}
+	timer *time.Timer
+	// unsent is the caller's: the call still needs an attempt.
+	unsent bool
+	// Under the connection's mu: held while the frame is queued or being
+	// written, which is when the writer, not the claimant, signals done.
+	held, settled bool
+}
+
+// clientConn is the client's one connection: a write queue drained by
+// whichever caller finds it idle, and one reader goroutine.
+type clientConn struct {
+	conn *wire.Conn
+
+	mu      sync.Mutex
+	pending map[uint64]*call // sent or queued calls not yet claimed, by Seq
+	queue   []*call          // calls whose frames wait for the writer
+	spare   []*call          // the writer's previous batch, reused as the next queue
+	writing bool             // a caller is draining queue; queue is empty otherwise
+	err     error            // why the connection broke; nil while it serves
+}
+
+// conn returns the client's connection, dialing it if there is none.
+// reused reports a connection this caller did not just see dialed.
+func (c *Client) conn() (cc *clientConn, reused bool, err error) {
+	if cc, err = c.current(); cc != nil || err != nil {
+		return cc, true, err
 	}
-	if conn = c.idle.Get(); conn != nil {
-		c.mu.Unlock()
-		return conn, true, nil
+	c.dialMu.Lock()
+	defer c.dialMu.Unlock()
+	if cc, err = c.current(); cc != nil || err != nil {
+		return cc, false, err // dialed while this caller waited
+	}
+	raw, err := net.DialTimeout("tcp", c.addr, c.timeout)
+	if err != nil {
+		return nil, false, err
+	}
+	cc = &clientConn{conn: wire.NewConn(raw), pending: make(map[uint64]*call)}
+	c.mu.Lock()
+	closed := c.closed
+	if !closed {
+		c.cc = cc
+		c.readers.Add(1) // under mu while open: ordered before Close's Wait
 	}
 	c.mu.Unlock()
-	conn, err = c.dial()
-	return conn, false, err
+	if closed {
+		raw.Close()
+		return nil, false, errClientClosed
+	}
+	go c.read(cc)
+	return cc, false, nil
 }
 
-// dial opens a fresh connection under the client's timeout.
-func (c *Client) dial() (*wire.Conn, error) {
-	var d net.Dialer
-	if c.timeout > 0 {
-		d.Timeout = c.timeout
-	}
-	conn, err := d.Dial("tcp", c.addr)
-	if err != nil {
-		return nil, err
-	}
-	return wire.NewConn(conn), nil
-}
-
-func (c *Client) release(cc *wire.Conn) {
+// current returns the live connection, if any.
+func (c *Client) current() (*clientConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		cc.Close()
-		return
+		return nil, errClientClosed
 	}
-	c.idle.Put(cc)
-}
-
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
+	return c.cc, nil
 }
 
 // backoff sleeps the exponential, jittered delay for the given attempt.
@@ -245,150 +273,343 @@ func (c *Client) backoff(attempt int) {
 	time.Sleep(c.retryDelay.Delay(attempt, jitter))
 }
 
-// exchange performs one request/response on one connection, owning the
-// connection's fate: pooled on success, closed on failure. The response
-// payload is a view of the connection's read buffer, so everything that
-// outlives the exchange leaves it before release: recv (nil for a response
-// nobody reads) decodes or copies a matching response, and an OpErr's text
-// is copied into the ServerError. It returns the response's payload length.
-func (c *Client) exchange(conn *wire.Conn, req message, recv func(resp message)) (int, error) {
-	if c.timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	}
-	if err := conn.WriteFrame(req.Header, req.Payload); err != nil {
-		conn.Close()
-		return 0, err
-	}
-	// Count wire frames where they hit the wire: retries and stale-conn
-	// redials each write another frame.
-	c.inst.msgs.Inc()
-	// Pulls wait for cross-worker aggregation and may legitimately block
-	// far longer than a push acknowledgement.
-	readTimeout := c.timeout
-	if Op(req.Op) == OpPull {
-		readTimeout = c.pullTimeout
-	}
-	if readTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(readTimeout))
-	} else {
-		conn.SetReadDeadline(time.Time{})
-	}
-	var resp message
-	var err error
-	if resp.Header, resp.Payload, err = conn.ReadFrame(); err != nil {
-		conn.Close()
-		return 0, err
-	}
-	conn.SetDeadline(time.Time{})
-	if Op(resp.Op) == OpErr {
-		// Application-level rejection: the connection is still in sync.
-		rejected := &ServerError{Msg: string(resp.Payload)}
-		c.release(conn)
-		return 0, rejected
-	}
-	if resp.Op != req.Op || resp.Key != req.Key || resp.Iter != req.Iter || resp.Seq != req.Seq {
-		conn.Close()
-		return 0, fmt.Errorf("netps: mismatched response %v/%s/%d", resp.Op, resp.Key, resp.Iter)
-	}
-	if recv != nil {
-		recv(resp)
-	}
-	c.release(conn)
-	return len(resp.Payload), nil
-}
-
-// opName labels an op for spans and error text.
-func opName(op Op) string {
-	switch op {
-	case OpPush:
-		return "push"
-	case OpPull:
-		return "pull"
-	case OpBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("op%d", op)
-	}
-}
-
-// roundTrip sends one request and reads its response, retrying transport
-// failures under the backoff policy. The request Seq is stable across
-// retries so the server deduplicates replays. Server rejections (OpErr)
-// and response mismatches are returned immediately — they are decisions,
-// not transport faults.
-//
-// Every round trip is observed: one latency histogram sample per logical
-// request (retries included in its duration), retry/redial/rejection
-// counters, byte counters, an in-flight gauge, and — when a tracer is
-// attached — one wall-clock span on the client's lane covering the whole
-// logical request.
-func (c *Client) roundTrip(req message, recv func(resp message)) error {
-	req.Seq = c.nextSeq()
-	c.inst.requests.Inc()
-	c.inst.inflight.Inc()
-	start := time.Now()
-	n, err := c.attempt(req, recv)
-	elapsed := time.Since(start)
-	c.inst.inflight.Dec()
-	if c.tracer != nil {
-		c.tracer.Add(fmt.Sprintf("netps/c%d", c.id),
-			fmt.Sprintf("%s %s#%d", opName(Op(req.Op)), req.Key, req.Iter),
-			start, start.Add(elapsed))
-	}
-	switch {
-	case err == nil:
-		switch Op(req.Op) {
-		case OpPush:
-			c.inst.pushSeconds.Observe(elapsed.Seconds())
-			c.inst.bytesPushed.Add(uint64(len(req.Payload)))
-		case OpPull:
-			c.inst.pullSeconds.Observe(elapsed.Seconds())
-			c.inst.bytesPulled.Add(uint64(n))
-		case OpBatch:
-			c.inst.batchSeconds.Observe(elapsed.Seconds())
+// send registers the unsent calls on cc and queues their frames. If no
+// caller is writing, this one becomes the writer: it writes the queue in
+// one writev, then whatever queued during that write, until the queue is
+// empty — on a broken connection it only releases the frames.
+func (c *Client) send(cc *clientConn, calls []*call) {
+	cc.mu.Lock()
+	for _, k := range calls {
+		if !k.unsent {
+			continue
 		}
-	case isServerError(err):
-		c.inst.serverErrors.Inc()
-	default:
-		c.inst.failures.Inc()
+		if k.err = cc.err; k.err != nil {
+			k.done <- struct{}{}
+			continue
+		}
+		cc.pending[k.req.Seq] = k
+		k.held = true
+		cc.queue = append(cc.queue, k)
 	}
-	return err
+	if cc.writing {
+		cc.mu.Unlock()
+		return
+	}
+	cc.writing = true
+	for len(cc.queue) > 0 {
+		batch, broken := cc.queue, cc.err != nil
+		cc.queue = cc.spare
+		cc.mu.Unlock()
+		if !broken {
+			if err := c.write(cc, batch); err != nil {
+				c.fail(cc, err) // a torn write leaves the stream out of sync
+			}
+		}
+		cc.mu.Lock()
+		for _, k := range batch {
+			if k.held = false; k.settled {
+				k.settled = false
+				k.done <- struct{}{}
+			}
+		}
+		clear(batch)
+		cc.spare = batch[:0]
+	}
+	cc.writing = false
+	cc.mu.Unlock()
 }
+
+// write stages batch's frames and writes them in one writev under the
+// write deadline. A frame wire refuses (its key or payload over the
+// limits) settles its call with the refusal, and the rest still go.
+func (c *Client) write(cc *clientConn, batch []*call) error {
+	frames := 0
+	for _, k := range batch {
+		if err := cc.conn.Stage(k.req.Header, k.req.Payload); err != nil {
+			cc.mu.Lock()
+			cc.settle(k, err)
+			cc.mu.Unlock()
+			continue
+		}
+		frames++
+	}
+	if c.timeout > 0 {
+		cc.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
+	if err := cc.conn.Flush(); err != nil || frames == 0 {
+		return err
+	}
+	c.inst.writes.Inc()
+	c.inst.msgs.Add(uint64(frames))
+	return nil
+}
+
+// settle claims k, if it is still pending, with the outcome err: it leaves
+// pending, and its caller is signalled now or — while the writer holds its
+// frame — once the writer lets go. It reports whether k was pending; a
+// call is claimed once per attempt. Caller holds cc.mu.
+func (cc *clientConn) settle(k *call, err error) bool {
+	if cc.pending[k.req.Seq] != k {
+		return false
+	}
+	delete(cc.pending, k.req.Seq)
+	k.err = err
+	if k.held {
+		k.settled = true
+	} else {
+		k.done <- struct{}{}
+	}
+	return true
+}
+
+// fail breaks cc: the client forgets it, so the next call dials afresh;
+// every call on it settles with err, exactly once; and the socket closes,
+// which ends its reader. A second failure changes nothing.
+func (c *Client) fail(cc *clientConn, err error) {
+	c.mu.Lock()
+	if c.cc == cc {
+		c.cc = nil
+	}
+	c.mu.Unlock()
+	cc.mu.Lock()
+	if cc.err == nil {
+		cc.err = err
+		for _, k := range cc.pending {
+			cc.settle(k, err)
+		}
+	}
+	cc.mu.Unlock()
+	cc.conn.Close()
+}
+
+// read is cc's one reader: it hands each response to the call its Seq
+// names, until a read fails or a response contradicts its request, and
+// then breaks the connection.
+func (c *Client) read(cc *clientConn) {
+	defer c.readers.Done()
+	for {
+		h, payload, err := cc.conn.ReadFrame()
+		if err == nil {
+			err = cc.deliver(h, payload)
+		}
+		if err != nil {
+			c.fail(cc, err)
+			return
+		}
+	}
+}
+
+// deliver settles the call h answers. payload is a view of the connection's
+// read buffer, valid until the next read, so what outlives it leaves it
+// here: a pull takes the read buffer itself, handing the connection its
+// record's idle one to read on into (a pull's frame carries no payload),
+// and its caller decodes; an OpErr's text is copied into the ServerError.
+// A response no call waits for — its call abandoned at a deadline — is
+// dropped unread.
+func (cc *clientConn) deliver(h wire.Header, payload []byte) error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	k := cc.pending[h.Seq]
+	switch {
+	case k == nil:
+		return nil
+	case Op(h.Op) == OpErr:
+		// Application-level rejection: the stream is still in sync.
+		cc.settle(k, &ServerError{Msg: string(payload)})
+	case h.Op != k.req.Op || h.Key != k.req.Key || h.Iter != k.req.Iter:
+		err := fmt.Errorf("netps: mismatched response %v/%s/%d", h.Op, h.Key, h.Iter)
+		cc.settle(k, err)
+		return err
+	default:
+		if Op(h.Op) == OpPull {
+			k.enc = cc.conn.Take(k.enc)
+			k.resp = message{Header: h, Payload: payload}
+		}
+		cc.settle(k, nil)
+	}
+	return nil
+}
+
+// wait blocks until k settles or its deadline (zero: none) passes. At the
+// deadline the call is abandoned — a response that still comes is dropped
+// — and wait returns once the writer, too, has let go of k.
+func (c *Client) wait(cc *clientConn, k *call, deadline time.Time) {
+	if deadline.IsZero() {
+		<-k.done
+		return
+	}
+	if k.timer == nil {
+		k.timer = time.NewTimer(time.Until(deadline))
+	} else {
+		k.timer.Reset(time.Until(deadline))
+	}
+	for {
+		select {
+		case <-k.done:
+			if !k.timer.Stop() {
+				select {
+				case <-k.timer.C:
+				default:
+				}
+			}
+			return
+		case <-k.timer.C:
+			if left := time.Until(deadline); left > 0 {
+				k.timer.Reset(left) // a tick left over from an earlier wait
+				continue
+			}
+			cc.mu.Lock()
+			cc.settle(k, fmt.Errorf("netps: %s %s#%d: no response within its deadline", opName(Op(k.req.Op)), k.req.Key, k.req.Iter))
+			cc.mu.Unlock()
+			<-k.done
+			return
+		}
+	}
+}
+
+// opName labels a call's op for spans and error text.
+func opName(op Op) string {
+	if op == OpPush {
+		return "push"
+	}
+	return "pull"
+}
+
+// retryable reports an outcome worth another attempt: a transport failure,
+// not an answer or a server's rejection.
+func retryable(err error) bool { return err != nil && !isServerError(err) }
 
 func isServerError(err error) bool {
 	_, ok := err.(*ServerError)
 	return ok
 }
 
-// attempt runs the retry loop for one logical request.
-func (c *Client) attempt(req message, recv func(resp message)) (int, error) {
-	for attempt := 0; ; attempt++ {
-		conn, reused, err := c.conn()
-		if err == nil {
-			var n int
-			n, err = c.exchange(conn, req, recv)
-			if err == nil || isServerError(err) {
-				return n, err
-			}
-			if reused {
-				// Stale pooled connection: the server closed it while it
-				// sat idle, so the request was never processed. Replay
-				// immediately on a fresh dial, free of retry budget.
-				c.inst.redials.Inc()
-				if conn, err = c.dial(); err == nil {
-					n, err = c.exchange(conn, req, recv)
-					if err == nil || isServerError(err) {
-						return n, err
-					}
-				}
-			}
+// roundTrip runs calls to completion, retrying transport failures under
+// the backoff policy, and returns the first transport error left; each
+// call's own outcome is in its err. Seqs are assigned here and stay stable
+// across retries, so the server deduplicates replays; a server rejection
+// (OpErr) is a decision, not a fault, and is never retried. Each call is
+// observed as one logical request — latency, bytes, outcome counters and,
+// with a tracer, one span covering its retries.
+func (c *Client) roundTrip(calls ...*call) error {
+	for _, k := range calls {
+		k.req.Seq, k.unsent = c.nextSeq(), true
+	}
+	c.inst.requests.Add(uint64(len(calls)))
+	c.inst.inflight.Add(int64(len(calls)))
+	start := time.Now()
+	err := c.attempt(calls)
+	elapsed := time.Since(start)
+	c.inst.inflight.Add(-int64(len(calls)))
+	for _, k := range calls {
+		if k.unsent { // the last attempt could not send it
+			k.err, k.unsent = err, false
 		}
-		if attempt >= c.maxRetries || c.isClosed() {
-			return 0, err
+		if c.tracer != nil {
+			c.tracer.Add(fmt.Sprintf("netps/c%d", c.id),
+				fmt.Sprintf("%s %s#%d", opName(Op(k.req.Op)), k.req.Key, k.req.Iter),
+				start, start.Add(elapsed))
+		}
+		switch {
+		case k.err == nil && Op(k.req.Op) == OpPush:
+			c.inst.pushSeconds.Observe(elapsed.Seconds())
+			c.inst.bytesPushed.Add(uint64(len(k.req.Payload)))
+		case k.err == nil:
+			c.inst.pullSeconds.Observe(elapsed.Seconds())
+			c.inst.bytesPulled.Add(uint64(len(k.resp.Payload)))
+		case isServerError(k.err):
+			c.inst.serverErrors.Inc()
+		default:
+			c.inst.failures.Inc()
+		}
+	}
+	return err
+}
+
+// attempt runs the retry loop over the calls still failing on the
+// transport.
+func (c *Client) attempt(calls []*call) error {
+	for attempt := 0; ; attempt++ {
+		err := c.try(calls)
+		if err == nil || attempt >= c.maxRetries {
+			return err
+		}
+		if _, closed := c.current(); closed != nil {
+			return err
 		}
 		c.inst.retries.Inc()
 		c.backoff(attempt)
 	}
+}
+
+// try is one attempt. If it rode a connection opened before it and that
+// connection broke — the server may close a connection while it sits idle,
+// so the requests were never processed — it replays once, immediately, on
+// a fresh dial, free of retry budget.
+func (c *Client) try(calls []*call) error {
+	cc, reused, err := c.conn()
+	if err != nil {
+		return err
+	}
+	if err = c.exchange(cc, calls); err != nil && reused {
+		if cur, _ := c.current(); cur != cc { // failed and forgotten
+			if cc, _, err = c.conn(); err == nil {
+				c.inst.redials.Inc()
+				err = c.exchange(cc, calls)
+			}
+		}
+	}
+	return err
+}
+
+// exchange sends the unsent calls over cc, in one write if the connection
+// is idle, and waits for each under its deadline, counted from the send:
+// pulls wait for cross-worker aggregation, far longer than a push's ack
+// may take. It returns the first transport error among them, whose calls
+// stay unsent.
+func (c *Client) exchange(cc *clientConn, calls []*call) error {
+	sent := time.Now()
+	c.send(cc, calls)
+	var first error
+	for _, k := range calls {
+		if !k.unsent {
+			continue
+		}
+		d, deadline := c.timeout, time.Time{}
+		if Op(k.req.Op) == OpPull {
+			d = c.pullTimeout
+		}
+		if d > 0 {
+			deadline = sent.Add(d)
+		}
+		c.wait(cc, k, deadline)
+		if k.unsent = retryable(k.err); k.unsent && first == nil {
+			first = k.err
+		}
+	}
+	return first
+}
+
+// newCall takes a call record off the free list for op on (key, iter).
+func (c *Client) newCall(op Op, key string, iter uint32) *call {
+	c.mu.Lock()
+	k := recycle.Take(&c.calls)
+	c.mu.Unlock()
+	if k.done == nil {
+		k.done = make(chan struct{}, 1)
+	}
+	k.req = newMessage(op, key, iter, 0, nil)
+	return k
+}
+
+// release returns a settled call's record to the free list, poisoning its
+// encode buffer under test and dropping its references to caller memory.
+func (c *Client) release(k *call) {
+	recycle.Poison(k.enc)
+	k.req, k.resp, k.err = message{}, message{}, nil
+	c.mu.Lock()
+	c.calls.Put(k)
+	c.mu.Unlock()
 }
 
 // pushMessage frames one push through the client's codec, encoding onto
@@ -400,18 +621,51 @@ func (c *Client) pushMessage(dst []byte, key string, iter uint32, grad []float32
 	return m
 }
 
+// pushCall is a call record carrying one push, encoded into the record's
+// own buffer, which it holds through every retry.
+func (c *Client) pushCall(key string, iter uint32, grad []float32) *call {
+	k := c.newCall(OpPush, key, iter)
+	k.req = c.pushMessage(k.enc[:0], key, iter, grad)
+	k.enc = k.req.Payload
+	return k
+}
+
 // Push sends a gradient partition and returns when the server acknowledges
 // it.
 func (c *Client) Push(key string, iter uint32, grad []float32) error {
-	c.mu.Lock()
-	buf := c.encFree.Get()
-	c.mu.Unlock()
-	m := c.pushMessage(buf[:0], key, iter, grad)
-	err := c.roundTrip(m, nil)
-	c.mu.Lock()
-	c.encFree.Put(m.Payload)
-	c.mu.Unlock()
+	k := c.pushCall(key, iter, grad)
+	c.roundTrip(k) //nolint:errcheck // the outcome is k.err
+	err := k.err
+	c.release(k)
 	return err
+}
+
+// PushBatch writes several gradient pushes back to back in one writev and
+// returns when each is settled: one error slot per item (a *ServerError
+// for an individually rejected push), and the first transport failure left
+// after the retry budget, in which case no per-item result is meaningful.
+// Replays are safe: each push keeps its own Seq across retries, so the
+// server acknowledges duplicates without double-summing.
+func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
+	if len(items) == 0 {
+		return nil, nil
+	}
+	calls := make([]*call, len(items))
+	for i, it := range items {
+		calls[i] = c.pushCall(it.Key, it.Iter, it.Grad)
+	}
+	err := c.roundTrip(calls...)
+	errs := make([]error, len(items))
+	for i, k := range calls {
+		if isServerError(k.err) {
+			errs[i] = k.err
+		}
+		c.release(k)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return errs, nil
 }
 
 // Pull blocks until the partition is aggregated across all workers and
@@ -424,7 +678,8 @@ func (c *Client) Pull(key string, iter uint32) ([]float32, error) {
 // partition, instead of into a new slice. An aggregate that does not have
 // exactly len(out) values is an error — out is never swapped for a
 // reallocated slice behind the caller's back, and nothing is written past
-// len(out).
+// len(out). Only PullInto itself writes into out: a response that arrives
+// after its deadline is dropped.
 func (c *Client) PullInto(key string, iter uint32, out []float32) error {
 	vals, err := c.pull(key, iter, out)
 	if err == nil && len(vals) != len(out) {
@@ -433,32 +688,32 @@ func (c *Client) PullInto(key string, iter uint32, out []float32) error {
 	return err
 }
 
-// pull is the one pull path: the response is decoded out of the
-// connection's read buffer onto out[:0] — capacity clipped to len(out), so
-// a longer aggregate reallocates instead of overrunning the caller's
-// slice — before the connection is released.
-func (c *Client) pull(key string, iter uint32, out []float32) (vals []float32, err error) {
-	var derr error
-	err = c.roundTrip(newMessage(OpPull, key, iter, 0, nil), func(resp message) {
-		vals, derr = wire.Floats(out[:0:len(out)], resp.Header, resp.Payload)
-	})
-	if err != nil {
-		return nil, err
+// pull is the one pull path: the caller decodes the response out of the
+// read buffer its call took from the connection onto out[:0] — capacity
+// clipped to len(out), so a longer aggregate reallocates instead of
+// overrunning the caller's slice.
+func (c *Client) pull(key string, iter uint32, out []float32) ([]float32, error) {
+	k := c.newCall(OpPull, key, iter)
+	c.roundTrip(k) //nolint:errcheck // the outcome is k.err
+	vals, err := []float32(nil), k.err
+	if err == nil {
+		if vals, err = wire.Floats(out[:0:len(out)], k.resp.Header, k.resp.Payload); err != nil {
+			vals, err = nil, fmt.Errorf("netps: pull response: %w", err)
+		}
 	}
-	if derr != nil {
-		return nil, fmt.Errorf("netps: pull response: %w", derr)
-	}
-	return vals, nil
+	c.release(k)
+	return vals, err
 }
 
-// Close closes pooled connections; in-flight round trips own their
-// connections and close them on error.
+// Close fails every call still pending, once each, closes the connection,
+// waits for its reader to exit, and makes every later call fail.
 func (c *Client) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
-	for _, cc := range c.idle {
-		cc.Close()
+	cc := c.cc
+	c.mu.Unlock()
+	if cc != nil {
+		c.fail(cc, errClientClosed)
 	}
-	c.idle = nil
+	c.readers.Wait()
 }

@@ -26,7 +26,7 @@ func TestGenerateCodecCorpus(t *testing.T) {
 }
 
 // TestGenerateCrossIterCorpus writes the cross-iteration seeds: frames and
-// batches mixing iteration i and i+1 for the same tensor key, the wire
+// a stream mixing iteration i and i+1 for the same tensor key, the wire
 // shape cross-iteration pipelining puts on one connection.
 func TestGenerateCrossIterCorpus(t *testing.T) {
 	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
@@ -35,11 +35,7 @@ func TestGenerateCrossIterCorpus(t *testing.T) {
 	for i, m := range xiterSeeds() {
 		writeCorpus(t, "FuzzDecodeMessage", fmt.Sprintf("xiter%02d", i), frame(t, m))
 	}
-	batch, err := encodeBatch(xiterBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeCorpus(t, "FuzzDecodeBatch", "xiter00", batch)
+	writeCorpus(t, "FuzzDecodeBatch", "xiter00", stream(t, xiterBatch()...))
 }
 
 // writeCorpus writes one seed in the go-fuzz corpus file format.

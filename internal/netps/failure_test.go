@@ -35,9 +35,9 @@ func TestStalePooledConnectionRedial(t *testing.T) {
 	if _, err := c.Pull("w", 0); err != nil {
 		t.Fatal(err)
 	}
-	// The server closes the pooled connection while it sits idle (e.g. an
-	// idle-timeout or restart). The client must detect the stale
-	// connection on reuse, redial, and replay the request.
+	// The server closes the client's connection while it sits idle (e.g. an
+	// idle-timeout or restart). The client must notice the stale
+	// connection and carry the next requests on a fresh dial.
 	srv.mu.Lock()
 	for conn := range srv.conns {
 		conn.Close()
@@ -47,7 +47,7 @@ func TestStalePooledConnectionRedial(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	if err := c.Push("w", 1, []float32{2}); err != nil {
-		t.Fatalf("push over stale pooled connection not recovered: %v", err)
+		t.Fatalf("push over a stale connection not recovered: %v", err)
 	}
 	got, err := c.Pull("w", 1)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestServerCloseUnblocksIdleConnections(t *testing.T) {
 	if err := c.Push("w", 0, []float32{1}); err != nil {
 		t.Fatal(err)
 	}
-	// The pooled connection keeps a server handler parked in its read.
+	// The client's connection keeps a server handler parked in its read.
 	done := make(chan error, 1)
 	go func() { done <- srv.Close() }()
 	select {
@@ -235,7 +235,7 @@ func TestWriteDeadlineDropsStalledPuller(t *testing.T) {
 	srv, addr := startServer(t, 2, WithServerMetrics(reg),
 		func(s *Server) { s.writeTimeout = 500 * time.Millisecond })
 	stallPuller(t, srv, addr)
-	// Only B's pooled connection may remain.
+	// Only B's connection may remain.
 	waitFor(t, 2*time.Second, "the stalled connection to be dropped", func() bool {
 		return reg.Snapshot().Gauges["netps_server_conns"] == 1
 	})
@@ -351,22 +351,21 @@ func TestPushReplayDeduplicated(t *testing.T) {
 	_, addr := startServer(t, 1)
 	c := fastClient(addr, 0)
 	defer c.Close()
-	// Replay the same logical push (same Seq) twice, as a retry after a
-	// lost ack would: the sum must count it once.
+	// Replay the same logical push (same Seq) on a second connection, as a
+	// retry after a lost ack would: the sum must count it once.
 	req := newMessage(OpPush, "w", 0, c.nextSeq(), f32(5))
-	conn, err := c.dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.exchange(conn, req, nil); err != nil {
-		t.Fatal(err)
-	}
-	conn, err = c.dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.exchange(conn, req, nil); err != nil {
-		t.Fatal(err)
+	for attempt := 0; attempt < 2; attempt++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeMsg(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := readMsg(conn); err != nil || Op(resp.Op) != OpPush || resp.Seq != req.Seq {
+			t.Fatalf("attempt %d: %+v (%v), want the push ack", attempt, resp, err)
+		}
+		conn.Close()
 	}
 	got, err := c.Pull("w", 0)
 	if err != nil {

@@ -1,12 +1,13 @@
 // Fuzz targets for netps's half of the wire protocol. Framing itself —
 // arbitrary bytes never panic the reader, never over-allocate, and an
 // accepted frame re-encodes to the same bytes — is wire.FuzzRead's
-// contract. Here the contract is what netps does with a frame that parsed:
-// the server answers it (ack or OpErr, never a panic, whatever codec id,
-// original length or payload framing it claims), an accepted push is
-// pullable and decodes to its values as its codec re-encodes them — and so
-// does the next aggregate of its key, encoded into the first one's recycled
-// buffer — and the OpBatch envelope round-trips.
+// contract. Here the contract is what netps does with frames that parsed:
+// the server answers a request (ack or OpErr, never a panic, whatever
+// codec id, original length or payload framing it claims), an accepted
+// push is pullable and decodes to its values as its codec re-encodes them
+// — and so does the next aggregate of its key, encoded into the first
+// one's recycled buffer — and a client connection's reader, fed any byte
+// stream as a server's responses, settles each pending call exactly once.
 //
 // Run continuously with:
 //
@@ -21,7 +22,9 @@ package netps
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"bytescheduler/internal/compress"
@@ -66,8 +69,8 @@ func xiterSeeds() []message {
 	}
 }
 
-// xiterBatch is a pipelined batch: iteration i and i+1 subs for the same
-// key in one envelope, the wire shape two in-flight iterations produce.
+// xiterBatch is a pipelined stream: iteration i and i+1 frames for the
+// same key back to back, the wire shape two in-flight iterations produce.
 func xiterBatch() []message {
 	return []message{
 		newMessage(OpPush, "w1/L02[0/2]", 6, 5, []byte{1, 2, 3, 4}),
@@ -179,53 +182,77 @@ func pullPushed(t *testing.T, srv *Server, req message) []byte {
 	return result.payload
 }
 
+// FuzzDecodeBatch feeds arbitrary bytes to a client connection's reader
+// as the stream a server sent, with a call pending for every frame the
+// stream holds (and one for a frame that never comes): the reader must
+// stop at the stream's end without a panic, settle every call exactly once
+// (readResponses), answer each call with the first whole frame that names
+// its Seq — a pull keeping its payload intact in the read buffer it took
+// while later frames were read — and fail the rest.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
-	one, err := encodeBatch([]message{newMessage(OpPush, "a", 1, 2, []byte{0, 0, 128, 63})})
-	if err != nil {
-		f.Fatal(err)
-	}
+	one := stream(f, newMessage(OpPush, "a", 1, 2, []byte{0, 0, 128, 63}))
 	f.Add(one)
-	two, err := encodeBatch([]message{
+	two := stream(f,
 		newMessage(OpPush, "w1/L00[0/2]", 0, 3, []byte{1, 2, 3, 4}),
 		newMessage(OpPull, "w1/L00[1/2]", 0, 4, nil),
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
+	)
 	f.Add(two)
-	xiter, err := encodeBatch(xiterBatch())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(xiter)
-	// Truncations at every interesting boundary of a valid envelope.
-	fixed := wire.Size(wire.Header{}, 0) - 4 // the constant-size header prefix
+	f.Add(stream(f, xiterBatch()...))
+	// Truncations at every interesting boundary of a valid stream.
+	const fixed = 24 // the constant-size header prefix
 	for _, cut := range []int{1, fixed - 1, fixed, fixed + 1, len(two) - 1} {
 		f.Add(two[:cut])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		subs, err := decodeBatch(data)
-		if err != nil {
-			return
+		// The frames a reference reader finds, each answering a request
+		// with its identity; an OpErr answers a push.
+		var frames []message
+		seen := map[uint64]bool{}
+		var reqs []message
+		for r := bytes.NewReader(data); ; {
+			m, err := readMsg(r)
+			if err != nil {
+				break
+			}
+			frames = append(frames, m)
+			if !seen[m.Seq] {
+				seen[m.Seq] = true
+				req := newMessage(Op(m.Op), m.Key, m.Iter, m.Seq, nil)
+				if Op(m.Op) == OpErr {
+					req.Op = uint8(OpPush)
+				}
+				reqs = append(reqs, req)
+			}
 		}
-		// Round trip through the envelope encoder.
-		re, err := encodeBatch(subs)
-		if err != nil {
-			t.Fatalf("re-encode of decoded batch failed: %v", err)
+		missing := newMessage(OpPull, "never", 0, 1<<63, nil)
+		if !seen[missing.Seq] {
+			reqs = append(reqs, missing)
 		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("batch round trip diverged:\n in  %x\n out %x", data, re)
-		}
-		// Sub-payloads alias the envelope; their total length is bounded
-		// by the input.
-		total := 0
-		for _, m := range subs {
-			total += len(m.Payload)
-		}
-		if total > len(data) {
-			t.Fatalf("decoded %d payload bytes from %d input bytes", total, len(data))
+		calls := readResponses(t, reqs, data)
+		for i, k := range calls {
+			j := slices.IndexFunc(frames, func(m message) bool { return m.Seq == k.req.Seq })
+			if j < 0 {
+				if !retryable(k.err) {
+					t.Fatalf("call %d: no frame answers it, yet it settled with %v", i, k.err)
+				}
+				continue
+			}
+			m := frames[j]
+			switch {
+			case Op(m.Op) == OpErr:
+				var se *ServerError
+				if !errors.As(k.err, &se) || se.Msg != string(m.Payload) {
+					t.Fatalf("call %d: OpErr %q settled as %v", i, m.Payload, k.err)
+				}
+			case k.err != nil:
+				t.Fatalf("call %d: its response settled it with %v", i, k.err)
+			case Op(m.Op) == OpPull:
+				if k.resp.Header != m.Header || !bytes.Equal(k.resp.Payload, m.Payload) {
+					t.Fatalf("call %d: pull kept %+v with %x, want %+v with %x", i, k.resp.Header, k.resp.Payload, m.Header, m.Payload)
+				}
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -70,12 +71,16 @@ func TestEncodeDecode(t *testing.T) {
 // writeMsg and readMsg put one frame on a raw test socket; f32 is a raw
 // fp32 payload.
 func writeMsg(w io.Writer, m message) error {
-	frame, err := wire.Append(nil, m.Header, m.Payload)
-	if err == nil {
-		_, err = w.Write(frame)
-	}
-	return err
+	return wire.NewConn(sink{w: w}).WriteFrame(m.Header, m.Payload)
 }
+
+// sink is a net.Conn whose writes go to w: a wire.Conn's write side alone.
+type sink struct {
+	net.Conn
+	w io.Writer
+}
+
+func (s sink) Write(p []byte) (int, error) { return s.w.Write(p) }
 
 func readMsg(r io.Reader) (m message, err error) {
 	m.Header, m.Payload, err = wire.Read(r)

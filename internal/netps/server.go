@@ -54,7 +54,7 @@ const DefaultServerReadTimeout = 30 * time.Second
 
 // DefaultServerWriteTimeout bounds each response write, so a peer that
 // stops draining its socket is dropped after this long instead of wedging
-// its serve goroutine (or Close) forever.
+// its connection's goroutines (or Close) forever.
 const DefaultServerWriteTimeout = 15 * time.Second
 
 // Server is a single parameter-server process: it sums fp32 payloads
@@ -65,12 +65,15 @@ const DefaultServerWriteTimeout = 15 * time.Second
 // Internally the server is sharded: the (key, iter) entry space is
 // partitioned across independent lock domains by ps.KeyHash, so requests
 // for different keys do not contend on one global mutex. Every connection
-// is served by its own goroutine; the Go runtime's netpoller is the
+// is read by its own goroutine; the Go runtime's netpoller is the
 // multiplexer, so an idle connection costs a parked goroutine and nothing
-// else. A pull that must wait for aggregation is a channel receive in its
-// connection's goroutine: the completing push only sends on that channel,
-// so only a connection's own goroutine ever writes to it, and a puller
-// that stops draining its socket delays nobody but itself.
+// else. The reader answers pushes and ready pulls itself and keeps reading
+// while a pull waits for aggregation: a parked pull is a channel receive in
+// a goroutine of its own, which writes the response when the completing
+// push sends on that channel, under the connection's write lock — so
+// responses on one connection may leave in another order than their
+// requests came, only a connection's own goroutines ever write to it, and
+// a puller that stops draining its socket delays nobody but itself.
 //
 // The server is hardened for the live path: application errors are
 // answered with OpErr instead of dropping the connection, a second push
@@ -105,8 +108,8 @@ type Server struct {
 	// rejected instead of leaking.
 	closing atomic.Bool
 
-	// wg covers the accept loops and every connection's serve goroutine;
-	// goroutines counts the same set for Goroutines.
+	// wg covers the accept loops, every connection's serve goroutine and
+	// every parked pull's; goroutines counts the same set for Goroutines.
 	wg         sync.WaitGroup
 	goroutines atomic.Int64
 }
@@ -202,8 +205,6 @@ func unref(free *recycle.List[*agg], a *agg) {
 type serverInstruments struct {
 	pushes        *metrics.Counter
 	pulls         *metrics.Counter
-	batches       *metrics.Counter
-	batchedMsgs   *metrics.Counter
 	dedupHits     *metrics.Counter
 	rejects       *metrics.Counter
 	replayedPulls *metrics.Counter
@@ -230,8 +231,6 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 		s.inst = serverInstruments{
 			pushes:        reg.Counter("netps_server_pushes_total"),
 			pulls:         reg.Counter("netps_server_pulls_total"),
-			batches:       reg.Counter("netps_server_batches_total"),
-			batchedMsgs:   reg.Counter("netps_server_batched_msgs_total"),
 			dedupHits:     reg.Counter("netps_server_dedup_hits_total"),
 			rejects:       reg.Counter("netps_server_rejects_total"),
 			replayedPulls: reg.Counter("netps_server_replayed_pulls_total"),
@@ -345,23 +344,31 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // srvConn is one accepted connection's server-side state. Only its serve
-// goroutine reads or writes the connection; Server.Close only closes it. A
-// request's payload is a view of the connection's read buffer, consumed
+// goroutine reads the connection, and it and the connection's parked pulls
+// write it, one response at a time under wmu; Server.Close only closes it.
+// A request's payload is a view of the connection's read buffer, consumed
 // before the next read; vals is processPush's decode scratch.
 type srvConn struct {
 	s    *Server
 	conn *wire.Conn
 	vals []float32
+	wmu  sync.Mutex
 }
 
 // write frames and writes one response under the server's write deadline
-// (one writev for header + payload). On failure the caller must drop the
-// connection — framing may be torn mid-frame.
+// (one writev for header + payload). On failure it drops the connection —
+// framing may be torn mid-frame.
 func (sc *srvConn) write(m message) error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
 	if d := sc.s.writeTimeout; d > 0 {
 		sc.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	return sc.conn.WriteFrame(m.Header, m.Payload)
+	err := sc.conn.WriteFrame(m.Header, m.Payload)
+	if err != nil {
+		sc.close()
+	}
+	return err
 }
 
 // close removes the connection from the server's table and closes the
@@ -375,8 +382,9 @@ func (sc *srvConn) close() {
 	sc.conn.Close()
 }
 
-// serve is the connection's request loop: read one frame, answer it,
-// repeat until the peer hangs up, a frame is malformed, or a write fails —
+// serve is the connection's request loop: read one frame, answer it —
+// or, for a pull that must wait, leave it to a goroutine of its own —
+// repeat until the peer hangs up, a frame is malformed, or a write fails,
 // then drop the connection.
 func (s *Server) serve(sc *srvConn) {
 	defer sc.close()
@@ -407,30 +415,25 @@ func (s *Server) serve(sc *srvConn) {
 			}
 		case OpPull:
 			result, wait, errResp := s.resolvePull(req)
-			if wait != nil {
-				if result = <-wait; result == nil {
-					// Woken by Close: fail the pull instead of hanging.
-					m := s.rejectMsg(req, errServerClosed)
-					errResp = &m
-				}
-			}
-			if errResp != nil {
+			switch {
+			case errResp != nil:
 				if sc.write(*errResp) != nil {
 					return
 				}
-				continue
-			}
-			if sc.write(pullResp(req, result)) != nil {
-				sh := s.shard(req.Key) // not served: only drop the reference
-				sh.mu.Lock()
-				unref(&sh.aggFree, result)
-				sh.mu.Unlock()
-				return
-			}
-			s.countPullServed(req, result)
-		case OpBatch:
-			if !s.serveBatch(sc, req) {
-				return
+			case wait != nil:
+				// This goroutine's own wg count is held, so Add cannot race
+				// the Wait in Close.
+				s.wg.Add(1)
+				s.goroutines.Add(1)
+				go func(h wire.Header) {
+					defer s.wg.Done()
+					defer s.goroutines.Add(-1)
+					sc.answer(h, <-wait)
+				}(req.Header)
+			default:
+				if !sc.answer(req.Header, result) {
+					return
+				}
 			}
 		default:
 			// Protocol error: tell the peer, then drop the connection —
@@ -441,36 +444,24 @@ func (s *Server) serve(sc *srvConn) {
 	}
 }
 
-// serveBatch answers a coalesced OpBatch frame: every sub-push runs
-// through the same logic as a singleton (including per-sub-push replay
-// deduplication), anything else is rejected individually, then exactly one
-// OpBatch response carrying the framed sub-responses is written. Reports
-// whether the connection is still healthy.
-func (s *Server) serveBatch(sc *srvConn, req message) bool {
-	subs, err := decodeBatch(req.Payload)
-	if err != nil {
-		// The envelope frame was well-formed, so the stream stays in sync.
-		return sc.write(s.rejectMsg(req, "malformed batch: "+err.Error())) == nil
+// answer writes the response to the pull h with its resolved aggregate —
+// nil when Close woke it, which fails the pull instead of hanging — and
+// then counts it served. It reports whether the connection still stands.
+func (sc *srvConn) answer(h wire.Header, result *agg) bool {
+	s := sc.s
+	req := message{Header: h}
+	if result == nil {
+		return sc.write(s.rejectMsg(req, errServerClosed)) == nil
 	}
-	s.inst.batches.Inc()
-	s.inst.batchedMsgs.Add(uint64(len(subs)))
-	resps := make([]message, len(subs))
-	for i, sub := range subs {
-		if Op(sub.Op) != OpPush {
-			// Pulls (a batch must not wait on aggregation) and nested
-			// batches (one level of coalescing only).
-			resps[i] = s.rejectMsg(sub, "unbatchable op")
-			continue
-		}
-		resp, wake, result := s.processPush(sub, &sc.vals)
-		s.wake(wake, result)
-		resps[i] = resp
-	}
-	payload, err := encodeBatch(resps)
-	if err != nil {
+	if sc.write(pullResp(req, result)) != nil {
+		sh := s.shard(h.Key) // not served: only drop the reference
+		sh.mu.Lock()
+		unref(&sh.aggFree, result)
+		sh.mu.Unlock()
 		return false
 	}
-	return sc.write(newMessage(OpBatch, req.Key, req.Iter, req.Seq, payload)) == nil
+	s.countPullServed(req, result)
+	return true
 }
 
 // rejectMsg builds an OpErr response and counts the rejection.
@@ -493,9 +484,8 @@ func pullResp(req message, a *agg) message {
 }
 
 // processPush applies one push and returns its response (ack or OpErr)
-// plus any parked pulls to wake with the completed aggregate. Shared by
-// the singleton and batch paths; the caller wakes the waiters (outside the
-// shard lock) and writes the response. A codec-bearing push is decoded into
+// plus any parked pulls to wake with the completed aggregate; the caller
+// wakes the waiters (outside the shard lock) and writes the response. A codec-bearing push is decoded into
 // the caller's scratch.
 func (s *Server) processPush(req message, scratch *[]float32) (resp message, wake []chan *agg, result *agg) {
 	s.inst.pushes.Inc()
@@ -621,7 +611,7 @@ func (sh *shard) encodeEntry(e *entry) *agg {
 
 // wake delivers a to every parked pull in waiters; a nil payload means the
 // server closed. Each channel is buffered and sent to exactly once, so
-// this never blocks: the puller's own goroutine writes the response.
+// this never blocks: the parked pull's own goroutine writes the response.
 func (s *Server) wake(waiters []chan *agg, a *agg) {
 	for _, ch := range waiters {
 		s.inst.parkedPulls.Dec()
@@ -641,7 +631,7 @@ func (s *Server) park(e *entry) chan *agg {
 // channel to wait on, or an error response. The channel is registered
 // under the shard lock and receives exactly one value, from the completing
 // push or — with a nil payload — from Close. A payload holds a reference,
-// dropped by countPullServed or, if the write failed, by serve.
+// dropped by countPullServed or, if the write failed, by answer.
 func (s *Server) resolvePull(req message) (result *agg, wait chan *agg, errResp *message) {
 	s.inst.pulls.Inc()
 	sh := s.shard(req.Key)
@@ -719,8 +709,7 @@ func (s *Server) countPullServed(req message, a *agg) {
 // Outstanding returns the number of live aggregation entries (leak check).
 // An entry is reclaimed after its last pull's response is written (see
 // countPullServed), so right after a Pull returns the count may still
-// include that entry; it is exact once that connection's next request has
-// been answered, or Close has returned.
+// include that entry for a moment; it is exact once Close has returned.
 func (s *Server) Outstanding() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -732,11 +721,11 @@ func (s *Server) Outstanding() int {
 }
 
 // Goroutines returns the server's current goroutine count: one per accept
-// loop plus one per live connection.
+// loop, one per live connection, and one per pull parked on aggregation.
 func (s *Server) Goroutines() int64 { return s.goroutines.Load() }
 
 // Close stops the listener, fails every blocked pull waiter, closes open
-// connections, and waits for the serve goroutines. Workers blocked in Pull
+// connections, and waits for the serve and parked-pull goroutines. Workers blocked in Pull
 // receive an error instead of hanging forever — the graceful half of the
 // failure story; the client-side retry/backoff is the other half.
 func (s *Server) Close() error {
@@ -757,7 +746,7 @@ func (s *Server) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
-	// Fail blocked pull waiters: a nil payload tells each parked serve
+	// Fail blocked pull waiters: a nil payload tells each parked pull's
 	// goroutine the server closed. closing is already set, so no new
 	// waiter can park after this sweep.
 	var parked []chan *agg

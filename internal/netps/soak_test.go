@@ -106,7 +106,8 @@ func TestSoak256Clients(t *testing.T) {
 
 // TestServeOverPipe exercises the serve loop end to end over net.Pipe — no
 // sockets, no listener, any net.Conn: pushes, ready pulls, parked pulls
-// completed by another connection, batches, and an unknown op.
+// completed by another connection, a push and its pull pipelined in one
+// write, and an unknown op.
 func TestServeOverPipe(t *testing.T) {
 	srv, err := NewServer(2, func(s *Server) { s.shardCount = 2 })
 	if err != nil {
@@ -143,7 +144,7 @@ func TestServeOverPipe(t *testing.T) {
 	}
 
 	// Worker A pushes; its pull parks until worker B's push completes the
-	// aggregate — A's serve goroutine waits on a channel meanwhile.
+	// aggregate — a goroutine of A's connection waits on a channel meanwhile.
 	if resp := rt(a, newMessage(OpPush, "w", 1, 1<<32|1, f32(1))); Op(resp.Op) != OpPush {
 		t.Fatalf("push A: %+v", resp)
 	}
@@ -164,25 +165,24 @@ func TestServeOverPipe(t *testing.T) {
 		t.Fatalf("parked pull payload = %v (%v), want [5]", resp.Payload, err)
 	}
 
-	// A batch of pushes; worker B's push completes the aggregate, which A
-	// then pulls ready.
-	payload, err := encodeBatch([]message{newMessage(OpPush, "x", 1, 1<<32|3, f32(2))})
-	if err != nil {
+	// A push and its pull back to back in one write, as a client's writer
+	// sends what queued behind it: the push is acknowledged while the pull
+	// parks, and worker B's push completes the aggregate it waits on.
+	if _, err := a.Write(stream(t, newMessage(OpPush, "x", 1, 1<<32|3, f32(2)), newMessage(OpPull, "x", 1, 1<<32|4, nil))); err != nil {
 		t.Fatal(err)
 	}
-	env := rt(a, newMessage(OpBatch, "", 0, 1<<32|5, payload))
-	if Op(env.Op) != OpBatch {
-		t.Fatalf("batch envelope: %+v", env)
-	}
-	if resps, err := decodeBatch(env.Payload); err != nil || len(resps) != 1 || Op(resps[0].Op) != OpPush {
-		t.Fatalf("batch decode: %v (%v), want one push ack", resps, err)
+	if resp, err := readMsg(a); err != nil || Op(resp.Op) != OpPush || resp.Seq != 1<<32|3 {
+		t.Fatalf("push ahead of a parked pull answered %+v (%v), want its ack", resp, err)
 	}
 	if resp := rt(b, newMessage(OpPush, "x", 1, 2<<32|2, f32(3))); Op(resp.Op) != OpPush {
 		t.Fatalf("push B x: %+v", resp)
 	}
-	resp = rt(a, newMessage(OpPull, "x", 1, 1<<32|4, nil))
-	if vals, err := wire.Floats(nil, resp.Header, resp.Payload); err != nil || len(vals) != 1 || vals[0] != 5 {
-		t.Fatalf("pull after batch = %v (%v), want [5]", vals, err)
+	resp, err = readMsg(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals, err := wire.Floats(nil, resp.Header, resp.Payload); err != nil || resp.Seq != 1<<32|4 || len(vals) != 1 || vals[0] != 5 {
+		t.Fatalf("pipelined pull = %v (%v), want [5]", vals, err)
 	}
 
 	// Worker B drains its pulls so both entries reclaim.

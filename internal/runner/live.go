@@ -239,6 +239,12 @@ func (c LiveConfig) Validate() error {
 	if err := c.Policy.Validate(); err != nil {
 		return err
 	}
+	if c.Backend == LiveBackendRing && c.Policy.MaxRetries > 0 {
+		// A retried AllReduceInto re-sends segments its successor already
+		// consumed, then waits for segments its predecessor will not
+		// resend: the collective cannot be aborted and restarted yet.
+		return fmt.Errorf("runner: the ring backend cannot retry a collective (retry budget %d)", c.Policy.MaxRetries)
+	}
 	if c.Policy.PartitionUnit%4 != 0 {
 		return fmt.Errorf("runner: partition unit %d is not a multiple of 4", c.Policy.PartitionUnit)
 	}

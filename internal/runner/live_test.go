@@ -329,6 +329,7 @@ func TestRunLiveValidation(t *testing.T) {
 		{"too few iterations", func(c *LiveConfig) { c.Iterations = c.Warmup + 1 }},
 		{"bad backend", func(c *LiveConfig) { c.Backend = LiveBackend(99) }},
 		{"ragged fuse theta", func(c *LiveConfig) { c.FuseTheta = 6 }},
+		{"retried ring collective", func(c *LiveConfig) { c.Policy = c.Policy.WithMaxRetries(1) }},
 	} {
 		cfg := good
 		tc.mut(&cfg)
@@ -338,6 +339,12 @@ func TestRunLiveValidation(t *testing.T) {
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+	// The PS transport's retries re-send a push the server deduplicates.
+	ps := liveBase(LiveBackendPS)
+	ps.Policy = ps.Policy.WithMaxRetries(1)
+	if err := ps.Validate(); err != nil {
+		t.Fatalf("PS config with a retry budget rejected: %v", err)
 	}
 }
 

@@ -2,9 +2,10 @@
 // contract under fuzz: arbitrary bytes may produce an error but never a
 // panic; the reader never allocates a payload the input did not actually
 // carry (the capped-preallocation property); an accepted frame re-encodes
-// to exactly the bytes it was read from, through WriteFrame and Append
-// alike, and Next agrees with Read; a Conn, reading the input's consecutive
-// frames through its one reused, dirty buffer, agrees with Next frame by
+// to exactly the bytes it was read from, and parse — the layout spelled
+// out independently over a byte slice — agrees with Read; a Conn, reading
+// the input's consecutive frames through its one reused, dirty buffer,
+// agrees with parse frame by
 // frame, never lets a payload reach past its own length into the buffer,
 // and allocates no more than Read may on a length prefix backed by
 // nothing; and the payload envelope decoder rejects
@@ -24,6 +25,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"bytescheduler/internal/compress"
@@ -82,6 +84,38 @@ func stream(t testing.TB, frames []seed) []byte {
 	return b
 }
 
+// parse is the frame layout spelled out over a byte slice, independently
+// of the streaming reader: it parses the frame at the front of buf and
+// returns it with the unparsed remainder. The payload aliases buf.
+func parse(buf []byte) (h Header, payload, rest []byte, err error) {
+	if len(buf) < fixedLen {
+		return Header{}, nil, nil, errors.New("truncated header")
+	}
+	h = Header{
+		Op: buf[0], Codec: buf[1],
+		Iter:  binary.BigEndian.Uint32(buf[2:]),
+		Seq:   binary.BigEndian.Uint64(buf[6:]),
+		Step:  binary.BigEndian.Uint16(buf[14:]),
+		Chunk: binary.BigEndian.Uint16(buf[16:]),
+		Orig:  binary.BigEndian.Uint32(buf[18:]),
+	}
+	keyLen := int(binary.BigEndian.Uint16(buf[22:]))
+	buf = buf[fixedLen:]
+	if len(buf) < keyLen+4 {
+		return Header{}, nil, nil, errors.New("truncated key")
+	}
+	h.Key = string(buf[:keyLen])
+	n := binary.BigEndian.Uint32(buf[keyLen:])
+	buf = buf[keyLen+4:]
+	if n > MaxMessage || uint64(len(buf)) < uint64(n) {
+		return Header{}, nil, nil, errors.New("truncated payload")
+	}
+	if n > 0 {
+		payload = buf[:n:n]
+	}
+	return h, payload, buf[n:], nil
+}
+
 func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(f, Header{Op: 1, Iter: 3, Seq: 9, Key: "w0/L07[0/4]"}, []byte{1, 2, 3, 4}))
@@ -107,15 +141,15 @@ func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readStream(t, data)
 		h, payload, err := Read(bytes.NewReader(data))
-		nh, npayload, rest, nerr := Next(data)
+		nh, npayload, rest, nerr := parse(data)
 		if (err == nil) != (nerr == nil) {
-			t.Fatalf("Read err = %v, Next err = %v", err, nerr)
+			t.Fatalf("Read err = %v, parse err = %v", err, nerr)
 		}
 		if err != nil {
 			return // rejected input: fine, as long as it did not panic
 		}
 		if nh != h || !bytes.Equal(npayload, payload) {
-			t.Fatalf("Read and Next disagree: %+v (%d bytes) vs %+v (%d bytes)", h, len(payload), nh, len(npayload))
+			t.Fatalf("Read and parse disagree: %+v (%d bytes) vs %+v (%d bytes)", h, len(payload), nh, len(npayload))
 		}
 		// The payload can never exceed what the input actually carried.
 		if len(payload) > len(data) {
@@ -125,9 +159,6 @@ func FuzzRead(f *testing.F) {
 		consumed := data[:len(data)-len(rest)]
 		if re := frame(t, h, payload); !bytes.Equal(re, consumed) {
 			t.Fatalf("WriteFrame round trip diverged:\n in  %x\n out %x", consumed, re)
-		}
-		if re, err := Append(nil, h, payload); err != nil || !bytes.Equal(re, consumed) {
-			t.Fatalf("Append round trip diverged (%v):\n in  %x\n out %x", err, consumed, re)
 		}
 		vals, err := Floats(nil, h, payload)
 		if h.Codec != 0 {
@@ -154,15 +185,15 @@ func readStream(t *testing.T, data []byte) {
 			buf := c.rbuf
 			dirty(buf)
 			h, payload, err := c.ReadFrame()
-			nh, npayload, nrest, nerr := Next(rest)
+			nh, npayload, nrest, nerr := parse(rest)
 			if (err == nil) != (nerr == nil) {
-				t.Fatalf("frame at %d: ReadFrame err = %v, Next err = %v", len(data)-len(rest), err, nerr)
+				t.Fatalf("frame at %d: ReadFrame err = %v, parse err = %v", len(data)-len(rest), err, nerr)
 			}
 			if err != nil {
 				return
 			}
 			if nh != h || !bytes.Equal(npayload, payload) {
-				t.Fatalf("frame at %d: ReadFrame and Next disagree: %+v (%d bytes) vs %+v (%d bytes)",
+				t.Fatalf("frame at %d: ReadFrame and parse disagree: %+v (%d bytes) vs %+v (%d bytes)",
 					len(data)-len(rest), h, len(payload), nh, len(npayload))
 			}
 			if n := len(payload); n > 0 && n <= cap(buf) {
@@ -171,8 +202,8 @@ func readStream(t *testing.T, data []byte) {
 						len(data)-len(rest), n, cap(payload), cap(buf))
 				}
 			}
-			if re, err := Append(nil, h, payload); err != nil || !bytes.Equal(re, rest[:len(rest)-len(nrest)]) {
-				t.Fatalf("frame at %d re-encodes differently (%v)", len(data)-len(rest), err)
+			if re := frame(t, h, payload); !bytes.Equal(re, rest[:len(rest)-len(nrest)]) {
+				t.Fatalf("frame at %d re-encodes differently", len(data)-len(rest))
 			}
 			rest = nrest
 		}

@@ -15,20 +15,19 @@
 // and are built from one commit: the format carries no version and no
 // cross-version compatibility is promised.
 //
-// A Conn owns everything one connection frames with. A frame costs one
-// write: WriteFrame stages the header in the Conn's own buffer and hands
-// header and payload to the kernel in a single writev (net.Buffers), which
-// only works on the raw net.Conn — a wrapper type silently degrades it to
-// one write per buffer. A frame costs (at most) one read through the Conn's
-// bufio.Reader, and the reader never trusts a length prefix further than
-// the bytes that actually arrive.
+// A Conn owns everything one connection frames with. Frames cost one write
+// per batch: Stage puts a frame's header in the Conn's own buffer, and
+// Flush hands every staged header and payload to the kernel in a single
+// writev (net.Buffers), which only works on the raw net.Conn — a wrapper
+// type silently degrades it to one write per buffer. A frame costs (at
+// most) one read through the Conn's bufio.Reader, and the reader never
+// trusts a length prefix further than the bytes that actually arrive.
 package wire
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -77,9 +76,6 @@ type Header struct {
 	Key string
 }
 
-// Size returns the framed length of h with a payload of n bytes.
-func Size(h Header, n int) int { return fixedLen + len(h.Key) + 4 + n }
-
 // check enforces the write-side limits.
 func check(h Header, n int) error {
 	if len(h.Key) > maxKey {
@@ -126,10 +122,12 @@ type Conn struct {
 	net.Conn
 	br         *bufio.Reader
 	rhdr, rbuf []byte
-	whdr       []byte
-	vec        [2][]byte
+	// whdr holds the staged frames' headers back to back, and vec the
+	// writev vector over them and their payloads.
+	whdr []byte
+	vec  [][]byte
 	// bufs is the slice header WriteTo consumes; it lives here rather than
-	// on WriteFrame's stack because WriteTo's receiver escapes.
+	// on Flush's stack because WriteTo's receiver escapes.
 	bufs net.Buffers
 }
 
@@ -137,26 +135,52 @@ type Conn struct {
 // and Close.
 func NewConn(c net.Conn) *Conn { return &Conn{Conn: c, br: bufio.NewReaderSize(c, 4096)} }
 
-// WriteFrame frames h and payload onto the raw connection: one Write when
-// the payload is empty, otherwise one scatter-gather write (a single
-// writev) — the payload is never copied into the header buffer.
+// WriteFrame frames h and payload onto the raw connection: Stage, then
+// Flush.
 func (c *Conn) WriteFrame(h Header, payload []byte) error {
+	if err := c.Stage(h, payload); err != nil {
+		return err
+	}
+	return c.Flush()
+}
+
+// Stage adds one frame to the next Flush, or refuses it — staging nothing
+// — when its key or payload is over the limit. The payload is not copied:
+// it must stay unchanged until Flush returns.
+func (c *Conn) Stage(h Header, payload []byte) error {
 	if err := check(h, len(payload)); err != nil {
 		return err
 	}
-	c.whdr = appendHeader(c.whdr[:0], h, len(payload))
-	if len(payload) == 0 {
-		_, err := c.Conn.Write(c.whdr)
-		return err
+	// A header already in vec keeps its bytes if whdr grows: append never
+	// writes into the array it outgrew.
+	from := len(c.whdr)
+	c.whdr = appendHeader(c.whdr, h, len(payload))
+	if c.vec = append(c.vec, c.whdr[from:]); len(payload) > 0 {
+		c.vec = append(c.vec, payload)
 	}
-	// WriteTo consumes the Buffers it is called on — it advances the slice
-	// to zero length AND zero capacity. So the Conn keeps the backing array
-	// (vec) and every write re-slices it; keeping the consumed slice itself
-	// would make every frame reallocate the two-element array.
-	c.vec[0], c.vec[1] = c.whdr, payload
-	c.bufs = c.vec[:]
-	_, err := c.bufs.WriteTo(c.Conn)
-	c.vec[1] = nil // drop the payload reference
+	return nil
+}
+
+// Flush writes every staged frame in one scatter-gather write (a single
+// writev; one Write for a lone header) and unstages them, whether or not
+// the write succeeded. Payloads are never copied into the header buffer.
+func (c *Conn) Flush() error {
+	var err error
+	switch len(c.vec) {
+	case 0:
+		return nil
+	case 1:
+		_, err = c.Conn.Write(c.vec[0])
+	default:
+		// WriteTo consumes the Buffers it is called on — it advances the
+		// slice to zero length AND zero capacity. So the Conn keeps the
+		// backing array (vec) and every flush re-slices it; keeping the
+		// consumed slice itself would make every flush reallocate it.
+		c.bufs = c.vec
+		_, err = c.bufs.WriteTo(c.Conn)
+	}
+	clear(c.vec) // drop the payload references
+	c.whdr, c.vec = c.whdr[:0], c.vec[:0]
 	return err
 }
 
@@ -182,38 +206,6 @@ func (c *Conn) Await() error {
 	return err
 }
 
-// Append frames h and payload onto dst (the same bytes WriteFrame emits)
-// and returns the extended slice — how OpBatch-style envelopes are built.
-func Append(dst []byte, h Header, payload []byte) ([]byte, error) {
-	if err := check(h, len(payload)); err != nil {
-		return dst, err
-	}
-	return append(appendHeader(dst, h, len(payload)), payload...), nil
-}
-
-// Next parses the frame at the front of buf (the inverse of Append) and
-// returns it with the unparsed remainder. The payload aliases buf.
-func Next(buf []byte) (h Header, payload, rest []byte, err error) {
-	if len(buf) < fixedLen {
-		return Header{}, nil, nil, errors.New("wire: truncated header")
-	}
-	h, keyLen := parseFixed(buf)
-	buf = buf[fixedLen:]
-	if len(buf) < keyLen+4 {
-		return Header{}, nil, nil, errors.New("wire: truncated key")
-	}
-	h.Key = string(buf[:keyLen])
-	n := binary.BigEndian.Uint32(buf[keyLen:])
-	buf = buf[keyLen+4:]
-	if n > MaxMessage || uint64(len(buf)) < uint64(n) {
-		return Header{}, nil, nil, errors.New("wire: truncated payload")
-	}
-	if n > 0 {
-		payload = buf[:n:n]
-	}
-	return h, payload, buf[n:], nil
-}
-
 // Read reads one frame from a reader no Conn owns into a payload of its
 // own.
 func Read(r io.Reader) (Header, []byte, error) { return new(Conn).read(r) }
@@ -230,7 +222,7 @@ func (c *Conn) read(r io.Reader) (Header, []byte, error) {
 	h, keyLen := parseFixed(c.rhdr)
 	c.rhdr = slices.Grow(c.rhdr[:0], keyLen+4)[:keyLen+4]
 	if _, err := io.ReadFull(r, c.rhdr); err != nil {
-		return Header{}, nil, err
+		return Header{}, nil, truncated(err)
 	}
 	h.Key = string(c.rhdr[:keyLen])
 	n := binary.BigEndian.Uint32(c.rhdr[keyLen:])
@@ -239,12 +231,21 @@ func (c *Conn) read(r io.Reader) (Header, []byte, error) {
 	}
 	payload, err := readPayload(r, int(n), c.rbuf)
 	if err != nil {
-		return Header{}, nil, err
+		return Header{}, nil, truncated(err)
 	}
 	if cap(payload) > cap(c.rbuf) && cap(payload) <= maxPrealloc {
 		c.rbuf = payload[:0]
 	}
 	return h, payload, nil
+}
+
+// truncated reports a stream that ends inside a frame as
+// io.ErrUnexpectedEOF: only a stream that ends between frames is io.EOF.
+func truncated(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // readPayload reads exactly n payload bytes, into buf when they fit.
@@ -265,9 +266,6 @@ func readPayload(r io.Reader, n int, buf []byte) ([]byte, error) {
 		var b bytes.Buffer
 		b.Grow(maxPrealloc)
 		if _, err := io.CopyN(&b, r, int64(n)); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
 			return nil, err
 		}
 		return b.Bytes(), nil

@@ -57,7 +57,9 @@ func dirty(buf []byte) {
 func isDirty(b []byte) bool { return bytes.Count(b, []byte{0xa5}) == len(b) }
 
 // TestRoundTrip sends random headers with payload lengths on both sides of
-// the prealloc cap through WriteFrame→Read and Append→Next.
+// the prealloc cap through WriteFrame→Read, and through Stage→Flush with
+// an empty frame between two copies: one flush must put exactly the three
+// frames' bytes on the wire, and parse must read them back.
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, maxPrealloc - 1, maxPrealloc, maxPrealloc + 1} {
@@ -70,8 +72,8 @@ func TestRoundTrip(t *testing.T) {
 		rng.Read(payload)
 
 		wire := frame(t, h, payload)
-		if len(wire) != Size(h, n) {
-			t.Fatalf("payload %d: frame is %d bytes, Size says %d", n, len(wire), Size(h, n))
+		if want := fixedLen + len(h.Key) + 4 + n; len(wire) != want {
+			t.Fatalf("payload %d: frame is %d bytes, want %d", n, len(wire), want)
 		}
 		// Two frames back to back: Read must consume exactly one.
 		r := bytes.NewReader(append(slices.Clone(wire), wire...))
@@ -88,19 +90,35 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("payload %d: third Read = %v, want io.EOF", n, err)
 		}
 
-		buf, err := Append([]byte("prefix"), h, payload)
-		if err != nil {
+		empty := Header{Op: 9, Key: "ack"}
+		var flushed bytes.Buffer
+		c := NewConn(sink{w: &flushed})
+		for _, f := range []struct {
+			h Header
+			p []byte
+		}{{h, payload}, {empty, nil}, {h, payload}} {
+			if err := c.Stage(f.h, f.p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf[6:], wire) {
-			t.Fatalf("payload %d: Append and WriteFrame disagree on the bytes", n)
+		want := append(append(slices.Clone(wire), frame(t, empty, nil)...), wire...)
+		if !bytes.Equal(flushed.Bytes(), want) {
+			t.Fatalf("payload %d: one Flush of three staged frames differs from three WriteFrames", n)
 		}
-		gotH, gotP, rest, err := Next(append(buf[6:], 0xee))
-		if err != nil {
-			t.Fatalf("payload %d: Next: %v", n, err)
+		rest := flushed.Bytes()
+		for i, wantH := range []Header{h, empty, h} {
+			var gotH Header
+			var gotP []byte
+			var err error
+			if gotH, gotP, rest, err = parse(rest); err != nil || gotH != wantH || (wantH == h && !bytes.Equal(gotP, payload)) {
+				t.Fatalf("payload %d: flushed frame %d parsed as %+v (%d bytes, %v)", n, i, gotH, len(gotP), err)
+			}
 		}
-		if gotH != h || !bytes.Equal(gotP, payload) || !bytes.Equal(rest, []byte{0xee}) {
-			t.Fatalf("payload %d: Next returned %+v (%d bytes, rest %x)", n, gotH, len(gotP), rest)
+		if len(rest) != 0 {
+			t.Fatalf("payload %d: %d bytes after the three flushed frames", n, len(rest))
 		}
 	}
 }
@@ -110,7 +128,7 @@ func TestRoundTrip(t *testing.T) {
 // without the race detector: the staging belongs to the connection, so
 // nothing is ever dropped and rebuilt. net.Buffers.WriteTo consumes its
 // receiver down to zero length AND zero capacity, so keeping the consumed
-// slice would reallocate the two-element array every frame; the Conn keeps
+// slice would reallocate the vector every frame; the Conn keeps
 // the backing array instead. The count is process-wide, so another
 // goroutine's allocation may land in a round of frames; a per-frame one
 // lands in every round.
@@ -242,8 +260,8 @@ func TestRejects(t *testing.T) {
 	if err := c.WriteFrame(longKey, nil); err == nil {
 		t.Fatal("WriteFrame accepted a 65 536-byte key")
 	}
-	if _, err := Append(nil, longKey, nil); err == nil {
-		t.Fatal("Append accepted a 65 536-byte key")
+	if err := c.Stage(longKey, nil); err == nil {
+		t.Fatal("Stage accepted a 65 536-byte key")
 	}
 	if err := c.WriteFrame(Header{Key: strings.Repeat("k", maxKey)}, nil); err != nil {
 		t.Fatalf("WriteFrame refused a 65 535-byte key: %v", err)
@@ -252,8 +270,16 @@ func TestRejects(t *testing.T) {
 	if err := c.WriteFrame(Header{}, huge); err == nil {
 		t.Fatal("WriteFrame accepted a payload above MaxMessage")
 	}
-	if _, err := Append(nil, Header{}, huge); err == nil {
-		t.Fatal("Append accepted a payload above MaxMessage")
+	if err := c.Stage(Header{}, huge); err == nil {
+		t.Fatal("Stage accepted a payload above MaxMessage")
+	}
+	// Refused frames staged nothing: the next flush carries one empty frame.
+	var b bytes.Buffer
+	c = NewConn(sink{w: &b})
+	c.Stage(longKey, nil)   //nolint:errcheck // refused above
+	c.Stage(Header{}, huge) //nolint:errcheck // refused above
+	if err := c.WriteFrame(Header{Op: 1}, nil); err != nil || !bytes.Equal(b.Bytes(), frame(t, Header{Op: 1}, nil)) {
+		t.Fatalf("a refused frame was staged: flushed %d bytes (%v)", b.Len(), err)
 	}
 
 	wire := frame(t, Header{Op: 1, Key: "key"}, []byte{1, 2, 3, 4})
@@ -265,8 +291,11 @@ func TestRejects(t *testing.T) {
 		if cut == 0 && err != io.EOF {
 			t.Fatalf("Read of an empty stream = %v, want the clean io.EOF", err)
 		}
-		if _, _, _, err := Next(wire[:cut]); err == nil {
-			t.Fatalf("Next accepted a frame truncated at %d of %d", cut, len(wire))
+		if cut > 0 && err != io.ErrUnexpectedEOF {
+			t.Fatalf("Read of a frame cut at %d = %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+		if _, _, _, err := parse(wire[:cut]); err == nil {
+			t.Fatalf("parse accepted a frame truncated at %d of %d", cut, len(wire))
 		}
 	}
 
@@ -283,8 +312,8 @@ func TestRejects(t *testing.T) {
 		if grew > 4*maxPrealloc { // the cap plus slack, far from the 512 MB advertised
 			t.Fatalf("Read allocated %d bytes chasing a %d-byte length prefix", grew, n)
 		}
-		if _, _, _, err := Next(lying); err == nil {
-			t.Fatalf("Next accepted a %d-byte length prefix backed by nothing", n)
+		if _, _, _, err := parse(lying); err == nil {
+			t.Fatalf("parse accepted a %d-byte length prefix backed by nothing", n)
 		}
 	}
 }

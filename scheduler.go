@@ -156,14 +156,11 @@ func (s *Scheduler) SetTrace(t *TraceRecorder) { s.async.SetTracer(t.wallTracer(
 
 // SetFlushHook installs fn to run at the end of every scheduling pass that
 // released at least one partition — the scheduler's signal that no further
-// release is imminent (queue drained or credit blocked). A transport that
-// coalesces sub-partition messages uses this as its flush point: pair a
-// netps.Batcher with the scheduler by pushing partitions through
-// Batcher.Push inside CommTask.StartErr and installing
-// SetFlushHook(batcher.FlushAsync), so batches amortize the per-message
-// overhead without waiting out the batch deadline. fn runs under the
-// scheduler's lock: it must not call back into the scheduler and must not
-// block on I/O (FlushAsync is safe; Flush is not). Passing nil detaches.
+// release is imminent (queue drained or credit blocked). The live PS
+// transport does not need it: its client writes whatever partitions queued
+// behind a write in the next single writev, so nothing waits for a flush.
+// fn runs under the scheduler's lock: it must not call back into the
+// scheduler and must not block on I/O. Passing nil detaches.
 func (s *Scheduler) SetFlushHook(fn func()) { s.async.SetFlushHook(fn) }
 
 // Drained reports whether nothing is queued or in flight.
