@@ -6,9 +6,12 @@ package compress
 // plus the original (uncompressed) byte length in their envelopes so any
 // receiver can decode without out-of-band configuration.
 //
-// Wire formats (all big-endian, matching the transports' fp32 framing):
+// Wire formats. The identity payload is little-endian, so on every
+// supported host it is the []float32's memory and costs one memmove per
+// hop (fp32.go); the other payloads' integers and floats are big-endian,
+// like the frame header around them:
 //
-//	identity  4n bytes: n fp32 values
+//	identity  4n bytes: n fp32 values, little-endian
 //	fp16      2n bytes: n IEEE-754 binary16 values (round-to-nearest-even)
 //	int8      4+n bytes: fp32 scale, then n int8 quanta; v ≈ scale*q with
 //	          scale = maxAbs/127 (QSGD-style symmetric per-tensor scale)
@@ -196,10 +199,7 @@ func (c Codec) AppendEncode(dst []byte, v []float32) []byte {
 	case CodecTopK:
 		return c.appendTopK(dst, v)
 	default:
-		for _, x := range v {
-			dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(x))
-		}
-		return dst
+		return appendRaw(dst, v)
 	}
 }
 
@@ -225,13 +225,7 @@ func (c Codec) AppendDecode(dst []float32, payload []byte, n int) ([]float32, er
 	case CodecTopK:
 		return decodeTopK(dst, payload, n)
 	default:
-		if len(payload) != 4*n {
-			return dst, fmt.Errorf("compress: fp32 payload %dB for %d elements", len(payload), n)
-		}
-		for i := 0; i < n; i++ {
-			dst = append(dst, math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:])))
-		}
-		return dst, nil
+		return decodeRaw(dst, payload, n)
 	}
 }
 

@@ -169,7 +169,7 @@ func TestRingBufferOwnership(t *testing.T) {
 			want        [2]float32
 		}{{0, 1, [2]float32{2, 3}}, {1, 0, [2]float32{4, 5}}} {
 			got := make([]float32, 2)
-			if err := p.recvSegment("k", 1, c.step, c.chunk, got); err != nil {
+			if err := p.recvSegment("k", 1, c.step, c.chunk, got, nil); err != nil {
 				t.Fatal(err)
 			}
 			if got[0] != c.want[0] || got[1] != c.want[1] {

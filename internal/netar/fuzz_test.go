@@ -83,27 +83,39 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return // rejected by the frame reader: wire.FuzzRead's territory
 		}
-		p, err := NewPeer(0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		end, _ := net.Pipe() // never read: deliver only takes its buffer
-		defer end.Close()
-		if !p.deliver(wire.NewConn(end), m) {
-			t.Fatal("an empty pending table refused a segment")
-		}
 		want, decodeErr := wire.Floats(nil, m.Header, m.Payload)
-		got := make([]float32, len(want))
-		err = p.recvSegment(m.Key, m.Iter, m.Step, m.Chunk, got)
-		if (err == nil) != (decodeErr == nil) {
-			t.Fatalf("recvSegment err = %v, envelope decode err = %v", err, decodeErr)
-		}
-		if err == nil && !slices.EqualFunc(got, want, sameBits) {
-			t.Fatalf("received %v, frame carried %v", got, want)
-		}
-		if len(p.slots) != 0 {
-			t.Fatalf("%d slots left after the step consumed its segment", len(p.slots))
+		// Received as a gather step decodes it; as a reduce-scatter step
+		// adds it into the accumulator (a raw segment straight from its
+		// read buffer).
+		for _, reduce := range []bool{false, true} {
+			p, err := NewPeer(0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			end, _ := net.Pipe() // never read: deliver only takes its buffer
+			defer end.Close()
+			if !p.deliver(wire.NewConn(end), m) {
+				t.Fatal("an empty pending table refused a segment")
+			}
+			got, sum, scratch := make([]float32, len(want)), slices.Clone(want), []float32(nil)
+			if reduce {
+				for i := range got {
+					got[i] = 0.5
+					sum[i] += 0.5
+				}
+				scratch = make([]float32, len(want))
+			}
+			err = p.recvSegment(m.Key, m.Iter, m.Step, m.Chunk, got, scratch)
+			if (err == nil) != (decodeErr == nil) {
+				t.Fatalf("recvSegment (reduce %v) err = %v, envelope decode err = %v", reduce, err, decodeErr)
+			}
+			if err == nil && !slices.EqualFunc(got, sum, sameBits) {
+				t.Fatalf("received %v (reduce %v), want %v", got, reduce, sum)
+			}
+			if len(p.slots) != 0 {
+				t.Fatalf("%d slots left after the step consumed its segment", len(p.slots))
+			}
 		}
 	})
 }

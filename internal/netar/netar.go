@@ -454,11 +454,13 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 
 // recvSegment blocks until the predecessor's segment for (key, iter, step)
 // arrives, the step timeout fires, or the peer closes, and decodes it into
-// dst. It verifies the received chunk index and length (len(dst) values)
-// against the schedule, catching ring misconfiguration (wrong rank order,
+// dst — or, given a scratch of len(dst), adds it into dst: a raw fp32
+// segment straight from its read buffer, a codec's through the scratch. It
+// verifies the received chunk index and length (len(dst) values) against
+// the schedule, catching ring misconfiguration (wrong rank order,
 // mismatched sizes) at the first step instead of as silently wrong sums; a
 // segment of the wrong length is that error and never written past dst.
-func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint16, dst []float32) error {
+func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint16, dst, scratch []float32) error {
 	k := slotKey{key: key, iter: iter, step: step}
 	s, err := p.waiterSlot(k)
 	if err != nil {
@@ -477,15 +479,28 @@ func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint1
 			return fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
 				step, key, iter, m.Chunk, wantChunk)
 		}
-		// Capacity clipped to len(dst): a longer segment reallocates
-		// instead of overrunning into the neighbouring chunk.
-		vals, err := wire.Floats(dst[:0:len(dst)], m.Header, m.Payload)
-		if err != nil {
-			return fmt.Errorf("netar: step %d of %s#%d: %w", step, key, iter, err)
-		}
-		if len(vals) != len(dst) {
-			return fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",
-				step, key, iter, m.Chunk, len(vals), len(dst))
+		if scratch != nil && m.Codec == 0 && len(m.Payload) == 4*len(dst) {
+			_ = compress.AddRaw(dst, m.Payload) // length checked
+		} else {
+			into := dst
+			if scratch != nil {
+				into = scratch
+			}
+			// Capacity clipped to len(dst): a longer segment reallocates
+			// instead of overrunning into the neighbouring chunk.
+			vals, err := wire.Floats(into[:0:len(dst)], m.Header, m.Payload)
+			if err != nil {
+				return fmt.Errorf("netar: step %d of %s#%d: %w", step, key, iter, err)
+			}
+			if len(vals) != len(dst) {
+				return fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",
+					step, key, iter, m.Chunk, len(vals), len(dst))
+			}
+			if scratch != nil {
+				for i, v := range vals {
+					dst[i] += v
+				}
+			}
 		}
 		p.inst.bytesRecv.Add(uint64(len(m.Payload)))
 		return nil
@@ -572,12 +587,8 @@ func (p *Peer) allReduce(key string, iter uint32, in, out []float32) error {
 			return err
 		}
 		dst := chunk(out, m, recvChunk)
-		vals := scratch[:len(dst)]
-		if err := p.recvSegment(key, iter, uint16(s), uint16(recvChunk), vals); err != nil {
+		if err := p.recvSegment(key, iter, uint16(s), uint16(recvChunk), dst, scratch[:len(dst)]); err != nil {
 			return err
-		}
-		for i, v := range vals {
-			dst[i] += v
 		}
 	}
 	// All-gather: circulate the reduced chunks. At gather step s rank r
@@ -590,7 +601,7 @@ func (p *Peer) allReduce(key string, iter uint32, in, out []float32) error {
 		if err := p.sendSegment(key, iter, step, uint16(sendChunk), chunk(out, m, sendChunk)); err != nil {
 			return err
 		}
-		if err := p.recvSegment(key, iter, step, uint16(recvChunk), chunk(out, m, recvChunk)); err != nil {
+		if err := p.recvSegment(key, iter, step, uint16(recvChunk), chunk(out, m, recvChunk), nil); err != nil {
 			return err
 		}
 	}

@@ -456,7 +456,7 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 	dups := reg.Counter("netar_dup_segments_total")
 	waitCounter(t, dups, 1)
 	got := make([]float32, 2)
-	if err := p.recvSegment("k", 1, 0, 1, got); err != nil {
+	if err := p.recvSegment("k", 1, 0, 1, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 2 || got[1] != 3 {
@@ -467,10 +467,10 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 	}
 }
 
-// TestRecvSegmentWrongLengthInPlace: a segment decodes straight into the
-// chunk of the accumulator it belongs to, so one that is longer or shorter
-// than the chunk must be the length-mismatch error without touching the
-// neighbouring chunk.
+// TestRecvSegmentWrongLengthInPlace: a segment decodes (gather) or adds
+// (reduce-scatter) straight into the chunk of the accumulator it belongs
+// to, so one that is longer or shorter than the chunk must be the
+// length-mismatch error without touching the neighbouring chunk.
 func TestRecvSegmentWrongLengthInPlace(t *testing.T) {
 	p, err := NewPeer(0, 2)
 	if err != nil {
@@ -479,17 +479,21 @@ func TestRecvSegmentWrongLengthInPlace(t *testing.T) {
 	defer p.Close()
 	end, _ := net.Pipe() // never read: deliver only takes its buffer
 	defer end.Close()
-	for step, payload := range [][]byte{f32(1, 2, 3), f32(1)} {
-		acc := []float32{-1, -1, -1, -1}
-		if !p.deliver(wire.NewConn(end), seg("k", 1, 1, uint16(step), 0, payload)) {
-			t.Fatal("an empty pending table refused a segment")
-		}
-		err := p.recvSegment("k", 1, uint16(step), 0, acc[:2])
-		if err == nil || !strings.Contains(err.Error(), "vector length mismatch") {
-			t.Fatalf("%d-byte segment into a 2-value chunk: err = %v, want a vector length mismatch", len(payload), err)
-		}
-		if acc[2] != -1 || acc[3] != -1 {
-			t.Fatalf("%d-byte segment overran its chunk: %v", len(payload), acc)
+	step := 0
+	for _, scratch := range [][]float32{nil, make([]float32, 2)} {
+		for _, payload := range [][]byte{f32(1, 2, 3), f32(1)} {
+			acc := []float32{-1, -1, -1, -1}
+			if !p.deliver(wire.NewConn(end), seg("k", 1, 1, uint16(step), 0, payload)) {
+				t.Fatal("an empty pending table refused a segment")
+			}
+			err := p.recvSegment("k", 1, uint16(step), 0, acc[:2], scratch)
+			if err == nil || !strings.Contains(err.Error(), "vector length mismatch") {
+				t.Fatalf("%d-byte segment into a 2-value chunk: err = %v, want a vector length mismatch", len(payload), err)
+			}
+			if acc[2] != -1 || acc[3] != -1 {
+				t.Fatalf("%d-byte segment overran its chunk: %v", len(payload), acc)
+			}
+			step++
 		}
 	}
 }
@@ -532,7 +536,7 @@ func TestPendingTableOverflow(t *testing.T) {
 	}
 	// The parked segments below the bound are still deliverable.
 	got := make([]float32, 1)
-	if err := p.recvSegment("flood", 1, 0, 0, got); err != nil || got[0] != 1 {
+	if err := p.recvSegment("flood", 1, 0, 0, got, nil); err != nil || got[0] != 1 {
 		t.Fatalf("parked segment lost after overflow: %v %v", got, err)
 	}
 }

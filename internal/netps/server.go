@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"slices"
 	"sync"
@@ -575,10 +574,7 @@ func (s *Server) processPush(req message, scratch *[]float32) (resp message, wak
 			sum[i] += vals[i]
 		}
 	} else {
-		for i := range sum {
-			bits := binary.BigEndian.Uint32(req.Payload[i*4:])
-			sum[i] += math.Float32frombits(bits)
-		}
+		_ = compress.AddRaw(sum, req.Payload) // length checked above
 	}
 	e.pushers = list(e.pushers, req.Seq)
 	e.pushes++

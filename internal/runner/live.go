@@ -554,6 +554,7 @@ type liveTask struct {
 	iter    uint32
 	in, out []float32
 	comm    liveComm
+	keys    *partKeys
 }
 
 // StartSub synchronizes one partition: the transport returns its credit
@@ -561,8 +562,31 @@ type liveTask struct {
 func (t *liveTask) StartSub(h *core.Handle) {
 	sub := h.Sub()
 	lo, hi := sub.Offset/4, (sub.Offset+sub.Bytes)/4
-	key := fmt.Sprintf("%s[%d/%d]", t.name, sub.Index, sub.Count)
+	key := t.keys.key(t.name, sub.Index, sub.Count)
 	h.Done(t.comm(key, t.iter, t.in[lo:hi], t.out[lo:hi], h.Sent))
+}
+
+// partKeys is one worker's transport keys, name[i/n] for partition i of n,
+// built once per (tensor name, partition count) rather than per partition
+// and iteration; a new count (SetParams) rebuilds the name's keys.
+// Partitions start on goroutines of their own, hence the lock.
+type partKeys struct {
+	mu sync.Mutex
+	m  map[string][]string
+}
+
+func (k *partKeys) key(name string, i, n int) string {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	keys := k.m[name]
+	if len(keys) != n {
+		keys = make([]string, n)
+		for j := range keys {
+			keys[j] = fmt.Sprintf("%s[%d/%d]", name, j, n)
+		}
+		k.m[name] = keys
+	}
+	return keys[i]
 }
 
 // fusedTask is a fusion bucket's task. layerSlab lays sub-θ layers out
@@ -573,7 +597,7 @@ func (t *liveTask) StartSub(h *core.Handle) {
 func fusedTask(fd *core.Fused) core.Starter {
 	members, n := fd.Members(), fd.Tensor.Bytes/4
 	first := members[0].Starter.(*liveTask)
-	t := &liveTask{name: fd.Tensor.Name, iter: first.iter, in: first.in[:n:n], out: first.out[:n:n], comm: first.comm}
+	t := &liveTask{name: fd.Tensor.Name, iter: first.iter, in: first.in[:n:n], out: first.out[:n:n], comm: first.comm, keys: first.keys}
 	for i, m := range members {
 		mt, off := m.Starter.(*liveTask), fd.Offsets()[i]/4
 		if &mt.in[0] != &t.in[off] || &mt.out[0] != &t.out[off] {
@@ -661,6 +685,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 	defer fuser.Close()
 
 	grads, outs := layerSlab(cfg.LayerBytes, cfg.FuseTheta)
+	keys := &partKeys{m: map[string][]string{}}
 	gates := make([]chan error, layers)
 	names := make([]string, layers)
 	for l := range grads {
@@ -708,7 +733,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 			}
 			t := &core.Task{
 				Tensor:  tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
-				Starter: &liveTask{name: names[l], iter: uint32(it), in: grads[l], out: outs[l], comm: comm},
+				Starter: &liveTask{name: names[l], iter: uint32(it), in: grads[l], out: outs[l], comm: comm, keys: keys},
 			}
 			// OnFinished runs under the scheduler's lock; the send cannot
 			// block, because layer l's next task is emitted only after the

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -345,6 +346,24 @@ func TestRunLiveValidation(t *testing.T) {
 	ps.Policy = ps.Policy.WithMaxRetries(1)
 	if err := ps.Validate(); err != nil {
 		t.Fatalf("PS config with a retry budget rejected: %v", err)
+	}
+}
+
+// TestPartKeys: a partition's transport key is the name[i/n] the frames
+// and fuzz corpora carry, built once per (name, count) and rebuilt when
+// the count changes.
+func TestPartKeys(t *testing.T) {
+	k := &partKeys{m: map[string][]string{}}
+	for _, c := range []struct {
+		name string
+		i, n int
+	}{{"L03", 0, 4}, {"L03", 3, 4}, {"L03", 1, 2}, {"L03", 2, 4}, {"fused:L01+L02", 0, 1}} {
+		if got, want := k.key(c.name, c.i, c.n), fmt.Sprintf("%s[%d/%d]", c.name, c.i, c.n); got != want {
+			t.Fatalf("key(%q, %d, %d) = %q, want %q", c.name, c.i, c.n, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = k.key("L00", 2, 3) }); allocs != 0 {
+		t.Fatalf("a built key allocates %v times per lookup, want 0", allocs)
 	}
 }
 

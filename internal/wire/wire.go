@@ -6,9 +6,15 @@
 // the frame layout, how fp32 vectors and codec payloads sit in it, how a
 // frame is written to and read from a socket, and how a retry delay grows.
 //
-// One layout for everybody, big-endian:
+// One layout for everybody:
 //
 //	op(1) codec(1) iter(4) seq(8) step(2) chunk(2) orig(4) keyLen(2) key payloadLen(4) payload
+//
+// The header's integers are big-endian. The identity (codec 0) payload is
+// little-endian fp32, which on every supported host (amd64, arm64) is the
+// []float32's own memory: AppendFloats and Floats are one memmove each, and
+// a receiver can sum straight from the payload (compress.AddRaw). The other
+// codecs' payloads keep their big-endian formats.
 //
 // Op is an opaque byte here; each transport defines its own op codes.
 // netps leaves Step and Chunk zero. All endpoints live in this repository

@@ -318,6 +318,34 @@ func TestRejects(t *testing.T) {
 	}
 }
 
+// TestRawPayloadGoldenFrame pins one whole identity frame: the header's
+// integers big-endian, the fp32 payload little-endian (1.0 is 00 00 80 3f).
+func TestRawPayloadGoldenFrame(t *testing.T) {
+	payload, codec, orig := AppendFloats(nil, compress.Identity(), []float32{1})
+	h := Header{Op: 1, Codec: codec, Iter: 0x01020304, Seq: 0x05060708090a0b0c, Step: 0x0d0e, Chunk: 0x0f10, Orig: orig, Key: "k"}
+	want := []byte{
+		0x01, 0x00, // op, codec
+		0x01, 0x02, 0x03, 0x04, // iter
+		0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, // seq
+		0x0d, 0x0e, 0x0f, 0x10, // step, chunk
+		0x00, 0x00, 0x00, 0x00, // orig
+		0x00, 0x01, 'k', // keyLen, key
+		0x00, 0x00, 0x00, 0x04, // payloadLen
+		0x00, 0x00, 0x80, 0x3f, // 1.0f
+	}
+	got := frame(t, h, payload)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame = % x\nwant    % x", got, want)
+	}
+	rh, rp, err := Read(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := Floats(nil, rh, rp); err != nil || !slices.Equal(v, []float32{1}) || rh != h {
+		t.Fatalf("read back %+v %v (%v), want %+v [1]", rh, v, err, h)
+	}
+}
+
 // TestFloatsRoundTrip checks the payload envelope: identity is codec 0 /
 // orig 0 and bit-exact, every codec decodes to the element count it
 // encoded, and Orig is validated before anything is decoded.
