@@ -219,12 +219,11 @@ func BenchmarkGPFitPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkSimTrial is the benchmark's sim_ps trial (bench/README.md): fine
-// partitions put nearly all of its 27 200 sub-tasks' work on the
-// per-partition path through sim, core, plugin, ps and network, so allocs/sub
-// and ns/sub are that path's cost.
-func BenchmarkSimTrial(b *testing.B) {
-	cfg := runner.Config{
+// simPSTrial is the benchmark's sim_ps trial (bench/README.md) at the given
+// iteration count: fine partitions put nearly all of its work on the
+// per-partition path through sim, core, plugin, ps and network.
+func simPSTrial(iterations int) runner.Config {
+	return runner.Config{
 		Model:         model.VGG16(),
 		Framework:     plugin.MXNet,
 		Arch:          runner.PS,
@@ -233,10 +232,16 @@ func BenchmarkSimTrial(b *testing.B) {
 		GPUs:          16,
 		Policy:        core.ByteScheduler(160<<10, 640<<10),
 		Scheduled:     true,
-		Iterations:    2,
+		Iterations:    iterations,
 		Warmup:        1,
 		Jitter:        0.02,
 	}
+}
+
+// BenchmarkSimTrial is the sim_ps trial itself, whose 27 200 sub-tasks make
+// allocs/sub and ns/sub the per-partition path's cost.
+func BenchmarkSimTrial(b *testing.B) {
+	cfg := simPSTrial(2)
 	var subs uint64
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -255,6 +260,29 @@ func BenchmarkSimTrial(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(subs), "allocs/sub")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(subs), "ns/sub")
+}
+
+// BenchmarkSimTrialLong is the sim_ps trial at 12 iterations, where the
+// records the simulated path reuses across iterations pay off: ns/iter and
+// B/iter are one simulated iteration's cost, set-up included.
+func BenchmarkSimTrialLong(b *testing.B) {
+	cfg := simPSTrial(12)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		if _, err := runner.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	iters := float64(b.N * cfg.Iterations)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/iters, "ns/iter")
+	b.ReportMetric(float64(ms.TotalAlloc-allocated)/iters, "B/iter")
 }
 
 func BenchmarkFullTrainingRun(b *testing.B) {

@@ -66,8 +66,9 @@ func (a *AsyncScheduler) Policy() Policy { return a.s.policy }
 // Enqueue registers a CommTask. The task's Start (or StartErr) function
 // will be invoked without the scheduler lock held — substrates may block or
 // call done from any goroutine. Misuse that panics on the synchronous
-// Scheduler (missing Start, double enqueue) is returned as an error here:
-// a live deployment wants a rejected task, not a crashed trainer.
+// Scheduler (missing Start, enqueueing a task with a partition unresolved)
+// is returned as an error here: a live deployment wants a rejected task,
+// not a crashed trainer. A resolved task may be enqueued again.
 func (a *AsyncScheduler) Enqueue(t *Task) error {
 	if err := t.validate(); err != nil {
 		return err
@@ -77,7 +78,7 @@ func (a *AsyncScheduler) Enqueue(t *Task) error {
 	if a.down {
 		return ErrShutdown
 	}
-	if t.enqueued {
+	if t.unresolved() {
 		return fmt.Errorf("core: task %s enqueued twice", t.Tensor)
 	}
 	a.s.Enqueue(t)
@@ -94,7 +95,7 @@ func (a *AsyncScheduler) NotifyReady(t *Task) error {
 	if !t.enqueued {
 		return fmt.Errorf("core: NotifyReady before Enqueue for %s", t.Tensor)
 	}
-	if t.handles != nil {
+	if len(t.handles) != 0 {
 		return fmt.Errorf("core: task %s ready twice", t.Tensor)
 	}
 	a.s.NotifyReady(t)

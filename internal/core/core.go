@@ -158,7 +158,7 @@ type Task struct {
 
 	subs      []tensor.Sub
 	one       [1]tensor.Sub // backs subs for a task that is not split
-	handles   []Handle      // by partition; made when the first one is ready
+	handles   []Handle      // by partition; set up when the first one is ready
 	remaining int
 	enqueued  bool
 	err       error // first permanent partition failure
@@ -166,6 +166,10 @@ type Task struct {
 
 // Subs returns the task's partitions; valid after Enqueue or EnqueueSubs.
 func (t *Task) Subs() []tensor.Sub { return t.subs }
+
+// unresolved reports an enqueued task with a partition still to resolve: one
+// no scheduler may enqueue again.
+func (t *Task) unresolved() bool { return t.enqueued && t.remaining > 0 }
 
 // Err returns the first permanent partition failure, or nil if every
 // resolved partition succeeded. Stable once OnFinished has fired.
@@ -196,8 +200,11 @@ func (t *Task) resolved() {
 
 // Handle is one partition's record from readiness to completion: its entry
 // in the scheduler's queues and, once started, the substrate's completion
-// token. A task's handles are one slab that lives as long as the task, so
-// a second readiness, Sent or Done on one is always detected.
+// token. A task's handles are one slab, reused when the task is enqueued
+// again after it resolved. Within one enqueue a second readiness, Sent or
+// Done is always detected; so is a Sent or Done on a handle that has not
+// started, which catches a stale Done from before the reuse until its
+// partition starts again.
 //
 // A started partition ends in exactly one Done. A split-phase substrate —
 // a PS push whose data lands a pull later — calls Sent first, once, when
@@ -225,7 +232,7 @@ func (h *Handle) Sub() tensor.Sub { return h.task.subs[h.i] }
 // Sent reports that the partition's send phase succeeded: its credit
 // returns now, before its outcome.
 func (h *Handle) Sent() {
-	s := h.s
+	s := h.owner("sent")
 	if g := s.guard; g != nil {
 		g.L.Lock()
 		defer g.L.Unlock()
@@ -236,13 +243,21 @@ func (h *Handle) Sent() {
 
 // Done reports the partition's outcome, exactly once per start (see Handle).
 func (h *Handle) Done(err error) {
-	s := h.s
+	s := h.owner("done")
 	if g := s.guard; g != nil {
 		g.L.Lock()
 		defer g.L.Unlock()
 		defer g.Broadcast()
 	}
 	s.complete(h, err)
+}
+
+// owner returns the scheduler of a started handle and panics on any other.
+func (h *Handle) owner(call string) *Scheduler {
+	if h.s == nil || !h.started {
+		panic(fmt.Sprintf("core: %s called on a partition that has not started", call))
+	}
+	return h.s
 }
 
 // launch hands the partition to the substrate in the form the task supplied.
@@ -331,14 +346,24 @@ type Stats struct {
 	Failures uint64
 }
 
+// arrival is one readiness in the arrivals FIFO: the handle and the seq it
+// was queued under. It is gone once the handle has started, or once the
+// handle's seq has changed because its slab was reused for a later enqueue.
+type arrival struct {
+	h   *Handle
+	seq uint64
+}
+
+func (a arrival) gone() bool { return a.h.started || a.h.seq != a.seq }
+
 // Scheduler implements Algorithm 1.
 type Scheduler struct {
 	policy Policy
 	queue  priorityQueue
 	// arrivals holds queued handles in arrival order from index first on,
-	// pruned lazily of started ones; it answers "is an earlier arrival still
+	// pruned lazily of gone ones; it answers "is an earlier arrival still
 	// waiting?" in amortized O(1) for the preemption counter.
-	arrivals      []*Handle
+	arrivals      []arrival
 	first         int
 	seq           uint64
 	credit        int64 // remaining credit; meaningful when limited
@@ -414,19 +439,21 @@ func (s *Scheduler) Enqueue(t *Task) {
 }
 
 // EnqueueSubs is Enqueue for a task the caller has already partitioned;
-// subs may be shared by many tasks, as the scheduler only reads it.
+// subs may be shared by many tasks, as the scheduler only reads it. A task
+// may be enqueued again once every partition has resolved, and reuses its
+// handle slab; enqueueing it before then panics.
 func (s *Scheduler) EnqueueSubs(t *Task, subs []tensor.Sub) {
 	if err := t.validate(); err != nil {
 		panic(err.Error())
 	}
-	if t.enqueued {
+	if t.unresolved() {
 		panic(fmt.Sprintf("core: task %s enqueued twice", t.Tensor))
 	}
 	if len(subs) == 0 {
 		panic(fmt.Sprintf("core: task %s enqueued with no partitions", t.Tensor))
 	}
 	t.enqueued, t.err = true, nil
-	t.subs, t.remaining = subs, len(subs)
+	t.subs, t.remaining, t.handles = subs, len(subs), t.handles[:0]
 	s.stats.tasksEnqueued.Add(1)
 	s.inst.tasksEnqueued.Inc()
 }
@@ -490,11 +517,17 @@ func (s *Scheduler) NotifySubReady(t *Task, i int) {
 	s.schedule()
 }
 
-// ready queues partition i. The task's handle slab, made with its first
-// ready partition, is its one readiness record: a second readiness panics.
+// ready queues partition i. The task's handle slab, set up with its first
+// ready partition (the last enqueue's, cleared, if it is large enough), is
+// its one readiness record: a second readiness panics.
 func (s *Scheduler) ready(t *Task, i int) {
-	if t.handles == nil {
-		t.handles = make([]Handle, len(t.subs))
+	if len(t.handles) == 0 {
+		if cap(t.handles) < len(t.subs) {
+			t.handles = make([]Handle, len(t.subs))
+		} else {
+			t.handles = t.handles[:len(t.subs)]
+			clear(t.handles)
+		}
 	}
 	h := &t.handles[i]
 	if h.s != nil {
@@ -553,7 +586,7 @@ func (s *Scheduler) push(h *Handle) {
 		clear(s.arrivals[n:])
 		s.arrivals, s.first = s.arrivals[:n], 0
 	}
-	s.arrivals = append(s.arrivals, h)
+	s.arrivals = append(s.arrivals, arrival{h, h.seq})
 	setMax(&s.stats.maxQueueLen, int64(len(s.queue)))
 	s.inst.queueDepth.Set(int64(len(s.queue)))
 }
@@ -561,9 +594,9 @@ func (s *Scheduler) push(h *Handle) {
 func (s *Scheduler) start(h *Handle) {
 	h.started = true
 	// A started partition that arrived after a still-queued one means
-	// priority let it jump the line. Prune already-started arrivals lazily.
-	for s.first < len(s.arrivals) && s.arrivals[s.first].started {
-		s.arrivals[s.first] = nil
+	// priority let it jump the line. Prune gone arrivals lazily.
+	for s.first < len(s.arrivals) && s.arrivals[s.first].gone() {
+		s.arrivals[s.first] = arrival{}
 		s.first++
 	}
 	if s.first == len(s.arrivals) {

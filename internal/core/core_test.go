@@ -295,6 +295,75 @@ func TestMisusePanics(t *testing.T) {
 		n.dones[0]()
 		n.dones[0]()
 	})
+	// Two partitions under a one-partition credit: the second waits queued.
+	queued := func() (*fakeNet, *Task) {
+		s, n := New(ByteScheduler(4, 4)), &fakeNet{handles: true}
+		task := mkTask(n, 0, 8)
+		s.Enqueue(task)
+		s.NotifyReady(task)
+		return n, task
+	}
+	check("done on a queued partition", func() { _, task := queued(); task.handles[1].Done(nil) })
+	check("sent on a queued partition", func() { _, task := queued(); task.handles[1].Sent() })
+	check("enqueue with a partition unresolved", func() {
+		n, task := queued()
+		n.finishNext()
+		New(FIFO()).Enqueue(task)
+	})
+	// A Done kept from before the task was enqueued again lands on a handle
+	// of the reused slab that has not started.
+	check("stale done after the slab was reused", func() {
+		n, task := queued()
+		s := task.handles[0].s
+		n.finishNext()
+		stale := n.dones[0]
+		n.finishNext()
+		s.Enqueue(task)
+		s.NotifyReady(task)
+		stale()
+	})
+}
+
+// TestEnqueueAgainAfterResolved: a resolved task is enqueued again with a
+// fresh outcome and its handle slab reused, on both schedulers.
+func TestEnqueueAgainAfterResolved(t *testing.T) {
+	n := &fakeNet{handles: true}
+	s := New(ByteScheduler(4, 4))
+	finished := 0
+	task := mkTask(n, 0, 8)
+	task.OnFinished = func() { finished++ }
+	for round := 1; round <= 3; round++ {
+		s.Enqueue(task)
+		s.NotifyReady(task)
+		slab := &task.handles[0]
+		for len(n.dones) > 0 {
+			n.finishNext()
+		}
+		if finished != round || task.Err() != nil || &task.handles[0] != slab {
+			t.Fatalf("round %d: finished %d, err %v, slab reused %v", round, finished, task.Err(), &task.handles[0] == slab)
+		}
+	}
+	if st := s.Stats(); st.TasksEnqueued != 3 || st.SubsFinished != 6 || s.CreditAvailable() != 4 {
+		t.Fatalf("stats %+v, credit %d", st, s.CreditAvailable())
+	}
+
+	a := NewAsync(FIFO())
+	defer a.Shutdown()
+	dones := make(chan func(), 1)
+	async := &Task{Tensor: tensor.Tensor{Name: "w", Bytes: 8}, Start: func(_ tensor.Sub, done func()) { dones <- done }}
+	if err := a.Enqueue(async); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.NotifyReady(async); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Enqueue(async); err == nil {
+		t.Fatal("async scheduler enqueued an unresolved task again")
+	}
+	(<-dones)()
+	if err := a.Enqueue(async); err != nil {
+		t.Fatalf("async scheduler refused a resolved task: %v", err)
+	}
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -17,15 +17,17 @@ import (
 // test loop plays the substrate: it picks a random started partition and
 // either calls Sent (Starter tasks only) or Done with nil or an error, so
 // split-phase partitions (Sent then Done(nil|err)) mix with Done(err)
-// without Sent, under retry budgets 0–2 and tight or unlimited credit.
-// Against its own model of what each call means, it asserts after every
-// step that credit rose at Sent and nowhere else, and at quiescence that:
-// the credit is whole and nothing is queued; every partition resolved
-// exactly once, a wait-phase failure (Done(err) after Sent) without a
-// retry; OnFinished fired once per task, inside its last partition's Done;
-// Err is the task's first permanent failure; and Stats count exactly the
-// model's starts, successes, failures and retries, with
-// SubsStarted == SubsFinished + Failures + Retries.
+// without Sent, under retry budgets 0–2 and tight or unlimited credit. A
+// task is enqueued again, up to twice, once it resolves; enqueueing it
+// before then is refused (a panic, or an error from the async scheduler)
+// and changes nothing. Against its own model of what each call means, it
+// asserts after every step that credit rose at Sent and nowhere else, and
+// at quiescence that: the credit is whole and nothing is queued; every
+// partition resolved exactly once per round, a wait-phase failure
+// (Done(err) after Sent) without a retry; OnFinished fired once per round,
+// inside its last partition's Done, with Err the round's first permanent
+// failure; and Stats count exactly the model's starts, successes, failures
+// and retries, with SubsStarted == SubsFinished + Failures + Retries.
 func TestLifecycleProperty(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		for _, async := range []bool{false, true} {
@@ -57,9 +59,11 @@ type lcRig struct {
 	mu                                   sync.Mutex
 	pending                              []*lcAttempt
 	parts                                [][]lcPart
-	resolvedParts                        []int   // by task
+	resolvedParts                        []int   // by task, this round
 	fired                                []int   // OnFinished calls by task
-	firstErr                             []error // first permanent failure by task
+	firstErr                             []error // first permanent failure by task, this round
+	unresolved                           []bool  // by task: enqueued, a partition unresolved
+	justResolved                         []int   // tasks resolved since the loop last looked
 	inflight                             int     // started attempts holding credit
 	inflightBytes                        int64
 	started, finished, failures, retries uint64
@@ -150,6 +154,38 @@ func runLifecycle(t *testing.T, seed int64, async bool) {
 	n := 2 + rng.Intn(5)
 	r.parts = make([][]lcPart, n)
 	r.resolvedParts, r.fired, r.firstErr = make([]int, n), make([]int, n), make([]error, n)
+	r.unresolved = make([]bool, n)
+	// enqueue (re-)registers task i with a fresh model of its partitions.
+	enqueue := func(i int) {
+		tk := r.tasks[i]
+		if a != nil {
+			if err := a.Enqueue(tk); err != nil {
+				fail("enqueue: %v", err)
+			}
+		} else {
+			s.Enqueue(tk)
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.parts[i] = make([]lcPart, len(tk.Subs()))
+		r.resolvedParts[i], r.firstErr[i], r.unresolved[i] = 0, nil, true
+	}
+	// refused checks that enqueueing unresolved task i again is refused.
+	refused := func(i int) {
+		tk := r.tasks[i]
+		if a != nil {
+			if err := a.Enqueue(tk); err == nil {
+				fail("async scheduler enqueued unresolved task %d again", i)
+			}
+			return
+		}
+		defer func() {
+			if recover() == nil {
+				fail("scheduler enqueued unresolved task %d again", i)
+			}
+		}()
+		s.Enqueue(tk)
+	}
 	for i := 0; i < n; i++ {
 		tk := &Task{Tensor: tensor.Tensor{Layer: rng.Intn(4), Name: fmt.Sprintf("t%d", i), Bytes: 1 + rng.Int63n(4*unit)}}
 		switch rng.Intn(3) {
@@ -167,19 +203,25 @@ func runLifecycle(t *testing.T, seed int64, async bool) {
 			if r.resolvedParts[i] != len(tk.Subs()) {
 				r.bad = append(r.bad, fmt.Sprintf("task %d finished with %d of %d partitions resolved", i, r.resolvedParts[i], len(tk.Subs())))
 			}
+			if tk.Err() != r.firstErr[i] {
+				r.bad = append(r.bad, fmt.Sprintf("task %d finished with Err %v, want %v", i, tk.Err(), r.firstErr[i]))
+			}
+			r.unresolved[i] = false
+			r.justResolved = append(r.justResolved, i)
 		}
 		r.tasks = append(r.tasks, tk)
-		if a != nil {
-			if err := a.Enqueue(tk); err != nil {
-				fail("enqueue: %v", err)
-			}
-		} else {
-			s.Enqueue(tk)
-		}
-		r.parts[i] = make([]lcPart, len(tk.Subs()))
+		enqueue(i)
 	}
+	rounds := make([]int, n) // by task: rounds left, this one included
+	for i := range rounds {
+		rounds[i] = 1 + rng.Intn(3)
+	}
+	total := slices.Clone(rounds)
 
-	ready := 0
+	var toReady []int // enqueued tasks not yet made ready, in order
+	for i := 0; i < n; i++ {
+		toReady = append(toReady, i)
+	}
 	for {
 		check()
 		r.mu.Lock()
@@ -188,15 +230,23 @@ func runLifecycle(t *testing.T, seed int64, async bool) {
 		})
 		idle := len(r.pending) == 0
 		r.mu.Unlock()
-		if ready < n && (idle || rng.Intn(3) == 0) {
+		if len(toReady) > 0 && (idle || rng.Intn(3) == 0) {
 			if a != nil {
-				if err := a.NotifyReady(r.tasks[ready]); err != nil {
+				if err := a.NotifyReady(r.tasks[toReady[0]]); err != nil {
 					fail("ready: %v", err)
 				}
 			} else {
-				s.NotifyReady(r.tasks[ready])
+				s.NotifyReady(r.tasks[toReady[0]])
 			}
-			ready++
+			toReady = toReady[1:]
+			continue
+		}
+		k := rng.Intn(n)
+		r.mu.Lock()
+		unresolved := r.unresolved[k]
+		r.mu.Unlock()
+		if unresolved && rng.Intn(8) == 0 {
+			refused(k)
 			continue
 		}
 		if idle {
@@ -242,6 +292,15 @@ func runLifecycle(t *testing.T, seed int64, async bool) {
 		}
 		r.mu.Unlock()
 		at.finish(err)
+		// A resolved task with rounds left is enqueued again at once, so a
+		// stale handle of its last round may still sit in the arrivals.
+		for _, i := range r.justResolved {
+			if rounds[i]--; rounds[i] > 0 {
+				enqueue(i)
+				toReady = append(toReady, i)
+			}
+		}
+		r.justResolved = r.justResolved[:0]
 	}
 
 	if a != nil {
@@ -257,8 +316,8 @@ func runLifecycle(t *testing.T, seed int64, async bool) {
 		fail("credit %d at quiescence, want %d", credit, pol.CreditBytes)
 	}
 	for i, tk := range r.tasks {
-		if r.fired[i] != 1 {
-			fail("task %d OnFinished fired %d times", i, r.fired[i])
+		if r.fired[i] != total[i] {
+			fail("task %d OnFinished fired %d times over %d rounds", i, r.fired[i], total[i])
 		}
 		if tk.Err() != r.firstErr[i] {
 			fail("task %d Err = %v, want %v", i, tk.Err(), r.firstErr[i])

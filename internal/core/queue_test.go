@@ -59,6 +59,7 @@ type refScheduler struct {
 	failures    uint64
 	run         *queueRun
 	held        []*refItem // started, in start order, as run.inflight
+	unresolved  []int      // by tensor: partitions of its current round left
 }
 
 func (s *refScheduler) bytes(it *refItem) int64 { return s.c.subs[it.ref.t][it.ref.i].Bytes }
@@ -99,20 +100,27 @@ func (s *refScheduler) done(j int, err error) {
 	s.held = slices.Delete(s.held, j, j+1)
 	s.credit += s.bytes(it)
 	s.inflight--
-	if err != nil {
-		if it.attempts < s.c.maxRetries {
-			s.retries++
-			s.push(it.ref, it.attempts+1)
-		} else {
-			s.failures++
+	switch {
+	case err != nil && it.attempts < s.c.maxRetries:
+		s.retries++
+		s.push(it.ref, it.attempts+1)
+	case err != nil:
+		s.failures++
+		fallthrough
+	default:
+		if s.unresolved[it.ref.t]--; s.unresolved[it.ref.t] == 0 {
+			s.unresolved[it.ref.t] = len(s.c.subs[it.ref.t])
+			s.run.resolved = append(s.run.resolved, it.ref.t)
 		}
 	}
 	s.schedule()
 }
 
 // queueCase is one random program: tensors, each made ready whole or one
-// partition at a time, under a credit window and a retry budget; which
-// completion comes next and whether it fails is drawn as the run goes.
+// partition at a time, under a credit window and a retry budget, and each
+// enqueued again for up to two more rounds as soon as it resolves; which
+// completion comes next, whether it fails and where a later round's
+// readiness steps fall among those still to come is drawn as the run goes.
 type queueCase struct {
 	seed       int64
 	credit     int64
@@ -120,7 +128,8 @@ type queueCase struct {
 	maxRetries int
 	tensors    []tensor.Tensor
 	subs       [][]tensor.Sub
-	order      []partRef // readiness steps; i < 0 readies the whole tensor
+	order      []partRef // first-round readiness steps; i < 0 readies the whole tensor
+	rounds     []int     // by tensor: how many times it is enqueued again
 }
 
 func newQueueCase(seed int64) queueCase {
@@ -145,14 +154,30 @@ func newQueueCase(seed int64) queueCase {
 		}
 	}
 	rng.Shuffle(len(c.order), func(a, b int) { c.order[a], c.order[b] = c.order[b], c.order[a] })
+	for range c.tensors {
+		c.rounds = append(c.rounds, rng.Intn(3))
+	}
 	return c
 }
 
-// queueRun records releases and what is in flight, in start order; the
-// reference has no handles and keeps its own started items.
+// steps returns tensor k's first-round readiness steps.
+func (c queueCase) steps(k int) []partRef {
+	var out []partRef
+	for _, p := range c.order {
+		if p.t == k {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// queueRun records releases, what is in flight, in start order, and the
+// tensors resolved since the driver last looked; the reference has no
+// handles and keeps its own started items.
 type queueRun struct {
 	starts   []string
 	inflight []*Handle
+	resolved []int
 }
 
 func (r *queueRun) started(ref partRef, bytes int64, attempt int, h *Handle) {
@@ -176,9 +201,13 @@ func (c queueCase) run(ref bool) string {
 	r := &queueRun{}
 	var ready func(p partRef)
 	var done func(j int, h *Handle, err error)
+	var again func(k int)
 	var counters func() (preemptions, retries, failures uint64)
 	if ref {
 		s := &refScheduler{c: c, credit: c.credit, run: r}
+		for _, subs := range c.subs {
+			s.unresolved = append(s.unresolved, len(subs))
+		}
 		ready = func(p partRef) {
 			if p.i < 0 {
 				for i := range c.subs[p.t] {
@@ -190,6 +219,7 @@ func (c queueCase) run(ref bool) string {
 			s.schedule()
 		}
 		done = func(j int, _ *Handle, err error) { s.done(j, err) }
+		again = func(int) {}
 		counters = func() (uint64, uint64, uint64) { return s.preemptions, s.retries, s.failures }
 	} else {
 		p := Policy{CreditBytes: c.credit, Priority: LayerPriority, MaxRetries: c.maxRetries}
@@ -199,7 +229,8 @@ func (c queueCase) run(ref bool) string {
 		s := New(p)
 		tasks := make([]Task, len(c.tensors))
 		for k := range tasks {
-			tasks[k] = Task{Tensor: c.tensors[k], Starter: queueStarter{r, k}}
+			tasks[k] = Task{Tensor: c.tensors[k], Starter: queueStarter{r, k},
+				OnFinished: func() { r.resolved = append(r.resolved, k) }}
 			s.EnqueueSubs(&tasks[k], c.subs[k])
 		}
 		ready = func(p partRef) {
@@ -210,16 +241,18 @@ func (c queueCase) run(ref bool) string {
 			}
 		}
 		done = func(_ int, h *Handle, err error) { h.Done(err) }
+		again = func(k int) { s.EnqueueSubs(&tasks[k], c.subs[k]) }
 		counters = func() (uint64, uint64, uint64) {
 			st := s.Stats()
 			return st.Preemptions, st.Retries, st.Failures
 		}
 	}
 	rng := rand.New(rand.NewSource(c.seed*7 + 1))
+	order, rounds := slices.Clone(c.order), slices.Clone(c.rounds)
 	next := 0
-	for next < len(c.order) || len(r.inflight) > 0 {
-		if next < len(c.order) && (len(r.inflight) == 0 || rng.Intn(3) > 0) {
-			ready(c.order[next])
+	for next < len(order) || len(r.inflight) > 0 {
+		if next < len(order) && (len(r.inflight) == 0 || rng.Intn(3) > 0) {
+			ready(order[next])
 			next++
 			continue
 		}
@@ -231,6 +264,19 @@ func (c queueCase) run(ref bool) string {
 		h := r.inflight[j]
 		r.inflight = slices.Delete(r.inflight, j, j+1)
 		done(j, h, err) // may start more, appending to inflight
+		// A resolved tensor with rounds left is enqueued again, its handle
+		// slab reused, while its old handles may still sit in arrivals.
+		for _, k := range r.resolved {
+			if rounds[k] == 0 {
+				continue
+			}
+			rounds[k]--
+			again(k)
+			for _, p := range c.steps(k) {
+				order = slices.Insert(order, next+rng.Intn(len(order)-next+1), p)
+			}
+		}
+		r.resolved = r.resolved[:0]
 	}
 	p, rt, f := counters()
 	return fmt.Sprintf("%v preemptions=%d retries=%d failures=%d", r.starts, p, rt, f)
@@ -238,10 +284,10 @@ func (c queueCase) run(ref bool) string {
 
 // TestQueuesMatchHeapReference: over random programs of whole-tensor and
 // per-partition readiness, successful and failed completions with retries,
-// FIFO and layer priority, tight and unlimited credit, the scheduler's typed
-// ready heap and arrival FIFO release exactly what two container/heap
-// queues release, in the same order, with the same preemption, retry and
-// failure counts.
+// tasks enqueued again once they resolve, FIFO and layer priority, tight and
+// unlimited credit, the scheduler's typed ready heap and arrival FIFO
+// release exactly what two container/heap queues release, in the same
+// order, with the same preemption, retry and failure counts.
 func TestQueuesMatchHeapReference(t *testing.T) {
 	preempted := 0
 	for seed := int64(1); seed <= 500; seed++ {

@@ -273,3 +273,83 @@ func TestPSGateOpensOnlyWhenAllPartitionsArrive(t *testing.T) {
 		t.Fatalf("iteration %.4fs beats the physical lower bound %.4fs: gate opened early", got, minIter)
 	}
 }
+
+// recordWatch counts, per GradientReady, whether the layer's last record was
+// reused or replaced by a fresh one while it still had unacked partitions,
+// and how often each (worker, layer, iteration)'s gate opens.
+type recordWatch struct {
+	*PSPlugin
+	reused, fresh int
+	opened        map[[3]int]int
+}
+
+func (r *recordWatch) GradientReady(worker, layer, iter int, done func()) {
+	last := r.last[worker][layer]
+	busy := last != nil && last.unacked > 0
+	key := [3]int{worker, layer, iter}
+	r.PSPlugin.GradientReady(worker, layer, iter, func() { r.opened[key]++; done() })
+	switch now := r.last[worker][layer]; {
+	case now == last:
+		r.reused++
+	case busy:
+		r.fresh++
+	}
+}
+
+// runRecords runs 4 layers of 4 partitions over 2 workers for 4 iterations
+// with the given ack delay and checks that every gate opened exactly once,
+// that both Cores finished every partition and that the cluster reclaimed
+// every aggregation slot.
+func runRecords(t *testing.T, ackDelay float64) *recordWatch {
+	t.Helper()
+	const workers, layers, iters = 2, 4, 4
+	m := model.Synthetic("s", layers, 1<<20, 0.005)
+	prof := network.RDMA()
+	prof.AckDelay = ackDelay
+	se := sim.New()
+	fab := network.NewFabric(se, 2*workers, 10, prof)
+	cluster, err := ps.New(se, fab, ps.Config{Workers: workers, Servers: workers, Assignment: ps.SpreadPartitions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &recordWatch{PSPlugin: NewPS(cluster, m, core.ByteScheduler(256<<10, 0)), opened: map[[3]int]int{}}
+	eng, err := engine.New(se, engine.Config{Model: m, Workers: workers, Iterations: iters, Dependency: engine.PerLayer}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	se.Run()
+	if eng.Result().Finish <= 0 || cluster.Outstanding() != 0 {
+		t.Fatalf("ack delay %v: finish %v, %d aggregation slots left", ackDelay, eng.Result().Finish, cluster.Outstanding())
+	}
+	if len(w.opened) != workers*layers*iters {
+		t.Fatalf("ack delay %v: %d gates opened, want %d", ackDelay, len(w.opened), workers*layers*iters)
+	}
+	for key, n := range w.opened {
+		if n != 1 {
+			t.Fatalf("ack delay %v: gate (worker, layer, iter) %v opened %d times", ackDelay, key, n)
+		}
+	}
+	for wk := 0; wk < workers; wk++ {
+		for dir, s := range map[string]*core.Scheduler{"up": w.UpScheduler(wk), "down": w.DownScheduler(wk)} {
+			if st := s.Stats(); st.SubsStarted != layers*4*iters || st.SubsFinished != st.SubsStarted {
+				t.Fatalf("ack delay %v: worker %d %s started %d and finished %d partitions, want %d", ackDelay, wk, dir, st.SubsStarted, st.SubsFinished, layers*4*iters)
+			}
+		}
+	}
+	return w
+}
+
+// A layer's record is reused once its partitions are all acked; a gradient
+// that arrives while the last iteration's record still waits for acks (an
+// ack delay longer than the compute) gets a fresh record, and both
+// iterations' gates open exactly once.
+func TestPSRecordReuseAndFallback(t *testing.T) {
+	const gradients = 2 * 4 * 4
+	if w := runRecords(t, 15e-6); w.reused != gradients-2*4 || w.fresh != 0 {
+		t.Fatalf("short ack delay: %d of %d gradients reused their layer's record and %d got a fresh one, want all after the first iteration and none", w.reused, gradients, w.fresh)
+	}
+	if w := runRecords(t, 0.5); w.fresh != gradients-2*4 || w.reused != 0 {
+		t.Fatalf("ack delay above the compute: %d of %d gradients got a fresh record and %d reused one in flight, want all after the first iteration and none", w.fresh, gradients, w.reused)
+	}
+}

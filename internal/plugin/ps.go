@@ -29,6 +29,7 @@ type PSPlugin struct {
 	up      []*core.Scheduler // per worker, schedules pushes
 	down    []*core.Scheduler // per worker, schedules pulls
 	ids     [][]int           // the cluster's id of each layer's tensors
+	last    [][]*layerState   // by worker and layer: the latest record
 }
 
 // NewPS creates the plugin. Each worker gets an upload and a download
@@ -42,6 +43,7 @@ func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 		up:      make([]*core.Scheduler, workers),
 		down:    make([]*core.Scheduler, workers),
 		ids:     make([][]int, len(m.Layers)),
+		last:    make([][]*layerState, workers),
 	}
 	for l, layer := range m.Layers {
 		for _, tt := range layer.Tensors {
@@ -51,6 +53,7 @@ func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 	for w := 0; w < workers; w++ {
 		p.up[w] = core.New(policy)
 		p.down[w] = core.New(policy)
+		p.last[w] = make([]*layerState, len(m.Layers))
 	}
 	return p
 }
@@ -78,26 +81,42 @@ func (p *PSPlugin) GradientReady(worker, layer, iter int, done func()) {
 	upSched, downSched := p.up[worker], p.down[worker]
 	tensors := p.layers[layer].Tensors
 
+	// The layer's last record is reused once all of its partitions are
+	// acked, so both Cores have resolved its tasks; while one is still in
+	// flight (iterations overlap), the layer gets a fresh record.
+	gate := p.last[worker][layer]
+	if gate == nil || gate.unacked > 0 {
+		gate = &layerState{syncs: make([]tensorSync, len(tensors))}
+		for i, tt := range tensors {
+			ts := &gate.syncs[i]
+			ts.p, ts.worker, ts.id, ts.gate = p, worker, p.ids[layer][i], gate
+			ts.push = core.Task{Tensor: tt, Starter: ts}
+			ts.pull = core.Task{Tensor: tt, Starter: (*pullStarter)(ts)}
+		}
+		p.last[worker][layer] = gate
+	}
+	gate.done = done
+
 	// One push and one pull CommTask per tensor over the same partitions,
 	// which are both the gate count and the pull's units of readiness. The
 	// engine gate opens when every partition of every tensor in the layer
 	// has been pulled back. Count partitions up front so a fast first
 	// delivery cannot fire the gate early.
-	gate := &layerState{done: done}
-	syncs := make([]tensorSync, len(tensors))
 	for i, tt := range tensors {
 		subs := p.parts.of(upSched, tt)
-		ts := &syncs[i]
-		ts.p, ts.worker, ts.iter, ts.id, ts.gate = p, worker, iter, p.ids[layer][i], gate
-		ts.handles = make([]partHandles, len(subs))
-		ts.push = core.Task{Tensor: tt, Starter: ts}
-		ts.pull = core.Task{Tensor: tt, Starter: (*pullStarter)(ts)}
+		ts := &gate.syncs[i]
+		ts.iter = iter
+		if cap(ts.handles) < len(subs) {
+			ts.handles = make([]partHandles, len(subs))
+		}
+		ts.handles = ts.handles[:len(subs)]
 		upSched.EnqueueSubs(&ts.push, subs)
 		downSched.EnqueueSubs(&ts.pull, subs)
 		gate.remaining += len(subs)
+		gate.unacked += 2 * len(subs)
 	}
-	for i := range syncs {
-		ts := &syncs[i]
+	for i := range gate.syncs {
+		ts := &gate.syncs[i]
 		// Each partition's pull becomes ready on its own, when its
 		// aggregation completes.
 		for _, sub := range ts.push.Subs() {
@@ -107,9 +126,10 @@ func (p *PSPlugin) GradientReady(worker, layer, iter int, done func()) {
 	}
 }
 
-// tensorSync is one tensor's synchronization on one worker in one iteration:
-// both tasks' Starter and every partition's ps.Receiver, so a partition's
-// trip through both Cores and the cluster builds no closure.
+// tensorSync is one tensor's synchronization on one worker in one iteration
+// (and, reused, in later ones): both tasks' Starter and every partition's
+// ps.Receiver, so a partition's trip through both Cores and the cluster
+// builds no closure.
 type tensorSync struct {
 	p                *PSPlugin
 	worker, iter, id int
@@ -139,7 +159,10 @@ func (pl *pullStarter) StartSub(h *core.Handle) {
 }
 
 // PushAcked implements ps.Receiver: the push's credit returns.
-func (ts *tensorSync) PushAcked(part int) { ts.handles[part].push.Done(nil) }
+func (ts *tensorSync) PushAcked(part int) {
+	ts.handles[part].push.Done(nil)
+	ts.gate.unacked--
+}
 
 // Pullable implements ps.Receiver: the partition's pull joins the queue.
 func (ts *tensorSync) Pullable(part int) { ts.p.down[ts.worker].NotifySubReady(&ts.pull, part) }
@@ -148,12 +171,18 @@ func (ts *tensorSync) Pullable(part int) { ts.p.down[ts.worker].NotifySubReady(&
 func (ts *tensorSync) PullDelivered(int) { ts.gate.delivered() }
 
 // PullAcked implements ps.Receiver: the pull's credit returns.
-func (ts *tensorSync) PullAcked(part int) { ts.handles[part].pull.Done(nil) }
+func (ts *tensorSync) PullAcked(part int) {
+	ts.handles[part].pull.Done(nil)
+	ts.gate.unacked--
+}
 
-// layerState tracks outstanding partition deliveries for one (worker,
-// layer, iteration) and opens the engine gate when all have arrived.
+// layerState is one (worker, layer, iteration)'s record: it owns the
+// layer's tensorSyncs, tracks outstanding partition deliveries and opens
+// the engine gate when all have arrived.
 type layerState struct {
-	remaining int
+	syncs     []tensorSync // by tensor
+	remaining int          // deliveries still to come
+	unacked   int          // push and pull partitions not yet acked
 	done      func()
 }
 

@@ -102,12 +102,30 @@ func StrategyNames() []string {
 type Assigner interface {
 	// Name returns the strategy name, e.g. "size-balanced".
 	Name() string
-	// Assign places a unit identified by key with the given byte size and
-	// returns its server index in [0, servers).
-	Assign(key string, bytes int64) int
+	// Assign places unit u with the given byte size and returns its server
+	// index in [0, servers).
+	Assign(u Unit, bytes int64) int
 	// Load returns the cumulative bytes assigned to each server so far —
 	// the planned load, as opposed to Cluster.ServerLoad's observed traffic.
 	Load() []int64
+}
+
+// Unit identifies an assignment unit: a whole tensor (Part < 0) or one
+// partition of it. Only the hash ring renders it (see String); the other
+// strategies place by arrival and size alone.
+type Unit struct {
+	Layer int
+	Name  string
+	Part  int
+}
+
+// String returns the unit's placement key, "L<layer>/<name>" for a whole
+// tensor and "L<layer>/<name>#<part>" for a partition.
+func (u Unit) String() string {
+	if u.Part < 0 {
+		return fmt.Sprintf("L%d/%s", u.Layer, u.Name)
+	}
+	return fmt.Sprintf("L%d/%s#%d", u.Layer, u.Name, u.Part)
 }
 
 // NewAssigner constructs the assigner for a strategy over the given server
@@ -162,9 +180,9 @@ func NewRoundRobin(servers int) *RoundRobin {
 // Name implements Assigner.
 func (r *RoundRobin) Name() string { return StrategyRoundRobin.String() }
 
-// Assign implements Assigner: the next server in rotation, ignoring key and
-// size.
-func (r *RoundRobin) Assign(_ string, bytes int64) int {
+// Assign implements Assigner: the next server in rotation, ignoring the unit
+// and its size.
+func (r *RoundRobin) Assign(_ Unit, bytes int64) int {
 	s := r.next
 	r.next = (r.next + 1) % len(r.load)
 	r.load[s] += bytes
@@ -189,7 +207,7 @@ func NewSizeBalanced(servers int) *SizeBalanced {
 func (b *SizeBalanced) Name() string { return StrategySizeBalanced.String() }
 
 // Assign implements Assigner: the least-loaded server by assigned bytes.
-func (b *SizeBalanced) Assign(_ string, bytes int64) int {
+func (b *SizeBalanced) Assign(_ Unit, bytes int64) int {
 	best := 0
 	for s := 1; s < len(b.load); s++ {
 		if b.load[s] < b.load[best] {
@@ -246,7 +264,7 @@ func (d *DelayAware) Name() string { return StrategyDelayAware.String() }
 
 // Assign implements Assigner: the server with the earliest estimated finish
 // for this unit.
-func (d *DelayAware) Assign(_ string, bytes int64) int {
+func (d *DelayAware) Assign(_ Unit, bytes int64) int {
 	best := 0
 	bestScore := d.score(0, bytes)
 	for s := 1; s < len(d.load); s++ {
@@ -270,7 +288,7 @@ const DefaultVirtualNodes = 128
 
 // HashRing is a consistent-hash assigner: every server contributes vnodes
 // points on a 64-bit ring, and a unit lands on the first point clockwise of
-// its key's hash. Placement depends only on the key, so adding or removing a
+// the hash of its key, Unit.String. Placement depends only on the key, so adding or removing a
 // server relocates ~1/n of the keys and leaves the rest untouched — the
 // property an elastic PS deployment needs when shards join or drain.
 type HashRing struct {
@@ -320,13 +338,13 @@ func (r *HashRing) rebuild() {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Assign implements Assigner: the first ring point clockwise of the key's
-// hash.
-func (r *HashRing) Assign(key string, bytes int64) int {
+// Assign implements Assigner: the first ring point clockwise of the hash of
+// the unit's key.
+func (r *HashRing) Assign(u Unit, bytes int64) int {
 	if len(r.points) == 0 {
 		panic("ps: hash ring has no live servers")
 	}
-	h := hash64(key)
+	h := hash64(u.String())
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap around

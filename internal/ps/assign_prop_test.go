@@ -20,26 +20,24 @@ import (
 
 // randUnits draws n assignment units with a skewed (power-law-ish) size
 // distribution — the tensor-size shape that makes round-robin hot-spot.
-func randUnits(rng *rand.Rand, n int) []struct {
-	key   string
-	bytes int64
-} {
-	units := make([]struct {
-		key   string
-		bytes int64
-	}, n)
+func randUnits(rng *rand.Rand, n int) []sizedUnit {
+	units := make([]sizedUnit, n)
 	for i := range units {
 		// Mix of small (KB) and huge (up to 64MB) units.
 		size := int64(1<<10) + rng.Int63n(1<<14)
 		if rng.Intn(4) == 0 {
 			size = rng.Int63n(1<<26) + 1
 		}
-		units[i] = struct {
-			key   string
-			bytes int64
-		}{fmt.Sprintf("w%d/L%02d[%d]", rng.Intn(8), rng.Intn(40), i), size}
+		name := fmt.Sprintf("w%d", rng.Intn(8))
+		units[i] = sizedUnit{Unit{Layer: rng.Intn(40), Name: name, Part: i}, size}
 	}
 	return units
+}
+
+// sizedUnit is one assignment unit and its byte size.
+type sizedUnit struct {
+	u     Unit
+	bytes int64
 }
 
 // TestSizeBalancedLPTBound checks the list-scheduling guarantee over
@@ -54,7 +52,7 @@ func TestSizeBalancedLPTBound(t *testing.T) {
 		a := NewSizeBalanced(servers)
 		var sum, maxUnit int64
 		for _, u := range units {
-			if s := a.Assign(u.key, u.bytes); s < 0 || s >= servers {
+			if s := a.Assign(u.u, u.bytes); s < 0 || s >= servers {
 				t.Fatalf("trial %d: server %d out of range [0,%d)", trial, s, servers)
 			}
 			sum += u.bytes
@@ -101,10 +99,10 @@ func TestHashRingChurnBound(t *testing.T) {
 		vnodes := []int{16, 64, 128}[rng.Intn(3)]
 		units := randUnits(rng, 50+rng.Intn(400))
 
-		placement := func(r *HashRing) map[string]int {
-			m := make(map[string]int, len(units))
+		placement := func(r *HashRing) map[Unit]int {
+			m := make(map[Unit]int, len(units))
 			for _, u := range units {
-				m[u.key] = r.Assign(u.key, u.bytes)
+				m[u.u] = r.Assign(u.u, u.bytes)
 			}
 			return m
 		}
@@ -113,7 +111,7 @@ func TestHashRingChurnBound(t *testing.T) {
 		if r2 := NewHashRing(servers, vnodes); true {
 			for k, s := range placement(r2) {
 				if base[k] != s {
-					t.Fatalf("trial %d: ring not deterministic: key %q -> %d vs %d", trial, k, base[k], s)
+					t.Fatalf("trial %d: ring not deterministic: unit %v -> %d vs %d", trial, k, base[k], s)
 				}
 			}
 		}
@@ -123,7 +121,7 @@ func TestHashRingChurnBound(t *testing.T) {
 		var victimBytes, totalBytes int64
 		for _, u := range units {
 			totalBytes += u.bytes
-			if base[u.key] == victim {
+			if base[u.u] == victim {
 				victimBytes += u.bytes
 			}
 		}
@@ -133,12 +131,12 @@ func TestHashRingChurnBound(t *testing.T) {
 		var movedBytes int64
 		for _, u := range units {
 			switch {
-			case after[u.key] == victim:
-				t.Fatalf("trial %d: key %q still on removed server %d", trial, u.key, victim)
-			case base[u.key] != after[u.key]:
-				if base[u.key] != victim {
-					t.Fatalf("trial %d: key %q moved %d -> %d though server %d was removed",
-						trial, u.key, base[u.key], after[u.key], victim)
+			case after[u.u] == victim:
+				t.Fatalf("trial %d: unit %v still on removed server %d", trial, u.u, victim)
+			case base[u.u] != after[u.u]:
+				if base[u.u] != victim {
+					t.Fatalf("trial %d: unit %v moved %d -> %d though server %d was removed",
+						trial, u.u, base[u.u], after[u.u], victim)
 				}
 				movedBytes += u.bytes
 			}
@@ -155,11 +153,11 @@ func TestHashRingChurnBound(t *testing.T) {
 		r1.AddServer(victim)
 		restored := placement(r1)
 		for _, u := range units {
-			if restored[u.key] != base[u.key] {
-				t.Fatalf("trial %d: key %q not restored: %d vs %d", trial, u.key, restored[u.key], base[u.key])
+			if restored[u.u] != base[u.u] {
+				t.Fatalf("trial %d: unit %v not restored: %d vs %d", trial, u.u, restored[u.u], base[u.u])
 			}
-			if after[u.key] != base[u.key] && base[u.key] != victim {
-				t.Fatalf("trial %d: add/remove churned an unrelated key %q", trial, u.key)
+			if after[u.u] != base[u.u] && base[u.u] != victim {
+				t.Fatalf("trial %d: add/remove churned an unrelated unit %v", trial, u.u)
 			}
 		}
 	}
@@ -174,9 +172,9 @@ func TestAssignerDeterminism(t *testing.T) {
 	for _, strat := range []Strategy{StrategyRoundRobin, StrategySizeBalanced, StrategyHashRing} {
 		a, b := NewAssigner(strat, 7), NewAssigner(strat, 7)
 		for _, u := range units {
-			sa, sb := a.Assign(u.key, u.bytes), b.Assign(u.key, u.bytes)
+			sa, sb := a.Assign(u.u, u.bytes), b.Assign(u.u, u.bytes)
 			if sa != sb {
-				t.Fatalf("%s: divergent placement for %q: %d vs %d", strat, u.key, sa, sb)
+				t.Fatalf("%s: divergent placement for %v: %d vs %d", strat, u.u, sa, sb)
 			}
 		}
 		la, lb := a.Load(), b.Load()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -73,7 +74,7 @@ func powerLawSizes(n int, maxBytes int64, alpha float64, seed int64) []int64 {
 
 func assignAll(a Assigner, sizes []int64) {
 	for i, b := range sizes {
-		a.Assign(fmt.Sprintf("L%d/weight", i), b)
+		a.Assign(Unit{Layer: i, Name: "weight", Part: -1}, b)
 	}
 }
 
@@ -138,7 +139,7 @@ func TestRoundRobinAliasesPeriodicSizes(t *testing.T) {
 	rr := NewRoundRobin(servers)
 	heavyServers := map[int]bool{}
 	for i, b := range sizes {
-		s := rr.Assign(fmt.Sprintf("u%d", i), b)
+		s := rr.Assign(Unit{Layer: i, Name: "u", Part: -1}, b)
 		if b == 24<<20 {
 			heavyServers[s] = true
 		}
@@ -161,9 +162,9 @@ func TestAssignersAreDeterministic(t *testing.T) {
 	for _, s := range []Strategy{StrategyRoundRobin, StrategySizeBalanced, StrategyHashRing, StrategyDelayAware} {
 		a, b := NewAssigner(s, 5), NewAssigner(s, 5)
 		for i, bytes := range sizes {
-			key := fmt.Sprintf("L%d/w", i)
-			if got, want := a.Assign(key, bytes), b.Assign(key, bytes); got != want {
-				t.Fatalf("%v: divergent assignment for %s: %d vs %d", s, key, got, want)
+			u := Unit{Layer: i, Name: "w", Part: -1}
+			if got, want := a.Assign(u, bytes), b.Assign(u, bytes); got != want {
+				t.Fatalf("%v: divergent assignment for %v: %d vs %d", s, u, got, want)
 			}
 		}
 	}
@@ -175,9 +176,9 @@ func TestAssignersAreDeterministic(t *testing.T) {
 func TestHashRingStability(t *testing.T) {
 	const servers, keys = 8, 512
 	ring := NewHashRing(servers, 0) // 0 selects DefaultVirtualNodes
-	before := make(map[string]int, keys)
+	before := make(map[Unit]int, keys)
 	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("L%d/weight#%d", i/4, i%4)
+		k := Unit{Layer: i / 4, Name: "weight", Part: i % 4}
 		before[k] = ring.Assign(k, 1)
 	}
 
@@ -229,7 +230,7 @@ func TestDelayAwareTradesLoadForProximity(t *testing.T) {
 	a := NewDelayAware(2, []float64{0, 2}, 1)
 	want := []int{0, 0, 0, 1, 0, 1}
 	for i, ws := range want {
-		if got := a.Assign(fmt.Sprintf("u%d", i), 1); got != ws {
+		if got := a.Assign(Unit{Layer: i, Name: "u", Part: -1}, 1); got != ws {
 			t.Fatalf("unit %d placed on server %d, want %d", i, got, ws)
 		}
 	}
@@ -247,8 +248,8 @@ func TestDelayAwareUniformDelayMatchesSizeBalanced(t *testing.T) {
 	da := NewDelayAware(servers, []float64{3, 3, 3, 3, 3}, 1e9)
 	lpt := NewSizeBalanced(servers)
 	for i, b := range sizes {
-		key := fmt.Sprintf("L%d/w", i)
-		if got, want := da.Assign(key, b), lpt.Assign(key, b); got != want {
+		u := Unit{Layer: i, Name: "w", Part: -1}
+		if got, want := da.Assign(u, b), lpt.Assign(u, b); got != want {
 			t.Fatalf("unit %d (%d bytes): delay-aware → %d, size-balanced → %d", i, b, got, want)
 		}
 	}
@@ -286,5 +287,39 @@ func TestImbalance(t *testing.T) {
 		if got := Imbalance(c.load); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Imbalance(%v) = %v, want %v", c.load, got, c.want)
 		}
+	}
+}
+
+// TestHashRingUnitPlacement pins key-free placement to the string keys it
+// replaced: each Unit renders to the "L<layer>/<name>" or
+// "L<layer>/<name>#<part>" key the cluster used to build, and an 8-server
+// ring puts whole tensors and partitions of several layers on exactly the
+// servers those keys chose (recorded from the string-keyed ring).
+func TestHashRingUnitPlacement(t *testing.T) {
+	want := []int{
+		0, 2, 2, 2, 1, 7, 7, 7, 3, 0, 0, 0, 2, 1, 1, 1, 6, 0, 0, 0, 2, 0, 0, 0, 5, 7, 7, 7,
+		5, 1, 1, 1, 5, 6, 6, 6, 1, 3, 3, 3, 1, 3, 3, 3, 0, 6, 6, 6, 1, 6, 6, 6, 0, 7, 7, 7,
+		6, 3, 3, 3, 1, 3, 3, 3, 2, 4, 4, 4, 6, 2, 2, 2, 4, 7, 7, 7, 3, 3, 3, 3, 6, 2, 2, 2,
+		6, 4, 4, 4, 4, 7, 7, 7, 4, 0, 0, 0, 2, 4, 4, 4, 5, 2, 2, 2, 2, 3, 3, 3, 3, 7, 7, 7,
+	}
+	r := NewHashRing(8, 0)
+	var got []int
+	for _, name := range []string{"weight", "bias", "fc6/weight", "embedding"} {
+		for l := 0; l < 20; l += 3 {
+			for _, part := range []int{-1, 0, 2, 4} {
+				u := Unit{Layer: l, Name: name, Part: part}
+				key := fmt.Sprintf("L%d/%s#%d", l, name, part)
+				if part < 0 {
+					key = fmt.Sprintf("L%d/%s", l, name)
+				}
+				if u.String() != key {
+					t.Fatalf("%#v renders %q, want %q", u, u.String(), key)
+				}
+				got = append(got, r.Assign(u, 1))
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("hash-ring placement moved:\n got %v\nwant %v", got, want)
 	}
 }

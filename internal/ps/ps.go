@@ -86,8 +86,9 @@ const updateSecPerByte = 1.0 / 25e9
 const shardBytes = 32 << 20
 
 // Receiver is told of a partition's progress through the cluster. One record
-// on the caller's side (the plugin keeps one per tensor, worker and
-// iteration) stands in for four closures per partition; part is Sub.Index.
+// on the caller's side (the plugin keeps one per tensor and worker, reused
+// across iterations) stands in for four closures per partition; part is
+// Sub.Index.
 type Receiver interface {
 	// PushAcked: the sender learned the whole partition's push completed —
 	// the scheduler's credit-return signal.
@@ -113,10 +114,10 @@ type Cluster struct {
 	shardBytes       int64
 
 	assigner Assigner
-	ids      map[tensorID]int // TensorID's intern table
-	tensors  []placement      // by interned id
+	ids      map[Unit]int // TensorID's intern table, by whole-tensor unit
+	tensors  []placement  // by interned id
 
-	aggs      map[aggKey]*aggState
+	live      int     // aggregation slots in use
 	recvBytes []int64 // per-server pushed bytes, for load accounting
 
 	// A request is recycled at its last ack (a watch: its last chunk), an
@@ -126,21 +127,17 @@ type Cluster struct {
 	freeAggs recycle.List[*aggState]
 }
 
-type tensorID struct {
-	layer int
-	name  string
-}
-
 // placement is a tensor's sticky server assignment, stored as server+1 so
-// the zero value means "not assigned yet".
+// the zero value means "not assigned yet", and the tensor's live
+// aggregation slots.
 type placement struct {
-	id     tensorID
+	id     Unit  // the whole tensor
 	whole  int   // RoundRobinTensor: the tensor's one server
 	byPart []int // SpreadPartitions: by partition index
-}
-
-type aggKey struct {
-	iter, tensor, part, chunk int
+	// aggs holds, by partition index, a chain of that partition's live
+	// slots, one per (iteration, chunk): one, or two while iterations
+	// overlap; async mode may chain more.
+	aggs []*aggState
 }
 
 // The kinds of request.
@@ -167,7 +164,8 @@ type request struct {
 // the aggregate of all of them in sync mode.
 type aggState struct {
 	c              *Cluster
-	key            aggKey
+	next           *aggState // the partition's next live slot
+	iter, chunk    int
 	server         int
 	bytes          int64
 	pushesApplied  int
@@ -194,8 +192,7 @@ func New(eng *sim.Engine, fab *network.Fabric, cfg Config) (*Cluster, error) {
 		updateSecPerByte: updateSecPerByte,
 		shardBytes:       shardBytes,
 		assigner:         NewAssigner(cfg.Strategy, cfg.Servers),
-		ids:              make(map[tensorID]int),
-		aggs:             make(map[aggKey]*aggState),
+		ids:              make(map[Unit]int),
 		recvBytes:        make([]int64, cfg.Servers),
 	}, nil
 }
@@ -214,7 +211,7 @@ func (c *Cluster) ServerLoad() []int64 {
 // integer in place of its (layer, name) pair, so no hop hashes a string.
 // Intern once per tensor and keep the id.
 func (c *Cluster) TensorID(t tensor.Tensor) int {
-	key := tensorID{t.Layer, t.Name}
+	key := Unit{Layer: t.Layer, Name: t.Name, Part: -1}
 	id, ok := c.ids[key]
 	if !ok {
 		id = len(c.tensors)
@@ -242,11 +239,9 @@ func (c *Cluster) serverOf(tid int, sub tensor.Sub) int {
 		slot, bytes = &pl.byPart[sub.Index], sub.Bytes
 	}
 	if *slot == 0 {
-		var unit string
+		unit := pl.id
 		if spread {
-			unit = fmt.Sprintf("L%d/%s#%d", pl.id.layer, pl.id.name, sub.Index)
-		} else {
-			unit = fmt.Sprintf("L%d/%s", pl.id.layer, pl.id.name)
+			unit.Part = sub.Index
 		}
 		*slot = c.assigner.Assign(unit, bytes) + 1
 	}
@@ -294,20 +289,34 @@ func (c *Cluster) begin(kind, iter, worker, tid int, sub tensor.Sub, rcv Receive
 	return r, home, chunks
 }
 
+// link returns the link in r's partition chain that holds chunk's slot for
+// r's iteration, or the nil link at the chain's end if there is none yet.
+func (c *Cluster) link(r *request, chunk int) **aggState {
+	pl := &c.tensors[r.tensor]
+	for len(pl.aggs) <= r.part {
+		pl.aggs = append(pl.aggs, nil)
+	}
+	l := &pl.aggs[r.part]
+	for *l != nil && ((*l).iter != r.iter || (*l).chunk != chunk) {
+		l = &(*l).next
+	}
+	return l
+}
+
 // agg returns one chunk's aggregation slot, a recycled one (its slices keep
 // their capacity) at the chunk's first touch.
 func (c *Cluster) agg(r *request, chunk, server int, bytes int64) *aggState {
-	key := aggKey{r.iter, r.tensor, r.part, chunk}
-	a, ok := c.aggs[key]
-	if ok {
+	l := c.link(r, chunk)
+	if a := *l; a != nil {
 		return a
 	}
-	a = recycle.Take(&c.freeAggs)
+	a := recycle.Take(&c.freeAggs)
 	if c.cfg.Async && a.applied == nil {
 		a.applied = make([]bool, c.cfg.Workers)
 	}
-	a.c, a.key, a.server, a.bytes = c, key, server, bytes
-	c.aggs[key] = a
+	a.c, a.iter, a.chunk, a.server, a.bytes = c, r.iter, chunk, server, bytes
+	*l = a
+	c.live++
 	return a
 }
 
@@ -367,7 +376,7 @@ func (c *Cluster) await(kind, iter, worker, tid int, sub tensor.Sub, rcv Receive
 // counts it and, at the last, tells the receiver.
 func (c *Cluster) serve(a *aggState, r *request) {
 	if r.kind == reqPull {
-		c.send(r, c.serverNode(a.server), r.worker, a.bytes, 0, a.key.chunk)
+		c.send(r, c.serverNode(a.server), r.worker, a.bytes, 0, a.chunk)
 	} else if r.left--; r.left == 0 {
 		rcv, part := r.rcv, r.part
 		c.freeReqs.Put(r)
@@ -428,10 +437,11 @@ func (r *request) Delivered(t *network.Transfer) {
 	if r.left--; r.left == 0 {
 		r.rcv.PullDelivered(r.part)
 	}
-	a := c.aggs[aggKey{r.iter, r.tensor, r.part, t.Tag}]
+	l := c.link(r, t.Tag)
+	a := *l
 	a.pullsDelivered++
 	if a.pullsDelivered == c.cfg.Workers && len(a.waiting) == 0 && len(a.watchers) == 0 {
-		delete(c.aggs, a.key) // all workers served; reclaim
+		*l, c.live = a.next, c.live-1 // all workers served; reclaim
 		clear(a.applied)
 		*a = aggState{applied: a.applied, waiting: a.waiting, watchers: a.watchers}
 		c.freeAggs.Put(a)
@@ -454,7 +464,7 @@ func (r *request) Acked(*network.Transfer) {
 
 // Outstanding returns the number of live aggregation entries; useful for
 // leak checks in tests.
-func (c *Cluster) Outstanding() int { return len(c.aggs) }
+func (c *Cluster) Outstanding() int { return c.live }
 
 // LoadImbalance returns max/mean of per-server received bytes; 1.0 is
 // perfectly balanced. Returns 0 before any traffic.
