@@ -8,6 +8,7 @@ import (
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/network"
 	"bytescheduler/internal/runner"
+	"bytescheduler/internal/stats"
 	"bytescheduler/internal/tune"
 )
 
@@ -82,7 +83,7 @@ func ExtAutoTune(o Opts) (Table, error) {
 				runErr = err
 				return 0
 			}
-			return 1 / medianSeconds(r.IterTimes)
+			return 1 / stats.Percentile(r.IterTimes, 50)
 		}, trials)
 		return res, runErr
 	}

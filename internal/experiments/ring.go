@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/runner"
+	"bytescheduler/internal/stats"
 )
 
 // ExtLiveRing runs the live segmented ring all-reduce backend (internal/
@@ -151,26 +151,9 @@ func bestMedians(reps int, legs []*liveLeg) error {
 			if err != nil {
 				return fmt.Errorf("live %s: %w", l.name, err)
 			}
-			l.iter = math.Min(l.iter, medianSeconds(res.IterTimes))
+			l.iter = math.Min(l.iter, stats.Percentile(res.IterTimes, 50))
 			l.res = res
 		}
 	}
 	return nil
-}
-
-// medianSeconds is the robust location estimate for wall-clock iteration
-// samples: loopback runs on a shared machine see occasional multi-ms
-// scheduler stalls that would dominate a mean.
-func medianSeconds(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
 }

@@ -5,13 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// BatchPush is one gradient push handed to PushBatch.
-type BatchPush struct {
-	Key  string
-	Iter uint32
-	Grad []float32
-}
-
 // errBatcherClosed fails a Batcher.Push after Close.
 var errBatcherClosed = errors.New("netps: batcher closed")
 

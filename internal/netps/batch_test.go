@@ -15,26 +15,23 @@ import (
 	"bytescheduler/internal/wire"
 )
 
-// TestPushBatchAggregates round-trips pushes written back to back from two
-// workers, checking aggregation works exactly as for single pushes.
+// TestPushBatchAggregates round-trips pushes from two workers, each
+// pushing two partitions at once, all four concurrently, checking that
+// aggregation works exactly as for pushes made one at a time.
 func TestPushBatchAggregates(t *testing.T) {
 	srv, addr := startServer(t, 2)
 	c0, c1 := NewClient(addr), NewClient(addr)
 	defer c0.Close()
 	defer c1.Close()
 
+	errs := make(chan error, 4)
 	for c, scale := range map[*Client]float32{c0: 1, c1: 10} {
-		errs, err := c.PushBatch([]BatchPush{
-			{Key: "a", Iter: 0, Grad: []float32{1 * scale, 2 * scale}},
-			{Key: "b", Iter: 0, Grad: []float32{3 * scale}},
-		})
-		if err != nil {
+		go func() { errs <- c.Push("a", 0, []float32{1 * scale, 2 * scale}) }()
+		go func() { errs <- c.Push("b", 0, []float32{3 * scale}) }()
+	}
+	for i := 0; i < 4; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
-		}
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("push %d: %v", i, e)
-			}
 		}
 	}
 	// Both workers pull, so the server reclaims the entries.
@@ -55,7 +52,7 @@ func TestPushBatchAggregates(t *testing.T) {
 }
 
 // TestBatchAmortizesMessages pins the θ-amortization claim in metric form:
-// pushing N partitions through PushBatch puts N frames on the wire
+// N pushes that queue behind one write leave as N frames on the wire
 // (netps_msgs_total) in one writev (netps_writes_total) — the live
 // counterpart of the simulator's per-message overhead model, paid per
 // write rather than per frame.
@@ -66,19 +63,9 @@ func TestBatchAmortizesMessages(t *testing.T) {
 	defer c.Close()
 
 	const n = 16
-	items := make([]BatchPush, n)
-	for i := range items {
-		items[i] = BatchPush{Key: fmt.Sprintf("k%d", i), Iter: 0, Grad: []float32{float32(i)}}
-	}
-	errs, err := c.PushBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("push %d: %v", i, e)
-		}
-	}
+	pushQueued(t, c, n, func(i int) (string, []float32) {
+		return fmt.Sprintf("k%d", i), []float32{float32(i)}
+	})
 	snap := reg.Snapshot()
 	if got := snap.Counters["netps_msgs_total"]; got != n {
 		t.Fatalf("netps_msgs_total = %d, want %d frames", got, n)

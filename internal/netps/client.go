@@ -204,8 +204,6 @@ type call struct {
 	// touch the call again; timer paces its deadline.
 	done  chan struct{}
 	timer *time.Timer
-	// unsent is the caller's: the call still needs an attempt.
-	unsent bool
 	// Under the connection's mu: held while the frame is queued or being
 	// written, which is when the writer, not the claimant, signals done.
 	held, settled bool
@@ -273,29 +271,31 @@ func (c *Client) backoff(attempt int) {
 	time.Sleep(c.retryDelay.Delay(attempt, jitter))
 }
 
-// send registers the unsent calls on cc and queues their frames. If no
-// caller is writing, this one becomes the writer: it writes the queue in
-// one writev, then whatever queued during that write, until the queue is
-// empty — on a broken connection it only releases the frames.
-func (c *Client) send(cc *clientConn, calls []*call) {
+// send registers k on cc and queues its frame; on a broken connection k
+// settles at once with the break. If no caller is writing, this one
+// becomes the writer and drains the queue.
+func (c *Client) send(cc *clientConn, k *call) {
 	cc.mu.Lock()
-	for _, k := range calls {
-		if !k.unsent {
-			continue
-		}
-		if k.err = cc.err; k.err != nil {
-			k.done <- struct{}{}
-			continue
-		}
-		cc.pending[k.req.Seq] = k
-		k.held = true
-		cc.queue = append(cc.queue, k)
-	}
-	if cc.writing {
+	if k.err = cc.err; k.err != nil {
 		cc.mu.Unlock()
+		k.done <- struct{}{}
 		return
 	}
-	cc.writing = true
+	cc.pending[k.req.Seq] = k
+	k.held = true
+	cc.queue = append(cc.queue, k)
+	if !cc.writing {
+		cc.writing = true
+		c.drain(cc)
+	}
+	cc.mu.Unlock()
+}
+
+// drain is the writer's loop: it writes the queue in one writev, then
+// whatever queued during that write, until the queue is empty — on a
+// broken connection it only releases the frames — and gives up writing.
+// Caller holds cc.mu and has set cc.writing.
+func (c *Client) drain(cc *clientConn) {
 	for len(cc.queue) > 0 {
 		batch, broken := cc.queue, cc.err != nil
 		cc.queue = cc.spare
@@ -316,7 +316,6 @@ func (c *Client) send(cc *clientConn, calls []*call) {
 		cc.spare = batch[:0]
 	}
 	cc.writing = false
-	cc.mu.Unlock()
 }
 
 // write stages batch's frames and writes them in one writev under the
@@ -475,62 +474,50 @@ func opName(op Op) string {
 	return "pull"
 }
 
-// retryable reports an outcome worth another attempt: a transport failure,
-// not an answer or a server's rejection.
-func retryable(err error) bool { return err != nil && !isServerError(err) }
-
 func isServerError(err error) bool {
 	_, ok := err.(*ServerError)
 	return ok
 }
 
-// roundTrip runs calls to completion, retrying transport failures under
-// the backoff policy, and returns the first transport error left; each
-// call's own outcome is in its err. Seqs are assigned here and stay stable
-// across retries, so the server deduplicates replays; a server rejection
-// (OpErr) is a decision, not a fault, and is never retried. Each call is
-// observed as one logical request — latency, bytes, outcome counters and,
-// with a tracer, one span covering its retries.
-func (c *Client) roundTrip(calls ...*call) error {
-	for _, k := range calls {
-		k.req.Seq, k.unsent = c.nextSeq(), true
-	}
-	c.inst.requests.Add(uint64(len(calls)))
-	c.inst.inflight.Add(int64(len(calls)))
+// roundTrip runs k to completion, retrying transport failures under the
+// backoff policy; its outcome is in k.err. Its Seq is assigned here and
+// stays stable across retries, so the server deduplicates replays; a
+// server rejection (OpErr) is a decision, not a fault, and is never
+// retried. The call is observed as one logical request — latency, bytes,
+// outcome counters and, with a tracer, one span covering its retries.
+func (c *Client) roundTrip(k *call) {
+	k.req.Seq = c.nextSeq()
+	c.inst.requests.Inc()
+	c.inst.inflight.Add(1)
 	start := time.Now()
-	err := c.attempt(calls)
-	elapsed := time.Since(start)
-	c.inst.inflight.Add(-int64(len(calls)))
-	for _, k := range calls {
-		if k.unsent { // the last attempt could not send it
-			k.err, k.unsent = err, false
-		}
-		if c.tracer != nil {
-			c.tracer.Add(fmt.Sprintf("netps/c%d", c.id),
-				fmt.Sprintf("%s %s#%d", opName(Op(k.req.Op)), k.req.Key, k.req.Iter),
-				start, start.Add(elapsed))
-		}
-		switch {
-		case k.err == nil && Op(k.req.Op) == OpPush:
-			c.inst.pushSeconds.Observe(elapsed.Seconds())
-			c.inst.bytesPushed.Add(uint64(len(k.req.Payload)))
-		case k.err == nil:
-			c.inst.pullSeconds.Observe(elapsed.Seconds())
-			c.inst.bytesPulled.Add(uint64(len(k.resp.Payload)))
-		case isServerError(k.err):
-			c.inst.serverErrors.Inc()
-		default:
-			c.inst.failures.Inc()
-		}
+	if err := c.attempt(k); err != nil {
+		k.err = err // the last attempt may not have reached the call
 	}
-	return err
+	elapsed := time.Since(start)
+	c.inst.inflight.Add(-1)
+	if c.tracer != nil {
+		c.tracer.Add(fmt.Sprintf("netps/c%d", c.id),
+			fmt.Sprintf("%s %s#%d", opName(Op(k.req.Op)), k.req.Key, k.req.Iter),
+			start, start.Add(elapsed))
+	}
+	switch {
+	case k.err == nil && Op(k.req.Op) == OpPush:
+		c.inst.pushSeconds.Observe(elapsed.Seconds())
+		c.inst.bytesPushed.Add(uint64(len(k.req.Payload)))
+	case k.err == nil:
+		c.inst.pullSeconds.Observe(elapsed.Seconds())
+		c.inst.bytesPulled.Add(uint64(len(k.resp.Payload)))
+	case isServerError(k.err):
+		c.inst.serverErrors.Inc()
+	default:
+		c.inst.failures.Inc()
+	}
 }
 
-// attempt runs the retry loop over the calls still failing on the
-// transport.
-func (c *Client) attempt(calls []*call) error {
+// attempt runs the retry loop while k fails on the transport.
+func (c *Client) attempt(k *call) error {
 	for attempt := 0; ; attempt++ {
-		err := c.try(calls)
+		err := c.try(k)
 		if err == nil || attempt >= c.maxRetries {
 			return err
 		}
@@ -544,50 +531,42 @@ func (c *Client) attempt(calls []*call) error {
 
 // try is one attempt. If it rode a connection opened before it and that
 // connection broke — the server may close a connection while it sits idle,
-// so the requests were never processed — it replays once, immediately, on
+// so the request was never processed — it replays once, immediately, on
 // a fresh dial, free of retry budget.
-func (c *Client) try(calls []*call) error {
+func (c *Client) try(k *call) error {
 	cc, reused, err := c.conn()
 	if err != nil {
 		return err
 	}
-	if err = c.exchange(cc, calls); err != nil && reused {
+	if err = c.exchange(cc, k); err != nil && reused {
 		if cur, _ := c.current(); cur != cc { // failed and forgotten
 			if cc, _, err = c.conn(); err == nil {
 				c.inst.redials.Inc()
-				err = c.exchange(cc, calls)
+				err = c.exchange(cc, k)
 			}
 		}
 	}
 	return err
 }
 
-// exchange sends the unsent calls over cc, in one write if the connection
-// is idle, and waits for each under its deadline, counted from the send:
-// pulls wait for cross-worker aggregation, far longer than a push's ack
-// may take. It returns the first transport error among them, whose calls
-// stay unsent.
-func (c *Client) exchange(cc *clientConn, calls []*call) error {
-	sent := time.Now()
-	c.send(cc, calls)
-	var first error
-	for _, k := range calls {
-		if !k.unsent {
-			continue
-		}
-		d, deadline := c.timeout, time.Time{}
-		if Op(k.req.Op) == OpPull {
-			d = c.pullTimeout
-		}
-		if d > 0 {
-			deadline = sent.Add(d)
-		}
-		c.wait(cc, k, deadline)
-		if k.unsent = retryable(k.err); k.unsent && first == nil {
-			first = k.err
-		}
+// exchange sends k over cc and waits for it under its deadline, counted
+// from the send: pulls wait for cross-worker aggregation, far longer than
+// a push's ack may take. It returns k's transport error, if any; a
+// server's rejection stays in k.err alone.
+func (c *Client) exchange(cc *clientConn, k *call) error {
+	d, deadline := c.timeout, time.Time{}
+	if Op(k.req.Op) == OpPull {
+		d = c.pullTimeout
 	}
-	return first
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	c.send(cc, k)
+	c.wait(cc, k, deadline)
+	if isServerError(k.err) {
+		return nil // an answer, not a transport failure: never retried
+	}
+	return k.err
 }
 
 // newCall takes a call record off the free list for op on (key, iter).
@@ -634,38 +613,10 @@ func (c *Client) pushCall(key string, iter uint32, grad []float32) *call {
 // it.
 func (c *Client) Push(key string, iter uint32, grad []float32) error {
 	k := c.pushCall(key, iter, grad)
-	c.roundTrip(k) //nolint:errcheck // the outcome is k.err
+	c.roundTrip(k)
 	err := k.err
 	c.release(k)
 	return err
-}
-
-// PushBatch writes several gradient pushes back to back in one writev and
-// returns when each is settled: one error slot per item (a *ServerError
-// for an individually rejected push), and the first transport failure left
-// after the retry budget, in which case no per-item result is meaningful.
-// Replays are safe: each push keeps its own Seq across retries, so the
-// server acknowledges duplicates without double-summing.
-func (c *Client) PushBatch(items []BatchPush) ([]error, error) {
-	if len(items) == 0 {
-		return nil, nil
-	}
-	calls := make([]*call, len(items))
-	for i, it := range items {
-		calls[i] = c.pushCall(it.Key, it.Iter, it.Grad)
-	}
-	err := c.roundTrip(calls...)
-	errs := make([]error, len(items))
-	for i, k := range calls {
-		if isServerError(k.err) {
-			errs[i] = k.err
-		}
-		c.release(k)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return errs, nil
 }
 
 // Pull blocks until the partition is aggregated across all workers and
@@ -694,7 +645,7 @@ func (c *Client) PullInto(key string, iter uint32, out []float32) error {
 // overrunning the caller's slice.
 func (c *Client) pull(key string, iter uint32, out []float32) ([]float32, error) {
 	k := c.newCall(OpPull, key, iter)
-	c.roundTrip(k) //nolint:errcheck // the outcome is k.err
+	c.roundTrip(k)
 	vals, err := []float32(nil), k.err
 	if err == nil {
 		if vals, err = wire.Floats(out[:0:len(out)], k.resp.Header, k.resp.Payload); err != nil {

@@ -518,3 +518,37 @@ func TestSchedulerRecoversFromServerCrash(t *testing.T) {
 		}
 	}
 }
+
+// TestSendOnBrokenConnection: a call sent on a connection that has already
+// broken settles at once with the break. The sender signals its done
+// itself — no writer will ever take the frame — so the exchange returns
+// the break instead of waiting forever, and leaves no second signal in
+// the record for its next use.
+func TestSendOnBrokenConnection(t *testing.T) {
+	_, addr := startServer(t, 1)
+	c := NewClient(addr)
+	defer c.Close()
+	cc, _, err := c.conn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	broke := errors.New("netps: connection broken by the test")
+	c.fail(cc, broke)
+
+	k := c.pushCall("k", 0, []float32{1})
+	k.req.Seq = c.nextSeq()
+	got := make(chan error, 1)
+	go func() { got <- c.exchange(cc, k) }()
+	select {
+	case err := <-got:
+		if !errors.Is(err, broke) || !errors.Is(k.err, broke) {
+			t.Fatalf("exchange on a broken connection = %v (call err %v), want %v", err, k.err, broke)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("exchange on a broken connection never returned")
+	}
+	if len(k.done) != 0 {
+		t.Fatalf("the call's done holds %d stale signals after the exchange", len(k.done))
+	}
+	c.release(k)
+}

@@ -234,7 +234,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		for i, k := range calls {
 			j := slices.IndexFunc(frames, func(m message) bool { return m.Seq == k.req.Seq })
 			if j < 0 {
-				if !retryable(k.err) {
+				if k.err == nil || isServerError(k.err) {
 					t.Fatalf("call %d: no frame answers it, yet it settled with %v", i, k.err)
 				}
 				continue

@@ -67,8 +67,8 @@ func TestPipelinedCrossedOrders(t *testing.T) {
 // TestPipelinedPassHoldsOneConnection: a client with a whole pass
 // outstanding — 19 partitions, each a push and then a pull that parks on
 // the other worker — holds exactly one server connection, and the server
-// spends one goroutine per parked pull beside it. The other worker's
-// PushBatch then completes all 19 in one writev.
+// spends one goroutine per parked pull beside it. The other worker's 19
+// pushes, queued behind one write, then complete all 19 in one writev.
 func TestPipelinedPassHoldsOneConnection(t *testing.T) {
 	const parts = 19
 	reg := metrics.NewRegistry()
@@ -106,13 +106,9 @@ func TestPipelinedPassHoldsOneConnection(t *testing.T) {
 	breg := metrics.NewRegistry()
 	b := NewClient(addr, WithClientID(2), WithMetrics(breg))
 	defer b.Close()
-	items := make([]BatchPush, parts)
-	for p := range items {
-		items[p] = BatchPush{Key: fmt.Sprintf("L%02d", p), Grad: []float32{float32(2 * p)}}
-	}
-	if _, err := b.PushBatch(items); err != nil {
-		t.Fatal(err)
-	}
+	pushQueued(t, b, parts, func(p int) (string, []float32) {
+		return fmt.Sprintf("L%02d", p), []float32{float32(2 * p)}
+	})
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -120,8 +116,42 @@ func TestPipelinedPassHoldsOneConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w := breg.Snapshot().Counters["netps_writes_total"]; w != 1 {
-		t.Fatalf("PushBatch of %d took %d writes, want 1", parts, w)
+	snap := breg.Snapshot()
+	if m, w := snap.Counters["netps_msgs_total"], snap.Counters["netps_writes_total"]; m != parts || w != 1 {
+		t.Fatalf("%d queued pushes took %d frames in %d writes, want %d in 1", parts, m, w, parts)
+	}
+}
+
+// pushQueued makes n pushes on c at once — push i carries item(i) — while
+// the test holds c's writer, so every frame is queued before any is
+// written, then drains the queue as send does and waits for every ack.
+// The n frames therefore leave in one writev, whatever the scheduler does.
+func pushQueued(t *testing.T, c *Client, n int, item func(i int) (string, []float32)) {
+	t.Helper()
+	cc, _, err := c.conn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.mu.Lock()
+	cc.writing = true
+	cc.mu.Unlock()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		key, grad := item(i)
+		go func() { errs <- c.Push(key, 0, grad) }()
+	}
+	waitFor(t, 5*time.Second, fmt.Sprintf("%d queued pushes", n), func() bool {
+		cc.mu.Lock()
+		defer cc.mu.Unlock()
+		return len(cc.queue) == n
+	})
+	cc.mu.Lock()
+	c.drain(cc)
+	cc.mu.Unlock()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
