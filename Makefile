@@ -48,11 +48,13 @@ fuzz:
 # operator-facing packages, of internal/wire (the frame both live
 # transports depend on) and of internal/netps (the PS client API), and
 # checkmetrics holds ARCHITECTURE.md's Metric schema to exactly the
-# netps_* series the code registers.
+# netps_* series the code registers, and checkflags holds README's
+# `bytesched` flags table to exactly the flags cmd/bytesched registers.
 docs: vet
 	sh scripts/checklinks.sh
 	sh scripts/checkdocs.sh
 	sh scripts/checkmetrics.sh
+	sh scripts/checkflags.sh
 
 # loc prints non-test Go lines per package and their total outside bench/,
 # the size figure ROADMAP.md and CHANGES.md quote.

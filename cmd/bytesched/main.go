@@ -52,10 +52,9 @@ type options struct {
 	// (critical-path over the DAG timing profile), or random (seeded
 	// ablation). Empty keeps the policy's own order.
 	Priority string
-	// Pipeline selects cross-iteration pipelining on live runs: auto, on
-	// (stream tasks mid-backward-pass, coordinated rings through the
-	// agreed-order window), off (hold every pass to its boundary).
-	Pipeline                   string
+	// ReleaseWindow is the live release lookahead in tasks
+	// (runner.LiveConfig.ReleaseWindow; 0 keeps the backend default).
+	ReleaseWindow              int
 	BW, PartMB, CreditMB       float64
 	GPUs, Iters, Warmup, TuneN int
 	Seed                       int64
@@ -118,8 +117,8 @@ func main() {
 	flag.StringVar(&o.Policy, "policy", "bytescheduler", "policy: fifo, p3, tictac, bytescheduler")
 	flag.StringVar(&o.Priority, "priority", "",
 		"priority strategy override: layer, tictac (critical-path from DAG timings), random (empty keeps the policy's order)")
-	flag.StringVar(&o.Pipeline, "pipeline", "auto",
-		"cross-iteration pipelining on live runs: auto, on (stream mid-pass), off (hold to pass end)")
+	flag.IntVar(&o.ReleaseWindow, "release-window", 0,
+		"live release lookahead in tasks: 1 streams, the layer count holds each pass to its end (0 = backend default)")
 	flag.Float64Var(&o.PartMB, "partition", 2, "partition size in MB (bytescheduler policy)")
 	flag.Float64Var(&o.CreditMB, "credit", 8, "credit size in MB (bytescheduler policy)")
 	flag.BoolVar(&o.Async, "async", false, "asynchronous PS")
@@ -239,8 +238,8 @@ func run(o options) error {
 			return err
 		}
 	}
-	if o.Pipeline != "" && o.Pipeline != "auto" {
-		return fmt.Errorf("-pipeline is a live-run knob; combine it with -backend")
+	if o.ReleaseWindow != 0 {
+		return fmt.Errorf("-release-window is a live-run knob; combine it with -backend")
 	}
 
 	if o.TuneN > 0 {
@@ -395,10 +394,6 @@ func liveConfig(o options) (runner.LiveConfig, error) {
 	if err != nil {
 		return runner.LiveConfig{}, err
 	}
-	pipeline, err := runner.ParsePipelineMode(o.Pipeline)
-	if err != nil {
-		return runner.LiveConfig{}, err
-	}
 	codec, err := compress.ParseCodec(o.Codec)
 	if err != nil {
 		return runner.LiveConfig{}, err
@@ -409,7 +404,7 @@ func liveConfig(o options) (runner.LiveConfig, error) {
 		LayerBytes:      layers,
 		Policy:          policy,
 		Priority:        priority,
-		Pipeline:        pipeline,
+		ReleaseWindow:   o.ReleaseWindow,
 		Iterations:      max(o.Iters, o.Warmup+2),
 		Warmup:          o.Warmup,
 		ForwardCompute:  o.LiveCompute,
@@ -460,7 +455,7 @@ func runLive(o options) error {
 	baseCfg := cfg
 	baseCfg.Policy = runner.LiveFIFO()
 	baseCfg.Priority = core.PriorityDefault // vanilla emission order
-	baseCfg.Pipeline = runner.PipelineAuto
+	baseCfg.ReleaseWindow = 0
 	baseCfg.Trace = nil
 	baseCfg.Metrics = nil
 	baseCfg.AutoTune = nil // the unscheduled baseline has no knobs to tune
@@ -479,8 +474,8 @@ func runLive(o options) error {
 	if cfg.FuseTheta > 0 || !cfg.Codec.IsIdentity() {
 		fmt.Printf("  wire:      fuse-theta=%d B, codec=%s\n", cfg.FuseTheta, cfg.Codec.Name())
 	}
-	if cfg.Priority != core.PriorityDefault || cfg.Pipeline != runner.PipelineAuto {
-		fmt.Printf("  schedule:  priority=%s, pipeline=%s\n", cfg.Priority, cfg.Pipeline)
+	if cfg.Priority != core.PriorityDefault || cfg.ReleaseWindow != 0 {
+		fmt.Printf("  schedule:  priority=%s, release-window=%d\n", cfg.Priority, cfg.ReleaseWindow)
 	}
 	fmt.Printf("  iter:      %10.2f ms  (%s)\n", res.IterTime*1e3, policy)
 	fmt.Printf("  baseline:  %10.2f ms  (fifo)\n", base.IterTime*1e3)

@@ -159,6 +159,16 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%s: invalid value accepted", name)
 		}
 	}
+	// A release window is a live-run knob, and never negative.
+	o := defaults()
+	o.ReleaseWindow = 2
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "-release-window") {
+		t.Errorf("simulated run with -release-window: err = %v, want one naming the flag", err)
+	}
+	o.Backend, o.LiveWorkers, o.LiveLayers, o.ReleaseWindow = "ps", 2, "32,16", -1
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "negative release window") {
+		t.Errorf("live run with -release-window -1: err = %v, want the negative window refused", err)
+	}
 }
 
 func min(a, b int) int {

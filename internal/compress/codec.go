@@ -132,9 +132,6 @@ func (c Codec) ID() CodecID { return c.id }
 // IsIdentity reports whether the codec is the raw-fp32 identity.
 func (c Codec) IsIdentity() bool { return c.id == CodecIdentity }
 
-// Lossy reports whether decoding can differ from the encoded values.
-func (c Codec) Lossy() bool { return c.id != CodecIdentity }
-
 // Name returns the CLI spelling of the codec (round-trips via ParseCodec).
 func (c Codec) Name() string {
 	switch c.id {

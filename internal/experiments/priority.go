@@ -99,22 +99,18 @@ func ExtPriority(o Opts) (Table, error) {
 	if o.Quick {
 		iters, warmup, reps = 8, 2, 2
 	}
-	arm := func(backend runner.LiveBackend, mode runner.PipelineMode) *liveLeg {
+	arm := func(backend runner.LiveBackend, mode string, window int) *liveLeg {
 		workers := 2
 		if backend == runner.LiveBackendRing {
 			workers = 3
 		}
 		cfg := runner.LiveConfig{
-			Backend:    backend,
-			Workers:    workers,
-			LayerBytes: layers,
-			Policy:     core.ByteScheduler(64<<10, 256<<10),
-			Priority:   core.PriorityLayer,
-			Pipeline:   mode,
-			// A small lookahead window releases the first gradients two
-			// layers into the backward pass instead of halfway through it
-			// — more overlap, same agreed order.
-			PipelineWindow:  2,
+			Backend:         backend,
+			Workers:         workers,
+			LayerBytes:      layers,
+			Policy:          core.ByteScheduler(64<<10, 256<<10),
+			Priority:        core.PriorityLayer,
+			ReleaseWindow:   window,
 			Iterations:      iters,
 			Warmup:          warmup,
 			ForwardCompute:  200 * time.Microsecond,
@@ -124,10 +120,18 @@ func ExtPriority(o Opts) (Table, error) {
 		}
 		return &liveLeg{name: fmt.Sprintf("%s pipeline %s", backend, mode), cfg: func() runner.LiveConfig { return cfg }}
 	}
+	// Off holds each pass to its boundary. On streams: PS tasks as they are
+	// emitted; ring tasks through a two-task lookahead, which releases the
+	// first gradients two layers into the backward pass — overlap in the
+	// peers' agreed order.
 	backends := []runner.LiveBackend{runner.LiveBackendPS, runner.LiveBackendRing}
 	var legs []*liveLeg // off, on per backend
 	for _, b := range backends {
-		legs = append(legs, arm(b, runner.PipelineOff), arm(b, runner.PipelineOn))
+		on := 1
+		if b == runner.LiveBackendRing {
+			on = 2
+		}
+		legs = append(legs, arm(b, "off", len(layers)), arm(b, "on", on))
 	}
 	if err := bestMedians(reps, legs); err != nil {
 		return Table{}, err

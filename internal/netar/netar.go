@@ -12,7 +12,6 @@ import (
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/stats"
-	"bytescheduler/internal/trace"
 	"bytescheduler/internal/wire"
 )
 
@@ -48,11 +47,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 		}
 	}
 }
-
-// WithTracer records every collective as a wall-clock span on the
-// "netar/r<rank>" lane — the live counterpart of the simulator's
-// all-reduce trace, in the same Chrome-trace schema.
-func WithTracer(w *trace.Wall) Option { return func(p *Peer) { p.tracer = w } }
 
 // WithCodec compresses every outbound ring segment through the given wire
 // codec; inbound segments decode by the codec id on the frame, so mixed
@@ -107,7 +101,6 @@ type Peer struct {
 	maxPending  int
 	codec       compress.Codec
 	inst        peerInstruments
-	tracer      *trace.Wall
 
 	seq atomic.Uint64
 
@@ -549,11 +542,6 @@ func (p *Peer) AllReduceInto(key string, iter uint32, in, out []float32) error {
 	err := p.allReduce(key, iter, in, out)
 	p.inst.inflight.Dec()
 	p.inst.opSeconds.Observe(time.Since(start).Seconds())
-	if p.tracer != nil {
-		p.tracer.Add(fmt.Sprintf("netar/r%d", p.rank),
-			fmt.Sprintf("allreduce %s#%d", key, iter),
-			start, time.Now())
-	}
 	return err
 }
 

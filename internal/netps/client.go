@@ -13,7 +13,6 @@ import (
 	"bytescheduler/internal/metrics"
 	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/stats"
-	"bytescheduler/internal/trace"
 	"bytescheduler/internal/wire"
 )
 
@@ -89,11 +88,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithTracer records every request as a wall-clock span on the
-// "netps/c<id>" lane — the live counterpart of the simulator's fabric
-// trace, in the same Chrome-trace schema.
-func WithTracer(w *trace.Wall) Option { return func(c *Client) { c.tracer = w } }
-
 // WithCodec compresses every push through the given wire codec; the
 // server decodes, aggregates in fp32, and re-encodes the aggregate with
 // the same codec, so pulls come back compressed too. All workers pushing
@@ -147,7 +141,6 @@ type Client struct {
 	seq         atomic.Uint32
 	codec       compress.Codec
 	inst        clientInstruments
-	tracer      *trace.Wall
 
 	dialMu  sync.Mutex     // one dial at a time, so concurrent first calls share it
 	readers sync.WaitGroup // each connection's reader, which Close waits for
@@ -466,7 +459,7 @@ func (c *Client) wait(cc *clientConn, k *call, deadline time.Time) {
 	}
 }
 
-// opName labels a call's op for spans and error text.
+// opName labels a call's op for error text.
 func opName(op Op) string {
 	if op == OpPush {
 		return "push"
@@ -483,8 +476,8 @@ func isServerError(err error) bool {
 // backoff policy; its outcome is in k.err. Its Seq is assigned here and
 // stays stable across retries, so the server deduplicates replays; a
 // server rejection (OpErr) is a decision, not a fault, and is never
-// retried. The call is observed as one logical request — latency, bytes,
-// outcome counters and, with a tracer, one span covering its retries.
+// retried. The call is observed as one logical request across its retries:
+// one latency sample, and its byte and outcome counters.
 func (c *Client) roundTrip(k *call) {
 	k.req.Seq = c.nextSeq()
 	c.inst.requests.Inc()
@@ -495,11 +488,6 @@ func (c *Client) roundTrip(k *call) {
 	}
 	elapsed := time.Since(start)
 	c.inst.inflight.Add(-1)
-	if c.tracer != nil {
-		c.tracer.Add(fmt.Sprintf("netps/c%d", c.id),
-			fmt.Sprintf("%s %s#%d", opName(Op(k.req.Op)), k.req.Key, k.req.Iter),
-			start, start.Add(elapsed))
-	}
 	switch {
 	case k.err == nil && Op(k.req.Op) == OpPush:
 		c.inst.pushSeconds.Observe(elapsed.Seconds())

@@ -248,10 +248,6 @@ func (c *Cluster) serverOf(tid int, sub tensor.Sub) int {
 	return *slot - 1
 }
 
-// AssignerName reports the placement strategy in effect, e.g.
-// "size-balanced".
-func (c *Cluster) AssignerName() string { return c.assigner.Name() }
-
 // PlannedLoad returns the per-server bytes the assigner has placed so far —
 // the *planned* load, versus ServerLoad's observed pushed traffic (which
 // counts every worker's push and big-array stripes).

@@ -112,18 +112,14 @@ type LiveConfig struct {
 	// so every worker — and, on coordinated ring runs, every peer's agreed
 	// admission order — uses the same ranks.
 	Priority core.PriorityPolicy
-	// Pipeline selects cross-iteration pipelining (see PipelineMode):
-	// whether a backward pass's gradient tasks reach the scheduler as the
-	// pass produces them (overlapping iteration i's backward compute and
-	// iteration i+1's forward-blocking transfers with communication) or
-	// are held to the pass boundary. It only picks the release window
-	// (see releaseWindow); PipelineAuto keeps each backend's established
-	// behavior.
-	Pipeline PipelineMode
-	// PipelineWindow bounds the coordinated streaming release's reorder
-	// lookahead (core.StreamReleaser); 0 picks half the layer count. Only
-	// meaningful for PipelineOn on coordinated ring runs.
-	PipelineWindow int
+	// ReleaseWindow is the core.StreamReleaser's lookahead, the one knob of
+	// cross-iteration pipelining (the paper's Fig. 3 overlap): how many
+	// emitted gradient tasks a release chooses among. 1 hands each task to
+	// the scheduler as the backward pass emits it; the layer count or more
+	// holds every pass to its boundary and releases it best rank first
+	// (TicTac's order without overlap); values between stream with that
+	// much lookahead. 0 is the backend default (see releaseWindow).
+	ReleaseWindow int
 	// AutoTune, when non-nil, closes the online tuning loop: every worker
 	// pins its per-iteration (partition, credit) from one shared
 	// autotune.Controller and applies it at the pass boundary through
@@ -146,56 +142,6 @@ type LiveConfig struct {
 // nothing is in flight.
 func LiveFIFO() core.Policy {
 	return core.Policy{Name: "fifo", CreditBytes: 1}
-}
-
-// PipelineMode selects when a backward pass's gradient tasks reach the
-// scheduler, the knob behind the paper's Fig. 3 overlap: pipelined runs
-// admit iteration i+1's forward-blocking transfers while iteration i's
-// backward pass is still computing; non-pipelined runs serialize the pass
-// and its communication.
-type PipelineMode int
-
-const (
-	// PipelineAuto keeps each backend's established behavior: PS (and
-	// uncoordinated ring) runs stream tasks as the backward pass emits
-	// them; coordinated ring runs hold the pass and release it best-first
-	// at the boundary.
-	PipelineAuto PipelineMode = iota
-	// PipelineOn streams everywhere. On coordinated ring runs tasks are
-	// released mid-pass through a bounded lookahead window in an agreed
-	// total order, so communication overlaps backward compute without
-	// giving up deadlock-freedom.
-	PipelineOn
-	// PipelineOff holds every pass's tasks until the backward pass ends on
-	// both backends — the non-pipelined scheduled baseline the EXT-PRIORITY
-	// ablation measures against.
-	PipelineOff
-)
-
-// String returns the mode's flag spelling.
-func (m PipelineMode) String() string {
-	switch m {
-	case PipelineAuto:
-		return "auto"
-	case PipelineOn:
-		return "on"
-	case PipelineOff:
-		return "off"
-	}
-	return fmt.Sprintf("PipelineMode(%d)", int(m))
-}
-
-// ParsePipelineMode parses the -pipeline flag value.
-func ParsePipelineMode(s string) (PipelineMode, error) {
-	switch s {
-	case "", "auto":
-		return PipelineAuto, nil
-	case "on", "stream":
-		return PipelineOn, nil
-	case "off", "passend":
-		return PipelineOff, nil
-	}
-	return 0, fmt.Errorf("runner: unknown pipeline mode %q (want auto, on or off)", s)
 }
 
 // liveLinkBytesPerSec is the loopback-order link rate the critical-path
@@ -262,13 +208,8 @@ func (c LiveConfig) Validate() error {
 	default:
 		return fmt.Errorf("runner: unknown priority policy %d", int(c.Priority))
 	}
-	switch c.Pipeline {
-	case PipelineAuto, PipelineOn, PipelineOff:
-	default:
-		return fmt.Errorf("runner: unknown pipeline mode %d", int(c.Pipeline))
-	}
-	if c.PipelineWindow < 0 {
-		return fmt.Errorf("runner: negative pipeline window %d", c.PipelineWindow)
+	if c.ReleaseWindow < 0 {
+		return fmt.Errorf("runner: negative release window %d", c.ReleaseWindow)
 	}
 	if err := validateShape(c.Shape); err != nil {
 		return err
@@ -299,24 +240,21 @@ func (c LiveConfig) coordinated() bool {
 	return c.Backend == LiveBackendRing && prioritized && c.Policy.CreditBytes > 0
 }
 
-// releaseWindow derives the one number the release modes differ in, the
-// core.StreamReleaser's lookahead. 1 releases every task the moment the
-// backward pass emits it (PS and uncoordinated ring streaming). The layer
-// count holds the pass to its boundary and releases it best rank first
-// (PipelineOff anywhere; coordinated runs unless asked to pipeline).
-// Coordinated PipelineOn streams with PipelineWindow tasks of lookahead,
-// half the layers by default.
+// releaseWindow is the run's core.StreamReleaser lookahead: ReleaseWindow
+// clamped to the layer count, or by default 1 (streaming) and, on
+// coordinated runs, the layer count (each pass released at its boundary in
+// the agreed order). The clamp changes nothing, since every pass ends in a
+// Flush and never holds more tasks than layers; it bounds the window's
+// buffer.
 func (c LiveConfig) releaseWindow() int {
-	layers, coordinated := len(c.LayerBytes), c.coordinated()
+	layers := len(c.LayerBytes)
 	switch {
-	case c.Pipeline == PipelineOff, coordinated && c.Pipeline == PipelineAuto:
+	case c.ReleaseWindow > 0:
+		return min(c.ReleaseWindow, layers)
+	case c.coordinated():
 		return layers
-	case !coordinated:
-		return 1
-	case c.PipelineWindow > 0:
-		return c.PipelineWindow
 	}
-	return (layers + 1) / 2
+	return 1
 }
 
 // LiveResult summarizes a live run.
@@ -356,6 +294,24 @@ type LiveResult struct {
 // outcome, which fails the task.
 type liveComm func(key string, iter uint32, in, out []float32, sent func()) error
 
+// traceComm records comm's operations as wall-clock spans on lane, named
+// "<op> <key>#<iter>": the send phase as op send up to sent(), or to the
+// return if comm never calls sent, then the wait phase as "pull" up to the
+// return. The shaper wraps the traced transport, so spans exclude its
+// injected delay.
+func traceComm(comm liveComm, tr *trace.Wall, lane, send string) liveComm {
+	return func(key string, iter uint32, in, out []float32, sent func()) error {
+		op, start := send, time.Now()
+		err := comm(key, iter, in, out, func() {
+			tr.Add(lane, fmt.Sprintf("%s %s#%d", op, key, iter), start, time.Now())
+			sent()
+			op, start = "pull", time.Now()
+		})
+		tr.Add(lane, fmt.Sprintf("%s %s#%d", op, key, iter), start, time.Now())
+		return err
+	}
+}
+
 // RunLive executes the configured live training run and returns its
 // measured per-iteration time. Unlike Run, this is wall-clock measurement
 // over real sockets — results vary run to run and across machines.
@@ -375,6 +331,13 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	}
 	defer teardown()
 	for r := range transports {
+		if cfg.Trace != nil {
+			lane, send := fmt.Sprintf("netps/c%d", r+1), "push"
+			if cfg.Backend == LiveBackendRing {
+				lane, send = fmt.Sprintf("netar/r%d", r), "allreduce"
+			}
+			transports[r] = traceComm(transports[r], cfg.Trace, lane, send)
+		}
 		if len(cfg.Shape) > 0 {
 			shaper := newLinkShaper(cfg.Shape, cfg.Seed+int64(r)*101+1, cfg.Metrics)
 			transports[r] = shaper.wrap(transports[r])
@@ -462,9 +425,6 @@ func dialRing(cfg LiveConfig) ([]*netar.Peer, func(), error) {
 		if cfg.Metrics != nil {
 			opts = append(opts, netar.WithMetrics(cfg.Metrics))
 		}
-		if cfg.Trace != nil {
-			opts = append(opts, netar.WithTracer(cfg.Trace))
-		}
 		p, err := netar.NewPeer(r, cfg.Workers, opts...)
 		if err != nil {
 			teardown()
@@ -503,8 +463,8 @@ func buildRingTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 }
 
 func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
-	// Every option below takes its zero value (nil registry, nil tracer,
-	// identity codec) to mean "off".
+	// Every option below takes its zero value (nil registry, identity
+	// codec) to mean "off".
 	srv, err := netps.NewServer(cfg.Workers, netps.WithServerMetrics(cfg.Metrics))
 	if err != nil {
 		return nil, nil, err
@@ -527,8 +487,7 @@ func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 			netps.WithClientID(uint32(r+1)),
 			netps.WithSeed(cfg.Seed+int64(r)),
 			netps.WithCodec(cfg.Codec),
-			netps.WithMetrics(cfg.Metrics),
-			netps.WithTracer(cfg.Trace))
+			netps.WithMetrics(cfg.Metrics))
 		clients[r] = client
 		transports[r] = func(key string, iter uint32, in, out []float32, sent func()) error {
 			if err := client.Push(key, iter, in); err != nil {

@@ -7,34 +7,44 @@ import (
 	"bytescheduler/internal/core"
 )
 
-func TestParsePipelineMode(t *testing.T) {
-	cases := map[string]PipelineMode{
-		"": PipelineAuto, "auto": PipelineAuto,
-		"on": PipelineOn, "stream": PipelineOn,
-		"off": PipelineOff, "passend": PipelineOff,
+// TestReleaseWindowDefaults pins the release window of every configuration
+// the repository runs: the default streams (1) except on coordinated rings,
+// which hold each pass to its boundary; an explicit window is kept, and
+// clamped to the layer count.
+func TestReleaseWindowDefaults(t *testing.T) {
+	ps, ring := liveBase(LiveBackendPS), liveBase(LiveBackendRing)
+	layers := len(ps.LayerBytes)
+	fifo := ring
+	fifo.Policy = LiveFIFO()
+	if !ring.coordinated() || fifo.coordinated() {
+		t.Fatal("base ring should coordinate and the FIFO ring should not")
 	}
-	for in, want := range cases {
-		got, err := ParsePipelineMode(in)
-		if err != nil || got != want {
-			t.Fatalf("ParsePipelineMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePipelineMode("bogus"); err == nil {
-		t.Fatal("bogus pipeline mode accepted")
-	}
-	for _, m := range []PipelineMode{PipelineAuto, PipelineOn, PipelineOff} {
-		round, err := ParsePipelineMode(m.String())
-		if err != nil || round != m {
-			t.Fatalf("String/Parse round trip for %v: got %v, %v", m, round, err)
+	for _, c := range []struct {
+		name   string
+		cfg    LiveConfig
+		window int
+		want   int
+	}{
+		{"PS default", ps, 0, 1},
+		{"PS hold", ps, layers, layers},
+		{"FIFO ring default", fifo, 0, 1},
+		{"coordinated ring default", ring, 0, layers},
+		{"coordinated ring 2", ring, 2, 2},
+		{"PS 1000", ps, 1000, layers},
+		{"coordinated ring 1000", ring, 1000, layers},
+	} {
+		c.cfg.ReleaseWindow = c.window
+		if got := c.cfg.releaseWindow(); got != c.want {
+			t.Errorf("%s: releaseWindow() = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
 
 func TestLivePipelineValidation(t *testing.T) {
 	cfg := liveBase(LiveBackendPS)
-	cfg.PipelineWindow = -1
+	cfg.ReleaseWindow = -1
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative pipeline window accepted")
+		t.Fatal("negative release window accepted")
 	}
 	cfg = liveBase(LiveBackendPS)
 	cfg.Priority = core.PriorityPolicy(99)
@@ -91,8 +101,7 @@ func TestRunLivePipelinedRingAnyCredit(t *testing.T) {
 		cfg := liveBase(LiveBackendRing)
 		cfg.Policy = core.ByteScheduler(8<<10, credit)
 		cfg.Priority = core.PriorityRandom
-		cfg.Pipeline = PipelineOn
-		cfg.PipelineWindow = 2
+		cfg.ReleaseWindow = 2
 		cfg.Iterations, cfg.Warmup = 8, 1
 		if !cfg.coordinated() {
 			t.Fatal("config should select coordinated release")
@@ -107,16 +116,16 @@ func TestRunLivePipelinedRingAnyCredit(t *testing.T) {
 	}
 }
 
-// TestRunLivePipelineOffBothBackends runs the non-pipelined baseline mode:
-// every pass held to its boundary, released in rank order, on both
-// backends — the EXT-PRIORITY ablation's slow arm must at least complete
+// TestRunLivePipelineOffBothBackends runs the non-pipelined baseline, a
+// window of the layer count: every pass held to its boundary, released in
+// rank order, on both backends — the EXT-PRIORITY ablation's slow arm must at least complete
 // and aggregate correctly.
 func TestRunLivePipelineOffBothBackends(t *testing.T) {
 	for _, backend := range []LiveBackend{LiveBackendPS, LiveBackendRing} {
 		cfg := liveBase(backend)
 		cfg.Workers = 2
 		cfg.Priority = core.PriorityCriticalPath
-		cfg.Pipeline = PipelineOff
+		cfg.ReleaseWindow = len(cfg.LayerBytes)
 		res, err := RunLive(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
@@ -136,7 +145,7 @@ func TestRunLivePipelineOffFused(t *testing.T) {
 		cfg.Workers = 2
 		cfg.LayerBytes = fusedLayers
 		cfg.FuseTheta = 4 << 10
-		cfg.Pipeline = PipelineOff
+		cfg.ReleaseWindow = len(cfg.LayerBytes)
 		res, err := RunLive(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
@@ -156,8 +165,9 @@ func TestRunLivePipelineOffFused(t *testing.T) {
 
 // TestLivePipelineOverlap is the mechanism check behind EXT-PRIORITY's
 // wall-clock claim, on one backend with deliberately slow backward compute:
-// with pipelining on, transfers overlap the backward pass, so the measured
-// iteration should be faster than the pass-end run that serializes them.
+// streamed (window 1), transfers overlap the backward pass, so the measured
+// iteration should be faster than the pass-end run (window of the layer
+// count) that serializes them.
 // The speed-up is logged, not gated: this is wall clock on a shared
 // machine, and the benchmark (bench/, runner.sched_speedup_x) owns the
 // timing claims.
@@ -175,15 +185,15 @@ func TestLivePipelineOverlap(t *testing.T) {
 	base.BackwardCompute = 2 * time.Millisecond
 	base.Shape = []LinkShape{{PerMessage: 300 * time.Microsecond, Gbps: 3.2}}
 
-	run := func(mode PipelineMode) float64 {
+	run := func(window int) float64 {
 		cfg := base
-		cfg.Pipeline = mode
+		cfg.ReleaseWindow = window
 		best := 0.0
-		// Best-of-3 per mode absorbs scheduler noise on shared machines.
+		// Best-of-3 per window absorbs scheduler noise on shared machines.
 		for rep := 0; rep < 3; rep++ {
 			res, err := RunLive(cfg)
 			if err != nil {
-				t.Fatalf("%v: %v", mode, err)
+				t.Fatalf("window %d: %v", window, err)
 			}
 			if best == 0 || res.IterTime < best {
 				best = res.IterTime
@@ -191,7 +201,7 @@ func TestLivePipelineOverlap(t *testing.T) {
 		}
 		return best
 	}
-	on, off := run(PipelineOn), run(PipelineOff)
+	on, off := run(1), run(len(base.LayerBytes))
 	if on <= 0 || off <= 0 {
 		t.Fatalf("iteration times on %v off %v, want > 0", on, off)
 	}

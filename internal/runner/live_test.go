@@ -9,6 +9,8 @@ import (
 	"bytescheduler/internal/compress"
 	"bytescheduler/internal/core"
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/tensor"
+	"bytescheduler/internal/trace"
 )
 
 func liveBase(backend LiveBackend) LiveConfig {
@@ -61,6 +63,56 @@ func TestRunLivePS(t *testing.T) {
 	}
 	if got := reg.Counter("netps_requests_total").Value(); got == 0 {
 		t.Fatal("netps_requests_total = 0: PS transport not exercised")
+	}
+}
+
+// TestRunLiveTraceSpans pins what a traced live run records, per worker,
+// iteration and partition: one "push" and one "pull" span on the PS lane
+// netps/c<rank+1>, or one "allreduce" span on the ring lane netar/r<rank>,
+// each named "<op> <key>#<iter>", and nothing else.
+func TestRunLiveTraceSpans(t *testing.T) {
+	for _, backend := range []LiveBackend{LiveBackendPS, LiveBackendRing} {
+		rec := trace.New()
+		cfg := liveBase(backend)
+		cfg.Workers = 2
+		cfg.Trace = trace.NewWall(rec)
+		if _, err := RunLive(cfg); err != nil {
+			t.Fatalf("%v: %v", backend, err)
+		}
+		want := map[string]int{}
+		for r := 0; r < cfg.Workers; r++ {
+			for it := 0; it < cfg.Iterations; it++ {
+				for l, b := range cfg.LayerBytes {
+					n := len(tensor.Partition(tensor.Tensor{Bytes: b}, cfg.Policy.PartitionUnit))
+					for i := 0; i < n; i++ {
+						key := fmt.Sprintf("L%02d[%d/%d]#%d", l, i, n, it)
+						if backend == LiveBackendPS {
+							want[fmt.Sprintf("netps/c%d push %s", r+1, key)]++
+							want[fmt.Sprintf("netps/c%d pull %s", r+1, key)]++
+						} else {
+							want[fmt.Sprintf("netar/r%d allreduce %s", r, key)]++
+						}
+					}
+				}
+			}
+		}
+		got := map[string]int{}
+		for _, s := range rec.Spans() {
+			if s.End < s.Start {
+				t.Fatalf("%v: span %s %s ends before it starts", backend, s.Lane, s.Name)
+			}
+			got[s.Lane+" "+s.Name]++
+		}
+		for k, n := range want {
+			if got[k] != n {
+				t.Errorf("%v: %d spans %q, want %d", backend, got[k], k, n)
+			}
+		}
+		for k, n := range got {
+			if want[k] == 0 {
+				t.Errorf("%v: %d unexpected spans %q", backend, n, k)
+			}
+		}
 	}
 }
 
@@ -229,16 +281,15 @@ func TestRunLiveRingFused(t *testing.T) {
 // random priorities. The worker's per-layer aggregation check catches
 // misrouted or cross-iteration-mixed buckets.
 func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
-	for _, mode := range []PipelineMode{PipelineAuto, PipelineOn} {
+	for _, window := range []int{0, 2} {
 		for _, credit := range []int64{1, 8 << 10, 1 << 30} {
 			cfg := liveBase(LiveBackendRing)
 			cfg.LayerBytes = fusedLayers
 			cfg.FuseTheta = 4 << 10
 			cfg.Policy = core.ByteScheduler(8<<10, credit)
-			cfg.Pipeline = mode
-			if mode == PipelineOn {
+			cfg.ReleaseWindow = window
+			if window > 0 {
 				cfg.Priority = core.PriorityRandom
-				cfg.PipelineWindow = 2
 			}
 			cfg.Iterations, cfg.Warmup = 8, 1
 			if !cfg.coordinated() {
@@ -246,10 +297,10 @@ func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
 			}
 			res, err := RunLive(cfg)
 			if err != nil {
-				t.Fatalf("pipeline %v credit %d: %v", mode, credit, err)
+				t.Fatalf("window %d credit %d: %v", window, credit, err)
 			}
 			if res.Stats.SubsFinished == 0 {
-				t.Fatalf("pipeline %v credit %d: no sub-tasks finished", mode, credit)
+				t.Fatalf("window %d credit %d: no sub-tasks finished", window, credit)
 			}
 		}
 	}

@@ -20,8 +20,7 @@ type BO struct {
 	xs   [][]float64 // normalized
 	ys   []float64
 	inc  best
-	next []float64 // normalized proposal awaiting observation
-	lies int       // trailing constant-liar entries in xs/ys (see NextBatch)
+	lies int // trailing constant-liar entries in xs/ys (see NextBatch)
 	// perms holds one stratum permutation per dimension for the
 	// Latin-hypercube warmup.
 	perms [][]int
@@ -89,7 +88,6 @@ func (b *BO) Next() []float64 {
 	default:
 		u = b.acquire()
 	}
-	b.next = u
 	return b.bounds.denormalize(u)
 }
 
@@ -140,7 +138,6 @@ func (b *BO) Observe(x []float64, y float64) {
 	b.xs = append(b.xs, u)
 	b.ys = append(b.ys, y)
 	b.inc.observe(x, y)
-	b.next = nil
 }
 
 // NextBatch implements BatchTuner with the constant-liar heuristic: each

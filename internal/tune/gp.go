@@ -36,9 +36,6 @@ func NewGP() *GP {
 	return &GP{LengthScale: 0.25, Noise: 0.05}
 }
 
-// N returns the number of fitted samples.
-func (g *GP) N() int { return len(g.xs) }
-
 func (g *GP) kernel(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {
