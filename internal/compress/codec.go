@@ -7,8 +7,8 @@ package compress
 // receiver can decode without out-of-band configuration.
 //
 // Wire formats. The identity payload is little-endian, so on every
-// supported host it is the []float32's memory and costs one memmove per
-// hop (fp32.go); the other payloads' integers and floats are big-endian,
+// supported host it is the []float32's memory, read and written in place
+// (fp32.go); the other payloads' integers and floats are big-endian,
 // like the frame header around them:
 //
 //	identity  4n bytes: n fp32 values, little-endian

@@ -92,7 +92,7 @@ func BenchmarkServerPull(b *testing.B) {
 			b.Fatal("pull not served from the ready fast path")
 		}
 		sh.mu.Lock()
-		unref(&sh.aggFree, result)
+		sh.unref(result)
 		sh.mu.Unlock()
 	}
 }

@@ -187,12 +187,12 @@ func (c *Client) nextSeq() uint64 {
 // with its response, the call's deadline or a failure, first come only —
 // fills in the outcome.
 type call struct {
-	req  message
-	resp message // the response; a pull's payload sits in enc
-	// enc is the record's buffer: a push's encoding (req.Payload), or the
-	// read buffer a pull's response landed in, taken from the connection.
-	enc []byte
-	err error // the attempt's outcome: nil, a *ServerError or a transport error
+	req    message
+	resp   message // the response; a pull's payload sits in out (if filled) or enc
+	out    []float32
+	filled bool
+	enc    []byte // the record's buffer: a codec push's encoding or a pull's response
+	err    error  // the attempt's outcome: nil, a *ServerError or a transport error
 	// done receives once per attempt, when nothing but the caller will
 	// touch the call again; timer paces its deadline.
 	done  chan struct{}
@@ -336,22 +336,24 @@ func (c *Client) write(cc *clientConn, batch []*call) error {
 	return nil
 }
 
-// settle claims k, if it is still pending, with the outcome err: it leaves
-// pending, and its caller is signalled now or — while the writer holds its
-// frame — once the writer lets go. It reports whether k was pending; a
-// call is claimed once per attempt. Caller holds cc.mu.
-func (cc *clientConn) settle(k *call, err error) bool {
-	if cc.pending[k.req.Seq] != k {
-		return false
+// settle claims k, if it is still pending (a call is claimed once per
+// attempt), and resolves it with err. Caller holds cc.mu, as for resolve.
+func (cc *clientConn) settle(k *call, err error) {
+	if cc.pending[k.req.Seq] == k {
+		delete(cc.pending, k.req.Seq)
+		cc.resolve(k, err)
 	}
-	delete(cc.pending, k.req.Seq)
+}
+
+// resolve gives the claimed call k its outcome err; its caller is signalled
+// now or — while the writer holds its frame — once the writer lets go.
+func (cc *clientConn) resolve(k *call, err error) {
 	k.err = err
 	if k.held {
 		k.settled = true
 	} else {
 		k.done <- struct{}{}
 	}
-	return true
 }
 
 // fail breaks cc: the client forgets it, so the next call dials afresh;
@@ -374,57 +376,69 @@ func (c *Client) fail(cc *clientConn, err error) {
 	cc.conn.Close()
 }
 
-// read is cc's one reader: it hands each response to the call its Seq
-// names, until a read fails or a response contradicts its request, and
-// then breaks the connection.
+// read is cc's one reader: it claims the call a response's Seq names once
+// the header is in, reads a pull's payload into out if it is raw fp32 of
+// out's size (else into enc) and resolves the call, until a read fails.
 func (c *Client) read(cc *clientConn) {
 	defer c.readers.Done()
-	for {
-		h, payload, err := cc.conn.ReadFrame()
-		if err == nil {
-			err = cc.deliver(h, payload)
+	var k *call // the call the frame being read answers, if any
+	pick := func(h wire.Header, n int) []byte {
+		cc.mu.Lock()
+		k = cc.pending[h.Seq]
+		delete(cc.pending, h.Seq)
+		cc.mu.Unlock()
+		if k == nil || Op(h.Op) != OpPull || h.Op != k.req.Op {
+			return nil // into the connection's buffer
 		}
-		if err != nil {
+		raw, ok := compress.RawBytes(k.out)
+		if k.filled = ok && h.Codec == 0 && n == len(raw); k.filled {
+			return raw
+		}
+		return k.enc[:cap(k.enc)]
+	}
+	for {
+		k = nil
+		h, payload, err := cc.conn.ReadFrameInto(pick)
+		if err = cc.deliver(k, h, payload, err); err != nil {
 			c.fail(cc, err)
 			return
 		}
 	}
 }
 
-// deliver settles the call h answers. payload is a view of the connection's
-// read buffer, valid until the next read, so what outlives it leaves it
-// here: a pull takes the read buffer itself, handing the connection its
-// record's idle one to read on into (a pull's frame carries no payload),
-// and its caller decodes; an OpErr's text is copied into the ServerError.
-// A response no call waits for — its call abandoned at a deadline — is
-// dropped unread.
-func (cc *clientConn) deliver(h wire.Header, payload []byte) error {
+// deliver resolves k, claimed for h (nil: abandoned at its deadline), with
+// the read's outcome and returns what breaks the connection: err, or h not
+// answering k. A pull's payload that outgrew enc, and so landed in the
+// connection's buffer, is copied into enc; an OpErr's text too.
+func (cc *clientConn) deliver(k *call, h wire.Header, payload []byte, err error) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	k := cc.pending[h.Seq]
 	switch {
 	case k == nil:
-		return nil
+	case err != nil:
+		cc.resolve(k, err)
 	case Op(h.Op) == OpErr:
 		// Application-level rejection: the stream is still in sync.
-		cc.settle(k, &ServerError{Msg: string(payload)})
+		cc.resolve(k, &ServerError{Msg: string(payload)})
 	case h.Op != k.req.Op || h.Key != k.req.Key || h.Iter != k.req.Iter:
-		err := fmt.Errorf("netps: mismatched response %v/%s/%d", h.Op, h.Key, h.Iter)
-		cc.settle(k, err)
-		return err
+		err = fmt.Errorf("netps: mismatched response %v/%s/%d", h.Op, h.Key, h.Iter)
+		cc.resolve(k, err)
 	default:
 		if Op(h.Op) == OpPull {
-			k.enc = cc.conn.Take(k.enc)
+			if !k.filled && len(payload) > cap(k.enc) {
+				k.enc = append(k.enc[:0], payload...)
+				payload = k.enc
+			}
 			k.resp = message{Header: h, Payload: payload}
 		}
-		cc.settle(k, nil)
+		cc.resolve(k, nil)
 	}
-	return nil
+	return err
 }
 
 // wait blocks until k settles or its deadline (zero: none) passes. At the
 // deadline the call is abandoned — a response that still comes is dropped
-// — and wait returns once the writer, too, has let go of k.
+// — and wait returns once the writer (or the reader, mid-response) lets go.
 func (c *Client) wait(cc *clientConn, k *call, deadline time.Time) {
 	if deadline.IsZero() {
 		<-k.done
@@ -570,35 +584,30 @@ func (c *Client) newCall(op Op, key string, iter uint32) *call {
 }
 
 // release returns a settled call's record to the free list, poisoning its
-// encode buffer under test and dropping its references to caller memory.
+// buffer under test and dropping its references to caller memory.
 func (c *Client) release(k *call) {
 	recycle.Poison(k.enc)
-	k.req, k.resp, k.err = message{}, message{}, nil
+	k.req, k.resp, k.err, k.out, k.filled = message{}, message{}, nil, nil, false
 	c.mu.Lock()
 	c.calls.Put(k)
 	c.mu.Unlock()
 }
 
-// pushMessage frames one push through the client's codec, encoding onto
-// dst; the envelope carries what the server needs to decode without
-// out-of-band configuration.
-func (c *Client) pushMessage(dst []byte, key string, iter uint32, grad []float32) message {
-	m := newMessage(OpPush, key, iter, 0, nil)
-	m.Payload, m.Codec, m.Orig = wire.AppendFloats(slices.Grow(dst, c.codec.EncodedLen(len(grad))), c.codec, grad)
-	return m
-}
-
-// pushCall is a call record carrying one push, encoded into the record's
-// own buffer, which it holds through every retry.
+// pushCall is a call record carrying one push through every retry: grad's
+// own memory under the identity codec, else grad encoded into enc.
 func (c *Client) pushCall(key string, iter uint32, grad []float32) *call {
 	k := c.newCall(OpPush, key, iter)
-	k.req = c.pushMessage(k.enc[:0], key, iter, grad)
-	k.enc = k.req.Payload
+	if raw, ok := compress.RawBytes(grad); ok && c.codec.IsIdentity() {
+		k.req.Payload = raw
+	} else {
+		k.enc, k.req.Codec, k.req.Orig = wire.AppendFloats(slices.Grow(k.enc[:0], c.codec.EncodedLen(len(grad))), c.codec, grad)
+		k.req.Payload = k.enc
+	}
 	return k
 }
 
 // Push sends a gradient partition and returns when the server acknowledges
-// it.
+// it; grad must not change until then (the frame may be written from it).
 func (c *Client) Push(key string, iter uint32, grad []float32) error {
 	k := c.pushCall(key, iter, grad)
 	c.roundTrip(k)
@@ -613,12 +622,12 @@ func (c *Client) Pull(key string, iter uint32) ([]float32, error) {
 	return c.pull(key, iter, nil)
 }
 
-// PullInto is Pull decoding straight into out, the caller's buffer for the
-// partition, instead of into a new slice. An aggregate that does not have
-// exactly len(out) values is an error — out is never swapped for a
-// reallocated slice behind the caller's back, and nothing is written past
-// len(out). Only PullInto itself writes into out: a response that arrives
-// after its deadline is dropped.
+// PullInto is Pull into out, the caller's buffer for the partition, instead
+// of a new slice: a raw fp32 aggregate is read off the socket into out. An
+// aggregate that does not have exactly len(out) values is an error — out is
+// never swapped for a reallocated slice behind the caller's back, and
+// nothing is written past len(out). Only PullInto itself writes into out: a
+// response that arrives after its deadline is dropped.
 func (c *Client) PullInto(key string, iter uint32, out []float32) error {
 	vals, err := c.pull(key, iter, out)
 	if err == nil && len(vals) != len(out) {
@@ -627,15 +636,15 @@ func (c *Client) PullInto(key string, iter uint32, out []float32) error {
 	return err
 }
 
-// pull is the one pull path: the caller decodes the response out of the
-// read buffer its call took from the connection onto out[:0] — capacity
-// clipped to len(out), so a longer aggregate reallocates instead of
-// overrunning the caller's slice.
+// pull is the one pull path: unless the reader filled out, the caller
+// decodes the response out of enc onto out[:0] — capacity clipped to
+// len(out), so a longer aggregate reallocates instead of overrunning it.
 func (c *Client) pull(key string, iter uint32, out []float32) ([]float32, error) {
 	k := c.newCall(OpPull, key, iter)
+	k.out = out
 	c.roundTrip(k)
-	vals, err := []float32(nil), k.err
-	if err == nil {
+	vals, err := out, k.err
+	if err == nil && !k.filled {
 		if vals, err = wire.Floats(out[:0:len(out)], k.resp.Header, k.resp.Payload); err != nil {
 			vals, err = nil, fmt.Errorf("netps: pull response: %w", err)
 		}

@@ -1,7 +1,5 @@
 package netps
 
-import "bytescheduler/internal/recycle"
-
 // completedLog remembers recently reclaimed (key, iter) aggregates so a
 // retried pull whose response was lost on the wire can be re-answered —
 // without it, the retry would recreate an empty entry and block on pushes
@@ -71,7 +69,7 @@ func newCompletedLog(budget, knownCap int) completedLog {
 // add records a reclaimed aggregate (payload plus the codec envelope
 // fields a re-answered pull must echo) with the entry's reference to it,
 // which a payload the tier cannot hold, replacement and eviction drop.
-func (l *completedLog) add(k entryKey, a *agg, free *recycle.List[*agg]) {
+func (l *completedLog) add(k entryKey, a *agg, sh *shard) {
 	if _, ok := l.knownSet[k]; !ok {
 		if l.knownOrder.n >= l.knownCap {
 			delete(l.knownSet, l.knownOrder.pop())
@@ -80,7 +78,7 @@ func (l *completedLog) add(k entryKey, a *agg, free *recycle.List[*agg]) {
 		l.knownOrder.push(k)
 	}
 	if l.budget <= 0 || len(a.payload) > l.budget {
-		unref(free, a)
+		sh.unref(a)
 		return // payload can never fit; the identity tier still covers it
 	}
 	if old, ok := l.payloads[k]; ok {
@@ -89,7 +87,7 @@ func (l *completedLog) add(k entryKey, a *agg, free *recycle.List[*agg]) {
 		// usage in place.
 		l.bytes += len(a.payload) - len(old.payload)
 		l.payloads[k] = a
-		unref(free, old)
+		sh.unref(old)
 	} else {
 		l.payloads[k] = a
 		l.order.push(k)
@@ -100,7 +98,7 @@ func (l *completedLog) add(k entryKey, a *agg, free *recycle.List[*agg]) {
 		if p, ok := l.payloads[old]; ok {
 			l.bytes -= len(p.payload)
 			delete(l.payloads, old)
-			unref(free, p)
+			sh.unref(p)
 		}
 	}
 }

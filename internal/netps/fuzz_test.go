@@ -178,8 +178,9 @@ func pullPushed(t *testing.T, srv *Server, req message) []byte {
 			t.Fatalf("pulled value %d = %v, want %v", i, got[i], want[i])
 		}
 	}
+	payload := result.payload // a raw aggregate's record lets go of it when served
 	srv.countPullServed(pull, result)
-	return result.payload
+	return payload
 }
 
 // FuzzDecodeBatch feeds arbitrary bytes to a client connection's reader
@@ -187,7 +188,7 @@ func pullPushed(t *testing.T, srv *Server, req message) []byte {
 // stream holds (and one for a frame that never comes): the reader must
 // stop at the stream's end without a panic, settle every call exactly once
 // (readResponses), answer each call with the first whole frame that names
-// its Seq — a pull keeping its payload intact in the read buffer it took
+// its Seq — a pull keeping its payload intact in its call's own buffer
 // while later frames were read — and fail the rest.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})

@@ -51,7 +51,7 @@ func TestEncodeDecode(t *testing.T) {
 	v := []float32{1.5, -2.25, 0, 1024} // exact in fp16 too
 	for _, cd := range []compress.Codec{compress.Identity(), compress.FP16Codec()} {
 		c := NewClient("127.0.0.1:1", WithCodec(cd))
-		m := c.pushMessage(nil, "k", 1, v)
+		m := c.pushCall("k", 1, v).req
 		if cd.IsIdentity() && (m.Codec != 0 || m.Orig != 0 || len(m.Payload) != 4*len(v)) {
 			t.Fatalf("identity envelope = codec %d orig %d, %d bytes", m.Codec, m.Orig, len(m.Payload))
 		}

@@ -133,7 +133,7 @@ type entryKey struct {
 
 type entry struct {
 	// sum is the running fp32 aggregate, a vector from the shard's sums held
-	// from the first push until the completing one has encoded result. n is
+	// from the first push until the completing one makes result of it. n is
 	// its length — the entry's shape, fixed by the first push and outliving
 	// sum, 0 until then (an empty push is rejected before it shapes anything).
 	sum    []float32
@@ -147,9 +147,9 @@ type entry struct {
 	// push's payload header), so the aggregate is re-sparsified to the same
 	// count; 0 for other codecs.
 	topk uint32
-	// result is sum's wire form under codec, encoded once when aggregation
-	// completes (overflow pushes are rejected from then on) and only read
-	// by every pull response after, each holding a reference (see agg).
+	// result is sum's wire form under codec, made (raw: sum itself) when
+	// aggregation completes (overflow pushes are rejected from then on) and
+	// only read by every pull response after, each holding a reference.
 	result *agg
 	// pushers and pullers are the clients (the high half of a request's
 	// Seq) whose push this entry summed and whose pull it counted as served,
@@ -180,9 +180,9 @@ func list(ids []uint32, seq uint64) []uint32 {
 
 // agg is a completed aggregate in wire form, a record on its shard's free
 // list: the payload and codec envelope fields every pull response echoes,
-// as wire.AppendFloats returned them, and a reference count kept under the
-// shard lock — one for the entry until reclaim hands it to the completed
-// log, and one per pull handed it until its response is written.
+// as wire.AppendFloats returned them (raw: the sum), and a reference count
+// kept under the shard lock — one for the entry until reclaim hands it to
+// the completed log, and one per pull handed it until its response is written.
 type agg struct {
 	payload []byte
 	codec   uint8
@@ -190,12 +190,16 @@ type agg struct {
 	refs    int
 }
 
-// unref drops one of a's references; the last poisons its bytes under test
-// and puts it on free, the shard's aggFree. Caller holds the shard lock.
-func unref(free *recycle.List[*agg], a *agg) {
+// unref drops one of a's references; the last returns a raw payload to sums
+// or poisons an encoded one, and frees a. Caller holds the shard lock.
+func (sh *shard) unref(a *agg) {
 	if a.refs--; a.refs == 0 {
+		if sum, ok := compress.RawFloats(a.payload[:cap(a.payload)]); ok && a.codec == 0 {
+			sh.sums.Put(sum)
+			a.payload = nil
+		}
 		recycle.Poison(a.payload)
-		free.Put(a)
+		sh.aggFree.Put(a)
 	}
 }
 
@@ -455,7 +459,7 @@ func (sc *srvConn) answer(h wire.Header, result *agg) bool {
 	if sc.write(pullResp(req, result)) != nil {
 		sh := s.shard(h.Key) // not served: only drop the reference
 		sh.mu.Lock()
-		unref(&sh.aggFree, result)
+		sh.unref(result)
 		sh.mu.Unlock()
 		return false
 	}
@@ -584,24 +588,29 @@ func (s *Server) processPush(req message, scratch *[]float32) (resp message, wak
 		e.result = sh.encodeEntry(e)
 		e.result.refs += len(wake) // one per woken puller, dropped after its write
 		result = e.result
-		sh.sums.Put(e.sum)
 		e.sum = nil
 	}
 	sh.mu.Unlock()
 	return pushAck(req), wake, result
 }
 
-// encodeEntry serializes a completed aggregate under the entry's codec into
-// a free record, referenced once by the entry. Caller holds sh.mu.
+// encodeEntry makes a completed aggregate's wire form a free record,
+// referenced once by the entry: the sum itself under the identity codec,
+// else the sum encoded under the entry's codec. Caller holds sh.mu.
 func (sh *shard) encodeEntry(e *entry) *agg {
+	a := recycle.Take(&sh.aggFree)
+	a.refs = 1
+	if raw, ok := compress.RawBytes(e.sum[:cap(e.sum)]); ok && e.codec == 0 {
+		a.payload, a.codec, a.orig = raw[:4*e.n], 0, 0
+		return a
+	}
 	c, _ := compress.CodecByID(compress.CodecID(e.codec)) // validated at push time
 	if e.topk > 0 {
 		// Re-sparsify to the same per-worker count the pushes carried.
 		c, _ = compress.TopKCodecCount(int(e.topk))
 	}
-	a := recycle.Take(&sh.aggFree)
 	a.payload, a.codec, a.orig = wire.AppendFloats(slices.Grow(a.payload[:0], c.EncodedLen(e.n)), c, e.sum)
-	a.refs = 1
+	sh.sums.Put(e.sum)
 	return a
 }
 
@@ -683,7 +692,7 @@ func (s *Server) countPullServed(req message, a *agg) {
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	unref(&sh.aggFree, a)
+	sh.unref(a)
 	k := entryKey{req.Key, req.Iter}
 	e, ok := sh.entries[k]
 	if !ok {
@@ -698,7 +707,7 @@ func (s *Server) countPullServed(req message, a *agg) {
 	if e.served >= s.workers {
 		delete(sh.entries, k)
 		s.inst.entries.Add(-1)
-		sh.completed.add(k, e.result, &sh.aggFree)
+		sh.completed.add(k, e.result, sh)
 	}
 }
 

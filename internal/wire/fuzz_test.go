@@ -8,7 +8,11 @@
 // agrees with parse frame by
 // frame, never lets a payload reach past its own length into the buffer,
 // and allocates no more than Read may on a length prefix backed by
-// nothing; and the payload envelope decoder rejects
+// nothing; ReadFrameInto, offered in turn a destination of the payload's
+// length, a longer one, one a byte short and none, reads the same frames
+// byte for byte, lands a payload only in a destination it fits, never
+// writes past the destination's length nor into a refused one, and goes
+// on parsing after a refusal; and the payload envelope decoder rejects
 // adversarial codec ids, original lengths and payload framing without
 // panicking, while raw fp32 payloads re-encode bit for bit (NaNs included).
 //
@@ -140,6 +144,7 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readStream(t, data)
+		readStreamInto(t, data)
 		h, payload, err := Read(bytes.NewReader(data))
 		nh, npayload, rest, nerr := parse(data)
 		if (err == nil) != (nerr == nil) {
@@ -213,5 +218,45 @@ func readStream(t *testing.T, data []byte) {
 	// preallocation for a length prefix the stream then failed to back.
 	if limit := uint64(2*maxPrealloc + 16*len(data) + 64<<10); grew > limit {
 		t.Fatalf("reading a %d-byte stream allocated %d bytes, limit %d", len(data), grew, limit)
+	}
+}
+
+// readStreamInto reads data's consecutive frames through one Conn's
+// ReadFrameInto, until the first frame either it or parse rejects. Frame i
+// is offered a destination, within a dirty guard, of the payload's length,
+// three bytes longer, a byte short (refused) or none, in turn.
+func readStreamInto(t *testing.T, data []byte) {
+	c := &Conn{br: bufio.NewReader(bytes.NewReader(data))}
+	for i, rest := 0, data; ; i++ {
+		var guard, dst []byte
+		h, payload, err := c.ReadFrameInto(func(_ Header, n int) []byte {
+			if size := []int{n, n + 3, n - 1, -1}[i%4]; size >= 0 && n <= len(data) {
+				guard = make([]byte, n+8)
+				dirty(guard)
+				dst = guard[:size]
+			}
+			return dst
+		})
+		nh, npayload, nrest, nerr := parse(rest)
+		if (err == nil) != (nerr == nil) {
+			t.Fatalf("frame %d: ReadFrameInto err = %v, parse err = %v", i, err, nerr)
+		}
+		if err != nil {
+			return
+		}
+		if nh != h || !bytes.Equal(npayload, payload) {
+			t.Fatalf("frame %d: ReadFrameInto and parse disagree: %+v (%d bytes) vs %+v (%d bytes)", i, h, len(payload), nh, len(npayload))
+		}
+		switch n := len(payload); {
+		case n > len(dst):
+			if !isDirty(guard) {
+				t.Fatalf("frame %d: a %d-byte payload wrote into a refused %d-byte destination", i, n, len(dst))
+			}
+		case n > 0 && (&payload[0] != &dst[0] || cap(payload) != n):
+			t.Fatalf("frame %d: %d-byte payload (cap %d) not at the front of its %d-byte destination", i, n, cap(payload), len(dst))
+		case !isDirty(guard[min(n, len(guard)):]):
+			t.Fatalf("frame %d: a %d-byte payload wrote past its length into a %d-byte destination", i, n, len(dst))
+		}
+		rest = nrest
 	}
 }

@@ -12,9 +12,9 @@
 //
 // The header's integers are big-endian. The identity (codec 0) payload is
 // little-endian fp32, which on every supported host (amd64, arm64) is the
-// []float32's own memory: AppendFloats and Floats are one memmove each, and
-// a receiver can sum straight from the payload (compress.AddRaw). The other
-// codecs' payloads keep their big-endian formats.
+// []float32's own memory: a frame is written from a vector and read into
+// one (ReadFrameInto), or summed from (compress.AddRaw), with no copy. The
+// other codecs' payloads keep their big-endian formats.
 //
 // Op is an opaque byte here; each transport defines its own op codes.
 // netps leaves Step and Chunk zero. All endpoints live in this repository
@@ -194,7 +194,14 @@ func (c *Conn) Flush() error {
 // to the largest frame it carries up to maxPrealloc (larger ones are
 // allocated per read). The payload never reaches past its own length and is
 // valid only until the next ReadFrame, unless its buffer is taken with Take.
-func (c *Conn) ReadFrame() (Header, []byte, error) { return c.read(c.br) }
+func (c *Conn) ReadFrame() (Header, []byte, error) { return c.read(c.br, nil) }
+
+// ReadFrameInto is ReadFrame with the payload read into dst[:n] when it
+// fits in len(dst), where pick returns dst given the header and the
+// payload's length n (within the limits); any other lands as ReadFrame's.
+func (c *Conn) ReadFrameInto(pick func(h Header, n int) (dst []byte)) (Header, []byte, error) {
+	return c.read(c.br, pick)
+}
 
 // Take hands the caller the read buffer the last payload landed in, to own
 // from then on, and gives the connection next (may be nil) to read into.
@@ -214,13 +221,13 @@ func (c *Conn) Await() error {
 
 // Read reads one frame from a reader no Conn owns into a payload of its
 // own.
-func Read(r io.Reader) (Header, []byte, error) { return new(Conn).read(r) }
+func Read(r io.Reader) (Header, []byte, error) { return new(Conn).read(r, nil) }
 
-// read reads one frame from r through c's header scratch and read buffer
-// (see ReadFrame). It returns an error — never panics, never allocates
-// beyond the bytes actually received — on truncated or adversarial input
-// (FuzzRead enforces this).
-func (c *Conn) read(r io.Reader) (Header, []byte, error) {
+// read reads one frame from r through c's header scratch and read buffer,
+// or into the destination pick chose (see ReadFrameInto). It returns an
+// error — never panics, never allocates beyond the bytes actually received
+// — on truncated or adversarial input (FuzzRead enforces this).
+func (c *Conn) read(r io.Reader, pick func(Header, int) []byte) (Header, []byte, error) {
 	c.rhdr = slices.Grow(c.rhdr[:0], fixedLen)[:fixedLen]
 	if _, err := io.ReadFull(r, c.rhdr); err != nil {
 		return Header{}, nil, err
@@ -235,11 +242,17 @@ func (c *Conn) read(r io.Reader) (Header, []byte, error) {
 	if n > MaxMessage {
 		return Header{}, nil, fmt.Errorf("wire: payload length %d exceeds limit", n)
 	}
-	payload, err := readPayload(r, int(n), c.rbuf)
+	buf := c.rbuf
+	if pick != nil {
+		if dst := pick(h, int(n)); int(n) <= len(dst) {
+			buf = dst[:0:len(dst)]
+		}
+	}
+	payload, err := readPayload(r, int(n), buf)
 	if err != nil {
 		return Header{}, nil, truncated(err)
 	}
-	if cap(payload) > cap(c.rbuf) && cap(payload) <= maxPrealloc {
+	if int(n) > cap(buf) && cap(payload) <= maxPrealloc { // a fresh payload
 		c.rbuf = payload[:0]
 	}
 	return h, payload, nil

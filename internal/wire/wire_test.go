@@ -250,6 +250,26 @@ func TestReadIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestReadFrameIntoSteadyStateAllocs holds the destination read to what
+// ReadFrame allocates per frame anyway, the key string: the header scratch
+// belongs to the connection and the payload lands in the caller's buffer.
+func TestReadFrameIntoSteadyStateAllocs(t *testing.T) {
+	const frames = 200
+	h := Header{Op: 2, Iter: 7, Seq: 1<<32 | 42, Key: "layer12/weight:3"}
+	one := frame(t, h, make([]byte, 4<<10))
+	c := &Conn{br: bufio.NewReader(bytes.NewReader(bytes.Repeat(one, frames+1)))}
+	dst := make([]byte, 4<<10)
+	pick := func(Header, int) []byte { return dst }
+	allocs := testing.AllocsPerRun(frames, func() {
+		if got, payload, err := c.ReadFrameInto(pick); err != nil || got != h || &payload[0] != &dst[0] {
+			t.Fatalf("ReadFrameInto = %+v, %d bytes, %v; want the frame in dst", got, len(payload), err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ReadFrameInto allocates %v times per frame, want at most 1 (the key)", allocs)
+	}
+}
+
 // TestRejects covers the limits on both directions: an oversized key or
 // payload is refused before anything is written, and a truncated header,
 // key or payload, or a length prefix above MaxMessage, is an error on
