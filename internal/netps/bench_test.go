@@ -100,9 +100,10 @@ func BenchmarkServerPull(b *testing.B) {
 // BenchmarkServerPushPull measures one whole aggregate's life on the
 // server: two workers' 64 K-float pushes, both pulls, and each pull's
 // post-write bookkeeping, which drops its reference and reclaims the entry
-// into the completed log. After a warm-up that fills the log, allocs/op is
-// the PS bulk path's steady-state cost on the server: the aggregate's
-// buffer and its sum are recycled, not allocated.
+// into its key's done slot, replacing the iteration before. After a warm-up
+// of two aggregates, one retained and one replacing it, allocs/op is the PS
+// bulk path's steady-state cost on the server: the aggregate's buffer and
+// its sum are recycled, not allocated.
 func BenchmarkServerPushPull(b *testing.B) {
 	srv, err := NewServer(2)
 	if err != nil {
@@ -131,7 +132,7 @@ func BenchmarkServerPushPull(b *testing.B) {
 			srv.countPullServed(pull, result)
 		}
 	}
-	const warmup = 16 // twice the 256 KB payloads one shard's completed log holds
+	const warmup = 2
 	for i := 0; i < warmup; i++ {
 		cycle(i)
 	}

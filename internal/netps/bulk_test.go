@@ -52,7 +52,7 @@ func checkConst(t *testing.T, what string, got []float32, n int, want float32) {
 // push is written from the caller's gradient and a pull's response read
 // straight into out, and the server's sum, which is also the aggregate's
 // wire form, goes back on its shard's list once the last reference from a
-// puller or the completed log is dropped, so what is left is per-request
+// puller or its key's done slot is dropped, so what is left is per-request
 // bookkeeping: about 3 KB and 14 allocations, as before the copies went.
 // A byte budget, not an allocation count, and held under the race
 // detector too: the sums are on their owners' recycle lists, which keep
@@ -118,20 +118,21 @@ func TestBulkPathAllocBudget(t *testing.T) {
 // TestServeShapeAllocBudget holds the ps_serve benchmark's shape — eight
 // clients on one single-worker server, each pushing a 256 B vector and
 // pulling it back — to a budget per push+pull, which that benchmark holds
-// to within 6 %. Each aggregate's record and its sum stay in the server's
-// completed log, and each Pull returns a fresh slice: one op measured
-// 1 225 B and 10.1 allocations (1 800 B and 12.1 under the race detector),
-// the same as while the aggregate was encoded apart from its sum. The
-// budget is 6 % over the bytes and under one allocation more; a record
-// growing by a size class or an allocation added per request fails it.
+// to within 6 %. Each key retains only its last aggregate, whose record
+// and sum the next one reuses, and each Pull returns a fresh slice: one op
+// measured 435 B and 8.0 allocations (755 B and 9.0 under the race
+// detector); 1 225 B and 10.1 (1 800 B and 12.1) while a completed log
+// kept every aggregate's record and sum for a while. The budget is about
+// 20 % over the bytes and half an allocation more; an allocation added per
+// request fails it.
 func TestServeShapeAllocBudget(t *testing.T) {
 	const (
 		clients, floats = 8, 64
 		warmup, ops     = 50, 400
 	)
-	byteBudget, allocBudget := 1300.0, 10.5
+	byteBudget, allocBudget := 520.0, 8.5
 	if raceEnabled() {
-		byteBudget, allocBudget = 1910, 12.5
+		byteBudget, allocBudget = 900, 9.5
 	}
 	_, addr := startServer(t, 1)
 	var cs [clients]*Client
@@ -389,11 +390,11 @@ func TestBufferOwnership(t *testing.T) {
 
 	// (f) A response whose write is still in flight keeps its buffer: the
 	// pull's original and its retry (same Seq) both resolve, the retry is
-	// written and reclaims the entry, and eight more aggregates cycle
-	// through a completed log holding two, evicting the first one and
-	// reusing freed buffers.
+	// written and reclaims the entry, and eight more aggregates of its key
+	// each replace the one before, the first included, reusing freed
+	// buffers.
 	t.Run("a held response survives buffer reuse", func(t *testing.T) {
-		srv, ps := refServer(t, 1, 2*4*refFloats)
+		srv, ps := refServer(t, 1)
 		ps.push(0, 1)
 		heldReq, held := ps.pull(0, 1<<32|1) // its write still in flight
 		ps.serve(ps.pull(0, 1<<32|1))        // the retry's write completed
@@ -412,32 +413,33 @@ func TestBufferOwnership(t *testing.T) {
 		srv.countPullServed(heldReq, held)
 	})
 
-	// (g) The same for a pull replayed from the completed log: it survives
-	// its own payload's eviction.
+	// (g) The same for a pull replayed from its key's last reclaimed
+	// aggregate: it survives that aggregate's replacement.
 	t.Run("a replayed response survives its eviction", func(t *testing.T) {
-		srv, ps := refServer(t, 1, 2*4*refFloats)
+		srv, ps := refServer(t, 1)
 		ps.push(0, 1)
-		ps.serve(ps.pull(0, 1<<32|1)) // reclaimed into the completed log
+		ps.serve(ps.pull(0, 1<<32|1)) // reclaimed into the key's done slot
 		replayReq, replay := ps.pull(0, 1<<32|2)
 		for iter := uint32(1); iter <= 8; iter++ {
 			ps.push(iter, float32(10+iter))
 			ps.serve(ps.pull(iter, 1<<32|uint64(iter+2)))
 		}
 		if _, _, errResp := srv.resolvePull(newMessage(OpPull, "k", 0, 1<<32|99, nil)); errResp == nil {
-			t.Fatal("the replayed payload was never evicted from the completed log")
+			t.Fatal("the replayed payload was never replaced by a later iteration's")
 		}
 		checkConst(t, "a replayed response held across its eviction", ps.decode(replayReq, replay), refFloats, 1)
 		srv.countPullServed(replayReq, replay)
 	})
 
-	// (h) References balance: with no completed log, once a parked puller
-	// and a ready one have both been served, the aggregate's count is back
-	// at zero, its sum is back with the shard, and the next aggregate sums
-	// into — and is answered from — the same buffer.
+	// (h) References balance: once a parked puller and a ready one have
+	// both been served and the next iteration's aggregate has replaced it
+	// in its key's done slot, an aggregate's count is back at zero and its
+	// sum is back with the shard. So the key alternates between two sums:
+	// iteration i+2 sums into — and is answered from — iteration i's buffer.
 	t.Run("references balance", func(t *testing.T) {
-		srv, ps := refServer(t, 2, 0)
-		var prev *byte
-		for iter := uint32(0); iter < 4; iter++ {
+		srv, ps := refServer(t, 2)
+		var prev [2]*byte
+		for iter := uint32(0); iter < 6; iter++ {
 			early := newMessage(OpPull, "k", iter, 1<<32|uint64(iter), nil)
 			_, wait, errResp := srv.resolvePull(early)
 			if wait == nil || errResp != nil {
@@ -453,10 +455,10 @@ func TestBufferOwnership(t *testing.T) {
 			lateReq, late := ps.pull(iter, 2<<32|uint64(iter))
 			checkConst(t, "parked pull", ps.decode(early, parked), refFloats, 3)
 			checkConst(t, "ready pull", ps.decode(lateReq, late), refFloats, 3)
-			if iter > 0 && &late.payload[0] != prev {
-				t.Fatalf("iter %d: aggregate not summed into the previous one's buffer — a reference was never dropped", iter)
+			if iter >= 2 && &late.payload[0] != prev[iter%2] {
+				t.Fatalf("iter %d: aggregate not summed into iteration %d's buffer — a reference was never dropped", iter, iter-2)
 			}
-			prev = &late.payload[0]
+			prev[iter%2] = &late.payload[0]
 			ps.serve(early, parked)
 			ps.serve(lateReq, late)
 		}
@@ -721,7 +723,7 @@ func fakeShard(t *testing.T, serve func(net.Conn)) string {
 }
 
 // refFloats is the aggregate length of the reference-count sub-tests: 1 KB
-// on the wire, so a completed log of a few KB evicts quickly.
+// on the wire.
 const refFloats = 256
 
 // refDriver drives one key's aggregates through a server's request
@@ -731,9 +733,9 @@ type refDriver struct {
 	srv *Server
 }
 
-// refServer is a one-shard server whose completed log holds completedBytes.
-func refServer(t *testing.T, workers, completedBytes int) (*Server, refDriver) {
-	srv, err := NewServer(workers, func(s *Server) { s.shardCount, s.completedBytes = 1, completedBytes })
+// refServer is a one-shard server.
+func refServer(t *testing.T, workers int) (*Server, refDriver) {
+	srv, err := NewServer(workers, func(s *Server) { s.shardCount = 1 })
 	if err != nil {
 		t.Fatal(err)
 	}

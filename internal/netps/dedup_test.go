@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 
 	"bytescheduler/internal/metrics"
@@ -11,9 +12,10 @@ import (
 )
 
 // replayState is everything the server remembers to recognize replays:
-// live entries and the clients they list, and the completed log's tiers.
+// live entries and the clients they list, and the aggregates retained in
+// the keys' done slots.
 type replayState struct {
-	entries, maxListed, known, payloads int
+	entries, maxListed, retained int
 }
 
 func stateOf(srv *Server) (st replayState) {
@@ -23,8 +25,7 @@ func stateOf(srv *Server) (st replayState) {
 		for _, e := range sh.entries {
 			st.maxListed = max(st.maxListed, len(e.pushers), len(e.pullers))
 		}
-		st.known += len(sh.completed.knownSet)
-		st.payloads += len(sh.completed.payloads)
+		st.retained += len(sh.done)
 		sh.mu.Unlock()
 	}
 	return st
@@ -58,11 +59,12 @@ func pullAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64) []fl
 	return vals
 }
 
-// TestDedupWindowBounded pushes, replays and pulls more distinct
-// (key, iter) pairs than the completed log's identity tier holds. Replay
-// state lives only in live entries and the completed log: with every entry
-// reclaimed nothing is left per entry or per client, and the log stays at
-// its bound.
+// TestDedupWindowBounded pushes, replays and pulls 32 868 (key, iter)
+// pairs over seven keys. Replay state lives only in live entries and the
+// keys' done slots: with every entry reclaimed nothing is left per entry
+// or per client, and exactly one aggregate per key is retained. A late
+// push replay of any reclaimed iteration, the oldest as well as the
+// newest, is still acknowledged without being summed.
 func TestDedupWindowBounded(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv, err := NewServer(1, func(s *Server) { s.shardCount = 1 }, WithServerMetrics(reg))
@@ -70,27 +72,27 @@ func TestDedupWindowBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	const n = DefaultCompletedKeys + 100
+	const keys, n = 7, 32868
 	for i := uint32(0); i < n; i++ {
-		key := fmt.Sprintf("k%d", i%7)
+		key := fmt.Sprintf("k%d", i%keys)
 		pushAt(t, srv, key, i, 1<<32|uint64(3*i+1), 1)
 		pushAt(t, srv, key, i, 1<<32|uint64(3*i+2), 1) // re-sent under a fresh Seq
 		if got := pullAt(t, srv, key, i, 1<<32|uint64(3*i+3)); len(got) != 1 || got[0] != 1 {
 			t.Fatalf("%s#%d = %v, want [1]", key, i, got)
 		}
 	}
-	st := stateOf(srv)
-	if st.entries != 0 || st.known != DefaultCompletedKeys {
-		t.Fatalf("replay state after %d aggregates = %+v, want no live entry and %d known", n, st, DefaultCompletedKeys)
+	if st := stateOf(srv); st.entries != 0 || st.retained != keys {
+		t.Fatalf("replay state after %d aggregates = %+v, want no live entry and %d retained", n, st, keys)
 	}
-	if st.payloads*4 > DefaultCompletedBytes {
-		t.Fatalf("completed log holds %d payloads, over its %d-byte budget", st.payloads, DefaultCompletedBytes)
+	// Late replays of the newest and the oldest aggregate are acknowledged.
+	pushAt(t, srv, fmt.Sprintf("k%d", (n-1)%keys), n-1, 1<<32|uint64(3*n+1), 1)
+	pushAt(t, srv, "k0", 0, 1<<32|uint64(3*n+2), 1)
+	if st := stateOf(srv); st.entries != 0 {
+		t.Fatalf("a late replay made a live entry: %+v", st)
 	}
-	// The newest aggregate is still known: a late replay is acknowledged.
-	pushAt(t, srv, fmt.Sprintf("k%d", (n-1)%7), n-1, 1<<32|uint64(3*n+1), 1)
 	snap := reg.Snapshot()
-	if got := snap.Counters["netps_server_dedup_hits_total"]; got != n+1 {
-		t.Fatalf("dedup hits = %d, want %d", got, n+1)
+	if got := snap.Counters["netps_server_dedup_hits_total"]; got != n+2 {
+		t.Fatalf("dedup hits = %d, want %d", got, n+2)
 	}
 	if got := snap.Gauges["netps_server_entries"]; got != 0 {
 		t.Fatalf("entries gauge = %d, want 0", got)
@@ -100,7 +102,8 @@ func TestDedupWindowBounded(t *testing.T) {
 // TestDedupClientWindowsBounded sprays pushes and pulls from hundreds of
 // client identities, each re-sending both under fresh Seqs. No state is kept
 // per client: each live entry lists at most its workers, and once every
-// worker has been served nothing but the completed log remains.
+// worker has been served nothing but each key's last reclaimed aggregate
+// remains.
 func TestDedupClientWindowsBounded(t *testing.T) {
 	const workers, clients = 4, 300
 	reg := metrics.NewRegistry()
@@ -141,11 +144,11 @@ func TestDedupClientWindowsBounded(t *testing.T) {
 			}
 		}
 	}
-	if st := stateOf(srv); st.entries != 0 || st.known != clients/workers {
-		t.Fatalf("after pulls: %+v, want no live entry and %d known", st, clients/workers)
+	if st := stateOf(srv); st.entries != 0 || st.retained != clients/workers {
+		t.Fatalf("after pulls: %+v, want no live entry and %d retained", st, clients/workers)
 	}
 	// Every re-push is a hit, and so is every pull retry but the last
-	// worker's of each entry, which the completed log answers.
+	// worker's of each entry, which the key's done slot answers.
 	snap := reg.Snapshot()
 	if got, want := snap.Counters["netps_server_dedup_hits_total"], uint64(clients+clients-clients/workers); got != want {
 		t.Fatalf("dedup hits = %d, want %d", got, want)
@@ -260,13 +263,18 @@ func TestRepushUnderFreshSeqCountedOnce(t *testing.T) {
 
 // TestReplayProperty drives the server's handlers in process — no sockets —
 // through seeded random interleavings of every worker's push and pull of
-// several keys over several iterations, with replays injected between them:
-// a push again under its own Seq (a lost ack), a push re-sent under a fresh
-// Seq (a core-level retry), a served pull retried, and any of those after
-// the aggregate was reclaimed. Every aggregate must equal the sum of the
-// distinct workers' vectors, no push be rejected, the dedup hits equal the
-// replays that reached a live entry's lists or the completed log's push
-// check, and no entry outlive its last pull.
+// several keys over several iterations. Each worker walks its iterations in
+// order, keys shuffled within each, and pushes a key's next iteration only
+// once its pull of the one before has returned: the contract replay after
+// reclaim rests on. Replays are injected between steps: a push again under
+// its own Seq (a lost ack) or re-sent under a fresh Seq (a core-level
+// retry), at any time; a served pull retried, until its worker pushes the
+// key's next iteration; and a pull for an iteration older than its key's
+// last reclaimed one, which no worker sends. Every aggregate must equal the
+// sum of the distinct workers' vectors, no push be rejected, the dedup hits
+// equal the replays that reached a live entry's lists or a done slot's push
+// check, every older pull fail fast as lost, never parked or answered, and
+// no entry outlive its last pull.
 func TestReplayProperty(t *testing.T) {
 	type part struct {
 		key    string
@@ -318,27 +326,39 @@ func TestReplayProperty(t *testing.T) {
 			}
 		}
 
-		// Each worker pushes then pulls every part, in its own random order.
-		var parts []part
-		for k := 0; k < keys; k++ {
-			for i := 0; i < iters; i++ {
-				parts = append(parts, part{fmt.Sprintf("key%d", k), uint32(i), 1 + k})
-			}
-		}
+		// Each worker pushes then pulls every part, iteration by iteration,
+		// the keys of each in its own random order.
 		todo := make([][]part, workers)
 		for w := range todo {
-			todo[w] = append([]part(nil), parts...)
-			rng.Shuffle(len(todo[w]), func(i, j int) { todo[w][i], todo[w][j] = todo[w][j], todo[w][i] })
+			for i := 0; i < iters; i++ {
+				row := make([]part, keys)
+				for k := range row {
+					row[k] = part{fmt.Sprintf("key%d", k), uint32(i), 1 + k}
+				}
+				rng.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+				todo[w] = append(todo[w], row...)
+			}
 		}
 		pushedNext := make([]bool, workers) // the head of todo[w] is pushed, its pull next
 		seqs := make([]uint64, workers)
 		nextSeq := func(w int) uint64 { seqs[w]++; return uint64(w+1)<<32 | seqs[w] }
-		served := map[part]int{} // pulls counted per part: reclaimed at workers
-		var pushes []message     // acknowledged pushes, for replay
-		var pulls []parked       // served pulls, for retry
+		served := map[part]int{}   // pulls counted per part: reclaimed at workers
+		top := map[string]uint32{} // each key's last reclaimed iteration
+		var reclaimed []part       // in reclaim order
+		var pushes []message       // acknowledged pushes, for replay
+		var pulls []parked         // served pulls, retried until the key's next push
 		var waiting []parked
-		var hits uint64
+		var hits, lost uint64
 
+		serve := func(pr parked, a *agg) {
+			t.Helper()
+			srv.countPullServed(pr.req, a)
+			if served[pr.p]++; served[pr.p] == workers {
+				top[pr.p.key] = max(top[pr.p.key], pr.p.iter)
+				reclaimed = append(reclaimed, pr.p)
+			}
+			pulls = append(pulls, pr)
+		}
 		push := func(m message) {
 			t.Helper()
 			resp, wake, result := srv.processPush(m, new([]float32))
@@ -351,28 +371,43 @@ func TestReplayProperty(t *testing.T) {
 				case a := <-waiting[i].wait:
 					pw := waiting[i]
 					check("parked pull", pw.p, pw.req, a)
-					srv.countPullServed(pw.req, a)
-					served[pw.p]++
-					pulls = append(pulls, pw)
+					serve(pw, a)
 					waiting = append(waiting[:i], waiting[i+1:]...)
 					i--
 				default:
 				}
 			}
 		}
+		// blocked reports whether w's next step is a push of a key whose
+		// previous iteration's pull has not returned.
+		blocked := func(w int) bool {
+			return !pushedNext[w] && slices.ContainsFunc(waiting, func(pw parked) bool {
+				return pw.w == w && pw.p.key == todo[w][0].key
+			})
+		}
 		for {
 			var live []int
+			left := false
 			for w := range todo {
 				if len(todo[w]) > 0 {
-					live = append(live, w)
+					left = true
+					if !blocked(w) {
+						live = append(live, w)
+					}
 				}
 			}
-			if len(live) == 0 {
+			if !left {
 				break
+			}
+			if len(live) == 0 {
+				fail("every worker with work left waits on a parked pull")
 			}
 			w := live[rng.Intn(len(live))]
 			p := todo[w][0]
 			if !pushedNext[w] {
+				// From now on w's pull of the key's previous iteration is
+				// never retried.
+				pulls = slices.DeleteFunc(pulls, func(pr parked) bool { return pr.w == w && pr.p.key == p.key })
 				m := newMessage(OpPush, p.key, p.iter, nextSeq(w), f32(vec(p, w)...))
 				push(m)
 				pushes = append(pushes, m)
@@ -387,9 +422,7 @@ func TestReplayProperty(t *testing.T) {
 					waiting = append(waiting, parked{req, wait, p, w})
 				default:
 					check("pull", p, req, a)
-					srv.countPullServed(req, a)
-					served[p]++
-					pulls = append(pulls, parked{req, nil, p, w})
+					serve(parked{req, nil, p, w}, a)
 				}
 				todo[w], pushedNext[w] = todo[w][1:], false
 			}
@@ -417,16 +450,35 @@ func TestReplayProperty(t *testing.T) {
 					hits++ // a live entry already counted this worker
 				}
 				srv.countPullServed(req, a)
+			case r == 3 && len(reclaimed) > 0:
+				p := reclaimed[rng.Intn(len(reclaimed))]
+				if p.iter >= top[p.key] {
+					break // still its key's last reclaimed iteration
+				}
+				req := newMessage(OpPull, p.key, p.iter, nextSeq(rng.Intn(workers)), nil)
+				a, wait, errResp := srv.resolvePull(req)
+				if wait != nil || a != nil || errResp == nil || string(errResp.Payload) != errAggregateReclaimed {
+					fail("pull of %v after %s#%d was reclaimed: parked %v, answered %v, err %v",
+						p, p.key, top[p.key], wait != nil, a != nil, errResp)
+				}
+				lost++
 			}
 		}
 		if len(waiting) != 0 {
 			fail("%d pulls still parked at quiescence", len(waiting))
 		}
-		if got := reg.Snapshot().Counters["netps_server_dedup_hits_total"]; got != hits {
+		snap := reg.Snapshot()
+		if got := snap.Counters["netps_server_dedup_hits_total"]; got != hits {
 			fail("dedup hits = %d, want the %d replays injected", got, hits)
+		}
+		if got := snap.Counters["netps_server_lost_pulls_total"]; got != lost {
+			fail("lost pulls = %d, want the %d older pulls injected", got, lost)
 		}
 		if n := srv.Outstanding(); n != 0 {
 			fail("Outstanding() = %d at quiescence", n)
+		}
+		if st := stateOf(srv); st.retained != keys {
+			fail("%d aggregates retained at quiescence, want one per key (%d)", st.retained, keys)
 		}
 		srv.Close()
 	}

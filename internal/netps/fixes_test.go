@@ -19,7 +19,8 @@ import (
 // to every worker), then retries the pull as a client whose response was
 // lost on the wire would. Pre-fix, resolvePull recreated an empty entry
 // and handed back a wait channel that no push would ever fulfill; the
-// completed log must re-answer with the original payload instead.
+// key's last reclaimed aggregate must re-answer with the original payload
+// instead.
 func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv, err := NewServer(1, WithServerMetrics(reg))
@@ -60,28 +61,30 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	}
 }
 
-// TestReclaimedPullFailsFastAfterPayloadEvicted shrinks the completed
-// log's payload budget to nothing and checks a late retry gets OpErr —
-// the bounded fallback — rather than blocking on an entry that will never
-// complete.
+// TestReclaimedPullFailsFastAfterPayloadEvicted evicts an aggregate by
+// reclaiming its key's next iteration, which replaces it, and checks a late
+// retry of the older pull gets OpErr rather than blocking on an entry that
+// will never complete.
 func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, err := NewServer(1, func(s *Server) { s.shardCount, s.completedBytes = 1, 1 }, WithServerMetrics(reg))
+	srv, err := NewServer(1, WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	push := newMessage(OpPush, "w", 1, uint64(1)<<32|1, f32(3))
-	srv.processPush(push, new([]float32))
-	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
-	result, wait, errResp := srv.resolvePull(pull)
-	if wait != nil || errResp != nil {
-		t.Fatalf("first pull not ready: wait=%v err=%v", wait, errResp)
+	for iter := uint32(1); iter <= 2; iter++ {
+		push := newMessage(OpPush, "w", iter, uint64(1)<<32|uint64(2*iter), f32(3))
+		srv.processPush(push, new([]float32))
+		pull := newMessage(OpPull, "w", iter, uint64(1)<<32|uint64(2*iter+1), nil)
+		result, wait, errResp := srv.resolvePull(pull)
+		if wait != nil || errResp != nil {
+			t.Fatalf("pull %d not ready: wait=%v err=%v", iter, wait, errResp)
+		}
+		srv.countPullServed(pull, result)
 	}
-	srv.countPullServed(pull, result)
-	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|3, nil)
-	result, wait, errResp = srv.resolvePull(retry)
+	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|9, nil)
+	result, wait, errResp := srv.resolvePull(retry)
 	if wait != nil || result != nil {
-		t.Fatal("retry after payload eviction must fail fast, not park or serve")
+		t.Fatal("retry after its aggregate was replaced must fail fast, not park or serve")
 	}
 	if errResp == nil || !strings.Contains(string(errResp.Payload), errAggregateReclaimed) {
 		t.Fatalf("errResp = %+v, want %q", errResp, errAggregateReclaimed)
@@ -89,6 +92,34 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	if n := reg.Snapshot().Counters["netps_server_lost_pulls_total"]; n != 1 {
 		t.Fatalf("lost_pulls = %d, want 1", n)
 	}
+}
+
+// TestReclaimedLateKeepsLaterIteration reclaims a key's iterations out of
+// order, as a parked pull's goroutine can when it counts its pull served
+// after the puller has moved on: iteration 1's last pull is written but not
+// yet counted while iteration 2 is pushed, pulled and reclaimed. The late
+// reclaim of iteration 1 must leave iteration 2 in the key's done slot and
+// give iteration 1's sum back, so the next aggregate sums into it.
+func TestReclaimedLateKeepsLaterIteration(t *testing.T) {
+	srv, ps := refServer(t, 1)
+	ps.push(1, 1)
+	lateReq, late := ps.pull(1, 1<<32|1) // written, not yet counted
+	ps.push(2, 2)
+	ps.serve(ps.pull(2, 1<<32|2))
+	lateSum := &late.payload[0]
+	ps.serve(lateReq, late)
+	if _, _, errResp := srv.resolvePull(newMessage(OpPull, "k", 1, 1<<32|3, nil)); errResp == nil || string(errResp.Payload) != errAggregateReclaimed {
+		t.Fatalf("pull of the late-reclaimed iteration answered %v, want %q", errResp, errAggregateReclaimed)
+	}
+	req, a := ps.pull(2, 1<<32|4)
+	checkConst(t, "a retried pull of the later iteration", ps.decode(req, a), refFloats, 2)
+	ps.serve(req, a)
+	ps.push(3, 3)
+	req, a = ps.pull(3, 1<<32|5)
+	if &a.payload[0] != lateSum {
+		t.Fatal("iteration 3 was not summed into iteration 1's buffer — the late reclaim kept its reference")
+	}
+	ps.serve(req, a)
 }
 
 // TestReclaimedPullReplayEndToEnd drives the same scenario over TCP: a
@@ -309,7 +340,7 @@ func TestEmptyPushRejected(t *testing.T) {
 // a fresh Seq, and each entry lists exactly its three pushers while the
 // entries gauge matches Outstanding. Once every client has pulled (and
 // retried) each key, the entries are gone, the gauge is back at zero and
-// only the completed log remembers the keys.
+// only each key's last reclaimed aggregate is left.
 func TestDedupGaugeTracksClientEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv, err := NewServer(3, func(s *Server) { s.shardCount = 1 }, WithServerMetrics(reg))
@@ -345,8 +376,8 @@ func TestDedupGaugeTracksClientEviction(t *testing.T) {
 			t.Fatalf("after client %d pulled: Outstanding %d, gauge %d, want %d", client, srv.Outstanding(), gauge(), want)
 		}
 	}
-	if st := stateOf(srv); st.entries != 0 || st.known != 3 {
-		t.Fatalf("after pulls: %+v, want no live entry and 3 known", st)
+	if st := stateOf(srv); st.entries != 0 || st.retained != 3 {
+		t.Fatalf("after pulls: %+v, want no live entry and 3 retained", st)
 	}
 }
 

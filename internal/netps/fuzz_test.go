@@ -5,8 +5,8 @@
 // the server answers a request (ack or OpErr, never a panic, whatever
 // codec id, original length or payload framing it claims), an accepted
 // push is pullable and decodes to its values as its codec re-encodes them
-// — and so does the next aggregate of its key, encoded into the first
-// one's recycled buffer — and a client connection's reader, fed any byte
+// — and so do the next two aggregates of its key, the third encoded into
+// the first one's recycled buffer — and a client connection's reader, fed any byte
 // stream as a server's responses, settles each pending call exactly once.
 //
 // Run continuously with:
@@ -99,8 +99,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return // rejected by the frame reader: wire.FuzzRead's territory
 		}
-		// No completed log, so a reclaimed aggregate's buffer is free at once.
-		srv, err := NewServer(1, func(s *Server) { s.shardCount, s.completedBytes = 1, 0 })
+		srv, err := NewServer(1, func(s *Server) { s.shardCount = 1 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,9 +117,13 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("push answered with op %d", resp.Op)
 		}
 		first := pullPushed(t, srv, req)
-		// A second aggregate of the same key, pushed under the same codec
-		// with other values and (for top-k) another count, encodes into the
-		// first one's recycled buffer.
+		if req.Iter > math.MaxUint32-2 {
+			return // a key's iterations increase: no room for two more
+		}
+		// Two more aggregates of the same key, pushed under the same codec
+		// with other values and (for top-k) another count. The first is
+		// retained until the second replaces it, so the third encodes into
+		// the first one's recycled buffer.
 		vals, _ := wire.Floats(nil, req.Header, req.Payload)
 		next := make([]float32, len(vals)+1)
 		for i, v := range vals {
@@ -130,13 +133,17 @@ func FuzzDecodeMessage(f *testing.F) {
 		if c.ID() == compress.CodecTopK {
 			c, _ = compress.TopKCodecCount(int(binary.BigEndian.Uint32(req.Payload))%len(next) + 1)
 		}
-		req2 := newMessage(OpPush, req.Key, req.Iter+1, req.Seq+1, nil)
-		req2.Payload, req2.Codec, req2.Orig = wire.AppendFloats(nil, c, next)
-		if resp, _, _ := srv.processPush(req2, new([]float32)); Op(resp.Op) != OpPush {
-			t.Fatalf("second push rejected: %s", resp.Payload)
+		var third []byte
+		for i := uint32(1); i <= 2; i++ {
+			reqI := newMessage(OpPush, req.Key, req.Iter+i, req.Seq+uint64(i), nil)
+			reqI.Payload, reqI.Codec, reqI.Orig = wire.AppendFloats(nil, c, next)
+			if resp, _, _ := srv.processPush(reqI, new([]float32)); Op(resp.Op) != OpPush {
+				t.Fatalf("push %d rejected: %s", i+1, resp.Payload)
+			}
+			third = pullPushed(t, srv, reqI)
 		}
-		if second := pullPushed(t, srv, req2); cap(first) >= len(second) && &first[0] != &second[0] {
-			t.Fatal("the second aggregate did not reuse the first one's free buffer")
+		if cap(first) >= len(third) && &first[0] != &third[0] {
+			t.Fatal("the third aggregate did not reuse the first one's free buffer")
 		}
 	})
 }
@@ -154,7 +161,7 @@ func pushCodec(req message) compress.Codec {
 // pullPushed pulls the aggregate of req, an accepted push on a one-worker
 // server, checks it decodes to req's values as the push's codec re-encodes
 // them, and serves the pull, reclaiming the entry. It returns the payload,
-// whose buffer is then free for the next aggregate.
+// whose buffer is free once the key's next aggregate replaces it.
 func pullPushed(t *testing.T, srv *Server, req message) []byte {
 	t.Helper()
 	pull := newMessage(OpPull, req.Key, req.Iter, 0, nil)

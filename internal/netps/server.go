@@ -20,10 +20,10 @@ import (
 // errServerClosed is the error text sent to pull waiters failed by Close.
 const errServerClosed = "server closed"
 
-// errAggregateReclaimed is the error text answering a retried pull whose
-// aggregate was reclaimed and has also aged out of the completed log: the
-// data is gone, so the client must surface the error to its retry budget
-// instead of waiting for pushes that will never come.
+// errAggregateReclaimed is the error text answering a pull for an
+// iteration older than its key's last reclaimed one: the data is gone, so
+// the client must surface the error to its retry budget instead of waiting
+// for pushes that will never come.
 const errAggregateReclaimed = "aggregate reclaimed"
 
 // DefaultShards is the number of independent lock domains the (key, iter)
@@ -32,18 +32,6 @@ const errAggregateReclaimed = "aggregate reclaimed"
 // servers — so a replayed push always lands in the shard that remembers
 // its entry.
 const DefaultShards = 16
-
-// DefaultCompletedBytes is the total byte budget (across shards) for the
-// completed-aggregate log's payload tier: recently reclaimed aggregates
-// kept around so a retried pull whose response was lost on the wire is
-// re-answered instead of hanging on a recreated empty entry.
-const DefaultCompletedBytes = 32 << 20
-
-// DefaultCompletedKeys is the total size (across shards) of the completed
-// log's identity tier: (key, iter) pairs remembered as completed even
-// after their payload is evicted, so very late pull retries fail fast with
-// OpErr instead of blocking forever.
-const DefaultCompletedKeys = 32768
 
 // DefaultServerReadTimeout bounds how long the rest of a frame may take to
 // arrive once its first byte has: a peer that stalls mid-frame is dropped
@@ -78,21 +66,28 @@ const DefaultServerWriteTimeout = 15 * time.Second
 // answered with OpErr instead of dropping the connection, a second push
 // from one client to one (key, iter) — a retry under the same Seq or a
 // re-send under a fresh one — is acknowledged without double-summing,
-// retried pulls arriving after their aggregate was reclaimed are
-// re-answered from a bounded completed log (or failed fast once it ages
-// out), and Close fails every blocked pull waiter and open connection
-// instead of leaking them — a crashed or drained shard surfaces as an
-// error at the worker, never as a hang.
+// a retried pull arriving after its aggregate was reclaimed is re-answered
+// from its key's last reclaimed aggregate, and Close fails every blocked
+// pull waiter and open connection instead of leaking them — a crashed or
+// drained shard surfaces as an error at the worker, never as a hang.
+//
+// Replay after reclaim rests on a contract every caller keeps: a key's
+// iterations increase, and a worker retries only its latest pull of a key.
+// A worker cannot push (key, i+1) before its pull of (key, i) returns, so
+// iteration i is still its key's last reclaimed one whenever a retry of
+// that pull can come. So each key retains one aggregate, the model's size
+// and no budget: a pull for that iteration is re-answered from it, one for
+// an older iteration fails fast, and a push replay for either is
+// acknowledged without being summed.
 type Server struct {
 	workers int
-	// shardCount (DefaultShards), completedBytes (DefaultCompletedBytes) and
-	// the read and write deadlines (DefaultServer*Timeout; zero disables) are
-	// fields so the package's tests can shrink them.
-	shardCount     int
-	completedBytes int
-	readTimeout    time.Duration
-	writeTimeout   time.Duration
-	inst           serverInstruments
+	// shardCount (DefaultShards) and the read and write deadlines
+	// (DefaultServer*Timeout; zero disables) are fields so the package's
+	// tests can shrink them.
+	shardCount   int
+	readTimeout  time.Duration
+	writeTimeout time.Duration
+	inst         serverInstruments
 
 	shards []*shard
 
@@ -113,17 +108,24 @@ type Server struct {
 	goroutines atomic.Int64
 }
 
-// shard is one lock domain: a partition of the entry space and the
-// completed-aggregate log for entries reclaimed from it. A key's pushes,
-// pulls, and replays all hash to the same shard, so exactly-once summing
-// needs only this one lock.
+// shard is one lock domain: a partition of the entry space and the last
+// reclaimed aggregate of each of its keys. A key's pushes, pulls, and
+// replays all hash to the same shard, so exactly-once summing needs only
+// this one lock.
 type shard struct {
-	mu        sync.Mutex
-	entries   map[entryKey]*entry
-	completed completedLog
+	mu      sync.Mutex
+	entries map[entryKey]*entry
+	done    map[string]reclaimed
 	// Free lists of unreferenced aggregate records and unheld sums.
 	aggFree recycle.List[*agg]
 	sums    recycle.List[[]float32]
+}
+
+// reclaimed is a key's last reclaimed iteration and its aggregate, holding
+// the reference the entry held.
+type reclaimed struct {
+	iter uint32
+	a    *agg
 }
 
 type entryKey struct {
@@ -182,7 +184,8 @@ func list(ids []uint32, seq uint64) []uint32 {
 // list: the payload and codec envelope fields every pull response echoes,
 // as wire.AppendFloats returned them (raw: the sum), and a reference count
 // kept under the shard lock — one for the entry until reclaim hands it to
-// the completed log, and one per pull handed it until its response is written.
+// its key's done slot, and one per pull handed it until its response is
+// written.
 type agg struct {
 	payload []byte
 	codec   uint8
@@ -253,27 +256,18 @@ func NewServer(workers int, opts ...ServerOption) (*Server, error) {
 		return nil, fmt.Errorf("netps: need at least one worker, got %d", workers)
 	}
 	s := &Server{
-		workers:        workers,
-		shardCount:     DefaultShards,
-		completedBytes: DefaultCompletedBytes,
-		readTimeout:    DefaultServerReadTimeout,
-		writeTimeout:   DefaultServerWriteTimeout,
-		conns:          make(map[net.Conn]*srvConn),
+		workers:      workers,
+		shardCount:   DefaultShards,
+		readTimeout:  DefaultServerReadTimeout,
+		writeTimeout: DefaultServerWriteTimeout,
+		conns:        make(map[net.Conn]*srvConn),
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	s.shards = make([]*shard, s.shardCount)
-	perShardBytes := s.completedBytes / s.shardCount
-	perShardKeys := DefaultCompletedKeys / s.shardCount
-	if perShardKeys == 0 {
-		perShardKeys = 1
-	}
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			entries:   make(map[entryKey]*entry),
-			completed: newCompletedLog(perShardBytes, perShardKeys),
-		}
+		s.shards[i] = &shard{entries: make(map[entryKey]*entry), done: make(map[string]reclaimed)}
 	}
 	s.inst.shardsGauge.Set(int64(s.shardCount))
 	return s, nil
@@ -529,7 +523,7 @@ func (s *Server) processPush(req message, scratch *[]float32) (resp message, wak
 	k := entryKey{req.Key, req.Iter}
 	e, ok := sh.entries[k]
 	if !ok {
-		if req.Seq != 0 && sh.completed.known(k) {
+		if d, ok := sh.done[k.key]; ok && req.Seq != 0 && k.iter <= d.iter {
 			// A replay arriving after its entry was reclaimed: acknowledged,
 			// not summed into a fresh aggregate.
 			sh.mu.Unlock()
@@ -656,15 +650,14 @@ func (s *Server) resolvePull(req message) (result *agg, wait chan *agg, errResp 
 	}
 	// No live entry. A retried pull whose aggregate was already served and
 	// reclaimed (response lost on the wire) must not recreate an empty
-	// entry — it would block until a push that will never come. The
-	// completed log re-answers recent retries; older ones whose payload
-	// aged out fail fast with OpErr.
-	if p, ok := sh.completed.payload(k); ok {
+	// entry — it would block until a push that will never come. The key's
+	// last reclaimed aggregate re-answers a retry of its iteration; a pull
+	// for an older one fails fast with OpErr.
+	if d, ok := sh.done[k.key]; ok && k.iter == d.iter {
 		s.inst.replayedPulls.Inc()
-		p.refs++
-		return p, nil, nil
-	}
-	if sh.completed.known(k) {
+		d.a.refs++
+		return d.a, nil, nil
+	} else if ok && k.iter < d.iter {
 		s.inst.lostPulls.Inc()
 		m := s.rejectMsg(req, errAggregateReclaimed)
 		return nil, nil, &m
@@ -679,9 +672,13 @@ func (s *Server) resolvePull(req message) (result *agg, wait chan *agg, errResp 
 
 // countPullServed performs the post-write pull bookkeeping: dropping the
 // pull's reference to its response a, counting each client served once,
-// and entry reclamation once every worker has been served, which
-// moves the entry's reference into the shard's completed log so a retried
-// pull whose response was lost on the wire is re-answered.
+// and entry reclamation once every worker has been served, which moves the
+// entry's reference into its key's done slot so a retried pull whose
+// response was lost on the wire is re-answered. The slot keeps the later
+// iteration and drops the other one's reference: an entry can be reclaimed
+// after its key's next iteration, since its puller may read the response
+// and move on before the goroutine that wrote it gets here, and such an
+// entry is already older than any retry can ask for.
 //
 // It runs after the response write, never before: a response lost on the
 // wire must leave the entry live for the client's retry. So an entry is
@@ -707,7 +704,15 @@ func (s *Server) countPullServed(req message, a *agg) {
 	if e.served >= s.workers {
 		delete(sh.entries, k)
 		s.inst.entries.Add(-1)
-		sh.completed.add(k, e.result, sh)
+		d, ok := sh.done[k.key]
+		if ok && d.iter > k.iter {
+			sh.unref(e.result)
+			return
+		}
+		if ok {
+			sh.unref(d.a)
+		}
+		sh.done[k.key] = reclaimed{k.iter, e.result}
 	}
 }
 
