@@ -1,9 +1,12 @@
-// Micro-benchmarks of the netar bulk path. Every ring hop encodes one
+// Micro-benchmarks of the netar bulk path. A codec ring hop encodes one
 // segment into the peer's reused staging buffer and frames it, so the pair
 // must stay allocation-free (the wire.Conn's own staging) even with the
-// codec envelope fields set; a whole loopback collective reduces into the
-// caller's buffer through recycled segment buffers and scratch, so its
-// allocs/op counts only per-segment bookkeeping.
+// codec envelope fields set. A whole loopback collective under the
+// identity codec copies no segment: it sends from the vectors, sums each
+// reduce-scatter segment with in from its recycled read buffer, and reads
+// each all-gather segment straight into out, with slot and collective
+// records recycled, so its allocs/op counts only the keys the readers
+// decode.
 //
 // Run with:
 //

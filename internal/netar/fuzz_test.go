@@ -85,8 +85,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		want, decodeErr := wire.Floats(nil, m.Header, m.Payload)
 		// Received as a gather step decodes it; as a reduce-scatter step
-		// adds it into the accumulator (a raw segment straight from its
-		// read buffer).
+		// writes base + it (a raw segment straight from its read buffer).
 		for _, reduce := range []bool{false, true} {
 			p, err := NewPeer(0, 2)
 			if err != nil {
@@ -98,15 +97,16 @@ func FuzzDecodeFrame(f *testing.F) {
 			if !p.deliver(wire.NewConn(end), m) {
 				t.Fatal("an empty pending table refused a segment")
 			}
-			got, sum, scratch := make([]float32, len(want)), slices.Clone(want), []float32(nil)
+			got, sum, base := make([]float32, len(want)), slices.Clone(want), []float32(nil)
 			if reduce {
-				for i := range got {
-					got[i] = 0.5
-					sum[i] += 0.5
+				base = make([]float32, len(want))
+				for i := range base {
+					base[i] = 0.5
+					sum[i] = 0.5 + sum[i]
 				}
-				scratch = make([]float32, len(want))
 			}
-			err = p.recvSegment(m.Key, m.Iter, m.Step, m.Chunk, got, scratch)
+			c := &collective{key: m.Key, iter: m.Iter, scratch: make([]float32, len(want))}
+			err = p.recvSegment(c, m.Step, m.Chunk, got, base)
 			if (err == nil) != (decodeErr == nil) {
 				t.Fatalf("recvSegment (reduce %v) err = %v, envelope decode err = %v", reduce, err, decodeErr)
 			}

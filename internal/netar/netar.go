@@ -1,6 +1,7 @@
 package netar
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"slices"
@@ -22,10 +23,8 @@ type Option func(*Peer)
 // tests).
 func WithSeed(seed int64) Option { return func(p *Peer) { p.rng = stats.NewRNG(seed) } }
 
-// WithMetrics instruments the peer against the given registry: per-op
-// latency histogram (netar_op_seconds), op/step/byte counters, segment
-// dedup and overflow-drop counters, step-timeout and remote-error
-// counters, and an in-flight collective gauge.
+// WithMetrics instruments the peer against the given registry: the per-op
+// latency histogram, the counters and the in-flight gauge below.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(p *Peer) {
 		if reg == nil {
@@ -81,16 +80,27 @@ type slotKey struct {
 	step uint16
 }
 
+// slot is one schedule position's rendezvous, a record the peer recycles.
+// The reader reads its segment into dst, the out chunk a waiter registered,
+// if any (claimed meanwhile), and deposits it in seg, which never blocks.
+type slot struct {
+	seg     chan message
+	dst     []byte
+	claimed bool
+}
+
+// collective is one AllReduceInto's state, a record the peer recycles: its
+// codec reduce scratch and the one timer reset for each of its steps.
+type collective struct {
+	key     string
+	iter    uint32
+	scratch []float32
+	timer   *time.Timer
+}
+
 // Peer is one rank of a live segmented ring all-reduce. It listens for its
 // predecessor, dials its successor, and runs any number of concurrent
-// keyed collectives over those two persistent connections.
-//
-// The contract mirrors the simulator's collective: every peer must call
-// AllReduceInto (or AllReduce) with the same (key, iter) and the same
-// vector length, exactly once per collective. Distinct (key, iter)
-// collectives may be issued concurrently and in any per-peer order —
-// segments are dispatched to per-(key, iter, step) slots, not assumed to
-// arrive in lockstep.
+// keyed collectives (AllReduceInto) over those two persistent connections.
 type Peer struct {
 	rank int
 	size int
@@ -104,26 +114,21 @@ type Peer struct {
 
 	seq atomic.Uint64
 
-	// sendMu serializes frame writes to the successor so concurrent
-	// collectives never interleave partial frames; monitorLoop reads the
-	// same connection without it.
+	// sendMu serializes frame writes to the successor (monitorLoop reads
+	// it without), and guards encBuf, the codec staging buffer.
 	sendMu sync.Mutex
 	succ   *wire.Conn
-	// encBuf is the codec staging buffer for outbound segments, reused
-	// under sendMu so steady-state sends do not allocate.
 	encBuf []byte
 
 	// mu guards, besides the slot table, the peer's recycled inbound segment
-	// buffers and reduce-scatter scratch.
-	mu       sync.Mutex
-	payloads recycle.List[[]byte]
-	scratch  recycle.List[[]float32]
-	rng      *stats.RNG
-	ln       net.Listener
-	// slots parks one segment (or one waiter) per schedule position, in a
-	// channel of capacity 1 so the predecessor's reader can always deposit
-	// and move on — the deadlock-avoidance invariant of the ring.
-	slots     map[slotKey]chan message
+	// buffers, slots and collective records.
+	mu        sync.Mutex
+	payloads  recycle.List[[]byte]
+	freeSlots recycle.List[*slot]
+	colls     recycle.List[*collective]
+	rng       *stats.RNG
+	ln        net.Listener
+	slots     map[slotKey]*slot
 	conns     map[net.Conn]struct{}
 	remoteErr error
 	closed    bool
@@ -146,7 +151,7 @@ func NewPeer(rank, size int, opts ...Option) (*Peer, error) {
 		size:        size,
 		stepTimeout: DefaultStepTimeout,
 		maxPending:  DefaultMaxPending,
-		slots:       make(map[slotKey]chan message),
+		slots:       make(map[slotKey]*slot),
 		conns:       make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
 	}
@@ -202,12 +207,10 @@ func (p *Peer) Addr() string {
 	return p.ln.Addr().String()
 }
 
-// Dial connects to the ring successor, retrying with exponential backoff
-// and deterministic jitter — ring bring-up is inherently racy, every peer
-// dials while its successor is still binding. It also starts the OpErr
-// monitor on the outbound connection, so a successor that rejects our
-// segments surfaces as an error on subsequent sends instead of a silent
-// desync.
+// Dial connects to the ring successor, retrying with jittered backoff (every
+// peer dials while its successor may still be binding), and starts the
+// OpErr monitor on the connection, so a successor that rejects our
+// segments surfaces as an error on later sends, not a silent desync.
 func (p *Peer) Dial(succAddr string) error {
 	var conn net.Conn
 	var err error
@@ -280,11 +283,9 @@ func (p *Peer) acceptLoop(ln net.Listener) {
 	}
 }
 
-// readLoop drains one inbound connection, dispatching segments to their
-// (key, iter, step) slots. A dedicated reader per connection is the
-// deadlock-avoidance invariant: a step's send can never block forever on
-// the ring's cyclic dependency, because the successor's reader always
-// consumes.
+// readLoop drains one inbound connection (its own reader: the ring's
+// deadlock-avoidance invariant), reading each segment into the destination
+// its slot registered (pick) or into a buffer parked there (deliver).
 func (p *Peer) readLoop(conn net.Conn) {
 	defer p.wg.Done()
 	defer func() {
@@ -294,14 +295,33 @@ func (p *Peer) readLoop(conn net.Conn) {
 		conn.Close()
 	}()
 	c := wire.NewConn(conn)
-	for {
-		var m message
-		var err error
-		if m.Header, m.Payload, err = c.ReadFrame(); err != nil {
-			return
+	var s *slot // the slot pick claimed for the frame being read, if any
+	pick := func(h wire.Header, n int) []byte {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		t := p.slots[slotKey{key: h.Key, iter: h.Iter, step: h.Step}]
+		if Op(h.Op) != OpData || h.Codec != 0 || t == nil || t.dst == nil || len(t.dst) != n || t.claimed {
+			return nil
 		}
-		switch Op(m.Op) {
-		case OpData:
+		s, t.claimed = t, true
+		return t.dst
+	}
+	for {
+		s = nil
+		h, payload, err := c.ReadFrameInto(pick)
+		m := message{Header: h, Payload: payload}
+		if s != nil { // the claimant waits for this, whether the read ended or broke
+			m.filled, m.err = err == nil, err
+			p.mu.Lock()
+			s.claimed, s.dst = false, nil
+			s.seg <- m
+			p.mu.Unlock()
+		}
+		switch {
+		case err != nil:
+			return
+		case s != nil:
+		case Op(m.Op) == OpData:
 			if !p.deliver(c, m) {
 				// Pending table full: tell the predecessor its segment was
 				// rejected, then drop the connection — its framing is no
@@ -329,8 +349,7 @@ func (p *Peer) notifyErr(c *wire.Conn, h wire.Header, text string) {
 	_ = c.WriteFrame(h, []byte(text))
 }
 
-// monitorLoop drains the outbound connection for OpErr notifications from
-// the successor (the only traffic that flows "backwards" on the ring).
+// monitorLoop drains the outbound connection for the successor's OpErrs.
 func (p *Peer) monitorLoop(c *wire.Conn) {
 	defer p.wg.Done()
 	for {
@@ -353,89 +372,102 @@ func (p *Peer) monitorLoop(c *wire.Conn) {
 // local collective has not reached that step yet), taking c's read buffer
 // with it to whoever consumes it; c reads on into a recycled one. It
 // reports false when the bounded pending table is full; duplicate segments
-// for an already-filled slot are counted and dropped — the Seq-dedup
-// analogue for a persistent-connection transport.
+// for an already-filled (or claimed) slot are counted and dropped — the
+// Seq-dedup analogue for a persistent-connection transport.
 func (p *Peer) deliver(c *wire.Conn, m message) bool {
-	k := slotKey{key: m.Key, iter: m.Iter, step: m.Step}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return true
 	}
-	s, ok := p.slots[k]
-	if !ok {
-		if len(p.slots) >= p.maxPending {
-			return false
-		}
-		s = make(chan message, 1)
-		p.slots[k] = s
+	s := p.slotAt(slotKey{key: m.Key, iter: m.Iter, step: m.Step}, true)
+	if s == nil {
+		return false
 	}
 	m.buf = c.Take(p.payloads.Get())
-	select {
-	case s <- m:
-	default:
+	if s.claimed || len(s.seg) > 0 {
 		p.inst.dups.Inc()
 		p.payloads.Put(m.buf)
+		return true
 	}
+	s.seg <- m
+	s.dst = nil
 	return true
 }
 
-// waiterSlot returns the slot for k, creating it if the segment has not
-// arrived yet. Waiter-created slots are exempt from the maxPending bound:
-// waiters are bounded by the caller's own concurrency (the scheduler's
-// credit), not by a remote peer.
-func (p *Peer) waiterSlot(k slotKey) (chan message, error) {
+// slotAt returns k's slot, made from a recycled record if need be unless
+// bounded and the table is full (nil); waiters are bounded by the caller's
+// own concurrency (the scheduler's credit) instead. Caller holds mu.
+func (p *Peer) slotAt(k slotKey, bounded bool) *slot {
+	s := p.slots[k]
+	if s == nil && (!bounded || len(p.slots) < p.maxPending) {
+		if s = recycle.Take(&p.freeSlots); s.seg == nil {
+			s.seg = make(chan message, 1)
+		}
+		p.slots[k] = s
+	}
+	return s
+}
+
+// expect returns k's slot, made if its segment has not arrived, and then
+// registers dst (nil: none) for the reader to read that segment into.
+func (p *Peer) expect(k slotKey, dst []float32) (*slot, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, fmt.Errorf("netar: peer closed")
 	}
-	s, ok := p.slots[k]
-	if !ok {
-		s = make(chan message, 1)
-		p.slots[k] = s
+	s := p.slotAt(k, false)
+	if raw, ok := compress.RawBytes(dst); ok && dst != nil && len(s.seg) == 0 {
+		s.dst = raw
 	}
 	return s, nil
 }
 
-// dropSlot removes k from the pending table and recycles buf, the buffer
-// of the segment consumed there (nil if none).
-func (p *Peer) dropSlot(k slotKey, buf []byte) {
+// release removes k's slot, if any, once no read is claimed into it, and
+// recycles it with buf (its consumed segment's, or nil) and any parked since.
+func (p *Peer) release(k slotKey, buf []byte) {
 	p.mu.Lock()
-	delete(p.slots, k)
+	defer p.mu.Unlock()
+	if s := p.slots[k]; s != nil {
+		for s.claimed || len(s.seg) > 0 {
+			p.mu.Unlock()
+			m := <-s.seg // a claimed read's outcome, or a segment parked since
+			p.mu.Lock()
+			p.payloads.Put(m.buf)
+		}
+		delete(p.slots, k)
+		s.dst = nil
+		p.freeSlots.Put(s)
+	}
 	if buf != nil {
 		p.payloads.Put(buf)
 	}
-	p.mu.Unlock()
 }
 
-// sendSegment encodes one ring segment through the peer's codec, frames
-// it, and writes it to the successor under the write deadline. Concurrent
-// collectives serialize here so frames never interleave; the codec staging
-// buffer is reused under the same lock, so steady-state sends do not
-// allocate.
+// sendSegment writes seg to the successor under the write deadline: its own
+// memory under the identity codec, else encoded into encBuf. The write ends
+// under sendMu, which serializes collectives, so neither is in use after.
 func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, seg []float32) error {
 	h := wire.Header{Op: uint8(OpData), Iter: iter, Seq: p.seq.Add(1), Step: step, Chunk: chunk, Key: key}
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	if p.succ == nil {
-		return fmt.Errorf("netar: not dialed")
-	}
 	p.mu.Lock()
-	rerr := p.remoteErr
-	closed := p.closed
+	err := p.remoteErr
+	if err == nil && p.closed {
+		err = fmt.Errorf("netar: peer closed")
+	} else if err == nil && p.succ == nil {
+		err = fmt.Errorf("netar: not dialed")
+	}
 	p.mu.Unlock()
-	if rerr != nil {
-		return rerr
+	if err != nil {
+		return err
 	}
-	if closed {
-		return fmt.Errorf("netar: peer closed")
+	payload, raw := compress.RawBytes(seg)
+	if !raw || !p.codec.IsIdentity() {
+		payload, h.Codec, h.Orig = wire.AppendFloats(p.encBuf[:0], p.codec, seg)
+		p.encBuf = payload[:0]
 	}
-	// The staging buffer is safe to reuse because the write below completes
-	// before sendMu is released.
-	var payload []byte
-	payload, h.Codec, h.Orig = wire.AppendFloats(p.encBuf[:0], p.codec, seg)
-	p.encBuf = payload[:0]
 	p.succ.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 	if err := p.succ.WriteFrame(h, payload); err != nil {
 		return fmt.Errorf("netar: send step %d to successor: %w", step, err)
@@ -445,67 +477,78 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 	return nil
 }
 
-// recvSegment blocks until the predecessor's segment for (key, iter, step)
-// arrives, the step timeout fires, or the peer closes, and decodes it into
-// dst — or, given a scratch of len(dst), adds it into dst: a raw fp32
-// segment straight from its read buffer, a codec's through the scratch. It
-// verifies the received chunk index and length (len(dst) values) against
-// the schedule, catching ring misconfiguration (wrong rank order,
-// mismatched sizes) at the first step instead of as silently wrong sums; a
-// segment of the wrong length is that error and never written past dst.
-func (p *Peer) recvSegment(key string, iter uint32, step uint16, wantChunk uint16, dst, scratch []float32) error {
-	k := slotKey{key: key, iter: iter, step: step}
-	s, err := p.waiterSlot(k)
+// recvSegment waits for the predecessor's segment for step of c, the step
+// timeout or Close, and writes it to dst (unless the reader read it there)
+// or, given base (may alias dst), base + it: a raw one read in place, a
+// codec's through c's scratch. A wrong chunk index or length (ring
+// misconfiguration) is an error, never written past dst. A timeout or Close
+// after the reader claimed dst waits for that read to end (a predecessor
+// stalled mid-payload holds it until its connection breaks).
+func (p *Peer) recvSegment(c *collective, step, wantChunk uint16, dst, base []float32) (err error) {
+	k := slotKey{key: c.key, iter: c.iter, step: step}
+	s, err := p.expect(k, nil)
 	if err != nil {
 		return err
 	}
+	var m message
+	defer func() {
+		p.release(k, m.buf)
+		p.inst.bytesRecv.Add(uint64(len(m.Payload)))
+		if err != nil {
+			err = fmt.Errorf("netar: step %d of %s#%d: %w", step, c.key, c.iter, err)
+		}
+	}()
 	var timeout <-chan time.Time
 	if p.stepTimeout > 0 {
-		t := time.NewTimer(p.stepTimeout)
-		defer t.Stop()
-		timeout = t.C
+		if c.timer == nil {
+			c.timer = time.NewTimer(p.stepTimeout)
+		} else {
+			c.timer.Reset(p.stepTimeout) // stopped and drained below
+		}
+		timeout = c.timer.C
 	}
 	select {
-	case m := <-s:
-		defer p.dropSlot(k, m.buf)
-		if m.Chunk != wantChunk {
-			return fmt.Errorf("netar: step %d of %s#%d: got chunk %d, schedule expects %d (ring misconfigured?)",
-				step, key, iter, m.Chunk, wantChunk)
-		}
-		if scratch != nil && m.Codec == 0 && len(m.Payload) == 4*len(dst) {
-			_ = compress.AddRaw(dst, m.Payload) // length checked
-		} else {
-			into := dst
-			if scratch != nil {
-				into = scratch
-			}
-			// Capacity clipped to len(dst): a longer segment reallocates
-			// instead of overrunning into the neighbouring chunk.
-			vals, err := wire.Floats(into[:0:len(dst)], m.Header, m.Payload)
-			if err != nil {
-				return fmt.Errorf("netar: step %d of %s#%d: %w", step, key, iter, err)
-			}
-			if len(vals) != len(dst) {
-				return fmt.Errorf("netar: step %d of %s#%d: chunk %d has %d values, want %d (vector length mismatch?)",
-					step, key, iter, m.Chunk, len(vals), len(dst))
-			}
-			if scratch != nil {
-				for i, v := range vals {
-					dst[i] += v
-				}
-			}
-		}
-		p.inst.bytesRecv.Add(uint64(len(m.Payload)))
-		return nil
+	case m = <-s.seg:
 	case <-p.done:
-		p.dropSlot(k, nil)
-		return fmt.Errorf("netar: peer closed while waiting for step %d of %s#%d", step, key, iter)
+		err = fmt.Errorf("peer closed while waiting")
 	case <-timeout:
-		p.dropSlot(k, nil)
+		timeout = nil
 		p.inst.stepTimeouts.Inc()
-		return fmt.Errorf("netar: timeout after %v waiting for step %d of %s#%d (dead peer?)",
-			p.stepTimeout, step, key, iter)
+		err = fmt.Errorf("timeout after %v (dead peer?)", p.stepTimeout)
 	}
+	if timeout != nil && !c.timer.Stop() {
+		<-timeout // a fire the select did not take (go 1.22 timers keep it)
+	}
+	switch {
+	case err != nil || m.err != nil:
+		return cmp.Or(err, m.err)
+	case m.Chunk != wantChunk:
+		return fmt.Errorf("got chunk %d, schedule expects %d (ring misconfigured?)", m.Chunk, wantChunk)
+	case m.filled:
+		return nil
+	}
+	vals, raw := compress.RawFloats(m.Payload)
+	if !raw || m.Codec != 0 || base == nil {
+		into := dst
+		if base != nil {
+			into = c.scratch
+		}
+		// Capacity clipped to len(dst): a longer segment reallocates
+		// instead of overrunning into the neighbouring chunk.
+		if vals, err = wire.Floats(into[:0:len(dst)], m.Header, m.Payload); err != nil {
+			return err
+		}
+	}
+	if len(vals) != len(dst) {
+		return fmt.Errorf("chunk %d has %d values, want %d (vector length mismatch?)", m.Chunk, len(vals), len(dst))
+	}
+	if base != nil {
+		base = base[:len(vals)]
+		for i, v := range vals {
+			dst[i] = base[i] + v
+		}
+	}
+	return nil
 }
 
 // mod is the positive remainder of a modulo m.
@@ -527,11 +570,6 @@ func (p *Peer) AllReduce(key string, iter uint32, data []float32) ([]float32, er
 // agree on the order; issuing them from concurrent goroutines (as the core
 // scheduler does, one per partition) is order-free — the keyed slots pair
 // up segments however they interleave.
-//
-// The schedule is the bandwidth-optimal reduce-scatter + all-gather, run
-// in out: in reduce-scatter step s, rank r sends chunk (r-s) mod M and
-// accumulates chunk (r-s-1) mod M, so after M-1 steps rank r holds the
-// fully reduced chunk (r+1) mod M; all-gather then circulates them.
 func (p *Peer) AllReduceInto(key string, iter uint32, in, out []float32) error {
 	if len(out) != len(in) {
 		return fmt.Errorf("netar: %s#%d: output has %d values, input %d", key, iter, len(out), len(in))
@@ -545,51 +583,54 @@ func (p *Peer) AllReduceInto(key string, iter uint32, in, out []float32) error {
 	return err
 }
 
-func (p *Peer) allReduce(key string, iter uint32, in, out []float32) error {
-	if len(in) > 0 && &in[0] != &out[0] {
+func (p *Peer) allReduce(key string, iter uint32, in, out []float32) (err error) {
+	m, aliased := p.size, len(in) > 0 && &in[0] == &out[0]
+	if m == 1 {
 		copy(out, in)
-	}
-	if p.size == 1 {
 		return nil
 	}
-	if p.isClosed() {
-		return fmt.Errorf("netar: peer closed")
-	}
-	m := p.size
-	// Reduce-scatter: after step s every rank has accumulated one more
-	// partial sum; after M-1 steps rank r owns the fully reduced chunk
-	// (r+1) mod M. Incoming partial sums land in one recycled scratch
-	// (chunk 0 is never shorter than any other).
 	p.mu.Lock()
-	scratch := slices.Grow(p.scratch.Get()[:0], chunkBound(len(out), m, 1))
+	c := recycle.Take(&p.colls)
 	p.mu.Unlock()
+	c.key, c.iter, c.scratch = key, iter, slices.Grow(c.scratch[:0], chunkBound(len(out), m, 1)) // chunk 0 is the longest
+	// Gather step s (step M-1+s) writes chunk (r-s) mod M of out, untouched
+	// after reduce-scatter step s's send (and before, for s = 0, unless in
+	// is out): its destination is registered then (a closed peer's fails,
+	// and so will recvSegment), and withdrawn if the collective fails.
+	register := func(s int) {
+		_, _ = p.expect(slotKey{key: key, iter: iter, step: uint16(m - 1 + s)}, chunk(out, m, mod(p.rank-s, m)))
+	}
 	defer func() {
+		for t := m - 1; err != nil && t < 2*(m-1); t++ {
+			p.release(slotKey{key: key, iter: iter, step: uint16(t)}, nil)
+		}
 		p.mu.Lock()
-		p.scratch.Put(scratch)
+		p.colls.Put(c)
 		p.mu.Unlock()
 	}()
-	for s := 0; s < m-1; s++ {
-		sendChunk := mod(p.rank-s, m)
-		recvChunk := mod(p.rank-s-1, m)
-		if err := p.sendSegment(key, iter, uint16(s), uint16(sendChunk), chunk(out, m, sendChunk)); err != nil {
-			return err
-		}
-		dst := chunk(out, m, recvChunk)
-		if err := p.recvSegment(key, iter, uint16(s), uint16(recvChunk), dst, scratch[:len(dst)]); err != nil {
-			return err
-		}
+	if !aliased {
+		register(0)
 	}
-	// All-gather: circulate the reduced chunks. At gather step s rank r
-	// sends chunk (r+1-s) mod M (reduced) and receives chunk (r-s) mod M,
-	// decoded in place.
-	for s := 0; s < m-1; s++ {
-		step := uint16(m - 1 + s)
-		sendChunk := mod(p.rank+1-s, m)
-		recvChunk := mod(p.rank-s, m)
-		if err := p.sendSegment(key, iter, step, uint16(sendChunk), chunk(out, m, sendChunk)); err != nil {
+	// At step t rank r sends chunk (r-t) mod M, from in at step 0, and
+	// receives chunk (r-t-1) mod M: in reduce-scatter (t < M-1) a partial
+	// sum it adds to in, so that rank r ends it holding the reduced chunk
+	// (r+1) mod M, and in all-gather a reduced chunk.
+	for t := 0; t < 2*(m-1); t++ {
+		sendChunk, recvChunk := mod(p.rank-t, m), mod(p.rank-t-1, m)
+		src, base := out, chunk(in, m, recvChunk)
+		if t == 0 {
+			src = in
+		}
+		if t >= m-1 {
+			base = nil
+		}
+		if err := p.sendSegment(key, iter, uint16(t), uint16(sendChunk), chunk(src, m, sendChunk)); err != nil {
 			return err
 		}
-		if err := p.recvSegment(key, iter, step, uint16(recvChunk), chunk(out, m, recvChunk), nil); err != nil {
+		if t < m-1 && (t > 0 || aliased) {
+			register(t)
+		}
+		if err := p.recvSegment(c, uint16(t), uint16(recvChunk), chunk(out, m, recvChunk), base); err != nil {
 			return err
 		}
 	}

@@ -456,7 +456,7 @@ func TestDuplicateSegmentsDropped(t *testing.T) {
 	dups := reg.Counter("netar_dup_segments_total")
 	waitCounter(t, dups, 1)
 	got := make([]float32, 2)
-	if err := p.recvSegment("k", 1, 0, 1, got, nil); err != nil {
+	if err := p.recvSegment(&collective{key: "k", iter: 1}, 0, 1, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 2 || got[1] != 3 {
@@ -480,13 +480,18 @@ func TestRecvSegmentWrongLengthInPlace(t *testing.T) {
 	end, _ := net.Pipe() // never read: deliver only takes its buffer
 	defer end.Close()
 	step := 0
-	for _, scratch := range [][]float32{nil, make([]float32, 2)} {
+	for _, reduce := range []bool{false, true} {
 		for _, payload := range [][]byte{f32(1, 2, 3), f32(1)} {
 			acc := []float32{-1, -1, -1, -1}
+			var base []float32
+			if reduce {
+				base = []float32{1, 1}
+			}
 			if !p.deliver(wire.NewConn(end), seg("k", 1, 1, uint16(step), 0, payload)) {
 				t.Fatal("an empty pending table refused a segment")
 			}
-			err := p.recvSegment("k", 1, uint16(step), 0, acc[:2], scratch)
+			c := &collective{key: "k", iter: 1, scratch: make([]float32, 2)}
+			err := p.recvSegment(c, uint16(step), 0, acc[:2], base)
 			if err == nil || !strings.Contains(err.Error(), "vector length mismatch") {
 				t.Fatalf("%d-byte segment into a 2-value chunk: err = %v, want a vector length mismatch", len(payload), err)
 			}
@@ -536,7 +541,7 @@ func TestPendingTableOverflow(t *testing.T) {
 	}
 	// The parked segments below the bound are still deliverable.
 	got := make([]float32, 1)
-	if err := p.recvSegment("flood", 1, 0, 0, got, nil); err != nil || got[0] != 1 {
+	if err := p.recvSegment(&collective{key: "flood", iter: 1}, 0, 0, got, nil); err != nil || got[0] != 1 {
 		t.Fatalf("parked segment lost after overflow: %v %v", got, err)
 	}
 }

@@ -20,26 +20,21 @@
 // (r-s-1) mod M from its predecessor, so after M-1 steps peer r holds the
 // fully reduced chunk (r+1) mod M. All-gather then circulates the reduced
 // chunks the same way. Each peer moves 2(M-1)/M of the data — the
-// bandwidth-optimal schedule the simulator's cost model charges.
+// bandwidth-optimal schedule the simulator's cost model charges. Raw fp32
+// segments are never copied in user space: one is sent from the vector,
+// summed with in from its read buffer, or read straight into out.
 //
-// Operations are keyed by (key, iteration): peers may issue any number of
-// collectives concurrently and in any local order, because ring segments
-// are dispatched to per-(key, iter, step) slots rather than assumed to
-// arrive in lockstep. Every inbound connection is drained by a dedicated
-// reader goroutine, so a step's send can never deadlock against the ring's
-// cyclic dependency: the predecessor's reader always consumes.
+// Collectives are keyed by (key, iteration) and may run concurrently in any
+// local order: segments go to per-(key, iter, step) slots, and a dedicated
+// reader drains every inbound connection, so no step's send deadlocks on
+// the ring's cycle.
 //
-// The frame — layout, limits, the one-writev write, the bounded read, the
-// fp32/codec payload envelope and the retry-delay curve — is
-// internal/wire's, shared with netps; this package owns the op codes, the
-// slot dispatch and the collective schedule on top of it. The hardening
-// patterns are netps's too: per-frame write deadlines, bounded dial retry
-// with exponential backoff and deterministic jitter, a step-receive
-// timeout so a dead peer surfaces as an error instead of a hang,
-// duplicate-segment drops (the Seq-dedup analogue for a
-// persistent-connection transport), a bounded pending-slot table so a
-// misbehaving peer cannot balloon memory, and graceful Close that fails
-// blocked waiters. Their bounds are the Default* constants.
+// The frame is internal/wire's, shared with netps; this package owns the
+// op codes, the slot dispatch and the schedule on top of it. Hardening, as
+// in netps: per-frame write deadlines, bounded dial retry with jittered
+// backoff, a step timeout (a dead peer is an error, not a hang),
+// duplicate-segment drops, a bounded pending-slot table and a Close that
+// fails blocked waiters, bounded by the Default* constants.
 package netar
 
 import "bytescheduler/internal/wire"
@@ -65,11 +60,14 @@ const (
 // not correctness); Step is the position in the 2(M-1)-step collective
 // schedule; Chunk is the vector chunk index the payload covers, which the
 // receiver verifies against the schedule, catching ring misconfiguration.
-// buf is the recycled buffer Payload was read into; nil if built in memory.
+// buf is the recycled buffer Payload was read into; nil if built in memory
+// or read into a slot's registered destination: filled, or err if broken.
 type message struct {
 	wire.Header
 	Payload []byte
 	buf     []byte
+	filled  bool
+	err     error
 }
 
 // chunkBound is where chunk c starts when n values are cut into m chunks

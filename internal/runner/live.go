@@ -674,6 +674,14 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 				time.Sleep(cfg.ForwardCompute)
 			}
 		}
+		// The last forward pass has consumed every earlier synchronization:
+		// cleared now, an output the last pass does not write fails the
+		// final check instead of passing with an older, equal sum.
+		if it == cfg.Iterations-1 {
+			for _, o := range outs {
+				clear(o)
+			}
+		}
 		// Pass-boundary reconfiguration: pin this iteration's config (all
 		// workers get the same pinned value) and apply it before any of
 		// this pass's tasks are enqueued.

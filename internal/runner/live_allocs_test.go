@@ -32,9 +32,12 @@ import (
 // that stops being read in place or shared costs megabytes of set-up.
 //
 // On the ring backend set-up is the workers' slabs and the peers' segment
-// and reduce buffers: 19.0-19.7 MB, then 29-59 KB and 504 allocations per
-// iteration, with or without the detector (20 MB of set-up with it). Its
-// set-up budget is about 20 % over.
+// buffers and slot and collective records: 18.1-18.2 MB (19.0-19.1 MB with
+// the detector), then 6-15 KB and 181-185 allocations per iteration. Its
+// set-up budget is about 20 % over. While each step allocated a timer and
+// each slot a channel, and segments were copied, it read 18.8-20.4 MB, then
+// 29-65 KB and 501-506 allocations per iteration, which the allocation
+// budget now fails; its byte budget stays loose (below).
 //
 // The byte budgets per iteration are loose because one buffer more or less
 // alive at the end of either run moves the slope by 16 KB or more. The
@@ -48,7 +51,7 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 		plain, race budget
 	}{
 		{"live_ps", LiveBackendPS, budget{30 << 20, 96 << 10, 400}, budget{40 << 20, 160 << 10, 430}},
-		{"live_ring", LiveBackendRing, budget{23 << 20, 96 << 10, 580}, budget{24 << 20, 96 << 10, 580}},
+		{"live_ring", LiveBackendRing, budget{23 << 20, 96 << 10, 215}, budget{24 << 20, 96 << 10, 215}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.plain
