@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -230,10 +232,12 @@ func TestRingBufferOwnership(t *testing.T) {
 		}
 	})
 
-	// (v) A gather segment being read into out when the step timeout fires
-	// is waited for: the test plays rank 0's neighbours, sends the header
-	// and half the payload of its gather segment, stalls past the timeout,
-	// and the collective must not return before the rest is sent.
+	// (v) A gather segment being read into out is bounded by the step
+	// timeout: the test plays rank 0's neighbours, sends the header and half
+	// the payload of its gather segment and stalls for four step timeouts.
+	// The read fails at its deadline, so the collective returns an error
+	// within twice the step timeout plus a margin of two more — before the
+	// rest is sent — and the rest, sent after, never reaches out.
 	t.Run("a gather read stalled past the step timeout ends first", func(t *testing.T) {
 		const n, stall = 4096, 300 * time.Millisecond
 		p, pred := fakeNeighbours(t)
@@ -242,22 +246,19 @@ func TestRingBufferOwnership(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- p.AllReduceInto("k", 0, constVec(n, 1), out) }()
 		half := startGather(t, p, pred, n, 3)
-		time.Sleep(stall)
-		select {
-		case err := <-done:
-			t.Fatalf("the collective returned (%v) while its gather segment was still being read into out", err)
-		default:
-		}
-		if _, err := pred.Write(half); err != nil {
-			t.Fatal(err)
-		}
 		select {
 		case err := <-done:
 			if err == nil {
-				checkConst(t, "out", out, n, 3)
+				t.Fatal("a collective whose gather segment stalled past the step timeout succeeded")
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("the collective never returned")
+		case <-time.After(stall): // twice the step timeout, plus a 150 ms margin
+			t.Fatalf("the collective was still waiting on its gather read %v after it stalled", stall)
+		}
+		returned := slices.Clone(out)
+		pred.Write(half) //nolint:errcheck // the reader may have dropped the connection
+		time.Sleep(20 * time.Millisecond)
+		if !slices.EqualFunc(out, returned, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+			t.Fatal("out changed after the collective returned")
 		}
 	})
 

@@ -166,12 +166,6 @@ func NewPeer(rank, size int, opts ...Option) (*Peer, error) {
 	return p, nil
 }
 
-// Rank returns the peer's ring position.
-func (p *Peer) Rank() int { return p.rank }
-
-// Size returns the ring size M.
-func (p *Peer) Size() int { return p.size }
-
 // Listen binds the peer's inbound endpoint (the one its predecessor
 // dials). Use addr "127.0.0.1:0" and Addr() to get the bound address.
 func (p *Peer) Listen(addr string) error {
@@ -285,7 +279,8 @@ func (p *Peer) acceptLoop(ln net.Listener) {
 
 // readLoop drains one inbound connection (its own reader: the ring's
 // deadlock-avoidance invariant), reading each segment into the destination
-// its slot registered (pick) or into a buffer parked there (deliver).
+// its slot registered (pick), within the step timeout, or into a buffer
+// parked there (deliver). Idle reads carry no deadline.
 func (p *Peer) readLoop(conn net.Conn) {
 	defer p.wg.Done()
 	defer func() {
@@ -304,6 +299,9 @@ func (p *Peer) readLoop(conn net.Conn) {
 			return nil
 		}
 		s, t.claimed = t, true
+		if p.stepTimeout > 0 {
+			c.SetReadDeadline(time.Now().Add(p.stepTimeout))
+		}
 		return t.dst
 	}
 	for {
@@ -311,6 +309,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 		h, payload, err := c.ReadFrameInto(pick)
 		m := message{Header: h, Payload: payload}
 		if s != nil { // the claimant waits for this, whether the read ended or broke
+			c.SetReadDeadline(time.Time{})
 			m.filled, m.err = err == nil, err
 			p.mu.Lock()
 			s.claimed, s.dst = false, nil
@@ -482,8 +481,8 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 // or, given base (may alias dst), base + it: a raw one read in place, a
 // codec's through c's scratch. A wrong chunk index or length (ring
 // misconfiguration) is an error, never written past dst. A timeout or Close
-// after the reader claimed dst waits for that read to end (a predecessor
-// stalled mid-payload holds it until its connection breaks).
+// after the reader claimed dst waits for that read to end, which the read
+// deadline bounds by the step timeout.
 func (p *Peer) recvSegment(c *collective, step, wantChunk uint16, dst, base []float32) (err error) {
 	k := slotKey{key: c.key, iter: c.iter, step: step}
 	s, err := p.expect(k, nil)

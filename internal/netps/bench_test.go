@@ -87,8 +87,8 @@ func BenchmarkServerPull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		result, wait, errResp := srv.resolvePull(req)
-		if errResp != nil || wait != nil || len(result.payload) != len(grad)*4 {
+		result, parked, errResp := srv.resolvePull(req, nil)
+		if errResp != nil || parked || len(result.payload) != len(grad)*4 {
 			b.Fatal("pull not served from the ready fast path")
 		}
 		sh.mu.Lock()
@@ -125,8 +125,8 @@ func BenchmarkServerPushPull(b *testing.B) {
 		}
 		for w := uint64(1); w <= 2; w++ {
 			pull := newMessage(OpPull, "w", iter, w<<32|(seq+1), nil)
-			result, wait, errResp := srv.resolvePull(pull)
-			if errResp != nil || wait != nil || len(result.payload) != len(payload) {
+			result, parked, errResp := srv.resolvePull(pull, nil)
+			if errResp != nil || parked || len(result.payload) != len(payload) {
 				b.Fatal("completed aggregate not ready")
 			}
 			srv.countPullServed(pull, result)

@@ -424,7 +424,7 @@ func TestBufferOwnership(t *testing.T) {
 			ps.push(iter, float32(10+iter))
 			ps.serve(ps.pull(iter, 1<<32|uint64(iter+2)))
 		}
-		if _, _, errResp := srv.resolvePull(newMessage(OpPull, "k", 0, 1<<32|99, nil)); errResp == nil {
+		if _, _, errResp := srv.resolvePull(newMessage(OpPull, "k", 0, 1<<32|99, nil), nil); errResp == nil {
 			t.Fatal("the replayed payload was never replaced by a later iteration's")
 		}
 		checkConst(t, "a replayed response held across its eviction", ps.decode(replayReq, replay), refFloats, 1)
@@ -441,17 +441,15 @@ func TestBufferOwnership(t *testing.T) {
 		var prev [2]*byte
 		for iter := uint32(0); iter < 6; iter++ {
 			early := newMessage(OpPull, "k", iter, 1<<32|uint64(iter), nil)
-			_, wait, errResp := srv.resolvePull(early)
-			if wait == nil || errResp != nil {
+			_, isParked, errResp := srv.resolvePull(early, nil)
+			if !isParked || errResp != nil {
 				t.Fatalf("iter %d: early pull did not park", iter)
 			}
 			ps.push(iter, 1)
-			resp, wake, result := srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, 2)...)), new([]float32))
-			if Op(resp.Op) != OpPush || len(wake) != 1 {
-				t.Fatalf("iter %d: completing push answered %+v, woke %d", iter, resp.Header, len(wake))
+			resp, wake, parked := srv.processPush(newMessage(OpPush, "k", iter, 0, f32(constVec(refFloats, 2)...)), new([]float32))
+			if Op(resp.Op) != OpPush || len(wake) != 1 || wake[0].h != early.Header {
+				t.Fatalf("iter %d: completing push answered %+v, woke %+v", iter, resp.Header, wake)
 			}
-			srv.wake(wake, result)
-			parked := <-wait
 			lateReq, late := ps.pull(iter, 2<<32|uint64(iter))
 			checkConst(t, "parked pull", ps.decode(early, parked), refFloats, 3)
 			checkConst(t, "ready pull", ps.decode(lateReq, late), refFloats, 3)
@@ -756,9 +754,9 @@ func (d refDriver) push(iter uint32, v float32) {
 func (d refDriver) pull(iter uint32, seq uint64) (message, *agg) {
 	d.t.Helper()
 	req := newMessage(OpPull, "k", iter, seq, nil)
-	a, wait, errResp := d.srv.resolvePull(req)
-	if wait != nil || errResp != nil {
-		d.t.Fatalf("pull %d not ready (wait %v, err %v)", iter, wait != nil, errResp)
+	a, parked, errResp := d.srv.resolvePull(req, nil)
+	if parked || errResp != nil {
+		d.t.Fatalf("pull %d not ready (parked %v, err %v)", iter, parked, errResp)
 	}
 	return req, a
 }

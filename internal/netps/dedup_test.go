@@ -33,22 +33,22 @@ func stateOf(srv *Server) (st replayState) {
 
 // pushAt and pullAt drive one request through the server's handlers in
 // process, failing unless a push is acknowledged and a pull is answered at
-// once; pullAt counts the pull served, as serve does after its write.
+// once (so none is ever parked for a push to wake); pullAt counts the pull
+// served, as answer does after its write.
 func pushAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64, v ...float32) {
 	t.Helper()
-	resp, wake, result := srv.processPush(newMessage(OpPush, key, iter, seq, f32(v...)), new([]float32))
-	if Op(resp.Op) != OpPush {
-		t.Fatalf("push %s#%d seq %#x answered %v %q", key, iter, seq, Op(resp.Op), resp.Payload)
+	resp, wake, _ := srv.processPush(newMessage(OpPush, key, iter, seq, f32(v...)), new([]float32))
+	if Op(resp.Op) != OpPush || len(wake) != 0 {
+		t.Fatalf("push %s#%d seq %#x answered %v %q, woke %d", key, iter, seq, Op(resp.Op), resp.Payload, len(wake))
 	}
-	srv.wake(wake, result)
 }
 
 func pullAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64) []float32 {
 	t.Helper()
 	req := newMessage(OpPull, key, iter, seq, nil)
-	a, wait, errResp := srv.resolvePull(req)
-	if wait != nil || errResp != nil {
-		t.Fatalf("pull %s#%d seq %#x not answered (parked %v, err %v)", key, iter, seq, wait != nil, errResp)
+	a, parked, errResp := srv.resolvePull(req, nil)
+	if parked || errResp != nil {
+		t.Fatalf("pull %s#%d seq %#x not answered (parked %v, err %v)", key, iter, seq, parked, errResp)
 	}
 	resp := pullResp(req, a)
 	vals, err := wire.Floats(nil, resp.Header, resp.Payload)
@@ -273,8 +273,9 @@ func TestRepushUnderFreshSeqCountedOnce(t *testing.T) {
 // last reclaimed one, which no worker sends. Every aggregate must equal the
 // sum of the distinct workers' vectors, no push be rejected, the dedup hits
 // equal the replays that reached a live entry's lists or a done slot's push
-// check, every older pull fail fast as lost, never parked or answered, and
-// no entry outlive its last pull.
+// check, every parked pull be woken exactly once, by the push that
+// completes its aggregate, every older pull fail fast as lost, never parked
+// or answered, and no entry outlive its last pull.
 func TestReplayProperty(t *testing.T) {
 	type part struct {
 		key    string
@@ -282,10 +283,9 @@ func TestReplayProperty(t *testing.T) {
 		floats int
 	}
 	type parked struct {
-		req  message
-		wait chan *agg
-		p    part
-		w    int
+		req message
+		p   part
+		w   int
 	}
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -296,9 +296,10 @@ func TestReplayProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// fail leaves srv open: Close would answer the pulls parked here,
+		// which have no connection.
 		fail := func(format string, args ...any) {
 			t.Helper()
-			srv.Close()
 			t.Fatalf("seed %d (%d workers): %s", seed, workers, fmt.Sprintf(format, args...))
 		}
 		vec := func(p part, w int) []float32 {
@@ -365,17 +366,20 @@ func TestReplayProperty(t *testing.T) {
 			if Op(resp.Op) != OpPush {
 				fail("push %s#%d seq %#x rejected: %s", m.Key, m.Iter, m.Seq, resp.Payload)
 			}
-			srv.wake(wake, result)
-			for i := 0; i < len(waiting); i++ {
-				select {
-				case a := <-waiting[i].wait:
-					pw := waiting[i]
-					check("parked pull", pw.p, pw.req, a)
-					serve(pw, a)
-					waiting = append(waiting[:i], waiting[i+1:]...)
-					i--
-				default:
+			// Answer the woken pulls as wake would, each exactly one of the
+			// pulls parked on m's aggregate.
+			for _, pp := range wake {
+				i := slices.IndexFunc(waiting, func(pw parked) bool { return pw.req.Header == pp.h })
+				if i < 0 || waiting[i].p.key != m.Key || waiting[i].p.iter != m.Iter {
+					fail("push %s#%d woke %+v, not a pull parked on it", m.Key, m.Iter, pp.h)
 				}
+				pw := waiting[i]
+				check("parked pull", pw.p, pw.req, result)
+				serve(pw, result)
+				waiting = slices.Delete(waiting, i, i+1)
+			}
+			if result != nil && slices.ContainsFunc(waiting, func(pw parked) bool { return pw.p.key == m.Key && pw.p.iter == m.Iter }) {
+				fail("push %s#%d completed its aggregate and left a pull parked on it", m.Key, m.Iter)
 			}
 		}
 		// blocked reports whether w's next step is a push of a key whose
@@ -414,15 +418,15 @@ func TestReplayProperty(t *testing.T) {
 				pushedNext[w] = true
 			} else {
 				req := newMessage(OpPull, p.key, p.iter, nextSeq(w), nil)
-				a, wait, errResp := srv.resolvePull(req)
+				a, isParked, errResp := srv.resolvePull(req, nil)
 				switch {
 				case errResp != nil:
 					fail("pull of %v rejected: %s", p, errResp.Payload)
-				case wait != nil:
-					waiting = append(waiting, parked{req, wait, p, w})
+				case isParked:
+					waiting = append(waiting, parked{req, p, w})
 				default:
 					check("pull", p, req, a)
-					serve(parked{req, nil, p, w}, a)
+					serve(parked{req, p, w}, a)
 				}
 				todo[w], pushedNext[w] = todo[w][1:], false
 			}
@@ -441,9 +445,9 @@ func TestReplayProperty(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					req.Seq = nextSeq(pr.w)
 				}
-				a, wait, errResp := srv.resolvePull(req)
-				if wait != nil || errResp != nil {
-					fail("retried pull of %v not answered (parked %v, err %v)", pr.p, wait != nil, errResp)
+				a, isParked, errResp := srv.resolvePull(req, nil)
+				if isParked || errResp != nil {
+					fail("retried pull of %v not answered (parked %v, err %v)", pr.p, isParked, errResp)
 				}
 				check("retried pull", pr.p, req, a)
 				if served[pr.p] < workers {
@@ -456,10 +460,10 @@ func TestReplayProperty(t *testing.T) {
 					break // still its key's last reclaimed iteration
 				}
 				req := newMessage(OpPull, p.key, p.iter, nextSeq(rng.Intn(workers)), nil)
-				a, wait, errResp := srv.resolvePull(req)
-				if wait != nil || a != nil || errResp == nil || string(errResp.Payload) != errAggregateReclaimed {
+				a, isParked, errResp := srv.resolvePull(req, nil)
+				if isParked || a != nil || errResp == nil || string(errResp.Payload) != errAggregateReclaimed {
 					fail("pull of %v after %s#%d was reclaimed: parked %v, answered %v, err %v",
-						p, p.key, top[p.key], wait != nil, a != nil, errResp)
+						p, p.key, top[p.key], isParked, a != nil, errResp)
 				}
 				lost++
 			}

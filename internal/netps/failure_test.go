@@ -241,6 +241,72 @@ func TestWriteDeadlineDropsStalledPuller(t *testing.T) {
 	})
 }
 
+// TestStalledPullerBoundedByWriteTimeout: a parked pull is answered by the
+// push that completes its aggregate, on that pusher's serve goroutine, so a
+// puller that stopped reading holds the pusher's connection for at most the
+// write timeout; its own connection is then dropped. A raw connection parks
+// pulls of "big" and "other" and never reads; a client's push completes
+// "big", a 32 MB aggregate no loopback socket buffers can hold in flight.
+func TestStalledPullerBoundedByWriteTimeout(t *testing.T) {
+	const writeTimeout = 100 * time.Millisecond
+	stall := func(t *testing.T) (*Server, *metrics.Registry, *Client) {
+		t.Helper()
+		reg := metrics.NewRegistry()
+		srv, addr := startServer(t, 1, WithServerMetrics(reg),
+			func(s *Server) { s.writeTimeout = writeTimeout })
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { raw.Close() })
+		raw.(*net.TCPConn).SetReadBuffer(4 << 10) // whatever the host's TCP buffer limits
+		for i, key := range []string{"big", "other"} {
+			if err := writeMsg(raw, newMessage(OpPull, key, 0, 1<<32|uint64(i+1), nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, 2*time.Second, "both raw pulls parked", func() bool {
+			return reg.Snapshot().Gauges["netps_server_parked_pulls"] == 2
+		})
+		c := fastClient(addr, 0)
+		t.Cleanup(func() { c.Close() })
+		c.timeout = time.Minute // 32 MB under the race detector
+		if err := c.Push("big", 0, make([]float32, 8<<20)); err != nil {
+			t.Fatal(err)
+		}
+		c.timeout = 2 * time.Second
+		return srv, reg, c
+	}
+
+	t.Run("the completing pusher's next round trip", func(t *testing.T) {
+		_, reg, c := stall(t)
+		start := time.Now()
+		if err := c.Push("small", 0, []float32{1}); err != nil {
+			t.Fatal(err)
+		}
+		if vals, err := c.Pull("small", 0); err != nil || len(vals) != 1 || vals[0] != 1 {
+			t.Fatalf("pull behind the stalled response = %v (%v), want [1]", vals, err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("push and pull behind a stalled puller took %v, want under 1s (write timeout %v)", took, writeTimeout)
+		}
+		if conns := reg.Snapshot().Gauges["netps_server_conns"]; conns != 1 {
+			t.Fatalf("netps_server_conns = %d, want 1: the stalled connection dropped", conns)
+		}
+	})
+
+	t.Run("Close with the stalled pull parked", func(t *testing.T) {
+		srv, _, _ := stall(t)
+		start := time.Now()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if took, bound := time.Since(start), writeTimeout+500*time.Millisecond; took > bound {
+			t.Fatalf("Close took %v with a stalled pull parked, want under %v", took, bound)
+		}
+	})
+}
+
 // TestMidFrameReadDeadline: a connection that sends half a header and then
 // stalls is dropped after the read deadline, while other clients are served
 // throughout; a connection that has sent nothing carries no deadline.

@@ -18,7 +18,7 @@ import (
 // TestReclaimedPullReplayedFromCompletedLog reclaims an aggregate (served
 // to every worker), then retries the pull as a client whose response was
 // lost on the wire would. Pre-fix, resolvePull recreated an empty entry
-// and handed back a wait channel that no push would ever fulfill; the
+// and parked the pull where no push would ever answer it; the
 // key's last reclaimed aggregate must re-answer with the original payload
 // instead.
 func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
@@ -32,9 +32,9 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 		t.Fatalf("push response: %+v", resp)
 	}
 	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
-	result, wait, errResp := srv.resolvePull(pull)
-	if wait != nil || errResp != nil || result == nil {
-		t.Fatalf("first pull not ready: result=%v wait=%v err=%v", result, wait, errResp)
+	result, parked, errResp := srv.resolvePull(pull, nil)
+	if parked || errResp != nil || result == nil {
+		t.Fatalf("first pull not ready: result=%v parked=%v err=%v", result, parked, errResp)
 	}
 	srv.countPullServed(pull, result) // response written; entry reclaimed
 	if srv.Outstanding() != 0 {
@@ -42,8 +42,8 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 	}
 	// The response is lost; the client retries with a fresh Seq.
 	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|3, nil)
-	result, wait, errResp = srv.resolvePull(retry)
-	if wait != nil {
+	result, parked, errResp = srv.resolvePull(retry, nil)
+	if parked {
 		t.Fatal("retried pull parked on a recreated entry — would hang forever")
 	}
 	if errResp != nil {
@@ -75,15 +75,15 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 		push := newMessage(OpPush, "w", iter, uint64(1)<<32|uint64(2*iter), f32(3))
 		srv.processPush(push, new([]float32))
 		pull := newMessage(OpPull, "w", iter, uint64(1)<<32|uint64(2*iter+1), nil)
-		result, wait, errResp := srv.resolvePull(pull)
-		if wait != nil || errResp != nil {
-			t.Fatalf("pull %d not ready: wait=%v err=%v", iter, wait, errResp)
+		result, parked, errResp := srv.resolvePull(pull, nil)
+		if parked || errResp != nil {
+			t.Fatalf("pull %d not ready: parked=%v err=%v", iter, parked, errResp)
 		}
 		srv.countPullServed(pull, result)
 	}
 	retry := newMessage(OpPull, "w", 1, uint64(1)<<32|9, nil)
-	result, wait, errResp := srv.resolvePull(retry)
-	if wait != nil || result != nil {
+	result, parked, errResp := srv.resolvePull(retry, nil)
+	if parked || result != nil {
 		t.Fatal("retry after its aggregate was replaced must fail fast, not park or serve")
 	}
 	if errResp == nil || !strings.Contains(string(errResp.Payload), errAggregateReclaimed) {
@@ -95,7 +95,7 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 }
 
 // TestReclaimedLateKeepsLaterIteration reclaims a key's iterations out of
-// order, as a parked pull's goroutine can when it counts its pull served
+// order, as the goroutine that answered a pull can when it counts it served
 // after the puller has moved on: iteration 1's last pull is written but not
 // yet counted while iteration 2 is pushed, pulled and reclaimed. The late
 // reclaim of iteration 1 must leave iteration 2 in the key's done slot and
@@ -108,7 +108,7 @@ func TestReclaimedLateKeepsLaterIteration(t *testing.T) {
 	ps.serve(ps.pull(2, 1<<32|2))
 	lateSum := &late.payload[0]
 	ps.serve(lateReq, late)
-	if _, _, errResp := srv.resolvePull(newMessage(OpPull, "k", 1, 1<<32|3, nil)); errResp == nil || string(errResp.Payload) != errAggregateReclaimed {
+	if _, _, errResp := srv.resolvePull(newMessage(OpPull, "k", 1, 1<<32|3, nil), nil); errResp == nil || string(errResp.Payload) != errAggregateReclaimed {
 		t.Fatalf("pull of the late-reclaimed iteration answered %v, want %q", errResp, errAggregateReclaimed)
 	}
 	req, a := ps.pull(2, 1<<32|4)

@@ -165,9 +165,9 @@ func pushCodec(req message) compress.Codec {
 func pullPushed(t *testing.T, srv *Server, req message) []byte {
 	t.Helper()
 	pull := newMessage(OpPull, req.Key, req.Iter, 0, nil)
-	result, wait, errResp := srv.resolvePull(pull)
-	if wait != nil || errResp != nil {
-		t.Fatalf("accepted push not pullable (wait %v, err %v)", wait != nil, errResp)
+	result, parked, errResp := srv.resolvePull(pull, nil)
+	if parked || errResp != nil {
+		t.Fatalf("accepted push not pullable (parked %v, err %v)", parked, errResp)
 	}
 	pulled := pullResp(pull, result)
 	got, err := wire.Floats(nil, pulled.Header, pulled.Payload)

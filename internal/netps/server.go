@@ -41,7 +41,7 @@ const DefaultServerReadTimeout = 30 * time.Second
 
 // DefaultServerWriteTimeout bounds each response write, so a peer that
 // stops draining its socket is dropped after this long instead of wedging
-// its connection's goroutines (or Close) forever.
+// the goroutine writing to it (or Close) forever.
 const DefaultServerWriteTimeout = 15 * time.Second
 
 // Server is a single parameter-server process: it sums fp32 payloads
@@ -52,15 +52,15 @@ const DefaultServerWriteTimeout = 15 * time.Second
 // Internally the server is sharded: the (key, iter) entry space is
 // partitioned across independent lock domains by ps.KeyHash, so requests
 // for different keys do not contend on one global mutex. Every connection
-// is read by its own goroutine; the Go runtime's netpoller is the
-// multiplexer, so an idle connection costs a parked goroutine and nothing
-// else. The reader answers pushes and ready pulls itself and keeps reading
-// while a pull waits for aggregation: a parked pull is a channel receive in
-// a goroutine of its own, which writes the response when the completing
-// push sends on that channel, under the connection's write lock — so
-// responses on one connection may leave in another order than their
-// requests came, only a connection's own goroutines ever write to it, and
-// a puller that stops draining its socket delays nobody but itself.
+// is read by its own goroutine, the only goroutines besides the accept
+// loop; the netpoller is the multiplexer. The reader answers pushes and
+// ready pulls itself and keeps reading while a pull waits: a parked pull is
+// a record on its entry, and the push completing the entry writes its ack
+// (which returns the pusher's credit), then answers each parked pull on the
+// puller's connection under its write lock and deadline. So responses on a
+// connection may leave in another order than their requests came, and a
+// puller that stops draining its socket delays its completing pusher by at
+// most the write timeout, then is dropped: later writes to it fail at once.
 //
 // The server is hardened for the live path: application errors are
 // answered with OpErr instead of dropping the connection, a second push
@@ -97,13 +97,13 @@ type Server struct {
 	closed bool
 
 	// closing is the lock-free mirror of closed, re-checked under each
-	// shard lock: Close sets it before sweeping the shards for waiters, so
-	// any request that parks a waiter after the sweep observes it and is
-	// rejected instead of leaking.
+	// shard lock: Close sets it before sweeping the shards for parked
+	// pulls, so any request that would park one after the sweep observes
+	// it and is rejected instead of leaking.
 	closing atomic.Bool
 
-	// wg covers the accept loops, every connection's serve goroutine and
-	// every parked pull's; goroutines counts the same set for Goroutines.
+	// wg covers the accept loop and every connection's serve goroutine;
+	// goroutines counts the same set for Goroutines.
 	wg         sync.WaitGroup
 	goroutines atomic.Int64
 }
@@ -160,10 +160,17 @@ type entry struct {
 	// or re-sending under a fresh Seq — and is answered without being
 	// counted again.
 	pushers, pullers []uint32
-	// waiters are the pulls parked on this entry, one buffered channel each;
-	// the completing push (or Close, with nil) sends exactly once.
-	waiters []chan *agg
-	served  int
+	// parked are the pulls waiting on this entry; the completing push (or
+	// Close, failing them) takes the slice and answers each exactly once.
+	parked []parkedPull
+	served int
+}
+
+// parkedPull is a pull waiting for its aggregate: the connection to answer
+// on and the request to echo.
+type parkedPull struct {
+	sc *srvConn
+	h  wire.Header
 }
 
 // listed reports whether seq's client is in ids. Seq 0 carries no client,
@@ -332,17 +339,14 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		// Wait in Close.
 		s.wg.Add(1)
 		s.goroutines.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.goroutines.Add(-1)
-			s.serve(sc)
-		}()
+		go s.serve(sc)
 	}
 }
 
 // srvConn is one accepted connection's server-side state. Only its serve
-// goroutine reads the connection, and it and the connection's parked pulls
-// write it, one response at a time under wmu; Server.Close only closes it.
+// goroutine reads the connection; it writes its own responses, a push that
+// completes an aggregate writes the responses to pulls parked there, and
+// Close fails those still parked, one response at a time under wmu.
 // A request's payload is a view of the connection's read buffer, consumed
 // before the next read; vals is processPush's decode scratch.
 type srvConn struct {
@@ -380,10 +384,12 @@ func (sc *srvConn) close() {
 }
 
 // serve is the connection's request loop: read one frame, answer it —
-// or, for a pull that must wait, leave it to a goroutine of its own —
-// repeat until the peer hangs up, a frame is malformed, or a write fails,
-// then drop the connection.
+// or, for a pull that must wait, park it on its entry — repeat until the
+// peer hangs up, a frame is malformed, or a write fails, then drop the
+// connection.
 func (s *Server) serve(sc *srvConn) {
+	defer s.wg.Done()
+	defer s.goroutines.Add(-1)
 	defer sc.close()
 	for {
 		// An idle connection waits for its next frame with no deadline; once
@@ -406,31 +412,20 @@ func (s *Server) serve(sc *srvConn) {
 		switch Op(req.Op) {
 		case OpPush:
 			resp, wake, result := s.processPush(req, &sc.vals)
+			err = sc.write(resp) // the ack first: it returns the pusher's credit
 			s.wake(wake, result)
-			if sc.write(resp) != nil {
+			if err != nil {
 				return
 			}
 		case OpPull:
-			result, wait, errResp := s.resolvePull(req)
+			result, parked, errResp := s.resolvePull(req, sc)
 			switch {
 			case errResp != nil:
 				if sc.write(*errResp) != nil {
 					return
 				}
-			case wait != nil:
-				// This goroutine's own wg count is held, so Add cannot race
-				// the Wait in Close.
-				s.wg.Add(1)
-				s.goroutines.Add(1)
-				go func(h wire.Header) {
-					defer s.wg.Done()
-					defer s.goroutines.Add(-1)
-					sc.answer(h, <-wait)
-				}(req.Header)
-			default:
-				if !sc.answer(req.Header, result) {
-					return
-				}
+			case !parked && !sc.answer(req.Header, result):
+				return
 			}
 		default:
 			// Protocol error: tell the peer, then drop the connection —
@@ -442,7 +437,7 @@ func (s *Server) serve(sc *srvConn) {
 }
 
 // answer writes the response to the pull h with its resolved aggregate —
-// nil when Close woke it, which fails the pull instead of hanging — and
+// nil when Close failed it parked, instead of leaving it to hang — and
 // then counts it served. It reports whether the connection still stands.
 func (sc *srvConn) answer(h wire.Header, result *agg) bool {
 	s := sc.s
@@ -481,10 +476,11 @@ func pullResp(req message, a *agg) message {
 }
 
 // processPush applies one push and returns its response (ack or OpErr)
-// plus any parked pulls to wake with the completed aggregate; the caller
-// wakes the waiters (outside the shard lock) and writes the response. A codec-bearing push is decoded into
-// the caller's scratch.
-func (s *Server) processPush(req message, scratch *[]float32) (resp message, wake []chan *agg, result *agg) {
+// plus the pulls parked on the aggregate it completed, each holding a
+// reference on it; the caller writes the response, then answers them
+// outside the shard lock (wake). A codec-bearing push is decoded into the
+// caller's scratch.
+func (s *Server) processPush(req message, scratch *[]float32) (resp message, wake []parkedPull, result *agg) {
 	s.inst.pushes.Inc()
 	if len(req.Payload) == 0 {
 		// An empty push would freeze the entry's shape at length zero and
@@ -577,8 +573,8 @@ func (s *Server) processPush(req message, scratch *[]float32) (resp message, wak
 	e.pushers = list(e.pushers, req.Seq)
 	e.pushes++
 	if e.pushes == s.workers {
-		wake = e.waiters
-		e.waiters = nil
+		wake = e.parked
+		e.parked = nil
 		e.result = sh.encodeEntry(e)
 		e.result.refs += len(wake) // one per woken puller, dropped after its write
 		result = e.result
@@ -608,66 +604,60 @@ func (sh *shard) encodeEntry(e *entry) *agg {
 	return a
 }
 
-// wake delivers a to every parked pull in waiters; a nil payload means the
-// server closed. Each channel is buffered and sent to exactly once, so
-// this never blocks: the parked pull's own goroutine writes the response.
-func (s *Server) wake(waiters []chan *agg, a *agg) {
-	for _, ch := range waiters {
+// wake answers every pull in parked with a, each on its puller's
+// connection under the write deadline; a nil a means the server closed. A
+// failed write drops that puller's connection, not the caller's.
+func (s *Server) wake(parked []parkedPull, a *agg) {
+	for _, p := range parked {
 		s.inst.parkedPulls.Dec()
-		ch <- a
+		p.sc.answer(p.h, a)
 	}
 }
 
-// park registers a pull waiter on e. Caller holds the shard lock.
-func (s *Server) park(e *entry) chan *agg {
-	ch := make(chan *agg, 1)
-	e.waiters = append(e.waiters, ch)
-	s.inst.parkedPulls.Inc()
-	return ch
-}
-
-// resolvePull resolves one pull to exactly one of: a ready payload, a
-// channel to wait on, or an error response. The channel is registered
-// under the shard lock and receives exactly one value, from the completing
-// push or — with a nil payload — from Close. A payload holds a reference,
-// dropped by countPullServed or, if the write failed, by answer.
-func (s *Server) resolvePull(req message) (result *agg, wait chan *agg, errResp *message) {
+// resolvePull resolves one pull from sc to exactly one of: a ready
+// payload, parked on its entry, or an error response. A parked pull is
+// recorded under the shard lock and answered exactly once, by the
+// completing push or by Close. A payload holds a reference, dropped by
+// countPullServed or, if the write failed, by answer.
+func (s *Server) resolvePull(req message, sc *srvConn) (result *agg, parked bool, errResp *message) {
 	s.inst.pulls.Inc()
 	sh := s.shard(req.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if s.closing.Load() {
 		m := s.rejectMsg(req, errServerClosed)
-		return nil, nil, &m
+		return nil, false, &m
 	}
 	k := entryKey{req.Key, req.Iter}
-	if e, ok := sh.entries[k]; ok {
-		if e.pushes >= s.workers {
-			e.result.refs++
-			return e.result, nil, nil // set by the push that completed it
+	e, ok := sh.entries[k]
+	if ok && e.pushes >= s.workers {
+		e.result.refs++
+		return e.result, false, nil // set by the push that completed it
+	}
+	if !ok {
+		// No live entry. A retried pull whose aggregate was already served
+		// and reclaimed (response lost on the wire) must not recreate an
+		// empty entry — it would park until a push that will never come.
+		// The key's last reclaimed aggregate re-answers a retry of its
+		// iteration; a pull for an older one fails fast with OpErr.
+		if d, ok := sh.done[k.key]; ok && k.iter == d.iter {
+			s.inst.replayedPulls.Inc()
+			d.a.refs++
+			return d.a, false, nil
+		} else if ok && k.iter < d.iter {
+			s.inst.lostPulls.Inc()
+			m := s.rejectMsg(req, errAggregateReclaimed)
+			return nil, false, &m
 		}
-		return nil, s.park(e), nil
+		// Genuinely early pull (pulls may legitimately arrive before
+		// pushes): create the entry and park on it.
+		e = &entry{}
+		sh.entries[k] = e
+		s.inst.entries.Add(1)
 	}
-	// No live entry. A retried pull whose aggregate was already served and
-	// reclaimed (response lost on the wire) must not recreate an empty
-	// entry — it would block until a push that will never come. The key's
-	// last reclaimed aggregate re-answers a retry of its iteration; a pull
-	// for an older one fails fast with OpErr.
-	if d, ok := sh.done[k.key]; ok && k.iter == d.iter {
-		s.inst.replayedPulls.Inc()
-		d.a.refs++
-		return d.a, nil, nil
-	} else if ok && k.iter < d.iter {
-		s.inst.lostPulls.Inc()
-		m := s.rejectMsg(req, errAggregateReclaimed)
-		return nil, nil, &m
-	}
-	// Genuinely early pull (pulls may legitimately arrive before pushes):
-	// create the entry and wait for aggregation.
-	e := &entry{}
-	sh.entries[k] = e
-	s.inst.entries.Add(1)
-	return nil, s.park(e), nil
+	e.parked = append(e.parked, parkedPull{sc, req.Header})
+	s.inst.parkedPulls.Inc()
+	return nil, true, nil
 }
 
 // countPullServed performs the post-write pull bookkeeping: dropping the
@@ -730,14 +720,16 @@ func (s *Server) Outstanding() int {
 	return n
 }
 
-// Goroutines returns the server's current goroutine count: one per accept
-// loop, one per live connection, and one per pull parked on aggregation.
+// Goroutines returns the server's current goroutine count: the accept loop
+// and one per live connection. A parked pull is a record, not a goroutine.
 func (s *Server) Goroutines() int64 { return s.goroutines.Load() }
 
-// Close stops the listener, fails every blocked pull waiter, closes open
-// connections, and waits for the serve and parked-pull goroutines. Workers blocked in Pull
+// Close stops the listener, fails every parked pull, closes open
+// connections, and waits for the serve goroutines. Workers blocked in Pull
 // receive an error instead of hanging forever — the graceful half of the
-// failure story; the client-side retry/backoff is the other half.
+// failure story; the client-side retry/backoff is the other half. Each
+// failure is written under the write deadline, so a puller that stopped
+// reading holds Close for at most the write timeout.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -756,15 +748,14 @@ func (s *Server) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
-	// Fail blocked pull waiters: a nil payload tells each parked pull's
-	// goroutine the server closed. closing is already set, so no new
-	// waiter can park after this sweep.
-	var parked []chan *agg
+	// Fail parked pulls: a nil aggregate answers each with the server
+	// closed. closing is already set, so no pull can park after this sweep.
+	var parked []parkedPull
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			parked = append(parked, e.waiters...)
-			e.waiters = nil
+			parked = append(parked, e.parked...)
+			e.parked = nil
 		}
 		sh.mu.Unlock()
 	}

@@ -121,10 +121,8 @@ func TestServeOverPipe(t *testing.T) {
 		srv.conns[side] = sc
 		srv.mu.Unlock()
 		srv.wg.Add(1)
-		go func() {
-			defer srv.wg.Done()
-			srv.serve(sc)
-		}()
+		srv.goroutines.Add(1)
+		go srv.serve(sc)
 		return cli
 	}
 	a, b := attach(), attach()
@@ -143,8 +141,8 @@ func TestServeOverPipe(t *testing.T) {
 		return resp
 	}
 
-	// Worker A pushes; its pull parks until worker B's push completes the
-	// aggregate — a goroutine of A's connection waits on a channel meanwhile.
+	// Worker A pushes; its pull parks on the entry until worker B's push
+	// completes the aggregate and answers it on A's connection.
 	if resp := rt(a, newMessage(OpPush, "w", 1, 1<<32|1, f32(1))); Op(resp.Op) != OpPush {
 		t.Fatalf("push A: %+v", resp)
 	}

@@ -9,9 +9,8 @@
 //   - A bounded worker pool (Map) that fans independent trials out across
 //     cores. Results are collected by index, never by completion order, so
 //     a parallel sweep is bitwise-identical to its serial execution — the
-//     simulator itself is deterministic, and any per-trial randomness must
-//     be seeded from the trial's identity (DeriveSeed), not from a shared
-//     sequence.
+//     simulator itself is deterministic, and per-trial randomness comes
+//     from the trial configuration's own Seed, never from a shared sequence.
 //
 //   - A memoizing result cache (Run) keyed by a canonical hash of the full
 //     trial configuration (model, transport, bandwidth, GPUs, policy,
@@ -32,7 +31,6 @@
 package sweep
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -162,14 +160,4 @@ func (e *Engine) Run(cfg runner.Config) (runner.Result, error) {
 	ent.res, ent.err = runner.Run(cfg)
 	close(ent.done)
 	return ent.res, ent.err
-}
-
-// DeriveSeed mixes a base seed with a trial identity so per-trial
-// randomness is a pure function of (base, key): results stay
-// bitwise-identical no matter which worker runs the trial or in what
-// order. Use distinct keys for distinct trials (e.g. "FIG13/rep3").
-func DeriveSeed(base int64, key string) int64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return base ^ int64(h.Sum64())
 }

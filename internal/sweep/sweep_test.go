@@ -251,19 +251,6 @@ func TestUncacheableConfigsAlwaysExecute(t *testing.T) {
 	}
 }
 
-func TestDeriveSeedStableAndDistinct(t *testing.T) {
-	a := DeriveSeed(42, "FIG13/rep3")
-	if a != DeriveSeed(42, "FIG13/rep3") {
-		t.Fatal("DeriveSeed not deterministic")
-	}
-	if a == DeriveSeed(42, "FIG13/rep4") {
-		t.Fatal("distinct keys collided")
-	}
-	if a == DeriveSeed(43, "FIG13/rep3") {
-		t.Fatal("distinct bases collided")
-	}
-}
-
 func TestRunCachesErrors(t *testing.T) {
 	e := New(WithWorkers(1))
 	bad := testCfg(1)
