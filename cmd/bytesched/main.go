@@ -52,10 +52,10 @@ type options struct {
 	// (critical-path over the DAG timing profile), or random (seeded
 	// ablation). Empty keeps the policy's own order.
 	Priority string
-	// ReleaseWindow is the live release lookahead in tasks
-	// (runner.LiveConfig.ReleaseWindow; 0 keeps the backend default).
-	ReleaseWindow              int
+	// BW is the simulated link rate; on a live run, only when set on the
+	// command line (bwSet), the shaped link every worker sends through.
 	BW, PartMB, CreditMB       float64
+	bwSet                      bool
 	GPUs, Iters, Warmup, TuneN int
 	Seed                       int64
 	Jitter                     float64
@@ -112,13 +112,11 @@ func main() {
 	flag.StringVar(&o.Framework, "framework", "mxnet", "framework: mxnet, tensorflow, pytorch")
 	flag.StringVar(&o.Arch, "arch", "ps", "gradient synchronization: ps or nccl")
 	flag.StringVar(&o.Transport, "transport", "rdma", "transport: tcp or rdma")
-	flag.Float64Var(&o.BW, "bw", 100, "per-direction bandwidth in Gbps")
+	flag.Float64Var(&o.BW, "bw", 100, "per-direction bandwidth in Gbps (live runs: a shaped link, loopback when unset)")
 	flag.IntVar(&o.GPUs, "gpus", 16, "total GPUs (multiple of 8)")
 	flag.StringVar(&o.Policy, "policy", "bytescheduler", "policy: fifo, p3, tictac, bytescheduler")
 	flag.StringVar(&o.Priority, "priority", "",
 		"priority strategy override: layer, tictac (critical-path from DAG timings), random (empty keeps the policy's order)")
-	flag.IntVar(&o.ReleaseWindow, "release-window", 0,
-		"live release lookahead in tasks: 1 streams, the layer count holds each pass to its end (0 = backend default)")
 	flag.Float64Var(&o.PartMB, "partition", 2, "partition size in MB (bytescheduler policy)")
 	flag.Float64Var(&o.CreditMB, "credit", 8, "credit size in MB (bytescheduler policy)")
 	flag.BoolVar(&o.Async, "async", false, "asynchronous PS")
@@ -163,6 +161,7 @@ func main() {
 	flag.StringVar(&o.AutoTuneSuggester, "autotune-suggester", "bo",
 		"online tuning search algorithm: bo, grid, random")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { o.bwSet = o.bwSet || f.Name == "bw" })
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "bytesched:", err)
 		os.Exit(1)
@@ -237,9 +236,6 @@ func run(o options) error {
 		if cfg.Priority, err = core.ParsePriorityPolicy(o.Priority); err != nil {
 			return err
 		}
-	}
-	if o.ReleaseWindow != 0 {
-		return fmt.Errorf("-release-window is a live-run knob; combine it with -backend")
 	}
 
 	if o.TuneN > 0 {
@@ -404,7 +400,6 @@ func liveConfig(o options) (runner.LiveConfig, error) {
 		LayerBytes:      layers,
 		Policy:          policy,
 		Priority:        priority,
-		ReleaseWindow:   o.ReleaseWindow,
 		Iterations:      max(o.Iters, o.Warmup+2),
 		Warmup:          o.Warmup,
 		ForwardCompute:  o.LiveCompute,
@@ -412,6 +407,9 @@ func liveConfig(o options) (runner.LiveConfig, error) {
 		Seed:            o.Seed,
 		FuseTheta:       o.FuseTheta,
 		Codec:           codec,
+	}
+	if o.bwSet {
+		cfg.Shape = []runner.LinkShape{{Gbps: o.BW}}
 	}
 	if o.AutoTune {
 		cfg.AutoTune = &autotune.Config{
@@ -455,7 +453,6 @@ func runLive(o options) error {
 	baseCfg := cfg
 	baseCfg.Policy = runner.LiveFIFO()
 	baseCfg.Priority = core.PriorityDefault // vanilla emission order
-	baseCfg.ReleaseWindow = 0
 	baseCfg.Trace = nil
 	baseCfg.Metrics = nil
 	baseCfg.AutoTune = nil // the unscheduled baseline has no knobs to tune
@@ -474,8 +471,11 @@ func runLive(o options) error {
 	if cfg.FuseTheta > 0 || !cfg.Codec.IsIdentity() {
 		fmt.Printf("  wire:      fuse-theta=%d B, codec=%s\n", cfg.FuseTheta, cfg.Codec.Name())
 	}
-	if cfg.Priority != core.PriorityDefault || cfg.ReleaseWindow != 0 {
-		fmt.Printf("  schedule:  priority=%s, release-window=%d\n", cfg.Priority, cfg.ReleaseWindow)
+	if cfg.Priority != core.PriorityDefault {
+		fmt.Printf("  schedule:  priority=%s\n", cfg.Priority)
+	}
+	if len(cfg.Shape) > 0 {
+		fmt.Printf("  link:      %g Gbps shaped\n", cfg.Shape[0].Gbps)
 	}
 	fmt.Printf("  iter:      %10.2f ms  (%s)\n", res.IterTime*1e3, policy)
 	fmt.Printf("  baseline:  %10.2f ms  (fifo)\n", base.IterTime*1e3)

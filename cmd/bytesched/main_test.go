@@ -5,9 +5,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"bytescheduler/internal/runner"
 )
 
 // defaults returns run options for a small, fast experiment, overridden per
@@ -132,8 +135,8 @@ func TestRunLiveFusedCodec(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	// The default policy on the ring is priority + credit, i.e. coordinated
-	// release: fusion runs there too.
+	// The default policy on the ring is priority + credit under rank 0's
+	// scheduler: fusion runs there too.
 	o.Backend, o.LiveWorkers = "ring", 3
 	if err := run(o); err != nil {
 		t.Fatalf("ring: %v", err)
@@ -159,15 +162,31 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%s: invalid value accepted", name)
 		}
 	}
-	// A release window is a live-run knob, and never negative.
+}
+
+// TestLiveBandwidthFlag: -bw set on a live run becomes the shaped link
+// every worker sends through; left unset, live runs stay on plain
+// loopback (its default is the simulator's 100 Gbps).
+func TestLiveBandwidthFlag(t *testing.T) {
 	o := defaults()
-	o.ReleaseWindow = 2
-	if err := run(o); err == nil || !strings.Contains(err.Error(), "-release-window") {
-		t.Errorf("simulated run with -release-window: err = %v, want one naming the flag", err)
+	o.Backend, o.LiveWorkers, o.LiveLayers = "ring", 2, "32,16"
+	cfg, err := liveConfig(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	o.Backend, o.LiveWorkers, o.LiveLayers, o.ReleaseWindow = "ps", 2, "32,16", -1
-	if err := run(o); err == nil || !strings.Contains(err.Error(), "negative release window") {
-		t.Errorf("live run with -release-window -1: err = %v, want the negative window refused", err)
+	if len(cfg.Shape) != 0 {
+		t.Fatalf("unset -bw shaped the live link: %+v", cfg.Shape)
+	}
+	o.BW, o.bwSet = 2, true
+	if cfg, err = liveConfig(o); err != nil {
+		t.Fatal(err)
+	}
+	if want := []runner.LinkShape{{Gbps: 2}}; !reflect.DeepEqual(cfg.Shape, want) {
+		t.Fatalf("-bw 2 gave Shape %+v, want %+v", cfg.Shape, want)
+	}
+	o.Iters, o.Warmup, o.LiveCompute = 3, 0, 100*time.Microsecond
+	if err := run(o); err != nil {
+		t.Fatalf("shaped live run: %v", err)
 	}
 }
 

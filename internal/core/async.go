@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"bytescheduler/internal/metrics"
+	"bytescheduler/internal/tensor"
 	"bytescheduler/internal/trace"
 )
 
@@ -99,6 +100,30 @@ func (a *AsyncScheduler) NotifyReady(t *Task) error {
 		return fmt.Errorf("core: task %s ready twice", t.Tensor)
 	}
 	a.s.NotifyReady(t)
+	return nil
+}
+
+// Admit starts partition i of t, cut at unit bytes, at once: an admission
+// another Core decided, as rank 0's does for every peer of the live ring
+// (the paper's §5 master Core). The first admission enqueues t. Built with
+// an empty Policy, an AsyncScheduler driven by Admit alone holds no credit
+// and queues nothing, and still counts and resolves every partition.
+func (a *AsyncScheduler) Admit(t *Task, unit int64, i int) error {
+	if err := t.validate(); err != nil {
+		return err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.down {
+		return ErrShutdown
+	}
+	if !t.unresolved() {
+		a.s.EnqueueSubs(t, tensor.AppendPartition(t.one[:0], t.Tensor, unit))
+	}
+	if i < 0 || i >= len(t.subs) || len(t.handles) > i && t.handles[i].s != nil {
+		return fmt.Errorf("core: partition %d of %s admitted twice or outside its %d", i, t.Tensor, len(t.subs))
+	}
+	a.s.NotifySubReady(t, i)
 	return nil
 }
 

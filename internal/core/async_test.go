@@ -187,3 +187,56 @@ func TestAsyncSetParams(t *testing.T) {
 		t.Errorf("SetParams after shutdown = %v, want ErrShutdown", err)
 	}
 }
+
+// TestAsyncAdmit: an AsyncScheduler with an empty policy driven by Admit
+// (a live ring follower) starts each admitted partition at once, in any
+// order, cut at the admitting Core's unit rather than its own,
+// resolves the task after its last partition, counts every start and
+// refuses a partition outside the cut or admitted twice.
+func TestAsyncAdmit(t *testing.T) {
+	a := NewAsync(Policy{Name: "follower"})
+	var mu sync.Mutex
+	var got []tensor.Sub
+	finished := make(chan struct{})
+	task := &Task{
+		Tensor: tensor.Tensor{Layer: 2, Name: "w", Bytes: 1000},
+		Start: func(sub tensor.Sub, done func()) {
+			mu.Lock()
+			got = append(got, sub)
+			mu.Unlock()
+			done()
+		},
+		OnFinished: func() { close(finished) },
+	}
+	const unit = 400 // 400 + 400 + 200
+	for _, i := range []int{2, 0} {
+		if err := a.Admit(task, unit, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Admit(task, unit, 2); err == nil {
+		t.Fatal("partition 2 admitted twice")
+	}
+	if err := a.Admit(task, unit, 3); err == nil {
+		t.Fatal("partition 3 of a 3-partition cut admitted")
+	}
+	if err := a.Admit(task, unit, 1); err != nil {
+		t.Fatal(err)
+	}
+	<-finished
+	a.Shutdown()
+	mu.Lock()
+	defer mu.Unlock()
+	want := tensor.AppendPartition(nil, task.Tensor, unit)
+	if len(got) != len(want) {
+		t.Fatalf("started %d partitions, want %d", len(got), len(want))
+	}
+	for _, s := range got {
+		if s != want[s.Index] {
+			t.Fatalf("started %+v, want %+v", s, want[s.Index])
+		}
+	}
+	if st := a.Stats(); st.SubsStarted != 3 || st.SubsFinished != 3 || st.TasksEnqueued != 1 {
+		t.Fatalf("stats = %+v, want 3 started and finished, 1 task", st)
+	}
+}

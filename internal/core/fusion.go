@@ -26,8 +26,8 @@ package core
 // flushes happen at deterministic points — the θ size limit and explicit
 // pass-boundary Flush calls are the only triggers, so there is no
 // wall-clock flush that could diverge membership. The same determinism is
-// what lets a Fuser feed a StreamReleaser on coordinated runs: every peer
-// emits the same sequence of plain and fused tasks.
+// what lets a live ring's peers name a task by its position in the pass:
+// every peer emits the same sequence of plain and fused tasks.
 
 import (
 	"errors"
@@ -38,8 +38,8 @@ import (
 	"bytescheduler/internal/tensor"
 )
 
-// TaskSink accepts CommTasks: the downstream a Fuser or StreamReleaser
-// feeds. *AsyncScheduler and *StreamReleaser satisfy it.
+// TaskSink accepts CommTasks: the downstream a Fuser feeds.
+// *AsyncScheduler satisfies it.
 type TaskSink interface {
 	Enqueue(t *Task) error
 	NotifyReady(t *Task) error

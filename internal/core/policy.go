@@ -13,8 +13,7 @@ import (
 // PriorityFn the Policy carries, while the other values derive a rank table
 // from DAG timings (or a seed) and install RankPriority over it. Runners
 // materialize the strategy once per run so the same ranks are used by every
-// worker — a requirement for the coordinated ring release, where all peers
-// must agree on one total admission order.
+// worker's scheduler.
 type PriorityPolicy int
 
 const (

@@ -170,7 +170,7 @@ func All() []Experiment {
 		{"EXT-FUSION", ExtTensorFusion, "tensor fusion + wire codecs on live PS: fused vs unfused (netps)"},
 		{"EXT-AUTOTUNE", ExtAutoTune, "closed-loop online (partition, credit) tuning on live PS across a bandwidth change"},
 		{"EXT-BALANCE", ExtLoadBalance, "PS placement strategies on power-law tensors (load balance)"},
-		{"EXT-PRIORITY", ExtPriority, "priority policy shootout (sim zoo) + cross-iteration pipelining on both live backends"},
+		{"EXT-PRIORITY", ExtPriority, "priority policy shootout (sim zoo) + the live scheduler vs FIFO on both live backends"},
 		{"EXT-CLUSTER", ExtCluster, "multi-job cluster scheduling: fair-share + delay-aware placement vs FIFO/uniform"},
 		{"THM1", ThmOptimality, "Theorem 1 optimality and the §4.1 overhead bound"},
 	}

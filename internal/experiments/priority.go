@@ -11,8 +11,8 @@ import (
 	"bytescheduler/internal/runner"
 )
 
-// ExtPriority is the priority-strategy shootout plus the cross-iteration
-// pipelining measurement.
+// ExtPriority is the priority-strategy shootout plus the live scheduler
+// against FIFO.
 //
 // The sim leg runs the model zoo (VGG16, ResNet50, Transformer) under
 // identical ByteScheduler partitioning with every priority policy: layer
@@ -22,20 +22,19 @@ import (
 // ablation floor). The artifact under test is the shape claim that
 // DAG-aware orders beat FIFO and random never wins.
 //
-// The live leg measures what priorities alone cannot show in simulation:
-// cross-iteration pipelining. With pipelining off, every gradient is held
-// to its pass boundary and released in rank order — the non-pipelined
-// scheduled baseline (TicTac's regime). With pipelining on, the streaming
-// release admits iteration i+1's urgent tensors while iteration i is
-// still finishing, overlapping transfers with backward compute on both
-// backends (PS split-phase and the coordinated ring). Like EXT-RING and
-// EXT-FUSION this is wall clock over loopback, so legs run in interleaved
-// repetitions scored by best median iteration, and Experiment.Live is
-// true (determinism harnesses skip it).
+// The live leg measures the paper's claim on real sockets: ByteScheduler
+// (partitions, credit, layer priority) against FIFO, whole tensors one at a
+// time in emission order, on both backends. Scheduled gradients stream as
+// the backward pass makes them ready and front layers overtake queued tail
+// partitions, across passes too; on the ring, rank 0's scheduler decides
+// that order for every peer (the paper's §5 master Core). Like EXT-RING
+// and EXT-FUSION this is wall clock over loopback, so legs run in
+// interleaved repetitions scored by best median iteration, and
+// Experiment.Live is true (determinism harnesses skip it).
 func ExtPriority(o Opts) (Table, error) {
 	tab := Table{
 		ID:      "EXT-PRIORITY",
-		Title:   "priority policies (sim zoo, samples/s) + cross-iteration pipelining (live, iter_ms)",
+		Title:   "priority policies (sim zoo, samples/s) + scheduler vs FIFO (live, iter_ms)",
 		Columns: []string{"leg", "config", "value", "delta_pct"},
 		Metrics: map[string]float64{},
 	}
@@ -86,21 +85,19 @@ func ExtPriority(o Opts) (Table, error) {
 	tab.Metrics["sim_tictac_min_pct"] = tictacMin
 	tab.Metrics["sim_tictac_max_pct"] = tictacMax
 
-	// --- live leg: pipelining on vs off, both backends ---
-	// Uniform layers and layer-order ranks isolate the variable under
-	// test — release discipline — from priority-order effects; slow
-	// backward compute and a shaped link make the transfers pipelining
-	// hides material on loopback. (On a rear-heavy profile the tictac
-	// ranks promote the fat tail over the forward-blocking front layers,
-	// which delays the next forward start and can cancel the overlap win;
-	// the sim leg above is where rank-order effects are measured.)
-	layers := []int64{256 << 10, 256 << 10, 256 << 10, 256 << 10, 256 << 10, 256 << 10}
+	// --- live leg: FIFO vs the scheduler, both backends ---
+	// The CLI's live model (64–512 KB, rear-heavy) under layer-order ranks
+	// on a 2 Gbps shaped link, where FIFO leaves the front layers' transfers
+	// behind the tail's. (Tictac ranks promote the fat tail over the
+	// forward-blocking front layers here; the sim leg above is where
+	// rank-order effects are measured.)
+	layers := []int64{64 << 10, 128 << 10, 256 << 10, 256 << 10, 512 << 10, 512 << 10}
 	iters, warmup, reps := 10, 2, 3
 	if o.Quick {
 		iters, warmup, reps = 8, 2, 2
 	}
-	arm := func(backend runner.LiveBackend, mode string, window int) *liveLeg {
-		workers := 2
+	arm := func(backend runner.LiveBackend, scheduled bool) *liveLeg {
+		workers, name := 2, "fifo"
 		if backend == runner.LiveBackendRing {
 			workers = 3
 		}
@@ -108,48 +105,44 @@ func ExtPriority(o Opts) (Table, error) {
 			Backend:         backend,
 			Workers:         workers,
 			LayerBytes:      layers,
-			Policy:          core.ByteScheduler(64<<10, 256<<10),
-			Priority:        core.PriorityLayer,
-			ReleaseWindow:   window,
+			Policy:          runner.LiveFIFO(),
 			Iterations:      iters,
 			Warmup:          warmup,
-			ForwardCompute:  200 * time.Microsecond,
-			BackwardCompute: 2 * time.Millisecond,
-			Shape:           []runner.LinkShape{{PerMessage: 300 * time.Microsecond, Gbps: 3.2}},
+			ForwardCompute:  500 * time.Microsecond,
+			BackwardCompute: 500 * time.Microsecond,
+			Shape:           []runner.LinkShape{{Gbps: 2}},
 			Seed:            o.Seed,
 		}
-		return &liveLeg{name: fmt.Sprintf("%s pipeline %s", backend, mode), cfg: func() runner.LiveConfig { return cfg }}
-	}
-	// Off holds each pass to its boundary. On streams: PS tasks as they are
-	// emitted; ring tasks through a two-task lookahead, which releases the
-	// first gradients two layers into the backward pass — overlap in the
-	// peers' agreed order.
-	backends := []runner.LiveBackend{runner.LiveBackendPS, runner.LiveBackendRing}
-	var legs []*liveLeg // off, on per backend
-	for _, b := range backends {
-		on := 1
-		if b == runner.LiveBackendRing {
-			on = 2
+		if scheduled {
+			cfg.Policy, cfg.Priority, name = core.ByteScheduler(256<<10, 1<<20), core.PriorityLayer, "bytescheduler"
 		}
-		legs = append(legs, arm(b, "off", len(layers)), arm(b, "on", on))
+		return &liveLeg{name: fmt.Sprintf("%s %s", backend, name), cfg: func() runner.LiveConfig { return cfg }}
+	}
+	// The ring's scheduled arm is the paper's master Core: rank 0's
+	// scheduler admits every peer's collectives, in its priority order, as
+	// the backward pass makes them ready.
+	backends := []runner.LiveBackend{runner.LiveBackendPS, runner.LiveBackendRing}
+	var legs []*liveLeg // fifo, scheduled per backend
+	for _, b := range backends {
+		legs = append(legs, arm(b, false), arm(b, true))
 	}
 	if err := bestMedians(reps, legs); err != nil {
 		return Table{}, err
 	}
 	for i, b := range backends {
-		off, on := legs[2*i], legs[2*i+1]
+		fifo, sched := legs[2*i], legs[2*i+1]
 		name, key := "live "+b.String(), b.String()
-		sp := (off.iter/on.iter - 1) * 100
+		sp := (fifo.iter/sched.iter - 1) * 100
 		tab.Rows = append(tab.Rows,
-			[]string{name, "pipeline off", f1(off.iter * 1e3), "0.0"},
-			[]string{name, "pipeline on", f1(on.iter * 1e3), f1(sp)})
-		tab.Metrics[key+"_pipeline_speedup_pct"] = sp
-		tab.Metrics[key+"_off_iter_ms"] = off.iter * 1e3
-		tab.Metrics[key+"_on_iter_ms"] = on.iter * 1e3
+			[]string{name, "fifo", f1(fifo.iter * 1e3), "0.0"},
+			[]string{name, "bytescheduler", f1(sched.iter * 1e3), f1(sp)})
+		tab.Metrics[key+"_sched_speedup_pct"] = sp
+		tab.Metrics[key+"_fifo_iter_ms"] = fifo.iter * 1e3
+		tab.Metrics[key+"_sched_iter_ms"] = sched.iter * 1e3
 	}
 	tab.Notes = append(tab.Notes,
-		"sim rows are samples/s vs the FIFO baseline; live rows are wall-clock iter_ms, pipelining on vs the pass-end (non-pipelined scheduled) baseline",
-		fmt.Sprintf("live legs: best median over %d interleaved repetitions, layer ranks, coordinated streaming release on the ring", reps),
+		"sim rows are samples/s vs the FIFO baseline; live rows are wall-clock iter_ms, ByteScheduler (layer priority, 256 KB partitions, 1 MB credit) vs whole tensors one at a time in emission order",
+		fmt.Sprintf("live legs: best median over %d interleaved repetitions; on the ring rank 0's scheduler admits for every peer (the paper's master Core)", reps),
 	)
 	return tab, nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestExtPriorityMarkedLive pins the registry contract: EXT-PRIORITY's
-// pipelining legs are wall-clock over loopback, so the determinism
+// live legs are wall-clock over loopback, so the determinism
 // harnesses must skip its bitwise comparison.
 func TestExtPriorityMarkedLive(t *testing.T) {
 	e, err := ByID("EXT-PRIORITY")
@@ -27,7 +27,7 @@ func TestExtPriorityMarkedLive(t *testing.T) {
 // ranks included, whose table is derived purely from the seed — produces
 // bitwise-identical results on a 1-worker and a 4-worker sweep engine with
 // cold private caches. Worker interleaving must never leak into results;
-// the live pipelining runs are exempted from this contract through
+// the live runs are exempted from this contract through
 // Experiment.Live (see TestExtPriorityMarkedLive).
 func TestPriorityPoliciesDeterministic(t *testing.T) {
 	policies := []core.PriorityPolicy{
@@ -72,11 +72,10 @@ func TestPriorityPoliciesDeterministic(t *testing.T) {
 
 // TestExtPriorityShape runs the shootout end-to-end and checks its
 // deterministic claim — DAG-derived critical-path priorities beat FIFO on
-// every zoo model in simulation — and that the live legs ran: both release
-// windows on both backends, which under -race is the streaming coordinated
-// release with two iterations in flight, the interleaving the detector
-// should watch. The live pipelining speed-up is logged, not gated (see
-// TestLiveRingShape).
+// every zoo model in simulation — and that the live legs ran: FIFO and the
+// scheduler on both backends, which under -race is the ring's master Core
+// with two iterations in flight, the interleaving the detector should
+// watch. The live speed-up is logged, not gated (see TestLiveRingShape).
 func TestExtPriorityShape(t *testing.T) {
 	tab := runExp(t, ExtPriority)
 	// Deterministic sim: critical-path priority must never lose to FIFO
@@ -89,11 +88,11 @@ func TestExtPriorityShape(t *testing.T) {
 		t.Fatalf("critical-path priority never beat FIFO: max %.1f%%", sp)
 	}
 	for _, backend := range []string{"ps", "ring"} {
-		for _, m := range []string{backend + "_off_iter_ms", backend + "_on_iter_ms"} {
+		for _, m := range []string{backend + "_fifo_iter_ms", backend + "_sched_iter_ms"} {
 			if tab.Metrics[m] <= 0 {
 				t.Fatalf("%s = %v, want > 0", m, tab.Metrics[m])
 			}
 		}
-		t.Logf("%s: pipelining vs the pass-end baseline: %+.1f%%", backend, tab.Metrics[backend+"_pipeline_speedup_pct"])
+		t.Logf("%s: scheduler vs FIFO: %+.1f%%", backend, tab.Metrics[backend+"_sched_speedup_pct"])
 	}
 }

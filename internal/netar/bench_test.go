@@ -69,3 +69,21 @@ func BenchmarkAllReduceInto(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkControlFrame sends one admission per op from rank 0 to rank 1
+// of a 2-peer loopback ring and waits for rank 1's handler to take it: the
+// master Core's per-partition cost on the wire, write to handler.
+func BenchmarkControlFrame(b *testing.B) {
+	peers := buildRing(b, 2)
+	got := make(chan struct{}, 1)
+	peers[1].SetControl(func(Control, error) { got <- struct{}{} })
+	admit := Control{Op: OpAdmit, Iter: 3, Task: 2, Part: 1, Parts: 4, Unit: 256 << 10}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := peers[0].SendControl(admit); err != nil {
+			b.Fatal(err)
+		}
+		<-got
+	}
+}

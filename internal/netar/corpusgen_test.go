@@ -24,8 +24,8 @@ func TestGenerateCodecCorpus(t *testing.T) {
 }
 
 // TestGenerateCrossIterCorpus writes the cross-iteration seeds: segments
-// for the same key at iteration i and i+1, the wire shape the streaming
-// coordinated release puts in flight at once.
+// for the same key at iteration i and i+1, the wire shape a ring with
+// gradients streaming to rank 0's scheduler puts in flight at once.
 func TestGenerateCrossIterCorpus(t *testing.T) {
 	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
 		t.Skip("set GEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz seeds")

@@ -51,9 +51,10 @@ func codecSeeds() []message {
 	}
 }
 
-// xiterSeeds are cross-iteration segments: with the streaming coordinated
-// release, iteration i and i+1 segments for the same key are in flight at
-// once; the iter field is the only discriminator the pending table sees.
+// xiterSeeds are cross-iteration segments: with gradients streaming to
+// rank 0's scheduler, iteration i and i+1 segments for the same key are in
+// flight at once; the iter field is the only discriminator the pending
+// table sees.
 func xiterSeeds() []message {
 	return []message{
 		seg("L05[1/4]", 3, 11, 1, 0, f32(1, 2)),

@@ -90,7 +90,8 @@ type slot struct {
 }
 
 // collective is one AllReduceInto's state, a record the peer recycles: its
-// codec reduce scratch and the one timer reset for each of its steps.
+// codec reduce scratch (grown by the first segment that needs it) and the
+// one timer reset for each of its steps.
 type collective struct {
 	key     string
 	iter    uint32
@@ -130,6 +131,7 @@ type Peer struct {
 	ln        net.Listener
 	slots     map[slotKey]*slot
 	conns     map[net.Conn]struct{}
+	ctl       func(Control, error)
 	remoteErr error
 	closed    bool
 
@@ -277,17 +279,46 @@ func (p *Peer) acceptLoop(ln net.Listener) {
 	}
 }
 
+// SetControl installs fn as the control-frame handler (see Control). It
+// runs on the connection's reader, once per frame in arrival order and
+// once with an error when the connection ends, so it must not wait on ring
+// traffic. Without a handler a control frame is a protocol error.
+func (p *Peer) SetControl(fn func(Control, error)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ctl = fn
+}
+
+// SendControl writes c to the successor under the write deadline.
+func (p *Peer) SendControl(c Control) error {
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	if err := p.sendErr(); err != nil {
+		return err
+	}
+	p.succ.SetWriteDeadline(time.Now().Add(DefaultTimeout))
+	if err := p.succ.WriteFrame(c.header(), nil); err != nil {
+		return fmt.Errorf("netar: send control to successor: %w", err)
+	}
+	return nil
+}
+
 // readLoop drains one inbound connection (its own reader: the ring's
 // deadlock-avoidance invariant), reading each segment into the destination
 // its slot registered (pick), within the step timeout, or into a buffer
-// parked there (deliver). Idle reads carry no deadline.
+// parked there (deliver), and handing each control frame to the handler.
+// Idle reads carry no deadline.
 func (p *Peer) readLoop(conn net.Conn) {
 	defer p.wg.Done()
 	defer func() {
 		p.mu.Lock()
 		delete(p.conns, conn)
+		fn := p.ctl
 		p.mu.Unlock()
 		conn.Close()
+		if fn != nil {
+			fn(Control{}, fmt.Errorf("netar: rank %d lost its predecessor", p.rank))
+		}
 	}()
 	c := wire.NewConn(conn)
 	var s *slot // the slot pick claimed for the frame being read, if any
@@ -330,6 +361,15 @@ func (p *Peer) readLoop(conn net.Conn) {
 					fmt.Sprintf("netar: rank %d pending table full (%d slots)", p.rank, p.maxPending))
 				return
 			}
+		case (Op(m.Op) == OpReady || Op(m.Op) == OpAdmit) && m.Key == "" && len(m.Payload) == 0:
+			p.mu.Lock()
+			fn := p.ctl
+			p.mu.Unlock()
+			if fn == nil {
+				p.notifyErr(c, wire.Header{Op: uint8(OpErr)}, fmt.Sprintf("netar: rank %d has no control handler", p.rank))
+				return
+			}
+			fn(control(m.Header), nil)
 		default:
 			// Unknown op: the stream framing may be out of sync; report and
 			// drop the connection rather than misparse everything after it.
@@ -444,6 +484,22 @@ func (p *Peer) release(k slotKey, buf []byte) {
 	}
 }
 
+// sendErr reports why nothing can be written to the successor, if
+// anything. The caller holds sendMu.
+func (p *Peer) sendErr() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.remoteErr != nil:
+		return p.remoteErr
+	case p.closed:
+		return fmt.Errorf("netar: peer closed")
+	case p.succ == nil:
+		return fmt.Errorf("netar: not dialed")
+	}
+	return nil
+}
+
 // sendSegment writes seg to the successor under the write deadline: its own
 // memory under the identity codec, else encoded into encBuf. The write ends
 // under sendMu, which serializes collectives, so neither is in use after.
@@ -451,15 +507,7 @@ func (p *Peer) sendSegment(key string, iter uint32, step uint16, chunk uint16, s
 	h := wire.Header{Op: uint8(OpData), Iter: iter, Seq: p.seq.Add(1), Step: step, Chunk: chunk, Key: key}
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	p.mu.Lock()
-	err := p.remoteErr
-	if err == nil && p.closed {
-		err = fmt.Errorf("netar: peer closed")
-	} else if err == nil && p.succ == nil {
-		err = fmt.Errorf("netar: not dialed")
-	}
-	p.mu.Unlock()
-	if err != nil {
+	if err := p.sendErr(); err != nil {
 		return err
 	}
 	payload, raw := compress.RawBytes(seg)
@@ -530,6 +578,7 @@ func (p *Peer) recvSegment(c *collective, step, wantChunk uint16, dst, base []fl
 	if !raw || m.Codec != 0 || base == nil {
 		into := dst
 		if base != nil {
+			c.scratch = slices.Grow(c.scratch[:0], len(dst))
 			into = c.scratch
 		}
 		// Capacity clipped to len(dst): a longer segment reallocates
@@ -591,7 +640,7 @@ func (p *Peer) allReduce(key string, iter uint32, in, out []float32) (err error)
 	p.mu.Lock()
 	c := recycle.Take(&p.colls)
 	p.mu.Unlock()
-	c.key, c.iter, c.scratch = key, iter, slices.Grow(c.scratch[:0], chunkBound(len(out), m, 1)) // chunk 0 is the longest
+	c.key, c.iter = key, iter
 	// Gather step s (step M-1+s) writes chunk (r-s) mod M of out, untouched
 	// after reduce-scatter step s's send (and before, for s = 0, unless in
 	// is out): its destination is registered then (a closed peer's fails,
@@ -639,11 +688,13 @@ func (p *Peer) allReduce(key string, iter uint32, in, out []float32) (err error)
 // Close shuts the peer down: the listener stops accepting, all
 // connections close, reader goroutines drain, and every collective blocked
 // in recvSegment fails with a "peer closed" error instead of hanging.
-// Close is idempotent.
+// Close is idempotent; every call returns once the peer's goroutines have
+// exited, so a control handler must not call it.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		p.wg.Wait()
 		return
 	}
 	p.closed = true

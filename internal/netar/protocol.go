@@ -51,7 +51,32 @@ const (
 	// UTF-8 message. It lets a peer report "your segment was rejected"
 	// before dropping a connection whose framing may be out of sync.
 	OpErr Op = 2
+	// OpReady and OpAdmit are the master Core's control frames (Control).
+	OpReady Op = 3
+	OpAdmit Op = 4
 )
+
+// Control is a control frame of the paper's §5 master Core on the ring,
+// the fixed header alone: no key, no payload, no allocation to read. An
+// OpReady reports that Task of pass Iter is ready on the sender and every
+// peer its report passed; an OpAdmit is rank 0's admission of partition
+// Part of Parts, the task cut at Unit bytes (0: whole), which each
+// follower starts. On the wire Step is the task, Orig the unit and Seq
+// the partition index and count.
+type Control struct {
+	Op                Op
+	Iter              uint32
+	Task              uint16
+	Part, Parts, Unit uint32
+}
+
+func (c Control) header() wire.Header {
+	return wire.Header{Op: uint8(c.Op), Iter: c.Iter, Step: c.Task, Orig: c.Unit, Seq: uint64(c.Part)<<32 | uint64(c.Parts)}
+}
+
+func control(h wire.Header) Control {
+	return Control{Op: Op(h.Op), Iter: h.Iter, Task: h.Step, Unit: h.Orig, Part: uint32(h.Seq >> 32), Parts: uint32(h.Seq)}
+}
 
 // message is one framed ring segment: the shared wire header and its
 // payload. Header.Op holds an Op; Seq is a per-peer monotonic frame

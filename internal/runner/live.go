@@ -2,9 +2,10 @@
 // models (backward pass emits gradients back-to-front, the next forward
 // pass consumes them front-to-back), but over real sockets — netps
 // parameter servers or the netar segmented ring — with a real
-// core.AsyncScheduler deciding transmission order. This is where the
-// paper's generality claim is measurable outside the simulator: one
-// scheduler, two architectures, wall-clock iteration times.
+// core.AsyncScheduler deciding transmission order: each PS worker's own, and
+// on the ring rank 0's for every peer (the paper's §5 master Core). This is
+// where the paper's generality claim is measurable outside the simulator:
+// one scheduler, two architectures, wall-clock iteration times.
 
 package runner
 
@@ -59,7 +60,8 @@ func ParseLiveBackend(s string) (LiveBackend, error) {
 }
 
 // LiveConfig describes one live training run: in-process workers over
-// loopback TCP, one scheduler per worker, real wall-clock timing.
+// loopback TCP, one scheduler per PS worker and one per ring, real
+// wall-clock timing.
 type LiveConfig struct {
 	// Backend selects the transport (PS or ring all-reduce).
 	Backend LiveBackend
@@ -109,22 +111,14 @@ type LiveConfig struct {
 	// overrides the policy's priority function with the resulting rank
 	// table: layer index, TicTac-style critical path, or a seeded random
 	// permutation for ablation. The table is materialized once per run,
-	// so every worker — and, on coordinated ring runs, every peer's agreed
-	// admission order — uses the same ranks.
+	// so every PS worker uses the same ranks.
 	Priority core.PriorityPolicy
-	// ReleaseWindow is the core.StreamReleaser's lookahead, the one knob of
-	// cross-iteration pipelining (the paper's Fig. 3 overlap): how many
-	// emitted gradient tasks a release chooses among. 1 hands each task to
-	// the scheduler as the backward pass emits it; the layer count or more
-	// holds every pass to its boundary and releases it best rank first
-	// (TicTac's order without overlap); values between stream with that
-	// much lookahead. 0 is the backend default (see releaseWindow).
-	ReleaseWindow int
-	// AutoTune, when non-nil, closes the online tuning loop: every worker
-	// pins its per-iteration (partition, credit) from one shared
-	// autotune.Controller and applies it at the pass boundary through
-	// core.AsyncScheduler.SetParams, and worker 0 feeds measured iteration
-	// durations back. Requires a scheduled starting policy (positive
+	// AutoTune, when non-nil, closes the online tuning loop: every
+	// scheduler — each PS worker's, the ring's one — pins its per-iteration
+	// (partition, credit) from one shared autotune.Controller and applies it
+	// at the pass boundary through core.AsyncScheduler.SetParams, and
+	// worker 0 feeds measured iteration durations back. Requires a
+	// scheduled starting policy (positive
 	// PartitionUnit and CreditBytes) — Policy supplies the controller's
 	// starting point.
 	AutoTune *autotune.Config
@@ -208,53 +202,10 @@ func (c LiveConfig) Validate() error {
 	default:
 		return fmt.Errorf("runner: unknown priority policy %d", int(c.Priority))
 	}
-	if c.ReleaseWindow < 0 {
-		return fmt.Errorf("runner: negative release window %d", c.ReleaseWindow)
-	}
 	if err := validateShape(c.Shape); err != nil {
 		return err
 	}
 	return nil
-}
-
-// coordinated reports whether every peer must admit partitions in one
-// agreed total order: ring collectives block until *every* peer issues
-// them, so priority scheduling under a finite credit window is only
-// deadlock-free when all peers admit partitions in the same total order.
-// Streaming per-layer release under each peer's own priority diverges
-// — peer A's backward is a sleep ahead, its freshly-emitted urgent layer
-// preempts its window while peer B still stop-and-waits on the tail A
-// moved past, and neither completes (real all-reduce stacks solve exactly
-// this with global readiness negotiation, e.g. Horovod's coordinator).
-// FIFO-style policies (no Priority) stream safely: arrival order is
-// emission order, identical on every peer.
-//
-// Coordinated workers therefore schedule on the rank their
-// core.StreamReleaser stamps at release — computed from the emission
-// sequence, the window and the rank table, all identical on every peer —
-// instead of on the tensor's own priority. Coordination does not require
-// giving up pipelining: the window only has to be the same everywhere, not
-// the whole pass (see releaseWindow).
-func (c LiveConfig) coordinated() bool {
-	prioritized := c.Policy.Priority != nil || c.Priority != core.PriorityDefault
-	return c.Backend == LiveBackendRing && prioritized && c.Policy.CreditBytes > 0
-}
-
-// releaseWindow is the run's core.StreamReleaser lookahead: ReleaseWindow
-// clamped to the layer count, or by default 1 (streaming) and, on
-// coordinated runs, the layer count (each pass released at its boundary in
-// the agreed order). The clamp changes nothing, since every pass ends in a
-// Flush and never holds more tasks than layers; it bounds the window's
-// buffer.
-func (c LiveConfig) releaseWindow() int {
-	layers := len(c.LayerBytes)
-	switch {
-	case c.ReleaseWindow > 0:
-		return min(c.ReleaseWindow, layers)
-	case c.coordinated():
-		return layers
-	}
-	return 1
 }
 
 // LiveResult summarizes a live run.
@@ -265,7 +216,8 @@ type LiveResult struct {
 	IterTime float64
 	// IterTimes are the individual post-warmup iteration periods.
 	IterTimes []float64
-	// Stats aggregates the scheduler counters across workers.
+	// Stats aggregates the scheduler counters across workers: on the ring
+	// rank 0's and every follower's, which counts each partition it starts.
 	Stats core.Stats
 	// AutoTune is the controller's decision log and summary; nil unless
 	// the run was configured with LiveConfig.AutoTune.
@@ -286,12 +238,12 @@ type LiveResult struct {
 // whose windows filled with *different* layer subsets would each wait
 // forever for pushes the other has no credit left to admit — a
 // cross-worker deadlock the auto-tuner hits as soon as it probes a credit
-// smaller than a pass's total bytes (or one fused bucket). A collective
-// (the ring) is all send and never calls sent: its outcome returns the
-// credit, and coordinated release already guarantees identical admission
-// order. An error returned without sent() having been called is a failed
+// smaller than a pass's total bytes (or one fused bucket). An error
+// returned without sent() having been called is a failed
 // send (the scheduler retries it); one returned after is the wait phase's
-// outcome, which fails the task.
+// outcome, which fails the task. A collective (the ring) is all send and
+// never calls sent: its outcome returns the credit, which only rank 0
+// holds.
 type liveComm func(key string, iter uint32, in, out []float32, sent func()) error
 
 // traceComm records comm's operations as wall-clock spans on lane, named
@@ -319,13 +271,13 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return LiveResult{}, err
 	}
-	// Materialize the priority strategy once: every worker (and the
-	// coordinated release's agreed order) must use the same rank table.
+	// Materialize the priority strategy once: every PS worker must use the
+	// same rank table.
 	ranks, err := cfg.priorityRanks()
 	if err != nil {
 		return LiveResult{}, err
 	}
-	transports, teardown, err := buildLiveTransports(cfg)
+	transports, peers, teardown, err := buildLiveTransports(cfg)
 	if err != nil {
 		return LiveResult{}, err
 	}
@@ -363,11 +315,14 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	stats := make([]core.Stats, cfg.Workers)
 	var wg sync.WaitGroup
 	for r := 0; r < cfg.Workers; r++ {
-		r := r
+		var ring *ringCoord
+		if peers != nil {
+			ring = newRingCoord(peers[r], r, cfg.Workers, nil)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats[r], errs[r] = liveWorker(cfg, r, ranks, transports[r], ctrl, starts)
+			stats[r], errs[r] = liveWorker(cfg, r, ranks, transports[r], ring, ctrl, starts)
 		}()
 	}
 	wg.Wait()
@@ -394,23 +349,39 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	return res, nil
 }
 
-// buildLiveTransports wires one transport endpoint per worker plus a
-// teardown closing them all.
-func buildLiveTransports(cfg LiveConfig) ([]liveComm, func(), error) {
+// buildLiveTransports wires one transport endpoint per worker, the ring's
+// peers (nil on PS) and a teardown closing them all.
+func buildLiveTransports(cfg LiveConfig) ([]liveComm, []*netar.Peer, func(), error) {
 	switch cfg.Backend {
 	case LiveBackendRing:
-		return buildRingTransports(cfg)
+		peers, teardown, err := dialRing(cfg)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		transports := make([]liveComm, len(peers))
+		for r, peer := range peers {
+			transports[r] = ringComm(peer)
+		}
+		return transports, peers, teardown, nil
 	case LiveBackendPS:
-		return buildPSTransports(cfg)
+		transports, teardown, err := buildPSTransports(cfg)
+		return transports, nil, teardown, err
 	}
-	return nil, nil, fmt.Errorf("runner: unknown live backend %d", int(cfg.Backend))
+	return nil, nil, nil, fmt.Errorf("runner: unknown live backend %d", int(cfg.Backend))
 }
 
 // dialRing starts cfg.Workers loopback ring peers, each dialed to its
-// successor, plus a teardown closing them all.
+// successor, plus a teardown closing them all. The teardown detaches every
+// control handler first, so a peer does not read its neighbour's close as
+// a lost ring.
 func dialRing(cfg LiveConfig) ([]*netar.Peer, func(), error) {
 	peers := make([]*netar.Peer, cfg.Workers)
 	teardown := func() {
+		for _, p := range peers {
+			if p != nil {
+				p.SetControl(nil)
+			}
+		}
 		for _, p := range peers {
 			if p != nil {
 				p.Close()
@@ -445,21 +416,12 @@ func dialRing(cfg LiveConfig) ([]*netar.Peer, func(), error) {
 	return peers, teardown, nil
 }
 
-func buildRingTransports(cfg LiveConfig) ([]liveComm, func(), error) {
-	peers, teardown, err := dialRing(cfg)
-	if err != nil {
-		return nil, nil, err
+// ringComm is peer's transport. The collective is indivisible: the whole
+// op is the send phase, so rank 0's credit is held until it returns.
+func ringComm(peer *netar.Peer) liveComm {
+	return func(key string, iter uint32, in, out []float32, _ func()) error {
+		return peer.AllReduceInto(key, iter, in, out)
 	}
-	transports := make([]liveComm, cfg.Workers)
-	for r, peer := range peers {
-		// The collective is indivisible: the whole op is the send phase,
-		// so credit is held until it returns (safe: coordinated release
-		// admits in one total order on every peer).
-		transports[r] = func(key string, iter uint32, in, out []float32, _ func()) error {
-			return peer.AllReduceInto(key, iter, in, out)
-		}
-	}
-	return transports, teardown, nil
 }
 
 func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
@@ -507,19 +469,29 @@ func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 // fusion bucket of adjacent layers — as the core.Starter its partitions
 // start through. in and out are its windows of the worker's gradient and
 // output slabs; name is its cross-worker identity, to which the transport
-// key appends the partition index.
+// key appends the partition index. On the ring, task is its position in
+// its pass, and rank 0 admits each partition to the followers before it
+// starts it.
 type liveTask struct {
 	name    string
 	iter    uint32
+	task    uint16
 	in, out []float32
 	comm    liveComm
 	keys    *partKeys
+	ring    *ringCoord
 }
 
 // StartSub synchronizes one partition: the transport returns its credit
 // through Sent and its outcome through Done (see liveComm).
 func (t *liveTask) StartSub(h *core.Handle) {
 	sub := h.Sub()
+	if t.ring != nil {
+		if err := t.ring.admit(t.iter, t.task, sub); err != nil {
+			h.Done(err)
+			return
+		}
+	}
 	lo, hi := sub.Offset/4, (sub.Offset+sub.Bytes)/4
 	key := t.keys.key(t.name, sub.Index, sub.Count)
 	h.Done(t.comm(key, t.iter, t.in[lo:hi], t.out[lo:hi], h.Sent))
@@ -556,7 +528,7 @@ func (k *partKeys) key(name string, i, n int) string {
 func fusedTask(fd *core.Fused) core.Starter {
 	members, n := fd.Members(), fd.Tensor.Bytes/4
 	first := members[0].Starter.(*liveTask)
-	t := &liveTask{name: fd.Tensor.Name, iter: first.iter, in: first.in[:n:n], out: first.out[:n:n], comm: first.comm, keys: first.keys}
+	t := &liveTask{name: fd.Tensor.Name, iter: first.iter, in: first.in[:n:n], out: first.out[:n:n], comm: first.comm, keys: first.keys, ring: first.ring}
 	for i, m := range members {
 		mt, off := m.Starter.(*liveTask), fd.Offsets()[i]/4
 		if &mt.in[0] != &t.in[off] || &mt.out[0] != &t.out[off] {
@@ -594,50 +566,37 @@ func layerSlab(layerBytes []int64, theta int64) (grads, outs [][]float32) {
 
 // liveWorker runs one worker's training loop: forward gated on the
 // previous iteration's per-layer synchronization, backward emitting
-// gradient CommTasks back-to-front into one pipeline, whatever the
-// configuration: core.Fuser (buckets sub-θ tensors; pass-through at θ = 0)
-// → core.StreamReleaser (holds releaseWindow tasks of lookahead, stamps
-// the agreed order on coordinated runs) → the worker's scheduler. With a
-// controller, each backward pass first pins and applies the iteration's
-// (partition, credit): the swap lands at the pass boundary, in-flight tasks
-// from the previous pass finish under the old config, and the controller's
-// per-iteration pinning keeps partition counts — which the transport keys
-// embed — identical across workers.
-func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *autotune.Controller, starts []time.Time) (core.Stats, error) {
+// gradient CommTasks back-to-front into core.Fuser (buckets sub-θ tensors;
+// pass-through at θ = 0), which feeds the worker's scheduler on PS and the
+// ring's master Core (ringCoord) on the ring: rank 0's scheduler for every
+// peer, a follower's driven by the admissions alone. With a controller,
+// each backward pass first pins and applies the iteration's (partition,
+// credit) to every scheduler that cuts partitions — each PS worker's, which
+// keys its transport by the partition count, and the ring's rank 0, whose
+// admissions carry the cut: the swap lands at the pass boundary, and
+// in-flight tasks from the previous pass finish under the old config.
+func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ringCoord, ctrl *autotune.Controller, starts []time.Time) (core.Stats, error) {
 	layers := len(cfg.LayerBytes)
-	coordinated := cfg.coordinated()
-	// order is the run's priority table as a function. It reads
-	// Tensor.Layer as the layer index (a bucket's is its most urgent
-	// member's), which holds until the releaser's stamp lands.
-	order := core.PriorityFn(core.LayerPriority)
-	if ranks != nil {
-		order = core.RankPriority(ranks)
-	}
 	pol := cfg.Policy
-	if coordinated {
-		// The releaser stamps the agreed rank into Tensor.Layer; the policy
-		// must read the stamp verbatim, not re-map it through a rank table.
-		// The stamp is strictly increasing across passes, so peers skewed
-		// into different iterations still admit the two in-flight passes'
-		// partitions in one agreed total order, and a new pass's front
-		// layer never preempts the previous pass's unfinished tail — which
-		// is exactly where a lagging peer still is.
-		pol.Priority = core.LayerPriority
-	} else if ranks != nil {
-		pol.Priority = order
+	if ranks != nil {
+		pol.Priority = core.RankPriority(ranks)
+	}
+	leader := ring == nil || rank == 0 // cuts and orders partitions
+	if !leader {
+		pol = core.Policy{Name: "follower"}
 	}
 	sched := core.NewAsync(pol)
 	defer sched.Shutdown()
 	if cfg.Metrics != nil && rank == 0 {
 		sched.Instrument(cfg.Metrics)
 	}
-	releaser, err := core.NewStreamReleaser(cfg.releaseWindow(), coordinated, order, sched)
-	if err != nil {
-		return core.Stats{}, err
+	var sink core.TaskSink = sched
+	if ring != nil {
+		ring.sched, sink = sched, ring // before any control frame can need it
 	}
 	// A bucket's content-derived name is identical on every worker that
 	// bucketed the same members.
-	fuser, err := core.NewFuser(core.FuserConfig{Theta: cfg.FuseTheta, Start: fusedTask}, releaser)
+	fuser, err := core.NewFuser(core.FuserConfig{Theta: cfg.FuseTheta, Start: fusedTask}, sink)
 	if err != nil {
 		return core.Stats{}, err
 	}
@@ -654,6 +613,19 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 		gates[l] = make(chan error, 1)
 		names[l] = fmt.Sprintf("L%02d", l)
 	}
+	// wait takes layer l's synchronization outcome, or the ring's failure.
+	var dead <-chan struct{}
+	if ring != nil {
+		dead = ring.dead
+	}
+	wait := func(l int) error {
+		select {
+		case err := <-gates[l]:
+			return err
+		case <-dead:
+			return ring.err // set before dead closed
+		}
+	}
 
 	for it := 0; it < cfg.Iterations; it++ {
 		if rank == 0 {
@@ -666,7 +638,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 		// previous iteration before it can compute.
 		for l := 0; l < layers; l++ {
 			if it > 0 {
-				if err := <-gates[l]; err != nil {
+				if err := wait(l); err != nil {
 					return sched.Stats(), fmt.Errorf("iteration %d layer %d: %w", it-1, l, err)
 				}
 			}
@@ -683,16 +655,16 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 			}
 		}
 		// Pass-boundary reconfiguration: pin this iteration's config (all
-		// workers get the same pinned value) and apply it before any of
+		// PS workers get the same pinned value) and apply it before any of
 		// this pass's tasks are enqueued.
-		if ctrl != nil {
+		if ctrl != nil && leader {
 			s := ctrl.ConfigFor(it)
 			if err := sched.SetParams(s.Partition, s.Credit); err != nil {
 				return sched.Stats(), err
 			}
 		}
 		// Backward: gradients become ready back-to-front and enter the
-		// pipeline as they do; how long each waits there is the window's
+		// pipeline as they do; when each is sent is the scheduler's
 		// business, not this loop's.
 		for l := layers - 1; l >= 0; l-- {
 			if cfg.BackwardCompute > 0 {
@@ -700,7 +672,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 			}
 			t := &core.Task{
 				Tensor:  tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
-				Starter: &liveTask{name: names[l], iter: uint32(it), in: grads[l], out: outs[l], comm: comm, keys: keys},
+				Starter: &liveTask{name: names[l], iter: uint32(it), in: grads[l], out: outs[l], comm: comm, keys: keys, ring: ring},
 			}
 			// OnFinished runs under the scheduler's lock; the send cannot
 			// block, because layer l's next task is emitted only after the
@@ -710,19 +682,16 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ctrl *au
 				return sched.Stats(), err
 			}
 		}
-		// Pass boundary: the tail bucket, then whatever the window still
-		// holds, go out now — the same deterministic point on every worker,
-		// so neither a bucket nor the lookahead straddles the forward pass.
+		// Pass boundary: the tail bucket goes out now — the same
+		// deterministic point on every worker, so no bucket straddles the
+		// forward pass.
 		if err := fuser.Flush(); err != nil {
-			return sched.Stats(), err
-		}
-		if err := releaser.Flush(); err != nil {
 			return sched.Stats(), err
 		}
 	}
 	// Drain the final iteration's synchronization.
 	for l := 0; l < layers; l++ {
-		if err := <-gates[l]; err != nil {
+		if err := wait(l); err != nil {
 			return sched.Stats(), fmt.Errorf("final iteration layer %d: %w", l, err)
 		}
 	}

@@ -158,7 +158,7 @@ func TestLiveWorkerPullFailureAfterAck(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := liveWorker(cfg, 0, nil, comm, nil, make([]time.Time, cfg.Iterations))
+	stats, err := liveWorker(cfg, 0, nil, comm, nil, nil, make([]time.Time, cfg.Iterations))
 	if !errors.Is(err, lost) {
 		t.Fatalf("err = %v, want the lost pull", err)
 	}
@@ -167,17 +167,13 @@ func TestLiveWorkerPullFailureAfterAck(t *testing.T) {
 	}
 }
 
-// TestRunLiveRingTightCredit pins the coordinated-release fix: priority
-// scheduling on the ring with a credit window equal to a single partition
-// (P3-style stop-and-wait) used to cross-peer deadlock when peers' admission
-// orders diverged. Coordinated release makes every peer admit partitions in
-// the same total order, so even the tightest window must complete.
+// TestRunLiveRingTightCredit: priority scheduling on the ring with a
+// credit window equal to a single partition (P3-style stop-and-wait) once
+// cross-peer deadlocked when each peer admitted in its own order. Rank 0's
+// scheduler admits for every peer, so even the tightest window completes.
 func TestRunLiveRingTightCredit(t *testing.T) {
 	cfg := liveBase(LiveBackendRing)
 	cfg.Policy = core.ByteScheduler(8<<10, 8<<10)
-	if !cfg.coordinated() {
-		t.Fatal("config should select coordinated release")
-	}
 	res, err := RunLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -248,14 +244,11 @@ func TestRunLivePSFused(t *testing.T) {
 var fusedLayers = []int64{16 << 10, 2 << 10, 1 << 10, 1 << 10, 2 << 10, 1 << 10, 8 << 10, 512}
 
 // TestRunLiveRingFused exercises the same fusion path over the ring
-// all-reduce under the default scheduled policy, i.e. coordinated release.
+// all-reduce under the default scheduled policy.
 func TestRunLiveRingFused(t *testing.T) {
 	cfg := liveBase(LiveBackendRing)
 	cfg.LayerBytes = fusedLayers
 	cfg.FuseTheta = 4 << 10
-	if !cfg.coordinated() {
-		t.Fatal("config should select coordinated release")
-	}
 	res, err := RunLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,34 +266,27 @@ func TestRunLiveRingFused(t *testing.T) {
 }
 
 // TestRunLiveFusedCoordinatedRingAnyCredit is the gate for fusion under
-// coordinated release (once refused outright): buckets are stamped when
-// they are released, so every peer admits them at the same position of the
-// agreed order, and the run must be deadlock-free at any credit — a 1-byte
-// window, a single partition, effectively unlimited — both held to the
-// pass boundary and streamed through a short window under adversarial
-// random priorities. The worker's per-layer aggregation check catches
-// misrouted or cross-iteration-mixed buckets.
+// the ring's master Core (once refused outright): a bucket is named by its
+// position in the pass, identical on every peer, and rank 0 admits it like
+// any task, so the run must be deadlock-free at any credit — a 1-byte
+// window, a single partition, effectively unlimited — under layer and
+// adversarial random priorities. The worker's per-layer aggregation check
+// catches misrouted or cross-iteration-mixed buckets.
 func TestRunLiveFusedCoordinatedRingAnyCredit(t *testing.T) {
-	for _, window := range []int{0, 2} {
+	for _, prio := range []core.PriorityPolicy{core.PriorityDefault, core.PriorityRandom} {
 		for _, credit := range []int64{1, 8 << 10, 1 << 30} {
 			cfg := liveBase(LiveBackendRing)
 			cfg.LayerBytes = fusedLayers
 			cfg.FuseTheta = 4 << 10
 			cfg.Policy = core.ByteScheduler(8<<10, credit)
-			cfg.ReleaseWindow = window
-			if window > 0 {
-				cfg.Priority = core.PriorityRandom
-			}
+			cfg.Priority = prio
 			cfg.Iterations, cfg.Warmup = 8, 1
-			if !cfg.coordinated() {
-				t.Fatal("config should select coordinated release")
-			}
 			res, err := RunLive(cfg)
 			if err != nil {
-				t.Fatalf("window %d credit %d: %v", window, credit, err)
+				t.Fatalf("priority %v credit %d: %v", prio, credit, err)
 			}
 			if res.Stats.SubsFinished == 0 {
-				t.Fatalf("window %d credit %d: no sub-tasks finished", window, credit)
+				t.Fatalf("priority %v credit %d: no sub-tasks finished", prio, credit)
 			}
 		}
 	}

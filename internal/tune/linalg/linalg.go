@@ -56,9 +56,9 @@ func SolveLower(l [][]float64, b []float64) []float64 {
 	return x
 }
 
-// SolveUpperT solves Lᵀ x = b for lower-triangular L (i.e. an upper
+// solveUpperT solves Lᵀ x = b for lower-triangular L (i.e. an upper
 // triangular system) by back substitution.
-func SolveUpperT(l [][]float64, b []float64) []float64 {
+func solveUpperT(l [][]float64, b []float64) []float64 {
 	n := len(b)
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
@@ -73,7 +73,7 @@ func SolveUpperT(l [][]float64, b []float64) []float64 {
 
 // CholSolve solves A x = b given the Cholesky factor L of A.
 func CholSolve(l [][]float64, b []float64) []float64 {
-	return SolveUpperT(l, SolveLower(l, b))
+	return solveUpperT(l, SolveLower(l, b))
 }
 
 // Dot returns the inner product of two equal-length vectors.
