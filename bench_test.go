@@ -13,7 +13,9 @@
 package bytescheduler_test
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bytescheduler/internal/core"
@@ -239,9 +241,33 @@ func simPSTrial(iterations int) runner.Config {
 }
 
 // BenchmarkSimTrial is the sim_ps trial itself, whose 27 200 sub-tasks make
-// allocs/sub and ns/sub the per-partition path's cost.
+// allocs/sub and ns/sub the per-partition path's cost. From the second
+// iteration on, runner.Run resets the world the previous trial kept.
 func BenchmarkSimTrial(b *testing.B) {
 	cfg := simPSTrial(2)
+	benchSimTrials(b, func(int) runner.Config { return cfg })
+}
+
+// BenchmarkSimTrialFresh is BenchmarkSimTrial on a world built for every
+// trial: each iteration renames one tensor, a model of a shape no kept
+// world has, so the cost includes wiring the simulation and growing every
+// record and free list. Names do not affect timing or placement order, so
+// the simulated work is BenchmarkSimTrial's.
+func BenchmarkSimTrialFresh(b *testing.B) {
+	cfg := simPSTrial(2)
+	benchSimTrials(b, func(i int) runner.Config {
+		m := *cfg.Model
+		m.Layers = slices.Clone(m.Layers)
+		m.Layers[0].Tensors = slices.Clone(m.Layers[0].Tensors)
+		m.Layers[0].Tensors[0].Name = fmt.Sprintf("weight#%d", i)
+		cfg.Model = &m
+		return cfg
+	})
+}
+
+// benchSimTrials runs trial(i) with seed i+1 per iteration and reports
+// allocs/sub and ns/sub.
+func benchSimTrials(b *testing.B, trial func(i int) runner.Config) {
 	var subs uint64
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -249,6 +275,7 @@ func BenchmarkSimTrial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		cfg := trial(i)
 		cfg.Seed = int64(i + 1)
 		res, err := runner.Run(cfg)
 		if err != nil {

@@ -90,19 +90,25 @@ func New(eng *sim.Engine, machines int, gbps float64, prof network.Profile) (*Ri
 	if machines <= 0 {
 		return nil, fmt.Errorf("allreduce: need at least one machine, got %d", machines)
 	}
+	r := &Ring{eng: eng, machines: machines}
+	return r, r.Reset(gbps, prof)
+}
+
+// Reset returns the ring to the state New leaves it in, at a new link speed
+// and profile: idle, nothing queued, counters at zero, no intra-node stage,
+// the ring algorithm and no trace. The queue keeps its capacity; a
+// collective in flight is dropped, so the engine must have been reset too.
+func (r *Ring) Reset(gbps float64, prof network.Profile) error {
 	if gbps <= 0 {
-		return nil, fmt.Errorf("allreduce: non-positive bandwidth")
+		return fmt.Errorf("allreduce: non-positive bandwidth")
 	}
 	bps := network.GbpsToBytes(gbps) * prof.Efficiency
 	if cap := network.GbpsToBytes(prof.CollectiveMaxGbps); prof.CollectiveMaxGbps > 0 && bps > cap {
 		bps = cap
 	}
-	return &Ring{
-		eng:       eng,
-		prof:      prof,
-		machines:  machines,
-		bytesPerS: bps,
-	}, nil
+	clear(r.queue)
+	*r = Ring{eng: r.eng, prof: prof, machines: r.machines, bytesPerS: bps, queue: r.queue[:0]}
+	return nil
 }
 
 // Machines returns the ring size.

@@ -395,13 +395,29 @@ type Scheduler struct {
 // New returns a scheduler for the given policy. It panics on an invalid
 // policy, surfacing configuration bugs at construction.
 func New(policy Policy) *Scheduler {
+	s := &Scheduler{}
+	s.Reset(policy)
+	return s
+}
+
+// Reset returns the scheduler to the state New leaves it in, under policy:
+// nothing queued or in flight, counters at zero, full credit, no metrics,
+// tracer or hooks attached. The queues keep their capacity. A task it held
+// is forgotten; enqueue it again only once the substrate that started its
+// partitions has been reset too. It panics on an invalid policy, as New
+// does.
+func (s *Scheduler) Reset(policy Policy) {
 	if err := policy.Validate(); err != nil {
 		panic(err)
 	}
-	return &Scheduler{
-		policy:  policy,
-		credit:  policy.CreditBytes,
-		limited: policy.CreditBytes > 0,
+	clear(s.queue)
+	clear(s.arrivals)
+	*s = Scheduler{
+		policy:   policy,
+		queue:    s.queue[:0],
+		arrivals: s.arrivals[:0],
+		credit:   policy.CreditBytes,
+		limited:  policy.CreditBytes > 0,
 	}
 }
 

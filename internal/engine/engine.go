@@ -191,14 +191,19 @@ func (g *gate) fire() {
 type workerState struct {
 	id  int
 	gpu *sim.Server
-	// commGate[t][i] opens when layer i's communication of iteration t has
-	// completed on this worker.
-	commGate [][]*gate
+	// commGates[t*layers+i] opens when layer i's communication of
+	// iteration t has completed on this worker.
+	commGates []gate
 	// barrier[t] opens when all of iteration t's communication completed
 	// (GlobalBarrier mode).
-	barrier []*gate
+	barrier []gate
 	// barrierRemaining[t] counts unfinished layer communications.
 	barrierRemaining []int
+}
+
+// commGate returns the gate of layer's communication in iteration iter.
+func (ws *workerState) commGate(iter, layer, layers int) *gate {
+	return &ws.commGates[iter*layers+layer]
 }
 
 // Engine executes a training run on a shared simulator.
@@ -225,39 +230,62 @@ func New(se *sim.Engine, cfg Config, hook CommHook) (*Engine, error) {
 	if hook == nil {
 		return nil, fmt.Errorf("engine: nil communication hook")
 	}
-	n := cfg.Model.NumLayers()
 	e := &Engine{
 		sim:        se,
-		cfg:        cfg,
 		hook:       hook,
 		rng:        stats.NewRNG(cfg.Seed),
-		fp:         cfg.Model.FPTimes(),
-		bp:         cfg.Model.BPTimes(),
-		layerBytes: make([]int64, n),
-		fpStarts:   make([]float64, cfg.Iterations),
+		layerBytes: make([]int64, cfg.Model.NumLayers()),
 	}
+	for w := 0; w < cfg.Workers; w++ {
+		e.workers = append(e.workers, &workerState{
+			id:  w,
+			gpu: sim.NewServer(se, fmt.Sprintf("w%02d/gpu", w)),
+		})
+	}
+	return e, e.Reset(cfg)
+}
+
+// Reset returns the engine to the state New leaves it in, under cfg, which
+// must keep the worker and layer counts: not started, every gate shut, the
+// jitter generator reseeded and the GPUs idle. Gate slabs keep their
+// capacity. The simulator must have been reset too.
+func (e *Engine) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	n := cfg.Model.NumLayers()
+	if cfg.Workers != len(e.workers) || n != len(e.layerBytes) {
+		return fmt.Errorf("engine: reset to %d workers and %d layers, built for %d and %d", cfg.Workers, n, len(e.workers), len(e.layerBytes))
+	}
+	e.cfg = cfg
+	e.rng.Seed(cfg.Seed)
+	e.fp, e.bp = cfg.Model.FPTimes(), cfg.Model.BPTimes()
 	for i, l := range cfg.Model.Layers {
 		e.layerBytes[i] = l.Bytes()
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		ws := &workerState{
-			id:  w,
-			gpu: sim.NewServer(se, fmt.Sprintf("w%02d/gpu", w)),
-		}
-		ws.commGate = make([][]*gate, cfg.Iterations)
-		ws.barrier = make([]*gate, cfg.Iterations)
-		ws.barrierRemaining = make([]int, cfg.Iterations)
-		for t := 0; t < cfg.Iterations; t++ {
-			ws.commGate[t] = make([]*gate, n)
-			for i := 0; i < n; i++ {
-				ws.commGate[t][i] = &gate{}
-			}
-			ws.barrier[t] = &gate{}
+	e.fpStarts = resized(e.fpStarts, cfg.Iterations)
+	e.finish, e.started = 0, false
+	for _, ws := range e.workers {
+		ws.gpu.Reset()
+		ws.commGates = resized(ws.commGates, cfg.Iterations*n)
+		ws.barrier = resized(ws.barrier, cfg.Iterations)
+		ws.barrierRemaining = resized(ws.barrierRemaining, cfg.Iterations)
+		for t := range ws.barrierRemaining {
 			ws.barrierRemaining[t] = n
 		}
-		e.workers = append(e.workers, ws)
 	}
-	return e, nil
+	return nil
+}
+
+// resized returns s at length n, zeroed, reusing its backing array when it
+// is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Start schedules the run; the caller then drives the shared simulator.
@@ -286,11 +314,9 @@ func (e *Engine) Result() Result {
 func (e *Engine) OutstandingGates() int {
 	leaked := 0
 	for _, ws := range e.workers {
-		for _, iter := range ws.commGate {
-			for _, g := range iter {
-				if !g.open {
-					leaked++
-				}
+		for i := range ws.commGates {
+			if !ws.commGates[i].open {
+				leaked++
 			}
 		}
 	}
@@ -354,7 +380,7 @@ func (e *Engine) gradientProduced(ws *workerState, layer, iter int) {
 
 // commDone opens gates when a layer's communication completes.
 func (e *Engine) commDone(ws *workerState, layer, iter int) {
-	ws.commGate[iter][layer].fire()
+	ws.commGate(iter, layer, len(e.fp)).fire()
 	ws.barrierRemaining[iter]--
 	if ws.barrierRemaining[iter] < 0 {
 		panic("engine: duplicate communication completion")
@@ -373,11 +399,11 @@ func (e *Engine) fpGate(ws *workerState, layer, iter int) *gate {
 	switch e.cfg.Dependency {
 	case GlobalBarrier:
 		if layer == 0 {
-			return ws.barrier[iter-1]
+			return &ws.barrier[iter-1]
 		}
 		return nil
 	default:
-		return ws.commGate[iter-1][layer]
+		return ws.commGate(iter-1, layer, len(e.fp))
 	}
 }
 

@@ -13,10 +13,10 @@ func TestGoodputCapApplies(t *testing.T) {
 	prof := RDMA()
 	fast := NewFabric(eng, 2, 100, prof)
 	slow := NewFabric(eng, 2, 10, prof)
-	if got, want := fast.EffectiveBytesPerSecond(), GbpsToBytes(prof.MaxGoodputGbps); got != want {
+	if got, want := fast.bytesPerS, GbpsToBytes(prof.MaxGoodputGbps); got != want {
 		t.Fatalf("capped goodput = %v, want %v", got, want)
 	}
-	if got, want := slow.EffectiveBytesPerSecond(), GbpsToBytes(10)*prof.Efficiency; got != want {
+	if got, want := slow.bytesPerS, GbpsToBytes(10)*prof.Efficiency; got != want {
 		t.Fatalf("line-limited goodput = %v, want %v", got, want)
 	}
 }
@@ -29,7 +29,7 @@ func TestGoodputCapMonotonic(t *testing.T) {
 	var prev float64
 	for _, gbps := range []float64{1, 5, 10, 25, 40, 100, 200} {
 		f := NewFabric(eng, 2, gbps, prof)
-		got := f.EffectiveBytesPerSecond()
+		got := f.bytesPerS
 		if got < prev {
 			t.Fatalf("goodput decreased at %vGbps: %v < %v", gbps, got, prev)
 		}
@@ -48,7 +48,7 @@ func TestUncappedProfile(t *testing.T) {
 	prof := RDMA()
 	prof.MaxGoodputGbps = 0 // disabled
 	f := NewFabric(eng, 2, 100, prof)
-	if got, want := f.EffectiveBytesPerSecond(), GbpsToBytes(100)*prof.Efficiency; got != want {
+	if got, want := f.bytesPerS, GbpsToBytes(100)*prof.Efficiency; got != want {
 		t.Fatalf("uncapped goodput = %v, want %v", got, want)
 	}
 }

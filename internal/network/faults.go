@@ -101,7 +101,12 @@ func (f *Fabric) InjectFaults(fc FaultConfig) error {
 	if err := fc.Validate(f.Nodes()); err != nil {
 		return err
 	}
-	f.faults = &faultState{cfg: fc, rng: stats.NewRNG(fc.Seed)}
+	if f.faultRNG == nil {
+		f.faultRNG = stats.NewRNG(fc.Seed)
+	} else {
+		f.faultRNG.Seed(fc.Seed)
+	}
+	f.faults = &faultState{cfg: fc, rng: f.faultRNG}
 	// Re-arm dispatch at every outage end: transfers deferred by the
 	// outage have no other wake-up edge.
 	for _, o := range fc.Outages {

@@ -110,7 +110,7 @@ func TestOutageStallsAndRecovers(t *testing.T) {
 		t.Fatal("outage never deferred the transfer")
 	}
 	// The transfer completes promptly once the link returns.
-	want := outEnd + fab.TransferTime(1<<20)
+	want := outEnd + fab.transferTime(1<<20)
 	if diff := delivered - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("delivered at %v, want %v", delivered, want)
 	}

@@ -23,6 +23,7 @@ import (
 
 	"bytescheduler/internal/recycle"
 	"bytescheduler/internal/sim"
+	"bytescheduler/internal/stats"
 	"bytescheduler/internal/trace"
 )
 
@@ -197,11 +198,12 @@ type Fabric struct {
 	// free holds the pooled transfers whose last callback has returned.
 	free      recycle.List[*Transfer]
 	delivered uint64
-	sentBytes int64
 	rec       *trace.Recorder
 	// faults, when non-nil, injects deterministic degradation (drops,
-	// outages, latency spikes); see InjectFaults.
-	faults *faultState
+	// outages, latency spikes); see InjectFaults. faultRNG is its
+	// generator, kept across Reset and reseeded by the next InjectFaults.
+	faults   *faultState
+	faultRNG *stats.RNG
 }
 
 // SetTrace records every transfer as a span on the source node's uplink
@@ -214,6 +216,23 @@ func NewFabric(eng *sim.Engine, n int, gbps float64, prof Profile) *Fabric {
 	if n <= 0 {
 		panic("network: fabric needs at least one node")
 	}
+	f := &Fabric{
+		eng:     eng,
+		up:      make([]link, n),
+		down:    make([]link, n),
+		waiting: make([]fifo, n),
+		heads:   make([]*Transfer, 0, n),
+	}
+	f.Reset(gbps, prof)
+	return f
+}
+
+// Reset returns the fabric to the state NewFabric leaves it in, at a new
+// link speed and profile: idle links, empty transmit queues, zeroed
+// counters, no trace and no fault injection. Queues and the transfer free
+// list keep their capacity; a transfer still in flight is dropped, so the
+// engine must have been reset too.
+func (f *Fabric) Reset(gbps float64, prof Profile) {
 	if gbps <= 0 {
 		panic("network: non-positive bandwidth")
 	}
@@ -221,15 +240,16 @@ func NewFabric(eng *sim.Engine, n int, gbps float64, prof Profile) *Fabric {
 	if cap := GbpsToBytes(prof.MaxGoodputGbps); prof.MaxGoodputGbps > 0 && bps > cap {
 		bps = cap
 	}
-	return &Fabric{
-		eng:       eng,
-		prof:      prof,
-		bytesPerS: bps,
-		up:        make([]link, n),
-		down:      make([]link, n),
-		waiting:   make([]fifo, n),
-		heads:     make([]*Transfer, 0, n),
+	f.prof, f.bytesPerS = prof, bps
+	clear(f.up)
+	clear(f.down)
+	for i := range f.waiting {
+		w := &f.waiting[i]
+		clear(w.q)
+		w.q, w.head = w.q[:0], 0
 	}
+	f.sent, f.delivered = 0, 0
+	f.rec, f.faults = nil, nil
 }
 
 // Nodes returns the number of fabric nodes.
@@ -238,20 +258,14 @@ func (f *Fabric) Nodes() int { return len(f.up) }
 // Profile returns the transport profile in use.
 func (f *Fabric) Profile() Profile { return f.prof }
 
-// EffectiveBytesPerSecond returns the achievable per-direction bandwidth.
-func (f *Fabric) EffectiveBytesPerSecond() float64 { return f.bytesPerS }
-
-// TransferTime returns the idle-link service time for a message of the given
+// transferTime returns the idle-link service time for a message of the given
 // size: θ + size/effective-bandwidth.
-func (f *Fabric) TransferTime(bytes int64) float64 {
+func (f *Fabric) transferTime(bytes int64) float64 {
 	return f.prof.MsgOverhead + float64(bytes)/f.bytesPerS
 }
 
 // Delivered returns the number of messages delivered so far.
 func (f *Fabric) Delivered() uint64 { return f.delivered }
-
-// SentBytes returns the total payload bytes delivered so far.
-func (f *Fabric) SentBytes() int64 { return f.sentBytes }
 
 // Utilization returns the busy fractions of a node's uplink and downlink
 // over the simulation so far.
@@ -262,10 +276,6 @@ func (f *Fabric) Utilization(node int) (up, down float64) {
 	}
 	return f.up[node].busyTime / now, f.down[node].busyTime / now
 }
-
-// QueueDepth returns the number of pending (not yet started) transfers whose
-// source is the given node.
-func (f *Fabric) QueueDepth(node int) int { return len(f.waiting[node].q) - f.waiting[node].head }
 
 // NewTransfer returns a zeroed transfer from the fabric's free list to fill
 // in and Send; the fabric takes it back once its last callback has returned.
@@ -371,7 +381,6 @@ func (t *Transfer) Fire(step int) {
 	src.served++
 	dst.served++
 	f.delivered++
-	f.sentBytes += t.Bytes
 	if t.Sink != nil {
 		t.Sink.Delivered(t)
 		f.eng.After(f.prof.AckDelay, t, stepAcked)

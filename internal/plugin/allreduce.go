@@ -48,6 +48,14 @@ func NewAllReduce(ring *allreduce.Ring, m *model.Model, workers int, policy core
 	}
 }
 
+// Reset returns the plugin to the state NewAllReduce leaves it in, under
+// policy: the master Core is reset and no collective is pending; the
+// shared partitions are kept. The ring must have been reset too.
+func (p *AllReducePlugin) Reset(policy core.Policy) {
+	p.sched.Reset(policy)
+	clear(p.pending)
+}
+
 // SetParams adjusts partition and credit sizes live on the master Core, for
 // runtime auto-tuning (§5: for all-reduce the knobs change without stopping
 // training).

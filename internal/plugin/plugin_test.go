@@ -263,12 +263,12 @@ func TestPSGateOpensOnlyWhenAllPartitionsArrive(t *testing.T) {
 	// iteration time would undercut the pull time of the full tensor.
 	m := model.Synthetic("s", 1, 32<<20, 0.0001)
 	res, _, _ := runPS(t, m, 1, 3, core.ByteScheduler(8<<20, 64<<20))
-	se := sim.New()
-	fab := network.NewFabric(se, 2, 10, network.RDMA())
 	// Physical lower bound: even with push/pull fully overlapped on the
 	// duplex link, the tensor must cross one direction entirely, plus the
-	// last partition must come back.
-	minIter := float64(32<<20+8<<20) / fab.EffectiveBytesPerSecond()
+	// last partition must come back, at the 10 Gbps RDMA link's goodput
+	// (under its cap).
+	rdma := network.RDMA()
+	minIter := float64(32<<20+8<<20) / (network.GbpsToBytes(10) * rdma.Efficiency)
 	if got := res.AvgIterTime(1); got < minIter*0.95 {
 		t.Fatalf("iteration %.4fs beats the physical lower bound %.4fs: gate opened early", got, minIter)
 	}

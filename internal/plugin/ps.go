@@ -58,6 +58,29 @@ func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 	return p
 }
 
+// Reset returns the plugin to the state NewPS leaves it in, under policy:
+// every worker's Cores are reset, and each (worker, layer)'s record, its
+// handle slabs and the shared partitions are kept for the next run. A
+// record with partitions still unacked is dropped, so a reset mid-run
+// reuses nothing a stale callback could reach; the cluster must have been
+// reset too.
+func (p *PSPlugin) Reset(policy core.Policy) {
+	for w := range p.up {
+		p.up[w].Reset(policy)
+		p.down[w].Reset(policy)
+		for l, gate := range p.last[w] {
+			if gate == nil {
+				continue
+			}
+			if gate.unacked != 0 || gate.remaining != 0 {
+				p.last[w][l] = nil
+			} else {
+				gate.done = nil
+			}
+		}
+	}
+}
+
 // SetParams adjusts partition and credit sizes live on every worker's
 // Cores, for runtime auto-tuning. Layers announced from now on use the new
 // partition size; a per-layer PartitionFn, if any, is cleared.

@@ -185,16 +185,38 @@ func New(eng *sim.Engine, fab *network.Fabric, cfg Config) (*Cluster, error) {
 	if fab.Nodes() != cfg.Workers+cfg.Servers {
 		return nil, fmt.Errorf("ps: fabric has %d nodes, want %d", fab.Nodes(), cfg.Workers+cfg.Servers)
 	}
-	return &Cluster{
-		eng:              eng,
-		fab:              fab,
-		cfg:              cfg,
-		updateSecPerByte: updateSecPerByte,
-		shardBytes:       shardBytes,
-		assigner:         NewAssigner(cfg.Strategy, cfg.Servers),
-		ids:              make(map[Unit]int),
-		recvBytes:        make([]int64, cfg.Servers),
-	}, nil
+	c := &Cluster{
+		eng:       eng,
+		fab:       fab,
+		cfg:       cfg,
+		ids:       make(map[Unit]int),
+		recvBytes: make([]int64, cfg.Servers),
+	}
+	c.Reset(cfg)
+	return c, nil
+}
+
+// Reset returns the cluster to the state New leaves it in, under cfg, which
+// must keep the worker and server counts: no traffic seen, no placement
+// made, no aggregation slot live, the update cost and striping threshold at
+// their defaults. Interned tensor ids stay valid, and the slot and request
+// free lists keep what they hold; a slot still live is dropped, so the
+// engine and fabric must have been reset too.
+func (c *Cluster) Reset(cfg Config) {
+	if cfg.Workers != c.cfg.Workers || cfg.Servers != c.cfg.Servers {
+		panic(fmt.Sprintf("ps: reset to %d/%d workers/servers, built for %d/%d", cfg.Workers, cfg.Servers, c.cfg.Workers, c.cfg.Servers))
+	}
+	c.cfg = cfg
+	c.updateSecPerByte, c.shardBytes = updateSecPerByte, shardBytes
+	c.assigner = NewAssigner(cfg.Strategy, cfg.Servers)
+	for i := range c.tensors {
+		pl := &c.tensors[i]
+		pl.whole = 0
+		clear(pl.byPart)
+		clear(pl.aggs)
+	}
+	c.live = 0
+	clear(c.recvBytes)
 }
 
 // Config returns the cluster configuration.

@@ -153,7 +153,10 @@ func TestPartitionGranularityPulls(t *testing.T) {
 	// Had the pull waited for the whole tensor to be pushed (no partition
 	// granularity), it would finish no earlier than 3 half-transfers:
 	// push(part0)+push(part1)+pull(part0). With overlap it finishes in ~2.
-	tHalf := fab.TransferTime(50 << 20)
+	// One idle-link message: θ plus size over the goodput, which at
+	// 10 Gbps is under RDMA's cap.
+	prof := network.RDMA()
+	tHalf := prof.MsgOverhead + float64(50<<20)/(network.GbpsToBytes(10)*prof.Efficiency)
 	if part0PulledAt > 2.5*tHalf {
 		t.Fatalf("pull of part 0 at %v, want ~%v (overlap with push of part 1)", part0PulledAt, 2*tHalf)
 	}

@@ -43,7 +43,7 @@ func RunCoScheduled(cfgs []Config) ([]Result, error) {
 	fab := network.NewFabric(se, 2*cfgs[0].Machines(), cfgs[0].BandwidthGbps, cfgs[0].Transport)
 	// Jobs on the same hosts contend for the NIC, not the GPUs: each job
 	// keeps its own engine (its own GPUs) on the one fabric.
-	jobs := make([]*instance, len(cfgs))
+	jobs := make([]*world, len(cfgs))
 	for i, cfg := range cfgs {
 		var err error
 		if jobs[i], err = build(se, fab, cfg, engineConfig(cfg)); err != nil {

@@ -9,7 +9,6 @@ import (
 	"bytescheduler/internal/model"
 	"bytescheduler/internal/network"
 	"bytescheduler/internal/plugin"
-	"bytescheduler/internal/sim"
 )
 
 // simPSTrial is the benchmark's sim_ps trial (bench/README.md): fine
@@ -40,13 +39,18 @@ type golden struct {
 	fired                             uint64
 }
 
-func observe(t *testing.T, cfg Config) golden {
+// observe runs cfg's trial on a world from l; an empty list builds a fresh
+// one.
+func observe(t testing.TB, l *worldList, cfg Config) golden {
 	t.Helper()
-	se := sim.New()
-	res, err := runOn(se, cfg)
+	res, fired, err := runOn(l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return goldenOf(res, fired)
+}
+
+func goldenOf(res Result, fired uint64) golden {
 	return golden{
 		samples: math.Float64bits(res.SamplesPerSec),
 		iter:    math.Float64bits(res.IterTime),
@@ -55,7 +59,7 @@ func observe(t *testing.T, cfg Config) golden {
 		gpu:     math.Float64bits(res.GPUUtilization),
 		up:      res.UpStats,
 		down:    res.DownStats,
-		fired:   se.Fired(),
+		fired:   fired,
 	}
 }
 
@@ -90,43 +94,62 @@ func TestSimTrialGolden(t *testing.T) {
 		{"async_ps", async, golden{samples: 0x408341ac01d056cc, iter: 0x3fea96a034fbb574, load: 0x3ff0026e7ccb386f, planned: 0x3ff0026e7ccb386f, gpu: 0x3fc5723891503bf0, up: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x338c, MaxQueueLen: 3262, MaxInflightBytes: 655360}, down: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x3520, SubsFinished: 0x3520, Preemptions: 0x0, MaxQueueLen: 1, MaxInflightBytes: 655360}, fired: 0x10a60}},
 		{"fifo_sharded", fifo, golden{samples: 0x4084dd93a8253893, iter: 0x3fe889bf23940cbd, load: 0x3ff22c5ba5022db3, planned: 0x3fffff34a5b032a2, gpu: 0x3fc7286ad83ae40b, up: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x80, SubsFinished: 0x80, Preemptions: 0x0, MaxQueueLen: 1, MaxInflightBytes: 537042176}, down: core.Stats{TasksEnqueued: 0x80, SubsStarted: 0x80, SubsFinished: 0x80, Preemptions: 0x0, MaxQueueLen: 1, MaxInflightBytes: 441582848}, fired: 0x324}},
 	} {
-		if got := observe(t, tc.cfg); got != tc.want {
+		if got := observe(t, &worldList{}, tc.cfg); got != tc.want {
 			t.Errorf("%s moved:\n got %#v\nwant %#v", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestSimTrialAllocBudget holds the sim_ps trial to 30 000 allocations and
-// 4.5 MB: a closure or a fresh record creeping back onto the per-partition
-// path costs at least one allocation per sub-task, 27 200 a trial, and a
-// core.Task, a handle slab or a partition slice made per pull partition or
-// per worker costs megabytes. The trial measured 18 074 allocations and
-// 3.65 MB (27 537 and 5.7 MB while aggregation slots sat in a map and every
-// tensor's records and handles were made again each iteration; 41 337 and
-// 9.3 MB while pulls were one task per partition); the margin is for the
-// race detector's build and for set-up that legitimately grows.
+// TestSimTrialAllocBudget holds the sim_ps trial on a world nothing has
+// warmed — the first trial of its shape, which builds every record — to
+// 30 000 allocations and 4.5 MB: a closure or a fresh record creeping back
+// onto the per-partition path costs at least one allocation per sub-task,
+// 27 200 a trial, and a core.Task, a handle slab or a partition slice made
+// per pull partition or per worker costs megabytes. The trial measured
+// 18 074 allocations and 3.65 MB (27 537 and 5.7 MB while aggregation slots
+// sat in a map and every tensor's records and handles were made again each
+// iteration; 41 337 and 9.3 MB while pulls were one task per partition);
+// the margin is for the race detector's build and for set-up that
+// legitimately grows.
 func TestSimTrialAllocBudget(t *testing.T) {
 	const budget, byteBudget = 30_000, 4608 << 10
-	allocs, bytes := trialAllocs(t, simPSTrial(1))
+	allocs, bytes := trialAllocs(t, simPSTrial(1), false)
 	if allocs > budget || bytes > byteBudget {
-		t.Fatalf("one sim_ps trial allocated %d times and %d bytes, budget %d and %d", allocs, bytes, budget, byteBudget)
+		t.Fatalf("one sim_ps trial on a fresh world allocated %d times and %d bytes, budget %d and %d", allocs, bytes, budget, byteBudget)
 	}
-	t.Logf("one sim_ps trial: %d allocations, %d bytes (budget %d and %d)", allocs, bytes, budget, byteBudget)
+	t.Logf("one sim_ps trial on a fresh world: %d allocations, %d bytes (budget %d and %d)", allocs, bytes, budget, byteBudget)
+}
+
+// TestSimReusedTrialAllocBudget holds the sim_ps trial on a kept world — what
+// Run costs from the second trial of a shape on — to 1 500 allocations and
+// 64 KB. Reset keeps every record, slab, free list and partition slice, so
+// what the trial still allocates is the engine's per-op closures and
+// per-trial results: it measured 856 allocations and 30 KB (914 and 39 KB
+// under the race detector); the margin is for the race build and other
+// toolchains. A reset that drops a free list or a slab instead of keeping
+// it costs hundreds of kilobytes here.
+func TestSimReusedTrialAllocBudget(t *testing.T) {
+	const budget, byteBudget = 1_500, 64 << 10
+	allocs, bytes := trialAllocs(t, simPSTrial(1), true)
+	if allocs > budget || bytes > byteBudget {
+		t.Fatalf("one sim_ps trial on a reused world allocated %d times and %d bytes, budget %d and %d", allocs, bytes, budget, byteBudget)
+	}
+	t.Logf("one sim_ps trial on a reused world: %d allocations, %d bytes (budget %d and %d)", allocs, bytes, budget, byteBudget)
 }
 
 // TestSimSteadyStateAllocs holds an iteration past the first few to 64 KB
 // and 1 000 allocations: the simulated PS path reuses its per-layer
 // records, handle slabs and aggregation slots across iterations, so what
 // an iteration still allocates is the engine's own per-iteration state.
-// It compares a 12-iteration sim_ps trial with a 4-iteration one; the
-// difference measured 16 KB and about 470 allocations per iteration (1.28
-// MB while each iteration made its records again).
+// It compares a 12-iteration sim_ps trial with a 4-iteration one, both on a
+// reused world; the difference measured 15 KB and about 430 allocations per
+// iteration (1.28 MB while each iteration made its records again).
 func TestSimSteadyStateAllocs(t *testing.T) {
 	const perIterAllocs, perIterBytes = 1000, 64 << 10
 	short, long := simPSTrial(1), simPSTrial(1)
 	short.Iterations, long.Iterations = 4, 12
-	shortAllocs, shortBytes := trialAllocs(t, short)
-	longAllocs, longBytes := trialAllocs(t, long)
+	shortAllocs, shortBytes := trialAllocs(t, short, true)
+	longAllocs, longBytes := trialAllocs(t, long, true)
 	extra := float64(long.Iterations - short.Iterations)
 	allocs := (float64(longAllocs) - float64(shortAllocs)) / extra
 	bytes := (float64(longBytes) - float64(shortBytes)) / extra
@@ -137,16 +160,27 @@ func TestSimSteadyStateAllocs(t *testing.T) {
 }
 
 // trialAllocs returns one trial's allocations and allocated bytes, each the
-// least of two runs, so neither one-time set-up nor a goroutine another
-// test left behind is charged to the trial.
-func trialAllocs(t *testing.T, cfg Config) (allocs, bytes uint64) {
+// least of two runs, so no goroutine another test left behind is charged to
+// the trial. Each run builds a fresh world, or with reused runs on a world
+// of its own list that one untimed trial has warmed.
+func trialAllocs(t *testing.T, cfg Config, reused bool) (allocs, bytes uint64) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var kept worldList
+	if reused {
+		if _, _, err := runOn(&kept, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	allocs, bytes = math.MaxUint64, math.MaxUint64
 	for i := 0; i < 2; i++ {
+		l := &kept
+		if !reused {
+			l = &worldList{}
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Run(cfg); err != nil {
+		if _, _, err := runOn(l, cfg); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -12,6 +12,7 @@ package runner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -264,6 +265,61 @@ func traceComm(comm liveComm, tr *trace.Wall, lane, send string) liveComm {
 	}
 }
 
+// firstFailure is the rank of the worker that saw a failure first in time.
+// One worker's failure fails its peers too — on the ring rank 0 then
+// reports a lost predecessor — so the earliest is the cause and the rest
+// its echo. A worker sees a failure when its transport returns one (watch)
+// or its ring coordinator fails (ringCoord.fatal).
+type firstFailure struct {
+	mu   sync.Mutex
+	rank int // valid once seen
+	seen bool
+}
+
+// saw notes that rank saw a failure now.
+func (f *firstFailure) saw(rank int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.seen {
+		f.rank, f.seen = rank, true
+	}
+}
+
+// watch returns comm, noting each failure it returns as rank's.
+func (f *firstFailure) watch(rank int, comm liveComm) liveComm {
+	return func(key string, iter uint32, in, out []float32, sent func()) error {
+		err := comm(key, iter, in, out, sent)
+		if err != nil {
+			f.saw(rank)
+		}
+		return err
+	}
+}
+
+// runWorkers runs work for ranks 0..n-1 concurrently and returns the error
+// of the worker that saw a failure first, naming it; the lowest-ranked
+// error if none was seen through f.
+func runWorkers(n int, f *firstFailure, work func(r int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = work(r)
+		}()
+	}
+	wg.Wait()
+	r := slices.IndexFunc(errs, func(err error) bool { return err != nil })
+	if f.seen && errs[f.rank] != nil {
+		r = f.rank
+	}
+	if r < 0 {
+		return nil
+	}
+	return fmt.Errorf("runner: live worker %d: %w", r, errs[r])
+}
+
 // RunLive executes the configured live training run and returns its
 // measured per-iteration time. Unlike Run, this is wall-clock measurement
 // over real sockets — results vary run to run and across machines.
@@ -311,25 +367,19 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	}
 
 	starts := make([]time.Time, cfg.Iterations)
-	errs := make([]error, cfg.Workers)
 	stats := make([]core.Stats, cfg.Workers)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.Workers; r++ {
+	var fails firstFailure
+	err = runWorkers(cfg.Workers, &fails, func(r int) (err error) {
 		var ring *ringCoord
 		if peers != nil {
 			ring = newRingCoord(peers[r], r, cfg.Workers, nil)
+			ring.fails = &fails
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats[r], errs[r] = liveWorker(cfg, r, ranks, transports[r], ring, ctrl, starts)
-		}()
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			return LiveResult{}, fmt.Errorf("runner: live worker %d: %w", r, err)
-		}
+		stats[r], err = liveWorker(cfg, r, ranks, fails.watch(r, transports[r]), ring, ctrl, starts)
+		return err
+	})
+	if err != nil {
+		return LiveResult{}, err
 	}
 	res := LiveResult{}
 	for _, s := range stats {

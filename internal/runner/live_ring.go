@@ -32,6 +32,7 @@ type ringCoord struct {
 	tasks map[ringKey]ringEntry
 	err   error         // the first failure
 	dead  chan struct{} // closed with it
+	fails *firstFailure // told of it, when set
 }
 
 type ringKey struct {
@@ -177,6 +178,9 @@ func (c *ringCoord) fatal(err error) error {
 	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = err
+		if c.fails != nil {
+			c.fails.saw(c.rank)
+		}
 		close(c.dead)
 		go c.peer.Close()
 	}

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -274,8 +276,10 @@ func TestLivePipelineOverlap(t *testing.T) {
 
 // TestRingLostPeerFailsEveryWorker: a peer that dies mid-run fails every
 // worker well inside the step timeout instead of leaving rank 0 waiting
-// for readiness that never comes. Rank 2 closes its peer at iteration 2;
-// rank 0 loses its control link, closes in turn, and so does rank 1.
+// for readiness that never comes. Rank 2's transport fails at iteration 2
+// and its peer closes; rank 0 loses its control link, closes in turn, and
+// so does rank 1. The run's error, chosen as RunLive chooses it, is rank
+// 2's — the cause, not rank 0's echo of it.
 func TestRingLostPeerFailsEveryWorker(t *testing.T) {
 	cfg := liveBase(LiveBackendRing)
 	cfg.Iterations = 8
@@ -286,28 +290,29 @@ func TestRingLostPeerFailsEveryWorker(t *testing.T) {
 	defer teardown()
 	starts := make([]time.Time, cfg.Iterations)
 	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for r, peer := range peers {
-		comm := ringComm(peer)
-		if r == 2 {
-			comm = func(key string, iter uint32, in, out []float32, sent func()) error {
-				if iter == 2 {
-					peer.Close()
+	done := make(chan error)
+	go func() {
+		var fails firstFailure
+		done <- runWorkers(len(peers), &fails, func(r int) error {
+			peer := peers[r]
+			comm := ringComm(peer)
+			if r == 2 {
+				comm = func(key string, iter uint32, in, out []float32, sent func()) error {
+					if iter == 2 {
+						go peer.Close()
+						return errors.New("link down")
+					}
+					return ringComm(peer)(key, iter, in, out, sent)
 				}
-				return ringComm(peer)(key, iter, in, out, sent)
 			}
-		}
-		ring := newRingCoord(peer, r, len(peers), nil)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[r] = liveWorker(cfg, r, nil, comm, ring, nil, starts)
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+			ring := newRingCoord(peer, r, len(peers), nil)
+			ring.fails = &fails
+			_, errs[r] = liveWorker(cfg, r, nil, fails.watch(r, comm), ring, nil, starts)
+			return errs[r]
+		})
+	}()
 	select {
-	case <-done:
+	case err = <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("workers still running 10 s after a peer died")
 	}
@@ -315,5 +320,8 @@ func TestRingLostPeerFailsEveryWorker(t *testing.T) {
 		if err == nil {
 			t.Errorf("worker %d finished without error after rank 2 died", r)
 		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "live worker 2:") {
+		t.Errorf("run failed with %v, want rank 2's failure", err)
 	}
 }

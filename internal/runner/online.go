@@ -71,7 +71,7 @@ func RunOnlineTuned(oc OnlineConfig) (OnlineResult, error) {
 	cfg.Warmup = 0
 
 	var (
-		inst *instance
+		w    *world
 		prev float64
 	)
 	engCfg := engineConfig(cfg)
@@ -82,14 +82,14 @@ func RunOnlineTuned(oc OnlineConfig) (OnlineResult, error) {
 		prev = at
 		if s := ctrl.ConfigFor(iter); s != cur {
 			cur = s
-			inst.setParams(s.Partition, s.Credit)
+			w.setParams(s.Partition, s.Credit)
 		}
 	}
 	se := sim.New()
-	if inst, err = build(se, nil, cfg, engCfg); err != nil {
+	if w, err = build(se, nil, cfg, engCfg); err != nil {
 		return OnlineResult{}, err
 	}
-	inst.eng.Start()
+	w.eng.Start()
 	se.Run()
 
 	res := OnlineResult{

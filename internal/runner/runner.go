@@ -8,6 +8,8 @@ package runner
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"bytescheduler/internal/allreduce"
 	"bytescheduler/internal/cluster"
@@ -235,33 +237,106 @@ type Result struct {
 	Cluster *cluster.Report
 }
 
-// instance is a wired simulation ready to start.
-type instance struct {
-	eng       *engine.Engine
-	setParams func(partition, credit int64)
-	collect   func(res *Result) error
+// world is one wired simulation — simulator, substrate, plugin, engine and
+// the plugin's schedulers — sized by its shape: the architecture, the
+// machine count and the model's tensors. Everything else a Config sets is
+// applied by reset, which every trial runs, on a fresh world as on a kept
+// one; a world is built only where none of its shape is idle (see
+// worldList).
+type world struct {
+	arch     Arch
+	machines int
+	// layers is the world's own copy of the model's layers, which the
+	// plugin schedules: its shape, immune to a caller editing its model.
+	layers []model.Layer
+
+	se  *sim.Engine
+	fab *network.Fabric // PS only
+	// shared marks se and fab as the caller's, which co-scheduled jobs
+	// share: reset leaves them alone.
+	shared bool
+
+	cluster *ps.Cluster
+	psPlug  *plugin.PSPlugin
+	ring    *allreduce.Ring
+	arPlug  *plugin.AllReducePlugin
+	eng     *engine.Engine
 }
 
-// build wires a complete simulation onto se from the configuration. engCfg
-// lets callers attach hooks (e.g. OnIteration for online tuning) before
-// wiring. A PS job builds its own fabric unless fab is non-nil, the fabric
-// co-scheduled jobs share.
-func build(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config) (*instance, error) {
-	if cfg.Compression != nil {
-		if err := cfg.Compression.Validate(); err != nil {
-			return nil, err
+// fits reports whether cfg's trial can run on w.
+func (w *world) fits(cfg Config) bool {
+	if w.arch != cfg.Arch || w.machines != cfg.Machines() || len(w.layers) != len(cfg.Model.Layers) {
+		return false
+	}
+	for i, l := range cfg.Model.Layers {
+		if !slices.Equal(w.layers[i].Tensors, l.Tensors) {
+			return false
 		}
-		// The substrates (and the engine's per-layer byte accounting)
-		// see compressed sizes; the codec latency rides the
-		// gradient-ready path alongside local aggregation.
-		compressed, err := cfg.Compression.Apply(cfg.Model)
+	}
+	return true
+}
+
+// newWorld wires a simulation of cfg's shape onto se. A PS job builds its
+// own fabric unless fab is non-nil, the fabric co-scheduled jobs share. The
+// world is not ready to start before reset.
+func newWorld(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config) (*world, error) {
+	w := &world{arch: cfg.Arch, machines: cfg.Machines(), se: se, fab: fab, shared: fab != nil}
+	w.layers = make([]model.Layer, len(cfg.Model.Layers))
+	for i, l := range cfg.Model.Layers {
+		w.layers[i] = l
+		w.layers[i].Tensors = slices.Clone(l.Tensors)
+	}
+	m := *cfg.Model
+	m.Layers = w.layers
+	var hook engine.CommHook
+	switch cfg.Arch {
+	case PS:
+		if fab == nil {
+			w.fab = network.NewFabric(se, 2*w.machines, cfg.BandwidthGbps, cfg.Transport)
+		}
+		cluster, err := ps.New(se, w.fab, psConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
-		cfg.Model = compressed
-		engCfg.Model = cfg.Model
-		engCfg.LocalAggSecPerByte += cfg.Compression.CodecSecPerByte()
+		w.cluster = cluster
+		w.psPlug = plugin.NewPS(cluster, &m, cfg.Policy)
+		hook = w.psPlug
+	case AllReduce:
+		ring, err := allreduce.New(se, w.machines, cfg.BandwidthGbps, cfg.Transport)
+		if err != nil {
+			return nil, err
+		}
+		w.ring = ring
+		w.arPlug = plugin.NewAllReduce(ring, &m, w.machines, cfg.Policy)
+		hook = w.arPlug
+	default:
+		return nil, fmt.Errorf("runner: unknown arch %d", int(cfg.Arch))
 	}
+	eng, err := engine.New(se, engCfg, hook)
+	if err != nil {
+		return nil, err
+	}
+	w.eng = eng
+	return w, nil
+}
+
+// psConfig is the PS deployment cfg describes.
+func psConfig(cfg Config) ps.Config {
+	// Placement granularity: whole tensors for unpartitioned policies,
+	// partition spreading when the policy partitions.
+	assignment := ps.RoundRobinTensor
+	if cfg.Policy.PartitionUnit > 0 {
+		assignment = ps.SpreadPartitions
+	}
+	m := cfg.Machines()
+	return ps.Config{Workers: m, Servers: m, Assignment: assignment, Strategy: cfg.Placement, Async: cfg.Async}
+}
+
+// reset readies w to run cfg's trial: every layer returns to its
+// constructed state under cfg's seed, jitter, link, policy, trace and
+// faults, keeping what it has allocated. engCfg lets callers attach hooks
+// (e.g. OnIteration for online tuning).
+func (w *world) reset(cfg Config, engCfg engine.Config) error {
 	if cfg.Priority != core.PriorityDefault {
 		// Materialize the priority strategy once per run: ranks come from
 		// the (post-compression) DAG profile at the configured link rate,
@@ -269,82 +344,141 @@ func build(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config
 		prof := engine.Profile(cfg.Model)
 		ranks, err := cfg.Priority.Ranks(prof.DAGTimings(cfg.BandwidthGbps*1e9/8), cfg.Seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cfg.Policy.Priority = core.RankPriority(ranks)
 	}
-	machines := cfg.Machines()
-	inst := &instance{}
-	switch cfg.Arch {
+	if !w.shared {
+		w.se.Reset()
+	}
+	switch w.arch {
 	case PS:
-		if fab == nil {
-			fab = network.NewFabric(se, 2*machines, cfg.BandwidthGbps, cfg.Transport)
-			fab.SetTrace(cfg.Trace)
+		if !w.shared {
+			w.fab.Reset(cfg.BandwidthGbps, cfg.Transport)
+			w.fab.SetTrace(cfg.Trace)
 			if cfg.Faults != nil {
-				if err := fab.InjectFaults(*cfg.Faults); err != nil {
-					return nil, err
+				if err := w.fab.InjectFaults(*cfg.Faults); err != nil {
+					return err
 				}
 			}
 		}
-		// Placement granularity: whole tensors for unpartitioned policies,
-		// partition spreading when the policy partitions.
-		assignment := ps.RoundRobinTensor
-		if cfg.Policy.PartitionUnit > 0 {
-			assignment = ps.SpreadPartitions
-		}
-		cluster, err := ps.New(se, fab, ps.Config{
-			Workers:    machines,
-			Servers:    machines,
-			Assignment: assignment,
-			Strategy:   cfg.Placement,
-			Async:      cfg.Async,
-		})
-		if err != nil {
-			return nil, err
-		}
-		plug := plugin.NewPS(cluster, cfg.Model, cfg.Policy)
-		eng, err := engine.New(se, engCfg, plug)
-		if err != nil {
-			return nil, err
-		}
-		inst.eng = eng
-		inst.setParams = plug.SetParams
-		inst.collect = func(res *Result) error {
-			res.LoadImbalance = cluster.LoadImbalance()
-			res.PlannedImbalance = ps.Imbalance(cluster.PlannedLoad())
-			res.Faults = fab.FaultStats()
-			for w := 0; w < machines; w++ {
-				res.UpStats = addStats(res.UpStats, plug.UpScheduler(w).Stats())
-				res.DownStats = addStats(res.DownStats, plug.DownScheduler(w).Stats())
-			}
-			return nil
-		}
+		w.cluster.Reset(psConfig(cfg))
+		w.psPlug.Reset(cfg.Policy)
 	case AllReduce:
-		ring, err := allreduce.New(se, machines, cfg.BandwidthGbps, cfg.Transport)
-		if err != nil {
-			return nil, err
+		if err := w.ring.Reset(cfg.BandwidthGbps, cfg.Transport); err != nil {
+			return err
 		}
-		ring.SetIntraNode(DefaultGPUsPerMachine, ncclIntraBytesPerSec)
-		ring.SetAlgorithm(cfg.Collective)
-		ring.SetTrace(cfg.Trace)
-		plug := plugin.NewAllReduce(ring, cfg.Model, machines, cfg.Policy)
-		eng, err := engine.New(se, engCfg, plug)
-		if err != nil {
-			return nil, err
-		}
-		inst.eng = eng
-		inst.setParams = plug.SetParams
-		inst.collect = func(res *Result) error {
-			if plug.Outstanding() != 0 {
-				return fmt.Errorf("runner: %d collectives never completed", plug.Outstanding())
-			}
-			res.UpStats = plug.Scheduler().Stats()
-			return nil
-		}
-	default:
-		return nil, fmt.Errorf("runner: unknown arch %d", int(cfg.Arch))
+		w.ring.SetIntraNode(DefaultGPUsPerMachine, ncclIntraBytesPerSec)
+		w.ring.SetAlgorithm(cfg.Collective)
+		w.ring.SetTrace(cfg.Trace)
+		w.arPlug.Reset(cfg.Policy)
 	}
-	return inst, nil
+	return w.eng.Reset(engCfg)
+}
+
+// setParams adjusts partition and credit sizes live, for runtime tuning.
+func (w *world) setParams(partition, credit int64) {
+	if w.psPlug != nil {
+		w.psPlug.SetParams(partition, credit)
+	} else {
+		w.arPlug.SetParams(partition, credit)
+	}
+}
+
+// collect fills the substrate's share of a drained run's result.
+func (w *world) collect(res *Result) error {
+	if w.arch == AllReduce {
+		if n := w.arPlug.Outstanding(); n != 0 {
+			return fmt.Errorf("runner: %d collectives never completed", n)
+		}
+		res.UpStats = w.arPlug.Scheduler().Stats()
+		return nil
+	}
+	res.LoadImbalance = w.cluster.LoadImbalance()
+	res.PlannedImbalance = ps.Imbalance(w.cluster.PlannedLoad())
+	res.Faults = w.fab.FaultStats()
+	for i := 0; i < w.machines; i++ {
+		res.UpStats = addStats(res.UpStats, w.psPlug.UpScheduler(i).Stats())
+		res.DownStats = addStats(res.DownStats, w.psPlug.DownScheduler(i).Stats())
+	}
+	return nil
+}
+
+// applyCompression applies cfg's gradient compression, if any: the
+// substrates (and the engine's per-layer byte accounting) see compressed
+// sizes, and the codec latency rides the gradient-ready path alongside
+// local aggregation.
+func applyCompression(cfg Config, engCfg engine.Config) (Config, engine.Config, error) {
+	if cfg.Compression == nil {
+		return cfg, engCfg, nil
+	}
+	if err := cfg.Compression.Validate(); err != nil {
+		return cfg, engCfg, err
+	}
+	compressed, err := cfg.Compression.Apply(cfg.Model)
+	if err != nil {
+		return cfg, engCfg, err
+	}
+	cfg.Model = compressed
+	engCfg.Model = cfg.Model
+	engCfg.LocalAggSecPerByte += cfg.Compression.CodecSecPerByte()
+	return cfg, engCfg, nil
+}
+
+// build wires and resets a world of its own for a caller that keeps none:
+// online tuning and co-scheduled jobs.
+func build(se *sim.Engine, fab *network.Fabric, cfg Config, engCfg engine.Config) (*world, error) {
+	cfg, engCfg, err := applyCompression(cfg, engCfg)
+	if err != nil {
+		return nil, err
+	}
+	w, err := newWorld(se, fab, cfg, engCfg)
+	if err != nil {
+		return nil, err
+	}
+	return w, w.reset(cfg, engCfg)
+}
+
+// maxIdleWorlds bounds the worlds Run keeps between trials: enough for a
+// sweep's workers to each find theirs, few enough that a process holds at
+// most this many trials' worth of records while idle.
+const maxIdleWorlds = 8
+
+// worldList is the idle worlds between trials, most recently used last. A
+// trial takes its world out, so no two trials share one, and puts it back
+// only once it succeeded; past maxIdleWorlds the least recently used is
+// dropped.
+type worldList struct {
+	mu   sync.Mutex
+	idle []*world
+}
+
+// worlds is the list Run draws from: package state, so every caller of Run
+// — the tuner's objective, each sweep cell, the benchmark — reuses worlds
+// with no API change. A world in it has no trial as owner.
+var worlds worldList
+
+// take removes and returns the most recently used idle world cfg fits, or nil.
+func (l *worldList) take(cfg Config) *world {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.idle) - 1; i >= 0; i-- {
+		if w := l.idle[i]; w.fits(cfg) {
+			l.idle = slices.Delete(l.idle, i, i+1)
+			return w
+		}
+	}
+	return nil
+}
+
+// put keeps w for a later trial.
+func (l *worldList) put(w *world) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.idle) == maxIdleWorlds {
+		l.idle = slices.Delete(l.idle, 0, 1)
+	}
+	l.idle = append(l.idle, w)
 }
 
 // engineConfig derives the engine configuration from cfg.
@@ -369,37 +503,57 @@ func engineConfig(cfg Config) engine.Config {
 }
 
 // Run executes the configured training and returns its measured speed.
-func Run(cfg Config) (Result, error) { return runOn(sim.New(), cfg) }
+func Run(cfg Config) (Result, error) {
+	res, _, err := runOn(&worlds, cfg)
+	return res, err
+}
 
-// runOn is Run on a caller-owned simulator, so a test can read the event
-// count of the trial it just ran.
-func runOn(se *sim.Engine, cfg Config) (Result, error) {
+// runOn is Run drawing its world from l, which also returns the number of
+// events the trial fired; a test passes an empty list for a fresh build.
+// The world goes back to l after a trial that succeeded and recorded no
+// trace (a kept world would hold the caller's recorder); a failed trial's
+// world is dropped.
+func runOn(l *worldList, cfg Config) (Result, uint64, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
 	if cfg.Metrics != nil && cfg.Trace == nil {
 		cfg.Trace = trace.New()
 	}
 	if cfg.Cluster != nil {
-		return runCluster(cfg)
+		res, err := runCluster(cfg)
+		return res, 0, err
 	}
-	inst, err := build(se, nil, cfg, engineConfig(cfg))
+	cfg, engCfg, err := applyCompression(cfg, engineConfig(cfg))
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
-	inst.eng.Start()
-	se.Run()
-	if leaked := inst.eng.OutstandingGates(); leaked != 0 {
-		return Result{}, fmt.Errorf("runner: %d communication gates never opened", leaked)
+	w := l.take(cfg)
+	if w == nil {
+		if w, err = newWorld(sim.New(), nil, cfg, engCfg); err != nil {
+			return Result{}, 0, err
+		}
 	}
-	res := summarize(cfg, inst.eng.Result())
-	res.GPUUtilization = inst.eng.GPUUtilization(0)
-	if err := inst.collect(&res); err != nil {
-		return Result{}, err
+	if err := w.reset(cfg, engCfg); err != nil {
+		return Result{}, 0, err
+	}
+	w.eng.Start()
+	w.se.Run()
+	if leaked := w.eng.OutstandingGates(); leaked != 0 {
+		return Result{}, 0, fmt.Errorf("runner: %d communication gates never opened", leaked)
+	}
+	res := summarize(cfg, w.eng.Result())
+	res.GPUUtilization = w.eng.GPUUtilization(0)
+	if err := w.collect(&res); err != nil {
+		return Result{}, 0, err
 	}
 	publishMetrics(cfg.Metrics, cfg, res, cfg.Trace)
-	return res, nil
+	fired := w.se.Fired()
+	if cfg.Trace == nil {
+		l.put(w)
+	}
+	return res, fired, nil
 }
 
 func summarize(cfg Config, er engine.Result) Result {

@@ -29,6 +29,14 @@ func NewServer(eng *Engine, name string) *Server {
 	return &Server{eng: eng, name: name}
 }
 
+// Reset returns the server to its state after NewServer — idle, nothing
+// queued, no busy time — keeping its queue's capacity. A job in service or
+// queued is dropped; the engine it was attached to must have been reset too.
+func (s *Server) Reset() {
+	clear(s.queue)
+	*s = Server{eng: s.eng, name: s.name, queue: s.queue[:0]}
+}
+
 // Name returns the diagnostic name given at construction.
 func (s *Server) Name() string { return s.name }
 

@@ -105,6 +105,17 @@ type Engine struct {
 // New returns a new Engine with the clock at zero.
 func New() *Engine { return &Engine{} }
 
+// Reset returns the engine to its state after New — clock, sequence
+// counter and event count at zero, no event pending — keeping the event
+// heap's capacity for the next run. Any pending event is dropped.
+func (e *Engine) Reset() {
+	if e.running {
+		panic("sim: Reset called while running")
+	}
+	clear(e.queue)
+	*e = Engine{queue: e.queue[:0]}
+}
+
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 

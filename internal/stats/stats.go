@@ -124,6 +124,10 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Seed restarts the generator: it then draws exactly what NewRNG(seed)
+// would, without allocating a new source.
+func (g *RNG) Seed(seed int64) { g.r.Seed(seed) }
+
 // Float64 returns a uniform value in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
