@@ -36,6 +36,7 @@ import (
 	"bytescheduler/internal/plugin"
 	"bytescheduler/internal/ps"
 	"bytescheduler/internal/runner"
+	"bytescheduler/internal/stats"
 	"bytescheduler/internal/trace"
 	"bytescheduler/internal/tune"
 )
@@ -477,8 +478,8 @@ func runLive(o options) error {
 	if len(cfg.Shape) > 0 {
 		fmt.Printf("  link:      %g Gbps shaped\n", cfg.Shape[0].Gbps)
 	}
-	fmt.Printf("  iter:      %10.2f ms  (%s)\n", res.IterTime*1e3, policy)
-	fmt.Printf("  baseline:  %10.2f ms  (fifo)\n", base.IterTime*1e3)
+	fmt.Printf("  iter:      %10.2f ms  (%s; exposed comm p50 %.2f ms)\n", res.IterTime*1e3, policy, stats.Percentile(res.ExposedComm, 50)*1e3)
+	fmt.Printf("  baseline:  %10.2f ms  (fifo; exposed comm p50 %.2f ms)\n", base.IterTime*1e3, stats.Percentile(base.ExposedComm, 50)*1e3)
 	fmt.Printf("  speedup:   %+9.1f%% over unscheduled\n", (base.IterTime-res.IterTime)/res.IterTime*100)
 	fmt.Printf("  scheduler: %d partitions sent, %d preemptions\n",
 		res.Stats.SubsStarted, res.Stats.Preemptions)

@@ -160,19 +160,22 @@ func (r Result) AvgIterTime(warmup int) float64 {
 	return (r.FPStarts[last] - r.FPStarts[warmup]) / float64(last-warmup)
 }
 
-// gate is a one-shot condition with waiters: a Dependency Proxy's
-// completion side.
+// gate is a one-shot condition with one waiter, the forward op it holds
+// back: a Dependency Proxy's completion side.
 type gate struct {
-	open    bool
-	waiters []func()
+	open   bool
+	waiter func()
 }
 
 func (g *gate) wait(fn func()) {
-	if g.open {
+	switch {
+	case g.open:
 		fn()
-		return
+	case g.waiter != nil:
+		panic("engine: gate waited on twice")
+	default:
+		g.waiter = fn
 	}
-	g.waiters = append(g.waiters, fn)
 }
 
 func (g *gate) fire() {
@@ -180,9 +183,8 @@ func (g *gate) fire() {
 		panic("engine: gate fired twice")
 	}
 	g.open = true
-	ws := g.waiters
-	g.waiters = nil
-	for _, fn := range ws {
+	if fn := g.waiter; fn != nil {
+		g.waiter = nil
 		fn()
 	}
 }
@@ -191,6 +193,7 @@ func (g *gate) fire() {
 type workerState struct {
 	id  int
 	gpu *sim.Server
+	ops []op // forward ops, then backward ops, by layer
 	// commGates[t*layers+i] opens when layer i's communication of
 	// iteration t has completed on this worker.
 	commGates []gate
@@ -237,10 +240,9 @@ func New(se *sim.Engine, cfg Config, hook CommHook) (*Engine, error) {
 		layerBytes: make([]int64, cfg.Model.NumLayers()),
 	}
 	for w := 0; w < cfg.Workers; w++ {
-		e.workers = append(e.workers, &workerState{
-			id:  w,
-			gpu: sim.NewServer(se, fmt.Sprintf("w%02d/gpu", w)),
-		})
+		ws := &workerState{id: w, gpu: sim.NewServer(se, fmt.Sprintf("w%02d/gpu", w))}
+		ws.ops = newOps(e, ws, len(e.layerBytes))
+		e.workers = append(e.workers, ws)
 	}
 	return e, e.Reset(cfg)
 }
@@ -341,41 +343,18 @@ func (e *Engine) jittered(dur float64) float64 {
 	return dur * e.rng.Jitter(e.cfg.Jitter)
 }
 
-// runCompute submits one compute op to the worker's GPU and invokes then on
-// completion.
-func (e *Engine) runCompute(ws *workerState, name string, dur float64, onStart, then func()) {
-	d := e.jittered(dur)
-	var startAt float64
-	ws.gpu.Submit(d,
-		func() {
-			startAt = e.simNow()
-			if onStart != nil {
-				onStart()
-			}
-		},
-		func() {
-			e.cfg.Trace.Add(ws.gpu.Name(), name, startAt, e.simNow())
-			then()
-		})
-}
-
 func (e *Engine) simNow() float64 { return e.sim.Now() }
 
-// gradientProduced handles the end of a backward op: after the local
-// aggregation latency, the plugin hook is told the gradient is ready; its
-// done callback opens the layer's communication gate.
-func (e *Engine) gradientProduced(ws *workerState, layer, iter int) {
-	delay := e.cfg.LocalAggSecPerByte * float64(e.layerBytes[layer])
-	fire := func() {
-		e.hook.GradientReady(ws.id, layer, iter, func() {
-			e.commDone(ws, layer, iter)
-		})
-	}
+// gradientProduced handles the end of backward op o: after the local
+// aggregation latency, the plugin hook is told the gradient is ready
+// (o.Fire); its done callback opens the layer's communication gate.
+func (e *Engine) gradientProduced(o *op) {
+	delay := e.cfg.LocalAggSecPerByte * float64(e.layerBytes[o.layer])
 	if delay <= 0 {
-		fire()
+		o.Fire(0)
 		return
 	}
-	e.sim.Schedule(delay, fire)
+	e.sim.After(delay, o, 0)
 }
 
 // commDone opens gates when a layer's communication completes.

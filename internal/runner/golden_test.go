@@ -121,15 +121,17 @@ func TestSimTrialAllocBudget(t *testing.T) {
 }
 
 // TestSimReusedTrialAllocBudget holds the sim_ps trial on a kept world — what
-// Run costs from the second trial of a shape on — to 1 500 allocations and
-// 64 KB. Reset keeps every record, slab, free list and partition slice, so
-// what the trial still allocates is the engine's per-op closures and
-// per-trial results: it measured 856 allocations and 30 KB (914 and 39 KB
-// under the race detector); the margin is for the race build and other
-// toolchains. A reset that drops a free list or a slab instead of keeping
-// it costs hundreds of kilobytes here.
+// Run costs from the second trial of a shape on — to 64 allocations and
+// 8 KB. Reset keeps every record, slab, free list and partition slice, and
+// the engine's compute ops are per-(worker, pass, layer) records, so what
+// the trial still allocates is its results: it measured 8 allocations and
+// 592 bytes, with the race detector too (856 and 30 KB while every compute
+// op formatted its trace name and made its closures); the margin is for
+// other toolchains and a result field or two. A closure per compute op
+// costs hundreds of allocations here, and a reset that drops a free list or
+// a slab instead of keeping it hundreds of kilobytes.
 func TestSimReusedTrialAllocBudget(t *testing.T) {
-	const budget, byteBudget = 1_500, 64 << 10
+	const budget, byteBudget = 64, 8 << 10
 	allocs, bytes := trialAllocs(t, simPSTrial(1), true)
 	if allocs > budget || bytes > byteBudget {
 		t.Fatalf("one sim_ps trial on a reused world allocated %d times and %d bytes, budget %d and %d", allocs, bytes, budget, byteBudget)
@@ -137,15 +139,18 @@ func TestSimReusedTrialAllocBudget(t *testing.T) {
 	t.Logf("one sim_ps trial on a reused world: %d allocations, %d bytes (budget %d and %d)", allocs, bytes, budget, byteBudget)
 }
 
-// TestSimSteadyStateAllocs holds an iteration past the first few to 64 KB
-// and 1 000 allocations: the simulated PS path reuses its per-layer
-// records, handle slabs and aggregation slots across iterations, so what
-// an iteration still allocates is the engine's own per-iteration state.
-// It compares a 12-iteration sim_ps trial with a 4-iteration one, both on a
-// reused world; the difference measured 15 KB and about 430 allocations per
-// iteration (1.28 MB while each iteration made its records again).
+// TestSimSteadyStateAllocs holds an iteration past the first few to 1 KB
+// and 8 allocations: the simulated PS path reuses its per-layer records,
+// handle slabs and aggregation slots across iterations, and the engine its
+// compute-op records, so an iteration allocates nothing. It compares a
+// 12-iteration sim_ps trial with a 4-iteration one, both on a reused world;
+// the difference measured 0 allocations and 8 bytes per iteration, with the
+// race detector too (about 430 and 15 KB while each compute op made its
+// closures and trace name, 1.28 MB while each iteration made its records
+// again). The margin absorbs a stray runtime allocation spread over eight
+// iterations; one allocation per compute op costs dozens.
 func TestSimSteadyStateAllocs(t *testing.T) {
-	const perIterAllocs, perIterBytes = 1000, 64 << 10
+	const perIterAllocs, perIterBytes = 8, 1 << 10
 	short, long := simPSTrial(1), simPSTrial(1)
 	short.Iterations, long.Iterations = 4, 12
 	shortAllocs, shortBytes := trialAllocs(t, short, true)

@@ -81,10 +81,11 @@ type LiveConfig struct {
 	// Iterations and Warmup control measurement; Iterations must exceed
 	// Warmup+1 so at least one steady-state period is measured.
 	Iterations, Warmup int
-	// ForwardCompute / BackwardCompute are the per-layer compute times
-	// (real sleeps). Forward layer l of iteration i+1 additionally blocks
-	// until layer l's gradient synchronization from iteration i finished —
-	// the dependency structure that makes front-layer priority pay.
+	// ForwardCompute / BackwardCompute are the per-layer compute times on
+	// each worker's device clock (deviceClock), which absorbs a sleep's
+	// overshoot instead of adding it. Forward layer l of iteration i+1
+	// starts no earlier than layer l's gradient synchronization from
+	// iteration i finished — the structure that makes front-layer priority pay.
 	ForwardCompute, BackwardCompute time.Duration
 	// Metrics, if non-nil, instruments worker 0's scheduler and every
 	// transport endpoint against the registry (core_*, netps_*/netar_*).
@@ -217,6 +218,10 @@ type LiveResult struct {
 	IterTime float64
 	// IterTimes are the individual post-warmup iteration periods.
 	IterTimes []float64
+	// ExposedComm is, per IterTimes entry, the seconds worker 0's device
+	// idled in that iteration's forward pass waiting for synchronization:
+	// the communication the scheduler failed to hide.
+	ExposedComm []float64
 	// Stats aggregates the scheduler counters across workers: on the ring
 	// rank 0's and every follower's, which counts each partition it starts.
 	Stats core.Stats
@@ -366,7 +371,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		}
 	}
 
-	starts := make([]time.Time, cfg.Iterations)
+	starts, exposed := make([]time.Time, cfg.Iterations), make([]float64, cfg.Iterations)
 	stats := make([]core.Stats, cfg.Workers)
 	var fails firstFailure
 	err = runWorkers(cfg.Workers, &fails, func(r int) (err error) {
@@ -375,13 +380,13 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 			ring = newRingCoord(peers[r], r, cfg.Workers, nil)
 			ring.fails = &fails
 		}
-		stats[r], err = liveWorker(cfg, r, ranks, fails.watch(r, transports[r]), ring, ctrl, starts)
+		stats[r], err = liveWorker(cfg, r, ranks, fails.watch(r, transports[r]), ring, ctrl, starts, exposed)
 		return err
 	})
 	if err != nil {
 		return LiveResult{}, err
 	}
-	res := LiveResult{}
+	res := LiveResult{ExposedComm: exposed[cfg.Warmup : cfg.Iterations-1]}
 	for _, s := range stats {
 		res.Stats = addStats(res.Stats, s)
 	}
@@ -614,6 +619,36 @@ func layerSlab(layerBytes []int64, theta int64) (grads, outs [][]float32) {
 	return grads, outs
 }
 
+// deviceClock is an emulated device's nominal timeline: free is the instant
+// it finishes the last op booked on it. An op starts at free, or at its
+// input's release if later, and ends exactly its duration after, whatever a
+// sleep overshot; a device never starts an op before its input is released
+// or finishes one before its nominal end. now and sleep are the wall clock.
+type deviceClock struct {
+	free  time.Time
+	now   func() time.Time
+	sleep func(time.Duration)
+}
+
+// book books an op of d whose input is released at ready and returns its
+// nominal end and how long the device idled waiting for ready.
+func (c *deviceClock) book(ready time.Time, d time.Duration) (end time.Time, idle time.Duration) {
+	start := c.free
+	if ready.After(start) {
+		idle, start = ready.Sub(start), ready
+	}
+	c.free = start.Add(d)
+	return c.free, idle
+}
+
+// run books an op and sleeps to its end (a sleep of d <= 0 returns at
+// once), returning the idle time.
+func (c *deviceClock) run(ready time.Time, d time.Duration) time.Duration {
+	end, idle := c.book(ready, d)
+	c.sleep(end.Sub(c.now()))
+	return idle
+}
+
 // liveWorker runs one worker's training loop: forward gated on the
 // previous iteration's per-layer synchronization, backward emitting
 // gradient CommTasks back-to-front into core.Fuser (buckets sub-θ tensors;
@@ -625,7 +660,7 @@ func layerSlab(layerBytes []int64, theta int64) (grads, outs [][]float32) {
 // keys its transport by the partition count, and the ring's rank 0, whose
 // admissions carry the cut: the swap lands at the pass boundary, and
 // in-flight tasks from the previous pass finish under the old config.
-func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ringCoord, ctrl *autotune.Controller, starts []time.Time) (core.Stats, error) {
+func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ringCoord, ctrl *autotune.Controller, starts []time.Time, exposed []float64) (core.Stats, error) {
 	layers := len(cfg.LayerBytes)
 	pol := cfg.Policy
 	if ranks != nil {
@@ -655,6 +690,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ri
 	grads, outs := layerSlab(cfg.LayerBytes, cfg.FuseTheta)
 	keys := &partKeys{m: map[string][]string{}}
 	gates := make([]chan error, layers)
+	released := make([]time.Time, layers) // written before the gate's send
 	names := make([]string, layers)
 	for l := range grads {
 		for i := range grads[l] {
@@ -677,6 +713,7 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ri
 		}
 	}
 
+	clock := &deviceClock{free: time.Now(), now: time.Now, sleep: time.Sleep}
 	for it := 0; it < cfg.Iterations; it++ {
 		if rank == 0 {
 			starts[it] = time.Now()
@@ -686,15 +723,17 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ri
 		}
 		// Forward: layer l needs layer l's synchronized gradient from the
 		// previous iteration before it can compute.
+		var idle time.Duration
 		for l := 0; l < layers; l++ {
 			if it > 0 {
 				if err := wait(l); err != nil {
 					return sched.Stats(), fmt.Errorf("iteration %d layer %d: %w", it-1, l, err)
 				}
 			}
-			if cfg.ForwardCompute > 0 {
-				time.Sleep(cfg.ForwardCompute)
-			}
+			idle += clock.run(released[l], cfg.ForwardCompute)
+		}
+		if rank == 0 {
+			exposed[it] = idle.Seconds()
 		}
 		// The last forward pass has consumed every earlier synchronization:
 		// cleared now, an output the last pass does not write fails the
@@ -717,17 +756,16 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ri
 		// pipeline as they do; when each is sent is the scheduler's
 		// business, not this loop's.
 		for l := layers - 1; l >= 0; l-- {
-			if cfg.BackwardCompute > 0 {
-				time.Sleep(cfg.BackwardCompute)
-			}
+			clock.run(time.Time{}, cfg.BackwardCompute)
 			t := &core.Task{
 				Tensor:  tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
 				Starter: &liveTask{name: names[l], iter: uint32(it), in: grads[l], out: outs[l], comm: comm, keys: keys, ring: ring},
 			}
 			// OnFinished runs under the scheduler's lock; the send cannot
 			// block, because layer l's next task is emitted only after the
-			// forward pass took this value.
-			t.OnFinished = func() { gates[l] <- t.Err() }
+			// forward pass took this value. Its release instant travels
+			// with the send.
+			t.OnFinished = func() { released[l] = time.Now(); gates[l] <- t.Err() }
 			if err := fuser.Add(t); err != nil {
 				return sched.Stats(), err
 			}

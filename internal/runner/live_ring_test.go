@@ -46,7 +46,7 @@ func runRecordedRing(t *testing.T, cfg LiveConfig, slow int) []ringEvent {
 	defer teardown()
 	var mu sync.Mutex
 	var log []ringEvent
-	starts := make([]time.Time, cfg.Iterations)
+	starts, exposed := make([]time.Time, cfg.Iterations), make([]float64, cfg.Iterations)
 	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
 	for r, peer := range peers {
@@ -62,7 +62,7 @@ func runRecordedRing(t *testing.T, cfg LiveConfig, slow int) []ringEvent {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[r] = liveWorker(c, r, ranks, ringComm(peer), ring, nil, starts)
+			_, errs[r] = liveWorker(c, r, ranks, ringComm(peer), ring, nil, starts, exposed)
 		}()
 	}
 	wg.Wait()
@@ -288,7 +288,7 @@ func TestRingLostPeerFailsEveryWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer teardown()
-	starts := make([]time.Time, cfg.Iterations)
+	starts, exposed := make([]time.Time, cfg.Iterations), make([]float64, cfg.Iterations)
 	errs := make([]error, len(peers))
 	done := make(chan error)
 	go func() {
@@ -307,7 +307,7 @@ func TestRingLostPeerFailsEveryWorker(t *testing.T) {
 			}
 			ring := newRingCoord(peer, r, len(peers), nil)
 			ring.fails = &fails
-			_, errs[r] = liveWorker(cfg, r, nil, fails.watch(r, comm), ring, nil, starts)
+			_, errs[r] = liveWorker(cfg, r, nil, fails.watch(r, comm), ring, nil, starts, exposed)
 			return errs[r]
 		})
 	}()

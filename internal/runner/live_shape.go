@@ -4,14 +4,17 @@
 // (partition, credit) optimum, so each worker's transport is wrapped in a
 // serial shaped link — per-message overhead plus a byte rate, with the
 // PR1 fault fabric's drop/spike model (network.FaultConfig) layered on
-// top. The injected service time is serialized per worker (one wire), but
-// the real socket operation runs outside the lock, so transport
+// top. The injected service time is serialized per worker (one wire) on
+// a link clock (deviceClock): each message books its time from when the
+// link is free, so a sleep's overshoot does not delay the next message,
+// and the real socket operation runs outside the lock, so transport
 // pipelining is preserved.
 
 package runner
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"bytescheduler/internal/metrics"
@@ -72,20 +75,19 @@ type linkShaper struct {
 	rng    *stats.RNG
 	msgs   *metrics.Counter
 	delay  *metrics.Histogram
-	link   chan struct{} // unary semaphore: the serialized wire
+	mu     sync.Mutex   // guards rng and link's booking
+	link   *deviceClock // the serialized wire
 }
 
 // newLinkShaper builds a per-worker shaper; reg may be nil.
 func newLinkShaper(phases []LinkShape, seed int64, reg *metrics.Registry) *linkShaper {
-	s := &linkShaper{
+	return &linkShaper{
 		phases: phases,
 		rng:    stats.NewRNG(seed),
 		msgs:   reg.Counter("live_shaped_msgs_total"),
 		delay:  reg.Histogram("live_shape_delay_seconds"),
-		link:   make(chan struct{}, 1),
+		link:   &deviceClock{now: time.Now, sleep: time.Sleep},
 	}
-	s.link <- struct{}{}
-	return s
 }
 
 // phase returns the phase active at the iteration, or nil before the
@@ -108,24 +110,24 @@ func (s *linkShaper) wrap(comm liveComm) liveComm {
 	}
 }
 
-// hold occupies the serialized link for the message's injected service
-// time, then releases it before the real socket op.
+// hold books the message's injected service time on the serialized link,
+// from when the link is free or from now if later, then sleeps to its
+// nominal end, before the real socket op.
 func (s *linkShaper) hold(iter int, bytes int64) {
 	ph := s.phase(iter)
 	if ph == nil {
 		return
 	}
-	<-s.link
+	s.mu.Lock()
 	d := ph.PerMessage
 	if ph.Gbps > 0 {
 		d += time.Duration(float64(bytes) * 8 / ph.Gbps)
 	}
 	sec, _, _ := ph.Faults.Penalty(s.rng)
 	d += time.Duration(sec * float64(time.Second))
-	if d > 0 {
-		time.Sleep(d)
-	}
-	s.link <- struct{}{}
+	end, _ := s.link.book(s.link.now(), d)
+	s.mu.Unlock()
+	s.link.sleep(end.Sub(s.link.now())) // returns at once if end has passed
 	s.msgs.Inc()
 	s.delay.Observe(d.Seconds())
 }

@@ -158,7 +158,7 @@ func TestLiveWorkerPullFailureAfterAck(t *testing.T) {
 		}
 		return nil
 	}
-	stats, err := liveWorker(cfg, 0, nil, comm, nil, nil, make([]time.Time, cfg.Iterations))
+	stats, err := liveWorker(cfg, 0, nil, comm, nil, nil, make([]time.Time, cfg.Iterations), make([]float64, cfg.Iterations))
 	if !errors.Is(err, lost) {
 		t.Fatalf("err = %v, want the lost pull", err)
 	}
