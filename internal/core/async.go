@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bytescheduler/internal/metrics"
-	"bytescheduler/internal/tensor"
 	"bytescheduler/internal/trace"
 )
 
@@ -43,17 +42,25 @@ func NewAsync(policy Policy) *AsyncScheduler {
 	a.idle = sync.NewCond(&a.mu)
 	// Substrate calls run outside the lock on their own goroutines; Sent
 	// and Done re-enter scheduler state under the lock and wake Shutdown.
-	a.s.spawn = func(h *Handle) {
-		a.active++ // mu is held by the caller (Enqueue, NotifyReady, Sent or Done)
-		go a.run(h)
-	}
-	a.s.guard = a.idle
+	a.s.async = a
 	return a
 }
 
-// run is one substrate goroutine: the partition's launch, then the
-// bookkeeping Shutdown waits on.
-func (a *AsyncScheduler) run(h *Handle) {
+// spawn starts h's launch on a goroutine of its own. mu is held by the
+// caller (Enqueue, NotifyReady, Admit, Sent or Done).
+func (a *AsyncScheduler) spawn(h *Handle) {
+	a.active++
+	if h.run == nil {
+		h.run = h.runAsync
+	}
+	go h.run()
+}
+
+// runAsync is one substrate goroutine: the partition's launch, then the
+// bookkeeping Shutdown waits on. The scheduler is read before the launch:
+// once its Done has run, the handle may be reused.
+func (h *Handle) runAsync() {
+	a := h.s.async
 	h.launch()
 	a.mu.Lock()
 	a.active--
@@ -118,7 +125,7 @@ func (a *AsyncScheduler) Admit(t *Task, unit int64, i int) error {
 		return ErrShutdown
 	}
 	if !t.unresolved() {
-		a.s.EnqueueSubs(t, tensor.AppendPartition(t.one[:0], t.Tensor, unit))
+		a.s.EnqueueSubs(t, t.cut(unit))
 	}
 	if i < 0 || i >= len(t.subs) || len(t.handles) > i && t.handles[i].s != nil {
 		return fmt.Errorf("core: partition %d of %s admitted twice or outside its %d", i, t.Tensor, len(t.subs))

@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bytescheduler/internal/tensor"
@@ -158,7 +157,9 @@ type Task struct {
 
 	subs      []tensor.Sub
 	one       [1]tensor.Sub // backs subs for a task that is not split
-	handles   []Handle      // by partition; set up when the first one is ready
+	cutSubs   []tensor.Sub  // the last cut Enqueue or Admit made, at cutUnit
+	cutUnit   int64
+	handles   []Handle // by partition; set up when the first one is ready
 	remaining int
 	enqueued  bool
 	err       error // first permanent partition failure
@@ -170,6 +171,17 @@ func (t *Task) Subs() []tensor.Sub { return t.subs }
 // unresolved reports an enqueued task with a partition still to resolve: one
 // no scheduler may enqueue again.
 func (t *Task) unresolved() bool { return t.enqueued && t.remaining > 0 }
+
+// cut returns t's tensor partitioned at unit. A task enqueued again at the
+// unit and tensor of its last cut gets that cut back, so a task re-enqueued
+// every pass partitions once; any other unit gets a new cut, into t.one
+// when the tensor is not split.
+func (t *Task) cut(unit int64) []tensor.Sub {
+	if len(t.cutSubs) == 0 || t.cutUnit != unit || t.cutSubs[0].Parent != t.Tensor {
+		t.cutSubs, t.cutUnit = tensor.AppendPartition(t.one[:0], t.Tensor, unit), unit
+	}
+	return t.cutSubs
+}
 
 // Err returns the first permanent partition failure, or nil if every
 // resolved partition succeeded. Stable once OnFinished has fired.
@@ -224,6 +236,10 @@ type Handle struct {
 	finished  bool
 	attempts  int       // failed attempts so far
 	spanStart time.Time // set when a tracer or the latency histogram is attached
+	// run is the handle's runAsync, bound the first time an AsyncScheduler
+	// starts it and kept across the slab's reuse: a goroutine started on a
+	// bound func value allocates nothing.
+	run func()
 }
 
 // Sub returns the partition this handle stands for.
@@ -233,10 +249,10 @@ func (h *Handle) Sub() tensor.Sub { return h.task.subs[h.i] }
 // returns now, before its outcome.
 func (h *Handle) Sent() {
 	s := h.owner("sent")
-	if g := s.guard; g != nil {
-		g.L.Lock()
-		defer g.L.Unlock()
-		defer g.Broadcast()
+	if a := s.async; a != nil {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		defer a.idle.Broadcast()
 	}
 	s.sentSub(h)
 }
@@ -244,10 +260,10 @@ func (h *Handle) Sent() {
 // Done reports the partition's outcome, exactly once per start (see Handle).
 func (h *Handle) Done(err error) {
 	s := h.owner("done")
-	if g := s.guard; g != nil {
-		g.L.Lock()
-		defer g.L.Unlock()
-		defer g.Broadcast()
+	if a := s.async; a != nil {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		defer a.idle.Broadcast()
 	}
 	s.complete(h, err)
 }
@@ -379,13 +395,11 @@ type Scheduler struct {
 	inst   instruments
 	tracer *trace.Wall
 
-	// spawn, when non-nil, runs a partition's launch (AsyncScheduler
-	// installs a goroutine launcher; the simulator runs inline).
-	spawn func(h *Handle)
-	// guard, when non-nil, serializes Sent and Done re-entering scheduler
-	// state: they hold guard.L and broadcast before releasing it
-	// (AsyncScheduler installs its mutex and idle condition).
-	guard *sync.Cond
+	// async, when non-nil, is the AsyncScheduler wrapping this one: each
+	// partition's launch runs on a goroutine of its own, and Sent and Done
+	// re-enter scheduler state under its mutex and broadcast on its idle
+	// condition. The simulator's scheduler launches inline.
+	async *AsyncScheduler
 	// flushHook, when non-nil, fires at the end of every scheduling pass
 	// that released at least one partition: the cue that no further
 	// release is imminent.
@@ -431,17 +445,6 @@ func (s *Scheduler) Stats() Stats { return s.stats.Snapshot() }
 // Pending returns the number of ready partitions waiting in the queue.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// InFlight returns the number of started partitions still holding credit.
-func (s *Scheduler) InFlight() int { return s.inflight }
-
-// CreditAvailable returns the remaining credit in bytes; -1 when unlimited.
-func (s *Scheduler) CreditAvailable() int64 {
-	if !s.limited {
-		return -1
-	}
-	return s.credit
-}
-
 // Enqueue registers a CommTask with the Core and partitions it
 // (CommTask.partition). The task is not transmitted until NotifyReady —
 // most frameworks post communication operations before the tensor is
@@ -451,7 +454,7 @@ func (s *Scheduler) Enqueue(t *Task) {
 	if s.policy.PartitionFn != nil {
 		unit = s.policy.PartitionFn(t.Tensor)
 	}
-	s.EnqueueSubs(t, tensor.AppendPartition(t.one[:0], t.Tensor, unit))
+	s.EnqueueSubs(t, t.cut(unit))
 }
 
 // EnqueueSubs is Enqueue for a task the caller has already partitioned;
@@ -534,15 +537,18 @@ func (s *Scheduler) NotifySubReady(t *Task, i int) {
 }
 
 // ready queues partition i. The task's handle slab, set up with its first
-// ready partition (the last enqueue's, cleared, if it is large enough), is
-// its one readiness record: a second readiness panics.
+// ready partition (the last enqueue's, cleared but for each handle's bound
+// run, if it is large enough), is its one readiness record: a second
+// readiness panics.
 func (s *Scheduler) ready(t *Task, i int) {
 	if len(t.handles) == 0 {
 		if cap(t.handles) < len(t.subs) {
 			t.handles = make([]Handle, len(t.subs))
 		} else {
 			t.handles = t.handles[:len(t.subs)]
-			clear(t.handles)
+			for j := range t.handles {
+				t.handles[j] = Handle{run: t.handles[j].run}
+			}
 		}
 	}
 	h := &t.handles[i]
@@ -633,8 +639,8 @@ func (s *Scheduler) start(h *Handle) {
 	s.inst.subsStarted.Inc()
 	s.observeGauges()
 	s.beginSpan(h)
-	if s.spawn != nil {
-		s.spawn(h)
+	if s.async != nil {
+		s.async.spawn(h)
 	} else {
 		h.launch()
 	}

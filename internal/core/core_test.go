@@ -158,7 +158,7 @@ func TestCreditWindow(t *testing.T) {
 	if len(net.started) != 2 {
 		t.Fatalf("in flight = %d, want 2 (credit 250, subs of 100)", len(net.started))
 	}
-	if got := s.CreditAvailable(); got != 50 {
+	if got := s.credit; got != 50 {
 		t.Fatalf("credit = %d, want 50", got)
 	}
 	net.finishNext()
@@ -177,12 +177,12 @@ func TestStopAndWait(t *testing.T) {
 		if len(net.started) != i {
 			t.Fatalf("stop-and-wait violated: %d in flight at step %d", len(net.started), i)
 		}
-		if s.InFlight() != 1 {
-			t.Fatalf("InFlight = %d, want 1", s.InFlight())
+		if s.inflight != 1 {
+			t.Fatalf("inflight = %d, want 1", s.inflight)
 		}
 		net.finishNext()
 	}
-	if s.InFlight() != 0 || s.Pending() != 0 {
+	if s.inflight != 0 || s.Pending() != 0 {
 		t.Fatal("scheduler not drained")
 	}
 }
@@ -243,8 +243,8 @@ func TestSynchronousDone(t *testing.T) {
 	if started != 10 {
 		t.Fatalf("started = %d, want 10", started)
 	}
-	if s.InFlight() != 0 || s.CreditAvailable() != 10 {
-		t.Fatalf("leak: inflight=%d credit=%d", s.InFlight(), s.CreditAvailable())
+	if s.inflight != 0 || s.credit != 10 {
+		t.Fatalf("leak: inflight=%d credit=%d", s.inflight, s.credit)
 	}
 }
 
@@ -343,8 +343,8 @@ func TestEnqueueAgainAfterResolved(t *testing.T) {
 			t.Fatalf("round %d: finished %d, err %v, slab reused %v", round, finished, task.Err(), &task.handles[0] == slab)
 		}
 	}
-	if st := s.Stats(); st.TasksEnqueued != 3 || st.SubsFinished != 6 || s.CreditAvailable() != 4 {
-		t.Fatalf("stats %+v, credit %d", st, s.CreditAvailable())
+	if st := s.Stats(); st.TasksEnqueued != 3 || st.SubsFinished != 6 || s.credit != 4 {
+		t.Fatalf("stats %+v, credit %d", st, s.credit)
 	}
 
 	a := NewAsync(FIFO())
@@ -363,6 +363,47 @@ func TestEnqueueAgainAfterResolved(t *testing.T) {
 	(<-dones)()
 	if err := a.Enqueue(async); err != nil {
 		t.Fatalf("async scheduler refused a resolved task: %v", err)
+	}
+}
+
+// doneStarter resolves every partition as it starts.
+type doneStarter struct{}
+
+func (doneStarter) StartSub(h *Handle) { h.Done(nil) }
+
+// TestReenqueueAllocatesNothing: a task enqueued again at the unit it was
+// last cut at keeps its partitions and handle slab, and the AsyncScheduler
+// starts each partition on a goroutine bound once per handle, so a pass of
+// a reused split task allocates nothing; a new unit cuts it afresh.
+func TestReenqueueAllocatesNothing(t *testing.T) {
+	a := NewAsync(ByteScheduler(4, 0))
+	defer a.Shutdown()
+	finished := make(chan struct{}, 1)
+	task := &Task{Tensor: tensor.Tensor{Name: "w", Bytes: 16}, Starter: doneStarter{}}
+	task.OnFinished = func() { finished <- struct{}{} }
+	pass := func() {
+		if err := a.Enqueue(task); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.NotifyReady(task); err != nil {
+			t.Fatal(err)
+		}
+		<-finished
+	}
+	pass()
+	subs := task.Subs()
+	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
+		t.Fatalf("a pass of a re-enqueued 4-partition task allocates %v times, want 0", allocs)
+	}
+	if len(task.Subs()) != 4 || &task.Subs()[0] != &subs[0] {
+		t.Fatal("a task re-enqueued at its unit was cut again")
+	}
+	if err := a.SetParams(8, 0); err != nil {
+		t.Fatal(err)
+	}
+	pass()
+	if len(task.Subs()) != 2 || &task.Subs()[0] == &subs[0] {
+		t.Fatalf("at a new unit the task kept its cut: %v", task.Subs())
 	}
 }
 
@@ -460,9 +501,9 @@ func testCreditConservationProperty(t *testing.T, handles bool) {
 			net.finishNext()
 		}
 		return len(net.started) == total &&
-			s.InFlight() == 0 &&
+			s.inflight == 0 &&
 			s.Pending() == 0 &&
-			s.CreditAvailable() == credit
+			s.credit == credit
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestSetCreditGrow(t *testing.T) {
 	for len(net.dones) > 0 {
 		net.finishNext()
 	}
-	if got := s.CreditAvailable(); got != 300 {
+	if got := s.credit; got != 300 {
 		t.Fatalf("credit after drain = %d, want 300", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestSetCreditShrink(t *testing.T) {
 	for len(net.dones) > 0 {
 		net.finishNext()
 	}
-	if got := s.CreditAvailable(); got != 100 {
+	if got := s.credit; got != 100 {
 		t.Fatalf("credit after drain = %d, want 100", got)
 	}
 }
@@ -86,8 +86,8 @@ func TestSetCreditUnlimitedAndBack(t *testing.T) {
 	if len(net.started) != 5 {
 		t.Fatalf("unlimited credit started %d, want 5", len(net.started))
 	}
-	if s.CreditAvailable() != -1 {
-		t.Fatal("CreditAvailable should report unlimited")
+	if s.limited {
+		t.Fatal("credit 0 should make the scheduler unlimited")
 	}
 	// Back to limited while 5x100 bytes are in flight.
 	s.SetCredit(200)

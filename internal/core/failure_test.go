@@ -62,8 +62,8 @@ func TestRetryThenSucceed(t *testing.T) {
 	if st.SubsStarted != st.SubsFinished+st.Failures+st.Retries {
 		t.Fatalf("start accounting broken: %+v", st)
 	}
-	if s.InFlight() != 0 || s.CreditAvailable() != 20 {
-		t.Fatalf("leak: inflight=%d credit=%d", s.InFlight(), s.CreditAvailable())
+	if s.inflight != 0 || s.credit != 20 {
+		t.Fatalf("leak: inflight=%d credit=%d", s.inflight, s.credit)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	// Credit must be fully restored: a dead substrate cannot strand the
 	// sliding window (the exact wedge the failure path exists to prevent).
-	if s.InFlight() != 0 || s.CreditAvailable() != 10 {
-		t.Fatalf("credit stranded: inflight=%d credit=%d", s.InFlight(), s.CreditAvailable())
+	if s.inflight != 0 || s.credit != 10 {
+		t.Fatalf("credit stranded: inflight=%d credit=%d", s.inflight, s.credit)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("queue leak: %d pending", s.Pending())

@@ -140,10 +140,10 @@ func runLifecycle(t *testing.T, seed int64, async bool) {
 			switch {
 			case len(r.bad) > 0:
 				msg = r.bad[0]
-			case s.InFlight() != r.inflight:
-				msg = fmt.Sprintf("%d partitions hold credit, model %d", s.InFlight(), r.inflight)
-			case s.limited && s.CreditAvailable() != pol.CreditBytes-r.inflightBytes:
-				msg = fmt.Sprintf("credit %d, model %d", s.CreditAvailable(), pol.CreditBytes-r.inflightBytes)
+			case s.inflight != r.inflight:
+				msg = fmt.Sprintf("%d partitions hold credit, model %d", s.inflight, r.inflight)
+			case s.limited && s.credit != pol.CreditBytes-r.inflightBytes:
+				msg = fmt.Sprintf("credit %d, model %d", s.credit, pol.CreditBytes-r.inflightBytes)
 			}
 		})
 		if msg != "" {
@@ -308,7 +308,7 @@ func runLifecycle(t *testing.T, seed int64, async bool) {
 	}
 	var queued, holding, open int
 	var credit int64
-	settled(func() { queued, holding, open, credit = s.Pending(), s.InFlight(), s.open, s.CreditAvailable() })
+	settled(func() { queued, holding, open, credit = s.Pending(), s.inflight, s.open, s.credit })
 	if queued != 0 || holding != 0 || open != 0 {
 		fail("quiescent with %d queued, %d holding credit, %d unresolved", queued, holding, open)
 	}

@@ -135,7 +135,7 @@ func (c subCase) run(t *testing.T, perPart bool) subOutcome {
 	}
 	stats := s.Stats()
 	out.preemptions, out.maxQueue, out.maxInflight = stats.Preemptions, stats.MaxQueueLen, stats.MaxInflightBytes
-	out.creditAtRest, out.subsFinished = s.CreditAvailable(), stats.SubsFinished
+	out.creditAtRest, out.subsFinished = s.credit, stats.SubsFinished
 	return out
 }
 
@@ -160,12 +160,9 @@ func TestSubReadyMatchesPerPartitionTasks(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("seed %d (credit %d):\n got %+v\nwant %+v", seed, c.credit, got, want)
 		}
-		window := c.credit
-		if window == 0 {
-			window = -1 // unlimited
-		}
-		if got.creditAtRest != window || got.subsFinished != uint64(len(c.order)) {
-			t.Fatalf("seed %d: %d credit at rest of %d, %d of %d partitions finished", seed, got.creditAtRest, window, got.subsFinished, len(c.order))
+		// An unlimited scheduler (credit 0) never books credit, so it rests at 0.
+		if got.creditAtRest != c.credit || got.subsFinished != uint64(len(c.order)) {
+			t.Fatalf("seed %d: %d credit at rest of %d, %d of %d partitions finished", seed, got.creditAtRest, c.credit, got.subsFinished, len(c.order))
 		}
 	}
 }

@@ -80,15 +80,18 @@ func ExtLiveRing(o Opts) (Table, error) {
 	model := func(floats int) float64 { return alpha + beta*float64(floats) }
 	collRatio := t3 / model(n3)
 
-	// FIFO iteration prediction: the baseline serializes whole-tensor
-	// collectives, and the front layer — needed first by the next forward
-	// pass — is emitted last, so forward compute cannot overlap
-	// communication: one iteration is roughly the serialized collectives
-	// plus the full forward and backward compute.
-	pred := float64(len(layers)) * (base.ForwardCompute + base.BackwardCompute).Seconds()
-	for _, b := range layers {
-		pred += model(int(b / 4))
+	// FIFO iteration prediction, by list scheduling: the backward pass
+	// emits layer l's gradient once layers L-1..l are computed, the baseline
+	// starts each whole-tensor collective at the later of its gradient's
+	// emission and the previous collective's end, and the front layer —
+	// needed first by the next forward pass — is emitted last, so the whole
+	// forward pass follows the last collective.
+	var pred float64
+	for l := len(layers) - 1; l >= 0; l-- {
+		emitted := float64(len(layers)-l) * base.BackwardCompute.Seconds()
+		pred = max(pred, emitted) + model(int(layers[l]/4))
 	}
+	pred += float64(len(layers)) * base.ForwardCompute.Seconds()
 	iterRatio := fifoIter / pred
 
 	// Iteration times are costs (lower is better): speedup is how much

@@ -79,7 +79,7 @@ func BenchmarkServerPull(b *testing.B) {
 		grad[i] = float32(i) * 0.5
 	}
 	push := newMessage(OpPush, "w", 1, 1<<32|1, f32(grad...))
-	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpPush {
+	if resp, _, _ := srv.processPush(push, new(pushScratch)); Op(resp.Op) != OpPush {
 		b.Fatalf("push rejected: %s", resp.Payload)
 	}
 	req := newMessage(OpPull, "w", 1, 0, nil)
@@ -119,7 +119,7 @@ func BenchmarkServerPushPull(b *testing.B) {
 		iter, seq := uint32(i), uint64(2*i+1)
 		for w := uint64(1); w <= 2; w++ {
 			push := newMessage(OpPush, "w", iter, w<<32|seq, payload)
-			if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpPush {
+			if resp, _, _ := srv.processPush(push, new(pushScratch)); Op(resp.Op) != OpPush {
 				b.Fatalf("push rejected: %s", resp.Payload)
 			}
 		}

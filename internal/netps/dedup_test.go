@@ -37,7 +37,7 @@ func stateOf(srv *Server) (st replayState) {
 // served, as answer does after its write.
 func pushAt(t *testing.T, srv *Server, key string, iter uint32, seq uint64, v ...float32) {
 	t.Helper()
-	resp, wake, _ := srv.processPush(newMessage(OpPush, key, iter, seq, f32(v...)), new([]float32))
+	resp, wake, _ := srv.processPush(newMessage(OpPush, key, iter, seq, f32(v...)), new(pushScratch))
 	if Op(resp.Op) != OpPush || len(wake) != 0 {
 		t.Fatalf("push %s#%d seq %#x answered %v %q, woke %d", key, iter, seq, Op(resp.Op), resp.Payload, len(wake))
 	}
@@ -362,7 +362,7 @@ func TestReplayProperty(t *testing.T) {
 		}
 		push := func(m message) {
 			t.Helper()
-			resp, wake, result := srv.processPush(m, new([]float32))
+			resp, wake, result := srv.processPush(m, new(pushScratch))
 			if Op(resp.Op) != OpPush {
 				fail("push %s#%d seq %#x rejected: %s", m.Key, m.Iter, m.Seq, resp.Payload)
 			}

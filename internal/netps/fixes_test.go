@@ -28,7 +28,7 @@ func TestReclaimedPullReplayedFromCompletedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	push := newMessage(OpPush, "w", 1, uint64(1)<<32|1, f32(3, 4))
-	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpPush {
+	if resp, _, _ := srv.processPush(push, new(pushScratch)); Op(resp.Op) != OpPush {
 		t.Fatalf("push response: %+v", resp)
 	}
 	pull := newMessage(OpPull, "w", 1, uint64(1)<<32|2, nil)
@@ -73,7 +73,7 @@ func TestReclaimedPullFailsFastAfterPayloadEvicted(t *testing.T) {
 	}
 	for iter := uint32(1); iter <= 2; iter++ {
 		push := newMessage(OpPush, "w", iter, uint64(1)<<32|uint64(2*iter), f32(3))
-		srv.processPush(push, new([]float32))
+		srv.processPush(push, new(pushScratch))
 		pull := newMessage(OpPull, "w", iter, uint64(1)<<32|uint64(2*iter+1), nil)
 		result, parked, errResp := srv.resolvePull(pull, nil)
 		if parked || errResp != nil {
@@ -397,11 +397,11 @@ func TestShortTopKPushRejected(t *testing.T) {
 	defer srv.Close()
 	push := newMessage(OpPush, "w", 1, 1<<32|1, []byte{0, 0, 1})
 	push.Codec, push.Orig = uint8(compress.CodecTopK), 16
-	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpErr || !strings.Contains(string(resp.Payload), "undecodable") {
+	if resp, _, _ := srv.processPush(push, new(pushScratch)); Op(resp.Op) != OpErr || !strings.Contains(string(resp.Payload), "undecodable") {
 		t.Fatalf("short top-k push answered %+v, want an undecodable-push OpErr", resp)
 	}
 	push.Payload = []byte{0, 0, 0, 0} // well-formed, but carries nothing
-	if resp, _, _ := srv.processPush(push, new([]float32)); Op(resp.Op) != OpErr {
+	if resp, _, _ := srv.processPush(push, new(pushScratch)); Op(resp.Op) != OpErr {
 		t.Fatalf("empty top-k push answered %+v, want OpErr", resp)
 	}
 	if srv.Outstanding() != 0 {

@@ -105,7 +105,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		defer srv.Close()
 		// One worker, so an accepted push completes its aggregate at once.
-		resp, _, _ := srv.processPush(req, new([]float32))
+		resp, _, _ := srv.processPush(req, new(pushScratch))
 		if resp.Seq != req.Seq || resp.Key != req.Key || resp.Iter != req.Iter {
 			t.Fatalf("response %+v does not echo request %+v", resp.Header, req.Header)
 		}
@@ -137,7 +137,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		for i := uint32(1); i <= 2; i++ {
 			reqI := newMessage(OpPush, req.Key, req.Iter+i, req.Seq+uint64(i), nil)
 			reqI.Payload, reqI.Codec, reqI.Orig = wire.AppendFloats(nil, c, next)
-			if resp, _, _ := srv.processPush(reqI, new([]float32)); Op(resp.Op) != OpPush {
+			if resp, _, _ := srv.processPush(reqI, new(pushScratch)); Op(resp.Op) != OpPush {
 				t.Fatalf("push %d rejected: %s", i+1, resp.Payload)
 			}
 			third = pullPushed(t, srv, reqI)

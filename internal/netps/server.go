@@ -116,9 +116,11 @@ type shard struct {
 	mu      sync.Mutex
 	entries map[entryKey]*entry
 	done    map[string]reclaimed
-	// Free lists of unreferenced aggregate records and unheld sums.
-	aggFree recycle.List[*agg]
-	sums    recycle.List[[]float32]
+	// Free lists of reclaimed entries (their lists keep their capacity),
+	// unreferenced aggregate records and unheld sums.
+	entryFree recycle.List[*entry]
+	aggFree   recycle.List[*agg]
+	sums      recycle.List[[]float32]
 }
 
 // reclaimed is a key's last reclaimed iteration and its aggregate, holding
@@ -133,6 +135,9 @@ type entryKey struct {
 	iter uint32
 }
 
+// entry is one (key, iter)'s aggregation, a record on its shard's free list
+// from its reclaim until the shard's next new (key, iter): a key's entry of
+// one iteration is its entry of the next.
 type entry struct {
 	// sum is the running fp32 aggregate, a vector from the shard's sums held
 	// from the first push until the completing one makes result of it. n is
@@ -161,7 +166,7 @@ type entry struct {
 	// counted again.
 	pushers, pullers []uint32
 	// parked are the pulls waiting on this entry; the completing push (or
-	// Close, failing them) takes the slice and answers each exactly once.
+	// Close, failing them) copies them out and answers each exactly once.
 	parked []parkedPull
 	served int
 }
@@ -348,12 +353,20 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // completes an aggregate writes the responses to pulls parked there, and
 // Close fails those still parked, one response at a time under wmu.
 // A request's payload is a view of the connection's read buffer, consumed
-// before the next read; vals is processPush's decode scratch.
+// before the next read; scratch is processPush's.
 type srvConn struct {
-	s    *Server
-	conn *wire.Conn
+	s       *Server
+	conn    *wire.Conn
+	scratch pushScratch
+	wmu     sync.Mutex
+}
+
+// pushScratch is what processPush fills for its caller: vals, a
+// codec-bearing push decoded, and wake, the pulls parked on the aggregate
+// the push completed, copied out of their entry.
+type pushScratch struct {
 	vals []float32
-	wmu  sync.Mutex
+	wake []parkedPull
 }
 
 // write frames and writes one response under the server's write deadline
@@ -411,7 +424,7 @@ func (s *Server) serve(sc *srvConn) {
 		}
 		switch Op(req.Op) {
 		case OpPush:
-			resp, wake, result := s.processPush(req, &sc.vals)
+			resp, wake, result := s.processPush(req, &sc.scratch)
 			err = sc.write(resp) // the ack first: it returns the pusher's credit
 			s.wake(wake, result)
 			if err != nil {
@@ -479,8 +492,9 @@ func pullResp(req message, a *agg) message {
 // plus the pulls parked on the aggregate it completed, each holding a
 // reference on it; the caller writes the response, then answers them
 // outside the shard lock (wake). A codec-bearing push is decoded into the
-// caller's scratch.
-func (s *Server) processPush(req message, scratch *[]float32) (resp message, wake []parkedPull, result *agg) {
+// caller's scratch, and the woken pulls are copied into it, valid until
+// the caller's next push.
+func (s *Server) processPush(req message, scratch *pushScratch) (resp message, wake []parkedPull, result *agg) {
 	s.inst.pushes.Inc()
 	if len(req.Payload) == 0 {
 		// An empty push would freeze the entry's shape at length zero and
@@ -494,10 +508,10 @@ func (s *Server) processPush(req message, scratch *[]float32) (resp message, wak
 	n := len(req.Payload) / 4
 	if req.Codec != 0 {
 		var err error
-		if vals, err = wire.Floats((*scratch)[:0], req.Header, req.Payload); err != nil {
+		if vals, err = wire.Floats(scratch.vals[:0], req.Header, req.Payload); err != nil {
 			return s.rejectMsg(req, "undecodable push: "+err.Error()), nil, nil
 		}
-		*scratch = vals
+		scratch.vals = vals
 		n = len(vals)
 		// Decoding validated the payload, so a top-k one has its count.
 		if compress.CodecID(req.Codec) == compress.CodecTopK {
@@ -526,8 +540,7 @@ func (s *Server) processPush(req message, scratch *[]float32) (resp message, wak
 			s.inst.dedupHits.Inc()
 			return pushAck(req), nil, nil
 		}
-		e = &entry{}
-		sh.entries[k] = e
+		e = sh.newEntry(k)
 		s.inst.entries.Add(1)
 	}
 	if e.n == 0 {
@@ -573,8 +586,10 @@ func (s *Server) processPush(req message, scratch *[]float32) (resp message, wak
 	e.pushers = list(e.pushers, req.Seq)
 	e.pushes++
 	if e.pushes == s.workers {
-		wake = e.parked
-		e.parked = nil
+		wake = append(scratch.wake[:0], e.parked...)
+		scratch.wake = wake
+		clear(e.parked)
+		e.parked = e.parked[:0]
 		e.result = sh.encodeEntry(e)
 		e.result.refs += len(wake) // one per woken puller, dropped after its write
 		result = e.result
@@ -651,8 +666,7 @@ func (s *Server) resolvePull(req message, sc *srvConn) (result *agg, parked bool
 		}
 		// Genuinely early pull (pulls may legitimately arrive before
 		// pushes): create the entry and park on it.
-		e = &entry{}
-		sh.entries[k] = e
+		e = sh.newEntry(k)
 		s.inst.entries.Add(1)
 	}
 	e.parked = append(e.parked, parkedPull{sc, req.Header})
@@ -694,16 +708,34 @@ func (s *Server) countPullServed(req message, a *agg) {
 	if e.served >= s.workers {
 		delete(sh.entries, k)
 		s.inst.entries.Add(-1)
+		result := e.result
+		sh.free(e)
 		d, ok := sh.done[k.key]
 		if ok && d.iter > k.iter {
-			sh.unref(e.result)
+			sh.unref(result)
 			return
 		}
 		if ok {
 			sh.unref(d.a)
 		}
-		sh.done[k.key] = reclaimed{k.iter, e.result}
+		sh.done[k.key] = reclaimed{k.iter, result}
 	}
+}
+
+// newEntry makes a fresh entry k's, from the free list if it has one.
+// Caller holds sh.mu.
+func (sh *shard) newEntry(k entryKey) *entry {
+	e := recycle.Take(&sh.entryFree)
+	sh.entries[k] = e
+	return e
+}
+
+// free recycles a reclaimed entry, reset but for its lists' capacity.
+// Caller holds sh.mu.
+func (sh *shard) free(e *entry) {
+	clear(e.parked)
+	*e = entry{pushers: e.pushers[:0], pullers: e.pullers[:0], parked: e.parked[:0]}
+	sh.entryFree.Put(e)
 }
 
 // Outstanding returns the number of live aggregation entries (leak check).

@@ -50,10 +50,12 @@ func NewAllReduce(ring *allreduce.Ring, m *model.Model, workers int, policy core
 
 // Reset returns the plugin to the state NewAllReduce leaves it in, under
 // policy: the master Core is reset and no collective is pending; the
-// shared partitions are kept. The ring must have been reset too.
+// shared partitions are kept, to be re-cut in place at another unit. The
+// ring must have been reset too.
 func (p *AllReducePlugin) Reset(policy core.Policy) {
 	p.sched.Reset(policy)
 	clear(p.pending)
+	p.parts.reset = true
 }
 
 // SetParams adjusts partition and credit sizes live on the master Core, for

@@ -86,10 +86,15 @@ func (f Framework) DependencyMode(scheduled bool) engine.DependencyMode {
 // partitions keeps each tensor's partitions at a scheduler's current unit,
 // shared by every worker, iteration and direction (core.EnqueueSubs only
 // reads them) until the unit changes; under a per-layer PartitionFn each
-// call partitions afresh, as Enqueue does. The zero value is ready to use.
+// call partitions afresh, as Enqueue does. A unit change within a run cuts
+// new slices, as tasks in flight still read the old ones; the first call
+// after a reset, when nothing reads them, re-cuts them in place, so a kept
+// world run at another unit allocates nothing for its partitions. The zero
+// value is ready to use.
 type partitions struct {
-	unit int64
-	subs map[tensor.Tensor][]tensor.Sub
+	unit  int64
+	subs  map[tensor.Tensor][]tensor.Sub
+	reset bool // since the last call: nothing reads subs
 }
 
 // of returns t partitioned under s's policy.
@@ -98,9 +103,15 @@ func (c *partitions) of(s *core.Scheduler, t tensor.Tensor) []tensor.Sub {
 	if pol.PartitionFn != nil {
 		return tensor.Partition(t, pol.PartitionFn(t))
 	}
-	if c.subs == nil || pol.PartitionUnit != c.unit {
-		c.unit, c.subs = pol.PartitionUnit, map[tensor.Tensor][]tensor.Sub{}
+	switch {
+	case c.subs == nil || pol.PartitionUnit != c.unit && !c.reset:
+		c.subs = map[tensor.Tensor][]tensor.Sub{}
+	case pol.PartitionUnit != c.unit:
+		for tt, subs := range c.subs {
+			c.subs[tt] = tensor.AppendPartition(subs[:0], tt, pol.PartitionUnit)
+		}
 	}
+	c.unit, c.reset = pol.PartitionUnit, false
 	subs, ok := c.subs[t]
 	if !ok {
 		subs = tensor.Partition(t, c.unit)

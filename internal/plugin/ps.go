@@ -60,11 +60,13 @@ func NewPS(cluster *ps.Cluster, m *model.Model, policy core.Policy) *PSPlugin {
 
 // Reset returns the plugin to the state NewPS leaves it in, under policy:
 // every worker's Cores are reset, and each (worker, layer)'s record, its
-// handle slabs and the shared partitions are kept for the next run. A
+// handle slabs and the shared partitions are kept for the next run, which
+// re-cuts the partitions in place if its unit is another. A
 // record with partitions still unacked is dropped, so a reset mid-run
 // reuses nothing a stale callback could reach; the cluster must have been
 // reset too.
 func (p *PSPlugin) Reset(policy core.Policy) {
+	p.parts.reset = true
 	for w := range p.up {
 		p.up[w].Reset(policy)
 		p.down[w].Reset(policy)

@@ -139,6 +139,42 @@ func TestSimReusedTrialAllocBudget(t *testing.T) {
 	t.Logf("one sim_ps trial on a reused world: %d allocations, %d bytes (budget %d and %d)", allocs, bytes, budget, byteBudget)
 }
 
+// TestSimReusedTrialNewUnitAllocBudget runs one kept sim_ps world at
+// 160 KB, 320 KB, 160 KB and 320 KB partitions. A reset world re-cuts each
+// tensor's partitions into the slice it already has and the task handle
+// slabs fit the finer cut, so once the world has run at both units each
+// trial is held to TestSimReusedTrialAllocBudget's budget: it measured 8
+// allocations and 592 bytes, as at a repeated unit. The first trial at
+// 320 KB also grows the pull schedulers' queues, which hold up to 177
+// partitions there against 5 at 160 KB: it measured 30 allocations and
+// 45 KB, and is held to 64 and 64 KB. While a new unit rebuilt every
+// tensor's partitions and their map, the two trials after the first
+// allocated 197 KB and 263 KB.
+func TestSimReusedTrialNewUnitAllocBudget(t *testing.T) {
+	const budget, byteBudget = 64, 8 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var kept worldList
+	for i, unit := range []int64{160 << 10, 320 << 10, 160 << 10, 320 << 10} {
+		cfg := simPSTrial(1)
+		cfg.Policy = core.ByteScheduler(unit, 640<<10)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := runOn(&kept, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		b := uint64(byteBudget)
+		if i == 1 {
+			b = 64 << 10
+		}
+		if i > 0 && (allocs > budget || bytes > b) {
+			t.Fatalf("trial %d at %d KB on a kept world allocated %d times and %d bytes, budget %d and %d", i, unit>>10, allocs, bytes, budget, b)
+		}
+		t.Logf("trial %d at %d KB: %d allocations, %d bytes", i, unit>>10, allocs, bytes)
+	}
+}
+
 // TestSimSteadyStateAllocs holds an iteration past the first few to 1 KB
 // and 8 allocations: the simulated PS path reuses its per-layer records,
 // handle slabs and aggregation slots across iterations, and the engine its

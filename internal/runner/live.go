@@ -235,9 +235,9 @@ type LiveResult struct {
 // sum. The caller derives key from the partition's tensor identity (plain
 // or fused) so every worker addresses the same aggregation slot.
 //
-// The PS transport is split-phase: it calls sent() exactly once, iff the
+// The PS transport is split-phase: it calls h.Sent() exactly once, iff the
 // local push was acknowledged — before the pull, which blocks until every
-// worker pushed — and sent is the partition's core.Handle.Sent, so the
+// worker pushed — and h is the partition's *core.Handle, so the
 // scheduler credit returns there and the cross-worker wait proceeds
 // without holding the window; credit gates the bandwidth-consuming
 // direction only. This matters: if blocking pulls held credit, two workers
@@ -245,26 +245,36 @@ type LiveResult struct {
 // forever for pushes the other has no credit left to admit — a
 // cross-worker deadlock the auto-tuner hits as soon as it probes a credit
 // smaller than a pass's total bytes (or one fused bucket). An error
-// returned without sent() having been called is a failed
+// returned without Sent having been called is a failed
 // send (the scheduler retries it); one returned after is the wait phase's
 // outcome, which fails the task. A collective (the ring) is all send and
-// never calls sent: its outcome returns the credit, which only rank 0
+// never calls Sent: its outcome returns the credit, which only rank 0
 // holds.
-type liveComm func(key string, iter uint32, in, out []float32, sent func()) error
+type liveComm func(key string, iter uint32, in, out []float32, h sender) error
+
+// sender is the end of a partition's send phase: its *core.Handle, passed
+// as it is, or a wrapper that observes the call.
+type sender interface{ Sent() }
+
+// sentFunc is a sender that is a function.
+type sentFunc func()
+
+// Sent calls f.
+func (f sentFunc) Sent() { f() }
 
 // traceComm records comm's operations as wall-clock spans on lane, named
-// "<op> <key>#<iter>": the send phase as op send up to sent(), or to the
-// return if comm never calls sent, then the wait phase as "pull" up to the
+// "<op> <key>#<iter>": the send phase as op send up to Sent, or to the
+// return if comm never calls it, then the wait phase as "pull" up to the
 // return. The shaper wraps the traced transport, so spans exclude its
 // injected delay.
 func traceComm(comm liveComm, tr *trace.Wall, lane, send string) liveComm {
-	return func(key string, iter uint32, in, out []float32, sent func()) error {
+	return func(key string, iter uint32, in, out []float32, h sender) error {
 		op, start := send, time.Now()
-		err := comm(key, iter, in, out, func() {
+		err := comm(key, iter, in, out, sentFunc(func() {
 			tr.Add(lane, fmt.Sprintf("%s %s#%d", op, key, iter), start, time.Now())
-			sent()
+			h.Sent()
 			op, start = "pull", time.Now()
-		})
+		}))
 		tr.Add(lane, fmt.Sprintf("%s %s#%d", op, key, iter), start, time.Now())
 		return err
 	}
@@ -292,8 +302,8 @@ func (f *firstFailure) saw(rank int) {
 
 // watch returns comm, noting each failure it returns as rank's.
 func (f *firstFailure) watch(rank int, comm liveComm) liveComm {
-	return func(key string, iter uint32, in, out []float32, sent func()) error {
-		err := comm(key, iter, in, out, sent)
+	return func(key string, iter uint32, in, out []float32, h sender) error {
+		err := comm(key, iter, in, out, h)
 		if err != nil {
 			f.saw(rank)
 		}
@@ -474,7 +484,7 @@ func dialRing(cfg LiveConfig) ([]*netar.Peer, func(), error) {
 // ringComm is peer's transport. The collective is indivisible: the whole
 // op is the send phase, so rank 0's credit is held until it returns.
 func ringComm(peer *netar.Peer) liveComm {
-	return func(key string, iter uint32, in, out []float32, _ func()) error {
+	return func(key string, iter uint32, in, out []float32, _ sender) error {
 		return peer.AllReduceInto(key, iter, in, out)
 	}
 }
@@ -506,14 +516,14 @@ func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 			netps.WithCodec(cfg.Codec),
 			netps.WithMetrics(cfg.Metrics))
 		clients[r] = client
-		transports[r] = func(key string, iter uint32, in, out []float32, sent func()) error {
+		transports[r] = func(key string, iter uint32, in, out []float32, h sender) error {
 			if err := client.Push(key, iter, in); err != nil {
 				return err
 			}
 			// The push is on the wire and acknowledged; the pull below
 			// blocks until every worker pushed. Hand the scheduler its
 			// credit back first (see liveComm).
-			sent()
+			h.Sent()
 			return client.PullInto(key, iter, out)
 		}
 	}
@@ -526,7 +536,9 @@ func buildPSTransports(cfg LiveConfig) ([]liveComm, func(), error) {
 // output slabs; name is its cross-worker identity, to which the transport
 // key appends the partition index. On the ring, task is its position in
 // its pass, and rank 0 admits each partition to the followers before it
-// starts it.
+// starts it. A layer's liveTask is built once per run and re-enqueued
+// every pass; the worker sets iter before each enqueue, once the layer's
+// previous task has resolved.
 type liveTask struct {
 	name    string
 	iter    uint32
@@ -549,7 +561,7 @@ func (t *liveTask) StartSub(h *core.Handle) {
 	}
 	lo, hi := sub.Offset/4, (sub.Offset+sub.Bytes)/4
 	key := t.keys.key(t.name, sub.Index, sub.Count)
-	h.Done(t.comm(key, t.iter, t.in[lo:hi], t.out[lo:hi], h.Sent))
+	h.Done(t.comm(key, t.iter, t.in[lo:hi], t.out[lo:hi], h))
 }
 
 // partKeys is one worker's transport keys, name[i/n] for partition i of n,
@@ -691,13 +703,23 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ri
 	keys := &partKeys{m: map[string][]string{}}
 	gates := make([]chan error, layers)
 	released := make([]time.Time, layers) // written before the gate's send
-	names := make([]string, layers)
+	// Each layer's task, starter and OnFinished are built once and the task
+	// is re-enqueued every pass, which the gate allows: layer l's next task
+	// is emitted only after the forward pass took this one's outcome.
+	tasks, starters := make([]core.Task, layers), make([]liveTask, layers)
 	for l := range grads {
 		for i := range grads[l] {
 			grads[l][i] = float32((rank + 1) * (1 + l%8))
 		}
 		gates[l] = make(chan error, 1)
-		names[l] = fmt.Sprintf("L%02d", l)
+		starters[l] = liveTask{name: fmt.Sprintf("L%02d", l), in: grads[l], out: outs[l], comm: comm, keys: keys, ring: ring}
+		t := &tasks[l]
+		t.Tensor = tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]}
+		t.Starter = &starters[l]
+		// OnFinished runs under the scheduler's lock; the send cannot block,
+		// as the forward pass took the last outcome before the task was
+		// enqueued again. Its release instant travels with the send.
+		t.OnFinished = func() { released[l] = time.Now(); gates[l] <- t.Err() }
 	}
 	// wait takes layer l's synchronization outcome, or the ring's failure.
 	var dead <-chan struct{}
@@ -757,16 +779,8 @@ func liveWorker(cfg LiveConfig, rank int, ranks []int64, comm liveComm, ring *ri
 		// business, not this loop's.
 		for l := layers - 1; l >= 0; l-- {
 			clock.run(time.Time{}, cfg.BackwardCompute)
-			t := &core.Task{
-				Tensor:  tensor.Tensor{Layer: l, Name: "g", Bytes: cfg.LayerBytes[l]},
-				Starter: &liveTask{name: names[l], iter: uint32(it), in: grads[l], out: outs[l], comm: comm, keys: keys, ring: ring},
-			}
-			// OnFinished runs under the scheduler's lock; the send cannot
-			// block, because layer l's next task is emitted only after the
-			// forward pass took this value. Its release instant travels
-			// with the send.
-			t.OnFinished = func() { released[l] = time.Now(); gates[l] <- t.Err() }
-			if err := fuser.Add(t); err != nil {
+			starters[l].iter = uint32(it)
+			if err := fuser.Add(&tasks[l]); err != nil {
 				return sched.Stats(), err
 			}
 		}

@@ -27,9 +27,9 @@ type ringCoord struct {
 	admitMu    sync.Mutex          // orders rank 0's admissions as hook sees them
 
 	mu    sync.Mutex
-	iter  uint32 // the pass being emitted
-	next  uint16 // position of its next task
-	tasks map[ringKey]ringEntry
+	iter  uint32        // the pass being emitted
+	next  uint16        // position of its next task
+	tasks []ringEntry   // by position in a pass
 	err   error         // the first failure
 	dead  chan struct{} // closed with it
 	fails *firstFailure // told of it, when set
@@ -40,9 +40,14 @@ type ringKey struct {
 	task uint16
 }
 
-// ringEntry is a task emitted or reported here: on rank 0 until ready, on
-// a follower until its last partition is admitted.
+// ringEntry is a task emitted or reported here, open on rank 0 until
+// ready, on a follower until its last partition is admitted. A position
+// holds one pass's task at a time: every peer's task at a position
+// resolves before any peer emits the next pass's there, as its forward
+// pass waits for it, so each position's entry is reused pass after pass.
 type ringEntry struct {
+	iter     uint32
+	open     bool
 	task     *core.Task // nil until emitted here
 	reported bool
 	admitted uint32
@@ -50,7 +55,7 @@ type ringEntry struct {
 
 // newRingCoord installs rank's coordinator as peer's control handler.
 func newRingCoord(peer *netar.Peer, rank, size int, hook func(netar.Control)) *ringCoord {
-	c := &ringCoord{peer: peer, rank: rank, size: size, hook: hook, tasks: map[ringKey]ringEntry{}, dead: make(chan struct{})}
+	c := &ringCoord{peer: peer, rank: rank, size: size, hook: hook, dead: make(chan struct{})}
 	peer.SetControl(c.control)
 	return c
 }
@@ -84,26 +89,46 @@ func (c *ringCoord) NotifyReady(t *core.Task) error {
 // marks the task ready, a follower reports it.
 func (c *ringCoord) arrive(k ringKey, t *core.Task) error {
 	c.mu.Lock()
-	e := c.tasks[k]
+	e, err := c.entry(k)
+	if err != nil {
+		c.mu.Unlock()
+		return err
+	}
 	if t != nil {
 		e.task = t
 	} else {
 		e.reported = true
 	}
-	complete := e.task != nil && (e.reported || c.rank == 1 || c.size == 1)
+	task := e.task
+	complete := task != nil && (e.reported || c.rank == 1 || c.size == 1)
 	if complete && c.rank == 0 {
-		delete(c.tasks, k)
-	} else {
-		c.tasks[k] = e
+		e.open = false
 	}
 	c.mu.Unlock()
 	switch {
 	case !complete:
 		return nil
 	case c.rank == 0:
-		return c.sched.NotifyReady(e.task)
+		return c.sched.NotifyReady(task)
 	}
 	return c.peer.SendControl(netar.Control{Op: netar.OpReady, Iter: k.iter, Task: k.task})
+}
+
+// entry returns task k's entry, opening its position's for k if none is
+// open there. Another pass's entry still open there is an error. Caller
+// holds c.mu.
+func (c *ringCoord) entry(k ringKey) (*ringEntry, error) {
+	if n := int(k.task) + 1; n > len(c.tasks) {
+		c.tasks = append(c.tasks, make([]ringEntry, n-len(c.tasks))...)
+	}
+	e := &c.tasks[k.task]
+	switch {
+	case !e.open:
+		*e = ringEntry{iter: k.iter, open: true}
+	case e.iter != k.iter:
+		return nil, fmt.Errorf("runner: ring rank %d: task %d of iteration %d arrived while iteration %d's is open", c.rank, k.task, k.iter, e.iter)
+	}
+	return e, nil
 }
 
 // admit sends rank 0's admission of sub, of task in pass iter, forward;
@@ -147,20 +172,22 @@ func (c *ringCoord) control(m netar.Control, err error) {
 		return
 	}
 	c.mu.Lock()
-	e := c.tasks[k]
-	if e.admitted++; e.admitted == m.Parts || e.task == nil {
-		delete(c.tasks, k)
-	} else {
-		c.tasks[k] = e
+	var task *core.Task
+	e, err := c.entry(k)
+	if err == nil {
+		if task = e.task; task == nil {
+			err = fmt.Errorf("runner: ring rank %d: task %d of iteration %d admitted before it was ready here", c.rank, m.Task, m.Iter)
+		}
+		if e.admitted++; e.admitted == m.Parts || task == nil {
+			e.open = false
+		}
 	}
 	c.mu.Unlock()
-	if e.task == nil {
-		err = fmt.Errorf("runner: ring rank %d: task %d of iteration %d admitted before it was ready here", c.rank, m.Task, m.Iter)
-	} else {
+	if err == nil {
 		if c.hook != nil {
 			c.hook(m)
 		}
-		err = c.sched.Admit(e.task, int64(m.Unit), int(m.Part))
+		err = c.sched.Admit(task, int64(m.Unit), int(m.Part))
 	}
 	c.fatal(err)
 }

@@ -297,12 +297,12 @@ func TestRingLostPeerFailsEveryWorker(t *testing.T) {
 			peer := peers[r]
 			comm := ringComm(peer)
 			if r == 2 {
-				comm = func(key string, iter uint32, in, out []float32, sent func()) error {
+				comm = func(key string, iter uint32, in, out []float32, h sender) error {
 					if iter == 2 {
 						go peer.Close()
 						return errors.New("link down")
 					}
-					return ringComm(peer)(key, iter, in, out, sent)
+					return ringComm(peer)(key, iter, in, out, h)
 				}
 			}
 			ring := newRingCoord(peer, r, len(peers), nil)

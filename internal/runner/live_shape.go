@@ -104,9 +104,9 @@ func (s *linkShaper) phase(iter int) *LinkShape {
 
 // wrap returns comm preceded by the link's injected service time.
 func (s *linkShaper) wrap(comm liveComm) liveComm {
-	return func(key string, iter uint32, in, out []float32, sent func()) error {
+	return func(key string, iter uint32, in, out []float32, h sender) error {
 		s.hold(int(iter), int64(len(in))*4)
-		return comm(key, iter, in, out, sent)
+		return comm(key, iter, in, out, h)
 	}
 }
 

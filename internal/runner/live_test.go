@@ -150,9 +150,9 @@ func TestLiveWorkerPullFailureAfterAck(t *testing.T) {
 	cfg.Workers = 1
 	cfg.Policy = cfg.Policy.WithMaxRetries(2)
 	lost := errors.New("pull lost")
-	comm := func(key string, iter uint32, in, out []float32, sent func()) error {
+	comm := func(key string, iter uint32, in, out []float32, h sender) error {
 		copy(out, in)
-		sent()
+		h.Sent()
 		if iter == 1 && key == "L02[0/1]" {
 			return lost
 		}

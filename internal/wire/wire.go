@@ -58,6 +58,14 @@ const maxKey = 1<<16 - 1
 // including keyLen.
 const fixedLen = 1 + 1 + 4 + 8 + 2 + 2 + 4 + 2
 
+// maxKeys and maxKeyLen bound a connection's key table: it holds at most
+// maxKeys keys of at most maxKeyLen bytes, so it never holds more than
+// about 256 KB of strings, whatever a peer sends.
+const (
+	maxKeys   = 1024
+	maxKeyLen = 256
+)
+
 // Header is everything in a frame but its payload.
 type Header struct {
 	// Op is the transport's operation code, opaque to this package.
@@ -121,13 +129,17 @@ func parseFixed(b []byte) (Header, int) {
 }
 
 // Conn is one connection's framing state, owned by whoever dialed or
-// accepted it: a 4 KB bufio.Reader and a read buffer for its one reader,
-// and header/writev staging for one writer at a time. The two sides share
-// no field, so one goroutine may read while another writes.
+// accepted it: a 4 KB bufio.Reader, a read buffer and a key table for its
+// one reader, and header/writev staging for one writer at a time. The two
+// sides share no field, so one goroutine may read while another writes.
 type Conn struct {
 	net.Conn
 	br         *bufio.Reader
 	rhdr, rbuf []byte
+	// keys maps each key read here to the string made when it was first
+	// read, so a key the connection carries every iteration is read
+	// without a new string (see intern).
+	keys map[string]string
 	// whdr holds the staged frames' headers back to back, and vec the
 	// writev vector over them and their payloads.
 	whdr []byte
@@ -139,7 +151,9 @@ type Conn struct {
 
 // NewConn takes over c for framing; c itself stays reachable for deadlines
 // and Close.
-func NewConn(c net.Conn) *Conn { return &Conn{Conn: c, br: bufio.NewReaderSize(c, 4096)} }
+func NewConn(c net.Conn) *Conn {
+	return &Conn{Conn: c, br: bufio.NewReaderSize(c, 4096), keys: map[string]string{}}
+}
 
 // WriteFrame frames h and payload onto the raw connection: Stage, then
 // Flush.
@@ -237,7 +251,7 @@ func (c *Conn) read(r io.Reader, pick func(Header, int) []byte) (Header, []byte,
 	if _, err := io.ReadFull(r, c.rhdr); err != nil {
 		return Header{}, nil, truncated(err)
 	}
-	h.Key = string(c.rhdr[:keyLen])
+	h.Key = c.intern(c.rhdr[:keyLen])
 	n := binary.BigEndian.Uint32(c.rhdr[keyLen:])
 	if n > MaxMessage {
 		return Header{}, nil, fmt.Errorf("wire: payload length %d exceeds limit", n)
@@ -256,6 +270,26 @@ func (c *Conn) read(r io.Reader, pick func(Header, int) []byte) (Header, []byte,
 		c.rbuf = payload[:0]
 	}
 	return h, payload, nil
+}
+
+// intern returns key as a string: the one this connection made when it
+// last read the same bytes, if its table kept it, else a new one, which the
+// table keeps if it is at most maxKeyLen bytes long. The lookup converts
+// key without allocating. A table that reaches maxKeys is emptied first,
+// keeping its capacity, so a stream of ever new keys costs one string per
+// frame and a bounded table.
+func (c *Conn) intern(key []byte) string {
+	if k, ok := c.keys[string(key)]; ok {
+		return k
+	}
+	k := string(key)
+	if c.keys != nil && len(key) <= maxKeyLen {
+		if len(c.keys) == maxKeys {
+			clear(c.keys)
+		}
+		c.keys[k] = k
+	}
+	return k
 }
 
 // truncated reports a stream that ends inside a frame as

@@ -250,14 +250,15 @@ func TestReadIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestReadFrameIntoSteadyStateAllocs holds the destination read to what
-// ReadFrame allocates per frame anyway, the key string: the header scratch
-// belongs to the connection and the payload lands in the caller's buffer.
+// TestReadFrameIntoSteadyStateAllocs holds the destination read of a
+// repeated frame to 0 allocations: the header scratch and the key table
+// belong to the connection and the payload lands in the caller's buffer.
 func TestReadFrameIntoSteadyStateAllocs(t *testing.T) {
 	const frames = 200
 	h := Header{Op: 2, Iter: 7, Seq: 1<<32 | 42, Key: "layer12/weight:3"}
 	one := frame(t, h, make([]byte, 4<<10))
-	c := &Conn{br: bufio.NewReader(bytes.NewReader(bytes.Repeat(one, frames+1)))}
+	c := NewConn(sink{})
+	c.br = bufio.NewReader(bytes.NewReader(bytes.Repeat(one, frames+1)))
 	dst := make([]byte, 4<<10)
 	pick := func(Header, int) []byte { return dst }
 	allocs := testing.AllocsPerRun(frames, func() {
@@ -265,8 +266,78 @@ func TestReadFrameIntoSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("ReadFrameInto = %+v, %d bytes, %v; want the frame in dst", got, len(payload), err)
 		}
 	})
+	if allocs != 0 {
+		t.Fatalf("ReadFrameInto allocates %v times per frame, want 0", allocs)
+	}
+}
+
+// keyedFrames returns one empty-payload frame per key, back to back.
+func keyedFrames(t *testing.T, keys []string) []byte {
+	var b []byte
+	for _, k := range keys {
+		b = append(b, frame(t, Header{Op: 1, Key: k}, nil)...)
+	}
+	return b
+}
+
+// readKeys reads n frames from c, failing unless their keys are want's in
+// order, cycling.
+func readKeys(t *testing.T, c *Conn, want []string, n int) {
+	for i := 0; i < n; i++ {
+		h, _, err := c.ReadFrame()
+		if err != nil || h.Key != want[i%len(want)] {
+			t.Fatalf("frame %d: key %q, %v; want %q", i, h.Key, err, want[i%len(want)])
+		}
+	}
+}
+
+// TestReadRepeatedKeyAllocatesNothing reads a connection's keys the way a
+// live pass repeats them, sixteen partition keys and the empty key of a
+// control frame: after each was read once, a frame allocates nothing.
+func TestReadRepeatedKeyAllocatesNothing(t *testing.T) {
+	const rounds = 50
+	keys := []string{""}
+	for i := 0; i < 16; i++ {
+		keys = append(keys, fmt.Sprintf("L%02d[%d/4]", i/4, i%4))
+	}
+	c := NewConn(sink{})
+	c.br = bufio.NewReader(bytes.NewReader(bytes.Repeat(keyedFrames(t, keys), rounds+2)))
+	readKeys(t, c, keys, len(keys))
+	if allocs := testing.AllocsPerRun(rounds, func() { readKeys(t, c, keys, len(keys)) }); allocs != 0 {
+		t.Fatalf("a round of %d repeated keys allocates %v times, want 0", len(keys), allocs)
+	}
+}
+
+// TestKeyTableBounded streams three tables' worth of distinct keys and a
+// repeated key too long to keep: the table never holds more than maxKeys
+// keys, and once it has filled, each frame allocates at most its key.
+func TestKeyTableBounded(t *testing.T) {
+	const n = 3 * maxKeys
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%06d", i)
+	}
+	c := NewConn(sink{})
+	c.br = bufio.NewReader(bytes.NewReader(keyedFrames(t, keys)))
+	for i := 0; i < maxKeys+1; i++ {
+		readKeys(t, c, keys[i:i+1], 1)
+	}
+	next := maxKeys + 1
+	allocs := testing.AllocsPerRun(n-next-1, func() {
+		readKeys(t, c, keys[next:next+1], 1)
+		next++
+		if len(c.keys) > maxKeys {
+			t.Fatalf("key table holds %d keys, bound %d", len(c.keys), maxKeys)
+		}
+	})
 	if allocs > 1 {
-		t.Fatalf("ReadFrameInto allocates %v times per frame, want at most 1 (the key)", allocs)
+		t.Fatalf("a frame with a new key allocates %v times, want at most 1", allocs)
+	}
+	long := []string{strings.Repeat("k", maxKeyLen+1)}
+	c.br = bufio.NewReader(bytes.NewReader(bytes.Repeat(keyedFrames(t, long), 12)))
+	before := len(c.keys)
+	if allocs := testing.AllocsPerRun(10, func() { readKeys(t, c, long, 1) }); allocs != 1 || len(c.keys) != before {
+		t.Fatalf("a repeated %d-byte key allocates %v times per frame and grows the table %d -> %d, want 1 and no growth", maxKeyLen+1, allocs, before, len(c.keys))
 	}
 }
 
