@@ -61,10 +61,13 @@ docs: vet
 loc:
 	sh scripts/loc.sh
 
-# knobs lists every top-level With… option with its product callers (non-test
-# Go, bench/ included) and fails on one that only tests set.
+# knobs type-checks the module's and bench/'s non-test Go and fails on a
+# top-level With… option, or an exported function or method of internal/,
+# that no non-test file other than its own calls (a method that satisfies
+# an interface counts as called), and on a stale entry of its allowlist
+# (scripts/knobs/knobs_test.go).
 knobs:
-	sh scripts/knobs.sh
+	$(GO) test -count=1 -run '^TestProductCallers$$' ./scripts/knobs
 
 # verify is the CI gate: everything must build, pass vet + staticcheck,
 # pass the full test suite with the race detector on (./... includes the
@@ -80,7 +83,8 @@ knobs:
 # experiment it runs to internal/experiments/testdata/quick_seed1.json; a PR
 # that means to move a table regenerates that snapshot (~3 min, command in
 # internal/experiments/determinism_test.go's file comment) and reviews its diff.
-verify: build vet staticcheck race fuzz docs
+# knobs holds every exported function to a product caller.
+verify: build vet staticcheck race fuzz docs knobs
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

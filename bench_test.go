@@ -165,7 +165,7 @@ func BenchmarkSimEngineEvents(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng.Schedule(1, func() {})
-		eng.Step()
+		eng.Run()
 	}
 }
 
@@ -195,9 +195,6 @@ func BenchmarkFabricTransfers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fab.Send(&network.Transfer{Src: i % 4, Dst: 4 + i%4, Bytes: 1 << 20})
-		for eng.Pending() > 32 {
-			eng.Step()
-		}
 	}
 	eng.Run()
 }

@@ -234,8 +234,9 @@ type Experiment struct {
 	// Assignment selects the PS placement strategy over tensors (or
 	// partitions, once the policy partitions): "" or "round-robin" (the
 	// paper's baseline), "size-balanced"/"lpt" (online greedy LPT that
-	// fixes §6.2's load imbalance), or "hash-ring" (consistent hashing
-	// that survives server churn). Ignored for all-reduce.
+	// fixes §6.2's load imbalance), or "hash-ring" (consistent hashing:
+	// one more server moves only the units it takes). Ignored for
+	// all-reduce.
 	Assignment string
 	// Iterations and Warmup control measurement; zero selects defaults.
 	Iterations, Warmup int

@@ -59,9 +59,6 @@ func (r *Ring) SetAlgorithm(a Algorithm) {
 	}
 }
 
-// Algorithm returns the active collective implementation.
-func (r *Ring) Algorithm() Algorithm { return r.algo }
-
 // log2ceil returns ceil(log2(n)) for n >= 1.
 func log2ceil(n int) int {
 	bits := 0

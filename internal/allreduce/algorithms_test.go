@@ -33,7 +33,7 @@ func TestAlgorithmNames(t *testing.T) {
 func TestSetAlgorithmValidation(t *testing.T) {
 	r := newRing(t, sim.New(), 4)
 	r.SetAlgorithm(HalvingDoubling)
-	if r.Algorithm() != HalvingDoubling {
+	if r.algo != HalvingDoubling {
 		t.Fatal("SetAlgorithm did not stick")
 	}
 	defer func() {
@@ -60,13 +60,13 @@ func TestHalvingDoublingLatencyAdvantage(t *testing.T) {
 	ring := newRing(t, eng, 16)
 	hd := newRing(t, eng, 16)
 	hd.SetAlgorithm(HalvingDoubling)
-	if hd.OpTime(64, false) >= ring.OpTime(64, false) {
+	if hd.opTime(64, false) >= ring.opTime(64, false) {
 		t.Fatalf("HD small-payload %v not faster than ring %v",
-			hd.OpTime(64, false), ring.OpTime(64, false))
+			hd.opTime(64, false), ring.opTime(64, false))
 	}
 	// For a huge payload both are bandwidth-optimal: equal transfer term,
 	// HD still wins slightly via latency, so it must not be slower.
-	if hd.OpTime(1<<30, false) > ring.OpTime(1<<30, false) {
+	if hd.opTime(1<<30, false) > ring.opTime(1<<30, false) {
 		t.Fatal("HD must not lose on bandwidth")
 	}
 }
@@ -79,10 +79,10 @@ func TestDoubleTreeBandwidthPenalty(t *testing.T) {
 	ring := newRing(t, eng, 16)
 	tree := newRing(t, eng, 16)
 	tree.SetAlgorithm(DoubleTree)
-	if tree.OpTime(256<<20, false) <= ring.OpTime(256<<20, false) {
+	if tree.opTime(256<<20, false) <= ring.opTime(256<<20, false) {
 		t.Fatal("tree must pay a bandwidth penalty on large payloads")
 	}
-	if tree.OpTime(64, false) >= ring.OpTime(64, false) {
+	if tree.opTime(64, false) >= ring.opTime(64, false) {
 		t.Fatal("tree must win on latency for small payloads")
 	}
 }
@@ -94,8 +94,8 @@ func TestAlgorithmCrossover(t *testing.T) {
 	ring := newRing(t, eng, 8)
 	tree := newRing(t, eng, 8)
 	tree.SetAlgorithm(DoubleTree)
-	small := tree.OpTime(1<<10, false) < ring.OpTime(1<<10, false)
-	large := tree.OpTime(1<<28, false) > ring.OpTime(1<<28, false)
+	small := tree.opTime(1<<10, false) < ring.opTime(1<<10, false)
+	large := tree.opTime(1<<28, false) > ring.opTime(1<<28, false)
 	if !small || !large {
 		t.Fatalf("no crossover: small tree-wins=%v large ring-wins=%v", small, large)
 	}
@@ -129,7 +129,7 @@ func TestSingleMachineAlgorithmsEquivalent(t *testing.T) {
 		r := newRing(t, eng, 1)
 		r.SetIntraNode(8, 10e9)
 		r.SetAlgorithm(algo)
-		times = append(times, r.OpTime(1<<20, false))
+		times = append(times, r.opTime(1<<20, false))
 	}
 	if times[0] != times[1] || times[1] != times[2] {
 		t.Fatalf("single-machine times differ: %v", times)

@@ -60,13 +60,11 @@ type Ring struct {
 	intraBytesPerS float64
 	algo           Algorithm
 
-	busy     bool
-	lastEnd  float64
-	queue    []*Op
-	served   uint64
-	busyTime float64
-	redBytes int64
-	rec      *trace.Recorder
+	busy    bool
+	lastEnd float64
+	queue   []*Op
+	served  uint64
+	rec     *trace.Recorder
 }
 
 // SetTrace records every collective as a span on the "ring" lane (nil
@@ -111,33 +109,9 @@ func (r *Ring) Reset(gbps float64, prof network.Profile) error {
 	return nil
 }
 
-// Machines returns the ring size.
-func (r *Ring) Machines() int { return r.machines }
-
-// Served returns the number of completed collectives.
-func (r *Ring) Served() uint64 { return r.served }
-
-// ReducedBytes returns the total payload bytes reduced so far.
-func (r *Ring) ReducedBytes() int64 { return r.redBytes }
-
-// Utilization returns the fraction of simulated time the ring was busy.
-func (r *Ring) Utilization() float64 {
-	now := r.eng.Now()
-	if now <= 0 {
-		return 0
-	}
-	return r.busyTime / now
-}
-
-// QueueLen returns the number of queued (not yet started) operations.
-func (r *Ring) QueueLen() int { return len(r.queue) }
-
-// Busy reports whether a collective is in flight.
-func (r *Ring) Busy() bool { return r.busy }
-
-// OpTime returns the service time of one collective of the given size; if
+// opTime returns the service time of one collective of the given size; if
 // pipelined, the synchronization term is discounted.
-func (r *Ring) OpTime(bytes int64, pipelined bool) float64 {
+func (r *Ring) opTime(bytes int64, pipelined bool) float64 {
 	transfer, hops := 0.0, 0.0
 	if r.machines > 1 {
 		transfer, hops = r.interTime(bytes)
@@ -175,9 +149,8 @@ func (r *Ring) dispatch() {
 
 	now := r.eng.Now()
 	pipelined := r.served > 0 && math.Abs(now-r.lastEnd) <= 1e-12*(1+now)
-	dur := r.OpTime(op.Bytes, pipelined)
+	dur := r.opTime(op.Bytes, pipelined)
 	r.busy = true
-	r.busyTime += dur
 	r.eng.Schedule(dur, func() {
 		if r.rec != nil {
 			r.rec.Add("ring", fmt.Sprintf("ar L%d", op.Prio), now, r.eng.Now())
@@ -185,7 +158,6 @@ func (r *Ring) dispatch() {
 		r.busy = false
 		r.lastEnd = r.eng.Now()
 		r.served++
-		r.redBytes += op.Bytes
 		if op.OnDone != nil {
 			op.OnDone()
 		}

@@ -39,7 +39,7 @@ func TestOpTimeBandwidthTerm(t *testing.T) {
 	}
 	want := 2.0 * 3 / 4 * float64(64<<20) / bw
 	want += prof.CollectiveLaunch + 2*3*prof.HopLatency
-	if got := r.OpTime(64<<20, false); !almost(got, want) {
+	if got := r.opTime(64<<20, false); !almost(got, want) {
 		t.Fatalf("OpTime = %v, want %v", got, want)
 	}
 }
@@ -47,9 +47,9 @@ func TestOpTimeBandwidthTerm(t *testing.T) {
 func TestIntraNodeStage(t *testing.T) {
 	eng := sim.New()
 	r := newRing(t, eng, 4)
-	base := r.OpTime(64<<20, false)
+	base := r.opTime(64<<20, false)
 	r.SetIntraNode(8, 10e9)
-	withIntra := r.OpTime(64<<20, false)
+	withIntra := r.opTime(64<<20, false)
 	wantExtra := 2.0 * 7 / 8 * float64(64<<20) / 10e9
 	if !almost(withIntra-base, wantExtra) {
 		t.Fatalf("intra stage added %v, want %v", withIntra-base, wantExtra)
@@ -57,7 +57,7 @@ func TestIntraNodeStage(t *testing.T) {
 	// Single machine: only the intra stage and sync remain.
 	solo := newRing(t, eng, 1)
 	solo.SetIntraNode(8, 10e9)
-	if got := solo.OpTime(64<<20, false); got < wantExtra {
+	if got := solo.opTime(64<<20, false); got < wantExtra {
 		t.Fatalf("single-machine OpTime %v must include the intra stage %v", got, wantExtra)
 	}
 	// Disabling needs gpus<2; invalid bandwidth panics.
@@ -72,8 +72,8 @@ func TestIntraNodeStage(t *testing.T) {
 func TestOpTimePipelinedDiscount(t *testing.T) {
 	eng := sim.New()
 	r := newRing(t, eng, 8)
-	full := r.OpTime(1<<20, false)
-	pip := r.OpTime(1<<20, true)
+	full := r.opTime(1<<20, false)
+	pip := r.opTime(1<<20, true)
 	if pip >= full {
 		t.Fatalf("pipelined %v not cheaper than full %v", pip, full)
 	}
@@ -83,7 +83,7 @@ func TestSingleMachineIsLocal(t *testing.T) {
 	eng := sim.New()
 	r := newRing(t, eng, 1)
 	// No network term for a single machine.
-	if got := r.OpTime(1<<30, false); got > 1e-3 {
+	if got := r.opTime(1<<30, false); got > 1e-3 {
 		t.Fatalf("single machine OpTime = %v, want sync-only", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestSyncCostGrowsWithMachines(t *testing.T) {
 	small := newRing(t, eng, 2)
 	big := newRing(t, eng, 16)
 	// For a tiny payload, sync dominates; more machines, more hops.
-	if big.OpTime(1, false) <= small.OpTime(1, false) {
+	if big.opTime(1, false) <= small.opTime(1, false) {
 		t.Fatal("sync cost must grow with ring size")
 	}
 }
@@ -112,8 +112,8 @@ func TestFIFOExecution(t *testing.T) {
 			t.Fatalf("order = %v", order)
 		}
 	}
-	if r.Served() != 5 {
-		t.Fatalf("Served = %d", r.Served())
+	if r.served != 5 {
+		t.Fatalf("served = %d", r.served)
 	}
 }
 
@@ -126,11 +126,11 @@ func TestBackToBackAmortizesSync(t *testing.T) {
 	r.Submit(&Op{Bytes: 1 << 20})
 	r.Submit(&Op{Bytes: 1 << 20, OnDone: func() { last = eng.Now() }})
 	eng.Run()
-	want := r.OpTime(1<<20, false) + r.OpTime(1<<20, true)
+	want := r.opTime(1<<20, false) + r.opTime(1<<20, true)
 	if !almost(last, want) {
 		t.Fatalf("back-to-back pair took %v, want %v", last, want)
 	}
-	if want >= 2*r.OpTime(1<<20, false) {
+	if want >= 2*r.opTime(1<<20, false) {
 		t.Fatal("pipelining saved nothing")
 	}
 }
@@ -155,12 +155,12 @@ func TestOnStartFires(t *testing.T) {
 	eng := sim.New()
 	r := newRing(t, eng, 2)
 	r.Submit(&Op{Bytes: 1})
-	if !r.Busy() || r.QueueLen() != 0 {
-		t.Fatalf("idle ring left the op queued: busy=%v queued=%d", r.Busy(), r.QueueLen())
+	if !r.busy || len(r.queue) != 0 {
+		t.Fatalf("idle ring left the op queued: busy=%v queued=%d", r.busy, len(r.queue))
 	}
 	eng.Run()
-	if r.Busy() || r.Served() != 1 {
-		t.Fatalf("after the run: busy=%v served=%d", r.Busy(), r.Served())
+	if r.busy || r.served != 1 {
+		t.Fatalf("after the run: busy=%v served=%d", r.busy, r.served)
 	}
 }
 
@@ -181,11 +181,13 @@ func TestUtilizationAndBytes(t *testing.T) {
 	r.Submit(&Op{Bytes: 10 << 20})
 	r.Submit(&Op{Bytes: 10 << 20})
 	eng.Run()
-	if !almost(r.Utilization(), 1) {
-		t.Fatalf("back-to-back ops should keep ring 100%% busy, got %v", r.Utilization())
+	// Back-to-back ops keep the ring busy from the first start to the last
+	// end: the run lasts exactly their two service times.
+	if want := r.opTime(10<<20, false) + r.opTime(10<<20, true); !almost(eng.Now(), want) {
+		t.Fatalf("back-to-back ops should keep ring 100%% busy: ended at %v, want %v", eng.Now(), want)
 	}
-	if r.ReducedBytes() != 20<<20 {
-		t.Fatalf("ReducedBytes = %d", r.ReducedBytes())
+	if r.served != 2 {
+		t.Fatalf("served = %d", r.served)
 	}
 }
 
@@ -198,15 +200,16 @@ func TestSerialProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		done := 0
-		for _, b := range raw {
+		done, busy := 0, 0.0
+		for i, b := range raw {
 			r.Submit(&Op{Bytes: int64(b), OnDone: func() { done++ }})
+			busy += r.opTime(int64(b), i > 0)
 		}
 		eng.Run()
 		if done != len(raw) {
 			return false
 		}
-		return math.Abs(eng.Now()-r.busyTime) < 1e-9
+		return math.Abs(eng.Now()-busy) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -179,8 +179,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors (after defaulting).
-func (c Config) Validate() error {
+// validate reports configuration errors (after defaulting).
+func (c Config) validate() error {
 	switch c.Suggester {
 	case "bo", "grid", "random":
 	default:
@@ -296,7 +296,7 @@ type Controller struct {
 // setting.
 func New(start Setting, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if start.Partition <= 0 || start.Partition%4 != 0 || start.Credit <= 0 {
@@ -574,13 +574,6 @@ func (c *Controller) opDelta() float64 {
 		return 0
 	}
 	return ds / float64(dc)
-}
-
-// State returns the controller's current control-loop state.
-func (c *Controller) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
 }
 
 // Report snapshots the run summary; safe to call mid-run or after.

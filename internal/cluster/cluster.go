@@ -34,8 +34,8 @@ type Job struct {
 	Iterations int
 }
 
-// Validate reports structural errors in the job description.
-func (j Job) Validate() error {
+// validate reports structural errors in the job description.
+func (j Job) validate() error {
 	if j.ID < 0 {
 		return fmt.Errorf("cluster: negative job id %d", j.ID)
 	}
@@ -106,7 +106,7 @@ func newPlane(s Scenario) *plane {
 // submit queues the job and runs admission. A job that can never fit the
 // cluster is rejected.
 func (p *plane) submit(j Job) error {
-	if err := j.Validate(); err != nil {
+	if err := j.validate(); err != nil {
 		return err
 	}
 	if slots := p.s.Nodes * p.s.SlotsPerNode; j.Workers > slots {

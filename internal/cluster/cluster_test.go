@@ -87,7 +87,7 @@ func TestJobValidate(t *testing.T) {
 	for i, mutate := range bad {
 		j := job(1, 1, 1, 4, 1<<20)
 		mutate(&j)
-		if err := j.Validate(); err == nil {
+		if err := j.validate(); err == nil {
 			t.Errorf("case %d: invalid job accepted: %+v", i, j)
 		}
 	}

@@ -121,13 +121,13 @@ func (s Scenario) arrival(i int) float64 {
 	return float64(s.draw(i, 0)%1e9) / 1e9 * s.ArrivalWindowSec
 }
 
-// GenerateJobs deterministically materializes the scenario's job mix:
+// generateJobs deterministically materializes the scenario's job mix:
 // seven real zoo models plus power-law synthetics, 1-4 workers, weights
 // 1/2/4, tens to hundreds of iterations. Each job's FloorSec comes from
 // its DAG profile's critical path at the scenario link rate — per-op FP
 // and BP timings, not a uniform backward-compute assumption — so placement
 // sees real per-layer costs.
-func (s Scenario) GenerateJobs() []Job {
+func (s Scenario) generateJobs() []Job {
 	s = s.withDefaults()
 	rate := s.linkBytesPerSec()
 	maxWorkers := s.Nodes * s.SlotsPerNode
@@ -239,7 +239,7 @@ func (s Scenario) Run() (Report, error) {
 		return Report{}, err
 	}
 	p := newPlane(s)
-	jobs := s.GenerateJobs()
+	jobs := s.generateJobs()
 	linkRate := s.linkBytesPerSec()
 
 	n := len(jobs)

@@ -47,7 +47,7 @@ func TestScenarioValidate(t *testing.T) {
 // the millions at default scale.
 func TestGenerateJobsHeterogeneous(t *testing.T) {
 	s := Scenario{Seed: 3}.withDefaults()
-	jobs := s.GenerateJobs()
+	jobs := s.generateJobs()
 	if len(jobs) != s.Jobs {
 		t.Fatalf("generated %d jobs, want %d", len(jobs), s.Jobs)
 	}
@@ -56,7 +56,7 @@ func TestGenerateJobsHeterogeneous(t *testing.T) {
 	weights := map[float64]bool{}
 	var tensors int64
 	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
+		if err := j.validate(); err != nil {
 			t.Fatalf("generated job invalid: %v", err)
 		}
 		models[j.Model] = true
@@ -102,8 +102,8 @@ func TestSimDeterministic(t *testing.T) {
 	}
 	s2 := testScenario(true)
 	s2.Seed++
-	j1 := testScenario(true).GenerateJobs()
-	j2 := s2.GenerateJobs()
+	j1 := testScenario(true).generateJobs()
+	j2 := s2.generateJobs()
 	if reflect.DeepEqual(j1, j2) {
 		t.Fatal("different seeds generated identical job populations")
 	}

@@ -12,16 +12,17 @@ import (
 // ErrShutdown is returned by AsyncScheduler methods after Shutdown.
 var ErrShutdown = errors.New("core: scheduler shut down")
 
-// AsyncScheduler wraps Scheduler behind a mutex and a completion worker so
-// it can be driven from many goroutines — the shape a live deployment needs,
-// where framework engine threads post tasks and network completion handlers
-// return credit concurrently.
+// AsyncScheduler wraps Scheduler behind one mutex so it can be driven from
+// many goroutines — the shape a live deployment needs, where framework
+// engine threads post tasks and network completion handlers return credit
+// concurrently.
 //
 // All policy semantics are identical to Scheduler: AsyncScheduler contains
-// one and delegates every decision to it. Each partition's Start runs on
-// its own goroutine (substrates may block); completions re-enter the
-// scheduler under the mutex. The caller's Task fields are never written, so
-// a Task rejected here can be fixed and enqueued again.
+// one and delegates every decision to it. Each partition's launch runs on
+// its own goroutine (spawn; substrates may block), and its Sent and Done
+// re-enter the scheduler under the mutex on whatever goroutine calls them.
+// The caller's Task fields are never written, so a Task rejected here can
+// be fixed and enqueued again.
 type AsyncScheduler struct {
 	mu   sync.Mutex
 	idle *sync.Cond // signaled whenever active or unresolved work shrinks
@@ -68,10 +69,7 @@ func (h *Handle) runAsync() {
 	a.mu.Unlock()
 }
 
-// Policy returns the scheduler policy.
-func (a *AsyncScheduler) Policy() Policy { return a.s.policy }
-
-// Enqueue registers a CommTask. The task's Start (or StartErr) function
+// Enqueue registers a CommTask. The task's Starter (or Start, or StartErr)
 // will be invoked without the scheduler lock held — substrates may block or
 // call done from any goroutine. Misuse that panics on the synchronous
 // Scheduler (missing Start, enqueueing a task with a partition unresolved)

@@ -14,8 +14,8 @@
 // The scheduler in this package is synchronous and event-driven: callers
 // (framework plugins and the substrates' completion callbacks) invoke it
 // inline, so it composes with the deterministic discrete-event simulator.
-// AsyncScheduler wraps the same logic behind goroutine-safe channels for
-// live use.
+// AsyncScheduler wraps the same logic behind one mutex for live use, and
+// runs each partition's launch on a goroutine of its own.
 package core
 
 import (

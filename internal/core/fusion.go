@@ -81,8 +81,8 @@ type FuserConfig struct {
 	Start func(f *Fused) Starter
 }
 
-// Validate reports configuration errors.
-func (c FuserConfig) Validate() error {
+// validate reports configuration errors.
+func (c FuserConfig) validate() error {
 	if c.Theta <= 0 {
 		return nil // fusion disabled; nothing else is consulted
 	}
@@ -122,7 +122,7 @@ type Fuser struct {
 // NewFuser returns a Fuser feeding sink. It returns an error on an
 // invalid configuration or a nil sink.
 func NewFuser(cfg FuserConfig, sink TaskSink) (*Fuser, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if sink == nil {

@@ -78,8 +78,8 @@ type DAGTimings struct {
 	BytesPerSec float64
 }
 
-// Validate reports structural errors in the timing profile.
-func (d DAGTimings) Validate() error {
+// validate reports structural errors in the timing profile.
+func (d DAGTimings) validate() error {
 	if len(d.FP) == 0 {
 		return fmt.Errorf("core: empty DAG timing profile")
 	}
@@ -106,7 +106,7 @@ func (d DAGTimings) Validate() error {
 	return nil
 }
 
-// CriticalPathRanks converts the timing profile into per-layer ranks
+// criticalPathRanks converts the timing profile into per-layer ranks
 // (rank 0 is scheduled first) by the length of the iteration's critical
 // path through each layer. The backward pass produces layer l's gradient
 // after processing layers n-1 down to l, the gradient then crosses the
@@ -127,7 +127,7 @@ func (d DAGTimings) Validate() error {
 // backward-compute assumption — a constant per-layer shift — misses
 // entirely. With BP nil the backward segment contributes nothing and the
 // ranks reduce to the transfer + forward-suffix form.
-func (d DAGTimings) CriticalPathRanks() ([]int64, error) {
+func (d DAGTimings) criticalPathRanks() ([]int64, error) {
 	remaining, err := d.pathLengths()
 	if err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func (d DAGTimings) CriticalPathRanks() ([]int64, error) {
 }
 
 // CriticalPathSec returns the length in seconds of the longest path through
-// any layer — max_l R(l) from CriticalPathRanks — which lower-bounds the
+// any layer — max_l R(l) from criticalPathRanks — which lower-bounds the
 // iteration time no scheduler can beat on this profile: the binding chain of
 // backward compute, one transfer, and forward compute must execute
 // serially. Cluster placement uses it as a job's per-iteration floor, so
@@ -172,9 +172,9 @@ func (d DAGTimings) CriticalPathSec() (float64, error) {
 }
 
 // pathLengths validates the profile and returns R(l) for every layer, the
-// path length CriticalPathRanks orders by and CriticalPathSec maximizes.
+// path length criticalPathRanks orders by and CriticalPathSec maximizes.
 func (d DAGTimings) pathLengths() ([]float64, error) {
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	remaining := make([]float64, len(d.FP))
@@ -189,9 +189,9 @@ func (d DAGTimings) pathLengths() ([]float64, error) {
 	return remaining, nil
 }
 
-// LayerRanks returns the identity rank table: rank(l) = l, the paper's
+// layerRanks returns the identity rank table: rank(l) = l, the paper's
 // layer-index priority expressed in the same form as the other strategies.
-func LayerRanks(layers int) []int64 {
+func layerRanks(layers int) []int64 {
 	ranks := make([]int64, layers)
 	for i := range ranks {
 		ranks[i] = int64(i)
@@ -199,11 +199,11 @@ func LayerRanks(layers int) []int64 {
 	return ranks
 }
 
-// RandomRanks returns a seeded random permutation of 0..layers-1. The same
+// randomRanks returns a seeded random permutation of 0..layers-1. The same
 // seed yields the same permutation everywhere, so distributed workers (and
 // the deterministic simulator) agree on the ablation's ordering.
-func RandomRanks(seed int64, layers int) []int64 {
-	ranks := LayerRanks(layers)
+func randomRanks(seed int64, layers int) []int64 {
+	ranks := layerRanks(layers)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(layers, func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
 	return ranks
@@ -217,11 +217,11 @@ func (p PriorityPolicy) Ranks(d DAGTimings, seed int64) ([]int64, error) {
 	case PriorityDefault:
 		return nil, nil
 	case PriorityLayer:
-		return LayerRanks(len(d.FP)), nil
+		return layerRanks(len(d.FP)), nil
 	case PriorityCriticalPath:
-		return d.CriticalPathRanks()
+		return d.criticalPathRanks()
 	case PriorityRandom:
-		return RandomRanks(seed, len(d.FP)), nil
+		return randomRanks(seed, len(d.FP)), nil
 	}
 	return nil, fmt.Errorf("core: unknown priority policy %d", int(p))
 }

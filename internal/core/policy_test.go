@@ -43,7 +43,7 @@ func TestDAGTimingsValidate(t *testing.T) {
 		{FP: []float64{1}, LayerBytes: []int64{-1}, BytesPerSec: 1},
 	}
 	for i, d := range bad {
-		if err := d.Validate(); err == nil {
+		if err := d.validate(); err == nil {
 			t.Errorf("case %d: invalid timings accepted: %+v", i, d)
 		}
 	}
@@ -52,7 +52,7 @@ func TestDAGTimingsValidate(t *testing.T) {
 		{FP: []float64{1, 1}, BP: []float64{1, -1}, LayerBytes: []int64{4, 4}, BytesPerSec: 1},
 	}
 	for i, d := range badBP {
-		if err := d.Validate(); err == nil {
+		if err := d.validate(); err == nil {
 			t.Errorf("BP case %d: invalid timings accepted: %+v", i, d)
 		}
 	}
@@ -76,7 +76,7 @@ func TestCriticalPathPerOpBP(t *testing.T) {
 		BytesPerSec: 1,
 	}
 	// Paths: R(2) = 15+10+1 = 26, R(0) = 15+0+3 = 18, R(1) = 15+0+2 = 17.
-	ranks, err := perOp.CriticalPathRanks()
+	ranks, err := perOp.criticalPathRanks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCriticalPathPerOpBP(t *testing.T) {
 	uniform := perOp
 	uniform.BP = []float64{5, 5, 5} // same total backward cost, flat profile
 	// Paths: R(0) = 15+0+3 = 18, R(2) = 5+10+1 = 16, R(1) = 10+0+2 = 12.
-	flat, err := uniform.CriticalPathRanks()
+	flat, err := uniform.criticalPathRanks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCriticalPathNilBPBackCompat(t *testing.T) {
 		LayerBytes:  []int64{0, 0, 10},
 		BytesPerSec: 1,
 	}
-	ranks, err := d.CriticalPathRanks()
+	ranks, err := d.criticalPathRanks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestCriticalPathUniformProfile(t *testing.T) {
 		LayerBytes:  []int64{1 << 20, 1 << 20, 1 << 20, 1 << 20},
 		BytesPerSec: 1e9,
 	}
-	ranks, err := d.CriticalPathRanks()
+	ranks, err := d.criticalPathRanks()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ranks, LayerRanks(4)) {
+	if !reflect.DeepEqual(ranks, layerRanks(4)) {
 		t.Fatalf("uniform profile ranks = %v, want layer order", ranks)
 	}
 }
@@ -173,7 +173,7 @@ func TestCriticalPathTailHeavyProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(ranks, LayerRanks(4)) {
+	if reflect.DeepEqual(ranks, layerRanks(4)) {
 		t.Fatalf("tail-heavy profile ranks = %v, identical to layer order", ranks)
 	}
 	if ranks[3] != 0 {
@@ -192,12 +192,12 @@ func TestCriticalPathTailHeavyProfile(t *testing.T) {
 }
 
 func TestRandomRanksDeterministic(t *testing.T) {
-	a := RandomRanks(42, 16)
-	b := RandomRanks(42, 16)
+	a := randomRanks(42, 16)
+	b := randomRanks(42, 16)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different permutations: %v vs %v", a, b)
 	}
-	c := RandomRanks(43, 16)
+	c := randomRanks(43, 16)
 	if reflect.DeepEqual(a, c) {
 		t.Fatalf("different seeds produced the same permutation: %v", a)
 	}

@@ -104,8 +104,8 @@ type Config struct {
 	OnIteration func(iter int, at float64)
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	if c.Model == nil {
 		return fmt.Errorf("engine: nil model")
 	}
@@ -227,7 +227,7 @@ type Engine struct {
 
 // New builds an engine over the given simulator.
 func New(se *sim.Engine, cfg Config, hook CommHook) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if hook == nil {
@@ -252,7 +252,7 @@ func New(se *sim.Engine, cfg Config, hook CommHook) (*Engine, error) {
 // jitter generator reseeded and the GPUs idle. Gate slabs keep their
 // capacity. The simulator must have been reset too.
 func (e *Engine) Reset(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return err
 	}
 	n := cfg.Model.NumLayers()

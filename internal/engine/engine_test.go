@@ -49,7 +49,7 @@ func run(t *testing.T, se *sim.Engine, cfg Config, hook CommHook) Result {
 func TestConfigValidate(t *testing.T) {
 	m := model.Synthetic("s", 3, 1024, 0.01)
 	good := baseConfig(m, 2)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
@@ -62,7 +62,7 @@ func TestConfigValidate(t *testing.T) {
 		{Model: m, Workers: 1, Iterations: 1, Dependency: DependencyMode(9)},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}

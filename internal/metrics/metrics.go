@@ -110,9 +110,9 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// DefBuckets covers 1 µs to ~100 s in quarter-decade steps — wide enough
+// defBuckets covers 1 µs to ~100 s in quarter-decade steps — wide enough
 // for both wall-clock request latencies and simulated virtual-time spans.
-func DefBuckets() []float64 {
+func defBuckets() []float64 {
 	var b []float64
 	for _, base := range []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10} {
 		b = append(b, base, 2.5*base, 5*base)
@@ -283,7 +283,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
-// upper bounds on first use (DefBuckets when none are given). Bounds are
+// upper bounds on first use (defBuckets when none are given). Bounds are
 // ignored if the histogram already exists. A nil registry returns a nil
 // (no-op) handle.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
@@ -300,7 +300,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	defer r.mu.Unlock()
 	if h = r.histograms[name]; h == nil {
 		if len(bounds) == 0 {
-			bounds = DefBuckets()
+			bounds = defBuckets()
 		}
 		h = newHistogram(bounds)
 		r.histograms[name] = h

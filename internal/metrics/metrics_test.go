@@ -99,8 +99,8 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	h := r.Histogram("d")
 	h.Observe(0.5)
 	s := r.Snapshot().Histograms["d"]
-	if len(s.Bounds) != len(DefBuckets()) {
-		t.Fatalf("bounds = %d, want %d", len(s.Bounds), len(DefBuckets()))
+	if len(s.Bounds) != len(defBuckets()) {
+		t.Fatalf("bounds = %d, want %d", len(s.Bounds), len(defBuckets()))
 	}
 	if !sortedAscending(s.Bounds) {
 		t.Fatalf("default bounds not ascending: %v", s.Bounds)

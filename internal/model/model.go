@@ -76,9 +76,9 @@ func (m *Model) TotalBytes() int64 {
 // Params returns the total parameter count.
 func (m *Model) Params() int64 { return m.TotalBytes() / BytesPerParam }
 
-// IterComputeTime returns the computation-only time of one iteration on one
+// iterComputeTime returns the computation-only time of one iteration on one
 // GPU, in seconds.
-func (m *Model) IterComputeTime() float64 {
+func (m *Model) iterComputeTime() float64 {
 	return float64(m.BatchPerGPU) / m.PerGPUSpeed
 }
 
@@ -105,7 +105,7 @@ func (m *Model) computeShares() []float64 {
 // FPTimes returns the forward-propagation duration of each layer, in
 // seconds, for one iteration on one GPU.
 func (m *Model) FPTimes() []float64 {
-	total := m.IterComputeTime() * m.FPFraction
+	total := m.iterComputeTime() * m.FPFraction
 	shares := m.computeShares()
 	out := make([]float64, len(shares))
 	for i, s := range shares {
@@ -117,39 +117,13 @@ func (m *Model) FPTimes() []float64 {
 // BPTimes returns the backward-propagation duration of each layer, in
 // seconds, for one iteration on one GPU.
 func (m *Model) BPTimes() []float64 {
-	total := m.IterComputeTime() * (1 - m.FPFraction)
+	total := m.iterComputeTime() * (1 - m.FPFraction)
 	shares := m.computeShares()
 	out := make([]float64, len(shares))
 	for i, s := range shares {
 		out[i] = s * total
 	}
 	return out
-}
-
-// LargestTensor returns the single largest tensor in the model.
-func (m *Model) LargestTensor() tensor.Tensor {
-	var best tensor.Tensor
-	for _, l := range m.Layers {
-		for _, t := range l.Tensors {
-			if t.Bytes > best.Bytes {
-				best = t
-			}
-		}
-	}
-	return best
-}
-
-// SmallestTensor returns the single smallest non-empty tensor in the model.
-func (m *Model) SmallestTensor() tensor.Tensor {
-	best := tensor.Tensor{Bytes: 1<<63 - 1}
-	for _, l := range m.Layers {
-		for _, t := range l.Tensors {
-			if t.Bytes > 0 && t.Bytes < best.Bytes {
-				best = t
-			}
-		}
-	}
-	return best
 }
 
 // Validate checks structural invariants: contiguous layer indices, positive

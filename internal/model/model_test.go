@@ -3,6 +3,8 @@ package model
 import (
 	"math"
 	"testing"
+
+	"bytescheduler/internal/tensor"
 )
 
 func TestAllModelsValidate(t *testing.T) {
@@ -40,14 +42,14 @@ func TestVGG16Facts(t *testing.T) {
 		t.Fatalf("VGG16 params = %d, want ~138.3M", params)
 	}
 	// The paper: smallest tensor 256B, largest over 400MB.
-	largest := m.LargestTensor()
+	largest := largestTensor(m)
 	if largest.Bytes < 400e6 {
 		t.Fatalf("VGG16 largest tensor = %d bytes, want >400MB", largest.Bytes)
 	}
 	if largest.Name != "weight" || m.Layers[largest.Layer].Name != "fc6" {
 		t.Fatalf("VGG16 largest tensor should be fc6 weight, got %s in %s", largest, m.Layers[largest.Layer].Name)
 	}
-	smallest := m.SmallestTensor()
+	smallest := smallestTensor(m)
 	if smallest.Bytes != 64*BytesPerParam {
 		t.Fatalf("VGG16 smallest tensor = %d bytes, want 256", smallest.Bytes)
 	}
@@ -66,8 +68,8 @@ func TestResNet50Facts(t *testing.T) {
 	}
 	// Compute-bound: bytes/computeTime ratio far below VGG16's.
 	vgg := VGG16()
-	rnRatio := float64(m.TotalBytes()) / m.IterComputeTime()
-	vggRatio := float64(vgg.TotalBytes()) / vgg.IterComputeTime()
+	rnRatio := float64(m.TotalBytes()) / m.iterComputeTime()
+	vggRatio := float64(vgg.TotalBytes()) / vgg.iterComputeTime()
 	if rnRatio > vggRatio/2 {
 		t.Fatalf("ResNet50 comm/comp ratio %.3g not far below VGG16 %.3g", rnRatio, vggRatio)
 	}
@@ -85,7 +87,7 @@ func TestTransformerFacts(t *testing.T) {
 	}
 	// The embedding must be both layer 0 and the single largest tensor
 	// (the load imbalance driver).
-	largest := m.LargestTensor()
+	largest := largestTensor(m)
 	if largest.Layer != 0 {
 		t.Fatalf("Transformer largest tensor in layer %d, want 0", largest.Layer)
 	}
@@ -123,7 +125,7 @@ func TestComputeTimeDistribution(t *testing.T) {
 		fpSum += fp[i]
 		bpSum += bp[i]
 	}
-	iter := m.IterComputeTime()
+	iter := m.iterComputeTime()
 	if math.Abs(fpSum+bpSum-iter) > 1e-9 {
 		t.Fatalf("fp+bp = %v, want %v", fpSum+bpSum, iter)
 	}
@@ -147,8 +149,8 @@ func TestSynthetic(t *testing.T) {
 	if m.TotalBytes() != 5*4096 {
 		t.Fatalf("TotalBytes = %d, want %d", m.TotalBytes(), 5*4096)
 	}
-	if math.Abs(m.IterComputeTime()-0.01) > 1e-12 {
-		t.Fatalf("IterComputeTime = %v, want 0.01", m.IterComputeTime())
+	if math.Abs(m.iterComputeTime()-0.01) > 1e-12 {
+		t.Fatalf("iterComputeTime = %v, want 0.01", m.iterComputeTime())
 	}
 }
 
@@ -174,7 +176,7 @@ func TestBERTBaseFacts(t *testing.T) {
 	if m.NumLayers() != 14 { // embeddings + 12 encoders + pooler
 		t.Fatalf("BERT-base layers = %d, want 14", m.NumLayers())
 	}
-	if m.LargestTensor().Layer != 0 {
+	if largestTensor(m).Layer != 0 {
 		t.Fatal("BERT-base word embedding must dominate at layer 0")
 	}
 }
@@ -186,7 +188,7 @@ func TestInceptionV3Facts(t *testing.T) {
 	}
 	// Compute-bound like ResNet50: low bytes per compute second.
 	vgg := VGG16()
-	if float64(m.TotalBytes())/m.IterComputeTime() > float64(vgg.TotalBytes())/vgg.IterComputeTime()/2 {
+	if float64(m.TotalBytes())/m.iterComputeTime() > float64(vgg.TotalBytes())/vgg.iterComputeTime()/2 {
 		t.Fatal("InceptionV3 should be clearly more compute-bound than VGG16")
 	}
 }
@@ -250,4 +252,30 @@ func TestValidateRejectsBadModels(t *testing.T) {
 			t.Errorf("%s: Validate accepted a broken model", name)
 		}
 	}
+}
+
+// largestTensor returns the single largest tensor in m.
+func largestTensor(m *Model) tensor.Tensor {
+	var best tensor.Tensor
+	for _, l := range m.Layers {
+		for _, t := range l.Tensors {
+			if t.Bytes > best.Bytes {
+				best = t
+			}
+		}
+	}
+	return best
+}
+
+// smallestTensor returns the single smallest non-empty tensor in m.
+func smallestTensor(m *Model) tensor.Tensor {
+	best := tensor.Tensor{Bytes: 1<<63 - 1}
+	for _, l := range m.Layers {
+		for _, t := range l.Tensors {
+			if t.Bytes > 0 && t.Bytes < best.Bytes {
+				best = t
+			}
+		}
+	}
+	return best
 }

@@ -22,7 +22,7 @@ import (
 // big-array striping bound (the runner stripes tensors over 32 MB across
 // all servers, which also masks placement skew).
 //
-// Like Synthetic, calibration is chosen so IterComputeTime() == iterCompute
+// Like Synthetic, calibration is chosen so iterComputeTime() == iterCompute
 // at batch 1; compute weight is uniform across layers.
 func PowerLaw(name string, layers int, maxBytes int64, alpha float64, seed int64, iterCompute float64) *Model {
 	if layers <= 0 {
@@ -62,7 +62,7 @@ func PowerLaw(name string, layers int, maxBytes int64, alpha float64, seed int64
 // dominant tensor aliases onto the same few servers, no matter how many
 // servers are added. Size-aware placement is immune because it looks at
 // bytes, not positions. This is the §6.2 load-imbalance mechanism isolated
-// from scheduling. Calibration matches Synthetic: IterComputeTime() ==
+// from scheduling. Calibration matches Synthetic: iterComputeTime() ==
 // iterCompute at batch 1, uniform compute weights.
 func Blocked(name string, blocks, layersPerBlock int, headBytes int64, alpha float64, lightBytes int64, iterCompute float64) *Model {
 	if blocks <= 0 {

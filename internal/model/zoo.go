@@ -220,7 +220,7 @@ func Synthetic(name string, layers int, bytesPerLayer int64, iterCompute float64
 	for i := 0; i < layers; i++ {
 		b.add("layer"+itoa(i), 1, namedParams{"weight", bytesPerLayer / BytesPerParam})
 	}
-	// Choose calibration so IterComputeTime() == iterCompute with batch 1.
+	// Choose calibration so iterComputeTime() == iterCompute with batch 1.
 	return &Model{
 		Name:        name,
 		Layers:      b.layers,

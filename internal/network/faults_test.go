@@ -18,14 +18,15 @@ func runTransfers(t *testing.T, fc *FaultConfig, n int, bytes int64) (float64, F
 		}
 	}
 	var last float64
+	got := 0
 	for i := 0; i < n; i++ {
 		fab.Send(&Transfer{
 			Src: 0, Dst: 1, Bytes: bytes,
-			Sink: onDelivered(func() { last = eng.Now() }),
+			Sink: onDelivered(func() { last, got = eng.Now(), got+1 }),
 		})
 	}
 	eng.Run()
-	if got := fab.Delivered(); got != uint64(n) {
+	if got != n {
 		t.Fatalf("delivered = %d, want %d — faults must degrade, never lose", got, n)
 	}
 	return last, fab.FaultStats()

@@ -117,9 +117,8 @@ type link struct {
 	busy bool
 	// lastEnd is when the link last finished serving a message; a message
 	// starting exactly at lastEnd is pipelined.
-	lastEnd  float64
-	served   uint64
-	busyTime float64
+	lastEnd float64
+	served  uint64
 }
 
 // fifo is one source uplink's NIC transmit queue: the transfers sent from it
@@ -196,9 +195,8 @@ type Fabric struct {
 	heads   []*Transfer
 	sent    uint64
 	// free holds the pooled transfers whose last callback has returned.
-	free      recycle.List[*Transfer]
-	delivered uint64
-	rec       *trace.Recorder
+	free recycle.List[*Transfer]
+	rec  *trace.Recorder
 	// faults, when non-nil, injects deterministic degradation (drops,
 	// outages, latency spikes); see InjectFaults. faultRNG is its
 	// generator, kept across Reset and reseeded by the next InjectFaults.
@@ -248,33 +246,17 @@ func (f *Fabric) Reset(gbps float64, prof Profile) {
 		clear(w.q)
 		w.q, w.head = w.q[:0], 0
 	}
-	f.sent, f.delivered = 0, 0
+	f.sent = 0
 	f.rec, f.faults = nil, nil
 }
 
 // Nodes returns the number of fabric nodes.
 func (f *Fabric) Nodes() int { return len(f.up) }
 
-// Profile returns the transport profile in use.
-func (f *Fabric) Profile() Profile { return f.prof }
-
 // transferTime returns the idle-link service time for a message of the given
 // size: θ + size/effective-bandwidth.
 func (f *Fabric) transferTime(bytes int64) float64 {
 	return f.prof.MsgOverhead + float64(bytes)/f.bytesPerS
-}
-
-// Delivered returns the number of messages delivered so far.
-func (f *Fabric) Delivered() uint64 { return f.delivered }
-
-// Utilization returns the busy fractions of a node's uplink and downlink
-// over the simulation so far.
-func (f *Fabric) Utilization(node int) (up, down float64) {
-	now := f.eng.Now()
-	if now <= 0 {
-		return 0, 0
-	}
-	return f.up[node].busyTime / now, f.down[node].busyTime / now
 }
 
 // NewTransfer returns a zeroed transfer from the fabric's free list to fill
@@ -357,8 +339,6 @@ func (f *Fabric) start(t *Transfer) {
 	}
 	t.start = now
 	src.busy, dst.busy = true, true
-	src.busyTime += dur
-	dst.busyTime += dur
 	f.eng.After(dur, t, stepDelivered)
 }
 
@@ -380,7 +360,6 @@ func (t *Transfer) Fire(step int) {
 	src.lastEnd, dst.lastEnd = end, end
 	src.served++
 	dst.served++
-	f.delivered++
 	if t.Sink != nil {
 		t.Sink.Delivered(t)
 		f.eng.After(f.prof.AckDelay, t, stepAcked)

@@ -66,9 +66,9 @@ func FrameworkByName(name string) (Framework, error) {
 	return 0, fmt.Errorf("plugin: unknown framework %q", name)
 }
 
-// HasGlobalBarrier reports whether the vanilla framework inserts an
+// hasGlobalBarrier reports whether the vanilla framework inserts an
 // inter-iteration barrier (Figure 3).
-func (f Framework) HasGlobalBarrier() bool {
+func (f Framework) hasGlobalBarrier() bool {
 	return f == TensorFlow || f == PyTorch
 }
 
@@ -77,7 +77,7 @@ func (f Framework) HasGlobalBarrier() bool {
 // dependencies: for barrier frameworks it replaces the barrier with
 // layer-wise out-of-engine dependencies.
 func (f Framework) DependencyMode(scheduled bool) engine.DependencyMode {
-	if scheduled || !f.HasGlobalBarrier() {
+	if scheduled || !f.hasGlobalBarrier() {
 		return engine.PerLayer
 	}
 	return engine.GlobalBarrier

@@ -25,9 +25,9 @@ import (
 //     unit is small relative to the total (exactly what partitioning
 //     achieves).
 //   - StrategyHashRing — consistent hashing with virtual nodes: placement
-//     depends only on the unit's key, so server additions and removals move
-//     ~1/n of the keys instead of reshuffling everything (elastic PS
-//     deployments, DNS-style shard discovery).
+//     depends only on the unit's key and the server count, and a deployment
+//     of n+1 servers moves only the units the (n+1)th server claims from
+//     the placement over n, not a reshuffle of everything.
 type Strategy int
 
 const (
@@ -106,7 +106,8 @@ type Assigner interface {
 	// index in [0, servers).
 	Assign(u Unit, bytes int64) int
 	// Load returns the cumulative bytes assigned to each server so far —
-	// the planned load, as opposed to Cluster.ServerLoad's observed traffic.
+	// the planned load, as opposed to the pushed traffic
+	// Cluster.LoadImbalance reads.
 	Load() []int64
 }
 
@@ -136,15 +137,15 @@ func NewAssigner(s Strategy, servers int) Assigner {
 	}
 	switch s {
 	case StrategySizeBalanced:
-		return NewSizeBalanced(servers)
+		return newSizeBalanced(servers)
 	case StrategyHashRing:
-		return NewHashRing(servers, DefaultVirtualNodes)
+		return newHashRing(servers, DefaultVirtualNodes)
 	case StrategyDelayAware:
 		// Without a topology there is no delay vector; zero delays make the
 		// score pure load/rate, i.e. size-balanced greedy.
-		return NewDelayAware(servers, make([]float64, servers), 1)
+		return newDelayAware(servers, make([]float64, servers), 1)
 	default:
-		return NewRoundRobin(servers)
+		return newRoundRobin(servers)
 	}
 }
 
@@ -172,8 +173,8 @@ type RoundRobin struct {
 	next int
 }
 
-// NewRoundRobin returns a round-robin assigner over servers.
-func NewRoundRobin(servers int) *RoundRobin {
+// newRoundRobin returns a round-robin assigner over servers.
+func newRoundRobin(servers int) *RoundRobin {
 	return &RoundRobin{loadTracker: newLoadTracker(servers)}
 }
 
@@ -198,8 +199,8 @@ type SizeBalanced struct {
 	loadTracker
 }
 
-// NewSizeBalanced returns a size-balanced (LPT-style) assigner over servers.
-func NewSizeBalanced(servers int) *SizeBalanced {
+// newSizeBalanced returns a size-balanced (LPT-style) assigner over servers.
+func newSizeBalanced(servers int) *SizeBalanced {
 	return &SizeBalanced{loadTracker: newLoadTracker(servers)}
 }
 
@@ -236,10 +237,10 @@ type DelayAware struct {
 	rate  float64   // link bytes/sec converting load into queueing time
 }
 
-// NewDelayAware returns a delay-aware assigner over len(delaySec) = servers
+// newDelayAware returns a delay-aware assigner over len(delaySec) = servers
 // targets. It panics on a delay/server count mismatch, a negative delay, or
 // a non-positive rate (configuration bugs, same contract as NewAssigner).
-func NewDelayAware(servers int, delaySec []float64, bytesPerSec float64) *DelayAware {
+func newDelayAware(servers int, delaySec []float64, bytesPerSec float64) *DelayAware {
 	if servers <= 0 {
 		panic(fmt.Sprintf("ps: assigner needs at least one server, got %d", servers))
 	}
@@ -288,14 +289,13 @@ const DefaultVirtualNodes = 128
 
 // HashRing is a consistent-hash assigner: every server contributes vnodes
 // points on a 64-bit ring, and a unit lands on the first point clockwise of
-// the hash of its key, Unit.String. Placement depends only on the key, so adding or removing a
-// server relocates ~1/n of the keys and leaves the rest untouched — the
-// property an elastic PS deployment needs when shards join or drain.
+// the hash of its key, Unit.String. Placement depends only on the key and
+// the server count: a ring over n+1 servers places every unit where the
+// ring over n does, except the units server n's points claim, so growing
+// the deployment by one server moves exactly that server's share.
 type HashRing struct {
 	loadTracker
-	vnodes int
 	points []ringPoint // sorted by hash
-	live   map[int]bool
 }
 
 type ringPoint struct {
@@ -303,32 +303,12 @@ type ringPoint struct {
 	server int
 }
 
-// NewHashRing returns a consistent-hash assigner over servers with the given
-// number of virtual nodes per server (<= 0 selects DefaultVirtualNodes).
-func NewHashRing(servers, vnodes int) *HashRing {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	r := &HashRing{
-		loadTracker: newLoadTracker(servers),
-		vnodes:      vnodes,
-		live:        make(map[int]bool, servers),
-	}
+// newHashRing returns a consistent-hash assigner over servers with the given
+// number of virtual nodes per server.
+func newHashRing(servers, vnodes int) *HashRing {
+	r := &HashRing{loadTracker: newLoadTracker(servers), points: make([]ringPoint, 0, servers*vnodes)}
 	for s := 0; s < servers; s++ {
-		r.live[s] = true
-	}
-	r.rebuild()
-	return r
-}
-
-// Name implements Assigner.
-func (r *HashRing) Name() string { return StrategyHashRing.String() }
-
-// rebuild regenerates the sorted ring from the live server set.
-func (r *HashRing) rebuild() {
-	r.points = r.points[:0]
-	for s := range r.live {
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:   hash64(fmt.Sprintf("server-%d#%d", s, v)),
 				server: s,
@@ -336,14 +316,15 @@ func (r *HashRing) rebuild() {
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	return r
 }
+
+// Name implements Assigner.
+func (r *HashRing) Name() string { return StrategyHashRing.String() }
 
 // Assign implements Assigner: the first ring point clockwise of the hash of
 // the unit's key.
 func (r *HashRing) Assign(u Unit, bytes int64) int {
-	if len(r.points) == 0 {
-		panic("ps: hash ring has no live servers")
-	}
 	h := hash64(u.String())
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -352,48 +333,6 @@ func (r *HashRing) Assign(u Unit, bytes int64) int {
 	s := r.points[i].server
 	r.load[s] += bytes
 	return s
-}
-
-// RemoveServer drains a server from the ring: keys previously mapping to it
-// redistribute to their clockwise successors; every other key keeps its
-// server. Removing the last live server panics.
-func (r *HashRing) RemoveServer(server int) {
-	if !r.live[server] {
-		return
-	}
-	if len(r.live) == 1 {
-		panic("ps: cannot remove the last hash-ring server")
-	}
-	delete(r.live, server)
-	r.rebuild()
-}
-
-// AddServer (re-)admits a server to the ring; it claims ~1/n of the keys
-// from its clockwise predecessors.
-func (r *HashRing) AddServer(server int) {
-	if server < 0 {
-		panic(fmt.Sprintf("ps: negative server id %d", server))
-	}
-	if r.live[server] {
-		return
-	}
-	r.live[server] = true
-	if server >= len(r.load) {
-		grown := make([]int64, server+1)
-		copy(grown, r.load)
-		r.load = grown
-	}
-	r.rebuild()
-}
-
-// Servers returns the live server ids in sorted order.
-func (r *HashRing) Servers() []int {
-	out := make([]int, 0, len(r.live))
-	for s := range r.live {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // KeyHash is the assigners' stable FNV-1a key hash, exported so other

@@ -95,9 +95,9 @@ func TestSizeBalancedBeatsRoundRobin(t *testing.T) {
 		}
 		mean := float64(total) / servers
 
-		lpt := NewSizeBalanced(servers)
+		lpt := newSizeBalanced(servers)
 		assignAll(lpt, sizes)
-		rr := NewRoundRobin(servers)
+		rr := newRoundRobin(servers)
 		assignAll(rr, sizes)
 
 		lptMax := maxLoad(lpt.Load())
@@ -136,7 +136,7 @@ func TestRoundRobinAliasesPeriodicSizes(t *testing.T) {
 			sizes[i] = 256 << 10
 		}
 	}
-	rr := NewRoundRobin(servers)
+	rr := newRoundRobin(servers)
 	heavyServers := map[int]bool{}
 	for i, b := range sizes {
 		s := rr.Assign(Unit{Layer: i, Name: "u", Part: -1}, b)
@@ -150,7 +150,7 @@ func TestRoundRobinAliasesPeriodicSizes(t *testing.T) {
 	if imb := Imbalance(rr.Load()); imb < 3 {
 		t.Fatalf("round-robin imbalance %.2f, want the aliased hot-spot (>3)", imb)
 	}
-	lpt := NewSizeBalanced(servers)
+	lpt := newSizeBalanced(servers)
 	assignAll(lpt, sizes)
 	if imb := Imbalance(lpt.Load()); imb > 1.6 {
 		t.Fatalf("size-balanced imbalance %.2f on the same sequence, want near-flat", imb)
@@ -170,53 +170,38 @@ func TestAssignersAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestHashRingStability pins consistent hashing's selling point: removing
-// one of n servers relocates only the keys that lived on it, and re-adding
-// it restores the original placement exactly.
+// TestHashRingStability pins consistent hashing's selling point on one
+// deployment: a ring over one more server moves only the keys the new
+// server claims, about 1/(n+1) of them, and a ring rebuilt over the same
+// servers places every key where the first one did.
 func TestHashRingStability(t *testing.T) {
 	const servers, keys = 8, 512
-	ring := NewHashRing(servers, 0) // 0 selects DefaultVirtualNodes
-	before := make(map[Unit]int, keys)
+	ring := newHashRing(servers, DefaultVirtualNodes)
+	again := newHashRing(servers, DefaultVirtualNodes)
+	grown := newHashRing(servers+1, DefaultVirtualNodes)
+	moved := 0
 	for i := 0; i < keys; i++ {
 		k := Unit{Layer: i / 4, Name: "weight", Part: i % 4}
-		before[k] = ring.Assign(k, 1)
-	}
-
-	const victim = 3
-	ring.RemoveServer(victim)
-	moved := 0
-	for k, s := range before {
-		now := ring.Assign(k, 1)
-		if now != s {
+		s := ring.Assign(k, 1)
+		if s2 := again.Assign(k, 1); s2 != s {
+			t.Fatalf("key %s on %d and %d in two rings built alike", k, s, s2)
+		}
+		if now := grown.Assign(k, 1); now != s {
 			moved++
-			if s != victim {
-				t.Fatalf("key %s moved %d -> %d though server %d was removed", k, s, now, victim)
+			if now != servers {
+				t.Fatalf("key %s moved %d -> %d though only server %d was added", k, s, now, servers)
 			}
 		}
-		if now == victim {
-			t.Fatalf("key %s still maps to removed server", k)
-		}
 	}
-	// The victim held ~1/8 of the keys; everything else must be untouched.
-	if lo, hi := keys/servers/2, keys/servers*2; moved < lo || moved > hi {
-		t.Fatalf("%d of %d keys moved, want about %d", moved, keys, keys/servers)
-	}
-
-	ring.AddServer(victim)
-	for k, s := range before {
-		if now := ring.Assign(k, 1); now != s {
-			t.Fatalf("key %s at %d after re-add, originally %d", k, now, s)
-		}
-	}
-	if got := ring.Servers(); len(got) != servers {
-		t.Fatalf("Servers() = %v after churn", got)
+	// The new server claims ~1/9 of the keys; everything else is untouched.
+	if lo, hi := keys/(servers+1)/2, keys/(servers+1)*2; moved < lo || moved > hi {
+		t.Fatalf("%d of %d keys moved, want about %d", moved, keys, keys/(servers+1))
 	}
 }
 
 func TestHashRingPanics(t *testing.T) {
-	ring := NewHashRing(1, 8)
-	mustPanic(t, "remove last server", func() { ring.RemoveServer(0) })
-	mustPanic(t, "negative server", func() { ring.AddServer(-1) })
+	mustPanic(t, "zero servers", func() { NewAssigner(StrategyHashRing, 0) })
+	mustPanic(t, "negative servers", func() { NewAssigner(StrategyHashRing, -1) })
 	mustPanic(t, "zero servers", func() { NewAssigner(StrategyRoundRobin, 0) })
 }
 
@@ -227,7 +212,7 @@ func TestHashRingPanics(t *testing.T) {
 // alternate — scores before each pick: 1v3, 2v3, 3v3 (tie → low index),
 // 4v3, 4v4 (tie), 5v4.
 func TestDelayAwareTradesLoadForProximity(t *testing.T) {
-	a := NewDelayAware(2, []float64{0, 2}, 1)
+	a := newDelayAware(2, []float64{0, 2}, 1)
 	want := []int{0, 0, 0, 1, 0, 1}
 	for i, ws := range want {
 		if got := a.Assign(Unit{Layer: i, Name: "u", Part: -1}, 1); got != ws {
@@ -245,8 +230,8 @@ func TestDelayAwareTradesLoadForProximity(t *testing.T) {
 func TestDelayAwareUniformDelayMatchesSizeBalanced(t *testing.T) {
 	const servers = 5
 	sizes := powerLawSizes(64, 16<<20, 0.9, 11)
-	da := NewDelayAware(servers, []float64{3, 3, 3, 3, 3}, 1e9)
-	lpt := NewSizeBalanced(servers)
+	da := newDelayAware(servers, []float64{3, 3, 3, 3, 3}, 1e9)
+	lpt := newSizeBalanced(servers)
 	for i, b := range sizes {
 		u := Unit{Layer: i, Name: "w", Part: -1}
 		if got, want := da.Assign(u, b), lpt.Assign(u, b); got != want {
@@ -256,10 +241,10 @@ func TestDelayAwareUniformDelayMatchesSizeBalanced(t *testing.T) {
 }
 
 func TestDelayAwarePanics(t *testing.T) {
-	mustPanic(t, "zero servers", func() { NewDelayAware(0, nil, 1) })
-	mustPanic(t, "delay count mismatch", func() { NewDelayAware(2, []float64{1}, 1) })
-	mustPanic(t, "negative delay", func() { NewDelayAware(1, []float64{-1}, 1) })
-	mustPanic(t, "zero rate", func() { NewDelayAware(1, []float64{0}, 0) })
+	mustPanic(t, "zero servers", func() { newDelayAware(0, nil, 1) })
+	mustPanic(t, "delay count mismatch", func() { newDelayAware(2, []float64{1}, 1) })
+	mustPanic(t, "negative delay", func() { newDelayAware(1, []float64{-1}, 1) })
+	mustPanic(t, "zero rate", func() { newDelayAware(1, []float64{0}, 0) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -302,7 +287,7 @@ func TestHashRingUnitPlacement(t *testing.T) {
 		6, 3, 3, 3, 1, 3, 3, 3, 2, 4, 4, 4, 6, 2, 2, 2, 4, 7, 7, 7, 3, 3, 3, 3, 6, 2, 2, 2,
 		6, 4, 4, 4, 4, 7, 7, 7, 4, 0, 0, 0, 2, 4, 4, 4, 5, 2, 2, 2, 2, 3, 3, 3, 3, 7, 7, 7,
 	}
-	r := NewHashRing(8, 0)
+	r := newHashRing(8, DefaultVirtualNodes)
 	var got []int
 	for _, name := range []string{"weight", "bias", "fc6/weight", "embedding"} {
 		for l := 0; l < 20; l += 3 {

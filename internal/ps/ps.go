@@ -13,7 +13,7 @@
 //     round-robin that causes severe load imbalance when one tensor
 //     dominates (§6.2, Transformer/VGG16), an online LPT size-balanced
 //     greedy that mitigates it, and a consistent hash-ring whose placement
-//     survives server churn (see Assigner);
+//     depends only on each unit's key (see Assigner);
 //   - partition-granularity pulls: a partition can be pulled as soon as it
 //     is aggregated, even if the rest of its tensor is still being pushed
 //     (Theorem 1, condition 3).
@@ -222,13 +222,6 @@ func (c *Cluster) Reset(cfg Config) {
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// ServerLoad returns the cumulative pushed bytes received by each server.
-func (c *Cluster) ServerLoad() []int64 {
-	out := make([]int64, len(c.recvBytes))
-	copy(out, c.recvBytes)
-	return out
-}
-
 // TensorID interns a tensor: Push, Pull and WhenPullable take the small
 // integer in place of its (layer, name) pair, so no hop hashes a string.
 // Intern once per tensor and keep the id.
@@ -243,13 +236,9 @@ func (c *Cluster) TensorID(t tensor.Tensor) int {
 	return id
 }
 
-// ServerOf returns the server index (0-based) a partition is assigned to.
+// serverOf returns the server index (0-based) a partition is assigned to.
 // Assignment is sticky: the first call for a tensor/partition decides, by
 // consulting the configured Assigner once per unit and caching the result.
-func (c *Cluster) ServerOf(sub tensor.Sub) int {
-	return c.serverOf(c.TensorID(sub.Parent), sub)
-}
-
 func (c *Cluster) serverOf(tid int, sub tensor.Sub) int {
 	pl := &c.tensors[tid]
 	spread := c.cfg.Assignment == SpreadPartitions
@@ -271,7 +260,7 @@ func (c *Cluster) serverOf(tid int, sub tensor.Sub) int {
 }
 
 // PlannedLoad returns the per-server bytes the assigner has placed so far —
-// the *planned* load, versus ServerLoad's observed pushed traffic (which
+// the *planned* load, versus LoadImbalance's observed pushed traffic (which
 // counts every worker's push and big-array stripes).
 func (c *Cluster) PlannedLoad() []int64 { return c.assigner.Load() }
 

@@ -47,6 +47,9 @@ func (c *Cluster) whenPullableFn(iter, worker int, sub tensor.Sub, fn func()) {
 	c.WhenPullable(iter, worker, c.TensorID(sub.Parent), sub, callbacks{pullable: fn})
 }
 
+// serverOf places sub the way a push of it would.
+func serverOf(c *Cluster, sub tensor.Sub) int { return c.serverOf(c.TensorID(sub.Parent), sub) }
+
 func sub(layer int, name string, bytes int64) tensor.Sub {
 	return tensor.Partition(tensor.Tensor{Layer: layer, Name: name, Bytes: bytes}, 0)[0]
 }
@@ -165,17 +168,17 @@ func TestPartitionGranularityPulls(t *testing.T) {
 func TestRoundRobinTensorAssignment(t *testing.T) {
 	eng := sim.New()
 	c := newTestCluster(t, eng, Config{Workers: 1, Servers: 3})
-	s0 := c.ServerOf(sub(0, "a", 1))
-	s1 := c.ServerOf(sub(1, "b", 1))
-	s2 := c.ServerOf(sub(2, "c", 1))
-	s3 := c.ServerOf(sub(3, "d", 1))
+	s0 := serverOf(c, sub(0, "a", 1))
+	s1 := serverOf(c, sub(1, "b", 1))
+	s2 := serverOf(c, sub(2, "c", 1))
+	s3 := serverOf(c, sub(3, "d", 1))
 	if s0 != 0 || s1 != 1 || s2 != 2 || s3 != 0 {
 		t.Fatalf("round robin gave %d %d %d %d", s0, s1, s2, s3)
 	}
 	// Sticky: same tensor, same server, regardless of partition.
 	parent := tensor.Tensor{Layer: 0, Name: "a", Bytes: 1000}
 	for _, p := range tensor.Partition(parent, 100) {
-		if got := c.ServerOf(p); got != s0 {
+		if got := serverOf(c, p); got != s0 {
 			t.Fatalf("partition %d of tensor a on server %d, want %d", p.Index, got, s0)
 		}
 	}
@@ -188,15 +191,15 @@ func TestSpreadPartitionsAssignment(t *testing.T) {
 	parts := tensor.Partition(parent, 300)
 	seen := map[int]bool{}
 	for _, p := range parts {
-		seen[c.ServerOf(p)] = true
+		seen[serverOf(c, p)] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("3 partitions landed on %d servers, want 3", len(seen))
 	}
 	// Sticky across calls.
 	for _, p := range parts {
-		a := c.ServerOf(p)
-		b := c.ServerOf(p)
+		a := serverOf(c, p)
+		b := serverOf(c, p)
 		if a != b {
 			t.Fatal("assignment not sticky")
 		}

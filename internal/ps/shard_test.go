@@ -25,7 +25,7 @@ func TestShardingSpreadsBigTensor(t *testing.T) {
 	c.pushFn(0, 0, big, nil)
 	c.pullFn(0, 0, big, nil, nil)
 	eng.Run()
-	loads := c.ServerLoad()
+	loads := c.recvBytes
 	for s, b := range loads {
 		if b != 16<<20 {
 			t.Fatalf("server %d received %d, want even 16MB stripes: %v", s, b, loads)
@@ -44,7 +44,7 @@ func TestShardingThresholdInclusive(t *testing.T) {
 	c.pushFn(0, 0, at, nil)
 	eng.Run()
 	nonZero := 0
-	for _, b := range c.ServerLoad() {
+	for _, b := range c.recvBytes {
 		if b > 0 {
 			nonZero++
 		}
@@ -61,7 +61,7 @@ func TestShardingDisabled(t *testing.T) {
 	c.pushFn(0, 0, big, nil)
 	eng.Run()
 	nonZero := 0
-	for _, b := range c.ServerLoad() {
+	for _, b := range c.recvBytes {
 		if b > 0 {
 			nonZero++
 		}

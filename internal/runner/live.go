@@ -160,8 +160,8 @@ func (c LiveConfig) priorityRanks() ([]int64, error) {
 	return c.Priority.Ranks(core.DAGTimings{FP: fp, BP: bp, LayerBytes: c.LayerBytes, BytesPerSec: liveLinkBytesPerSec}, c.Seed)
 }
 
-// Validate reports configuration errors.
-func (c LiveConfig) Validate() error {
+// validate reports configuration errors.
+func (c LiveConfig) validate() error {
 	switch c.Backend {
 	case LiveBackendPS, LiveBackendRing:
 	default:
@@ -180,6 +180,11 @@ func (c LiveConfig) Validate() error {
 	}
 	if err := c.Policy.Validate(); err != nil {
 		return err
+	}
+	if c.Backend == LiveBackendRing && len(c.LayerBytes) > 1<<16 {
+		// The ring's control frames name a task by its 16-bit position in
+		// the pass: a longer pass would wrap onto an open position.
+		return fmt.Errorf("runner: the ring backend names at most %d layers per pass, got %d", 1<<16, len(c.LayerBytes))
 	}
 	if c.Backend == LiveBackendRing && c.Policy.MaxRetries > 0 {
 		// A retried AllReduceInto re-sends segments its successor already
@@ -339,7 +344,7 @@ func runWorkers(n int, f *firstFailure, work func(r int) error) error {
 // measured per-iteration time. Unlike Run, this is wall-clock measurement
 // over real sockets — results vary run to run and across machines.
 func RunLive(cfg LiveConfig) (LiveResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return LiveResult{}, err
 	}
 	// Materialize the priority strategy once: every PS worker must use the

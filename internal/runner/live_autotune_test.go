@@ -143,13 +143,13 @@ func TestValidateShape(t *testing.T) {
 	for _, tc := range bad {
 		cfg := liveBase(LiveBackendPS)
 		cfg.Shape = tc.shape
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("%s: invalid shape accepted", tc.name)
 		}
 	}
 	cfg := liveBase(LiveBackendPS)
 	cfg.Shape = []LinkShape{{FromIter: 0, PerMessage: time.Millisecond}, {FromIter: 4, Gbps: 1}}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Errorf("valid shape rejected: %v", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestLivePipelineValidation(t *testing.T) {
 	cfg := liveBase(LiveBackendPS)
 	cfg.Priority = core.PriorityPolicy(99)
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Fatal("unknown priority policy accepted")
 	}
 }

@@ -27,6 +27,15 @@ func liveBase(backend LiveBackend) LiveConfig {
 	}
 }
 
+// uniformLayers returns n layers of the given size.
+func uniformLayers(n int, bytes int64) []int64 {
+	l := make([]int64, n)
+	for i := range l {
+		l[i] = bytes
+	}
+	return l
+}
+
 func TestRunLiveRing(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := liveBase(LiveBackendRing)
@@ -368,21 +377,33 @@ func TestRunLiveValidation(t *testing.T) {
 		{"bad backend", func(c *LiveConfig) { c.Backend = LiveBackend(99) }},
 		{"ragged fuse theta", func(c *LiveConfig) { c.FuseTheta = 6 }},
 		{"retried ring collective", func(c *LiveConfig) { c.Policy = c.Policy.WithMaxRetries(1) }},
+		{"ring pass past 16-bit task positions", func(c *LiveConfig) { c.LayerBytes = uniformLayers(1<<16+1, 4) }},
 	} {
 		cfg := good
 		tc.mut(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("%s: validation passed", tc.name)
 		}
 	}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	// The PS transport's retries re-send a push the server deduplicates.
 	ps := liveBase(LiveBackendPS)
 	ps.Policy = ps.Policy.WithMaxRetries(1)
-	if err := ps.Validate(); err != nil {
+	if err := ps.validate(); err != nil {
 		t.Fatalf("PS config with a retry budget rejected: %v", err)
+	}
+	// 1<<16 layers is the last pass length whose positions fit; the PS
+	// transport names keys, not positions, and takes more.
+	edge := good
+	edge.LayerBytes = uniformLayers(1<<16, 4)
+	if err := edge.validate(); err != nil {
+		t.Fatalf("ring config with 1<<16 layers rejected: %v", err)
+	}
+	ps.LayerBytes = uniformLayers(1<<16+1, 4)
+	if err := ps.validate(); err != nil {
+		t.Fatalf("PS config with 1<<16+1 layers rejected: %v", err)
 	}
 }
 

@@ -126,8 +126,8 @@ func TestFreeListSafetyProperty(t *testing.T) {
 				t.Fatalf("seed %d: event %d fired %d times", seed, id, n)
 			}
 		}
-		if r.eng.Fired() != uint64(len(want)) || r.eng.Pending() != 0 {
-			t.Fatalf("seed %d: Fired=%d Pending=%d, want %d and 0", seed, r.eng.Fired(), r.eng.Pending(), len(want))
+		if r.eng.Fired() != uint64(len(want)) || len(r.eng.queue) != 0 {
+			t.Fatalf("seed %d: Fired=%d pending=%d, want %d and 0", seed, r.eng.Fired(), len(r.eng.queue), len(want))
 		}
 	}
 }

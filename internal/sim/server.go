@@ -14,7 +14,6 @@ type Server struct {
 	queue    []job
 	serving  job // the job in service; the server is its completion event
 	busyTime Time
-	served   uint64
 }
 
 type job struct {
@@ -39,9 +38,6 @@ func (s *Server) Reset() {
 
 // Name returns the diagnostic name given at construction.
 func (s *Server) Name() string { return s.name }
-
-// Served returns the number of jobs completed so far.
-func (s *Server) Served() uint64 { return s.served }
 
 // BusyTime returns the cumulative time the server has spent serving jobs.
 func (s *Server) BusyTime() Time { return s.busyTime }
@@ -79,7 +75,6 @@ func (s *Server) Fire(int) {
 	onDone := s.serving.onDone
 	s.serving = job{}
 	s.busy = false
-	s.served++
 	if onDone != nil {
 		onDone()
 	}

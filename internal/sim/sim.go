@@ -123,9 +123,6 @@ func (e *Engine) Now() Time { return e.now }
 // a progress/cost metric.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Schedule arranges for fn to run after delay. A negative or NaN delay is an
 // error in the caller; Schedule panics to surface the bug immediately rather
 // than silently reordering time.
@@ -161,9 +158,9 @@ func (e *Engine) post(when Time, h Handler, arg int) {
 	e.queue.push(event{when, e.seq, h, arg})
 }
 
-// Step fires the single earliest pending event and returns true, or returns
+// step fires the single earliest pending event and returns true, or returns
 // false if no events remain.
-func (e *Engine) Step() bool {
+func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
@@ -181,6 +178,6 @@ func (e *Engine) Run() {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for e.Step() {
+	for e.step() {
 	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,16 +17,6 @@ func TestMoments(t *testing.T) {
 	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
 		t.Fatal("degenerate cases")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatal("Min/Max wrong")
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty Min/Max wrong")
 	}
 }
 
@@ -45,47 +36,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if !math.IsNaN(Percentile(nil, 50)) {
 		t.Fatal("empty percentile should be NaN")
-	}
-}
-
-func TestCI95(t *testing.T) {
-	xs := []float64{10, 10, 10, 10}
-	if CI95(xs) != 0 {
-		t.Fatal("zero-variance CI should be 0")
-	}
-	if CI95([]float64{1}) != 0 {
-		t.Fatal("single-sample CI should be 0")
-	}
-	// n=4 -> df=3 -> t=3.182, sd=1.29099, half-width 3.182*1.29099/2.
-	if got, want := CI95([]float64{1, 2, 3, 4}), 2.0540; math.Abs(got-want) > 1e-3 {
-		t.Fatalf("CI95(n=4) = %v, want %v (Student-t, df=3)", got, want)
-	}
-	// n=2 -> df=1 -> t=12.706: tiny samples must widen dramatically.
-	if got, want := CI95([]float64{1, 2}), 12.706*math.Sqrt(0.5)/math.Sqrt2; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("CI95(n=2) = %v, want %v", got, want)
-	}
-	// Large n falls back to the normal approximation.
-	big := make([]float64, 100)
-	for i := range big {
-		big[i] = float64(i % 10)
-	}
-	want := 1.96 * StdDev(big) / 10
-	if got := CI95(big); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("CI95(n=100) = %v, want z-based %v", got, want)
-	}
-	// Monotonic hand-off: the df=29 t value must still exceed z, and the
-	// interval with one more sample (same sd) must not widen.
-	if tCrit95[28] <= 1.96 {
-		t.Fatal("t table must dominate z at df=29")
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(100, 150); got != 50 {
-		t.Fatalf("Speedup = %v", got)
-	}
-	if got := Speedup(0, 5); got != 0 {
-		t.Fatalf("Speedup(0,·) = %v", got)
 	}
 }
 
@@ -121,21 +71,6 @@ func TestJitterBounds(t *testing.T) {
 	}
 }
 
-func TestFormatBytes(t *testing.T) {
-	cases := map[int64]string{
-		512:       "512B",
-		2048:      "2.0KB",
-		160 << 10: "160.0KB",
-		6 << 20:   "6.0MB",
-		3 << 30:   "3.0GB",
-	}
-	for in, want := range cases {
-		if got := FormatBytes(in); got != want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileProperty(t *testing.T) {
 	f := func(raw []uint16, p1, p2 uint8) bool {
@@ -152,7 +87,7 @@ func TestPercentileProperty(t *testing.T) {
 			a, b = b, a
 		}
 		pa, pb := Percentile(xs, a), Percentile(xs, b)
-		return pa <= pb+1e-9 && pa >= Min(xs)-1e-9 && pb <= Max(xs)+1e-9
+		return pa <= pb+1e-9 && pa >= slices.Min(xs)-1e-9 && pb <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -31,13 +31,6 @@ func NewCache() *Cache {
 	return &Cache{m: make(map[string]*cacheEntry)}
 }
 
-// Len returns the number of cached (or in-flight) configurations.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // claim returns the entry for key. owner=true means the caller must
 // compute the result and close ent.done; owner=false means another
 // goroutine owns (or owned) the computation and the caller should wait on

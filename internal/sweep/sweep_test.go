@@ -129,8 +129,8 @@ func TestRunConcurrentSingleFlight(t *testing.T) {
 	if hits != 15 {
 		t.Fatalf("hits = %d, want 15 (single execution)", hits)
 	}
-	if e.cache.Len() != 1 {
-		t.Fatalf("cache len = %d, want 1", e.cache.Len())
+	if len(e.cache.m) != 1 {
+		t.Fatalf("cache len = %d, want 1", len(e.cache.m))
 	}
 }
 
@@ -246,7 +246,7 @@ func TestUncacheableConfigsAlwaysExecute(t *testing.T) {
 	if _, hits := e.Stats(); hits != 0 {
 		t.Fatal("uncacheable config produced a cache hit")
 	}
-	if e.cache.Len() != 0 {
+	if len(e.cache.m) != 0 {
 		t.Fatal("uncacheable config entered the cache")
 	}
 }
@@ -265,7 +265,7 @@ func TestRunCachesErrors(t *testing.T) {
 	if _, err := e.Run(bad); err == nil {
 		t.Fatal("cached error lost")
 	}
-	if e.cache.Len() != 1 {
+	if len(e.cache.m) != 1 {
 		t.Fatal("error not cached")
 	}
 	_ = key

@@ -38,8 +38,8 @@ func checkTiling(t *testing.T, tn Tensor, unit int64) {
 		if unit > 0 && unit < tn.Bytes && s.Bytes > unit {
 			t.Fatalf("%v unit=%d: sub %d has %d bytes > unit", tn, unit, i, s.Bytes)
 		}
-		if got := s.Last(); got != (i == len(subs)-1) {
-			t.Fatalf("%v unit=%d: sub %d Last()=%v", tn, unit, i, got)
+		if got := s.Index == s.Count-1; got != (i == len(subs)-1) {
+			t.Fatalf("%v unit=%d: sub %d last=%v", tn, unit, i, got)
 		}
 		off += s.Bytes
 		sum += s.Bytes

@@ -47,9 +47,6 @@ func (s Sub) String() string {
 	return fmt.Sprintf("L%02d/%s[%d/%d](%dB)", s.Parent.Layer, s.Parent.Name, s.Index, s.Count, s.Bytes)
 }
 
-// Last reports whether s is the final partition of its parent.
-func (s Sub) Last() bool { return s.Index == s.Count-1 }
-
 // Partition splits t into sub-tensors no larger than unit bytes. A unit <= 0
 // or >= t.Bytes yields a single partition covering the whole tensor. All
 // partitions except possibly the last have exactly unit bytes, mirroring how

@@ -13,7 +13,7 @@ func TestPartitionWhole(t *testing.T) {
 			t.Fatalf("unit %d: got %d subs, want 1", unit, len(subs))
 		}
 		s := subs[0]
-		if s.Bytes != 1000 || s.Offset != 0 || s.Count != 1 || !s.Last() {
+		if s.Bytes != 1000 || s.Offset != 0 || s.Count != 1 || s.Index != 0 {
 			t.Fatalf("unit %d: bad sub %+v", unit, s)
 		}
 	}
@@ -35,9 +35,6 @@ func TestPartitionExact(t *testing.T) {
 		if s.Index != i || s.Count != 4 {
 			t.Fatalf("sub %d index/count %d/%d", i, s.Index, s.Count)
 		}
-	}
-	if !subs[3].Last() || subs[0].Last() {
-		t.Fatal("Last() wrong")
 	}
 }
 

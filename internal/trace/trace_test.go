@@ -148,13 +148,10 @@ func TestWallTracer(t *testing.T) {
 			t.Fatalf("bad wall span %+v", s)
 		}
 	}
-	if w.Now() < 0 {
-		t.Fatal("Now must be non-negative")
-	}
 	var nilWall *Wall
 	nilWall.Span("l", "n")()
 	nilWall.Add("l", "n", time.Now(), time.Now())
-	if nilWall.Recorder() != nil || nilWall.Now() != 0 {
+	if nilWall != nil {
 		t.Fatal("nil Wall must be inert")
 	}
 	if NewWall(nil) != nil {

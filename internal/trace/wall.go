@@ -22,39 +22,12 @@ func NewWall(rec *Recorder) *Wall {
 	return &Wall{rec: rec, epoch: time.Now()}
 }
 
-// Recorder returns the underlying recorder; nil for a nil tracer.
-func (w *Wall) Recorder() *Recorder {
-	if w == nil {
-		return nil
-	}
-	return w.rec
-}
-
-// Now returns seconds since the tracer's epoch; 0 for a nil tracer.
-// Negative readings (a time captured before the epoch) are possible when
-// callers mix externally captured time.Times; Recorder.Add clamps any span
-// such readings invert.
-func (w *Wall) Now() float64 {
-	if w == nil {
-		return 0
-	}
-	return time.Since(w.epoch).Seconds()
-}
-
-// At converts an absolute time to seconds since the epoch.
-func (w *Wall) At(t time.Time) float64 {
-	if w == nil {
-		return 0
-	}
-	return t.Sub(w.epoch).Seconds()
-}
-
 // Add records a wall-clock span.
 func (w *Wall) Add(lane, name string, start, end time.Time) {
 	if w == nil {
 		return
 	}
-	w.rec.Add(lane, name, w.At(start), w.At(end))
+	w.rec.Add(lane, name, start.Sub(w.epoch).Seconds(), end.Sub(w.epoch).Seconds())
 }
 
 // Span starts a span now and returns the function that ends it. Safe on a

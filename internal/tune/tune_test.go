@@ -2,9 +2,8 @@ package tune
 
 import (
 	"math"
+	"math/rand"
 	"testing"
-
-	"bytescheduler/internal/stats"
 )
 
 func TestBoundsValidate(t *testing.T) {
@@ -113,8 +112,8 @@ func TestBOFindsOptimum(t *testing.T) {
 }
 
 func TestBOWithNoise(t *testing.T) {
-	rng := stats.NewRNG(3)
-	noisy := func(x []float64) float64 { return paraboloid(x) + rng.Normal(0, 2) }
+	rng := rand.New(rand.NewSource(3))
+	noisy := func(x []float64) float64 { return paraboloid(x) + 2*rng.NormFloat64() }
 	bo := NewBO(unitBounds(), 7)
 	got := Run(bo, noisy, 30)
 	if got.Y < 92 {
